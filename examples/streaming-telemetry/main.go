@@ -93,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	qid, delay, err := ctl.InstallSharded(q, 1<<12, names)
+	qid, delay, err := ctl.Deploy(0, controller.Want{Query: q, Width: 1 << 12, Targets: names, Sharded: true})
 	if err != nil {
 		log.Fatal(err)
 	}

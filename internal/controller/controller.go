@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/placement"
@@ -133,24 +132,41 @@ func (c *Newton) switchTargets(spec Spec) []int {
 // is the controller-observed operation latency (rule installation is
 // batched per switch and switches are programmed in parallel, so the
 // slowest switch bounds the delay). Forwarding is never interrupted.
-func (c *Newton) Install(spec Spec) (dep *Deployment, delay time.Duration, err error) {
+func (c *Newton) Install(spec Spec) (_ *Deployment, delay time.Duration, err error) {
 	if spec.Query == nil {
 		return nil, 0, fmt.Errorf("controller: nil query")
 	}
-	defer func() {
-		if err != nil {
-			inc(&c.obs.deployFailures)
-		}
-	}()
 	qid := c.nextQID
-	dep = &Deployment{QID: qid, Query: spec.Query, Mode: spec.Mode}
+	dep := &Deployment{QID: qid, Query: spec.Query, Mode: spec.Mode}
 	maxRules := 0
 	var footprintProg *modules.Program
 
-	install := func(sw int, progs ...*modules.Program) error {
+	// A failed install removes the query from the switches it reached.
+	defer func() {
+		if err == nil {
+			return
+		}
+		inc(&c.obs.deployFailures)
+		for _, sw := range dep.Switches {
+			if c.net.Node(sw).Eng.Remove(qid) == nil {
+				inc(&c.obs.rollbacks)
+			} else {
+				inc(&c.obs.rollbackFailures)
+			}
+		}
+	}()
+
+	// install compiles one switch's share of the query — each switch needs
+	// its own program instances, installs bind register allocations per
+	// device — and installs it.
+	install := func(sw int, sh share) error {
 		node := c.net.Node(sw)
 		if node == nil {
 			return fmt.Errorf("controller: no switch %d", sw)
+		}
+		progs, err := sh.programs(spec.Query, qid)
+		if err != nil {
+			return err
 		}
 		rules := 0
 		for _, p := range progs {
@@ -159,44 +175,25 @@ func (c *Newton) Install(spec Spec) (dep *Deployment, delay time.Duration, err e
 			}
 			rules += p.RuleCount() + 1 // + newton_fin entry
 		}
-		dep.Rules += rules
-		if rules > maxRules {
-			maxRules = rules
+		if footprintProg == nil {
+			footprintProg = progs[0]
 		}
+		dep.Rules += rules
+		maxRules = max(maxRules, rules)
 		dep.Switches = append(dep.Switches, sw)
 		return nil
-	}
-
-	undo := func() {
-		for _, sw := range dep.Switches {
-			if c.net.Node(sw).Eng.Remove(qid) == nil {
-				inc(&c.obs.rollbacks)
-			} else {
-				inc(&c.obs.rollbackFailures)
-			}
-		}
 	}
 
 	switch spec.Mode {
 	case Replicate, Shard:
 		targets := c.switchTargets(spec)
 		for i, sw := range targets {
-			o := compiler.AllOpts()
-			o.QID = qid
-			o.Width = spec.Width
+			sh := share{width: spec.Width}
 			if spec.Mode == Shard {
-				o.ShardIndex, o.ShardCount = uint32(i), uint32(len(targets))
+				sh.shard, sh.shards = uint32(i), uint32(len(targets))
 			}
-			p, err := compiler.Compile(spec.Query, o)
-			if err != nil {
+			if err := install(sw, sh); err != nil {
 				return nil, 0, err
-			}
-			if err := install(sw, p); err != nil {
-				undo()
-				return nil, 0, err
-			}
-			if footprintProg == nil {
-				footprintProg = p
 			}
 		}
 		dep.Parts = 1
@@ -209,40 +206,22 @@ func (c *Newton) Install(spec Spec) (dep *Deployment, delay time.Duration, err e
 		if len(edges) == 0 {
 			edges = c.net.Topo.EdgeSwitches()
 		}
-		o := compiler.AllOpts()
-		o.QID = qid
-		o.Width = spec.Width
-		logical, err := compiler.Compile(spec.Query, o)
+		logical, err := share{width: spec.Width}.programs(spec.Query, qid)
 		if err != nil {
 			return nil, 0, err
 		}
-		footprintProg = logical
-		parts, err := modules.SliceProgram(logical, spec.StagesPerSwitch)
-		if err != nil {
-			return nil, 0, err
-		}
-		pl, m, err := placement.Place(c.net.Topo, edges, logical.NumStages(), spec.StagesPerSwitch)
+		footprintProg = logical[0]
+		pl, m, err := placement.Place(c.net.Topo, edges, footprintProg.NumStages(), spec.StagesPerSwitch)
 		if err != nil {
 			return nil, 0, err
 		}
 		dep.Placement, dep.Parts = pl, m
-		for sw, partIdxs := range pl {
-			var progs []*modules.Program
-			for _, d := range partIdxs {
-				// Each switch needs its own program instance: installs
-				// bind register allocations per device.
-				cp, err := modules.SliceProgram(logical, spec.StagesPerSwitch)
-				if err != nil {
-					return nil, 0, err
-				}
-				progs = append(progs, cp[d])
-			}
-			if err := install(sw, progs...); err != nil {
-				undo()
+		for sw, parts := range pl {
+			sh := share{width: spec.Width, stagesPer: spec.StagesPerSwitch, parts: parts}
+			if err := install(sw, sh); err != nil {
 				return nil, 0, err
 			}
 		}
-		_ = parts
 
 	default:
 		return nil, 0, fmt.Errorf("controller: unknown mode %v", spec.Mode)

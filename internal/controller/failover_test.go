@@ -74,7 +74,7 @@ func TestShardDeployAllOrNothingUnderPartition(t *testing.T) {
 	fas["c"].inj.Partition() // c is unreachable for the whole deploy
 
 	r := NewRemote(agents, 1)
-	_, _, err := r.InstallSharded(query.Q1(3), 1<<10, nil)
+	_, _, err := r.Deploy(0, Want{Query: query.Q1(3), Width: 1 << 10, Sharded: true})
 	if err == nil {
 		t.Fatal("sharded deploy with a partitioned member succeeded")
 	}
@@ -102,7 +102,7 @@ func TestShardDeployAllOrNothingUnderPartition(t *testing.T) {
 
 	// Healing the partition makes the identical deploy succeed in full.
 	fas["c"].inj.Heal()
-	if _, _, err := r.InstallSharded(query.Q1(3), 1<<10, nil); err != nil {
+	if _, _, err := r.Deploy(0, Want{Query: query.Q1(3), Width: 1 << 10, Sharded: true}); err != nil {
 		t.Fatalf("post-heal deploy: %v", err)
 	}
 	for id, c := range agents {
@@ -130,7 +130,7 @@ func TestShardDeploySurvivesInjectedResets(t *testing.T) {
 		agents[id] = fa.client(t, retrying)
 	}
 	r := NewRemote(agents, 1)
-	if _, _, err := r.InstallSharded(query.Q1(3), 1<<10, nil); err != nil {
+	if _, _, err := r.Deploy(0, Want{Query: query.Q1(3), Width: 1 << 10, Sharded: true}); err != nil {
 		t.Fatalf("deploy under resets: %v", err)
 	}
 	for id, c := range agents {

@@ -47,42 +47,27 @@ func (o *ctlObs) registerCtl(reg *obs.Registry) {
 	load := func(p *uint64) func() uint64 {
 		return func() uint64 { return atomic.LoadUint64(p) }
 	}
-	ok, errL := obs.L("result", "ok"), obs.L("result", "error")
-	reg.CounterFunc("newton_ctl_deploys_total",
-		"Query deploys by outcome.", load(&o.deploys), ok)
-	reg.CounterFunc("newton_ctl_deploys_total",
-		"Query deploys by outcome.", load(&o.deployFailures), errL)
-	reg.CounterFunc("newton_ctl_rollbacks_total",
-		"Per-switch rollback removes during failed deploys, by outcome.",
-		load(&o.rollbacks), ok)
-	reg.CounterFunc("newton_ctl_rollbacks_total",
-		"Per-switch rollback removes during failed deploys, by outcome.",
-		load(&o.rollbackFailures), errL)
-	reg.CounterFunc("newton_ctl_removes_total",
-		"Query removals by outcome.", load(&o.removes), ok)
-	reg.CounterFunc("newton_ctl_removes_total",
-		"Query removals by outcome.", load(&o.removeFailures), errL)
-	reg.CounterFunc("newton_ctl_placement_updates_total",
-		"Placement delta applies (UpdatePlacement calls that committed).",
-		load(&o.updates))
-	reg.CounterFunc("newton_ctl_resizes_total",
-		"Width resizes by outcome.", load(&o.resizes), ok)
-	reg.CounterFunc("newton_ctl_resizes_total",
-		"Width resizes by outcome.", load(&o.resizeFailures), errL)
-	reg.CounterFunc("newton_ctl_reconverges_total",
-		"Reconverge passes by outcome.", load(&o.reconverges), ok)
-	reg.CounterFunc("newton_ctl_reconverges_total",
-		"Reconverge passes by outcome.", load(&o.reconvergeFailures), errL)
-	reg.CounterFunc("newton_ctl_ticks_total",
-		"Epoch ticks by outcome.", load(&o.ticks), ok)
-	reg.CounterFunc("newton_ctl_ticks_total",
-		"Epoch ticks by outcome.", load(&o.tickFailures), errL)
-	reg.CounterFunc("newton_ctl_deferred_removes_total",
-		"Removes deferred because the target switch was offline.",
-		load(&o.deferredRemoves))
-	reg.CounterFunc("newton_ctl_flushed_removes_total",
-		"Deferred removes flushed when their switch came back online.",
-		load(&o.flushedRemoves))
+	for _, c := range []struct {
+		name, help string
+		ok, fail   *uint64 // fail nil: the family has no result label
+	}{
+		{"newton_ctl_deploys_total", "Query deploys by outcome.", &o.deploys, &o.deployFailures},
+		{"newton_ctl_rollbacks_total", "Per-switch rollback steps of failed changes, by outcome.", &o.rollbacks, &o.rollbackFailures},
+		{"newton_ctl_removes_total", "Query removals by outcome.", &o.removes, &o.removeFailures},
+		{"newton_ctl_placement_updates_total", "Assignment changes to a deployed query that committed.", &o.updates, nil},
+		{"newton_ctl_resizes_total", "Width resizes by outcome.", &o.resizes, &o.resizeFailures},
+		{"newton_ctl_reconverges_total", "Reconverge passes by outcome.", &o.reconverges, &o.reconvergeFailures},
+		{"newton_ctl_ticks_total", "Epoch ticks by outcome.", &o.ticks, &o.tickFailures},
+		{"newton_ctl_deferred_removes_total", "Removes deferred because the target switch was offline.", &o.deferredRemoves, nil},
+		{"newton_ctl_flushed_removes_total", "Deferred removes flushed when their switch came back online.", &o.flushedRemoves, nil},
+	} {
+		if c.fail == nil {
+			reg.CounterFunc(c.name, c.help, load(c.ok))
+			continue
+		}
+		reg.CounterFunc(c.name, c.help, load(c.ok), obs.L("result", "ok"))
+		reg.CounterFunc(c.name, c.help, load(c.fail), obs.L("result", "error"))
+	}
 }
 
 func inc(p *uint64) { atomic.AddUint64(p, 1) }

@@ -1,11 +1,14 @@
 package controller
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/newton-net/newton/internal/compiler"
@@ -16,27 +19,27 @@ import (
 	"github.com/newton-net/newton/internal/telemetry"
 )
 
-// DeployOutcome is one switch's part in a failed deploy.
+// DeployOutcome is one switch's step in a change or in its rollback.
 type DeployOutcome struct {
-	Switch      string
-	Installed   bool  // the install had succeeded before the deploy failed
-	Err         error // the install error, when this switch caused the failure
-	RolledBack  bool  // the rollback remove succeeded
-	RollbackErr error // rollback failed — residual rules remain on this switch
+	Switch    string
+	Installed bool  // some rpc of the step took effect on the switch
+	Err       error // why the step failed
 }
 
-// PartialDeployError reports a deploy that could not complete on every
-// target switch. The controller rolls back already-installed rules
-// before returning it, because a sharded or partitioned query missing a
-// member silently undercounts every key that member owns — all-or-
-// nothing is the only safe contract. Outcomes list what happened on
-// each touched switch; Residual names switches where even the rollback
-// failed and rules may remain.
+// PartialDeployError reports a change (deploy, update, resize, remove)
+// that could not complete on every switch it touches. The controller
+// rolls the touched switches back to the previous desired state before
+// returning it, because a sharded or partitioned query missing a member
+// silently undercounts every key that member owns — all-or-nothing is
+// the only safe contract. Outcomes list the change's step on each
+// switch it reached, the last one failed; Undone lists the rollback's
+// step on each of those that had moved.
 type PartialDeployError struct {
 	QID      int
 	Mode     string
-	Failed   string // the switch whose install failed
+	Failed   string // the switch the change failed on
 	Outcomes []DeployOutcome
+	Undone   []DeployOutcome
 }
 
 func (e *PartialDeployError) Error() string {
@@ -47,197 +50,88 @@ func (e *PartialDeployError) Error() string {
 	} else {
 		b.WriteString(" (rolled back)")
 	}
-	for _, o := range e.Outcomes {
-		if o.Err != nil {
-			fmt.Fprintf(&b, ": %v", o.Err)
-			break
-		}
+	if n := len(e.Outcomes); n > 0 {
+		fmt.Fprintf(&b, ": %v", e.Outcomes[n-1].Err)
 	}
 	return b.String()
 }
 
-// Residual names switches that may still hold rules for the failed
-// deploy (their rollback remove failed too).
+// Residual names switches left off the previous desired state: their
+// rollback failed too, and they may hold the wrong rules.
 func (e *PartialDeployError) Residual() []string {
 	var out []string
-	for _, o := range e.Outcomes {
-		if o.Installed && !o.RolledBack {
+	for _, o := range e.Undone {
+		if o.Err != nil {
 			out = append(out, o.Switch)
 		}
 	}
 	return out
 }
 
-// deploySpec records what a deployment asked for, so the controller can
-// re-drive an agent toward it after the agent restarts (Reconverge).
-type deploySpec struct {
-	q       *query.Query
-	width   uint32
-	names   []string
-	sharded bool
+// Want is the desired state of one query on the fleet: what it is, and
+// which switch holds which part of it.
+type Want struct {
+	Query *query.Query
+	Width uint32 // per-row register width (0 = compiler default)
 
-	// Partitioned cross-switch deploy (resilient placement, §5.2):
-	// stagesPer > 0 slices the compiled query into
-	// ceil(stages/stagesPer) partitions and parts maps each agent to the
-	// partition indices it hosts. names is then the sorted key set of
-	// parts.
-	stagesPer int
-	parts     map[string][]int
+	// Targets each hold the whole program (nil = every agent, sorted).
+	// With Sharded they key-shard its stateful banks instead (§5.1):
+	// target i owns keys whose owner hash ≡ i mod len(Targets), so the
+	// analyzer's merged banks reconstruct the network-wide view.
+	Targets []string
+	Sharded bool
+
+	// StagesPer > 0 selects a cross-switch placement (§5.2) instead: the
+	// compiled query is sliced into ceil(stages/StagesPer) partitions and
+	// Parts maps each switch to the partition indices it hosts.
+	StagesPer int
+	Parts     map[string][]int
 }
 
-// Remote is the Newton controller speaking to switch agents over the
-// control channel (internal/rpc) instead of in-process engines — the
-// shape of a real deployment, where the controller is "a module of the
-// centralized network controller or ... an independent process" (§7).
-type Remote struct {
-	// mu serializes every control-plane operation, including across the
-	// network calls an operation makes: the health monitor's SetOffline
-	// and an orchestrator converge may drive the same controller
-	// concurrently, and interleaving a deploy with an offline flip would
-	// corrupt the recorded deployment state.
-	mu     sync.Mutex
-	agents map[string]*rpc.Client
-	rng    *rand.Rand
-
-	nextQID     int
-	deployments map[int][]string // qid -> agent names
-	specs       map[int]*deploySpec
-
-	// offline marks switches the health monitor has declared unreachable.
-	// Deploys targeting an offline switch fail fast instead of burning
-	// the rpc client's full retry budget against a dead peer, and removes
-	// are deferred into pendingRemoves — flushed when SetOffline(false)
-	// re-admits the switch, so a partitioned-but-alive switch cannot
-	// rejoin the fleet still holding programs the fleet moved elsewhere.
-	offline        map[string]bool
-	pendingRemoves map[string]map[int]bool // switch -> qids to remove on return
-
-	// svc, when attached, replaces per-agent report polling: agents push
-	// reports to the analyzer service and Collect drains the merged,
-	// network-wide-deduplicated stream instead.
-	svc *telemetry.Service
-
-	obs ctlObs
+// share is one switch's part of a query — all the compiler needs, beside
+// the query and its qid, to produce that switch's programs.
+type share struct {
+	width         uint32
+	shard, shards uint32 // key-shard index and count (0, 0 = unsharded)
+	stagesPer     int    // > 0: parts indexes the StagesPer-stage slices
+	parts         []int
 }
 
-// NewRemote builds a controller over named agent connections.
-func NewRemote(agents map[string]*rpc.Client, seed int64) *Remote {
-	return &Remote{
-		agents: agents, rng: rand.New(rand.NewSource(seed)),
-		nextQID: 1, deployments: map[int][]string{},
-		specs:   map[int]*deploySpec{},
-		offline: map[string]bool{}, pendingRemoves: map[string]map[int]bool{},
-	}
+func (s share) equal(t share) bool {
+	return s.width == t.width && s.shard == t.shard && s.shards == t.shards &&
+		s.stagesPer == t.stagesPer && slices.Equal(s.parts, t.parts)
 }
 
-// SetOffline flips a switch's reachability as the health monitor sees
-// it. Marking a switch offline defers its removes (see Remote.offline);
-// marking it back online first flushes every deferred remove, so the
-// switch rejoins the fleet without stale programs. A flush error leaves
-// the unflushed removes pending (a later SetOffline(false) or
-// Reconverge retries them) and is returned to the caller.
-func (r *Remote) SetOffline(name string, offline bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.agents[name]; !ok {
-		return fmt.Errorf("controller: no agent %q", name)
-	}
-	r.offline[name] = offline
-	if offline {
-		return nil
-	}
-	return r.flushPendingLocked(name)
-}
+// torn marks a switch where only some of a share's programs landed; it
+// equals no wanted share, so the next reconcile clears the switch.
+var torn = share{stagesPer: -1}
 
-// Offline reports whether a switch is currently marked unreachable.
-func (r *Remote) Offline(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.offline[name]
-}
-
-// flushPendingLocked drives the deferred removes for a switch that is
-// back online. An agent that restarted while away already lost the
-// programs, so not-installed answers count as success.
-func (r *Remote) flushPendingLocked(name string) error {
-	pending := r.pendingRemoves[name]
-	if len(pending) == 0 {
-		return nil
-	}
-	qids := make([]int, 0, len(pending))
-	for qid := range pending {
-		qids = append(qids, qid)
-	}
-	sort.Ints(qids)
-	c := r.agents[name]
-	for _, qid := range qids {
-		if err := c.Remove(qid); err != nil && !rpc.IsAgentCode(err, rpc.CodeNotInstalled) {
-			inc(&r.obs.removeFailures)
-			return fmt.Errorf("controller: flush deferred remove of %d from %q: %w", qid, name, err)
-		}
-		delete(pending, qid)
-		inc(&r.obs.flushedRemoves)
-	}
-	delete(r.pendingRemoves, name)
-	return nil
-}
-
-// removeFromLocked removes qid from one agent, deferring the remove
-// when the agent is offline instead of failing against a dead peer.
-func (r *Remote) removeFromLocked(name string, qid int) error {
-	if r.offline[name] {
-		if r.pendingRemoves[name] == nil {
-			r.pendingRemoves[name] = map[int]bool{}
-		}
-		r.pendingRemoves[name][qid] = true
-		inc(&r.obs.deferredRemoves)
-		return nil
-	}
-	if err := r.agents[name].Remove(qid); err != nil && !rpc.IsAgentCode(err, rpc.CodeNotInstalled) {
-		return err
-	}
-	return nil
-}
-
-// compileFor compiles spec's query for position i of its target list.
-func (s *deploySpec) compileFor(qid int, i int) (*modules.Program, error) {
+// programs compiles the programs a switch holding s installs: the whole
+// (possibly sharded) program, or its assigned partition slices. This is
+// the one place a deployment becomes programs, for both controllers.
+// They are compiled fresh per switch — register bindings are filled in
+// at install time, so two engines must never share a *Program.
+func (s share) programs(q *query.Query, qid int) ([]*modules.Program, error) {
 	o := compiler.AllOpts()
-	o.QID = qid
-	o.Width = s.width
-	if s.sharded {
-		o.ShardIndex, o.ShardCount = uint32(i), uint32(len(s.names))
+	o.QID, o.Width = qid, s.width
+	o.ShardIndex, o.ShardCount = s.shard, s.shards
+	p, err := compiler.Compile(q, o)
+	if err != nil {
+		return nil, err
 	}
-	return compiler.Compile(s.q, o)
-}
-
-// programsFor returns the programs agent i of spec's target list must
-// hold: one full (possibly sharded) program in replicate/shard mode, or
-// the agent's assigned partition slices in placement mode. Programs are
-// compiled fresh per agent — register bindings are filled in at install
-// time, so two engines must never share a *Program.
-func (s *deploySpec) programsFor(qid int, i int) ([]*modules.Program, error) {
 	if s.stagesPer <= 0 {
-		p, err := s.compileFor(qid, i)
-		if err != nil {
-			return nil, err
-		}
 		return []*modules.Program{p}, nil
 	}
-	p, err := s.compileFor(qid, i)
+	slices, err := modules.SliceProgram(p, s.stagesPer)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := modules.SliceProgram(p, s.stagesPer)
-	if err != nil {
-		return nil, err
-	}
-	name := s.names[i]
-	out := make([]*modules.Program, 0, len(s.parts[name]))
-	for _, k := range s.parts[name] {
-		if k < 0 || k >= len(parts) {
-			return nil, fmt.Errorf("controller: partition %d out of range (query slices into %d)", k, len(parts))
+	out := make([]*modules.Program, 0, len(s.parts))
+	for _, k := range s.parts {
+		if k < 0 || k >= len(slices) {
+			return nil, fmt.Errorf("controller: partition %d out of range (query slices into %d)", k, len(slices))
 		}
-		out = append(out, parts[k])
+		out = append(out, slices[k])
 	}
 	return out, nil
 }
@@ -256,187 +150,465 @@ func ownsState(p *modules.Program) bool {
 	return false
 }
 
-// deploy transactionally installs spec on every target: either all
-// switches hold the query afterwards, or none do (already-installed
-// rules are rolled back and a *PartialDeployError describes the
-// per-switch outcomes). Transient transport failures are retried inside
-// each client; only exhausted retries or agent rejections fail a
-// switch.
-func (r *Remote) deploy(spec *deploySpec) (int, time.Duration, error) {
-	qid := r.nextQID
-	maxRules := 0
-	var done []string
-	var contributors []string
+// spec is a Want resolved against the fleet: its members in the order
+// they are driven in (for a sharded query, the shard-index order).
+type spec struct {
+	Want
+	mode  string // "replicate", "shard" or "placement"
+	names []string
+}
 
-	mode := "replicate"
+// shareOf returns switch n's part of the spec; a nil spec wants nothing.
+func (s *spec) shareOf(n string) (share, bool) {
+	if s == nil {
+		return share{}, false
+	}
+	sh := share{width: s.Width, stagesPer: s.StagesPer}
+	if s.StagesPer > 0 {
+		parts, ok := s.Parts[n]
+		sh.parts = parts
+		return sh, ok
+	}
+	i := slices.Index(s.names, n)
+	if s.Sharded {
+		sh.shard, sh.shards = uint32(i), uint32(len(s.names))
+	}
+	return sh, i >= 0
+}
+
+// installed is what the controller believes one switch holds for one
+// query.
+type installed struct {
+	share
+	owns bool // some program owns a state bank: the switch contributes snapshots
+}
+
+// Remote is the Newton controller speaking to switch agents over the
+// control channel (internal/rpc) instead of in-process engines — the
+// shape of a real deployment, where the controller is "a module of the
+// centralized network controller or ... an independent process" (§7).
+//
+// A query is a rule set installed, removed and updated at runtime, and
+// Remote reaches every such change one way. It keeps two records: want,
+// the desired state per qid, and have, what each switch is believed to
+// hold. Every operation edits want and calls reconcile, which drives
+// the switches whose have differs; a deploy, a placement update, a
+// resize, a remove, a rejoin and a reconverge are different edits, not
+// different code.
+type Remote struct {
+	// mu serializes every control-plane operation, including across the
+	// network calls an operation makes: the health monitor's SetOffline
+	// and an orchestrator converge may drive the same controller
+	// concurrently, and interleaving a deploy with an offline flip would
+	// corrupt the recorded state.
+	mu     sync.Mutex
+	agents map[string]*rpc.Client
+	names  []string // every agent, sorted
+	rng    *rand.Rand
+
+	nextQID int
+	want    map[int]*spec
+	have    map[string]map[int]installed // switch -> qid -> what it holds
+
+	// offline marks switches the health monitor has declared unreachable.
+	// reconcile skips them instead of burning the rpc client's full retry
+	// budget against a dead peer: a change that needs one fails fast, and
+	// one that only takes programs away from it succeeds with the
+	// difference left in have — reconciled when SetOffline(false)
+	// re-admits the switch, so a partitioned-but-alive switch cannot
+	// rejoin the fleet still holding programs the fleet moved elsewhere.
+	offline map[string]bool
+
+	// svc, when attached, replaces per-agent report polling: agents push
+	// reports to the analyzer service and Collect drains the merged,
+	// network-wide-deduplicated stream instead.
+	svc *telemetry.Service
+
+	obs ctlObs
+}
+
+// NewRemote builds a controller over named agent connections.
+func NewRemote(agents map[string]*rpc.Client, seed int64) *Remote {
+	r := &Remote{
+		agents: agents, rng: rand.New(rand.NewSource(seed)), nextQID: 1,
+		want: map[int]*spec{}, have: map[string]map[int]installed{},
+		offline: map[string]bool{},
+	}
+	for n := range agents {
+		r.names = append(r.names, n)
+		r.have[n] = map[int]installed{}
+	}
+	sort.Strings(r.names)
+	return r
+}
+
+// settled reports whether switch n holds exactly what want asks of it
+// for qid.
+func (r *Remote) settled(n string, qid int) bool {
+	cur, held := r.have[n][qid]
+	goal, wanted := r.want[qid].shareOf(n)
+	return held == wanted && (!held || cur.share.equal(goal))
+}
+
+// put records s as the desired state of qid; nil wants nothing.
+func (r *Remote) put(qid int, s *spec) {
+	if s == nil {
+		delete(r.want, qid)
+	} else {
+		r.want[qid] = s
+	}
+}
+
+// pass is what one reconcile did.
+type pass struct {
+	steps    []DeployOutcome // one per switch contacted, in order
+	first    *modules.Program
+	maxRules int
+}
+
+// reconcile is the one place the controller changes what switches hold.
+// Each named switch, in order, that is online and not settled for qid
+// has the qid removed and the wanted programs installed, compiled once
+// per switch, and have updated to match. It stops at the first failing
+// switch unless keepGoing (a rollback must attempt every switch). With
+// verify, a settled switch is offered its programs again and "already
+// installed" counts as success — the answer to an agent that restarted
+// and lost its installs behind the controller's back.
+func (r *Remote) reconcile(qid int, names []string, verify, keepGoing bool) pass {
+	p := pass{steps: make([]DeployOutcome, 0, len(names))}
+	for _, n := range names {
+		_, wanted := r.want[qid].shareOf(n)
+		if r.offline[n] || r.settled(n, qid) && !(verify && wanted) {
+			continue
+		}
+		step := DeployOutcome{Switch: n}
+		step.Installed, step.Err = r.drive(n, qid, verify, &p)
+		p.steps = append(p.steps, step)
+		if step.Err != nil && !keepGoing {
+			break
+		}
+	}
+	return p
+}
+
+// drive is reconcile's step for one switch. changed reports whether any
+// rpc took effect, so a failed step still tells the rollback that this
+// switch moved.
+func (r *Remote) drive(n string, qid int, verify bool, p *pass) (changed bool, err error) {
+	c, ok := r.agents[n]
+	if !ok {
+		return false, fmt.Errorf("controller: no agent %q", n)
+	}
+	goal, wanted := r.want[qid].shareOf(n)
+	var progs []*modules.Program
+	if wanted {
+		if progs, err = goal.programs(r.want[qid].Query, qid); err != nil {
+			return false, err
+		}
+	}
+	if _, held := r.have[n][qid]; held && !r.settled(n, qid) {
+		// An agent that restarted while away already lost the programs:
+		// not-installed is the desired state, not a failure.
+		if err := c.Remove(qid); err != nil && !rpc.IsAgentCode(err, rpc.CodeNotInstalled) {
+			return false, fmt.Errorf("controller: agent %q: %w", n, err)
+		}
+		delete(r.have[n], qid)
+		changed = true
+	}
+	got := installed{share: goal}
+	for i, prog := range progs {
+		if err := c.Install(prog); err != nil && !(verify && rpc.IsAgentCode(err, rpc.CodeAlreadyInstalled)) {
+			if i > 0 {
+				r.have[n][qid] = installed{share: torn}
+			}
+			return changed || i > 0, fmt.Errorf("controller: agent %q: %w", n, err)
+		}
+		got.owns = got.owns || ownsState(prog)
+		if p.first == nil {
+			p.first = prog
+		}
+		p.maxRules = max(p.maxRules, prog.RuleCount()+1)
+	}
+	if wanted {
+		r.have[n][qid] = got
+	}
+	return true, nil
+}
+
+// set makes next the desired state of qid (nil removes it) and
+// reconciles the switches of the old and the new state; only those
+// whose share changed are contacted. The one rollback rule: when a
+// switch fails, the previous desired state is restored and every switch
+// touched so far is reconciled back to it, so no switch keeps a program
+// the records do not know about. Transient transport failures are
+// retried inside each rpc client; only exhausted retries or agent
+// rejections fail a switch.
+func (r *Remote) set(qid int, next *spec) (time.Duration, error) {
+	prev := r.want[qid]
+	var names []string
+	mode, resized := "", false
+	ok, fail := &r.obs.updates, &r.obs.deployFailures
 	switch {
-	case spec.sharded:
-		mode = "shard"
-	case spec.stagesPer > 0:
-		mode = "placement"
+	case next == nil:
+		names, mode, ok, fail = prev.names, prev.mode, &r.obs.removes, &r.obs.removeFailures
+	case prev == nil:
+		names, mode, ok = next.names, next.mode, &r.obs.deploys
+	default:
+		// The old state's switches first, then the new one's: a switch
+		// in both is settled by its first visit.
+		names = append(append(names, prev.names...), next.names...)
+		mode, resized = next.mode, prev.Width != next.Width
+		if resized {
+			ok, fail = &r.obs.resizes, &r.obs.resizeFailures
+		}
 	}
+	r.put(qid, next)
 
-	// fail rolls back every agent with at least one installed program —
-	// Remove(qid) on an agent removes all of the qid's partitions, so a
-	// partially-installed agent (placement mode) is covered by including
-	// it in the rollback set.
-	fail := func(failed string, installErr error, failedPartial bool) error {
-		inc(&r.obs.deployFailures)
-		perr := &PartialDeployError{QID: qid, Failed: failed, Mode: mode}
-		rollback := done
-		if failedPartial {
-			rollback = append(rollback, failed)
+	// Preflight before any rpc: a change that needs an offline switch is
+	// doomed, and failing here costs nothing instead of a rollback.
+	// Taking programs away from one is only deferred: the difference
+	// stays in have until SetOffline(false) reconciles it.
+	var deferred uint64
+	for _, n := range names {
+		if !r.offline[n] || r.settled(n, qid) {
+			continue
 		}
-		var failedOutcome *DeployOutcome
-		for _, n := range rollback {
-			o := DeployOutcome{Switch: n, Installed: true}
-			if err := r.removeFromLocked(n, qid); err == nil {
-				// Deferred rollback on an offline switch counts as rolled
-				// back: the remove is pinned in pendingRemoves and flushes
-				// before the switch can rejoin the fleet.
-				o.RolledBack = true
-				inc(&r.obs.rollbacks)
-			} else {
-				o.RollbackErr = err
-				inc(&r.obs.rollbackFailures)
-			}
-			if n == failed {
-				o.Err = installErr
-				failedOutcome = &o
-			}
-			perr.Outcomes = append(perr.Outcomes, o)
-		}
-		if failedOutcome == nil {
-			perr.Outcomes = append(perr.Outcomes, DeployOutcome{Switch: failed, Err: installErr})
-		}
-		return perr
-	}
-
-	// Preflight before any install: a deploy targeting an offline switch
-	// is doomed, and failing here costs nothing instead of a rollback.
-	for _, n := range spec.names {
-		if r.offline[n] {
-			inc(&r.obs.deployFailures)
-			return 0, 0, &PartialDeployError{QID: qid, Mode: mode, Failed: n,
+		if _, wanted := next.shareOf(n); wanted {
+			r.put(qid, prev)
+			inc(fail)
+			return 0, &PartialDeployError{QID: qid, Mode: mode, Failed: n,
 				Outcomes: []DeployOutcome{{Switch: n, Err: fmt.Errorf("controller: agent %q offline", n)}}}
 		}
+		deferred++
 	}
 
-	var first *modules.Program
-	for i, n := range spec.names {
-		c, ok := r.agents[n]
-		if !ok {
-			return 0, 0, fail(n, fmt.Errorf("controller: no agent %q", n), false)
-		}
-		progs, err := spec.programsFor(qid, i)
-		if err != nil {
-			return 0, 0, fail(n, err, false)
-		}
-		contributes := false
-		for pi, p := range progs {
-			if err := c.Install(p); err != nil {
-				return 0, 0, fail(n, fmt.Errorf("controller: agent %q: %w", n, err), pi > 0)
-			}
-			if first == nil {
-				first = p
-			}
-			if ownsState(p) {
-				contributes = true
-			}
-			if rules := p.RuleCount() + 1; rules > maxRules {
-				maxRules = rules
+	p := r.reconcile(qid, names, false, false)
+	if k := len(p.steps); k > 0 && p.steps[k-1].Err != nil {
+		inc(fail)
+		r.put(qid, prev)
+		// The switches the change never reached are still settled for
+		// prev, so this contacts exactly the ones that moved.
+		undone := r.reconcile(qid, names, false, true).steps
+		for _, s := range undone {
+			if s.Err != nil {
+				inc(&r.obs.rollbackFailures)
+			} else {
+				inc(&r.obs.rollbacks)
 			}
 		}
-		done = append(done, n)
-		if contributes {
-			contributors = append(contributors, n)
-		}
+		return 0, &PartialDeployError{QID: qid, Mode: mode, Failed: p.steps[k-1].Switch, Outcomes: p.steps, Undone: undone}
 	}
-	inc(&r.obs.deploys)
-	if first != nil {
-		r.obs.publish(qid, spec.q.Name, mode, first.Footprint())
+
+	inc(ok)
+	atomic.AddUint64(&r.obs.deferredRemoves, deferred)
+	if next == nil {
+		r.obs.unpublish(qid)
+		if r.svc != nil {
+			r.svc.SetExpected(qid, nil)
+		}
+		return 0, nil
 	}
-	r.nextQID++
-	r.deployments[qid] = done
-	r.specs[qid] = spec
+	if p.first != nil && (prev == nil || resized) {
+		r.obs.publish(qid, next.Query.Name, mode, p.first.Footprint())
+	}
 	if r.svc != nil {
-		// Expected contributors are the agents that own state for this
-		// query, not every deploy member: a placement partition holding
-		// only pass-through or cross-read stages never snapshots a bank,
-		// and pinning it as expected would mark every merged epoch
+		if resized {
+			// Announce the transition BEFORE re-pinning: the first epoch
+			// the restarted banks reach must read Partial.
+			r.svc.NoteResize(qid)
+		}
+		// Expected contributors are the switches that own state for this
+		// query, not every member: a placement partition holding only
+		// pass-through or cross-read stages never snapshots a bank, and
+		// pinning it as expected would mark every merged epoch
 		// Partial/Missing forever.
+		contributors := make([]string, 0, len(next.names))
+		for _, n := range next.names {
+			if r.have[n][qid].owns {
+				contributors = append(contributors, n)
+			}
+		}
 		r.svc.SetExpected(qid, contributors)
 	}
+	if len(p.steps) == 0 {
+		return 0, nil
+	}
 	f := 0.9 + 0.2*r.rng.Float64()
-	delay := time.Duration(float64(installBase+time.Duration(maxRules)*installPerRule) * f)
+	return time.Duration(float64(installBase+time.Duration(p.maxRules)*installPerRule) * f), nil
+}
+
+// specOf resolves w against the fleet.
+func (r *Remote) specOf(w Want) (*spec, error) {
+	s := &spec{Want: w, mode: "replicate", names: w.Targets}
+	for i, n := range w.Targets {
+		if slices.Contains(w.Targets[:i], n) {
+			return nil, fmt.Errorf("controller: agent %q targeted twice", n)
+		}
+	}
+	switch {
+	case w.StagesPer != 0 || w.Parts != nil:
+		if w.StagesPer <= 0 {
+			return nil, fmt.Errorf("controller: non-positive stages per switch")
+		}
+		if len(w.Parts) == 0 {
+			return nil, fmt.Errorf("controller: empty placement")
+		}
+		s.mode, s.names = "placement", make([]string, 0, len(w.Parts))
+		for n := range w.Parts {
+			s.names = append(s.names, n)
+		}
+		sort.Strings(s.names)
+	case w.Sharded:
+		s.mode = "shard"
+	}
+	if len(s.names) == 0 {
+		s.names = r.names
+	}
+	return s, nil
+}
+
+// Deploy makes w the desired state of query qid and reconciles the
+// fleet to it. qid 0 deploys a new query and returns the qid assigned
+// to it; an existing qid keeps its query and its mode and moves to w's
+// width and per-switch assignment, contacting only the switches whose
+// share changed. The change is transactional: on any failure the
+// touched switches are rolled back to the previous state and a typed
+// *PartialDeployError is returned. The duration is the modeled
+// operation latency (per-switch batches run in parallel; the slowest
+// bounds the delay).
+func (r *Remote) Deploy(qid int, w Want) (int, time.Duration, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.deploy(qid, w)
+}
+
+func (r *Remote) deploy(qid int, w Want) (int, time.Duration, error) {
+	next, err := r.specOf(w)
+	if err != nil {
+		return 0, 0, err
+	}
+	if qid == 0 {
+		qid = r.nextQID
+	} else if cur, ok := r.want[qid]; !ok {
+		return 0, 0, fmt.Errorf("controller: no deployment %d", qid)
+	} else if cur.mode != next.mode {
+		return 0, 0, fmt.Errorf("controller: deployment %d is a %s deploy, not a %s one", qid, cur.mode, next.mode)
+	} else {
+		next.Query = cur.Query
+	}
+	delay, err := r.set(qid, next)
+	if err != nil {
+		return 0, 0, err
+	}
+	if qid == r.nextQID {
+		r.nextQID++
+	}
 	return qid, delay, nil
 }
 
-// resolveNames expands nil to every agent, sorted so shard indices are
-// deterministic.
-func (r *Remote) resolveNames(names []string) []string {
-	if len(names) > 0 {
-		return names
-	}
-	for n := range r.agents {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Install compiles a query and pushes it to the named agents (all
-// agents when names is nil). The deploy is transactional: on any
-// failure already-installed rules are removed and a typed
-// *PartialDeployError is returned. Returns the assigned QID and the
-// modeled operation latency (per-switch batches run in parallel; the
-// slowest bounds the delay).
+// Install deploys a new query whole on the named agents (all agents
+// when names is nil): Deploy of a replicated Want.
 func (r *Remote) Install(q *query.Query, width uint32, names []string) (int, time.Duration, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deploy(&deploySpec{q: q, width: width, names: r.resolveNames(names)})
+	return r.Deploy(0, Want{Query: q, Width: width, Targets: names})
 }
 
-// Remove uninstalls a deployment from every agent holding it. An agent
-// that no longer has the query (it restarted since) already satisfies
-// the desired state and does not fail the removal.
+// Remove uninstalls a deployment from every agent holding it.
 func (r *Remote) Remove(qid int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names, ok := r.deployments[qid]
-	if !ok {
+	if _, ok := r.want[qid]; !ok {
 		return fmt.Errorf("controller: no deployment %d", qid)
 	}
+	_, err := r.set(qid, nil)
+	return err
+}
+
+// SetOffline flips a switch's reachability as the health monitor sees
+// it. Marking a switch back online reconciles it first, so it rejoins
+// the fleet holding exactly what want asks of it — the removes deferred
+// while it was away are simply have minus want. A failure leaves the
+// remaining difference recorded (a later SetOffline(false) or
+// Reconverge retries it) and is returned to the caller.
+func (r *Remote) SetOffline(name string, offline bool) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.agents[name]; !ok {
+		return fmt.Errorf("controller: no agent %q", name)
+	}
+	r.offline[name] = offline
+	if offline {
+		return nil
+	}
+	err := r.resync([]string{name}, false)
+	if err != nil {
+		inc(&r.obs.removeFailures)
+	}
+	return err
+}
+
+// Reconverge re-drives every online agent toward the desired state,
+// verifying instead of trusting have: each agent is offered its
+// programs again, and an "already installed" answer counts as
+// convergence (the ops are level-triggered). This is the controller's
+// answer to an agent restart that lost its installs — call it whenever
+// an agent reappears. It returns the first hard error.
+func (r *Remote) Reconverge() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.resync(r.names, true); err != nil {
+		inc(&r.obs.reconvergeFailures)
+		return err
+	}
+	inc(&r.obs.reconverges)
+	return nil
+}
+
+// resync reconciles every query the named switches hold or should
+// hold, in qid order, stopping at the first failure.
+func (r *Remote) resync(names []string, verify bool) error {
+	var qids []int
+	for qid := range r.want {
+		qids = append(qids, qid)
+	}
 	for _, n := range names {
-		if err := r.removeFromLocked(n, qid); err != nil {
-			inc(&r.obs.removeFailures)
-			return fmt.Errorf("controller: agent %q: %w", n, err)
+		for qid := range r.have[n] {
+			qids = append(qids, qid)
 		}
 	}
-	delete(r.deployments, qid)
-	delete(r.specs, qid)
-	if r.svc != nil {
-		r.svc.SetExpected(qid, nil)
+	sort.Ints(qids)
+	for _, qid := range slices.Compact(qids) {
+		for _, s := range r.reconcile(qid, names, verify, false).steps {
+			if s.Err != nil {
+				return fmt.Errorf("controller: reconcile query %d: %w", qid, s.Err)
+			}
+			if _, wanted := r.want[qid].shareOf(s.Switch); !wanted {
+				inc(&r.obs.flushedRemoves)
+			}
+		}
 	}
-	inc(&r.obs.removes)
-	r.obs.unpublish(qid)
 	return nil
 }
 
 // Tick rolls the evaluation window on every reachable agent (the
-// controller's 100 ms heartbeat). Offline agents are skipped — their
-// windows roll again when they rejoin.
+// controller's 100 ms heartbeat), in sorted order. Offline agents are
+// skipped — their windows roll again when they rejoin. A failing agent
+// does not stop the others: epochs must not skew across the healthy
+// fleet because one switch died. The failures are returned joined.
 func (r *Remote) Tick() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for n, c := range r.agents {
+	var errs []error
+	for _, n := range r.names {
 		if r.offline[n] {
 			continue
 		}
-		if err := c.NextEpoch(); err != nil {
+		if err := r.agents[n].NextEpoch(); err != nil {
 			inc(&r.obs.tickFailures)
-			return fmt.Errorf("controller: agent %q: %w", n, err)
+			errs = append(errs, fmt.Errorf("controller: agent %q: %w", n, err))
 		}
+	}
+	if len(errs) > 0 {
+		return errors.Join(errs...)
 	}
 	inc(&r.obs.ticks)
 	return nil
@@ -445,226 +617,11 @@ func (r *Remote) Tick() error {
 // AttachTelemetry switches the controller's report path from polling to
 // push: agents stream reports and epoch snapshots to svc, and Collect
 // drains svc's deduplicated alert stream instead of round-robin polling
-// every agent. Install/Remove/Tick keep using the control channel.
+// every agent. Deploy/Remove/Tick keep using the control channel.
 func (r *Remote) AttachTelemetry(svc *telemetry.Service) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.svc = svc
-}
-
-// InstallSharded compiles q once per agent with key sharding (§5.1):
-// agent i owns keys whose owner hash ≡ i mod len(names), so the agents
-// partition the key space and the analyzer's merged banks reconstruct
-// the network-wide view. Names nil shards across all agents (in sorted
-// order, so shard indices are deterministic). Sharded deploys are
-// strictly all-or-nothing — a missing shard member would silently
-// undercount every key it owns — so any failure rolls back and returns
-// a *PartialDeployError.
-func (r *Remote) InstallSharded(q *query.Query, width uint32, names []string) (int, time.Duration, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deploy(&deploySpec{q: q, width: width, names: r.resolveNames(names), sharded: true})
-}
-
-// Reconverge re-drives every live deployment toward its recorded spec:
-// each agent is offered its program again, and an "already installed"
-// answer counts as convergence (the ops are level-triggered). This is
-// the controller's answer to an agent restart that lost its installs —
-// call it whenever an agent reappears. Offline agents are skipped (and
-// any deferred removes for reachable agents are flushed first). It
-// returns the first hard error.
-func (r *Remote) Reconverge() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name := range r.pendingRemoves {
-		if r.offline[name] {
-			continue
-		}
-		if err := r.flushPendingLocked(name); err != nil {
-			inc(&r.obs.reconvergeFailures)
-			return err
-		}
-	}
-	qids := make([]int, 0, len(r.specs))
-	for qid := range r.specs {
-		qids = append(qids, qid)
-	}
-	sort.Ints(qids)
-	for _, qid := range qids {
-		spec := r.specs[qid]
-		for i, n := range spec.names {
-			if r.offline[n] {
-				continue
-			}
-			c, ok := r.agents[n]
-			if !ok {
-				inc(&r.obs.reconvergeFailures)
-				return fmt.Errorf("controller: no agent %q", n)
-			}
-			progs, err := spec.programsFor(qid, i)
-			if err != nil {
-				inc(&r.obs.reconvergeFailures)
-				return err
-			}
-			for _, p := range progs {
-				if err := c.Install(p); err != nil && !rpc.IsAgentCode(err, rpc.CodeAlreadyInstalled) {
-					inc(&r.obs.reconvergeFailures)
-					return fmt.Errorf("controller: reconverge agent %q: %w", n, err)
-				}
-			}
-		}
-	}
-	inc(&r.obs.reconverges)
-	return nil
-}
-
-// InstallPlacement deploys q cross-switch per a resilient-placement
-// assignment (§5.2): the compiled query is sliced into
-// ceil(stages/stagesPer) partitions and each agent in parts installs its
-// assigned partition indices. The deploy is transactional like Install;
-// agents hosting only stateless partitions are excluded from the
-// telemetry service's expected-contributor set so merged epochs carry
-// honest Partial/Missing provenance.
-func (r *Remote) InstallPlacement(q *query.Query, width uint32, stagesPer int, parts map[string][]int) (int, time.Duration, error) {
-	if stagesPer <= 0 {
-		return 0, 0, fmt.Errorf("controller: non-positive stages per switch")
-	}
-	if len(parts) == 0 {
-		return 0, 0, fmt.Errorf("controller: empty placement")
-	}
-	names := make([]string, 0, len(parts))
-	for n := range parts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deploy(&deploySpec{q: q, width: width, names: names, stagesPer: stagesPer, parts: parts})
-}
-
-// Placement returns a copy of a placement deployment's current
-// per-agent partition assignment (nil for replicate/shard deployments
-// or unknown qids).
-func (r *Remote) Placement(qid int) map[string][]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	spec, ok := r.specs[qid]
-	if !ok || spec.stagesPer <= 0 {
-		return nil
-	}
-	out := make(map[string][]int, len(spec.parts))
-	for n, ps := range spec.parts {
-		out[n] = append([]int(nil), ps...)
-	}
-	return out
-}
-
-// UpdatePlacement moves an existing placement deployment to a new
-// per-agent partition assignment, touching only the delta: agents whose
-// assignment is unchanged are not contacted at all (their installed
-// programs stay untouched), dropped or changed agents have the query
-// removed, and added or changed agents install their new partitions.
-// On error the recorded spec keeps the PREVIOUS assignment — a
-// subsequent Reconverge re-drives agents toward that recorded state, so
-// the recovery story is the same as for an agent restart.
-func (r *Remote) UpdatePlacement(qid int, parts map[string][]int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	spec, ok := r.specs[qid]
-	if !ok {
-		return fmt.Errorf("controller: no deployment %d", qid)
-	}
-	if spec.stagesPer <= 0 {
-		return fmt.Errorf("controller: deployment %d is not a placement deploy", qid)
-	}
-
-	sameParts := func(a, b []int) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-
-	var removes, installs []string
-	for n := range spec.parts {
-		if np, ok := parts[n]; !ok || !sameParts(spec.parts[n], np) {
-			removes = append(removes, n)
-		}
-	}
-	for n := range parts {
-		if op, ok := spec.parts[n]; !ok || !sameParts(op, parts[n]) {
-			installs = append(installs, n)
-		}
-	}
-	sort.Strings(removes)
-	sort.Strings(installs)
-
-	for _, n := range removes {
-		if _, ok := r.agents[n]; !ok {
-			continue // a drained agent may already be gone
-		}
-		// removeFromLocked defers the remove when the switch is offline —
-		// this is what lets a converge move a dead switch's queries away
-		// without waiting out the rpc retry budget against a dead peer.
-		if err := r.removeFromLocked(n, qid); err != nil {
-			inc(&r.obs.removeFailures)
-			return fmt.Errorf("controller: update agent %q: %w", n, err)
-		}
-	}
-
-	next := &deploySpec{q: spec.q, width: spec.width, stagesPer: spec.stagesPer, parts: parts}
-	for n := range parts {
-		next.names = append(next.names, n)
-	}
-	sort.Strings(next.names)
-	for i, n := range next.names {
-		idx := sort.SearchStrings(installs, n)
-		if idx == len(installs) || installs[idx] != n {
-			continue
-		}
-		if r.offline[n] {
-			return fmt.Errorf("controller: update targets offline agent %q", n)
-		}
-		c, ok := r.agents[n]
-		if !ok {
-			return fmt.Errorf("controller: no agent %q", n)
-		}
-		progs, err := next.programsFor(qid, i)
-		if err != nil {
-			return err
-		}
-		for _, p := range progs {
-			if err := c.Install(p); err != nil && !rpc.IsAgentCode(err, rpc.CodeAlreadyInstalled) {
-				return fmt.Errorf("controller: update agent %q: %w", n, err)
-			}
-		}
-	}
-
-	r.specs[qid] = next
-	r.deployments[qid] = next.names
-	if r.svc != nil {
-		var contributors []string
-		for i, n := range next.names {
-			progs, err := next.programsFor(qid, i)
-			if err != nil {
-				return err
-			}
-			for _, p := range progs {
-				if ownsState(p) {
-					contributors = append(contributors, n)
-					break
-				}
-			}
-		}
-		r.svc.SetExpected(qid, contributors)
-	}
-	inc(&r.obs.updates)
-	return nil
 }
 
 // Collect returns new reports: the merged push-based stream when a

@@ -13,9 +13,9 @@ func TestInstallPlacementPerSwitchPartitions(t *testing.T) {
 	// q4 compiles to 11 stages; at 6 stages per switch it slices into 2
 	// partitions. Agents a and b split them; c is untouched.
 	parts := map[string][]int{"a": {0}, "b": {1}}
-	qid, delay, err := r.InstallPlacement(query.Q4(3), 1<<10, 6, parts)
+	qid, delay, err := r.Deploy(0, placed(6, parts))
 	if err != nil {
-		t.Fatalf("InstallPlacement: %v", err)
+		t.Fatalf("placement deploy: %v", err)
 	}
 	if delay <= 0 {
 		t.Error("no modeled delay")
@@ -39,7 +39,7 @@ func TestInstallPlacementPerSwitchPartitions(t *testing.T) {
 	if p := engs[1].Programs()[0]; p.Part != 1 {
 		t.Errorf("b holds partition %d, want 1", p.Part)
 	}
-	if got := r.Placement(qid); !samePartsMap(got, parts) {
+	if got := r.want[qid].Parts; !samePartsMap(got, parts) {
 		t.Errorf("recorded placement = %v, want %v", got, parts)
 	}
 	if err := r.Remove(qid); err != nil {
@@ -54,8 +54,7 @@ func TestInstallPlacementRollsBackAcrossAgents(t *testing.T) {
 	r, sws := remoteFixture(t, 2)
 	// A ghost agent in the assignment fails the deploy; the partition
 	// already installed on a real agent must be rolled back.
-	_, _, err := r.InstallPlacement(query.Q4(3), 1<<10, 6,
-		map[string][]int{"a": {0}, "ghost": {1}})
+	_, _, err := r.Deploy(0, placed(6, map[string][]int{"a": {0}, "ghost": {1}}))
 	if err == nil {
 		t.Fatal("placement deploy to a ghost agent succeeded")
 	}
@@ -75,29 +74,32 @@ func TestInstallPlacementRollsBackAcrossAgents(t *testing.T) {
 		}
 	}
 	// The fleet is clean: a follow-up valid placement deploy succeeds.
-	if _, _, err := r.InstallPlacement(query.Q4(3), 1<<10, 6,
-		map[string][]int{"a": {0}, "b": {1}}); err != nil {
+	if _, _, err := r.Deploy(0, placed(6, map[string][]int{"a": {0}, "b": {1}})); err != nil {
 		t.Fatalf("rollback left residue: %v", err)
 	}
 }
 
 func TestInstallPlacementRejectsBadArgs(t *testing.T) {
 	r, _ := remoteFixture(t, 1)
-	if _, _, err := r.InstallPlacement(query.Q4(3), 1<<10, 0, map[string][]int{"a": {0}}); err == nil {
+	if _, _, err := r.Deploy(0, placed(0, map[string][]int{"a": {0}})); err == nil {
 		t.Error("zero stagesPer accepted")
 	}
-	if _, _, err := r.InstallPlacement(query.Q4(3), 1<<10, 6, nil); err == nil {
+	if _, _, err := r.Deploy(0, placed(6, nil)); err == nil {
 		t.Error("empty placement accepted")
 	}
-	if _, _, err := r.InstallPlacement(query.Q4(3), 1<<10, 6, map[string][]int{"a": {7}}); err == nil {
+	if _, _, err := r.Deploy(0, placed(6, map[string][]int{"a": {7}})); err == nil {
 		t.Error("out-of-range partition accepted")
+	}
+	// A target named twice would count in the shard total but hold one
+	// shard: half its keys would have no owner.
+	if _, _, err := r.Deploy(0, Want{Query: query.Q1(3), Targets: []string{"a", "a"}, Sharded: true}); err == nil {
+		t.Error("duplicate target accepted")
 	}
 }
 
 func TestUpdatePlacementAppliesOnlyTheDelta(t *testing.T) {
 	r, sws := remoteFixture(t, 3)
-	qid, _, err := r.InstallPlacement(query.Q4(3), 1<<10, 6,
-		map[string][]int{"a": {0}, "b": {1}})
+	qid, _, err := r.Deploy(0, placed(6, map[string][]int{"a": {0}, "b": {1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestUpdatePlacementAppliesOnlyTheDelta(t *testing.T) {
 	keep := engA.Programs()[0]
 
 	// Move partition 1 from b to c; a's assignment is unchanged.
-	if err := r.UpdatePlacement(qid, map[string][]int{"a": {0}, "c": {1}}); err != nil {
+	if err := update(r, qid, map[string][]int{"a": {0}, "c": {1}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := sws[1].Monitor.(*modules.Engine).InstalledCount(); got != 0 {
@@ -118,7 +120,7 @@ func TestUpdatePlacementAppliesOnlyTheDelta(t *testing.T) {
 	if ps := engA.Programs(); len(ps) != 1 || ps[0] != keep {
 		t.Error("unchanged agent was reinstalled during update")
 	}
-	if err := r.UpdatePlacement(qid, map[string][]int{"a": {0}, "ghost": {1}}); err == nil {
+	if err := update(r, qid, map[string][]int{"a": {0}, "ghost": {1}}); err == nil {
 		t.Error("update to a ghost agent succeeded")
 	}
 	if err := r.Remove(qid); err != nil {
@@ -132,11 +134,11 @@ func TestUpdatePlacementOnlyForPlacementDeploys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.UpdatePlacement(qid, map[string][]int{"a": {0}}); err == nil {
-		t.Error("UpdatePlacement accepted a replicate deploy")
+	if err := update(r, qid, map[string][]int{"a": {0}}); err == nil {
+		t.Error("placement update accepted a replicate deploy")
 	}
-	if err := r.UpdatePlacement(999, nil); err == nil {
-		t.Error("UpdatePlacement accepted an unknown qid")
+	if err := update(r, 999, map[string][]int{"a": {0}}); err == nil {
+		t.Error("placement update accepted an unknown qid")
 	}
 }
 
@@ -146,8 +148,7 @@ func TestPlacementExpectedContributors(t *testing.T) {
 	defer svc.Close()
 	r.AttachTelemetry(svc)
 
-	qid, _, err := r.InstallPlacement(query.Q4(3), 1<<10, 6,
-		map[string][]int{"a": {0}, "b": {1}})
+	qid, _, err := r.Deploy(0, placed(6, map[string][]int{"a": {0}, "b": {1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +161,24 @@ func TestPlacementExpectedContributors(t *testing.T) {
 	}
 
 	// Moving partition 1 to c re-pins: now a and c are expected.
-	if err := r.UpdatePlacement(qid, map[string][]int{"a": {0}, "c": {1}}); err != nil {
+	if err := update(r, qid, map[string][]int{"a": {0}, "c": {1}}); err != nil {
 		t.Fatal(err)
 	}
 	_, missing, _ = svc.EpochStatus(qid, 1)
 	if len(missing) != 2 || missing[0] != "a" || missing[1] != "c" {
 		t.Fatalf("post-update expected set = %v, want a,c", missing)
 	}
+}
+
+// placed is the Want of a q4 placement deploy at width 1024.
+func placed(stagesPer int, parts map[string][]int) Want {
+	return Want{Query: query.Q4(3), Width: 1 << 10, StagesPer: stagesPer, Parts: parts}
+}
+
+// update moves placement deployment qid to a new assignment.
+func update(r *Remote, qid int, parts map[string][]int) error {
+	_, _, err := r.Deploy(qid, placed(6, parts))
+	return err
 }
 
 func samePartsMap(a, b map[string][]int) bool {

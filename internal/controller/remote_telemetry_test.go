@@ -66,12 +66,12 @@ func TestCollectPrefersTelemetryStream(t *testing.T) {
 func TestInstallShardedRollsBackAndRemoves(t *testing.T) {
 	r, _ := remoteFixture(t, 3)
 	// A ghost agent mid-list unwinds the partial sharded install.
-	if _, _, err := r.InstallSharded(query.Q1(3), 1<<10, []string{"a", "ghost", "c"}); err == nil {
+	if _, _, err := r.Deploy(0, Want{Query: query.Q1(3), Width: 1 << 10, Targets: []string{"a", "ghost", "c"}, Sharded: true}); err == nil {
 		t.Fatal("sharded install to a ghost agent succeeded")
 	}
 	// The same QID is free again: a full sharded install succeeds and is
 	// removable everywhere.
-	qid, delay, err := r.InstallSharded(query.Q1(3), 1<<10, nil)
+	qid, delay, err := r.Deploy(0, Want{Query: query.Q1(3), Width: 1 << 10, Sharded: true})
 	if err != nil {
 		t.Fatalf("rollback left residue: %v", err)
 	}

@@ -3,156 +3,32 @@ package controller
 import (
 	"fmt"
 	"time"
-
-	"github.com/newton-net/newton/internal/modules"
-	"github.com/newton-net/newton/internal/rpc"
 )
 
 // ResizeWidth redeploys query qid at a new sketch width while KEEPING
 // its qid — the accuracy refiner's primitive, so a width change never
-// looks like a remove+install to consumers tracking the query. Per
-// agent the old program is explicitly removed before the new width
-// installs: Reconverge's already-installed tolerance is level-triggered
-// and would otherwise accept the old geometry as converged, leaving the
-// fleet with mixed widths that can never merge.
-//
-// On a mid-flight failure the touched agents are rolled back toward the
-// OLD width and the old spec stays recorded, so a follow-up Reconverge
-// heals the fleet to one uniform geometry either way. On success the
-// attached analyzer is told (NoteResize) so the first post-resize epoch
-// carries transition provenance, and the expected-contributor pin is
-// recomputed for the new programs.
+// looks like a remove+install to consumers tracking the query. It is
+// Deploy of the current desired state with the width replaced: every
+// member's share changes, so reconcile removes the old program before
+// installing the new width on each (an "already installed" old geometry
+// can never pass for converged, and widths never mix), a failure rolls
+// every touched member back to the old width, and success tells the
+// attached analyzer (NoteResize) so the first post-resize epoch carries
+// transition provenance. A member offline fails the resize up front.
 func (r *Remote) ResizeWidth(qid int, width uint32) (time.Duration, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	spec, ok := r.specs[qid]
-	if !ok {
+	cur, ok := r.want[qid]
+	switch {
+	case !ok:
 		return 0, fmt.Errorf("controller: no deployment %d", qid)
-	}
-	if width == 0 {
+	case width == 0:
 		return 0, fmt.Errorf("controller: resize of %d to width 0", qid)
-	}
-	if spec.width == width {
+	case width == cur.Width:
 		return 0, nil
 	}
-
-	mode := "replicate"
-	switch {
-	case spec.sharded:
-		mode = "shard"
-	case spec.stagesPer > 0:
-		mode = "placement"
-	}
-
-	// Preflight: resizing past an offline member would leave the fleet
-	// with mixed widths the analyzer can never merge — fail fast.
-	for _, n := range spec.names {
-		if r.offline[n] {
-			inc(&r.obs.resizeFailures)
-			return 0, fmt.Errorf("controller: resize of %d targets offline agent %q", qid, n)
-		}
-		if _, ok := r.agents[n]; !ok {
-			inc(&r.obs.resizeFailures)
-			return 0, fmt.Errorf("controller: no agent %q", n)
-		}
-	}
-
-	next := &deploySpec{
-		q: spec.q, width: width, names: spec.names,
-		sharded: spec.sharded, stagesPer: spec.stagesPer, parts: spec.parts,
-	}
-
-	// touched lists agents whose old program has been removed (the agent
-	// may hold the new width, part of it, or nothing). Rollback re-drives
-	// exactly those toward the still-recorded old spec.
-	var touched []string
-	rollback := func(cause error) error {
-		inc(&r.obs.resizeFailures)
-		for ti, n := range spec.names {
-			if ti >= len(touched) {
-				break
-			}
-			if err := r.agents[n].Remove(qid); err != nil && !rpc.IsAgentCode(err, rpc.CodeNotInstalled) {
-				inc(&r.obs.rollbackFailures)
-				continue
-			}
-			progs, err := spec.programsFor(qid, ti)
-			if err != nil {
-				inc(&r.obs.rollbackFailures)
-				continue
-			}
-			restored := true
-			for _, p := range progs {
-				if err := r.agents[n].Install(p); err != nil && !rpc.IsAgentCode(err, rpc.CodeAlreadyInstalled) {
-					inc(&r.obs.rollbackFailures)
-					restored = false
-					break
-				}
-			}
-			if restored {
-				inc(&r.obs.rollbacks)
-			}
-		}
-		return cause
-	}
-
-	maxRules := 0
-	var first *modules.Program
-	var contributors []string
-	for i, n := range spec.names {
-		c := r.agents[n]
-		touched = append(touched, n)
-		if err := c.Remove(qid); err != nil && !rpc.IsAgentCode(err, rpc.CodeNotInstalled) {
-			return 0, rollback(fmt.Errorf("controller: resize remove on %q: %w", n, err))
-		}
-		progs, err := next.programsFor(qid, i)
-		if err != nil {
-			return 0, rollback(err)
-		}
-		contributes := false
-		for _, p := range progs {
-			if err := c.Install(p); err != nil {
-				return 0, rollback(fmt.Errorf("controller: resize install on %q: %w", n, err))
-			}
-			if first == nil {
-				first = p
-			}
-			if ownsState(p) {
-				contributes = true
-			}
-			if rules := p.RuleCount() + 1; rules > maxRules {
-				maxRules = rules
-			}
-		}
-		if contributes {
-			contributors = append(contributors, n)
-		}
-	}
-
-	r.specs[qid] = next
-	inc(&r.obs.resizes)
-	if first != nil {
-		r.obs.publish(qid, spec.q.Name, mode, first.Footprint())
-	}
-	if r.svc != nil {
-		// Announce the transition BEFORE re-pinning: the first epoch the
-		// restarted banks reach must read Partial, and the expected set
-		// must reflect the new programs' state owners.
-		r.svc.NoteResize(qid)
-		r.svc.SetExpected(qid, contributors)
-	}
-	f := 0.9 + 0.2*r.rng.Float64()
-	delay := time.Duration(float64(installBase+time.Duration(maxRules)*installPerRule) * f)
-	return delay, nil
-}
-
-// Width returns the sketch width a deployment currently runs at (0 for
-// unknown qids).
-func (r *Remote) Width(qid int) uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if spec, ok := r.specs[qid]; ok {
-		return spec.width
-	}
-	return 0
+	w := cur.Want
+	w.Width = width
+	_, delay, err := r.deploy(qid, w)
+	return delay, err
 }

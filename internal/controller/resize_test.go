@@ -23,7 +23,7 @@ func TestResizeWidthKeepsQID(t *testing.T) {
 	if delay <= 0 {
 		t.Error("no modeled resize delay")
 	}
-	if got := r.Width(qid); got != 1<<11 {
+	if got := r.want[qid].Width; got != 1<<11 {
 		t.Fatalf("Width(%d) = %d, want %d", qid, got, 1<<11)
 	}
 	// The qid counter did not advance: the next install gets qid+1.
@@ -78,7 +78,7 @@ func TestResizeWidthOfflineFailsFast(t *testing.T) {
 	if _, err := r.ResizeWidth(qid, 1<<11); err == nil {
 		t.Fatal("resize through an offline member accepted")
 	}
-	if got := r.Width(qid); got != 1<<10 {
+	if got := r.want[qid].Width; got != 1<<10 {
 		t.Fatalf("failed resize changed recorded width to %d", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestResizeWidthRollsBackOnFailure(t *testing.T) {
 	if _, err := r.ResizeWidth(qid, 1<<11); err == nil {
 		t.Fatal("resize with a dead member accepted")
 	}
-	if got := r.Width(qid); got != 1<<10 {
+	if got := r.want[qid].Width; got != 1<<10 {
 		t.Fatalf("failed resize recorded width %d, want old 1024", got)
 	}
 	// Agent "a" was rolled back to the old geometry: re-driving the old

@@ -157,7 +157,7 @@ func (cn *chaosNet) close() {
 // and restarted once the clock passes it, and the controller
 // reconverges the deployment.
 func (cn *chaosNet) run(tr *trace.Trace, restartAt uint64) (reports int, reinstalled bool) {
-	_, _, err := cn.ctl.InstallSharded(query.Q1(40), 1<<12, cn.names)
+	_, _, err := cn.ctl.Deploy(0, controller.Want{Query: query.Q1(40), Width: 1 << 12, Targets: cn.names, Sharded: true})
 	if err != nil {
 		panic(err)
 	}

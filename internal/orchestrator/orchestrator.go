@@ -707,10 +707,12 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
-// Apply commits a diff through the remote controller's transactional
-// deploy path, recording each success. It stops at the first error —
-// already-applied deltas stay recorded, so a retry applies only the
-// remainder.
+// Apply commits a diff through the remote controller's one transactional
+// path, recording each success: a delta either removes a query or makes
+// its target the controller's desired state for the qid (a new qid for
+// an install), and the controller contacts only the switches whose
+// share changed. It stops at the first error — already-applied deltas
+// stay recorded, so a retry applies only the remainder.
 func (o *Orchestrator) Apply(p *Plan, d Diff) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -719,35 +721,25 @@ func (o *Orchestrator) Apply(p *Plan, d Diff) error {
 
 func (o *Orchestrator) applyLocked(p *Plan, d Diff) error {
 	for _, dl := range d.Deltas {
-		switch dl.Action {
-		case ActionRemove:
+		if dl.Action == ActionRemove {
 			if err := o.remote.Remove(dl.QID); err != nil {
 				return fmt.Errorf("orchestrator: remove %s: %w", dl.Query, err)
 			}
 			delete(o.deployed, dl.Query)
-		case ActionResize:
-			if _, err := o.remote.ResizeWidth(dl.QID, dl.Target.Width); err != nil {
-				return fmt.Errorf("orchestrator: resize %s: %w", dl.Query, err)
+		} else {
+			t := dl.Target
+			want := controller.Want{Query: t.Intent.Query, Width: t.Width, Targets: t.Targets}
+			if !t.Single {
+				want.StagesPer, want.Parts = p.StagesPer, t.Parts
 			}
-			o.deployed[dl.Query].plan = dl.Target
-			o.obs.inc(&o.obs.resizes)
-		case ActionUpdate:
-			if err := o.remote.UpdatePlacement(dl.QID, dl.Target.Parts); err != nil {
-				return fmt.Errorf("orchestrator: update %s: %w", dl.Query, err)
-			}
-			o.deployed[dl.Query].plan = dl.Target
-		case ActionInstall:
-			var qid int
-			var err error
-			if dl.Target.Single {
-				qid, _, err = o.remote.Install(dl.Target.Intent.Query, dl.Target.Width, dl.Target.Targets)
-			} else {
-				qid, _, err = o.remote.InstallPlacement(dl.Target.Intent.Query, dl.Target.Width, p.StagesPer, dl.Target.Parts)
-			}
+			qid, _, err := o.remote.Deploy(dl.QID, want)
 			if err != nil {
-				return fmt.Errorf("orchestrator: install %s: %w", dl.Query, err)
+				return fmt.Errorf("orchestrator: %s %s: %w", dl.Action, dl.Query, err)
 			}
-			o.deployed[dl.Query] = &deployedState{qid: qid, plan: dl.Target}
+			o.deployed[dl.Query] = &deployedState{qid: qid, plan: t}
+			if dl.Action == ActionResize {
+				o.obs.inc(&o.obs.resizes)
+			}
 		}
 		o.obs.inc(&o.obs.deltas)
 	}

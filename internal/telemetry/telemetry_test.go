@@ -390,7 +390,7 @@ func TestShardedMergeMatchesSingleSwitch(t *testing.T) {
 	}
 	ctl := controller.NewRemote(clients, 1)
 	ctl.AttachTelemetry(svc)
-	qid, _, err := ctl.InstallSharded(q, width, names)
+	qid, _, err := ctl.Deploy(0, controller.Want{Query: q, Width: width, Targets: names, Sharded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
