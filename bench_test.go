@@ -19,6 +19,7 @@ import (
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/experiments"
 	"github.com/newton-net/newton/internal/netsim"
+	"github.com/newton-net/newton/internal/packet"
 	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/topology"
 	"github.com/newton-net/newton/internal/trace"
@@ -83,6 +84,61 @@ func BenchmarkPacketThroughput(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
 	net.DrainReports()
+}
+
+// BenchmarkPacketThroughputFlows is the flow-cardinality axis of the
+// headline: the same nine-query switch path, fed distinct 5-tuples
+// cycled round-robin, so every packet of a row with more flows than the
+// lane's flow table holds is a dispatch miss. Per-packet cost and
+// allocations must not depend on the row.
+func BenchmarkPacketThroughputFlows(b *testing.B) {
+	for _, row := range []struct {
+		name  string
+		flows int
+	}{{"1k", 1 << 10}, {"32k", 1 << 15}, {"64k", 1 << 16}, {"1M", 1 << 20}} {
+		b.Run("flows="+row.name, func(b *testing.B) {
+			net, sws, _, _, _ := throughputNet(b, 1)
+			tcp := &packet.Packet{TS: 1, IP: packet.IPv4{Proto: packet.ProtoTCP, TTL: 64}, TCP: &packet.TCP{}}
+			udp := &packet.Packet{TS: 1, IP: packet.IPv4{Proto: packet.ProtoUDP, TTL: 64}, UDP: &packet.UDP{DstPort: 53}}
+			// flow k's 5-tuple: a benign-looking mix (one SYN and one DNS
+			// query in eight, the rest established TCP) over 256 servers;
+			// the odd multiplier keeps sources distinct.
+			send := func(k int) {
+				src, dst := uint32(k)*2654435761, 0x0A000000|uint32(k>>3&0xFF)
+				sport := uint16(1024 + k%50000)
+				pkt := tcp
+				tcp.TCP.SrcPort = sport
+				switch k & 7 {
+				case 0:
+					tcp.TCP.Flags, tcp.TCP.DstPort = packet.FlagSYN, 443
+				case 1:
+					pkt = udp
+					udp.UDP.SrcPort = sport
+				default:
+					tcp.TCP.Flags, tcp.TCP.DstPort = packet.FlagACK|packet.FlagPSH, 80
+				}
+				pkt.IP.Src, pkt.IP.Dst = src, dst
+				net.DeliverPath(pkt, sws)
+			}
+			var reports []dataplane.Report
+			for k := 0; k < 2*row.flows; k++ { // warm: tables, epochs, report buffers
+				send(k % row.flows)
+			}
+			reports = net.DrainReportsAppend(reports[:0])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % row.flows
+				send(k)
+				if k == row.flows-1 {
+					reports = net.DrainReportsAppend(reports[:0])
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
+			net.DrainReports()
+		})
+	}
 }
 
 // BenchmarkPacketThroughputBatch drives the same workload through the

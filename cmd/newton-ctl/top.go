@@ -132,6 +132,7 @@ func renderTop(w *os.File, snap *obs.Snapshot) {
 	headline := []string{
 		"newton_engine_packets_total",
 		"newton_engine_dispatch_misses_total",
+		"newton_engine_dispatch_evictions_total",
 		"newton_rpc_agent_requests_total",
 		"newton_rpc_client_calls_total",
 		"newton_export_ring_depth",

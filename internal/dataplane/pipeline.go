@@ -121,7 +121,7 @@ type Context struct {
 	// given lane, and all packets of one flow use the same lane within an
 	// epoch (netsim shards batches by flow hash and joins workers at
 	// window barriers). Under that discipline every per-lane structure —
-	// switch counters, the engine's dispatch cache and hash memos, report
+	// switch counters, the engine's flow table and hash memos, report
 	// sinks — is single-writer and needs no locks. Sequential delivery
 	// uses lane 0.
 	Lane int

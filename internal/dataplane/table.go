@@ -249,7 +249,7 @@ func NewTable(name string, kind MatchKind, cols, maxEntries int) *Table {
 }
 
 // Version returns a counter that changes whenever the rule set changes.
-// Caches keyed on lookup results (the module engine's dispatch cache)
+// Caches keyed on lookup results (the module engine's flow table)
 // compare versions to detect staleness.
 func (t *Table) Version() uint64 { return t.version.Load() }
 

@@ -20,6 +20,7 @@ type ScalingRow struct {
 	PktsPerSec   float64
 	Speedup      float64 // vs the first (baseline) worker count
 	AllocsPerPkt float64
+	Mallocs      uint64 // the process's mallocs over the scalingPasses timed passes
 }
 
 // ScalingResult is the workers-vs-throughput curve of the sharded
@@ -81,6 +82,9 @@ func ThroughputScaling(flows int, dur time.Duration, workers []int) *ScalingResu
 	return res
 }
 
+// scalingPasses is how many whole-trace passes a point times.
+const scalingPasses = 3
+
 func scalingPoint(flows int, dur time.Duration, workers int) ScalingRow {
 	topo, h1, h2 := topology.Linear(1)
 	net, err := netsim.New(topo, netsim.Config{Stages: 16, ArraySize: 1 << 16, Workers: workers})
@@ -111,23 +115,24 @@ func scalingPoint(flows int, dur time.Duration, workers int) ScalingRow {
 		reports = net.DrainReportsAppend(reports[:0])
 	}
 
-	const passes = 3
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	for p := 0; p < passes; p++ {
+	for p := 0; p < scalingPasses; p++ {
 		net.DeliverBatch(pkts, h1, h2)
 		reports = net.DrainReportsAppend(reports[:0])
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 
-	n := passes * len(pkts)
+	n := scalingPasses * len(pkts)
+	mallocs := after.Mallocs - before.Mallocs
 	return ScalingRow{
 		Workers:      workers,
 		NsPerPkt:     float64(elapsed.Nanoseconds()) / float64(n),
 		PktsPerSec:   float64(n) / elapsed.Seconds(),
-		AllocsPerPkt: float64(after.Mallocs-before.Mallocs) / float64(n),
+		AllocsPerPkt: float64(mallocs) / float64(n),
+		Mallocs:      mallocs,
 	}
 }

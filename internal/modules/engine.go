@@ -3,6 +3,7 @@ package modules
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
@@ -19,7 +20,13 @@ import (
 var (
 	ErrAlreadyInstalled = errors.New("already installed")
 	ErrNotInstalled     = errors.New("not installed")
+	// ErrQIDRange rejects a partitioned program whose qid the 12-bit
+	// result-snapshot header cannot carry to its later partitions.
+	ErrQIDRange = errors.New("qid does not fit the result-snapshot header")
 )
+
+// maxSnapshotQID is the largest qid packet.SPHeader carries (12 bits).
+const maxSnapshotQID = 0xFFF
 
 // Engine executes the module layout over packets. It implements
 // dataplane.Program, so a Layout plus an Engine is what "loading the
@@ -27,8 +34,8 @@ var (
 // operation against the layout's tables.
 //
 // The engine is sharded into lanes (SetWorkers): each delivery worker
-// owns one lane holding its dispatch cache, per-flow hash memos,
-// execution counters, and sampled-latency histogram, so the per-packet
+// owns one lane holding its flow table (dispatch.go), execution
+// counters, and sampled-latency histogram, so the per-packet
 // path is lock-free under the Context.Lane single-writer discipline.
 // State banks stay shared and linearizable by default (BankShared);
 // BankPrivate gives gate-free sketch rows worker-private shards merged
@@ -44,6 +51,15 @@ type Engine struct {
 
 	// bankMode selects the state-bank sharding discipline (sharding.go).
 	bankMode BankMode
+
+	// memoStride is Σ numH over the installed hash-pure branches: the memo
+	// words a lane's flow-table slot needs at most. Install raises it
+	// before the program's first newton_init rule is published and
+	// rollback lowers it after the last is gone, so a lane that loads it
+	// after observing a classifier version never reads too small a value.
+	memoStride atomic.Int64
+	// seed keys the lanes' flow-table hash (flowTable.hash).
+	seed [2]uint64
 
 	// mergeScratch is MergeWorkers' reusable snapshot buffer.
 	mergeScratch []uint32
@@ -65,7 +81,12 @@ type progKey struct{ qid, part int }
 
 // NewEngine builds an engine over a loaded layout with one lane.
 func NewEngine(l *Layout) *Engine {
-	return &Engine{layout: l, installed: map[progKey]*Program{}, lanes: []*engineLane{new(engineLane)}}
+	e := &Engine{
+		layout: l, installed: map[progKey]*Program{},
+		seed: [2]uint64{rand.Uint64(), rand.Uint64()},
+	}
+	e.lanes = []*engineLane{newEngineLane(e.seed)}
+	return e
 }
 
 // Layout returns the engine's layout.
@@ -86,34 +107,6 @@ func (e *Engine) Installed(qid int) *Program {
 	return best
 }
 
-// maxDispatchEntries bounds the dispatch cache; overflowing flushes it
-// (a full rebuild costs one classifier scan per live flow).
-const maxDispatchEntries = 1 << 15
-
-// dispatchKey is the newton_init classifier input — the packet's
-// 5-tuple plus TCP flags — packed into two words (the fields' natural
-// widths sum to 112 bits), so the cache probe hashes 16 bytes instead
-// of 48.
-type dispatchKey [2]uint64
-
-// hashUnset marks a not-yet-recorded slot in a dispatch entry's hash
-// memo. Memoized hash results are at most 32 bits wide (hash engines
-// produce uint32, and direct-mode keys are drawn from ≤32-bit fields),
-// so the all-ones word can never be a real result.
-const hashUnset = ^uint64(0)
-
-// dispatchEntry is one memoized classification: the newton_init matches
-// for a classifier input, plus — for branches whose hash inputs are a
-// pure function of that input — the recorded per-flow hash results, so
-// steady-state packets of a flow skip key serialization and CRC/FNV
-// computation entirely. hashes[i] is nil when branch i is not
-// memoizable (impure or has no H ops); otherwise it has one slot per H
-// op, lazily filled the first time each op executes for this flow.
-type dispatchEntry struct {
-	matches []*dataplane.Rule
-	hashes  [][]uint64
-}
-
 // InstalledCount returns how many programs are installed.
 func (e *Engine) InstalledCount() int { return len(e.installed) }
 
@@ -132,7 +125,8 @@ func (e *Engine) Programs() []*Program {
 const execSampleMask = 63
 
 // Counters returns the engine's execution counters summed across lanes:
-// packets executed, dispatch-cache misses, and per-module-kind op
+// packets executed, dispatch misses (packets whose classification was
+// not served from the lane's flow table), and per-module-kind op
 // executions.
 func (e *Engine) Counters() (pkts, dispatchMisses uint64, execs [NumKinds]uint64) {
 	for _, l := range e.lanes {
@@ -155,6 +149,17 @@ func (e *Engine) LaneCounters(lane int) (pkts, dispatchMisses uint64) {
 	return atomic.LoadUint64(&l.pkts), atomic.LoadUint64(&l.dispatchMisses)
 }
 
+// dispatchEvictions returns how many dispatch misses evicted a live
+// flow-table entry, on one lane or (lane < 0) summed across lanes.
+func (e *Engine) dispatchEvictions(lane int) (n uint64) {
+	for i, l := range e.lanes {
+		if lane < 0 || lane == i {
+			n += atomic.LoadUint64(&l.dispatchEvictions)
+		}
+	}
+	return n
+}
+
 // Install loads a compiled program: one newton_init entry per branch,
 // one rule per module op, and register allocations for the stateful
 // banks. On any failure the partial install is rolled back, leaving the
@@ -165,6 +170,10 @@ func (e *Engine) Install(p *Program) (err error) {
 	if _, dup := e.installed[key]; dup {
 		return fmt.Errorf("modules: query %d part %d %w", p.QID, p.Part, ErrAlreadyInstalled)
 	}
+	if p.TotalParts > 1 && p.QID > maxSnapshotQID {
+		return fmt.Errorf("modules: query %d has %d partitions: %w (max %d)",
+			p.QID, p.TotalParts, ErrQIDRange, maxSnapshotQID)
+	}
 	defer func() {
 		if err != nil {
 			e.rollback(p)
@@ -173,6 +182,7 @@ func (e *Engine) Install(p *Program) (err error) {
 	for _, b := range p.Branches {
 		prepareBranch(b)
 	}
+	e.memoStride.Add(int64(p.memoWords()))
 	// Pass 1: allocate registers for owning state banks.
 	for _, b := range p.Branches {
 		for _, op := range b.Ops {
@@ -287,7 +297,8 @@ func pureKeyMask(m *fields.Mask) bool {
 // set) has established the operation keys — so the H never reads keys
 // left behind by another branch, whose execution prefix can vary with
 // register state — and every such K mask keeps only dispatch-key
-// fields.
+// fields, and every result fits a 32-bit memo word (hash engines
+// produce uint32; a direct-mode key is as wide as its field).
 //
 // It also marks which state banks are lane-shardable under BankPrivate:
 // a bank decomposes exactly across worker-private shards only when its
@@ -316,6 +327,11 @@ func prepareBranch(b *BranchProgram) {
 			if !seenK[set] || !pureK[set] {
 				b.hashPure = false
 			}
+			// The memo holds 32-bit words: a direct-mode key wider than that
+			// would be replayed truncated.
+			if op.H != nil && op.H.Direct != NoField && op.H.Direct.Width() > 32 {
+				b.hashPure = false
+			}
 		case ModS:
 			if s := op.S; s != nil && !s.PassThrough && !s.CrossRead {
 				s.shardable = !seenR &&
@@ -341,7 +357,20 @@ func (e *Engine) findRow0(p *Program, branch int) *SConfig {
 	return found
 }
 
-// rollback removes whatever parts of p are currently installed.
+// memoWords is the program's share of the engine's memo stride (valid
+// once prepareBranch ran over its branches).
+func (p *Program) memoWords() int {
+	n := 0
+	for _, b := range p.Branches {
+		if b.hashPure {
+			n += b.numH
+		}
+	}
+	return n
+}
+
+// rollback removes whatever parts of p are currently installed — and p's
+// share of the memo stride, which Install added before anything else.
 func (e *Engine) rollback(p *Program) {
 	for _, b := range p.Branches {
 		for _, op := range b.Ops {
@@ -369,6 +398,7 @@ func (e *Engine) rollback(p *Program) {
 			_ = e.layout.Fin.RemoveRule(r.ID)
 		}
 	}
+	e.memoStride.Add(-int64(p.memoWords()))
 }
 
 type finAction struct{}
@@ -381,14 +411,14 @@ func (finAction) ActionName() string { return "snapshot" }
 // (partitioned programs run only at their partition cursor), and decide
 // the outbound snapshot.
 //
-// Classification goes through the executing lane's dispatch cache:
-// newton_init's LookupAll result is memoized per classifier input and
-// invalidated whenever the classifier's rule set changes, so the
-// steady-state per-packet path does one lock-free map probe instead of
-// a ternary scan — and allocates nothing. The lane (Context.Lane) is
-// single-writer by the delivery contract, so no locks anywhere on this
-// path; all lane counters use store-after-load atomics, which are plain
-// MOVs on x86-64 yet keep concurrent scrape reads exact.
+// Classification goes through the executing lane's flow table
+// (dispatch.go): a 5-tuple the lane has seen at the current classifier
+// version costs one set probe; any other is classified by newton_init,
+// its match list interned, and one slot overwritten. Neither path
+// allocates. The lane (Context.Lane) is single-writer by the delivery
+// contract, so no locks anywhere on this path; all lane counters use
+// store-after-load atomics, which are plain MOVs on x86-64 yet keep
+// concurrent scrape reads exact.
 func (e *Engine) Execute(ctx *dataplane.Context) {
 	lane := e.lanes[0]
 	if l := ctx.Lane; l > 0 && l < len(e.lanes) {
@@ -415,50 +445,44 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 		v.Get(fields.SrcIP)<<32 | v.Get(fields.DstIP),
 		v.Get(fields.SrcPort)<<32 | v.Get(fields.DstPort)<<16 |
 			v.Get(fields.Proto)<<8 | v.Get(fields.TCPFlags)}
-	version := e.layout.Init.Version()
-	entry := lane.lookup(version, &key)
-	if entry == nil {
-		bump(&lane.dispatchMisses)
+	ft := &lane.flows
+	if version := e.layout.Init.Version(); ft.version != version {
+		ft.retarget(version, int(e.memoStride.Load()))
+	}
+	h := ft.hash(&key)
+	slot, set := ft.find(&key, h)
+	if set == nil {
+		misses := bump(&lane.dispatchMisses)
 		vals := [6]uint64{
 			v.Get(fields.SrcIP), v.Get(fields.DstIP), v.Get(fields.Proto),
 			v.Get(fields.SrcPort), v.Get(fields.DstPort), v.Get(fields.TCPFlags)}
-		matches := e.layout.Init.LookupAllAppend(nil, vals[:])
-		entry = &dispatchEntry{matches: matches}
-		if len(matches) > 0 {
-			entry.hashes = make([][]uint64, len(matches))
-			for i, m := range matches {
-				ca, ok := m.Action.(chainAction)
-				if !ok || !ca.branch.hashPure || ca.branch.numH == 0 {
-					continue
-				}
-				hs := make([]uint64, ca.branch.numH)
-				for j := range hs {
-					hs[j] = hashUnset
-				}
-				entry.hashes[i] = hs
-			}
+		ft.scratch = e.layout.Init.LookupAllAppend(ft.scratch[:0], vals[:])
+		var evicted bool
+		if slot, set, evicted = ft.insert(&key, h, ft.scratch, misses); evicted {
+			bump(&lane.dispatchEvictions)
 		}
-		lane.store(version, &key, entry)
 	}
+	memo := ft.memoOf(slot)
 	var ranPart *Program
 	stopped := false
-	for i, m := range entry.matches {
-		ca, ok := m.Action.(chainAction)
-		if !ok {
-			continue
-		}
-		if ca.prog.TotalParts > 1 {
-			if ca.prog.Part != curPart {
+	for i := range set.chains {
+		c := &set.chains[i]
+		if c.prog.TotalParts > 1 {
+			if c.prog.Part != curPart {
 				continue
 			}
-			if sp := ctx.Pkt.SP; sp != nil && int(sp.QID) != ca.prog.QID {
+			if sp := ctx.Pkt.SP; sp != nil && int(sp.QID) != c.prog.QID {
 				continue
 			}
-			ranPart = ca.prog
+			ranPart = c.prog
 		}
-		ctx.PHV.QueryID = ca.prog.QID
-		e.runBranch(ctx, ca.branch, entry.hashes[i], &execs)
-		if ca.prog == ranPart {
+		ctx.PHV.QueryID = c.prog.QID
+		var hashes []uint32
+		if c.memo >= 0 {
+			hashes = memo[c.memo : c.memo+c.branch.numH]
+		}
+		e.runBranch(ctx, c.branch, hashes, &execs)
+		if c.prog == ranPart {
 			stopped = ctx.PHV.Stopped
 		}
 	}
@@ -488,9 +512,9 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 // metadata sets may arrive pre-seeded from a result-snapshot header
 // (cross-switch execution); chains always run front to back in stage
 // order, which the composition algorithm guarantees is dependency-safe.
-// hashes, when non-nil, is the flow's memoized hash results (one slot
-// per H op, hashUnset until first recorded); see dispatchEntry.
-func (e *Engine) runBranch(ctx *dataplane.Context, b *BranchProgram, hashes []uint64, execs *uint64) {
+// hashes, when non-nil, is the flow's memoized hash results (one word
+// per H op, hashUnset until first recorded); see flowTable.
+func (e *Engine) runBranch(ctx *dataplane.Context, b *BranchProgram, hashes []uint32, execs *uint64) {
 	phv := &ctx.PHV
 	seq := ctx.Sequential()
 	laneIdx := ctx.Lane
@@ -508,10 +532,10 @@ func (e *Engine) runBranch(ctx *dataplane.Context, b *BranchProgram, hashes []ui
 		case ModH:
 			if hashes != nil {
 				if h := hashes[op.hIdx]; h != hashUnset {
-					set.HashResult = h
+					set.HashResult = uint64(h)
 				} else {
 					e.execH(op.H, set, phv)
-					hashes[op.hIdx] = set.HashResult
+					hashes[op.hIdx] = uint32(set.HashResult)
 				}
 			} else {
 				e.execH(op.H, set, phv)
@@ -641,7 +665,7 @@ func Snapshot(phv *fields.PHV, qid int, nextPart int) *packet.SPHeader {
 		g = -32768
 	}
 	return &packet.SPHeader{
-		QID:    uint16(qid) & 0xFFF,
+		QID:    uint16(qid) & maxSnapshotQID,
 		Part:   uint8(nextPart) & 0x0F,
 		State0: uint32(phv.Sets[0].StateResult),
 		State1: uint32(phv.Sets[1].StateResult),

@@ -6,10 +6,9 @@ import (
 	"github.com/newton-net/newton/internal/dataplane"
 )
 
-// TestDispatchCacheInvalidationOnInstallRemove asserts that the
-// per-flow dispatch cache never serves a stale classification across
-// query install/remove: the classifier's table version gates every
-// cache hit.
+// TestDispatchCacheInvalidationOnInstallRemove asserts that the lane's
+// flow table never serves a stale classification across query
+// install/remove: the classifier's table version gates every hit.
 func TestDispatchCacheInvalidationOnInstallRemove(t *testing.T) {
 	l := compactLayout(t)
 	eng := NewEngine(l)
@@ -17,8 +16,8 @@ func TestDispatchCacheInvalidationOnInstallRemove(t *testing.T) {
 	sw.AddRoute(0, 0, 1)
 	sw.Monitor = eng
 
-	// Prime the cache with no queries installed: the flow memoizes an
-	// empty chain set.
+	// Prime the table with no queries installed: the flow's slot points
+	// at the empty match set.
 	sw.Process(synTo(42))
 	if n := sw.PendingReports(); n != 0 {
 		t.Fatalf("reports with nothing installed: %d", n)
@@ -48,8 +47,8 @@ func TestDispatchCacheInvalidationOnInstallRemove(t *testing.T) {
 }
 
 // TestProcessZeroAllocsSteadyState is the allocation regression test
-// for the per-packet fast path: once a flow's dispatch entry and hash
-// memo are recorded, processing a packet must not allocate.
+// for the per-packet fast path: once a flow holds a slot and its hash
+// memo is recorded, processing a packet must not allocate.
 func TestProcessZeroAllocsSteadyState(t *testing.T) {
 	l := compactLayout(t)
 	eng := NewEngine(l)
@@ -61,7 +60,7 @@ func TestProcessZeroAllocsSteadyState(t *testing.T) {
 	sw.Monitor = eng
 
 	pkt := synTo(42)
-	sw.Process(pkt) // warm: records the dispatch entry + hash memo
+	sw.Process(pkt) // warm: claims the flow's slot and records its hash memo
 	if avg := testing.AllocsPerRun(200, func() {
 		sw.Process(pkt)
 	}); avg != 0 {

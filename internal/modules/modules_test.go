@@ -1,6 +1,7 @@
 package modules
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -382,6 +383,40 @@ func TestSliceProgram(t *testing.T) {
 	parts[0].Branches[0].Ops[0].K.Mask = fields.Keep(fields.SrcIP)
 	if p.Branches[0].Ops[0].K.Mask.Equal(fields.Keep(fields.SrcIP)) {
 		t.Error("slice shares config with original")
+	}
+}
+
+// TestInstallRejectsQIDBeyondSnapshotHeader: the result-snapshot header
+// carries 12 bits of qid, so a partitioned program under qid 4096+ would
+// never match its own snapshots downstream and go silent. Install must
+// refuse it, typed, and leave the data plane untouched; an unpartitioned
+// program never rides the header and may use any qid.
+func TestInstallRejectsQIDBeyondSnapshotHeader(t *testing.T) {
+	l := compactLayout(t)
+	eng := NewEngine(l)
+	base := l.TotalRuleEntries()
+	for _, tc := range []struct {
+		qid, perSwitch int
+		ok             bool
+	}{{4095, 3, true}, {4096, 3, false}, {4096, 10, true}} {
+		parts, err := SliceProgram(buildCountProgram(tc.qid, 3, 1024), tc.perSwitch)
+		if err != nil {
+			t.Fatalf("SliceProgram: %v", err)
+		}
+		err = eng.Install(parts[0])
+		if tc.ok {
+			if err != nil {
+				t.Fatalf("qid %d in %d parts: %v", tc.qid, len(parts), err)
+			}
+			if err := eng.Remove(tc.qid); err != nil {
+				t.Fatal(err)
+			}
+		} else if !errors.Is(err, ErrQIDRange) {
+			t.Fatalf("qid %d in %d parts: Install = %v, want ErrQIDRange", tc.qid, len(parts), err)
+		}
+		if got := l.TotalRuleEntries(); got != base {
+			t.Fatalf("qid %d: %d table entries left behind", tc.qid, got-base)
+		}
 	}
 }
 

@@ -115,8 +115,11 @@ func AttachObs(e *Engine, reg *obs.Registry, switchID string) {
 		"Packets executed by the module engine.",
 		func() uint64 { p, _, _ := e.Counters(); return p }, sw)
 	reg.CounterFunc("newton_engine_dispatch_misses_total",
-		"Dispatch-cache misses (full newton_init classifier scans).",
+		"Packets whose newton_init classification was not served from the lane's flow table (new flow, rule change, or evicted entry).",
 		func() uint64 { _, m, _ := e.Counters(); return m }, sw)
+	reg.CounterFunc("newton_engine_dispatch_evictions_total",
+		"Dispatch misses that evicted a live flow-table entry: misses without evictions are new flows, misses with them a table too small or a flood.",
+		func() uint64 { return e.dispatchEvictions(-1) }, sw)
 	reg.CounterFunc("newton_engine_ternary_scan_total",
 		"Linear ternary-scan fallbacks across the layout's tables; stays flat once rule sets are served by the compiled classifier.",
 		func() uint64 { return e.layout.TernaryScans() }, sw)
@@ -140,7 +143,7 @@ func AttachObs(e *Engine, reg *obs.Registry, switchID string) {
 	}
 
 	// Per-worker series: each engine lane gets its own sampled-latency
-	// histogram and packet/miss counters labeled {switch, worker}. The
+	// histogram and packet/miss/eviction counters labeled {switch, worker}. The
 	// hook stays on the engine so lanes created by a later SetWorkers
 	// pick up their series too.
 	e.laneObs = func(lane int) *obs.Histogram {
@@ -149,8 +152,11 @@ func AttachObs(e *Engine, reg *obs.Registry, switchID string) {
 			"Packets executed per engine worker lane.",
 			func() uint64 { p, _ := e.LaneCounters(lane); return p }, sw, w)
 		reg.CounterFunc("newton_engine_worker_dispatch_misses_total",
-			"Dispatch-cache misses per engine worker lane.",
+			"Dispatch misses per engine worker lane.",
 			func() uint64 { _, m := e.LaneCounters(lane); return m }, sw, w)
+		reg.CounterFunc("newton_engine_worker_dispatch_evictions_total",
+			"Dispatch misses that evicted a live flow-table entry, per engine worker lane.",
+			func() uint64 { return e.dispatchEvictions(lane) }, sw, w)
 		h := obs.NewHistogram(obs.ExpBuckets(64, 2, 14)) // 64ns .. ~0.5ms
 		reg.RegisterHistogram("newton_engine_exec_ns",
 			"Sampled whole-packet engine execution time in ns (1 in 64 packets), per worker lane.",

@@ -109,7 +109,7 @@ func TestAttachObsZeroAlloc(t *testing.T) {
 	sw.Monitor = eng
 
 	pkt := synTo(42)
-	sw.Process(pkt) // warm: dispatch entry + hash memo
+	sw.Process(pkt) // warm: claims the flow's slot and records its hash memo
 	// 200 runs crosses the 1/64 sampling boundary several times, so the
 	// timed path is exercised too.
 	if avg := testing.AllocsPerRun(200, func() {
@@ -118,16 +118,51 @@ func TestAttachObsZeroAlloc(t *testing.T) {
 		t.Fatalf("instrumented steady-state allocs per packet = %v, want 0", avg)
 	}
 
-	// Every worker lane, each with its own dispatch cache, memo, counters,
-	// and {switch, worker}-labeled histogram, must also run allocation-free.
+	// Every worker lane, each with its own flow table, counters, and
+	// {switch, worker}-labeled histogram, must also run allocation-free.
 	for w := 0; w < workers; w++ {
 		var sink []dataplane.Report
 		ctx := dataplane.NewBatchContext(&sink, w)
-		sw.ProcessCtx(pkt, ctx) // warm this lane's cache
+		sw.ProcessCtx(pkt, ctx) // warm this lane's flow table
 		if avg := testing.AllocsPerRun(200, func() {
 			sw.ProcessCtx(pkt, ctx)
 		}); avg != 0 {
 			t.Fatalf("worker %d steady-state allocs per packet = %v, want 0", w, avg)
+		}
+	}
+}
+
+// TestAttachObsDispatchEvictions checks the series that tell new flows
+// from a thrashing table: distinct flows into a roomy table are misses
+// without evictions; into a table pinned to one set, every miss past
+// the first flowWays evicts, on the engine series and the lane's.
+func TestAttachObsDispatchEvictions(t *testing.T) {
+	const flows = 3 * flowWays
+	for _, tc := range []struct {
+		pin       bool
+		evictions float64
+	}{{false, 0}, {true, flows - flowWays}} {
+		sw, eng := countSwitch(t, tc.pin)
+		reg := obs.NewRegistry()
+		AttachObs(eng, reg, "s1")
+		if err := eng.Install(buildCountProgram(1, 1<<30, 1024)); err != nil {
+			t.Fatalf("Install: %v", err)
+		}
+		for i := 0; i < flows; i++ {
+			sw.Process(synTo(uint32(i)))
+		}
+		snap := reg.Snapshot()
+		swl, w0 := obs.L("switch", "s1"), obs.L("worker", "0")
+		for name, want := range map[string]float64{
+			"newton_engine_dispatch_misses_total":    flows,
+			"newton_engine_dispatch_evictions_total": tc.evictions,
+		} {
+			if s := snap.Find(name, swl); s == nil || s.Value != want {
+				t.Errorf("pin=%v: %s = %v, want %v", tc.pin, name, s, want)
+			}
+		}
+		if s := snap.Find("newton_engine_worker_dispatch_evictions_total", swl, w0); s == nil || s.Value != tc.evictions {
+			t.Errorf("pin=%v: worker 0 evictions = %v, want %v", tc.pin, s, tc.evictions)
 		}
 	}
 }

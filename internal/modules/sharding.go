@@ -8,13 +8,13 @@ import (
 )
 
 // This file implements the sharded multi-worker engine: per-worker
-// execution lanes (dispatch cache, hash memos, counters, latency
-// sampling) and the optional worker-private state-bank mode with its
-// epoch-boundary merge.
+// execution lanes (flow table, counters, latency sampling) and the
+// optional worker-private state-bank mode with its epoch-boundary
+// merge.
 //
 // Two disciplines govern shared state under parallel delivery:
 //
-//   - Control-path state (classification, memos, counters) is always
+//   - Control-path state (flow table, hash memos, counters) is always
 //     worker-private: a lane is driven by one goroutine at a time
 //     (dataplane.Context.Lane), so the per-packet path takes no locks
 //     and issues no LOCK-prefixed instructions for it.
@@ -38,16 +38,13 @@ import (
 type engineLane struct {
 	_ [8]uint64
 
-	pkts           uint64
-	dispatchMisses uint64
-	modExecs       [NumKinds]uint64
+	pkts              uint64
+	dispatchMisses    uint64
+	dispatchEvictions uint64 // misses that evicted a live flow-table entry
+	modExecs          [NumKinds]uint64
 
-	// version/entries form the lane's dispatch cache: newton_init's
-	// LookupAll result memoized per classifier input, valid only at the
-	// recorded classifier version. Lock-free: only the lane's goroutine
-	// touches the map.
-	version uint64
-	entries map[dispatchKey]*dispatchEntry
+	// flows is the lane's newton_init dispatch state (dispatch.go).
+	flows flowTable
 
 	// execNS, when set via AttachObs, receives 1-in-execSampleEvery
 	// sampled whole-Execute latencies for this lane. Nil when unobserved
@@ -57,23 +54,8 @@ type engineLane struct {
 	_ [8]uint64
 }
 
-// lookup returns the lane's cached entry for k at the given classifier
-// version.
-func (l *engineLane) lookup(version uint64, k *dispatchKey) *dispatchEntry {
-	if l.version != version || l.entries == nil {
-		return nil
-	}
-	return l.entries[*k]
-}
-
-// store records the entry for k at the given classifier version,
-// flushing the cache when the version moved or the entry cap is hit.
-func (l *engineLane) store(version uint64, k *dispatchKey, e *dispatchEntry) {
-	if l.version != version || l.entries == nil || len(l.entries) >= maxDispatchEntries {
-		l.entries = make(map[dispatchKey]*dispatchEntry)
-		l.version = version
-	}
-	l.entries[*k] = e
+func newEngineLane(seed [2]uint64) *engineLane {
+	return &engineLane{flows: newFlowTable(seed)}
 }
 
 // bump increments a single-writer counter without a LOCK prefix while
@@ -139,13 +121,14 @@ func (e *Engine) SetWorkers(n int) {
 		l0 := e.lanes[0]
 		add(&l0.pkts, atomic.LoadUint64(&last.pkts))
 		add(&l0.dispatchMisses, atomic.LoadUint64(&last.dispatchMisses))
+		add(&l0.dispatchEvictions, atomic.LoadUint64(&last.dispatchEvictions))
 		for k := range last.modExecs {
 			add(&l0.modExecs[k], atomic.LoadUint64(&last.modExecs[k]))
 		}
 		e.lanes = e.lanes[:len(e.lanes)-1]
 	}
 	for len(e.lanes) < n {
-		l := new(engineLane)
+		l := newEngineLane(e.seed)
 		if e.laneObs != nil {
 			l.execNS = e.laneObs(len(e.lanes))
 		}

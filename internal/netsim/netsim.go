@@ -30,7 +30,7 @@ type Config struct {
 	Window time.Duration
 	// Workers is the delivery worker (lane) count for DeliverBatch:
 	// packets shard across lanes by symmetric flow hash, each lane
-	// owning private engine state (dispatch cache, memos, counters).
+	// owning private engine state (flow table, memos, counters).
 	// 0 uses the package default (DefaultWorkers); 1 forces sequential
 	// delivery.
 	Workers int
@@ -477,6 +477,11 @@ type cachedPath struct {
 	ok bool
 }
 
+// maxCachedPaths bounds a lane's path cache. A full cache stays as it
+// is and later new seeds resolve uncached, so a spoofed flood costs a
+// path resolution per packet but no memory.
+const maxCachedPaths = 1 << 13
+
 // deliverCached delivers one packet, resolving its ECMP switch path
 // through a per-caller cache keyed by flow seed (the seed fully
 // determines the path for fixed endpoints).
@@ -487,7 +492,9 @@ func (n *Network) deliverCached(pkt *packet.Packet, srcHost, dstHost int, ctx *d
 		if path := n.Topo.Path(srcHost, dstHost, seed); path != nil {
 			cp = cachedPath{sw: n.Topo.SwitchPath(path), ok: true}
 		}
-		cache[seed] = cp
+		if len(cache) < maxCachedPaths {
+			cache[seed] = cp
+		}
 	}
 	if !cp.ok {
 		atomic.AddUint64(&n.dropped, 1)

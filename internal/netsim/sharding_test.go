@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -186,5 +187,51 @@ func TestConfigWorkerDefaults(t *testing.T) {
 	}
 	if got := (Config{Workers: 10_000}).withDefaults().Workers; got != maxPoolWorkers {
 		t.Fatalf("oversized workers resolved to %d, want cap %d", got, maxPoolWorkers)
+	}
+}
+
+// TestPathCacheBounded floods batch delivery with four times as many
+// distinct flow seeds as a lane's path cache may hold: the cache must
+// stop at its cap, and the packets that resolved uncached must be
+// delivered, counted and reported exactly as per-packet Deliver does.
+func TestPathCacheBounded(t *testing.T) {
+	pkts := make([]*packet.Packet, 4*maxCachedPaths)
+	for i := range pkts {
+		pkts[i] = &packet.Packet{
+			TS:  1,
+			IP:  packet.IPv4{Proto: packet.ProtoTCP, TTL: 64, Src: 0xC0000000 + uint32(i), Dst: 0x0A000000 + uint32(i%8)},
+			TCP: &packet.TCP{SrcPort: uint16(i), DstPort: 80, Flags: packet.FlagSYN},
+		}
+	}
+	type outcome struct {
+		delivered, dropped uint64
+		reports            []dataplane.Report
+		banks              [][]uint32
+	}
+	finish := func(net *Network) (o outcome) {
+		o.delivered, o.dropped = net.Stats()
+		o.reports = net.DrainReports()
+		for _, b := range net.Node(net.Topo.Switches()[0]).Eng.SnapshotBanks() {
+			o.banks = append(o.banks, b.Values)
+		}
+		return o
+	}
+
+	batch, h1, h2 := workersNet(t, 1, false, 40)
+	batch.DeliverBatch(pkts, h1, h2)
+	if got := len(batch.lanes[0].cache); got != maxCachedPaths {
+		t.Fatalf("path cache holds %d entries after %d distinct seeds, want the cap %d", got, len(pkts), maxCachedPaths)
+	}
+	seq, h1, h2 := workersNet(t, 1, false, 40)
+	for _, pkt := range pkts {
+		seq.Deliver(pkt, h1, h2)
+	}
+	got, want := finish(batch), finish(seq)
+	if want.delivered != uint64(len(pkts)) || len(want.reports) == 0 {
+		t.Fatalf("sequential run delivered %d of %d packets and reported %d times", want.delivered, len(pkts), len(want.reports))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch delivery past the cache cap: %d delivered, %d dropped, %d reports; sequential %d, %d, %d (or banks differ)",
+			got.delivered, got.dropped, len(got.reports), want.delivered, want.dropped, len(want.reports))
 	}
 }
