@@ -128,6 +128,8 @@ func renderTop(w *os.File, snap *obs.Snapshot) {
 		tw.Flush()
 	}
 
+	renderState(w, snap)
+
 	// Headline counters, whichever the target exposes.
 	headline := []string{
 		"newton_engine_packets_total",
@@ -161,5 +163,45 @@ func renderTop(w *os.File, snap *obs.Snapshot) {
 			}
 			fmt.Fprintf(w, "%-50s %g\n", label, s.Value)
 		}
+	}
+}
+
+// renderState prints one state-memory line per switch: how full the
+// fullest bank's admission budget is (the number admission fails on)
+// beside what the admitted registers cost the host — two different
+// things since a bank's ArraySize allocates nothing.
+func renderState(w *os.File, snap *obs.Snapshot) {
+	host := snap.Get("newton_engine_state_host_bytes")
+	if host == nil {
+		return
+	}
+	type fill struct {
+		total, max int64
+		at         string
+	}
+	fills := map[string]*fill{}
+	if regs := snap.Get("newton_engine_state_registers"); regs != nil {
+		for i := range regs.Series {
+			s := &regs.Series[i]
+			f := fills[s.Labels["switch"]]
+			if f == nil {
+				f = &fill{}
+				fills[s.Labels["switch"]] = f
+			}
+			v := int64(s.Value)
+			f.total += v
+			if v > f.max {
+				f.max, f.at = v, "stage "+s.Labels["stage"]+" set "+s.Labels["set"]
+			}
+		}
+	}
+	fmt.Fprintln(w)
+	for i := range host.Series {
+		s := &host.Series[i]
+		line := fmt.Sprintf("state{switch=%s}  host %.1f KB", s.Labels["switch"], s.Value/1024)
+		if f := fills[s.Labels["switch"]]; f != nil && f.max > 0 {
+			line += fmt.Sprintf("  registers %d admitted, fullest bank %d (%s)", f.total, f.max, f.at)
+		}
+		fmt.Fprintln(w, line)
 	}
 }

@@ -233,13 +233,13 @@ func TestStagePlacement(t *testing.T) {
 	if err := s.Place("m2", Resources{SRAM: 6}, nil, nil); err == nil {
 		t.Error("overflow placement accepted")
 	}
-	if err := s.Place("m3", Resources{SRAM: 4, SALU: 1}, nil, NewRegisterArray("ra", 8)); err != nil {
+	if err := s.Place("m3", Resources{SRAM: 4, SALU: 1}, nil, NewRegisterBank("rb", 8)); err != nil {
 		t.Errorf("fitting placement rejected: %v", err)
 	}
 	if got := s.Used(); got[SRAM] != 10 || got[SALU] != 2 {
 		t.Errorf("Used = %v", got)
 	}
-	if len(s.Tables()) != 1 || len(s.Arrays()) != 1 {
+	if len(s.Tables()) != 1 || len(s.Banks()) != 1 {
 		t.Error("registration lost")
 	}
 	total := p.TotalUsed()
@@ -250,12 +250,45 @@ func TestStagePlacement(t *testing.T) {
 
 func TestPipelineEpoch(t *testing.T) {
 	p := NewPipeline(1, TofinoStageCapacity())
-	ra := NewRegisterArray("ra", 4)
-	p.Stages[0].Place("ra", Resources{}, nil, ra)
+	rb := NewRegisterBank("rb", 4)
+	p.Stages[0].Place("rb", Resources{}, nil, rb)
+	ra := rb.Alloc(4)
 	ra.Exec(OpAdd, 0, 5)
 	p.NextEpoch()
 	if ra.Exec(OpRead, 0, 0) != 0 {
 		t.Error("pipeline epoch did not propagate")
+	}
+	// An array allocated mid-run joins at the bank's epoch, all zero.
+	rb.Free(ra)
+	late := rb.Alloc(4)
+	if late.Epoch() != 1 || late.Exec(OpAdd, 0, 1) != 1 {
+		t.Errorf("late array: epoch %d", late.Epoch())
+	}
+	p.NextEpoch()
+	if ra.Epoch() != 1 || late.Epoch() != 2 {
+		t.Errorf("freed array still rolls (%d) or live one does not (%d)", ra.Epoch(), late.Epoch())
+	}
+}
+
+func TestRegisterBankBudgetIsASum(t *testing.T) {
+	rb := NewRegisterBank("rb", 8)
+	a, b := rb.Alloc(4), rb.Alloc(4)
+	if a == nil || b == nil || rb.Admitted() != 8 {
+		t.Fatalf("two halves should fill the bank: admitted %d", rb.Admitted())
+	}
+	if rb.Alloc(1) != nil {
+		t.Error("allocation past the budget accepted")
+	}
+	rb.Free(a)
+	if rb.Alloc(2) == nil || rb.Alloc(2) == nil {
+		t.Errorf("freed half should admit two quarters: admitted %d", rb.Admitted())
+	}
+	if rb.Alloc(1) != nil || rb.Admitted() != 8 {
+		t.Errorf("budget not a sum: admitted %d of %d", rb.Admitted(), rb.Size())
+	}
+	rb.Free(a) // not from this bank any more: ignored
+	if rb.Admitted() != 8 {
+		t.Errorf("double free changed the budget: %d", rb.Admitted())
 	}
 }
 

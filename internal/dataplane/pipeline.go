@@ -9,7 +9,7 @@ import (
 )
 
 // Stage is one physical match-action stage: the tables and register
-// arrays placed there plus the resource bookkeeping that enforces the
+// banks placed there plus the resource bookkeeping that enforces the
 // stage's capacity.
 type Stage struct {
 	Index    int
@@ -17,14 +17,14 @@ type Stage struct {
 
 	used      Resources
 	tables    []*Table
-	arrays    []*RegisterArray
+	banks     []*RegisterBank
 	placement map[string]Resources
 }
 
 // Place reserves resources in the stage for a named component, failing
-// if the stage cannot accommodate it. The optional table/array are
+// if the stage cannot accommodate it. The optional table/bank are
 // registered with the stage for introspection.
-func (s *Stage) Place(name string, consumes Resources, t *Table, ra *RegisterArray) error {
+func (s *Stage) Place(name string, consumes Resources, t *Table, rb *RegisterBank) error {
 	want := s.used
 	want.Add(consumes)
 	if !want.Fits(s.Capacity) {
@@ -39,8 +39,8 @@ func (s *Stage) Place(name string, consumes Resources, t *Table, ra *RegisterArr
 	if t != nil {
 		s.tables = append(s.tables, t)
 	}
-	if ra != nil {
-		s.arrays = append(s.arrays, ra)
+	if rb != nil {
+		s.banks = append(s.banks, rb)
 	}
 	return nil
 }
@@ -51,8 +51,8 @@ func (s *Stage) Used() Resources { return s.used }
 // Tables returns the tables placed in the stage.
 func (s *Stage) Tables() []*Table { return s.tables }
 
-// Arrays returns the register arrays placed in the stage.
-func (s *Stage) Arrays() []*RegisterArray { return s.arrays }
+// Banks returns the register banks placed in the stage.
+func (s *Stage) Banks() []*RegisterBank { return s.banks }
 
 // Pipeline is an ordered sequence of physical stages.
 type Pipeline struct {
@@ -72,11 +72,12 @@ func NewPipeline(n int, capacity Resources) *Pipeline {
 	return p
 }
 
-// NextEpoch advances the window epoch of every register array.
+// NextEpoch advances the window epoch of every register bank, and with
+// it every array allocated from one.
 func (p *Pipeline) NextEpoch() {
 	for _, s := range p.Stages {
-		for _, ra := range s.arrays {
-			ra.NextEpoch()
+		for _, rb := range s.banks {
+			rb.NextEpoch()
 		}
 	}
 }

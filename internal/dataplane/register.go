@@ -34,8 +34,87 @@ func (op SALUOp) String() string {
 	return fmt.Sprintf("salu(%d)", int(op))
 }
 
-// RegisterArray is a stage's stateful memory: a line-rate-transactional
-// array of 32-bit registers, each access performing one SALU operation.
+// RegisterBank is a stage's stateful memory as the control plane sees
+// it: a name, a window epoch, and a budget of Size 32-bit registers that
+// installed queries are admitted against. The bank holds no registers
+// itself — every admitted allocation is a RegisterArray of exactly the
+// requested width, made at install and dropped at removal, so the host
+// memory a switch costs follows what is installed, not the budget.
+//
+// Alloc, Free and NextEpoch are control-plane operations: like NextEpoch
+// on an array they must not run concurrently with each other or with
+// Exec on the bank's arrays. The accessors may be read from any
+// goroutine (metric scrapes).
+type RegisterBank struct {
+	Name string
+
+	size     uint32        // admission budget, in registers
+	admitted atomic.Uint32 // sum of the widths of rows
+	epoch    atomic.Uint32
+	rows     []*RegisterArray
+}
+
+// NewRegisterBank declares a bank with a budget of size registers.
+func NewRegisterBank(name string, size uint32) *RegisterBank {
+	if size == 0 {
+		panic("dataplane: zero-size register bank")
+	}
+	return &RegisterBank{Name: name, size: size}
+}
+
+// Size returns the bank's admission budget in registers.
+func (b *RegisterBank) Size() uint32 { return b.size }
+
+// Admitted returns how many registers are currently allocated from the
+// budget.
+func (b *RegisterBank) Admitted() uint32 { return b.admitted.Load() }
+
+// Epoch returns the bank's current window number.
+func (b *RegisterBank) Epoch() uint32 { return b.epoch.Load() }
+
+// Alloc admits width registers against the budget and returns them as a
+// fresh all-zero array at the bank's epoch, or nil when the budget
+// cannot cover them. The budget is a plain sum: any allocation no wider
+// than Size minus Admitted succeeds, whatever was freed before it.
+func (b *RegisterBank) Alloc(width uint32) *RegisterArray {
+	if width > b.size-b.admitted.Load() {
+		return nil
+	}
+	ra := NewRegisterArray(b.Name, width)
+	ra.epoch.Store(b.epoch.Load())
+	b.admitted.Add(width)
+	b.rows = append(b.rows, ra)
+	return ra
+}
+
+// Free returns an array allocated from this bank to the budget. The
+// array stops rolling with the bank; its registers are garbage once the
+// caller drops it.
+func (b *RegisterBank) Free(ra *RegisterArray) {
+	for i, r := range b.rows {
+		if r == ra {
+			last := len(b.rows) - 1
+			b.rows[i] = b.rows[last]
+			b.rows[last] = nil
+			b.rows = b.rows[:last]
+			b.admitted.Add(-ra.Size())
+			return
+		}
+	}
+}
+
+// NextEpoch starts a new window on the bank and every array allocated
+// from it.
+func (b *RegisterBank) NextEpoch() {
+	b.epoch.Add(1)
+	for _, ra := range b.rows {
+		ra.NextEpoch()
+	}
+}
+
+// RegisterArray is a line-rate-transactional array of 32-bit registers,
+// each access performing one SALU operation: one query's allocation
+// from a stage's RegisterBank, or a worker-private shard of one.
 //
 // Registers are epoch-tagged to implement windowed reset lazily: the
 // controller bumps the epoch every window (100 ms in the evaluation), and
@@ -58,7 +137,8 @@ type RegisterArray struct {
 	epoch atomic.Uint32
 }
 
-// NewRegisterArray allocates an array of size registers.
+// NewRegisterArray allocates a standalone array of size registers, all
+// zero at epoch 0.
 func NewRegisterArray(name string, size uint32) *RegisterArray {
 	if size == 0 {
 		panic("dataplane: zero-size register array")
@@ -163,25 +243,25 @@ func (ra *RegisterArray) ExecSeq(op SALUOp, idx uint32, operand uint32) uint32 {
 // MemoryBytes returns the SRAM footprint of the value array.
 func (ra *RegisterArray) MemoryBytes() int { return len(ra.words) * 4 }
 
-// Snapshot reads registers [offset, offset+width) as of the current
-// epoch into dst (grown as needed) and returns it. Registers last
-// written in an older epoch read as zero, exactly as OpRead sees them —
-// so a snapshot taken just before NextEpoch captures the ending
-// window's final state. Reads are atomic per register; taken at an
-// epoch boundary (netsim and the agents roll epochs only at batch
-// barriers) the snapshot is a consistent view of the window.
-func (ra *RegisterArray) Snapshot(offset, width uint32, dst []uint32) []uint32 {
-	if offset+width > uint32(len(ra.words)) || offset+width < offset {
-		panic(fmt.Sprintf("dataplane: snapshot of %s[%d:%d] out of range (size %d)",
-			ra.Name, offset, offset+width, len(ra.words)))
+// HostBytes returns what the array costs the simulator's host: one
+// epoch-tagged 8-byte word per register.
+func (ra *RegisterArray) HostBytes() int { return len(ra.words) * 8 }
+
+// Snapshot reads every register as of the current epoch into dst (grown
+// as needed) and returns it. Registers last written in an older epoch
+// read as zero, exactly as OpRead sees them — so a snapshot taken just
+// before NextEpoch captures the ending window's final state. Reads are
+// atomic per register; taken at an epoch boundary (netsim and the agents
+// roll epochs only at batch barriers) the snapshot is a consistent view
+// of the window.
+func (ra *RegisterArray) Snapshot(dst []uint32) []uint32 {
+	if cap(dst) < len(ra.words) {
+		dst = make([]uint32, len(ra.words))
 	}
-	if cap(dst) < int(width) {
-		dst = make([]uint32, width)
-	}
-	dst = dst[:width]
+	dst = dst[:len(ra.words)]
 	epoch := ra.epoch.Load()
-	for i := uint32(0); i < width; i++ {
-		cur := atomic.LoadUint64(&ra.words[offset+i])
+	for i := range ra.words {
+		cur := atomic.LoadUint64(&ra.words[i])
 		if uint32(cur>>32) == epoch {
 			dst[i] = uint32(cur)
 		} else {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -43,7 +45,9 @@ const maxSnapshotQID = 0xFFF
 type Engine struct {
 	layout *Layout
 
-	installed map[progKey]*Program
+	// installed is sorted by (QID, Part), so every walk over it — epoch
+	// snapshots above all — visits programs in the same order.
+	installed []*Program
 
 	// lanes holds the per-worker execution state; lanes[0] always exists
 	// and serves sequential delivery. See engineLane in sharding.go.
@@ -61,6 +65,10 @@ type Engine struct {
 	// seed keys the lanes' flow-table hash (flowTable.hash).
 	seed [2]uint64
 
+	// stateBytes is what the installed queries' registers cost the host:
+	// HostBytes of every owning op's array and of its lane shards.
+	stateBytes atomic.Int64
+
 	// mergeScratch is MergeWorkers' reusable snapshot buffer.
 	mergeScratch []uint32
 
@@ -75,15 +83,11 @@ type Engine struct {
 	onChange func()
 }
 
-// progKey identifies an installed program: a switch may host several
-// partitions of one cross-switch query.
-type progKey struct{ qid, part int }
-
 // NewEngine builds an engine over a loaded layout with one lane.
 func NewEngine(l *Layout) *Engine {
 	e := &Engine{
-		layout: l, installed: map[progKey]*Program{},
-		seed: [2]uint64{rand.Uint64(), rand.Uint64()},
+		layout: l,
+		seed:   [2]uint64{rand.Uint64(), rand.Uint64()},
 	}
 	e.lanes = []*engineLane{newEngineLane(e.seed)}
 	return e
@@ -95,30 +99,33 @@ func (e *Engine) Layout() *Layout { return e.layout }
 // Installed returns the installed program for qid (its first partition,
 // if partitioned), or nil.
 func (e *Engine) Installed(qid int) *Program {
-	var best *Program
-	for key, p := range e.installed {
-		if key.qid != qid {
-			continue
-		}
-		if best == nil || key.part < best.Part {
-			best = p
-		}
+	if i := e.search(qid, 0); i < len(e.installed) && e.installed[i].QID == qid {
+		return e.installed[i]
 	}
-	return best
+	return nil
 }
+
+// search returns the index of the first installed program ordered at or
+// after (qid, part): where that program is, or would be inserted.
+func (e *Engine) search(qid, part int) int {
+	return sort.Search(len(e.installed), func(i int) bool {
+		p := e.installed[i]
+		return p.QID > qid || p.QID == qid && p.Part >= part
+	})
+}
+
+// StateHostBytes returns the bytes the installed queries' registers
+// hold on the host — 8 per register, worker-private lane shards
+// included. Nothing else about a state bank costs memory: its
+// ArraySize is a budget.
+func (e *Engine) StateHostBytes() int64 { return e.stateBytes.Load() }
 
 // InstalledCount returns how many programs are installed.
 func (e *Engine) InstalledCount() int { return len(e.installed) }
 
-// Programs returns every installed program (all partitions), in no
-// particular order. Callers must not mutate the programs.
-func (e *Engine) Programs() []*Program {
-	out := make([]*Program, 0, len(e.installed))
-	for _, p := range e.installed {
-		out = append(out, p)
-	}
-	return out
-}
+// Programs returns every installed program (all partitions). Callers
+// must not mutate the programs.
+func (e *Engine) Programs() []*Program { return slices.Clone(e.installed) }
 
 // execSampleMask selects which packets get a timed Execute: 1 in 64,
 // cheap enough that time.Now on the sampled packet dominates the cost.
@@ -166,8 +173,8 @@ func (e *Engine) dispatchEvictions(lane int) (n uint64) {
 // data plane untouched — installs are all-or-nothing so a failed query
 // can never disturb running ones.
 func (e *Engine) Install(p *Program) (err error) {
-	key := progKey{p.QID, p.Part}
-	if _, dup := e.installed[key]; dup {
+	at := e.search(p.QID, p.Part)
+	if at < len(e.installed) && e.installed[at].QID == p.QID && e.installed[at].Part == p.Part {
 		return fmt.Errorf("modules: query %d part %d %w", p.QID, p.Part, ErrAlreadyInstalled)
 	}
 	if p.TotalParts > 1 && p.QID > maxSnapshotQID {
@@ -183,19 +190,19 @@ func (e *Engine) Install(p *Program) (err error) {
 		prepareBranch(b)
 	}
 	e.memoStride.Add(int64(p.memoWords()))
-	// Pass 1: allocate registers for owning state banks.
+	// Pass 1: allocate registers for owning state-bank ops — fresh zeroed
+	// arrays, made before any rule that reaches them is published.
 	for _, b := range p.Branches {
 		for _, op := range b.Ops {
 			if op.Kind != ModS || op.S == nil || op.S.PassThrough || op.S.CrossRead {
 				continue
 			}
-			width := op.Width()
-			off, aerr := e.layout.AllocRegisters(op.Stage, op.Set, width)
+			ra, aerr := e.layout.AllocRegisters(op.Stage, op.Set, op.Width())
 			if aerr != nil {
 				return aerr
 			}
-			op.S.array = e.layout.ArrayAt(op.Stage, op.Set)
-			op.S.offset, op.S.width = off, width
+			op.S.array, op.S.width = ra, ra.Size()
+			e.stateBytes.Add(int64(ra.HostBytes()))
 			e.allocLaneArrays(op.S)
 		}
 	}
@@ -212,8 +219,7 @@ func (e *Engine) Install(p *Program) (err error) {
 				return fmt.Errorf("modules: query %d branch %d reads Row0 of branch %d, which has none",
 					p.QID, bi, op.S.ReadBranch)
 			}
-			op.S.array = target.array
-			op.S.offset, op.S.width = target.offset, target.width
+			op.S.array, op.S.width = target.array, target.width
 			op.S.laneArrays = target.laneArrays
 		}
 	}
@@ -242,29 +248,25 @@ func (e *Engine) Install(p *Program) (err error) {
 	if _, ferr := e.layout.Fin.AddRule([]uint64{uint64(p.QID)<<4 | uint64(p.Part)}, nil, 0, finAction{}); ferr != nil {
 		return ferr
 	}
-	e.installed[key] = p
+	e.installed = slices.Insert(e.installed, at, p)
 	if e.onChange != nil {
 		e.onChange()
 	}
 	return nil
 }
 
-// Remove uninstalls a query at runtime: its rules leave the tables and
-// its register allocations return to the banks. Forwarding is never
-// touched.
+// Remove uninstalls a query at runtime: its rules leave the tables, its
+// registers are dropped and their widths return to the banks' budgets.
+// Forwarding is never touched.
 func (e *Engine) Remove(qid int) error {
-	found := false
-	for key, p := range e.installed {
-		if key.qid != qid {
-			continue
-		}
-		e.rollback(p)
-		delete(e.installed, key)
-		found = true
-	}
-	if !found {
+	lo, hi := e.search(qid, 0), e.search(qid+1, 0)
+	if lo == hi {
 		return fmt.Errorf("modules: query %d %w", qid, ErrNotInstalled)
 	}
+	for _, p := range e.installed[lo:hi] {
+		e.rollback(p)
+	}
+	e.installed = slices.Delete(e.installed, lo, hi)
 	if e.onChange != nil {
 		e.onChange()
 	}
@@ -382,7 +384,8 @@ func (e *Engine) rollback(p *Program) {
 			}
 			if op.Kind == ModS && op.S != nil && op.S.array != nil {
 				if !op.S.CrossRead {
-					e.layout.FreeRegisters(op.Stage, op.Set, op.S.offset, op.S.width)
+					e.layout.FreeRegisters(op.Stage, op.Set, op.S.array)
+					e.stateBytes.Add(-int64(op.S.array.HostBytes()) - op.S.shardBytes())
 				}
 				op.S.array = nil
 				op.S.laneArrays = nil
@@ -582,20 +585,20 @@ func (e *Engine) execS(s *SConfig, set *fields.MetadataSet, phv *fields.PHV, seq
 		phv.Stopped = true
 		return
 	}
-	arr, base := s.array, s.offset
+	arr := s.array
 	if lane > 0 && lane < len(s.laneArrays) {
 		if la := s.laneArrays[lane]; la != nil {
-			// BankPrivate: this lane owns a private shard of the bank
-			// (allocated from offset 0), merged into the canonical bank at
-			// epoch boundaries. Single-writer, so ExecSeq below is safe
-			// even on the parallel path.
-			arr, base, seq = la, 0, true
+			// BankPrivate: this lane owns a private shard of the array,
+			// merged into the canonical one at epoch boundaries.
+			// Single-writer, so ExecSeq below is safe even on the parallel
+			// path.
+			arr, seq = la, true
 		}
 	}
 	if arr == nil {
 		panic(fmt.Sprintf("modules: state bank op executed before install (qid rule missing)"))
 	}
-	idx := base + uint32(set.HashResult)%s.width
+	idx := uint32(set.HashResult) % s.width
 	var operand uint32
 	switch s.Operand {
 	case OperandConst:

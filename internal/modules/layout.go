@@ -112,12 +112,7 @@ func StageCapacity() dataplane.Resources {
 // suite is one metadata set's module instances within a stage.
 type suite struct {
 	tables [NumKinds]*dataplane.Table
-	array  *dataplane.RegisterArray
-
-	// Bump-pointer register allocator with an exact-fit free list —
-	// queries allocate on install and free on removal.
-	next uint32
-	free map[uint32][]uint32 // width -> offsets
+	bank   *dataplane.RegisterBank
 }
 
 // Layout is the module geometry loaded into a pipeline at initialization
@@ -137,7 +132,8 @@ type Layout struct {
 }
 
 // NewLayout loads a module layout into a fresh pipeline of the given
-// stage count. ArraySize is the register count of each state bank.
+// stage count. ArraySize is each state bank's admission budget in
+// registers; a bank allocates nothing until a query is installed.
 func NewLayout(kind LayoutKind, stages int, arraySize uint32) (*Layout, error) {
 	if arraySize == 0 {
 		arraySize = 4096
@@ -152,7 +148,7 @@ func NewLayout(kind LayoutKind, stages int, arraySize uint32) (*Layout, error) {
 	for si, st := range l.pipeline.Stages {
 		var suites []*suite
 		for u := 0; u < kind.SuitesPerStage(); u++ {
-			s := &suite{free: map[uint32][]uint32{}}
+			s := &suite{}
 			for k := Kind(0); k < NumKinds; k++ {
 				if kind == LayoutNaive && Kind(si%int(NumKinds)) != k {
 					continue // naive: stage si hosts only module kind si mod 4
@@ -160,12 +156,12 @@ func NewLayout(kind LayoutKind, stages int, arraySize uint32) (*Layout, error) {
 				t := dataplane.NewTable(
 					fmt.Sprintf("newton_%v_s%d_u%d", k, si, u),
 					dataplane.MatchExact, 1, DefaultRulesPerModule)
-				var ra *dataplane.RegisterArray
+				var rb *dataplane.RegisterBank
 				if k == ModS {
-					ra = dataplane.NewRegisterArray(fmt.Sprintf("bank_s%d_u%d", si, u), arraySize)
-					s.array = ra
+					rb = dataplane.NewRegisterBank(fmt.Sprintf("bank_s%d_u%d", si, u), arraySize)
+					s.bank = rb
 				}
-				if err := st.Place(t.Name, ModuleResources(k), t, ra); err != nil {
+				if err := st.Place(t.Name, ModuleResources(k), t, rb); err != nil {
 					return nil, fmt.Errorf("modules: loading %v layout: %w", kind, err)
 				}
 				s.tables[k] = t
@@ -185,8 +181,8 @@ func (l *Layout) Stages() int { return len(l.suites) }
 func (l *Layout) Epoch() uint32 {
 	for _, ss := range l.suites {
 		for _, s := range ss {
-			if s.array != nil {
-				return s.array.Epoch()
+			if s.bank != nil {
+				return s.bank.Epoch()
 			}
 		}
 	}
@@ -218,41 +214,36 @@ func (l *Layout) suiteAt(stage, u int) *suite {
 	return ss[u]
 }
 
-// ArrayAt returns the state-bank register array of (stage, suite).
-func (l *Layout) ArrayAt(stage, u int) *dataplane.RegisterArray {
+// BankAt returns the state bank of (stage, suite).
+func (l *Layout) BankAt(stage, u int) *dataplane.RegisterBank {
 	s := l.suiteAt(stage, u)
 	if s == nil {
 		return nil
 	}
-	return s.array
+	return s.bank
 }
 
-// AllocRegisters reserves width registers in (stage, suite)'s bank and
-// returns the base offset — the runtime register allocation that lets
-// concurrent queries share one bank.
-func (l *Layout) AllocRegisters(stage, u int, width uint32) (uint32, error) {
-	s := l.suiteAt(stage, u)
-	if s == nil || s.array == nil {
-		return 0, fmt.Errorf("modules: no state bank at stage %d suite %d", stage, u)
+// AllocRegisters admits width registers against (stage, suite)'s bank
+// and returns them as a fresh zeroed array — the runtime register
+// allocation that lets concurrent queries share one bank.
+func (l *Layout) AllocRegisters(stage, u int, width uint32) (*dataplane.RegisterArray, error) {
+	bank := l.BankAt(stage, u)
+	if bank == nil {
+		return nil, fmt.Errorf("modules: no state bank at stage %d suite %d", stage, u)
 	}
-	if lst := s.free[width]; len(lst) > 0 {
-		off := lst[len(lst)-1]
-		s.free[width] = lst[:len(lst)-1]
-		return off, nil
+	ra := bank.Alloc(width)
+	if ra == nil {
+		return nil, fmt.Errorf("modules: state bank at stage %d suite %d exhausted (%d + %d > %d)",
+			stage, u, bank.Admitted(), width, bank.Size())
 	}
-	if s.next+width > s.array.Size() {
-		return 0, fmt.Errorf("modules: state bank at stage %d suite %d exhausted (%d + %d > %d)",
-			stage, u, s.next, width, s.array.Size())
-	}
-	off := s.next
-	s.next += width
-	return off, nil
+	return ra, nil
 }
 
-// FreeRegisters returns an allocation for reuse.
-func (l *Layout) FreeRegisters(stage, u int, offset, width uint32) {
-	if s := l.suiteAt(stage, u); s != nil {
-		s.free[width] = append(s.free[width], offset)
+// FreeRegisters returns an allocation's registers to (stage, suite)'s
+// budget.
+func (l *Layout) FreeRegisters(stage, u int, ra *dataplane.RegisterArray) {
+	if bank := l.BankAt(stage, u); bank != nil {
+		bank.Free(ra)
 	}
 }
 

@@ -110,21 +110,21 @@ type SConfig struct {
 	CrossRead  bool
 	ReadBranch int
 
-	array         *dataplane.RegisterArray // bound at install time
-	offset, width uint32                   // allocation, bound at install time
+	// array is the op's registers, bound at install time: an owning op's
+	// own allocation from its stage's bank, or for a cross read the Row0
+	// array it targets. width is the array's size.
+	array *dataplane.RegisterArray
+	width uint32
 
 	// shardable (computed by prepareBranch) marks a bank that decomposes
 	// exactly across worker-private shards: commutative ALU (Add/Or)
 	// with no result process earlier in its chain. laneArrays, populated
 	// under Engine BankPrivate mode, holds one private shard per lane
 	// (slot 0 nil: lane 0 uses the canonical array); the shards merge
-	// into the canonical bank at epoch boundaries.
+	// into the canonical array at epoch boundaries.
 	shardable  bool
 	laneArrays []*dataplane.RegisterArray
 }
-
-// Offset returns the op's register allocation base (after install).
-func (s *SConfig) Offset() uint32 { return s.offset }
 
 // RActKind is one result-process action.
 type RActKind int

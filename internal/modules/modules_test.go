@@ -32,7 +32,7 @@ func TestLayoutGeometry(t *testing.T) {
 					t.Fatalf("compact layout missing %v at stage %d suite %d", k, st, u)
 				}
 			}
-			if l.ArrayAt(st, u) == nil {
+			if l.BankAt(st, u) == nil {
 				t.Fatalf("missing state bank at stage %d suite %d", st, u)
 			}
 		}
@@ -87,25 +87,30 @@ func TestCompactStageUtilizationIs4xNaive(t *testing.T) {
 
 func TestRegisterAllocator(t *testing.T) {
 	l := compactLayout(t)
-	o1, err := l.AllocRegisters(1, 0, 1024)
-	if err != nil || o1 != 0 {
-		t.Fatalf("first alloc: %d, %v", o1, err)
+	bank := l.BankAt(1, 0)
+	r1, err := l.AllocRegisters(1, 0, 1024)
+	if err != nil || r1.Size() != 1024 || bank.Admitted() != 1024 {
+		t.Fatalf("first alloc: %v, admitted %d", err, bank.Admitted())
 	}
-	o2, _ := l.AllocRegisters(1, 0, 1024)
-	if o2 != 1024 {
-		t.Fatalf("second alloc: %d", o2)
+	r2, _ := l.AllocRegisters(1, 0, 1024)
+	if r2 == r1 || bank.Admitted() != 2048 {
+		t.Fatalf("second alloc shares the first's registers or is not admitted: %d", bank.Admitted())
 	}
-	l.FreeRegisters(1, 0, o1, 1024)
-	o3, _ := l.AllocRegisters(1, 0, 1024)
-	if o3 != o1 {
-		t.Errorf("freed block not reused: %d", o3)
+	l.FreeRegisters(1, 0, r1)
+	if bank.Admitted() != 1024 {
+		t.Errorf("free did not return the width to the budget: %d", bank.Admitted())
 	}
 	// Exhaustion.
-	if _, err := l.AllocRegisters(1, 0, 4096); err == nil {
+	if _, err := l.AllocRegisters(1, 0, bank.Size()); err == nil {
 		t.Error("over-allocation accepted")
 	}
 	if _, err := l.AllocRegisters(99, 0, 16); err == nil {
 		t.Error("bad stage accepted")
+	}
+	// A freed array no longer rolls with the bank; a live one does.
+	l.Pipeline().NextEpoch()
+	if r1.Epoch() != 0 || r2.Epoch() != 1 {
+		t.Errorf("epochs after roll: freed %d, live %d", r1.Epoch(), r2.Epoch())
 	}
 }
 

@@ -142,6 +142,25 @@ func AttachObs(e *Engine, reg *obs.Registry, switchID string) {
 			sw, obs.L("module", kind.String()))
 	}
 
+	// State-bank occupancy, read at scrape time: how full each bank's
+	// admission budget is, and what the admitted registers cost the host.
+	// They are different numbers — a bank's ArraySize allocates nothing.
+	for st := 1; st <= e.layout.Stages(); st++ {
+		for u := 0; u < e.layout.Kind.SuitesPerStage(); u++ {
+			bank := e.layout.BankAt(st, u)
+			if bank == nil {
+				continue
+			}
+			reg.GaugeFunc("newton_engine_state_registers",
+				"Registers admitted against the state bank's ArraySize budget.",
+				func() float64 { return float64(bank.Admitted()) },
+				sw, obs.L("stage", strconv.Itoa(st)), obs.L("set", strconv.Itoa(u)))
+		}
+	}
+	reg.GaugeFunc("newton_engine_state_host_bytes",
+		"Host memory held by the installed queries' registers (8 B each), worker-private lane shards included.",
+		func() float64 { return float64(e.StateHostBytes()) }, sw)
+
 	// Per-worker series: each engine lane gets its own sampled-latency
 	// histogram and packet/miss/eviction counters labeled {switch, worker}. The
 	// hook stays on the engine so lanes created by a later SetWorkers

@@ -79,12 +79,32 @@ func TestAttachObsEngineCounters(t *testing.T) {
 		}
 	}
 
+	// State-bank occupancy: the count row sits in stage 3's first bank.
+	// Its width is what the bank has admitted; 8 B a register is what
+	// the switch holds for it.
+	bankl := []obs.Label{swl, obs.L("stage", "3"), obs.L("set", "0")}
+	if s := snap.Find("newton_engine_state_registers", bankl...); s == nil || s.Value != 1024 {
+		t.Fatalf("state_registers{stage=3,set=0} = %v, want 1024", s)
+	}
+	if s := snap.Find("newton_engine_state_registers", swl, obs.L("stage", "4"), obs.L("set", "1")); s == nil || s.Value != 0 {
+		t.Fatalf("state_registers of an unused bank = %v, want 0", s)
+	}
+	if s := snap.Find("newton_engine_state_host_bytes", swl); s == nil || s.Value != 8*1024 {
+		t.Fatalf("state_host_bytes = %v, want %d", s, 8*1024)
+	}
+
 	if err := eng.Remove(1); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
 	snap = reg.Snapshot()
 	if s := snap.Find("newton_query_stages", ql...); s != nil {
 		t.Fatalf("query gauge survived remove: %+v", s)
+	}
+	if s := snap.Find("newton_engine_state_registers", bankl...); s == nil || s.Value != 0 {
+		t.Fatalf("state_registers after remove = %v, want 0", s)
+	}
+	if s := snap.Find("newton_engine_state_host_bytes", swl); s == nil || s.Value != 0 {
+		t.Fatalf("state_host_bytes after remove = %v, want 0", s)
 	}
 }
 

@@ -150,12 +150,14 @@ func (e *Engine) SetBankMode(m BankMode) {
 }
 
 // allocLaneArrays gives an owning state-bank op its per-lane shards
-// (BankPrivate with >1 lane only; otherwise clears them). Lane 0 always
-// executes against the canonical array, so slot 0 stays nil and the
-// merge folds lanes 1..n-1 into the canonical bank.
+// (BankPrivate with >1 lane only; otherwise clears them): standalone
+// arrays as wide as the op's own, outside any bank's budget. Lane 0
+// always executes against the canonical array, so slot 0 stays nil and
+// the merge folds lanes 1..n-1 into the canonical array.
 func (e *Engine) allocLaneArrays(s *SConfig) {
+	e.stateBytes.Add(-s.shardBytes())
+	s.laneArrays = nil
 	if e.bankMode != BankPrivate || len(e.lanes) < 2 || !s.shardable {
-		s.laneArrays = nil
 		return
 	}
 	las := make([]*dataplane.RegisterArray, len(e.lanes))
@@ -163,6 +165,18 @@ func (e *Engine) allocLaneArrays(s *SConfig) {
 		las[w] = dataplane.NewRegisterArray(s.array.Name+"/lane", s.width)
 	}
 	s.laneArrays = las
+	e.stateBytes.Add(s.shardBytes())
+}
+
+// shardBytes is the host memory of the op's lane shards.
+func (s *SConfig) shardBytes() int64 {
+	n := 0
+	for _, la := range s.laneArrays {
+		if la != nil {
+			n += la.HostBytes()
+		}
+	}
+	return int64(n)
 }
 
 // refreshLaneArrays re-derives every installed program's per-lane bank
@@ -193,7 +207,7 @@ func (e *Engine) refreshLaneArrays() {
 	}
 }
 
-// MergeWorkers folds every private lane shard into its canonical bank —
+// MergeWorkers folds every private lane shard into its canonical array —
 // counter-wise for CMS (Add) rows, bitwise-OR for Bloom (Or) rows — and
 // resets the shards for the next window. Call it at an epoch boundary,
 // after the workers joined and before the canonical epoch rolls, so
@@ -214,12 +228,12 @@ func (e *Engine) MergeWorkers() {
 					if la == nil {
 						continue
 					}
-					e.mergeScratch = la.Snapshot(0, s.width, e.mergeScratch[:0])
+					e.mergeScratch = la.Snapshot(e.mergeScratch[:0])
 					for i, v := range e.mergeScratch {
 						if v == 0 {
 							continue
 						}
-						s.array.ExecSeq(s.ALU, s.offset+uint32(i), v)
+						s.array.ExecSeq(s.ALU, uint32(i), v)
 					}
 					la.NextEpoch()
 				}

@@ -14,12 +14,20 @@ import (
 // returns the engine and the merged reports.
 func shardedRun(t *testing.T, prog *Program, pkts []*packet.Packet, workers int, mode BankMode) (*Engine, []dataplane.Report) {
 	t.Helper()
+	return shardedRunAll(t, []*Program{prog}, pkts, workers, mode)
+}
+
+// shardedRunAll is shardedRun with several programs installed.
+func shardedRunAll(t *testing.T, progs []*Program, pkts []*packet.Packet, workers int, mode BankMode) (*Engine, []dataplane.Report) {
+	t.Helper()
 	l := compactLayout(t)
 	eng := NewEngine(l)
 	eng.SetWorkers(workers)
 	eng.SetBankMode(mode)
-	if err := eng.Install(prog); err != nil {
-		t.Fatalf("Install: %v", err)
+	for _, prog := range progs {
+		if err := eng.Install(prog); err != nil {
+			t.Fatalf("Install: %v", err)
+		}
 	}
 	sw := dataplane.NewSwitch("s1", 8, StageCapacity())
 	sw.AddRoute(0, 0, 1)

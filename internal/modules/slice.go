@@ -138,8 +138,7 @@ func cloneOp(op *Op, shift int) *Op {
 	}
 	if op.S != nil {
 		s := *op.S
-		s.array = nil
-		s.offset, s.width = 0, 0
+		s.array, s.width = nil, 0
 		cp.S = &s
 	}
 	if op.R != nil {

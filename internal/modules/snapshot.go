@@ -75,13 +75,25 @@ func (b *BankSnapshot) Slot(keyBytes []byte) uint32 {
 // before the roll. Cross-branch reads and pass-through ops own no
 // registers and are skipped.
 // Under BankPrivate, worker-private lane shards are merged into the
-// canonical banks first, so the snapshot — and everything the telemetry
+// canonical arrays first, so the snapshot — and everything the telemetry
 // plane derives from it (Estimate, SeenDistinct, network-wide merges) —
 // covers the whole window regardless of worker count.
-func (e *Engine) SnapshotBanks() []BankSnapshot {
+//
+// The result is freshly allocated and the caller's to keep.
+func (e *Engine) SnapshotBanks() []BankSnapshot { return e.SnapshotBanksInto(nil) }
+
+// SnapshotBanksInto is SnapshotBanks into a buffer the caller keeps
+// across epochs: dst's elements are overwritten from the front, each
+// reusing its Values when they are wide enough, and dst is returned
+// resliced to the banks captured (elements past them are cleared, so a
+// removed query's values are not retained). Programs are walked in
+// (qid, partition) order, so between installs bank i is the same bank
+// every epoch and a kept dst allocates nothing.
+func (e *Engine) SnapshotBanksInto(dst []BankSnapshot) []BankSnapshot {
 	e.MergeWorkers()
-	var out []BankSnapshot
-	for key, p := range e.installed {
+	dst = dst[:cap(dst)]
+	n := 0
+	for _, p := range e.installed {
 		for bi, b := range p.Branches {
 			// Walk the chain tracking each metadata set's governing K and
 			// H configs, mirroring runBranch's dataflow.
@@ -104,16 +116,21 @@ func (e *Engine) SnapshotBanks() []BankSnapshot {
 					if s.ALU == dataplane.OpOr {
 						kind = BankBloomRow
 					}
-					snap := BankSnapshot{
-						QueryID:    key.qid,
-						Part:       key.part,
+					if n == len(dst) {
+						dst = append(dst, BankSnapshot{})
+					}
+					snap := &dst[n]
+					n++
+					*snap = BankSnapshot{
+						QueryID:    p.QID,
+						Part:       p.Part,
 						Branch:     bi,
 						Row:        row,
 						Kind:       kind,
 						OwnerIndex: s.OwnerIndex,
 						OwnerCount: s.OwnerCount,
 						Width:      s.width,
-						Values:     s.array.Snapshot(s.offset, s.width, nil),
+						Values:     s.array.Snapshot(snap.Values[:0]),
 					}
 					if h := curH[set]; h != nil {
 						snap.Algo, snap.Seed, snap.Range = h.Algo, h.Seed, h.Range
@@ -121,11 +138,11 @@ func (e *Engine) SnapshotBanks() []BankSnapshot {
 					if k := curK[set]; k != nil {
 						snap.KeyMask = k.Mask
 					}
-					out = append(out, snap)
 					row++
 				}
 			}
 		}
 	}
-	return out
+	clear(dst[n:])
+	return dst[:n]
 }

@@ -64,11 +64,17 @@ func TestOutageDropsTraffic(t *testing.T) {
 func TestClockAndEpochs(t *testing.T) {
 	net, _, _ := linearNet(t, 1, 12)
 	sw := net.Node(net.Topo.Switches()[0])
-	ra := sw.Layout.ArrayAt(1, 0)
+	ra, err := sw.Layout.AllocRegisters(1, 0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ra.Exec(1 /* write */, 0, 7)
 	net.AdvanceTo(uint64(250 * time.Millisecond)) // crosses 2 window boundaries
-	if ra.Epoch() != 2 {
-		t.Errorf("epochs rolled %d times, want 2", ra.Epoch())
+	if ra.Epoch() != 2 || sw.Layout.Epoch() != 2 {
+		t.Errorf("epochs rolled %d times (layout %d), want 2", ra.Epoch(), sw.Layout.Epoch())
+	}
+	if got := ra.Exec(0 /* read */, 0, 0); got != 0 {
+		t.Errorf("register survived two window rolls: %d", got)
 	}
 	// Clock never goes backwards.
 	net.AdvanceTo(0)

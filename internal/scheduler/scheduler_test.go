@@ -1,9 +1,12 @@
 package scheduler
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
+	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/query"
 )
@@ -341,5 +344,85 @@ func TestTrackerClonePreds(t *testing.T) {
 	clone.preds[modules.InitPredKey{Col: 5, Val: 1, Mask: 1}] = struct{}{}
 	if len(clone.preds) == len(tr.preds) {
 		t.Fatal("clone shares the predicate set with its parent")
+	}
+}
+
+// TestFitsMatchesEngineInstall holds the tracker to its claim that
+// register accounting mirrors the engine: over seeded random sequences
+// of installs, removals and resizes (remove, then install at another
+// rung of the width ladder — what the refiner does over time) on a
+// device with tight banks, Fits over the installed set says yes exactly
+// when Engine.Install finds the registers. The engine's banks being
+// sums is what makes this hold on a fragmented bank.
+func TestFitsMatchesEngineInstall(t *testing.T) {
+	b := Budget{Stages: 16, ArraySize: 8192, RulesPerModule: 256}
+	widths := []uint32{256, 512, 1024, 2048, 4096}
+	catalog := query.All()
+	for seed := uint64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 16))
+		layout, err := modules.NewLayout(modules.LayoutCompact, b.Stages, b.ArraySize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := modules.NewEngine(layout)
+		type live struct {
+			qid int
+			q   *query.Query
+		}
+		var installed []live
+		nextQID, fullBanks := 1, 0
+
+		// install offers one program to both sides and compares verdicts.
+		install := func(step int, qid int, q *query.Query, width uint32) {
+			o := compiler.AllOpts()
+			o.QID, o.Width = qid, width
+			p, err := compiler.Compile(q, o)
+			if err != nil {
+				t.Fatalf("Compile %s: %v", q.Name, err)
+			}
+			tr := NewTracker(b)
+			for _, have := range eng.Programs() {
+				tr.Commit(have)
+			}
+			fits, why := tr.Fits(p)
+			if !fits && !strings.Contains(why, "state bank") {
+				return // rejected on rules or predicates: not this test's subject
+			}
+			ierr := eng.Install(p)
+			where := fmt.Sprintf("seed %d step %d: %s qid %d width %d over %d installed", seed, step, q.Name, qid, width, len(installed))
+			switch {
+			case fits && ierr != nil:
+				t.Fatalf("%s: admitted, but the engine refused: %v", where, ierr)
+			case !fits && ierr == nil:
+				t.Fatalf("%s: rejected (%s), but the engine installed it", where, why)
+			case !fits && !strings.Contains(ierr.Error(), "exhausted"):
+				t.Fatalf("%s: rejected on registers, engine failed on something else: %v", where, ierr)
+			}
+			if ierr == nil {
+				installed = append(installed, live{qid, q})
+			} else {
+				fullBanks++
+			}
+		}
+		for step := 0; step < 400; step++ {
+			switch op := rng.IntN(4); {
+			case op <= 1 || len(installed) == 0:
+				install(step, nextQID, catalog[rng.IntN(len(catalog))], widths[rng.IntN(len(widths))])
+				nextQID++
+			default:
+				i := rng.IntN(len(installed))
+				v := installed[i]
+				installed = append(installed[:i], installed[i+1:]...)
+				if err := eng.Remove(v.qid); err != nil {
+					t.Fatalf("seed %d step %d: Remove %d: %v", seed, step, v.qid, err)
+				}
+				if op == 3 { // resize: back in at another width, same qid
+					install(step, v.qid, v.q, widths[rng.IntN(len(widths))])
+				}
+			}
+		}
+		if fullBanks == 0 {
+			t.Fatalf("seed %d never filled a bank — the equivalence is vacuous", seed)
+		}
 	}
 }

@@ -99,6 +99,18 @@ type Exporter struct {
 	lastDB uint64 // enc.DeltaBanks already folded into the mu counters
 	lastKB uint64 // enc.FullBanks already folded into the mu counters
 
+	// Epoch snapshot state, guarded by writeMu. snapBuf is the buffer
+	// ExportEpoch captures every epoch's banks into; the exporter owns it
+	// and its Values, so a steady bank set is captured without
+	// allocating. lastSnap* is the latest snapshot offered (snapBuf
+	// itself after an ExportEpoch), kept for replay after a reconnect:
+	// the analyzer's merge resumes from the switch's current state
+	// instead of waiting a full window for the next roll.
+	snapBuf       []modules.BankSnapshot
+	lastSnapEpoch uint32
+	lastSnapBanks []modules.BankSnapshot
+	hasSnap       bool
+
 	mu           sync.Mutex
 	idle         *sync.Cond
 	enqueued     uint64 // reports offered to Export
@@ -118,13 +130,6 @@ type Exporter struct {
 	closed       bool
 	writerEnd    bool
 	reconnecting bool
-
-	// Latest epoch snapshot, cached for replay after a reconnect: the
-	// analyzer's merge resumes from the switch's current state instead of
-	// waiting a full window for the next roll.
-	lastSnapEpoch uint32
-	lastSnapBanks []modules.BankSnapshot
-	hasSnap       bool
 
 	// agent, when attached, serves this exporter's counters and epoch
 	// hooks on the control channel; kept so Close (and construction
@@ -433,9 +438,6 @@ func (e *Exporter) reconnectLoop() {
 		if err != nil {
 			continue
 		}
-		e.mu.Lock()
-		epoch, banks, replay := e.lastSnapEpoch, e.lastSnapBanks, e.hasSnap
-		e.mu.Unlock()
 		// Each stream negotiates its codec afresh: the analyzer may have
 		// been replaced by an older (or newer) peer since the last one.
 		binary, err := negotiate(conn, e.cfg)
@@ -443,8 +445,9 @@ func (e *Exporter) reconnectLoop() {
 			conn.Close()
 			continue
 		}
-		// Swap the stream in before the replay: the writer stays parked on
-		// writeErr until the replay lands, so nothing else writes. A fresh
+		// Swap the stream in and replay under one hold of writeMu: the
+		// writer stays parked on writeErr until the replay lands, and no
+		// ExportEpoch can recapture the cached banks mid-write. A fresh
 		// delta encoder guarantees the replay is a keyframe — the new peer
 		// has no state to delta against.
 		e.writeMu.Lock()
@@ -457,19 +460,18 @@ func (e *Exporter) reconnectLoop() {
 		} else {
 			e.enc = nil
 		}
+		replay := e.hasSnap
+		if replay {
+			err = e.writeSnapshotLocked(e.lastSnapEpoch, e.lastSnapBanks)
+		}
 		e.writeMu.Unlock()
 		old.Close()
 		e.mu.Lock()
 		e.codecBinary = binary
 		e.mu.Unlock()
-		if replay {
-			e.writeMu.Lock()
-			err := e.writeSnapshotLocked(epoch, banks)
-			e.writeMu.Unlock()
-			if err != nil {
-				conn.Close()
-				continue
-			}
+		if err != nil {
+			conn.Close()
+			continue
 		}
 		e.mu.Lock()
 		e.writeErr = nil
@@ -488,41 +490,50 @@ func (e *Exporter) reconnectLoop() {
 // Snapshots bypass the report ring: they are epoch-rate (one frame per
 // window), must not be dropped (the analyzer's merge is only correct
 // over complete epochs), and are written synchronously so the caller's
-// epoch roll orders after the capture.
+// epoch roll orders after the capture. The exporter keeps banks for
+// replay until the next snapshot: the caller must not modify them.
 func (e *Exporter) ExportSnapshot(epoch uint32, banks []modules.BankSnapshot) error {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	return e.exportSnapshotLocked(epoch, banks)
+}
+
+func (e *Exporter) exportSnapshotLocked(epoch uint32, banks []modules.BankSnapshot) error {
 	// Cache first: if this write fails (or the stream is already down),
 	// the reconnect replays the freshest state the switch had.
-	e.mu.Lock()
 	e.lastSnapEpoch, e.lastSnapBanks, e.hasSnap = epoch, banks, true
+	e.mu.Lock()
 	degraded := e.writeErr
 	e.mu.Unlock()
 	if degraded != nil {
 		return fmt.Errorf("telemetry: snapshot while stream down: %w", degraded)
 	}
-	e.writeMu.Lock()
 	err := e.writeSnapshotLocked(epoch, banks)
-	e.writeMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err != nil {
-		e.mu.Lock()
 		e.noteWriteErrLocked(err)
-		e.mu.Unlock()
 		return fmt.Errorf("telemetry: snapshot: %w", err)
 	}
-	e.mu.Lock()
 	e.snapshots++
-	e.mu.Unlock()
 	return nil
 }
 
 // ExportEpoch snapshots every installed query's state banks on eng and
 // pushes them tagged with the current (ending) epoch. Call immediately
-// before rolling the epoch — rolled banks read as zero.
+// before rolling the epoch — rolled banks read as zero. The capture
+// goes into a buffer the exporter keeps from epoch to epoch.
 func (e *Exporter) ExportEpoch(eng *modules.Engine) error {
-	banks := eng.SnapshotBanks()
-	if len(banks) == 0 {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	e.snapBuf = eng.SnapshotBanksInto(e.snapBuf)
+	if len(e.snapBuf) == 0 {
+		// Nothing installed, nothing to send — or to replay: the capture
+		// just overwrote the buffer a cached snapshot would alias.
+		e.hasSnap = false
 		return nil
 	}
-	return e.ExportSnapshot(eng.Layout().Epoch(), banks)
+	return e.exportSnapshotLocked(eng.Layout().Epoch(), e.snapBuf)
 }
 
 // AttachAgent wires the exporter into a control-channel agent: epoch

@@ -37,7 +37,11 @@ type ring struct {
 	notEmpty *sync.Cond
 	notFull  *sync.Cond
 
+	// buf starts at minRingSize and doubles when it fills, up to limit
+	// (the configured RingSize): a queue that holds a handful of reports
+	// outside a report storm does not pay for the storm's bound up front.
 	buf   []dataplane.Report
+	limit int
 	head  int // index of oldest element
 	count int
 
@@ -48,11 +52,14 @@ type ring struct {
 	policy      Policy
 }
 
+// minRingSize is the ring's initial allocation, in reports.
+const minRingSize = 64
+
 func newRing(size int, policy Policy) *ring {
 	if size <= 0 {
 		size = 4096
 	}
-	r := &ring{buf: make([]dataplane.Report, size), policy: policy}
+	r := &ring{buf: make([]dataplane.Report, min(size, minRingSize)), limit: size, policy: policy}
 	r.notEmpty = sync.NewCond(&r.mu)
 	r.notFull = sync.NewCond(&r.mu)
 	return r
@@ -68,6 +75,9 @@ func (r *ring) put(rs []dataplane.Report) int {
 	for _, rep := range rs {
 		if r.closed {
 			break
+		}
+		if r.count == len(r.buf) && len(r.buf) < r.limit {
+			r.grow()
 		}
 		if r.count == len(r.buf) {
 			// One overflow per burst: consecutive full-ring hits without an
@@ -97,6 +107,15 @@ func (r *ring) put(rs []dataplane.Report) int {
 		r.notEmpty.Signal()
 	}
 	return accepted
+}
+
+// grow doubles a full buffer (never past limit), moving the queue to
+// the front of the new one.
+func (r *ring) grow() {
+	buf := make([]dataplane.Report, min(2*len(r.buf), r.limit))
+	n := copy(buf, r.buf[r.head:])
+	copy(buf[n:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
 }
 
 // drainUpTo blocks until at least one report is queued (or the ring is

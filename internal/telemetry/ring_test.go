@@ -131,3 +131,40 @@ func TestRingCloseWakesBlockedProducerAndDrainsTail(t *testing.T) {
 		t.Fatalf("drain on empty closed ring = %v, want nil", got)
 	}
 }
+
+// TestRingGrowsOnDemand: the ring's bound is its configured size, but
+// its memory is what the queue has needed — it starts at minRingSize
+// and doubles when full, keeping FIFO order across a wrapped buffer,
+// and only at the bound does the overflow policy (and its counters)
+// come into play.
+func TestRingGrowsOnDemand(t *testing.T) {
+	r := newRing(200, PolicyDropOldest)
+	if len(r.buf) != minRingSize {
+		t.Fatalf("a fresh ring of 200 allocates %d slots, want %d", len(r.buf), minRingSize)
+	}
+	// Wrap the small buffer first, so growing has to unroll it.
+	r.put(mkReports(0, 40))
+	if got := r.drainUpTo(30, nil); len(got) != 30 || got[29].TS != 29 {
+		t.Fatalf("drained %d", len(got))
+	}
+	r.put(mkReports(40, 150)) // 160 queued: 64 -> 128 -> 200
+	if len(r.buf) != 200 {
+		t.Fatalf("ring holding 160 reports has %d slots, want the bound, 200", len(r.buf))
+	}
+	if dropped, overflows := r.stats(); dropped != 0 || overflows != 0 {
+		t.Fatalf("growing counted as overflow: dropped %d, overflows %d", dropped, overflows)
+	}
+	r.put(mkReports(190, 50)) // 210 offered against 200: the 10 oldest go
+	if dropped, overflows := r.stats(); dropped != 10 || overflows != 1 || len(r.buf) != 200 {
+		t.Fatalf("at the bound: dropped %d, overflows %d, %d slots", dropped, overflows, len(r.buf))
+	}
+	got := r.drainUpTo(1000, nil)
+	if len(got) != 200 {
+		t.Fatalf("drained %d reports, want 200", len(got))
+	}
+	for i, rep := range got {
+		if rep.TS != uint64(40+i) {
+			t.Fatalf("report %d has TS %d, want %d: order lost across growth", i, rep.TS, 40+i)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -366,6 +367,7 @@ func (s *Service) jsonLoop(cr *countReader, agent *agentInfo, switchID string) e
 // first (and after every reconnect, on a fresh stream).
 func (s *Service) binaryLoop(cr *countReader, agent *agentInfo, switchID string) error {
 	var dec wire.SnapshotDecoder
+	var inflated []byte // this stream's decompression buffer, kept across frames
 	for {
 		hdr, payload, err := wire.ReadFrame(cr)
 		if err != nil {
@@ -377,9 +379,10 @@ func (s *Service) binaryLoop(cr *countReader, agent *agentInfo, switchID string)
 		s.touch(agent)
 		raw := uint64(len(payload)) + wire.HeaderSize
 		if hdr.Flags&wire.FlagCompressed != 0 {
-			if payload, err = wire.Decompress(payload); err != nil {
+			if inflated, err = wire.DecompressInto(inflated, payload); err != nil {
 				return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
 			}
+			payload = inflated
 			raw = uint64(len(payload)) + wire.HeaderSize
 			s.mu.Lock()
 			agent.wire.CompressedFrames++
@@ -604,10 +607,14 @@ func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32
 		}
 		m := byEpoch[epoch]
 		if m == nil {
-			m = &MergedBank{
+			if m = s.roomForLocked(byEpoch, epoch); m == nil {
+				continue // older than every retained epoch of a full bank
+			}
+			*m = MergedBank{
 				Kind: b.Kind, Algo: b.Algo, Seed: b.Seed, Range: b.Range,
 				KeyMask: b.KeyMask, Width: b.Width,
-				Values: make([]uint64, len(b.Values)),
+				Values:   zeroedValues(m.Values, len(b.Values)),
+				Switches: m.Switches[:0],
 			}
 			byEpoch[epoch] = m
 		}
@@ -637,7 +644,6 @@ func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32
 			}
 		}
 		m.Switches = append(m.Switches, switchID)
-		s.pruneLocked(bk, byEpoch)
 	}
 	s.publishLocked([]Event{{
 		Kind: EventSnapshotMerged, SwitchID: switchID, Epoch: epoch, Banks: len(banks),
@@ -806,20 +812,40 @@ func (s *Service) AgentLiveness(id string) (lastSeen time.Time, connected bool, 
 	return a.LastSeen, a.Streams > 0, true
 }
 
-// pruneLocked evicts the oldest merged epochs of a bank beyond the
-// retention bound.
-func (s *Service) pruneLocked(bk bankKey, byEpoch map[uint32]*MergedBank) {
-	if len(byEpoch) <= s.cfg.KeepEpochs {
-		return
+// roomForLocked makes room among a bank's retained epochs for a new
+// one and returns the MergedBank to build it in: a fresh one below the
+// KeepEpochs bound; at the bound the bank's oldest epoch, evicted, whose
+// Values and Switches the caller recycles — so a bank in steady state
+// merges each new epoch into the memory of the one it drops. MergedRows
+// hands out copies, so no reader holds what is recycled. A new epoch
+// older than everything a full bank retains would itself be the one
+// evicted: the result is nil and the caller skips the merge.
+func (s *Service) roomForLocked(byEpoch map[uint32]*MergedBank, epoch uint32) *MergedBank {
+	if len(byEpoch) < s.cfg.KeepEpochs {
+		return &MergedBank{}
 	}
-	eps := make([]uint32, 0, len(byEpoch))
+	oldest := epoch
 	for e := range byEpoch {
-		eps = append(eps, e)
+		if e < oldest {
+			oldest = e
+		}
 	}
-	sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
-	for _, e := range eps[:len(eps)-s.cfg.KeepEpochs] {
-		delete(byEpoch, e)
+	if oldest == epoch {
+		return nil
 	}
+	m := byEpoch[oldest]
+	delete(byEpoch, oldest)
+	return m
+}
+
+// zeroedValues returns n zero counters, in buf's memory when it is
+// exactly that long.
+func zeroedValues(buf []uint64, n int) []uint64 {
+	if len(buf) != n {
+		return make([]uint64, n)
+	}
+	clear(buf)
+	return buf
 }
 
 // publishLocked fans events out to subscribers without blocking ingest:
@@ -919,8 +945,9 @@ func (s *Service) SeenDistinct(qid, branch int, epoch uint32, keys *fields.Vecto
 	return seen, true
 }
 
-// MergedRows returns the merged banks of (query, branch) at epoch, row
-// order, for inspection.
+// MergedRows returns copies of the merged banks of (query, branch) at
+// epoch, row order, for inspection — the caller's to keep: the live
+// banks keep merging, and are recycled once their epoch is evicted.
 func (s *Service) MergedRows(qid, branch int, epoch uint32) []*MergedBank {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -942,10 +969,13 @@ func (s *Service) MergedRows(qid, branch int, epoch uint32) []*MergedBank {
 	transition := s.transitionLocked(qid, epoch)
 	out := make([]*MergedBank, len(rows))
 	for i, r := range rows {
-		r.m.Partial = len(missing) > 0 || transition
-		r.m.Missing = missing
-		r.m.Transition = transition
-		out[i] = r.m
+		m := *r.m
+		m.Values = slices.Clone(m.Values)
+		m.Switches = slices.Clone(m.Switches)
+		m.Partial = len(missing) > 0 || transition
+		m.Missing = missing
+		m.Transition = transition
+		out[i] = &m
 	}
 	return out
 }

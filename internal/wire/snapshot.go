@@ -61,9 +61,29 @@ const (
 	encDelta = 1
 )
 
-type prevBank struct {
+// heldBank is one bank's values as of the last frame that carried it:
+// the base the next delta is taken against (encoder) or applied to
+// (decoder). Both sides keep the slices across epochs and overwrite
+// them in place, so a stable bank set costs no allocation per frame.
+type heldBank struct {
 	cfg  bankCfg
 	vals []uint32
+	// spare is the decoder's second buffer: a frame is decoded into it
+	// and it changes places with vals only once the whole frame parsed,
+	// so a rejected frame leaves vals as they were.
+	spare []uint32
+	// frame is the codec's frame count when the bank was last carried —
+	// what a keyframe prunes the banks of removed queries by.
+	frame uint64
+}
+
+// fitValues returns buf resized to width registers, reallocating only
+// when it is too small. Contents are unspecified.
+func fitValues(buf []uint32, width uint32) []uint32 {
+	if uint32(cap(buf)) < width {
+		return make([]uint32, width)
+	}
+	return buf[:width]
 }
 
 // SnapshotEncoder turns per-epoch bank snapshots into wire payloads,
@@ -75,7 +95,8 @@ type SnapshotEncoder struct {
 	// frame, disabling delta encoding). Zero means DefaultKeyframeEvery.
 	KeyframeEvery int
 
-	prev      map[BankID]prevBank
+	prev      map[BankID]*heldBank
+	frame     uint64
 	prevEpoch uint32
 	has       bool
 	sinceKey  int
@@ -120,12 +141,9 @@ func (e *SnapshotEncoder) Encode(dst []byte, epoch uint32, banks []modules.BankS
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(banks)))
 
-	next := e.prev
-	if keyframe {
-		// Rebuilding from scratch prunes banks of removed queries.
-		next = make(map[BankID]prevBank, len(banks))
-	} else if next == nil {
-		next = make(map[BankID]prevBank, len(banks))
+	e.frame++
+	if e.prev == nil {
+		e.prev = make(map[BankID]*heldBank, len(banks))
 	}
 	for i := range banks {
 		b := &banks[i]
@@ -133,11 +151,10 @@ func (e *SnapshotEncoder) Encode(dst []byte, epoch uint32, banks []modules.BankS
 		cfg := cfgOf(b)
 		dst = appendBankHeader(dst, b)
 
+		p := e.prev[id]
 		var base []uint32
-		if !keyframe {
-			if p, ok := e.prev[id]; ok && p.cfg == cfg {
-				base = p.vals
-			}
+		if !keyframe && p != nil && p.cfg == cfg {
+			base = p.vals
 		}
 		// A bank whose registers mostly turned over since the last epoch
 		// (cells dropping to zero count as changes) can be cheaper to send
@@ -151,9 +168,26 @@ func (e *SnapshotEncoder) Encode(dst []byte, epoch uint32, banks []modules.BankS
 			dst = appendFullCells(dst, b.Values)
 			e.FullBanks++
 		}
-		next[id] = prevBank{cfg: cfg, vals: snapValues(b)}
+		// The frame is written: the bank's values become the next base,
+		// copied over the old one at the declared width — the codec's
+		// canonical cell count (short slices read as zero-padded).
+		if p == nil {
+			p = &heldBank{}
+			e.prev[id] = p
+		}
+		p.cfg, p.frame = cfg, e.frame
+		p.vals = fitValues(p.vals, b.Width)
+		clear(p.vals[copy(p.vals, b.Values):])
 	}
-	e.prev = next
+	if keyframe {
+		// A keyframe grounds exactly the banks it carries: prune the rest
+		// (removed queries).
+		for id, p := range e.prev {
+			if p.frame != e.frame {
+				delete(e.prev, id)
+			}
+		}
+	}
 	e.prevEpoch = epoch
 	e.has = true
 	if keyframe {
@@ -162,14 +196,6 @@ func (e *SnapshotEncoder) Encode(dst []byte, epoch uint32, banks []modules.BankS
 		e.sinceKey++
 	}
 	return dst, flags
-}
-
-// snapValues copies a bank's values at its declared width — the codec's
-// canonical cell count (short slices read as zero-padded).
-func snapValues(b *modules.BankSnapshot) []uint32 {
-	vals := make([]uint32, b.Width)
-	copy(vals, b.Values)
-	return vals
 }
 
 func appendBankHeader(dst []byte, b *modules.BankSnapshot) []byte {
@@ -270,16 +296,26 @@ func appendDeltaCells(dst []byte, kind modules.BankKind, base, vals []uint32) []
 // from keyframes and chained deltas. One decoder serves one stream; it
 // is not safe for concurrent use.
 type SnapshotDecoder struct {
-	prev  map[BankID]prevBank
+	prev  map[BankID]*heldBank
+	frame uint64
 	epoch uint32
 	has   bool
+
+	// out and hit are Decode's result and, beside it, the held bank each
+	// result was decoded against (nil for a bank not held, or named twice
+	// in one frame) — both reused from call to call.
+	out []modules.BankSnapshot
+	hit []*heldBank
 }
 
 // Decode parses one snapshot payload into full bank snapshots. A delta
 // frame whose base is not the decoder's last applied frame returns
 // ErrDeltaBase with no state change — drop the frame and resynchronize
-// at the next keyframe. Returned Values slices are shared with decoder
-// state; treat them as read-only.
+// at the next keyframe.
+//
+// The returned banks and their Values are the decoder's own buffers:
+// read-only, and valid only until the next Decode. Copy what must
+// outlive it.
 func (d *SnapshotDecoder) Decode(payload []byte) (uint32, []modules.BankSnapshot, error) {
 	r := &reader{b: payload}
 	epoch := uint32(r.uvarint())
@@ -292,37 +328,54 @@ func (d *SnapshotDecoder) Decode(payload []byte) (uint32, []modules.BankSnapshot
 		}
 	}
 	nBanks := r.length()
-	out := make([]modules.BankSnapshot, 0, nBanks)
-	next := make(map[BankID]prevBank, nBanks)
+	d.frame++
+	d.out, d.hit = d.out[:0], d.hit[:0]
 	for i := 0; i < nBanks && r.err == nil; i++ {
-		b, err := d.decodeBank(r, delta)
+		b, h, err := d.decodeBank(r, delta)
 		if err != nil {
 			return 0, nil, err
 		}
-		out = append(out, b)
-		next[BankID{b.QueryID, b.Part, b.Branch, b.Row}] = prevBank{cfg: cfgOf(&b), vals: b.Values}
+		d.out, d.hit = append(d.out, b), append(d.hit, h)
 	}
 	if err := r.done(); err != nil {
 		return 0, nil, fmt.Errorf("snapshot: %w", err)
 	}
-	// Commit only after the whole frame parsed: keyframes replace the
-	// held banks (pruning removed ones), deltas update in place.
-	if delta {
-		for id, p := range next {
-			if d.prev == nil {
-				d.prev = map[BankID]prevBank{}
+	// Commit only after the whole frame parsed: each bank's decoded
+	// values become its held ones (the buffers change places); a keyframe
+	// then prunes every bank it did not carry, a delta frame keeps them.
+	if d.prev == nil {
+		d.prev = make(map[BankID]*heldBank, len(d.out))
+	}
+	for i := range d.out {
+		b := &d.out[i]
+		h := d.hit[i]
+		if h == nil {
+			id := BankID{b.QueryID, b.Part, b.Branch, b.Row}
+			if h = d.prev[id]; h == nil {
+				h = &heldBank{}
+				d.prev[id] = h
 			}
-			d.prev[id] = p
 		}
-	} else {
-		d.prev = next
+		h.cfg, h.frame = cfgOf(b), d.frame
+		h.vals, h.spare = b.Values, h.vals
+	}
+	if !delta {
+		for id, h := range d.prev {
+			if h.frame != d.frame {
+				delete(d.prev, id)
+			}
+		}
 	}
 	d.epoch = epoch
 	d.has = true
-	return epoch, out, nil
+	return epoch, d.out, nil
 }
 
-func (d *SnapshotDecoder) decodeBank(r *reader, deltaFrame bool) (modules.BankSnapshot, error) {
+// decodeBank parses one bank into a buffer no earlier result of this
+// frame or held base aliases: the held bank's spare when the bank is
+// held and this is its first mention in the frame (returned, stamped
+// with the frame), a fresh slice otherwise.
+func (d *SnapshotDecoder) decodeBank(r *reader, deltaFrame bool) (modules.BankSnapshot, *heldBank, error) {
 	var b modules.BankSnapshot
 	b.QueryID = int(r.uvarint())
 	b.Part = int(r.uvarint())
@@ -338,35 +391,43 @@ func (d *SnapshotDecoder) decodeBank(r *reader, deltaFrame bool) (modules.BankSn
 	b.KeyMask = r.mask()
 	enc := r.byte()
 	if r.err != nil {
-		return b, fmt.Errorf("snapshot bank: %w", r.err)
+		return b, nil, fmt.Errorf("snapshot bank: %w", r.err)
 	}
 	if b.Width > MaxFrame/4 {
-		return b, fmt.Errorf("%w: bank width %d", ErrTooLarge, b.Width)
+		return b, nil, fmt.Errorf("%w: bank width %d", ErrTooLarge, b.Width)
 	}
 	if b.Kind != modules.BankCMSRow && b.Kind != modules.BankBloomRow {
-		return b, fmt.Errorf("%w: bank kind %d", ErrMalformed, b.Kind)
+		return b, nil, fmt.Errorf("%w: bank kind %d", ErrMalformed, b.Kind)
 	}
 
-	vals := make([]uint32, b.Width)
+	id := BankID{b.QueryID, b.Part, b.Branch, b.Row}
+	held := d.prev[id]
 	var base []uint32
 	if enc == encDelta {
 		if !deltaFrame {
-			return b, fmt.Errorf("%w: delta bank in keyframe", ErrMalformed)
+			return b, nil, fmt.Errorf("%w: delta bank in keyframe", ErrMalformed)
 		}
-		id := BankID{b.QueryID, b.Part, b.Branch, b.Row}
-		p, ok := d.prev[id]
-		if !ok || p.cfg != cfgOf(&b) {
-			return b, fmt.Errorf("%w: no comparable base bank for %v", ErrDeltaBase, id)
+		if held == nil || held.cfg != cfgOf(&b) {
+			return b, nil, fmt.Errorf("%w: no comparable base bank for %v", ErrDeltaBase, id)
 		}
-		base = p.vals
-		copy(vals, base)
+		base = held.vals
 	} else if enc != encFull {
-		return b, fmt.Errorf("%w: bank encoding %d", ErrMalformed, enc)
+		return b, nil, fmt.Errorf("%w: bank encoding %d", ErrMalformed, enc)
 	}
+	var vals []uint32
+	if held != nil && held.frame != d.frame {
+		held.frame = d.frame
+		held.spare = fitValues(held.spare, b.Width)
+		vals = held.spare
+	} else {
+		held = nil
+		vals = make([]uint32, b.Width)
+	}
+	clear(vals[copy(vals, base):])
 
 	cells := int(r.uvarint())
 	if r.err == nil && uint64(cells) > uint64(b.Width) {
-		return b, fmt.Errorf("%w: %d cells for width %d", ErrMalformed, cells, b.Width)
+		return b, nil, fmt.Errorf("%w: %d cells for width %d", ErrMalformed, cells, b.Width)
 	}
 	idx := -1
 	for j := 0; j < cells && r.err == nil; j++ {
@@ -376,35 +437,35 @@ func (d *SnapshotDecoder) decodeBank(r *reader, deltaFrame bool) (modules.BankSn
 			idx = int(gap)
 		} else {
 			if gap == 0 {
-				return b, fmt.Errorf("%w: zero cell gap", ErrMalformed)
+				return b, nil, fmt.Errorf("%w: zero cell gap", ErrMalformed)
 			}
 			idx += int(gap)
 		}
 		if uint64(idx) >= uint64(b.Width) {
-			return b, fmt.Errorf("%w: cell index %d beyond width %d", ErrMalformed, idx, b.Width)
+			return b, nil, fmt.Errorf("%w: cell index %d beyond width %d", ErrMalformed, idx, b.Width)
 		}
 		switch {
 		case enc == encFull:
 			if v == 0 || v > 0xFFFFFFFF {
-				return b, fmt.Errorf("%w: cell value %d", ErrMalformed, v)
+				return b, nil, fmt.Errorf("%w: cell value %d", ErrMalformed, v)
 			}
 			vals[idx] = uint32(v)
 		case b.Kind == modules.BankBloomRow:
 			if v > 0xFFFFFFFF {
-				return b, fmt.Errorf("%w: cell xor %d", ErrMalformed, v)
+				return b, nil, fmt.Errorf("%w: cell xor %d", ErrMalformed, v)
 			}
 			vals[idx] = base[idx] ^ uint32(v)
 		default:
 			nv := int64(base[idx]) + unzigzag(v)
 			if nv < 0 || nv > 0xFFFFFFFF {
-				return b, fmt.Errorf("%w: cell delta overflows counter", ErrMalformed)
+				return b, nil, fmt.Errorf("%w: cell delta overflows counter", ErrMalformed)
 			}
 			vals[idx] = uint32(nv)
 		}
 	}
 	if r.err != nil {
-		return b, fmt.Errorf("snapshot bank: %w", r.err)
+		return b, nil, fmt.Errorf("snapshot bank: %w", r.err)
 	}
 	b.Values = vals
-	return b, nil
+	return b, held, nil
 }

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // Magic identifies a binary telemetry frame ("NW" when the two bytes
@@ -189,45 +190,82 @@ func ReadFrame(r io.Reader) (Header, []byte, error) {
 	return hdr, payload, nil
 }
 
+// deflater is one reusable compressor: a flate writer and the buffer it
+// writes into. Building a flate.Writer allocates its whole match state,
+// far more than compressing a frame costs, so writers are pooled and
+// Reset between frames; a Reset writer produces exactly the bytes a new
+// one would.
+type deflater struct {
+	zw  *flate.Writer
+	buf bytes.Buffer
+}
+
+var deflaters = sync.Pool{New: func() any {
+	d := &deflater{}
+	// BestSpeed is a valid level: NewWriter cannot fail.
+	d.zw, _ = flate.NewWriter(&d.buf, flate.BestSpeed)
+	return d
+}}
+
+// inflaters pools flate readers, which Decompress re-targets with
+// flate.Resetter instead of building one per frame.
+var inflaters = sync.Pool{New: func() any { return flate.NewReader(nil) }}
+
 // Compress flate-compresses a payload when it is at least gate bytes
 // and compression actually shrinks it. The second return reports
 // whether the returned slice is compressed (the caller sets
-// FlagCompressed accordingly). A gate < 0 disables compression.
+// FlagCompressed accordingly); a compressed result is the caller's own.
+// A gate < 0 disables compression.
 func Compress(payload []byte, gate int) ([]byte, bool) {
 	if gate < 0 || len(payload) < gate {
 		return payload, false
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(payload) / 2)
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	d.buf.Reset()
+	d.zw.Reset(&d.buf)
+	if _, err := d.zw.Write(payload); err != nil {
 		return payload, false
 	}
-	if _, err := zw.Write(payload); err != nil {
+	if err := d.zw.Close(); err != nil {
 		return payload, false
 	}
-	if err := zw.Close(); err != nil {
+	if d.buf.Len() >= len(payload) {
 		return payload, false
 	}
-	if buf.Len() >= len(payload) {
-		return payload, false
-	}
-	return buf.Bytes(), true
+	return bytes.Clone(d.buf.Bytes()), true
 }
 
-// Decompress inflates a compressed payload, refusing to expand past
-// MaxFrame (a zip bomb is a malformed peer, not an allocation).
-func Decompress(payload []byte) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(payload))
-	defer zr.Close()
-	out, err := io.ReadAll(io.LimitReader(zr, MaxFrame+1))
-	if err != nil {
+// Decompress inflates a compressed payload into a fresh slice.
+func Decompress(payload []byte) ([]byte, error) { return DecompressInto(nil, payload) }
+
+// DecompressInto inflates a compressed payload into dst[:0], grown as
+// needed, and returns it — for a stream that keeps one buffer across
+// frames. It refuses to expand past MaxFrame (a zip bomb is a malformed
+// peer, not an allocation).
+func DecompressInto(dst, payload []byte) ([]byte, error) {
+	zr := inflaters.Get().(io.Reader)
+	defer inflaters.Put(zr)
+	if err := zr.(flate.Resetter).Reset(bytes.NewReader(payload), nil); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	if len(out) > MaxFrame {
-		return nil, fmt.Errorf("%w: decompressed payload exceeds %d bytes", ErrTooLarge, MaxFrame)
+	out := dst[:0]
+	for {
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+		n, err := zr.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		if len(out) > MaxFrame {
+			return nil, fmt.Errorf("%w: decompressed payload exceeds %d bytes", ErrTooLarge, MaxFrame)
+		}
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		}
 	}
-	return out, nil
 }
 
 // reader is a sticky-error varint cursor over one payload.

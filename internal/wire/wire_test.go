@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -225,6 +226,51 @@ func TestCompress(t *testing.T) {
 	}
 	if _, err := Decompress([]byte{0xde, 0xad, 0xbe, 0xef}); err == nil {
 		t.Fatal("garbage must not decompress")
+	}
+}
+
+// TestCompressReusedWriterWritesTheSameBytes: Compress draws its flate
+// writer from a pool and Resets it, and a frame must not depend on what
+// the writer compressed before — each result equals a new writer's, is
+// the caller's own, and inflates back through a reader and a buffer
+// that are reused the same way (after garbage, too).
+func TestCompressReusedWriterWritesTheSameBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var outs, payloads [][]byte
+	var buf []byte
+	for i := 0; i < 8; i++ {
+		payload := make([]byte, 600+rng.Intn(5000))
+		for j := range payload {
+			payload[j] = byte(rng.Intn(4)) // compressible, different every frame
+		}
+		var fresh bytes.Buffer
+		zw, _ := flate.NewWriter(&fresh, flate.BestSpeed)
+		zw.Write(payload)
+		zw.Close()
+
+		out, ok := Compress(payload, 512)
+		if !ok || !bytes.Equal(out, fresh.Bytes()) {
+			t.Fatalf("frame %d: pooled writer wrote %d B, a new one %d B", i, len(out), fresh.Len())
+		}
+		outs, payloads = append(outs, out), append(payloads, payload)
+
+		if _, err := DecompressInto(buf, []byte{0xde, 0xad, 0xbe, 0xef}); err == nil {
+			t.Fatal("garbage must not decompress")
+		}
+		back, err := DecompressInto(buf, out)
+		if err != nil || !bytes.Equal(back, payload) {
+			t.Fatalf("frame %d: inflate through the kept buffer: %v", i, err)
+		}
+		buf = back
+	}
+	for i := range outs { // earlier results survived later calls
+		if back, err := Decompress(outs[i]); err != nil || !bytes.Equal(back, payloads[i]) {
+			t.Fatalf("frame %d was overwritten by a later Compress: %v", i, err)
+		}
+	}
+	big := make([]byte, 0, 1<<16)
+	if back, _ := DecompressInto(big, outs[7]); &back[0] != &big[:1][0] {
+		t.Error("a buffer with room to spare was not inflated into")
 	}
 }
 
