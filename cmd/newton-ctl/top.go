@@ -168,8 +168,9 @@ func renderTop(w *os.File, snap *obs.Snapshot) {
 
 // renderState prints one state-memory line per switch: how full the
 // fullest bank's admission budget is (the number admission fails on)
-// beside what the admitted registers cost the host — two different
-// things since a bank's ArraySize allocates nothing.
+// beside what the admitted registers cost the host (4 B each, lane
+// shards included) — two different things since a bank's ArraySize
+// allocates nothing.
 func renderState(w *os.File, snap *obs.Snapshot) {
 	host := snap.Get("newton_engine_state_host_bytes")
 	if host == nil {
@@ -198,7 +199,7 @@ func renderState(w *os.File, snap *obs.Snapshot) {
 	fmt.Fprintln(w)
 	for i := range host.Series {
 		s := &host.Series[i]
-		line := fmt.Sprintf("state{switch=%s}  host %.1f KB", s.Labels["switch"], s.Value/1024)
+		line := fmt.Sprintf("state{switch=%s}  host %.1f KB at 4 B a register", s.Labels["switch"], s.Value/1024)
 		if f := fills[s.Labels["switch"]]; f != nil && f.max > 0 {
 			line += fmt.Sprintf("  registers %d admitted, fullest bank %d (%s)", f.total, f.max, f.at)
 		}

@@ -116,25 +116,22 @@ func (b *RegisterBank) NextEpoch() {
 // each access performing one SALU operation: one query's allocation
 // from a stage's RegisterBank, or a worker-private shard of one.
 //
-// Registers are epoch-tagged to implement windowed reset lazily: the
-// controller bumps the epoch every window (100 ms in the evaluation), and
-// a register written in an older epoch reads as zero. This reproduces
-// the "values of reduce and distinct are evaluated and reset every 100ms"
-// discipline without a control-plane sweep.
+// A register is one uint32 word and nothing else. The windowed reset —
+// "values of reduce and distinct are evaluated and reset every 100ms" —
+// is NextEpoch clearing the words, so the roll is a barrier: whoever
+// rolls must have stopped packet delivery first (netsim rolls at batch
+// barriers, the agents between windows).
 //
-// Each register packs its epoch tag and value into one uint64 word
-// updated by compare-and-swap, so every SALU transaction is linearizable.
-// Hardware performs one such transaction per packet per register at line
-// rate; the CAS gives the parallel packet-delivery path (netsim's
-// DeliverBatch) the same per-register atomicity, and on the sequential
-// path the CAS never retries, keeping results bit-identical to a plain
-// read-modify-write.
+// Exec makes every SALU transaction one atomic instruction (or a CAS
+// loop for Or), which gives the parallel packet-delivery path (netsim's
+// DeliverBatch) the per-register atomicity hardware has at line rate;
+// ExecSeq is the same transaction as a plain read-modify-write for a
+// single writer.
 type RegisterArray struct {
 	Name string
 
-	// words[i] = epoch tag (high 32 bits) | value (low 32 bits).
-	words []uint64
-	epoch atomic.Uint32
+	words []uint32
+	epoch atomic.Uint32 // windows rolled so far
 }
 
 // NewRegisterArray allocates a standalone array of size registers, all
@@ -145,17 +142,19 @@ func NewRegisterArray(name string, size uint32) *RegisterArray {
 	}
 	return &RegisterArray{
 		Name:  name,
-		words: make([]uint64, size),
+		words: make([]uint32, size),
 	}
 }
 
 // Size returns the number of registers.
 func (ra *RegisterArray) Size() uint32 { return uint32(len(ra.words)) }
 
-// NextEpoch starts a new window: all registers read as zero until
-// rewritten. It must not run concurrently with Exec — netsim rolls
-// epochs only at batch barriers.
-func (ra *RegisterArray) NextEpoch() { ra.epoch.Add(1) }
+// NextEpoch starts a new window: every register is zeroed. It must not
+// run concurrently with Exec, ExecSeq or Snapshot.
+func (ra *RegisterArray) NextEpoch() {
+	clear(ra.words)
+	ra.epoch.Add(1)
+}
 
 // Epoch returns the current window number.
 func (ra *RegisterArray) Epoch() uint32 { return ra.epoch.Load() }
@@ -168,40 +167,21 @@ func (ra *RegisterArray) Exec(op SALUOp, idx uint32, operand uint32) uint32 {
 	if idx >= uint32(len(ra.words)) {
 		panic(fmt.Sprintf("dataplane: register %s[%d] out of range (size %d)", ra.Name, idx, len(ra.words)))
 	}
-	epoch := ra.epoch.Load()
 	w := &ra.words[idx]
 	switch op {
 	case OpRead:
-		cur := atomic.LoadUint64(w)
-		if uint32(cur>>32) != epoch {
-			return 0 // stale window: reads as zero until rewritten
-		}
-		return uint32(cur)
+		return atomic.LoadUint32(w)
 	case OpWrite:
-		// A blind store is linearizable without a CAS loop.
-		atomic.StoreUint64(w, uint64(epoch)<<32|uint64(operand))
+		atomic.StoreUint32(w, operand)
 		return operand
 	case OpAdd:
-		for {
-			cur := atomic.LoadUint64(w)
-			val := uint32(cur)
-			if uint32(cur>>32) != epoch {
-				val = 0
-			}
-			next := val + operand
-			if atomic.CompareAndSwapUint64(w, cur, uint64(epoch)<<32|uint64(next)) {
-				return next
-			}
-		}
+		return atomic.AddUint32(w, operand)
 	case OpOr:
+		// A CAS loop, not atomic.OrUint32: go.mod says go 1.22.
 		for {
-			cur := atomic.LoadUint64(w)
-			val := uint32(cur)
-			if uint32(cur>>32) != epoch {
-				val = 0
-			}
-			if atomic.CompareAndSwapUint64(w, cur, uint64(epoch)<<32|uint64(val|operand)) {
-				return val
+			cur := atomic.LoadUint32(w)
+			if cur|operand == cur || atomic.CompareAndSwapUint32(w, cur, cur|operand) {
+				return cur
 			}
 		}
 	}
@@ -209,64 +189,44 @@ func (ra *RegisterArray) Exec(op SALUOp, idx uint32, operand uint32) uint32 {
 }
 
 // ExecSeq is Exec without the LOCK-prefixed instructions, for
-// single-goroutine delivery (Context.Sequential). It performs the same
-// epoch-tagged read-modify-write; on the sequential path Exec's CAS
-// never retries, so the two produce bit-identical results.
+// single-goroutine delivery (Context.Sequential) and worker-private
+// shards: the same transaction as a plain read-modify-write, result for
+// result what Exec returns to a lone writer.
 func (ra *RegisterArray) ExecSeq(op SALUOp, idx uint32, operand uint32) uint32 {
 	if idx >= uint32(len(ra.words)) {
 		panic(fmt.Sprintf("dataplane: register %s[%d] out of range (size %d)", ra.Name, idx, len(ra.words)))
 	}
-	epoch := ra.epoch.Load()
 	w := &ra.words[idx]
-	cur := *w
-	val := uint32(cur)
-	if uint32(cur>>32) != epoch {
-		val = 0 // stale window: reads as zero until rewritten
-	}
 	switch op {
 	case OpRead:
-		return val
+		return *w
 	case OpWrite:
-		*w = uint64(epoch)<<32 | uint64(operand)
+		*w = operand
 		return operand
 	case OpAdd:
-		next := val + operand
-		*w = uint64(epoch)<<32 | uint64(next)
-		return next
+		*w += operand
+		return *w
 	case OpOr:
-		*w = uint64(epoch)<<32 | uint64(val|operand)
-		return val
+		old := *w
+		*w = old | operand
+		return old
 	}
 	panic(fmt.Sprintf("dataplane: unknown SALU op %d", op))
 }
 
-// MemoryBytes returns the SRAM footprint of the value array.
+// MemoryBytes returns the array's footprint, 4 B a register: the SRAM it
+// models and what it costs the simulator's host are the same number.
 func (ra *RegisterArray) MemoryBytes() int { return len(ra.words) * 4 }
 
-// HostBytes returns what the array costs the simulator's host: one
-// epoch-tagged 8-byte word per register.
-func (ra *RegisterArray) HostBytes() int { return len(ra.words) * 8 }
-
-// Snapshot reads every register as of the current epoch into dst (grown
-// as needed) and returns it. Registers last written in an older epoch
-// read as zero, exactly as OpRead sees them — so a snapshot taken just
-// before NextEpoch captures the ending window's final state. Reads are
-// atomic per register; taken at an epoch boundary (netsim and the agents
-// roll epochs only at batch barriers) the snapshot is a consistent view
-// of the window.
+// Snapshot copies every register into dst (grown as needed) and returns
+// it. It belongs to the same barrier as NextEpoch — taken just before
+// the roll it is the ending window's final state — and like it must not
+// run concurrently with Exec.
 func (ra *RegisterArray) Snapshot(dst []uint32) []uint32 {
 	if cap(dst) < len(ra.words) {
 		dst = make([]uint32, len(ra.words))
 	}
 	dst = dst[:len(ra.words)]
-	epoch := ra.epoch.Load()
-	for i := range ra.words {
-		cur := atomic.LoadUint64(&ra.words[i])
-		if uint32(cur>>32) == epoch {
-			dst[i] = uint32(cur)
-		} else {
-			dst[i] = 0
-		}
-	}
+	copy(dst, ra.words)
 	return dst
 }

@@ -185,9 +185,11 @@ func (m *Mask) ApplyInto(v, out *Vector) {
 	}
 }
 
-// Fields lists the IDs the mask keeps (any non-zero entry).
+// Fields lists the IDs the mask keeps (any non-zero entry). The list is
+// made at its largest size, so a caller the function is inlined into
+// keeps it on its stack.
 func (m Mask) Fields() []ID {
-	var ids []ID
+	ids := make([]ID, 0, NumFields)
 	for id := ID(0); id < NumFields; id++ {
 		if m[id] != 0 {
 			ids = append(ids, id)

@@ -28,11 +28,11 @@ const (
 	// the TCP flags, so a connection is several keys: the 2000-flow
 	// evaluation set of the benchmark's steady workload is 9336 of them,
 	// and 16384 slots in sets of 16 hold those with 0.4% conflict misses
-	// (8192 slots miss 20%; 16384 in sets of 8, 1.8%). A lane's table is
-	// at most maxFlowSlots×(26+4×stride) bytes: 416 KiB plus 64 KiB per
-	// memo word. No one size serves both ends: four engines that each see
-	// a dozen flows (the benchmark's churn workload) would carry 2.9 MB of
-	// empty 16384-slot tables on a 17 MB heap.
+	// (8192 slots miss 20%; 16384 in sets of 8, 1.8%). A slot is 26 bytes,
+	// so a lane's table is at most 416 KiB. No one size serves both ends:
+	// four engines that each see a dozen flows (the benchmark's churn
+	// workload) would carry 1.7 MB of empty 16384-slot tables on a 4.5 MB
+	// heap.
 	minFlowSlots = 256
 	maxFlowSlots = 1 << 14
 )
@@ -42,21 +42,10 @@ const (
 // widths sum to 112 bits).
 type dispatchKey [2]uint64
 
-// hashUnset marks a not-yet-recorded word of a slot's hash memo. Hash
-// results are at most 32 bits wide (hash engines produce uint32, and
-// prepareBranch keeps a wider direct-mode key out of the memo); one
-// that happens to be all ones is recomputed on every packet instead of
-// replayed.
-const hashUnset = ^uint32(0)
-
-// chain is one resolved newton_init match: the branch to run and where
-// in a slot's memo words its recorded H results live (memo < 0: the
-// branch's hashes are not a pure function of the dispatch key, or it
-// has none; see prepareBranch).
+// chain is one resolved newton_init match: the branch to run.
 type chain struct {
 	prog   *Program
 	branch *BranchProgram
-	memo   int
 }
 
 // matchSet is one interned newton_init result: the chains of every
@@ -65,9 +54,8 @@ type chain struct {
 // built once per class per rule change and shared by every flow of the
 // class.
 type matchSet struct {
-	rules     []*dataplane.Rule // identity: the match list this set was built from
-	chains    []chain
-	memoWords int // memo words the set's pure chains use (≤ the table's stride)
+	rules  []*dataplane.Rule // identity: the match list this set was built from
+	chains []chain
 }
 
 // flowTable is a lane's dispatch state. Single-writer: only the lane's
@@ -81,23 +69,12 @@ type flowTable struct {
 	limit int // where doubling stops (maxFlowSlots)
 	seed  [2]uint64
 
-	// stride is the memo words per slot: the widest match set the lane
-	// has interned, which is what the traffic's widest class needed.
-	// maxStride caps a set at what any class could need, Σ numH over the
-	// installed hash-pure branches (Engine.memoStride at this version);
-	// sizing every slot for that would spend 1.2 MB a lane on words no
-	// flow of the evaluation traffic uses.
-	stride, maxStride int
-
-	// Three flat arrays indexed by slot, a set's flowWays slots adjacent.
+	// Two flat arrays indexed by slot, a set's flowWays slots adjacent.
 	// fps holds a 15-bit fingerprint of the slot's key hash, low bit set;
 	// 0 marks a free slot, so a rule change frees every slot by clearing
-	// fps alone. hdr holds slotHdrWords words per slot and memo holds
-	// stride; a slot's memo words are reset when the slot is claimed,
-	// never trusted across claims.
-	fps  []uint16
-	hdr  []uint64
-	memo []uint32
+	// fps alone. hdr holds slotHdrWords words per slot.
+	fps []uint16
+	hdr []uint64
 
 	sets    []matchSet
 	scratch []*dataplane.Rule // newton_init lookup result, reused per miss
@@ -118,26 +95,25 @@ func newFlowTable(seed [2]uint64) flowTable {
 // are dropped and every slot is freed. The arrays carry over as they
 // are (the next version's traffic is mostly this one's), so a rule
 // change allocates nothing.
-func (t *flowTable) retarget(version uint64, maxStride int) {
-	t.version, t.maxStride = version, maxStride
+func (t *flowTable) retarget(version uint64) {
+	t.version = version
 	clear(t.sets)
 	t.sets = t.sets[:0]
 	clear(t.fps)
 }
 
 // resize moves the table into arrays of another slot count (twice as
-// many: a set's entries spread over the two sets it splits into) or
-// another stride, entries and their memo words included. Carrying them
-// is what lets a lane that has seen every flow once never resize again:
-// a table that started over empty would be filled by the next pass over
-// the same flows, and one engine in fifty on the scaling experiment's
-// trace then still doubled during the third pass.
-func (t *flowTable) resize(slots, stride int) {
+// many: a set's entries spread over the two sets it splits into),
+// entries included. Carrying them is what lets a lane that has seen
+// every flow once never resize again: a table that started over empty
+// would be filled by the next pass over the same flows, and one engine
+// in fifty on the scaling experiment's trace then still doubled during
+// the third pass.
+func (t *flowTable) resize(slots int) {
 	old := *t
-	t.slots, t.stride = slots, stride
+	t.slots = slots
 	t.fps = make([]uint16, slots)
 	t.hdr = make([]uint64, slots*slotHdrWords)
-	t.memo = make([]uint32, slots*stride)
 	for s, fp := range old.fps {
 		if fp == 0 {
 			continue
@@ -146,7 +122,6 @@ func (t *flowTable) resize(slots, stride int) {
 		to := t.free(t.hash(&dispatchKey{e[0], e[1]}))
 		t.fps[to] = fp
 		copy(t.hdr[to*slotHdrWords:], e)
-		copy(t.memoOf(to), old.memoOf(s))
 	}
 }
 
@@ -165,8 +140,8 @@ func (t *flowTable) set(h uint64) int {
 	return int(h&uint64(t.slots/flowWays-1)) * flowWays
 }
 
-// find returns the slot holding k and its match set, or a nil set.
-func (t *flowTable) find(k *dispatchKey, h uint64) (int, *matchSet) {
+// find returns the match set of the slot holding k, or nil.
+func (t *flowTable) find(k *dispatchKey, h uint64) *matchSet {
 	fp, first := uint16(h>>48)|1, t.set(h)
 	for w, have := range t.fps[first : first+flowWays] {
 		if have != fp {
@@ -174,10 +149,10 @@ func (t *flowTable) find(k *dispatchKey, h uint64) (int, *matchSet) {
 		}
 		slot := first + w
 		if e := t.hdr[slot*slotHdrWords : (slot+1)*slotHdrWords]; e[0] == k[0] && e[1] == k[1] {
-			return slot, &t.sets[e[2]]
+			return &t.sets[e[2]]
 		}
 	}
-	return -1, nil
+	return nil
 }
 
 // free returns a free slot of the set h selects, or -1.
@@ -193,11 +168,10 @@ func (t *flowTable) free(h uint64) int {
 // for k, in match order) in a free slot of k's set, doubling the table
 // while the set has none. At the table's limit it evicts instead: the
 // way rot picks is overwritten.
-func (t *flowTable) insert(k *dispatchKey, h uint64, rules []*dataplane.Rule, rot uint64) (slot int, set *matchSet, evicted bool) {
-	si := t.intern(rules) // before a slot is picked: a wider set resizes
-	slot = t.free(h)
+func (t *flowTable) insert(k *dispatchKey, h uint64, rules []*dataplane.Rule, rot uint64) (set *matchSet, evicted bool) {
+	slot := t.free(h)
 	for slot < 0 && t.slots < t.limit {
-		t.resize(2*t.slots, t.stride)
+		t.resize(2 * t.slots)
 		slot = t.free(h)
 	}
 	if slot < 0 {
@@ -205,18 +179,9 @@ func (t *flowTable) insert(k *dispatchKey, h uint64, rules []*dataplane.Rule, ro
 	}
 	t.fps[slot] = uint16(h>>48) | 1
 	e := t.hdr[slot*slotHdrWords : (slot+1)*slotHdrWords]
+	si := t.intern(rules)
 	e[0], e[1], e[2] = k[0], k[1], uint64(si)
-	set = &t.sets[si]
-	memo := t.memoOf(slot)
-	for i := 0; i < set.memoWords; i++ {
-		memo[i] = hashUnset
-	}
-	return slot, set, evicted
-}
-
-// memoOf returns a slot's hash-memo words.
-func (t *flowTable) memoOf(slot int) []uint32 {
-	return t.memo[slot*t.stride : (slot+1)*t.stride]
+	return &t.sets[si], evicted
 }
 
 // intern returns the index of the match set for a newton_init result,
@@ -236,19 +201,7 @@ func (t *flowTable) intern(rules []*dataplane.Rule) int {
 		if !ok {
 			continue
 		}
-		c := chain{prog: ca.prog, branch: ca.branch, memo: -1}
-		// maxStride bounds every set classified at t.version. A rule
-		// published between the lane's version read and its lookup can
-		// exceed it; such a branch runs unmemoized until the next packet
-		// retargets.
-		if b := ca.branch; b.hashPure && b.numH > 0 && s.memoWords+b.numH <= t.maxStride {
-			c.memo = s.memoWords
-			s.memoWords += b.numH
-		}
-		s.chains = append(s.chains, c)
-	}
-	if s.memoWords > t.stride {
-		t.resize(t.slots, s.memoWords)
+		s.chains = append(s.chains, chain{prog: ca.prog, branch: ca.branch})
 	}
 	t.sets = append(t.sets, s)
 	return len(t.sets) - 1

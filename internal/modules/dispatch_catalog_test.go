@@ -104,9 +104,9 @@ func banksByRow(t *testing.T, eng *modules.Engine) map[string][]uint32 {
 // engine whose lane tables are pinned to one set (over a mixed benign +
 // spoofed-flood trace only back-to-back packets of a flow still hit;
 // everything else evicts) and a default engine (where the benign flows
-// hit and replay their memoized hashes) must emit the same reports in the same
-// order and leave every state bank slot-for-slot equal — on one lane
-// and on four, under both bank modes. The two engines also draw
+// hit) must emit the same reports in the same order and leave every
+// state bank slot-for-slot equal — on one lane and on four, under both
+// bank modes. The two engines also draw
 // different hash seeds, so set membership differs between them.
 func TestFlowTableTransparent(t *testing.T) {
 	tr := trace.Generate(trace.Config{Seed: 15, Flows: 300, Duration: 100 * time.Millisecond},
@@ -158,6 +158,111 @@ func TestFlowTableTransparent(t *testing.T) {
 					if !reflect.DeepEqual(gotBanks[row], want) {
 						t.Errorf("bank %s differs", row)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestKeyHashCacheMatchesRecompute is the vs-prev row of the per-packet
+// key-checksum cache: an engine whose H ops take a key's CRC from the
+// lane's scratch (computed once per mask per packet, from the field
+// words) and one whose scratch is gone (every H op serialises its
+// operation keys and hashes the bytes, the computation the cache
+// replaced) must emit the same reports in the same order and leave
+// every bank equal slot for slot — over TestFlowTableTransparent's trace
+// and catalog, on one lane and on four, under both bank modes. Q4 also
+// runs sliced across the two switches of a path, so the second switch
+// hashes, counts and reports on a PHV restored from the result-snapshot
+// header.
+func TestKeyHashCacheMatchesRecompute(t *testing.T) {
+	tr := trace.Generate(trace.Config{Seed: 15, Flows: 300, Duration: 100 * time.Millisecond},
+		trace.SYNFlood{Victim: 0x0A0000AA, Packets: 3000},
+		trace.PortScan{Scanner: 0x0B000001, Victim: 0x0A0000AC, Ports: 500})
+	const slicedQID = 10
+	for _, tc := range []struct {
+		workers int
+		mode    modules.BankMode
+	}{{1, modules.BankShared}, {4, modules.BankShared}, {1, modules.BankPrivate}, {4, modules.BankPrivate}} {
+		t.Run(fmt.Sprintf("workers=%d/%v", tc.workers, tc.mode), func(t *testing.T) {
+			type result struct {
+				reports [2][][]dataplane.Report // per switch, per lane
+				banks   [2]map[string][]uint32
+				cached  int
+			}
+			run := func(uncached bool) (res result) {
+				var sws [2]*dataplane.Switch
+				var engs [2]*modules.Engine
+				sws[0], engs[0] = catalogSwitch(t, 9, tc.workers, tc.mode)
+				sws[1], engs[1] = catalogSwitch(t, 0, tc.workers, tc.mode)
+				o := compiler.AllOpts()
+				o.QID, o.Width = slicedQID, 1<<12
+				p, err := compiler.Compile(query.All()[3], o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts, err := modules.SliceProgram(p, 7)
+				if err != nil || len(parts) != 2 {
+					t.Fatalf("SliceProgram: %d parts, %v", len(parts), err)
+				}
+				var ctxs [2][]*dataplane.Context
+				for i := range sws {
+					if err := engs[i].Install(parts[i]); err != nil {
+						t.Fatal(err)
+					}
+					if uncached {
+						engs[i].DropKeyCRCScratch()
+					}
+					res.reports[i] = make([][]dataplane.Report, tc.workers)
+					for w := 0; w < tc.workers; w++ {
+						ctxs[i] = append(ctxs[i], dataplane.NewBatchContext(&res.reports[i][w], w))
+					}
+				}
+				// Packets keep trace order, each on its flow's lane and through
+				// both switches, all from this goroutine: report order is defined.
+				for _, pkt := range tr.Packets {
+					pkt.SP = nil
+					w := pkt.Flow().LaneHash() % uint64(tc.workers)
+					sws[0].ProcessCtx(pkt, ctxs[0][w])
+					sws[1].ProcessCtx(pkt, ctxs[1][w])
+					pkt.SP = nil
+				}
+				for i := range engs {
+					res.banks[i] = banksByRow(t, engs[i])
+					for w := 0; w < tc.workers; w++ {
+						res.cached += engs[i].CachedKeyCRCs(w)
+					}
+				}
+				return res
+			}
+			want, got := run(true), run(false)
+			if want.cached != 0 || got.cached == 0 {
+				t.Fatalf("checksums left in the scratch: oracle %d, cached engine %d: the runs do not contrast", want.cached, got.cached)
+			}
+			for i := range want.reports {
+				total, sliced := 0, 0
+				for w := range want.reports[i] {
+					total += len(want.reports[i][w])
+					for _, r := range want.reports[i][w] {
+						if r.QueryID == slicedQID {
+							sliced++
+						}
+					}
+					if !reflect.DeepEqual(got.reports[i][w], want.reports[i][w]) {
+						t.Errorf("switch %d lane %d: reports differ (%d cached, %d recomputed)",
+							i, w, len(got.reports[i][w]), len(want.reports[i][w]))
+					}
+				}
+				if total == 0 || i == 1 && sliced == 0 {
+					t.Fatalf("switch %d: %d reports, %d of the sliced query", i, total, sliced)
+				}
+				for row, w := range want.banks[i] {
+					if !reflect.DeepEqual(got.banks[i][row], w) {
+						t.Errorf("switch %d bank %s differs", i, row)
+					}
+				}
+				if len(got.banks[i]) != len(want.banks[i]) {
+					t.Errorf("switch %d: %d banks cached, %d recomputed", i, len(got.banks[i]), len(want.banks[i]))
 				}
 			}
 		})

@@ -56,17 +56,20 @@ type Engine struct {
 	// bankMode selects the state-bank sharding discipline (sharding.go).
 	bankMode BankMode
 
-	// memoStride is Σ numH over the installed hash-pure branches: the memo
-	// words a lane's flow-table slot needs at most. Install raises it
-	// before the program's first newton_init rule is published and
-	// rollback lowers it after the last is gone, so a lane that loads it
-	// after observing a classifier version never reads too small a value.
-	memoStride atomic.Int64
+	// masks interns the K masks of the installed programs. A K op carries
+	// its mask's index (KConfig.idx), and that index is where a lane's
+	// per-packet scratch (keyCRCs) keeps the checksum of the packet's
+	// fields under the mask, so the H modules of every chain that keys on
+	// it share one CRC. Control-plane state: Install takes a reference per
+	// K op, rollback drops it, and an entry with none left is the next new
+	// mask's. Reusing an index is safe because a packet's chains all come
+	// from one newton_init lookup and the scratch lives for one packet.
+	masks []internedMask
 	// seed keys the lanes' flow-table hash (flowTable.hash).
 	seed [2]uint64
 
 	// stateBytes is what the installed queries' registers cost the host:
-	// HostBytes of every owning op's array and of its lane shards.
+	// MemoryBytes of every owning op's array and of its lane shards.
 	stateBytes atomic.Int64
 
 	// mergeScratch is MergeWorkers' reusable snapshot buffer.
@@ -115,7 +118,7 @@ func (e *Engine) search(qid, part int) int {
 }
 
 // StateHostBytes returns the bytes the installed queries' registers
-// hold on the host — 8 per register, worker-private lane shards
+// hold on the host — 4 per register, worker-private lane shards
 // included. Nothing else about a state bank costs memory: its
 // ArraySize is a budget.
 func (e *Engine) StateHostBytes() int64 { return e.stateBytes.Load() }
@@ -187,9 +190,8 @@ func (e *Engine) Install(p *Program) (err error) {
 		}
 	}()
 	for _, b := range p.Branches {
-		prepareBranch(b)
+		e.prepareBranch(b)
 	}
-	e.memoStride.Add(int64(p.memoWords()))
 	// Pass 1: allocate registers for owning state-bank ops — fresh zeroed
 	// arrays, made before any rule that reaches them is published.
 	for _, b := range p.Branches {
@@ -202,7 +204,7 @@ func (e *Engine) Install(p *Program) (err error) {
 				return aerr
 			}
 			op.S.array, op.S.width = ra, ra.Size()
-			e.stateBytes.Add(int64(ra.HostBytes()))
+			e.stateBytes.Add(int64(ra.MemoryBytes()))
 			e.allocLaneArrays(op.S)
 		}
 	}
@@ -273,67 +275,49 @@ func (e *Engine) Remove(qid int) error {
 	return nil
 }
 
-// pureKeyMask reports whether a key-selection mask keeps only fields of
-// the dispatch key (the newton_init classifier input). Operation keys
-// derived through such a mask — including prefix sub-keys — are a pure
-// function of the classifier input, so hashes over them are constant
-// per flow.
-func pureKeyMask(m *fields.Mask) bool {
-	for id := fields.ID(0); id < fields.NumFields; id++ {
-		if m[id] == 0 {
-			continue
-		}
-		switch id {
-		case fields.SrcIP, fields.DstIP, fields.Proto,
-			fields.SrcPort, fields.DstPort, fields.TCPFlags:
-		default:
-			return false
-		}
-	}
-	return true
+// internedMask is one entry of Engine.masks.
+type internedMask struct {
+	mask fields.Mask
+	refs int
 }
 
-// prepareBranch assigns each H op its memo ordinal and decides whether
-// the branch's hash results may be memoized per flow. An H result is
-// flow-pure only when a K op earlier in the same chain (same metadata
-// set) has established the operation keys — so the H never reads keys
-// left behind by another branch, whose execution prefix can vary with
-// register state — and every such K mask keeps only dispatch-key
-// fields, and every result fits a 32-bit memo word (hash engines
-// produce uint32; a direct-mode key is as wide as its field).
-//
-// It also marks which state banks are lane-shardable under BankPrivate:
-// a bank decomposes exactly across worker-private shards only when its
-// ALU is commutative-mergeable (Add sums, Or unions) AND no result
-// process runs earlier in the chain. An earlier R can stop the packet
-// based on running state, making the bank's input stream depend on
-// interleaving — such gated banks (and non-commutative Read/Write ALUs)
-// stay on the shared linearizable array.
-func prepareBranch(b *BranchProgram) {
-	b.numH = 0
-	b.hashPure = true
-	var seenK, pureK [2]bool
-	pureK[0], pureK[1] = true, true
+// internMask takes a reference on m's entry of the mask table, making
+// one (in a free entry if there is one) on first use.
+func (e *Engine) internMask(m *fields.Mask) int {
+	free := -1
+	for i := range e.masks {
+		switch im := &e.masks[i]; {
+		case im.refs == 0:
+			if free < 0 {
+				free = i
+			}
+		case im.mask == *m:
+			im.refs++
+			return i
+		}
+	}
+	if free < 0 {
+		free = len(e.masks)
+		e.masks = append(e.masks, internedMask{})
+	}
+	e.masks[free] = internedMask{mask: *m, refs: 1}
+	return free
+}
+
+// prepareBranch binds each K op to its interned mask and marks which
+// state banks are lane-shardable under BankPrivate: a bank decomposes
+// exactly across worker-private shards only when its ALU is
+// commutative-mergeable (Add sums, Or unions) AND no result process
+// runs earlier in the chain. An earlier R can stop the packet based on
+// running state, making the bank's input stream depend on interleaving
+// — such gated banks (and non-commutative Read/Write ALUs) stay on the
+// shared linearizable array.
+func (e *Engine) prepareBranch(b *BranchProgram) {
 	seenR := false
 	for _, op := range b.Ops {
-		set := op.Set & 1
 		switch op.Kind {
 		case ModK:
-			seenK[set] = true
-			if op.K == nil || !pureKeyMask(&op.K.Mask) {
-				pureK[set] = false
-			}
-		case ModH:
-			op.hIdx = b.numH
-			b.numH++
-			if !seenK[set] || !pureK[set] {
-				b.hashPure = false
-			}
-			// The memo holds 32-bit words: a direct-mode key wider than that
-			// would be replayed truncated.
-			if op.H != nil && op.H.Direct != NoField && op.H.Direct.Width() > 32 {
-				b.hashPure = false
-			}
+			op.K.idx = e.internMask(&op.K.Mask)
 		case ModS:
 			if s := op.S; s != nil && !s.PassThrough && !s.CrossRead {
 				s.shardable = !seenR &&
@@ -359,23 +343,15 @@ func (e *Engine) findRow0(p *Program, branch int) *SConfig {
 	return found
 }
 
-// memoWords is the program's share of the engine's memo stride (valid
-// once prepareBranch ran over its branches).
-func (p *Program) memoWords() int {
-	n := 0
-	for _, b := range p.Branches {
-		if b.hashPure {
-			n += b.numH
-		}
-	}
-	return n
-}
-
-// rollback removes whatever parts of p are currently installed — and p's
-// share of the memo stride, which Install added before anything else.
+// rollback removes whatever parts of p are currently installed — and
+// p's references on the mask table, which Install took before anything
+// else.
 func (e *Engine) rollback(p *Program) {
 	for _, b := range p.Branches {
 		for _, op := range b.Ops {
+			if op.Kind == ModK {
+				e.masks[op.K.idx].refs--
+			}
 			if op.ruleID != 0 {
 				if t := e.layout.ModuleTable(op.Stage, op.Set, op.Kind); t != nil {
 					_ = t.RemoveRule(op.ruleID)
@@ -385,7 +361,7 @@ func (e *Engine) rollback(p *Program) {
 			if op.Kind == ModS && op.S != nil && op.S.array != nil {
 				if !op.S.CrossRead {
 					e.layout.FreeRegisters(op.Stage, op.Set, op.S.array)
-					e.stateBytes.Add(-int64(op.S.array.HostBytes()) - op.S.shardBytes())
+					e.stateBytes.Add(-int64(op.S.array.MemoryBytes()) - op.S.shardBytes())
 				}
 				op.S.array = nil
 				op.S.laneArrays = nil
@@ -401,7 +377,6 @@ func (e *Engine) rollback(p *Program) {
 			_ = e.layout.Fin.RemoveRule(r.ID)
 		}
 	}
-	e.memoStride.Add(-int64(p.memoWords()))
 }
 
 type finAction struct{}
@@ -428,6 +403,7 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 		lane = e.lanes[l]
 	}
 	nth := bump(&lane.pkts)
+	lane.keys.valid = 0
 	var t0 time.Time
 	timed := lane.execNS != nil && nth&execSampleMask == 0
 	if timed {
@@ -450,10 +426,10 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 			v.Get(fields.Proto)<<8 | v.Get(fields.TCPFlags)}
 	ft := &lane.flows
 	if version := e.layout.Init.Version(); ft.version != version {
-		ft.retarget(version, int(e.memoStride.Load()))
+		ft.retarget(version)
 	}
 	h := ft.hash(&key)
-	slot, set := ft.find(&key, h)
+	set := ft.find(&key, h)
 	if set == nil {
 		misses := bump(&lane.dispatchMisses)
 		vals := [6]uint64{
@@ -461,11 +437,10 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 			v.Get(fields.SrcPort), v.Get(fields.DstPort), v.Get(fields.TCPFlags)}
 		ft.scratch = e.layout.Init.LookupAllAppend(ft.scratch[:0], vals[:])
 		var evicted bool
-		if slot, set, evicted = ft.insert(&key, h, ft.scratch, misses); evicted {
+		if set, evicted = ft.insert(&key, h, ft.scratch, misses); evicted {
 			bump(&lane.dispatchEvictions)
 		}
 	}
-	memo := ft.memoOf(slot)
 	var ranPart *Program
 	stopped := false
 	for i := range set.chains {
@@ -480,11 +455,7 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 			ranPart = c.prog
 		}
 		ctx.PHV.QueryID = c.prog.QID
-		var hashes []uint32
-		if c.memo >= 0 {
-			hashes = memo[c.memo : c.memo+c.branch.numH]
-		}
-		e.runBranch(ctx, c.branch, hashes, &execs)
+		e.runBranch(ctx, c.branch, &lane.keys, &execs)
 		if c.prog == ranPart {
 			stopped = ctx.PHV.Stopped
 		}
@@ -511,17 +482,34 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 	}
 }
 
+// keyCRCSlots is how many interned K masks a lane keeps a per-packet
+// checksum for: the valid bits are one word. The evaluation's nine
+// queries intern six masks.
+const keyCRCSlots = 64
+
+// keyCRCs is a lane's per-packet scratch: crc[i] is the IEEE checksum of
+// the packet's fields under interned mask i (Engine.masks) once bit i of
+// valid is set. Execute clears valid per packet; the first H op keyed by
+// a mask fills its word and every later one — the other rows of the same
+// sketch, the other queries on the same key — reads it.
+type keyCRCs struct {
+	valid uint64
+	crc   []uint32 // keyCRCSlots words
+}
+
 // runBranch executes one branch chain over the packet. The PHV's
 // metadata sets may arrive pre-seeded from a result-snapshot header
 // (cross-switch execution); chains always run front to back in stage
 // order, which the composition algorithm guarantees is dependency-safe.
-// hashes, when non-nil, is the flow's memoized hash results (one word
-// per H op, hashUnset until first recorded); see flowTable.
-func (e *Engine) runBranch(ctx *dataplane.Context, b *BranchProgram, hashes []uint32, execs *uint64) {
+func (e *Engine) runBranch(ctx *dataplane.Context, b *BranchProgram, keys *keyCRCs, execs *uint64) {
 	phv := &ctx.PHV
 	seq := ctx.Sequential()
 	laneIdx := ctx.Lane
 	phv.Stopped = false
+	// mask[s] is the interned mask of the K op that wrote set s's
+	// operation keys in this chain; -1 while the keys are what another
+	// branch, or an earlier partition's chain, left there.
+	mask := [2]int{-1, -1}
 	for _, op := range b.Ops {
 		if phv.Stopped {
 			return
@@ -532,17 +520,9 @@ func (e *Engine) runBranch(ctx *dataplane.Context, b *BranchProgram, hashes []ui
 		case ModK:
 			set.OpKeyMask = op.K.Mask
 			op.K.Mask.ApplyInto(&phv.Fields, &set.OpKeys)
+			mask[op.Set&1] = op.K.idx
 		case ModH:
-			if hashes != nil {
-				if h := hashes[op.hIdx]; h != hashUnset {
-					set.HashResult = uint64(h)
-				} else {
-					e.execH(op.H, set, phv)
-					hashes[op.hIdx] = uint32(set.HashResult)
-				}
-			} else {
-				e.execH(op.H, set, phv)
-			}
+			e.execH(op.H, set, phv, keys, mask[op.Set&1])
 		case ModS:
 			e.execS(op.S, set, phv, seq, laneIdx)
 		case ModR:
@@ -551,18 +531,33 @@ func (e *Engine) runBranch(ctx *dataplane.Context, b *BranchProgram, hashes []ui
 	}
 }
 
-func (e *Engine) execH(h *HConfig, set *fields.MetadataSet, phv *fields.PHV) {
+// execH hashes the set's operation keys. Under the IEEE polynomial the
+// key's checksum comes from the lane's per-packet scratch whenever a K
+// op of this chain selected the keys (mask is its interned index, and
+// the keys are then the packet's fields under that mask, the same for
+// every chain of the packet); any other H — another polynomial,
+// inherited keys, a mask index past the scratch — serialises the keys
+// and hashes them itself.
+func (e *Engine) execH(h *HConfig, set *fields.MetadataSet, phv *fields.PHV, keys *keyCRCs, mask int) {
 	if h.Direct != NoField {
 		set.HashResult = set.OpKeys.Get(h.Direct)
 		return
 	}
-	key := set.OpKeyMask.Bytes(&set.OpKeys, phv.KeyBuf[:0])
-	raw := h.Algo.Sum(key, h.Seed)
-	if h.Range > 0 {
-		set.HashResult = uint64(sketch.Fold(raw, h.Range))
+	var raw uint32
+	if h.Algo == sketch.CRC32IEEE && uint(mask) < uint(len(keys.crc)) {
+		bit := uint64(1) << uint(mask)
+		if keys.valid&bit == 0 {
+			keys.crc[mask] = sketch.KeyCRC(&set.OpKeyMask, &set.OpKeys)
+			keys.valid |= bit
+		}
+		raw = sketch.SeedCRC(keys.crc[mask], h.Seed)
 	} else {
-		set.HashResult = uint64(raw)
+		raw = h.Algo.Sum(set.OpKeyMask.Bytes(&set.OpKeys, phv.KeyBuf[:0]), h.Seed)
 	}
+	if h.Range > 0 {
+		raw = sketch.Fold(raw, h.Range)
+	}
+	set.HashResult = uint64(raw)
 }
 
 // ownerOf computes the key-sharding owner of the operation keys: a hash

@@ -47,6 +47,10 @@ const NoField fields.ID = 0xFF
 // global field set that derives the operation keys.
 type KConfig struct {
 	Mask fields.Mask
+
+	// idx is Mask's index in the engine's mask table, bound at install
+	// time (Engine.internMask).
+	idx int
 }
 
 // HConfig configures a hash-calculation module.
@@ -180,7 +184,6 @@ type Op struct {
 	R *RConfig
 
 	ruleID int // rule installed in the module's table
-	hIdx   int // ordinal of this H op within its branch (hash memoization)
 }
 
 // String renders the op for composition dumps, e.g. "K0@s1".
@@ -214,13 +217,6 @@ type BranchProgram struct {
 	Ops  []*Op
 
 	initRuleID int
-
-	// numH and hashPure are computed at install time: the number of H
-	// ops in the chain, and whether every H input is a function of the
-	// dispatch-key fields alone (so its result can be memoized per
-	// flow). See Engine.prepareBranch.
-	numH     int
-	hashPure bool
 }
 
 // Program is a fully compiled query ready to install: one entry and op

@@ -80,7 +80,7 @@ func TestAttachObsEngineCounters(t *testing.T) {
 	}
 
 	// State-bank occupancy: the count row sits in stage 3's first bank.
-	// Its width is what the bank has admitted; 8 B a register is what
+	// Its width is what the bank has admitted; 4 B a register is what
 	// the switch holds for it.
 	bankl := []obs.Label{swl, obs.L("stage", "3"), obs.L("set", "0")}
 	if s := snap.Find("newton_engine_state_registers", bankl...); s == nil || s.Value != 1024 {
@@ -89,8 +89,8 @@ func TestAttachObsEngineCounters(t *testing.T) {
 	if s := snap.Find("newton_engine_state_registers", swl, obs.L("stage", "4"), obs.L("set", "1")); s == nil || s.Value != 0 {
 		t.Fatalf("state_registers of an unused bank = %v, want 0", s)
 	}
-	if s := snap.Find("newton_engine_state_host_bytes", swl); s == nil || s.Value != 8*1024 {
-		t.Fatalf("state_host_bytes = %v, want %d", s, 8*1024)
+	if s := snap.Find("newton_engine_state_host_bytes", swl); s == nil || s.Value != 4*1024 {
+		t.Fatalf("state_host_bytes = %v, want %d", s, 4*1024)
 	}
 
 	if err := eng.Remove(1); err != nil {
@@ -129,7 +129,7 @@ func TestAttachObsZeroAlloc(t *testing.T) {
 	sw.Monitor = eng
 
 	pkt := synTo(42)
-	sw.Process(pkt) // warm: claims the flow's slot and records its hash memo
+	sw.Process(pkt) // warm: claims the flow's slot
 	// 200 runs crosses the 1/64 sampling boundary several times, so the
 	// timed path is exercised too.
 	if avg := testing.AllocsPerRun(200, func() {

@@ -14,7 +14,7 @@ import (
 //
 // Two disciplines govern shared state under parallel delivery:
 //
-//   - Control-path state (flow table, hash memos, counters) is always
+//   - Control-path state (flow table, key checksums, counters) is always
 //     worker-private: a lane is driven by one goroutine at a time
 //     (dataplane.Context.Lane), so the per-packet path takes no locks
 //     and issues no LOCK-prefixed instructions for it.
@@ -46,6 +46,9 @@ type engineLane struct {
 	// flows is the lane's newton_init dispatch state (dispatch.go).
 	flows flowTable
 
+	// keys is the per-packet key-checksum scratch (keyCRCs, engine.go).
+	keys keyCRCs
+
 	// execNS, when set via AttachObs, receives 1-in-execSampleEvery
 	// sampled whole-Execute latencies for this lane. Nil when unobserved
 	// so the fast path pays only a nil check.
@@ -55,7 +58,10 @@ type engineLane struct {
 }
 
 func newEngineLane(seed [2]uint64) *engineLane {
-	return &engineLane{flows: newFlowTable(seed)}
+	return &engineLane{
+		flows: newFlowTable(seed),
+		keys:  keyCRCs{crc: make([]uint32, keyCRCSlots)},
+	}
 }
 
 // bump increments a single-writer counter without a LOCK prefix while
@@ -173,7 +179,7 @@ func (s *SConfig) shardBytes() int64 {
 	n := 0
 	for _, la := range s.laneArrays {
 		if la != nil {
-			n += la.HostBytes()
+			n += la.MemoryBytes()
 		}
 	}
 	return int64(n)

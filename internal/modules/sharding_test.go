@@ -227,7 +227,7 @@ func TestShardableGatingPredicate(t *testing.T) {
 
 // TestLaneDispatchInvalidation asserts every lane's private dispatch
 // cache revalidates against the classifier version: after a remove, no
-// lane may keep executing its memoized chain.
+// lane may keep executing the chain its table remembers.
 func TestLaneDispatchInvalidation(t *testing.T) {
 	l := compactLayout(t)
 	eng := NewEngine(l)

@@ -19,7 +19,7 @@ func liveHeap() uint64 {
 }
 
 // TestRemoveReleasesRegisters: the memory of a switch follows what is
-// installed. Nine catalog queries at width 65536 hold 8 B a register;
+// installed. Nine catalog queries at width 65536 hold 4 B a register;
 // with them removed the engine is back to what it held empty — no bank
 // keeps an array of its ArraySize, and none keeps a removed row.
 func TestRemoveReleasesRegisters(t *testing.T) {
@@ -44,10 +44,10 @@ func TestRemoveReleasesRegisters(t *testing.T) {
 		}
 		regs += int64(p.Footprint().Registers)
 	}
-	if got := eng.StateHostBytes(); got != 8*regs {
-		t.Fatalf("StateHostBytes = %d, want 8 x %d installed registers", got, regs)
+	if got := eng.StateHostBytes(); got != 4*regs {
+		t.Fatalf("StateHostBytes = %d, want 4 x %d installed registers", got, regs)
 	}
-	if held := int64(liveHeap() - empty); held < 8*regs {
+	if held := int64(liveHeap() - empty); held < 4*regs {
 		t.Fatalf("installed rows hold %d B, less than their %d registers need", held, regs)
 	}
 	for qid := 1; qid <= 9; qid++ {

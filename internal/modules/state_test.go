@@ -52,15 +52,14 @@ func TestBankCapacityIsASum(t *testing.T) {
 	if eng.Installed(5) != nil || bank.Admitted() != 8192 {
 		t.Fatalf("failed install left state behind: admitted %d", bank.Admitted())
 	}
-	if got, want := eng.StateHostBytes(), int64(8*8192); got != want {
-		t.Fatalf("StateHostBytes = %d, want %d (8 B x installed widths)", got, want)
+	if got, want := eng.StateHostBytes(), int64(4*8192); got != want {
+		t.Fatalf("StateHostBytes = %d, want %d (4 B x installed widths)", got, want)
 	}
 }
 
 // TestInstallAfterRemoveStartsFromZero: a query installed in the window
 // its predecessor was removed in gets registers of its own, so it
-// cannot inherit the predecessor's counts — the epoch tag only hides a
-// reused range after the next roll.
+// cannot inherit the predecessor's counts.
 func TestInstallAfterRemoveStartsFromZero(t *testing.T) {
 	eng := NewEngine(bankLayout(t, 4096))
 	sw := dataplane.NewSwitch("s1", 8, StageCapacity())
@@ -111,10 +110,10 @@ func TestBankPrivateRowsMatchSingleLane(t *testing.T) {
 	one, _ := shardedRunAll(t, progs(), pkts, 1, BankShared)
 	four, _ := shardedRunAll(t, progs(), pkts, 4, BankPrivate)
 
-	if got, want := one.StateHostBytes(), int64(8*(2048+1024)); got != want {
+	if got, want := one.StateHostBytes(), int64(4*(2048+1024)); got != want {
 		t.Errorf("one lane holds %d B, want %d", got, want)
 	}
-	if got, want := four.StateHostBytes(), int64(4*8*(2048+1024)); got != want {
+	if got, want := four.StateHostBytes(), int64(4*4*(2048+1024)); got != want {
 		t.Errorf("four private lanes hold %d B, want %d", got, want)
 	}
 	a, b := one.SnapshotBanks(), four.SnapshotBanks()
@@ -138,7 +137,7 @@ func TestBankPrivateRowsMatchSingleLane(t *testing.T) {
 		}
 	}
 	four.SetWorkers(1)
-	if got, want := four.StateHostBytes(), int64(8*(2048+1024)); got != want {
+	if got, want := four.StateHostBytes(), int64(4*(2048+1024)); got != want {
 		t.Errorf("after SetWorkers(1) the shards are gone: %d B, want %d", got, want)
 	}
 }

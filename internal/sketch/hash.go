@@ -8,6 +8,9 @@ package sketch
 import (
 	"fmt"
 	"hash/crc32"
+	"math/bits"
+
+	"github.com/newton-net/newton/internal/fields"
 )
 
 // Algo selects one of the hash algorithms a Tofino-style hash engine
@@ -55,11 +58,11 @@ var (
 func (a Algo) Sum(data []byte, seed uint32) uint32 {
 	switch a {
 	case CRC32IEEE:
-		return fmix32(crc32.ChecksumIEEE(data) ^ seed)
+		return SeedCRC(crc32.ChecksumIEEE(data), seed)
 	case CRC32Castagnoli:
-		return fmix32(crc32.Checksum(data, castagnoliTable) ^ seed)
+		return SeedCRC(crc32.Checksum(data, castagnoliTable), seed)
 	case CRC32Koopman:
-		return fmix32(crc32.Checksum(data, koopmanTable) ^ seed)
+		return SeedCRC(crc32.Checksum(data, koopmanTable), seed)
 	case FNV1a:
 		// Inline FNV-1a over seed||data: identical to hash/fnv on the
 		// same bytes, but without the heap-allocated hash.Hash32 that
@@ -85,6 +88,44 @@ func (a Algo) Sum(data []byte, seed uint32) uint32 {
 		return v
 	}
 	panic(fmt.Sprintf("sketch: unknown hash algo %d", a))
+}
+
+// SeedCRC derives one seeded hash from a key's checksum: the whole of
+// Sum for the CRC algorithms once the checksum is known. The seed never
+// enters the CRC, so every H module hashing the same key under the same
+// polynomial shares one checksum and pays only this finalizer.
+func SeedCRC(crc, seed uint32) uint32 { return fmix32(crc ^ seed) }
+
+// ieee8 is the slicing-by-8 form of the IEEE polynomial's table:
+// ieee8[j][b] is the checksum of byte b followed by j zero bytes.
+var ieee8 = func() *[8][256]uint32 {
+	t := new([8][256]uint32)
+	t[0] = *crc32.IEEETable
+	for i := range t[0] {
+		crc := t[0][i]
+		for j := 1; j < 8; j++ {
+			crc = t[0][crc&0xFF] ^ crc>>8
+			t[j][i] = crc
+		}
+	}
+	return t
+}()
+
+// KeyCRC is crc32.ChecksumIEEE(m.Bytes(v, nil)) without the bytes: each
+// field the mask keeps is eight big-endian bytes of v[id]&m[id], which
+// is one slicing-by-8 step over the word itself.
+func KeyCRC(m *fields.Mask, v *fields.Vector) uint32 {
+	crc := ^uint32(0)
+	for id, keep := range m {
+		if keep == 0 {
+			continue
+		}
+		x := v[id] & keep
+		crc ^= bits.ReverseBytes32(uint32(x >> 32))
+		crc = ieee8[0][byte(x)] ^ ieee8[1][byte(x>>8)] ^ ieee8[2][byte(x>>16)] ^ ieee8[3][byte(x>>24)] ^
+			ieee8[4][crc>>24] ^ ieee8[5][byte(crc>>16)] ^ ieee8[6][byte(crc>>8)] ^ ieee8[7][byte(crc)]
+	}
+	return ^crc
 }
 
 // fmix32 is Murmur3's 32-bit finalizer: a cheap bijective scrambler that

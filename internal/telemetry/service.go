@@ -204,6 +204,7 @@ type Service struct {
 	// threshold doubles with the surviving population, so compaction
 	// cost stays O(1) per report).
 	seen          map[alertKey]bool
+	seenKey       []byte // a report's masked key bytes, serialised for the seen lookup
 	maxWindow     uint64
 	seenCompactAt int
 	pending       []dataplane.Report // deduped alerts not yet drained
@@ -521,12 +522,15 @@ func (s *Service) ingestReports(agent *agentInfo, rs []dataplane.Report) {
 		if w > s.maxWindow {
 			s.maxWindow = w
 		}
-		key := alertKey{qid: r.QueryID, window: w, key: string(r.KeyMask.Bytes(&r.Keys, nil))}
-		if s.seen[key] {
+		// The lookup converts the kept buffer in the index expression, which
+		// the compiler does without copying; only a key seen for the first
+		// time becomes a string.
+		s.seenKey = r.KeyMask.Bytes(&r.Keys, s.seenKey[:0])
+		if s.seen[alertKey{qid: r.QueryID, window: w, key: string(s.seenKey)}] {
 			s.dupAlerts++
 			continue
 		}
-		s.seen[key] = true
+		s.seen[alertKey{qid: r.QueryID, window: w, key: string(s.seenKey)}] = true
 		s.pending = append(s.pending, r)
 		fresh = append(fresh, Event{Kind: EventAlert, Report: r, Window: w})
 	}
