@@ -131,8 +131,9 @@ func runStatus(args []string) {
 
 // printWireTable renders each agent stream's negotiated codec and its
 // wire economics: compression ratio (bytes on the wire over their
-// uncompressed cost) and the share of snapshot frames that shipped as
-// deltas instead of keyframes.
+// uncompressed cost), the share of snapshot frames that shipped as
+// deltas instead of keyframes, and what the stream's decoder holds
+// between frames to apply those deltas to.
 func printWireTable(svc *telemetry.Service, names []string) {
 	// The pipe write returns before the service's read loop finishes
 	// accounting the frame; settle until the byte counters stop moving.
@@ -147,8 +148,8 @@ func printWireTable(svc *telemetry.Service, names []string) {
 	}
 
 	fmt.Println("\ntelemetry wire:")
-	fmt.Printf("  %-14s %-7s %7s %10s %6s %6s\n",
-		"switch", "codec", "frames", "bytes", "comp", "delta")
+	fmt.Printf("  %-14s %-7s %7s %10s %6s %6s %9s\n",
+		"switch", "codec", "frames", "bytes", "comp", "delta", "held")
 	for _, name := range names {
 		wi, ok := svc.AgentWire(name)
 		if !ok {
@@ -162,7 +163,7 @@ func printWireTable(svc *telemetry.Service, names []string) {
 		if snaps := wi.DeltaFrames + wi.KeyframeFrames; snaps > 0 {
 			delta = fmt.Sprintf("%d%%", 100*wi.DeltaFrames/snaps)
 		}
-		fmt.Printf("  %-14s %-7s %7d %10d %6s %6s\n",
-			name, wi.Codec, wi.Frames, wi.Bytes, comp, delta)
+		fmt.Printf("  %-14s %-7s %7d %10d %6s %6s %8dB\n",
+			name, wi.Codec, wi.Frames, wi.Bytes, comp, delta, wi.HeldBytes)
 	}
 }

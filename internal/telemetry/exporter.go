@@ -499,6 +499,13 @@ func (e *Exporter) ExportSnapshot(epoch uint32, banks []modules.BankSnapshot) er
 }
 
 func (e *Exporter) exportSnapshotLocked(epoch uint32, banks []modules.BankSnapshot) error {
+	// A bank set wider than one frame may declare fails here, where the
+	// layout is configured, with the error the analyzer would have dropped
+	// the stream for. There is then nothing to send, or to replay.
+	if err := wire.CheckSnapshot(banks); err != nil {
+		e.hasSnap = false
+		return fmt.Errorf("telemetry: snapshot: %w", err)
+	}
 	// Cache first: if this write fails (or the stream is already down),
 	// the reconnect replays the freshest state the switch had.
 	e.lastSnapEpoch, e.lastSnapBanks, e.hasSnap = epoch, banks, true

@@ -1,6 +1,7 @@
 package telemetry_test
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/newton-net/newton/internal/rpc"
 	"github.com/newton-net/newton/internal/sketch"
 	"github.com/newton-net/newton/internal/telemetry"
+	"github.com/newton-net/newton/internal/wire"
 )
 
 func cmsBank(qid int, values ...uint32) modules.BankSnapshot {
@@ -233,5 +235,148 @@ func TestDetachOnCloseAndFailedConstruction(t *testing.T) {
 	}
 	if agent.OnEpoch != nil {
 		t.Error("failed DialAttached left stale hooks attached")
+	}
+}
+
+// TestReplayedSnapshotMergesOnce: when a stream resets and the analyzer
+// stays up, the exporter's reconnect replays its latest snapshot to an
+// analyzer that already merged it. The merge is idempotent per (query,
+// epoch, switch): the replay is counted and announced, not added — every
+// estimate of that epoch would otherwise double for that switch.
+func TestReplayedSnapshotMergesOnce(t *testing.T) {
+	svc := telemetry.NewService(telemetry.ServiceConfig{})
+	defer svc.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go svc.Serve(ln)
+	events, cancel := svc.Subscribe(16)
+	defer cancel()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := telemetry.NewExporter(conn, telemetry.ExporterConfig{
+		SwitchID: "s1", Policy: telemetry.PolicyDropOldest,
+		Redial:       func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) },
+		ReconnectMin: time.Millisecond, ReconnectMax: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	if err := exp.ExportSnapshot(3, []modules.BankSnapshot{cmsBank(1, 5, 0, 7)}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "snapshot merged", func() bool { return svc.Stats().Snapshots == 1 })
+
+	// The stream dies under the exporter; the analyzer is still there.
+	conn.Close()
+	waitFor(t, "exporter reconnects and replays", func() bool {
+		exp.Export([]dataplane.Report{report(1, 20, 43)}) // a write is how it notices
+		return svc.Stats().Reconnects > 0 && svc.Stats().Snapshots == 2
+	})
+
+	rows := svc.MergedRows(1, 0, 3)
+	if len(rows) != 1 {
+		t.Fatalf("epoch 3: %d rows", len(rows))
+	}
+	if v := rows[0].Values; len(v) != 3 || v[0] != 5 || v[1] != 0 || v[2] != 7 {
+		t.Errorf("epoch 3 after the replay: %v, want [5 0 7]", v)
+	}
+	if sw := rows[0].Switches; len(sw) != 1 || sw[0] != "s1" {
+		t.Errorf("epoch 3 provenance after the replay: %v, want [s1]", sw)
+	}
+	if st := svc.Stats(); st.DuplicateSnapshots != 1 {
+		t.Errorf("DuplicateSnapshots = %d, want 1", st.DuplicateSnapshots)
+	}
+	for merged := 0; merged < 2; {
+		select {
+		case ev := <-events:
+			if ev.Kind == telemetry.EventSnapshotMerged && ev.Epoch == 3 {
+				merged++
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d EventSnapshotMerged for epoch 3, want one per snapshot frame", merged)
+		}
+	}
+
+	// The next epoch is news, and a bank the replay did not cover still
+	// merges when the same epoch is offered again with it.
+	if err := exp.ExportSnapshot(4, []modules.BankSnapshot{cmsBank(1, 1, 1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.ExportSnapshot(4, []modules.BankSnapshot{cmsBank(1, 1, 1, 1), cmsBank(2, 9)}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "epoch 4 offered twice", func() bool { return svc.Stats().Snapshots == 4 })
+	if rows := svc.MergedRows(1, 0, 4); len(rows) != 1 || rows[0].Values[0] != 1 {
+		t.Errorf("query 1 at epoch 4: %+v, want its one contribution", rows)
+	}
+	if rows := svc.MergedRows(2, 0, 4); len(rows) != 1 || rows[0].Values[0] != 9 {
+		t.Errorf("query 2 at epoch 4: %+v, want the bank the second frame added", rows)
+	}
+	if st := svc.Stats(); st.DuplicateSnapshots != 2 {
+		t.Errorf("DuplicateSnapshots = %d, want 2", st.DuplicateSnapshots)
+	}
+}
+
+// TestOversizedSnapshotFailsAtTheExporter: a bank set whose declared
+// widths pass what one frame may carry is refused where it is exported,
+// with the typed error, on either codec — not sent for the analyzer to
+// drop the stream over — and the stream carries on.
+func TestOversizedSnapshotFailsAtTheExporter(t *testing.T) {
+	svc := telemetry.NewService(telemetry.ServiceConfig{})
+	defer svc.Close()
+	tooWide := make([]modules.BankSnapshot, 5)
+	for i := range tooWide {
+		tooWide[i] = modules.BankSnapshot{QueryID: 1, Row: i, Kind: modules.BankCMSRow, Width: wire.MaxFrame / 4}
+	}
+	for _, codec := range []telemetry.Codec{telemetry.CodecBinary, telemetry.CodecJSON} {
+		id := "sw-" + codec.String()
+		exp := connect(t, svc, id, telemetry.ExporterConfig{Codec: codec}, nil)
+		defer exp.Close()
+		if err := exp.ExportSnapshot(1, tooWide); !errors.Is(err, wire.ErrTooLarge) {
+			t.Fatalf("%s: exporting %d x %d registers: %v, want ErrTooLarge", codec, len(tooWide), wire.MaxFrame/4, err)
+		}
+		if err := exp.ExportSnapshot(2, []modules.BankSnapshot{cmsBank(1, 4, 2)}); err != nil {
+			t.Fatalf("%s: the stream did not survive the refusal: %v", codec, err)
+		}
+		waitFor(t, "the next snapshot merges", func() bool {
+			_, snaps, _, _ := svc.AgentStats(id)
+			return snaps == 1
+		})
+	}
+}
+
+// TestJSONSnapshotWidthsAreBounded: the JSON codec declares a bank's
+// width beside its values, and the analyzer sizes merged rows by it — so
+// a JSON peer is held to the binary decoder's bounds.
+func TestJSONSnapshotWidthsAreBounded(t *testing.T) {
+	svc := telemetry.NewService(telemetry.ServiceConfig{})
+	defer svc.Close()
+	server, client := net.Pipe()
+	done := make(chan error, 1) // one send, from the one handler
+	go func() { done <- svc.HandleConn(server) }()
+	if err := rpc.WriteFrame(client, &telemetry.Frame{Type: telemetry.FrameHello, SwitchID: "old"}); err != nil {
+		t.Fatal(err)
+	}
+	hostile := &telemetry.Frame{Type: telemetry.FrameSnapshot, SwitchID: "old", Epoch: 1,
+		Snapshots: []modules.BankSnapshot{{QueryID: 1, Kind: modules.BankCMSRow, Width: 1 << 31}}}
+	if err := rpc.WriteFrame(client, hostile); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, wire.ErrTooLarge) {
+			t.Fatalf("stream ended with %v, want ErrTooLarge", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the analyzer kept a stream that declared a 2^31-register bank")
+	}
+	if rows := svc.MergedRows(1, 0, 1); len(rows) != 0 {
+		t.Errorf("the oversized bank was merged: %d rows", len(rows))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/newton-net/newton/internal/modules"
+	"github.com/newton-net/newton/internal/wire"
 )
 
 // TestForgetAgentReleasesBookkeeping exercises the analyzer's answer to
@@ -17,10 +18,11 @@ func TestForgetAgentReleasesBookkeeping(t *testing.T) {
 
 	// Two agents contribute snapshots to query 7 so the service learns
 	// them both as expected contributors.
-	snap := []modules.BankSnapshot{{QueryID: 7, Kind: modules.BankCMSRow, Width: 8, Values: make([]uint32, 8)}}
+	snap := []modules.BankSnapshot{{QueryID: 7, Kind: modules.BankCMSRow, Width: 8}}
+	cells := denseBanks{wire.DenseCells(make([]uint32, 8), 8)}
 	for _, id := range []string{"s1", "s2"} {
 		a := s.streamUp(id)
-		s.ingestSnapshot(a, id, 1, snap)
+		s.ingestSnapshot(a, id, 1, snap, cells)
 		s.streamDown(a)
 	}
 	if got := s.TrackedAgents(); got != 2 {
@@ -50,7 +52,7 @@ func TestForgetAgentReleasesBookkeeping(t *testing.T) {
 	// The learned expected set no longer demands s1, so a fresh epoch
 	// completed by s2 alone is not partial.
 	a2 := s.registerAgent("s2")
-	s.ingestSnapshot(a2, "s2", 2, snap)
+	s.ingestSnapshot(a2, "s2", 2, snap, cells)
 	if partial, missing, _ := s.EpochStatus(7, 2); partial {
 		t.Fatalf("epoch 2 partial after forgetting s1, missing %v", missing)
 	}
@@ -61,7 +63,7 @@ func TestForgetAgentReleasesBookkeeping(t *testing.T) {
 	a3 := s.streamUp("s3")
 	s.streamDown(a3)
 	s.ForgetAgent("s3")
-	s.ingestSnapshot(a2, "s2", 3, snap)
+	s.ingestSnapshot(a2, "s2", 3, snap, cells)
 	if partial, missing, _ := s.EpochStatus(7, 3); !partial || len(missing) != 1 || missing[0] != "s3" {
 		t.Fatalf("pinned expected set not honored after forget: partial=%v missing=%v", partial, missing)
 	}

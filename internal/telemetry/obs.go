@@ -65,9 +65,34 @@ func (e *Exporter) RegisterObs(reg *obs.Registry) {
 		stat(func(s rpc.ExportStats) uint64 { return s.EncodeNs }), sw)
 }
 
+// heldBytesSeries is the one analyzer family with a series per agent.
+const heldBytesSeries = "newton_analyzer_codec_held_bytes"
+
+// registerAgentObs adds switch id's series to reg. Never called under
+// s.mu: exposition holds the registry's lock while a callback takes mu.
+func (s *Service) registerAgentObs(reg *obs.Registry, id string) {
+	reg.GaugeFunc(heldBytesSeries,
+		"Bytes the agent stream's snapshot decoder holds between frames (bitmap + nonzero registers per bank, held and spare).",
+		func() float64 {
+			wi, _ := s.AgentWire(id)
+			return float64(wi.HeldBytes)
+		}, obs.L("switch", id))
+}
+
 // RegisterObs exposes the analyzer service's merge accounting in reg.
-// Unlabeled: one analyzer per registry.
+// Unlabeled — one analyzer per registry — but for the per-agent series,
+// which are added as agents first connect and leave with ForgetAgent.
 func (s *Service) RegisterObs(reg *obs.Registry) {
+	s.mu.Lock()
+	s.reg = reg
+	known := make([]string, 0, len(s.agents))
+	for id := range s.agents {
+		known = append(known, id)
+	}
+	s.mu.Unlock()
+	for _, id := range known {
+		s.registerAgentObs(reg, id)
+	}
 	stat := func(get func(st ServiceStats) uint64) func() uint64 {
 		return func() uint64 { return get(s.Stats()) }
 	}
@@ -89,6 +114,9 @@ func (s *Service) RegisterObs(reg *obs.Registry) {
 	reg.CounterFunc("newton_analyzer_snapshots_merged_total",
 		"Snapshot frames merged into network-wide banks.",
 		stat(func(st ServiceStats) uint64 { return st.Snapshots }))
+	reg.CounterFunc("newton_analyzer_duplicate_snapshots_total",
+		"Snapshot frames replaying banks their switch had already delivered for that epoch (skipped, not merged twice).",
+		stat(func(st ServiceStats) uint64 { return st.DuplicateSnapshots }))
 	reg.CounterFunc("newton_analyzer_subscriber_drops_total",
 		"Events lost to slow subscribers.",
 		stat(func(st ServiceStats) uint64 { return st.SubscriberDrops }))

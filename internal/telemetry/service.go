@@ -13,6 +13,7 @@ import (
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/fields"
 	"github.com/newton-net/newton/internal/modules"
+	"github.com/newton-net/newton/internal/obs"
 	"github.com/newton-net/newton/internal/rpc"
 	"github.com/newton-net/newton/internal/sketch"
 	"github.com/newton-net/newton/internal/wire"
@@ -171,6 +172,11 @@ type WireInfo struct {
 	// ChainBreaks counts delta snapshots dropped because their base
 	// epoch was not held (the stream resynced at the next keyframe).
 	ChainBreaks uint64
+	// HeldBytes is what the stream's snapshot decoder keeps between
+	// frames to apply the next delta to, as of the last frame it
+	// accepted: bitmap + nonzero registers per bank, twice (held and
+	// spare). Zero on JSON streams and once the stream has closed.
+	HeldBytes uint64
 }
 
 // Service is the analyzer-side half of the telemetry plane: a
@@ -188,6 +194,7 @@ type Service struct {
 	wg     sync.WaitGroup
 
 	agents map[string]*agentInfo
+	reg    *obs.Registry                      // where per-agent series go as agents appear (RegisterObs); nil before
 	merged map[bankKey]map[uint32]*MergedBank // bank -> epoch -> merge
 
 	// Partial-epoch bookkeeping: which switches are expected to
@@ -196,7 +203,10 @@ type Service struct {
 	// and which actually did per (query, epoch).
 	expected map[int]map[string]bool
 	pinned   map[int]bool // expected[qid] was set explicitly; stop learning
-	contrib  map[int]map[uint32]map[string]bool
+	// contrib[qid][epoch][switch] is the ingest count (totalSnapshots) of
+	// the snapshot that first delivered the switch's banks of (qid, epoch):
+	// a later snapshot naming the same three is a replay, not more traffic.
+	contrib map[int]map[uint32]map[string]uint64
 
 	// Alert dedup with bounded retention: maxWindow tracks the newest
 	// window seen, and once seen grows past seenCompactAt the keys
@@ -228,6 +238,7 @@ type Service struct {
 	totalReports     uint64
 	dupAlerts        uint64
 	totalSnapshots   uint64
+	dupSnapshots     uint64
 	subDropped       uint64
 	reconnects       uint64
 	epochGaps        uint64
@@ -244,7 +255,7 @@ func NewService(cfg ServiceConfig) *Service {
 		merged:        map[bankKey]map[uint32]*MergedBank{},
 		expected:      map[int]map[string]bool{},
 		pinned:        map[int]bool{},
-		contrib:       map[int]map[uint32]map[string]bool{},
+		contrib:       map[int]map[uint32]map[string]uint64{},
 		seen:          map[alertKey]bool{},
 		seenCompactAt: minSeenCompact,
 		subs:          map[int]chan Event{},
@@ -350,7 +361,17 @@ func (s *Service) jsonLoop(cr *countReader, agent *agentInfo, switchID string) e
 		case FrameReports:
 			s.ingestReports(agent, f.Reports)
 		case FrameSnapshot:
-			s.ingestSnapshot(agent, switchID, f.Epoch, f.Snapshots)
+			// The JSON codec carries dense banks; the merge reads cells. The
+			// declared widths size the merged rows, so they meet the binary
+			// decoder's bounds before anything is sized by them.
+			if err := wire.CheckSnapshot(f.Snapshots); err != nil {
+				return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
+			}
+			cells := make(denseBanks, len(f.Snapshots))
+			for i := range f.Snapshots {
+				cells[i] = wire.DenseCells(f.Snapshots[i].Values, f.Snapshots[i].Width)
+			}
+			s.ingestSnapshot(agent, switchID, f.Epoch, f.Snapshots, cells)
 		case FrameBye:
 			s.mu.Lock()
 			agent.Bye = f.Stats
@@ -362,6 +383,16 @@ func (s *Service) jsonLoop(cr *countReader, agent *agentInfo, switchID string) e
 	}
 }
 
+// bankCells is where ingestSnapshot reads bank i's registers: the
+// stream's snapshot decoder, or a JSON frame's banks packed at the door.
+type bankCells interface {
+	Cells(i int) wire.Cells
+}
+
+type denseBanks []wire.Cells
+
+func (d denseBanks) Cells(i int) wire.Cells { return d[i] }
+
 // binaryLoop ingests a stream that negotiated the binary wire
 // protocol. Each stream carries its own snapshot decoder: delta chains
 // are per-stream state, grounded by the keyframe the exporter sends
@@ -369,6 +400,12 @@ func (s *Service) jsonLoop(cr *countReader, agent *agentInfo, switchID string) e
 func (s *Service) binaryLoop(cr *countReader, agent *agentInfo, switchID string) error {
 	var dec wire.SnapshotDecoder
 	var inflated []byte // this stream's decompression buffer, kept across frames
+	defer func() {
+		// The decoder's sets go with the stream.
+		s.mu.Lock()
+		agent.wire.HeldBytes = 0
+		s.mu.Unlock()
+	}()
 	for {
 		hdr, payload, err := wire.ReadFrame(cr)
 		if err != nil {
@@ -417,8 +454,9 @@ func (s *Service) binaryLoop(cr *countReader, agent *agentInfo, switchID string)
 			} else {
 				agent.wire.KeyframeFrames++
 			}
+			agent.wire.HeldBytes = uint64(dec.HeldBytes())
 			s.mu.Unlock()
-			s.ingestSnapshot(agent, switchID, epoch, banks)
+			s.ingestSnapshot(agent, switchID, epoch, banks, &dec)
 		case wire.KindBye:
 			st, err := wire.DecodeBye(payload)
 			if err != nil {
@@ -499,11 +537,16 @@ func cleanStreamErr(err error) bool {
 
 func (s *Service) registerAgent(id string) *agentInfo {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	a := s.agents[id]
+	var reg *obs.Registry // set for a new agent: its series go where RegisterObs said
 	if a == nil {
 		a = &agentInfo{}
 		s.agents[id] = a
+		reg = s.reg
+	}
+	s.mu.Unlock()
+	if reg != nil {
+		s.registerAgentObs(reg, id)
 	}
 	return a
 }
@@ -561,8 +604,12 @@ func (s *Service) compactSeenLocked() {
 }
 
 // ingestSnapshot merges one agent's epoch snapshot into the
-// network-wide banks.
-func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32, banks []modules.BankSnapshot) {
+// network-wide banks: banks are the snapshot's bank headers, cells their
+// nonzero registers. A merge is idempotent per (query, epoch, switch):
+// an exporter whose stream reset replays its latest snapshot, and if
+// this analyzer already merged it the replayed banks are skipped, not
+// added a second time.
+func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32, banks []modules.BankSnapshot, cells bankCells) {
 	s.mu.Lock()
 	agent.Snapshots++
 	s.totalSnapshots++
@@ -577,15 +624,22 @@ func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32
 	if !agent.hasEpoch || epoch > agent.lastEpoch {
 		agent.lastEpoch, agent.hasEpoch = epoch, true
 	}
-	s.recordContribLocked(switchID, epoch, banks)
-	// Partial-result detection: once any contributor moves a query to a
-	// newer epoch, the superseded epoch will not receive more snapshots
-	// in practice — judge it, and count it partial if expected
-	// contributors are still missing. (A heuristic: a very late straggler
-	// could still arrive and merge, but the count flags the gap when it
-	// mattered.)
-	for i := range banks {
-		qid := banks[i].QueryID
+	// Banks arrive sorted by (QID, Part): a run of equal query IDs is one
+	// query's banks, and the per-query bookkeeping is done once a run. (An
+	// unsorted snapshot only repeats it: every step is idempotent within
+	// one snapshot.)
+	replayed := false
+	for lo, hi := 0, 0; lo < len(banks); lo = hi {
+		qid := banks[lo].QueryID
+		for hi = lo + 1; hi < len(banks) && banks[hi].QueryID == qid; hi++ {
+		}
+		fresh := s.recordContribLocked(qid, epoch, switchID)
+		// Partial-result detection: once any contributor moves a query to a
+		// newer epoch, the superseded epoch will not receive more snapshots
+		// in practice — judge it, and count it partial if expected
+		// contributors are still missing. (A heuristic: a very late straggler
+		// could still arrive and merge, but the count flags the gap when it
+		// mattered.)
 		prev, seen := s.qEpoch[qid]
 		if !seen || epoch > prev {
 			if seen && len(s.missingLocked(qid, prev)) > 0 {
@@ -600,54 +654,16 @@ func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32
 			delete(s.resizePending, qid)
 			s.markTransitionLocked(qid, epoch)
 		}
+		if !fresh {
+			replayed = true
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			s.mergeBankLocked(switchID, epoch, &banks[i], cells.Cells(i))
+		}
 	}
-	for i := range banks {
-		b := &banks[i]
-		bk := bankKey{qid: b.QueryID, part: b.Part, branch: b.Branch, row: b.Row}
-		byEpoch := s.merged[bk]
-		if byEpoch == nil {
-			byEpoch = map[uint32]*MergedBank{}
-			s.merged[bk] = byEpoch
-		}
-		m := byEpoch[epoch]
-		if m == nil {
-			if m = s.roomForLocked(byEpoch, epoch); m == nil {
-				continue // older than every retained epoch of a full bank
-			}
-			*m = MergedBank{
-				Kind: b.Kind, Algo: b.Algo, Seed: b.Seed, Range: b.Range,
-				KeyMask: b.KeyMask, Width: b.Width,
-				Values:   zeroedValues(m.Values, len(b.Values)),
-				Switches: m.Switches[:0],
-			}
-			byEpoch[epoch] = m
-		}
-		if len(b.Values) != len(m.Values) {
-			// Geometry conflict: a mid-window width change put two bank
-			// shapes into the same epoch. Merging them would silently mix
-			// widths, and the old silent skip hid the gap entirely —
-			// instead the later geometry replaces the resident one and
-			// the epoch is flagged as a width transition, so provenance
-			// says exactly why the merge cannot be trusted.
-			s.geomConflicts++
-			s.markTransitionLocked(b.QueryID, epoch)
-			m = &MergedBank{
-				Kind: b.Kind, Algo: b.Algo, Seed: b.Seed, Range: b.Range,
-				KeyMask: b.KeyMask, Width: b.Width,
-				Values: make([]uint64, len(b.Values)),
-			}
-			byEpoch[epoch] = m
-		}
-		if b.Kind == modules.BankBloomRow {
-			for j, v := range b.Values {
-				m.Values[j] |= uint64(v)
-			}
-		} else {
-			for j, v := range b.Values {
-				m.Values[j] += uint64(v)
-			}
-		}
-		m.Switches = append(m.Switches, switchID)
+	if replayed {
+		s.dupSnapshots++
 	}
 	s.publishLocked([]Event{{
 		Kind: EventSnapshotMerged, SwitchID: switchID, Epoch: epoch, Banks: len(banks),
@@ -655,47 +671,98 @@ func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32
 	s.mu.Unlock()
 }
 
-// recordContribLocked notes that switchID delivered a snapshot covering
-// each query at epoch, and — unless the controller pinned the expected
-// membership — learns the switch as an expected contributor going
-// forward.
-func (s *Service) recordContribLocked(switchID string, epoch uint32, banks []modules.BankSnapshot) {
-	qids := map[int]bool{}
-	for i := range banks {
-		qids[banks[i].QueryID] = true
+// mergeBankLocked adds one switch's bank to the network-wide bank of its
+// epoch. Only the cells are touched: a bank costs its nonzero registers
+// to merge, not its width.
+func (s *Service) mergeBankLocked(switchID string, epoch uint32, b *modules.BankSnapshot, cells wire.Cells) {
+	bk := bankKey{qid: b.QueryID, part: b.Part, branch: b.Branch, row: b.Row}
+	byEpoch := s.merged[bk]
+	if byEpoch == nil {
+		byEpoch = map[uint32]*MergedBank{}
+		s.merged[bk] = byEpoch
 	}
-	for qid := range qids {
-		if !s.pinned[qid] {
-			exp := s.expected[qid]
-			if exp == nil {
-				exp = map[string]bool{}
-				s.expected[qid] = exp
-			}
-			exp[switchID] = true
+	m := byEpoch[epoch]
+	if m == nil {
+		if m = s.roomForLocked(byEpoch, epoch); m == nil {
+			return // older than every retained epoch of a full bank
 		}
-		byEpoch := s.contrib[qid]
-		if byEpoch == nil {
-			byEpoch = map[uint32]map[string]bool{}
-			s.contrib[qid] = byEpoch
+		*m = MergedBank{
+			Kind: b.Kind, Algo: b.Algo, Seed: b.Seed, Range: b.Range,
+			KeyMask: b.KeyMask, Width: b.Width,
+			Values:   zeroedValues(m.Values, int(b.Width)),
+			Switches: m.Switches[:0],
 		}
-		got := byEpoch[epoch]
-		if got == nil {
-			got = map[string]bool{}
-			byEpoch[epoch] = got
+		byEpoch[epoch] = m
+	}
+	if b.Width != m.Width {
+		// Geometry conflict: a mid-window width change put two bank
+		// shapes into the same epoch. Merging them would silently mix
+		// widths, and the old silent skip hid the gap entirely —
+		// instead the later geometry replaces the resident one and
+		// the epoch is flagged as a width transition, so provenance
+		// says exactly why the merge cannot be trusted.
+		s.geomConflicts++
+		s.markTransitionLocked(b.QueryID, epoch)
+		m = &MergedBank{
+			Kind: b.Kind, Algo: b.Algo, Seed: b.Seed, Range: b.Range,
+			KeyMask: b.KeyMask, Width: b.Width,
+			Values: make([]uint64, b.Width),
 		}
-		got[switchID] = true
+		byEpoch[epoch] = m
+	}
+	if b.Kind == modules.BankBloomRow {
+		cells.OrInto(m.Values)
+	} else {
+		cells.AddTo(m.Values)
+	}
+	m.Switches = append(m.Switches, switchID)
+}
+
+// recordContribLocked notes that switchID delivered its banks of query
+// qid at epoch, and — unless the controller pinned the expected
+// membership — learns the switch as an expected contributor going
+// forward. It reports whether they are news: false when an earlier
+// snapshot already delivered them.
+func (s *Service) recordContribLocked(qid int, epoch uint32, switchID string) bool {
+	if !s.pinned[qid] {
+		exp := s.expected[qid]
+		if exp == nil {
+			exp = map[string]bool{}
+			s.expected[qid] = exp
+		}
+		exp[switchID] = true
+	}
+	byEpoch := s.contrib[qid]
+	if byEpoch == nil {
+		byEpoch = map[uint32]map[string]uint64{}
+		s.contrib[qid] = byEpoch
+	}
+	got := byEpoch[epoch]
+	if got == nil {
+		got = map[string]uint64{}
+		byEpoch[epoch] = got
 		// Bound contribution history like the merged banks.
 		if len(byEpoch) > s.cfg.KeepEpochs {
-			eps := make([]uint32, 0, len(byEpoch))
-			for e := range byEpoch {
-				eps = append(eps, e)
-			}
-			sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
-			for _, e := range eps[:len(eps)-s.cfg.KeepEpochs] {
-				delete(byEpoch, e)
-			}
+			delete(byEpoch, oldestEpoch(byEpoch))
 		}
 	}
+	if first := got[switchID]; first != 0 {
+		return first == s.totalSnapshots
+	}
+	got[switchID] = s.totalSnapshots
+	return true
+}
+
+// oldestEpoch is the smallest key of a per-epoch map: what a map that
+// just outgrew KeepEpochs by one evicts.
+func oldestEpoch[V any](byEpoch map[uint32]V) uint32 {
+	oldest, first := uint32(0), true
+	for e := range byEpoch {
+		if first || e < oldest {
+			oldest, first = e, false
+		}
+	}
+	return oldest
 }
 
 // SetExpected pins the set of switches that must contribute snapshots
@@ -757,14 +824,7 @@ func (s *Service) markTransitionLocked(qid int, epoch uint32) {
 	set[epoch] = true
 	s.widthTransitions++
 	if len(set) > s.cfg.KeepEpochs {
-		eps := make([]uint32, 0, len(set))
-		for e := range set {
-			eps = append(eps, e)
-		}
-		sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
-		for _, e := range eps[:len(eps)-s.cfg.KeepEpochs] {
-			delete(set, e)
-		}
+		delete(set, oldestEpoch(set))
 	}
 }
 
@@ -783,7 +843,7 @@ func (s *Service) missingLocked(qid int, epoch uint32) []string {
 	got := s.contrib[qid][epoch]
 	var out []string
 	for n := range exp {
-		if !got[n] {
+		if got[n] == 0 {
 			out = append(out, n)
 		}
 	}
@@ -828,13 +888,8 @@ func (s *Service) roomForLocked(byEpoch map[uint32]*MergedBank, epoch uint32) *M
 	if len(byEpoch) < s.cfg.KeepEpochs {
 		return &MergedBank{}
 	}
-	oldest := epoch
-	for e := range byEpoch {
-		if e < oldest {
-			oldest = e
-		}
-	}
-	if oldest == epoch {
+	oldest := oldestEpoch(byEpoch)
+	if epoch < oldest {
 		return nil
 	}
 	m := byEpoch[oldest]
@@ -1002,10 +1057,14 @@ type ServiceStats struct {
 	Reports         uint64 // raw reports ingested (pre-dedup)
 	DuplicateAlerts uint64 // reports suppressed by network-wide dedup
 	Snapshots       uint64 // snapshot frames merged
-	SubscriberDrops uint64 // events lost to slow subscribers
-	Reconnects      uint64 // agent streams re-established after a drop
-	EpochGaps       uint64 // snapshot epochs skipped across all agents
-	PartialEpochs   uint64 // superseded (query, epoch) merges missing expected contributors
+	// DuplicateSnapshots counts snapshot frames that named banks of a
+	// (query, epoch) their switch had already delivered — a replay after a
+	// stream reset — whose banks were skipped instead of merged twice.
+	DuplicateSnapshots uint64
+	SubscriberDrops    uint64 // events lost to slow subscribers
+	Reconnects         uint64 // agent streams re-established after a drop
+	EpochGaps          uint64 // snapshot epochs skipped across all agents
+	PartialEpochs      uint64 // superseded (query, epoch) merges missing expected contributors
 
 	// Width-resize provenance accounting.
 	WidthTransitions  uint64 // epochs flagged as straddling a sketch resize
@@ -1026,17 +1085,18 @@ func (s *Service) Stats() ServiceStats {
 	defer s.mu.Unlock()
 	live := 0
 	st := ServiceStats{
-		Agents:            len(s.agents),
-		Reports:           s.totalReports,
-		DuplicateAlerts:   s.dupAlerts,
-		Snapshots:         s.totalSnapshots,
-		SubscriberDrops:   s.subDropped,
-		Reconnects:        s.reconnects,
-		EpochGaps:         s.epochGaps,
-		PartialEpochs:     s.partialEpochs,
-		WidthTransitions:  s.widthTransitions,
-		GeometryConflicts: s.geomConflicts,
-		DedupKeys:         len(s.seen),
+		Agents:             len(s.agents),
+		Reports:            s.totalReports,
+		DuplicateAlerts:    s.dupAlerts,
+		Snapshots:          s.totalSnapshots,
+		DuplicateSnapshots: s.dupSnapshots,
+		SubscriberDrops:    s.subDropped,
+		Reconnects:         s.reconnects,
+		EpochGaps:          s.epochGaps,
+		PartialEpochs:      s.partialEpochs,
+		WidthTransitions:   s.widthTransitions,
+		GeometryConflicts:  s.geomConflicts,
+		DedupKeys:          len(s.seen),
 	}
 	for _, a := range s.agents {
 		if a.Streams > 0 {
@@ -1077,9 +1137,9 @@ func (s *Service) AgentWire(id string) (WireInfo, bool) {
 // SetExpected); only learned memberships are unlearned.
 func (s *Service) ForgetAgent(id string) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	a := s.agents[id]
 	if a == nil || a.Streams > 0 {
+		s.mu.Unlock()
 		return false
 	}
 	delete(s.agents, id)
@@ -1087,6 +1147,11 @@ func (s *Service) ForgetAgent(id string) bool {
 		if !s.pinned[qid] {
 			delete(exp, id)
 		}
+	}
+	reg := s.reg
+	s.mu.Unlock()
+	if reg != nil {
+		reg.Remove(heldBytesSeries, obs.L("switch", id))
 	}
 	return true
 }

@@ -9,6 +9,7 @@ import (
 
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/modules"
+	"github.com/newton-net/newton/internal/obs"
 	"github.com/newton-net/newton/internal/rpc"
 	"github.com/newton-net/newton/internal/telemetry"
 )
@@ -309,5 +310,65 @@ func TestRemoveReleasesMergedBanks(t *testing.T) {
 	// Other queries are untouched.
 	if rows := svc.MergedRows(8, 0, 1); len(rows) != 1 {
 		t.Fatalf("unrelated query's rows after remove: %d, want 1", len(rows))
+	}
+}
+
+// TestAnalyzerObsCodecHeldBytes: the analyzer's one per-agent series —
+// what each stream's snapshot decoder holds — appears when the agent
+// first connects (before or after RegisterObs), follows the decoder, and
+// leaves with ForgetAgent; a replayed snapshot shows in its counter.
+func TestAnalyzerObsCodecHeldBytes(t *testing.T) {
+	svc := telemetry.NewService(telemetry.ServiceConfig{})
+	defer svc.Close()
+	up := func(id string) func() bool {
+		return func() bool { _, connected, _ := svc.AgentLiveness(id); return connected }
+	}
+	early := connect(t, svc, "early", telemetry.ExporterConfig{Codec: telemetry.CodecBinary}, nil)
+	waitFor(t, "early's stream up", up("early"))
+	reg := obs.NewRegistry()
+	svc.RegisterObs(reg)
+	late := connect(t, svc, "late", telemetry.ExporterConfig{Codec: telemetry.CodecBinary}, nil)
+	defer late.Close()
+	waitFor(t, "late's stream up", up("late"))
+
+	held := func(id string) *obs.Series {
+		snap := reg.Snapshot()
+		return snap.Find("newton_analyzer_codec_held_bytes", obs.L("switch", id))
+	}
+	for _, id := range []string{"early", "late"} {
+		if s := held(id); s == nil || s.Value != 0 {
+			t.Fatalf("%s before any snapshot: %+v, want a series at 0", id, s)
+		}
+	}
+	for i, exp := range []*telemetry.Exporter{early, late, late} { // late's second is a replay
+		if err := exp.ExportSnapshot(1, []modules.BankSnapshot{cmsBank(1, 3, 0, 0, 9)}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "snapshot ingested", func() bool { return svc.Stats().Snapshots == uint64(i+1) })
+	}
+	for _, id := range []string{"early", "late"} {
+		wi, _ := svc.AgentWire(id)
+		if s := held(id); s == nil || s.Value == 0 || s.Value != float64(wi.HeldBytes) {
+			t.Fatalf("%s after a snapshot: %+v, want WireInfo.HeldBytes = %d", id, s, wi.HeldBytes)
+		}
+	}
+	snap := reg.Snapshot()
+	if s := snap.Find("newton_analyzer_duplicate_snapshots_total"); s == nil || s.Value != 1 {
+		t.Errorf("duplicate snapshots series: %+v, want 1", s)
+	}
+
+	early.Close()
+	waitFor(t, "early's stream down", func() bool { return !up("early")() })
+	if s := held("early"); s == nil || s.Value != 0 {
+		t.Errorf("early after its stream closed: %+v, want 0 (the decoder went with the stream)", s)
+	}
+	if !svc.ForgetAgent("early") {
+		t.Fatal("ForgetAgent refused a closed agent")
+	}
+	if s := held("early"); s != nil {
+		t.Errorf("early after ForgetAgent: series still there: %+v", s)
+	}
+	if held("late") == nil {
+		t.Error("late's series left with early's")
 	}
 }

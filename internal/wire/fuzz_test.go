@@ -109,6 +109,7 @@ func fuzzRoundTrip(t *testing.T, mode, seed byte) {
 			if len(got) != len(banks) {
 				t.Fatalf("snapshot epoch %d: %d banks, want %d", epoch, len(got), len(banks))
 			}
+			got = decoded(&dec, got)
 			for i := range banks {
 				w, g := banks[i], got[i]
 				for j := range w.Values {

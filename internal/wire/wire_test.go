@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -114,6 +115,32 @@ func evolve(rng *rand.Rand, banks []modules.BankSnapshot) []modules.BankSnapshot
 			b.Seed++ // reconfigured hash: delta must fall back to full
 		}
 		out[i] = b
+	}
+	return out
+}
+
+// decoded returns the last Decode's result with every bank's registers
+// laid out at its width — copies, the caller's to keep — the form the
+// tests compare against what went into the encoder.
+func decoded(d *SnapshotDecoder, got []modules.BankSnapshot) []modules.BankSnapshot {
+	out := make([]modules.BankSnapshot, len(got))
+	for i, b := range got {
+		c := d.Cells(i)
+		b.Values = c.set.dense(b.Width)
+		out[i] = b
+	}
+	return out
+}
+
+// dense lays the set's registers out at width.
+func (s *cellSet) dense(width uint32) []uint32 {
+	out := make([]uint32, width)
+	k := 0
+	for w, word := range s.occ {
+		for ; word != 0; word &= word - 1 {
+			out[w*64+bits.TrailingZeros64(word)] = s.vals[k]
+			k++
+		}
 	}
 	return out
 }
@@ -333,7 +360,7 @@ func TestSnapshotKeyframeRoundTrip(t *testing.T) {
 		if epoch != uint32(trial) {
 			t.Fatalf("epoch %d, want %d", epoch, trial)
 		}
-		checkBanksEqual(t, banks, got)
+		checkBanksEqual(t, banks, decoded(&dec, got))
 	}
 }
 
@@ -354,7 +381,7 @@ func TestSnapshotDeltaChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
-		checkBanksEqual(t, banks, got)
+		checkBanksEqual(t, banks, decoded(&dec, got))
 		banks = evolve(rng, banks)
 	}
 	if enc.DeltaBanks == 0 {
@@ -420,12 +447,12 @@ func TestSnapshotGapRejectedUntilKeyframe(t *testing.T) {
 	if _, got, err := dec.Decode(frames[1].payload); err != nil {
 		t.Fatal(err)
 	} else {
-		checkBanksEqual(t, frames[1].banks, got)
+		checkBanksEqual(t, frames[1].banks, decoded(&dec, got))
 	}
 	if _, got, err := dec.Decode(frames[2].payload); err != nil {
 		t.Fatal(err)
 	} else {
-		checkBanksEqual(t, frames[2].banks, got)
+		checkBanksEqual(t, frames[2].banks, decoded(&dec, got))
 	}
 	// And after a real gap, the keyframe re-grounds the stream.
 	if _, _, err := dec.Decode(frames[5].payload); !errors.Is(err, ErrDeltaBase) {
@@ -437,7 +464,7 @@ func TestSnapshotGapRejectedUntilKeyframe(t *testing.T) {
 	if _, got, err := dec.Decode(frames[4].payload); err != nil {
 		t.Fatal(err)
 	} else {
-		checkBanksEqual(t, frames[4].banks, got)
+		checkBanksEqual(t, frames[4].banks, decoded(&dec, got))
 	}
 }
 
@@ -465,7 +492,7 @@ func TestSnapshotReconnectReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBanksEqual(t, banks, got)
+	checkBanksEqual(t, banks, decoded(&dec, got))
 }
 
 func TestSnapshotRejectTruncation(t *testing.T) {
