@@ -82,9 +82,9 @@ func main() {
 			for range time.Tick(*stats) {
 				st := svc.Stats()
 				fmt.Fprintf(os.Stderr,
-					"newton-analyzer: agents=%d live=%d reports=%d dup_alerts=%d snapshots=%d reconnects=%d epoch_gaps=%d partial_epochs=%d\n",
+					"newton-analyzer: agents=%d live=%d reports=%d dup_alerts=%d snapshots=%d reconnects=%d epoch_gaps=%d partial_epochs=%d stream_errors=%d\n",
 					st.Agents, st.LiveAgents, st.Reports, st.DuplicateAlerts, st.Snapshots,
-					st.Reconnects, st.EpochGaps, st.PartialEpochs)
+					st.Reconnects, st.EpochGaps, st.PartialEpochs, st.StreamErrors)
 			}
 		}()
 	}

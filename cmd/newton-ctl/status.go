@@ -60,21 +60,15 @@ func runStatus(args []string) {
 	}
 
 	// Stand up the telemetry plane the fleet pushes into: one analyzer
-	// service, one exporter per switch. The first switch stays on the
-	// legacy JSON codec so the wire table shows a mixed-codec fleet — the
-	// interop a rolling upgrade lives through.
+	// service, one exporter per switch.
 	svc := telemetry.NewService(telemetry.ServiceConfig{})
 	defer svc.Close()
 	remote.AttachTelemetry(svc)
-	for i, name := range fleet.names {
-		codec := telemetry.CodecAuto
-		if i == 0 {
-			codec = telemetry.CodecJSON
-		}
+	for _, name := range fleet.names {
 		sconn, econn := net.Pipe()
 		go svc.HandleConn(sconn)
 		exp, err := telemetry.NewExporter(econn, telemetry.ExporterConfig{
-			SwitchID: name, Codec: codec, KeyframeEvery: 4,
+			SwitchID: name, KeyframeEvery: 4,
 		})
 		if err != nil {
 			log.Fatalf("telemetry exporter %s: %v", name, err)
@@ -82,7 +76,7 @@ func runStatus(args []string) {
 		exp.AttachAgent(fleet.agents[name], fleet.engines[name])
 		defer exp.Close()
 	}
-	// Roll a few epochs so snapshots flow over the negotiated codecs.
+	// Roll a few epochs so snapshots flow.
 	for i := 0; i < 6; i++ {
 		if err := remote.Tick(); err != nil {
 			log.Fatalf("epoch tick: %v", err)
@@ -129,11 +123,11 @@ func runStatus(args []string) {
 	fleet.printInstalls()
 }
 
-// printWireTable renders each agent stream's negotiated codec and its
-// wire economics: compression ratio (bytes on the wire over their
-// uncompressed cost), the share of snapshot frames that shipped as
-// deltas instead of keyframes, and what the stream's decoder holds
-// between frames to apply those deltas to.
+// printWireTable renders each agent stream's wire economics:
+// compression ratio (bytes on the wire over their uncompressed cost),
+// the share of snapshot frames that shipped as deltas instead of
+// keyframes, and what the stream's decoder holds between frames to apply
+// those deltas to.
 func printWireTable(svc *telemetry.Service, names []string) {
 	// The pipe write returns before the service's read loop finishes
 	// accounting the frame; settle until the byte counters stop moving.
@@ -148,8 +142,8 @@ func printWireTable(svc *telemetry.Service, names []string) {
 	}
 
 	fmt.Println("\ntelemetry wire:")
-	fmt.Printf("  %-14s %-7s %7s %10s %6s %6s %9s\n",
-		"switch", "codec", "frames", "bytes", "comp", "delta", "held")
+	fmt.Printf("  %-14s %7s %10s %6s %6s %9s\n",
+		"switch", "frames", "bytes", "comp", "delta", "held")
 	for _, name := range names {
 		wi, ok := svc.AgentWire(name)
 		if !ok {
@@ -163,7 +157,7 @@ func printWireTable(svc *telemetry.Service, names []string) {
 		if snaps := wi.DeltaFrames + wi.KeyframeFrames; snaps > 0 {
 			delta = fmt.Sprintf("%d%%", 100*wi.DeltaFrames/snaps)
 		}
-		fmt.Printf("  %-14s %-7s %7d %10d %6s %6s %8dB\n",
-			name, wi.Codec, wi.Frames, wi.Bytes, comp, delta, wi.HeldBytes)
+		fmt.Printf("  %-14s %7d %10d %6s %6s %8dB\n",
+			name, wi.Frames, wi.Bytes, comp, delta, wi.HeldBytes)
 	}
 }

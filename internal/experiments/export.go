@@ -26,11 +26,11 @@ type ExportRow struct {
 
 // ExportResult compares the controller's report-delivery disciplines on
 // identical traffic: polling every agent each window over the control
-// channel, the streaming telemetry plane pushing JSON frames, the
-// binary wire codec sending every snapshot in full, and the binary
-// codec with delta-encoded snapshots between keyframes. All push modes
-// carry epoch sketch snapshots, which buy the analyzer its
-// network-wide merged view — the table prices that view per encoding.
+// channel (the paper's baseline), the streaming telemetry plane sending
+// every snapshot in full, and the same with delta-encoded snapshots
+// between keyframes. Both push modes carry epoch sketch snapshots, which
+// buy the analyzer its network-wide merged view — the table prices that
+// view per snapshot encoding.
 type ExportResult struct {
 	Switches, Windows int
 	Rows              []ExportRow
@@ -56,7 +56,8 @@ func (r *ExportResult) Metrics() map[string]float64 {
 
 // countConn wraps a conn and counts frames and bytes written through
 // it. Every frame is exactly two writes (header + body) on both the
-// JSON and binary framings, so frames = writes/2.
+// control channel's and the telemetry stream's framing, so frames =
+// writes/2.
 type countConn struct {
 	net.Conn
 	writes, bytes *atomic.Uint64
@@ -69,20 +70,18 @@ func (c countConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// exportModes maps each measured discipline to its exporter codec
-// configuration; Codec is ignored for the poll mode (no exporter).
+// exportModes maps each measured discipline to its exporter's keyframe
+// cadence, which the poll mode (no exporter) ignores.
 var exportModes = []struct {
 	name      string
-	codec     telemetry.Codec
 	keyframes int // 1 disables delta encoding; 0 keeps the default cadence
 }{
-	{"poll", telemetry.CodecJSON, 0},
-	{"json-push", telemetry.CodecJSON, 0},
-	{"binary-push", telemetry.CodecBinary, 1},
-	{"binary+delta", telemetry.CodecBinary, 0},
+	{"poll", 0},
+	{"binary-push", 1},
+	{"binary+delta", 0},
 }
 
-// ExportOverhead measures all four disciplines over nSwitches
+// ExportOverhead measures all three disciplines over nSwitches
 // replicated switches running Q1 against a SYN-flood trace.
 func ExportOverhead(nSwitches int, dur time.Duration) *ExportResult {
 	if nSwitches == 0 {
@@ -128,7 +127,7 @@ func ExportOverhead(nSwitches int, dur time.Duration) *ExportResult {
 				go svc.HandleConn(sconn)
 				exp, err := telemetry.NewExporter(wrap(econn), telemetry.ExporterConfig{
 					SwitchID: sw.ID, Policy: telemetry.PolicyBlock,
-					Codec: mode.codec, KeyframeEvery: mode.keyframes,
+					KeyframeEvery: mode.keyframes,
 				})
 				if err != nil {
 					panic(err)
@@ -210,6 +209,6 @@ func (r *ExportResult) String() string {
 		t.add(row.Mode, i2s(row.Reports), i2s(int(row.Frames)), i2s(int(row.Bytes)),
 			sci(row.PerEpoch), i2s(int(row.EncodeNs)))
 	}
-	return "Export overhead: polling vs JSON vs binary telemetry (" +
+	return "Export overhead: polling vs pushed telemetry, full and delta snapshots (" +
 		i2s(r.Switches) + " switches, " + i2s(r.Windows) + " windows)\n" + t.String()
 }

@@ -108,9 +108,6 @@ func TestStatsMissingPayloadIsTypedError(t *testing.T) {
 	if _, err := c.Stats(); !errors.Is(err, ErrMalformedResponse) {
 		t.Fatalf("Stats err = %v, want ErrMalformedResponse", err)
 	}
-	if _, err := c.ExportStats(); !errors.Is(err, ErrMalformedResponse) {
-		t.Fatalf("ExportStats err = %v, want ErrMalformedResponse", err)
-	}
 }
 
 func TestAgentSurfacesGarbageFrames(t *testing.T) {
@@ -244,28 +241,6 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 	if n := agent.ConnErrors(); n != 0 {
 		t.Errorf("ConnErrors = %d under clean concurrent load", n)
-	}
-}
-
-func TestExportStatsRoundTrip(t *testing.T) {
-	agent, _ := testAgent(t)
-	c := pipeClient(t, agent)
-
-	// Without an exporter attached the request fails loudly.
-	if _, err := c.ExportStats(); err == nil {
-		t.Error("export_stats without an exporter should fail")
-	}
-
-	agent.ExportStatsFn = func() ExportStats {
-		return ExportStats{Enqueued: 10, Exported: 8, Dropped: 2, Overflows: 1, Batches: 3, Snapshots: 4}
-	}
-	st, err := c.ExportStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ExportStats{Enqueued: 10, Exported: 8, Dropped: 2, Overflows: 1, Batches: 3, Snapshots: 4}
-	if st != want {
-		t.Errorf("ExportStats = %+v, want %+v", st, want)
 	}
 }
 

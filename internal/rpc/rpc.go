@@ -5,10 +5,8 @@
 // standard library.
 //
 // The same length-framed encoding (WriteFrame/ReadFrame) carries the
-// streaming telemetry plane (internal/telemetry): agents push report
-// batches and epoch snapshots to the analyzer over a dedicated stream
-// using these frames, and the control channel exposes the exporter's
-// counters via the ExportStats request.
+// hello / hello-ack handshake that opens a telemetry stream
+// (internal/telemetry); everything after it is internal/wire's.
 //
 // A switch-side Agent wraps a module engine; a controller-side Client
 // dials it:
@@ -84,12 +82,11 @@ func IsAgentCode(err error, code string) bool {
 
 // Message types.
 const (
-	typeInstall     = "install"
-	typeRemove      = "remove"
-	typeStats       = "stats"
-	typeDrain       = "drain_reports"
-	typeEpoch       = "next_epoch"
-	typeExportStats = "export_stats"
+	typeInstall = "install"
+	typeRemove  = "remove"
+	typeStats   = "stats"
+	typeDrain   = "drain_reports"
+	typeEpoch   = "next_epoch"
 )
 
 // Request is one controller → agent message.
@@ -119,29 +116,6 @@ type Stats struct {
 	Installed   int `json:"installed"`
 }
 
-// ExportStats is the telemetry exporter's counter snapshot — a frame
-// type shared between the control channel (the export_stats request)
-// and the telemetry stream's final accounting frame.
-type ExportStats struct {
-	Enqueued  uint64 `json:"enqueued"`  // reports offered to the export ring
-	Exported  uint64 `json:"exported"`  // reports written to the stream
-	Dropped   uint64 `json:"dropped"`   // reports lost to drop-oldest overflow
-	Overflows uint64 `json:"overflows"` // ring-full bursts (one per burst of blocks or evictions)
-	Batches   uint64 `json:"batches"`   // report frames written
-	Snapshots uint64 `json:"snapshots"` // state-bank snapshot frames written
-
-	Reconnects uint64 `json:"reconnects,omitempty"` // analyzer streams re-established
-
-	// Wire codec counters (internal/wire), zero on JSON-only streams.
-	Codec            string `json:"codec,omitempty"`             // negotiated telemetry codec ("json" or "binary")
-	WireBytes        uint64 `json:"wire_bytes,omitempty"`        // bytes written to the telemetry stream, headers included
-	PayloadBytes     uint64 `json:"payload_bytes,omitempty"`     // encoded payload bytes before compression
-	CompressedFrames uint64 `json:"compressed_frames,omitempty"` // frames whose payload the flate gate shrank
-	DeltaBanks       uint64 `json:"delta_banks,omitempty"`       // snapshot banks sent as sparse deltas
-	KeyframeBanks    uint64 `json:"keyframe_banks,omitempty"`    // snapshot banks sent in full
-	EncodeNs         uint64 `json:"encode_ns,omitempty"`         // nanoseconds spent encoding wire payloads
-}
-
 // Response is one agent → controller message.
 type Response struct {
 	OK      bool               `json:"ok"`
@@ -150,7 +124,6 @@ type Response struct {
 	ID      uint64             `json:"id,omitempty"`   // echo of the request ID
 	Cursor  uint64             `json:"cursor,omitempty"`
 	Stats   *Stats             `json:"stats,omitempty"`
-	Export  *ExportStats       `json:"export,omitempty"`
 	Reports []dataplane.Report `json:"reports,omitempty"`
 }
 
@@ -204,10 +177,6 @@ type Agent struct {
 	// epoch advances). It runs under the agent's dispatch lock, so it is
 	// ordered with installs and drains.
 	OnEpoch func()
-
-	// ExportStatsFn, when set, serves the export_stats request — wired to
-	// the telemetry exporter's Stats method when one is attached.
-	ExportStatsFn func() ExportStats
 
 	// OnError, when set, receives connection-level errors that are not
 	// clean shutdowns (EOF, closed connections). When nil such errors are
@@ -282,13 +251,12 @@ func (a *Agent) ReplayCacheLen() int {
 // cache instead of re-executed.
 func (a *Agent) ReplayHits() uint64 { return atomic.LoadUint64(&a.replayHits) }
 
-// SetTelemetryHooks installs (or, with nils, removes) the telemetry
-// exporter's epoch and stats hooks under the dispatch lock, so they may
-// be swapped while the agent is serving.
-func (a *Agent) SetTelemetryHooks(onEpoch func(), exportStats func() ExportStats) {
+// SetTelemetryHooks installs (or, with nil, removes) the telemetry
+// exporter's epoch hook under the dispatch lock, so it may be swapped
+// while the agent is serving.
+func (a *Agent) SetTelemetryHooks(onEpoch func()) {
 	a.mu.Lock()
 	a.OnEpoch = onEpoch
-	a.ExportStatsFn = exportStats
 	a.mu.Unlock()
 }
 
@@ -505,12 +473,6 @@ func (a *Agent) execute(req *Request) *Response {
 		// merge is an idempotent no-op.
 		a.eng.RollEpoch()
 		return &Response{OK: true}
-	case typeExportStats:
-		if a.ExportStatsFn == nil {
-			return &Response{Error: "no telemetry exporter attached"}
-		}
-		st := a.ExportStatsFn()
-		return &Response{OK: true, Export: &st}
 	}
 	return &Response{Error: fmt.Sprintf("unknown request type %q", req.Type)}
 }
@@ -850,18 +812,6 @@ func (c *Client) Stats() (Stats, error) {
 		return Stats{}, fmt.Errorf("%w: stats", ErrMalformedResponse)
 	}
 	return *resp.Stats, nil
-}
-
-// ExportStats fetches the agent's telemetry-exporter counters.
-func (c *Client) ExportStats() (ExportStats, error) {
-	resp, err := c.roundTrip(&Request{Type: typeExportStats})
-	if err != nil {
-		return ExportStats{}, err
-	}
-	if resp.Export == nil {
-		return ExportStats{}, fmt.Errorf("%w: export stats", ErrMalformedResponse)
-	}
-	return *resp.Export, nil
 }
 
 // DrainReports pulls and clears the remote report buffer. The call is

@@ -11,10 +11,10 @@ import (
 
 // benchExporter wires an exporter to a live service over loopback TCP
 // (net.Pipe when the sandbox forbids sockets) and hands both back.
-func benchExporter(b *testing.B, policy telemetry.Policy, codec telemetry.Codec) (*telemetry.Exporter, *telemetry.Service) {
+func benchExporter(b *testing.B, policy telemetry.Policy) (*telemetry.Exporter, *telemetry.Service) {
 	b.Helper()
 	svc := telemetry.NewService(telemetry.ServiceConfig{})
-	cfg := telemetry.ExporterConfig{SwitchID: "bench", Policy: policy, Codec: codec}
+	cfg := telemetry.ExporterConfig{SwitchID: "bench", Policy: policy}
 	if ln, err := net.Listen("tcp", "127.0.0.1:0"); err == nil {
 		go svc.Serve(ln)
 		exp, err := telemetry.Dial(ln.Addr().String(), cfg)
@@ -33,9 +33,9 @@ func benchExporter(b *testing.B, policy telemetry.Policy, codec telemetry.Codec)
 }
 
 // BenchmarkReportExport measures sustained push throughput through the
-// full stack — ring, batcher, wire codec, stream, service ingest — for
-// both stream encodings, and certifies zero loss under the block
-// policy. The binary rows also report bytes per exported report.
+// full stack — ring, batcher, wire codec, stream, service ingest — and
+// certifies zero loss under the block policy. Rows also report bytes
+// per exported report.
 func BenchmarkReportExport(b *testing.B) {
 	batch := make([]dataplane.Report, 64)
 	for i := range batch {
@@ -47,45 +47,43 @@ func BenchmarkReportExport(b *testing.B) {
 		}
 	}
 
-	for _, codec := range []telemetry.Codec{telemetry.CodecJSON, telemetry.CodecBinary} {
-		for _, policy := range []telemetry.Policy{telemetry.PolicyBlock, telemetry.PolicyDropOldest} {
-			b.Run(codec.String()+"/"+policy.String(), func(b *testing.B) {
-				exp, svc := benchExporter(b, policy, codec)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					exp.Export(batch)
-				}
-				if err := exp.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
+	for _, policy := range []telemetry.Policy{telemetry.PolicyBlock, telemetry.PolicyDropOldest} {
+		b.Run(policy.String(), func(b *testing.B) {
+			exp, svc := benchExporter(b, policy)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				exp.Export(batch)
+			}
+			if err := exp.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
 
-				st := exp.Stats()
-				total := uint64(b.N) * uint64(len(batch))
-				if st.Enqueued != total {
-					b.Fatalf("enqueued %d of %d", st.Enqueued, total)
+			st := exp.Stats()
+			total := uint64(b.N) * uint64(len(batch))
+			if st.Enqueued != total {
+				b.Fatalf("enqueued %d of %d", st.Enqueued, total)
+			}
+			if policy == telemetry.PolicyBlock {
+				if st.Dropped != 0 {
+					b.Fatalf("block policy dropped %d reports", st.Dropped)
 				}
-				if policy == telemetry.PolicyBlock {
-					if st.Dropped != 0 {
-						b.Fatalf("block policy dropped %d reports", st.Dropped)
-					}
-					if st.Exported != total {
-						b.Fatalf("exported %d of %d under block policy", st.Exported, total)
-					}
-				} else if st.Exported+st.Dropped != total {
-					b.Fatalf("loss accounting: exported %d + dropped %d != %d", st.Exported, st.Dropped, total)
+				if st.Exported != total {
+					b.Fatalf("exported %d of %d under block policy", st.Exported, total)
 				}
-				if s := b.Elapsed().Seconds(); s > 0 {
-					b.ReportMetric(float64(st.Exported)/s, "reports/s")
-					b.ReportMetric(float64(st.Dropped), "dropped")
-				}
-				if st.Exported > 0 {
-					b.ReportMetric(float64(st.WireBytes)/float64(st.Exported), "wireB/report")
-				}
-				exp.Close()
-				svc.Close()
-			})
-		}
+			} else if st.Exported+st.Dropped != total {
+				b.Fatalf("loss accounting: exported %d + dropped %d != %d", st.Exported, st.Dropped, total)
+			}
+			if s := b.Elapsed().Seconds(); s > 0 {
+				b.ReportMetric(float64(st.Exported)/s, "reports/s")
+				b.ReportMetric(float64(st.Dropped), "dropped")
+			}
+			if st.Exported > 0 {
+				b.ReportMetric(float64(st.WireBytes)/float64(st.Exported), "wireB/report")
+			}
+			exp.Close()
+			svc.Close()
+		})
 	}
 }

@@ -61,7 +61,7 @@ func stormSwitch(t *testing.T, svc *telemetry.Service) (exp *telemetry.Exporter,
 	pkts := trace.Generate(trace.Config{Seed: 5, Flows: 12, Duration: 20 * time.Millisecond}).Packets
 
 	exp, err = telemetry.Dial(ln.Addr().String(), telemetry.ExporterConfig{
-		SwitchID: "s1", Policy: telemetry.PolicyBlock, Codec: telemetry.CodecBinary})
+		SwitchID: "s1", Policy: telemetry.PolicyBlock})
 	if err != nil {
 		t.Fatal(err)
 	}

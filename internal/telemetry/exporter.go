@@ -25,22 +25,16 @@ type ExporterConfig struct {
 	// Policy picks the overflow behavior when the ring fills.
 	Policy Policy
 
-	// Codec selects the stream encoding: CodecAuto (default) proposes
-	// the binary wire protocol at hello time and falls back to JSON if
-	// the peer never acks; CodecJSON forces the legacy framing;
-	// CodecBinary fails construction against a non-acking peer.
+	// Codec selects nothing: see the shim's comment in frame.go.
 	Codec Codec
-	// NegotiateTimeout bounds how long a CodecAuto/CodecBinary hello
-	// waits for the peer's hello-ack before deciding (default 2s).
+	// NegotiateTimeout bounds how long a hello waits for the peer's
+	// hello-ack before the stream is given up (default 2s).
 	NegotiateTimeout time.Duration
-	// KeyframeEvery is the snapshot keyframe cadence on binary streams:
-	// every Nth snapshot frame carries full banks, the rest delta-encode
-	// against the previous epoch (default wire.DefaultKeyframeEvery;
-	// 1 disables delta encoding).
+	// KeyframeEvery is the snapshot keyframe cadence: every Nth snapshot
+	// frame carries full banks, the rest delta-encode against the
+	// previous epoch (default wire.DefaultKeyframeEvery; 1 disables delta
+	// encoding).
 	KeyframeEvery int
-	// CompressMin is the payload size in bytes from which binary frames
-	// are flate-compressed (default 512; negative disables compression).
-	CompressMin int
 
 	// Redial, when set, enables auto-reconnect: after a stream error the
 	// exporter keeps monitoring (reports are dropped and counted, never
@@ -52,6 +46,10 @@ type ExporterConfig struct {
 	ReconnectMin time.Duration
 	ReconnectMax time.Duration
 }
+
+// compressMin is the payload size in bytes from which frames are
+// flate-compressed.
+const compressMin = 512
 
 func (c ExporterConfig) withDefaults() ExporterConfig {
 	if c.RingSize <= 0 {
@@ -65,9 +63,6 @@ func (c ExporterConfig) withDefaults() ExporterConfig {
 	}
 	if c.KeyframeEvery <= 0 {
 		c.KeyframeEvery = wire.DefaultKeyframeEvery
-	}
-	if c.CompressMin == 0 {
-		c.CompressMin = 512
 	}
 	if c.ReconnectMin <= 0 {
 		c.ReconnectMin = 50 * time.Millisecond
@@ -90,14 +85,11 @@ type Exporter struct {
 	ring *ring
 
 	writeMu sync.Mutex // serializes frames on the stream; guards conn swap
-	// Stream codec state, guarded by writeMu alongside conn: whether
-	// this stream negotiated the binary protocol, its snapshot delta
-	// encoder (nil on JSON streams), and a reusable payload buffer.
-	binary bool
-	enc    *wire.SnapshotEncoder
+	// Stream codec state, guarded by writeMu alongside conn: the snapshot
+	// delta encoder (reset for every new stream) and a reusable payload
+	// buffer.
+	enc    wire.SnapshotEncoder
 	payBuf []byte
-	lastDB uint64 // enc.DeltaBanks already folded into the mu counters
-	lastKB uint64 // enc.FullBanks already folded into the mu counters
 
 	// Epoch snapshot state, guarded by writeMu. snapBuf is the buffer
 	// ExportEpoch captures every epoch's banks into; the exporter owns it
@@ -119,22 +111,20 @@ type Exporter struct {
 	batches      uint64
 	snapshots    uint64
 	reconnects   uint64
-	codecBinary  bool   // current stream negotiated the binary codec
 	wireBytes    uint64 // bytes written to the stream, frame headers included
 	payloadBytes uint64 // encoded bytes before compression (headers included)
 	compressed   uint64 // frames the flate gate shrank
-	deltaBanks   uint64 // snapshot banks sent as sparse deltas
-	keyBanks     uint64 // snapshot banks sent in full
+	deltaBanks   uint64 // snapshot banks sent as sparse deltas (enc.DeltaBanks, readable under mu)
+	keyBanks     uint64 // snapshot banks sent in full (enc.FullBanks, likewise)
 	encodeNs     uint64 // time spent encoding wire payloads
 	writeErr     error
 	closed       bool
 	writerEnd    bool
 	reconnecting bool
 
-	// agent, when attached, serves this exporter's counters and epoch
-	// hooks on the control channel; kept so Close (and construction
-	// failures) can detach rather than leave the agent calling into a
-	// dead exporter.
+	// agent, when attached, calls this exporter's epoch hook; kept so
+	// Close can detach rather than leave the agent calling into a dead
+	// exporter.
 	agent *rpc.Agent
 
 	closeCh chan struct{} // interrupts reconnect backoff
@@ -143,72 +133,48 @@ type Exporter struct {
 
 // NewExporter starts an exporter over an established connection (TCP to
 // the analyzer, or one end of net.Pipe in tests). It sends the hello
-// frame synchronously, completes the codec negotiation, and launches
-// the stream writer.
+// frame synchronously, waits for the hello-ack, and launches the stream
+// writer.
 func NewExporter(conn net.Conn, cfg ExporterConfig) (*Exporter, error) {
 	cfg = cfg.withDefaults()
 	e := &Exporter{
 		cfg:     cfg,
 		conn:    conn,
 		ring:    newRing(cfg.RingSize, cfg.Policy),
+		enc:     wire.SnapshotEncoder{KeyframeEvery: cfg.KeyframeEvery},
 		closeCh: make(chan struct{}),
 	}
 	e.idle = sync.NewCond(&e.mu)
-	binary, err := negotiate(conn, cfg)
-	if err != nil {
+	if err := negotiate(conn, cfg); err != nil {
 		return nil, err
 	}
-	e.setCodec(binary)
 	e.wg.Add(1)
 	go e.writer()
 	return e, nil
 }
 
-// negotiate opens a stream: it sends the hello (proposing the binary
-// wire protocol unless cfg forces JSON) and resolves the codec. A
-// hello-ack within NegotiateTimeout upgrades the stream; silence
-// leaves it on JSON (CodecAuto) or fails it (CodecBinary). The read
-// deadline is the only read an exporter ever performs on the stream.
-func negotiate(conn net.Conn, cfg ExporterConfig) (binary bool, err error) {
-	hello := &Frame{Type: FrameHello, SwitchID: cfg.SwitchID}
-	if cfg.Codec != CodecJSON {
-		hello.Wire = wire.Version1
-	}
+// negotiate opens a stream: it sends the hello proposing the wire
+// protocol and waits for the hello-ack granting it. No ack inside
+// NegotiateTimeout, or one granting less, is an error and the caller
+// drops the conn. Only this end can see the timeout — the peer's ack may
+// merely be late — so nothing decided by it may be sent on the conn it
+// expired on. The read is the only one an exporter ever performs.
+func negotiate(conn net.Conn, cfg ExporterConfig) error {
+	hello := &Frame{Type: FrameHello, SwitchID: cfg.SwitchID, Wire: wire.Version1}
 	if err := rpc.WriteFrame(conn, hello); err != nil {
-		return false, fmt.Errorf("telemetry: hello: %w", err)
-	}
-	if cfg.Codec == CodecJSON {
-		return false, nil
+		return fmt.Errorf("telemetry: hello: %w", err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(cfg.NegotiateTimeout))
 	var ack Frame
-	ackErr := rpc.ReadFrame(conn, &ack)
+	err := rpc.ReadFrame(conn, &ack)
 	_ = conn.SetReadDeadline(time.Time{})
-	granted := ackErr == nil && ack.Type == FrameHelloAck && ack.Wire >= wire.Version1
-	if !granted && cfg.Codec == CodecBinary {
-		if ackErr == nil {
-			ackErr = fmt.Errorf("peer answered %q wire=%d", ack.Type, ack.Wire)
-		}
-		return false, fmt.Errorf("telemetry: binary codec required, negotiation failed: %w", ackErr)
+	if err == nil && (ack.Type != FrameHelloAck || ack.Wire < wire.Version1) {
+		err = fmt.Errorf("peer answered %q wire=%d", ack.Type, ack.Wire)
 	}
-	return granted, nil
-}
-
-// setCodec installs the negotiated stream codec (writeMu side) and
-// mirrors it into the stats counters (mu side).
-func (e *Exporter) setCodec(binary bool) {
-	e.writeMu.Lock()
-	e.binary = binary
-	if binary {
-		e.enc = &wire.SnapshotEncoder{KeyframeEvery: e.cfg.KeyframeEvery}
-		e.lastDB, e.lastKB = 0, 0
-	} else {
-		e.enc = nil
+	if err != nil {
+		return fmt.Errorf("telemetry: hello not acked for the binary wire protocol: %w", err)
 	}
-	e.writeMu.Unlock()
-	e.mu.Lock()
-	e.codecBinary = binary
-	e.mu.Unlock()
+	return nil
 }
 
 // Dial connects to an analyzer service and starts an exporter on the
@@ -236,7 +202,7 @@ func Dial(addr string, cfg ExporterConfig) (*Exporter, error) {
 func DialAttached(addr string, cfg ExporterConfig, a *rpc.Agent, eng *modules.Engine) (*Exporter, error) {
 	e, err := Dial(addr, cfg)
 	if err != nil {
-		a.SetTelemetryHooks(nil, nil)
+		a.SetTelemetryHooks(nil)
 		return nil, err
 	}
 	e.AttachAgent(a, eng)
@@ -310,24 +276,12 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeJSONLocked frames f with the legacy JSON encoding. Callers hold
-// writeMu.
-func (e *Exporter) writeJSONLocked(f *Frame) error {
-	cw := &countWriter{w: e.conn}
-	err := rpc.WriteFrame(cw, f)
-	e.mu.Lock()
-	e.wireBytes += cw.n
-	e.payloadBytes += cw.n
-	e.mu.Unlock()
-	return err
-}
-
-// writeBinaryLocked compresses (size-gated) and frames one binary
-// payload. encNs is the time the caller spent building the payload.
+// writeFrameLocked compresses (size-gated) and frames one payload.
+// encNs is the time the caller spent building the payload.
 // Callers hold writeMu.
-func (e *Exporter) writeBinaryLocked(kind wire.Kind, flags wire.Flags, payload []byte, encNs time.Duration) error {
+func (e *Exporter) writeFrameLocked(kind wire.Kind, flags wire.Flags, payload []byte, encNs time.Duration) error {
 	start := time.Now()
-	wirePayload, zipped := wire.Compress(payload, e.cfg.CompressMin)
+	wirePayload, zipped := wire.Compress(payload, compressMin)
 	if zipped {
 		flags |= wire.FlagCompressed
 	}
@@ -345,58 +299,43 @@ func (e *Exporter) writeBinaryLocked(kind wire.Kind, flags wire.Flags, payload [
 	return err
 }
 
-// writeReports pushes one report batch with the stream's codec.
+// writeReports pushes one report batch.
 func (e *Exporter) writeReports(batch []dataplane.Report) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if !e.binary {
-		return e.writeJSONLocked(&Frame{Type: FrameReports, SwitchID: e.cfg.SwitchID, Reports: batch})
-	}
 	start := time.Now()
 	e.payBuf = wire.AppendReports(e.payBuf[:0], e.cfg.SwitchID, batch)
-	return e.writeBinaryLocked(wire.KindReports, 0, e.payBuf, time.Since(start))
+	return e.writeFrameLocked(wire.KindReports, 0, e.payBuf, time.Since(start))
 }
 
-// writeSnapshotLocked pushes one epoch snapshot with the stream's
-// codec. On binary streams the delta encoder commits its state at
-// encode time, so any write failure resets it — the next frame after
-// recovery is a keyframe the peer can ground on. Callers hold writeMu.
+// writeSnapshotLocked pushes one epoch snapshot. The delta encoder
+// commits its state at encode time, so any write failure resets it — the
+// next frame after recovery is a keyframe the peer can ground on.
+// Callers hold writeMu.
 func (e *Exporter) writeSnapshotLocked(epoch uint32, banks []modules.BankSnapshot) error {
-	if !e.binary {
-		return e.writeJSONLocked(&Frame{
-			Type: FrameSnapshot, SwitchID: e.cfg.SwitchID, Epoch: epoch, Snapshots: banks,
-		})
-	}
 	start := time.Now()
 	payload, flags := e.enc.Encode(e.payBuf[:0], epoch, banks)
 	e.payBuf = payload
-	err := e.writeBinaryLocked(wire.KindSnapshot, flags, payload, time.Since(start))
+	err := e.writeFrameLocked(wire.KindSnapshot, flags, payload, time.Since(start))
 	if err != nil {
 		e.enc.Reset()
 	}
-	db, kb := e.enc.DeltaBanks-e.lastDB, e.enc.FullBanks-e.lastKB
-	e.lastDB, e.lastKB = e.enc.DeltaBanks, e.enc.FullBanks
 	e.mu.Lock()
-	e.deltaBanks += db
-	e.keyBanks += kb
+	e.deltaBanks, e.keyBanks = e.enc.DeltaBanks, e.enc.FullBanks
 	e.mu.Unlock()
 	return err
 }
 
-// writeBye sends the stream-closing stats frame with the stream's
-// codec.
-func (e *Exporter) writeBye(st rpc.ExportStats) error {
+// writeBye sends the stream-closing stats frame.
+func (e *Exporter) writeBye(st wire.ExportStats) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if !e.binary {
-		return e.writeJSONLocked(&Frame{Type: FrameBye, SwitchID: e.cfg.SwitchID, Stats: &st})
-	}
 	payload, err := wire.AppendBye(e.payBuf[:0], st)
 	e.payBuf = payload
 	if err != nil {
 		return err
 	}
-	return e.writeBinaryLocked(wire.KindBye, 0, payload, 0)
+	return e.writeFrameLocked(wire.KindBye, 0, payload, 0)
 }
 
 // noteWriteErrLocked records a stream error (first one wins) and, when
@@ -438,37 +377,25 @@ func (e *Exporter) reconnectLoop() {
 		if err != nil {
 			continue
 		}
-		// Each stream negotiates its codec afresh: the analyzer may have
-		// been replaced by an older (or newer) peer since the last one.
-		binary, err := negotiate(conn, e.cfg)
-		if err != nil {
+		if err := negotiate(conn, e.cfg); err != nil {
 			conn.Close()
 			continue
 		}
 		// Swap the stream in and replay under one hold of writeMu: the
 		// writer stays parked on writeErr until the replay lands, and no
-		// ExportEpoch can recapture the cached banks mid-write. A fresh
+		// ExportEpoch can recapture the cached banks mid-write. The reset
 		// delta encoder guarantees the replay is a keyframe — the new peer
 		// has no state to delta against.
 		e.writeMu.Lock()
 		old := e.conn
 		e.conn = conn
-		e.binary = binary
-		if binary {
-			e.enc = &wire.SnapshotEncoder{KeyframeEvery: e.cfg.KeyframeEvery}
-			e.lastDB, e.lastKB = 0, 0
-		} else {
-			e.enc = nil
-		}
+		e.enc.Reset()
 		replay := e.hasSnap
 		if replay {
 			err = e.writeSnapshotLocked(e.lastSnapEpoch, e.lastSnapBanks)
 		}
 		e.writeMu.Unlock()
 		old.Close()
-		e.mu.Lock()
-		e.codecBinary = binary
-		e.mu.Unlock()
 		if err != nil {
 			conn.Close()
 			continue
@@ -545,13 +472,12 @@ func (e *Exporter) ExportEpoch(eng *modules.Engine) error {
 
 // AttachAgent wires the exporter into a control-channel agent: epoch
 // ticks from the controller snapshot-and-push the ending window's banks
-// before rolling, and the agent serves the exporter's counters on the
-// control channel's export_stats request. Close detaches the hooks.
+// before rolling. Close detaches the hook.
 func (e *Exporter) AttachAgent(a *rpc.Agent, eng *modules.Engine) {
 	e.mu.Lock()
 	e.agent = a
 	e.mu.Unlock()
-	a.SetTelemetryHooks(func() { _ = e.ExportEpoch(eng) }, e.Stats)
+	a.SetTelemetryHooks(func() { _ = e.ExportEpoch(eng) })
 }
 
 // Detach removes this exporter's hooks from the attached agent (if
@@ -562,7 +488,7 @@ func (e *Exporter) Detach() {
 	e.agent = nil
 	e.mu.Unlock()
 	if a != nil {
-		a.SetTelemetryHooks(nil, nil)
+		a.SetTelemetryHooks(nil)
 	}
 }
 
@@ -583,15 +509,11 @@ func (e *Exporter) Flush() error {
 // Stats returns the exporter's counter snapshot. Dropped aggregates
 // ring evictions and stream-error losses; a zero Dropped under
 // PolicyBlock certifies lossless export.
-func (e *Exporter) Stats() rpc.ExportStats {
+func (e *Exporter) Stats() wire.ExportStats {
 	dropped, overflows := e.ring.stats()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	codec := CodecJSON.String()
-	if e.codecBinary {
-		codec = CodecBinary.String()
-	}
-	return rpc.ExportStats{
+	return wire.ExportStats{
 		Enqueued:   e.enqueued,
 		Exported:   e.exported,
 		Dropped:    dropped + e.lost,
@@ -600,7 +522,6 @@ func (e *Exporter) Stats() rpc.ExportStats {
 		Snapshots:  e.snapshots,
 		Reconnects: e.reconnects,
 
-		Codec:            codec,
 		WireBytes:        e.wireBytes,
 		PayloadBytes:     e.payloadBytes,
 		CompressedFrames: e.compressed,

@@ -18,8 +18,14 @@ func TestForgetAgentReleasesBookkeeping(t *testing.T) {
 
 	// Two agents contribute snapshots to query 7 so the service learns
 	// them both as expected contributors.
-	snap := []modules.BankSnapshot{{QueryID: 7, Kind: modules.BankCMSRow, Width: 8}}
-	cells := denseBanks{wire.DenseCells(make([]uint32, 8), 8)}
+	// ingestSnapshot reads a decoded frame: headers, and cells in the decoder.
+	var enc wire.SnapshotEncoder
+	keyframe, _ := enc.Encode(nil, 1, []modules.BankSnapshot{{QueryID: 7, Kind: modules.BankCMSRow, Width: 8}})
+	cells := new(wire.SnapshotDecoder)
+	_, snap, err := cells.Decode(keyframe)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []string{"s1", "s2"} {
 		a := s.streamUp(id)
 		s.ingestSnapshot(a, id, 1, snap, cells)

@@ -2,11 +2,12 @@
 // push-based export path that replaces poll-only report draining. A
 // switch-side Exporter drains mirrored reports and epoch-boundary
 // state-bank snapshots into a bounded ring, batches them, and pushes
-// length-framed messages over a dedicated TCP stream with explicit
-// backpressure; an analyzer-side Service accepts many agent streams
-// concurrently, merges per-switch sketch banks network-wide (Count-Min
-// rows counter-wise, Bloom rows bitwise), deduplicates threshold alerts
-// across switches, and serves merged results to subscribers.
+// CRC-framed binary messages (internal/wire) over a dedicated TCP stream
+// with explicit backpressure; an analyzer-side Service accepts many agent
+// streams concurrently, merges per-switch sketch banks network-wide
+// (Count-Min rows counter-wise, Bloom rows bitwise), deduplicates
+// threshold alerts across switches, and serves merged results to
+// subscribers.
 //
 // This is the software half the paper's evaluation assumes (switches
 // "mirror" reports and result snapshots to a software analyzer, §5/§6.4)
@@ -14,83 +15,34 @@
 // network-wide answers out.
 package telemetry
 
-import (
-	"github.com/newton-net/newton/internal/dataplane"
-	"github.com/newton-net/newton/internal/modules"
-	"github.com/newton-net/newton/internal/rpc"
-)
-
-// Frame types carried on the telemetry stream. Every stream opens with
-// the control channel's length-framed JSON encoding
-// (rpc.WriteFrame/rpc.ReadFrame) — the bootstrap either side of any
-// version speaks. A hello that proposes the binary wire codec
-// (Frame.Wire) and is answered with a hello-ack upgrades the stream:
-// all subsequent frames use internal/wire's binary framing. A peer
-// that never acks (an old analyzer) leaves the stream on JSON — the
-// negotiation/fallback matrix lives in DESIGN.md §15.
+// The handshake that opens every stream, in the control channel's
+// length-framed JSON (rpc.WriteFrame/rpc.ReadFrame): the version check
+// on a peer nothing is known about yet. Every frame after it is
+// internal/wire's — the stream has one data encoding (DESIGN.md §15).
 const (
-	// FrameHello opens a stream: the agent announces its switch ID and,
-	// optionally, the wire protocol version it can speak.
+	// FrameHello opens a stream: the agent announces its switch ID and
+	// the wire protocol version it speaks.
 	FrameHello = "hello"
-	// FrameHelloAck is the service's answer to a hello that proposed a
-	// wire upgrade; it is only sent when the hello carried Wire >= 1 (an
-	// old JSON exporter never reads, so it must never be written to).
+	// FrameHelloAck is the service's answer, granting the version. A
+	// hello it cannot grant gets no answer: the stream is closed.
 	FrameHelloAck = "hello_ack"
-	// FrameReports carries a batch of mirrored reports.
-	FrameReports = "reports"
-	// FrameSnapshot carries the epoch-boundary state-bank snapshots of
-	// every installed query on the sending switch.
-	FrameSnapshot = "snapshot"
-	// FrameBye closes a stream cleanly, carrying the exporter's final
-	// counters so the analyzer can account for loss explicitly.
-	FrameBye = "bye"
 )
 
-// Codec selects the telemetry stream encoding an exporter asks for.
-type Codec int
-
-const (
-	// CodecAuto proposes the binary wire protocol and falls back to
-	// JSON when the peer does not ack in time — the default.
-	CodecAuto Codec = iota
-	// CodecJSON never proposes an upgrade: pure legacy framing.
-	CodecJSON
-	// CodecBinary requires the binary protocol; construction fails if
-	// the peer does not ack.
-	CodecBinary
-)
-
-// String names the codec preference.
-func (c Codec) String() string {
-	switch c {
-	case CodecJSON:
-		return "json"
-	case CodecBinary:
-		return "binary"
-	}
-	return "auto"
-}
-
-// Frame is one telemetry-stream message.
+// Frame is one handshake message.
 type Frame struct {
 	Type     string `json:"type"`
 	SwitchID string `json:"switch_id,omitempty"`
-
-	// Wire, on hello and hello-ack frames, negotiates the binary wire
-	// protocol: the agent proposes the highest internal/wire version it
-	// speaks, the service acks with the version granted. Old peers
-	// unmarshal JSON with unknown fields ignored, so the field is
-	// invisible to them and the stream stays JSON.
+	// Wire is the internal/wire version the agent proposes (hello) or
+	// the service grants (hello-ack).
 	Wire int `json:"wire,omitempty"`
-
-	// Epoch tags snapshot frames with the register epoch that just
-	// ended (the window the snapshot captures).
-	Epoch uint32 `json:"epoch,omitempty"`
-
-	Reports   []dataplane.Report     `json:"reports,omitempty"`
-	Snapshots []modules.BankSnapshot `json:"snapshots,omitempty"`
-
-	// Stats rides on bye frames: the exporter's final counters, shared
-	// with the control channel's export_stats response type.
-	Stats *rpc.ExportStats `json:"stats,omitempty"`
 }
+
+// Codec and CodecBinary are a one-value shim: the stream has one
+// codec and nothing selects it, but benchmark/fleet.go still writes
+// `Codec: telemetry.CodecBinary` and a PR that changes program code may
+// not edit benchmark/. The next benchmark-archetype PR drops that line
+// and deletes these two and ExporterConfig.Codec (ROADMAP item 2).
+type Codec int
+
+// CodecBinary is the only codec, and the zero value.
+const CodecBinary Codec = 0

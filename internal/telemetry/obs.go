@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"github.com/newton-net/newton/internal/obs"
-	"github.com/newton-net/newton/internal/rpc"
+	"github.com/newton-net/newton/internal/wire"
 )
 
 // RegisterObs exposes the exporter's ring and stream accounting in reg,
@@ -13,56 +13,48 @@ func (e *Exporter) RegisterObs(reg *obs.Registry) {
 	reg.GaugeFunc("newton_export_ring_depth",
 		"Reports currently buffered in the export ring.",
 		func() float64 { return float64(e.ring.len()) }, sw)
-	stat := func(get func(s rpc.ExportStats) uint64) func() uint64 {
+	stat := func(get func(s wire.ExportStats) uint64) func() uint64 {
 		return func() uint64 { return get(e.Stats()) }
 	}
 	reg.CounterFunc("newton_export_enqueued_total",
 		"Reports accepted into the export ring.",
-		stat(func(s rpc.ExportStats) uint64 { return s.Enqueued }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.Enqueued }), sw)
 	reg.CounterFunc("newton_export_exported_total",
 		"Reports pushed to the analyzer.",
-		stat(func(s rpc.ExportStats) uint64 { return s.Exported }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.Exported }), sw)
 	reg.CounterFunc("newton_export_dropped_total",
 		"Reports lost to ring eviction or stream errors.",
-		stat(func(s rpc.ExportStats) uint64 { return s.Dropped }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.Dropped }), sw)
 	reg.CounterFunc("newton_export_overflows_total",
 		"Ring-full bursts (one per burst, not per blocked or evicted report).",
-		stat(func(s rpc.ExportStats) uint64 { return s.Overflows }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.Overflows }), sw)
 	reg.CounterFunc("newton_export_batches_total",
 		"Report frames pushed to the analyzer.",
-		stat(func(s rpc.ExportStats) uint64 { return s.Batches }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.Batches }), sw)
 	reg.CounterFunc("newton_export_snapshots_total",
 		"Epoch state-bank snapshot frames pushed.",
-		stat(func(s rpc.ExportStats) uint64 { return s.Snapshots }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.Snapshots }), sw)
 	reg.CounterFunc("newton_export_reconnects_total",
 		"Telemetry stream re-establishments.",
-		stat(func(s rpc.ExportStats) uint64 { return s.Reconnects }), sw)
-	reg.GaugeFunc("newton_export_codec_binary",
-		"1 when the current stream negotiated the binary wire codec, 0 on JSON.",
-		func() float64 {
-			if e.Stats().Codec == CodecBinary.String() {
-				return 1
-			}
-			return 0
-		}, sw)
+		stat(func(s wire.ExportStats) uint64 { return s.Reconnects }), sw)
 	reg.CounterFunc("newton_export_wire_bytes_total",
 		"Bytes written to the telemetry stream, frame headers included.",
-		stat(func(s rpc.ExportStats) uint64 { return s.WireBytes }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.WireBytes }), sw)
 	reg.CounterFunc("newton_export_payload_bytes_total",
 		"Encoded frame bytes before compression (what the stream would cost uncompressed).",
-		stat(func(s rpc.ExportStats) uint64 { return s.PayloadBytes }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.PayloadBytes }), sw)
 	reg.CounterFunc("newton_export_compressed_frames_total",
 		"Frames whose payload the flate size gate shrank.",
-		stat(func(s rpc.ExportStats) uint64 { return s.CompressedFrames }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.CompressedFrames }), sw)
 	reg.CounterFunc("newton_export_delta_banks_total",
 		"Snapshot banks sent as sparse deltas against the previous epoch.",
-		stat(func(s rpc.ExportStats) uint64 { return s.DeltaBanks }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.DeltaBanks }), sw)
 	reg.CounterFunc("newton_export_keyframe_banks_total",
 		"Snapshot banks sent in full (keyframes and delta fallbacks).",
-		stat(func(s rpc.ExportStats) uint64 { return s.KeyframeBanks }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.KeyframeBanks }), sw)
 	reg.CounterFunc("newton_export_encode_ns_total",
 		"Nanoseconds spent encoding and compressing wire payloads.",
-		stat(func(s rpc.ExportStats) uint64 { return s.EncodeNs }), sw)
+		stat(func(s wire.ExportStats) uint64 { return s.EncodeNs }), sw)
 }
 
 // heldBytesSeries is the one analyzer family with a series per agent.
@@ -111,6 +103,12 @@ func (s *Service) RegisterObs(reg *obs.Registry) {
 	reg.CounterFunc("newton_analyzer_duplicate_alerts_total",
 		"Reports suppressed by network-wide dedup.",
 		stat(func(st ServiceStats) uint64 { return st.DuplicateAlerts }))
+	reg.CounterFunc("newton_analyzer_pending_dropped_total",
+		"Deduplicated alerts dropped undrained (DrainReports holds the newest 65536).",
+		stat(func(st ServiceStats) uint64 { return st.PendingDropped }))
+	reg.CounterFunc("newton_analyzer_stream_errors_total",
+		"Agent streams that ended any way but a bye or a peer close (refused hello, bad magic, CRC, decode).",
+		stat(func(st ServiceStats) uint64 { return st.StreamErrors }))
 	reg.CounterFunc("newton_analyzer_snapshots_merged_total",
 		"Snapshot frames merged into network-wide banks.",
 		stat(func(st ServiceStats) uint64 { return st.Snapshots }))
@@ -129,14 +127,11 @@ func (s *Service) RegisterObs(reg *obs.Registry) {
 	reg.CounterFunc("newton_analyzer_partial_epochs_total",
 		"Superseded (query, epoch) merges missing expected contributors.",
 		stat(func(st ServiceStats) uint64 { return st.PartialEpochs }))
-	reg.GaugeFunc("newton_analyzer_binary_agents",
-		"Agents whose stream negotiated the binary wire codec.",
-		func() float64 { return float64(s.Stats().BinaryAgents) })
 	reg.CounterFunc("newton_analyzer_wire_bytes_total",
 		"Telemetry stream bytes ingested across agents, frame headers included.",
 		stat(func(st ServiceStats) uint64 { return st.WireBytes }))
 	reg.CounterFunc("newton_analyzer_raw_bytes_total",
-		"Uncompressed cost of the binary frames ingested (compression ratio = wire/raw).",
+		"Uncompressed cost of the frames ingested (compression ratio = wire/raw).",
 		stat(func(st ServiceStats) uint64 { return st.RawBytes }))
 	reg.CounterFunc("newton_analyzer_delta_frames_total",
 		"Snapshot frames that arrived delta-encoded.",

@@ -132,7 +132,7 @@ type Event struct {
 type agentInfo struct {
 	Reports   uint64
 	Snapshots uint64
-	Bye       *rpc.ExportStats // final counters, once the agent said bye
+	Bye       *wire.ExportStats // final counters, once the agent said bye
 
 	// Liveness: when the agent's stream last produced a frame, and how
 	// many streams it currently has open (normally 0 or 1; an exporter
@@ -149,21 +149,19 @@ type agentInfo struct {
 	hasEpoch  bool
 	Gaps      uint64
 
-	wire WireInfo // per-stream codec and bytes-on-wire accounting
+	wire WireInfo // bytes-on-wire accounting
 }
 
 // WireInfo is the analyzer's view of one agent stream's wire usage.
 type WireInfo struct {
-	// Codec is the stream's negotiated encoding ("json" or "binary").
-	Codec string
 	// Frames and Bytes count everything read off the stream, frame
-	// headers included, for either codec.
+	// headers included.
 	Frames, Bytes uint64
-	// RawBytes is what the binary frames would have cost without
-	// compression (decompressed payload plus header); Bytes/RawBytes is
-	// the stream's compression ratio. Zero on JSON streams.
+	// RawBytes is what the frames would have cost without compression
+	// (decompressed payload plus header); Bytes/RawBytes is the stream's
+	// compression ratio.
 	RawBytes uint64
-	// CompressedFrames counts binary frames that arrived flate-packed.
+	// CompressedFrames counts frames that arrived flate-packed.
 	CompressedFrames uint64
 	// DeltaFrames and KeyframeFrames split the snapshot frames by
 	// encoding; DeltaFrames/(DeltaFrames+KeyframeFrames) is the stream's
@@ -175,7 +173,7 @@ type WireInfo struct {
 	// HeldBytes is what the stream's snapshot decoder keeps between
 	// frames to apply the next delta to, as of the last frame it
 	// accepted: bitmap + nonzero registers per bank, twice (held and
-	// spare). Zero on JSON streams and once the stream has closed.
+	// spare). Zero once the stream has closed.
 	HeldBytes uint64
 }
 
@@ -217,7 +215,7 @@ type Service struct {
 	seenKey       []byte // a report's masked key bytes, serialised for the seen lookup
 	maxWindow     uint64
 	seenCompactAt int
-	pending       []dataplane.Report // deduped alerts not yet drained
+	pending       []dataplane.Report // deduped alerts not yet drained, the newest maxPending
 	subs          map[int]chan Event
 	nextSub       int
 
@@ -237,6 +235,8 @@ type Service struct {
 
 	totalReports     uint64
 	dupAlerts        uint64
+	pendingDropped   uint64
+	streamErrors     uint64
 	totalSnapshots   uint64
 	dupSnapshots     uint64
 	subDropped       uint64
@@ -291,10 +291,15 @@ func (s *Service) Serve(ln net.Listener) error {
 	}
 }
 
+// ErrWireRequired ends a stream whose hello does not propose a wire
+// protocol version this service speaks.
+var ErrWireRequired = errors.New("telemetry: hello proposes no wire protocol version")
+
 // HandleConn ingests one agent stream (exported so tests and in-process
 // deployments can wire net.Pipe ends directly). It returns when the
-// stream ends; a clean bye or peer close returns nil.
-func (s *Service) HandleConn(conn net.Conn) error {
+// stream ends; a clean bye or peer close returns nil, anything else an
+// error that is also counted in ServiceStats.StreamErrors.
+func (s *Service) HandleConn(conn net.Conn) (err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -306,6 +311,9 @@ func (s *Service) HandleConn(conn net.Conn) error {
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
+		if err != nil {
+			s.streamErrors++
+		}
 		s.mu.Unlock()
 		conn.Close()
 	}()
@@ -318,86 +326,27 @@ func (s *Service) HandleConn(conn net.Conn) error {
 	if hello.Type != FrameHello || hello.SwitchID == "" {
 		return fmt.Errorf("telemetry: stream did not open with hello (got %q)", hello.Type)
 	}
-	// Codec negotiation: a hello proposing the binary wire protocol is
-	// acked (granting the upgrade) and the stream switches framing. A
-	// plain hello is from a JSON-only exporter that never reads the
-	// stream — writing anything to it would deadlock an unbuffered pipe,
-	// so the ack is strictly ask-gated.
-	binary := hello.Wire >= wire.Version1
-	if binary {
-		ack := Frame{Type: FrameHelloAck, SwitchID: hello.SwitchID, Wire: wire.Version1}
-		if err := rpc.WriteFrame(conn, &ack); err != nil {
-			return fmt.Errorf("telemetry: hello-ack to %s: %w", hello.SwitchID, err)
-		}
+	// A hello below wire version 1 is from a peer that would go on to send
+	// frames this service does not read. It is refused by closing, before
+	// any per-agent state exists, and never by writing: such a peer never
+	// reads the stream, and a write to it would block an unbuffered pipe.
+	if hello.Wire < wire.Version1 {
+		return fmt.Errorf("%w: %s sent wire=%d", ErrWireRequired, hello.SwitchID, hello.Wire)
+	}
+	ack := Frame{Type: FrameHelloAck, SwitchID: hello.SwitchID, Wire: wire.Version1}
+	if err := rpc.WriteFrame(conn, &ack); err != nil {
+		return fmt.Errorf("telemetry: hello-ack to %s: %w", hello.SwitchID, err)
 	}
 	agent := s.streamUp(hello.SwitchID)
 	defer s.streamDown(agent)
-	s.mu.Lock()
-	agent.wire.Codec = CodecJSON.String()
-	if binary {
-		agent.wire.Codec = CodecBinary.String()
-	}
-	s.mu.Unlock()
-
-	if binary {
-		return s.binaryLoop(cr, agent, hello.SwitchID)
-	}
-	return s.jsonLoop(cr, agent, hello.SwitchID)
+	return s.streamLoop(cr, agent, hello.SwitchID)
 }
 
-// jsonLoop ingests a legacy JSON stream until it ends.
-func (s *Service) jsonLoop(cr *countReader, agent *agentInfo, switchID string) error {
-	for {
-		var f Frame
-		if err := rpc.ReadFrame(cr, &f); err != nil {
-			if cleanStreamErr(err) {
-				return nil
-			}
-			return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
-		}
-		s.touch(agent)
-		s.noteWire(agent, cr.take(), 0)
-		switch f.Type {
-		case FrameReports:
-			s.ingestReports(agent, f.Reports)
-		case FrameSnapshot:
-			// The JSON codec carries dense banks; the merge reads cells. The
-			// declared widths size the merged rows, so they meet the binary
-			// decoder's bounds before anything is sized by them.
-			if err := wire.CheckSnapshot(f.Snapshots); err != nil {
-				return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
-			}
-			cells := make(denseBanks, len(f.Snapshots))
-			for i := range f.Snapshots {
-				cells[i] = wire.DenseCells(f.Snapshots[i].Values, f.Snapshots[i].Width)
-			}
-			s.ingestSnapshot(agent, switchID, f.Epoch, f.Snapshots, cells)
-		case FrameBye:
-			s.mu.Lock()
-			agent.Bye = f.Stats
-			s.mu.Unlock()
-			return nil
-		default:
-			return fmt.Errorf("telemetry: agent %s: unknown frame %q", switchID, f.Type)
-		}
-	}
-}
-
-// bankCells is where ingestSnapshot reads bank i's registers: the
-// stream's snapshot decoder, or a JSON frame's banks packed at the door.
-type bankCells interface {
-	Cells(i int) wire.Cells
-}
-
-type denseBanks []wire.Cells
-
-func (d denseBanks) Cells(i int) wire.Cells { return d[i] }
-
-// binaryLoop ingests a stream that negotiated the binary wire
-// protocol. Each stream carries its own snapshot decoder: delta chains
-// are per-stream state, grounded by the keyframe the exporter sends
-// first (and after every reconnect, on a fresh stream).
-func (s *Service) binaryLoop(cr *countReader, agent *agentInfo, switchID string) error {
+// streamLoop ingests an acked stream until it ends. Each stream carries
+// its own snapshot decoder: delta chains are per-stream state, grounded
+// by the keyframe the exporter sends first (and after every reconnect,
+// on a fresh stream).
+func (s *Service) streamLoop(cr *countReader, agent *agentInfo, switchID string) error {
 	var dec wire.SnapshotDecoder
 	var inflated []byte // this stream's decompression buffer, kept across frames
 	defer func() {
@@ -467,13 +416,13 @@ func (s *Service) binaryLoop(cr *countReader, agent *agentInfo, switchID string)
 			s.mu.Unlock()
 			return nil
 		default:
-			return fmt.Errorf("telemetry: agent %s: unknown binary frame kind %v", switchID, hdr.Kind)
+			return fmt.Errorf("telemetry: agent %s: unknown frame kind %v", switchID, hdr.Kind)
 		}
 	}
 }
 
 // countReader counts stream bytes as they are read, so per-agent wire
-// accounting covers both codecs, headers included.
+// accounting is what crossed the socket, headers included.
 type countReader struct {
 	r io.Reader
 	n uint64
@@ -493,7 +442,7 @@ func (cr *countReader) take() uint64 {
 }
 
 // noteWire folds one frame's wire bytes into the agent's
-// accounting. rawBytes is the uncompressed cost (binary streams only).
+// accounting. rawBytes is the uncompressed cost.
 func (s *Service) noteWire(agent *agentInfo, wireBytes, rawBytes uint64) {
 	s.mu.Lock()
 	agent.wire.Frames++
@@ -577,10 +526,22 @@ func (s *Service) ingestReports(agent *agentInfo, rs []dataplane.Report) {
 		s.pending = append(s.pending, r)
 		fresh = append(fresh, Event{Kind: EventAlert, Report: r, Window: w})
 	}
+	// Nobody may ever drain (newton-analyzer only subscribes): keep the
+	// newest maxPending. Cutting from the front costs nothing now; append
+	// moves what is left when the array runs out, about once per
+	// maxPending/4 alerts.
+	if over := len(s.pending) - maxPending; over > 0 {
+		s.pending = s.pending[over:]
+		s.pendingDropped += uint64(over)
+	}
 	s.compactSeenLocked()
 	s.publishLocked(fresh)
 	s.mu.Unlock()
 }
+
+// maxPending bounds the deduplicated alerts held for DrainReports
+// (240 B each, ~15 MB): past it the oldest are dropped and counted.
+const maxPending = 1 << 16
 
 // minSeenCompact is the dedup-map population below which compaction is
 // never attempted — small maps are cheaper to keep than to sweep.
@@ -604,12 +565,12 @@ func (s *Service) compactSeenLocked() {
 }
 
 // ingestSnapshot merges one agent's epoch snapshot into the
-// network-wide banks: banks are the snapshot's bank headers, cells their
-// nonzero registers. A merge is idempotent per (query, epoch, switch):
-// an exporter whose stream reset replays its latest snapshot, and if
-// this analyzer already merged it the replayed banks are skipped, not
-// added a second time.
-func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32, banks []modules.BankSnapshot, cells bankCells) {
+// network-wide banks: banks are the bank headers dec's last Decode
+// returned, dec.Cells(i) their nonzero registers. A merge is idempotent
+// per (query, epoch, switch): an exporter whose stream reset replays its
+// latest snapshot, and if this analyzer already merged it the replayed
+// banks are skipped, not added a second time.
+func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32, banks []modules.BankSnapshot, dec *wire.SnapshotDecoder) {
 	s.mu.Lock()
 	agent.Snapshots++
 	s.totalSnapshots++
@@ -659,7 +620,7 @@ func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32
 			continue
 		}
 		for i := lo; i < hi; i++ {
-			s.mergeBankLocked(switchID, epoch, &banks[i], cells.Cells(i))
+			s.mergeBankLocked(switchID, epoch, &banks[i], dec.Cells(i))
 		}
 	}
 	if replayed {
@@ -1040,8 +1001,9 @@ func (s *Service) MergedRows(qid, branch int, epoch uint32) []*MergedBank {
 }
 
 // DrainReports returns and clears the deduplicated alert reports
-// accumulated since the last drain — the push-based replacement for the
-// controller's per-agent DrainReports polling.
+// accumulated since the last drain (the newest maxPending of them) — the
+// push-based replacement for the controller's per-agent DrainReports
+// polling.
 func (s *Service) DrainReports() []dataplane.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1056,6 +1018,8 @@ type ServiceStats struct {
 	LiveAgents      int    // agents with an open stream right now
 	Reports         uint64 // raw reports ingested (pre-dedup)
 	DuplicateAlerts uint64 // reports suppressed by network-wide dedup
+	PendingDropped  uint64 // deduplicated alerts dropped undrained, past maxPending
+	StreamErrors    uint64 // streams that ended any way but a bye or a peer close
 	Snapshots       uint64 // snapshot frames merged
 	// DuplicateSnapshots counts snapshot frames that named banks of a
 	// (query, epoch) their switch had already delivered — a replay after a
@@ -1071,12 +1035,11 @@ type ServiceStats struct {
 	GeometryConflicts uint64 // snapshot banks whose shape conflicted with the resident merge
 
 	// Wire accounting aggregated across agents.
-	BinaryAgents int    // agents whose current/last stream negotiated the binary codec
-	WireBytes    uint64 // stream bytes ingested, frame headers included
-	RawBytes     uint64 // uncompressed cost of the binary frames ingested
-	DeltaFrames  uint64 // snapshot frames that arrived delta-encoded
-	ChainBreaks  uint64 // delta snapshots dropped for a missing base epoch
-	DedupKeys    int    // alert-dedup keys resident (bounded by KeepAlertWindows compaction)
+	WireBytes   uint64 // stream bytes ingested, frame headers included
+	RawBytes    uint64 // uncompressed cost of the frames ingested
+	DeltaFrames uint64 // snapshot frames that arrived delta-encoded
+	ChainBreaks uint64 // delta snapshots dropped for a missing base epoch
+	DedupKeys   int    // alert-dedup keys resident (bounded by KeepAlertWindows compaction)
 }
 
 // Stats returns the current ingest counters.
@@ -1088,6 +1051,8 @@ func (s *Service) Stats() ServiceStats {
 		Agents:             len(s.agents),
 		Reports:            s.totalReports,
 		DuplicateAlerts:    s.dupAlerts,
+		PendingDropped:     s.pendingDropped,
+		StreamErrors:       s.streamErrors,
 		Snapshots:          s.totalSnapshots,
 		DuplicateSnapshots: s.dupSnapshots,
 		SubscriberDrops:    s.subDropped,
@@ -1102,9 +1067,6 @@ func (s *Service) Stats() ServiceStats {
 		if a.Streams > 0 {
 			live++
 		}
-		if a.wire.Codec == CodecBinary.String() {
-			st.BinaryAgents++
-		}
 		st.WireBytes += a.wire.Bytes
 		st.RawBytes += a.wire.RawBytes
 		st.DeltaFrames += a.wire.DeltaFrames
@@ -1114,9 +1076,9 @@ func (s *Service) Stats() ServiceStats {
 	return st
 }
 
-// AgentWire returns switch id's stream wire accounting: negotiated
-// codec, bytes on the wire vs their uncompressed cost, and the delta
-// snapshot hit/break counts.
+// AgentWire returns switch id's stream wire accounting: bytes on the
+// wire vs their uncompressed cost, and the delta snapshot hit/break
+// counts.
 func (s *Service) AgentWire(id string) (WireInfo, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1189,7 +1151,7 @@ func (s *Service) Contributors(qid int) []string {
 // AgentStats returns the per-agent accounting for switch id (reports
 // and snapshots ingested, plus the agent's final exporter counters once
 // it said bye — the explicit loss account).
-func (s *Service) AgentStats(id string) (agentReports, agentSnapshots uint64, bye *rpc.ExportStats, ok bool) {
+func (s *Service) AgentStats(id string) (agentReports, agentSnapshots uint64, bye *wire.ExportStats, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a := s.agents[id]

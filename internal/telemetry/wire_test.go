@@ -1,7 +1,9 @@
 package telemetry_test
 
 import (
+	"errors"
 	"net"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,140 +14,11 @@ import (
 	"github.com/newton-net/newton/internal/obs"
 	"github.com/newton-net/newton/internal/rpc"
 	"github.com/newton-net/newton/internal/telemetry"
+	"github.com/newton-net/newton/internal/wire"
 )
 
-// TestMixedCodecFleet is the interop contract: a JSON-only exporter and
-// binary exporters share one analyzer listener, their snapshots merge
-// into the same network-wide banks, and their alerts dedup across the
-// codec boundary.
-func TestMixedCodecFleet(t *testing.T) {
-	svc := telemetry.NewService(telemetry.ServiceConfig{})
-	defer svc.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go svc.Serve(ln)
-
-	dial := func(id string, codec telemetry.Codec) *telemetry.Exporter {
-		exp, err := telemetry.Dial(ln.Addr().String(), telemetry.ExporterConfig{
-			SwitchID: id, Codec: codec, Policy: telemetry.PolicyBlock,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		return exp
-	}
-	legacy := dial("legacy", telemetry.CodecJSON)
-	modern1 := dial("modern1", telemetry.CodecBinary)
-	modern2 := dial("modern2", telemetry.CodecAuto)
-	defer legacy.Close()
-	defer modern1.Close()
-	defer modern2.Close()
-
-	// Same (query, window, key) alert from both sides of the codec
-	// boundary: one survivor.
-	legacy.Export([]dataplane.Report{report(7, 50, 0xAABB)})
-	if err := legacy.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "legacy report ingested", func() bool { return svc.Stats().Reports == 1 })
-	modern1.Export([]dataplane.Report{report(7, 60, 0xAABB)})
-	if err := modern1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshots of the same bank merge counter-wise across codecs.
-	for _, exp := range []*telemetry.Exporter{legacy, modern1, modern2} {
-		if err := exp.ExportSnapshot(3, []modules.BankSnapshot{cmsBank(7, 10, 0, 5, 0)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "all three snapshots merged", func() bool {
-		st := svc.Stats()
-		return st.Snapshots == 3 && st.Reports == 2
-	})
-
-	rows := svc.MergedRows(7, 0, 3)
-	if len(rows) != 1 {
-		t.Fatalf("merged rows: %d, want 1", len(rows))
-	}
-	if got := rows[0].Values[0]; got != 30 {
-		t.Fatalf("merged counter: %d, want 30 (3 switches x 10)", got)
-	}
-	if got := len(rows[0].Switches); got != 3 {
-		t.Fatalf("contributors merged: %d, want 3", got)
-	}
-	if got := len(svc.DrainReports()); got != 1 {
-		t.Fatalf("deduped alerts: %d, want 1", got)
-	}
-
-	// The service saw each stream's negotiated codec and its bytes.
-	for id, want := range map[string]string{"legacy": "json", "modern1": "binary", "modern2": "binary"} {
-		wi, ok := svc.AgentWire(id)
-		if !ok || wi.Codec != want {
-			t.Fatalf("agent %s codec = %q (ok=%v), want %q", id, wi.Codec, ok, want)
-		}
-		if wi.Bytes == 0 {
-			t.Fatalf("agent %s: no wire bytes accounted", id)
-		}
-	}
-	st := svc.Stats()
-	if st.BinaryAgents != 2 {
-		t.Fatalf("BinaryAgents = %d, want 2", st.BinaryAgents)
-	}
-
-	// Exporter-side stats agree on the negotiated codec.
-	if c := legacy.Stats().Codec; c != "json" {
-		t.Fatalf("legacy exporter codec %q", c)
-	}
-	if c := modern1.Stats().Codec; c != "binary" {
-		t.Fatalf("modern1 exporter codec %q", c)
-	}
-	if c := modern2.Stats().Codec; c != "binary" {
-		t.Fatalf("modern2 exporter codec %q", c)
-	}
-}
-
-// TestAutoFallsBackToJSON: an exporter proposing the binary codec
-// against a peer that reads JSON frames but never acks (an old
-// analyzer) must fall back to JSON and keep exporting.
-func TestAutoFallsBackToJSON(t *testing.T) {
-	server, client := net.Pipe()
-	defer server.Close()
-	var sawReports atomic.Uint64
-	go func() { // minimal old-analyzer: JSON frames in, no acks out
-		for {
-			var f telemetry.Frame
-			if err := rpc.ReadFrame(server, &f); err != nil {
-				return
-			}
-			if f.Type == telemetry.FrameReports {
-				sawReports.Add(uint64(len(f.Reports)))
-			}
-		}
-	}()
-	exp, err := telemetry.NewExporter(client, telemetry.ExporterConfig{
-		SwitchID: "sw1", Policy: telemetry.PolicyBlock,
-		NegotiateTimeout: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exp.Close()
-	if c := exp.Stats().Codec; c != "json" {
-		t.Fatalf("codec after fallback = %q, want json", c)
-	}
-	exp.Export([]dataplane.Report{report(1, 10, 42)})
-	if err := exp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "legacy peer received the JSON reports", func() bool {
-		return sawReports.Load() == 1
-	})
-}
-
-// TestCodecBinaryRequiresAck: with CodecBinary, a non-acking peer fails
-// construction instead of silently degrading.
+// TestCodecBinaryRequiresAck: a non-acking peer fails construction —
+// there is no other codec to degrade to.
 func TestCodecBinaryRequiresAck(t *testing.T) {
 	server, client := net.Pipe()
 	defer server.Close()
@@ -155,16 +28,157 @@ func TestCodecBinaryRequiresAck(t *testing.T) {
 		_ = rpc.ReadFrame(server, &f) // consume hello, never ack
 	}()
 	_, err := telemetry.NewExporter(client, telemetry.ExporterConfig{
-		SwitchID: "sw1", Codec: telemetry.CodecBinary,
-		NegotiateTimeout: 50 * time.Millisecond,
+		SwitchID: "sw1", NegotiateTimeout: 50 * time.Millisecond,
 	})
 	if err == nil || !strings.Contains(err.Error(), "binary") {
 		t.Fatalf("want negotiation failure naming the binary codec, got %v", err)
 	}
 }
 
+// TestLateAckNeverSplitsTheCodec: the exporter gives up on a hello by a
+// timeout only it can see, while the service, which did ack, reads on. A
+// late ack must therefore cost the conn, never leave the two ends framing
+// differently. At construction that is an error; in the reconnect loop
+// the late conn is dropped, the next one taken, and everything exported
+// from then on arrives.
+func TestLateAckNeverSplitsTheCodec(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	svc := telemetry.NewService(telemetry.ServiceConfig{})
+	defer svc.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var late atomic.Int32              // how many of the next accepted conns ack late
+	accepted := make(chan net.Conn, 8) // every conn the test may make, so accepting never blocks
+	ends := make(chan error, cap(accepted))
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn
+			if late.Add(-1) >= 0 {
+				// The hello-ack is all a service ever writes.
+				conn = slowConn{Conn: conn, delay: 4 * timeout}
+			}
+			go func() { ends <- svc.HandleConn(conn) }()
+		}
+	}()
+	cfg := telemetry.ExporterConfig{
+		SwitchID: "s1", Policy: telemetry.PolicyBlock, NegotiateTimeout: timeout,
+		ReconnectMin: 5 * time.Millisecond, ReconnectMax: 20 * time.Millisecond,
+	}
+
+	late.Store(1)
+	if exp, err := telemetry.Dial(ln.Addr().String(), cfg); err == nil {
+		exp.Close()
+		t.Fatal("an exporter came up on a hello acked after its timeout")
+	} else if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("construction failed with %v, want the ack's read deadline", err)
+	}
+	<-accepted
+	select {
+	case <-ends: // whatever the service made of the abandoned conn, it let go of it
+	case <-time.After(5 * time.Second):
+		t.Fatal("the service kept the abandoned stream")
+	}
+
+	exp, err := telemetry.Dial(ln.Addr().String(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	// The stream is cut; the first redial's ack is late, the second's prompt.
+	late.Store(1)
+	(<-accepted).Close()
+	waitFor(t, "the exporter reconnects past the late ack", func() bool {
+		exp.Export([]dataplane.Report{report(1, 10, 1)}) // a write is how it notices
+		exp.Flush()
+		return exp.Stats().Reconnects == 1
+	})
+	dropped := exp.Stats().Dropped
+	const n = 100
+	for i := 0; i < n; i++ {
+		exp.Export([]dataplane.Report{report(2, 10, uint64(i))})
+	}
+	if err := exp.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ingested := 0
+	waitFor(t, "every report exported after the reconnect is ingested", func() bool {
+		for _, r := range svc.DrainReports() {
+			if r.QueryID == 2 {
+				ingested++
+			}
+		}
+		return ingested == n
+	})
+	if d := exp.Stats().Dropped; d != dropped {
+		t.Errorf("%d reports dropped after the reconnect", d-dropped)
+	}
+	if _, connected, _ := svc.AgentLiveness("s1"); !connected {
+		t.Error("the service does not see s1 connected")
+	}
+}
+
+// TestBadStreamsEndCounted: a stream the service cannot read ends with
+// the typed error, is counted, and leaves nothing ingested. A hello below
+// wire version 1 is refused before any per-agent state exists and without
+// a write: nothing reads this pipe, so an ack would hang the handler.
+func TestBadStreamsEndCounted(t *testing.T) {
+	alert := []dataplane.Report{report(1, 10, 42)}
+	badCRC := wireFramed(t, wire.KindReports, 0, wire.AppendReports(nil, "s1", alert))
+	badCRC[len(badCRC)-1] ^= 1
+	for _, tc := range []struct {
+		name   string
+		wire   int
+		data   []byte
+		want   error
+		agents int
+	}{
+		{"hello without a wire version", 0, nil, telemetry.ErrWireRequired, 0},
+		{"JSON data frame", wire.Version1, jsonReportsFrame(t, alert), wire.ErrBadMagic, 1},
+		{"corrupted CRC", wire.Version1, badCRC, wire.ErrCRC, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := telemetry.NewService(telemetry.ServiceConfig{})
+			defer svc.Close()
+			server, client := net.Pipe()
+			defer client.Close()
+			done := make(chan error, 1) // one send, from the one handler
+			go func() { done <- svc.HandleConn(server) }()
+			hello := &telemetry.Frame{Type: telemetry.FrameHello, SwitchID: "s1", Wire: tc.wire}
+			if err := rpc.WriteFrame(client, hello); err != nil {
+				t.Fatal(err)
+			}
+			if tc.wire >= wire.Version1 {
+				var ack telemetry.Frame
+				if err := rpc.ReadFrame(client, &ack); err != nil {
+					t.Fatal(err)
+				}
+				_, _ = client.Write(tc.data) // the service may hang up mid-frame
+			}
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("stream ended with %v, want %v", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the stream did not end")
+			}
+			st := svc.Stats()
+			if st.StreamErrors != 1 || st.Agents != tc.agents || st.LiveAgents != 0 || st.Reports != 0 {
+				t.Errorf("stats = %+v, want 1 stream error, %d agents, none live, nothing ingested", st, tc.agents)
+			}
+		})
+	}
+}
+
 // TestBinaryReconnectReplaysKeyframe: after an analyzer outage, the
-// re-negotiated binary stream must ground the fresh decoder with a
+// new stream must ground the fresh decoder with a
 // keyframe replay — no chain breaks — and the delta chain must resume
 // on the new stream.
 func TestBinaryReconnectReplaysKeyframe(t *testing.T) {
@@ -177,7 +191,7 @@ func TestBinaryReconnectReplaysKeyframe(t *testing.T) {
 	addr := ln.Addr().String()
 
 	exp, err := telemetry.Dial(addr, telemetry.ExporterConfig{
-		SwitchID: "s1", Codec: telemetry.CodecBinary, Policy: telemetry.PolicyDropOldest,
+		SwitchID: "s1", Policy: telemetry.PolicyDropOldest,
 		ReconnectMin: 5 * time.Millisecond, ReconnectMax: 50 * time.Millisecond,
 		KeyframeEvery: 8,
 	})
@@ -218,10 +232,7 @@ func TestBinaryReconnectReplaysKeyframe(t *testing.T) {
 	// The replay must arrive as a keyframe: svc2's decoder has no state,
 	// so anything else would be a chain break.
 	waitFor(t, "snapshot replayed to new analyzer", func() bool { return svc2.Stats().Snapshots == 1 })
-	wi, ok := svc2.AgentWire("s1")
-	if !ok || wi.Codec != "binary" {
-		t.Fatalf("reconnected stream codec = %q (ok=%v), want binary", wi.Codec, ok)
-	}
+	wi, _ = svc2.AgentWire("s1")
 	if wi.ChainBreaks != 0 {
 		t.Fatalf("ChainBreaks = %d after reconnect, want 0", wi.ChainBreaks)
 	}
@@ -323,11 +334,11 @@ func TestAnalyzerObsCodecHeldBytes(t *testing.T) {
 	up := func(id string) func() bool {
 		return func() bool { _, connected, _ := svc.AgentLiveness(id); return connected }
 	}
-	early := connect(t, svc, "early", telemetry.ExporterConfig{Codec: telemetry.CodecBinary}, nil)
+	early := connect(t, svc, "early", telemetry.ExporterConfig{}, nil)
 	waitFor(t, "early's stream up", up("early"))
 	reg := obs.NewRegistry()
 	svc.RegisterObs(reg)
-	late := connect(t, svc, "late", telemetry.ExporterConfig{Codec: telemetry.CodecBinary}, nil)
+	late := connect(t, svc, "late", telemetry.ExporterConfig{}, nil)
 	defer late.Close()
 	waitFor(t, "late's stream up", up("late"))
 

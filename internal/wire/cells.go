@@ -122,14 +122,6 @@ type Cells struct {
 	set cellSet
 }
 
-// DenseCells packs a dense bank of width registers — what the JSON codec
-// carries — into cells the caller owns.
-func DenseCells(values []uint32, width uint32) Cells {
-	var c Cells
-	c.set.pack(values, width)
-	return c
-}
-
 // AddTo adds each register to its counter in dst, which must span the
 // bank's width: the Count-Min merge.
 func (c Cells) AddTo(dst []uint64) {

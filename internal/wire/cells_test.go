@@ -93,7 +93,8 @@ func TestCellsMergeMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, width := range cellWidths {
 		for _, vals := range cellFills(rng, width) {
-			c := DenseCells(vals, uint32(width))
+			var c Cells
+			c.set.pack(vals, uint32(width))
 			add, or := make([]uint64, width), make([]uint64, width)
 			wantAdd, wantOr := make([]uint64, width), make([]uint64, width)
 			for i := range add {

@@ -5,22 +5,16 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"github.com/newton-net/newton/internal/rpc"
 )
 
-func randStats(rng *rand.Rand) rpc.ExportStats {
-	st := rpc.ExportStats{
+func randStats(rng *rand.Rand) ExportStats {
+	return ExportStats{
 		Enqueued: rng.Uint64() >> 1, Exported: rng.Uint64() >> 1,
 		Dropped: uint64(rng.Intn(100)), Overflows: uint64(rng.Intn(10)),
 		Batches: uint64(rng.Intn(1000)), Snapshots: uint64(rng.Intn(100)),
 		Reconnects: uint64(rng.Intn(5)),
 		WireBytes:  rng.Uint64() >> 1, DeltaBanks: uint64(rng.Intn(1000)),
 	}
-	if rng.Intn(2) == 0 {
-		st.Codec = "binary"
-	}
-	return st
 }
 
 // FuzzWireRoundTrip drives the codec from both directions with one

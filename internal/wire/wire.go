@@ -4,8 +4,8 @@
 //
 // The control channel and the telemetry hello/hello-ack negotiation
 // keep the length-framed JSON encoding (internal/rpc) — it is the
-// bootstrap both sides of any version speak. Once a stream negotiates
-// the binary codec, every subsequent frame on it is:
+// bootstrap both sides of any version speak. After the hello is acked,
+// every frame on the stream is:
 //
 //	offset  size  field
 //	0       2     magic 0x574E ("NW", little-endian)

@@ -12,7 +12,6 @@ import (
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/fields"
 	"github.com/newton-net/newton/internal/modules"
-	"github.com/newton-net/newton/internal/rpc"
 	"github.com/newton-net/newton/internal/sketch"
 )
 
@@ -514,7 +513,7 @@ func TestSnapshotRejectTruncation(t *testing.T) {
 // --- bye codec ---
 
 func TestByeRoundTrip(t *testing.T) {
-	st := rpc.ExportStats{Enqueued: 10, Exported: 9, Dropped: 1, Batches: 3, Snapshots: 2, Reconnects: 1}
+	st := ExportStats{Enqueued: 10, Exported: 9, Dropped: 1, Batches: 3, Snapshots: 2, Reconnects: 1}
 	payload, err := AppendBye(nil, st)
 	if err != nil {
 		t.Fatal(err)
