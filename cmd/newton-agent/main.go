@@ -153,9 +153,6 @@ func main() {
 		}
 	}
 	// roll exports the ending epoch's state banks, then rolls the window.
-	// RollEpoch merges worker-private bank shards before the roll (the
-	// snapshot inside ExportEpoch already merged; the second merge is an
-	// idempotent no-op).
 	roll := func() {
 		if exp != nil {
 			if err := exp.ExportEpoch(eng); err != nil {

@@ -168,9 +168,8 @@ func renderTop(w *os.File, snap *obs.Snapshot) {
 
 // renderState prints one state-memory line per switch: how full the
 // fullest bank's admission budget is (the number admission fails on)
-// beside what the admitted registers cost the host (4 B each, lane
-// shards included) — two different things since a bank's ArraySize
-// allocates nothing.
+// beside what the admitted registers cost the host (4 B each) — two
+// different things since a bank's ArraySize allocates nothing.
 func renderState(w *os.File, snap *obs.Snapshot) {
 	host := snap.Get("newton_engine_state_host_bytes")
 	if host == nil {

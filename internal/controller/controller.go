@@ -13,20 +13,11 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/placement"
 	"github.com/newton-net/newton/internal/query"
-)
-
-// Rule-operation latencies, calibrated against Fig. 11: installing a
-// small query (Q1, ~12 rules) takes ~5 ms; the largest (~55 rules) stays
-// under ~25 ms. Latencies jitter ±10% per batch.
-const (
-	installBase    = 1500 * time.Microsecond
-	installPerRule = 320 * time.Microsecond
-	removeBase     = 1200 * time.Microsecond
-	removePerRule  = 260 * time.Microsecond
 )
 
 // Mode selects how a query's rules spread over switches.
@@ -94,109 +85,81 @@ type Deployment struct {
 	Placement placement.Placement // Partition mode only
 }
 
-// Newton is the Newton controller.
+// Newton is the Newton controller over a simulated network: the planner
+// that turns a Spec into the fleet's desired state (switch ids become
+// node names, Partition mode runs the resilient placement) in front of a
+// Remote whose agents are the network's own engines. Every install,
+// remove, rollback and qid is Remote's.
 type Newton struct {
 	net *netsim.Network
-	rng *rand.Rand
+	r   *Remote
 
-	nextQID     int
 	deployments map[int]*Deployment
+}
 
-	obs ctlObs
+// local is the in-process agent: one netsim node's engine and data
+// plane answering the calls Remote makes on an rpc.Client.
+type local struct{ node *netsim.Node }
+
+func (a local) Install(p *modules.Program) error { return a.node.Eng.Install(p) }
+func (a local) Remove(qid int) error             { return a.node.Eng.Remove(qid) }
+
+func (a local) NextEpoch() error {
+	a.node.Eng.RollEpoch()
+	return nil
+}
+
+func (a local) DrainReports() ([]dataplane.Report, error) {
+	return a.node.DP.DrainReports(), nil
 }
 
 // NewNewton builds a controller over a simulated network. The seed
 // drives the latency jitter.
 func NewNewton(net *netsim.Network, seed int64) *Newton {
-	return &Newton{net: net, rng: rand.New(rand.NewSource(seed)), nextQID: 1,
-		deployments: map[int]*Deployment{}}
+	agents := map[string]agent{}
+	for _, node := range net.Nodes() {
+		agents[node.DP.ID] = local{node}
+	}
+	return &Newton{net: net, r: newRemote(agents, seed), deployments: map[int]*Deployment{}}
 }
 
 // Deployments returns the live deployments by QID.
 func (c *Newton) Deployments() map[int]*Deployment { return c.deployments }
 
-func (c *Newton) jitter(d time.Duration) time.Duration {
-	f := 0.9 + 0.2*c.rng.Float64()
-	return time.Duration(float64(d) * f)
-}
-
-// switchTargets resolves a spec's target switch set.
-func (c *Newton) switchTargets(spec Spec) []int {
-	if len(spec.Switches) > 0 {
-		return spec.Switches
+// name resolves a switch id to its agent's name.
+func (c *Newton) name(sw int) (string, error) {
+	node := c.net.Node(sw)
+	if node == nil {
+		return "", fmt.Errorf("controller: no switch %d", sw)
 	}
-	return c.net.Topo.Switches()
+	return node.DP.ID, nil
 }
 
 // Install compiles and deploys a query at runtime. The returned duration
 // is the controller-observed operation latency (rule installation is
 // batched per switch and switches are programmed in parallel, so the
-// slowest switch bounds the delay). Forwarding is never interrupted.
-func (c *Newton) Install(spec Spec) (_ *Deployment, delay time.Duration, err error) {
+// slowest switch bounds the delay). Forwarding is never interrupted, and
+// a failed install leaves no rule behind on any switch.
+func (c *Newton) Install(spec Spec) (*Deployment, time.Duration, error) {
 	if spec.Query == nil {
 		return nil, 0, fmt.Errorf("controller: nil query")
 	}
-	qid := c.nextQID
-	dep := &Deployment{QID: qid, Query: spec.Query, Mode: spec.Mode}
-	maxRules := 0
-	var footprintProg *modules.Program
-
-	// A failed install removes the query from the switches it reached.
-	defer func() {
-		if err == nil {
-			return
-		}
-		inc(&c.obs.deployFailures)
-		for _, sw := range dep.Switches {
-			if c.net.Node(sw).Eng.Remove(qid) == nil {
-				inc(&c.obs.rollbacks)
-			} else {
-				inc(&c.obs.rollbackFailures)
-			}
-		}
-	}()
-
-	// install compiles one switch's share of the query — each switch needs
-	// its own program instances, installs bind register allocations per
-	// device — and installs it.
-	install := func(sw int, sh share) error {
-		node := c.net.Node(sw)
-		if node == nil {
-			return fmt.Errorf("controller: no switch %d", sw)
-		}
-		progs, err := sh.programs(spec.Query, qid)
-		if err != nil {
-			return err
-		}
-		rules := 0
-		for _, p := range progs {
-			if err := node.Eng.Install(p); err != nil {
-				return err
-			}
-			rules += p.RuleCount() + 1 // + newton_fin entry
-		}
-		if footprintProg == nil {
-			footprintProg = progs[0]
-		}
-		dep.Rules += rules
-		maxRules = max(maxRules, rules)
-		dep.Switches = append(dep.Switches, sw)
-		return nil
-	}
-
+	dep := &Deployment{Query: spec.Query, Mode: spec.Mode, Parts: 1}
+	w := Want{Query: spec.Query, Width: spec.Width}
 	switch spec.Mode {
 	case Replicate, Shard:
-		targets := c.switchTargets(spec)
-		for i, sw := range targets {
-			sh := share{width: spec.Width}
-			if spec.Mode == Shard {
-				sh.shard, sh.shards = uint32(i), uint32(len(targets))
-			}
-			if err := install(sw, sh); err != nil {
+		targets := spec.Switches
+		if len(targets) == 0 {
+			targets = c.net.Topo.Switches()
+		}
+		w.Sharded = spec.Mode == Shard
+		for _, sw := range targets {
+			n, err := c.name(sw)
+			if err != nil {
 				return nil, 0, err
 			}
+			w.Targets = append(w.Targets, n)
 		}
-		dep.Parts = 1
 
 	case Partition:
 		if spec.StagesPerSwitch <= 0 {
@@ -206,61 +169,48 @@ func (c *Newton) Install(spec Spec) (_ *Deployment, delay time.Duration, err err
 		if len(edges) == 0 {
 			edges = c.net.Topo.EdgeSwitches()
 		}
-		logical, err := share{width: spec.Width}.programs(spec.Query, qid)
+		logical, err := share{width: spec.Width}.programs(spec.Query, 0)
 		if err != nil {
 			return nil, 0, err
 		}
-		footprintProg = logical[0]
-		pl, m, err := placement.Place(c.net.Topo, edges, footprintProg.NumStages(), spec.StagesPerSwitch)
+		pl, m, err := placement.Place(c.net.Topo, edges, logical[0].NumStages(), spec.StagesPerSwitch)
 		if err != nil {
 			return nil, 0, err
 		}
 		dep.Placement, dep.Parts = pl, m
+		w.StagesPer, w.Parts = spec.StagesPerSwitch, make(map[string][]int, len(pl))
 		for sw, parts := range pl {
-			sh := share{width: spec.Width, stagesPer: spec.StagesPerSwitch, parts: parts}
-			if err := install(sw, sh); err != nil {
+			n, err := c.name(sw)
+			if err != nil {
 				return nil, 0, err
 			}
+			w.Parts[n] = parts
 		}
 
 	default:
 		return nil, 0, fmt.Errorf("controller: unknown mode %v", spec.Mode)
 	}
 
-	c.nextQID++
-	c.deployments[qid] = dep
-	inc(&c.obs.deploys)
-	if footprintProg != nil {
-		c.obs.publish(qid, spec.Query.Name, spec.Mode.String(), footprintProg.Footprint())
+	qid, p, err := c.r.deploy(0, w)
+	if err != nil {
+		return nil, 0, err
 	}
-	delay = c.jitter(installBase + time.Duration(maxRules)*installPerRule)
-	return dep, delay, nil
+	dep.QID, dep.Rules = qid, p.rules
+	for _, step := range p.steps {
+		dep.Switches = append(dep.Switches, c.net.Topo.NodeByName(step.Switch))
+	}
+	c.deployments[qid] = dep
+	return dep, p.delay, nil
 }
 
 // Remove uninstalls a deployment at runtime.
 func (c *Newton) Remove(qid int) (time.Duration, error) {
-	dep, ok := c.deployments[qid]
-	if !ok {
-		return 0, fmt.Errorf("controller: no deployment %d", qid)
-	}
-	maxRules := 0
-	perSwitch := map[int]int{}
-	for _, sw := range dep.Switches {
-		perSwitch[sw]++
-	}
-	for sw := range perSwitch {
-		if err := c.net.Node(sw).Eng.Remove(qid); err != nil {
-			inc(&c.obs.removeFailures)
-			return 0, err
-		}
-	}
-	if len(perSwitch) > 0 {
-		maxRules = dep.Rules / len(perSwitch)
+	delay, err := c.r.remove(qid)
+	if err != nil {
+		return 0, err
 	}
 	delete(c.deployments, qid)
-	inc(&c.obs.removes)
-	c.obs.unpublish(qid)
-	return c.jitter(removeBase + time.Duration(maxRules)*removePerRule), nil
+	return delay, nil
 }
 
 // Update atomically replaces a deployment: the new rules install before

@@ -1,6 +1,9 @@
 package controller
 
 import (
+	"errors"
+	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -8,6 +11,7 @@ import (
 	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/packet"
 	"github.com/newton-net/newton/internal/query"
+	"github.com/newton-net/newton/internal/rpc"
 	"github.com/newton-net/newton/internal/topology"
 	"github.com/newton-net/newton/internal/trace"
 )
@@ -187,6 +191,111 @@ func TestPartitionMode(t *testing.T) {
 	}
 	if total := totalEntries(net); total != baselineEntries(net) {
 		t.Errorf("rules leaked after partition remove")
+	}
+}
+
+// TestNewtonPartitionFailureLeavesNoOrphans: on a three-switch line at
+// four stages a switch, q4's placement gives an edge switch two
+// partitions whose rows want the same full bank, so the second does not
+// fit. The first must not stay behind where no record knows about it:
+// the failed install leaves every switch as it found it.
+func TestNewtonPartitionFailureLeavesNoOrphans(t *testing.T) {
+	topo, _, _ := topology.Linear(3)
+	net, err := netsim.New(topo, netsim.Config{Stages: 12, ArraySize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewNewton(net, 1)
+	_, _, err = c.Install(Spec{Query: query.Q4(40), Mode: Partition, StagesPerSwitch: 4, Width: 4096})
+	var perr *PartialDeployError
+	if !errors.As(err, &perr) {
+		t.Fatalf("install = %v, want a *PartialDeployError (a bank cannot hold two full-width rows)", err)
+	}
+	if res := perr.Residual(); len(res) != 0 {
+		t.Errorf("rollback left residue on %v", res)
+	}
+	for id, node := range net.Nodes() {
+		if got := node.Eng.InstalledCount(); got != 0 {
+			t.Errorf("switch %d holds %d programs after the failed install", id, got)
+		}
+	}
+	if total := totalEntries(net); total != baselineEntries(net) {
+		t.Errorf("%d rule entries left after the failed install", total)
+	}
+	if len(c.Deployments()) != 0 {
+		t.Error("failed install was recorded as a deployment")
+	}
+	// The qid was not spent and the fleet is clean: the same query fits
+	// at a width two rows can share.
+	dep, _, err := c.Install(Spec{Query: query.Q4(40), Mode: Partition, StagesPerSwitch: 4, Width: 1024})
+	if err != nil || dep.QID != 1 {
+		t.Fatalf("install after the rollback = %+v, %v, want qid 1", dep, err)
+	}
+}
+
+// TestNewtonMatchesRemote: the same query in each mode through Newton on
+// one simulated network, and through Remote over real rpc agents on an
+// identical one, leaves the same programs and rule entries switch for
+// switch — both are one reconcile over two transports.
+func TestNewtonMatchesRemote(t *testing.T) {
+	for _, mode := range []Mode{Replicate, Shard, Partition} {
+		t.Run(mode.String(), func(t *testing.T) {
+			topo, _, _ := topology.Linear(3)
+			build := func() *netsim.Network {
+				net, err := netsim.New(topo, netsim.Config{Stages: 12, ArraySize: 1 << 14})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return net
+			}
+			sim, wired := build(), build()
+
+			spec := Spec{Query: query.Q4(40), Mode: mode, Width: 1 << 10}
+			if mode == Partition {
+				spec.StagesPerSwitch = 4
+			}
+			dep, _, err := NewNewton(sim, 1).Install(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			clients := map[string]*rpc.Client{}
+			w := Want{Query: spec.Query, Width: spec.Width, Sharded: mode == Shard}
+			for _, id := range topo.Switches() {
+				node := wired.Node(id)
+				server, client := net.Pipe()
+				go rpc.NewAgent(node.DP, node.Eng).HandleConn(server)
+				c := rpc.NewClient(client)
+				t.Cleanup(func() { c.Close() })
+				clients[node.DP.ID] = c
+				w.Targets = append(w.Targets, node.DP.ID)
+			}
+			if mode == Partition {
+				w.Targets, w.StagesPer, w.Parts = nil, spec.StagesPerSwitch, map[string][]int{}
+				for id, parts := range dep.Placement {
+					w.Parts[wired.Node(id).DP.ID] = parts
+				}
+			}
+			qid, _, err := NewRemote(clients, 1).Deploy(0, w)
+			if err != nil || qid != dep.QID {
+				t.Fatalf("Remote deploy = qid %d, %v, want qid %d", qid, err, dep.QID)
+			}
+
+			rules := 0
+			for _, id := range topo.Switches() {
+				l, r := sim.Node(id), wired.Node(id)
+				if got, want := held(l.Eng), held(r.Eng); fmt.Sprint(got) != fmt.Sprint(want) || len(got) == 0 {
+					t.Errorf("switch %d: Newton installed %v, Remote %v", id, got, want)
+				}
+				if got, want := l.Layout.TotalRuleEntries(), r.Layout.TotalRuleEntries(); got != want {
+					t.Errorf("switch %d: %d rule entries under Newton, %d under Remote", id, got, want)
+				}
+				rules += l.Layout.TotalRuleEntries()
+			}
+			if dep.Rules != rules || len(dep.Switches) != 3 {
+				t.Errorf("deployment records %d rules on %v; the switches hold %d", dep.Rules, dep.Switches, rules)
+			}
+		})
 	}
 }
 

@@ -26,14 +26,7 @@ type faultyAgent struct {
 
 func newFaultyAgent(t *testing.T, id string, fc faults.Config) *faultyAgent {
 	t.Helper()
-	layout, err := modules.NewLayout(modules.LayoutCompact, 16, 1<<14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := modules.NewEngine(layout)
-	sw := dataplane.NewSwitch(id, 16, modules.StageCapacity())
-	sw.AddRoute(0, 0, 1)
-	sw.Monitor = eng
+	sw, eng := bareSwitch(t, id)
 	a := rpc.NewAgent(sw, eng)
 	inj := faults.New(fc)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -8,10 +8,9 @@ import (
 	"github.com/newton-net/newton/internal/obs"
 )
 
-// ctlObs is the controller's observability state, shared by the remote
-// (RPC) and in-process controllers: control-plane operation outcome
-// counters plus per-query resource gauge publication. The zero value
-// counts silently; RegisterObs makes it visible.
+// ctlObs is the controller's observability state: control-plane
+// operation outcome counters plus per-query resource gauge publication.
+// The zero value counts silently; RegisterObs makes it visible.
 type ctlObs struct {
 	deploys            uint64
 	deployFailures     uint64
@@ -102,12 +101,11 @@ func (o *ctlObs) unpublish(qid int) {
 	modules.RemoveQueryFootprint(o.reg, qid, info.name, obs.L("mode", info.mode))
 }
 
-// RegisterObs exposes the remote controller's deploy/rollback/
-// reconverge outcome counters in reg and turns on per-query resource
-// gauge publication for subsequent deploys.
+// RegisterObs exposes the controller's deploy/rollback/reconverge
+// outcome counters in reg and turns on per-query resource gauge
+// publication for subsequent deploys.
 func (r *Remote) RegisterObs(reg *obs.Registry) { r.obs.registerCtl(reg) }
 
-// RegisterObs exposes the in-process controller's operation outcome
-// counters in reg and turns on per-query resource gauge publication for
-// subsequent installs — what newton-ctl serves behind -obs-addr.
-func (c *Newton) RegisterObs(reg *obs.Registry) { c.obs.registerCtl(reg) }
+// RegisterObs is the same over the simulated network's controller —
+// what newton-ctl serves behind -obs-addr.
+func (c *Newton) RegisterObs(reg *obs.Registry) { c.r.RegisterObs(reg) }

@@ -108,9 +108,9 @@ var torn = share{stagesPer: -1}
 
 // programs compiles the programs a switch holding s installs: the whole
 // (possibly sharded) program, or its assigned partition slices. This is
-// the one place a deployment becomes programs, for both controllers.
-// They are compiled fresh per switch — register bindings are filled in
-// at install time, so two engines must never share a *Program.
+// the one place a deployment becomes programs. They are compiled fresh
+// per switch — register bindings are filled in at install time, so two
+// engines must never share a *Program.
 func (s share) programs(q *query.Query, qid int) ([]*modules.Program, error) {
 	o := compiler.AllOpts()
 	o.QID, o.Width = qid, s.width
@@ -180,13 +180,25 @@ func (s *spec) shareOf(n string) (share, bool) {
 // query.
 type installed struct {
 	share
-	owns bool // some program owns a state bank: the switch contributes snapshots
+	owns  bool // some program owns a state bank: the switch contributes snapshots
+	rules int  // rule entries the programs take, newton_fin's included
 }
 
-// Remote is the Newton controller speaking to switch agents over the
-// control channel (internal/rpc) instead of in-process engines — the
-// shape of a real deployment, where the controller is "a module of the
-// centralized network controller or ... an independent process" (§7).
+// agent is what the controller asks of one switch: the control
+// channel's calls, answered by an *rpc.Client or, for a switch of a
+// simulated network, by its engine in process (local).
+type agent interface {
+	Install(*modules.Program) error
+	Remove(qid int) error
+	NextEpoch() error
+	DrainReports() ([]dataplane.Report, error)
+}
+
+// Remote is the Newton controller speaking to switch agents — over the
+// control channel (internal/rpc) in the shape of a real deployment,
+// where the controller is "a module of the centralized network
+// controller or ... an independent process" (§7), or in process behind
+// Newton, which plans a simulated network's deployments onto it.
 //
 // A query is a rule set installed, removed and updated at runtime, and
 // Remote reaches every such change one way. It keeps two records: want,
@@ -202,7 +214,7 @@ type Remote struct {
 	// concurrently, and interleaving a deploy with an offline flip would
 	// corrupt the recorded state.
 	mu     sync.Mutex
-	agents map[string]*rpc.Client
+	agents map[string]agent
 	names  []string // every agent, sorted
 	rng    *rand.Rand
 
@@ -227,8 +239,17 @@ type Remote struct {
 	obs ctlObs
 }
 
-// NewRemote builds a controller over named agent connections.
-func NewRemote(agents map[string]*rpc.Client, seed int64) *Remote {
+// NewRemote builds a controller over named agent connections. The seed
+// drives the latency jitter.
+func NewRemote(clients map[string]*rpc.Client, seed int64) *Remote {
+	agents := make(map[string]agent, len(clients))
+	for n, c := range clients {
+		agents[n] = c
+	}
+	return newRemote(agents, seed)
+}
+
+func newRemote(agents map[string]agent, seed int64) *Remote {
 	r := &Remote{
 		agents: agents, rng: rand.New(rand.NewSource(seed)), nextQID: 1,
 		want: map[int]*spec{}, have: map[string]map[int]installed{},
@@ -259,11 +280,25 @@ func (r *Remote) put(qid int, s *spec) {
 	}
 }
 
+// Rule-operation latencies, calibrated against Fig. 11: installing a
+// small query (Q1, ~12 rules) takes ~5 ms; the largest (~55 rules) stays
+// under ~25 ms. Rule operations are batched per switch and switches are
+// programmed in parallel, so the slowest switch bounds an operation's
+// delay; it jitters ±10% per operation.
+const (
+	installBase    = 1500 * time.Microsecond
+	installPerRule = 320 * time.Microsecond
+	removeBase     = 1200 * time.Microsecond
+	removePerRule  = 260 * time.Microsecond
+)
+
 // pass is what one reconcile did.
 type pass struct {
-	steps    []DeployOutcome // one per switch contacted, in order
-	first    *modules.Program
-	maxRules int
+	steps   []DeployOutcome // one per switch contacted, in order
+	first   *modules.Program
+	rules   int           // rule entries installed, fleet-wide
+	slowest time.Duration // the longest modeled rule batch of any one switch
+	delay   time.Duration // the operation's modeled latency: slowest, jittered (set)
 }
 
 // reconcile is the one place the controller changes what switches hold.
@@ -306,32 +341,37 @@ func (r *Remote) drive(n string, qid int, verify bool, p *pass) (changed bool, e
 			return false, err
 		}
 	}
-	if _, held := r.have[n][qid]; held && !r.settled(n, qid) {
+	var batch time.Duration
+	if cur, held := r.have[n][qid]; held && !r.settled(n, qid) {
 		// An agent that restarted while away already lost the programs:
 		// not-installed is the desired state, not a failure.
-		if err := c.Remove(qid); err != nil && !rpc.IsAgentCode(err, rpc.CodeNotInstalled) {
+		if err := c.Remove(qid); err != nil && !errors.Is(err, modules.ErrNotInstalled) {
 			return false, fmt.Errorf("controller: agent %q: %w", n, err)
 		}
 		delete(r.have[n], qid)
 		changed = true
+		batch = removeBase + time.Duration(cur.rules)*removePerRule
 	}
 	got := installed{share: goal}
 	for i, prog := range progs {
-		if err := c.Install(prog); err != nil && !(verify && rpc.IsAgentCode(err, rpc.CodeAlreadyInstalled)) {
+		if err := c.Install(prog); err != nil && !(verify && errors.Is(err, modules.ErrAlreadyInstalled)) {
 			if i > 0 {
 				r.have[n][qid] = installed{share: torn}
 			}
 			return changed || i > 0, fmt.Errorf("controller: agent %q: %w", n, err)
 		}
 		got.owns = got.owns || ownsState(prog)
+		got.rules += prog.RuleCount() + 1 // + newton_fin entry
 		if p.first == nil {
 			p.first = prog
 		}
-		p.maxRules = max(p.maxRules, prog.RuleCount()+1)
 	}
 	if wanted {
 		r.have[n][qid] = got
+		p.rules += got.rules
+		batch += installBase + time.Duration(got.rules)*installPerRule
 	}
+	p.slowest = max(p.slowest, batch)
 	return true, nil
 }
 
@@ -342,8 +382,10 @@ func (r *Remote) drive(n string, qid int, verify bool, p *pass) (changed bool, e
 // touched so far is reconciled back to it, so no switch keeps a program
 // the records do not know about. Transient transport failures are
 // retried inside each rpc client; only exhausted retries or agent
-// rejections fail a switch.
-func (r *Remote) set(qid int, next *spec) (time.Duration, error) {
+// rejections fail a switch. The pass of a change that committed comes
+// back with the operation's modeled latency in delay: one jitter draw
+// per operation that contacted a switch.
+func (r *Remote) set(qid int, next *spec) (pass, error) {
 	prev := r.want[qid]
 	var names []string
 	mode, resized := "", false
@@ -376,7 +418,7 @@ func (r *Remote) set(qid int, next *spec) (time.Duration, error) {
 		if _, wanted := next.shareOf(n); wanted {
 			r.put(qid, prev)
 			inc(fail)
-			return 0, &PartialDeployError{QID: qid, Mode: mode, Failed: n,
+			return pass{}, &PartialDeployError{QID: qid, Mode: mode, Failed: n,
 				Outcomes: []DeployOutcome{{Switch: n, Err: fmt.Errorf("controller: agent %q offline", n)}}}
 		}
 		deferred++
@@ -396,17 +438,21 @@ func (r *Remote) set(qid int, next *spec) (time.Duration, error) {
 				inc(&r.obs.rollbacks)
 			}
 		}
-		return 0, &PartialDeployError{QID: qid, Mode: mode, Failed: p.steps[k-1].Switch, Outcomes: p.steps, Undone: undone}
+		return pass{}, &PartialDeployError{QID: qid, Mode: mode, Failed: p.steps[k-1].Switch, Outcomes: p.steps, Undone: undone}
 	}
 
 	inc(ok)
 	atomic.AddUint64(&r.obs.deferredRemoves, deferred)
+	if len(p.steps) > 0 {
+		f := 0.9 + 0.2*r.rng.Float64()
+		p.delay = time.Duration(float64(p.slowest) * f)
+	}
 	if next == nil {
 		r.obs.unpublish(qid)
 		if r.svc != nil {
 			r.svc.SetExpected(qid, nil)
 		}
-		return 0, nil
+		return p, nil
 	}
 	if p.first != nil && (prev == nil || resized) {
 		r.obs.publish(qid, next.Query.Name, mode, p.first.Footprint())
@@ -430,11 +476,7 @@ func (r *Remote) set(qid int, next *spec) (time.Duration, error) {
 		}
 		r.svc.SetExpected(qid, contributors)
 	}
-	if len(p.steps) == 0 {
-		return 0, nil
-	}
-	f := 0.9 + 0.2*r.rng.Float64()
-	return time.Duration(float64(installBase+time.Duration(p.maxRules)*installPerRule) * f), nil
+	return p, nil
 }
 
 // specOf resolves w against the fleet.
@@ -477,33 +519,35 @@ func (r *Remote) specOf(w Want) (*spec, error) {
 // operation latency (per-switch batches run in parallel; the slowest
 // bounds the delay).
 func (r *Remote) Deploy(qid int, w Want) (int, time.Duration, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deploy(qid, w)
+	qid, p, err := r.deploy(qid, w)
+	return qid, p.delay, err
 }
 
-func (r *Remote) deploy(qid int, w Want) (int, time.Duration, error) {
+// deploy is Deploy returning the whole pass: what Newton records.
+func (r *Remote) deploy(qid int, w Want) (int, pass, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	next, err := r.specOf(w)
 	if err != nil {
-		return 0, 0, err
+		return 0, pass{}, err
 	}
 	if qid == 0 {
 		qid = r.nextQID
 	} else if cur, ok := r.want[qid]; !ok {
-		return 0, 0, fmt.Errorf("controller: no deployment %d", qid)
+		return 0, pass{}, fmt.Errorf("controller: no deployment %d", qid)
 	} else if cur.mode != next.mode {
-		return 0, 0, fmt.Errorf("controller: deployment %d is a %s deploy, not a %s one", qid, cur.mode, next.mode)
+		return 0, pass{}, fmt.Errorf("controller: deployment %d is a %s deploy, not a %s one", qid, cur.mode, next.mode)
 	} else {
 		next.Query = cur.Query
 	}
-	delay, err := r.set(qid, next)
+	p, err := r.set(qid, next)
 	if err != nil {
-		return 0, 0, err
+		return 0, pass{}, err
 	}
 	if qid == r.nextQID {
 		r.nextQID++
 	}
-	return qid, delay, nil
+	return qid, p, nil
 }
 
 // Install deploys a new query whole on the named agents (all agents
@@ -514,13 +558,19 @@ func (r *Remote) Install(q *query.Query, width uint32, names []string) (int, tim
 
 // Remove uninstalls a deployment from every agent holding it.
 func (r *Remote) Remove(qid int) error {
+	_, err := r.remove(qid)
+	return err
+}
+
+// remove is Remove returning the modeled operation latency too.
+func (r *Remote) remove(qid int) (time.Duration, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.want[qid]; !ok {
-		return fmt.Errorf("controller: no deployment %d", qid)
+		return 0, fmt.Errorf("controller: no deployment %d", qid)
 	}
-	_, err := r.set(qid, nil)
-	return err
+	p, err := r.set(qid, nil)
+	return p.delay, err
 }
 
 // SetOffline flips a switch's reachability as the health monitor sees
@@ -625,7 +675,11 @@ func (r *Remote) AttachTelemetry(svc *telemetry.Service) {
 }
 
 // Collect returns new reports: the merged push-based stream when a
-// telemetry service is attached, otherwise a poll over every agent.
+// telemetry service is attached, otherwise a poll over every online
+// agent, in sorted order like Tick. A failing agent does not stop the
+// poll: a batch an agent handed over has left its switch for good (its
+// drain cursor moved), so what was drained is returned beside the
+// joined failures, never dropped because of them.
 func (r *Remote) Collect() ([]dataplane.Report, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -633,15 +687,17 @@ func (r *Remote) Collect() ([]dataplane.Report, error) {
 		return r.svc.DrainReports(), nil
 	}
 	var out []dataplane.Report
-	for n, c := range r.agents {
+	var errs []error
+	for _, n := range r.names {
 		if r.offline[n] {
 			continue
 		}
-		rs, err := c.DrainReports()
+		rs, err := r.agents[n].DrainReports()
 		if err != nil {
-			return nil, fmt.Errorf("controller: agent %q: %w", n, err)
+			errs = append(errs, fmt.Errorf("controller: agent %q: %w", n, err))
+			continue
 		}
 		out = append(out, rs...)
 	}
-	return out, nil
+	return out, errors.Join(errs...)
 }

@@ -50,6 +50,33 @@ func TestInstallPlacementPerSwitchPartitions(t *testing.T) {
 	}
 }
 
+// TestDelayModelsTheSlowestSwitch: a switch's rule batch is every
+// program it is handed, so one hosting both partitions models a longer
+// delay than either partition alone (same seed, same jitter draw), and
+// the fleet-wide rule total is the sum.
+func TestDelayModelsTheSlowestSwitch(t *testing.T) {
+	deploy := func(parts map[string][]int) pass {
+		r, _ := fakeFixture(t, 2)
+		_, p, err := r.deploy(0, placed(6, parts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	first, second := deploy(map[string][]int{"a": {0}}), deploy(map[string][]int{"a": {1}})
+	both := deploy(map[string][]int{"a": {0, 1}})
+	spread := deploy(map[string][]int{"a": {0}, "b": {1}})
+	if both.delay <= first.delay || both.delay <= second.delay {
+		t.Errorf("two partitions on one switch model %v; alone they model %v and %v", both.delay, first.delay, second.delay)
+	}
+	if want := max(first.delay, second.delay); spread.delay != want {
+		t.Errorf("one partition a switch models %v, want the slower of the two alone, %v", spread.delay, want)
+	}
+	if both.rules != first.rules+second.rules || spread.rules != both.rules {
+		t.Errorf("rules installed: both %d, spread %d, alone %d + %d", both.rules, spread.rules, first.rules, second.rules)
+	}
+}
+
 func TestInstallPlacementRollsBackAcrossAgents(t *testing.T) {
 	r, sws := remoteFixture(t, 2)
 	// A ghost agent in the assignment fails the deploy; the partition

@@ -67,19 +67,27 @@ func TestResizeWidthNoopAndUnknown(t *testing.T) {
 // would leave the fleet with mixed widths, so it must fail in preflight
 // with every agent's geometry untouched.
 func TestResizeWidthOfflineFailsFast(t *testing.T) {
-	r, _ := remoteFixture(t, 2)
-	qid, _, err := r.Install(query.Q1(3), 1<<10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetOffline("b", true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ResizeWidth(qid, 1<<11); err == nil {
-		t.Fatal("resize through an offline member accepted")
-	}
-	if got := r.want[qid].Width; got != 1<<10 {
-		t.Fatalf("failed resize changed recorded width to %d", got)
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			r, sws := fx.build(t, 2)
+			qid, _, err := r.Install(query.Q1(3), 1<<10, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep := engineOf(sws[0]).Programs()[0]
+			if err := r.SetOffline("b", true); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.ResizeWidth(qid, 1<<11); err == nil {
+				t.Fatal("resize through an offline member accepted")
+			}
+			if got := r.want[qid].Width; got != 1<<10 {
+				t.Fatalf("failed resize changed recorded width to %d", got)
+			}
+			if ps := engineOf(sws[0]).Programs(); len(ps) != 1 || ps[0] != keep {
+				t.Error("refused resize touched the online member")
+			}
+		})
 	}
 }
 
@@ -88,25 +96,29 @@ func TestResizeWidthOfflineFailsFast(t *testing.T) {
 // members back toward the old width — the recorded spec stays old, so
 // the fleet's geometry remains uniform.
 func TestResizeWidthRollsBackOnFailure(t *testing.T) {
-	r, _ := remoteFixture(t, 2)
-	qid, _, err := r.Install(query.Q1(3), 1<<10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.agents["b"].Close() // dies after preflight; "a" resizes first
-	if _, err := r.ResizeWidth(qid, 1<<11); err == nil {
-		t.Fatal("resize with a dead member accepted")
-	}
-	if got := r.want[qid].Width; got != 1<<10 {
-		t.Fatalf("failed resize recorded width %d, want old 1024", got)
-	}
-	// Agent "a" was rolled back to the old geometry: re-driving the old
-	// spec at it converges without error.
-	if err := r.SetOffline("b", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Reconverge(); err != nil {
-		t.Fatalf("reconverge after rollback: %v", err)
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			r, _ := fx.build(t, 2)
+			qid, _, err := r.Install(query.Q1(3), 1<<10, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kill(r, "b") // dies after preflight; "a" resizes first
+			if _, err := r.ResizeWidth(qid, 1<<11); err == nil {
+				t.Fatal("resize with a dead member accepted")
+			}
+			if got := r.want[qid].Width; got != 1<<10 {
+				t.Fatalf("failed resize recorded width %d, want old 1024", got)
+			}
+			// Agent "a" was rolled back to the old geometry: re-driving the old
+			// spec at it converges without error.
+			if err := r.SetOffline("b", true); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Reconverge(); err != nil {
+				t.Fatalf("reconverge after rollback: %v", err)
+			}
+		})
 	}
 }
 

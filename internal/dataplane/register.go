@@ -114,7 +114,7 @@ func (b *RegisterBank) NextEpoch() {
 
 // RegisterArray is a line-rate-transactional array of 32-bit registers,
 // each access performing one SALU operation: one query's allocation
-// from a stage's RegisterBank, or a worker-private shard of one.
+// from a stage's RegisterBank.
 //
 // A register is one uint32 word and nothing else. The windowed reset —
 // "values of reduce and distinct are evaluated and reset every 100ms" —
@@ -189,9 +189,9 @@ func (ra *RegisterArray) Exec(op SALUOp, idx uint32, operand uint32) uint32 {
 }
 
 // ExecSeq is Exec without the LOCK-prefixed instructions, for
-// single-goroutine delivery (Context.Sequential) and worker-private
-// shards: the same transaction as a plain read-modify-write, result for
-// result what Exec returns to a lone writer.
+// single-goroutine delivery (Context.Sequential): the same transaction
+// as a plain read-modify-write, result for result what Exec returns to
+// a lone writer.
 func (ra *RegisterArray) ExecSeq(op SALUOp, idx uint32, operand uint32) uint32 {
 	if idx >= uint32(len(ra.words)) {
 		panic(fmt.Sprintf("dataplane: register %s[%d] out of range (size %d)", ra.Name, idx, len(ra.words)))

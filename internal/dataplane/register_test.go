@@ -60,7 +60,7 @@ func TestExecSeqMatchesExec(t *testing.T) {
 }
 
 // TestExecConcurrentWritersAreExact: four writers share one array
-// through Exec, as DeliverBatch's lanes share a BankShared row. Every
+// through Exec, as DeliverBatch's lanes share a state-bank row. Every
 // add must land and every bit must stick (run under -race in CI).
 func TestExecConcurrentWritersAreExact(t *testing.T) {
 	const writers, size, rounds = 4, 8, 5000

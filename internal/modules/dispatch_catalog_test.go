@@ -17,7 +17,7 @@ import (
 // catalogSwitch builds a 16-stage switch with the first n catalog
 // queries installed: nine puts newton_init on the compiled classifier,
 // one leaves it below classify.MinRules, on the scan fallback.
-func catalogSwitch(t *testing.T, n, workers int, mode modules.BankMode) (*dataplane.Switch, *modules.Engine) {
+func catalogSwitch(t *testing.T, n, workers int) (*dataplane.Switch, *modules.Engine) {
 	t.Helper()
 	l, err := modules.NewLayout(modules.LayoutCompact, 16, 1<<16)
 	if err != nil {
@@ -25,7 +25,6 @@ func catalogSwitch(t *testing.T, n, workers int, mode modules.BankMode) (*datapl
 	}
 	eng := modules.NewEngine(l)
 	eng.SetWorkers(workers)
-	eng.SetBankMode(mode)
 	for i, q := range query.All()[:n] {
 		o := compiler.AllOpts()
 		o.QID = i + 1
@@ -58,7 +57,7 @@ func TestDispatchMissZeroAlloc(t *testing.T) {
 		compiled bool
 	}{{"compiled", 9, true}, {"scan", 1, false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			sw, eng := catalogSwitch(t, tc.queries, 1, modules.BankShared)
+			sw, eng := catalogSwitch(t, tc.queries, 1)
 			pkt := &packet.Packet{
 				TS:  1,
 				IP:  packet.IPv4{Proto: packet.ProtoTCP, TTL: 64, Dst: 0x0A000001},
@@ -105,32 +104,31 @@ func banksByRow(t *testing.T, eng *modules.Engine) map[string][]uint32 {
 // spoofed-flood trace only back-to-back packets of a flow still hit;
 // everything else evicts) and a default engine (where the benign flows
 // hit) must emit the same reports in the same order and leave every
-// state bank slot-for-slot equal — on one lane and on four, under both
-// bank modes. The two engines also draw
-// different hash seeds, so set membership differs between them.
+// state bank slot-for-slot equal — on one lane and on four. The two
+// engines also draw different hash seeds, so set membership differs
+// between them.
 func TestFlowTableTransparent(t *testing.T) {
 	tr := trace.Generate(trace.Config{Seed: 15, Flows: 300, Duration: 100 * time.Millisecond},
 		trace.SYNFlood{Victim: 0x0A0000AA, Packets: 3000},
 		trace.PortScan{Scanner: 0x0B000001, Victim: 0x0A0000AC, Ports: 500})
-	for _, tc := range []struct {
-		workers int
-		mode    modules.BankMode
-	}{{1, modules.BankShared}, {4, modules.BankShared}, {4, modules.BankPrivate}} {
-		t.Run(fmt.Sprintf("workers=%d/%v", tc.workers, tc.mode), func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		// "/shared": the lanes share the state banks. The label keeps the
+		// ids these rows have always had.
+		t.Run(fmt.Sprintf("workers=%d/shared", workers), func(t *testing.T) {
 			// Packets keep trace order and each runs on its flow's lane, all
 			// from this goroutine, so report order is defined.
 			run := func(pin bool) ([][]dataplane.Report, map[string][]uint32, *modules.Engine) {
-				sw, eng := catalogSwitch(t, 9, tc.workers, tc.mode)
+				sw, eng := catalogSwitch(t, 9, workers)
 				if pin {
 					eng.PinFlowTablesToOneSet()
 				}
-				sinks := make([][]dataplane.Report, tc.workers)
-				ctxs := make([]*dataplane.Context, tc.workers)
+				sinks := make([][]dataplane.Report, workers)
+				ctxs := make([]*dataplane.Context, workers)
 				for w := range ctxs {
 					ctxs[w] = dataplane.NewBatchContext(&sinks[w], w)
 				}
 				for _, pkt := range tr.Packets {
-					sw.ProcessCtx(pkt, ctxs[pkt.Flow().LaneHash()%uint64(tc.workers)])
+					sw.ProcessCtx(pkt, ctxs[pkt.Flow().LaneHash()%uint64(workers)])
 				}
 				return sinks, banksByRow(t, eng), eng
 			}
@@ -171,8 +169,7 @@ func TestFlowTableTransparent(t *testing.T) {
 // operation keys and hashes the bytes, the computation the cache
 // replaced) must emit the same reports in the same order and leave
 // every bank equal slot for slot — over TestFlowTableTransparent's trace
-// and catalog, on one lane and on four, under both bank modes. Q4 also
-// runs sliced across the two switches of a path, so the second switch
+// and catalog, on one lane and on four. Q4 also runs sliced across the two switches of a path, so the second switch
 // hashes, counts and reports on a PHV restored from the result-snapshot
 // header.
 func TestKeyHashCacheMatchesRecompute(t *testing.T) {
@@ -180,11 +177,8 @@ func TestKeyHashCacheMatchesRecompute(t *testing.T) {
 		trace.SYNFlood{Victim: 0x0A0000AA, Packets: 3000},
 		trace.PortScan{Scanner: 0x0B000001, Victim: 0x0A0000AC, Ports: 500})
 	const slicedQID = 10
-	for _, tc := range []struct {
-		workers int
-		mode    modules.BankMode
-	}{{1, modules.BankShared}, {4, modules.BankShared}, {1, modules.BankPrivate}, {4, modules.BankPrivate}} {
-		t.Run(fmt.Sprintf("workers=%d/%v", tc.workers, tc.mode), func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d/shared", workers), func(t *testing.T) {
 			type result struct {
 				reports [2][][]dataplane.Report // per switch, per lane
 				banks   [2]map[string][]uint32
@@ -193,8 +187,8 @@ func TestKeyHashCacheMatchesRecompute(t *testing.T) {
 			run := func(uncached bool) (res result) {
 				var sws [2]*dataplane.Switch
 				var engs [2]*modules.Engine
-				sws[0], engs[0] = catalogSwitch(t, 9, tc.workers, tc.mode)
-				sws[1], engs[1] = catalogSwitch(t, 0, tc.workers, tc.mode)
+				sws[0], engs[0] = catalogSwitch(t, 9, workers)
+				sws[1], engs[1] = catalogSwitch(t, 0, workers)
 				o := compiler.AllOpts()
 				o.QID, o.Width = slicedQID, 1<<12
 				p, err := compiler.Compile(query.All()[3], o)
@@ -213,8 +207,8 @@ func TestKeyHashCacheMatchesRecompute(t *testing.T) {
 					if uncached {
 						engs[i].DropKeyCRCScratch()
 					}
-					res.reports[i] = make([][]dataplane.Report, tc.workers)
-					for w := 0; w < tc.workers; w++ {
+					res.reports[i] = make([][]dataplane.Report, workers)
+					for w := 0; w < workers; w++ {
 						ctxs[i] = append(ctxs[i], dataplane.NewBatchContext(&res.reports[i][w], w))
 					}
 				}
@@ -222,14 +216,14 @@ func TestKeyHashCacheMatchesRecompute(t *testing.T) {
 				// both switches, all from this goroutine: report order is defined.
 				for _, pkt := range tr.Packets {
 					pkt.SP = nil
-					w := pkt.Flow().LaneHash() % uint64(tc.workers)
+					w := pkt.Flow().LaneHash() % uint64(workers)
 					sws[0].ProcessCtx(pkt, ctxs[0][w])
 					sws[1].ProcessCtx(pkt, ctxs[1][w])
 					pkt.SP = nil
 				}
 				for i := range engs {
 					res.banks[i] = banksByRow(t, engs[i])
-					for w := 0; w < tc.workers; w++ {
+					for w := 0; w < workers; w++ {
 						res.cached += engs[i].CachedKeyCRCs(w)
 					}
 				}

@@ -39,9 +39,7 @@ const maxSnapshotQID = 0xFFF
 // owns one lane holding its flow table (dispatch.go), execution
 // counters, and sampled-latency histogram, so the per-packet
 // path is lock-free under the Context.Lane single-writer discipline.
-// State banks stay shared and linearizable by default (BankShared);
-// BankPrivate gives gate-free sketch rows worker-private shards merged
-// at epoch boundaries — see sharding.go.
+// State banks are shared and linearizable — see sharding.go.
 type Engine struct {
 	layout *Layout
 
@@ -52,9 +50,6 @@ type Engine struct {
 	// lanes holds the per-worker execution state; lanes[0] always exists
 	// and serves sequential delivery. See engineLane in sharding.go.
 	lanes []*engineLane
-
-	// bankMode selects the state-bank sharding discipline (sharding.go).
-	bankMode BankMode
 
 	// masks interns the K masks of the installed programs. A K op carries
 	// its mask's index (KConfig.idx), and that index is where a lane's
@@ -69,11 +64,8 @@ type Engine struct {
 	seed [2]uint64
 
 	// stateBytes is what the installed queries' registers cost the host:
-	// MemoryBytes of every owning op's array and of its lane shards.
+	// MemoryBytes of every owning op's array.
 	stateBytes atomic.Int64
-
-	// mergeScratch is MergeWorkers' reusable snapshot buffer.
-	mergeScratch []uint32
 
 	// laneObs, when set via AttachObs, registers per-worker observability
 	// series (sampled-latency histogram) for a lane; SetWorkers invokes
@@ -118,9 +110,8 @@ func (e *Engine) search(qid, part int) int {
 }
 
 // StateHostBytes returns the bytes the installed queries' registers
-// hold on the host — 4 per register, worker-private lane shards
-// included. Nothing else about a state bank costs memory: its
-// ArraySize is a budget.
+// hold on the host — 4 per register. Nothing else about a state bank
+// costs memory: its ArraySize is a budget.
 func (e *Engine) StateHostBytes() int64 { return e.stateBytes.Load() }
 
 // InstalledCount returns how many programs are installed.
@@ -184,13 +175,21 @@ func (e *Engine) Install(p *Program) (err error) {
 		return fmt.Errorf("modules: query %d has %d partitions: %w (max %d)",
 			p.QID, p.TotalParts, ErrQIDRange, maxSnapshotQID)
 	}
+	if err := p.wellFormed(); err != nil {
+		return err
+	}
 	defer func() {
 		if err != nil {
 			e.rollback(p)
 		}
 	}()
+	// Bind each K op to its interned mask (rollback drops the references).
 	for _, b := range p.Branches {
-		e.prepareBranch(b)
+		for _, op := range b.Ops {
+			if op.Kind == ModK {
+				op.K.idx = e.internMask(&op.K.Mask)
+			}
+		}
 	}
 	// Pass 1: allocate registers for owning state-bank ops — fresh zeroed
 	// arrays, made before any rule that reaches them is published.
@@ -205,12 +204,9 @@ func (e *Engine) Install(p *Program) (err error) {
 			}
 			op.S.array, op.S.width = ra, ra.Size()
 			e.stateBytes.Add(int64(ra.MemoryBytes()))
-			e.allocLaneArrays(op.S)
 		}
 	}
-	// Pass 2: bind cross-branch reads to the Row0 banks they target —
-	// including the target's per-lane shards, so a private-mode cross
-	// read observes what its own lane accumulated.
+	// Pass 2: bind cross-branch reads to the Row0 banks they target.
 	for bi, b := range p.Branches {
 		for _, op := range b.Ops {
 			if op.Kind != ModS || op.S == nil || !op.S.CrossRead {
@@ -222,7 +218,6 @@ func (e *Engine) Install(p *Program) (err error) {
 					p.QID, bi, op.S.ReadBranch)
 			}
 			op.S.array, op.S.width = target.array, target.width
-			op.S.laneArrays = target.laneArrays
 		}
 	}
 	// Pass 3: install rules.
@@ -275,6 +270,24 @@ func (e *Engine) Remove(qid int) error {
 	return nil
 }
 
+// wellFormed rejects a program no compiler emits but a control channel
+// can carry: a missing branch or op, or a module kind without the config
+// Install and Execute reach through.
+func (p *Program) wellFormed() error {
+	for bi, b := range p.Branches {
+		if b == nil {
+			return fmt.Errorf("modules: query %d: branch %d is missing", p.QID, bi)
+		}
+		for oi, op := range b.Ops {
+			if op == nil || !(op.Kind == ModK && op.K != nil || op.Kind == ModH && op.H != nil ||
+				op.Kind == ModS && op.S != nil || op.Kind == ModR && op.R != nil) {
+				return fmt.Errorf("modules: query %d branch %d: op %d is missing or lacks its module's config", p.QID, bi, oi)
+			}
+		}
+	}
+	return nil
+}
+
 // internedMask is one entry of Engine.masks.
 type internedMask struct {
 	mask fields.Mask
@@ -302,31 +315,6 @@ func (e *Engine) internMask(m *fields.Mask) int {
 	}
 	e.masks[free] = internedMask{mask: *m, refs: 1}
 	return free
-}
-
-// prepareBranch binds each K op to its interned mask and marks which
-// state banks are lane-shardable under BankPrivate: a bank decomposes
-// exactly across worker-private shards only when its ALU is
-// commutative-mergeable (Add sums, Or unions) AND no result process
-// runs earlier in the chain. An earlier R can stop the packet based on
-// running state, making the bank's input stream depend on interleaving
-// — such gated banks (and non-commutative Read/Write ALUs) stay on the
-// shared linearizable array.
-func (e *Engine) prepareBranch(b *BranchProgram) {
-	seenR := false
-	for _, op := range b.Ops {
-		switch op.Kind {
-		case ModK:
-			op.K.idx = e.internMask(&op.K.Mask)
-		case ModS:
-			if s := op.S; s != nil && !s.PassThrough && !s.CrossRead {
-				s.shardable = !seenR &&
-					(s.ALU == dataplane.OpAdd || s.ALU == dataplane.OpOr)
-			}
-		case ModR:
-			seenR = true
-		}
-	}
 }
 
 // findRow0 locates the last reduce-row-0 state bank of a branch.
@@ -361,10 +349,9 @@ func (e *Engine) rollback(p *Program) {
 			if op.Kind == ModS && op.S != nil && op.S.array != nil {
 				if !op.S.CrossRead {
 					e.layout.FreeRegisters(op.Stage, op.Set, op.S.array)
-					e.stateBytes.Add(-int64(op.S.array.MemoryBytes()) - op.S.shardBytes())
+					e.stateBytes.Add(-int64(op.S.array.MemoryBytes()))
 				}
 				op.S.array = nil
-				op.S.laneArrays = nil
 			}
 		}
 		if b.initRuleID != 0 {
@@ -504,7 +491,6 @@ type keyCRCs struct {
 func (e *Engine) runBranch(ctx *dataplane.Context, b *BranchProgram, keys *keyCRCs, execs *uint64) {
 	phv := &ctx.PHV
 	seq := ctx.Sequential()
-	laneIdx := ctx.Lane
 	phv.Stopped = false
 	// mask[s] is the interned mask of the K op that wrote set s's
 	// operation keys in this chain; -1 while the keys are what another
@@ -524,7 +510,7 @@ func (e *Engine) runBranch(ctx *dataplane.Context, b *BranchProgram, keys *keyCR
 		case ModH:
 			e.execH(op.H, set, phv, keys, mask[op.Set&1])
 		case ModS:
-			e.execS(op.S, set, phv, seq, laneIdx)
+			e.execS(op.S, set, phv, seq)
 		case ModR:
 			e.execR(ctx, op.R, set, phv)
 		}
@@ -568,7 +554,7 @@ func ownerOf(set *fields.MetadataSet, count uint32, phv *fields.PHV) uint32 {
 	return sketch.FNV1a.Sum(key, 0xBEEF) % count
 }
 
-func (e *Engine) execS(s *SConfig, set *fields.MetadataSet, phv *fields.PHV, seq bool, lane int) {
+func (e *Engine) execS(s *SConfig, set *fields.MetadataSet, phv *fields.PHV, seq bool) {
 	if s.PassThrough {
 		set.StateResult = set.HashResult
 		return
@@ -580,18 +566,8 @@ func (e *Engine) execS(s *SConfig, set *fields.MetadataSet, phv *fields.PHV, seq
 		phv.Stopped = true
 		return
 	}
-	arr := s.array
-	if lane > 0 && lane < len(s.laneArrays) {
-		if la := s.laneArrays[lane]; la != nil {
-			// BankPrivate: this lane owns a private shard of the array,
-			// merged into the canonical one at epoch boundaries.
-			// Single-writer, so ExecSeq below is safe even on the parallel
-			// path.
-			arr, seq = la, true
-		}
-	}
-	if arr == nil {
-		panic(fmt.Sprintf("modules: state bank op executed before install (qid rule missing)"))
+	if s.array == nil {
+		panic("modules: state bank op executed before install (qid rule missing)")
 	}
 	idx := uint32(set.HashResult) % s.width
 	var operand uint32
@@ -604,9 +580,9 @@ func (e *Engine) execS(s *SConfig, set *fields.MetadataSet, phv *fields.PHV, seq
 		operand = uint32(set.HashResult)
 	}
 	if seq {
-		set.StateResult = uint64(arr.ExecSeq(s.ALU, idx, operand))
+		set.StateResult = uint64(s.array.ExecSeq(s.ALU, idx, operand))
 	} else {
-		set.StateResult = uint64(arr.Exec(s.ALU, idx, operand))
+		set.StateResult = uint64(s.array.Exec(s.ALU, idx, operand))
 	}
 }
 

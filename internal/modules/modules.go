@@ -119,15 +119,6 @@ type SConfig struct {
 	// array it targets. width is the array's size.
 	array *dataplane.RegisterArray
 	width uint32
-
-	// shardable (computed by prepareBranch) marks a bank that decomposes
-	// exactly across worker-private shards: commutative ALU (Add/Or)
-	// with no result process earlier in its chain. laneArrays, populated
-	// under Engine BankPrivate mode, holds one private shard per lane
-	// (slot 0 nil: lane 0 uses the canonical array); the shards merge
-	// into the canonical array at epoch boundaries.
-	shardable  bool
-	laneArrays []*dataplane.RegisterArray
 }
 
 // RActKind is one result-process action.

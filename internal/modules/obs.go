@@ -158,7 +158,7 @@ func AttachObs(e *Engine, reg *obs.Registry, switchID string) {
 		}
 	}
 	reg.GaugeFunc("newton_engine_state_host_bytes",
-		"Host memory held by the installed queries' registers (4 B each), worker-private lane shards included.",
+		"Host memory held by the installed queries' registers (4 B each).",
 		func() float64 { return float64(e.StateHostBytes()) }, sw)
 
 	// Per-worker series: each engine lane gets its own sampled-latency

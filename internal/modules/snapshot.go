@@ -74,10 +74,6 @@ func (b *BankSnapshot) Slot(keyBytes []byte) uint32 {
 // epochs read as zero, so the ending window's state is only observable
 // before the roll. Cross-branch reads and pass-through ops own no
 // registers and are skipped.
-// Under BankPrivate, worker-private lane shards are merged into the
-// canonical arrays first, so the snapshot — and everything the telemetry
-// plane derives from it (Estimate, SeenDistinct, network-wide merges) —
-// covers the whole window regardless of worker count.
 //
 // The result is freshly allocated and the caller's to keep.
 func (e *Engine) SnapshotBanks() []BankSnapshot { return e.SnapshotBanksInto(nil) }
@@ -90,7 +86,6 @@ func (e *Engine) SnapshotBanks() []BankSnapshot { return e.SnapshotBanksInto(nil
 // (qid, partition) order, so between installs bank i is the same bank
 // every epoch and a kept dst allocates nothing.
 func (e *Engine) SnapshotBanksInto(dst []BankSnapshot) []BankSnapshot {
-	e.MergeWorkers()
 	dst = dst[:cap(dst)]
 	n := 0
 	for _, p := range e.installed {

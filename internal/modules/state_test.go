@@ -98,50 +98,6 @@ func TestInstallAfterRemoveStartsFromZero(t *testing.T) {
 	}
 }
 
-// TestBankPrivateRowsMatchSingleLane runs two queries whose rows share
-// one bank (different widths) through four worker-private lanes and
-// through one: the merged snapshot must equal the single-lane one slot
-// for slot, and the host bytes are the rows' times the lanes'.
-func TestBankPrivateRowsMatchSingleLane(t *testing.T) {
-	pkts := manyFlows(200, 4000)
-	progs := func() []*Program {
-		return []*Program{buildCountProgram(1, 1<<30, 2048), buildCountProgram(2, 1<<30, 1024)}
-	}
-	one, _ := shardedRunAll(t, progs(), pkts, 1, BankShared)
-	four, _ := shardedRunAll(t, progs(), pkts, 4, BankPrivate)
-
-	if got, want := one.StateHostBytes(), int64(4*(2048+1024)); got != want {
-		t.Errorf("one lane holds %d B, want %d", got, want)
-	}
-	if got, want := four.StateHostBytes(), int64(4*4*(2048+1024)); got != want {
-		t.Errorf("four private lanes hold %d B, want %d", got, want)
-	}
-	a, b := one.SnapshotBanks(), four.SnapshotBanks()
-	if len(a) != 2 || len(b) != 2 {
-		t.Fatalf("bank counts: %d, %d, want 2", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].QueryID != b[i].QueryID || a[i].Width != b[i].Width || len(b[i].Values) != int(b[i].Width) {
-			t.Fatalf("bank %d: qid %d width %d vs qid %d width %d (%d values)",
-				i, a[i].QueryID, a[i].Width, b[i].QueryID, b[i].Width, len(b[i].Values))
-		}
-		sum := uint64(0)
-		for s := range a[i].Values {
-			if a[i].Values[s] != b[i].Values[s] {
-				t.Fatalf("query %d slot %d: one lane %d, four merged %d", a[i].QueryID, s, a[i].Values[s], b[i].Values[s])
-			}
-			sum += uint64(a[i].Values[s])
-		}
-		if sum != uint64(len(pkts)) {
-			t.Fatalf("query %d counted %d of %d packets", a[i].QueryID, sum, len(pkts))
-		}
-	}
-	four.SetWorkers(1)
-	if got, want := four.StateHostBytes(), int64(4*(2048+1024)); got != want {
-		t.Errorf("after SetWorkers(1) the shards are gone: %d B, want %d", got, want)
-	}
-}
-
 // TestSnapshotBanksIntoReusesBuffers: a kept buffer makes the capture
 // allocation-free between installs, SnapshotBanks stays fresh and
 // caller-owned beside it, and a removed query's values are let go.

@@ -34,11 +34,6 @@ type Config struct {
 	// 0 uses the package default (DefaultWorkers); 1 forces sequential
 	// delivery.
 	Workers int
-	// PrivateBanks switches every engine to modules.BankPrivate:
-	// shardable state-bank rows get worker-private shards merged at
-	// epoch boundaries instead of shared CAS transactions. See the
-	// BankMode docs for the exactness trade-off.
-	PrivateBanks bool
 }
 
 func (c Config) withDefaults() Config {
@@ -187,9 +182,6 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		}
 		eng := modules.NewEngine(layout)
 		eng.SetWorkers(cfg.Workers)
-		if cfg.PrivateBanks {
-			eng.SetBankMode(modules.BankPrivate)
-		}
 		dp := dataplane.NewSwitch(topo.Node(id).Name, cfg.Stages, modules.StageCapacity())
 		dp.SetLanes(cfg.Workers)
 		if err := dp.AddRoute(0, 0, 1); err != nil {
@@ -222,9 +214,6 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Workers returns the delivery lane count the network was built with.
-func (n *Network) Workers() int { return n.workers }
-
 // Node returns the switch node with the given topology ID.
 func (n *Network) Node(id int) *Node { return n.nodes[id] }
 
@@ -250,9 +239,6 @@ func (n *Network) AdvanceTo(ts uint64) {
 func (n *Network) rollEpochs(ts uint64) {
 	for ts >= n.nextEpoch {
 		for _, node := range n.nodes {
-			// RollEpoch folds worker-private bank shards into the
-			// canonical arrays (BankPrivate) before rolling the register
-			// epoch — the mandated roll entry point for sharded engines.
 			node.Eng.RollEpoch()
 		}
 		n.nextEpoch += uint64(n.Cfg.Window)
@@ -264,10 +250,6 @@ func (n *Network) rollEpochs(ts uint64) {
 func (n *Network) SetOutage(sw int, from, until uint64) {
 	n.outageFrom[sw] = from
 	n.outageTo[sw] = until
-}
-
-func (n *Network) inOutage(sw int) bool {
-	return n.inOutageAt(sw, n.clock)
 }
 
 // inOutageAt checks an outage against an explicit timestamp — the batch
@@ -385,15 +367,14 @@ const minParallelSegment = 64
 // flows proceed concurrently. Each lane mirrors reports into its own
 // persistent sink (merged into DrainReports's output), and the batch is
 // split at query-window boundaries: all packets of a window are
-// processed, the lanes join at a barrier, worker-private bank shards
-// merge, the register epochs roll, and the next window begins — exactly
-// the epoch discipline of sequential delivery.
+// processed, the lanes join at a barrier, the register epochs roll, and
+// the next window begins — exactly the epoch discipline of sequential
+// delivery.
 //
 // Switch state stays exact under parallelism: tables are read through
 // immutable copy-on-write snapshots and every register ALU transaction
-// is a linearizable compare-and-swap (or a worker-private shard merged
-// at the barrier), so windowed counts, delivery counters, and report
-// volumes match sequential delivery. Query installs/removals must not
+// is one linearizable atomic operation, so windowed counts, delivery
+// counters, and report volumes match sequential delivery. Query installs/removals must not
 // run concurrently with a batch.
 func (n *Network) DeliverBatch(pkts []*packet.Packet, srcHost, dstHost int) {
 	workers := n.workers

@@ -14,11 +14,11 @@ import (
 )
 
 // workersNet builds a single-switch network with the given lane count
-// (and bank mode) and Q1 installed.
-func workersNet(t *testing.T, workers int, private bool, threshold uint64) (*Network, int, int) {
+// and Q1 installed.
+func workersNet(t *testing.T, workers int, threshold uint64) (*Network, int, int) {
 	t.Helper()
 	topo, h1, h2 := topology.Linear(1)
-	net, err := New(topo, Config{Stages: 12, ArraySize: 1 << 16, Workers: workers, PrivateBanks: private})
+	net, err := New(topo, Config{Stages: 12, ArraySize: 1 << 16, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestDeliverBatchWorkersMatchSequential(t *testing.T) {
 		reports            int
 		banks              []uint32
 	}
-	run := func(workers int, private bool) outcome {
-		net, h1, h2 := workersNet(t, workers, private, 40)
+	run := func(workers int) outcome {
+		net, h1, h2 := workersNet(t, workers, 40)
 		net.DeliverBatch(tr.Packets, h1, h2)
 		d, dr := net.Stats()
 		reports := net.DrainReports()
@@ -82,33 +82,21 @@ func TestDeliverBatchWorkersMatchSequential(t *testing.T) {
 		return outcome{delivered: d, dropped: dr, reports: len(reports), banks: banks}
 	}
 
-	seq := run(1, false)
-	for _, cfg := range []struct {
-		workers int
-		private bool
-	}{{4, false}, {4, true}} {
-		par := run(cfg.workers, cfg.private)
-		if par.delivered != seq.delivered || par.dropped != seq.dropped {
-			t.Fatalf("workers=%d private=%v: stats %d/%d, sequential %d/%d",
-				cfg.workers, cfg.private, par.delivered, par.dropped, seq.delivered, seq.dropped)
-		}
-		// Mid-window threshold reports are exact under shared (CAS) banks
-		// at any worker count. Under BankPrivate a sharded row's mid-window
-		// reads are lane-local by design — only the merged epoch snapshot
-		// is exact — so report volume is not compared there.
-		if !cfg.private && par.reports != seq.reports {
-			t.Fatalf("workers=%d private=%v: %d reports, sequential %d",
-				cfg.workers, cfg.private, par.reports, seq.reports)
-		}
-		if len(par.banks) != len(seq.banks) {
-			t.Fatalf("workers=%d private=%v: bank size %d, sequential %d",
-				cfg.workers, cfg.private, len(par.banks), len(seq.banks))
-		}
-		for i := range seq.banks {
-			if par.banks[i] != seq.banks[i] {
-				t.Fatalf("workers=%d private=%v: bank slot %d = %d, sequential %d",
-					cfg.workers, cfg.private, i, par.banks[i], seq.banks[i])
-			}
+	seq, par := run(1), run(4)
+	if par.delivered != seq.delivered || par.dropped != seq.dropped {
+		t.Fatalf("4 workers: stats %d/%d, sequential %d/%d", par.delivered, par.dropped, seq.delivered, seq.dropped)
+	}
+	// Mid-window threshold reports are exact at any worker count: every
+	// lane reads and writes the one shared bank.
+	if par.reports != seq.reports {
+		t.Fatalf("4 workers: %d reports, sequential %d", par.reports, seq.reports)
+	}
+	if len(par.banks) != len(seq.banks) {
+		t.Fatalf("4 workers: bank size %d, sequential %d", len(par.banks), len(seq.banks))
+	}
+	for i := range seq.banks {
+		if par.banks[i] != seq.banks[i] {
+			t.Fatalf("4 workers: bank slot %d = %d, sequential %d", i, par.banks[i], seq.banks[i])
 		}
 	}
 }
@@ -116,35 +104,33 @@ func TestDeliverBatchWorkersMatchSequential(t *testing.T) {
 // TestDeliverBatchEpochBarrier asserts window boundaries inside a batch
 // roll the epochs exactly as sequential delivery does: a batch spanning
 // two windows leaves the second window's counts in the banks (the first
-// window's merged-and-rolled state reads as zero).
+// window's rolled state reads as zero).
 func TestDeliverBatchEpochBarrier(t *testing.T) {
-	for _, private := range []bool{false, true} {
-		net, h1, h2 := workersNet(t, 4, private, 1<<30)
-		// 100 packets of one flow in window 0, 30 in window 1.
-		var pkts []*packet.Packet
-		mk := func(ts uint64) *packet.Packet {
-			return &packet.Packet{TS: ts, IP: packet.IPv4{Proto: packet.ProtoTCP, Src: 1, Dst: 2},
-				TCP: &packet.TCP{SrcPort: 9, DstPort: 80, Flags: packet.FlagSYN}}
-		}
-		for i := 0; i < 100; i++ {
-			pkts = append(pkts, mk(uint64(i)))
-		}
-		w1 := uint64(100 * time.Millisecond)
-		for i := 0; i < 30; i++ {
-			pkts = append(pkts, mk(w1+uint64(i)))
-		}
-		net.DeliverBatch(pkts, h1, h2)
-		var max uint32
-		for _, b := range net.Node(net.Topo.Switches()[0]).Eng.SnapshotBanks() {
-			for _, v := range b.Values {
-				if v > max {
-					max = v
-				}
+	net, h1, h2 := workersNet(t, 4, 1<<30)
+	// 100 packets of one flow in window 0, 30 in window 1.
+	var pkts []*packet.Packet
+	mk := func(ts uint64) *packet.Packet {
+		return &packet.Packet{TS: ts, IP: packet.IPv4{Proto: packet.ProtoTCP, Src: 1, Dst: 2},
+			TCP: &packet.TCP{SrcPort: 9, DstPort: 80, Flags: packet.FlagSYN}}
+	}
+	for i := 0; i < 100; i++ {
+		pkts = append(pkts, mk(uint64(i)))
+	}
+	w1 := uint64(100 * time.Millisecond)
+	for i := 0; i < 30; i++ {
+		pkts = append(pkts, mk(w1+uint64(i)))
+	}
+	net.DeliverBatch(pkts, h1, h2)
+	var max uint32
+	for _, b := range net.Node(net.Topo.Switches()[0]).Eng.SnapshotBanks() {
+		for _, v := range b.Values {
+			if v > max {
+				max = v
 			}
 		}
-		if max != 30 {
-			t.Fatalf("private=%v: max bank count after cross-window batch = %d, want 30 (second window only)", private, max)
-		}
+	}
+	if max != 30 {
+		t.Fatalf("max bank count after cross-window batch = %d, want 30 (second window only)", max)
 	}
 }
 
@@ -154,7 +140,7 @@ func TestDeliverBatchEpochBarrier(t *testing.T) {
 // workers.
 func TestDeliverBatchZeroAllocSteadyState(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		net, h1, h2 := workersNet(t, workers, false, 1<<30)
+		net, h1, h2 := workersNet(t, workers, 1<<30)
 		tr := scalingTrace()
 		var reports []dataplane.Report
 		for p := 0; p < 2; p++ { // warm: epochs, caches, buffer sizes
@@ -217,12 +203,12 @@ func TestPathCacheBounded(t *testing.T) {
 		return o
 	}
 
-	batch, h1, h2 := workersNet(t, 1, false, 40)
+	batch, h1, h2 := workersNet(t, 1, 40)
 	batch.DeliverBatch(pkts, h1, h2)
 	if got := len(batch.lanes[0].cache); got != maxCachedPaths {
 		t.Fatalf("path cache holds %d entries after %d distinct seeds, want the cap %d", got, len(pkts), maxCachedPaths)
 	}
-	seq, h1, h2 := workersNet(t, 1, false, 40)
+	seq, h1, h2 := workersNet(t, 1, 40)
 	for _, pkt := range pkts {
 		seq.Deliver(pkt, h1, h2)
 	}

@@ -74,10 +74,17 @@ type AgentError struct {
 
 func (e *AgentError) Error() string { return "rpc: agent: " + e.Msg }
 
-// IsAgentCode reports whether err is an AgentError with the given code.
-func IsAgentCode(err error, code string) bool {
-	var ae *AgentError
-	return errors.As(err, &ae) && ae.Code == code
+// Is answers errors.Is from the code: a classified rejection is the
+// engine error errResponse classified, so a caller tells "already
+// there" and "already gone" the same way over the wire as in process.
+func (e *AgentError) Is(target error) bool {
+	switch e.Code {
+	case CodeAlreadyInstalled:
+		return target == modules.ErrAlreadyInstalled
+	case CodeNotInstalled:
+		return target == modules.ErrNotInstalled
+	}
+	return false
 }
 
 // Message types.
@@ -467,10 +474,6 @@ func (a *Agent) execute(req *Request) *Response {
 		if a.OnEpoch != nil {
 			a.OnEpoch()
 		}
-		// RollEpoch (not a bare Pipeline().NextEpoch()) folds any
-		// worker-private bank shards into the canonical arrays before the
-		// windows roll; OnEpoch's snapshot already merged, so this second
-		// merge is an idempotent no-op.
 		a.eng.RollEpoch()
 		return &Response{OK: true}
 	}

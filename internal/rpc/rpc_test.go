@@ -13,7 +13,7 @@ import (
 	"github.com/newton-net/newton/internal/query"
 )
 
-func testAgent(t *testing.T) (*Agent, *dataplane.Switch) {
+func testAgent(t testing.TB) (*Agent, *dataplane.Switch) {
 	t.Helper()
 	layout, err := modules.NewLayout(modules.LayoutCompact, 16, 1<<14)
 	if err != nil {
@@ -35,7 +35,7 @@ func pipeClient(t *testing.T, a *Agent) *Client {
 	return c
 }
 
-func compileQ1(t *testing.T, qid int) *modules.Program {
+func compileQ1(t testing.TB, qid int) *modules.Program {
 	t.Helper()
 	o := compiler.AllOpts()
 	o.QID = qid
