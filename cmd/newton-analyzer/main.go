@@ -30,7 +30,7 @@ func main() {
 	var (
 		listen = flag.String("listen", "127.0.0.1:9500", "telemetry stream listen address")
 		window = flag.Duration("window", 100*time.Millisecond, "query window for cross-switch alert dedup")
-		keep   = flag.Int("keep-epochs", 16, "merged epochs retained per sketch bank")
+		keep   = flag.Int("keep-epochs", 16, "merged epochs retained per query")
 		stats  = flag.Duration("stats", 10*time.Second, "interval between ingest-stats lines (0 = off)")
 
 		obsAddr  = flag.String("obs-addr", "", "observability HTTP address for /metrics, /debug/vars, pprof ('' = disabled)")
@@ -82,8 +82,8 @@ func main() {
 			for range time.Tick(*stats) {
 				st := svc.Stats()
 				fmt.Fprintf(os.Stderr,
-					"newton-analyzer: agents=%d live=%d reports=%d dup_alerts=%d snapshots=%d reconnects=%d epoch_gaps=%d partial_epochs=%d stream_errors=%d\n",
-					st.Agents, st.LiveAgents, st.Reports, st.DuplicateAlerts, st.Snapshots,
+					"newton-analyzer: agents=%d live=%d queries=%d reports=%d dup_alerts=%d snapshots=%d reconnects=%d epoch_gaps=%d partial_epochs=%d stream_errors=%d\n",
+					st.Agents, st.LiveAgents, st.Queries, st.Reports, st.DuplicateAlerts, st.Snapshots,
 					st.Reconnects, st.EpochGaps, st.PartialEpochs, st.StreamErrors)
 			}
 		}()

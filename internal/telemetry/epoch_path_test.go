@@ -2,12 +2,14 @@ package telemetry_test
 
 import (
 	"net"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/dataplane"
+	"github.com/newton-net/newton/internal/fields"
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/telemetry"
@@ -93,10 +95,11 @@ func stormSwitch(t *testing.T, svc *telemetry.Service) (exp *telemetry.Exporter,
 // cell sets per bank, the merged epochs), holds an epoch to under a
 // tenth of its raw bank values in new allocation.
 //
-// Measured on this test: 2.3 KB in 16 objects an epoch — or 78 KB in 17,
+// Measured on this test: 1.3 KB in 8 objects an epoch — or 78 KB in 9,
 // one run in six, when a collection inside the window empties the pool
 // the flate writer waits in and the next frame builds another (1.2 MB
-// over the 16 epochs), which is what the bound leaves room for. With
+// over the 16 epochs), which is what the bound leaves room for. With a
+// contributor map per (query, epoch) (commit a86ebfe): 2.3 KB in 16. With
 // dense codec bases and a per-snapshot contributor set (commit 4081355):
 // 2.7 KB in 28. The path that made a fresh slice per bank at each of
 // snapshot, encoder base, decoder and merge, and a flate writer per frame
@@ -130,6 +133,69 @@ func TestEpochPathSteadyStateGarbage(t *testing.T) {
 	}
 	if objsPer > 50 {
 		t.Errorf("a steady epoch allocates %d objects; the per-bank-slice path made 247", objsPer)
+	}
+}
+
+// TestReadsDoNotAllocate: what the refiner and an operator's point
+// queries ask of a settled epoch costs the query's own rows and no
+// garbage — the benchmark polls LatestSettledEpoch while it waits for an
+// epoch to settle, inside allocs_per_epoch. 16 retained epochs of four
+// queries, four rows of 1024 each, three Count-Min and one Bloom; before
+// queryState, LatestSettledEpoch made 5 objects a call and Estimate 4.
+// ObservedAccuracy may keep its one: the fills of the worst Bloom group
+// it hands back (none for a Count-Min query).
+func TestReadsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	const epochs, width = 16, 1024
+	svc := telemetry.NewService(telemetry.ServiceConfig{KeepEpochs: epochs})
+	defer svc.Close()
+	exp := connect(t, svc, "s1", telemetry.ExporterConfig{}, nil)
+	defer exp.Close()
+	var banks []modules.BankSnapshot
+	for qid := 1; qid <= 4; qid++ {
+		for row := 0; row < 4; row++ {
+			b := cmsBank(qid, make([]uint32, width)...)
+			b.Row, b.Seed, b.KeyMask = row, uint32(row), fields.Keep(fields.DstIP)
+			if qid == 4 {
+				b.Kind = modules.BankBloomRow
+			}
+			for i := 0; i < width; i += 7 {
+				b.Values[i] = 1
+			}
+			banks = append(banks, b)
+		}
+	}
+	for e := uint32(1); e <= epochs+2; e++ {
+		if err := exp.ExportSnapshot(e, banks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const last = epochs + 2
+	waitFor(t, "every epoch merged", func() bool { return svc.Stats().Snapshots == last })
+
+	var keys fields.Vector
+	keys.Set(fields.DstIP, 0x0a000001)
+	reads := []struct {
+		name string
+		max  float64
+		call func() bool
+	}{
+		{"LatestSettledEpoch", 0, func() bool { e, ok := svc.LatestSettledEpoch(1); return ok && e == last }},
+		{"Estimate", 0, func() bool { _, ok := svc.Estimate(1, 0, last, &keys); return ok }},
+		{"SeenDistinct", 0, func() bool { _, ok := svc.SeenDistinct(4, 0, last, &keys); return ok }},
+		{"EpochStatus", 0, func() bool { partial, _, merged := svc.EpochStatus(1, last); return !partial && merged == 1 }},
+		{"ObservedAccuracy", 1, func() bool { qa, ok := svc.ObservedAccuracy(1, last, 0); return ok && qa.CMSRows == 4 }},
+		{"ObservedAccuracy/bloom", 1, func() bool { qa, ok := svc.ObservedAccuracy(4, last, 0); return ok && qa.BloomRows == 4 }},
+	}
+	for _, r := range reads {
+		if !r.call() {
+			t.Errorf("%s does not answer for the newest epoch", r.name)
+		}
+		if got := testing.AllocsPerRun(100, func() { r.call() }); got > r.max {
+			t.Errorf("%s allocates %v objects a call, want at most %v", r.name, got, r.max)
+		}
 	}
 }
 
@@ -183,24 +249,25 @@ func TestEpochPathHeldState(t *testing.T) {
 }
 
 // TestMergedRowsOutliveTheirEpoch: the analyzer builds each new merged
-// epoch of a bank in the memory of the one it evicts, so what MergedRows
+// epoch of a query in the memory of the one it evicts, so what MergedRows
 // hands out must be the caller's own copy — a result held across the
 // eviction keeps its values — and a recycled bank must start from zero,
 // not from the evicted epoch's counts. A snapshot older than everything
-// a full bank retains is dropped, as it was when it was merged and
-// evicted in one step.
+// a full ring retains is dropped whole, as it was when it was merged and
+// evicted in one step. And an epoch leaves whole: a row that stops
+// arriving does not keep serving epochs its query has evicted.
 func TestMergedRowsOutliveTheirEpoch(t *testing.T) {
 	svc := telemetry.NewService(telemetry.ServiceConfig{KeepEpochs: 2})
 	defer svc.Close()
 	exp := connect(t, svc, "sw1", telemetry.ExporterConfig{}, nil)
 	defer exp.Close()
+	sendBanks := func(epoch uint32, banks ...modules.BankSnapshot) {
+		t.Helper()
+		sendSnapshot(t, svc, exp, epoch, banks)
+	}
 	send := func(epoch uint32, vals ...uint32) {
 		t.Helper()
-		before := svc.Stats().Snapshots
-		if err := exp.ExportSnapshot(epoch, []modules.BankSnapshot{cmsBank(1, vals...)}); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, "snapshot merged", func() bool { return svc.Stats().Snapshots == before+1 })
+		sendBanks(epoch, cmsBank(1, vals...))
 	}
 	send(5, 10, 20, 30)
 	send(6, 1, 1, 1)
@@ -227,11 +294,55 @@ func TestMergedRowsOutliveTheirEpoch(t *testing.T) {
 		t.Errorf("epoch 7 provenance: %v", sw)
 	}
 
+	type status struct {
+		partial bool
+		missing []string
+		merged  int
+	}
+	statusOf := func(epoch uint32) status {
+		p, miss, m := svc.EpochStatus(1, epoch)
+		return status{p, miss, m}
+	}
+	contributors, at4 := svc.Contributors(1), statusOf(4)
 	send(4, 9, 9, 9) // a straggler older than both retained epochs
 	if rows := svc.MergedRows(1, 0, 4); len(rows) != 0 {
 		t.Errorf("a straggler displaced a newer epoch: %d rows at epoch 4", len(rows))
 	}
 	if len(svc.MergedRows(1, 0, 6)) != 1 || len(svc.MergedRows(1, 0, 7)) != 1 {
 		t.Error("the straggler evicted a retained epoch")
+	}
+	if got := svc.Contributors(1); !reflect.DeepEqual(got, contributors) {
+		t.Errorf("the straggler changed Contributors: %v, was %v", got, contributors)
+	}
+	if got := statusOf(4); !reflect.DeepEqual(got, at4) {
+		t.Errorf("the straggler was recorded: EpochStatus(4) = %+v, was %+v", got, at4)
+	}
+
+	// A second row arrives for two epochs and then stops, while the first
+	// carries on: the epochs it was part of are evicted with the rest.
+	second := cmsBank(1, 2, 2)
+	second.Row = 1
+	sendBanks(8, cmsBank(1, 1, 1, 1), second)
+	sendBanks(9, cmsBank(1, 1, 1, 1), second)
+	if rows := svc.MergedRows(1, 0, 9); len(rows) != 2 || rows[1].Values[0] != 2 {
+		t.Fatalf("epoch 9 with both rows: %+v", rows)
+	}
+	for e := uint32(10); e <= 15; e++ {
+		send(e, 3, 3, 3)
+	}
+	if rows := svc.MergedRows(1, 0, 9); len(rows) != 0 {
+		t.Errorf("epoch 9, evicted five epochs ago, still serves %d rows (values %v)", len(rows), rows[0].Values)
+	}
+	if qa, ok := svc.ObservedAccuracy(1, 9, 0); ok {
+		t.Errorf("ObservedAccuracy of the evicted epoch 9: ok, StreamTotal=%d", qa.StreamTotal)
+	}
+	if got, never := statusOf(9), statusOf(1000); got.merged != 0 || !reflect.DeepEqual(got, never) {
+		t.Errorf("EpochStatus of the evicted epoch 9 = %+v, of one never seen = %+v", got, never)
+	}
+	if rows := svc.MergedRows(1, 0, 15); len(rows) != 1 || rows[0].Values[0] != 3 {
+		t.Errorf("epoch 15 holds the row that still arrives and no other: %+v", rows)
+	}
+	if n := svc.BankSlots(1); n != 2 {
+		t.Errorf("query 1 holds %d rows of memory over its 2 epochs, want the one that still arrives in each", n)
 	}
 }

@@ -28,7 +28,7 @@ func TestForgetAgentReleasesBookkeeping(t *testing.T) {
 	}
 	for _, id := range []string{"s1", "s2"} {
 		a := s.streamUp(id)
-		s.ingestSnapshot(a, id, 1, snap, cells)
+		s.ingestSnapshot(a, id, 1, snap, cells, false, 0)
 		s.streamDown(a)
 	}
 	if got := s.TrackedAgents(); got != 2 {
@@ -58,7 +58,7 @@ func TestForgetAgentReleasesBookkeeping(t *testing.T) {
 	// The learned expected set no longer demands s1, so a fresh epoch
 	// completed by s2 alone is not partial.
 	a2 := s.registerAgent("s2")
-	s.ingestSnapshot(a2, "s2", 2, snap, cells)
+	s.ingestSnapshot(a2, "s2", 2, snap, cells, false, 0)
 	if partial, missing, _ := s.EpochStatus(7, 2); partial {
 		t.Fatalf("epoch 2 partial after forgetting s1, missing %v", missing)
 	}
@@ -69,7 +69,7 @@ func TestForgetAgentReleasesBookkeeping(t *testing.T) {
 	a3 := s.streamUp("s3")
 	s.streamDown(a3)
 	s.ForgetAgent("s3")
-	s.ingestSnapshot(a2, "s2", 3, snap, cells)
+	s.ingestSnapshot(a2, "s2", 3, snap, cells, false, 0)
 	if partial, missing, _ := s.EpochStatus(7, 3); !partial || len(missing) != 1 || missing[0] != "s3" {
 		t.Fatalf("pinned expected set not honored after forget: partial=%v missing=%v", partial, missing)
 	}

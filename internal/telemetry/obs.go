@@ -97,6 +97,9 @@ func (s *Service) RegisterObs(reg *obs.Registry) {
 	reg.GaugeFunc("newton_analyzer_tracked_agents",
 		"Switches with resident per-agent bookkeeping (shrinks via ForgetAgent).",
 		func() float64 { return float64(s.TrackedAgents()) })
+	reg.GaugeFunc("newton_analyzer_tracked_queries",
+		"Queries with resident merge state (shrinks via SetExpected(nil), ForgetAgent and the aging of learned membership).",
+		func() float64 { return float64(s.Stats().Queries) })
 	reg.CounterFunc("newton_analyzer_reports_total",
 		"Raw reports ingested (pre-dedup).",
 		stat(func(st ServiceStats) uint64 { return st.Reports }))

@@ -1,12 +1,13 @@
 package telemetry
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -25,8 +26,10 @@ type ServiceConfig struct {
 	// threshold alerts across switches (default 100 ms, the paper's
 	// epoch).
 	Window time.Duration
-	// KeepEpochs bounds how many merged epochs stay resident per bank
-	// (default 16); older epochs are pruned as new ones arrive.
+	// KeepEpochs bounds how many merged epochs stay resident per query
+	// (default 16): admitting a newer one evicts the query's oldest whole.
+	// A switch that sends as many snapshots without naming a query it was
+	// learned to host stops being expected to contribute to it.
 	KeepEpochs int
 	// KeepAlertWindows bounds the alert-dedup memory: dedup keys whose
 	// window trails the newest seen window by more than this many
@@ -47,11 +50,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 		c.KeepAlertWindows = 64
 	}
 	return c
-}
-
-// bankKey identifies one sketch row of one query network-wide.
-type bankKey struct {
-	qid, part, branch, row int
 }
 
 // MergedBank is the network-wide merge of one sketch row across every
@@ -192,19 +190,11 @@ type Service struct {
 	wg     sync.WaitGroup
 
 	agents map[string]*agentInfo
-	reg    *obs.Registry                      // where per-agent series go as agents appear (RegisterObs); nil before
-	merged map[bankKey]map[uint32]*MergedBank // bank -> epoch -> merge
+	reg    *obs.Registry // where per-agent series go as agents appear (RegisterObs); nil before
 
-	// Partial-epoch bookkeeping: which switches are expected to
-	// contribute snapshots per query (set explicitly by the controller
-	// for sharded deploys, otherwise learned from who has contributed),
-	// and which actually did per (query, epoch).
-	expected map[int]map[string]bool
-	pinned   map[int]bool // expected[qid] was set explicitly; stop learning
-	// contrib[qid][epoch][switch] is the ingest count (totalSnapshots) of
-	// the snapshot that first delivered the switch's banks of (qid, epoch):
-	// a later snapshot naming the same three is a replay, not more traffic.
-	contrib map[int]map[uint32]map[string]uint64
+	// queries holds each query a snapshot has named or the controller has
+	// pinned; deleting its entry is how a query is forgotten.
+	queries map[int]*queryState
 
 	// Alert dedup with bounded retention: maxWindow tracks the newest
 	// window seen, and once seen grows past seenCompactAt the keys
@@ -212,26 +202,17 @@ type Service struct {
 	// threshold doubles with the surviving population, so compaction
 	// cost stays O(1) per report).
 	seen          map[alertKey]bool
-	seenKey       []byte // a report's masked key bytes, serialised for the seen lookup
+	keyBuf        []byte // masked key bytes being looked up: a report's in seen, a read's in a merged row
 	maxWindow     uint64
 	seenCompactAt int
 	pending       []dataplane.Report // deduped alerts not yet drained, the newest maxPending
 	subs          map[int]chan Event
 	nextSub       int
 
-	// qEpoch tracks the highest snapshot epoch seen per query; when a
-	// query's epoch advances, the superseded epoch is judged final and
-	// counted partial if expected contributors never delivered it.
-	qEpoch        map[int]uint32
+	// partialEpochs counts superseded epochs: when a query's frontier
+	// advances, the epoch it leaves is judged final and counted partial if
+	// expected contributors never delivered it.
 	partialEpochs uint64
-
-	// Width-transition bookkeeping (NoteResize): a resized query's
-	// agents restart with empty banks mid-window, so the first epoch
-	// merged after the resize mixes pre- and post-resize traffic and
-	// must read Partial. resizePending marks queries whose transition
-	// epoch has not arrived yet; transition records the flagged epochs.
-	resizePending map[int]bool
-	transition    map[int]map[uint32]bool
 
 	totalReports     uint64
 	dupAlerts        uint64
@@ -252,16 +233,10 @@ func NewService(cfg ServiceConfig) *Service {
 		cfg:           cfg.withDefaults(),
 		conns:         map[net.Conn]struct{}{},
 		agents:        map[string]*agentInfo{},
-		merged:        map[bankKey]map[uint32]*MergedBank{},
-		expected:      map[int]map[string]bool{},
-		pinned:        map[int]bool{},
-		contrib:       map[int]map[uint32]map[string]uint64{},
+		queries:       map[int]*queryState{},
 		seen:          map[alertKey]bool{},
 		seenCompactAt: minSeenCompact,
 		subs:          map[int]chan Event{},
-		qEpoch:        map[int]uint32{},
-		resizePending: map[int]bool{},
-		transition:    map[int]map[uint32]bool{},
 	}
 }
 
@@ -363,19 +338,14 @@ func (s *Service) streamLoop(cr *countReader, agent *agentInfo, switchID string)
 			}
 			return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
 		}
-		s.touch(agent)
-		raw := uint64(len(payload)) + wire.HeaderSize
-		if hdr.Flags&wire.FlagCompressed != 0 {
+		compressed := hdr.Flags&wire.FlagCompressed != 0
+		if compressed {
 			if inflated, err = wire.DecompressInto(inflated, payload); err != nil {
 				return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
 			}
 			payload = inflated
-			raw = uint64(len(payload)) + wire.HeaderSize
-			s.mu.Lock()
-			agent.wire.CompressedFrames++
-			s.mu.Unlock()
 		}
-		s.noteWire(agent, cr.take(), raw)
+		s.noteFrame(agent, cr.take(), uint64(len(payload))+wire.HeaderSize, compressed)
 		switch hdr.Kind {
 		case wire.KindReports:
 			rs, err := wire.DecodeReports(payload, switchID)
@@ -397,15 +367,7 @@ func (s *Service) streamLoop(cr *countReader, agent *agentInfo, switchID string)
 			if err != nil {
 				return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
 			}
-			s.mu.Lock()
-			if hdr.Flags&wire.FlagDelta != 0 {
-				agent.wire.DeltaFrames++
-			} else {
-				agent.wire.KeyframeFrames++
-			}
-			agent.wire.HeldBytes = uint64(dec.HeldBytes())
-			s.mu.Unlock()
-			s.ingestSnapshot(agent, switchID, epoch, banks, &dec)
+			s.ingestSnapshot(agent, switchID, epoch, banks, &dec, hdr.Flags&wire.FlagDelta != 0, uint64(dec.HeldBytes()))
 		case wire.KindBye:
 			st, err := wire.DecodeBye(payload)
 			if err != nil {
@@ -441,13 +403,18 @@ func (cr *countReader) take() uint64 {
 	return n
 }
 
-// noteWire folds one frame's wire bytes into the agent's
-// accounting. rawBytes is the uncompressed cost.
-func (s *Service) noteWire(agent *agentInfo, wireBytes, rawBytes uint64) {
+// noteFrame is a frame's accounting, under one lock: the agent's
+// liveness stamp, and the frame's bytes as they crossed the wire
+// (wireBytes) and as they would have uncompressed (rawBytes).
+func (s *Service) noteFrame(agent *agentInfo, wireBytes, rawBytes uint64, compressed bool) {
 	s.mu.Lock()
+	agent.LastSeen = time.Now()
 	agent.wire.Frames++
 	agent.wire.Bytes += wireBytes
 	agent.wire.RawBytes += rawBytes
+	if compressed {
+		agent.wire.CompressedFrames++
+	}
 	s.mu.Unlock()
 }
 
@@ -469,13 +436,6 @@ func (s *Service) streamUp(id string) *agentInfo {
 func (s *Service) streamDown(a *agentInfo) {
 	s.mu.Lock()
 	a.Streams--
-	s.mu.Unlock()
-}
-
-// touch stamps agent liveness on every ingested frame.
-func (s *Service) touch(a *agentInfo) {
-	s.mu.Lock()
-	a.LastSeen = time.Now()
 	s.mu.Unlock()
 }
 
@@ -517,12 +477,12 @@ func (s *Service) ingestReports(agent *agentInfo, rs []dataplane.Report) {
 		// The lookup converts the kept buffer in the index expression, which
 		// the compiler does without copying; only a key seen for the first
 		// time becomes a string.
-		s.seenKey = r.KeyMask.Bytes(&r.Keys, s.seenKey[:0])
-		if s.seen[alertKey{qid: r.QueryID, window: w, key: string(s.seenKey)}] {
+		s.keyBuf = r.KeyMask.Bytes(&r.Keys, s.keyBuf[:0])
+		if s.seen[alertKey{qid: r.QueryID, window: w, key: string(s.keyBuf)}] {
 			s.dupAlerts++
 			continue
 		}
-		s.seen[alertKey{qid: r.QueryID, window: w, key: string(s.seenKey)}] = true
+		s.seen[alertKey{qid: r.QueryID, window: w, key: string(s.keyBuf)}] = true
 		s.pending = append(s.pending, r)
 		fresh = append(fresh, Event{Kind: EventAlert, Report: r, Window: w})
 	}
@@ -564,14 +524,182 @@ func (s *Service) compactSeenLocked() {
 	s.seenCompactAt = max(minSeenCompact, 2*len(s.seen))
 }
 
+// queryState is everything the service holds about one query. Ingest,
+// reads and removal all start from s.queries[qid], so retention,
+// provenance and results cannot disagree about what a query still has.
+type queryState struct {
+	// expected are the switches that must deliver a snapshot for an epoch
+	// to be complete, sorted by name: pinned by the controller
+	// (SetExpected), otherwise learned from who contributes.
+	expected []member
+	pinned   bool
+	// resizePending: NoteResize announced a width change whose transition
+	// epoch — the first snapshot at the frontier — has not arrived yet.
+	resizePending bool
+	// epochs is the ring of retained epochs, ascending, at most KeepEpochs
+	// of them; the last is the query's frontier. Only admit changes it.
+	epochs []*epochState
+}
+
+// member is one expected contributor; at, its switch's snapshot count
+// (agentInfo.Snapshots) when it last named the query, ages a learned one.
+type member struct {
+	sw string
+	at uint64
+}
+
+// epochState is one retained epoch of one query. It leaves the ring
+// whole, and the epoch admitted in its place is built in its memory.
+type epochState struct {
+	epoch uint32
+	// transition: the epoch straddles a width resize (NoteResize, or two
+	// geometries of one bank met in it), so its merge undercounts.
+	transition bool
+	// contrib are the switches that delivered the epoch, in arrival order.
+	contrib []contribution
+	// banks are the merged rows, sorted by (part, branch, row). One with no
+	// Switches is the evicted epoch's memory, not yet this one's: reads skip it.
+	banks []bankSlot
+}
+
+// contribution: the snapshot with ingest ordinal first (totalSnapshots,
+// from 1) delivered sw's banks of the epoch; naming them again is a replay.
+type contribution struct {
+	sw    string
+	first uint64
+}
+
+// bankSlot is one sketch row of a query network-wide, and its merge.
+type bankSlot struct {
+	part, branch, row int
+	MergedBank
+}
+
+// queryLocked returns qid's state, creating it at first mention.
+func (s *Service) queryLocked(qid int) *queryState {
+	q := s.queries[qid]
+	if q == nil {
+		q = &queryState{}
+		s.queries[qid] = q
+	}
+	return q
+}
+
+// find returns the retained state of epoch, nil when it is not retained
+// (or q is nil: a query never seen retains nothing).
+func (q *queryState) find(epoch uint32) *epochState {
+	if q != nil {
+		for i := len(q.epochs) - 1; i >= 0 && q.epochs[i].epoch >= epoch; i-- {
+			if q.epochs[i].epoch == epoch {
+				return q.epochs[i]
+			}
+		}
+	}
+	return nil
+}
+
+// admit returns the state of epoch, making room when it is new. It is
+// the retention rule: a query keeps its keep newest epochs. Below the
+// bound a new epoch gets a fresh epochState; at it the oldest is evicted
+// whole and recycled — a query in steady state merges each epoch into
+// the memory of the one it drops (MergedRows hands out copies, so no
+// reader holds it). An epoch older than everything a full ring holds
+// would itself be the one evicted: the result is nil.
+func (q *queryState) admit(epoch uint32, keep int) *epochState {
+	at := len(q.epochs) // where epoch belongs: past every older one
+	for at > 0 && q.epochs[at-1].epoch >= epoch {
+		at--
+	}
+	if at < len(q.epochs) && q.epochs[at].epoch == epoch {
+		return q.epochs[at]
+	}
+	if len(q.epochs) < keep {
+		q.epochs = slices.Insert(q.epochs, at, &epochState{epoch: epoch})
+		return q.epochs[at]
+	}
+	if at == 0 {
+		return nil
+	}
+	es := q.epochs[0]
+	copy(q.epochs, q.epochs[1:at])
+	q.epochs[at-1] = es
+	// Recycle: flag and contributions reset, each bank emptied of switches
+	// (mergeBankLocked clears its values when one merges in). A bank the
+	// evicted epoch never received has stopped arriving; its memory goes.
+	es.epoch, es.transition, es.contrib = epoch, false, es.contrib[:0]
+	es.banks = slices.DeleteFunc(es.banks, func(b bankSlot) bool { return len(b.Switches) == 0 })
+	for i := range es.banks {
+		es.banks[i].Switches = es.banks[i].Switches[:0]
+	}
+	return es
+}
+
+// firstBy returns the ordinal of the snapshot that first delivered sw's
+// banks of the epoch: 0 when none has, or es is nil (an epoch not retained).
+func (es *epochState) firstBy(sw string) uint64 {
+	if es != nil {
+		for _, c := range es.contrib {
+			if c.sw == sw {
+				return c.first
+			}
+		}
+	}
+	return 0
+}
+
+// memberIndex finds sw among the expected contributors.
+func (q *queryState) memberIndex(sw string) (int, bool) {
+	return slices.BinarySearchFunc(q.expected, sw, func(m member, sw string) int {
+		return strings.Compare(m.sw, sw)
+	})
+}
+
+// expect returns sw's entry among them, added in name order when new.
+func (q *queryState) expect(sw string) *member {
+	i, ok := q.memberIndex(sw)
+	if !ok {
+		q.expected = slices.Insert(q.expected, i, member{sw: sw})
+	}
+	return &q.expected[i]
+}
+
+// missing counts the expected contributors that did not deliver es,
+// for the callers that need no names: it builds no list.
+func (q *queryState) missing(es *epochState) (n int) {
+	for _, m := range q.expected {
+		if es.firstBy(m.sw) == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// missingNames names them, sorted; nil when the epoch is complete.
+func (q *queryState) missingNames(es *epochState) (names []string) {
+	for _, m := range q.expected {
+		if es.firstBy(m.sw) == 0 {
+			names = append(names, m.sw)
+		}
+	}
+	return names
+}
+
 // ingestSnapshot merges one agent's epoch snapshot into the
 // network-wide banks: banks are the bank headers dec's last Decode
-// returned, dec.Cells(i) their nonzero registers. A merge is idempotent
-// per (query, epoch, switch): an exporter whose stream reset replays its
-// latest snapshot, and if this analyzer already merged it the replayed
-// banks are skipped, not added a second time.
-func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32, banks []modules.BankSnapshot, dec *wire.SnapshotDecoder) {
+// returned, dec.Cells(i) their nonzero registers; delta and held are the
+// frame's encoding and what dec now keeps, for the stream's wire
+// accounting. A merge is idempotent per (query, epoch, switch): an
+// exporter whose stream reset replays its latest snapshot, and if this
+// analyzer already merged it the replayed banks are skipped, not added a
+// second time.
+func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32, banks []modules.BankSnapshot, dec *wire.SnapshotDecoder, delta bool, held uint64) {
 	s.mu.Lock()
+	if delta {
+		agent.wire.DeltaFrames++
+	} else {
+		agent.wire.KeyframeFrames++
+	}
+	agent.wire.HeldBytes = held
 	agent.Snapshots++
 	s.totalSnapshots++
 	// Epoch-gap detection: an exporter that reconnects resumes at its
@@ -594,82 +722,111 @@ func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32
 		qid := banks[lo].QueryID
 		for hi = lo + 1; hi < len(banks) && banks[hi].QueryID == qid; hi++ {
 		}
-		fresh := s.recordContribLocked(qid, epoch, switchID)
+		q := s.queryLocked(qid)
+		// Unless the controller pinned the membership, a switch that names
+		// the query is expected to keep contributing to it.
+		if !q.pinned {
+			q.expect(switchID).at = agent.Snapshots
+		}
 		// Partial-result detection: once any contributor moves a query to a
 		// newer epoch, the superseded epoch will not receive more snapshots
 		// in practice — judge it, and count it partial if expected
 		// contributors are still missing. (A heuristic: a very late straggler
 		// could still arrive and merge, but the count flags the gap when it
 		// mattered.)
-		prev, seen := s.qEpoch[qid]
-		if !seen || epoch > prev {
-			if seen && len(s.missingLocked(qid, prev)) > 0 {
-				s.partialEpochs++
-			}
-			s.qEpoch[qid] = epoch
+		if n := len(q.epochs); n > 0 && epoch > q.epochs[n-1].epoch && q.missing(q.epochs[n-1]) > 0 {
+			s.partialEpochs++
+		}
+		es := q.admit(epoch, s.cfg.KeepEpochs)
+		if es == nil {
+			continue // older than every retained epoch: neither merged nor recorded
 		}
 		// A controller-announced resize lands on the first snapshot at
 		// the query's epoch frontier: that epoch's banks filled from
 		// mid-window restarts and must carry Partial provenance.
-		if s.resizePending[qid] && epoch == s.qEpoch[qid] {
-			delete(s.resizePending, qid)
-			s.markTransitionLocked(qid, epoch)
+		if q.resizePending && es == q.epochs[len(q.epochs)-1] {
+			q.resizePending = false
+			s.markTransitionLocked(es)
 		}
-		if !fresh {
-			replayed = true
+		if first := es.firstBy(switchID); first == 0 {
+			es.contrib = append(es.contrib, contribution{switchID, s.totalSnapshots})
+		} else if first != s.totalSnapshots {
+			replayed = true // an earlier snapshot already delivered them
 			continue
 		}
 		for i := lo; i < hi; i++ {
-			s.mergeBankLocked(switchID, epoch, &banks[i], dec.Cells(i))
+			s.mergeBankLocked(es, switchID, &banks[i], dec.Cells(i))
 		}
 	}
 	if replayed {
 		s.dupSnapshots++
 	}
+	// Learned membership ages by the switch's own snapshots, not by epochs
+	// (a restarted engine counts epochs from zero again): KeepEpochs in a
+	// row without the query, and the switch has stopped hosting it.
+	s.unlearnLocked(switchID, agent.Snapshots, uint64(s.cfg.KeepEpochs))
 	s.publishLocked([]Event{{
 		Kind: EventSnapshotMerged, SwitchID: switchID, Epoch: epoch, Banks: len(banks),
 	}})
 	s.mu.Unlock()
 }
 
+// unlearnLocked drops sw, now at snapshot count n, from the learned
+// membership of every query it last named age or more snapshots ago
+// (age 0: of every query), and forgets a learned query left with no
+// contributor. Pinned queries are the controller's.
+func (s *Service) unlearnLocked(sw string, n, age uint64) {
+	for qid, q := range s.queries {
+		if q.pinned {
+			continue
+		}
+		i, ok := q.memberIndex(sw)
+		if !ok || n-q.expected[i].at < age {
+			continue
+		}
+		q.expected = slices.Delete(q.expected, i, i+1)
+		if len(q.expected) == 0 {
+			delete(s.queries, qid)
+		}
+	}
+}
+
 // mergeBankLocked adds one switch's bank to the network-wide bank of its
 // epoch. Only the cells are touched: a bank costs its nonzero registers
 // to merge, not its width.
-func (s *Service) mergeBankLocked(switchID string, epoch uint32, b *modules.BankSnapshot, cells wire.Cells) {
-	bk := bankKey{qid: b.QueryID, part: b.Part, branch: b.Branch, row: b.Row}
-	byEpoch := s.merged[bk]
-	if byEpoch == nil {
-		byEpoch = map[uint32]*MergedBank{}
-		s.merged[bk] = byEpoch
+func (s *Service) mergeBankLocked(es *epochState, switchID string, b *modules.BankSnapshot, cells wire.Cells) {
+	i, ok := slices.BinarySearchFunc(es.banks, b, func(slot bankSlot, b *modules.BankSnapshot) int {
+		return cmp.Or(cmp.Compare(slot.part, b.Part), cmp.Compare(slot.branch, b.Branch), cmp.Compare(slot.row, b.Row))
+	})
+	if !ok {
+		es.banks = slices.Insert(es.banks, i, bankSlot{part: b.Part, branch: b.Branch, row: b.Row})
 	}
-	m := byEpoch[epoch]
-	if m == nil {
-		if m = s.roomForLocked(byEpoch, epoch); m == nil {
-			return // older than every retained epoch of a full bank
+	m := &es.banks[i].MergedBank
+	// Geometry conflict: a mid-window width change put two bank shapes
+	// into the same epoch. Merging them would silently mix widths, and
+	// skipping one would hide the gap entirely — instead the later
+	// geometry replaces the resident one and the epoch is flagged as a
+	// width transition, so provenance says exactly why the merge cannot
+	// be trusted.
+	conflict := len(m.Switches) > 0 && b.Width != m.Width
+	if conflict {
+		s.geomConflicts++
+		s.markTransitionLocked(es)
+	}
+	if conflict || len(m.Switches) == 0 {
+		// The epoch's first merge into the bank: a new slot, or one the
+		// evicted epoch left, whose values are reused when the width matches.
+		values := m.Values
+		if len(values) == int(b.Width) {
+			clear(values)
+		} else {
+			values = make([]uint64, b.Width)
 		}
 		*m = MergedBank{
 			Kind: b.Kind, Algo: b.Algo, Seed: b.Seed, Range: b.Range,
 			KeyMask: b.KeyMask, Width: b.Width,
-			Values:   zeroedValues(m.Values, int(b.Width)),
-			Switches: m.Switches[:0],
+			Values: values, Switches: m.Switches[:0],
 		}
-		byEpoch[epoch] = m
-	}
-	if b.Width != m.Width {
-		// Geometry conflict: a mid-window width change put two bank
-		// shapes into the same epoch. Merging them would silently mix
-		// widths, and the old silent skip hid the gap entirely —
-		// instead the later geometry replaces the resident one and
-		// the epoch is flagged as a width transition, so provenance
-		// says exactly why the merge cannot be trusted.
-		s.geomConflicts++
-		s.markTransitionLocked(b.QueryID, epoch)
-		m = &MergedBank{
-			Kind: b.Kind, Algo: b.Algo, Seed: b.Seed, Range: b.Range,
-			KeyMask: b.KeyMask, Width: b.Width,
-			Values: make([]uint64, b.Width),
-		}
-		byEpoch[epoch] = m
 	}
 	if b.Kind == modules.BankBloomRow {
 		cells.OrInto(m.Values)
@@ -679,84 +836,23 @@ func (s *Service) mergeBankLocked(switchID string, epoch uint32, b *modules.Bank
 	m.Switches = append(m.Switches, switchID)
 }
 
-// recordContribLocked notes that switchID delivered its banks of query
-// qid at epoch, and — unless the controller pinned the expected
-// membership — learns the switch as an expected contributor going
-// forward. It reports whether they are news: false when an earlier
-// snapshot already delivered them.
-func (s *Service) recordContribLocked(qid int, epoch uint32, switchID string) bool {
-	if !s.pinned[qid] {
-		exp := s.expected[qid]
-		if exp == nil {
-			exp = map[string]bool{}
-			s.expected[qid] = exp
-		}
-		exp[switchID] = true
-	}
-	byEpoch := s.contrib[qid]
-	if byEpoch == nil {
-		byEpoch = map[uint32]map[string]uint64{}
-		s.contrib[qid] = byEpoch
-	}
-	got := byEpoch[epoch]
-	if got == nil {
-		got = map[string]uint64{}
-		byEpoch[epoch] = got
-		// Bound contribution history like the merged banks.
-		if len(byEpoch) > s.cfg.KeepEpochs {
-			delete(byEpoch, oldestEpoch(byEpoch))
-		}
-	}
-	if first := got[switchID]; first != 0 {
-		return first == s.totalSnapshots
-	}
-	got[switchID] = s.totalSnapshots
-	return true
-}
-
-// oldestEpoch is the smallest key of a per-epoch map: what a map that
-// just outgrew KeepEpochs by one evicts.
-func oldestEpoch[V any](byEpoch map[uint32]V) uint32 {
-	oldest, first := uint32(0), true
-	for e := range byEpoch {
-		if first || e < oldest {
-			oldest, first = e, false
-		}
-	}
-	return oldest
-}
-
 // SetExpected pins the set of switches that must contribute snapshots
 // for query qid — the controller calls it after a deploy, so partial
 // epochs name exactly the missing deploy members instead of relying on
-// who happened to show up first. A nil or empty set unpins and clears
-// the query (used on Remove), releasing its merged banks and epoch
-// bookkeeping too: per-bank KeepEpochs pruning only bounds live
-// queries, so removed-query state would otherwise stay resident
-// forever on a long-lived analyzer.
+// who happened to show up first. A nil or empty set forgets the query
+// (used on Remove): its membership, epochs and merged banks go together.
 func (s *Service) SetExpected(qid int, switches []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(switches) == 0 {
-		delete(s.expected, qid)
-		delete(s.pinned, qid)
-		delete(s.contrib, qid)
-		delete(s.qEpoch, qid)
-		delete(s.resizePending, qid)
-		delete(s.transition, qid)
-		for bk := range s.merged {
-			if bk.qid == qid {
-				delete(s.merged, bk)
-			}
-		}
+		delete(s.queries, qid)
 		return
 	}
-	exp := make(map[string]bool, len(switches))
+	q := s.queryLocked(qid)
+	q.pinned, q.expected = true, q.expected[:0]
 	for _, n := range switches {
-		exp[n] = true
+		q.expect(n)
 	}
-	s.expected[qid] = exp
-	s.pinned[qid] = true
 }
 
 // NoteResize tells the analyzer that query qid's deployment was just
@@ -767,49 +863,16 @@ func (s *Service) SetExpected(qid int, switches []string) {
 // merge reads Partial and provenance never silently mixes widths.
 func (s *Service) NoteResize(qid int) {
 	s.mu.Lock()
-	s.resizePending[qid] = true
+	s.queryLocked(qid).resizePending = true
 	s.mu.Unlock()
 }
 
-// markTransitionLocked flags (qid, epoch) as a width transition,
-// bounding the per-query set like the merged banks.
-func (s *Service) markTransitionLocked(qid int, epoch uint32) {
-	set := s.transition[qid]
-	if set == nil {
-		set = map[uint32]bool{}
-		s.transition[qid] = set
+// markTransitionLocked flags es as a width transition.
+func (s *Service) markTransitionLocked(es *epochState) {
+	if !es.transition {
+		es.transition = true
+		s.widthTransitions++
 	}
-	if set[epoch] {
-		return
-	}
-	set[epoch] = true
-	s.widthTransitions++
-	if len(set) > s.cfg.KeepEpochs {
-		delete(set, oldestEpoch(set))
-	}
-}
-
-// transitionLocked reports whether (qid, epoch) straddles a resize.
-func (s *Service) transitionLocked(qid int, epoch uint32) bool {
-	return s.transition[qid][epoch]
-}
-
-// missingLocked returns the expected contributors of qid that delivered
-// no snapshot for epoch, sorted.
-func (s *Service) missingLocked(qid int, epoch uint32) []string {
-	exp := s.expected[qid]
-	if len(exp) == 0 {
-		return nil
-	}
-	got := s.contrib[qid][epoch]
-	var out []string
-	for n := range exp {
-		if got[n] == 0 {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EpochStatus reports whether the merged view of query qid at epoch is
@@ -817,12 +880,21 @@ func (s *Service) missingLocked(qid int, epoch uint32) []string {
 // snapshot (Missing naming them) or when the epoch straddles a width
 // resize — a transition epoch's banks filled from mid-window restarts,
 // so it undercounts even with every contributor present. Merged counts
-// the switches that did contribute.
+// the switches that did contribute. An epoch that is not retained —
+// evicted, or never seen — reads as one nobody delivered.
 func (s *Service) EpochStatus(qid int, epoch uint32) (partial bool, missing []string, merged int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	missing = s.missingLocked(qid, epoch)
-	return len(missing) > 0 || s.transitionLocked(qid, epoch), missing, len(s.contrib[qid][epoch])
+	q := s.queries[qid]
+	if q == nil {
+		return false, nil, 0
+	}
+	es := q.find(epoch)
+	missing = q.missingNames(es)
+	if es == nil {
+		return len(missing) > 0, missing, 0
+	}
+	return len(missing) > 0 || es.transition, missing, len(es.contrib)
 }
 
 // AgentLiveness reports when switch id's stream last produced a frame
@@ -835,37 +907,6 @@ func (s *Service) AgentLiveness(id string) (lastSeen time.Time, connected bool, 
 		return time.Time{}, false, false
 	}
 	return a.LastSeen, a.Streams > 0, true
-}
-
-// roomForLocked makes room among a bank's retained epochs for a new
-// one and returns the MergedBank to build it in: a fresh one below the
-// KeepEpochs bound; at the bound the bank's oldest epoch, evicted, whose
-// Values and Switches the caller recycles — so a bank in steady state
-// merges each new epoch into the memory of the one it drops. MergedRows
-// hands out copies, so no reader holds what is recycled. A new epoch
-// older than everything a full bank retains would itself be the one
-// evicted: the result is nil and the caller skips the merge.
-func (s *Service) roomForLocked(byEpoch map[uint32]*MergedBank, epoch uint32) *MergedBank {
-	if len(byEpoch) < s.cfg.KeepEpochs {
-		return &MergedBank{}
-	}
-	oldest := oldestEpoch(byEpoch)
-	if epoch < oldest {
-		return nil
-	}
-	m := byEpoch[oldest]
-	delete(byEpoch, oldest)
-	return m
-}
-
-// zeroedValues returns n zero counters, in buf's memory when it is
-// exactly that long.
-func zeroedValues(buf []uint64, n int) []uint64 {
-	if len(buf) != n {
-		return make([]uint64, n)
-	}
-	clear(buf)
-	return buf
 }
 
 // publishLocked fans events out to subscribers without blocking ingest:
@@ -907,6 +948,28 @@ func (s *Service) Subscribe(buf int) (<-chan Event, func()) {
 	return ch, cancel
 }
 
+// probeLocked returns the smallest of the key's registers in the merged
+// rows of (branch, kind) of es; ok is false when it has none (or es is
+// nil). The key is serialised into the service's scratch: a buffer of
+// the caller's would escape through the hash's indirect call.
+func (s *Service) probeLocked(es *epochState, branch int, kind modules.BankKind, keys *fields.Vector) (least uint64, ok bool) {
+	if es == nil {
+		return 0, false
+	}
+	for i := range es.banks {
+		m := &es.banks[i]
+		if m.branch != branch || m.Kind != kind || len(m.Switches) == 0 {
+			continue
+		}
+		s.keyBuf = m.KeyMask.Bytes(keys, s.keyBuf[:0])
+		v := m.Values[m.slot(s.keyBuf)]
+		if !ok || v < least {
+			least, ok = v, true
+		}
+	}
+	return least, ok
+}
+
 // Estimate answers a network-wide point query from the merged Count-Min
 // banks of (query, branch) at the given epoch: the minimum over merged
 // rows at the key's slots — exactly the estimate a single switch holding
@@ -916,26 +979,7 @@ func (s *Service) Subscribe(buf int) (<-chan Event, func()) {
 func (s *Service) Estimate(qid, branch int, epoch uint32, keys *fields.Vector) (est uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	est = ^uint64(0)
-	for bk, byEpoch := range s.merged {
-		if bk.qid != qid || bk.branch != branch {
-			continue
-		}
-		m := byEpoch[epoch]
-		if m == nil || m.Kind != modules.BankCMSRow {
-			continue
-		}
-		kb := m.KeyMask.Bytes(keys, nil)
-		v := m.Values[m.slot(kb)]
-		if v < est {
-			est = v
-			ok = true
-		}
-	}
-	if !ok {
-		return 0, false
-	}
-	return est, true
+	return s.probeLocked(s.queries[qid].find(epoch), branch, modules.BankCMSRow, keys)
 }
 
 // SeenDistinct reports whether the merged network-wide Bloom banks of
@@ -944,58 +988,36 @@ func (s *Service) Estimate(qid, branch int, epoch uint32, keys *fields.Vector) (
 func (s *Service) SeenDistinct(qid, branch int, epoch uint32, keys *fields.Vector) (seen, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seen = true
-	for bk, byEpoch := range s.merged {
-		if bk.qid != qid || bk.branch != branch {
-			continue
-		}
-		m := byEpoch[epoch]
-		if m == nil || m.Kind != modules.BankBloomRow {
-			continue
-		}
-		kb := m.KeyMask.Bytes(keys, nil)
-		if m.Values[m.slot(kb)] == 0 {
-			seen = false
-		}
-		ok = true
-	}
-	if !ok {
-		return false, false
-	}
-	return seen, true
+	least, ok := s.probeLocked(s.queries[qid].find(epoch), branch, modules.BankBloomRow, keys)
+	return least != 0, ok
 }
 
 // MergedRows returns copies of the merged banks of (query, branch) at
-// epoch, row order, for inspection — the caller's to keep: the live
-// banks keep merging, and are recycled once their epoch is evicted.
+// epoch, in (partition, row) order, for inspection — the caller's to
+// keep: the live banks keep merging, and are recycled once their epoch
+// is evicted.
 func (s *Service) MergedRows(qid, branch int, epoch uint32) []*MergedBank {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	type rowBank struct {
-		row int
-		m   *MergedBank
+	out := []*MergedBank{}
+	q := s.queries[qid]
+	es := q.find(epoch)
+	if es == nil {
+		return out
 	}
-	var rows []rowBank
-	for bk, byEpoch := range s.merged {
-		if bk.qid != qid || bk.branch != branch {
+	missing := q.missingNames(es)
+	for i := range es.banks {
+		b := &es.banks[i]
+		if b.branch != branch || len(b.Switches) == 0 {
 			continue
 		}
-		if m := byEpoch[epoch]; m != nil {
-			rows = append(rows, rowBank{bk.row, m})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].row < rows[j].row })
-	missing := s.missingLocked(qid, epoch)
-	transition := s.transitionLocked(qid, epoch)
-	out := make([]*MergedBank, len(rows))
-	for i, r := range rows {
-		m := *r.m
+		m := b.MergedBank
 		m.Values = slices.Clone(m.Values)
 		m.Switches = slices.Clone(m.Switches)
-		m.Partial = len(missing) > 0 || transition
+		m.Partial = len(missing) > 0 || es.transition
 		m.Missing = missing
-		m.Transition = transition
-		out[i] = &m
+		m.Transition = es.transition
+		out = append(out, &m)
 	}
 	return out
 }
@@ -1016,6 +1038,7 @@ func (s *Service) DrainReports() []dataplane.Report {
 type ServiceStats struct {
 	Agents          int
 	LiveAgents      int    // agents with an open stream right now
+	Queries         int    // queries with resident state: pinned, or learned and still contributed to
 	Reports         uint64 // raw reports ingested (pre-dedup)
 	DuplicateAlerts uint64 // reports suppressed by network-wide dedup
 	PendingDropped  uint64 // deduplicated alerts dropped undrained, past maxPending
@@ -1049,6 +1072,7 @@ func (s *Service) Stats() ServiceStats {
 	live := 0
 	st := ServiceStats{
 		Agents:             len(s.agents),
+		Queries:            len(s.queries),
 		Reports:            s.totalReports,
 		DuplicateAlerts:    s.dupAlerts,
 		PendingDropped:     s.pendingDropped,
@@ -1092,11 +1116,11 @@ func (s *Service) AgentWire(id string) (WireInfo, bool) {
 // ForgetAgent releases the per-agent bookkeeping for a switch that has
 // been permanently removed from the fleet, so a long-lived analyzer
 // does not hold one agents-map entry (plus learned expected-contributor
-// membership) per switch it has ever seen. It refuses — returning
-// false — while the agent still has a stream open: forgetting a live
-// switch would silently reset its gap/liveness accounting. Pinned
-// expected sets are left alone (the controller owns those via
-// SetExpected); only learned memberships are unlearned.
+// membership, and the queries only it hosted) per switch it has ever
+// seen. It refuses — returning false — while the agent still has a
+// stream open: forgetting a live switch would silently reset its
+// gap/liveness accounting. Pinned expected sets are left alone (the
+// controller owns those via SetExpected).
 func (s *Service) ForgetAgent(id string) bool {
 	s.mu.Lock()
 	a := s.agents[id]
@@ -1105,11 +1129,7 @@ func (s *Service) ForgetAgent(id string) bool {
 		return false
 	}
 	delete(s.agents, id)
-	for qid, exp := range s.expected {
-		if !s.pinned[qid] {
-			delete(exp, id)
-		}
-	}
+	s.unlearnLocked(id, a.Snapshots, 0)
 	reg := s.reg
 	s.mu.Unlock()
 	if reg != nil {
@@ -1134,18 +1154,16 @@ func (s *Service) TrackedAgents() int {
 func (s *Service) Contributors(qid int) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	set := map[string]bool{}
-	for _, byEpoch := range s.contrib[qid] {
-		for id := range byEpoch {
-			set[id] = true
+	out := []string{}
+	if q := s.queries[qid]; q != nil {
+		for _, es := range q.epochs {
+			for _, c := range es.contrib {
+				out = append(out, c.sw)
+			}
 		}
 	}
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // AgentStats returns the per-agent accounting for switch id (reports
