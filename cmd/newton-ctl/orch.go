@@ -4,22 +4,18 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"strings"
 
-	"github.com/newton-net/newton/internal/controller"
-	"github.com/newton-net/newton/internal/dataplane"
-	"github.com/newton-net/newton/internal/modules"
+	"github.com/newton-net/newton/internal/fleet"
+	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/orchestrator"
 	"github.com/newton-net/newton/internal/query"
-	"github.com/newton-net/newton/internal/rpc"
-	"github.com/newton-net/newton/internal/scheduler"
-	"github.com/newton-net/newton/internal/topology"
+	"github.com/newton-net/newton/internal/telemetry"
 )
 
 // runOrch is the `newton-ctl plan` / `newton-ctl apply` entry: build a
-// fleet of in-process agents over the chosen topology, compute the
+// fleet of agents over in-memory pipes on the chosen topology, compute the
 // network-wide plan (placement + per-switch budget admission), and
 // either print the typed diff (plan) or drive it through the
 // transactional deploy path (apply). -drain demonstrates re-admission:
@@ -28,47 +24,23 @@ import (
 func runOrch(cmd string, args []string) {
 	fs := flag.NewFlagSet("newton-ctl "+cmd, flag.ExitOnError)
 	var (
-		topoSpec = fs.String("topology", "linear:3", "topology: linear:N, fattree:K, or isp")
-		queries  = fs.String("queries", "q1,q4", "comma-separated catalog queries (q1..q9), priority = listed order")
-		stages   = fs.Int("switch-stages", 8, "pipeline stages of each switch device")
-		arrays   = fs.Uint("registers", 1<<14, "state-bank registers per switch")
-		rules    = fs.Int("rules", 256, "rule capacity per module table")
-		minW     = fs.Uint("min-width", 256, "minimum sketch row width (accuracy floor)")
-		maxW     = fs.Uint("max-width", 4096, "maximum sketch row width")
-		drain    = fs.String("drain", "", "after the initial apply, drain this switch and apply the delta (apply only)")
+		ff    = addFleetFlags(fs)
+		minW  = fs.Uint("min-width", 256, "minimum sketch row width (accuracy floor)")
+		maxW  = fs.Uint("max-width", 4096, "maximum sketch row width")
+		drain = fs.String("drain", "", "after the initial apply, drain this switch and apply the delta (apply only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
-
-	topo, _, _ := buildTopology(*topoSpec)
-	fleet, budgets := buildFleet(topo, *stages, uint32(*arrays), *rules)
-	remote := controller.NewRemote(fleet.clients, 1)
-	orch, err := orchestrator.New(orchestrator.Config{Topo: topo, Budgets: budgets}, remote)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var intents []orchestrator.Intent
-	names := strings.Split(*queries, ",")
-	for i, name := range names {
-		q, err := query.ByName(strings.TrimSpace(name))
-		if err != nil {
-			log.Fatal(err)
-		}
-		intents = append(intents, orchestrator.Intent{
-			Query: q, Priority: len(names) - i,
-			MinWidth: uint32(*minW), MaxWidth: uint32(*maxW),
-		})
-	}
-	orch.SetIntents(intents)
+	f, orch := ff.build(nil, uint32(*minW), uint32(*maxW))
+	defer f.Close()
 
 	plan, diff, err := orch.Plan()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("plan (%d switches, %d stages/partition):\n%s\ndiff:\n%s",
-		len(budgets), plan.StagesPer, orchestrator.Summary(plan), diff)
+		len(f.Names), plan.StagesPer, orchestrator.Summary(plan), diff)
 
 	if cmd == "plan" {
 		return
@@ -78,7 +50,7 @@ func runOrch(cmd string, args []string) {
 		log.Fatalf("apply: %v", err)
 	}
 	fmt.Println("\napplied:")
-	fleet.printInstalls()
+	printInstalls(f)
 
 	if *drain != "" {
 		fmt.Printf("\ndraining %s and re-planning:\n", *drain)
@@ -92,54 +64,64 @@ func runOrch(cmd string, args []string) {
 			log.Fatalf("delta apply: %v", err)
 		}
 		fmt.Println("\napplied delta:")
-		fleet.printInstalls()
+		printInstalls(f)
 	}
 }
 
-// orchFleet is a set of in-process switch agents over net.Pipe — the
-// same wiring a real deployment has, minus the network.
-type orchFleet struct {
-	names   []string
-	clients map[string]*rpc.Client
-	agents  map[string]*rpc.Agent
-	engines map[string]*modules.Engine
+// fleetFlags are what plan, apply and status share: the topology, the
+// queries and every switch's size.
+type fleetFlags struct {
+	topoSpec, queries *string
+	stages, rules     *int
+	arrays            *uint
 }
 
-// buildFleet starts one agent per topology switch with identical
-// budgets.
-func buildFleet(topo *topology.Topology, stages int, arraySize uint32, rules int) (*orchFleet, map[string]scheduler.Budget) {
-	f := &orchFleet{
-		clients: map[string]*rpc.Client{},
-		agents:  map[string]*rpc.Agent{},
-		engines: map[string]*modules.Engine{},
+func addFleetFlags(fs *flag.FlagSet) fleetFlags {
+	return fleetFlags{
+		topoSpec: fs.String("topology", "linear:3", "topology: linear:N, fattree:K, or isp"),
+		queries:  fs.String("queries", "q1,q4", "comma-separated catalog queries (q1..q9), priority = listed order"),
+		stages:   fs.Int("switch-stages", 8, "pipeline stages of each switch device"),
+		arrays:   fs.Uint("registers", 1<<14, "state-bank registers per switch"),
+		rules:    fs.Int("rules", 256, "rule capacity per module table"),
 	}
-	budgets := map[string]scheduler.Budget{}
-	for _, id := range topo.Switches() {
-		name := topo.Node(id).Name
-		layout, err := modules.NewLayout(modules.LayoutCompact, stages, arraySize)
+}
+
+// build stands up the fleet (agents over in-memory pipes, pushing
+// telemetry when exp is set), an orchestrator over it, and one intent
+// per listed query; zero widths leave the orchestrator's defaults.
+func (ff fleetFlags) build(exp *telemetry.ExporterConfig, minW, maxW uint32) (*fleet.Fleet, *orchestrator.Orchestrator) {
+	topo, _, _ := buildTopology(*ff.topoSpec)
+	f, err := fleet.New(topo, fleet.Config{
+		Net:      netsim.Config{Stages: *ff.stages, ArraySize: uint32(*ff.arrays)},
+		Exporter: exp,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	orch, err := orchestrator.New(orchestrator.Config{Topo: topo, Budgets: f.Budgets(*ff.rules)}, f.Ctl)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var intents []orchestrator.Intent
+	names := strings.Split(*ff.queries, ",")
+	for i, name := range names {
+		q, err := query.ByName(strings.TrimSpace(name))
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng := modules.NewEngine(layout)
-		sw := dataplane.NewSwitch(name, stages, modules.StageCapacity())
-		sw.Monitor = eng
-		agent := rpc.NewAgent(sw, eng)
-		server, client := net.Pipe()
-		go agent.HandleConn(server)
-		f.names = append(f.names, name)
-		f.clients[name] = rpc.NewClient(client)
-		f.agents[name] = agent
-		f.engines[name] = eng
-		budgets[name] = scheduler.Budget{Stages: stages, ArraySize: arraySize, RulesPerModule: rules}
+		intents = append(intents, orchestrator.Intent{
+			Query: q, Priority: len(names) - i, MinWidth: minW, MaxWidth: maxW,
+		})
 	}
-	return f, budgets
+	orch.SetIntents(intents)
+	return f, orch
 }
 
 // printInstalls lists what each switch actually holds — the ground
 // truth the plan is checked against.
-func (f *orchFleet) printInstalls() {
-	for _, name := range f.names {
-		eng := f.engines[name]
+func printInstalls(f *fleet.Fleet) {
+	for _, name := range f.Names {
+		eng := f.Switches[name].Node.Eng
 		if eng.InstalledCount() == 0 {
 			continue
 		}

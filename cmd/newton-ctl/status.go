@@ -4,20 +4,17 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
-	"strings"
 	"time"
 
-	"github.com/newton-net/newton/internal/controller"
 	"github.com/newton-net/newton/internal/orchestrator"
-	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/telemetry"
 )
 
 // runStatus is the `newton-ctl status` entry: deploy the chosen queries
-// over an in-process fleet, stand up the health monitor that watches
-// it, and render its fleet-health snapshot — the same table an operator
+// over a fleet of agents on in-memory pipes, each pushing telemetry into
+// one analyzer service, stand up the health monitor that watches it,
+// and render its fleet-health snapshot — the same table an operator
 // would read against a live deployment. -kill demonstrates the closed
 // loop: the named switch's control channel is severed, the monitor's
 // next rounds debounce it to down, auto-drain it, and converge its
@@ -26,59 +23,21 @@ import (
 func runStatus(args []string) {
 	fs := flag.NewFlagSet("newton-ctl status", flag.ExitOnError)
 	var (
-		topoSpec = fs.String("topology", "linear:3", "topology: linear:N, fattree:K, or isp")
-		queries  = fs.String("queries", "q1,q4", "comma-separated catalog queries (q1..q9), priority = listed order")
-		stages   = fs.Int("switch-stages", 8, "pipeline stages of each switch device")
-		arrays   = fs.Uint("registers", 1<<14, "state-bank registers per switch")
-		rules    = fs.Int("rules", 256, "rule capacity per module table")
-		kill     = fs.String("kill", "", "sever this switch's control channel and watch the monitor drain it")
+		ff   = addFleetFlags(fs)
+		kill = fs.String("kill", "", "sever this switch's control channel and watch the monitor drain it")
 	)
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
-
-	topo, _, _ := buildTopology(*topoSpec)
-	fleet, budgets := buildFleet(topo, *stages, uint32(*arrays), *rules)
-	remote := controller.NewRemote(fleet.clients, 1)
-	orch, err := orchestrator.New(orchestrator.Config{Topo: topo, Budgets: budgets}, remote)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var intents []orchestrator.Intent
-	names := strings.Split(*queries, ",")
-	for i, name := range names {
-		q, err := query.ByName(strings.TrimSpace(name))
-		if err != nil {
-			log.Fatal(err)
-		}
-		intents = append(intents, orchestrator.Intent{Query: q, Priority: len(names) - i})
-	}
-	orch.SetIntents(intents)
+	f, orch := ff.build(&telemetry.ExporterConfig{KeyframeEvery: 4}, 0, 0)
+	defer f.Close()
 	if _, _, err := orch.Converge(); err != nil {
 		log.Fatalf("initial converge: %v", err)
 	}
 
-	// Stand up the telemetry plane the fleet pushes into: one analyzer
-	// service, one exporter per switch.
-	svc := telemetry.NewService(telemetry.ServiceConfig{})
-	defer svc.Close()
-	remote.AttachTelemetry(svc)
-	for _, name := range fleet.names {
-		sconn, econn := net.Pipe()
-		go svc.HandleConn(sconn)
-		exp, err := telemetry.NewExporter(econn, telemetry.ExporterConfig{
-			SwitchID: name, KeyframeEvery: 4,
-		})
-		if err != nil {
-			log.Fatalf("telemetry exporter %s: %v", name, err)
-		}
-		exp.AttachAgent(fleet.agents[name], fleet.engines[name])
-		defer exp.Close()
-	}
 	// Roll a few epochs so snapshots flow.
 	for i := 0; i < 6; i++ {
-		if err := remote.Tick(); err != nil {
+		if err := f.Ctl.Tick(); err != nil {
 			log.Fatalf("epoch tick: %v", err)
 		}
 	}
@@ -87,10 +46,10 @@ func runStatus(args []string) {
 		// In-process pipes fail instantly once severed, so one bad round
 		// may suspect and the next drain — the demo-speed ladder.
 		Probe: func(name string) error {
-			_, err := fleet.clients[name].Stats()
+			_, err := f.Switches[name].Client.Stats()
 			return err
 		},
-		Offline:      remote.SetOffline,
+		Offline:      f.Ctl.SetOffline,
 		SuspectAfter: 1, DownAfter: 1, RecoverAfter: 2,
 	})
 	if err != nil {
@@ -98,18 +57,18 @@ func runStatus(args []string) {
 	}
 
 	mon.Tick()
-	fmt.Printf("fleet (%d switches, queries %s):\n%s", len(budgets), *queries, mon.Snapshot())
-	printWireTable(svc, fleet.names)
+	fmt.Printf("fleet (%d switches, queries %s):\n%s", len(f.Names), *ff.queries, mon.Snapshot())
+	printWireTable(f.Svc, f.Names)
 
 	if *kill == "" {
 		return
 	}
-	c, ok := fleet.clients[*kill]
-	if !ok {
+	sw := f.Switches[*kill]
+	if sw == nil {
 		log.Fatalf("status: unknown switch %q", *kill)
 	}
 	fmt.Printf("\nsevering %s's control channel and re-evaluating:\n", *kill)
-	c.Close()
+	sw.Client.Close()
 	for i := 0; i < 3; i++ {
 		mon.Tick()
 	}
@@ -120,7 +79,7 @@ func runStatus(args []string) {
 		fmt.Printf("  %s\n", ev)
 	}
 	fmt.Println("\nsurviving installs:")
-	fleet.printInstalls()
+	printInstalls(f)
 }
 
 // printWireTable renders each agent stream's wire economics:

@@ -8,9 +8,11 @@
 // compiler): each column becomes a "dimension" mapping an input value
 // to an equivalence-class ID — a sorted interval table when every mask
 // in the column is a prefix, a dense value table when the column's care
-// bits fit 16 bits — and the per-dimension classes are folded pairwise
-// through cross-product tables whose cells name the class of the
-// combined constraint. Compilation is bounded by a configurable budget
+// bits fit 16 bits, either one under a by-value table of the column's
+// full 64-bit masks when the rest are narrower — and the per-dimension
+// classes are folded pairwise through cross-product tables whose cells
+// name the class of the combined constraint. Compilation is bounded by
+// a configurable budget
 // (table cells and compile work); rule sets that exceed it, or whose
 // masks fit no dimension strategy, return nil and the caller keeps its
 // linear ternary scan, which remains the correctness oracle.
@@ -108,6 +110,10 @@ type dim struct {
 
 	dense []uint32 // dense: masked value -> class
 
+	// points: full-mask predicates of a column whose other masks are
+	// narrower, value -> class; consulted ahead of the structure above.
+	points map[uint64]uint32
+
 	bounds []uint64 // interval: ascending segment lower bounds, bounds[0]==0
 	cls    []uint32 // interval: segment -> class
 
@@ -120,6 +126,11 @@ type dim struct {
 
 // classOf returns the equivalence class of v in this dimension.
 func (d *dim) classOf(v uint64) uint32 {
+	if len(d.points) != 0 {
+		if c, ok := d.points[v]; ok {
+			return c
+		}
+	}
 	if d.kind == dimDense {
 		return d.dense[v&d.mask]
 	}
@@ -171,8 +182,9 @@ func (c *Compiled) Stats() Stats { return c.stats }
 // Compile builds the chained lookup structure for rules (given in match
 // order: priority descending, ties already broken). It returns nil when
 // the set is below MinRules, when a column's masks fit no dimension
-// strategy (neither all-prefix nor 16-bit care), or when the budget is
-// exceeded — in every case the caller's linear scan stays correct.
+// strategy (its full 64-bit masks aside, neither all-prefix nor 16-bit
+// care), or when the budget is exceeded — in every case the caller's
+// linear scan stays correct.
 func Compile(cols int, rules []Rule, cfg Config) *Compiled {
 	cfg = cfg.normalized()
 	n := len(rules)
@@ -197,7 +209,7 @@ func Compile(cols int, rules []Rule, cfg Config) *Compiled {
 			// Every rule wildcards this column: it constrains nothing.
 			continue
 		}
-		d, ok := buildDim(col, preds, care, bud)
+		d, ok := buildDim(col, preds, bud)
 		if !ok {
 			return nil
 		}
@@ -254,8 +266,8 @@ func Compile(cols int, rules []Rule, cfg Config) *Compiled {
 
 	st := Stats{Dims: len(dims), Leaves: len(c.leaves)}
 	for i := range dims {
-		st.Cells += len(dims[i].dense) + len(dims[i].cls)
-		st.Bytes += 4*len(dims[i].dense) + 12*len(dims[i].cls)
+		st.Cells += len(dims[i].dense) + len(dims[i].cls) + len(dims[i].points)
+		st.Bytes += 4*len(dims[i].dense) + 12*len(dims[i].cls) + 12*len(dims[i].points)
 	}
 	for _, t := range c.cross {
 		st.Cells += len(t)
@@ -301,29 +313,87 @@ func buildPreds(rules []Rule, col int) []pred {
 }
 
 // buildDim picks the column strategy: sorted intervals when every mask
-// is a width-W prefix (exact full-width masks included — they are
+// is a width-W prefix (exact masks of that width included — they are
 // point intervals), a dense value table when the care bits fit 16 bits,
-// otherwise uncompilable.
-func buildDim(col int, preds []pred, care uint64, bud *budget) (dim, bool) {
+// otherwise uncompilable. A full 64-bit mask beside narrower ones (what
+// a rule installed without masks carries) fits neither domain: those
+// predicates are set aside, the rest pick the strategy, and addPoints
+// lays them over it by value.
+func buildDim(col int, preds []pred, bud *budget) (dim, bool) {
+	const full = ^uint64(0)
+	var care uint64
+	nfull := 0
+	for i := range preds {
+		if preds[i].mask == full {
+			nfull++
+		} else {
+			care |= preds[i].mask
+		}
+	}
 	w := bits.Len64(care)
+	var points []pred
+	switch {
+	case w == 0 || w == 64:
+		// Nothing narrower: full masks are point intervals of the
+		// 64-bit domain.
+		care, w = full, 64
+	case nfull > 0:
+		points = make([]pred, 0, nfull)
+		narrow := make([]pred, 0, len(preds)-nfull)
+		for i := range preds {
+			if preds[i].mask == full {
+				points = append(points, preds[i])
+			} else {
+				narrow = append(narrow, preds[i])
+			}
+		}
+		preds = narrow
+	}
 	allPrefix := true
 	for i := range preds {
-		m := preds[i].mask
-		if m == 0 {
-			continue
-		}
-		if !isPrefixAt(m, w) {
+		if m := preds[i].mask; m != 0 && !isPrefixAt(m, w) {
 			allPrefix = false
 			break
 		}
 	}
-	if allPrefix {
-		return buildInterval(col, preds, w, bud)
+	var d dim
+	ok := false
+	switch {
+	case allPrefix:
+		d, ok = buildInterval(col, preds, w, bud)
+	case care <= 0xFFFF:
+		d, ok = buildDense(col, preds, care, bud)
 	}
-	if care <= 0xFFFF {
-		return buildDense(col, preds, care, bud)
+	if !ok || !d.addPoints(points, bud) {
+		return dim{}, false
 	}
-	return dim{}, false
+	return d, true
+}
+
+// addPoints gives each full-mask predicate its own class: the rules the
+// narrower structure matches at that value plus the predicate's own. A
+// rule carries one predicate a column, so no two such classes are equal
+// and none equals a class of the structure below.
+func (d *dim) addPoints(points []pred, bud *budget) bool {
+	if len(points) == 0 {
+		return true
+	}
+	if !bud.takeCells(len(points)) {
+		return false
+	}
+	d.points = make(map[uint64]uint32, len(points))
+	for _, p := range points {
+		under := d.classes[d.classOf(p.val)]
+		if !bud.takeWork(len(under) + len(p.rules) + 1) {
+			return false
+		}
+		l := make([]int32, 0, len(under)+len(p.rules))
+		l = append(append(l, under...), p.rules...)
+		sortInt32(l)
+		d.points[p.val] = uint32(len(d.classes))
+		d.classes = append(d.classes, l)
+	}
+	return true
 }
 
 // isPrefixAt reports whether m is a contiguous run of ones whose top

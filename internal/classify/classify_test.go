@@ -121,6 +121,42 @@ func TestCompileDenseColumn(t *testing.T) {
 	assertEquivalent(t, 1, rules, c, keys)
 }
 
+// TestCompileFullMasksBesideNarrower covers a column that mixes full
+// 64-bit masks (a rule installed without masks) with narrower ones:
+// 32-bit prefixes in column 0, flag-style 8-bit masks in column 1. The
+// full-mask rules are points over the narrower structure, and match on
+// all 64 bits: a key equal to one in its low bits only must miss it,
+// and one whose value lies outside the narrower domain must still hit.
+func TestCompileFullMasksBesideNarrower(t *testing.T) {
+	const full = ^uint64(0)
+	rules := []Rule{
+		{Values: []uint64{0x0A000005, 0x12}, Masks: []uint64{full, full}},
+		{Values: []uint64{0x0A000000, 0x02}, Masks: []uint64{0xFFFFFF00, 0x02}},
+		{Values: []uint64{0x0A000005, 0}, Masks: []uint64{0xFFFFFFFF, 0}},
+		{Values: []uint64{1<<40 | 7, 1 << 20}, Masks: []uint64{full, full}},
+		{Values: []uint64{0x0A000005, 0x12}, Masks: []uint64{full, 0xFF}},
+		{Values: []uint64{0, 0x01}, Masks: []uint64{0, 0x03}},
+	}
+	c := Compile(2, rules, Config{MinRules: 1})
+	if c == nil {
+		t.Fatal("full masks beside narrower ones did not compile")
+	}
+	if c.dims[0].kind == c.dims[1].kind {
+		t.Fatalf("expected one interval and one dense dimension, got kinds %d, %d",
+			c.dims[0].kind, c.dims[1].kind)
+	}
+	var keys [][]uint64
+	for _, a := range []uint64{0x0A000005, 0x0A000006, 1<<40 | 0x0A000005, 1<<40 | 7, 7, 0} {
+		for _, b := range []uint64{0x12, 0x02, 0x01, 1<<20 | 0x12, 1 << 20, 0} {
+			keys = append(keys, []uint64{a, b})
+		}
+	}
+	assertEquivalent(t, 2, rules, c, keys)
+	if got := c.Lookup([]uint64{0x0A000005, 0x12}); !equalList(got, []int32{0, 1, 2, 4}) {
+		t.Fatalf("Lookup at the point = %v, want [0 1 2 4]", got)
+	}
+}
+
 func TestCompileUncompilableMasksFallBack(t *testing.T) {
 	// A wide non-prefix mask (care > 16 bits, holes) fits no strategy.
 	rules := []Rule{

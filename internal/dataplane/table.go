@@ -68,8 +68,6 @@ type Rule struct {
 	Values   []uint64
 	Masks    []uint64
 	Action   Action
-
-	seq int // insertion sequence for stable tie-breaking
 }
 
 // Matches reports whether the rule matches the given column values.
@@ -82,27 +80,6 @@ func (r *Rule) Matches(vals []uint64) bool {
 	return true
 }
 
-// before orders rules by priority desc, then insertion sequence asc —
-// the TCAM match order.
-func (r *Rule) before(o *Rule) bool {
-	if r.Priority != o.Priority {
-		return r.Priority > o.Priority
-	}
-	return r.seq < o.seq
-}
-
-// maxIndexCols bounds the column count the exact-match index covers.
-// Wider tables route every rule — full-mask ones included — through the
-// ternary set, where the compiled classifier serves them as point
-// intervals; only when compilation falls back does a wide table pay the
-// linear scan. The layout's own tables are all ≤6 columns; the wide
-// path is covered by TestWideTableSkipsExactIndex.
-const maxIndexCols = 8
-
-// exactKey is the hash-index key: the rule's (full-mask) column values,
-// zero-padded. Tables have a fixed column count, so padding is unambiguous.
-type exactKey [maxIndexCols]uint64
-
 // Classifier compile states, kept in tableSnap.clsState.
 const (
 	clsUncompiled = iota // no classified lookup has run on this snapshot yet
@@ -114,22 +91,17 @@ const (
 // atomic pointer and never take a lock; writers build a fresh snapshot
 // under the table mutex and publish it atomically (copy-on-write).
 type tableSnap struct {
-	// rules holds every rule in match order (priority desc, seq asc).
+	// rules holds every rule in match order (priority desc, then
+	// insertion order).
 	rules []*Rule
-	// ternary holds, in match order, the rules with at least one
-	// non-full mask — the ones the hash index cannot serve.
-	ternary []*Rule
-	// exact indexes the full-mask rules by column values; each bucket is
-	// in match order (duplicates keep TCAM tie-breaking).
-	exact map[exactKey][]*Rule
 
-	// The compiled classifier for the ternary set. Compilation is
-	// deferred to the first classified lookup — rules install one at a
-	// time, and compiling on every publish would make an n-rule install
-	// quadratic — and runs at most once per snapshot (sync.Once), so
-	// the packet path after it is two atomic loads. clsState is stored
-	// after cls (both atomic), so state != clsUncompiled acquires the
-	// compiled pointer.
+	// The compiled classifier for rules. Compilation is deferred to the
+	// first classified lookup — rules install one at a time, and
+	// compiling on every publish would make an n-rule install quadratic
+	// — and runs at most once per snapshot (sync.Once), so the packet
+	// path after it is two atomic loads. clsState is stored after cls
+	// (both atomic), so state != clsUncompiled acquires the compiled
+	// pointer.
 	cols     int
 	clsCfg   classify.Config
 	clsOnce  sync.Once
@@ -153,8 +125,8 @@ func (s *tableSnap) classifier() *classify.Compiled {
 //go:noinline
 func (s *tableSnap) compileClassifier() {
 	s.clsOnce.Do(func() {
-		specs := make([]classify.Rule, len(s.ternary))
-		for i, r := range s.ternary {
+		specs := make([]classify.Rule, len(s.rules))
+		for i, r := range s.rules {
 			specs[i] = classify.Rule{Values: r.Values, Masks: r.Masks}
 		}
 		c := classify.Compile(s.cols, specs, s.clsCfg)
@@ -165,36 +137,6 @@ func (s *tableSnap) compileClassifier() {
 		}
 		s.clsState.Store(state)
 	})
-}
-
-// buildSnap constructs the immutable snapshot for a rule list already in
-// match order.
-func buildSnap(rules []*Rule, cols int, cfg classify.Config) *tableSnap {
-	s := &tableSnap{rules: rules, cols: cols, clsCfg: cfg}
-	if cols > maxIndexCols {
-		s.ternary = rules
-		return s
-	}
-	for _, r := range rules {
-		full := true
-		for _, m := range r.Masks {
-			if m != ^uint64(0) {
-				full = false
-				break
-			}
-		}
-		if !full {
-			s.ternary = append(s.ternary, r)
-			continue
-		}
-		if s.exact == nil {
-			s.exact = make(map[exactKey][]*Rule)
-		}
-		var k exactKey
-		copy(k[:], r.Values)
-		s.exact[k] = append(s.exact[k], r)
-	}
-	return s
 }
 
 // Table is a match-action table with runtime-updatable rules — the
@@ -219,7 +161,6 @@ type Table struct {
 	version atomic.Uint64 // bumped on every rule-set change
 	byID    map[int]*Rule
 	nextID  int
-	seq     int
 
 	// clsCfg is the classifier compile budget snapshots are built with
 	// (zero value = classify defaults). Written under mu.
@@ -292,16 +233,15 @@ func (t *Table) AddRule(values, masks []uint64, priority int, action Action) (in
 		return 0, fmt.Errorf("dataplane: table %s full (%d entries)", t.Name, t.MaxEntries)
 	}
 	t.nextID++
-	t.seq++
 	r := &Rule{
 		ID: t.nextID, Priority: priority,
 		Values: append([]uint64(nil), values...),
 		Masks:  append([]uint64(nil), masks...),
-		Action: action, seq: t.seq,
+		Action: action,
 	}
 	// Binary-search insertion: the list is already in match order, so a
 	// single copy-with-insert replaces the old whole-slice re-sort. The
-	// new rule has the highest seq, so it lands after every rule of equal
+	// new rule is the latest, so it lands after every rule of equal
 	// priority.
 	pos := sort.Search(len(old.rules), func(i int) bool {
 		return old.rules[i].Priority < r.Priority
@@ -334,10 +274,10 @@ func (t *Table) RemoveRule(id int) error {
 	return nil
 }
 
-// publish builds and atomically installs the snapshot for rules (already
-// in match order). Callers hold t.mu.
+// publish atomically installs the snapshot for rules (already in match
+// order). Callers hold t.mu.
 func (t *Table) publish(rules []*Rule) {
-	t.snap.Store(buildSnap(rules, t.Cols, t.clsCfg))
+	t.snap.Store(&tableSnap{rules: rules, cols: t.Cols, clsCfg: t.clsCfg})
 	t.version.Add(1)
 }
 
@@ -380,45 +320,30 @@ func (t *Table) ClassifierInfo() ClassifierInfo {
 }
 
 // Lookup returns the highest-priority matching rule, or nil. Lock-free:
-// it reads the current snapshot, probes the exact-match hash index, and
-// resolves the ternary set through the compiled classifier — O(columns)
-// regardless of rule count — falling back to the linear scan only when
-// compilation declined (see classify.Config).
+// it reads the current snapshot and resolves it through the compiled
+// classifier — O(columns) regardless of rule count — falling back to
+// the linear scan only when compilation declined (see classify.Config).
 func (t *Table) Lookup(vals ...uint64) *Rule {
 	if len(vals) != t.Cols {
 		panic(fmt.Sprintf("dataplane: table %s lookup with %d values, want %d", t.Name, len(vals), t.Cols))
 	}
 	s := t.snap.Load()
-	var best *Rule
-	if s.exact != nil {
-		var k exactKey
-		copy(k[:], vals)
-		if bucket := s.exact[k]; len(bucket) > 0 {
-			best = bucket[0]
-		}
-	}
-	if len(s.ternary) == 0 {
-		return best
+	if len(s.rules) == 0 {
+		return nil
 	}
 	if c := s.classifier(); c != nil {
 		if leaf := c.Lookup(vals); len(leaf) > 0 {
-			r := s.ternary[leaf[0]]
-			if best == nil || r.before(best) {
-				return r
-			}
+			return s.rules[leaf[0]]
 		}
-		return best
+		return nil
 	}
 	t.ternaryScans.Add(1)
-	for _, r := range s.ternary {
-		if best != nil && best.before(r) {
-			break // ternary is in match order; nothing later can win
-		}
+	for _, r := range s.rules {
 		if r.Matches(vals) {
 			return r
 		}
 	}
-	return best
+	return nil
 }
 
 // LookupAll returns every matching rule in priority order. Newton's
@@ -442,44 +367,24 @@ func (t *Table) LookupAllAppend(dst []*Rule, vals []uint64) []*Rule {
 		panic(fmt.Sprintf("dataplane: table %s lookup with %d values, want %d", t.Name, len(vals), t.Cols))
 	}
 	s := t.snap.Load()
-	var bucket []*Rule
-	if s.exact != nil {
-		var k exactKey
-		copy(k[:], vals)
-		bucket = s.exact[k]
+	if len(s.rules) == 0 {
+		return dst
 	}
-	if len(s.ternary) == 0 {
-		return append(dst, bucket...)
-	}
-	// Merge the (match-ordered) index bucket with the (match-ordered)
-	// ternary matches, preserving global match order. The compiled
-	// classifier's leaf is the full ternary match set as ascending
-	// indices — already match order — so the merge does zero per-rule
-	// work; only the scan fallback evaluates rules.
-	bi := 0
+	// The compiled classifier's leaf is the full match set as ascending
+	// indices — already match order — so it costs zero per-rule work;
+	// only the scan fallback evaluates rules.
 	if c := s.classifier(); c != nil {
 		for _, idx := range c.Lookup(vals) {
-			r := s.ternary[idx]
-			for bi < len(bucket) && bucket[bi].before(r) {
-				dst = append(dst, bucket[bi])
-				bi++
-			}
-			dst = append(dst, r)
+			dst = append(dst, s.rules[idx])
 		}
-		return append(dst, bucket[bi:]...)
+		return dst
 	}
 	t.ternaryScans.Add(1)
-	for _, r := range s.ternary {
-		if !r.Matches(vals) {
-			continue
+	for _, r := range s.rules {
+		if r.Matches(vals) {
+			dst = append(dst, r)
 		}
-		for bi < len(bucket) && bucket[bi].before(r) {
-			dst = append(dst, bucket[bi])
-			bi++
-		}
-		dst = append(dst, r)
 	}
-	dst = append(dst, bucket[bi:]...)
 	return dst
 }
 

@@ -129,59 +129,6 @@ func TestTableClassifierSurvivesMutation(t *testing.T) {
 	}
 }
 
-// TestWideTableSkipsExactIndex covers the maxIndexCols fallback: tables
-// wider than the exact-match index route all rules — full-mask ones
-// included — through the ternary set, where the compiled classifier
-// (point intervals) serves them.
-func TestWideTableSkipsExactIndex(t *testing.T) {
-	const cols = maxIndexCols + 2
-	tb := NewTable("wide", MatchTernary, cols, 256)
-	tb.SetClassifierConfig(compileAlways)
-	vals := make([]uint64, cols)
-	masks := make([]uint64, cols)
-	for c := range masks {
-		masks[c] = ^uint64(0)
-	}
-	for i := 0; i < 32; i++ {
-		for c := range vals {
-			vals[c] = uint64(i + c)
-		}
-		if _, err := tb.AddRule(vals, masks, 0, namedAction("w")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One prefix rule so the set is genuinely ternary.
-	wild := make([]uint64, cols)
-	wmask := make([]uint64, cols)
-	wild[0], wmask[0] = 0x40, 0xFFFFFFFFFFFFFFC0
-	if _, err := tb.AddRule(wild, wmask, 5, namedAction("masked")); err != nil {
-		t.Fatal(err)
-	}
-
-	key := make([]uint64, cols)
-	for c := range key {
-		key[c] = uint64(7 + c)
-	}
-	if r := tb.Lookup(key...); r == nil || r.Action.ActionName() != "w" {
-		t.Fatalf("wide exact lookup = %v", r)
-	}
-	key2 := make([]uint64, cols)
-	key2[0] = 0x55 // inside the 0x40/58 prefix
-	if r := tb.Lookup(key2...); r == nil || r.Action.ActionName() != "masked" {
-		t.Fatalf("wide masked lookup = %v", r)
-	}
-	key2[0] = 0x80
-	if r := tb.Lookup(key2...); r != nil {
-		t.Fatalf("wide miss returned %v", r)
-	}
-	if !tb.ClassifierInfo().Compiled {
-		t.Fatal("wide table should be served by the compiled classifier")
-	}
-	if tb.TernaryScans() != 0 {
-		t.Fatalf("wide table scanned %d times", tb.TernaryScans())
-	}
-}
-
 // TestTernaryScanCounter asserts the slow-path counter: a scan-forced
 // table counts every ternary lookup, a compiled table none, and tables
 // below MinRules count scans (the cheap-linear regime).

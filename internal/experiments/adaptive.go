@@ -19,13 +19,13 @@ import (
 	"strings"
 	"time"
 
-	"github.com/newton-net/newton/internal/controller"
+	"github.com/newton-net/newton/internal/faults"
+	"github.com/newton-net/newton/internal/fleet"
 	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/orchestrator"
 	"github.com/newton-net/newton/internal/packet"
 	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/rpc"
-	"github.com/newton-net/newton/internal/scheduler"
 	"github.com/newton-net/newton/internal/telemetry"
 	"github.com/newton-net/newton/internal/topology"
 )
@@ -199,124 +199,56 @@ func (r *AdaptiveResult) String() string {
 	return b.String()
 }
 
-// adaptiveNet is the three-switch fleet the experiment drives: netsim
-// dataplanes fronted by RPC agents, exporters streaming into one
-// analyzer, and the orchestrator+refiner pair on top.
-type adaptiveNet struct {
-	net    *netsim.Network
+// lineFleet is the testbed adaptive and soak share: a line of 8-stage
+// switches behind TCP agents, clients with tight deadlines and
+// millisecond backoff, exporters that never block the packet path and
+// redial a lost stream within milliseconds, one analyzer, and an
+// orchestrator on top. Every switch's connections run through its own
+// fault injector, which passes everything until a caller trips it.
+type lineFleet struct {
+	*fleet.Fleet
 	h1, h2 int
-	svc    *telemetry.Service
-	svcLn  net.Listener
-	ctl    *controller.Remote
 	orch   *orchestrator.Orchestrator
-
-	s1Layout interface{ Epoch() uint32 }
-
-	agents  []*rpc.Agent
-	clients []*rpc.Client
-	exps    []*telemetry.Exporter
-	lns     []net.Listener
+	injs   map[string]*faults.Injector
 }
 
-func newAdaptiveNet(cfg AdaptiveConfig) (*adaptiveNet, error) {
-	topo, h1, h2 := topology.Linear(cfg.Switches)
-	n, err := netsim.New(topo, netsim.Config{Stages: 8, ArraySize: 1 << 14})
-	if err != nil {
-		return nil, err
-	}
-	an := &adaptiveNet{
-		net: n, h1: h1, h2: h2,
-		svc: telemetry.NewService(telemetry.ServiceConfig{KeepEpochs: 8}),
-	}
-	an.svcLn, err = net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go an.svc.Serve(an.svcLn)
-	svcAddr := an.svcLn.Addr().String()
-
-	clients := map[string]*rpc.Client{}
-	budgets := map[string]scheduler.Budget{}
-	for i, id := range topo.Switches() {
-		node := n.Node(id)
-		name := node.DP.ID
-		agent := rpc.NewAgent(node.DP, node.Eng)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, an.close(err)
-		}
-		go agent.Serve(ln)
-		an.agents, an.lns = append(an.agents, agent), append(an.lns, ln)
-
-		c, err := rpc.DialOptions(ln.Addr().String(), rpc.Options{
+func newLineFleet(switches int, seed int64) (*lineFleet, error) {
+	topo, h1, h2 := topology.Linear(switches)
+	lf := &lineFleet{h1: h1, h2: h2, injs: newInjectors(topo, seed, 0)}
+	cfg := fleet.Config{
+		Net: netsim.Config{Stages: 8, ArraySize: 1 << 14},
+		TCP: true,
+		RPC: rpc.Options{
 			Timeout: 250 * time.Millisecond, Retries: 3,
 			BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond,
-			Seed: cfg.Seed + int64(i),
-		})
-		if err != nil {
-			return nil, an.close(err)
-		}
-		clients[name] = c
-		an.clients = append(an.clients, c)
-
-		redial := func() (net.Conn, error) { return net.Dial("tcp", svcAddr) }
-		conn, err := redial()
-		if err != nil {
-			return nil, an.close(err)
-		}
-		exp, err := telemetry.NewExporter(conn, telemetry.ExporterConfig{
-			SwitchID: name, Redial: redial, Policy: telemetry.PolicyDropOldest,
+			Seed: seed,
+		},
+		Exporter: &telemetry.ExporterConfig{
+			Policy:       telemetry.PolicyDropOldest,
 			ReconnectMin: time.Millisecond, ReconnectMax: 20 * time.Millisecond,
-		})
-		if err != nil {
-			conn.Close()
-			return nil, an.close(err)
-		}
-		exp.AttachAgent(agent, node.Eng)
-		an.exps = append(an.exps, exp)
-
-		budgets[name] = scheduler.Budget{Stages: 8, ArraySize: 1 << 14, RulesPerModule: 256}
-		if name == "s1" {
-			an.s1Layout = node.Eng.Layout()
-		}
+		},
+		Service: telemetry.ServiceConfig{KeepEpochs: 8},
+		Wrap:    func(name string, c net.Conn) net.Conn { return lf.injs[name].Conn(c) },
 	}
-
-	an.ctl = controller.NewRemote(clients, cfg.Seed)
-	an.ctl.AttachTelemetry(an.svc)
-	an.orch, err = orchestrator.New(orchestrator.Config{Topo: topo, Budgets: budgets}, an.ctl)
+	var err error
+	if lf.Fleet, err = fleet.New(topo, cfg); err != nil {
+		return nil, err
+	}
+	lf.orch, err = orchestrator.New(orchestrator.Config{Topo: topo, Budgets: lf.Budgets(256)}, lf.Ctl)
 	if err != nil {
-		return nil, an.close(err)
+		lf.Close()
+		return nil, err
 	}
-	return an, nil
-}
-
-// close tears the fleet down and passes cause through for one-line
-// error returns.
-func (an *adaptiveNet) close(cause error) error {
-	for _, e := range an.exps {
-		e.Close()
-	}
-	for _, c := range an.clients {
-		c.Close()
-	}
-	for _, a := range an.agents {
-		a.Close()
-	}
-	for _, ln := range an.lns {
-		ln.Close()
-	}
-	an.svc.Close()
-	an.svcLn.Close()
-	return cause
+	return lf, nil
 }
 
 // waitMerged blocks until the analyzer has merged every expected
 // contributor of qid's epoch (the epoch may still be marked partial by
 // a width transition — that is the point of the transition flag).
-func (an *adaptiveNet) waitMerged(qid int, epoch uint32) bool {
+func (an *lineFleet) waitMerged(qid int, epoch uint32) bool {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, missing, merged := an.svc.EpochStatus(qid, epoch)
+		_, missing, merged := an.Svc.EpochStatus(qid, epoch)
 		if merged > 0 && len(missing) == 0 {
 			return true
 		}
@@ -343,11 +275,11 @@ func Adaptive(cfg AdaptiveConfig) *AdaptiveResult {
 		return res
 	}
 
-	an, err := newAdaptiveNet(cfg)
+	an, err := newLineFleet(cfg.Switches, cfg.Seed)
 	if err != nil {
 		return fail("fleet build: %v", err)
 	}
-	defer an.close(nil)
+	defer an.Close()
 
 	an.orch.SetIntents([]orchestrator.Intent{
 		{Query: query.Q1(cfg.Threshold), Priority: 2,
@@ -367,7 +299,7 @@ func Adaptive(cfg AdaptiveConfig) *AdaptiveResult {
 	if w := an.orch.Deployed()[adaptiveQ1].Width; w != cfg.MinWidth {
 		return fail("frugal start width = %d, want %d", w, cfg.MinWidth)
 	}
-	ref := orchestrator.NewRefiner(an.orch, an.svc, orchestrator.RefinerConfig{})
+	ref := orchestrator.NewRefiner(an.orch, an.Svc, orchestrator.RefinerConfig{})
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// The surge shifts both volume and the Zipf hot set: a different
@@ -389,7 +321,7 @@ func Adaptive(cfg AdaptiveConfig) *AdaptiveResult {
 	for round := 0; round < res.Rounds; round++ {
 		ph := phases[round/cfg.RoundsPerPhase]
 		inPhase := round%cfg.RoundsPerPhase + 1
-		epoch := an.s1Layout.Epoch()
+		epoch := an.Switches["s1"].Node.Layout.Epoch()
 		width := an.orch.Deployed()[adaptiveQ1].Width
 
 		for i := 0; i < ph.pkts; i++ {
@@ -404,9 +336,9 @@ func Adaptive(cfg AdaptiveConfig) *AdaptiveResult {
 				TCP: &packet.TCP{SrcPort: uint16(1024 + rng.Intn(60000)),
 					DstPort: 80, Flags: packet.FlagSYN, Window: 65535},
 			}
-			an.net.Deliver(pkt, an.h1, an.h2)
+			an.Net.Deliver(pkt, an.h1, an.h2)
 		}
-		if err := an.ctl.Tick(); err != nil {
+		if err := an.Ctl.Tick(); err != nil {
 			res.Violations = append(res.Violations, fmt.Sprintf("round %d: tick: %v", round+1, err))
 		}
 		if !an.waitMerged(qid1, epoch) {
@@ -419,7 +351,7 @@ func Adaptive(cfg AdaptiveConfig) *AdaptiveResult {
 			res.Violations = append(res.Violations, fmt.Sprintf("round %d: refine: %v", round+1, err))
 		}
 
-		qa, ok := an.svc.ObservedAccuracy(qid1, epoch, cfg.Threshold)
+		qa, ok := an.Svc.ObservedAccuracy(qid1, epoch, cfg.Threshold)
 		row := AdaptiveRound{Round: round + 1, Phase: ph.name, Epoch: epoch, Width: width}
 		if ok {
 			row.Width = qa.Width
@@ -447,7 +379,7 @@ func Adaptive(cfg AdaptiveConfig) *AdaptiveResult {
 				fmt.Sprintf("round %d: qid changed %d -> %d", round+1, qid1, got))
 			qid1 = got
 		}
-		for _, sw := range an.svc.Contributors(qid1) {
+		for _, sw := range an.Svc.Contributors(qid1) {
 			if sw != "s1" {
 				res.ProvenanceMixups++
 				res.Violations = append(res.Violations,

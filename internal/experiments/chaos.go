@@ -7,7 +7,7 @@ import (
 
 	"github.com/newton-net/newton/internal/controller"
 	"github.com/newton-net/newton/internal/faults"
-	"github.com/newton-net/newton/internal/modules"
+	"github.com/newton-net/newton/internal/fleet"
 	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/rpc"
@@ -59,112 +59,59 @@ type ChaosResult struct {
 	ReinstalledOK bool    // restarted agent converged back to the deploy
 }
 
-// chaosNet is one controller-over-TCP deployment of a 3-switch line.
+// chaosNet is one controller-over-TCP deployment of a 3-switch line,
+// every agent behind its own fault injector.
 type chaosNet struct {
-	net     *netsim.Network
-	h1, h2  int
-	ids     []int
-	names   []string
-	agents  map[string]*rpc.Agent
-	clients map[string]*rpc.Client
-	injs    map[string]*faults.Injector
-	addrs   map[string]string
-	ctl     *controller.Remote
+	*fleet.Fleet
+	h1, h2 int
+	injs   map[string]*faults.Injector
 }
 
-func newChaosNet(cfg ChaosConfig, faulty bool) *chaosNet {
+// newInjectors gives every switch of topo its own fault injector,
+// seeded seed + its index, for a fleet's Wrap hook to route through.
+func newInjectors(topo *topology.Topology, seed int64, resetProb float64) map[string]*faults.Injector {
+	injs := map[string]*faults.Injector{}
+	for i, id := range topo.Switches() {
+		injs[topo.Node(id).Name] = faults.New(faults.Config{Seed: seed + int64(i), ResetProb: resetProb})
+	}
+	return injs
+}
+
+func newChaosNet(cfg ChaosConfig, resetProb float64) *chaosNet {
 	topo, h1, h2 := topology.Linear(3)
-	n, err := netsim.New(topo, netsim.Config{Stages: 12, ArraySize: 1 << 14})
-	if err != nil {
-		panic(err)
-	}
-	cn := &chaosNet{
-		net: n, h1: h1, h2: h2, ids: topo.Switches(),
-		agents:  map[string]*rpc.Agent{},
-		clients: map[string]*rpc.Client{},
-		injs:    map[string]*faults.Injector{},
-		addrs:   map[string]string{},
-	}
-	for i, id := range cn.ids {
-		node := n.Node(id)
-		name := node.DP.ID
-		cn.names = append(cn.names, name)
-		agent := rpc.NewAgent(node.DP, node.Eng)
-		cn.agents[name] = agent
-
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			panic(err)
-		}
-		cn.addrs[name] = ln.Addr().String()
-		fc := faults.Config{Seed: cfg.Seed + int64(i)}
-		if faulty {
-			fc.ResetProb = cfg.ResetProb
-		}
-		inj := faults.New(fc)
-		cn.injs[name] = inj
-		go agent.Serve(inj.Listener(ln))
-
-		c, err := rpc.DialOptions(cn.addrs[name], rpc.Options{
+	cn := &chaosNet{h1: h1, h2: h2, injs: newInjectors(topo, cfg.Seed, resetProb)}
+	f, err := fleet.New(topo, fleet.Config{
+		Net: netsim.Config{Stages: 12, ArraySize: 1 << 14},
+		TCP: true,
+		RPC: rpc.Options{
 			Timeout: 2 * time.Second, Retries: 16,
 			BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
-			Seed: cfg.Seed + int64(i),
-		})
-		if err != nil {
-			panic(err)
-		}
-		cn.clients[name] = c
+			Seed: cfg.Seed,
+		},
+		Wrap: func(name string, c net.Conn) net.Conn { return cn.injs[name].Conn(c) },
+	})
+	if err != nil {
+		panic(err)
 	}
-	cn.ctl = controller.NewRemote(cn.clients, cfg.Seed)
+	cn.Fleet = f
 	return cn
-}
-
-// restart kills the named agent and brings up a fresh one — empty
-// engine, same address — modeling a switch reboot that lost its
-// installed queries. The client's automatic redial finds the new
-// instance; Reconverge re-drives it to the recorded deploys.
-func (cn *chaosNet) restart(name string, id int) {
-	_ = cn.agents[name].Close()
-	node := cn.net.Node(id)
-	layout, err := modules.NewLayout(modules.LayoutCompact, 12, 1<<14)
-	if err != nil {
-		panic(err)
-	}
-	eng := modules.NewEngine(layout)
-	node.Layout, node.Eng = layout, eng
-	node.DP.Monitor = eng
-	agent := rpc.NewAgent(node.DP, eng)
-	cn.agents[name] = agent
-	ln, err := net.Listen("tcp", cn.addrs[name])
-	if err != nil {
-		panic(err)
-	}
-	go agent.Serve(cn.injs[name].Listener(ln))
-}
-
-func (cn *chaosNet) close() {
-	for _, c := range cn.clients {
-		c.Close()
-	}
-	for _, a := range cn.agents {
-		a.Close()
-	}
 }
 
 // run pushes the trace through the line hop by hop (rolling epochs on
 // the virtual clock), draining reports over the control channel as it
-// goes. When restartAt is positive, the middle switch's agent is killed
-// and restarted once the clock passes it, and the controller
-// reconverges the deployment.
+// goes. When restartAt is positive, the middle switch is restarted once
+// the clock passes it — empty engine, same address, modeling a reboot
+// that lost its installed queries. The client's automatic redial finds
+// the new instance and the controller reconverges the deployment.
 func (cn *chaosNet) run(tr *trace.Trace, restartAt uint64) (reports int, reinstalled bool) {
-	_, _, err := cn.ctl.Deploy(0, controller.Want{Query: query.Q1(40), Width: 1 << 12, Targets: cn.names, Sharded: true})
+	_, _, err := cn.Ctl.Deploy(0, controller.Want{Query: query.Q1(40), Width: 1 << 12, Targets: cn.Names, Sharded: true})
 	if err != nil {
 		panic(err)
 	}
 	restarted := restartAt == 0
-	mid, midID := cn.names[1], cn.ids[1]
+	mid := cn.Names[1]
 	drain := func() {
-		rs, err := cn.ctl.Collect()
+		rs, err := cn.Ctl.Collect()
 		if err != nil {
 			panic(err)
 		}
@@ -173,14 +120,17 @@ func (cn *chaosNet) run(tr *trace.Trace, restartAt uint64) (reports int, reinsta
 	for i, pkt := range tr.Packets {
 		if !restarted && pkt.TS >= restartAt {
 			drain() // reports already on the wire side survive the kill
-			cn.restart(mid, midID)
-			if err := cn.ctl.Reconverge(); err != nil {
+			if err := cn.Restart(mid); err != nil {
+				panic(err)
+			}
+			if err := cn.Ctl.Reconverge(); err != nil {
 				panic(err)
 			}
 			restarted = true
-			reinstalled = agentInstalled(cn.clients[mid])
+			st, err := cn.Switches[mid].Client.Stats()
+			reinstalled = err == nil && st.Installed == 1
 		}
-		cn.net.Deliver(pkt, cn.h1, cn.h2)
+		cn.Net.Deliver(pkt, cn.h1, cn.h2)
 		if i%4096 == 4095 {
 			drain()
 		}
@@ -190,11 +140,6 @@ func (cn *chaosNet) run(tr *trace.Trace, restartAt uint64) (reports int, reinsta
 		reinstalled = true
 	}
 	return reports, reinstalled
-}
-
-func agentInstalled(c *rpc.Client) bool {
-	st, err := c.Stats()
-	return err == nil && st.Installed == 1
 }
 
 // ChaosRecovery reproduces the availability story end to end: the same
@@ -213,11 +158,11 @@ func ChaosRecovery(cfg ChaosConfig) *ChaosResult {
 		trace.SYNFlood{Victim: 0x0A0000AA, Packets: 600},
 		trace.SYNFlood{Victim: 0x0A0000AB, Packets: 600})
 
-	base := newChaosNet(cfg, false)
+	base := newChaosNet(cfg, 0)
 	baseline, _ := base.run(tr, 0)
-	base.close()
+	base.Close()
 
-	faulty := newChaosNet(cfg, true)
+	faulty := newChaosNet(cfg, cfg.ResetProb)
 	got, reinstalled := faulty.run(tr, uint64(cfg.Duration)/2)
 	res := &ChaosResult{
 		Seed: cfg.Seed, Baseline: baseline, WithFaults: got,
@@ -226,11 +171,11 @@ func ChaosRecovery(cfg ChaosConfig) *ChaosResult {
 	for _, inj := range faulty.injs {
 		res.Resets += inj.Stats().Resets
 	}
-	for _, c := range faulty.clients {
-		res.Retries += c.Counters().Retries
-		res.Redials += c.Counters().Redials
+	for _, sw := range faulty.Switches {
+		res.Retries += sw.Client.Counters().Retries
+		res.Redials += sw.Client.Counters().Redials
 	}
-	faulty.close()
+	faulty.Close()
 	if baseline > 0 {
 		res.RecoveredPct = float64(got) / float64(baseline)
 	}

@@ -146,6 +146,28 @@ func TestFig17PlacementShape(t *testing.T) {
 	}
 }
 
+// TestFig17DeployMatchesPlan pins the deploy-path audit: on every row
+// the entries the engines hold equal the entries the plan promised, and
+// the four rows are the four EXPERIMENTS.md prints.
+func TestFig17DeployMatchesPlan(t *testing.T) {
+	want := []Fig17DeployRow{
+		{Topology: "isp", StagesPerSwitch: 6, Partitions: 2, Switches: 8, PlannedEntries: 152},
+		{Topology: "isp", StagesPerSwitch: 4, Partitions: 3, Switches: 15, PlannedEntries: 268},
+		{Topology: "isp", StagesPerSwitch: 3, Partitions: 4, Switches: 23, PlannedEntries: 424},
+		{Topology: "fattree4", StagesPerSwitch: 6, Partitions: 2, Switches: 16, PlannedEntries: 216},
+	}
+	r := Fig17Deploy()
+	if len(r.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(r.Rows), len(want))
+	}
+	for i, w := range want {
+		w.InstalledEntries, w.Match = w.PlannedEntries, true
+		if got := r.Rows[i]; got != w {
+			t.Errorf("row %d = %+v, want %+v", i, got, w)
+		}
+	}
+}
+
 func TestFig10InterruptionShape(t *testing.T) {
 	r := Fig10Interruption(500, 20, 10000)
 	// Newton never drops; Sonata drops for seconds.

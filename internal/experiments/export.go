@@ -5,12 +5,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/newton-net/newton/internal/controller"
-	"github.com/newton-net/newton/internal/dataplane"
-	"github.com/newton-net/newton/internal/modules"
+	"github.com/newton-net/newton/internal/fleet"
+	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/query"
-	"github.com/newton-net/newton/internal/rpc"
 	"github.com/newton-net/newton/internal/telemetry"
+	"github.com/newton-net/newton/internal/topology"
 	"github.com/newton-net/newton/internal/trace"
 )
 
@@ -54,20 +53,28 @@ func (r *ExportResult) Metrics() map[string]float64 {
 	return m
 }
 
-// countConn wraps a conn and counts frames and bytes written through
-// it. Every frame is exactly two writes (header + body) on both the
-// control channel's and the telemetry stream's framing, so frames =
-// writes/2.
+// countConn wraps the switch end of a conn and counts the operations
+// and bytes that cross it in either direction. Every frame is exactly
+// two writes (header + body) on both the control channel's and the
+// telemetry stream's framing, and over net.Pipe exactly two reads at the
+// far end, so frames = ops/2.
 type countConn struct {
 	net.Conn
-	writes, bytes *atomic.Uint64
+	ops, bytes *atomic.Uint64
 }
 
-func (c countConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.writes.Add(1)
+func (c countConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.ops.Add(1)
 	c.bytes.Add(uint64(n))
 	return n, err
+}
+
+// Write counts first: a pipe's peer can act on the bytes before it returns.
+func (c countConn) Write(p []byte) (int, error) {
+	c.ops.Add(1)
+	c.bytes.Add(uint64(len(p)))
+	return c.Conn.Write(p)
 }
 
 // exportModes maps each measured discipline to its exporter's keyframe
@@ -95,105 +102,78 @@ func ExportOverhead(nSwitches int, dur time.Duration) *ExportResult {
 		trace.SYNFlood{Victim: 0x0A0000AA, Packets: 900})
 	res := &ExportResult{Switches: nSwitches, Windows: int(uint64(dur) / window)}
 
+	topo, _, _ := topology.Linear(nSwitches)
 	for _, mode := range exportModes {
-		var writes, bytes atomic.Uint64
-		wrap := func(c net.Conn) net.Conn { return countConn{c, &writes, &bytes} }
-
-		var svc *telemetry.Service
+		var ops, bytes atomic.Uint64
+		cfg := fleet.Config{
+			Net:     netsim.Config{Stages: 16, ArraySize: 1 << 14},
+			Service: telemetry.ServiceConfig{Window: time.Duration(window)},
+			Wrap:    func(_ string, c net.Conn) net.Conn { return countConn{c, &ops, &bytes} },
+		}
 		if mode.name != "poll" {
-			svc = telemetry.NewService(telemetry.ServiceConfig{Window: time.Duration(window)})
+			cfg.Exporter = &telemetry.ExporterConfig{Policy: telemetry.PolicyBlock, KeyframeEvery: mode.keyframes}
 		}
-
-		agents := map[string]*rpc.Client{}
-		var sws []*dataplane.Switch
-		var exps []*telemetry.Exporter
-		for i := 0; i < nSwitches; i++ {
-			layout, err := modules.NewLayout(modules.LayoutCompact, 16, 1<<14)
-			if err != nil {
-				panic(err)
-			}
-			eng := modules.NewEngine(layout)
-			sw := dataplane.NewSwitch(string(rune('a'+i)), 16, modules.StageCapacity())
-			sw.AddRoute(0, 0, 1)
-			sw.Monitor = eng
-			agent := rpc.NewAgent(sw, eng)
-			server, client := net.Pipe()
-			go agent.HandleConn(wrap(server))
-			agents[sw.ID] = rpc.NewClient(wrap(client))
-			sws = append(sws, sw)
-
-			if svc != nil {
-				sconn, econn := net.Pipe()
-				go svc.HandleConn(sconn)
-				exp, err := telemetry.NewExporter(wrap(econn), telemetry.ExporterConfig{
-					SwitchID: sw.ID, Policy: telemetry.PolicyBlock,
-					KeyframeEvery: mode.keyframes,
-				})
-				if err != nil {
-					panic(err)
-				}
-				exp.AttachAgent(agent, eng)
-				exps = append(exps, exp)
-			}
-		}
-
-		ctl := controller.NewRemote(agents, 1)
-		if svc != nil {
-			ctl.AttachTelemetry(svc)
-		}
-		if _, _, err := ctl.Install(query.Q1(40), 1<<12, nil); err != nil {
+		f, err := fleet.New(topo, cfg)
+		if err != nil {
 			panic(err)
 		}
-		writes.Store(0) // measure steady state, not query installation
+		if _, _, err := f.Ctl.Install(query.Q1(40), 1<<12, nil); err != nil {
+			panic(err)
+		}
+		ops.Store(0) // measure steady state, not query installation
 		bytes.Store(0)
 
 		reports := 0
 		sync := func() {
-			if svc == nil {
-				rs, err := ctl.Collect() // polls every agent, empty or not
+			if f.Svc == nil {
+				rs, err := f.Ctl.Collect() // polls every agent, empty or not
 				if err != nil {
 					panic(err)
 				}
 				reports += len(rs)
 			} else {
-				for i, sw := range sws {
-					exps[i].Export(sw.DrainReports())
+				for _, name := range f.Names {
+					sw := f.Switches[name]
+					sw.Exporter.Export(sw.Node.DP.DrainReports())
 				}
 			}
-			if err := ctl.Tick(); err != nil {
+			if err := f.Ctl.Tick(); err != nil {
 				panic(err)
 			}
 		}
+		// Replicated switches: every one sees every packet, and windows
+		// roll on the controller's tick, not the netsim clock.
 		next := window
 		for _, pkt := range tr.Packets {
 			for pkt.TS >= next {
 				sync()
 				next += window
 			}
-			for _, sw := range sws {
-				sw.Process(pkt)
+			for _, name := range f.Names {
+				f.Switches[name].Node.DP.Process(pkt)
 			}
 		}
 		sync()
 		var encodeNs uint64
-		for _, exp := range exps {
-			if err := exp.Flush(); err != nil {
-				panic(err)
+		if f.Svc != nil {
+			// A closed exporter's bye is read after everything before it was
+			// ingested, so the last alerts are there to collect.
+			for _, name := range f.Names {
+				exp := f.Switches[name].Exporter
+				if err := exp.Flush(); err != nil {
+					panic(err)
+				}
+				encodeNs += exp.Stats().EncodeNs
+				exp.Close()
 			}
-			encodeNs += exp.Stats().EncodeNs
-			exp.Close()
-		}
-		if svc != nil {
-			rs, _ := ctl.Collect()
+			rs, _ := f.Ctl.Collect()
 			reports += len(rs)
-			svc.Close()
 		}
-		for _, c := range agents {
-			c.Close()
-		}
+		frames, wire := ops.Load()/2, bytes.Load() // before hang-ups count as reads
+		f.Close()
 
 		row := ExportRow{Mode: mode.name, Reports: reports,
-			Frames: writes.Load() / 2, Bytes: bytes.Load(), EncodeNs: encodeNs}
+			Frames: frames, Bytes: wire, EncodeNs: encodeNs}
 		if res.Windows > 0 {
 			row.PerEpoch = float64(row.Bytes) / float64(res.Windows)
 		}

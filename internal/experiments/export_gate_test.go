@@ -35,3 +35,40 @@ func TestDeltaSnapshotsTieFull(t *testing.T) {
 			delta.Bytes, full.Bytes)
 	}
 }
+
+// TestPushDedupsReplicatedAlerts: ExportOverhead reports its three
+// disciplines, and the pushed ones deliver each alert once where
+// polling delivers it once per replicated switch.
+func TestPushDedupsReplicatedAlerts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiments")
+	}
+	r := ExportOverhead(3, 500*time.Millisecond)
+	if len(r.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3", len(r.Rows))
+	}
+	poll, push := r.Rows[0], r.Rows[1]
+	// Replicated switches all raise the same alert; the analyzer service
+	// deduplicates, so push delivers exactly one alert per poll-mode triple.
+	if push.Reports == 0 || push.Reports*r.Switches != poll.Reports {
+		t.Errorf("push delivered %d alerts, poll %d over %d replicated switches",
+			push.Reports, poll.Reports, r.Switches)
+	}
+	// The snapshot encoding changes the bytes, never the answers.
+	delta := r.Rows[2]
+	if delta.Reports != push.Reports {
+		t.Errorf("%s delivered %d alerts, %s %d", delta.Mode, delta.Reports, push.Mode, push.Reports)
+	}
+	// Wire msgs is counted at the switch end as reads + writes over two
+	// (countConn), so pin it to the protocol. A window costs a polled
+	// switch two request/response pairs (drain, next epoch); a pushing one
+	// the epoch pair, a snapshot and the window's alert, plus one bye.
+	sw, win := uint64(r.Switches), uint64(r.Windows)
+	if want := 2 * 2 * sw * win; poll.Frames != want {
+		t.Errorf("poll frames = %d, want %d", poll.Frames, want)
+	}
+	if want := sw * (2*win + win + uint64(push.Reports) + 1); push.Frames != want || delta.Frames != want {
+		t.Errorf("pushed frames = %d (%s), %d (%s), want %d",
+			push.Frames, push.Mode, delta.Frames, delta.Mode, want)
+	}
+}

@@ -2,16 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 
 	"github.com/newton-net/newton/internal/compiler"
-	"github.com/newton-net/newton/internal/controller"
-	"github.com/newton-net/newton/internal/dataplane"
+	"github.com/newton-net/newton/internal/fleet"
 	"github.com/newton-net/newton/internal/modules"
+	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/orchestrator"
 	"github.com/newton-net/newton/internal/query"
-	"github.com/newton-net/newton/internal/rpc"
-	"github.com/newton-net/newton/internal/scheduler"
 	"github.com/newton-net/newton/internal/topology"
 )
 
@@ -42,9 +39,9 @@ type Fig17DeployResult struct {
 }
 
 // Fig17Deploy re-derives Fig. 17(a) points by actually deploying Q4:
-// for each per-switch stage budget, an in-process agent fleet is built
-// over the topology, the orchestrator plans and admits the intent, and
-// the transactional deploy installs every partition. The row matches
+// for each per-switch stage budget, a fleet of agents is built over the
+// topology, the orchestrator plans and admits the intent, and the
+// transactional deploy installs every partition. The row matches
 // when the rules the engines hold equal the rules the plan promised —
 // the placement numbers of Fig. 17 are real deployments, not estimates.
 func Fig17Deploy() *Fig17DeployResult {
@@ -84,29 +81,14 @@ func deployRow(topo *topology.Topology, name string, edges []string, stagesPer i
 	devStages := stagesPer + 2
 	const width = 1 << 10
 
-	clients := map[string]*rpc.Client{}
-	engines := map[string]*modules.Engine{}
-	budgets := map[string]scheduler.Budget{}
-	for _, id := range topo.Switches() {
-		sn := topo.Node(id).Name
-		layout, err := modules.NewLayout(modules.LayoutCompact, devStages, 1<<14)
-		if err != nil {
-			panic(err)
-		}
-		eng := modules.NewEngine(layout)
-		sw := dataplane.NewSwitch(sn, devStages, modules.StageCapacity())
-		sw.Monitor = eng
-		server, client := net.Pipe()
-		go rpc.NewAgent(sw, eng).HandleConn(server)
-		clients[sn] = rpc.NewClient(client)
-		engines[sn] = eng
-		budgets[sn] = scheduler.Budget{Stages: devStages, ArraySize: 1 << 14, RulesPerModule: 256}
+	f, err := fleet.New(topo, fleet.Config{Net: netsim.Config{Stages: devStages, ArraySize: 1 << 14}})
+	if err != nil {
+		panic(err)
 	}
-
-	remote := controller.NewRemote(clients, 1)
+	defer f.Close()
 	orch, err := orchestrator.New(orchestrator.Config{
-		Topo: topo, Budgets: budgets, StagesPerSwitch: stagesPer,
-	}, remote)
+		Topo: topo, Budgets: f.Budgets(256), StagesPerSwitch: stagesPer,
+	}, f.Ctl)
 	if err != nil {
 		panic(err)
 	}
@@ -146,8 +128,8 @@ func deployRow(topo *topology.Topology, name string, edges []string, stagesPer i
 	// Ground truth: what the fleet's tables hold after the deploy. Each
 	// installed program carries one newton_fin entry beyond RuleCount.
 	installed := 0
-	for _, eng := range engines {
-		installed += eng.Layout().TotalRuleEntries()
+	for _, name := range f.Names {
+		installed += f.Switches[name].Node.Layout.TotalRuleEntries()
 	}
 	installed -= instances
 

@@ -12,21 +12,13 @@ package experiments
 
 import (
 	"fmt"
-	"net"
+	"math"
 	"runtime"
 	"sort"
 	"time"
 
-	"github.com/newton-net/newton/internal/controller"
-	"github.com/newton-net/newton/internal/faults"
-	"github.com/newton-net/newton/internal/modules"
-	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/orchestrator"
 	"github.com/newton-net/newton/internal/query"
-	"github.com/newton-net/newton/internal/rpc"
-	"github.com/newton-net/newton/internal/scheduler"
-	"github.com/newton-net/newton/internal/telemetry"
-	"github.com/newton-net/newton/internal/topology"
 	"github.com/newton-net/newton/internal/trace"
 )
 
@@ -125,19 +117,12 @@ type SoakResult struct {
 // Passed reports whether every soak assertion held.
 func (r *SoakResult) Passed() bool { return len(r.Violations) == 0 }
 
-// soakSwitch is one fleet member's moving parts.
+// soakSwitch is what the churn schedule tracks per fleet member.
 type soakSwitch struct {
-	name string
-	id   int // topology node id
-
-	agent *rpc.Agent
-	exp   *telemetry.Exporter
-	inj   *faults.Injector
-	addr  string
-
 	dead      bool
-	restartAt int // round to restart at (when dead)
-	partedTo  int // round a partition heals at (0 = not partitioned)
+	restartAt int       // round to restart at (when dead)
+	kill      *soakKill // the outage in progress (when dead)
+	partedTo  int       // round a partition heals at (0 = not partitioned)
 }
 
 // soakKill records one injected switch failure for MTTR accounting.
@@ -147,23 +132,14 @@ type soakKill struct {
 	restarted time.Time
 }
 
-// soakNet is the full soak fleet: netsim dataplane, TCP agents behind
-// per-switch fault injectors, push telemetry, orchestrator, health
-// monitor.
+// soakNet is the full soak fleet: a lineFleet whose injectors the churn
+// schedule trips, and the health monitor that heals it.
 type soakNet struct {
-	cfg    SoakConfig
-	net    *netsim.Network
-	h1, h2 int
-
-	svc     *telemetry.Service
-	svcLn   net.Listener
-	clients map[string]*rpc.Client
-	sws     map[string]*soakSwitch
-	names   []string
-
-	ctl  *controller.Remote
-	orch *orchestrator.Orchestrator
-	mon  *orchestrator.Monitor
+	*lineFleet
+	cfg   SoakConfig
+	names []string // sorted, the order the seeded schedule picks in
+	sws   map[string]*soakSwitch
+	mon   *orchestrator.Monitor
 
 	// allowed accumulates, per tenant query name, every switch any
 	// applied plan ever placed it on — the provenance ground truth the
@@ -174,92 +150,20 @@ type soakNet struct {
 	deployNs []int64 // operator converge latencies
 }
 
-func (sn *soakNet) dialExporter(sw *soakSwitch, eng *modules.Engine) error {
-	addr := sn.svcLn.Addr().String()
-	redial := func() (net.Conn, error) {
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return sw.inj.Conn(c), nil
-	}
-	conn, err := redial()
-	if err != nil {
-		return err
-	}
-	exp, err := telemetry.NewExporter(conn, telemetry.ExporterConfig{
-		SwitchID: sw.name, Redial: redial, Policy: telemetry.PolicyDropOldest,
-		ReconnectMin: time.Millisecond, ReconnectMax: 20 * time.Millisecond,
-	})
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	exp.AttachAgent(sw.agent, eng)
-	sw.exp = exp
-	return nil
-}
-
 func newSoakNet(cfg SoakConfig) (*soakNet, error) {
-	topo, h1, h2 := topology.Linear(cfg.Switches)
-	n, err := netsim.New(topo, netsim.Config{Stages: 8, ArraySize: 1 << 14})
+	lf, err := newLineFleet(cfg.Switches, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	sn := &soakNet{
-		cfg: cfg, net: n, h1: h1, h2: h2,
-		svc:     telemetry.NewService(telemetry.ServiceConfig{KeepEpochs: 8}),
-		clients: map[string]*rpc.Client{},
-		sws:     map[string]*soakSwitch{},
-		allowed: map[string]map[string]bool{},
-	}
-	sn.svcLn, err = net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go sn.svc.Serve(sn.svcLn)
-
-	budgets := map[string]scheduler.Budget{}
-	for i, id := range topo.Switches() {
-		node := n.Node(id)
-		name := node.DP.ID
-		sn.names = append(sn.names, name)
-		sw := &soakSwitch{name: name, id: id,
-			inj: faults.New(faults.Config{Seed: cfg.Seed + int64(i)})}
-		sw.agent = rpc.NewAgent(node.DP, node.Eng)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		sw.addr = ln.Addr().String()
-		go sw.agent.Serve(sw.inj.Listener(ln))
-
-		c, err := rpc.DialOptions(sw.addr, rpc.Options{
-			Timeout: 250 * time.Millisecond, Retries: 3,
-			BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond,
-			Seed: cfg.Seed + int64(i),
-		})
-		if err != nil {
-			return nil, err
-		}
-		sn.clients[name] = c
-		if err := sn.dialExporter(sw, node.Eng); err != nil {
-			return nil, err
-		}
-		sn.sws[name] = sw
-		budgets[name] = scheduler.Budget{Stages: 8, ArraySize: 1 << 14, RulesPerModule: 256}
-	}
+	sn := &soakNet{lineFleet: lf, cfg: cfg, names: append([]string(nil), lf.Names...),
+		sws: map[string]*soakSwitch{}, allowed: map[string]map[string]bool{}}
 	sort.Strings(sn.names)
-
-	sn.ctl = controller.NewRemote(sn.clients, cfg.Seed)
-	sn.ctl.AttachTelemetry(sn.svc)
-	sn.orch, err = orchestrator.New(orchestrator.Config{Topo: topo, Budgets: budgets}, sn.ctl)
-	if err != nil {
-		return nil, err
+	for _, name := range sn.names {
+		sn.sws[name] = &soakSwitch{}
 	}
 	sn.mon, err = orchestrator.NewMonitor(sn.orch, sn.orch.Switches(), orchestrator.HealthConfig{
 		Probe: func(name string) error {
-			_, err := sn.clients[name].Stats()
+			_, err := sn.Switches[name].Client.Stats()
 			return err
 		},
 		// Telemetry silence only indicts a switch the fleet currently
@@ -269,17 +173,18 @@ func newSoakNet(cfg SoakConfig) (*soakNet, error) {
 			if !sn.hosting(name) {
 				return time.Time{}, false, false
 			}
-			return sn.svc.AgentLiveness(name)
+			return sn.Svc.AgentLiveness(name)
 		},
 		MaxSilence: 2 * time.Second,
-		Offline:    sn.ctl.SetOffline,
+		Offline:    sn.Ctl.SetOffline,
 		// Compressed ladder for round-driven churn: two consecutive bad
 		// rounds drain, two consecutive good rounds re-admit.
 		SuspectAfter: 1, DownAfter: 1, RecoverAfter: 2,
 		ForgetAfter: time.Hour, // outages here are short; forgetting is unit-tested
-		OnForget:    func(name string) { sn.svc.ForgetAgent(name) },
+		OnForget:    func(name string) { sn.Svc.ForgetAgent(name) },
 	})
 	if err != nil {
+		sn.Close()
 		return nil, err
 	}
 	return sn, nil
@@ -332,59 +237,34 @@ func (sn *soakNet) converge() error {
 	return err
 }
 
-// kill models a switch crash: the agent's listener and conns close, the
-// exporter dies with the process.
-func (sn *soakNet) kill(sw *soakSwitch, round int) {
-	sw.exp.Close()
-	_ = sw.agent.Close()
-	sw.dead = true
-	sw.restartAt = round + sn.cfg.DownFor
-	sn.kills = append(sn.kills, &soakKill{name: sw.name, killedAt: time.Now()})
+// kill crashes a switch (fleet.Kill: its exporter dies with its agent)
+// and schedules its restart.
+func (sn *soakNet) kill(name string, round int) {
+	_ = sn.Kill(name)
+	sw := sn.sws[name]
+	sw.dead, sw.restartAt = true, round+sn.cfg.DownFor
+	sw.kill = &soakKill{name: name, killedAt: time.Now()}
+	sn.kills = append(sn.kills, sw.kill)
 }
 
-// restart brings a killed switch back with an empty engine on the same
-// address — the reboot-lost-everything case. The deferred removes the
-// controller pinned while it was offline flush on re-admission.
-func (sn *soakNet) restart(sw *soakSwitch) error {
-	node := sn.net.Node(sw.id)
-	layout, err := modules.NewLayout(modules.LayoutCompact, 8, 1<<14)
-	if err != nil {
-		return err
+// revive ends what round has outlasted: a partition heals, and a dead
+// switch restarts with an empty engine on the same address — the
+// reboot-lost-everything case. The deferred removes the controller
+// pinned while it was offline flush on re-admission.
+func (sn *soakNet) revive(name string, round int) error {
+	sw := sn.sws[name]
+	if sw.partedTo != 0 && round >= sw.partedTo {
+		sn.injs[name].Heal()
+		sw.partedTo = 0
 	}
-	eng := modules.NewEngine(layout)
-	node.Layout, node.Eng = layout, eng
-	node.DP.Monitor = eng
-	sw.agent = rpc.NewAgent(node.DP, eng)
-	ln, err := net.Listen("tcp", sw.addr)
-	if err != nil {
-		return err
+	if !sw.dead || round < sw.restartAt {
+		return nil
 	}
-	go sw.agent.Serve(sw.inj.Listener(ln))
-	if err := sn.dialExporter(sw, eng); err != nil {
-		return err
+	if err := sn.Restart(name); err != nil {
+		return fmt.Errorf("restart %s: %w", name, err)
 	}
-	sw.dead = false
-	for i := len(sn.kills) - 1; i >= 0; i-- {
-		if k := sn.kills[i]; k.name == sw.name && k.restarted.IsZero() {
-			k.restarted = time.Now()
-			break
-		}
-	}
+	sw.dead, sw.kill.restarted = false, time.Now()
 	return nil
-}
-
-func (sn *soakNet) close() {
-	for _, sw := range sn.sws {
-		if sw.exp != nil {
-			sw.exp.Close()
-		}
-		sw.agent.Close()
-	}
-	for _, c := range sn.clients {
-		c.Close()
-	}
-	sn.svc.Close()
-	sn.svcLn.Close()
 }
 
 // tenantIntents builds every tenant's current intent set from the
@@ -469,18 +349,10 @@ func Soak(cfg SoakConfig) *SoakResult {
 	warmup := cfg.Rounds / 2
 
 	for round := 0; round < cfg.Rounds; round++ {
-		// Restart switches whose outage has run its course.
+		// Restart switches, and heal partitions, that have run their course.
 		for _, name := range sn.names {
-			sw := sn.sws[name]
-			if sw.dead && round >= sw.restartAt {
-				if err := sn.restart(sw); err != nil {
-					res.Violations = append(res.Violations,
-						fmt.Sprintf("round %d: restart %s: %v", round, name, err))
-				}
-			}
-			if sw.partedTo != 0 && round >= sw.partedTo {
-				sw.inj.Heal()
-				sw.partedTo = 0
+			if err := sn.revive(name, round); err != nil {
+				res.Violations = append(res.Violations, err.Error())
 			}
 		}
 
@@ -488,20 +360,18 @@ func Soak(cfg SoakConfig) *SoakResult {
 		switch {
 		case cfg.KillEvery > 0 && round%cfg.KillEvery == cfg.KillEvery-1:
 			if name := sn.pickAlive(rng, drainedByOp); name != "" {
-				sn.kill(sn.sws[name], round)
+				sn.kill(name, round)
 				res.Kills++
 			}
 		case round%7 == 3:
 			if name := sn.pickAlive(rng, drainedByOp); name != "" {
-				sw := sn.sws[name]
-				sw.inj.Partition()
-				sw.partedTo = round + cfg.PartitionFor
+				sn.injs[name].Partition()
+				sn.sws[name].partedTo = round + cfg.PartitionFor
 			}
 		case round%11 == 5:
 			if name := sn.pickAlive(rng, drainedByOp); name != "" {
-				sw := sn.sws[name]
-				sw.inj.Stall()
-				time.AfterFunc(60*time.Millisecond, sw.inj.Unstall)
+				sn.injs[name].Stall()
+				time.AfterFunc(60*time.Millisecond, sn.injs[name].Unstall)
 			}
 		case round%5 == 2:
 			// Operator drain/undrain toggle.
@@ -538,9 +408,9 @@ func Soak(cfg SoakConfig) *SoakResult {
 			hi = len(tr.Packets)
 		}
 		for _, pkt := range tr.Packets[lo:hi] {
-			sn.net.Deliver(pkt, sn.h1, sn.h2)
+			sn.Net.Deliver(pkt, sn.h1, sn.h2)
 		}
-		if err := sn.ctl.Tick(); err != nil {
+		if err := sn.Ctl.Tick(); err != nil {
 			res.TickErrors++
 		}
 
@@ -551,7 +421,7 @@ func Soak(cfg SoakConfig) *SoakResult {
 		// subset of everywhere it was ever placed.
 		for name := range sn.orch.Deployed() {
 			qid := sn.orch.QID(name)
-			for _, swName := range sn.svc.Contributors(qid) {
+			for _, swName := range sn.Svc.Contributors(qid) {
 				if !sn.allowed[name][swName] {
 					res.ProvenanceMixups++
 					res.Violations = append(res.Violations, fmt.Sprintf(
@@ -587,18 +457,11 @@ func Soak(cfg SoakConfig) *SoakResult {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Now revive everything still impaired and let the monitor finish
-	// re-admitting it.
+	// Now revive everything still impaired, whatever round it was due,
+	// and let the monitor finish re-admitting it.
 	for _, name := range sn.names {
-		sw := sn.sws[name]
-		if sw.dead {
-			if err := sn.restart(sw); err != nil {
-				res.Violations = append(res.Violations, fmt.Sprintf("final restart %s: %v", name, err))
-			}
-		}
-		if sw.partedTo != 0 {
-			sw.inj.Heal()
-			sw.partedTo = 0
+		if err := sn.revive(name, math.MaxInt); err != nil {
+			res.Violations = append(res.Violations, err.Error())
 		}
 	}
 	if drainedByOp != "" {
@@ -676,7 +539,7 @@ func Soak(cfg SoakConfig) *SoakResult {
 	res.Converges = len(allNs)
 	res.P50Deploy = quantileNs(allNs, 0.50)
 	res.P99Deploy = quantileNs(allNs, 0.99)
-	res.TrackedAgentsFinal = sn.svc.TrackedAgents()
+	res.TrackedAgentsFinal = sn.Svc.TrackedAgents()
 
 	heapEnd := heapMB()
 	if heapAfterWarmup > 0 {
@@ -701,7 +564,7 @@ func Soak(cfg SoakConfig) *SoakResult {
 			"heap grew %.1f MB since warmup (threshold %.1f MB)", res.HeapGrowthMB, cfg.MaxHeapGrowthMB))
 	}
 
-	sn.close()
+	sn.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	res.GoroutineEnd = runtime.NumGoroutine()
 	for res.GoroutineEnd > res.GoroutineBaseline+cfg.GoroutineSlack && time.Now().Before(deadline) {
@@ -723,11 +586,9 @@ func Soak(cfg SoakConfig) *SoakResult {
 // re-place queries.
 func (sn *soakNet) pickAlive(rng *soakRNG, exclude string) string {
 	var cands []string
-	impaired := 0
 	for _, name := range sn.names {
 		sw := sn.sws[name]
 		if sw.dead || sw.partedTo != 0 || name == exclude || sn.orch.IsDrained(name) {
-			impaired++
 			continue
 		}
 		cands = append(cands, name)

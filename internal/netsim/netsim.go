@@ -176,20 +176,16 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		workers: cfg.Workers,
 	}
 	for _, id := range topo.Switches() {
-		layout, err := modules.NewLayout(modules.LayoutCompact, cfg.Stages, cfg.ArraySize)
-		if err != nil {
-			return nil, fmt.Errorf("netsim: switch %s: %w", topo.Node(id).Name, err)
-		}
-		eng := modules.NewEngine(layout)
-		eng.SetWorkers(cfg.Workers)
 		dp := dataplane.NewSwitch(topo.Node(id).Name, cfg.Stages, modules.StageCapacity())
 		dp.SetLanes(cfg.Workers)
 		if err := dp.AddRoute(0, 0, 1); err != nil {
 			return nil, err
 		}
-		dp.Monitor = eng
-		node := &Node{ID: id, DP: dp, Layout: layout, Eng: eng}
+		node := &Node{ID: id, DP: dp}
 		n.nodes[id] = node
+		if err := n.Reboot(id); err != nil {
+			return nil, err
+		}
 		if id >= len(n.nodesByID) {
 			grown := make([]*Node, id+1)
 			copy(grown, n.nodesByID)
@@ -212,6 +208,26 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 		}
 	}
 	return n, nil
+}
+
+// Reboot gives a switch an empty layout and engine of the network's
+// geometry and lane count, keeping its data plane (routes, lanes,
+// undrained reports): the switch lost every installed query and every
+// register, and nothing else. It must not run beside a delivery.
+func (n *Network) Reboot(id int) error {
+	node := n.nodes[id]
+	if node == nil {
+		return fmt.Errorf("netsim: no switch node %d", id)
+	}
+	layout, err := modules.NewLayout(modules.LayoutCompact, n.Cfg.Stages, n.Cfg.ArraySize)
+	if err != nil {
+		return fmt.Errorf("netsim: switch %s: %w", node.DP.ID, err)
+	}
+	eng := modules.NewEngine(layout)
+	eng.SetWorkers(n.workers)
+	node.Layout, node.Eng = layout, eng
+	node.DP.Monitor = eng
+	return nil
 }
 
 // Node returns the switch node with the given topology ID.

@@ -2,11 +2,13 @@ package netsim
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/dataplane"
+	"github.com/newton-net/newton/internal/fields"
 	"github.com/newton-net/newton/internal/packet"
 	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/topology"
@@ -219,5 +221,52 @@ func TestPathCacheBounded(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("batch delivery past the cache cap: %d delivered, %d dropped, %d reports; sequential %d, %d, %d (or banks differ)",
 			got.delivered, got.dropped, len(got.reports), want.delivered, want.dropped, len(want.reports))
+	}
+}
+
+// TestRebootKeepsLanes holds Reboot to the network's own geometry and
+// lane count: a rebooted switch that came back with a one-lane engine
+// would run all four delivery workers on lane 0's single-writer flow
+// table (Execute falls back to lane 0 for a lane it does not have), which
+// -race reports. The reinstalled query must also report what a one-lane
+// network reports.
+func TestRebootKeepsLanes(t *testing.T) {
+	tr := scalingTrace()
+	run := func(workers int) []uint64 {
+		net, h1, h2 := workersNet(t, workers, 40)
+		id := net.Topo.Switches()[0]
+		before := net.Node(id)
+		dp, layout := before.DP, before.Layout
+		if err := net.Reboot(id); err != nil {
+			t.Fatal(err)
+		}
+		node := net.Node(id)
+		if node.DP != dp || node.Layout == layout || dp.Monitor != dataplane.Program(node.Eng) {
+			t.Fatalf("%d workers: Reboot must keep the data plane and replace layout and engine", workers)
+		}
+		if got := node.Eng.InstalledCount(); got != 0 {
+			t.Fatalf("%d workers: rebooted engine holds %d queries", workers, got)
+		}
+		// The reinstall below needs the network's 1<<16 registers a bank.
+		o := compiler.AllOpts()
+		o.QID = 1
+		o.Width = 1 << 14
+		installOn(t, net, query.Q1(40), o, []int{id})
+		net.DeliverBatch(tr.Packets, h1, h2)
+		// Which packet carries a key over the threshold depends on how the
+		// lanes interleave; which keys cross in which window does not.
+		var flagged []uint64
+		for _, r := range net.DrainReports() {
+			flagged = append(flagged, r.TS/uint64(net.Cfg.Window)<<32|r.Keys[fields.DstIP])
+		}
+		sort.Slice(flagged, func(i, j int) bool { return flagged[i] < flagged[j] })
+		return flagged
+	}
+	seq, par := run(1), run(4)
+	if len(seq) == 0 {
+		t.Fatal("the SYN flood raised no report on the rebooted one-lane switch")
+	}
+	if !reflect.DeepEqual(par, seq) {
+		t.Fatalf("4 lanes after Reboot flag (window<<32|victim) %x, 1 lane %x", par, seq)
 	}
 }

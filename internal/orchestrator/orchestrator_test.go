@@ -1,75 +1,44 @@
 package orchestrator
 
 import (
-	"net"
 	"testing"
 	"time"
 
-	"github.com/newton-net/newton/internal/controller"
-	"github.com/newton-net/newton/internal/dataplane"
+	"github.com/newton-net/newton/internal/fleet"
 	"github.com/newton-net/newton/internal/modules"
+	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/query"
-	"github.com/newton-net/newton/internal/rpc"
 	"github.com/newton-net/newton/internal/scheduler"
 	"github.com/newton-net/newton/internal/telemetry"
 	"github.com/newton-net/newton/internal/topology"
 )
 
-// fleet is a 3-switch linear testbed with real agents over in-memory
-// pipes, push telemetry, and 8-stage devices — so an 11-stage query
-// must partition (stagesPer derives to 6) while a 6-stage one fits a
-// single switch.
-type fleet struct {
-	topo    *topology.Topology
-	remote  *controller.Remote
-	svc     *telemetry.Service
-	engines map[string]*modules.Engine
+// testFleet is a 3-switch linear testbed with real agents over
+// in-memory pipes, push telemetry, and 8-stage devices — so an 11-stage
+// query must partition (stagesPer derives to 6) while a 6-stage one fits
+// a single switch. A test may edit budgets before calling orch.
+type testFleet struct {
+	*fleet.Fleet
 	budgets map[string]scheduler.Budget
 }
 
-func newFleet(t *testing.T) *fleet {
+func newFleet(t *testing.T) *testFleet {
 	t.Helper()
 	topo, _, _ := topology.Linear(3)
-	svc := telemetry.NewService(telemetry.ServiceConfig{})
-	t.Cleanup(func() { svc.Close() })
-
-	agents := map[string]*rpc.Client{}
-	engines := map[string]*modules.Engine{}
-	budgets := map[string]scheduler.Budget{}
-	for _, name := range []string{"s1", "s2", "s3"} {
-		layout, err := modules.NewLayout(modules.LayoutCompact, 8, 1<<14)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := modules.NewEngine(layout)
-		sw := dataplane.NewSwitch(name, 8, modules.StageCapacity())
-		sw.Monitor = eng
-		agent := rpc.NewAgent(sw, eng)
-		server, client := net.Pipe()
-		go agent.HandleConn(server)
-		c := rpc.NewClient(client)
-		t.Cleanup(func() { c.Close() })
-		agents[name] = c
-		engines[name] = eng
-		budgets[name] = scheduler.Budget{Stages: 8, ArraySize: 1 << 14, RulesPerModule: 256}
-
-		tserver, tclient := net.Pipe()
-		go svc.HandleConn(tserver)
-		exp, err := telemetry.NewExporter(tclient, telemetry.ExporterConfig{SwitchID: name})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { exp.Close() })
-		exp.AttachAgent(agent, eng)
+	f, err := fleet.New(topo, fleet.Config{
+		Net:      netsim.Config{Stages: 8, ArraySize: 1 << 14},
+		Exporter: &telemetry.ExporterConfig{},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	remote := controller.NewRemote(agents, 1)
-	remote.AttachTelemetry(svc)
-	return &fleet{topo: topo, remote: remote, svc: svc, engines: engines, budgets: budgets}
+	t.Cleanup(f.Close)
+	return &testFleet{Fleet: f, budgets: f.Budgets(256)}
 }
 
-func (f *fleet) orch(t *testing.T) *Orchestrator {
+func (f *testFleet) orch(t *testing.T) *Orchestrator {
 	t.Helper()
-	o, err := New(Config{Topo: f.topo, Budgets: f.budgets}, f.remote)
+	o, err := New(Config{Topo: f.Net.Topo, Budgets: f.budgets}, f.Ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +97,13 @@ func TestOrchestratorEndToEnd(t *testing.T) {
 
 	// Per-switch installs match the plan: s1 holds q4/part0 + q1, s2
 	// holds q4/part1, s3 holds nothing.
-	if got := f.engines["s1"].InstalledCount(); got != 2 {
+	if got := f.Switches["s1"].Node.Eng.InstalledCount(); got != 2 {
 		t.Errorf("s1 installed = %d, want 2", got)
 	}
-	if got := f.engines["s2"].InstalledCount(); got != 1 {
+	if got := f.Switches["s2"].Node.Eng.InstalledCount(); got != 1 {
 		t.Errorf("s2 installed = %d, want 1", got)
 	}
-	if got := f.engines["s3"].InstalledCount(); got != 0 {
+	if got := f.Switches["s3"].Node.Eng.InstalledCount(); got != 0 {
 		t.Errorf("s3 installed = %d, want 0", got)
 	}
 
@@ -154,18 +123,18 @@ func TestOrchestratorEndToEnd(t *testing.T) {
 	if qid4 == 0 {
 		t.Fatal("q4 not recorded as deployed")
 	}
-	epoch := f.engines["s1"].Layout().Epoch()
-	if err := f.remote.Tick(); err != nil {
+	epoch := f.Switches["s1"].Node.Layout.Epoch()
+	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	missing, merged := waitEpochFull(t, f.svc, qid4, epoch)
+	missing, merged := waitEpochFull(t, f.Svc, qid4, epoch)
 	if len(missing) != 0 || merged != 2 {
 		t.Fatalf("epoch %d provenance: missing=%v merged=%d, want none missing from 2 contributors", epoch, missing, merged)
 	}
 
 	// Drain s2: the replan must drop exactly s2's partition — an update
 	// delta, not a reinstall.
-	before := f.engines["s1"].Programs()
+	before := f.Switches["s1"].Node.Eng.Programs()
 	o.Drain("s2")
 	p3, d3, err := o.Plan()
 	if err != nil {
@@ -185,12 +154,12 @@ func TestOrchestratorEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := f.engines["s2"].InstalledCount(); got != 0 {
+	if got := f.Switches["s2"].Node.Eng.InstalledCount(); got != 0 {
 		t.Errorf("s2 still holds %d programs after drain", got)
 	}
 	// s1 was never touched: the exact same program instances remain
 	// installed (no reinstall happened).
-	after := f.engines["s1"].Programs()
+	after := f.Switches["s1"].Node.Eng.Programs()
 	if len(before) != len(after) {
 		t.Fatalf("s1 program count changed %d -> %d across drain", len(before), len(after))
 	}
@@ -206,11 +175,11 @@ func TestOrchestratorEndToEnd(t *testing.T) {
 
 	// Provenance follows the new expected set: the next epoch is full
 	// with s1 as the only contributor.
-	epoch2 := f.engines["s1"].Layout().Epoch()
-	if err := f.remote.Tick(); err != nil {
+	epoch2 := f.Switches["s1"].Node.Layout.Epoch()
+	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	missing, merged = waitEpochFull(t, f.svc, qid4, epoch2)
+	missing, merged = waitEpochFull(t, f.Svc, qid4, epoch2)
 	if len(missing) != 0 || merged != 1 {
 		t.Fatalf("post-drain epoch %d: missing=%v merged=%d, want full with 1 contributor", epoch2, missing, merged)
 	}
@@ -301,7 +270,7 @@ func TestOrchestratorRemovedIntentUninstalls(t *testing.T) {
 	if err := o.Apply(p, d); err != nil {
 		t.Fatal(err)
 	}
-	if f.engines["s1"].InstalledCount() != 1 {
+	if f.Switches["s1"].Node.Eng.InstalledCount() != 1 {
 		t.Fatal("q1 not installed")
 	}
 
@@ -316,7 +285,7 @@ func TestOrchestratorRemovedIntentUninstalls(t *testing.T) {
 	if err := o.Apply(p2, d2); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.engines["s1"].InstalledCount(); got != 0 {
+	if got := f.Switches["s1"].Node.Eng.InstalledCount(); got != 0 {
 		t.Errorf("s1 still holds %d programs after withdrawal", got)
 	}
 	if len(o.Deployed()) != 0 {

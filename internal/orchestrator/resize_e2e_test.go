@@ -33,17 +33,17 @@ func TestOrchestratorResizeEndToEnd(t *testing.T) {
 	}
 
 	// A settled pre-resize epoch.
-	epoch := f.engines["s1"].Layout().Epoch()
-	if err := f.remote.Tick(); err != nil {
+	epoch := f.Switches["s1"].Node.Layout.Epoch()
+	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if missing, merged := waitEpochFull(t, f.svc, qid1, epoch); len(missing) != 0 || merged != 1 {
+	if missing, merged := waitEpochFull(t, f.Svc, qid1, epoch); len(missing) != 0 || merged != 1 {
 		t.Fatalf("pre-resize epoch: missing=%v merged=%d", missing, merged)
 	}
 
 	// The refiner's decision, replayed by hand: pin 1024 and replan. The
 	// diff must be exactly one in-place resize — no remove, no install.
-	q4Before := f.engines["s2"].Programs()
+	q4Before := f.Switches["s2"].Node.Eng.Programs()
 	o.SetWidthCap("q1_new_tcp_connections", 1024)
 	p, d, err := o.Plan()
 	if err != nil {
@@ -64,7 +64,7 @@ func TestOrchestratorResizeEndToEnd(t *testing.T) {
 	if got := o.QID("q1_new_tcp_connections"); got != qid1 {
 		t.Fatalf("resize changed qid %d -> %d", qid1, got)
 	}
-	q4After := f.engines["s2"].Programs()
+	q4After := f.Switches["s2"].Node.Eng.Programs()
 	if len(q4Before) != len(q4After) {
 		t.Fatalf("s2 program count changed %d -> %d across q1 resize", len(q4Before), len(q4After))
 	}
@@ -81,13 +81,13 @@ func TestOrchestratorResizeEndToEnd(t *testing.T) {
 	// The first post-resize epoch merges banks filled from a mid-window
 	// restart: it must read Partial (width transition) even though the
 	// only contributor delivered.
-	tEpoch := f.engines["s1"].Layout().Epoch()
-	if err := f.remote.Tick(); err != nil {
+	tEpoch := f.Switches["s1"].Node.Layout.Epoch()
+	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		partial, missing, merged := f.svc.EpochStatus(qid1, tEpoch)
+		partial, missing, merged := f.Svc.EpochStatus(qid1, tEpoch)
 		if merged > 0 {
 			if !partial || len(missing) != 0 {
 				t.Fatalf("transition epoch %d: partial=%v missing=%v, want partial with none missing", tEpoch, partial, missing)
@@ -99,25 +99,25 @@ func TestOrchestratorResizeEndToEnd(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if qa, ok := f.svc.ObservedAccuracy(qid1, tEpoch, 50); !ok || !qa.Transition {
+	if qa, ok := f.Svc.ObservedAccuracy(qid1, tEpoch, 50); !ok || !qa.Transition {
 		t.Fatalf("ObservedAccuracy(transition) = %+v ok=%v, want Transition", qa, ok)
 	}
 
 	// The next epoch is clean at the new geometry.
-	cEpoch := f.engines["s1"].Layout().Epoch()
-	if err := f.remote.Tick(); err != nil {
+	cEpoch := f.Switches["s1"].Node.Layout.Epoch()
+	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if missing, merged := waitEpochFull(t, f.svc, qid1, cEpoch); len(missing) != 0 || merged != 1 {
+	if missing, merged := waitEpochFull(t, f.Svc, qid1, cEpoch); len(missing) != 0 || merged != 1 {
 		t.Fatalf("post-resize epoch %d: missing=%v merged=%d, want clean", cEpoch, missing, merged)
 	}
-	qa, ok := f.svc.ObservedAccuracy(qid1, cEpoch, 50)
+	qa, ok := f.Svc.ObservedAccuracy(qid1, cEpoch, 50)
 	if !ok || qa.Transition || qa.Width != 1024 {
 		t.Fatalf("post-resize accuracy = %+v ok=%v, want clean width-1024 estimate", qa, ok)
 	}
 	// And the settled frontier lands on the clean epoch, not the
 	// transition one.
-	if e, ok := f.svc.LatestSettledEpoch(qid1); !ok || e != cEpoch {
+	if e, ok := f.Svc.LatestSettledEpoch(qid1); !ok || e != cEpoch {
 		t.Fatalf("LatestSettledEpoch = %d/%v, want %d", e, ok, cEpoch)
 	}
 }
