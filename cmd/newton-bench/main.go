@@ -6,7 +6,7 @@
 //	newton-bench -list
 //	newton-bench -run all
 //	newton-bench -run fig12,fig15 -flows 2000 -trials 100
-//	newton-bench -run throughput -json bench.json
+//	newton-bench -run fig17deploy -json bench.json
 package main
 
 import (
@@ -78,7 +78,6 @@ func main() {
 		"fig16":       func() fmt.Stringer { return experiments.Fig16Multiplexing(nil) },
 		"fig17":       func() fmt.Stringer { return experiments.Fig17Placement() },
 		"fig17deploy": func() fmt.Stringer { return experiments.Fig17Deploy() },
-		"throughput":  func() fmt.Stringer { return experiments.Throughput(2000, 400*time.Millisecond) },
 		"throughput-scaling": func() fmt.Stringer {
 			return experiments.ThroughputScaling(2000, 400*time.Millisecond, []int{1, 2, 4, 8})
 		},

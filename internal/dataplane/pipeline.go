@@ -256,9 +256,6 @@ func (sw *Switch) SetLanes(n int) {
 	sw.lanes = grown
 }
 
-// Up reports whether the switch is forwarding.
-func (sw *Switch) Up() bool { return sw.up }
-
 // SetUp changes the switch's liveness (the reboot model's lever).
 func (sw *Switch) SetUp(up bool) { sw.up = up }
 

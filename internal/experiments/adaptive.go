@@ -30,8 +30,13 @@ import (
 	"github.com/newton-net/newton/internal/topology"
 )
 
-// adaptiveQ1 is the accuracy-driven intent under test.
-const adaptiveQ1 = "q1_new_tcp_connections"
+// adaptiveQ1 is the accuracy-driven intent under test;
+// adaptiveThreshold is its report threshold, which doubles as the error
+// scale.
+const (
+	adaptiveQ1        = "q1_new_tcp_connections"
+	adaptiveThreshold = 50
+)
 
 // AdaptiveConfig parameterizes the closed-loop run. The zero value is
 // the CI-sized experiment.
@@ -49,11 +54,8 @@ type AdaptiveConfig struct {
 	// rounds (default 6).
 	ConvergeWithin int
 	// TargetRelErr is the intent's declared error tolerance
-	// (default 0.25), relative to Threshold.
+	// (default 0.25), relative to adaptiveThreshold.
 	TargetRelErr float64
-	// Threshold is Q1's report threshold, which doubles as the error
-	// scale (default 50).
-	Threshold uint64
 	// CalmPackets/SurgePackets are SYN packets per round in the calm
 	// and surge phases (defaults 2000 and 12000).
 	CalmPackets  int
@@ -79,9 +81,6 @@ func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
 	}
 	if c.TargetRelErr == 0 {
 		c.TargetRelErr = 0.25
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 50
 	}
 	if c.CalmPackets == 0 {
 		c.CalmPackets = 2000
@@ -282,7 +281,7 @@ func Adaptive(cfg AdaptiveConfig) *AdaptiveResult {
 	defer an.Close()
 
 	an.orch.SetIntents([]orchestrator.Intent{
-		{Query: query.Q1(cfg.Threshold), Priority: 2,
+		{Query: query.Q1(adaptiveThreshold), Priority: 2,
 			MinWidth: cfg.MinWidth, MaxWidth: cfg.MaxWidth, Edges: []string{"s1"},
 			Accuracy: query.Accuracy{MaxRelErr: cfg.TargetRelErr}},
 		// A static neighbor on the same switch: resizes of q1 must
@@ -351,7 +350,7 @@ func Adaptive(cfg AdaptiveConfig) *AdaptiveResult {
 			res.Violations = append(res.Violations, fmt.Sprintf("round %d: refine: %v", round+1, err))
 		}
 
-		qa, ok := an.Svc.ObservedAccuracy(qid1, epoch, cfg.Threshold)
+		qa, ok := an.Svc.ObservedAccuracy(qid1, epoch, adaptiveThreshold)
 		row := AdaptiveRound{Round: round + 1, Phase: ph.name, Epoch: epoch, Width: width}
 		if ok {
 			row.Width = qa.Width

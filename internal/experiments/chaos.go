@@ -20,30 +20,15 @@ type ChaosConfig struct {
 	// Seed drives the trace, the fault injectors, and the client retry
 	// jitter — the whole run is reproducible from it (default 1).
 	Seed int64
-	// Flows sizes the background traffic (default 800).
-	Flows int
-	// Duration is the trace length (default 300ms — three windows).
-	Duration time.Duration
-	// ResetProb is the per-I/O probability of an injected connection
-	// reset on every control channel (default 0.05).
-	ResetProb float64
 }
 
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Flows == 0 {
-		c.Flows = 800
-	}
-	if c.Duration == 0 {
-		c.Duration = 300 * time.Millisecond
-	}
-	if c.ResetProb == 0 {
-		c.ResetProb = 0.05
-	}
-	return c
-}
+const (
+	chaosFlows    = 800                    // background traffic
+	chaosDuration = 300 * time.Millisecond // trace length: three windows
+	// chaosResetProb is the per-I/O probability of an injected
+	// connection reset on every control channel.
+	chaosResetProb = 0.05
+)
 
 // ChaosResult is the outcome of one chaos run: the report count of a
 // fault-free reference, the count under injected resets plus an agent
@@ -153,8 +138,10 @@ func (cn *chaosNet) run(tr *trace.Trace, restartAt uint64) (reports int, reinsta
 // the zeroed sketch re-detects a key that had already crossed its
 // threshold earlier in the same window.
 func ChaosRecovery(cfg ChaosConfig) *ChaosResult {
-	cfg = cfg.withDefaults()
-	tr := trace.Generate(trace.Config{Seed: cfg.Seed, Flows: cfg.Flows, Duration: cfg.Duration},
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	tr := trace.Generate(trace.Config{Seed: cfg.Seed, Flows: chaosFlows, Duration: chaosDuration},
 		trace.SYNFlood{Victim: 0x0A0000AA, Packets: 600},
 		trace.SYNFlood{Victim: 0x0A0000AB, Packets: 600})
 
@@ -162,8 +149,8 @@ func ChaosRecovery(cfg ChaosConfig) *ChaosResult {
 	baseline, _ := base.run(tr, 0)
 	base.Close()
 
-	faulty := newChaosNet(cfg, cfg.ResetProb)
-	got, reinstalled := faulty.run(tr, uint64(cfg.Duration)/2)
+	faulty := newChaosNet(cfg, chaosResetProb)
+	got, reinstalled := faulty.run(tr, uint64(chaosDuration)/2)
 	res := &ChaosResult{
 		Seed: cfg.Seed, Baseline: baseline, WithFaults: got,
 		ReinstalledOK: reinstalled,

@@ -38,22 +38,26 @@ type SoakConfig struct {
 	// one churn or fault operation, pumps traffic, rolls epochs, and
 	// ticks the health monitor.
 	Rounds int
-	// KillEvery schedules a switch kill every this many rounds
-	// (default 12); DownFor is how many rounds the switch stays dead
-	// before restarting with an empty engine (default 4).
-	KillEvery int
-	DownFor   int
-	// PartitionFor is how many rounds an injected control+telemetry
-	// partition lasts (default 2).
-	PartitionFor int
-	// MaxHeapGrowthMB is the declared leak threshold: heap growth from
-	// the post-warmup sample to the end of the run must stay under it
-	// (default 8).
-	MaxHeapGrowthMB float64
-	// GoroutineSlack is the tolerated goroutine delta after teardown
-	// (default 8) — runtime pollers and test plumbing wobble a little.
-	GoroutineSlack int
 }
+
+// The churn schedule and the audit's thresholds.
+const (
+	// soakKillEvery schedules a switch kill every this many rounds;
+	// soakDownFor is how many rounds the switch stays dead before
+	// restarting with an empty engine.
+	soakKillEvery = 12
+	soakDownFor   = 4
+	// soakPartitionFor is how many rounds an injected control+telemetry
+	// partition lasts.
+	soakPartitionFor = 2
+	// soakMaxHeapGrowthMB is the declared leak threshold: heap growth
+	// from the post-warmup sample to the end of the run must stay under
+	// it.
+	soakMaxHeapGrowthMB = 8.0
+	// soakGoroutineSlack is the tolerated goroutine delta after teardown
+	// — runtime pollers and test plumbing wobble a little.
+	soakGoroutineSlack = 8
+)
 
 func (c SoakConfig) withDefaults() SoakConfig {
 	if c.Seed == 0 {
@@ -67,21 +71,6 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	}
 	if c.Rounds == 0 {
 		c.Rounds = 36
-	}
-	if c.KillEvery == 0 {
-		c.KillEvery = 12
-	}
-	if c.DownFor == 0 {
-		c.DownFor = 4
-	}
-	if c.PartitionFor == 0 {
-		c.PartitionFor = 2
-	}
-	if c.MaxHeapGrowthMB == 0 {
-		c.MaxHeapGrowthMB = 8
-	}
-	if c.GoroutineSlack == 0 {
-		c.GoroutineSlack = 8
 	}
 	return c
 }
@@ -242,7 +231,7 @@ func (sn *soakNet) converge() error {
 func (sn *soakNet) kill(name string, round int) {
 	_ = sn.Kill(name)
 	sw := sn.sws[name]
-	sw.dead, sw.restartAt = true, round+sn.cfg.DownFor
+	sw.dead, sw.restartAt = true, round+soakDownFor
 	sw.kill = &soakKill{name: name, killedAt: time.Now()}
 	sn.kills = append(sn.kills, sw.kill)
 }
@@ -358,7 +347,7 @@ func Soak(cfg SoakConfig) *SoakResult {
 
 		// One churn or fault op per round, from the seeded schedule.
 		switch {
-		case cfg.KillEvery > 0 && round%cfg.KillEvery == cfg.KillEvery-1:
+		case round%soakKillEvery == soakKillEvery-1:
 			if name := sn.pickAlive(rng, drainedByOp); name != "" {
 				sn.kill(name, round)
 				res.Kills++
@@ -366,7 +355,7 @@ func Soak(cfg SoakConfig) *SoakResult {
 		case round%7 == 3:
 			if name := sn.pickAlive(rng, drainedByOp); name != "" {
 				sn.injs[name].Partition()
-				sn.sws[name].partedTo = round + cfg.PartitionFor
+				sn.sws[name].partedTo = round + soakPartitionFor
 			}
 		case round%11 == 5:
 			if name := sn.pickAlive(rng, drainedByOp); name != "" {
@@ -559,23 +548,23 @@ func Soak(cfg SoakConfig) *SoakResult {
 		res.Violations = append(res.Violations, fmt.Sprintf(
 			"only %d auto-undrains for %d kills: a recovered switch was never re-admitted", res.AutoUndrains, res.Kills))
 	}
-	if res.HeapGrowthMB > cfg.MaxHeapGrowthMB {
+	if res.HeapGrowthMB > soakMaxHeapGrowthMB {
 		res.Violations = append(res.Violations, fmt.Sprintf(
-			"heap grew %.1f MB since warmup (threshold %.1f MB)", res.HeapGrowthMB, cfg.MaxHeapGrowthMB))
+			"heap grew %.1f MB since warmup (threshold %.1f MB)", res.HeapGrowthMB, soakMaxHeapGrowthMB))
 	}
 
 	sn.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	res.GoroutineEnd = runtime.NumGoroutine()
-	for res.GoroutineEnd > res.GoroutineBaseline+cfg.GoroutineSlack && time.Now().Before(deadline) {
+	for res.GoroutineEnd > res.GoroutineBaseline+soakGoroutineSlack && time.Now().Before(deadline) {
 		runtime.GC()
 		time.Sleep(20 * time.Millisecond)
 		res.GoroutineEnd = runtime.NumGoroutine()
 	}
-	if res.GoroutineEnd > res.GoroutineBaseline+cfg.GoroutineSlack {
+	if res.GoroutineEnd > res.GoroutineBaseline+soakGoroutineSlack {
 		res.Violations = append(res.Violations, fmt.Sprintf(
 			"goroutines leaked: baseline %d, after teardown %d (slack %d)",
-			res.GoroutineBaseline, res.GoroutineEnd, cfg.GoroutineSlack))
+			res.GoroutineBaseline, res.GoroutineEnd, soakGoroutineSlack))
 	}
 	return res
 }

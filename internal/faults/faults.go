@@ -1,7 +1,6 @@
 // Package faults provides deterministic, seeded fault injection for the
 // control and telemetry planes: net.Conn and net.Listener wrappers that
-// delay, drop, reset, partition, or stall traffic on command or by
-// seeded chance. The chaos tests and the netsim-backed chaos experiment
+// reset, partition, or stall traffic on command or by seeded chance. The chaos tests and the netsim-backed chaos experiment
 // build on it; production code never imports it.
 //
 // One Injector owns a seeded RNG and a shared fault state (partitioned,
@@ -30,34 +29,16 @@ type Config struct {
 	// same seed and the same op sequence make the same choices.
 	Seed int64
 
-	// Delay is the maximum per-operation injected latency; each read and
-	// write sleeps a uniform duration in [0, Delay).
-	Delay time.Duration
-
-	// DropProb is the probability that a Write is silently discarded
-	// (reported as fully written). On a stream transport a dropped write
-	// desynchronizes framing and typically stalls the peer — exactly the
-	// pathology it exists to reproduce.
-	DropProb float64
-
 	// ResetProb is the per-operation probability of an injected
 	// connection reset. A reset conn fails every subsequent operation
 	// and closes its underlying transport.
 	ResetProb float64
-
-	// ResetAfter, when > 0, resets each connection once it has moved
-	// this many bytes in either direction. A write that would cross the
-	// budget transfers the bytes under it first — the partial-frame
-	// case peers must survive.
-	ResetAfter int
 }
 
 // Stats counts the faults an injector has delivered.
 type Stats struct {
-	Resets   uint64 // connections reset (random or byte-budget)
-	Drops    uint64 // writes silently discarded
+	Resets   uint64 // connections reset
 	Stalls   uint64 // operations that blocked on a stall window
-	Delays   uint64 // operations delayed
 	Rejected uint64 // operations failed by an active partition
 }
 
@@ -156,7 +137,6 @@ type conn struct {
 	inj *Injector
 
 	mu            sync.Mutex
-	bytes         int // total transferred, for the ResetAfter budget
 	reset         bool
 	readDeadline  time.Time
 	writeDeadline time.Time
@@ -192,11 +172,6 @@ func (c *conn) gate(deadline time.Time) error {
 		return ErrInjectedReset
 	}
 	stall := i.stallCh
-	var delay time.Duration
-	if i.cfg.Delay > 0 {
-		delay = time.Duration(i.rng.Int63n(int64(i.cfg.Delay)))
-		i.stats.Delays++
-	}
 	doReset := i.cfg.ResetProb > 0 && i.rng.Float64() < i.cfg.ResetProb
 	if stall != nil {
 		i.stats.Stalls++
@@ -217,9 +192,6 @@ func (c *conn) gate(deadline time.Time) error {
 		case <-timer:
 			return timeoutError{}
 		}
-	}
-	if delay > 0 {
-		time.Sleep(delay)
 	}
 	if doReset {
 		c.doReset()
@@ -243,26 +215,6 @@ func (c *conn) doReset() {
 	}
 }
 
-// budget accounts n transferred bytes and reports how many of them fit
-// under the ResetAfter budget (n when unlimited).
-func (c *conn) budget(n int) int {
-	limit := c.inj.cfg.ResetAfter
-	if limit <= 0 {
-		return n
-	}
-	c.mu.Lock()
-	room := limit - c.bytes
-	if room < 0 {
-		room = 0
-	}
-	if n > room {
-		n = room
-	}
-	c.bytes += n
-	c.mu.Unlock()
-	return n
-}
-
 func (c *conn) Read(b []byte) (int, error) {
 	c.mu.Lock()
 	dl := c.readDeadline
@@ -270,18 +222,7 @@ func (c *conn) Read(b []byte) (int, error) {
 	if err := c.gate(dl); err != nil {
 		return 0, err
 	}
-	if c.inj.cfg.ResetAfter > 0 {
-		c.mu.Lock()
-		over := c.bytes >= c.inj.cfg.ResetAfter
-		c.mu.Unlock()
-		if over {
-			c.doReset()
-			return 0, ErrInjectedReset
-		}
-	}
-	n, err := c.Conn.Read(b)
-	c.budget(n)
-	return n, err
+	return c.Conn.Read(b)
 }
 
 func (c *conn) Write(b []byte) (int, error) {
@@ -290,26 +231,6 @@ func (c *conn) Write(b []byte) (int, error) {
 	c.mu.Unlock()
 	if err := c.gate(dl); err != nil {
 		return 0, err
-	}
-	i := c.inj
-	i.mu.Lock()
-	drop := i.cfg.DropProb > 0 && i.rng.Float64() < i.cfg.DropProb
-	if drop {
-		i.stats.Drops++
-	}
-	i.mu.Unlock()
-	if drop {
-		return len(b), nil // swallowed whole; the peer never sees it
-	}
-	if allowed := c.budget(len(b)); allowed < len(b) {
-		// The write crosses the byte budget: transfer the remainder of
-		// the budget, then reset — the peer is left with a torn frame.
-		n := 0
-		if allowed > 0 {
-			n, _ = c.Conn.Write(b[:allowed])
-		}
-		c.doReset()
-		return n, ErrInjectedReset
 	}
 	return c.Conn.Write(b)
 }

@@ -35,30 +35,6 @@ func TestPassThroughWhenUnarmed(t *testing.T) {
 	}
 }
 
-func TestResetAfterBytes(t *testing.T) {
-	inj := New(Config{Seed: 2, ResetAfter: 10})
-	client, server := inj.Pipe()
-	go echoServer(server)
-	defer client.Close()
-
-	// First write fits the budget exactly.
-	if _, err := client.Write(make([]byte, 10)); err != nil {
-		t.Fatalf("write under budget: %v", err)
-	}
-	// The next op crosses it and resets.
-	_, err := client.Write([]byte("x"))
-	if !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("err = %v, want ErrInjectedReset", err)
-	}
-	// The conn stays poisoned.
-	if _, err := client.Write([]byte("y")); !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("post-reset write err = %v", err)
-	}
-	if st := inj.Stats(); st.Resets != 1 {
-		t.Errorf("Resets = %d, want 1", st.Resets)
-	}
-}
-
 func TestPartitionAndHeal(t *testing.T) {
 	inj := New(Config{Seed: 3})
 	client, server := inj.Pipe()
@@ -158,25 +134,6 @@ func TestSeededResetsAreDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical fault sequences")
-	}
-}
-
-func TestDropSwallowsWrite(t *testing.T) {
-	inj := New(Config{Seed: 6, DropProb: 1})
-	client, server := inj.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	if n, err := client.Write([]byte("ghost")); err != nil || n != 5 {
-		t.Fatalf("dropped write = (%d, %v), want (5, nil)", n, err)
-	}
-	// Nothing arrives: a read on the server times out.
-	server.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	if _, err := server.Read(make([]byte, 8)); err == nil {
-		t.Error("server received a dropped write")
-	}
-	if st := inj.Stats(); st.Drops != 1 {
-		t.Errorf("Drops = %d, want 1", st.Drops)
 	}
 }
 

@@ -56,13 +56,11 @@ type KConfig struct {
 // HConfig configures a hash-calculation module.
 type HConfig struct {
 	// Algo and Seed select the hash function; Range folds the result
-	// into [0, Range) and Offset shifts it into the query's register
-	// allocation (the "adjustable range of the hash result" that gives S
-	// flexible register allocation among queries).
-	Algo   sketch.Algo
-	Seed   uint32
-	Range  uint32
-	Offset uint32
+	// into [0, Range) (the "adjustable range of the hash result" that
+	// gives S flexible register allocation among queries).
+	Algo  sketch.Algo
+	Seed  uint32
+	Range uint32
 	// Direct, when not NoField, bypasses hashing: the hash result is the
 	// operation key's field value verbatim (the paper's direct mode).
 	Direct fields.ID

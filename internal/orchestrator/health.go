@@ -118,10 +118,9 @@ type HealthConfig struct {
 	ForgetAfter time.Duration
 	OnForget    func(name string)
 
-	// OnTransition, when set, observes every state change.
-	OnTransition func(ev HealthEvent)
-
-	// Now overrides the clock (deterministic tests).
+	// Now overrides the clock. Kept as a field because the last-seen,
+	// silence and ForgetAfter tests would otherwise sleep through real
+	// time.
 	Now func() time.Time
 }
 
@@ -208,16 +207,12 @@ func (fh FleetHealth) String() string {
 	return b.String()
 }
 
-// swHealth is the per-switch state machine bookkeeping.
+// swHealth is one switch's state machine: the row Snapshot reports is
+// the state the machine runs on (LastSeenAge is filled at snapshot
+// time), plus the debounce counts.
 type swHealth struct {
-	state       HealthState
-	bad, good   int // consecutive bad/good rounds in the current state
-	lastSeen    time.Time
-	lastErr     string
-	drainReason string
-	downSince   time.Time
-	flaps       int
-	forgotten   bool
+	SwitchHealth
+	bad, good int // consecutive bad/good rounds in the current state
 }
 
 // eventLogCap bounds the monitor's in-memory event history.
@@ -234,7 +229,8 @@ type TickReport struct {
 }
 
 // Monitor is the fleet health controller. Construct with NewMonitor,
-// then either call Tick on your own cadence or Run a background loop.
+// then call Tick: it is the only entry point, and callers own the
+// cadence.
 type Monitor struct {
 	fleet Fleet
 	cfg   HealthConfig
@@ -251,7 +247,7 @@ type Monitor struct {
 	autoUndrains uint64
 	convergeErrs uint64
 	converges    uint64
-	convergeNs   []int64 // per-converge wall time, for deploy-latency tails
+	convergeDurs []time.Duration // wall time of the newest eventLogCap converges
 }
 
 // NewMonitor builds a health monitor over the named switches (for an
@@ -272,7 +268,7 @@ func NewMonitor(fleet Fleet, switches []string, cfg HealthConfig) (*Monitor, err
 	sort.Strings(m.switches)
 	now := cfg.Now()
 	for _, name := range m.switches {
-		m.states[name] = &swHealth{state: Healthy, lastSeen: now}
+		m.states[name] = &swHealth{SwitchHealth: SwitchHealth{Switch: name, State: Healthy, LastSeen: now}}
 	}
 	return m, nil
 }
@@ -339,21 +335,21 @@ func (m *Monitor) Tick() TickReport {
 		if st == nil {
 			continue
 		}
-		if s.hasSeen && s.seenAt.After(st.lastSeen) {
-			st.lastSeen = s.seenAt
+		if s.hasSeen && s.seenAt.After(st.LastSeen) {
+			st.LastSeen = s.seenAt
 		}
 		if s.bad {
-			st.lastErr = s.reason
+			st.LastErr = s.reason
 		}
-		from := st.state
+		from := st.State
 		var action string
-		switch st.state {
+		switch st.State {
 		case Healthy:
 			if s.bad {
 				st.bad++
 				st.good = 0
 				if st.bad >= m.cfg.SuspectAfter {
-					st.state, st.bad = Suspect, 0
+					st.State, st.bad = Suspect, 0
 				}
 			} else {
 				st.bad = 0
@@ -362,27 +358,27 @@ func (m *Monitor) Tick() TickReport {
 			if s.bad {
 				st.bad++
 				if st.bad >= m.cfg.DownAfter {
-					st.state = Down
-					st.downSince, st.drainReason = now, s.reason
-					st.bad, st.good, st.forgotten = 0, 0, false
+					st.State = Down
+					st.DownSince, st.DrainReason = now, s.reason
+					st.bad, st.good, st.Forgotten = 0, 0, false
 					action = "auto-drain"
 					rep.Drained = append(rep.Drained, s.name)
 				}
 			} else {
 				// One good round clears suspicion: debounce, not hysteresis —
 				// that is reserved for re-admission after a drain.
-				st.state, st.bad, st.good = Healthy, 0, 0
+				st.State, st.bad, st.good = Healthy, 0, 0
 			}
 		case Down:
 			if s.bad {
-				if m.cfg.ForgetAfter > 0 && !st.forgotten && now.Sub(st.downSince) >= m.cfg.ForgetAfter {
-					st.forgotten = true
+				if m.cfg.ForgetAfter > 0 && !st.Forgotten && now.Sub(st.DownSince) >= m.cfg.ForgetAfter {
+					st.Forgotten = true
 					forgets = append(forgets, s.name)
 				}
 			} else {
-				st.state, st.good = Recovering, 1
+				st.State, st.good = Recovering, 1
 				if st.good >= m.cfg.RecoverAfter {
-					st.state, st.good = Healthy, 0
+					st.State, st.good = Healthy, 0
 					action = "auto-undrain"
 					rep.Undrained = append(rep.Undrained, s.name)
 				}
@@ -390,21 +386,21 @@ func (m *Monitor) Tick() TickReport {
 		case Recovering:
 			if s.bad {
 				// Flap: back to down without re-draining (it never left).
-				st.state, st.good = Down, 0
-				st.flaps++
-				st.drainReason = s.reason
+				st.State, st.good = Down, 0
+				st.Flaps++
+				st.DrainReason = s.reason
 			} else {
 				st.good++
 				if st.good >= m.cfg.RecoverAfter {
-					st.state, st.good = Healthy, 0
-					st.drainReason = ""
+					st.State, st.good = Healthy, 0
+					st.DrainReason = ""
 					action = "auto-undrain"
 					rep.Undrained = append(rep.Undrained, s.name)
 				}
 			}
 		}
-		if st.state != from {
-			ev := HealthEvent{At: now, Switch: s.name, From: from, To: st.state,
+		if st.State != from {
+			ev := HealthEvent{At: now, Switch: s.name, From: from, To: st.State,
 				Action: action, Reason: s.reason}
 			if !s.bad && action == "" {
 				ev.Reason = ""
@@ -419,11 +415,6 @@ func (m *Monitor) Tick() TickReport {
 	dirty := m.dirty
 	m.mu.Unlock()
 
-	for _, ev := range rep.Transitions {
-		if m.cfg.OnTransition != nil {
-			m.cfg.OnTransition(ev)
-		}
-	}
 	for _, name := range forgets {
 		ev := HealthEvent{At: now, Switch: name, From: Down, To: Down,
 			Action: "forget", Reason: "down past ForgetAfter"}
@@ -459,7 +450,7 @@ func (m *Monitor) Tick() TickReport {
 		elapsed := m.cfg.Now().Sub(start)
 		m.mu.Lock()
 		m.converges++
-		m.convergeNs = append(m.convergeNs, elapsed.Nanoseconds())
+		m.convergeDurs = appendBounded(m.convergeDurs, elapsed)
 		if err != nil {
 			m.convergeErrs++
 			rep.ConvergeErr = err
@@ -481,27 +472,15 @@ func (m *Monitor) bump(p *uint64) {
 }
 
 // logLocked appends to the bounded event log. Callers hold m.mu.
-func (m *Monitor) logLocked(ev HealthEvent) {
-	if len(m.events) >= eventLogCap {
-		copy(m.events, m.events[len(m.events)-eventLogCap+1:])
-		m.events = m.events[:eventLogCap-1]
-	}
-	m.events = append(m.events, ev)
-}
+func (m *Monitor) logLocked(ev HealthEvent) { m.events = appendBounded(m.events, ev) }
 
-// Run ticks the monitor every interval until stop closes. The caller
-// owns the goroutine: `go mon.Run(500*time.Millisecond, stop)`.
-func (m *Monitor) Run(interval time.Duration, stop <-chan struct{}) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			m.Tick()
-		}
+// appendBounded appends v to log, keeping only the newest eventLogCap
+// entries: a monitor runs for months.
+func appendBounded[T any](log []T, v T) []T {
+	if len(log) >= eventLogCap {
+		log = log[:copy(log, log[len(log)-eventLogCap+1:])]
 	}
+	return append(log, v)
 }
 
 // State returns one switch's current health state (Healthy, false when
@@ -513,20 +492,16 @@ func (m *Monitor) State(name string) (HealthState, bool) {
 	if !ok {
 		return Healthy, false
 	}
-	return st.state, true
+	return st.State, true
 }
 
-// ConvergeDurations returns the wall time of every converge the monitor
-// drove, in order — the auto-heal deploy latencies the soak's p99 is
-// computed over.
+// ConvergeDurations returns the wall time of the newest eventLogCap
+// converges the monitor drove, in order — the auto-heal deploy latencies
+// the soak's p99 is computed over.
 func (m *Monitor) ConvergeDurations() []time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]time.Duration, len(m.convergeNs))
-	for i, ns := range m.convergeNs {
-		out[i] = time.Duration(ns)
-	}
-	return out
+	return append([]time.Duration(nil), m.convergeDurs...)
 }
 
 // Events returns a copy of the bounded event log.
@@ -549,18 +524,9 @@ func (m *Monitor) Snapshot() FleetHealth {
 		Events:       append([]HealthEvent(nil), m.events...),
 	}
 	for _, name := range m.switches {
-		st := m.states[name]
-		fh.Switches = append(fh.Switches, SwitchHealth{
-			Switch:      name,
-			State:       st.state,
-			LastSeen:    st.lastSeen,
-			LastSeenAge: now.Sub(st.lastSeen),
-			LastErr:     st.lastErr,
-			DrainReason: st.drainReason,
-			DownSince:   st.downSince,
-			Flaps:       st.flaps,
-			Forgotten:   st.forgotten,
-		})
+		row := m.states[name].SwitchHealth
+		row.LastSeenAge = now.Sub(row.LastSeen)
+		fh.Switches = append(fh.Switches, row)
 	}
 	m.mu.Unlock()
 

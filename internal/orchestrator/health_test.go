@@ -313,6 +313,25 @@ func TestConvergeRetryAfterError(t *testing.T) {
 	}
 }
 
+// TestConvergeLogBounded: a monitor runs for months, so the converge
+// durations it keeps are the newest eventLogCap, like the event log.
+func TestConvergeLogBounded(t *testing.T) {
+	fleet := newFakeFleet()
+	probes := &probeScript{}
+	m, _ := testMonitor(t, fleet, probes, nil)
+	// A failing converge is owed again on every round.
+	fleet.mu.Lock()
+	fleet.convErr = errors.New("still failing")
+	fleet.mu.Unlock()
+	probes.set("s1", errors.New("dead"))
+	for i := 0; i < 3+2*eventLogCap; i++ {
+		m.Tick()
+	}
+	if got := len(m.ConvergeDurations()); got != eventLogCap {
+		t.Fatalf("ConvergeDurations holds %d entries after %d converges, want %d", got, 2*eventLogCap+1, eventLogCap)
+	}
+}
+
 // TestLivenessSilenceDrains: a switch whose control channel answers but
 // whose telemetry stream has gone silent past MaxSilence is drained all
 // the same.

@@ -16,6 +16,7 @@ package orchestrator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -215,7 +216,9 @@ type Orchestrator struct {
 	// frugal at MinWidth and grow only on observed error. The cap is
 	// persistent floor memory: a narrow survives replans, so a query
 	// narrowed for being over-provisioned does not snap back to max on
-	// the next converge.
+	// the next converge. It lives as long as the intent: SetIntents drops
+	// the cap of a name it no longer lists, so a re-submitted intent
+	// starts frugal, not at its dead predecessor's width.
 	widthCap map[string]uint32
 
 	obs orchObs
@@ -258,13 +261,6 @@ func (o *Orchestrator) SetWidthCap(name string, w uint32) {
 	o.mu.Unlock()
 }
 
-// WidthCap returns the pinned width for a query name (0 when unset).
-func (o *Orchestrator) WidthCap(name string) uint32 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.widthCap[name]
-}
-
 // Intents returns a copy of the current intent set.
 func (o *Orchestrator) Intents() []Intent {
 	o.mu.Lock()
@@ -273,11 +269,22 @@ func (o *Orchestrator) Intents() []Intent {
 }
 
 // SetIntents replaces the intent set. The next Plan/Apply converges the
-// network to it.
+// network to it. A withdrawn query's width cap goes with it.
 func (o *Orchestrator) SetIntents(intents []Intent) {
 	o.mu.Lock()
 	o.intents = append([]Intent(nil), intents...)
+	for name := range o.widthCap {
+		if !hasIntent(intents, name) {
+			delete(o.widthCap, name)
+		}
+	}
 	o.mu.Unlock()
+}
+
+// hasIntent reports whether intents still lists a query by that name:
+// what the width caps and the refiner's per-query state live by.
+func hasIntent(intents []Intent, name string) bool {
+	return slices.ContainsFunc(intents, func(in Intent) bool { return in.Query != nil && in.Query.Name == name })
 }
 
 // Drain excludes a switch from future plans (maintenance, failure). Its
@@ -312,13 +319,6 @@ func (o *Orchestrator) Switches() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SetBudget adds or resizes one switch's envelope.
-func (o *Orchestrator) SetBudget(name string, b scheduler.Budget) {
-	o.mu.Lock()
-	o.cfg.Budgets[name] = b
-	o.mu.Unlock()
 }
 
 // stagesPer resolves the partition size (see Config.StagesPerSwitch).

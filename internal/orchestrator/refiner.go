@@ -35,62 +35,44 @@ type AccuracySource interface {
 	ObservedAccuracy(qid int, epoch uint32, scale uint64) (telemetry.QueryAccuracy, bool)
 }
 
-// RefinerConfig tunes the hysteresis. Every epoch-valued knob counts
-// SETTLED epochs — merges with every contributor present and no width
-// transition — so wall-clock speed never changes the control behavior.
-type RefinerConfig struct {
-	// WidenAfter is how many consecutive settled epochs the observed
+// The hysteresis. Every epoch count is in SETTLED epochs — merges with
+// every contributor present and no width transition — so wall-clock
+// speed never changes the control behavior. They are constants because
+// one value of each has ever been in use: a second caller that needs
+// another is the reason to make one a field again.
+const (
+	// widenAfter is how many consecutive settled epochs the observed
 	// error must exceed tolerance before the refiner widens. Low: an
 	// under-provisioned query is WRONG right now (widen-fast).
-	WidenAfter int
-	// NarrowAfter is how many consecutive settled epochs the query must
+	widenAfter = 2
+	// narrowAfter is how many consecutive settled epochs the query must
 	// look over-provisioned before the refiner narrows. High: narrowing
 	// merely saves memory, and a premature narrow flaps (narrow-slow).
-	NarrowAfter int
-	// NarrowMargin discounts the tolerance when judging a narrow: the
+	narrowAfter = 6
+	// narrowMargin discounts the tolerance when judging a narrow: the
 	// predicted error at the next rung down must stay within
-	// NarrowMargin·MaxRelErr, leaving headroom for stream growth.
-	NarrowMargin float64
-	// CooldownEpochs is how many settled epochs after any resize the
+	// narrowMargin·MaxRelErr, leaving headroom for stream growth.
+	narrowMargin = 0.6
+	// cooldownEpochs is how many settled epochs after any resize the
 	// refiner ignores a query — the first post-resize epochs measure a
 	// half-filled sketch.
-	CooldownEpochs int
-	// FlapEpochs is the settled-epoch window within which a direction
+	cooldownEpochs = 2
+	// flapEpochs is the settled-epoch window within which a direction
 	// reversal (widen after narrow or vice versa) counts as a flap.
-	FlapEpochs int
-	// RejectHold is how long a rung the admission planner refused stays
+	flapEpochs = 4
+	// rejectHold is how long a rung the admission planner refused stays
 	// remembered: until it expires the refiner will not bid for that
 	// rung (or above) again, so a rejected widen cannot retry-storm.
-	RejectHold time.Duration
-	// Clock supplies wall time (for RejectHold expiry and event
-	// timestamps only — control decisions count epochs). Nil means
-	// time.Now; tests inject a fake.
-	Clock func() time.Time
-}
+	rejectHold = 30 * time.Second
+)
 
-func (c RefinerConfig) withDefaults() RefinerConfig {
-	if c.WidenAfter <= 0 {
-		c.WidenAfter = 2
-	}
-	if c.NarrowAfter <= 0 {
-		c.NarrowAfter = 6
-	}
-	if c.NarrowMargin <= 0 || c.NarrowMargin >= 1 {
-		c.NarrowMargin = 0.6
-	}
-	if c.CooldownEpochs <= 0 {
-		c.CooldownEpochs = 2
-	}
-	if c.FlapEpochs <= 0 {
-		c.FlapEpochs = 4
-	}
-	if c.RejectHold <= 0 {
-		c.RejectHold = 30 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-	return c
+// RefinerConfig holds what a caller may substitute in the refiner.
+type RefinerConfig struct {
+	// Clock supplies wall time (for rejectHold expiry and event
+	// timestamps only — control decisions count epochs). Nil means
+	// time.Now. Kept as a field because the reject-hold test would
+	// otherwise wait out 30 real seconds.
+	Clock func() time.Time
 }
 
 // RefineEvent is one control decision, for operators and tests.
@@ -127,46 +109,43 @@ type QueryRefineState struct {
 	LastAction               string
 }
 
-// qState is the refiner's per-query hysteresis memory.
+// qState is one query's hysteresis memory: the snapshot States reports
+// is the state the machine runs on, plus what only the machine needs.
 type qState struct {
-	qid      int
-	hasEpoch bool
-	epoch    uint32 // last settled epoch processed
-	seq      int    // settled epochs processed
+	QueryRefineState
+	hasEpoch bool // Epoch holds a settled epoch already processed
+	seq      int  // settled epochs processed
 
-	overRuns, underRuns int
-	cooldownUntil       int // seq until which observations are ignored
-	lastDir             int // +1 widen, -1 narrow
-	lastDirSeq          int
-
-	rejectedRung  uint32
-	rejectedUntil time.Time
-
-	widens, narrows, resizes, flaps int
-	observed, target                float64
-	width                           uint32
-	inBand                          bool
-	lastAction                      string
+	cooldownUntil int // seq until which observations are ignored
+	lastDir       int // +1 widen, -1 narrow
+	lastDirSeq    int
+	rejectedUntil time.Time // when Rejected stops being remembered
 }
 
 // Refiner closes the accuracy loop: Step reads each accuracy-enabled
 // intent's newest settled error estimate and, with hysteresis, resizes
-// the deployment through the fleet's width-cap + converge path.
+// the deployment through the fleet's width-cap + converge path. Step is
+// the only entry point: callers own the cadence.
 type Refiner struct {
-	cfg   RefinerConfig
+	now   func() time.Time
 	fleet RefineFleet
 	src   AccuracySource
 
 	mu     sync.Mutex
 	states map[string]*qState
+	// deployed is the fleet's deployment as of the pass in progress (nil
+	// between passes): read once a pass and again after each resize, the
+	// only thing a pass does that changes it.
+	deployed map[string]QueryPlan
 }
 
 // NewRefiner builds the control loop over a fleet and its analyzer.
 func NewRefiner(fleet RefineFleet, src AccuracySource, cfg RefinerConfig) *Refiner {
-	return &Refiner{
-		cfg: cfg.withDefaults(), fleet: fleet, src: src,
-		states: map[string]*qState{},
+	r := &Refiner{now: cfg.Clock, fleet: fleet, src: src, states: map[string]*qState{}}
+	if r.now == nil {
+		r.now = time.Now
 	}
+	return r
 }
 
 // StepReport summarizes one control pass.
@@ -177,13 +156,22 @@ type StepReport struct {
 
 // Step runs one control pass. Each accuracy-enabled, deployed intent is
 // examined only when the analyzer has a NEW settled epoch for it —
-// partial and width-transition epochs never drive a decision. Returns
-// the decisions taken; a converge error aborts the pass.
+// partial and width-transition epochs never drive a decision. A query
+// whose intent was withdrawn is forgotten. Returns the decisions taken;
+// a converge error aborts the pass.
 func (r *Refiner) Step() (StepReport, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var rep StepReport
-	for _, in := range r.fleet.Intents() {
+	intents := r.fleet.Intents()
+	for name := range r.states {
+		if !hasIntent(intents, name) {
+			delete(r.states, name)
+		}
+	}
+	r.deployed = r.fleet.Deployed()
+	defer func() { r.deployed = nil }()
+	for _, in := range intents {
 		if !in.Accuracy.Enabled() || in.Query == nil {
 			continue
 		}
@@ -193,12 +181,12 @@ func (r *Refiner) Step() (StepReport, error) {
 			continue // not deployed (rejected, or not yet applied)
 		}
 		st := r.states[name]
-		if st == nil || st.qid != qid {
-			st = &qState{qid: qid}
+		if st == nil || st.QID != qid {
+			st = &qState{QueryRefineState: QueryRefineState{Query: name, QID: qid}}
 			r.states[name] = st
 		}
 		epoch, ok := r.src.LatestSettledEpoch(qid)
-		if !ok || (st.hasEpoch && epoch <= st.epoch) {
+		if !ok || (st.hasEpoch && epoch <= st.Epoch) {
 			continue // no new settled evidence
 		}
 		scale := uint64(in.Query.Threshold())
@@ -206,26 +194,26 @@ func (r *Refiner) Step() (StepReport, error) {
 		if !ok || qa.Partial || qa.Transition {
 			continue
 		}
-		st.hasEpoch, st.epoch = true, epoch
+		st.hasEpoch, st.Epoch = true, epoch
 		st.seq++
 		rep.Examined++
 
-		plan, deployed := r.fleet.Deployed()[name]
+		plan, deployed := r.deployed[name]
 		if !deployed {
 			continue
 		}
-		st.width = plan.Width
-		st.target = in.Accuracy.MaxRelErr
-		st.observed = qa.Observed()
-		st.inBand = st.observed <= st.target
-		if r.cfg.Clock().After(st.rejectedUntil) {
-			st.rejectedRung = 0
+		st.Width = plan.Width
+		st.Target = in.Accuracy.MaxRelErr
+		st.Observed = qa.Observed()
+		st.InBand = st.Observed <= st.Target
+		if r.now().After(st.rejectedUntil) {
+			st.Rejected = 0
 		}
 		if st.seq <= st.cooldownUntil {
 			continue // sketch still refilling after the last resize
 		}
 
-		evs, err := r.controlLocked(st, in, name, qa, scale)
+		evs, err := r.controlLocked(st, in, qa, scale)
 		rep.Events = append(rep.Events, evs...)
 		if err != nil {
 			return rep, err
@@ -236,14 +224,14 @@ func (r *Refiner) Step() (StepReport, error) {
 
 // controlLocked applies the hysteresis state machine to one query's
 // fresh observation and performs at most one resize.
-func (r *Refiner) controlLocked(st *qState, in Intent, name string, qa telemetry.QueryAccuracy, scale uint64) ([]RefineEvent, error) {
+func (r *Refiner) controlLocked(st *qState, in Intent, qa telemetry.QueryAccuracy, scale uint64) ([]RefineEvent, error) {
 	tol := in.Accuracy.MaxRelErr
-	w := st.width
+	w := st.Width
 
-	if !st.inBand {
-		st.underRuns = 0
-		st.overRuns++
-		if st.overRuns < r.cfg.WidenAfter {
+	if !st.InBand {
+		st.UnderRuns = 0
+		st.OverRuns++
+		if st.OverRuns < widenAfter {
 			return nil, nil
 		}
 		// Widen-fast: jump straight to the rung the measured stream
@@ -256,105 +244,92 @@ func (r *Refiner) controlLocked(st *qState, in Intent, name string, qa telemetry
 			want = w * 2
 		}
 		want = scheduler.ClampToLadder(want, in.MinWidth, in.MaxWidth)
-		if st.rejectedRung != 0 && want >= st.rejectedRung {
+		if st.Rejected != 0 && want >= st.Rejected {
 			// The planner refused this rung recently; bid just below it
 			// until the hold expires.
-			want = scheduler.ClampToLadder(st.rejectedRung/2, in.MinWidth, in.MaxWidth)
+			want = scheduler.ClampToLadder(st.Rejected/2, in.MinWidth, in.MaxWidth)
 		}
 		if want <= w {
-			st.lastAction = "at-max"
-			st.overRuns = 0 // nowhere to go; stop accumulating
+			st.LastAction = "at-max"
+			st.OverRuns = 0 // nowhere to go; stop accumulating
 			return nil, nil
 		}
-		return r.resizeLocked(st, name, w, want, +1, qa)
+		return r.resizeLocked(st, w, want, +1)
 	}
 
 	// In band: is the NEXT rung down still comfortably inside tolerance?
-	st.overRuns = 0
+	st.OverRuns = 0
 	down := scheduler.ClampToLadder(w/2, in.MinWidth, in.MaxWidth)
-	if down >= w || qa.PredictedAtWidth(down) > r.cfg.NarrowMargin*tol {
-		st.underRuns = 0
+	if down >= w || qa.PredictedAtWidth(down) > narrowMargin*tol {
+		st.UnderRuns = 0
 		return nil, nil
 	}
-	st.underRuns++
-	if st.underRuns < r.cfg.NarrowAfter {
+	st.UnderRuns++
+	if st.UnderRuns < narrowAfter {
 		return nil, nil
 	}
 	// Narrow-slow: one rung at a time.
-	return r.resizeLocked(st, name, w, down, -1, qa)
+	return r.resizeLocked(st, w, down, -1)
 }
 
 // resizeLocked commits one resize decision through the fleet: pin the
 // width cap, converge, and read back what the planner actually granted.
-// A grant below the bid is recorded as a rejection (with RejectHold) so
+// A grant below the bid is recorded as a rejection (for rejectHold) so
 // the refiner stops bidding for capacity the fleet does not have.
-func (r *Refiner) resizeLocked(st *qState, name string, from, want uint32, dir int, qa telemetry.QueryAccuracy) ([]RefineEvent, error) {
-	now := r.cfg.Clock()
+func (r *Refiner) resizeLocked(st *qState, from, want uint32, dir int) ([]RefineEvent, error) {
+	now := r.now()
 	var evs []RefineEvent
 	ev := func(action string, to uint32) {
 		evs = append(evs, RefineEvent{
-			Time: now, Query: name, QID: st.qid, Epoch: st.epoch,
+			Time: now, Query: st.Query, QID: st.QID, Epoch: st.Epoch,
 			Action: action, From: from, To: to,
-			Observed: st.observed, Target: st.target,
+			Observed: st.Observed, Target: st.Target,
 		})
 	}
 
-	if st.lastDir != 0 && dir != st.lastDir && st.seq-st.lastDirSeq <= r.cfg.FlapEpochs {
+	if st.lastDir != 0 && dir != st.lastDir && st.seq-st.lastDirSeq <= flapEpochs {
 		// Direction reversal inside the flap window: the hysteresis
 		// failed to damp an oscillation. Count it loudly — the
 		// convergence gate asserts zero — but still obey the controller.
-		st.flaps++
+		st.Flaps++
 		ev("flap", want)
 	}
 
-	r.fleet.SetWidthCap(name, want)
+	r.fleet.SetWidthCap(st.Query, want)
 	if _, _, err := r.fleet.Converge(); err != nil {
-		return evs, fmt.Errorf("refiner: converge %s to width %d: %w", name, want, err)
+		return evs, fmt.Errorf("refiner: converge %s to width %d: %w", st.Query, want, err)
 	}
+	r.deployed = r.fleet.Deployed()
 	granted := want
-	if plan, ok := r.fleet.Deployed()[name]; ok {
+	if plan, ok := r.deployed[st.Query]; ok {
 		granted = plan.Width
 	}
 	if granted != want {
 		// The planner degraded (or refused) the bid: remember the rung
 		// so the next pass does not retry it until the hold expires, and
 		// pin the cap at what the fleet actually holds.
-		st.rejectedRung = want
-		st.rejectedUntil = now.Add(r.cfg.RejectHold)
-		r.fleet.SetWidthCap(name, granted)
+		st.Rejected = want
+		st.rejectedUntil = now.Add(rejectHold)
+		r.fleet.SetWidthCap(st.Query, granted)
 		ev("reject", granted)
 	}
 	if granted != from {
-		st.resizes++
+		st.Resizes++
 		if granted > from {
-			st.widens++
-			st.lastAction = "widen"
+			st.Widens++
+			st.LastAction = "widen"
 			ev("widen", granted)
 		} else {
-			st.narrows++
-			st.lastAction = "narrow"
+			st.Narrows++
+			st.LastAction = "narrow"
 			ev("narrow", granted)
 		}
 		st.lastDir, st.lastDirSeq = dir, st.seq
-		st.cooldownUntil = st.seq + r.cfg.CooldownEpochs
-		st.width = granted
+		st.cooldownUntil = st.seq + cooldownEpochs
+		st.Width = granted
 	}
-	st.overRuns, st.underRuns = 0, 0
+	st.OverRuns, st.UnderRuns = 0, 0
 	return evs, nil
-}
-
-// Run drives Step on a fixed interval until stop closes.
-func (r *Refiner) Run(interval time.Duration, stop <-chan struct{}) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			r.Step() // converge errors surface in the next operator Step
-		}
-	}
 }
 
 // States returns every tracked query's control-loop snapshot, sorted by
@@ -362,21 +337,10 @@ func (r *Refiner) Run(interval time.Duration, stop <-chan struct{}) {
 func (r *Refiner) States() []QueryRefineState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.states))
-	for n := range r.states {
-		names = append(names, n)
+	out := make([]QueryRefineState, 0, len(r.states))
+	for _, st := range r.states {
+		out = append(out, st.QueryRefineState)
 	}
-	sort.Strings(names)
-	out := make([]QueryRefineState, 0, len(names))
-	for _, n := range names {
-		st := r.states[n]
-		out = append(out, QueryRefineState{
-			Query: n, QID: st.qid, Width: st.width, Epoch: st.epoch,
-			Observed: st.observed, Target: st.target, InBand: st.inBand,
-			OverRuns: st.overRuns, UnderRuns: st.underRuns,
-			Widens: st.widens, Narrows: st.narrows, Resizes: st.resizes,
-			Flaps: st.flaps, Rejected: st.rejectedRung, LastAction: st.lastAction,
-		})
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Query < out[j].Query })
 	return out
 }

@@ -218,10 +218,7 @@ func TestRefinerNarrowsSlowOneRungAtATime(t *testing.T) {
 func TestRefinerRespectsRejectedRung(t *testing.T) {
 	fleet, src := refinerRig(256)
 	now := time.Unix(1000, 0)
-	r := NewRefiner(fleet, src, RefinerConfig{
-		RejectHold: 30 * time.Second,
-		Clock:      func() time.Time { return now },
-	})
+	r := NewRefiner(fleet, src, RefinerConfig{Clock: func() time.Time { return now }})
 	name := fleet.intents[0].Query.Name
 	fleet.grantMax = 1024 // the planner degrades anything wider
 
@@ -347,5 +344,49 @@ func TestPlanFrugalStartAndWidthCap(t *testing.T) {
 	}
 	if p.Queries[0].Width != 1024 {
 		t.Fatalf("static intent width = %d, want ladder max 1024", p.Queries[0].Width)
+	}
+}
+
+// TestWithdrawnQueryIsForgotten: the loops' memory follows the intent
+// set. Once an intent is withdrawn the refiner stops listing its query
+// and the orchestrator drops its width cap, so the same intent submitted
+// again starts frugal instead of at its dead predecessor's width.
+func TestWithdrawnQueryIsForgotten(t *testing.T) {
+	fleet, src := refinerRig(256)
+	r := NewRefiner(fleet, src, RefinerConfig{})
+	tick(t, r, fleet, src, 12000)
+	if got := len(r.States()); got != 1 {
+		t.Fatalf("states before withdrawal = %d, want 1", got)
+	}
+	fleet.intents = nil
+	if _, err := r.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.States(); len(got) != 0 {
+		t.Fatalf("states after withdrawal = %+v, want none", got)
+	}
+
+	o := newFleet(t).orch(t)
+	intents := []Intent{{
+		Query: query.Q1(50), Priority: 1, MinWidth: 256, MaxWidth: 8192,
+		Edges: []string{"s1"}, Accuracy: query.Accuracy{MaxRelErr: 0.25},
+	}}
+	planned := func() uint32 {
+		t.Helper()
+		p, _, err := o.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Queries[0].Width
+	}
+	o.SetIntents(intents)
+	o.SetWidthCap(query.Q1(50).Name, 1024)
+	if w := planned(); w != 1024 {
+		t.Fatalf("capped width = %d, want 1024", w)
+	}
+	o.SetIntents(nil)
+	o.SetIntents(intents)
+	if w := planned(); w != 256 {
+		t.Fatalf("re-submitted intent planned at %d, want MinWidth 256", w)
 	}
 }

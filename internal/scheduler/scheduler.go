@@ -178,11 +178,19 @@ type Tracker struct {
 	preds     map[modules.InitPredKey]struct{}
 }
 
-// NewTracker starts empty accounting against b (zero-valued budgets
-// default like Plan's).
+// NewTracker starts empty accounting against b. Each zero field takes
+// DefaultBudget's value on its own: a partly filled budget stays the
+// device it describes.
 func NewTracker(b Budget) *Tracker {
-	if b.Stages <= 0 || b.ArraySize == 0 || b.RulesPerModule <= 0 {
-		b = DefaultBudget()
+	def := DefaultBudget()
+	if b.Stages <= 0 {
+		b.Stages = def.Stages
+	}
+	if b.ArraySize == 0 {
+		b.ArraySize = def.ArraySize
+	}
+	if b.RulesPerModule <= 0 {
+		b.RulesPerModule = def.RulesPerModule
 	}
 	return &Tracker{b: b, regs: map[bankKey]uint32{}, rules: map[tableKey]int{},
 		preds: map[modules.InitPredKey]struct{}{}}

@@ -140,6 +140,18 @@ func TestPlanDefaultsAndSummary(t *testing.T) {
 	}
 }
 
+// TestPartialBudgetKeepsItsFields: a budget that leaves one field zero
+// takes only that field from the default. Replacing the whole budget
+// planned `newton-ctl plan -stages 8 -rules 0` against 12 stages and
+// 4096 registers on switches built with 8.
+func TestPartialBudgetKeepsItsFields(t *testing.T) {
+	got := NewTracker(Budget{Stages: 8, ArraySize: 1 << 14}).Budget()
+	want := Budget{Stages: 8, ArraySize: 1 << 14, RulesPerModule: DefaultBudget().RulesPerModule}
+	if got != want {
+		t.Fatalf("NewTracker(Budget{Stages: 8, ArraySize: 1<<14}).Budget() = %+v, want %+v", got, want)
+	}
+}
+
 func TestPlanWidthLadderBounds(t *testing.T) {
 	reqs := []Request{{Query: query.Q1(40), Priority: 1, MinWidth: 2048, MaxWidth: 2048}}
 	// Bank smaller than the only acceptable width: reject, don't degrade

@@ -149,6 +149,6 @@ func (s *Service) RegisterObs(reg *obs.Registry) {
 		"Same-epoch bank geometry conflicts resolved by replacement.",
 		stat(func(st ServiceStats) uint64 { return st.GeometryConflicts }))
 	reg.GaugeFunc("newton_analyzer_dedup_keys",
-		"Alert-dedup keys resident (bounded by KeepAlertWindows compaction).",
+		"Alert-dedup keys resident (keys older than 64 windows are compacted away).",
 		func() float64 { return float64(s.Stats().DedupKeys) })
 }

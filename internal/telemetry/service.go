@@ -31,13 +31,14 @@ type ServiceConfig struct {
 	// A switch that sends as many snapshots without naming a query it was
 	// learned to host stops being expected to contribute to it.
 	KeepEpochs int
-	// KeepAlertWindows bounds the alert-dedup memory: dedup keys whose
-	// window trails the newest seen window by more than this many
-	// windows are compacted away (default 64). Retention is what keeps
-	// analyzer heap flat under many keys — a late duplicate older than
-	// the horizon would re-alert, but its window has long been judged.
-	KeepAlertWindows int
 }
+
+// keepAlertWindows bounds the alert-dedup memory: dedup keys whose
+// window trails the newest seen window by more than this many windows
+// are compacted away. Retention is what keeps analyzer heap flat under
+// many keys — a late duplicate older than the horizon would re-alert,
+// but its window has long been judged.
+const keepAlertWindows = 64
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.Window <= 0 {
@@ -45,9 +46,6 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	}
 	if c.KeepEpochs <= 0 {
 		c.KeepEpochs = 16
-	}
-	if c.KeepAlertWindows <= 0 {
-		c.KeepAlertWindows = 64
 	}
 	return c
 }
@@ -198,7 +196,7 @@ type Service struct {
 
 	// Alert dedup with bounded retention: maxWindow tracks the newest
 	// window seen, and once seen grows past seenCompactAt the keys
-	// older than KeepAlertWindows are compacted away (amortized — the
+	// older than keepAlertWindows are compacted away (amortized — the
 	// threshold doubles with the surviving population, so compaction
 	// cost stays O(1) per report).
 	seen          map[alertKey]bool
@@ -509,13 +507,13 @@ const minSeenCompact = 8192
 
 // compactSeenLocked bounds the alert-dedup memory: once the map
 // outgrows its amortization threshold, keys older than the
-// KeepAlertWindows horizon are dropped. The threshold then doubles
+// keepAlertWindows horizon are dropped. The threshold then doubles
 // with the surviving population, so each key is visited O(1) times.
 func (s *Service) compactSeenLocked() {
-	if len(s.seen) < s.seenCompactAt || s.maxWindow < uint64(s.cfg.KeepAlertWindows) {
+	if len(s.seen) < s.seenCompactAt || s.maxWindow < keepAlertWindows {
 		return
 	}
-	horizon := s.maxWindow - uint64(s.cfg.KeepAlertWindows)
+	horizon := s.maxWindow - keepAlertWindows
 	for k := range s.seen {
 		if k.window < horizon {
 			delete(s.seen, k)
@@ -1062,7 +1060,7 @@ type ServiceStats struct {
 	RawBytes    uint64 // uncompressed cost of the frames ingested
 	DeltaFrames uint64 // snapshot frames that arrived delta-encoded
 	ChainBreaks uint64 // delta snapshots dropped for a missing base epoch
-	DedupKeys   int    // alert-dedup keys resident (bounded by KeepAlertWindows compaction)
+	DedupKeys   int    // alert-dedup keys resident (keys older than 64 windows are compacted away)
 }
 
 // Stats returns the current ingest counters.

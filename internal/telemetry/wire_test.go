@@ -263,9 +263,7 @@ func TestBinaryReconnectReplaysKeyframe(t *testing.T) {
 // past the retention horizon, so resident keys stay bounded while
 // duplicate suppression for recent windows still works.
 func TestAlertDedupMemoryBounded(t *testing.T) {
-	svc := telemetry.NewService(telemetry.ServiceConfig{
-		Window: 100 * time.Nanosecond, KeepAlertWindows: 4,
-	})
+	svc := telemetry.NewService(telemetry.ServiceConfig{Window: 100 * time.Nanosecond})
 	defer svc.Close()
 	exp := connect(t, svc, "sw1", telemetry.ExporterConfig{Policy: telemetry.PolicyBlock}, nil)
 	defer exp.Close()
