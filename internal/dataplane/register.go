@@ -150,7 +150,7 @@ func NewRegisterArray(name string, size uint32) *RegisterArray {
 func (ra *RegisterArray) Size() uint32 { return uint32(len(ra.words)) }
 
 // NextEpoch starts a new window: every register is zeroed. It must not
-// run concurrently with Exec, ExecSeq or Snapshot.
+// run concurrently with Exec, ExecSeq or a read of Registers.
 func (ra *RegisterArray) NextEpoch() {
 	clear(ra.words)
 	ra.epoch.Add(1)
@@ -218,15 +218,8 @@ func (ra *RegisterArray) ExecSeq(op SALUOp, idx uint32, operand uint32) uint32 {
 // models and what it costs the simulator's host are the same number.
 func (ra *RegisterArray) MemoryBytes() int { return len(ra.words) * 4 }
 
-// Snapshot copies every register into dst (grown as needed) and returns
-// it. It belongs to the same barrier as NextEpoch — taken just before
-// the roll it is the ending window's final state — and like it must not
-// run concurrently with Exec.
-func (ra *RegisterArray) Snapshot(dst []uint32) []uint32 {
-	if cap(dst) < len(ra.words) {
-		dst = make([]uint32, len(ra.words))
-	}
-	dst = dst[:len(ra.words)]
-	copy(dst, ra.words)
-	return dst
-}
+// Registers returns the registers themselves, not a copy: read-only. A
+// read belongs to the same barrier as NextEpoch — taken just before the
+// roll it is the ending window's final state — and like it must not run
+// concurrently with Exec; the roll then zeroes what was read.
+func (ra *RegisterArray) Registers() []uint32 { return ra.words }

@@ -8,21 +8,23 @@ import (
 )
 
 // TestRegisterRollIsSnapshotThenZero: a register is one word, so the
-// windowed reset is NextEpoch zeroing the row. A snapshot taken before
-// the roll is the ending window's final state and is the caller's; one
-// taken after it is all zero, and the new window counts from zero.
+// windowed reset is NextEpoch zeroing the row. A copy of the registers
+// taken before the roll is the ending window's final state and is the
+// caller's; the registers read after it are all zero, and the new window
+// counts from zero in the very words Registers returned.
 func TestRegisterRollIsSnapshotThenZero(t *testing.T) {
 	ra := NewRegisterArray("r", 8)
 	for i := uint32(0); i < 8; i++ {
 		ra.Exec(OpAdd, i, 10+i)
 	}
 	ra.Exec(OpOr, 7, 0x100)
-	final := ra.Snapshot(nil)
+	view := ra.Registers()
+	final := slices.Clone(view)
 	if want := []uint32{10, 11, 12, 13, 14, 15, 16, 17 | 0x100}; !slices.Equal(final, want) {
 		t.Fatalf("snapshot before the roll = %v, want %v", final, want)
 	}
 	ra.NextEpoch()
-	if after := ra.Snapshot(nil); !slices.Equal(after, make([]uint32, 8)) {
+	if after := ra.Registers(); !slices.Equal(after, make([]uint32, 8)) {
 		t.Fatalf("registers after the roll = %v, want zeros", after)
 	}
 	if final[3] != 13 {
@@ -31,8 +33,8 @@ func TestRegisterRollIsSnapshotThenZero(t *testing.T) {
 	if got := ra.ExecSeq(OpAdd, 3, 2); got != 2 {
 		t.Fatalf("first add of the new window = %d, want 2", got)
 	}
-	if got := ra.Snapshot(final); &got[0] != &final[0] || got[3] != 2 {
-		t.Fatalf("snapshot into a kept buffer: reused=%v slot 3 = %d", &got[0] == &final[0], got[3])
+	if got := ra.Registers(); &got[0] != &view[0] || view[3] != 2 {
+		t.Fatalf("the registers are not a view: same words=%v slot 3 = %d", &got[0] == &view[0], view[3])
 	}
 }
 
@@ -54,7 +56,7 @@ func TestExecSeqMatchesExec(t *testing.T) {
 			t.Fatalf("step %d: %v [%d] %#x: Exec = %#x, ExecSeq = %#x", i, op, idx, operand, x, y)
 		}
 	}
-	if x, y := a.Snapshot(nil), b.Snapshot(nil); !slices.Equal(x, y) {
+	if x, y := a.Registers(), b.Registers(); !slices.Equal(x, y) {
 		t.Fatalf("arrays differ after the stream: %v vs %v", x, y)
 	}
 }
@@ -79,7 +81,7 @@ func TestExecConcurrentWritersAreExact(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got := ra.Snapshot(nil)
+	got := ra.Registers()
 	for i := 0; i < size; i++ {
 		if want := uint32(rounds / size * (1 + 2 + 3 + 4)); got[i] != want {
 			t.Errorf("counter %d = %d, want %d: an add was lost", i, got[i], want)

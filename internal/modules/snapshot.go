@@ -1,6 +1,8 @@
 package modules
 
 import (
+	"slices"
+
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/fields"
 	"github.com/newton-net/newton/internal/sketch"
@@ -75,17 +77,26 @@ func (b *BankSnapshot) Slot(keyBytes []byte) uint32 {
 // before the roll. Cross-branch reads and pass-through ops own no
 // registers and are skipped.
 //
-// The result is freshly allocated and the caller's to keep.
-func (e *Engine) SnapshotBanks() []BankSnapshot { return e.SnapshotBanksInto(nil) }
+// The result is freshly allocated and the caller's to keep: LiveBanks
+// with a copy of each bank's registers.
+func (e *Engine) SnapshotBanks() []BankSnapshot {
+	banks := e.LiveBanks(nil)
+	for i := range banks {
+		banks[i].Values = slices.Clone(banks[i].Values)
+	}
+	return banks
+}
 
-// SnapshotBanksInto is SnapshotBanks into a buffer the caller keeps
-// across epochs: dst's elements are overwritten from the front, each
-// reusing its Values when they are wide enough, and dst is returned
-// resliced to the banks captured (elements past them are cleared, so a
-// removed query's values are not retained). Programs are walked in
-// (qid, partition) order, so between installs bank i is the same bank
-// every epoch and a kept dst allocates nothing.
-func (e *Engine) SnapshotBanksInto(dst []BankSnapshot) []BankSnapshot {
+// LiveBanks is the walk SnapshotBanks copies, with each bank's Values
+// the live registers themselves: read-only, and valid only under the
+// barrier the capture needs — before the next RollEpoch, Install or
+// Remove, never beside packet processing. dst's elements are overwritten
+// from the front and dst is returned resliced to the banks found
+// (elements past them are cleared, so a removed query's registers are
+// not retained). Programs are walked in (qid, partition) order, branches
+// and rows ascending, so between installs bank i is the same bank every
+// epoch and a kept dst allocates nothing.
+func (e *Engine) LiveBanks(dst []BankSnapshot) []BankSnapshot {
 	dst = dst[:cap(dst)]
 	n := 0
 	for _, p := range e.installed {
@@ -125,7 +136,7 @@ func (e *Engine) SnapshotBanksInto(dst []BankSnapshot) []BankSnapshot {
 						OwnerIndex: s.OwnerIndex,
 						OwnerCount: s.OwnerCount,
 						Width:      s.width,
-						Values:     s.array.Snapshot(snap.Values[:0]),
+						Values:     s.array.Registers(),
 					}
 					if h := curH[set]; h != nil {
 						snap.Algo, snap.Seed, snap.Range = h.Algo, h.Seed, h.Range

@@ -98,10 +98,12 @@ func TestInstallAfterRemoveStartsFromZero(t *testing.T) {
 	}
 }
 
-// TestSnapshotBanksIntoReusesBuffers: a kept buffer makes the capture
-// allocation-free between installs, SnapshotBanks stays fresh and
-// caller-owned beside it, and a removed query's values are let go.
-func TestSnapshotBanksIntoReusesBuffers(t *testing.T) {
+// TestLiveBanksAllocateNothing: the walk the exporter captures with
+// hands out the live registers into a kept buffer, allocation-free
+// between installs; SnapshotBanks stays fresh and caller-owned beside
+// it, surviving the roll the views see; and a removed query's registers
+// are let go.
+func TestLiveBanksAllocateNothing(t *testing.T) {
 	eng := NewEngine(bankLayout(t, 8192))
 	for qid, width := range map[int]uint32{1: 1024, 2: 4096} {
 		if err := eng.Install(buildCountProgram(qid, 1<<30, width)); err != nil {
@@ -113,35 +115,38 @@ func TestSnapshotBanksIntoReusesBuffers(t *testing.T) {
 	sw.Monitor = eng
 	sw.Process(synTo(42))
 
-	kept := eng.SnapshotBanksInto(nil)
+	kept := eng.LiveBanks(nil)
 	if len(kept) != 2 || kept[0].QueryID != 1 || kept[1].QueryID != 2 {
 		t.Fatalf("banks not in qid order: %+v", kept)
 	}
-	first := &kept[1].Values[0]
-	if n := testing.AllocsPerRun(10, func() { kept = eng.SnapshotBanksInto(kept) }); n != 0 {
-		t.Errorf("capture into a kept buffer allocates %.0f times", n)
-	}
-	if &kept[1].Values[0] != first {
-		t.Error("kept Values were replaced, not overwritten")
+	if n := testing.AllocsPerRun(10, func() { kept = eng.LiveBanks(kept) }); n != 0 {
+		t.Errorf("the walk into a kept buffer allocates %.0f times", n)
 	}
 
-	fresh := eng.SnapshotBanks()
-	sw.Process(synTo(42))
-	kept = eng.SnapshotBanksInto(kept)
-	var keptSum, freshSum uint32
-	for i := range kept[1].Values {
-		keptSum += kept[1].Values[i]
-		freshSum += fresh[1].Values[i]
+	sum := func(vals []uint32) (n uint32) {
+		for _, v := range vals {
+			n += v
+		}
+		return n
 	}
-	if keptSum != 2 || freshSum != 1 {
-		t.Errorf("a later capture reached a SnapshotBanks result: kept %d, fresh %d", keptSum, freshSum)
+	fresh := eng.SnapshotBanks()
+	if sum(kept[1].Values) != 1 || sum(fresh[1].Values) != 1 {
+		t.Fatalf("one packet: live %d, copy %d", sum(kept[1].Values), sum(fresh[1].Values))
+	}
+	sw.Process(synTo(42))
+	if sum(kept[1].Values) != 2 || sum(fresh[1].Values) != 1 {
+		t.Errorf("a second packet: live %d, copy %d — the views must see it, the copy must not", sum(kept[1].Values), sum(fresh[1].Values))
+	}
+	eng.RollEpoch()
+	if sum(kept[1].Values) != 0 || sum(fresh[1].Values) != 1 {
+		t.Errorf("after the roll: live %d, copy %d — a SnapshotBanks copy must survive it", sum(kept[1].Values), sum(fresh[1].Values))
 	}
 
 	if err := eng.Remove(2); err != nil {
 		t.Fatal(err)
 	}
-	kept = eng.SnapshotBanksInto(kept)
+	kept = eng.LiveBanks(kept)
 	if len(kept) != 1 || kept[:2][1].Values != nil {
-		t.Errorf("removed query's capture is still held: %d banks", len(kept))
+		t.Errorf("removed query's registers are still held: %d banks", len(kept))
 	}
 }

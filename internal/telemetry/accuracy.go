@@ -117,13 +117,13 @@ func (s *Service) ObservedAccuracy(qid int, epoch uint32, scale uint64) (QueryAc
 			}
 			switch m.Kind {
 			case modules.BankCMSRow:
-				n = max(n, rowSum(m.Values))
+				n = max(n, m.cells.Sum())
 				if rows == 0 || m.Width < width {
 					width = m.Width
 				}
 				rows++
 			case modules.BankBloomRow:
-				fills = append(fills, sketch.BloomRowFill(rowSet(m.Values), m.Width))
+				fills = append(fills, sketch.BloomRowFill(m.cells.Nonzero(), m.Width))
 			}
 		}
 		if rows > 0 {
@@ -155,28 +155,6 @@ func (s *Service) ObservedAccuracy(qid int, epoch uint32, scale uint64) (QueryAc
 	qa.Transition = es.transition
 	qa.Partial = qa.Transition || q.missing(es) > 0
 	return qa, true
-}
-
-// rowSum is a merged row's counter total, rowSet the number of its slots
-// that are set. Out of line on purpose: inlined into ObservedAccuracy's
-// loop nest the accumulator lives on the stack and the pass is 1.6x slower.
-//
-//go:noinline
-func rowSum(row []uint64) (sum uint64) {
-	for _, v := range row {
-		sum += v
-	}
-	return sum
-}
-
-//go:noinline
-func rowSet(row []uint64) (set int) {
-	for _, v := range row {
-		if v != 0 {
-			set++
-		}
-	}
-	return set
 }
 
 // LatestSettledEpoch returns the newest epoch of query qid whose merge

@@ -199,15 +199,19 @@ func TestReadsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestEpochPathHeldState: what the codec keeps between epochs follows
-// the registers the traffic touched. The epoch-storm switch's 18 rows
-// are 1.18 MB of registers, a few hundred of them nonzero: each end of
-// its stream holds under a twelfth of that — two sets a bank at a bit a
-// register are a sixteenth before the first value; measured 85 KB at the
-// exporter and 76 KB at the analyzer, where the dense bases were 1.18 MB
-// and 2.36 MB. The other way round, a bank with every register set costs
-// each of an end's two sets its values plus that bit a register — 1/32
-// over the dense array, never more.
+// TestEpochPathHeldState: what the epoch path keeps between epochs
+// follows the registers the traffic touched. The epoch-storm switch's 18
+// rows are 1.18 MB of registers, a few hundred of them nonzero: each end
+// of its stream holds under a twelfth of that — two sets a bank at a bit
+// a register are a sixteenth before the first value, and the exporter
+// keeps no capture beside them (it packs from the registers); measured
+// 85 KB at the exporter and 76 KB at the analyzer, where the dense bases
+// were 1.18 MB and 2.36 MB. The analyzer's merged rows, KeepEpochs of
+// them a bank, hold under a 24th of the 9.4 MB they did as dense uint64
+// rows. The other way round, a bank with every register set costs each of
+// a codec end's two sets its values plus that bit a register — 1/32 over
+// the dense array, never more — and its merged row 1/64 over the dense
+// one.
 func TestEpochPathHeldState(t *testing.T) {
 	svc := telemetry.NewService(telemetry.ServiceConfig{KeepEpochs: 4})
 	defer svc.Close()
@@ -216,12 +220,18 @@ func TestEpochPathHeldState(t *testing.T) {
 		epoch()
 	}
 	wi, _ := svc.AgentWire("s1")
-	t.Logf("held for %d B of registers: exporter %d B, analyzer %d B", stormRawBytes, exp.CodecHeldBytes(), wi.HeldBytes)
+	merged := svc.Stats().MergedBytes
+	const denseRows = 4 * stormRows * stormWidth * 8 // KeepEpochs x rows x width x uint64
+	t.Logf("held for %d B of registers: exporter %d B, analyzer %d B; merged rows %d B (dense: %d B)",
+		stormRawBytes, exp.CodecHeldBytes(), wi.HeldBytes, merged, denseRows)
 	if held := exp.CodecHeldBytes(); held == 0 || held > stormRawBytes/12 {
 		t.Errorf("the exporter's encoder holds %d B for %d B of registers", held, stormRawBytes)
 	}
 	if held := int(wi.HeldBytes); held == 0 || held > stormRawBytes/12 {
 		t.Errorf("the analyzer's decoder holds %d B for %d B of registers", held, stormRawBytes)
+	}
+	if merged == 0 || merged > denseRows/24 {
+		t.Errorf("the merged rows hold %d B, where the dense rows held %d B", merged, denseRows)
 	}
 
 	const width = 4096
@@ -239,7 +249,11 @@ func TestEpochPathHeldState(t *testing.T) {
 		waitFor(t, "full bank merged", func() bool { return svc.Stats().Snapshots == before+1 })
 	}
 	const perSet = width*4 + width*4/32 + 512 // values + bitmap + the encoder's room to pack a word into
+	const perRow = width*8*65/64 + 512        // sums + a bitmap of 1/64 of them, and slack
 	wi, _ = svc.AgentWire("full")
+	if grew := svc.Stats().MergedBytes - merged; grew == 0 || grew > 2*perRow {
+		t.Errorf("two epochs of a full bank of %d B grew the merged rows by %d B, want at most 2 x %d", width*8, grew, perRow)
+	}
 	if held := fullExp.CodecHeldBytes(); held == 0 || held > 2*perSet {
 		t.Errorf("the encoder holds %d B for a full bank of %d B, want at most 2 x %d", held, width*4, perSet)
 	}

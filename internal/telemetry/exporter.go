@@ -86,22 +86,18 @@ type Exporter struct {
 
 	writeMu sync.Mutex // serializes frames on the stream; guards conn swap
 	// Stream codec state, guarded by writeMu alongside conn: the snapshot
-	// delta encoder (reset for every new stream) and a reusable payload
-	// buffer.
-	enc    wire.SnapshotEncoder
-	payBuf []byte
-
-	// Epoch snapshot state, guarded by writeMu. snapBuf is the buffer
-	// ExportEpoch captures every epoch's banks into; the exporter owns it
-	// and its Values, so a steady bank set is captured without
-	// allocating. lastSnap* is the latest snapshot offered (snapBuf
-	// itself after an ExportEpoch), kept for replay after a reconnect:
-	// the analyzer's merge resumes from the switch's current state
-	// instead of waiting a full window for the next roll.
-	snapBuf       []modules.BankSnapshot
-	lastSnapEpoch uint32
-	lastSnapBanks []modules.BankSnapshot
-	hasSnap       bool
+	// delta encoder and a reusable payload buffer. The encoder's held sets
+	// are the latest capture, packed; a reconnect replays them, so the
+	// analyzer's merge resumes from the switch's current state instead of
+	// waiting a full window for the next roll. canReplay is false when the
+	// latest capture was empty or refused: then nothing is replayed.
+	enc       wire.SnapshotEncoder
+	payBuf    []byte
+	canReplay bool
+	// live is ExportEpoch's bank headers, kept so a steady bank set is
+	// captured without allocating; their Values are the engine's
+	// registers, and are cleared once the capture is packed.
+	live []modules.BankSnapshot
 
 	mu           sync.Mutex
 	idle         *sync.Cond
@@ -308,13 +304,20 @@ func (e *Exporter) writeReports(batch []dataplane.Report) error {
 	return e.writeFrameLocked(wire.KindReports, 0, e.payBuf, time.Since(start))
 }
 
-// writeSnapshotLocked pushes one epoch snapshot. The delta encoder
-// commits its state at encode time, so any write failure resets it — the
-// next frame after recovery is a keyframe the peer can ground on.
-// Callers hold writeMu.
+// writeSnapshotLocked packs one epoch's banks into the encoder's held
+// sets and pushes the frame. Callers hold writeMu.
 func (e *Exporter) writeSnapshotLocked(epoch uint32, banks []modules.BankSnapshot) error {
 	start := time.Now()
 	payload, flags := e.enc.Encode(e.payBuf[:0], epoch, banks)
+	return e.writeEncodedLocked(payload, flags, start)
+}
+
+// writeEncodedLocked pushes the snapshot frame the encoder just wrote
+// into payBuf, from start. The encoder committed its state when it wrote
+// the frame, so a write failure resets it: its held sets stay, for the
+// replay, and the next frame is a keyframe the peer can ground on.
+// Callers hold writeMu.
+func (e *Exporter) writeEncodedLocked(payload []byte, flags wire.Flags, start time.Time) error {
 	e.payBuf = payload
 	err := e.writeFrameLocked(wire.KindSnapshot, flags, payload, time.Since(start))
 	if err != nil {
@@ -354,10 +357,10 @@ func (e *Exporter) noteWriteErrLocked(err error) {
 }
 
 // reconnectLoop redials the analyzer with capped exponential backoff.
-// On success it sends a fresh hello, replays the latest cached epoch
-// snapshot (so the analyzer's merge resumes from current state instead
-// of waiting a full window), swaps the stream, and clears the error so
-// the writer resumes exporting.
+// On success it sends a fresh hello, replays the latest epoch snapshot
+// from the encoder's held sets (so the analyzer's merge resumes from
+// current state instead of waiting a full window), swaps the stream, and
+// clears the error so the writer resumes exporting.
 func (e *Exporter) reconnectLoop() {
 	defer e.wg.Done()
 	backoff := e.cfg.ReconnectMin
@@ -383,16 +386,16 @@ func (e *Exporter) reconnectLoop() {
 		}
 		// Swap the stream in and replay under one hold of writeMu: the
 		// writer stays parked on writeErr until the replay lands, and no
-		// ExportEpoch can recapture the cached banks mid-write. The reset
-		// delta encoder guarantees the replay is a keyframe — the new peer
-		// has no state to delta against.
+		// ExportEpoch can repack the held sets mid-write. The replay is a
+		// keyframe of them — the new peer has no state to delta against.
 		e.writeMu.Lock()
 		old := e.conn
 		e.conn = conn
 		e.enc.Reset()
-		replay := e.hasSnap
+		replay := e.canReplay
 		if replay {
-			err = e.writeSnapshotLocked(e.lastSnapEpoch, e.lastSnapBanks)
+			start := time.Now()
+			err = e.writeEncodedLocked(e.enc.Replay(e.payBuf[:0]), 0, start)
 		}
 		e.writeMu.Unlock()
 		old.Close()
@@ -417,8 +420,9 @@ func (e *Exporter) reconnectLoop() {
 // Snapshots bypass the report ring: they are epoch-rate (one frame per
 // window), must not be dropped (the analyzer's merge is only correct
 // over complete epochs), and are written synchronously so the caller's
-// epoch roll orders after the capture. The exporter keeps banks for
-// replay until the next snapshot: the caller must not modify them.
+// epoch roll orders after the capture. The banks are packed before the
+// call returns — the caller may reuse them at once — and the packed
+// form is what a reconnect replays.
 func (e *Exporter) ExportSnapshot(epoch uint32, banks []modules.BankSnapshot) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -430,16 +434,18 @@ func (e *Exporter) exportSnapshotLocked(epoch uint32, banks []modules.BankSnapsh
 	// layout is configured, with the error the analyzer would have dropped
 	// the stream for. There is then nothing to send, or to replay.
 	if err := wire.CheckSnapshot(banks); err != nil {
-		e.hasSnap = false
+		e.canReplay = false
 		return fmt.Errorf("telemetry: snapshot: %w", err)
 	}
-	// Cache first: if this write fails (or the stream is already down),
-	// the reconnect replays the freshest state the switch had.
-	e.lastSnapEpoch, e.lastSnapBanks, e.hasSnap = epoch, banks, true
+	e.canReplay = true
 	e.mu.Lock()
 	degraded := e.writeErr
 	e.mu.Unlock()
 	if degraded != nil {
+		// The stream cannot take it, but the reconnect replays the freshest
+		// state the switch had: pack it anyway, and write nothing.
+		e.payBuf, _ = e.enc.Encode(e.payBuf[:0], epoch, banks)
+		e.enc.Reset()
 		return fmt.Errorf("telemetry: snapshot while stream down: %w", degraded)
 	}
 	err := e.writeSnapshotLocked(epoch, banks)
@@ -455,19 +461,20 @@ func (e *Exporter) exportSnapshotLocked(epoch uint32, banks []modules.BankSnapsh
 
 // ExportEpoch snapshots every installed query's state banks on eng and
 // pushes them tagged with the current (ending) epoch. Call immediately
-// before rolling the epoch — rolled banks read as zero. The capture
-// goes into a buffer the exporter keeps from epoch to epoch.
+// before rolling the epoch — rolled banks read as zero. The encoder
+// packs straight from the engine's registers: no copy of a bank is made.
 func (e *Exporter) ExportEpoch(eng *modules.Engine) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	e.snapBuf = eng.SnapshotBanksInto(e.snapBuf)
-	if len(e.snapBuf) == 0 {
-		// Nothing installed, nothing to send — or to replay: the capture
-		// just overwrote the buffer a cached snapshot would alias.
-		e.hasSnap = false
+	e.live = eng.LiveBanks(e.live)
+	defer clear(e.live)
+	if len(e.live) == 0 {
+		// Nothing installed, nothing to send — or to replay. The encoder
+		// keeps its sets as delta bases: the peer holds them too.
+		e.canReplay = false
 		return nil
 	}
-	return e.exportSnapshotLocked(eng.Layout().Epoch(), e.snapBuf)
+	return e.exportSnapshotLocked(eng.Layout().Epoch(), e.live)
 }
 
 // AttachAgent wires the exporter into a control-channel agent: epoch

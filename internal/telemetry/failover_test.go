@@ -3,6 +3,7 @@ package telemetry_test
 import (
 	"errors"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -103,6 +104,84 @@ func TestExporterReconnectsAndReplaysSnapshot(t *testing.T) {
 	waitFor(t, "post-reconnect report ingested", func() bool { return svc2.Stats().Reports == 1 })
 	if d := exp.Stats().Dropped; d != dropped {
 		t.Errorf("post-reconnect export dropped %d more reports", d-dropped)
+	}
+}
+
+// TestReplayIsTheLastCapture: what a reconnect replays is the snapshot
+// as it was exported, packed then, not whatever the caller's banks hold
+// by the time the analyzer is back — the caller may reuse them as soon as
+// ExportSnapshot returns, as ExportEpoch's capture does every epoch.
+func TestReplayIsTheLastCapture(t *testing.T) {
+	svc1 := telemetry.NewService(telemetry.ServiceConfig{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go svc1.Serve(ln)
+	addr := ln.Addr().String()
+	exp, err := telemetry.Dial(addr, telemetry.ExporterConfig{
+		SwitchID: "s1", Policy: telemetry.PolicyDropOldest,
+		ReconnectMin: 5 * time.Millisecond, ReconnectMax: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+
+	banks := []modules.BankSnapshot{cmsBank(1, 5, 6, 7)}
+	if err := exp.ExportSnapshot(3, banks); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "snapshot merged", func() bool { return svc1.Stats().Snapshots == 1 })
+	banks[0].Values[0], banks[0].Values[1] = 0, 99 // the caller's buffer, reused
+
+	if err := svc1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "exporter notices dead stream", func() bool {
+		exp.Export([]dataplane.Report{report(1, 20, 43)})
+		exp.Flush()
+		return exp.Stats().Dropped > 0
+	})
+	svc2 := telemetry.NewService(telemetry.ServiceConfig{})
+	defer svc2.Close()
+	ln2, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go svc2.Serve(ln2)
+	waitFor(t, "snapshot replayed to the new analyzer", func() bool { return svc2.Stats().Snapshots == 1 })
+	rows := svc2.MergedRows(1, 0, 3)
+	if len(rows) != 1 {
+		t.Fatalf("epoch 3 after the replay: %d rows", len(rows))
+	}
+	if v := rows[0].Values; !slices.Equal(v, []uint64{5, 6, 7}) {
+		t.Errorf("the replay carried %v, want the exported [5 6 7]", v)
+	}
+}
+
+// TestMergedRowsOwnTheirMissing: every bank MergedRows returns is the
+// caller's to keep, its Missing list included — editing one result's
+// list does not reach its siblings'.
+func TestMergedRowsOwnTheirMissing(t *testing.T) {
+	svc := telemetry.NewService(telemetry.ServiceConfig{})
+	defer svc.Close()
+	svc.SetExpected(1, []string{"a", "b", "c"})
+	exp := connect(t, svc, "a", telemetry.ExporterConfig{}, nil)
+	defer exp.Close()
+	second := cmsBank(1, 3, 4)
+	second.Row = 1
+	if err := exp.ExportSnapshot(0, []modules.BankSnapshot{cmsBank(1, 1, 2), second}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "snapshot merged", func() bool { return svc.Stats().Snapshots == 1 })
+	rows := svc.MergedRows(1, 0, 0)
+	if len(rows) != 2 || !slices.Equal(rows[0].Missing, []string{"b", "c"}) || !slices.Equal(rows[1].Missing, []string{"b", "c"}) {
+		t.Fatalf("rows = %+v, want two, each missing [b c]", rows)
+	}
+	rows[0].Missing[0] = "edited"
+	if rows[1].Missing[0] != "b" {
+		t.Errorf("editing one result's Missing changed another's: %v", rows[1].Missing)
 	}
 }
 

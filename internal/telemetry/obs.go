@@ -151,4 +151,7 @@ func (s *Service) RegisterObs(reg *obs.Registry) {
 	reg.GaugeFunc("newton_analyzer_dedup_keys",
 		"Alert-dedup keys resident (keys older than 64 windows are compacted away).",
 		func() float64 { return float64(s.Stats().DedupKeys) })
+	reg.GaugeFunc("newton_analyzer_merged_bytes",
+		"Bytes held by the retained merged rows, recycled ones included (bitmap + nonzero sums).",
+		func() float64 { return float64(s.Stats().MergedBytes) })
 }

@@ -63,8 +63,9 @@ type MergedBank struct {
 	KeyMask fields.Mask
 	Width   uint32
 
-	// Values are uint64 so counter sums over many switches cannot wrap
-	// the registers' 32 bits.
+	// Values, laid out at Width when the bank is read back (MergedRows),
+	// are uint64 so counter sums over many switches cannot wrap the
+	// registers' 32 bits. The service holds only the nonzero ones.
 	Values   []uint64
 	Switches []string // switch IDs merged in, in arrival order
 
@@ -567,10 +568,13 @@ type contribution struct {
 	first uint64
 }
 
-// bankSlot is one sketch row of a query network-wide, and its merge.
+// bankSlot is one sketch row of a query network-wide, and its merge:
+// the header and provenance in MergedBank (Values stays nil), the merged
+// registers as cells.
 type bankSlot struct {
 	part, branch, row int
 	MergedBank
+	cells wire.MergedCells
 }
 
 // queryLocked returns qid's state, creating it at first mention.
@@ -622,7 +626,7 @@ func (q *queryState) admit(epoch uint32, keep int) *epochState {
 	copy(q.epochs, q.epochs[1:at])
 	q.epochs[at-1] = es
 	// Recycle: flag and contributions reset, each bank emptied of switches
-	// (mergeBankLocked clears its values when one merges in). A bank the
+	// (mergeBankLocked empties its cells when one merges in). A bank the
 	// evicted epoch never received has stopped arriving; its memory goes.
 	es.epoch, es.transition, es.contrib = epoch, false, es.contrib[:0]
 	es.banks = slices.DeleteFunc(es.banks, func(b bankSlot) bool { return len(b.Switches) == 0 })
@@ -790,8 +794,8 @@ func (s *Service) unlearnLocked(sw string, n, age uint64) {
 }
 
 // mergeBankLocked adds one switch's bank to the network-wide bank of its
-// epoch. Only the cells are touched: a bank costs its nonzero registers
-// to merge, not its width.
+// epoch, cells into cells: a bank costs its nonzero registers and the
+// row's bitmap to merge, not its width.
 func (s *Service) mergeBankLocked(es *epochState, switchID string, b *modules.BankSnapshot, cells wire.Cells) {
 	i, ok := slices.BinarySearchFunc(es.banks, b, func(slot bankSlot, b *modules.BankSnapshot) int {
 		return cmp.Or(cmp.Compare(slot.part, b.Part), cmp.Compare(slot.branch, b.Branch), cmp.Compare(slot.row, b.Row))
@@ -799,7 +803,8 @@ func (s *Service) mergeBankLocked(es *epochState, switchID string, b *modules.Ba
 	if !ok {
 		es.banks = slices.Insert(es.banks, i, bankSlot{part: b.Part, branch: b.Branch, row: b.Row})
 	}
-	m := &es.banks[i].MergedBank
+	slot := &es.banks[i]
+	m := &slot.MergedBank
 	// Geometry conflict: a mid-window width change put two bank shapes
 	// into the same epoch. Merging them would silently mix widths, and
 	// skipping one would hide the gap entirely — instead the later
@@ -813,24 +818,14 @@ func (s *Service) mergeBankLocked(es *epochState, switchID string, b *modules.Ba
 	}
 	if conflict || len(m.Switches) == 0 {
 		// The epoch's first merge into the bank: a new slot, or one the
-		// evicted epoch left, whose values are reused when the width matches.
-		values := m.Values
-		if len(values) == int(b.Width) {
-			clear(values)
-		} else {
-			values = make([]uint64, b.Width)
-		}
+		// evicted epoch left, whose cells are emptied and reused.
 		*m = MergedBank{
 			Kind: b.Kind, Algo: b.Algo, Seed: b.Seed, Range: b.Range,
-			KeyMask: b.KeyMask, Width: b.Width,
-			Values: values, Switches: m.Switches[:0],
+			KeyMask: b.KeyMask, Width: b.Width, Switches: m.Switches[:0],
 		}
+		slot.cells.Reset(b.Width)
 	}
-	if b.Kind == modules.BankBloomRow {
-		cells.OrInto(m.Values)
-	} else {
-		cells.AddTo(m.Values)
-	}
+	slot.cells.Merge(cells, b.Kind == modules.BankBloomRow)
 	m.Switches = append(m.Switches, switchID)
 }
 
@@ -960,7 +955,7 @@ func (s *Service) probeLocked(es *epochState, branch int, kind modules.BankKind,
 			continue
 		}
 		s.keyBuf = m.KeyMask.Bytes(keys, s.keyBuf[:0])
-		v := m.Values[m.slot(s.keyBuf)]
+		v := m.cells.At(m.slot(s.keyBuf))
 		if !ok || v < least {
 			least, ok = v, true
 		}
@@ -990,10 +985,10 @@ func (s *Service) SeenDistinct(qid, branch int, epoch uint32, keys *fields.Vecto
 	return least != 0, ok
 }
 
-// MergedRows returns copies of the merged banks of (query, branch) at
-// epoch, in (partition, row) order, for inspection — the caller's to
-// keep: the live banks keep merging, and are recycled once their epoch
-// is evicted.
+// MergedRows returns the merged banks of (query, branch) at epoch, in
+// (partition, row) order, for inspection, laid out dense — the caller's
+// to keep, every slice its own: the live banks keep merging, and are
+// recycled once their epoch is evicted.
 func (s *Service) MergedRows(qid, branch int, epoch uint32) []*MergedBank {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1010,10 +1005,10 @@ func (s *Service) MergedRows(qid, branch int, epoch uint32) []*MergedBank {
 			continue
 		}
 		m := b.MergedBank
-		m.Values = slices.Clone(m.Values)
+		m.Values = b.cells.Dense()
 		m.Switches = slices.Clone(m.Switches)
 		m.Partial = len(missing) > 0 || es.transition
-		m.Missing = missing
+		m.Missing = slices.Clone(missing)
 		m.Transition = es.transition
 		out = append(out, &m)
 	}
@@ -1061,6 +1056,7 @@ type ServiceStats struct {
 	DeltaFrames uint64 // snapshot frames that arrived delta-encoded
 	ChainBreaks uint64 // delta snapshots dropped for a missing base epoch
 	DedupKeys   int    // alert-dedup keys resident (keys older than 64 windows are compacted away)
+	MergedBytes uint64 // held by the retained merged rows, recycled ones included: bitmap + nonzero sums
 }
 
 // Stats returns the current ingest counters.
@@ -1095,6 +1091,13 @@ func (s *Service) Stats() ServiceStats {
 		st.ChainBreaks += a.wire.ChainBreaks
 	}
 	st.LiveAgents = live
+	for _, q := range s.queries {
+		for _, es := range q.epochs {
+			for i := range es.banks {
+				st.MergedBytes += uint64(es.banks[i].cells.Bytes())
+			}
+		}
+	}
 	return st
 }
 

@@ -122,26 +122,128 @@ type Cells struct {
 	set cellSet
 }
 
-// AddTo adds each register to its counter in dst, which must span the
-// bank's width: the Count-Min merge.
-func (c Cells) AddTo(dst []uint64) {
-	k := 0
-	for w, word := range c.set.occ {
-		for ; word != 0; word &= word - 1 {
-			dst[w*64+bits.TrailingZeros64(word)] += uint64(c.set.vals[k])
-			k++
-		}
-	}
+// MergedCells is a network-wide merged row in the form the cells come
+// in: an occupancy bitmap over the row's width and the nonzero merged
+// values in index order, uint64 so that sums over many switches cannot
+// wrap the registers' 32 bits. It holds width/8 bytes plus 8 a nonzero
+// value — a full row at most 1/64 over the dense []uint64 it replaces.
+type MergedCells struct {
+	occ   []uint64 // bit i set ⇔ merged register i is nonzero
+	vals  []uint64
+	width uint32
 }
 
-// OrInto ORs each register into its word in dst, which must span the
-// bank's width: the Bloom merge.
-func (c Cells) OrInto(dst []uint64) {
+// Reset empties the row over width registers, keeping its memory: a
+// bitmap to clear, not the width.
+func (m *MergedCells) Reset(width uint32) {
+	n := int((uint64(width) + 63) / 64)
+	if cap(m.occ) < n {
+		m.occ = make([]uint64, n)
+	}
+	m.occ = m.occ[:n]
+	clear(m.occ)
+	m.vals = m.vals[:0]
+	m.width = width
+}
+
+// Merge folds one bank's cells into the row, which must have been Reset
+// to the bank's width: Count-Min rows add counter-wise, Bloom rows (or)
+// OR. It costs the row's words and the two populations, never the width.
+//
+// The merge is in place, from the top down: a value's merged rank is at
+// least its old rank, so each lands at or above where it was read from,
+// and nothing is overwritten before it is read. The value array grows
+// only when the merged population passes its capacity: exactly to the
+// population the first time, by a quarter (never past the width) after,
+// so a row that stays put allocates nothing from epoch to epoch.
+func (m *MergedCells) Merge(c Cells, or bool) {
+	occ, from := c.set.occ, c.set.vals
+	pop := len(m.vals)
+	for w, cw := range occ {
+		pop += bits.OnesCount64(cw &^ m.occ[w])
+	}
+	if have := cap(m.vals); pop > have {
+		size := pop
+		if have > 0 {
+			size = min(max(pop, have+have/4), int(m.width))
+		}
+		grown := make([]uint64, len(m.vals), size)
+		copy(grown, m.vals)
+		m.vals = grown
+	}
+	// Going down: the row's values not yet moved are vals[:read], c's not
+	// yet merged from[:k], and the merged ones fill vals[put:].
+	vals := m.vals[:pop]
+	read, k, put := len(m.vals), len(from), pop
+	for w := len(occ) - 1; k > 0; w-- {
+		mw, cw := m.occ[w], occ[w]
+		if cw == 0 { // the word's values only move up
+			n := bits.OnesCount64(mw)
+			copy(vals[put-n:put], vals[read-n:read])
+			put, read = put-n, read-n
+			continue
+		}
+		for either := mw | cw; either != 0; {
+			bit := uint64(1) << (63 - bits.LeadingZeros64(either))
+			either &^= bit
+			var v uint64
+			if mw&bit != 0 {
+				read--
+				v = vals[read]
+			}
+			if cw&bit != 0 {
+				k--
+				if or {
+					v |= uint64(from[k])
+				} else {
+					v += uint64(from[k])
+				}
+			}
+			put--
+			vals[put] = v
+		}
+		m.occ[w] = mw | cw
+	}
+	m.vals = vals
+}
+
+// At reads merged register i by rank: zero when its bit is clear, else
+// the value as many places in as there are set bits below it.
+func (m *MergedCells) At(i uint32) uint64 {
+	w, bit := i/64, uint64(1)<<(i%64)
+	if m.occ[w]&bit == 0 {
+		return 0
+	}
+	rank := bits.OnesCount64(m.occ[w] & (bit - 1))
+	for _, word := range m.occ[:w] {
+		rank += bits.OnesCount64(word)
+	}
+	return m.vals[rank]
+}
+
+// Sum is the row's counter total.
+func (m *MergedCells) Sum() (sum uint64) {
+	for _, v := range m.vals {
+		sum += v
+	}
+	return sum
+}
+
+// Nonzero counts the row's set registers.
+func (m *MergedCells) Nonzero() int { return len(m.vals) }
+
+// Dense lays the row out at its width in a fresh slice.
+func (m *MergedCells) Dense() []uint64 {
+	out := make([]uint64, m.width)
 	k := 0
-	for w, word := range c.set.occ {
+	for w, word := range m.occ {
 		for ; word != 0; word &= word - 1 {
-			dst[w*64+bits.TrailingZeros64(word)] |= uint64(c.set.vals[k])
+			out[w*64+bits.TrailingZeros64(word)] = m.vals[k]
 			k++
 		}
 	}
+	return out
 }
+
+// Bytes is the memory the row holds.
+func (m *MergedCells) Bytes() int { return 8 * (cap(m.occ) + cap(m.vals)) }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -149,13 +150,51 @@ type SnapshotEncoder struct {
 // doesn't choose one: one full grounding frame per 8 epochs.
 const DefaultKeyframeEvery = 8
 
-// Reset drops all delta state; the next frame is a keyframe. Call it
-// after any write failure or reconnect so the stream never deltas
-// against a frame the peer may not have seen.
+// Reset makes the next frame a keyframe. Call it after any write failure
+// or reconnect so the stream never deltas against a frame the peer may
+// not have seen. The held sets stay: they are the last capture, which
+// Replay sends.
 func (e *SnapshotEncoder) Reset() {
-	e.prev = nil
 	e.has = false
 	e.sinceKey = 0
+}
+
+// Replay appends a keyframe of the held sets: the banks the last frame
+// carried, as Encode packed them, at its epoch, listed in (QID, Part,
+// Branch, Row) order — the engine's walk order, so the frame is byte for
+// byte the keyframe Encode would write of that capture. A new stream
+// opens with it after a reconnect. Like any keyframe it grounds the chain
+// and prunes the banks it does not carry.
+func (e *SnapshotEncoder) Replay(dst []byte) []byte {
+	ids := make([]BankID, 0, len(e.prev))
+	for id, p := range e.prev {
+		if p.frame == e.frame {
+			ids = append(ids, id)
+		} else {
+			delete(e.prev, id)
+		}
+	}
+	slices.SortFunc(ids, func(a, b BankID) int {
+		return cmp.Or(cmp.Compare(a.QueryID, b.QueryID), cmp.Compare(a.Part, b.Part),
+			cmp.Compare(a.Branch, b.Branch), cmp.Compare(a.Row, b.Row))
+	})
+	dst = binary.AppendUvarint(dst, uint64(e.prevEpoch))
+	dst = binary.AppendUvarint(dst, 0)
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+	for _, id := range ids {
+		p := e.prev[id]
+		c := &p.cfg
+		dst = appendBankHeader(dst, &modules.BankSnapshot{
+			QueryID: id.QueryID, Part: id.Part, Branch: id.Branch, Row: id.Row,
+			Kind: c.Kind, Algo: c.Algo, Seed: c.Seed, Range: c.Range, KeyMask: c.KeyMask,
+			OwnerIndex: c.OwnerIndex, OwnerCount: c.OwnerCount, Width: c.Width,
+		})
+		dst = appendFullCells(dst, p.held())
+	}
+	e.FullBanks += uint64(len(ids))
+	e.has = true
+	e.sinceKey = 0
+	return dst
 }
 
 // HeldBytes is the memory the encoder keeps between frames for its

@@ -55,9 +55,10 @@ func (s bankShape) epochs(rng *rand.Rand) [2][]modules.BankSnapshot {
 }
 
 // BenchmarkSnapshotEpoch times one switch's epoch through the codec and
-// the merge — encode, decode, add into uint64 rows — for the sparse
-// codec and for the dense reference it replaced, over the shapes above.
-// One op is one epoch; the chain keyframes every 8 like the exporter's.
+// the merge — encode, decode, add into a recycled uint64 row — for the
+// sparse codec and merged cells, and for the dense references they
+// replaced, over the shapes above. One op is one epoch; the chain
+// keyframes every 8 like the exporter's.
 func BenchmarkSnapshotEpoch(b *testing.B) {
 	for _, shape := range bankShapes {
 		sets := shape.epochs(rand.New(rand.NewSource(18)))
@@ -69,6 +70,7 @@ func BenchmarkSnapshotEpoch(b *testing.B) {
 			var enc SnapshotEncoder
 			var dec SnapshotDecoder
 			var payload []byte
+			rows := make([]MergedCells, shape.banks)
 			for i := 0; i < b.N; i++ {
 				payload, _ = enc.Encode(payload[:0], uint32(i), sets[i&1])
 				_, got, err := dec.Decode(payload)
@@ -76,7 +78,8 @@ func BenchmarkSnapshotEpoch(b *testing.B) {
 					b.Fatal(err)
 				}
 				for j := range got {
-					dec.Cells(j).AddTo(merged[j])
+					rows[j].Reset(got[j].Width)
+					rows[j].Merge(dec.Cells(j), false)
 				}
 			}
 			b.ReportMetric(float64(enc.HeldBytes()+dec.HeldBytes()), "held-B")
@@ -93,6 +96,7 @@ func BenchmarkSnapshotEpoch(b *testing.B) {
 				}
 				for j := range got {
 					m := merged[j]
+					clear(m)
 					for k, v := range got[j].Values {
 						m[k] += uint64(v)
 					}
