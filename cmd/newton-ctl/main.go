@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -171,17 +172,28 @@ func main() {
 	for i, r := range reports {
 		byQID[r.QueryID] = append(byQID[r.QueryID], i)
 	}
-	for qid, idxs := range byQID {
+	// Queries by qid and keys by value: the same seed prints the same bytes.
+	qids := make([]int, 0, len(byQID))
+	for qid := range byQID {
+		qids = append(qids, qid)
+	}
+	slices.Sort(qids)
+	for _, qid := range qids {
 		q := installed[qid]
 		if q == nil {
 			continue
 		}
 		col := analyzer.NewCollector(uint64(q.Window), q.ReportKeys())
-		for _, i := range idxs {
+		for _, i := range byQID[qid] {
 			col.Add(reports[i])
 		}
 		fmt.Printf("%s: %d reports, flagged:", q.Name, col.Raw)
+		var keys []uint64
 		for k := range col.FlaggedKeys() {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
 			fmt.Printf(" %d.%d.%d.%d", k>>24&0xFF, k>>16&0xFF, k>>8&0xFF, k&0xFF)
 		}
 		fmt.Println()

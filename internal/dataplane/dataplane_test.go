@@ -13,9 +13,12 @@ type namedAction string
 
 func (a namedAction) ActionName() string { return string(a) }
 
+// full is one column's exact-match mask.
+var full = []uint64{^uint64(0)}
+
 func TestTableExactMatch(t *testing.T) {
-	tb := NewTable("t", MatchExact, 2, 10)
-	id, err := tb.AddRule([]uint64{5, 6}, nil, 0, namedAction("a"))
+	tb := NewTable("t", MatchTernary, 2, 10)
+	id, err := tb.AddRule([]uint64{5, 6}, []uint64{^uint64(0), ^uint64(0)}, 0, namedAction("a"))
 	if err != nil {
 		t.Fatalf("AddRule: %v", err)
 	}
@@ -65,8 +68,8 @@ func TestTableLPM(t *testing.T) {
 }
 
 func TestTableRuntimeRemove(t *testing.T) {
-	tb := NewTable("t", MatchExact, 1, 10)
-	id, _ := tb.AddRule([]uint64{1}, nil, 0, namedAction("x"))
+	tb := NewTable("t", MatchTernary, 1, 10)
+	id, _ := tb.AddRule([]uint64{1}, full, 0, namedAction("x"))
 	if err := tb.RemoveRule(id); err != nil {
 		t.Fatalf("RemoveRule: %v", err)
 	}
@@ -82,30 +85,30 @@ func TestTableRuntimeRemove(t *testing.T) {
 }
 
 func TestTableCapacity(t *testing.T) {
-	tb := NewTable("t", MatchExact, 1, 2)
-	tb.AddRule([]uint64{1}, nil, 0, namedAction("a"))
-	tb.AddRule([]uint64{2}, nil, 0, namedAction("b"))
-	if _, err := tb.AddRule([]uint64{3}, nil, 0, namedAction("c")); err == nil {
+	tb := NewTable("t", MatchTernary, 1, 2)
+	tb.AddRule([]uint64{1}, full, 0, namedAction("a"))
+	tb.AddRule([]uint64{2}, full, 0, namedAction("b"))
+	if _, err := tb.AddRule([]uint64{3}, full, 0, namedAction("c")); err == nil {
 		t.Error("over-capacity insert should fail")
 	}
 }
 
 func TestTableArityErrors(t *testing.T) {
-	tb := NewTable("t", MatchExact, 2, 10)
-	if _, err := tb.AddRule([]uint64{1}, nil, 0, namedAction("a")); err == nil {
+	tb := NewTable("t", MatchTernary, 2, 10)
+	if _, err := tb.AddRule([]uint64{1}, []uint64{1, 1}, 0, namedAction("a")); err == nil {
 		t.Error("wrong value arity accepted")
 	}
 	if _, err := tb.AddRule([]uint64{1, 2}, []uint64{1}, 0, namedAction("a")); err == nil {
 		t.Error("wrong mask arity accepted")
 	}
-	if _, err := tb.AddRule([]uint64{1, 2}, []uint64{1, ^uint64(0)}, 0, namedAction("a")); err == nil {
-		t.Error("partial mask accepted by exact table")
+	if _, err := tb.AddRule([]uint64{1, 2}, nil, 0, namedAction("a")); err == nil {
+		t.Error("missing masks accepted")
 	}
 }
 
 func TestTableClear(t *testing.T) {
-	tb := NewTable("t", MatchExact, 1, 10)
-	tb.AddRule([]uint64{1}, nil, 0, namedAction("a"))
+	tb := NewTable("t", MatchTernary, 1, 10)
+	tb.AddRule([]uint64{1}, full, 0, namedAction("a"))
 	tb.Clear()
 	if tb.Entries() != 0 || tb.Lookup(1) != nil {
 		t.Error("Clear left state")
@@ -113,7 +116,7 @@ func TestTableClear(t *testing.T) {
 }
 
 func TestTableLookupArityPanics(t *testing.T) {
-	tb := NewTable("t", MatchExact, 2, 10)
+	tb := NewTable("t", MatchTernary, 2, 10)
 	defer func() {
 		if recover() == nil {
 			t.Error("bad lookup arity should panic")
@@ -226,20 +229,19 @@ func TestResourceNames(t *testing.T) {
 func TestStagePlacement(t *testing.T) {
 	p := NewPipeline(2, Resources{SRAM: 10, SALU: 2})
 	s := p.Stages[0]
-	tb := NewTable("m", MatchExact, 1, 16)
-	if err := s.Place("m", Resources{SRAM: 6, SALU: 1}, tb, nil); err != nil {
+	if err := s.Place("m", Resources{SRAM: 6, SALU: 1}, nil); err != nil {
 		t.Fatalf("Place: %v", err)
 	}
-	if err := s.Place("m2", Resources{SRAM: 6}, nil, nil); err == nil {
+	if err := s.Place("m2", Resources{SRAM: 6}, nil); err == nil {
 		t.Error("overflow placement accepted")
 	}
-	if err := s.Place("m3", Resources{SRAM: 4, SALU: 1}, nil, NewRegisterBank("rb", 8)); err != nil {
+	if err := s.Place("m3", Resources{SRAM: 4, SALU: 1}, NewRegisterBank("rb", 8)); err != nil {
 		t.Errorf("fitting placement rejected: %v", err)
 	}
 	if got := s.Used(); got[SRAM] != 10 || got[SALU] != 2 {
 		t.Errorf("Used = %v", got)
 	}
-	if len(s.Tables()) != 1 || len(s.Banks()) != 1 {
+	if len(s.Banks()) != 1 {
 		t.Error("registration lost")
 	}
 	total := p.TotalUsed()
@@ -251,7 +253,7 @@ func TestStagePlacement(t *testing.T) {
 func TestPipelineEpoch(t *testing.T) {
 	p := NewPipeline(1, TofinoStageCapacity())
 	rb := NewRegisterBank("rb", 4)
-	p.Stages[0].Place("rb", Resources{}, nil, rb)
+	p.Stages[0].Place("rb", Resources{}, rb)
 	ra := rb.Alloc(4)
 	ra.Exec(OpAdd, 0, 5)
 	p.NextEpoch()
@@ -368,7 +370,7 @@ func TestSwitchMonitorAndReports(t *testing.T) {
 }
 
 func TestMatchKindStrings(t *testing.T) {
-	if MatchExact.String() != "exact" || MatchTernary.String() != "ternary" || MatchLPM.String() != "lpm" {
+	if MatchTernary.String() != "ternary" || MatchLPM.String() != "lpm" {
 		t.Error("match kind names wrong")
 	}
 }
@@ -424,7 +426,7 @@ func TestTableLookupAll(t *testing.T) {
 }
 
 func TestTableLookupAllArityPanics(t *testing.T) {
-	tb := NewTable("t", MatchExact, 2, 10)
+	tb := NewTable("t", MatchTernary, 2, 10)
 	defer func() {
 		if recover() == nil {
 			t.Error("bad arity should panic")

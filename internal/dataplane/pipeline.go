@@ -8,23 +8,21 @@ import (
 	"github.com/newton-net/newton/internal/packet"
 )
 
-// Stage is one physical match-action stage: the tables and register
-// banks placed there plus the resource bookkeeping that enforces the
-// stage's capacity.
+// Stage is one physical match-action stage: the register banks placed
+// there plus the resource bookkeeping that enforces the stage's
+// capacity.
 type Stage struct {
 	Index    int
 	Capacity Resources
 
-	used      Resources
-	tables    []*Table
-	banks     []*RegisterBank
-	placement map[string]Resources
+	used  Resources
+	banks []*RegisterBank
 }
 
 // Place reserves resources in the stage for a named component, failing
-// if the stage cannot accommodate it. The optional table/bank are
-// registered with the stage for introspection.
-func (s *Stage) Place(name string, consumes Resources, t *Table, rb *RegisterBank) error {
+// if the stage cannot accommodate it. The optional bank is registered
+// with the stage, so the pipeline's epoch rolls it.
+func (s *Stage) Place(name string, consumes Resources, rb *RegisterBank) error {
 	want := s.used
 	want.Add(consumes)
 	if !want.Fits(s.Capacity) {
@@ -32,13 +30,6 @@ func (s *Stage) Place(name string, consumes Resources, t *Table, rb *RegisterBan
 			s.Index, name, s.used, consumes, s.Capacity)
 	}
 	s.used = want
-	if s.placement == nil {
-		s.placement = make(map[string]Resources)
-	}
-	s.placement[name] = consumes
-	if t != nil {
-		s.tables = append(s.tables, t)
-	}
 	if rb != nil {
 		s.banks = append(s.banks, rb)
 	}
@@ -47,9 +38,6 @@ func (s *Stage) Place(name string, consumes Resources, t *Table, rb *RegisterBan
 
 // Used returns the stage's consumed resource vector.
 func (s *Stage) Used() Resources { return s.used }
-
-// Tables returns the tables placed in the stage.
-func (s *Stage) Tables() []*Table { return s.tables }
 
 // Banks returns the register banks placed in the stage.
 func (s *Stage) Banks() []*RegisterBank { return s.banks }

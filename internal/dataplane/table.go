@@ -22,17 +22,15 @@ import (
 	"github.com/newton-net/newton/internal/classify"
 )
 
-// MatchKind distinguishes the matching disciplines a table supports. All
-// kinds reduce to ternary matching internally (exact = full mask, LPM =
-// prefix mask with prefix-length priority), mirroring how RMT unifies
-// them over TCAM/SRAM.
+// MatchKind distinguishes the matching disciplines a table supports. LPM
+// reduces to ternary matching internally (prefix mask with prefix-length
+// priority), mirroring how RMT unifies them over TCAM; an exact match is
+// a ternary rule under full masks.
 type MatchKind int
 
 const (
-	// MatchExact matches all columns under full masks.
-	MatchExact MatchKind = iota
 	// MatchTernary matches value/mask pairs with explicit priorities.
-	MatchTernary
+	MatchTernary MatchKind = iota
 	// MatchLPM is longest-prefix match on the first column.
 	MatchLPM
 )
@@ -40,8 +38,6 @@ const (
 // String names the match kind as P4 would.
 func (k MatchKind) String() string {
 	switch k {
-	case MatchExact:
-		return "exact"
 	case MatchTernary:
 		return "ternary"
 	case MatchLPM:
@@ -168,9 +164,6 @@ type Table struct {
 	// ternaryScans counts lookups served by the linear ternary scan —
 	// the slow path the compiled classifier exists to remove.
 	ternaryScans atomic.Uint64
-
-	// Default is executed when no rule matches (may be nil).
-	Default Action
 }
 
 // NewTable builds an empty table.
@@ -194,29 +187,15 @@ func NewTable(name string, kind MatchKind, cols, maxEntries int) *Table {
 // compare versions to detect staleness.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
-// AddRule installs a rule at runtime and returns its ID. Exact-match
-// rules may omit masks (full masks are implied). For LPM the mask of the
-// first column determines priority (longer prefix wins); non-contiguous
-// LPM masks are rejected.
+// AddRule installs a rule at runtime and returns its ID. For LPM the mask
+// of the first column determines priority (longer prefix wins);
+// non-contiguous LPM masks are rejected.
 func (t *Table) AddRule(values, masks []uint64, priority int, action Action) (int, error) {
 	if len(values) != t.Cols {
 		return 0, fmt.Errorf("dataplane: table %s wants %d columns, got %d", t.Name, t.Cols, len(values))
 	}
-	if masks == nil {
-		masks = make([]uint64, t.Cols)
-		for i := range masks {
-			masks[i] = ^uint64(0)
-		}
-	}
 	if len(masks) != t.Cols {
 		return 0, fmt.Errorf("dataplane: table %s mask arity mismatch", t.Name)
-	}
-	if t.Kind == MatchExact {
-		for i, m := range masks {
-			if m != ^uint64(0) {
-				return 0, fmt.Errorf("dataplane: exact table %s got partial mask on column %d", t.Name, i)
-			}
-		}
 	}
 	if t.Kind == MatchLPM {
 		plen, err := prefixLen(masks[0])

@@ -103,9 +103,6 @@ func (v *Vector) Get(id ID) uint64 { return v[id] }
 // Set assigns the value of field id.
 func (v *Vector) Set(id ID, val uint64) { v[id] = val }
 
-// Equal reports whether two vectors hold identical values.
-func (v *Vector) Equal(o *Vector) bool { return *v == *o }
-
 // String renders only the non-zero fields, for logs and golden tests.
 func (v *Vector) String() string {
 	var b strings.Builder
@@ -249,9 +246,6 @@ type MetadataSet struct {
 // GlobalSigned interprets a PHV global result as the signed value the
 // result-process merge arithmetic works in.
 func GlobalSigned(g uint64) int64 { return int64(g) }
-
-// Reset clears the metadata set between packets.
-func (ms *MetadataSet) Reset() { *ms = MetadataSet{} }
 
 // PHV is the per-packet header vector the pipeline threads through the
 // stages: the parsed global fields, the two metadata sets of the compact

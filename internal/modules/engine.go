@@ -33,7 +33,7 @@ const maxSnapshotQID = 0xFFF
 // Engine executes the module layout over packets. It implements
 // dataplane.Program, so a Layout plus an Engine is what "loading the
 // Newton P4 program" yields; every query operation afterwards is a rule
-// operation against the layout's tables.
+// operation against the layout.
 //
 // The engine is sharded into lanes (SetWorkers): each delivery worker
 // owns one lane holding its flow table (dispatch.go), execution
@@ -220,31 +220,26 @@ func (e *Engine) Install(p *Program) (err error) {
 			op.S.array, op.S.width = target.array, target.width
 		}
 	}
-	// Pass 3: install rules.
-	for bi, b := range p.Branches {
-		opKeyBase := uint64(p.QID)<<20 | uint64(p.Part)<<16 | uint64(bi)<<8
-		for oi, op := range b.Ops {
-			t := e.layout.ModuleTable(op.Stage, op.Set, op.Kind)
-			if t == nil {
-				return fmt.Errorf("modules: layout has no %v module at stage %d suite %d", op.Kind, op.Stage, op.Set)
+	// Pass 3: install rules — one per op in its module, one newton_init
+	// entry per branch, and last the program's newton_fin entry, so a
+	// failed install never holds one.
+	for _, b := range p.Branches {
+		for _, op := range b.Ops {
+			if err := e.layout.takeRule(op.Stage, op.Set, op.Kind); err != nil {
+				return err
 			}
-			id, terr := t.AddRule([]uint64{opKeyBase | uint64(oi)}, nil, 0, moduleRuleAction{op: op})
-			if terr != nil {
-				return terr
-			}
-			op.ruleID = id
+			op.ruled = true
 		}
-		vals := b.Init.Values[:]
-		masks := b.Init.Masks[:]
-		id, ierr := e.layout.Init.AddRule(vals, masks, 0, chainAction{prog: p, branch: b})
+		id, ierr := e.layout.Init.AddRule(b.Init.Values[:], b.Init.Masks[:], 0, chainAction{prog: p, branch: b})
 		if ierr != nil {
 			return ierr
 		}
 		b.initRuleID = id
 	}
-	if _, ferr := e.layout.Fin.AddRule([]uint64{uint64(p.QID)<<4 | uint64(p.Part)}, nil, 0, finAction{}); ferr != nil {
-		return ferr
+	if e.layout.fin >= DefaultRulesPerModule {
+		return fmt.Errorf("modules: newton_fin full (%d entries)", DefaultRulesPerModule)
 	}
+	e.layout.fin++
 	e.installed = slices.Insert(e.installed, at, p)
 	if e.onChange != nil {
 		e.onChange()
@@ -262,6 +257,7 @@ func (e *Engine) Remove(qid int) error {
 	}
 	for _, p := range e.installed[lo:hi] {
 		e.rollback(p)
+		e.layout.fin--
 	}
 	e.installed = slices.Delete(e.installed, lo, hi)
 	if e.onChange != nil {
@@ -331,20 +327,18 @@ func (e *Engine) findRow0(p *Program, branch int) *SConfig {
 	return found
 }
 
-// rollback removes whatever parts of p are currently installed — and
-// p's references on the mask table, which Install took before anything
-// else.
+// rollback removes whatever parts of p are currently installed but its
+// newton_fin entry, which only a complete install holds — and p's
+// references on the mask table, which Install took before anything else.
 func (e *Engine) rollback(p *Program) {
 	for _, b := range p.Branches {
 		for _, op := range b.Ops {
 			if op.Kind == ModK {
 				e.masks[op.K.idx].refs--
 			}
-			if op.ruleID != 0 {
-				if t := e.layout.ModuleTable(op.Stage, op.Set, op.Kind); t != nil {
-					_ = t.RemoveRule(op.ruleID)
-				}
-				op.ruleID = 0
+			if op.ruled {
+				e.layout.dropRule(op.Stage, op.Set, op.Kind)
+				op.ruled = false
 			}
 			if op.Kind == ModS && op.S != nil && op.S.array != nil {
 				if !op.S.CrossRead {
@@ -359,17 +353,7 @@ func (e *Engine) rollback(p *Program) {
 			b.initRuleID = 0
 		}
 	}
-	for _, r := range e.layout.Fin.Rules() {
-		if r.Values[0] == uint64(p.QID)<<4|uint64(p.Part) {
-			_ = e.layout.Fin.RemoveRule(r.ID)
-		}
-	}
 }
-
-type finAction struct{}
-
-// ActionName implements dataplane.Action.
-func (finAction) ActionName() string { return "snapshot" }
 
 // Execute implements dataplane.Program: decode any inbound result
 // snapshot, classify via newton_init, run every matching branch chain

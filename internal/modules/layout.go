@@ -36,15 +36,15 @@ func (k LayoutKind) SuitesPerStage() int {
 }
 
 // InitCapacityFactor sizes the newton_init classifier relative to a
-// module table: the classifier holds one entry per branch of every
-// installed query across all stages, so it gets this multiple of a
-// single module table's rule capacity. The scheduler's admission
-// accounting mirrors the same factor — keep them in lockstep.
+// module: the classifier holds one entry per branch of every installed
+// query across all stages, so it gets this multiple of a single
+// module's rule capacity. The scheduler's admission accounting mirrors
+// the same factor — keep them in lockstep.
 const InitCapacityFactor = 4
 
-// DefaultRulesPerModule is the rule capacity each module table is
-// configured with in the evaluation ("we configure each module to
-// accommodate 256 rules", §6.2).
+// DefaultRulesPerModule is the rule capacity each module, and
+// newton_fin, is configured with in the evaluation ("we configure each
+// module to accommodate 256 rules", §6.2).
 const DefaultRulesPerModule = 256
 
 // ModuleResources returns the per-stage resource consumption of one
@@ -109,10 +109,14 @@ func StageCapacity() dataplane.Resources {
 	}
 }
 
-// suite is one metadata set's module instances within a stage.
+// suite is one metadata set's module instances within a stage. A module
+// is never looked up — the engine runs each branch's op chain directly —
+// so what it holds is a count: rules[k] ops are installed in module k,
+// at most DefaultRulesPerModule, where the suite hosts k at all.
 type suite struct {
-	tables [NumKinds]*dataplane.Table
-	bank   *dataplane.RegisterBank
+	hosts [NumKinds]bool
+	rules [NumKinds]int
+	bank  *dataplane.RegisterBank
 }
 
 // Layout is the module geometry loaded into a pipeline at initialization
@@ -125,10 +129,12 @@ type Layout struct {
 	pipeline *dataplane.Pipeline
 	suites   [][]*suite // [stage][suiteIdx]
 
-	// Init is the newton_init classifier; Fin is the newton_fin result
-	// snapshot table (cross-switch execution).
+	// Init is the newton_init classifier, the one Newton table a packet
+	// is matched against. fin counts newton_fin's entries (the result
+	// snapshot of cross-switch execution): one per installed program, at
+	// most DefaultRulesPerModule.
 	Init *dataplane.Table
-	Fin  *dataplane.Table
+	fin  int
 }
 
 // NewLayout loads a module layout into a fresh pipeline of the given
@@ -143,7 +149,6 @@ func NewLayout(kind LayoutKind, stages int, arraySize uint32) (*Layout, error) {
 		ArraySize: arraySize,
 		pipeline:  dataplane.NewPipeline(stages, StageCapacity()),
 		Init:      dataplane.NewTable("newton_init", dataplane.MatchTernary, 6, DefaultRulesPerModule*InitCapacityFactor),
-		Fin:       dataplane.NewTable("newton_fin", dataplane.MatchExact, 1, DefaultRulesPerModule),
 	}
 	for si, st := range l.pipeline.Stages {
 		var suites []*suite
@@ -153,18 +158,15 @@ func NewLayout(kind LayoutKind, stages int, arraySize uint32) (*Layout, error) {
 				if kind == LayoutNaive && Kind(si%int(NumKinds)) != k {
 					continue // naive: stage si hosts only module kind si mod 4
 				}
-				t := dataplane.NewTable(
-					fmt.Sprintf("newton_%v_s%d_u%d", k, si, u),
-					dataplane.MatchExact, 1, DefaultRulesPerModule)
 				var rb *dataplane.RegisterBank
 				if k == ModS {
 					rb = dataplane.NewRegisterBank(fmt.Sprintf("bank_s%d_u%d", si, u), arraySize)
 					s.bank = rb
 				}
-				if err := st.Place(t.Name, ModuleResources(k), t, rb); err != nil {
+				if err := st.Place(fmt.Sprintf("newton_%v_s%d_u%d", k, si, u), ModuleResources(k), rb); err != nil {
 					return nil, fmt.Errorf("modules: loading %v layout: %w", kind, err)
 				}
-				s.tables[k] = t
+				s.hosts[k] = true
 			}
 			suites = append(suites, s)
 		}
@@ -193,15 +195,27 @@ func (l *Layout) Epoch() uint32 {
 // epoch advancement).
 func (l *Layout) Pipeline() *dataplane.Pipeline { return l.pipeline }
 
-// ModuleTable returns the table of module kind k in (1-based) stage,
-// suite u, or nil if the layout has no such module there.
-func (l *Layout) ModuleTable(stage int, u int, k Kind) *dataplane.Table {
+// hosts reports whether (1-based) stage, suite u has a module of kind k.
+func (l *Layout) hosts(stage, u int, k Kind) bool {
 	s := l.suiteAt(stage, u)
-	if s == nil {
-		return nil
-	}
-	return s.tables[k]
+	return s != nil && s.hosts[k]
 }
+
+// takeRule installs one rule in module k of (stage, suite u).
+func (l *Layout) takeRule(stage, u int, k Kind) error {
+	if !l.hosts(stage, u, k) {
+		return fmt.Errorf("modules: layout has no %v module at stage %d suite %d", k, stage, u)
+	}
+	s := l.suiteAt(stage, u)
+	if s.rules[k] >= DefaultRulesPerModule {
+		return fmt.Errorf("modules: %v module at stage %d suite %d full (%d rules)", k, stage, u, DefaultRulesPerModule)
+	}
+	s.rules[k]++
+	return nil
+}
+
+// dropRule removes a rule takeRule installed.
+func (l *Layout) dropRule(stage, u int, k Kind) { l.suiteAt(stage, u).rules[k]-- }
 
 func (l *Layout) suiteAt(stage, u int) *suite {
 	if stage < 1 || stage > len(l.suites) {
@@ -247,34 +261,19 @@ func (l *Layout) FreeRegisters(stage, u int, ra *dataplane.RegisterArray) {
 	}
 }
 
-// TernaryScans sums linear ternary-scan fallbacks across the layout's
-// tables — newton_init, newton_fin, and every module table. Module
-// tables are exact-match so they never scan; newton_init is the series
-// that matters: once its rule set compiles, this counter stops moving.
-func (l *Layout) TernaryScans() uint64 {
-	n := l.Init.TernaryScans() + l.Fin.TernaryScans()
-	for _, ss := range l.suites {
-		for _, s := range ss {
-			for _, t := range s.tables {
-				if t != nil {
-					n += t.TernaryScans()
-				}
-			}
-		}
-	}
-	return n
-}
+// TernaryScans counts linear ternary-scan fallbacks of the layout's one
+// looked-up table, newton_init: once its rule set compiles, this
+// counter stops moving.
+func (l *Layout) TernaryScans() uint64 { return l.Init.TernaryScans() }
 
-// TotalRuleEntries sums installed rules across all module tables plus
-// newton_init/newton_fin — the table-entry metric of Figs. 16 and 17.
+// TotalRuleEntries sums installed rules across newton_init, newton_fin
+// and every module — the table-entry metric of Figs. 16 and 17.
 func (l *Layout) TotalRuleEntries() int {
-	n := l.Init.Entries() + l.Fin.Entries()
+	n := l.Init.Entries() + l.fin
 	for _, ss := range l.suites {
 		for _, s := range ss {
-			for _, t := range s.tables {
-				if t != nil {
-					n += t.Entries()
-				}
+			for _, r := range s.rules {
+				n += r
 			}
 		}
 	}

@@ -3,7 +3,8 @@
 // result process (R), plus the newton_init classifier and the newton_fin
 // result-snapshot table. Query primitives decompose into configurations
 // of these modules, installed as table rules at runtime — never by
-// reloading the pipeline.
+// reloading the pipeline. Module and newton_fin rules are counted, not
+// stored: the engine runs each branch's op chain directly.
 package modules
 
 import (
@@ -172,7 +173,7 @@ type Op struct {
 	S *SConfig
 	R *RConfig
 
-	ruleID int // rule installed in the module's table
+	ruled bool // the op's rule is installed in its module
 }
 
 // String renders the op for composition dumps, e.g. "K0@s1".
@@ -261,9 +262,3 @@ type chainAction struct {
 
 // ActionName implements dataplane.Action.
 func (chainAction) ActionName() string { return "run_chain" }
-
-// moduleRuleAction is the per-module rule action carrying the op config.
-type moduleRuleAction struct{ op *Op }
-
-// ActionName implements dataplane.Action.
-func (moduleRuleAction) ActionName() string { return "configure_module" }

@@ -2,6 +2,7 @@ package modules
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestLayoutGeometry(t *testing.T) {
 	for st := 1; st <= 8; st++ {
 		for u := 0; u < 2; u++ {
 			for k := Kind(0); k < NumKinds; k++ {
-				if l.ModuleTable(st, u, k) == nil {
+				if !l.hosts(st, u, k) {
 					t.Fatalf("compact layout missing %v at stage %d suite %d", k, st, u)
 				}
 			}
@@ -37,8 +38,8 @@ func TestLayoutGeometry(t *testing.T) {
 			}
 		}
 	}
-	if l.ModuleTable(0, 0, ModK) != nil || l.ModuleTable(9, 0, ModK) != nil || l.ModuleTable(1, 2, ModK) != nil {
-		t.Error("out-of-range lookups should be nil")
+	if l.hosts(0, 0, ModK) || l.hosts(9, 0, ModK) || l.hosts(1, 2, ModK) {
+		t.Error("out-of-range stage or suite should host no module")
 	}
 }
 
@@ -51,8 +52,7 @@ func TestNaiveLayoutOneModulePerStage(t *testing.T) {
 	wantKinds := []Kind{ModK, ModH, ModS, ModR}
 	for st := 1; st <= 8; st++ {
 		for k := Kind(0); k < NumKinds; k++ {
-			got := l.ModuleTable(st, 0, k)
-			if (k == wantKinds[(st-1)%4]) != (got != nil) {
+			if (k == wantKinds[(st-1)%4]) != l.hosts(st, 0, k) {
 				t.Errorf("naive stage %d kind %v presence wrong", st, k)
 			}
 		}
@@ -275,6 +275,75 @@ func TestEngineInstallRollsBackOnFailure(t *testing.T) {
 	}
 }
 
+// ruleCounts lists every rule count of the layout: newton_init's and
+// newton_fin's entries, then each module's rules.
+func ruleCounts(l *Layout) []int {
+	out := []int{l.Init.Entries(), l.fin}
+	for _, ss := range l.suites {
+		for _, s := range ss {
+			out = append(out, s.rules[:]...)
+		}
+	}
+	return out
+}
+
+// TestModuleCapacityAndRollback: a module holds DefaultRulesPerModule
+// rules; the install that would take one more is refused naming the
+// module, and gives back everything it took before reaching it. Remove
+// gives back the rest, and a naive layout refuses an op on a kind the
+// stage does not host.
+func TestModuleCapacityAndRollback(t *testing.T) {
+	kOp := func(stage, set int) *Op {
+		return &Op{Kind: ModK, Set: set, Stage: stage, K: &KConfig{Mask: fields.Keep(fields.DstIP)}}
+	}
+	l := compactLayout(t)
+	eng := NewEngine(l)
+	for qid := 1; qid <= 2; qid++ { // two halves fill K at stage 2 suite 1
+		var ops []*Op
+		for range DefaultRulesPerModule / 2 {
+			ops = append(ops, kOp(2, 1))
+		}
+		if err := eng.Install(&Program{QID: qid, Branches: []*BranchProgram{{Ops: ops}}}); err != nil {
+			t.Fatalf("install %d: %v", qid, err)
+		}
+	}
+	before, total := ruleCounts(l), l.TotalRuleEntries()
+	if total != DefaultRulesPerModule+2+2 {
+		t.Fatalf("TotalRuleEntries = %d, want %d module rules + 2 newton_init + 2 newton_fin", total, DefaultRulesPerModule)
+	}
+	// The first branch installs whole; the second reaches the full module.
+	err := eng.Install(&Program{QID: 3, Branches: []*BranchProgram{
+		{Ops: []*Op{kOp(1, 0), kOp(3, 1)}},
+		{Ops: []*Op{kOp(1, 1), kOp(2, 1)}},
+	}})
+	if err == nil || !strings.Contains(err.Error(), "K module at stage 2 suite 1 full") {
+		t.Fatalf("257th rule of K at stage 2 suite 1: Install = %v, want that module full", err)
+	}
+	if got := ruleCounts(l); !slices.Equal(got, before) || l.TotalRuleEntries() != total {
+		t.Fatalf("refused install left counts %v (total %d), want %v (total %d)", got, l.TotalRuleEntries(), before, total)
+	}
+	for qid := 1; qid <= 2; qid++ {
+		if err := eng.Remove(qid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ruleCounts(l); slices.ContainsFunc(got, func(n int) bool { return n != 0 }) || l.TotalRuleEntries() != 0 {
+		t.Fatalf("after removing every program: counts %v, total %d", got, l.TotalRuleEntries())
+	}
+
+	naive, err := NewLayout(LayoutNaive, 8, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = NewEngine(naive).Install(&Program{QID: 1, Branches: []*BranchProgram{{Ops: []*Op{kOp(1, 0), kOp(2, 0)}}}})
+	if err == nil || !strings.Contains(err.Error(), "no K module at stage 2 suite 0") {
+		t.Fatalf("K op on naive stage 2 (H only): Install = %v", err)
+	}
+	if naive.TotalRuleEntries() != 0 {
+		t.Fatalf("refused install left %d entries on the naive layout", naive.TotalRuleEntries())
+	}
+}
+
 func TestEngineShardedOwnership(t *testing.T) {
 	// Two shards: each key's state lives on exactly one of them, so the
 	// two switches together report every key exactly once.
@@ -492,7 +561,7 @@ func newLayoutWithCapacity() (*Layout, error) {
 	st := l.Pipeline().Stages[0]
 	// Filling the remaining headroom must eventually fail.
 	for i := 0; i < 100; i++ {
-		if err := st.Place("extra", ModuleResources(ModS), nil, nil); err != nil {
+		if err := st.Place("extra", ModuleResources(ModS), nil); err != nil {
 			return nil, err
 		}
 	}

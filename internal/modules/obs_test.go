@@ -216,8 +216,8 @@ func TestAttachObsClassifierSeries(t *testing.T) {
 	if g == nil || g.Value != 0 {
 		t.Fatalf("classifier_compiled{newton_init} = %v, want 0 below compile threshold", g)
 	}
-	if s := snap.Find("newton_table_classifier_compiled", swl, obs.L("table", "newton_fin")); s == nil {
-		t.Fatal("classifier_compiled{newton_fin} series missing")
+	if s := snap.Find("newton_table_classifier_compiled", swl, obs.L("table", "newton_fin")); s != nil {
+		t.Fatal("classifier_compiled{newton_fin}: newton_fin is a count, not a table that compiles")
 	}
 
 	// Force compilation at any rule count; the config change republishes

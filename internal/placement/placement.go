@@ -99,16 +99,6 @@ func (p Placement) Entries(partitionRules []int) (total int, avg float64) {
 	return total, float64(total) / float64(len(p))
 }
 
-// Switches returns the switches that host at least one partition.
-func (p Placement) Switches() []int {
-	var out []int
-	for s := range p {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // CoversPath reports whether a switch path would traverse the query's M
 // partitions in order 0..M-1 (each partition found at or after the
 // previous one's position) — the correctness condition resilient

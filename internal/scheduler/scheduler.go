@@ -39,7 +39,8 @@ type Budget struct {
 	Stages int
 	// ArraySize is each state bank's register count.
 	ArraySize uint32
-	// RulesPerModule is each module table's rule capacity.
+	// RulesPerModule is each module's rule capacity, and newton_fin's
+	// (one entry per installed program).
 	RulesPerModule int
 	// ClassifierPreds caps the distinct (column, value, mask) predicates
 	// the newton_init compiled classifier may hold. Per-dimension lookup
@@ -77,7 +78,7 @@ type Decision struct {
 	Stats    compiler.Stats
 }
 
-// bankKey identifies one state bank and one module table.
+// bankKey identifies one state bank, tableKey one module.
 type bankKey struct{ stage, set int }
 type tableKey struct {
 	stage, set int
@@ -175,6 +176,7 @@ type Tracker struct {
 	regs      map[bankKey]uint32
 	rules     map[tableKey]int
 	initRules int
+	programs  int // newton_fin entries: one per program
 	preds     map[modules.InitPredKey]struct{}
 }
 
@@ -203,7 +205,7 @@ func (t *Tracker) Budget() Budget { return t.b }
 // tentatively and discarded on any switch's rejection.
 func (t *Tracker) Clone() *Tracker {
 	c := &Tracker{b: t.b, regs: make(map[bankKey]uint32, len(t.regs)),
-		rules: make(map[tableKey]int, len(t.rules)), initRules: t.initRules,
+		rules: make(map[tableKey]int, len(t.rules)), initRules: t.initRules, programs: t.programs,
 		preds: make(map[modules.InitPredKey]struct{}, len(t.preds))}
 	for k, v := range t.regs {
 		c.regs[k] = v
@@ -265,6 +267,9 @@ func (t *Tracker) Fits(p *modules.Program) (bool, string) {
 	if t.initRules+branches > t.b.InitCapacity() {
 		return false, "newton_init out of rule capacity"
 	}
+	if t.programs >= t.b.RulesPerModule {
+		return false, "newton_fin out of rule capacity"
+	}
 	if fresh := t.newPreds(p); len(t.preds)+len(fresh) > t.b.ClassifierPredCap() {
 		return false, fmt.Sprintf("newton_init classifier out of predicate capacity (%d + %d new > %d)",
 			len(t.preds), len(fresh), t.b.ClassifierPredCap())
@@ -283,6 +288,7 @@ func (t *Tracker) Commit(p *modules.Program) {
 		}
 	}
 	t.initRules += len(p.Branches)
+	t.programs++
 	for k := range t.newPreds(p) {
 		t.preds[k] = struct{}{}
 	}

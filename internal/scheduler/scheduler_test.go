@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/newton-net/newton/internal/compiler"
+	"github.com/newton-net/newton/internal/fields"
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/query"
 )
@@ -436,5 +437,37 @@ func TestFitsMatchesEngineInstall(t *testing.T) {
 		if fullBanks == 0 {
 			t.Fatalf("seed %d never filled a bank — the equivalence is vacuous", seed)
 		}
+	}
+}
+
+// TestFitsChargesNewtonFin: every installed program holds one newton_fin
+// entry, and the engine holds RulesPerModule of them. Programs of one K
+// op each, spread so that no module fills, run newton_fin out first; the
+// tracker must refuse the program the engine refuses, and say why.
+func TestFitsChargesNewtonFin(t *testing.T) {
+	b := Budget{Stages: 16, ArraySize: 4096, RulesPerModule: modules.DefaultRulesPerModule}
+	layout, err := modules.NewLayout(modules.LayoutCompact, b.Stages, b.ArraySize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, tr := modules.NewEngine(layout), NewTracker(b)
+	for i := 0; i <= b.RulesPerModule; i++ {
+		p := &modules.Program{QID: i + 1, Branches: []*modules.BranchProgram{{Ops: []*modules.Op{{
+			Kind: modules.ModK, Set: i / b.Stages % 2, Stage: 1 + i%b.Stages,
+			K: &modules.KConfig{Mask: fields.Keep(fields.DstIP)},
+		}}}}}
+		fits, why := tr.Fits(p)
+		ierr := eng.Install(p)
+		if fits != (ierr == nil) {
+			t.Fatalf("program %d: Fits = %v (%s), but Install = %v", i+1, fits, why, ierr)
+		}
+		if fits {
+			tr.Commit(p)
+		} else if i < b.RulesPerModule || !strings.Contains(why, "newton_fin") {
+			t.Fatalf("program %d refused (%s): want only program %d refused, on newton_fin", i+1, why, b.RulesPerModule+1)
+		}
+	}
+	if eng.InstalledCount() != b.RulesPerModule {
+		t.Fatalf("%d programs installed, want %d", eng.InstalledCount(), b.RulesPerModule)
 	}
 }

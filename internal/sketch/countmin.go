@@ -41,9 +41,6 @@ func NewCountMin(rows int, width uint32, algo Algo) *CountMin {
 	return cm
 }
 
-// Rows returns the number of hash rows.
-func (cm *CountMin) Rows() int { return cm.rows }
-
 // Width returns the (power-of-two) counters per row.
 func (cm *CountMin) Width() uint32 { return cm.width }
 

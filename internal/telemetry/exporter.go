@@ -538,13 +538,6 @@ func (e *Exporter) Stats() wire.ExportStats {
 	}
 }
 
-// Err returns the first stream error, if any.
-func (e *Exporter) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.writeErr
-}
-
 // Close detaches any agent hooks, drains the ring (flushing every
 // queued report), sends a bye frame with final counters, and closes the
 // stream. Under PolicyBlock nothing offered before Close is lost unless
