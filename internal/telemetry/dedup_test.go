@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,7 +14,9 @@ import (
 // TestDuplicateReportsDoNotAllocate: deduplication looks a report up by
 // its key bytes serialised into a buffer the service keeps, so a report
 // already seen — every second one when two switches watch the same
-// victims — costs no allocation, and a new one only its map key.
+// victims — costs no allocation. Once keepAlertWindows windows are held,
+// a new window recycles the least recently touched set in place, so a
+// batch of new keys costs none either.
 func TestDuplicateReportsDoNotAllocate(t *testing.T) {
 	s := NewService(ServiceConfig{Window: 100 * time.Millisecond})
 	defer s.Close()
@@ -32,6 +37,188 @@ func TestDuplicateReportsDoNotAllocate(t *testing.T) {
 	if st := s.Stats(); st.DedupKeys != len(batch) || st.DuplicateAlerts != 21*uint64(len(batch)) {
 		t.Fatalf("after the duplicates: %d keys, %d duplicates", st.DedupKeys, st.DuplicateAlerts)
 	}
+
+	// Warm up past keepAlertWindows windows, each with the batch's keys,
+	// then time the dedup step alone: a fresh window's worth of new alerts.
+	w := uint64(0)
+	for ; w <= keepAlertWindows+1; w++ {
+		for i := range batch {
+			batch[i].TS = w * uint64(100*time.Millisecond)
+		}
+		s.ingestReports(a, batch)
+	}
+	if st := s.Stats(); st.DedupKeys != keepAlertWindows*len(batch) {
+		t.Fatalf("after warm-up: %d keys, want %d windows of %d", st.DedupKeys, keepAlertWindows, len(batch))
+	}
+	n := testing.AllocsPerRun(20, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		w++
+		aw := s.alertWindowLocked(w)
+		for i := range batch {
+			if !s.freshAlertLocked(aw, &batch[i]) {
+				t.Fatalf("report %d is a duplicate in the new window %d", i, w)
+			}
+		}
+	})
+	if n != 0 {
+		t.Fatalf("a batch of %d new alerts in a recycled window allocates %.0f times", len(batch), n)
+	}
+}
+
+// TestFutureWindowKeepsCurrentDedup: one report stamped far ahead — a
+// skewed agent clock — takes one window's set and nothing else, so the
+// current window still suppresses another switch's copy of an alert
+// however many keys it goes on to collect.
+func TestFutureWindowKeepsCurrentDedup(t *testing.T) {
+	s := NewService(ServiceConfig{Window: 100 * time.Millisecond})
+	defer s.Close()
+	a := s.registerAgent("s1")
+	windowNs := uint64(100 * time.Millisecond)
+	rep := func(w, key uint64) dataplane.Report {
+		r := dataplane.Report{QueryID: 1, TS: w * windowNs, KeyMask: fields.Keep(fields.DstIP)}
+		r.Keys.Set(fields.DstIP, key)
+		return r
+	}
+	s.ingestReports(a, []dataplane.Report{rep(100, 0)})
+	s.ingestReports(a, []dataplane.Report{rep(1100, 1)})
+	batch := make([]dataplane.Report, 0, 100)
+	for k := uint64(2); k <= 10001; k++ {
+		if batch = append(batch, rep(100, k)); len(batch) == cap(batch) {
+			s.ingestReports(a, batch)
+			batch = batch[:0]
+		}
+	}
+	before := s.Stats().DuplicateAlerts
+	s.ingestReports(a, []dataplane.Report{rep(100, 0)})
+	if st := s.Stats(); st.DuplicateAlerts != before+1 {
+		t.Fatalf("key 0 at window 100 re-alerted after a report at window 1100 (%d keys resident)", st.DedupKeys)
+	}
+}
+
+// dedupModel is the reference alert dedup: a map keyed by (query, window,
+// masked key) that forgets the least recently touched window once more
+// than keepAlertWindows windows are held.
+type dedupModel struct {
+	seen  map[dedupModelKey]bool
+	touch map[uint64]uint64 // window → clock at its last report
+	clock uint64
+}
+
+type dedupModelKey struct {
+	qid int
+	w   uint64
+	key string
+}
+
+func (m *dedupModel) fresh(qid int, w uint64, key string) bool {
+	m.clock++
+	if _, ok := m.touch[w]; !ok && len(m.touch) == keepAlertWindows {
+		var lru uint64
+		oldest := ^uint64(0)
+		for win, c := range m.touch {
+			if c < oldest {
+				lru, oldest = win, c
+			}
+		}
+		delete(m.touch, lru)
+		for k := range m.seen {
+			if k.w == lru {
+				delete(m.seen, k)
+			}
+		}
+	}
+	m.touch[w] = m.clock
+	k := dedupModelKey{qid, w, key}
+	if m.seen[k] {
+		return false
+	}
+	m.seen[k] = true
+	return true
+}
+
+// TestAlertDedupMatchesModel: seeded random batches — four queries with
+// one to three masked fields each, windows moving forward with late and
+// out-of-order reports and one backwards jump — alert or are suppressed
+// report for report as the map reference says, and the resident key
+// count is the reference's.
+func TestAlertDedupMatchesModel(t *testing.T) {
+	const window = 100 // ns
+	pool := []fields.ID{fields.SrcIP, fields.DstIP, fields.Proto, fields.SrcPort, fields.DstPort}
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			masks := map[int]fields.Mask{}
+			for qid := 1; qid <= 4; qid++ {
+				ids := slices.Clone(pool)
+				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+				masks[qid] = fields.Keep(ids[:1+rng.Intn(3)]...)
+			}
+			s := NewService(ServiceConfig{Window: window})
+			defer s.Close()
+			a := s.registerAgent("s1")
+			m := &dedupModel{seen: map[dedupModelKey]bool{}, touch: map[uint64]uint64{}}
+			base, serial := uint64(1000), uint64(0)
+			var dups uint64
+			const batches = 300
+			for b := 0; b < batches; b++ {
+				if b == batches/2 {
+					base -= 300 // the clock jumps back
+				}
+				base += uint64(rng.Intn(3))
+				rs := make([]dataplane.Report, 1+rng.Intn(40))
+				var want []uint64
+				for i := range rs {
+					w := base
+					if rng.Intn(5) == 0 {
+						w -= uint64(rng.Intn(100)) // late: some past the 64 held
+					}
+					qid := 1 + rng.Intn(4)
+					serial++
+					r := dataplane.Report{QueryID: qid, TS: w*window + uint64(rng.Intn(window)), State: serial, KeyMask: masks[qid]}
+					for _, id := range masks[qid].Fields() {
+						r.Keys.Set(id, uint64(rng.Intn(6)))
+					}
+					rs[i] = r
+					if m.fresh(qid, w, string(r.KeyMask.Bytes(&r.Keys, nil))) {
+						want = append(want, serial)
+					} else {
+						dups++
+					}
+				}
+				s.ingestReports(a, rs)
+				var got []uint64
+				for _, r := range s.DrainReports() {
+					got = append(got, r.State)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("batch %d: alerted %v, reference alerts %v", b, got, want)
+				}
+				if st := s.Stats(); st.DuplicateAlerts != dups || st.DedupKeys != len(m.seen) {
+					t.Fatalf("batch %d: %d duplicates, %d keys; reference %d, %d", b, st.DuplicateAlerts, st.DedupKeys, dups, len(m.seen))
+				}
+			}
+		})
+	}
+
+	// Forced collisions: different entries under one hash all alert, and
+	// each is then a duplicate of itself.
+	t.Run("collision", func(t *testing.T) {
+		aw := &alertWindow{slots: map[uint64]uint32{}}
+		x, y, z := []byte{3, 1, 2, 3}, []byte{3, 1, 2, 4}, []byte{1, 9}
+		for _, c := range []struct {
+			h     uint64
+			k     []byte
+			fresh bool
+		}{
+			{7, x, true}, {7, y, true}, {7, x, false}, {7, y, false},
+			{8, z, true}, {8, z, false}, {7, y, false},
+		} {
+			if got := aw.add(c.h, c.k); got != c.fresh {
+				t.Fatalf("add(%d, %v) = %v, want %v", c.h, c.k, got, c.fresh)
+			}
+		}
+	})
 }
 
 // TestPendingAlertsAreBounded: a service nobody drains — newton-analyzer

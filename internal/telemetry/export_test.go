@@ -21,3 +21,6 @@ func (s *Service) BankSlots(qid int) (n int) {
 	}
 	return n
 }
+
+// KeepAlertWindows is how many windows' dedup sets the service holds.
+const KeepAlertWindows = keepAlertWindows

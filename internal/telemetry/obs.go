@@ -149,7 +149,7 @@ func (s *Service) RegisterObs(reg *obs.Registry) {
 		"Same-epoch bank geometry conflicts resolved by replacement.",
 		stat(func(st ServiceStats) uint64 { return st.GeometryConflicts }))
 	reg.GaugeFunc("newton_analyzer_dedup_keys",
-		"Alert-dedup keys resident (keys older than 64 windows are compacted away).",
+		"Alert-dedup keys resident (the sets of the 64 most recently touched windows).",
 		func() float64 { return float64(s.Stats().DedupKeys) })
 	reg.GaugeFunc("newton_analyzer_merged_bytes",
 		"Bytes held by the retained merged rows, recycled ones included (bitmap + nonzero sums).",

@@ -1,9 +1,12 @@
 package telemetry
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net"
 	"slices"
@@ -33,11 +36,11 @@ type ServiceConfig struct {
 	KeepEpochs int
 }
 
-// keepAlertWindows bounds the alert-dedup memory: dedup keys whose
-// window trails the newest seen window by more than this many windows
-// are compacted away. Retention is what keeps analyzer heap flat under
-// many keys — a late duplicate older than the horizon would re-alert,
-// but its window has long been judged.
+// keepAlertWindows bounds the alert-dedup memory: the service holds the
+// dedup sets of at most this many windows, and a window it does not hold
+// recycles the least recently touched one. Retention is what keeps
+// analyzer heap flat under many keys — a late duplicate whose window was
+// recycled would re-alert, but that window has long been judged.
 const keepAlertWindows = 64
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
@@ -91,12 +94,37 @@ func (m *MergedBank) slot(keyBytes []byte) uint32 {
 	return bs.Slot(keyBytes)
 }
 
-// alertKey deduplicates threshold alerts network-wide: one alert per
-// query, window, and monitored key, whichever switch reports first.
-type alertKey struct {
-	qid    int
-	window uint64
-	key    string // masked key bytes
+// alertWindow is the alert-dedup set of one window: one alert per query
+// and monitored key in it network-wide, whichever switch reports first.
+type alertWindow struct {
+	w     uint64
+	touch uint64 // Service.touches when the set was last looked up
+	// slots maps an entry's hash to its offset in keys. A hash taken by a
+	// different entry probes the next one, so a collision never
+	// suppresses an alert.
+	slots map[uint64]uint32
+	// keys is the arena of entries: a length byte, then the query ID and
+	// the masked key bytes, at most 8 + NumFields×8 = 104 bytes.
+	keys []byte
+}
+
+// The longest entry after its length byte must fit in that byte.
+const _ = uint8(8 + 8*fields.NumFields)
+
+// add records entry k (length byte first) under its hash h and reports
+// whether k was new to the window.
+func (aw *alertWindow) add(h uint64, k []byte) bool {
+	for ; ; h++ {
+		off, ok := aw.slots[h]
+		if !ok {
+			aw.slots[h] = uint32(len(aw.keys))
+			aw.keys = append(aw.keys, k...)
+			return true
+		}
+		if e := aw.keys[off:]; bytes.Equal(e[:1+int(e[0])], k) {
+			return false
+		}
+	}
 }
 
 // EventKind classifies subscription events.
@@ -195,18 +223,16 @@ type Service struct {
 	// pinned; deleting its entry is how a query is forgotten.
 	queries map[int]*queryState
 
-	// Alert dedup with bounded retention: maxWindow tracks the newest
-	// window seen, and once seen grows past seenCompactAt the keys
-	// older than keepAlertWindows are compacted away (amortized — the
-	// threshold doubles with the surviving population, so compaction
-	// cost stays O(1) per report).
-	seen          map[alertKey]bool
-	keyBuf        []byte // masked key bytes being looked up: a report's in seen, a read's in a merged row
-	maxWindow     uint64
-	seenCompactAt int
-	pending       []dataplane.Report // deduped alerts not yet drained, the newest maxPending
-	subs          map[int]chan Event
-	nextSub       int
+	// Alert dedup: one set per window, at most keepAlertWindows of them.
+	// A window not held takes the least recently touched set once all are
+	// in use, recycled in place so a fresh alert allocates nothing.
+	alerts    []*alertWindow
+	alertSeed maphash.Seed
+	touches   uint64
+	keyBuf    []byte             // being looked up: a report's dedup entry, or a read's masked key bytes in a merged row
+	pending   []dataplane.Report // deduped alerts not yet drained, the newest maxPending
+	subs      map[int]chan Event
+	nextSub   int
 
 	// partialEpochs counts superseded epochs: when a query's frontier
 	// advances, the epoch it leaves is judged final and counted partial if
@@ -229,13 +255,12 @@ type Service struct {
 // NewService builds an analyzer service.
 func NewService(cfg ServiceConfig) *Service {
 	return &Service{
-		cfg:           cfg.withDefaults(),
-		conns:         map[net.Conn]struct{}{},
-		agents:        map[string]*agentInfo{},
-		queries:       map[int]*queryState{},
-		seen:          map[alertKey]bool{},
-		seenCompactAt: minSeenCompact,
-		subs:          map[int]chan Event{},
+		cfg:       cfg.withDefaults(),
+		conns:     map[net.Conn]struct{}{},
+		agents:    map[string]*agentInfo{},
+		queries:   map[int]*queryState{},
+		alertSeed: maphash.MakeSeed(),
+		subs:      map[int]chan Event{},
 	}
 }
 
@@ -468,22 +493,19 @@ func (s *Service) ingestReports(agent *agentInfo, rs []dataplane.Report) {
 	s.mu.Lock()
 	agent.Reports += uint64(len(rs))
 	s.totalReports += uint64(len(rs))
-	for _, r := range rs {
+	var aw *alertWindow // the set of the window the last report fell in
+	for i := range rs {
+		r := &rs[i]
 		w := r.TS / windowNs
-		if w > s.maxWindow {
-			s.maxWindow = w
+		if aw == nil || aw.w != w {
+			aw = s.alertWindowLocked(w)
 		}
-		// The lookup converts the kept buffer in the index expression, which
-		// the compiler does without copying; only a key seen for the first
-		// time becomes a string.
-		s.keyBuf = r.KeyMask.Bytes(&r.Keys, s.keyBuf[:0])
-		if s.seen[alertKey{qid: r.QueryID, window: w, key: string(s.keyBuf)}] {
+		if !s.freshAlertLocked(aw, r) {
 			s.dupAlerts++
 			continue
 		}
-		s.seen[alertKey{qid: r.QueryID, window: w, key: string(s.keyBuf)}] = true
-		s.pending = append(s.pending, r)
-		fresh = append(fresh, Event{Kind: EventAlert, Report: r, Window: w})
+		s.pending = append(s.pending, *r)
+		fresh = append(fresh, Event{Kind: EventAlert, Report: *r, Window: w})
 	}
 	// Nobody may ever drain (newton-analyzer only subscribes): keep the
 	// newest maxPending. Cutting from the front costs nothing now; append
@@ -493,7 +515,6 @@ func (s *Service) ingestReports(agent *agentInfo, rs []dataplane.Report) {
 		s.pending = s.pending[over:]
 		s.pendingDropped += uint64(over)
 	}
-	s.compactSeenLocked()
 	s.publishLocked(fresh)
 	s.mu.Unlock()
 }
@@ -502,25 +523,41 @@ func (s *Service) ingestReports(agent *agentInfo, rs []dataplane.Report) {
 // (240 B each, ~15 MB): past it the oldest are dropped and counted.
 const maxPending = 1 << 16
 
-// minSeenCompact is the dedup-map population below which compaction is
-// never attempted — small maps are cheaper to keep than to sweep.
-const minSeenCompact = 8192
-
-// compactSeenLocked bounds the alert-dedup memory: once the map
-// outgrows its amortization threshold, keys older than the
-// keepAlertWindows horizon are dropped. The threshold then doubles
-// with the surviving population, so each key is visited O(1) times.
-func (s *Service) compactSeenLocked() {
-	if len(s.seen) < s.seenCompactAt || s.maxWindow < keepAlertWindows {
-		return
-	}
-	horizon := s.maxWindow - keepAlertWindows
-	for k := range s.seen {
-		if k.window < horizon {
-			delete(s.seen, k)
+// alertWindowLocked returns window w's dedup set and touches it: the one
+// held, else a new one while fewer than keepAlertWindows are held, else
+// the least recently touched set, emptied in place (the map keeps its
+// table and the arena its array).
+func (s *Service) alertWindowLocked(w uint64) *alertWindow {
+	s.touches++
+	var lru *alertWindow
+	for _, aw := range s.alerts {
+		if aw.w == w {
+			aw.touch = s.touches
+			return aw
+		}
+		if lru == nil || aw.touch < lru.touch {
+			lru = aw
 		}
 	}
-	s.seenCompactAt = max(minSeenCompact, 2*len(s.seen))
+	if len(s.alerts) < keepAlertWindows {
+		lru = &alertWindow{slots: map[uint64]uint32{}}
+		s.alerts = append(s.alerts, lru)
+	} else {
+		clear(lru.slots)
+		lru.keys = lru.keys[:0]
+	}
+	lru.w, lru.touch = w, s.touches
+	return lru
+}
+
+// freshAlertLocked adds r's query and masked key to its window's set aw
+// and reports whether they were new there: whether r is an alert.
+func (s *Service) freshAlertLocked(aw *alertWindow, r *dataplane.Report) bool {
+	k := binary.BigEndian.AppendUint64(append(s.keyBuf[:0], 0), uint64(r.QueryID))
+	k = r.KeyMask.Bytes(&r.Keys, k)
+	k[0] = byte(len(k) - 1)
+	s.keyBuf = k
+	return aw.add(maphash.Bytes(s.alertSeed, k), k)
 }
 
 // queryState is everything the service holds about one query. Ingest,
@@ -1055,7 +1092,7 @@ type ServiceStats struct {
 	RawBytes    uint64 // uncompressed cost of the frames ingested
 	DeltaFrames uint64 // snapshot frames that arrived delta-encoded
 	ChainBreaks uint64 // delta snapshots dropped for a missing base epoch
-	DedupKeys   int    // alert-dedup keys resident (keys older than 64 windows are compacted away)
+	DedupKeys   int    // alert-dedup keys resident: the population of the (at most 64) windows' sets
 	MergedBytes uint64 // held by the retained merged rows, recycled ones included: bitmap + nonzero sums
 }
 
@@ -1079,7 +1116,9 @@ func (s *Service) Stats() ServiceStats {
 		PartialEpochs:      s.partialEpochs,
 		WidthTransitions:   s.widthTransitions,
 		GeometryConflicts:  s.geomConflicts,
-		DedupKeys:          len(s.seen),
+	}
+	for _, aw := range s.alerts {
+		st.DedupKeys += len(aw.slots)
 	}
 	for _, a := range s.agents {
 		if a.Streams > 0 {

@@ -259,17 +259,18 @@ func TestBinaryReconnectReplaysKeyframe(t *testing.T) {
 	}
 }
 
-// TestAlertDedupMemoryBounded: the dedup map compacts once windows age
-// past the retention horizon, so resident keys stay bounded while
-// duplicate suppression for recent windows still works.
+// TestAlertDedupMemoryBounded: the dedup holds at most keepAlertWindows
+// windows' sets and recycles the least recently touched one for a new
+// window, so resident keys stay bounded while duplicate suppression for
+// recent windows still works.
 func TestAlertDedupMemoryBounded(t *testing.T) {
 	svc := telemetry.NewService(telemetry.ServiceConfig{Window: 100 * time.Nanosecond})
 	defer svc.Close()
 	exp := connect(t, svc, "sw1", telemetry.ExporterConfig{Policy: telemetry.PolicyBlock}, nil)
 	defer exp.Close()
 
-	// 40k unique (window, key) alerts marching forward in time: without
-	// compaction the dedup map would hold all of them.
+	// 40k unique (window, key) alerts marching forward in time, one a
+	// window: without recycling the dedup would hold all of them.
 	const total = 40000
 	batch := make([]dataplane.Report, 0, 100)
 	for i := 0; i < total; i++ {
@@ -283,10 +284,10 @@ func TestAlertDedupMemoryBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "all reports ingested", func() bool { return svc.Stats().Reports == total })
-	if keys := svc.Stats().DedupKeys; keys >= total/2 {
-		t.Fatalf("dedup keys not compacted: %d resident of %d total", keys, total)
+	if keys := svc.Stats().DedupKeys; keys > telemetry.KeepAlertWindows {
+		t.Fatalf("dedup keys not recycled: %d resident of %d total, want at most %d", keys, total, telemetry.KeepAlertWindows)
 	}
-	// Recent-window dedup still works after compaction.
+	// Recent-window dedup still works after recycling.
 	exp.Export([]dataplane.Report{report(1, uint64(total-1)*100, uint64(total-1))})
 	if err := exp.Flush(); err != nil {
 		t.Fatal(err)
