@@ -17,10 +17,11 @@ import (
 // runOrch is the `newton-ctl plan` / `newton-ctl apply` entry: build a
 // fleet of agents over in-memory pipes on the chosen topology, compute the
 // network-wide plan (placement + per-switch budget admission), and
-// either print the typed diff (plan) or drive it through the
-// transactional deploy path (apply). -drain demonstrates re-admission:
-// after the initial deploy, the named switch is drained, the plan is
-// recomputed, and only the delta is applied.
+// either print the diff — the wanted state of each query that differs
+// from the deployment — (plan) or drive it through the transactional
+// deploy path (apply). -drain demonstrates re-admission: after the
+// initial deploy, the named switch is drained, the plan is recomputed,
+// and the controller contacts only the switches whose share changed.
 func runOrch(cmd string, args []string) {
 	fs := flag.NewFlagSet("newton-ctl "+cmd, flag.ExitOnError)
 	var (

@@ -137,7 +137,7 @@ func main() {
 	fmt.Println("\ninstalled per switch after the delta:")
 	printInstalls(names, engines)
 
-	// The expected-contributor set followed the update: the next epoch is
+	// The expected-contributor set followed the drain: the next epoch is
 	// already full with s1 alone.
 	epoch2 := engines["s1"].Layout().Epoch()
 	if err := ctl.Tick(); err != nil {

@@ -375,14 +375,11 @@ func (m *Monitor) Tick() TickReport {
 					st.Forgotten = true
 					forgets = append(forgets, s.name)
 				}
-			} else {
-				st.State, st.good = Recovering, 1
-				if st.good >= m.cfg.RecoverAfter {
-					st.State, st.good = Healthy, 0
-					action = "auto-undrain"
-					rep.Undrained = append(rep.Undrained, s.name)
-				}
+				break
 			}
+			// A good round starts recovery: the one re-admission path.
+			st.State, st.good = Recovering, 0
+			fallthrough
 		case Recovering:
 			if s.bad {
 				// Flap: back to down without re-draining (it never left).

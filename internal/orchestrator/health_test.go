@@ -281,6 +281,45 @@ func TestHysteresisHoldsFlappingSwitchOut(t *testing.T) {
 	}
 }
 
+// TestRecoverAfterOneClearsDrainReason: with RecoverAfter 1 a down
+// switch is re-admitted by its first good round, through the same path
+// as a longer recovery — so it comes back Healthy with no drain reason
+// and exactly one auto-undrain event.
+func TestRecoverAfterOneClearsDrainReason(t *testing.T) {
+	fleet := newFakeFleet()
+	probes := &probeScript{}
+	m, clk := testMonitor(t, fleet, probes, func(c *HealthConfig) { c.RecoverAfter = 1 })
+
+	probes.set("s2", errors.New("link down"))
+	for i := 0; i < 3; i++ {
+		clk.advance(time.Second)
+		m.Tick()
+	}
+	wantState(t, m, "s2", Down)
+
+	probes.set("s2", nil)
+	clk.advance(time.Second)
+	rep := m.Tick()
+	wantState(t, m, "s2", Healthy)
+	if len(rep.Undrained) != 1 || rep.Undrained[0] != "s2" {
+		t.Fatalf("Undrained = %v, want [s2]", rep.Undrained)
+	}
+	for _, sw := range m.Snapshot().Switches {
+		if sw.Switch == "s2" && sw.DrainReason != "" {
+			t.Fatalf("healthy switch keeps drain reason %q", sw.DrainReason)
+		}
+	}
+	undrains := 0
+	for _, ev := range m.Events() {
+		if ev.Switch == "s2" && ev.Action == "auto-undrain" {
+			undrains++
+		}
+	}
+	if undrains != 1 {
+		t.Fatalf("auto-undrain events = %d, want 1:\n%v", undrains, m.Events())
+	}
+}
+
 // TestConvergeRetryAfterError: a failed converge leaves the monitor
 // dirty, and a later tick retries it even with no new transitions.
 func TestConvergeRetryAfterError(t *testing.T) {

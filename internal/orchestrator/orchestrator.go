@@ -7,15 +7,18 @@
 // result to the switch agents — with expected telemetry contributors
 // registered so merged epochs carry honest Partial/Missing provenance.
 //
-// Plan is a pure recompute: it never talks to agents. The typed Diff it
-// returns against the recorded deployment is what Apply drives, so a
-// topology or budget change (switch drained, envelope shrunk) touches
-// only the delta — never a full redeploy. newton-ctl surfaces the same
-// split as `plan` (inspect) and `apply` (commit).
+// Plan is a pure recompute: it never talks to agents. The Diff it
+// returns against the recorded deployment is the wanted state of each
+// query that differs; Apply hands each one to controller.Remote, whose
+// reconcile contacts only the switches whose share changed, so a
+// topology or budget change (switch drained, envelope shrunk) is never
+// a full redeploy. newton-ctl surfaces the same split as `plan`
+// (inspect) and `apply` (commit).
 package orchestrator
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -88,60 +91,20 @@ type Plan struct {
 	StagesPer int
 }
 
-// Action classifies one diff entry.
-type Action int
-
-const (
-	// ActionInstall deploys a query not currently on the network.
-	ActionInstall Action = iota
-	// ActionUpdate moves an existing placement deploy to a new
-	// assignment, touching only the changed switches.
-	ActionUpdate
-	// ActionRemove uninstalls a deployed query (intent withdrawn, or the
-	// replan rejected it).
-	ActionRemove
-	// ActionResize changes a deployed query's sketch width in place —
-	// same qid, same switches — via the controller's resize path, so
-	// consumers tracking the query survive the geometry change.
-	ActionResize
-)
-
-// String names the action as `newton-ctl plan` prints it.
-func (a Action) String() string {
-	switch a {
-	case ActionInstall:
-		return "install"
-	case ActionUpdate:
-		return "update"
-	case ActionRemove:
-		return "remove"
-	case ActionResize:
-		return "resize"
-	}
-	return fmt.Sprintf("action(%d)", int(a))
-}
-
-// Delta is one operation needed to move the network from the recorded
-// deployment to the new plan.
+// Delta is one query whose deployment differs from the plan: Target is
+// its wanted state (nil removes it) and QID the deployed qid that state
+// replaces (0 installs a new one). controller.Remote works out which
+// switches the change contacts.
 type Delta struct {
 	Query  string
-	Action Action
-	QID    int // the deployed qid (update/remove/resize)
-
-	// FromWidth is the currently deployed width a resize moves away from.
-	FromWidth uint32
-
-	// Per-switch assignment movement for updates: partitions gained and
-	// lost by each switch. Unlisted switches are untouched.
-	Add, Drop map[string][]int
-
-	// Target is the desired end state (install/update).
-	Target QueryPlan
+	QID    int
+	Target *QueryPlan
 }
 
-// Diff is the typed plan-vs-deployed delta the operator inspects before
-// Apply commits it. Deltas are ordered removes, then resizes, then
-// updates, then installs, so freed capacity is available to newcomers.
+// Diff is the plan-vs-deployed difference the operator inspects before
+// Apply commits it. Deltas are ordered removes, then in-place changes
+// that move the width, then other in-place changes, then installs, so
+// freed capacity is available to newcomers.
 type Diff struct {
 	Deltas []Delta
 }
@@ -149,33 +112,28 @@ type Diff struct {
 // Empty reports whether the deployment already matches the plan.
 func (d Diff) Empty() bool { return len(d.Deltas) == 0 }
 
-// String renders the diff for operators.
+// String renders each delta's target state for operators.
 func (d Diff) String() string {
 	if d.Empty() {
 		return "no changes: deployment matches plan\n"
 	}
 	var b strings.Builder
 	for _, dl := range d.Deltas {
-		fmt.Fprintf(&b, "%-8s %s", dl.Action, dl.Query)
-		switch dl.Action {
-		case ActionRemove:
+		verb := "deploy"
+		if dl.Target == nil {
+			verb = "remove"
+		}
+		fmt.Fprintf(&b, "%s %s", verb, dl.Query)
+		if dl.QID != 0 {
 			fmt.Fprintf(&b, " (qid %d)", dl.QID)
-		case ActionResize:
-			fmt.Fprintf(&b, " (qid %d) width %d -> %d", dl.QID, dl.FromWidth, dl.Target.Width)
-		case ActionInstall:
-			if dl.Target.Single {
-				fmt.Fprintf(&b, " width=%d on %s", dl.Target.Width, strings.Join(dl.Target.Targets, ","))
-			} else {
-				fmt.Fprintf(&b, " width=%d %d partitions over %d switches",
-					dl.Target.Width, dl.Target.M, len(dl.Target.Parts))
+		}
+		if t := dl.Target; t != nil {
+			fmt.Fprintf(&b, " width=%d", t.Width)
+			for _, sw := range t.Targets {
+				fmt.Fprintf(&b, " %s", sw)
 			}
-		case ActionUpdate:
-			fmt.Fprintf(&b, " (qid %d)", dl.QID)
-			for _, sw := range sortedKeys(dl.Drop) {
-				fmt.Fprintf(&b, " -%s%v", sw, dl.Drop[sw])
-			}
-			for _, sw := range sortedKeys(dl.Add) {
-				fmt.Fprintf(&b, " +%s%v", sw, dl.Add[sw])
+			for _, sw := range sortedKeys(t.Parts) {
+				fmt.Fprintf(&b, " %s%v", sw, t.Parts[sw])
 			}
 		}
 		b.WriteByte('\n')
@@ -220,8 +178,6 @@ type Orchestrator struct {
 	// the cap of a name it no longer lists, so a re-submitted intent
 	// starts frugal, not at its dead predecessor's width.
 	widthCap map[string]uint32
-
-	obs orchObs
 }
 
 // New builds an orchestrator over a remote controller's fleet.
@@ -350,7 +306,6 @@ func (o *Orchestrator) Plan() (*Plan, Diff, error) {
 }
 
 func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
-	o.obs.inc(&o.obs.plans)
 	trackers := map[string]*scheduler.Tracker{}
 	for name, b := range o.cfg.Budgets {
 		if !o.drained[name] {
@@ -372,13 +327,7 @@ func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
 
 	plans := make([]QueryPlan, len(o.intents))
 	for _, idx := range order {
-		qp := o.planIntent(o.intents[idx], trackers, stagesPer)
-		if qp.Admitted {
-			o.obs.inc(&o.obs.admissions)
-		} else {
-			o.obs.inc(&o.obs.rejections)
-		}
-		plans[idx] = qp
+		plans[idx] = o.planIntent(o.intents[idx], trackers, stagesPer)
 	}
 	p := &Plan{Queries: plans, StagesPer: stagesPer}
 	return p, o.diff(p), nil
@@ -580,131 +529,49 @@ func (o *Orchestrator) admitPartitioned(in Intent, w uint32, stages, stagesPer i
 	}, ""
 }
 
-// diff compares a plan against the recorded deployment.
+// diff compares a plan against the recorded deployment. A change that
+// keeps the deploy mode keeps the qid; only a Single <-> partitioned
+// flip, which the controller refuses under a live qid, is a remove and
+// an install.
 func (o *Orchestrator) diff(p *Plan) Diff {
-	var removes, resizes, updates, installs []Delta
+	var removes, resizes, moves, installs []Delta
 	seen := map[string]bool{}
-	for _, qp := range p.Queries {
+	for i := range p.Queries {
+		qp := &p.Queries[i]
 		name := qp.Intent.Query.Name
 		seen[name] = true
 		cur, deployed := o.deployed[name]
 		switch {
-		case !qp.Admitted && deployed:
-			removes = append(removes, Delta{Query: name, Action: ActionRemove, QID: cur.qid})
+		case deployed && (!qp.Admitted || cur.plan.Single != qp.Single):
+			removes = append(removes, Delta{Query: name, QID: cur.qid})
+			if qp.Admitted {
+				installs = append(installs, Delta{Query: name, Target: qp})
+			}
 		case !qp.Admitted:
 			// rejected and not deployed: nothing to do
 		case !deployed:
-			installs = append(installs, Delta{Query: name, Action: ActionInstall, Target: qp})
-		case samePlan(cur.plan, qp):
+			installs = append(installs, Delta{Query: name, Target: qp})
+		case samePlan(cur.plan, *qp):
 			// converged
-		case sameShapeIgnoringWidth(cur.plan, qp):
-			// Only the width moved: resize in place, keeping the qid.
-			resizes = append(resizes, Delta{
-				Query: name, Action: ActionResize, QID: cur.qid,
-				FromWidth: cur.plan.Width, Target: qp,
-			})
-		case !cur.plan.Single && !qp.Single &&
-			cur.plan.Width == qp.Width && cur.plan.M == qp.M:
-			add, drop := partsDelta(cur.plan.Parts, qp.Parts)
-			updates = append(updates, Delta{
-				Query: name, Action: ActionUpdate, QID: cur.qid,
-				Add: add, Drop: drop, Target: qp,
-			})
+		case cur.plan.Width != qp.Width:
+			resizes = append(resizes, Delta{Query: name, QID: cur.qid, Target: qp})
 		default:
-			// Shape changed (mode or width or partition count): replace.
-			removes = append(removes, Delta{Query: name, Action: ActionRemove, QID: cur.qid})
-			installs = append(installs, Delta{Query: name, Action: ActionInstall, Target: qp})
+			moves = append(moves, Delta{Query: name, QID: cur.qid, Target: qp})
 		}
 	}
 	for name, cur := range o.deployed {
 		if !seen[name] {
-			removes = append(removes, Delta{Query: name, Action: ActionRemove, QID: cur.qid})
+			removes = append(removes, Delta{Query: name, QID: cur.qid})
 		}
 	}
 	sort.Slice(removes, func(i, j int) bool { return removes[i].Query < removes[j].Query })
-	var d Diff
-	d.Deltas = append(d.Deltas, removes...)
-	d.Deltas = append(d.Deltas, resizes...)
-	d.Deltas = append(d.Deltas, updates...)
-	d.Deltas = append(d.Deltas, installs...)
-	return d
-}
-
-// sameShapeIgnoringWidth reports whether a deployed plan matches its
-// target on everything but width — the in-place resize precondition.
-func sameShapeIgnoringWidth(a, b QueryPlan) bool {
-	a.Width = b.Width
-	return samePlan(a, b)
+	return Diff{Deltas: slices.Concat(removes, resizes, moves, installs)}
 }
 
 // samePlan reports whether a deployed query already matches its target.
 func samePlan(a, b QueryPlan) bool {
-	if a.Single != b.Single || a.Width != b.Width || a.M != b.M {
-		return false
-	}
-	if a.Single {
-		if len(a.Targets) != len(b.Targets) {
-			return false
-		}
-		for i := range a.Targets {
-			if a.Targets[i] != b.Targets[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if len(a.Parts) != len(b.Parts) {
-		return false
-	}
-	for sw, ap := range a.Parts {
-		if !sameInts(ap, b.Parts[sw]) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// partsDelta computes per-switch partition gains and losses.
-func partsDelta(old, new map[string][]int) (add, drop map[string][]int) {
-	add, drop = map[string][]int{}, map[string][]int{}
-	for sw, np := range new {
-		op := old[sw]
-		for _, k := range np {
-			if !containsInt(op, k) {
-				add[sw] = append(add[sw], k)
-			}
-		}
-	}
-	for sw, op := range old {
-		np := new[sw]
-		for _, k := range op {
-			if !containsInt(np, k) {
-				drop[sw] = append(drop[sw], k)
-			}
-		}
-	}
-	return add, drop
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	return a.Single == b.Single && a.Width == b.Width && a.M == b.M &&
+		slices.Equal(a.Targets, b.Targets) && maps.EqualFunc(a.Parts, b.Parts, slices.Equal[[]int])
 }
 
 // Apply commits a diff through the remote controller's one transactional
@@ -721,27 +588,23 @@ func (o *Orchestrator) Apply(p *Plan, d Diff) error {
 
 func (o *Orchestrator) applyLocked(p *Plan, d Diff) error {
 	for _, dl := range d.Deltas {
-		if dl.Action == ActionRemove {
+		t := dl.Target
+		if t == nil {
 			if err := o.remote.Remove(dl.QID); err != nil {
 				return fmt.Errorf("orchestrator: remove %s: %w", dl.Query, err)
 			}
 			delete(o.deployed, dl.Query)
-		} else {
-			t := dl.Target
-			want := controller.Want{Query: t.Intent.Query, Width: t.Width, Targets: t.Targets}
-			if !t.Single {
-				want.StagesPer, want.Parts = p.StagesPer, t.Parts
-			}
-			qid, _, err := o.remote.Deploy(dl.QID, want)
-			if err != nil {
-				return fmt.Errorf("orchestrator: %s %s: %w", dl.Action, dl.Query, err)
-			}
-			o.deployed[dl.Query] = &deployedState{qid: qid, plan: t}
-			if dl.Action == ActionResize {
-				o.obs.inc(&o.obs.resizes)
-			}
+			continue
 		}
-		o.obs.inc(&o.obs.deltas)
+		want := controller.Want{Query: t.Intent.Query, Width: t.Width, Targets: t.Targets}
+		if !t.Single {
+			want.StagesPer, want.Parts = p.StagesPer, t.Parts
+		}
+		qid, _, err := o.remote.Deploy(dl.QID, want)
+		if err != nil {
+			return fmt.Errorf("orchestrator: deploy %s: %w", dl.Query, err)
+		}
+		o.deployed[dl.Query] = &deployedState{qid: qid, plan: *t}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -81,7 +82,7 @@ func TestOrchestratorEndToEnd(t *testing.T) {
 	if !q4.Admitted || q4.Single || q4.M != 2 {
 		t.Fatalf("q4 plan = %+v, want admitted 2-partition placement", q4)
 	}
-	if !sameInts(q4.Parts["s1"], []int{0}) || !sameInts(q4.Parts["s2"], []int{1}) || len(q4.Parts) != 2 {
+	if !slices.Equal(q4.Parts["s1"], []int{0}) || !slices.Equal(q4.Parts["s2"], []int{1}) || len(q4.Parts) != 2 {
 		t.Fatalf("q4 parts = %v, want s1:[0] s2:[1]", q4.Parts)
 	}
 	if !q1.Admitted || !q1.Single || len(q1.Targets) != 1 || q1.Targets[0] != "s1" {
@@ -132,8 +133,8 @@ func TestOrchestratorEndToEnd(t *testing.T) {
 		t.Fatalf("epoch %d provenance: missing=%v merged=%d, want none missing from 2 contributors", epoch, missing, merged)
 	}
 
-	// Drain s2: the replan must drop exactly s2's partition — an update
-	// delta, not a reinstall.
+	// Drain s2: the replan keeps q4's qid and wants s2's partition gone —
+	// one in-place delta, not a reinstall.
 	before := f.Switches["s1"].Node.Eng.Programs()
 	o.Drain("s2")
 	p3, d3, err := o.Plan()
@@ -144,14 +145,17 @@ func TestOrchestratorEndToEnd(t *testing.T) {
 		t.Fatalf("drain diff:\n%s\nwant exactly one delta", d3)
 	}
 	dl := d3.Deltas[0]
-	if dl.Action != ActionUpdate || dl.Query != "q4_port_scan" {
-		t.Fatalf("drain delta = %+v, want update of q4", dl)
+	if dl.Query != "q4_port_scan" || dl.QID != qid4 || dl.Target == nil || !samePlan(*dl.Target, p3.Queries[0]) {
+		t.Fatalf("drain delta = %+v, want q4 under qid %d at its planned target", dl, qid4)
 	}
-	if len(dl.Add) != 0 || len(dl.Drop) != 1 || !sameInts(dl.Drop["s2"], []int{1}) {
-		t.Fatalf("drain delta add=%v drop=%v, want drop s2:[1] only", dl.Add, dl.Drop)
+	if _, on := dl.Target.Parts["s2"]; on || !slices.Equal(dl.Target.Parts["s1"], []int{0}) {
+		t.Fatalf("drain target parts = %v, want s1:[0] only", dl.Target.Parts)
 	}
 	if err := o.Apply(p3, d3); err != nil {
 		t.Fatal(err)
+	}
+	if got := o.QID("q4_port_scan"); got != qid4 {
+		t.Fatalf("drain changed q4's qid %d -> %d", qid4, got)
 	}
 
 	if got := f.Switches["s2"].Node.Eng.InstalledCount(); got != 0 {
@@ -182,6 +186,73 @@ func TestOrchestratorEndToEnd(t *testing.T) {
 	missing, merged = waitEpochFull(t, f.Svc, qid4, epoch2)
 	if len(missing) != 0 || merged != 1 {
 		t.Fatalf("post-drain epoch %d: missing=%v merged=%d, want full with 1 contributor", epoch2, missing, merged)
+	}
+}
+
+// waitEpochMerged polls until some contributor's banks for the epoch
+// have merged, failing the test past the deadline.
+func waitEpochMerged(t *testing.T, svc *telemetry.Service, qid int, epoch uint32) (partial bool, missing []string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		partial, missing, merged := svc.EpochStatus(qid, epoch)
+		if merged > 0 {
+			return partial, missing
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("query %d epoch %d never merged", qid, epoch)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestReplanKeepsQID moves a partitioned query's width and its placement
+// in one replan: the diff is one delta under the deployed qid, and the
+// controller's reconcile does the rest — s2 is emptied, the qid
+// survives, and the first epoch after the change reads Partial.
+func TestReplanKeepsQID(t *testing.T) {
+	f := newFleet(t)
+	o := f.orch(t)
+	o.SetIntents([]Intent{
+		{Query: query.Q4(3), Priority: 2, MinWidth: 256, MaxWidth: 1024, Edges: []string{"s1"}},
+		{Query: query.Q1(3), Priority: 1, MinWidth: 256, MaxWidth: 1024, Edges: []string{"s1"}},
+	})
+	if _, _, err := o.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	qid4 := o.QID("q4_port_scan")
+	if st := o.Deployed()["q4_port_scan"]; qid4 == 0 || st.Single || st.Width != 1024 || len(st.Parts["s2"]) == 0 {
+		t.Fatalf("q4 deployed as %+v (qid %d), want width 1024 partitioned onto s2", st, qid4)
+	}
+
+	o.SetWidthCap("q4_port_scan", 512)
+	o.Drain("s2")
+	p, d, err := o.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Deltas) != 1 {
+		t.Fatalf("replan diff:\n%swant exactly one delta", d)
+	}
+	if dl := d.Deltas[0]; dl.Query != "q4_port_scan" || dl.QID != qid4 || dl.Target == nil || dl.Target.Width != 512 {
+		t.Fatalf("replan delta = %+v, want q4 under qid %d at width 512", dl, qid4)
+	}
+	if err := o.Apply(p, d); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.QID("q4_port_scan"); got != qid4 {
+		t.Fatalf("replan changed q4's qid %d -> %d", qid4, got)
+	}
+	if got := f.Switches["s2"].Node.Eng.InstalledCount(); got != 0 {
+		t.Errorf("s2 still holds %d programs after drain", got)
+	}
+
+	epoch := f.Switches["s1"].Node.Layout.Epoch()
+	if err := f.Ctl.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if partial, missing := waitEpochMerged(t, f.Svc, qid4, epoch); !partial || len(missing) != 0 {
+		t.Fatalf("first epoch after the change: partial=%v missing=%v, want partial (width transition) with none missing", partial, missing)
 	}
 }
 
@@ -279,7 +350,7 @@ func TestOrchestratorRemovedIntentUninstalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d2.Deltas) != 1 || d2.Deltas[0].Action != ActionRemove {
+	if len(d2.Deltas) != 1 || d2.Deltas[0].Target != nil {
 		t.Fatalf("diff after intent withdrawal:\n%s\nwant one remove", d2)
 	}
 	if err := o.Apply(p2, d2); err != nil {

@@ -2,7 +2,6 @@ package orchestrator
 
 import (
 	"testing"
-	"time"
 
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/query"
@@ -42,18 +41,19 @@ func TestOrchestratorResizeEndToEnd(t *testing.T) {
 	}
 
 	// The refiner's decision, replayed by hand: pin 1024 and replan. The
-	// diff must be exactly one in-place resize — no remove, no install.
+	// diff must be exactly one delta keeping q1's qid — no remove, no
+	// install.
 	q4Before := f.Switches["s2"].Node.Eng.Programs()
 	o.SetWidthCap("q1_new_tcp_connections", 1024)
 	p, d, err := o.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Deltas) != 1 || d.Deltas[0].Action != ActionResize {
-		t.Fatalf("resize diff:\n%swant exactly one resize", d)
+	if len(d.Deltas) != 1 {
+		t.Fatalf("resize diff:\n%swant exactly one delta", d)
 	}
-	if dl := d.Deltas[0]; dl.QID != qid1 || dl.FromWidth != 256 || dl.Target.Width != 1024 {
-		t.Fatalf("resize delta = %+v, want qid %d width 256 -> 1024", dl, qid1)
+	if dl := d.Deltas[0]; dl.QID != qid1 || dl.Target == nil || dl.Target.Width != 1024 || !samePlan(*dl.Target, p.Queries[0]) {
+		t.Fatalf("resize delta = %+v, want qid %d at its planned width-1024 target", dl, qid1)
 	}
 	if err := o.Apply(p, d); err != nil {
 		t.Fatal(err)
@@ -85,19 +85,8 @@ func TestOrchestratorResizeEndToEnd(t *testing.T) {
 	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		partial, missing, merged := f.Svc.EpochStatus(qid1, tEpoch)
-		if merged > 0 {
-			if !partial || len(missing) != 0 {
-				t.Fatalf("transition epoch %d: partial=%v missing=%v, want partial with none missing", tEpoch, partial, missing)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("transition epoch %d never merged", tEpoch)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if partial, missing := waitEpochMerged(t, f.Svc, qid1, tEpoch); !partial || len(missing) != 0 {
+		t.Fatalf("transition epoch %d: partial=%v missing=%v, want partial with none missing", tEpoch, partial, missing)
 	}
 	if qa, ok := f.Svc.ObservedAccuracy(qid1, tEpoch, 50); !ok || !qa.Transition {
 		t.Fatalf("ObservedAccuracy(transition) = %+v ok=%v, want Transition", qa, ok)
