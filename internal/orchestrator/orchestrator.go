@@ -1,8 +1,8 @@
 // Package orchestrator is the network-wide deployment pipeline that
 // joins the repo's planning islands: resilient placement (§5.2) slices
 // each prioritized intent into partitions, per-switch budget-checked
-// admission (the §7 scheduling problem, generalized from one device to
-// the fleet) degrades sketch widths down the accuracy ladder before
+// admission (the §7 scheduling problem; Plan is the repo's one admission
+// walk) degrades sketch widths down the accuracy ladder before
 // rejecting, and controller.Remote's transactional deploy pushes the
 // result to the switch agents — with expected telemetry contributors
 // registered so merged epochs carry honest Partial/Missing provenance.
@@ -141,7 +141,7 @@ func (d Diff) String() string {
 	return b.String()
 }
 
-func sortedKeys(m map[string][]int) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -269,12 +269,7 @@ func (o *Orchestrator) IsDrained(name string) bool {
 func (o *Orchestrator) Switches() []string {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out := make([]string, 0, len(o.cfg.Budgets))
-	for name := range o.cfg.Budgets {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(o.cfg.Budgets)
 }
 
 // stagesPer resolves the partition size (see Config.StagesPerSwitch).
@@ -333,15 +328,13 @@ func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
 	return p, o.diff(p), nil
 }
 
-// planIntent walks the width ladder for one intent: at each rung,
-// compile, place, and tentatively admit against cloned trackers; the
-// first rung every touched switch accepts is committed.
+// planIntent walks the width ladder for one intent: each rung compiles
+// once, assigns the program (whole replicas, else placed partitions) and
+// charges that assignment; the first rung every switch accepts commits.
 func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Tracker, stagesPer int) QueryPlan {
-	qp := QueryPlan{Intent: in}
 	ladder, err := scheduler.WidthLadder(in.MinWidth, in.MaxWidth)
 	if err != nil {
-		qp.Reason = err.Error()
-		return qp
+		return QueryPlan{Intent: in, Reason: err.Error()}
 	}
 	maxW := ladder[0]
 	if cap, ok := o.widthCap[in.Query.Name]; ok {
@@ -356,50 +349,34 @@ func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Trac
 
 	edgeIDs, err := o.resolveEdges(in.Edges)
 	if err != nil {
-		qp.Reason = err.Error()
-		return qp
+		return QueryPlan{Intent: in, Reason: err.Error()}
 	}
 
+	reason := "does not fit at any acceptable width"
 	for _, w := range ladder {
 		opts := compiler.AllOpts()
-		opts.QID = 1 // placeholder: admission accounting ignores the qid
-		opts.Width = w
+		opts.QID, opts.Width = 1, w // placeholder qid: admission accounting ignores it
 		p, err := compiler.Compile(in.Query, opts)
 		if err != nil {
-			qp.Reason = err.Error()
-			return qp // compilation failure does not improve with width
+			return QueryPlan{Intent: in, Reason: err.Error()} // compilation failure does not improve with width
 		}
-		stages := p.NumStages()
-
-		single := true
-		for _, id := range edgeIDs {
-			name := o.cfg.Topo.Node(id).Name
-			tr, live := trackers[name]
-			if !live || stages > tr.Budget().Stages {
-				single = false
-				break
-			}
+		rung := QueryPlan{Intent: in, Admitted: true, Width: w, Stages: p.NumStages(), M: 1}
+		assign, why := o.replicas(&rung, p, edgeIDs, trackers), ""
+		if assign == nil {
+			assign, why = o.partitions(&rung, p, stagesPer, edgeIDs, trackers)
 		}
-
-		var reason string
-		var admitted *QueryPlan
-		if single {
-			admitted, reason = o.admitSingle(in, p, w, stages, edgeIDs, trackers)
-		} else {
-			admitted, reason = o.admitPartitioned(in, w, stages, stagesPer, edgeIDs, trackers, opts)
+		if why == "" {
+			why = charge(assign, trackers)
 		}
-		if admitted != nil {
+		if why == "" {
 			if w != maxW {
-				admitted.Reason = fmt.Sprintf("degraded from %d to %d registers per row", maxW, w)
+				rung.Reason = fmt.Sprintf("degraded from %d to %d registers per row", maxW, w)
 			}
-			return *admitted
+			return rung
 		}
-		qp.Reason = reason
+		reason = why
 	}
-	if qp.Reason == "" {
-		qp.Reason = "does not fit at any acceptable width"
-	}
-	return qp
+	return QueryPlan{Intent: in, Reason: reason}
 }
 
 // capRungs restricts a ladder to the rungs at or below cap, keeping at
@@ -438,51 +415,41 @@ func (o *Orchestrator) resolveEdges(names []string) ([]int, error) {
 	return ids, nil
 }
 
-// admitSingle replicates the full program on every monitored edge
-// switch, charging each one's tracker.
-func (o *Orchestrator) admitSingle(in Intent, p *modules.Program, w uint32, stages int, edgeIDs []int, trackers map[string]*scheduler.Tracker) (*QueryPlan, string) {
-	var targets []string
-	clones := map[string]*scheduler.Tracker{}
+// replicas assigns the whole program to every monitored edge switch, in
+// edge order, with qp.Targets listing them sorted — or returns nil when
+// one is outside the live fleet or has fewer stages than the program.
+func (o *Orchestrator) replicas(qp *QueryPlan, p *modules.Program, edgeIDs []int, trackers map[string]*scheduler.Tracker) []hosting {
 	for _, id := range edgeIDs {
-		name := o.cfg.Topo.Node(id).Name
-		tr := trackers[name]
-		c := tr.Clone()
-		if ok, why := c.Fits(p); !ok {
-			return nil, fmt.Sprintf("%s: %s", name, why)
+		if tr, live := trackers[o.cfg.Topo.Node(id).Name]; !live || qp.Stages > tr.Budget().Stages {
+			return nil
 		}
-		c.Commit(p)
-		clones[name] = c
-		targets = append(targets, name)
 	}
-	sort.Strings(targets)
-	for name, c := range clones {
-		trackers[name] = c
+	qp.Single, qp.Targets = true, make([]string, len(edgeIDs))
+	assign := make([]hosting, len(edgeIDs))
+	for i, id := range edgeIDs {
+		qp.Targets[i] = o.cfg.Topo.Node(id).Name
+		assign[i] = hosting{sw: qp.Targets[i], prog: p, part: -1}
 	}
-	return &QueryPlan{
-		Intent: in, Admitted: true, Width: w, Stages: stages,
-		M: 1, Single: true, Targets: targets,
-	}, ""
+	sort.Strings(qp.Targets)
+	return assign
 }
 
-// admitPartitioned runs resilient placement over the full topology,
-// restricts the assignment to the live fleet, and charges each switch's
-// tracker for its partitions. Placement is computed on the whole graph —
-// a switch outside the fleet simply cannot host its assignment, which
-// loses redundancy but never correctness, except when partition 0 would
-// vanish entirely (monitored traffic's first hop): that rejects.
-func (o *Orchestrator) admitPartitioned(in Intent, w uint32, stages, stagesPer int, edgeIDs []int, trackers map[string]*scheduler.Tracker, opts compiler.Options) (*QueryPlan, string) {
-	pl, m, err := placement.Place(o.cfg.Topo, edgeIDs, stages, stagesPer)
+// partitions runs resilient placement over the full topology, restricts
+// the assignment to the live fleet, and assigns each switch its slices
+// of the program, switches in name order. Placement is computed on the
+// whole graph — a switch outside the fleet simply cannot host its
+// assignment, which loses redundancy but never correctness, except when
+// partition 0 would vanish entirely (monitored traffic's first hop):
+// that rejects.
+func (o *Orchestrator) partitions(qp *QueryPlan, p *modules.Program, stagesPer int, edgeIDs []int, trackers map[string]*scheduler.Tracker) ([]hosting, string) {
+	pl, m, err := placement.Place(o.cfg.Topo, edgeIDs, qp.Stages, stagesPer)
 	if err != nil {
 		return nil, err.Error()
 	}
 
-	// One sliced instance for admission accounting; Apply's installs
-	// compile fresh per-switch copies inside controller.Remote.
-	logical, err := compiler.Compile(in.Query, opts)
-	if err != nil {
-		return nil, err.Error()
-	}
-	partProgs, err := modules.SliceProgram(logical, stagesPer)
+	// A deep-copied slicing of the rung's program for admission accounting;
+	// Apply's installs compile fresh per-switch copies in controller.Remote.
+	partProgs, err := modules.SliceProgram(p, stagesPer)
 	if err != nil {
 		return nil, err.Error()
 	}
@@ -495,11 +462,7 @@ func (o *Orchestrator) admitPartitioned(in Intent, w uint32, stages, stagesPer i
 			continue // not in the fleet, or drained
 		}
 		parts[name] = append([]int(nil), idxs...)
-		for _, k := range idxs {
-			if k == 0 {
-				part0Hosted = true
-			}
-		}
+		part0Hosted = part0Hosted || slices.Contains(idxs, 0)
 	}
 	if len(parts) == 0 {
 		return nil, "no live switch can host any partition"
@@ -508,25 +471,45 @@ func (o *Orchestrator) admitPartitioned(in Intent, w uint32, stages, stagesPer i
 		return nil, "no live switch hosts partition 0 (all monitored edge switches drained?)"
 	}
 
-	clones := map[string]*scheduler.Tracker{}
+	var assign []hosting
 	for _, name := range sortedKeys(parts) {
-		c := trackers[name].Clone()
 		for _, k := range parts[name] {
-			p := partProgs[k]
-			if ok, why := c.Fits(p); !ok {
-				return nil, fmt.Sprintf("%s (partition %d): %s", name, k, why)
-			}
-			c.Commit(p)
+			assign = append(assign, hosting{sw: name, prog: partProgs[k], part: k})
 		}
-		clones[name] = c
 	}
-	for name, c := range clones {
-		trackers[name] = c
+	qp.M, qp.Parts = m, parts
+	return assign, ""
+}
+
+// hosting is one program a rung places on a switch: partition part of
+// the query, or the whole program when part is -1.
+type hosting struct {
+	sw   string
+	prog *modules.Program
+	part int
+}
+
+// charge tentatively admits an assignment, in order, against clones of
+// the trackers and swaps the clones in once every switch accepts. The
+// refusal names the first switch (and partition) that does not fit.
+func charge(assign []hosting, trackers map[string]*scheduler.Tracker) string {
+	clones := map[string]*scheduler.Tracker{}
+	for _, h := range assign {
+		c, cloned := clones[h.sw]
+		if !cloned {
+			c = trackers[h.sw].Clone()
+			clones[h.sw] = c
+		}
+		if ok, why := c.Fits(h.prog); !ok {
+			if h.part < 0 {
+				return fmt.Sprintf("%s: %s", h.sw, why)
+			}
+			return fmt.Sprintf("%s (partition %d): %s", h.sw, h.part, why)
+		}
+		c.Commit(h.prog)
 	}
-	return &QueryPlan{
-		Intent: in, Admitted: true, Width: w, Stages: stages,
-		M: m, Parts: parts,
-	}, ""
+	maps.Copy(trackers, clones)
+	return ""
 }
 
 // diff compares a plan against the recorded deployment. A change that
@@ -642,7 +625,7 @@ func (o *Orchestrator) QID(name string) int {
 	return 0
 }
 
-// Summary renders a plan for operators, `scheduler.Summary`-style.
+// Summary renders a plan for operators.
 func Summary(p *Plan) string {
 	var b strings.Builder
 	for _, qp := range p.Queries {

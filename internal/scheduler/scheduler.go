@@ -1,37 +1,20 @@
-// Package scheduler plans concurrent query admission — the open problem
-// §7 of the paper leaves as future work ("this paper does not design the
-// solution for scheduling concurrent queries to optimally utilize data
-// plane resources").
-//
-// Given a set of prioritized monitoring intents and one device's budget
-// (stages, per-bank registers, per-module rule capacity), the scheduler
-// compiles each query, then admits queries in priority order at the
-// widest sketch geometry that still fits — degrading a query's register
-// width (its accuracy) before rejecting it outright. The produced plan
-// is sound by construction: Apply installs it into a real module engine
-// and every admission succeeds.
+// Package scheduler is admission accounting that mirrors the engine's
+// allocator: a Tracker charges compiled programs against one device's
+// budget (stages, per-bank registers, per-module rule capacity, the
+// classifier's predicate population) exactly as modules.Engine.Install
+// would, so an admission it accepts always installs. The width ladder
+// and its helpers give the accuracy rungs a query may degrade through.
+// The one admission walk over them — priority order, ladder, placement,
+// the §7 scheduling problem the paper leaves open — is orchestrator.Plan.
 package scheduler
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
-	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/modules"
-	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/sketch"
 )
-
-// Request is one query the operator wants deployed.
-type Request struct {
-	Query    *query.Query
-	Priority int // higher admits first
-
-	// MinWidth and MaxWidth bound the acceptable register width per
-	// sketch row (accuracy ladder). Zero values default to 256 and 4096.
-	MinWidth, MaxWidth uint32
-}
 
 // Budget is one device's resource envelope.
 type Budget struct {
@@ -42,21 +25,18 @@ type Budget struct {
 	// RulesPerModule is each module's rule capacity, and newton_fin's
 	// (one entry per installed program).
 	RulesPerModule int
-	// ClassifierPreds caps the distinct (column, value, mask) predicates
-	// the newton_init compiled classifier may hold. Per-dimension lookup
-	// tables grow with distinct predicates, so admitting past this point
-	// would push the classifier over its compile budget and drop the
-	// whole device back to linear scans. Zero defaults to
-	// DefaultClassifierPreds.
-	ClassifierPreds int
 }
 
-// DefaultClassifierPreds bounds the classifier's predicate population
-// comfortably below the compile budget for a 6-column table.
-const DefaultClassifierPreds = 4096
+// classifierPreds caps the distinct (column, value, mask) predicates the
+// newton_init compiled classifier may hold. Per-dimension lookup tables
+// grow with distinct predicates, so admitting past this point would push
+// the classifier over its compile budget and drop the whole device back
+// to linear scans; 4096 stays comfortably below that budget for a
+// 6-column table.
+const classifierPreds = 4096
 
 // DefaultMinWidth and DefaultMaxWidth are the accuracy ladder's bounds
-// when a request leaves them zero.
+// when an intent leaves them zero.
 const (
 	DefaultMinWidth uint32 = 256
 	DefaultMaxWidth uint32 = 4096
@@ -68,21 +48,20 @@ func DefaultBudget() Budget {
 	return Budget{Stages: 12, ArraySize: 4096, RulesPerModule: modules.DefaultRulesPerModule}
 }
 
-// Decision is the scheduler's verdict for one request.
-type Decision struct {
-	Request  Request
-	Admitted bool
-	Width    uint32 // granted register width (0 if rejected)
-	Reason   string // why rejected or degraded
-	Program  *modules.Program
-	Stats    compiler.Stats
-}
-
 // bankKey identifies one state bank, tableKey one module.
 type bankKey struct{ stage, set int }
 type tableKey struct {
 	stage, set int
 	kind       modules.Kind
+}
+
+// moduleOf is the module an op holds a rule in.
+func moduleOf(op *modules.Op) tableKey { return tableKey{op.Stage, op.Set & 1, op.Kind} }
+
+// bankOf is the state bank an op allocates registers in, if it does.
+func bankOf(op *modules.Op) (bankKey, bool) {
+	owns := op.Kind == modules.ModS && op.S != nil && !op.S.PassThrough && !op.S.CrossRead
+	return bankKey{op.Stage, op.Set & 1}, owns
 }
 
 // InitCapacity is the newton_init classifier's rule capacity under this
@@ -91,19 +70,11 @@ type tableKey struct {
 // allocator it mirrors.
 func (b Budget) InitCapacity() int { return b.RulesPerModule * modules.InitCapacityFactor }
 
-// ClassifierPredCap is the effective classifier predicate budget.
-func (b Budget) ClassifierPredCap() int {
-	if b.ClassifierPreds > 0 {
-		return b.ClassifierPreds
-	}
-	return DefaultClassifierPreds
-}
-
-// WidthLadder is the accuracy ladder Plan walks for one request: MaxWidth
-// first, then each power of two strictly between the bounds, then a
-// final MinWidth attempt — so MinWidth is always tried even when it is
-// not MaxWidth/2^k, and no rung except the caller-chosen bounds is a
-// non-power-of-two width. Inverted bounds (MaxWidth < MinWidth) are
+// WidthLadder is the accuracy ladder admission walks for one query:
+// MaxWidth first, then each power of two strictly between the bounds,
+// then a final MinWidth attempt — so MinWidth is always tried even when
+// it is not MaxWidth/2^k, and no rung except the caller-chosen bounds is
+// a non-power-of-two width. Inverted bounds (MaxWidth < MinWidth) are
 // rejected rather than silently producing an empty ladder.
 func WidthLadder(minW, maxW uint32) ([]uint32, error) {
 	if minW == 0 {
@@ -242,37 +213,40 @@ func (t *Tracker) Fits(p *modules.Program) (bool, string) {
 	}
 	wantRegs := map[bankKey]uint32{}
 	wantRules := map[tableKey]int{}
-	branches := 0
 	for _, br := range p.Branches {
-		branches++
 		for _, op := range br.Ops {
-			tk := tableKey{op.Stage, op.Set & 1, op.Kind}
-			wantRules[tk]++
-			if op.Kind == modules.ModS && op.S != nil && !op.S.PassThrough && !op.S.CrossRead {
-				wantRegs[bankKey{op.Stage, op.Set & 1}] += op.Width()
+			wantRules[moduleOf(op)]++
+			if k, ok := bankOf(op); ok {
+				wantRegs[k] += op.Width()
 			}
 		}
 	}
-	for k, w := range wantRegs {
-		if t.regs[k]+w > t.b.ArraySize {
-			return false, fmt.Sprintf("state bank at stage %d set %d needs %d registers, %d free",
-				k.stage, k.set, w, t.b.ArraySize-t.regs[k])
+	// Banks, then modules, are checked in op order, so the refusal names
+	// the same one on every run.
+	for _, br := range p.Branches {
+		for _, op := range br.Ops {
+			if k, ok := bankOf(op); ok && t.regs[k]+wantRegs[k] > t.b.ArraySize {
+				return false, fmt.Sprintf("state bank at stage %d set %d needs %d registers, %d free",
+					k.stage, k.set, wantRegs[k], t.b.ArraySize-t.regs[k])
+			}
 		}
 	}
-	for k, n := range wantRules {
-		if t.rules[k]+n > t.b.RulesPerModule {
-			return false, fmt.Sprintf("%v table at stage %d set %d out of rule capacity", k.kind, k.stage, k.set)
+	for _, br := range p.Branches {
+		for _, op := range br.Ops {
+			if k := moduleOf(op); t.rules[k]+wantRules[k] > t.b.RulesPerModule {
+				return false, fmt.Sprintf("%v table at stage %d set %d out of rule capacity", k.kind, k.stage, k.set)
+			}
 		}
 	}
-	if t.initRules+branches > t.b.InitCapacity() {
+	if t.initRules+len(p.Branches) > t.b.InitCapacity() {
 		return false, "newton_init out of rule capacity"
 	}
 	if t.programs >= t.b.RulesPerModule {
 		return false, "newton_fin out of rule capacity"
 	}
-	if fresh := t.newPreds(p); len(t.preds)+len(fresh) > t.b.ClassifierPredCap() {
+	if fresh := t.newPreds(p); len(t.preds)+len(fresh) > classifierPreds {
 		return false, fmt.Sprintf("newton_init classifier out of predicate capacity (%d + %d new > %d)",
-			len(t.preds), len(fresh), t.b.ClassifierPredCap())
+			len(t.preds), len(fresh), classifierPreds)
 	}
 	return true, ""
 }
@@ -281,9 +255,9 @@ func (t *Tracker) Fits(p *modules.Program) (bool, string) {
 func (t *Tracker) Commit(p *modules.Program) {
 	for _, br := range p.Branches {
 		for _, op := range br.Ops {
-			t.rules[tableKey{op.Stage, op.Set & 1, op.Kind}]++
-			if op.Kind == modules.ModS && op.S != nil && !op.S.PassThrough && !op.S.CrossRead {
-				t.regs[bankKey{op.Stage, op.Set & 1}] += op.Width()
+			t.rules[moduleOf(op)]++
+			if k, ok := bankOf(op); ok {
+				t.regs[k] += op.Width()
 			}
 		}
 	}
@@ -292,102 +266,4 @@ func (t *Tracker) Commit(p *modules.Program) {
 	for k := range t.newPreds(p) {
 		t.preds[k] = struct{}{}
 	}
-}
-
-// Plan admits requests in priority order (ties broken by arrival order),
-// degrading widths down the ladder before rejecting. The plan never
-// overcommits: register and rule accounting mirrors the engine's
-// allocator exactly.
-func Plan(reqs []Request, b Budget) []Decision {
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, c int) bool {
-		return reqs[order[a]].Priority > reqs[order[c]].Priority
-	})
-
-	tracker := NewTracker(b)
-
-	decisions := make([]Decision, len(reqs))
-	qid := 1
-	for _, idx := range order {
-		req := reqs[idx]
-		d := Decision{Request: req}
-		ladder, lerr := WidthLadder(req.MinWidth, req.MaxWidth)
-		if lerr != nil {
-			d.Reason = lerr.Error()
-			decisions[idx] = d
-			continue
-		}
-		maxW := ladder[0]
-
-		var lastErr string
-		for _, w := range ladder {
-			o := compiler.AllOpts()
-			o.QID = qid
-			o.Width = w
-			p, err := compiler.Compile(req.Query, o)
-			if err != nil {
-				lastErr = err.Error()
-				break // compilation failure does not improve with width
-			}
-			if fits, why := tracker.Fits(p); !fits {
-				lastErr = why
-				continue
-			}
-			tracker.Commit(p)
-			d.Admitted = true
-			d.Width = w
-			d.Program = p
-			d.Stats = compiler.Measure(req.Query, p)
-			if w != maxW {
-				d.Reason = fmt.Sprintf("degraded from %d to %d registers per row", maxW, w)
-			}
-			qid++
-			break
-		}
-		if !d.Admitted {
-			d.Reason = lastErr
-			if d.Reason == "" {
-				d.Reason = "does not fit at any acceptable width"
-			}
-		}
-		decisions[idx] = d
-	}
-	return decisions
-}
-
-// Apply installs every admitted decision into an engine. The plan's
-// accounting matches the engine's allocator, so Apply only fails if the
-// engine diverges from the budget it was planned for.
-func Apply(decisions []Decision, eng *modules.Engine) error {
-	for i := range decisions {
-		d := &decisions[i]
-		if !d.Admitted {
-			continue
-		}
-		if err := eng.Install(d.Program); err != nil {
-			return fmt.Errorf("scheduler: plan unsound at %s: %w", d.Request.Query.Name, err)
-		}
-	}
-	return nil
-}
-
-// Summary renders the plan for operators.
-func Summary(decisions []Decision) string {
-	s := ""
-	for _, d := range decisions {
-		status := "REJECTED"
-		detail := d.Reason
-		if d.Admitted {
-			status = "admitted"
-			detail = fmt.Sprintf("width=%d stages=%d rules=%d", d.Width, d.Stats.Stages, d.Stats.Rules)
-			if d.Reason != "" {
-				detail += " (" + d.Reason + ")"
-			}
-		}
-		s += fmt.Sprintf("%-26s prio=%-3d %s  %s\n", d.Request.Query.Name, d.Request.Priority, status, detail)
-	}
-	return s
 }

@@ -12,132 +12,24 @@ import (
 	"github.com/newton-net/newton/internal/query"
 )
 
-func allRequests(prio func(i int) int) []Request {
-	qs := query.All()
-	reqs := make([]Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = Request{Query: q, Priority: prio(i)}
-	}
-	return reqs
-}
-
-func TestPlanAdmitsEverythingWithAmpleBudget(t *testing.T) {
-	b := Budget{Stages: 16, ArraySize: 1 << 20, RulesPerModule: 1024}
-	ds := Plan(allRequests(func(i int) int { return 1 }), b)
-	for i, d := range ds {
-		if !d.Admitted {
-			t.Errorf("Q%d rejected under ample budget: %s", i+1, d.Reason)
-		}
-		if d.Width != 4096 {
-			t.Errorf("Q%d degraded to %d despite ample budget", i+1, d.Width)
-		}
-	}
-}
-
-func TestPlanDegradesWidthUnderRegisterPressure(t *testing.T) {
-	// Banks too small for everyone at 4096: at least one lower-priority
-	// query survives by taking a narrower sketch instead of rejection.
-	b := Budget{Stages: 16, ArraySize: 10240, RulesPerModule: 1024}
-	ds := Plan(allRequests(func(i int) int { return 9 - i }), b)
-	admitted, degraded := 0, 0
-	for _, d := range ds {
-		if d.Admitted {
-			admitted++
-			if d.Width < 4096 {
-				degraded++
-			}
-		}
-	}
-	if admitted < 3 {
-		t.Errorf("only %d admitted under register pressure", admitted)
-	}
-	if degraded == 0 {
-		t.Error("nothing degraded despite register pressure")
-	}
-	// More registers admit more queries (monotone in budget).
-	ds2 := Plan(allRequests(func(i int) int { return 9 - i }), Budget{Stages: 16, ArraySize: 1 << 16, RulesPerModule: 1024})
-	admitted2 := 0
-	for _, d := range ds2 {
-		if d.Admitted {
-			admitted2++
-		}
-	}
-	if admitted2 <= admitted {
-		t.Errorf("bigger banks admitted %d <= %d", admitted2, admitted)
-	}
-	// The highest-priority query keeps the full width.
-	if !ds[0].Admitted || ds[0].Width != 4096 {
-		t.Errorf("top-priority query got %+v", ds[0])
-	}
-}
-
-func TestPlanRespectsPriorityOrder(t *testing.T) {
-	// Give Q6 (the largest) top priority under a tight budget: it must
-	// be considered first and admitted.
-	b := Budget{Stages: 16, ArraySize: 8192, RulesPerModule: 1024}
-	prio := func(i int) int {
-		if i == 5 {
-			return 100
-		}
-		return 1
-	}
-	ds := Plan(allRequests(prio), b)
-	if !ds[5].Admitted {
-		t.Fatalf("top-priority Q6 rejected: %s", ds[5].Reason)
-	}
-}
-
-func TestPlanRejectsOnStages(t *testing.T) {
-	b := Budget{Stages: 6, ArraySize: 1 << 20, RulesPerModule: 1024}
-	ds := Plan(allRequests(func(i int) int { return 1 }), b)
-	if !ds[0].Admitted { // Q1 fits 6 stages
-		t.Errorf("Q1 rejected: %s", ds[0].Reason)
-	}
-	if ds[5].Admitted { // Q6 needs ~10 stages
-		t.Error("Q6 admitted into a 6-stage device")
-	}
-	if !strings.Contains(ds[5].Reason, "stages") {
-		t.Errorf("rejection reason unhelpful: %q", ds[5].Reason)
-	}
-}
-
-func TestPlanIsSound(t *testing.T) {
-	// Whatever the plan admits must actually install into a real engine
-	// with exactly the planned budget.
-	b := Budget{Stages: 16, ArraySize: 16384, RulesPerModule: 256}
-	ds := Plan(allRequests(func(i int) int { return 9 - i }), b)
-	layout, err := modules.NewLayout(modules.LayoutCompact, b.Stages, b.ArraySize)
+// compileAt compiles q with every optimization at the given row width.
+func compileAt(t *testing.T, q *query.Query, width uint32) *modules.Program {
+	t.Helper()
+	o := compiler.AllOpts()
+	o.QID, o.Width = 1, width
+	p, err := compiler.Compile(q, o)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Compile %s: %v", q.Name, err)
 	}
-	if err := Apply(ds, modules.NewEngine(layout)); err != nil {
-		t.Fatalf("plan unsound: %v", err)
-	}
-	admitted := 0
-	for _, d := range ds {
-		if d.Admitted {
-			admitted++
-		}
-	}
-	if admitted == 0 {
-		t.Fatal("nothing admitted — soundness vacuous")
-	}
+	return p
 }
 
-func TestPlanDefaultsAndSummary(t *testing.T) {
-	ds := Plan(allRequests(func(i int) int { return 1 }), Budget{})
-	s := Summary(ds)
-	if !strings.Contains(s, "q1_new_tcp_connections") {
-		t.Error("summary missing rows")
-	}
-	anyAdmitted := false
-	for _, d := range ds {
-		if d.Admitted {
-			anyAdmitted = true
-		}
-	}
-	if !anyAdmitted {
-		t.Error("default budget admits nothing")
+// TestFitsRefusesOnStages: a program longer than the device is refused,
+// and the reason names the stages.
+func TestFitsRefusesOnStages(t *testing.T) {
+	tr := NewTracker(Budget{Stages: 6, ArraySize: 1 << 20, RulesPerModule: 1024})
+	if ok, why := tr.Fits(compileAt(t, query.Q6(40), 4096)); ok || !strings.Contains(why, "stages") {
+		t.Fatalf("Q6 on a 6-stage device: Fits = %v (%q), want refused on stages", ok, why)
 	}
 }
 
@@ -150,70 +42,6 @@ func TestPartialBudgetKeepsItsFields(t *testing.T) {
 	want := Budget{Stages: 8, ArraySize: 1 << 14, RulesPerModule: DefaultBudget().RulesPerModule}
 	if got != want {
 		t.Fatalf("NewTracker(Budget{Stages: 8, ArraySize: 1<<14}).Budget() = %+v, want %+v", got, want)
-	}
-}
-
-func TestPlanWidthLadderBounds(t *testing.T) {
-	reqs := []Request{{Query: query.Q1(40), Priority: 1, MinWidth: 2048, MaxWidth: 2048}}
-	// Bank smaller than the only acceptable width: reject, don't degrade
-	// below MinWidth.
-	b := Budget{Stages: 16, ArraySize: 2047, RulesPerModule: 256}
-	ds := Plan(reqs, b)
-	if ds[0].Admitted {
-		t.Error("admitted below the request's minimum width")
-	}
-	if ds[0].Reason == "" {
-		t.Error("missing rejection reason")
-	}
-}
-
-func TestPlanRejectsOnRuleCapacity(t *testing.T) {
-	// The same query over and over stacks rules into the same module
-	// tables; a tiny per-table capacity must eventually reject, and the
-	// reason must say so (width degradation cannot fix rule pressure).
-	var reqs []Request
-	for i := 0; i < 40; i++ {
-		reqs = append(reqs, Request{Query: query.Q1(40), Priority: 1})
-	}
-	b := Budget{Stages: 16, ArraySize: 1 << 30, RulesPerModule: 8}
-	ds := Plan(reqs, b)
-	admitted, rejected := 0, 0
-	for _, d := range ds {
-		if d.Admitted {
-			admitted++
-			continue
-		}
-		rejected++
-		if !strings.Contains(d.Reason, "rule capacity") {
-			t.Fatalf("rejection reason %q, want rule-capacity mention", d.Reason)
-		}
-	}
-	if admitted == 0 {
-		t.Fatal("nothing admitted — capacity test vacuous")
-	}
-	if rejected == 0 {
-		t.Fatal("40 copies all fit into 8 rules per table — no rejection exercised")
-	}
-}
-
-func TestApplyUnsoundPlan(t *testing.T) {
-	// A plan made for a big device must fail loudly when applied to a
-	// smaller one, rather than half-installing.
-	b := Budget{Stages: 16, ArraySize: 1 << 20, RulesPerModule: 1024}
-	ds := Plan([]Request{{Query: query.Q1(40), Priority: 1}}, b)
-	if !ds[0].Admitted {
-		t.Fatalf("Q1 rejected under ample budget: %s", ds[0].Reason)
-	}
-	layout, err := modules.NewLayout(modules.LayoutCompact, 16, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = Apply(ds, modules.NewEngine(layout))
-	if err == nil {
-		t.Fatal("Apply succeeded on a device 1/2048th the planned size")
-	}
-	if !strings.Contains(err.Error(), "plan unsound") {
-		t.Fatalf("Apply error %q, want 'plan unsound'", err)
 	}
 }
 
@@ -261,34 +89,6 @@ func TestWidthLadderRungs(t *testing.T) {
 	}
 }
 
-func TestPlanTriesMinWidthOffTheHalvingChain(t *testing.T) {
-	// Min=300/Max=400 with banks that fit 300 but not 400: the pre-fix
-	// ladder never tried 300 and rejected outright.
-	reqs := []Request{{Query: query.Q1(40), Priority: 1, MinWidth: 300, MaxWidth: 400}}
-	b := Budget{Stages: 16, ArraySize: 350, RulesPerModule: 256}
-	ds := Plan(reqs, b)
-	if !ds[0].Admitted {
-		t.Fatalf("rejected despite MinWidth fitting: %s", ds[0].Reason)
-	}
-	if ds[0].Width != 300 {
-		t.Fatalf("width = %d, want the MinWidth rung 300", ds[0].Width)
-	}
-	if !strings.Contains(ds[0].Reason, "degraded") {
-		t.Errorf("degradation not surfaced: %q", ds[0].Reason)
-	}
-}
-
-func TestPlanRejectsInvertedBoundsWithReason(t *testing.T) {
-	reqs := []Request{{Query: query.Q1(40), Priority: 1, MinWidth: 1024, MaxWidth: 300}}
-	ds := Plan(reqs, Budget{Stages: 16, ArraySize: 1 << 20, RulesPerModule: 1024})
-	if ds[0].Admitted {
-		t.Fatal("admitted with MaxWidth < MinWidth")
-	}
-	if !strings.Contains(ds[0].Reason, "inverted width bounds") {
-		t.Fatalf("reason = %q, want an explicit inverted-bounds rejection", ds[0].Reason)
-	}
-}
-
 func TestInitCapacityMatchesEngineTable(t *testing.T) {
 	// The planner's newton_init accounting must mirror the allocator it
 	// models: the engine's actual classifier capacity, not a drifting
@@ -306,49 +106,66 @@ func TestInitCapacityMatchesEngineTable(t *testing.T) {
 	}
 }
 
-func TestPlanClassifierPredCapacity(t *testing.T) {
-	// Measure one query's distinct predicate population from an ample
-	// plan, then re-plan against exactly that cap: two identical queries
-	// share every predicate, so both must fit — the tracker charges
-	// distinct predicates, not entries.
-	ample := Budget{Stages: 16, ArraySize: 1 << 30, RulesPerModule: 1024}
-	ds := Plan([]Request{{Query: query.Q1(40), Priority: 1}}, ample)
-	if !ds[0].Admitted {
-		t.Fatalf("Q1 rejected under ample budget: %s", ds[0].Reason)
+// TestFitsRefusalIsStable: a program that overflows several banks, or
+// several modules, is refused with the same reason every time — the
+// operator reads it in `newton-ctl plan`, and it must not depend on map
+// iteration order.
+func TestFitsRefusalIsStable(t *testing.T) {
+	for _, b := range []Budget{
+		{Stages: 16, ArraySize: 1, RulesPerModule: 1024},
+		{Stages: 16, ArraySize: 1 << 20, RulesPerModule: 1},
+	} {
+		for _, q := range query.All() {
+			p := compileAt(t, q, 4096)
+			_, want := NewTracker(b).Fits(p)
+			for i := 0; i < 32; i++ {
+				if _, why := NewTracker(b).Fits(p); why != want {
+					t.Fatalf("%s under %+v: refused with %q, then %q", q.Name, b, want, why)
+				}
+			}
+		}
 	}
-	nPreds := ds[0].Program.Footprint().ClassifierPreds
+}
+
+func TestFitsClassifierPredicateCapacity(t *testing.T) {
+	// Fill the classifier with unrelated predicates so Q1's land exactly
+	// at the cap: two identical copies share every predicate, so both
+	// must fit — the tracker charges distinct predicates, not entries.
+	// One more unrelated predicate and Q1 no longer fits.
+	b := Budget{Stages: 16, ArraySize: 1 << 30, RulesPerModule: 1024}
+	p := compileAt(t, query.Q1(40), 4096)
+	nPreds := len(NewTracker(b).newPreds(p))
 	if nPreds == 0 {
 		t.Fatal("Q1 contributes no classifier predicates — capacity test vacuous")
 	}
-
-	exact := ample
-	exact.ClassifierPreds = nPreds
-	ds = Plan([]Request{
-		{Query: query.Q1(40), Priority: 2},
-		{Query: query.Q1(40), Priority: 1},
-	}, exact)
-	for i, d := range ds {
-		if !d.Admitted {
-			t.Fatalf("copy %d rejected at exact predicate cap (%s) — dedupe broken", i, d.Reason)
+	filled := func(n int) *Tracker {
+		tr := NewTracker(b)
+		for i := 0; i < n; i++ {
+			tr.preds[modules.InitPredKey{Col: -1, Val: uint64(i)}] = struct{}{}
 		}
+		return tr
 	}
 
-	tight := ample
-	tight.ClassifierPreds = nPreds - 1
-	ds = Plan([]Request{{Query: query.Q1(40), Priority: 1}}, tight)
-	if ds[0].Admitted {
+	exact := filled(classifierPreds - nPreds)
+	for i := 0; i < 2; i++ {
+		if ok, why := exact.Fits(p); !ok {
+			t.Fatalf("copy %d rejected at exact predicate cap (%s) — dedupe broken", i, why)
+		}
+		exact.Commit(p)
+	}
+
+	ok, why := filled(classifierPreds - nPreds + 1).Fits(p)
+	if ok {
 		t.Fatal("Q1 admitted past the predicate cap")
 	}
-	if !strings.Contains(ds[0].Reason, "predicate capacity") {
-		t.Fatalf("rejection reason %q, want predicate-capacity mention", ds[0].Reason)
+	if !strings.Contains(why, "predicate capacity") {
+		t.Fatalf("rejection reason %q, want predicate-capacity mention", why)
 	}
 }
 
 func TestTrackerClonePreds(t *testing.T) {
-	b := Budget{Stages: 16, ArraySize: 1 << 30, RulesPerModule: 1024, ClassifierPreds: 64}
-	ds := Plan([]Request{{Query: query.Q1(40), Priority: 1}}, b)
-	tr := NewTracker(b)
-	tr.Commit(ds[0].Program)
+	tr := NewTracker(Budget{Stages: 16, ArraySize: 1 << 30, RulesPerModule: 1024})
+	tr.Commit(compileAt(t, query.Q1(40), 4096))
 	clone := tr.Clone()
 	if len(clone.preds) != len(tr.preds) {
 		t.Fatalf("clone carries %d preds, tracker %d", len(clone.preds), len(tr.preds))

@@ -62,7 +62,7 @@ func fuzzDecoders(raw []byte) {
 	_, _, _ = ReadFrame(bytes.NewReader(raw))
 	_, _ = DecodeReports(raw, "s1")
 	_, _ = DecodeBye(raw)
-	_, _ = Decompress(raw)
+	_, _ = DecompressInto(nil, raw)
 
 	var dec SnapshotDecoder
 	_, _, _ = dec.Decode(raw)
@@ -151,7 +151,7 @@ func reframe(t *testing.T, kind Kind, flags Flags, payload []byte) []byte {
 		t.Fatalf("kind %v, want %v", hdr.Kind, kind)
 	}
 	if hdr.Flags&FlagCompressed != 0 {
-		if got, err = Decompress(got); err != nil {
+		if got, err = DecompressInto(nil, got); err != nil {
 			t.Fatal(err)
 		}
 	}

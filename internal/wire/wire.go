@@ -170,7 +170,7 @@ func ParseHeader(h []byte) (Header, error) {
 
 // ReadFrame receives one binary frame, validating magic, version, size
 // bound, and payload CRC. The returned payload is still compressed if
-// the header says so — Decompress it before decoding.
+// the header says so — DecompressInto it before decoding.
 func ReadFrame(r io.Reader) (Header, []byte, error) {
 	var h [HeaderSize]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
@@ -207,7 +207,7 @@ var deflaters = sync.Pool{New: func() any {
 	return d
 }}
 
-// inflaters pools flate readers, which Decompress re-targets with
+// inflaters pools flate readers, which DecompressInto re-targets with
 // flate.Resetter instead of building one per frame.
 var inflaters = sync.Pool{New: func() any { return flate.NewReader(nil) }}
 
@@ -235,9 +235,6 @@ func Compress(payload []byte, gate int) ([]byte, bool) {
 	}
 	return bytes.Clone(d.buf.Bytes()), true
 }
-
-// Decompress inflates a compressed payload into a fresh slice.
-func Decompress(payload []byte) ([]byte, error) { return DecompressInto(nil, payload) }
 
 // DecompressInto inflates a compressed payload into dst[:0], grown as
 // needed, and returns it — for a stream that keeps one buffer across

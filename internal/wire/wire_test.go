@@ -240,7 +240,7 @@ func TestCompress(t *testing.T) {
 	if !ok || len(out) >= len(big) {
 		t.Fatalf("compressible payload not compressed: %d -> %d", len(big), len(out))
 	}
-	back, err := Decompress(out)
+	back, err := DecompressInto(nil, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestCompress(t *testing.T) {
 	if _, ok := Compress(big, -1); ok {
 		t.Fatal("negative gate must disable compression")
 	}
-	if _, err := Decompress([]byte{0xde, 0xad, 0xbe, 0xef}); err == nil {
+	if _, err := DecompressInto(nil, []byte{0xde, 0xad, 0xbe, 0xef}); err == nil {
 		t.Fatal("garbage must not decompress")
 	}
 }
@@ -290,7 +290,7 @@ func TestCompressReusedWriterWritesTheSameBytes(t *testing.T) {
 		buf = back
 	}
 	for i := range outs { // earlier results survived later calls
-		if back, err := Decompress(outs[i]); err != nil || !bytes.Equal(back, payloads[i]) {
+		if back, err := DecompressInto(nil, outs[i]); err != nil || !bytes.Equal(back, payloads[i]) {
 			t.Fatalf("frame %d was overwritten by a later Compress: %v", i, err)
 		}
 	}

@@ -45,7 +45,6 @@ import (
 	"github.com/newton-net/newton/internal/packet"
 	"github.com/newton-net/newton/internal/placement"
 	"github.com/newton-net/newton/internal/query"
-	"github.com/newton-net/newton/internal/scheduler"
 	"github.com/newton-net/newton/internal/topology"
 	"github.com/newton-net/newton/internal/trace"
 )
@@ -267,24 +266,3 @@ func NewReferenceEngine(q *Query) *ReferenceEngine { return analyzer.NewEngine(q
 func PlaceResilient(t *Topology, edges []int, totalStages, stagesPerSwitch int) (Placement, int, error) {
 	return placement.Place(t, edges, totalStages, stagesPerSwitch)
 }
-
-// Scheduler types (the paper's stated future work: admission planning
-// for concurrent queries under one device's resource envelope).
-type (
-	// ScheduleRequest is one prioritized query to admit.
-	ScheduleRequest = scheduler.Request
-	// ScheduleBudget is a device's resource envelope.
-	ScheduleBudget = scheduler.Budget
-	// ScheduleDecision is the per-query verdict.
-	ScheduleDecision = scheduler.Decision
-)
-
-// PlanSchedule admits queries in priority order, degrading sketch widths
-// before rejecting; the plan is sound against the real rule/register
-// allocators.
-func PlanSchedule(reqs []ScheduleRequest, b ScheduleBudget) []ScheduleDecision {
-	return scheduler.Plan(reqs, b)
-}
-
-// ScheduleSummary renders a plan for operators.
-func ScheduleSummary(ds []ScheduleDecision) string { return scheduler.Summary(ds) }

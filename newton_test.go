@@ -112,19 +112,3 @@ func TestPublicSonataController(t *testing.T) {
 		t.Errorf("outage %v implausible", out)
 	}
 }
-
-func TestPublicScheduler(t *testing.T) {
-	var reqs []ScheduleRequest
-	for i, q := range AllQueries() {
-		reqs = append(reqs, ScheduleRequest{Query: q, Priority: 9 - i})
-	}
-	ds := PlanSchedule(reqs, ScheduleBudget{Stages: 16, ArraySize: 1 << 18, RulesPerModule: 1024})
-	for i, d := range ds {
-		if !d.Admitted {
-			t.Errorf("Q%d rejected under ample budget: %s", i+1, d.Reason)
-		}
-	}
-	if ScheduleSummary(ds) == "" {
-		t.Error("empty summary")
-	}
-}
