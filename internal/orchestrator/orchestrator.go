@@ -56,7 +56,8 @@ type Intent struct {
 
 // Config describes the fleet the orchestrator plans against. Budget map
 // keys are switch names and must match both topology node names and the
-// agent names controller.Remote was built with.
+// agent names controller.Remote was built with. New copies Budgets: the
+// fleet's envelope is fixed for the orchestrator's life.
 type Config struct {
 	Topo    *topology.Topology
 	Budgets map[string]scheduler.Budget
@@ -178,6 +179,50 @@ type Orchestrator struct {
 	// the cap of a name it no longer lists, so a re-submitted intent
 	// starts frugal, not at its dead predecessor's width.
 	widthCap map[string]uint32
+
+	// compiled keeps, per intent name, the rungs planning compiled, so a
+	// replan of an unchanged intent compiles and slices nothing. Like
+	// widthCap it lives as long as the intent.
+	compiled map[string]*compiledIntent
+
+	stagesPer int // partition size, resolved once (Config.StagesPerSwitch)
+}
+
+// compiledIntent is what planning one intent compiled. It serves a plan
+// only while the intent's query is Equal to q, a private clone, so a
+// caller who edits a submitted query in place gets a recompile. Its
+// programs reach only Tracker.Fits/Commit/Release, which read them;
+// Apply's installs compile fresh per-switch copies in controller.Remote.
+type compiledIntent struct {
+	q     *query.Query
+	rungs []*compiledRung
+}
+
+// compiledRung is one width's program and, once a plan partitioned it,
+// its slices at the orchestrator's stagesPer.
+type compiledRung struct {
+	width uint32
+	prog  *modules.Program
+	parts []*modules.Program
+}
+
+// rung returns the program compiled at width w, compiling it on first
+// use. A compile error is not kept: the next plan tries again.
+func (ci *compiledIntent) rung(w uint32) (*compiledRung, error) {
+	for _, r := range ci.rungs {
+		if r.width == w {
+			return r, nil
+		}
+	}
+	opts := compiler.AllOpts()
+	opts.QID, opts.Width = 1, w // placeholder qid: admission accounting ignores it
+	p, err := compiler.Compile(ci.q, opts)
+	if err != nil {
+		return nil, err
+	}
+	r := &compiledRung{width: w, prog: p}
+	ci.rungs = append(ci.rungs, r)
+	return r, nil
 }
 
 // New builds an orchestrator over a remote controller's fleet.
@@ -195,11 +240,14 @@ func New(cfg Config, remote *controller.Remote) (*Orchestrator, error) {
 			return nil, fmt.Errorf("orchestrator: %q is a host, not a switch", name)
 		}
 	}
+	cfg.Budgets = maps.Clone(cfg.Budgets)
 	return &Orchestrator{
 		cfg: cfg, remote: remote,
-		drained:  map[string]bool{},
-		deployed: map[string]*deployedState{},
-		widthCap: map[string]uint32{},
+		drained:   map[string]bool{},
+		deployed:  map[string]*deployedState{},
+		widthCap:  map[string]uint32{},
+		compiled:  map[string]*compiledIntent{},
+		stagesPer: stagesPer(cfg),
 	}, nil
 }
 
@@ -225,15 +273,13 @@ func (o *Orchestrator) Intents() []Intent {
 }
 
 // SetIntents replaces the intent set. The next Plan/Apply converges the
-// network to it. A withdrawn query's width cap goes with it.
+// network to it. A withdrawn query's width cap and compiled rungs go
+// with it.
 func (o *Orchestrator) SetIntents(intents []Intent) {
 	o.mu.Lock()
 	o.intents = append([]Intent(nil), intents...)
-	for name := range o.widthCap {
-		if !hasIntent(intents, name) {
-			delete(o.widthCap, name)
-		}
-	}
+	maps.DeleteFunc(o.widthCap, func(name string, _ uint32) bool { return !hasIntent(intents, name) })
+	maps.DeleteFunc(o.compiled, func(name string, _ *compiledIntent) bool { return !hasIntent(intents, name) })
 	o.mu.Unlock()
 }
 
@@ -273,12 +319,12 @@ func (o *Orchestrator) Switches() []string {
 }
 
 // stagesPer resolves the partition size (see Config.StagesPerSwitch).
-func (o *Orchestrator) stagesPer() int {
-	if o.cfg.StagesPerSwitch > 0 {
-		return o.cfg.StagesPerSwitch
+func stagesPer(cfg Config) int {
+	if cfg.StagesPerSwitch > 0 {
+		return cfg.StagesPerSwitch
 	}
 	min := 0
-	for _, b := range o.cfg.Budgets {
+	for _, b := range cfg.Budgets {
 		s := scheduler.NewTracker(b).Budget().Stages
 		if min == 0 || s < min {
 			min = s
@@ -310,7 +356,6 @@ func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
 	if len(trackers) == 0 {
 		return nil, Diff{}, fmt.Errorf("orchestrator: every switch is drained")
 	}
-	stagesPer := o.stagesPer()
 
 	order := make([]int, len(o.intents))
 	for i := range order {
@@ -320,22 +365,42 @@ func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
 		return o.intents[order[a]].Priority > o.intents[order[b]].Priority
 	})
 
+	// A query name is one deployment: the first intent of a name in
+	// priority order plans, the rest are refused.
 	plans := make([]QueryPlan, len(o.intents))
-	for _, idx := range order {
-		plans[idx] = o.planIntent(o.intents[idx], trackers, stagesPer)
+	for i, idx := range order {
+		in := o.intents[idx]
+		if slices.ContainsFunc(order[:i], func(j int) bool { return o.intents[j].Query.Name == in.Query.Name }) {
+			plans[idx] = QueryPlan{Intent: in, Reason: duplicateName}
+			continue
+		}
+		plans[idx] = o.planIntent(in, trackers)
 	}
-	p := &Plan{Queries: plans, StagesPer: stagesPer}
+	p := &Plan{Queries: plans, StagesPer: o.stagesPer}
 	return p, o.diff(p), nil
 }
 
+// duplicateName is the refusal of an intent whose query name an intent
+// of higher (or equal, earlier) priority already plans.
+const duplicateName = "duplicate intent name"
+
 // planIntent walks the width ladder for one intent: each rung compiles
-// once, assigns the program (whole replicas, else placed partitions) and
-// charges that assignment; the first rung every switch accepts commits.
-func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Tracker, stagesPer int) QueryPlan {
+// once in the intent's life, assigns the program (whole replicas, else
+// placed partitions) and charges that assignment; the first rung every
+// switch accepts commits.
+func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Tracker) QueryPlan {
 	ladder, err := scheduler.WidthLadder(in.MinWidth, in.MaxWidth)
 	if err != nil {
 		return QueryPlan{Intent: in, Reason: err.Error()}
 	}
+	ci := o.compiled[in.Query.Name]
+	if ci == nil || !query.Equal(ci.q, in.Query) {
+		ci = &compiledIntent{q: in.Query.Clone()}
+		o.compiled[in.Query.Name] = ci
+	}
+	// Rungs off the current ladder go, so an intent keeps at most one
+	// program per rung however often its bounds move.
+	ci.rungs = slices.DeleteFunc(ci.rungs, func(r *compiledRung) bool { return !slices.Contains(ladder, r.width) })
 	maxW := ladder[0]
 	if cap, ok := o.widthCap[in.Query.Name]; ok {
 		// The refiner (or an operator) pinned this query's width: bid for
@@ -354,16 +419,14 @@ func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Trac
 
 	reason := "does not fit at any acceptable width"
 	for _, w := range ladder {
-		opts := compiler.AllOpts()
-		opts.QID, opts.Width = 1, w // placeholder qid: admission accounting ignores it
-		p, err := compiler.Compile(in.Query, opts)
+		r, err := ci.rung(w)
 		if err != nil {
 			return QueryPlan{Intent: in, Reason: err.Error()} // compilation failure does not improve with width
 		}
-		rung := QueryPlan{Intent: in, Admitted: true, Width: w, Stages: p.NumStages(), M: 1}
-		assign, why := o.replicas(&rung, p, edgeIDs, trackers), ""
+		rung := QueryPlan{Intent: in, Admitted: true, Width: w, Stages: r.prog.NumStages(), M: 1}
+		assign, why := o.replicas(&rung, r.prog, edgeIDs, trackers), ""
 		if assign == nil {
-			assign, why = o.partitions(&rung, p, stagesPer, edgeIDs, trackers)
+			assign, why = o.partitions(&rung, r, edgeIDs, trackers)
 		}
 		if why == "" {
 			why = charge(assign, trackers)
@@ -441,17 +504,17 @@ func (o *Orchestrator) replicas(qp *QueryPlan, p *modules.Program, edgeIDs []int
 // assignment, which loses redundancy but never correctness, except when
 // partition 0 would vanish entirely (monitored traffic's first hop):
 // that rejects.
-func (o *Orchestrator) partitions(qp *QueryPlan, p *modules.Program, stagesPer int, edgeIDs []int, trackers map[string]*scheduler.Tracker) ([]hosting, string) {
-	pl, m, err := placement.Place(o.cfg.Topo, edgeIDs, qp.Stages, stagesPer)
+func (o *Orchestrator) partitions(qp *QueryPlan, r *compiledRung, edgeIDs []int, trackers map[string]*scheduler.Tracker) ([]hosting, string) {
+	pl, m, err := placement.Place(o.cfg.Topo, edgeIDs, qp.Stages, o.stagesPer)
 	if err != nil {
 		return nil, err.Error()
 	}
 
-	// A deep-copied slicing of the rung's program for admission accounting;
-	// Apply's installs compile fresh per-switch copies in controller.Remote.
-	partProgs, err := modules.SliceProgram(p, stagesPer)
-	if err != nil {
-		return nil, err.Error()
+	// The rung's program sliced for admission accounting, once per rung.
+	if r.parts == nil {
+		if r.parts, err = modules.SliceProgram(r.prog, o.stagesPer); err != nil {
+			return nil, err.Error()
+		}
 	}
 
 	parts := map[string][]int{}
@@ -474,7 +537,7 @@ func (o *Orchestrator) partitions(qp *QueryPlan, p *modules.Program, stagesPer i
 	var assign []hosting
 	for _, name := range sortedKeys(parts) {
 		for _, k := range parts[name] {
-			assign = append(assign, hosting{sw: name, prog: partProgs[k], part: k})
+			assign = append(assign, hosting{sw: name, prog: r.parts[k], part: k})
 		}
 	}
 	qp.M, qp.Parts = m, parts
@@ -489,26 +552,24 @@ type hosting struct {
 	part int
 }
 
-// charge tentatively admits an assignment, in order, against clones of
-// the trackers and swaps the clones in once every switch accepts. The
-// refusal names the first switch (and partition) that does not fit.
+// charge admits an assignment, in order, on the trackers: each program
+// is checked and committed in turn, and a refusal releases what the
+// assignment had committed. The refusal names the first switch (and
+// partition) that does not fit.
 func charge(assign []hosting, trackers map[string]*scheduler.Tracker) string {
-	clones := map[string]*scheduler.Tracker{}
-	for _, h := range assign {
-		c, cloned := clones[h.sw]
-		if !cloned {
-			c = trackers[h.sw].Clone()
-			clones[h.sw] = c
-		}
-		if ok, why := c.Fits(h.prog); !ok {
+	for i, h := range assign {
+		tr := trackers[h.sw]
+		if ok, why := tr.Fits(h.prog); !ok {
+			for _, done := range assign[:i] {
+				trackers[done.sw].Release(done.prog)
+			}
 			if h.part < 0 {
 				return fmt.Sprintf("%s: %s", h.sw, why)
 			}
 			return fmt.Sprintf("%s (partition %d): %s", h.sw, h.part, why)
 		}
-		c.Commit(h.prog)
+		tr.Commit(h.prog)
 	}
-	maps.Copy(trackers, clones)
 	return ""
 }
 
@@ -521,6 +582,9 @@ func (o *Orchestrator) diff(p *Plan) Diff {
 	seen := map[string]bool{}
 	for i := range p.Queries {
 		qp := &p.Queries[i]
+		if qp.Reason == duplicateName {
+			continue // the name's first intent speaks for it
+		}
 		name := qp.Intent.Query.Name
 		seen[name] = true
 		cur, deployed := o.deployed[name]

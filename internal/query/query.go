@@ -7,6 +7,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/newton-net/newton/internal/fields"
@@ -381,6 +382,43 @@ func (q *Query) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Equal reports whether two queries are the same query, field for field:
+// what lets a planner reuse what it compiled from one for the other.
+func Equal(a, b *Query) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Name == b.Name && a.Description == b.Description && a.Window == b.Window &&
+		slices.EqualFunc(a.Branches, b.Branches, func(x, y Branch) bool {
+			return slices.EqualFunc(x.Prims, y.Prims, func(p, r Primitive) bool {
+				return p.Kind == r.Kind && slices.Equal(p.Preds, r.Preds) && p.Keys == r.Keys && p.Value == r.Value
+			})
+		}) &&
+		(a.Merge == nil) == (b.Merge == nil) &&
+		(a.Merge == nil || a.Merge.Op == b.Merge.Op && slices.Equal(a.Merge.Coeffs, b.Merge.Coeffs) &&
+			a.Merge.Cmp == b.Merge.Cmp && a.Merge.Threshold == b.Merge.Threshold)
+}
+
+// Clone returns a deep copy of q: the copy shares no slice or pointer
+// with q.
+func (q *Query) Clone() *Query {
+	c := *q
+	c.Branches = make([]Branch, len(q.Branches))
+	for i, b := range q.Branches {
+		c.Branches[i].Prims = make([]Primitive, len(b.Prims))
+		for j, pr := range b.Prims {
+			pr.Preds = slices.Clone(pr.Preds)
+			c.Branches[i].Prims[j] = pr
+		}
+	}
+	if q.Merge != nil {
+		m := *q.Merge
+		m.Coeffs = slices.Clone(m.Coeffs)
+		c.Merge = &m
+	}
+	return &c
 }
 
 // String renders the query in builder style.

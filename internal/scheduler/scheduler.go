@@ -10,7 +10,9 @@ package scheduler
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/sketch"
@@ -48,20 +50,14 @@ func DefaultBudget() Budget {
 	return Budget{Stages: 12, ArraySize: 4096, RulesPerModule: modules.DefaultRulesPerModule}
 }
 
-// bankKey identifies one state bank, tableKey one module.
-type bankKey struct{ stage, set int }
-type tableKey struct {
-	stage, set int
-	kind       modules.Kind
-}
+// bank is the index of an op's state bank in Tracker.regs, module the
+// index of its module in Tracker.rules.
+func bank(op *modules.Op) int   { return op.Stage*2 + op.Set&1 }
+func module(op *modules.Op) int { return bank(op)*int(modules.NumKinds) + int(op.Kind) }
 
-// moduleOf is the module an op holds a rule in.
-func moduleOf(op *modules.Op) tableKey { return tableKey{op.Stage, op.Set & 1, op.Kind} }
-
-// bankOf is the state bank an op allocates registers in, if it does.
-func bankOf(op *modules.Op) (bankKey, bool) {
-	owns := op.Kind == modules.ModS && op.S != nil && !op.S.PassThrough && !op.S.CrossRead
-	return bankKey{op.Stage, op.Set & 1}, owns
+// ownsBank reports whether an op allocates registers in its bank.
+func ownsBank(op *modules.Op) bool {
+	return op.Kind == modules.ModS && op.S != nil && !op.S.PassThrough && !op.S.CrossRead
 }
 
 // InitCapacity is the newton_init classifier's rule capacity under this
@@ -143,12 +139,16 @@ func ClampToLadder(w, minW, maxW uint32) uint32 {
 // orchestrator keeps one of per switch. The zero value is unusable;
 // call NewTracker.
 type Tracker struct {
-	b         Budget
-	regs      map[bankKey]uint32
-	rules     map[tableKey]int
+	b Budget
+	// regs holds each bank's allocated registers and rules each module's
+	// entries, indexed by bank and module over the budget's stages.
+	regs      []uint32
+	rules     []int
 	initRules int
 	programs  int // newton_fin entries: one per program
-	preds     map[modules.InitPredKey]struct{}
+	// preds counts, per classifier predicate, the committed branches
+	// that use it: the classifier holds len(preds) distinct predicates.
+	preds map[modules.InitPredKey]int
 }
 
 // NewTracker starts empty accounting against b. Each zero field takes
@@ -165,105 +165,143 @@ func NewTracker(b Budget) *Tracker {
 	if b.RulesPerModule <= 0 {
 		b.RulesPerModule = def.RulesPerModule
 	}
-	return &Tracker{b: b, regs: map[bankKey]uint32{}, rules: map[tableKey]int{},
-		preds: map[modules.InitPredKey]struct{}{}}
+	banks := (b.Stages + 1) * 2
+	return &Tracker{b: b, regs: make([]uint32, banks), rules: make([]int, banks*int(modules.NumKinds)),
+		preds: map[modules.InitPredKey]int{}}
 }
 
 // Budget returns the tracker's device envelope.
 func (t *Tracker) Budget() Budget { return t.b }
 
-// Clone copies the tracker so a multi-switch admission can be checked
-// tentatively and discarded on any switch's rejection.
+// Clone copies the tracker so an admission can be checked tentatively
+// and discarded.
 func (t *Tracker) Clone() *Tracker {
-	c := &Tracker{b: t.b, regs: make(map[bankKey]uint32, len(t.regs)),
-		rules: make(map[tableKey]int, len(t.rules)), initRules: t.initRules, programs: t.programs,
-		preds: make(map[modules.InitPredKey]struct{}, len(t.preds))}
-	for k, v := range t.regs {
-		c.regs[k] = v
-	}
-	for k, v := range t.rules {
-		c.rules[k] = v
-	}
-	for k := range t.preds {
-		c.preds[k] = struct{}{}
-	}
-	return c
+	c := *t
+	c.regs, c.rules, c.preds = slices.Clone(t.regs), slices.Clone(t.rules), maps.Clone(t.preds)
+	return &c
 }
 
-// newPreds collects the program's classifier predicates the tracker has
-// not yet accounted for.
-func (t *Tracker) newPreds(p *modules.Program) map[modules.InitPredKey]struct{} {
-	fresh := map[modules.InitPredKey]struct{}{}
-	var buf []modules.InitPredKey
+// newPreds lists the program's classifier predicates the tracker does
+// not hold, each once. It inlines, so Fits counts them in a buffer on
+// its own stack.
+func (t *Tracker) newPreds(p *modules.Program) []modules.InitPredKey {
+	var buf [32]modules.InitPredKey
+	return t.appendNewPreds(buf[:0], p)
+}
+
+func (t *Tracker) appendNewPreds(dst []modules.InitPredKey, p *modules.Program) []modules.InitPredKey {
 	for _, br := range p.Branches {
-		buf = br.InitPreds(buf[:0])
-		for _, k := range buf {
-			if _, seen := t.preds[k]; !seen {
-				fresh[k] = struct{}{}
+		n := len(dst)
+		dst = br.InitPreds(dst)
+		fresh := dst[:n]
+		for _, k := range dst[n:] {
+			if _, held := t.preds[k]; !held && !slices.Contains(fresh, k) {
+				fresh = append(fresh, k)
 			}
 		}
+		dst = fresh
 	}
-	return fresh
+	return dst
 }
 
-// Fits checks a compiled program against the remaining budget.
+// Fits checks a compiled program against the remaining budget. It adds
+// the program's registers and rules in place, checks them and takes them
+// back out.
 func (t *Tracker) Fits(p *modules.Program) (bool, string) {
 	if s := p.NumStages(); s > t.b.Stages {
 		return false, fmt.Sprintf("needs %d stages, device has %d", s, t.b.Stages)
 	}
-	wantRegs := map[bankKey]uint32{}
-	wantRules := map[tableKey]int{}
-	for _, br := range p.Branches {
-		for _, op := range br.Ops {
-			wantRules[moduleOf(op)]++
-			if k, ok := bankOf(op); ok {
-				wantRegs[k] += op.Width()
-			}
+	t.add(p, 1)
+	why := t.over(p)
+	t.add(p, -1)
+	if why == "" {
+		if fresh := t.newPreds(p); len(t.preds)+len(fresh) > classifierPreds {
+			why = fmt.Sprintf("newton_init classifier out of predicate capacity (%d + %d new > %d)",
+				len(t.preds), len(fresh), classifierPreds)
 		}
 	}
-	// Banks, then modules, are checked in op order, so the refusal names
-	// the same one on every run.
-	for _, br := range p.Branches {
-		for _, op := range br.Ops {
-			if k, ok := bankOf(op); ok && t.regs[k]+wantRegs[k] > t.b.ArraySize {
-				return false, fmt.Sprintf("state bank at stage %d set %d needs %d registers, %d free",
-					k.stage, k.set, wantRegs[k], t.b.ArraySize-t.regs[k])
-			}
-		}
-	}
-	for _, br := range p.Branches {
-		for _, op := range br.Ops {
-			if k := moduleOf(op); t.rules[k]+wantRules[k] > t.b.RulesPerModule {
-				return false, fmt.Sprintf("%v table at stage %d set %d out of rule capacity", k.kind, k.stage, k.set)
-			}
-		}
-	}
-	if t.initRules+len(p.Branches) > t.b.InitCapacity() {
-		return false, "newton_init out of rule capacity"
-	}
-	if t.programs >= t.b.RulesPerModule {
-		return false, "newton_fin out of rule capacity"
-	}
-	if fresh := t.newPreds(p); len(t.preds)+len(fresh) > classifierPreds {
-		return false, fmt.Sprintf("newton_init classifier out of predicate capacity (%d + %d new > %d)",
-			len(t.preds), len(fresh), classifierPreds)
-	}
-	return true, ""
+	return why == "", why
 }
 
-// Commit reserves a program's footprint.
-func (t *Tracker) Commit(p *modules.Program) {
+// over names what a program added by add overflows, or returns "".
+// Banks, then modules, are checked in op order, so the refusal names the
+// same one on every run.
+func (t *Tracker) over(p *modules.Program) string {
 	for _, br := range p.Branches {
 		for _, op := range br.Ops {
-			t.rules[moduleOf(op)]++
-			if k, ok := bankOf(op); ok {
-				t.regs[k] += op.Width()
+			if k := bank(op); ownsBank(op) && t.regs[k] > t.b.ArraySize {
+				need := demand(p, k)
+				return fmt.Sprintf("state bank at stage %d set %d needs %d registers, %d free",
+					op.Stage, op.Set&1, need, t.b.ArraySize-(t.regs[k]-need))
 			}
 		}
 	}
-	t.initRules += len(p.Branches)
-	t.programs++
-	for k := range t.newPreds(p) {
-		t.preds[k] = struct{}{}
+	for _, br := range p.Branches {
+		for _, op := range br.Ops {
+			if t.rules[module(op)] > t.b.RulesPerModule {
+				return fmt.Sprintf("%v table at stage %d set %d out of rule capacity", op.Kind, op.Stage, op.Set&1)
+			}
+		}
+	}
+	if t.initRules > t.b.InitCapacity() {
+		return "newton_init out of rule capacity"
+	}
+	if t.programs > t.b.RulesPerModule {
+		return "newton_fin out of rule capacity"
+	}
+	return ""
+}
+
+// demand is the registers a program allocates in bank k.
+func demand(p *modules.Program, k int) uint32 {
+	var n uint32
+	for _, br := range p.Branches {
+		for _, op := range br.Ops {
+			if bank(op) == k && ownsBank(op) {
+				n += op.Width()
+			}
+		}
+	}
+	return n
+}
+
+// add charges (n = 1) or refunds (n = -1) a program's registers, module
+// rules, newton_init entries and newton_fin entry.
+func (t *Tracker) add(p *modules.Program, n int) {
+	for _, br := range p.Branches {
+		for _, op := range br.Ops {
+			t.rules[module(op)] += n
+			if ownsBank(op) {
+				t.regs[bank(op)] += uint32(n) * op.Width() // n = -1 wraps to a subtraction
+			}
+		}
+	}
+	t.initRules += n * len(p.Branches)
+	t.programs += n
+}
+
+// Commit reserves the footprint of a program Fits accepted.
+func (t *Tracker) Commit(p *modules.Program) {
+	t.add(p, 1)
+	var buf [8]modules.InitPredKey
+	for _, br := range p.Branches {
+		for _, k := range br.InitPreds(buf[:0]) {
+			t.preds[k]++
+		}
+	}
+}
+
+// Release returns a committed program's footprint: the exact inverse of
+// Commit, as Engine.Remove is of Engine.Install. A predicate another
+// committed program uses stays held.
+func (t *Tracker) Release(p *modules.Program) {
+	t.add(p, -1)
+	var buf [8]modules.InitPredKey
+	for _, br := range p.Branches {
+		for _, k := range br.InitPreds(buf[:0]) {
+			if t.preds[k]--; t.preds[k] == 0 {
+				delete(t.preds, k)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,7 +142,7 @@ func TestFitsClassifierPredicateCapacity(t *testing.T) {
 	filled := func(n int) *Tracker {
 		tr := NewTracker(b)
 		for i := 0; i < n; i++ {
-			tr.preds[modules.InitPredKey{Col: -1, Val: uint64(i)}] = struct{}{}
+			tr.preds[modules.InitPredKey{Col: -1, Val: uint64(i)}] = 1
 		}
 		return tr
 	}
@@ -171,7 +172,7 @@ func TestTrackerClonePreds(t *testing.T) {
 		t.Fatalf("clone carries %d preds, tracker %d", len(clone.preds), len(tr.preds))
 	}
 	// Mutating the clone must not leak back.
-	clone.preds[modules.InitPredKey{Col: 5, Val: 1, Mask: 1}] = struct{}{}
+	clone.preds[modules.InitPredKey{Col: 5, Val: 1, Mask: 1}] = 1
 	if len(clone.preds) == len(tr.preds) {
 		t.Fatal("clone shares the predicate set with its parent")
 	}
@@ -287,4 +288,57 @@ func TestFitsChargesNewtonFin(t *testing.T) {
 	if eng.InstalledCount() != b.RulesPerModule {
 		t.Fatalf("%d programs installed, want %d", eng.InstalledCount(), b.RulesPerModule)
 	}
+}
+
+// TestCommitReleaseRoundTrip: Release is the exact inverse of Commit.
+// Every catalog program at three widths, committed over a tracker that
+// already holds programs and then released, leaves the tracker equal to
+// its prior state; and a predicate two committed programs share stays
+// held when one of them is released.
+func TestCommitReleaseRoundTrip(t *testing.T) {
+	tr := NewTracker(Budget{Stages: 16, ArraySize: 1 << 30, RulesPerModule: 1024})
+	tr.Commit(compileAt(t, query.Q1(40), 1024))
+	tr.Commit(compileAt(t, query.Q6(40), 512))
+	for _, q := range query.All() {
+		for _, w := range []uint32{256, 1024, 4096} {
+			p := compileAt(t, q, w)
+			before := tr.Clone()
+			tr.Commit(p)
+			if reflect.DeepEqual(tr, before) {
+				t.Fatalf("%s at %d: Commit changed nothing", q.Name, w)
+			}
+			tr.Release(p)
+			if !reflect.DeepEqual(tr, before) {
+				t.Fatalf("%s at %d: Commit then Release left %+v, want %+v", q.Name, w, tr, before)
+			}
+		}
+	}
+
+	// Find two catalog programs that share some of a's classifier
+	// predicates, not all of them.
+	b := tr.Budget()
+	progs := make([]*modules.Program, 0, 9)
+	for _, q := range query.All() {
+		progs = append(progs, compileAt(t, q, 1024))
+	}
+	for _, a := range progs {
+		for _, c := range progs {
+			held := NewTracker(b)
+			held.Commit(c)
+			onlyA := len(held.newPreds(a))
+			if onlyA == 0 || onlyA == len(NewTracker(b).newPreds(a)) {
+				continue
+			}
+			held.Commit(a)
+			held.Release(a)
+			if n := len(held.newPreds(c)); n != 0 {
+				t.Fatalf("releasing %s dropped %d predicates %s still uses", a.Name, n, c.Name)
+			}
+			if n := len(held.newPreds(a)); n != onlyA {
+				t.Fatalf("after releasing %s, %d of its predicates are free, want the %d %s does not use", a.Name, n, onlyA, c.Name)
+			}
+			return
+		}
+	}
+	t.Fatal("no two catalog programs share some but not all classifier predicates: the shared case is vacuous")
 }
