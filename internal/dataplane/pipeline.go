@@ -143,6 +143,7 @@ func (c *Context) Mirror(r Report) {
 		*c.sink = append(*c.sink, r)
 		return
 	}
+	c.sw.room(1)
 	c.sw.reports = append(c.sw.reports, r)
 }
 
@@ -208,6 +209,7 @@ type Switch struct {
 	up      bool
 	lanes   []laneCounters
 	reports []Report
+	drained int // how many the last DrainReports handed off
 
 	// ctx is the reusable per-packet context of the sequential Process
 	// path; keeping it on the switch stops the Context (and its large
@@ -361,13 +363,22 @@ func NewBatchContext(sink *[]Report, lane int) *Context {
 }
 
 // DrainReports returns and clears the buffered monitoring reports. The
-// returned slice is handed off to the caller; allocation-sensitive loops
-// should prefer DrainReportsAppend, which reuses the switch's backing
-// buffer.
+// returned slice is handed off to the caller: the next report starts a
+// new buffer, sized for as many as this drain returned, so a steady
+// report rate costs one allocation a drain. Loops that need none should
+// prefer DrainReportsAppend, which reuses the switch's backing buffer.
 func (sw *Switch) DrainReports() []Report {
 	r := sw.reports
-	sw.reports = nil
+	sw.reports, sw.drained = nil, len(r)
 	return r
+}
+
+// room readies the report buffer for n more: one DrainReports handed off
+// restarts at the length it was drained at, or at n if that is more.
+func (sw *Switch) room(n int) {
+	if sw.reports == nil && n > 0 {
+		sw.reports = make([]Report, 0, max(sw.drained, n))
+	}
 }
 
 // DrainReportsAppend appends the buffered reports to dst and returns the
@@ -384,6 +395,7 @@ func (sw *Switch) DrainReportsAppend(dst []Report) []Report {
 // buffered queue so control-plane drains see them alongside the
 // sequential path's mirrors. Single-caller, like Process.
 func (sw *Switch) AddReports(rs []Report) {
+	sw.room(len(rs))
 	sw.reports = append(sw.reports, rs...)
 }
 

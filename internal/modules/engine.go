@@ -433,7 +433,8 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 	}
 	switch {
 	case ranPart != nil && ranPart.Part+1 < ranPart.TotalParts && !stopped:
-		ctx.OutSP = Snapshot(&ctx.PHV, ranPart.QID, ranPart.Part+1)
+		// The inbound header was read above: the packet's own storage is free.
+		ctx.OutSP = ctx.Pkt.AttachSP(resultHeader(&ctx.PHV, ranPart.QID, ranPart.Part+1))
 	case ranPart != nil:
 		ctx.OutSP = nil // query completed (or stopped) here: strip
 	default:
@@ -613,8 +614,14 @@ func (e *Engine) execR(ctx *dataplane.Context, r *RConfig, set *fields.MetadataS
 // Snapshot builds the result-snapshot header from the PHV for the next
 // partition of a cross-switch query (§5.1). Only what downstream cannot
 // rederive is carried: state results, the global result, and the
-// partition cursor. 12 bytes on the wire.
+// partition cursor. 12 bytes on the wire. Execute attaches the same
+// header to the packet without allocating one.
 func Snapshot(phv *fields.PHV, qid int, nextPart int) *packet.SPHeader {
+	h := resultHeader(phv, qid, nextPart)
+	return &h
+}
+
+func resultHeader(phv *fields.PHV, qid int, nextPart int) packet.SPHeader {
 	g := fields.GlobalSigned(phv.GlobalResult)
 	if g > 32767 {
 		g = 32767
@@ -622,7 +629,7 @@ func Snapshot(phv *fields.PHV, qid int, nextPart int) *packet.SPHeader {
 	if g < -32768 {
 		g = -32768
 	}
-	return &packet.SPHeader{
+	return packet.SPHeader{
 		QID:    uint16(qid) & maxSnapshotQID,
 		Part:   uint8(nextPart) & 0x0F,
 		State0: uint32(phv.Sets[0].StateResult),

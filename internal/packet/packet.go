@@ -94,6 +94,12 @@ const SPHeaderLen = 12
 
 // Packet is a decoded packet plus the simulation metadata that travels
 // with it (virtual timestamp and ingress port).
+//
+// A value copy of a Packet copies SP as a pointer: when a switch attached
+// the header (AttachSP), the copy's SP points into the original, and a
+// later AttachSP on the original changes what the copy carries. Copy a
+// packet before it meets a switch (SP nil, as trace generation does), or
+// give the copy a header of its own with AttachSP(*p.SP).
 type Packet struct {
 	TS     uint64 // virtual time, nanoseconds
 	InPort int
@@ -105,6 +111,18 @@ type Packet struct {
 	SP  *SPHeader
 
 	PayloadLen int
+
+	sp SPHeader // AttachSP's storage: the header the packet travels with
+}
+
+// AttachSP sets the packet's result snapshot header to h, held in the
+// packet itself: attaching one on the packet path allocates nothing. It
+// overwrites the header the packet arrived with if that was attached
+// here too, so a switch reads the inbound header before it attaches.
+func (p *Packet) AttachSP(h SPHeader) *SPHeader {
+	p.sp = h
+	p.SP = &p.sp
+	return p.SP
 }
 
 // headerLen returns the total header length of the packet as built.

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -82,9 +81,10 @@ func (c ExporterConfig) withDefaults() ExporterConfig {
 type Exporter struct {
 	cfg  ExporterConfig
 	conn net.Conn
+	fw   *wire.FrameWriter // frames onto conn; replaced with it
 	ring *ring
 
-	writeMu sync.Mutex // serializes frames on the stream; guards conn swap
+	writeMu sync.Mutex // serializes frames on the stream; guards conn and fw swap
 	// Stream codec state, guarded by writeMu alongside conn: the snapshot
 	// delta encoder and a reusable payload buffer. The encoder's held sets
 	// are the latest capture, packed; a reconnect replays them, so the
@@ -136,6 +136,7 @@ func NewExporter(conn net.Conn, cfg ExporterConfig) (*Exporter, error) {
 	e := &Exporter{
 		cfg:     cfg,
 		conn:    conn,
+		fw:      wire.NewFrameWriter(conn),
 		ring:    newRing(cfg.RingSize, cfg.Policy),
 		enc:     wire.SnapshotEncoder{KeyframeEvery: cfg.KeyframeEvery},
 		closeCh: make(chan struct{}),
@@ -259,33 +260,19 @@ func (e *Exporter) writer() {
 	e.mu.Unlock()
 }
 
-// countWriter counts bytes on their way to the stream so the wire
-// counters reflect what actually hit the socket, headers included.
-type countWriter struct {
-	w io.Writer
-	n uint64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += uint64(n)
-	return n, err
-}
-
 // writeFrameLocked compresses (size-gated) and frames one payload.
 // encNs is the time the caller spent building the payload.
 // Callers hold writeMu.
 func (e *Exporter) writeFrameLocked(kind wire.Kind, flags wire.Flags, payload []byte, encNs time.Duration) error {
 	start := time.Now()
-	wirePayload, zipped := wire.Compress(payload, compressMin)
+	wirePayload, zipped := e.fw.Compress(payload, compressMin)
 	if zipped {
 		flags |= wire.FlagCompressed
 	}
 	encNs += time.Since(start)
-	cw := &countWriter{w: e.conn}
-	err := wire.WriteFrame(cw, kind, flags, wirePayload)
+	n, err := e.fw.WriteFrame(kind, flags, wirePayload)
 	e.mu.Lock()
-	e.wireBytes += cw.n
+	e.wireBytes += uint64(n)
 	e.payloadBytes += uint64(len(payload)) + wire.HeaderSize
 	if zipped {
 		e.compressed++
@@ -390,7 +377,7 @@ func (e *Exporter) reconnectLoop() {
 		// keyframe of them — the new peer has no state to delta against.
 		e.writeMu.Lock()
 		old := e.conn
-		e.conn = conn
+		e.conn, e.fw = conn, wire.NewFrameWriter(conn)
 		e.enc.Reset()
 		replay := e.canReplay
 		if replay {

@@ -231,6 +231,7 @@ type Service struct {
 	touches   uint64
 	keyBuf    []byte             // being looked up: a report's dedup entry, or a read's masked key bytes in a merged row
 	pending   []dataplane.Report // deduped alerts not yet drained, the newest maxPending
+	drained   int                // how many the last DrainReports handed off: pending restarts at that size
 	subs      map[int]chan Event
 	nextSub   int
 
@@ -344,10 +345,12 @@ func (s *Service) HandleConn(conn net.Conn) (err error) {
 // streamLoop ingests an acked stream until it ends. Each stream carries
 // its own snapshot decoder: delta chains are per-stream state, grounded
 // by the keyframe the exporter sends first (and after every reconnect,
-// on a fresh stream).
+// on a fresh stream). Its frame reader and report slice are kept across
+// frames too, so a stream in steady state ingests without allocating.
 func (s *Service) streamLoop(cr *countReader, agent *agentInfo, switchID string) error {
 	var dec wire.SnapshotDecoder
-	var inflated []byte // this stream's decompression buffer, kept across frames
+	fr := wire.NewFrameReader(cr)
+	var rs []dataplane.Report // the last report frame, decoded
 	defer func() {
 		// The decoder's sets go with the stream.
 		s.mu.Lock()
@@ -355,25 +358,17 @@ func (s *Service) streamLoop(cr *countReader, agent *agentInfo, switchID string)
 		s.mu.Unlock()
 	}()
 	for {
-		hdr, payload, err := wire.ReadFrame(cr)
+		hdr, payload, err := fr.Next()
 		if err != nil {
 			if cleanStreamErr(err) {
 				return nil
 			}
 			return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
 		}
-		compressed := hdr.Flags&wire.FlagCompressed != 0
-		if compressed {
-			if inflated, err = wire.DecompressInto(inflated, payload); err != nil {
-				return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
-			}
-			payload = inflated
-		}
-		s.noteFrame(agent, cr.take(), uint64(len(payload))+wire.HeaderSize, compressed)
+		s.noteFrame(agent, cr.take(), uint64(len(payload))+wire.HeaderSize, hdr.Flags&wire.FlagCompressed != 0)
 		switch hdr.Kind {
 		case wire.KindReports:
-			rs, err := wire.DecodeReports(payload, switchID)
-			if err != nil {
+			if rs, err = wire.DecodeReportsInto(rs, payload, switchID); err != nil {
 				return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
 			}
 			s.ingestReports(agent, rs)
@@ -486,10 +481,10 @@ func (s *Service) registerAgent(id string) *agentInfo {
 
 // ingestReports deduplicates threshold alerts network-wide: reports for
 // the same (query, window, key) from different switches — or repeated
-// crossings within a window — collapse to the first arrival.
+// crossings within a window — collapse to the first arrival. Each fresh
+// alert is published as it is found; rs is not kept.
 func (s *Service) ingestReports(agent *agentInfo, rs []dataplane.Report) {
 	windowNs := uint64(s.cfg.Window)
-	var fresh []Event
 	s.mu.Lock()
 	agent.Reports += uint64(len(rs))
 	s.totalReports += uint64(len(rs))
@@ -504,8 +499,11 @@ func (s *Service) ingestReports(agent *agentInfo, rs []dataplane.Report) {
 			s.dupAlerts++
 			continue
 		}
+		if s.pending == nil {
+			s.pending = make([]dataplane.Report, 0, max(s.drained, 1))
+		}
 		s.pending = append(s.pending, *r)
-		fresh = append(fresh, Event{Kind: EventAlert, Report: *r, Window: w})
+		s.publishLocked(Event{Kind: EventAlert, Report: *r, Window: w})
 	}
 	// Nobody may ever drain (newton-analyzer only subscribes): keep the
 	// newest maxPending. Cutting from the front costs nothing now; append
@@ -515,7 +513,6 @@ func (s *Service) ingestReports(agent *agentInfo, rs []dataplane.Report) {
 		s.pending = s.pending[over:]
 		s.pendingDropped += uint64(over)
 	}
-	s.publishLocked(fresh)
 	s.mu.Unlock()
 }
 
@@ -804,9 +801,7 @@ func (s *Service) ingestSnapshot(agent *agentInfo, switchID string, epoch uint32
 	// (a restarted engine counts epochs from zero again): KeepEpochs in a
 	// row without the query, and the switch has stopped hosting it.
 	s.unlearnLocked(switchID, agent.Snapshots, uint64(s.cfg.KeepEpochs))
-	s.publishLocked([]Event{{
-		Kind: EventSnapshotMerged, SwitchID: switchID, Epoch: epoch, Banks: len(banks),
-	}})
+	s.publishLocked(Event{Kind: EventSnapshotMerged, SwitchID: switchID, Epoch: epoch, Banks: len(banks)})
 	s.mu.Unlock()
 }
 
@@ -939,16 +934,14 @@ func (s *Service) AgentLiveness(id string) (lastSeen time.Time, connected bool, 
 	return a.LastSeen, a.Streams > 0, true
 }
 
-// publishLocked fans events out to subscribers without blocking ingest:
-// a subscriber whose buffer is full loses the event (counted).
-func (s *Service) publishLocked(evs []Event) {
-	for _, ev := range evs {
-		for _, ch := range s.subs {
-			select {
-			case ch <- ev:
-			default:
-				s.subDropped++
-			}
+// publishLocked fans an event out to subscribers without blocking
+// ingest: a subscriber whose buffer is full loses it (counted).
+func (s *Service) publishLocked(ev Event) {
+	for _, ch := range s.subs {
+		select {
+		case ch <- ev:
+		default:
+			s.subDropped++
 		}
 	}
 }
@@ -1055,12 +1048,13 @@ func (s *Service) MergedRows(qid, branch int, epoch uint32) []*MergedBank {
 // DrainReports returns and clears the deduplicated alert reports
 // accumulated since the last drain (the newest maxPending of them) — the
 // push-based replacement for the controller's per-agent DrainReports
-// polling.
+// polling. The slice is the caller's: the next alert starts a new one,
+// sized for as many as this drain returned.
 func (s *Service) DrainReports() []dataplane.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := s.pending
-	s.pending = nil
+	s.pending, s.drained = nil, len(out)
 	return out
 }
 

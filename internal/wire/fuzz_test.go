@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/newton-net/newton/internal/dataplane"
 )
 
 func randStats(rng *rand.Rand) ExportStats {
@@ -22,10 +24,11 @@ func randStats(rng *rand.Rand) ExportStats {
 // a generator, and the rest is raw material:
 //
 //   - even modes: the remaining bytes are treated as hostile wire input
-//     and fed to every decoder (frame reader, report/snapshot/bye
-//     payload decoders, decompressor, and a mid-chain snapshot
-//     decoder). Anything may be rejected — with a typed error — but
-//     nothing may panic.
+//     and fed to every decoder (a frame reader over them as a stream,
+//     and over them as a compressed frame's payload; the
+//     report/snapshot/bye payload decoders, the report decoder into a
+//     kept slice, and a mid-chain snapshot decoder). Anything may be
+//     rejected — with a typed error — but nothing may panic.
 //   - odd modes: the seed generates a structured value for one frame
 //     kind, which must survive encode → frame → unframe → decode
 //     bit-exactly, including a delta chain for snapshots.
@@ -59,10 +62,18 @@ func FuzzWireRoundTrip(f *testing.F) {
 // fuzzDecoders throws raw bytes at every decode surface; only typed
 // rejection or clean success is acceptable.
 func fuzzDecoders(raw []byte) {
-	_, _, _ = ReadFrame(bytes.NewReader(raw))
+	fr := NewFrameReader(bytes.NewReader(raw))
+	for {
+		if _, _, err := fr.Next(); err != nil {
+			break
+		}
+	}
+	var compressed bytes.Buffer
+	_ = WriteFrame(&compressed, KindSnapshot, FlagCompressed, raw)
+	_, _, _ = NewFrameReader(&compressed).Next()
 	_, _ = DecodeReports(raw, "s1")
+	_, _ = DecodeReportsInto(make([]dataplane.Report, 3), raw, "s1")
 	_, _ = DecodeBye(raw)
-	_, _ = DecompressInto(nil, raw)
 
 	var dec SnapshotDecoder
 	_, _, _ = dec.Decode(raw)
@@ -83,7 +94,9 @@ func fuzzRoundTrip(t *testing.T, mode, seed byte) {
 	case 1, 5: // reports
 		rs := genReports(rng, "fuzz-switch")
 		payload := AppendReports(nil, "fuzz-switch", rs)
-		got, err := DecodeReports(reframe(t, KindReports, 0, payload), "fuzz-switch")
+		// Into a kept slice that held a longer batch: nothing of it may show.
+		kept := genReports(rand.New(rand.NewSource(int64(seed)+1)), "other")
+		got, err := DecodeReportsInto(kept, reframe(t, KindReports, 0, payload), "fuzz-switch")
 		if err != nil {
 			t.Fatalf("reports: %v", err)
 		}
@@ -135,25 +148,21 @@ func fuzzRoundTrip(t *testing.T, mode, seed byte) {
 // gate fires, and returns the decoded payload — the full wire path.
 func reframe(t *testing.T, kind Kind, flags Flags, payload []byte) []byte {
 	t.Helper()
-	wirePayload, compressed := Compress(payload, 64)
+	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf)
+	wirePayload, compressed := fw.Compress(payload, 64)
 	if compressed {
 		flags |= FlagCompressed
 	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, kind, flags, wirePayload); err != nil {
+	if _, err := fw.WriteFrame(kind, flags, wirePayload); err != nil {
 		t.Fatal(err)
 	}
-	hdr, got, err := ReadFrame(&buf)
+	hdr, got, err := NewFrameReader(&buf).Next()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hdr.Kind != kind {
 		t.Fatalf("kind %v, want %v", hdr.Kind, kind)
-	}
-	if hdr.Flags&FlagCompressed != 0 {
-		if got, err = DecompressInto(nil, got); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("frame payload mismatch")

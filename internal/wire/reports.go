@@ -94,9 +94,16 @@ func appendRun(dst []byte, streamID string, rs []dataplane.Report) []byte {
 // DecodeReports decodes one batch, resolving run-elided switch IDs to
 // streamID.
 func DecodeReports(payload []byte, streamID string) ([]dataplane.Report, error) {
+	return DecodeReportsInto(nil, payload, streamID)
+}
+
+// DecodeReportsInto is DecodeReports into dst[:0], grown as needed: a
+// stream that keeps the slice across frames decodes without allocating.
+// On an error it returns nil.
+func DecodeReportsInto(dst []dataplane.Report, payload []byte, streamID string) ([]dataplane.Report, error) {
 	r := &reader{b: payload}
 	runs := r.length()
-	var out []dataplane.Report
+	out := dst[:0]
 	for i := 0; i < runs && r.err == nil; i++ {
 		id := string(r.bytes(r.length()))
 		if id == "" {

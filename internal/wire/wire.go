@@ -23,6 +23,13 @@
 // after every reconnect so replay never depends on lost state. Payloads
 // over a size gate are flate-compressed (stdlib only).
 //
+// Each end of a stream keeps its framing memory: a FrameWriter per
+// connection holds the header and the compressed output, a FrameReader
+// per stream the header, the payload and the inflated payload, and
+// DecodeReportsInto decodes into the stream's own report slice. A stream
+// in steady state allocates nothing per frame at either end but what
+// compress/flate's decoder builds per block.
+//
 // Every decode path is total: truncated, oversized, corrupt-CRC, or
 // malformed inputs return typed errors, never panic — the fuzz harness
 // (FuzzWireRoundTrip) holds the codec to that.
@@ -36,6 +43,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -129,19 +137,87 @@ func AppendHeader(dst []byte, kind Kind, flags Flags, payload []byte) []byte {
 	return append(dst, h[:]...)
 }
 
-// WriteFrame sends one binary frame: header, then payload. Exactly two
-// writes, matching the control channel's header+body discipline so
-// byte-counting wrappers see one frame per two writes.
-func WriteFrame(w io.Writer, kind Kind, flags Flags, payload []byte) error {
+// FrameWriter frames payloads onto one stream. It keeps the header it
+// builds and the compressed output across frames, so a stream in steady
+// state writes without allocating. Each frame is exactly two writes,
+// header then payload, matching the control channel's header+body
+// discipline so byte-counting wrappers see one frame per two writes.
+type FrameWriter struct {
+	w    io.Writer
+	hdr  [HeaderSize]byte
+	zbuf sink // Compress's output, valid until the next Compress
+}
+
+// sink is a byte slice a flate writer appends to: append grows a large
+// one by a quarter, where a bytes.Buffer would double it.
+type sink []byte
+
+func (s *sink) Write(p []byte) (int, error) {
+	*s = append(*s, p...)
+	return len(p), nil
+}
+
+// NewFrameWriter returns a FrameWriter on w.
+func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
+
+// WriteFrame sends one binary frame and returns the bytes the stream
+// took, header included.
+func (fw *FrameWriter) WriteFrame(kind Kind, flags Flags, payload []byte) (int, error) {
 	if len(payload) > MaxFrame {
-		return fmt.Errorf("%w: outbound payload of %d bytes", ErrTooLarge, len(payload))
+		return 0, fmt.Errorf("%w: outbound payload of %d bytes", ErrTooLarge, len(payload))
 	}
-	hdr := AppendHeader(make([]byte, 0, HeaderSize), kind, flags, payload)
-	if _, err := w.Write(hdr); err != nil {
-		return err
+	n, err := fw.w.Write(AppendHeader(fw.hdr[:0], kind, flags, payload))
+	if err != nil {
+		return n, err
 	}
-	_, err := w.Write(payload)
+	m, err := fw.w.Write(payload)
+	return n + m, err
+}
+
+// WriteFrame sends one binary frame on w.
+func WriteFrame(w io.Writer, kind Kind, flags Flags, payload []byte) error {
+	_, err := NewFrameWriter(w).WriteFrame(kind, flags, payload)
 	return err
+}
+
+// deflaters pools flate writers. Building one allocates its whole match
+// state, far more than compressing a frame costs, so writers are Reset
+// between frames instead; a Reset writer produces exactly the bytes a
+// new one would.
+var deflaters = sync.Pool{New: func() any {
+	// BestSpeed is a valid level: NewWriter cannot fail.
+	zw, _ := flate.NewWriter(nil, flate.BestSpeed)
+	return zw
+}}
+
+// Compress flate-compresses a payload when it is at least gate bytes
+// and compression actually shrinks it. The second return reports
+// whether the returned slice is compressed (the caller sets
+// FlagCompressed accordingly); a compressed result is fw's buffer, valid
+// until the next Compress. A gate < 0 disables compression.
+func (fw *FrameWriter) Compress(payload []byte, gate int) ([]byte, bool) {
+	if gate < 0 || len(payload) < gate {
+		return payload, false
+	}
+	zw := deflaters.Get().(*flate.Writer)
+	defer deflaters.Put(zw)
+	fw.zbuf = fw.zbuf[:0]
+	zw.Reset(&fw.zbuf)
+	if _, err := zw.Write(payload); err != nil {
+		return payload, false
+	}
+	if err := zw.Close(); err != nil {
+		return payload, false
+	}
+	if len(fw.zbuf) >= len(payload) {
+		return payload, false
+	}
+	return fw.zbuf, true
+}
+
+// Compress is FrameWriter.Compress into a buffer of the caller's own.
+func Compress(payload []byte, gate int) ([]byte, bool) {
+	return new(FrameWriter).Compress(payload, gate)
 }
 
 // ParseHeader decodes and validates one frame header.
@@ -168,99 +244,80 @@ func ParseHeader(h []byte) (Header, error) {
 	return hdr, nil
 }
 
-// ReadFrame receives one binary frame, validating magic, version, size
-// bound, and payload CRC. The returned payload is still compressed if
-// the header says so — DecompressInto it before decoding.
-func ReadFrame(r io.Reader) (Header, []byte, error) {
-	var h [HeaderSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
+// FrameReader receives the frames of one stream. It keeps its header,
+// payload and inflate buffers across frames, so a stream in steady state
+// reads without allocating: the buffers grow to the largest frame seen
+// and stay with the stream.
+type FrameReader struct {
+	r        io.Reader
+	hdr      [HeaderSize]byte
+	payload  []byte       // the frame as read off the stream
+	inflated []byte       // a compressed frame's payload, inflated
+	src      bytes.Reader // what the pooled flate reader reads from
+}
+
+// NewFrameReader returns a FrameReader on r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// Next receives one frame, validating magic, version, size bound and
+// payload CRC, and returns its header and payload — inflated already
+// when the header says FlagCompressed. The payload is valid until the
+// next call. An inflated payload past MaxFrame is ErrTooLarge (a zip
+// bomb is a malformed peer, not an allocation), one that does not
+// inflate ErrMalformed.
+func (fr *FrameReader) Next() (Header, []byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return Header{}, nil, err
 	}
-	hdr, err := ParseHeader(h[:])
+	hdr, err := ParseHeader(fr.hdr[:])
 	if err != nil {
 		return Header{}, nil, err
 	}
-	payload := make([]byte, hdr.Length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	fr.payload = slices.Grow(fr.payload[:0], int(hdr.Length))[:hdr.Length]
+	if _, err := io.ReadFull(fr.r, fr.payload); err != nil {
 		return Header{}, nil, err
 	}
-	if crc32.Checksum(payload, castagnoli) != hdr.CRC {
+	if crc32.Checksum(fr.payload, castagnoli) != hdr.CRC {
 		return Header{}, nil, ErrCRC
 	}
-	return hdr, payload, nil
+	if hdr.Flags&FlagCompressed == 0 {
+		return hdr, fr.payload, nil
+	}
+	if err := fr.inflate(); err != nil {
+		return Header{}, nil, err
+	}
+	return hdr, fr.inflated, nil
 }
 
-// deflater is one reusable compressor: a flate writer and the buffer it
-// writes into. Building a flate.Writer allocates its whole match state,
-// far more than compressing a frame costs, so writers are pooled and
-// Reset between frames; a Reset writer produces exactly the bytes a new
-// one would.
-type deflater struct {
-	zw  *flate.Writer
-	buf bytes.Buffer
-}
-
-var deflaters = sync.Pool{New: func() any {
-	d := &deflater{}
-	// BestSpeed is a valid level: NewWriter cannot fail.
-	d.zw, _ = flate.NewWriter(&d.buf, flate.BestSpeed)
-	return d
-}}
-
-// inflaters pools flate readers, which DecompressInto re-targets with
+// inflaters pools flate readers, which FrameReader re-targets with
 // flate.Resetter instead of building one per frame.
 var inflaters = sync.Pool{New: func() any { return flate.NewReader(nil) }}
 
-// Compress flate-compresses a payload when it is at least gate bytes
-// and compression actually shrinks it. The second return reports
-// whether the returned slice is compressed (the caller sets
-// FlagCompressed accordingly); a compressed result is the caller's own.
-// A gate < 0 disables compression.
-func Compress(payload []byte, gate int) ([]byte, bool) {
-	if gate < 0 || len(payload) < gate {
-		return payload, false
-	}
-	d := deflaters.Get().(*deflater)
-	defer deflaters.Put(d)
-	d.buf.Reset()
-	d.zw.Reset(&d.buf)
-	if _, err := d.zw.Write(payload); err != nil {
-		return payload, false
-	}
-	if err := d.zw.Close(); err != nil {
-		return payload, false
-	}
-	if d.buf.Len() >= len(payload) {
-		return payload, false
-	}
-	return bytes.Clone(d.buf.Bytes()), true
-}
-
-// DecompressInto inflates a compressed payload into dst[:0], grown as
-// needed, and returns it — for a stream that keeps one buffer across
-// frames. It refuses to expand past MaxFrame (a zip bomb is a malformed
-// peer, not an allocation).
-func DecompressInto(dst, payload []byte) ([]byte, error) {
+// inflate decompresses the payload into the inflate buffer, grown as
+// needed, with a pooled flate reader.
+func (fr *FrameReader) inflate() error {
 	zr := inflaters.Get().(io.Reader)
 	defer inflaters.Put(zr)
-	if err := zr.(flate.Resetter).Reset(bytes.NewReader(payload), nil); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	fr.src.Reset(fr.payload)
+	if err := zr.(flate.Resetter).Reset(&fr.src, nil); err != nil {
+		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	out := dst[:0]
+	fr.inflated = fr.inflated[:0]
 	for {
+		out := fr.inflated
 		if len(out) == cap(out) {
 			out = append(out, 0)[:len(out)]
 		}
 		n, err := zr.Read(out[len(out):cap(out)])
-		out = out[:len(out)+n]
-		if len(out) > MaxFrame {
-			return nil, fmt.Errorf("%w: decompressed payload exceeds %d bytes", ErrTooLarge, MaxFrame)
+		fr.inflated = out[:len(out)+n]
+		if len(fr.inflated) > MaxFrame {
+			return fmt.Errorf("%w: decompressed payload exceeds %d bytes", ErrTooLarge, MaxFrame)
 		}
 		if err == io.EOF {
-			return out, nil
+			return nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+			return fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
 	}
 }

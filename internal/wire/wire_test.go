@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/flate"
 	"errors"
+	"fmt"
+	"io"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -169,62 +171,102 @@ func checkBanksEqual(t *testing.T, want, got []modules.BankSnapshot) {
 
 // --- framing ---
 
+// deflate is payload compressed by a new flate writer, whether or not
+// that shrinks it.
+func deflate(payload []byte) []byte {
+	var out bytes.Buffer
+	zw, _ := flate.NewWriter(&out, flate.BestSpeed)
+	zw.Write(payload)
+	zw.Close()
+	return out.Bytes()
+}
+
+// readOne is the first frame of b, through a new FrameReader.
+func readOne(b []byte) (Header, []byte, error) {
+	return NewFrameReader(bytes.NewReader(b)).Next()
+}
+
+// TestFrameRoundTrip: every kind with every flag combination, written by
+// one FrameWriter and read back by one FrameReader in order — each frame
+// is the two writes' worth of bytes WriteFrame reports, and a compressed
+// one comes back inflated.
 func TestFrameRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf)
+	type sent struct {
+		kind    Kind
+		flags   Flags
+		payload []byte
+	}
+	var frames []sent
 	for _, kind := range []Kind{KindReports, KindSnapshot, KindBye} {
 		for _, flags := range []Flags{0, FlagCompressed, FlagDelta, FlagCompressed | FlagDelta} {
-			payload := []byte("payload for " + kind.String())
-			var buf bytes.Buffer
-			if err := WriteFrame(&buf, kind, flags, payload); err != nil {
-				t.Fatal(err)
+			payload := []byte(fmt.Sprintf("payload for %v with flags %d", kind, flags))
+			wirePayload := payload
+			if flags&FlagCompressed != 0 {
+				wirePayload = deflate(payload)
 			}
-			if buf.Len() != HeaderSize+len(payload) {
-				t.Fatalf("frame size %d, want %d", buf.Len(), HeaderSize+len(payload))
-			}
-			hdr, got, err := ReadFrame(&buf)
+			n, err := fw.WriteFrame(kind, flags, wirePayload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hdr.Kind != kind || hdr.Flags != flags || hdr.Version != Version1 {
-				t.Fatalf("header %+v, want kind %v flags %v", hdr, kind, flags)
+			if n != HeaderSize+len(wirePayload) {
+				t.Fatalf("frame of %d bytes reported, want %d", n, HeaderSize+len(wirePayload))
 			}
-			if !bytes.Equal(got, payload) {
-				t.Fatalf("payload %q, want %q", got, payload)
-			}
+			frames = append(frames, sent{kind, flags, payload})
 		}
+	}
+	fr := NewFrameReader(&buf)
+	for _, f := range frames {
+		hdr, got, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hdr.Kind != f.kind || hdr.Flags != f.flags || hdr.Version != Version1 {
+			t.Fatalf("header %+v, want kind %v flags %v", hdr, f.kind, f.flags)
+		}
+		if !bytes.Equal(got, f.payload) {
+			t.Fatalf("payload %q, want %q", got, f.payload)
+		}
+	}
+	if _, _, err := fr.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the last frame: %v, want EOF", err)
 	}
 }
 
 func TestFrameRejectsCorruption(t *testing.T) {
-	frame := func() []byte {
+	frame := func(flags Flags, payload []byte) []byte {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, KindReports, 0, []byte("hello wire")); err != nil {
+		if err := WriteFrame(&buf, KindReports, flags, payload); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
+	plain := func() []byte { return frame(0, []byte("hello wire")) }
 
 	cases := []struct {
-		name    string
-		corrupt func([]byte) []byte
-		want    error
+		name  string
+		frame []byte
+		want  error
 	}{
-		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, ErrBadMagic},
-		{"bad version", func(b []byte) []byte { b[2] = 99; return b }, ErrBadVersion},
-		{"oversized length", func(b []byte) []byte { b[8] = 0xFF; b[9] = 0xFF; b[10] = 0xFF; b[11] = 0x7F; return b }, ErrTooLarge},
-		{"payload bit flip", func(b []byte) []byte { b[HeaderSize] ^= 1; return b }, ErrCRC},
-		{"crc bit flip", func(b []byte) []byte { b[12] ^= 1; return b }, ErrCRC},
+		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }(plain()), ErrBadMagic},
+		{"bad version", func(b []byte) []byte { b[2] = 99; return b }(plain()), ErrBadVersion},
+		{"oversized length", func(b []byte) []byte { b[8] = 0xFF; b[9] = 0xFF; b[10] = 0xFF; b[11] = 0x7F; return b }(plain()), ErrTooLarge},
+		{"payload bit flip", func(b []byte) []byte { b[HeaderSize] ^= 1; return b }(plain()), ErrCRC},
+		{"crc bit flip", func(b []byte) []byte { b[12] ^= 1; return b }(plain()), ErrCRC},
+		{"compressed garbage", frame(FlagCompressed, []byte{0xde, 0xad, 0xbe, 0xef}), ErrMalformed},
+		{"zip bomb", frame(FlagCompressed, deflate(make([]byte, MaxFrame+1))), ErrTooLarge},
 	}
 	for _, tc := range cases {
-		b := tc.corrupt(frame())
-		if _, _, err := ReadFrame(bytes.NewReader(b)); !errors.Is(err, tc.want) {
+		if _, _, err := readOne(tc.frame); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
 
 	// Truncation at every byte boundary: an io error, never a panic.
-	b := frame()
+	b := plain()
 	for cut := 0; cut < len(b); cut++ {
-		if _, _, err := ReadFrame(bytes.NewReader(b[:cut])); err == nil {
+		if _, _, err := readOne(b[:cut]); err == nil {
 			t.Fatalf("truncated frame at %d accepted", cut)
 		}
 	}
@@ -240,63 +282,70 @@ func TestCompress(t *testing.T) {
 	if !ok || len(out) >= len(big) {
 		t.Fatalf("compressible payload not compressed: %d -> %d", len(big), len(out))
 	}
-	back, err := DecompressInto(nil, out)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, KindReports, FlagCompressed, out); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(back, big) {
-		t.Fatal("decompress mismatch")
+	if _, back, err := readOne(buf.Bytes()); err != nil || !bytes.Equal(back, big) {
+		t.Fatalf("decompress mismatch: %v", err)
 	}
 	if _, ok := Compress(big, -1); ok {
 		t.Fatal("negative gate must disable compression")
 	}
-	if _, err := DecompressInto(nil, []byte{0xde, 0xad, 0xbe, 0xef}); err == nil {
-		t.Fatal("garbage must not decompress")
-	}
 }
 
-// TestCompressReusedWriterWritesTheSameBytes: Compress draws its flate
+// TestCompressReusedWriterWritesTheSameBytes: compression draws its flate
 // writer from a pool and Resets it, and a frame must not depend on what
-// the writer compressed before — each result equals a new writer's, is
-// the caller's own, and inflates back through a reader and a buffer
-// that are reused the same way (after garbage, too).
+// the writer compressed before — each result equals a new writer's. A
+// FrameWriter's result is its own buffer, overwritten by its next
+// Compress; the package Compress's is the caller's to keep. The frames
+// inflate back through one FrameReader, whose reader is reused the same
+// way and whose buffer is kept across frames, garbage ones included.
 func TestCompressReusedWriterWritesTheSameBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var outs, payloads [][]byte
-	var buf []byte
+	var stream bytes.Buffer
+	fw := NewFrameWriter(&stream)
+	var kept, payloads [][]byte
 	for i := 0; i < 8; i++ {
 		payload := make([]byte, 600+rng.Intn(5000))
 		for j := range payload {
 			payload[j] = byte(rng.Intn(4)) // compressible, different every frame
 		}
-		var fresh bytes.Buffer
-		zw, _ := flate.NewWriter(&fresh, flate.BestSpeed)
-		zw.Write(payload)
-		zw.Close()
-
-		out, ok := Compress(payload, 512)
-		if !ok || !bytes.Equal(out, fresh.Bytes()) {
-			t.Fatalf("frame %d: pooled writer wrote %d B, a new one %d B", i, len(out), fresh.Len())
+		fresh := deflate(payload)
+		out, ok := fw.Compress(payload, 512)
+		if !ok || !bytes.Equal(out, fresh) {
+			t.Fatalf("frame %d: pooled writer wrote %d B, a new one %d B", i, len(out), len(fresh))
 		}
-		outs, payloads = append(outs, out), append(payloads, payload)
-
-		if _, err := DecompressInto(buf, []byte{0xde, 0xad, 0xbe, 0xef}); err == nil {
-			t.Fatal("garbage must not decompress")
+		if _, err := fw.WriteFrame(KindSnapshot, FlagCompressed, out); err != nil {
+			t.Fatal(err)
 		}
-		back, err := DecompressInto(buf, out)
-		if err != nil || !bytes.Equal(back, payload) {
+		if _, err := fw.WriteFrame(KindSnapshot, FlagCompressed, []byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
+			t.Fatal(err)
+		}
+		own, _ := Compress(payload, 512)
+		kept, payloads = append(kept, own), append(payloads, payload)
+	}
+	for i := range kept { // earlier results survived later calls
+		if !bytes.Equal(kept[i], deflate(payloads[i])) {
+			t.Fatalf("frame %d was overwritten by a later Compress", i)
+		}
+	}
+
+	fr := NewFrameReader(&stream)
+	var largest []byte
+	for i := range payloads {
+		_, back, err := fr.Next()
+		if err != nil || !bytes.Equal(back, payloads[i]) {
 			t.Fatalf("frame %d: inflate through the kept buffer: %v", i, err)
 		}
-		buf = back
-	}
-	for i := range outs { // earlier results survived later calls
-		if back, err := DecompressInto(nil, outs[i]); err != nil || !bytes.Equal(back, payloads[i]) {
-			t.Fatalf("frame %d was overwritten by a later Compress: %v", i, err)
+		if len(back) > len(largest) {
+			largest = back
+		} else if &back[0] != &largest[0] {
+			t.Errorf("frame %d of %d B did not inflate into the buffer a %d B frame grew", i, len(back), len(largest))
 		}
-	}
-	big := make([]byte, 0, 1<<16)
-	if back, _ := DecompressInto(big, outs[7]); &back[0] != &big[:1][0] {
-		t.Error("a buffer with room to spare was not inflated into")
+		if _, _, err := fr.Next(); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("garbage after frame %d: %v, want ErrMalformed", i, err)
+		}
 	}
 }
 
