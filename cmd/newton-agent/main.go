@@ -179,21 +179,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "newton-agent: skipped %d undecodable packets\n", skipped)
 	}
 
-	// Replay lanes: each worker owns a context, a report sink, and a shard
-	// buffer, all reused across windows. Packets shard by symmetric flow
-	// hash so both directions of a flow replay in order on one lane; lanes
-	// join at every window boundary before the epoch rolls.
-	type replayLane struct {
-		ctx   *dataplane.Context
-		sink  []dataplane.Report
-		shard []*packet.Packet
-	}
-	lanes := make([]*replayLane, W)
-	for w := range lanes {
-		ln := &replayLane{}
-		ln.ctx = dataplane.NewBatchContext(&ln.sink, w)
-		lanes[w] = ln
-	}
+	// Replay lanes: packets shard by symmetric flow hash so both
+	// directions of a flow replay in order on one lane, each worker drives
+	// the switch lane of its index (whose buffer keeps its reports), and
+	// lanes join at every window boundary before the epoch rolls.
+	shards := make([][]*packet.Packet, W)
 	var wg sync.WaitGroup
 	processWindow := func(seg []*packet.Packet) {
 		if W == 1 {
@@ -202,29 +192,23 @@ func main() {
 			}
 			return
 		}
-		for _, ln := range lanes {
-			ln.shard = ln.shard[:0]
+		for w := range shards {
+			shards[w] = shards[w][:0]
 		}
 		for _, pkt := range seg {
 			w := int(pkt.Flow().LaneHash() % uint64(W))
-			lanes[w].shard = append(lanes[w].shard, pkt)
+			shards[w] = append(shards[w], pkt)
 		}
 		wg.Add(W)
-		for w := 0; w < W; w++ {
-			go func(ln *replayLane) {
+		for w := range shards {
+			go func(w int) {
 				defer wg.Done()
-				for _, pkt := range ln.shard {
-					sw.ProcessCtx(pkt, ln.ctx)
+				for _, pkt := range shards[w] {
+					sw.ProcessLane(pkt, w)
 				}
-			}(lanes[w])
+			}(w)
 		}
 		wg.Wait()
-		for _, ln := range lanes {
-			if len(ln.sink) != 0 {
-				sw.AddReports(ln.sink)
-				ln.sink = ln.sink[:0]
-			}
-		}
 	}
 
 	for l := 0; l < *loop; l++ {
@@ -241,7 +225,7 @@ func main() {
 			}
 			if start < len(pkts) {
 				// The next packet crosses the boundary: flush mirrors,
-				// merge shards, roll the window, then resume.
+				// roll the window, then resume.
 				push()
 				roll()
 				nextEpoch += uint64(*window)

@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"github.com/newton-net/newton"
@@ -66,9 +67,13 @@ func main() {
 	}
 	fmt.Printf("detections over %d packets:\n", len(tr.Packets))
 	for i, q := range queries {
-		keys := perQuery[i+1]
+		var keys []uint64
+		for k := range perQuery[i+1] {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
 		fmt.Printf("  Q%d %-26s -> %d flagged host(s)", i+1, q.Name, len(keys))
-		for k := range keys {
+		for _, k := range keys {
 			fmt.Printf("  %d.%d.%d.%d", k>>24&0xFF, k>>16&0xFF, k>>8&0xFF, k&0xFF)
 		}
 		fmt.Println()

@@ -382,7 +382,9 @@ func (p *serialProgram) Execute(ctx *Context) {
 // never written again. The reports mirrored after it go to a new buffer
 // sized for as many as were drained, so a drain's worth of them costs
 // one allocation; a buffer that restarted from nil made 8 for these 100.
-// AddReports onto a handed-off buffer restarts it the same way.
+// Reports a lane above 0 mirrored join the drained slice after lane 0's,
+// each lane in its own order, and hand off the same way: what either
+// lane mirrors next leaves the slice alone.
 func TestDrainedReportsAreTheCallers(t *testing.T) {
 	sw := NewSwitch("s1", 4, TofinoStageCapacity())
 	sw.AddRoute(0, 0, 1)
@@ -407,16 +409,49 @@ func TestDrainedReportsAreTheCallers(t *testing.T) {
 		t.Fatalf("a drain's worth of reports allocates %.2f times, want 1", n)
 	}
 
-	held := sw.DrainReports()
-	want := slices.Clone(held)
-	sw.AddReports(make([]Report, batch/2))
+	sw.DrainReports()
+	sw.SetLanes(2)
 	for i := 0; i < batch/2; i++ {
+		sw.ProcessLane(pkt, 1)
 		sw.Process(pkt)
 	}
-	if cap(sw.reports) != batch || !slices.Equal(held, want) {
-		t.Fatalf("after AddReports: buffer of %d (want %d), drained slice intact %v",
-			cap(sw.reports), batch, slices.Equal(held, want))
+	held := sw.DrainReports()
+	if len(held) != batch {
+		t.Fatalf("drained %d reports, want %d", len(held), batch)
 	}
+	for i := 0; i < batch/2; i++ {
+		// Lane 1 ran each pair's first packet, lane 0 its second.
+		if lane0, lane1 := held[i].State, held[batch/2+i].State; lane0 != held[0].State+uint64(2*i) || lane1 != lane0-1 {
+			t.Fatalf("report %d: lane 0 state %d, lane 1 state %d: not lane 0 first, each lane in order", i, lane0, lane1)
+		}
+	}
+	want := slices.Clone(held)
+	for i := 0; i < batch; i++ {
+		sw.ProcessLane(pkt, 1)
+		sw.Process(pkt)
+	}
+	if c := cap(sw.lanes[0].reports); c != batch || !slices.Equal(held, want) {
+		t.Fatalf("after mirrors on both lanes: lane 0 buffer of %d (want %d), drained slice intact %v",
+			c, batch, slices.Equal(held, want))
+	}
+}
+
+// TestProcessLanePastSetLanesPanics: a lane the switch was never sized
+// for is a caller bug, not a second user of lane 0.
+func TestProcessLanePastSetLanesPanics(t *testing.T) {
+	sw := NewSwitch("s1", 4, TofinoStageCapacity())
+	sw.AddRoute(0, 0, 1)
+	sw.SetLanes(2)
+	sw.ProcessLane(testPacket("10.0.0.1"), 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ProcessLane on lane 2 of 2 did not panic")
+		}
+		if c := sw.Counters(); c.Rx != 1 {
+			t.Fatalf("rx = %d after the refused packet, want 1", c.Rx)
+		}
+	}()
+	sw.ProcessLane(testPacket("10.0.0.1"), 2)
 }
 
 func TestMatchKindStrings(t *testing.T) {

@@ -95,6 +95,7 @@ type Report struct {
 // Context is the per-packet execution context handed to the monitoring
 // program: the PHV, the packet itself, and the switch services the
 // program may invoke (mirroring a report, consulting the SP header).
+// Each delivery lane of a switch owns one, reused packet after packet.
 type Context struct {
 	PHV fields.PHV
 	Pkt *packet.Packet
@@ -105,46 +106,42 @@ type Context struct {
 	// partition (§5.1). The deparser applies it after the program runs.
 	OutSP *packet.SPHeader
 
-	// Lane is the delivery worker's index. The sharded delivery contract
-	// is: at any instant, at most one goroutine drives packets with a
-	// given lane, and all packets of one flow use the same lane within an
-	// epoch (netsim shards batches by flow hash and joins workers at
-	// window barriers). Under that discipline every per-lane structure —
-	// switch counters, the engine's flow table and hash memos, report
-	// sinks — is single-writer and needs no locks. Sequential delivery
-	// uses lane 0.
+	// Lane is the index of the switch lane (SetLanes) running the packet.
+	// The delivery contract is: at any instant, at most one goroutine
+	// drives packets through a given lane, and all packets of one flow use
+	// the same lane within an epoch (netsim shards batches by flow hash
+	// and joins workers at window barriers). Under that discipline every
+	// per-lane structure — the switch's counters and report buffer, the
+	// engine's flow table and hash memos — is single-writer and needs no
+	// locks. Process runs lane 0.
 	Lane int
 
-	// sink, when non-nil, receives mirrored reports instead of the
-	// switch's shared buffer — the per-worker report buffers of parallel
-	// batch delivery.
-	sink *[]Report
-
-	// seq marks the context as sequential: exactly one goroutine is
+	// seq marks the packet as sequential: exactly one goroutine is
 	// delivering packets, so register transactions may skip their atomic
-	// (LOCK-prefixed) forms. Batch workers leave it false. Results are
-	// identical either way — the atomic forms are linearizable and the
-	// sequential forms never race by construction.
+	// (LOCK-prefixed) forms. Results are identical either way — the
+	// atomic forms are linearizable and the sequential forms never race
+	// by construction.
 	seq bool
 
 	sw *Switch
+	ln *lane
 }
 
 // Sequential reports whether the context belongs to a single-goroutine
 // delivery path (see the seq field).
 func (c *Context) Sequential() bool { return c.seq }
 
-// Mirror emits a monitoring report to the context's report sink (the
-// switch's buffer, or the caller-owned buffer of a batch worker).
+// Mirror emits a monitoring report into the lane's buffer, where the
+// switch's drains find it. A buffer that DrainReports handed off
+// restarts at the length it was drained at.
 func (c *Context) Mirror(r Report) {
 	r.SwitchID = c.sw.ID
 	r.TS = c.Pkt.TS
-	if c.sink != nil {
-		*c.sink = append(*c.sink, r)
-		return
+	ln := c.ln
+	if ln.reports == nil {
+		ln.reports = make([]Report, 0, max(ln.drained, 1))
 	}
-	c.sw.room(1)
-	c.sw.reports = append(c.sw.reports, r)
+	ln.reports = append(ln.reports, r)
 }
 
 // Program is the monitoring logic installed in the pipeline — for Newton
@@ -168,21 +165,27 @@ func (ForwardAction) ActionName() string { return "forward" }
 // ActionName implements Action.
 func (DropAction) ActionName() string { return "drop" }
 
-// Counters tracks a switch's packet counters. The switch keeps one
-// padded copy per delivery lane so parallel batch workers never bounce a
-// shared cacheline; Switch.Counters sums the lanes.
+// Counters tracks a switch's packet counters. Each delivery lane keeps
+// its own; Switch.Counters sums the lanes.
 type Counters struct {
 	Rx, Tx, Dropped uint64
 }
 
-// laneCounters is one lane's private counter block, padded out to a
-// cacheline so adjacent lanes never false-share. Each lane is written by
-// exactly one goroutine (the Context.Lane discipline) with
-// store-after-load atomics: plain MOVs on x86-64 — no LOCK prefix — yet
-// race-detector-clean and torn-read-free for concurrent scrapes.
-type laneCounters struct {
+// lane is one delivery lane's state: its counters, its report buffer and
+// the context its packets run in. One goroutine drives a lane at a time
+// (the Context.Lane discipline), so nothing here takes a lock. The
+// counters are written with store-after-load atomics: plain MOVs on
+// x86-64 — no LOCK prefix — yet race-detector-clean and torn-read-free
+// for concurrent scrapes.
+type lane struct {
 	rx, tx, dropped uint64
-	_               [5]uint64
+
+	reports []Report
+	drained int // how many the last DrainReports handed off (lane 0's buffer; the others keep theirs)
+
+	ctx Context
+
+	_ [64]byte // keeps the next lane's counters off this lane's cachelines
 }
 
 // laneBump increments a single-writer counter without a LOCK prefix
@@ -206,44 +209,36 @@ type Switch struct {
 	// Monitor is the installed monitoring program (nil = none).
 	Monitor Program
 
-	up      bool
-	lanes   []laneCounters
-	reports []Report
-	drained int // how many the last DrainReports handed off
+	up bool
 
-	// ctx is the reusable per-packet context of the sequential Process
-	// path; keeping it on the switch stops the Context (and its large
-	// PHV) escaping to the heap on every packet. Parallel delivery
-	// supplies caller-owned contexts via ProcessCtx instead.
-	ctx Context
+	// lanes holds one block per delivery lane; lanes[0] always exists and
+	// serves Process. Keeping the contexts here stops a Context (and its
+	// large PHV) escaping to the heap on every packet.
+	lanes []*lane
 }
 
-// NewSwitch builds a switch with the given pipeline geometry.
+// NewSwitch builds a switch with the given pipeline geometry and one
+// delivery lane.
 func NewSwitch(id string, stages int, capacity Resources) *Switch {
-	return &Switch{
+	sw := &Switch{
 		ID:         id,
 		Pipeline:   NewPipeline(stages, capacity),
 		Forwarding: NewTable(id+"/ipv4_lpm", MatchLPM, 1, 1<<20),
 		up:         true,
-		lanes:      make([]laneCounters, 1),
 	}
+	sw.SetLanes(1)
+	return sw
 }
 
-// SetLanes sizes the switch's per-lane counter blocks for n delivery
-// workers. Call it before parallel delivery starts; counts already
-// accumulated are preserved. Contexts whose Lane is outside the sized
-// range fall back to lane 0 (with LOCK-prefixed updates, since lane 0
-// may then be shared).
+// SetLanes gives the switch at least n delivery lanes, each with its own
+// counters, report buffer and context. Call it before parallel delivery
+// starts; counts and reports already on a lane are kept.
 func (sw *Switch) SetLanes(n int) {
-	if n < 1 {
-		n = 1
+	for i := len(sw.lanes); i < n; i++ {
+		ln := &lane{}
+		ln.ctx = Context{Lane: i, sw: sw, ln: ln}
+		sw.lanes = append(sw.lanes, ln)
 	}
-	if n <= len(sw.lanes) {
-		return
-	}
-	grown := make([]laneCounters, n)
-	copy(grown, sw.lanes)
-	sw.lanes = grown
 }
 
 // SetUp changes the switch's liveness (the reboot model's lever).
@@ -252,11 +247,10 @@ func (sw *Switch) SetUp(up bool) { sw.up = up }
 // Counters returns the packet counters summed across delivery lanes.
 func (sw *Switch) Counters() Counters {
 	var c Counters
-	for i := range sw.lanes {
-		l := &sw.lanes[i]
-		c.Rx += atomic.LoadUint64(&l.rx)
-		c.Tx += atomic.LoadUint64(&l.tx)
-		c.Dropped += atomic.LoadUint64(&l.dropped)
+	for _, ln := range sw.lanes {
+		c.Rx += atomic.LoadUint64(&ln.rx)
+		c.Tx += atomic.LoadUint64(&ln.tx)
+		c.Dropped += atomic.LoadUint64(&ln.dropped)
 	}
 	return c
 }
@@ -269,43 +263,30 @@ func (sw *Switch) AddRoute(prefix uint32, plen int, port int) error {
 	return err
 }
 
-// Process runs one packet through the switch: parse, monitor, forward.
-// It returns the egress port (-1 when dropped) and whether the packet
-// was forwarded. Reports generated by the monitor are buffered on the
-// switch until DrainReports. Process is single-caller; concurrent
-// delivery must use ProcessCtx with caller-owned contexts.
+// Process runs one packet through the switch on lane 0: parse, monitor,
+// forward. It returns the egress port (-1 when dropped) and whether the
+// packet was forwarded. Reports generated by the monitor are buffered on
+// the switch until DrainReports. Process is for a lone deliverer: no
+// other packet may be in the switch meanwhile, so register transactions
+// take their sequential forms.
 func (sw *Switch) Process(pkt *packet.Packet) (egress int, forwarded bool) {
-	sw.ctx.seq = true
-	return sw.ProcessCtx(pkt, &sw.ctx)
+	return sw.process(pkt, sw.lanes[0], true)
 }
 
-// laneOf resolves the counter block for a context. Lanes above 0 (and
-// the sequential lane 0) are single-writer by the Context.Lane contract,
-// so their updates skip the LOCK prefix; a parallel caller that never
-// assigned lanes lands on lane 0 in shared mode and keeps the exact
-// atomic-add discipline.
-func (sw *Switch) laneOf(ctx *Context) (lc *laneCounters, shared bool) {
-	if l := ctx.Lane; l > 0 && l < len(sw.lanes) {
-		return &sw.lanes[l], false
-	}
-	return &sw.lanes[0], !ctx.seq
+// ProcessLane is Process on the given delivery lane, for workers that
+// drive the same switch concurrently, each on its own lane (the
+// Context.Lane discipline). A lane at or above the SetLanes count
+// panics. State access stays exact: tables are read through immutable
+// snapshots and register ALU transactions are linearizable. A switch
+// with one lane has one deliverer, so it keeps the sequential forms.
+func (sw *Switch) ProcessLane(pkt *packet.Packet, lane int) (egress int, forwarded bool) {
+	return sw.process(pkt, sw.lanes[lane], len(sw.lanes) == 1)
 }
 
-// ProcessCtx is the re-entrant form of Process: the caller owns the
-// execution context (and, through Context.sink, the report buffer), so
-// any number of workers can push packets through the same switch
-// concurrently — each worker with a distinct Context.Lane. State access
-// stays exact: tables are read through immutable snapshots and register
-// ALU transactions are linearizable.
-func (sw *Switch) ProcessCtx(pkt *packet.Packet, ctx *Context) (egress int, forwarded bool) {
-	lc, shared := sw.laneOf(ctx)
-	if shared {
-		atomic.AddUint64(&lc.rx, 1)
-	} else {
-		laneBump(&lc.rx)
-	}
+func (sw *Switch) process(pkt *packet.Packet, ln *lane, seq bool) (egress int, forwarded bool) {
+	laneBump(&ln.rx)
 	if !sw.up {
-		sw.drop(lc, shared)
+		laneBump(&ln.dropped)
 		return -1, false
 	}
 
@@ -314,8 +295,9 @@ func (sw *Switch) ProcessCtx(pkt *packet.Packet, ctx *Context) (egress int, forw
 		// append-only scratch (never read past what the current packet
 		// wrote), so re-zeroing its 96 bytes per packet is wasted work.
 		// Everything the program can read before writing is reset here.
+		ctx := &ln.ctx
 		ctx.Pkt = pkt
-		ctx.sw = sw
+		ctx.seq = seq
 		ctx.OutSP = nil
 		pkt.FieldsInto(&ctx.PHV.Fields)
 		ctx.PHV.Sets[0] = fields.MetadataSet{}
@@ -330,74 +312,53 @@ func (sw *Switch) ProcessCtx(pkt *packet.Packet, ctx *Context) (egress int, forw
 
 	rule := sw.Forwarding.Lookup(uint64(pkt.IP.Dst))
 	if rule == nil {
-		sw.drop(lc, shared)
+		laneBump(&ln.dropped)
 		return -1, false
 	}
 	switch a := rule.Action.(type) {
 	case ForwardAction:
-		if shared {
-			atomic.AddUint64(&lc.tx, 1)
-		} else {
-			laneBump(&lc.tx)
-		}
+		laneBump(&ln.tx)
 		return a.Port, true
 	default:
-		sw.drop(lc, shared)
+		laneBump(&ln.dropped)
 		return -1, false
 	}
 }
 
-func (sw *Switch) drop(lc *laneCounters, shared bool) {
-	if shared {
-		atomic.AddUint64(&lc.dropped, 1)
-	} else {
-		laneBump(&lc.dropped)
-	}
-}
-
-// NewBatchContext returns an execution context whose mirrored reports go
-// to the given caller-owned buffer — one per batch worker — and whose
-// lane index follows the Context.Lane single-writer discipline.
-func NewBatchContext(sink *[]Report, lane int) *Context {
-	return &Context{sink: sink, Lane: lane}
-}
-
-// DrainReports returns and clears the buffered monitoring reports. The
-// returned slice is handed off to the caller: the next report starts a
-// new buffer, sized for as many as this drain returned, so a steady
-// report rate costs one allocation a drain. Loops that need none should
-// prefer DrainReportsAppend, which reuses the switch's backing buffer.
+// DrainReports returns and clears the buffered monitoring reports of
+// every lane, lane 0 first, each lane in mirror order. The returned
+// slice is handed off to the caller: lane 0's next report starts a new
+// buffer, sized for as many as this drain returned, so a steady report
+// rate costs one allocation a drain. Loops that need none should prefer
+// DrainReportsAppend, which reuses the switch's backing buffers.
 func (sw *Switch) DrainReports() []Report {
-	r := sw.reports
-	sw.reports, sw.drained = nil, len(r)
+	l0 := sw.lanes[0]
+	r := l0.reports
+	for _, ln := range sw.lanes[1:] {
+		r = append(r, ln.reports...)
+		ln.reports = ln.reports[:0]
+	}
+	l0.reports, l0.drained = nil, len(r)
 	return r
 }
 
-// room readies the report buffer for n more: one DrainReports handed off
-// restarts at the length it was drained at, or at n if that is more.
-func (sw *Switch) room(n int) {
-	if sw.reports == nil && n > 0 {
-		sw.reports = make([]Report, 0, max(sw.drained, n))
-	}
-}
-
-// DrainReportsAppend appends the buffered reports to dst and returns the
-// extended slice, keeping the switch's backing buffer for reuse — the
-// zero-allocation drain of steady-state delivery loops.
+// DrainReportsAppend appends the buffered reports of every lane, lane 0
+// first, to dst and returns the extended slice, keeping the lanes'
+// backing buffers for reuse — the zero-allocation drain of steady-state
+// delivery loops.
 func (sw *Switch) DrainReportsAppend(dst []Report) []Report {
-	dst = append(dst, sw.reports...)
-	sw.reports = sw.reports[:0]
+	for _, ln := range sw.lanes {
+		dst = append(dst, ln.reports...)
+		ln.reports = ln.reports[:0]
+	}
 	return dst
 }
 
-// AddReports appends externally collected reports — typically batch
-// workers' lane sinks after a window barrier — onto the switch's
-// buffered queue so control-plane drains see them alongside the
-// sequential path's mirrors. Single-caller, like Process.
-func (sw *Switch) AddReports(rs []Report) {
-	sw.room(len(rs))
-	sw.reports = append(sw.reports, rs...)
-}
-
 // PendingReports returns the number of buffered reports without draining.
-func (sw *Switch) PendingReports() int { return len(sw.reports) }
+func (sw *Switch) PendingReports() int {
+	n := 0
+	for _, ln := range sw.lanes {
+		n += len(ln.reports)
+	}
+	return n
+}

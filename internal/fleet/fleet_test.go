@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/newton-net/newton/internal/controller"
+	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/rpc"
 	"github.com/newton-net/newton/internal/telemetry"
@@ -167,4 +170,53 @@ func TestFleetCloseLeavesNoGoroutines(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 	})
+}
+
+// TestFleetBatchReportsReachCollect: a batch's reports stay on the
+// switches that mirrored them, so a polling controller's Collect after
+// DeliverBatch on two lanes returns every report that the same trace
+// gives through Deliver, packet by packet.
+func TestFleetBatchReportsReachCollect(t *testing.T) {
+	collect := func(batch bool) []string {
+		topo, h1, h2 := topology.Linear(3)
+		f, err := New(topo, Config{Net: netsim.Config{Workers: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, _, err := f.Ctl.Deploy(0, controller.Want{Query: query.Q1(40), Width: 1 << 10, Targets: f.Names, Sharded: true}); err != nil {
+			t.Fatal(err)
+		}
+		flood := trace.Generate(trace.Config{Seed: 7, Flows: 50, Duration: 50 * time.Millisecond},
+			trace.SYNFlood{Victim: 0x0A0000AA, Packets: 200},
+			trace.SYNFlood{Victim: 0x0A0000AB, Packets: 200},
+			trace.SYNFlood{Victim: 0x0A0000AC, Packets: 200})
+		if batch {
+			f.Net.DeliverBatch(flood.Packets, h1, h2)
+		} else {
+			for _, pkt := range flood.Packets {
+				f.Net.Deliver(pkt, h1, h2)
+			}
+		}
+		rs, err := f.Ctl.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Which packet crosses the threshold, and so the report's TS,
+		// depends on how the lanes interleave; what was counted does not.
+		out := make([]string, len(rs))
+		for i, r := range rs {
+			r.TS = 0
+			out[i] = fmt.Sprintf("%+v", r)
+		}
+		slices.Sort(out)
+		return out
+	}
+	want := collect(false)
+	if len(want) == 0 {
+		t.Fatal("Deliver gave no reports: the trace does not exercise the drain")
+	}
+	if got := collect(true); !slices.Equal(got, want) {
+		t.Fatalf("DeliverBatch + Collect returned %d reports, Deliver + Collect %d:\n%v\nwant\n%v", len(got), len(want), got, want)
+	}
 }

@@ -116,21 +116,17 @@ func TestFlowTableTransparent(t *testing.T) {
 		// ids these rows have always had.
 		t.Run(fmt.Sprintf("workers=%d/shared", workers), func(t *testing.T) {
 			// Packets keep trace order and each runs on its flow's lane, all
-			// from this goroutine, so report order is defined.
-			run := func(pin bool) ([][]dataplane.Report, map[string][]uint32, *modules.Engine) {
+			// from this goroutine, so report order is defined: the drain
+			// holds lane 0's reports first, each lane in its own order.
+			run := func(pin bool) ([]dataplane.Report, map[string][]uint32, *modules.Engine) {
 				sw, eng := catalogSwitch(t, 9, workers)
 				if pin {
 					eng.PinFlowTablesToOneSet()
 				}
-				sinks := make([][]dataplane.Report, workers)
-				ctxs := make([]*dataplane.Context, workers)
-				for w := range ctxs {
-					ctxs[w] = dataplane.NewBatchContext(&sinks[w], w)
-				}
 				for _, pkt := range tr.Packets {
-					sw.ProcessCtx(pkt, ctxs[pkt.Flow().LaneHash()%uint64(workers)])
+					sw.ProcessLane(pkt, int(pkt.Flow().LaneHash()%uint64(workers)))
 				}
-				return sinks, banksByRow(t, eng), eng
+				return sw.DrainReports(), banksByRow(t, eng), eng
 			}
 			wantReports, wantBanks, free := run(false)
 			gotReports, gotBanks, pinned := run(true)
@@ -141,15 +137,11 @@ func TestFlowTableTransparent(t *testing.T) {
 				t.Fatalf("of %d packets the default engine missed %d and the pinned one %d: the runs do not contrast",
 					pkts, freeMisses, pinnedMisses)
 			}
-			total := 0
-			for w := range wantReports {
-				total += len(wantReports[w])
-				if !reflect.DeepEqual(gotReports[w], wantReports[w]) {
-					t.Errorf("lane %d: reports differ (%d pinned, %d default)", w, len(gotReports[w]), len(wantReports[w]))
-				}
-			}
-			if total == 0 {
+			if len(wantReports) == 0 {
 				t.Fatal("trace produced no reports")
+			}
+			if !reflect.DeepEqual(gotReports, wantReports) {
+				t.Errorf("reports differ (%d pinned, %d default)", len(gotReports), len(wantReports))
 			}
 			if !reflect.DeepEqual(gotBanks, wantBanks) {
 				for row, want := range wantBanks {
@@ -180,7 +172,7 @@ func TestKeyHashCacheMatchesRecompute(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d/shared", workers), func(t *testing.T) {
 			type result struct {
-				reports [2][][]dataplane.Report // per switch, per lane
+				reports [2][]dataplane.Report // per switch
 				banks   [2]map[string][]uint32
 				cached  int
 			}
@@ -199,7 +191,6 @@ func TestKeyHashCacheMatchesRecompute(t *testing.T) {
 				if err != nil || len(parts) != 2 {
 					t.Fatalf("SliceProgram: %d parts, %v", len(parts), err)
 				}
-				var ctxs [2][]*dataplane.Context
 				for i := range sws {
 					if err := engs[i].Install(parts[i]); err != nil {
 						t.Fatal(err)
@@ -207,21 +198,19 @@ func TestKeyHashCacheMatchesRecompute(t *testing.T) {
 					if uncached {
 						engs[i].DropKeyCRCScratch()
 					}
-					res.reports[i] = make([][]dataplane.Report, workers)
-					for w := 0; w < workers; w++ {
-						ctxs[i] = append(ctxs[i], dataplane.NewBatchContext(&res.reports[i][w], w))
-					}
 				}
 				// Packets keep trace order, each on its flow's lane and through
-				// both switches, all from this goroutine: report order is defined.
+				// both switches, all from this goroutine: report order is
+				// defined, lane 0's first in each switch's drain.
 				for _, pkt := range tr.Packets {
 					pkt.SP = nil
-					w := pkt.Flow().LaneHash() % uint64(workers)
-					sws[0].ProcessCtx(pkt, ctxs[0][w])
-					sws[1].ProcessCtx(pkt, ctxs[1][w])
+					w := int(pkt.Flow().LaneHash() % uint64(workers))
+					sws[0].ProcessLane(pkt, w)
+					sws[1].ProcessLane(pkt, w)
 					pkt.SP = nil
 				}
 				for i := range engs {
+					res.reports[i] = sws[i].DrainReports()
 					res.banks[i] = banksByRow(t, engs[i])
 					for w := 0; w < workers; w++ {
 						res.cached += engs[i].CachedKeyCRCs(w)
@@ -234,21 +223,18 @@ func TestKeyHashCacheMatchesRecompute(t *testing.T) {
 				t.Fatalf("checksums left in the scratch: oracle %d, cached engine %d: the runs do not contrast", want.cached, got.cached)
 			}
 			for i := range want.reports {
-				total, sliced := 0, 0
-				for w := range want.reports[i] {
-					total += len(want.reports[i][w])
-					for _, r := range want.reports[i][w] {
-						if r.QueryID == slicedQID {
-							sliced++
-						}
-					}
-					if !reflect.DeepEqual(got.reports[i][w], want.reports[i][w]) {
-						t.Errorf("switch %d lane %d: reports differ (%d cached, %d recomputed)",
-							i, w, len(got.reports[i][w]), len(want.reports[i][w]))
+				sliced := 0
+				for _, r := range want.reports[i] {
+					if r.QueryID == slicedQID {
+						sliced++
 					}
 				}
-				if total == 0 || i == 1 && sliced == 0 {
-					t.Fatalf("switch %d: %d reports, %d of the sliced query", i, total, sliced)
+				if len(want.reports[i]) == 0 || i == 1 && sliced == 0 {
+					t.Fatalf("switch %d: %d reports, %d of the sliced query", i, len(want.reports[i]), sliced)
+				}
+				if !reflect.DeepEqual(got.reports[i], want.reports[i]) {
+					t.Errorf("switch %d: reports differ (%d cached, %d recomputed)",
+						i, len(got.reports[i]), len(want.reports[i]))
 				}
 				for row, w := range want.banks[i] {
 					if !reflect.DeepEqual(got.banks[i][row], w) {

@@ -141,11 +141,9 @@ func TestAttachObsZeroAlloc(t *testing.T) {
 	// Every worker lane, each with its own flow table, counters, and
 	// {switch, worker}-labeled histogram, must also run allocation-free.
 	for w := 0; w < workers; w++ {
-		var sink []dataplane.Report
-		ctx := dataplane.NewBatchContext(&sink, w)
-		sw.ProcessCtx(pkt, ctx) // warm this lane's flow table
+		sw.ProcessLane(pkt, w) // warm this lane's flow table
 		if avg := testing.AllocsPerRun(200, func() {
-			sw.ProcessCtx(pkt, ctx)
+			sw.ProcessLane(pkt, w)
 		}); avg != 0 {
 			t.Fatalf("worker %d steady-state allocs per packet = %v, want 0", w, avg)
 		}

@@ -11,7 +11,7 @@ import (
 // shardedRun drives pkts through a fresh engine with the given worker
 // count, sharding by the symmetric flow hash and running one goroutine
 // per lane — the exact discipline of batch delivery. It returns the
-// engine and the merged reports.
+// engine and the switch's drained reports.
 func shardedRun(t *testing.T, prog *Program, pkts []*packet.Packet, workers int) (*Engine, []dataplane.Report) {
 	t.Helper()
 	l := compactLayout(t)
@@ -37,24 +37,18 @@ func shardedRun(t *testing.T, prog *Program, pkts []*packet.Packet, workers int)
 		w := int(pkt.Flow().LaneHash() % uint64(workers))
 		shards[w] = append(shards[w], pkt)
 	}
-	sinks := make([][]dataplane.Report, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			ctx := dataplane.NewBatchContext(&sinks[w], w)
 			for _, pkt := range shards[w] {
-				sw.ProcessCtx(pkt, ctx)
+				sw.ProcessLane(pkt, w)
 			}
 		}(w)
 	}
 	wg.Wait()
-	var reports []dataplane.Report
-	for _, s := range sinks {
-		reports = append(reports, s...)
-	}
-	return eng, reports
+	return eng, sw.DrainReports()
 }
 
 // manyFlows builds count SYN packets spread over nFlows distinct flows,
@@ -117,28 +111,21 @@ func TestLaneDispatchInvalidation(t *testing.T) {
 	sw.SetLanes(4)
 	sw.Monitor = eng
 
-	sinks := make([][]dataplane.Report, 4)
-	ctxs := make([]*dataplane.Context, 4)
-	for w := range ctxs {
-		ctxs[w] = dataplane.NewBatchContext(&sinks[w], w)
-	}
 	// One distinct flow per lane: the shared bank slots stay independent,
 	// so every lane's first packet crosses the 0-threshold and reports.
-	for w := range ctxs {
-		sw.ProcessCtx(synTo(uint32(100+w)), ctxs[w])
-	}
-	for w := range sinks {
-		if len(sinks[w]) != 1 {
-			t.Fatalf("lane %d: %d reports before remove, want 1", w, len(sinks[w]))
+	for w := 0; w < 4; w++ {
+		sw.ProcessLane(synTo(uint32(100+w)), w)
+		if n := sw.PendingReports(); n != 1 {
+			t.Fatalf("lane %d: %d reports before remove, want 1", w, n)
 		}
-		sinks[w] = sinks[w][:0]
+		sw.DrainReports()
 	}
 	if err := eng.Remove(1); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	for w := range ctxs {
-		sw.ProcessCtx(synTo(uint32(100+w)), ctxs[w])
-		if len(sinks[w]) != 0 {
+	for w := 0; w < 4; w++ {
+		sw.ProcessLane(synTo(uint32(100+w)), w)
+		if sw.PendingReports() != 0 {
 			t.Fatalf("lane %d executed a stale chain after remove", w)
 		}
 	}
@@ -159,11 +146,9 @@ func TestSetWorkersFoldsCounters(t *testing.T) {
 	sw.SetLanes(4)
 	sw.Monitor = eng
 
-	var sink []dataplane.Report
 	for w := 0; w < 4; w++ {
-		ctx := dataplane.NewBatchContext(&sink, w)
 		for i := 0; i <= w; i++ { // lane w processes w+1 packets
-			sw.ProcessCtx(synTo(uint32(100+w)), ctx)
+			sw.ProcessLane(synTo(uint32(100+w)), w)
 		}
 	}
 	var laneSum uint64

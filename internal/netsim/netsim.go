@@ -132,19 +132,14 @@ type Network struct {
 
 	// deferredMu serializes Deferred calls from batch workers.
 	deferredMu sync.Mutex
-
-	// batchReports accumulates the merged per-worker report buffers of
-	// DeliverBatch until DrainReports.
-	batchReports []dataplane.Report
 }
 
-// netLane is one delivery worker's persistent state: its execution
-// context, report sink, resolved-path cache, and segment shard buffer.
-// All of it is reused across segments and batches, so the steady-state
-// parallel path allocates nothing.
+// netLane is one delivery worker's persistent state: its resolved-path
+// cache and segment shard buffer. Both are reused across segments and
+// batches, so the steady-state parallel path allocates nothing. The
+// worker's execution context and report buffer are the switches' own
+// lane of the same index.
 type netLane struct {
-	ctx  *dataplane.Context
-	sink []dataplane.Report
 	// cache memoizes resolved ECMP paths by flow seed; valid for the
 	// (src, dst) endpoint pair it was filled under.
 	cache    map[uint64]cachedPath
@@ -195,16 +190,14 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	}
 	n.lanes = make([]*netLane, cfg.Workers)
 	for w := range n.lanes {
-		ln := &netLane{cache: map[uint64]cachedPath{}, src: -1, dst: -1}
-		ln.ctx = dataplane.NewBatchContext(&ln.sink, w)
-		n.lanes[w] = ln
+		n.lanes[w] = &netLane{cache: map[uint64]cachedPath{}, src: -1, dst: -1}
 	}
 	n.laneStats = make([]laneStat, cfg.Workers)
 	n.runLane = func(w int) {
 		ln := n.lanes[w]
 		src, dst := n.segSrc, n.segDst
 		for _, pkt := range ln.shard {
-			n.deliverCached(pkt, src, dst, ln.ctx, ln.cache)
+			n.deliverCached(pkt, src, dst, w, ln.cache)
 		}
 	}
 	return n, nil
@@ -316,21 +309,17 @@ func (n *Network) Deliver(pkt *packet.Packet, srcHost, dstHost int) ([]int, bool
 // DeliverPath processes a packet along an explicit switch path.
 func (n *Network) DeliverPath(pkt *packet.Packet, switches []int) bool {
 	n.AdvanceTo(pkt.TS)
-	return n.deliverOn(pkt, switches, nil)
+	return n.deliverOn(pkt, switches, 0)
 }
 
-// deliverOn walks a packet along a switch path without touching the
-// shared clock. ctx, when non-nil, is the caller-owned (batch worker)
-// execution context; nil uses each switch's sequential context.
-//
-// Delivery counters go to the context's lane slot: within a batch each
-// lane is driven by exactly one worker, and the non-batch paths (nil
-// ctx) are caller-serialized on lane 0, so every slot is single-writer.
-func (n *Network) deliverOn(pkt *packet.Packet, switches []int, ctx *dataplane.Context) bool {
-	st := &n.laneStats[0]
-	if ctx != nil && ctx.Lane > 0 && ctx.Lane < len(n.laneStats) {
-		st = &n.laneStats[ctx.Lane]
-	}
+// deliverOn walks a packet along a switch path on the given delivery
+// lane without touching the shared clock. Each switch runs it on its
+// own lane of that index, and the delivery counters go to the lane's
+// slot: within a batch each lane is driven by exactly one worker, and
+// the non-batch paths are caller-serialized on lane 0, so every slot is
+// single-writer.
+func (n *Network) deliverOn(pkt *packet.Packet, switches []int, lane int) bool {
+	st := &n.laneStats[lane]
 	pkt.SP = nil // hosts never send result snapshots
 	for _, id := range switches {
 		var node *Node
@@ -345,13 +334,7 @@ func (n *Network) deliverOn(pkt *packet.Packet, switches []int, ctx *dataplane.C
 			bumpStat(&st.dropped)
 			return false
 		}
-		var forwarded bool
-		if ctx != nil {
-			_, forwarded = node.DP.ProcessCtx(pkt, ctx)
-		} else {
-			_, forwarded = node.DP.Process(pkt)
-		}
-		if !forwarded {
+		if _, forwarded := node.DP.ProcessLane(pkt, lane); !forwarded {
 			bumpStat(&st.dropped)
 			return false
 		}
@@ -380,12 +363,11 @@ const minParallelSegment = 64
 // dstHost, parallelized across flows. Packets are sharded over the
 // network's delivery lanes (Config.Workers) by symmetric flow hash, so
 // both directions of a flow stay in order on one lane while distinct
-// flows proceed concurrently. Each lane mirrors reports into its own
-// persistent sink (merged into DrainReports's output), and the batch is
-// split at query-window boundaries: all packets of a window are
-// processed, the lanes join at a barrier, the register epochs roll, and
-// the next window begins — exactly the epoch discipline of sequential
-// delivery.
+// flows proceed concurrently. Each lane mirrors reports into the same
+// lane of the switch that ran the packet, and the batch is split at
+// query-window boundaries: all packets of a window are processed, the
+// lanes join at a barrier, the register epochs roll, and the next
+// window begins — exactly the epoch discipline of sequential delivery.
 //
 // Switch state stays exact under parallelism: tables are read through
 // immutable copy-on-write snapshots and every register ALU transaction
@@ -415,17 +397,17 @@ func (n *Network) DeliverBatch(pkts []*packet.Packet, srcHost, dstHost int) {
 }
 
 // deliverSegment processes one window's worth of packets across the
-// delivery lanes. Lane state (context, path cache, shard buffer, report
-// sink) persists on the Network and the worker goroutines live in the
-// process-wide pool, so the steady-state segment allocates nothing.
+// delivery lanes. Lane state (path cache, shard buffer) persists on the
+// Network, the switches keep their lanes' contexts and reports, and the
+// worker goroutines live in the process-wide pool, so the steady-state
+// segment allocates nothing.
 func (n *Network) deliverSegment(pkts []*packet.Packet, srcHost, dstHost, workers int) {
 	if workers == 1 || len(pkts) < minParallelSegment {
 		ln := n.lanes[0]
 		n.laneCache(ln, srcHost, dstHost)
 		for _, pkt := range pkts {
-			n.deliverCached(pkt, srcHost, dstHost, ln.ctx, ln.cache)
+			n.deliverCached(pkt, srcHost, dstHost, 0, ln.cache)
 		}
-		n.collectSinks(n.lanes[:1])
 		return
 	}
 
@@ -443,7 +425,6 @@ func (n *Network) deliverSegment(pkts []*packet.Packet, srcHost, dstHost, worker
 	}
 	n.segSrc, n.segDst = srcHost, dstHost
 	poolDo(workers, &n.batchWG, n.runLane)
-	n.collectSinks(lanes)
 }
 
 // laneCache readies a lane's ECMP path cache for the (src, dst) pair,
@@ -453,17 +434,6 @@ func (n *Network) laneCache(ln *netLane, src, dst int) {
 	if ln.src != src || ln.dst != dst {
 		clear(ln.cache)
 		ln.src, ln.dst = src, dst
-	}
-}
-
-// collectSinks moves the lanes' mirrored reports into batchReports,
-// keeping the sink backing arrays for reuse.
-func (n *Network) collectSinks(lanes []*netLane) {
-	for _, ln := range lanes {
-		if len(ln.sink) != 0 {
-			n.batchReports = append(n.batchReports, ln.sink...)
-			ln.sink = ln.sink[:0]
-		}
 	}
 }
 
@@ -482,7 +452,7 @@ const maxCachedPaths = 1 << 13
 // deliverCached delivers one packet, resolving its ECMP switch path
 // through a per-caller cache keyed by flow seed (the seed fully
 // determines the path for fixed endpoints).
-func (n *Network) deliverCached(pkt *packet.Packet, srcHost, dstHost int, ctx *dataplane.Context, cache map[uint64]cachedPath) {
+func (n *Network) deliverCached(pkt *packet.Packet, srcHost, dstHost, lane int, cache map[uint64]cachedPath) {
 	seed := flowSeed(pkt)
 	cp, hit := cache[seed]
 	if !hit {
@@ -497,28 +467,23 @@ func (n *Network) deliverCached(pkt *packet.Packet, srcHost, dstHost int, ctx *d
 		atomic.AddUint64(&n.dropped, 1)
 		return
 	}
-	n.deliverOn(pkt, cp.sw, ctx)
+	n.deliverOn(pkt, cp.sw, lane)
 }
 
-// DrainReports collects and clears mirrored reports from every switch
-// and from completed batches.
+// DrainReports collects and clears mirrored reports from every switch,
+// in topology order, each switch's lanes in lane order.
 func (n *Network) DrainReports() []dataplane.Report {
-	out := n.batchReports
-	n.batchReports = nil
-	for _, node := range n.nodes {
-		out = append(out, node.DP.DrainReports()...)
-	}
-	return out
+	return n.DrainReportsAppend(nil)
 }
 
-// DrainReportsAppend appends mirrored reports from completed batches and
-// every switch to dst and clears them, reusing all internal buffers —
-// the zero-allocation form of DrainReports for steady-state loops.
+// DrainReportsAppend appends DrainReports's reports to dst and clears
+// them, reusing every switch's buffers — the zero-allocation form of
+// DrainReports for steady-state loops.
 func (n *Network) DrainReportsAppend(dst []dataplane.Report) []dataplane.Report {
-	dst = append(dst, n.batchReports...)
-	n.batchReports = n.batchReports[:0]
-	for _, node := range n.nodes {
-		dst = node.DP.DrainReportsAppend(dst)
+	for _, node := range n.nodesByID {
+		if node != nil {
+			dst = node.DP.DrainReportsAppend(dst)
+		}
 	}
 	return dst
 }

@@ -119,6 +119,38 @@ func TestAgentErrors(t *testing.T) {
 	}
 }
 
+// TestInstallRefusesUnknownHashAlgo: a program whose H op names a hash
+// algorithm the sketch package does not know is refused at install.
+// Installed, it panicked the next packet it hashed, so one install call
+// took down the agent's packet path.
+func TestInstallRefusesUnknownHashAlgo(t *testing.T) {
+	agent, sw := testAgent(t)
+	c := pipeClient(t, agent)
+	p := compileQ1(t, 1)
+	spoiled := 0
+	for _, b := range p.Branches {
+		for _, op := range b.Ops {
+			if op.Kind == modules.ModH && op.H.Direct == modules.NoField {
+				op.H.Algo = 9
+				spoiled++
+			}
+		}
+	}
+	if spoiled == 0 {
+		t.Fatal("Q1 compiled to no hashing H op")
+	}
+	if err := c.Install(p); err == nil {
+		t.Fatal("a program hashing with algo 9 was installed")
+	}
+	sw.Process(&packet.Packet{
+		IP:  packet.IPv4{Proto: packet.ProtoTCP, Src: 9, Dst: 42},
+		TCP: &packet.TCP{SrcPort: 1, DstPort: 80, Flags: packet.FlagSYN},
+	})
+	if st, err := c.Stats(); err != nil || st.Installed != 0 {
+		t.Fatalf("after the refusal: %+v, %v", st, err)
+	}
+}
+
 func TestUnknownRequestType(t *testing.T) {
 	agent, _ := testAgent(t)
 	server, client := net.Pipe()

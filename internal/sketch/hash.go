@@ -35,9 +35,14 @@ const (
 
 var algoNames = [numAlgos]string{"crc32", "crc32c", "crc32k", "fnv1a", "identity"}
 
+// Known reports whether a names one of the algorithms above: Sum
+// panics on any other, so a program or a snapshot that names one is
+// refused where it arrives.
+func (a Algo) Known() bool { return a < numAlgos }
+
 // String returns the short algorithm name.
 func (a Algo) String() string {
-	if a < numAlgos {
+	if a.Known() {
 		return algoNames[a]
 	}
 	return fmt.Sprintf("algo(%d)", uint8(a))

@@ -120,6 +120,9 @@ func TestCodecAtWordBoundaries(t *testing.T) {
 	for _, kind := range []modules.BankKind{modules.BankCMSRow, modules.BankBloomRow} {
 		for _, width := range cellWidths {
 			fills := cellFills(rng, width)
+			if width == 0 {
+				continue // no register for a key: TestSnapshotRefusesUnslottableBanks
+			}
 			enc, ref := &SnapshotEncoder{KeyframeEvery: 1 << 20}, &denseEncoder{KeyframeEvery: 1 << 20}
 			var dec SnapshotDecoder
 			epoch := uint32(0)
@@ -130,9 +133,7 @@ func TestCodecAtWordBoundaries(t *testing.T) {
 						banks := []modules.BankSnapshot{{QueryID: 1, Kind: kind, Width: uint32(width), Values: vals}}
 						payload, flags := enc.Encode(nil, epoch, banks)
 						want, wantFlags := ref.Encode(nil, epoch, banks)
-						// (A bank of no registers the reference sends in full, for
-						// want of an allocated base; here it is an empty delta.)
-						if width > 0 && (!bytes.Equal(payload, want) || flags != wantFlags) {
+						if !bytes.Equal(payload, want) || flags != wantFlags {
 							t.Fatalf("kind %d width %d epoch %d: frame differs from the dense encoder's", kind, width, epoch)
 						}
 						_, got, err := dec.Decode(payload)

@@ -324,7 +324,8 @@ func (d *denseDecoder) decodeBank(r *reader, deltaFrame bool) (modules.BankSnaps
 	b.Branch = int(r.uvarint())
 	b.Row = int(r.uvarint())
 	b.Kind = modules.BankKind(r.uvarint())
-	b.Algo = sketch.Algo(r.uvarint())
+	algo := r.uvarint()
+	b.Algo = sketch.Algo(algo)
 	b.Seed = uint32(r.uvarint())
 	b.Range = uint32(r.uvarint())
 	b.Width = uint32(r.uvarint())
@@ -344,6 +345,13 @@ func (d *denseDecoder) decodeBank(r *reader, deltaFrame bool) (modules.BankSnaps
 	}
 	if b.Kind != modules.BankCMSRow && b.Kind != modules.BankBloomRow {
 		return b, nil, fmt.Errorf("%w: bank kind %d", ErrMalformed, b.Kind)
+	}
+	// Added: the refusals that keep BankSnapshot.Slot from panicking.
+	if uint64(b.Algo) != algo || !b.Algo.Known() {
+		return b, nil, fmt.Errorf("%w: hash algo %d", ErrMalformed, algo)
+	}
+	if b.Width == 0 {
+		return b, nil, fmt.Errorf("%w: bank of width 0", ErrMalformed)
 	}
 
 	id := BankID{b.QueryID, b.Part, b.Branch, b.Row}

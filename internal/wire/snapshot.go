@@ -471,7 +471,8 @@ func (d *SnapshotDecoder) decodeBank(r *reader, deltaFrame bool, widths *uint64)
 	b.Branch = int(r.uvarint())
 	b.Row = int(r.uvarint())
 	b.Kind = modules.BankKind(r.uvarint())
-	b.Algo = sketch.Algo(r.uvarint())
+	algo := r.uvarint()
+	b.Algo = sketch.Algo(algo)
 	b.Seed = uint32(r.uvarint())
 	b.Range = uint32(r.uvarint())
 	b.Width = uint32(r.uvarint())
@@ -487,6 +488,14 @@ func (d *SnapshotDecoder) decodeBank(r *reader, deltaFrame bool, widths *uint64)
 	}
 	if b.Kind != modules.BankCMSRow && b.Kind != modules.BankBloomRow {
 		return b, nil, fmt.Errorf("%w: bank kind %d", ErrMalformed, b.Kind)
+	}
+	// A key's slot is Fold(Algo.Sum(key, Seed), Range) % Width: an
+	// unknown algorithm or a zero width would panic the first read.
+	if uint64(b.Algo) != algo || !b.Algo.Known() {
+		return b, nil, fmt.Errorf("%w: hash algo %d", ErrMalformed, algo)
+	}
+	if b.Width == 0 {
+		return b, nil, fmt.Errorf("%w: bank of width 0", ErrMalformed)
 	}
 
 	id := BankID{b.QueryID, b.Part, b.Branch, b.Row}

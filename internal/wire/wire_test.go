@@ -559,6 +559,27 @@ func TestSnapshotRejectTruncation(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusesUnslottableBanks: a bank naming a hash algorithm
+// the sketch package does not know, or of width 0, is ErrMalformed.
+// Accepted, either one panicked the analyzer's first BankSnapshot.Slot
+// on it (an unknown algorithm, or an integer divide by zero).
+func TestSnapshotRefusesUnslottableBanks(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(b *modules.BankSnapshot)
+	}{
+		{"unknown algo", func(b *modules.BankSnapshot) { b.Algo = 9 }},
+		{"zero width", func(b *modules.BankSnapshot) { b.Width, b.Values = 0, nil }},
+	} {
+		banks := genBanks(rand.New(rand.NewSource(17)), 2, 32)
+		tc.spoil(&banks[1])
+		payload, _ := new(SnapshotEncoder).Encode(nil, 1, banks)
+		if _, _, err := new(SnapshotDecoder).Decode(payload); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: decoded with %v, want ErrMalformed", tc.name, err)
+		}
+	}
+}
+
 // --- bye codec ---
 
 func TestByeRoundTrip(t *testing.T) {
