@@ -21,14 +21,15 @@
 // snapshot.go); snapshot payloads may delta-encode each bank against
 // the previous epoch's values, with full keyframes every K epochs and
 // after every reconnect so replay never depends on lost state. Payloads
-// over a size gate are flate-compressed (stdlib only).
+// over a size gate are flate-compressed (compress/flate's writer) and
+// inflated by the package's own decoder.
 //
 // Each end of a stream keeps its framing memory: a FrameWriter per
 // connection holds the header and the compressed output, a FrameReader
-// per stream the header, the payload and the inflated payload, and
-// DecodeReportsInto decodes into the stream's own report slice. A stream
-// in steady state allocates nothing per frame at either end but what
-// compress/flate's decoder builds per block.
+// per stream the header, the payload, the inflated payload and the
+// Huffman tables of its inflater (inflate.go), and DecodeReportsInto
+// decodes into the stream's own report slice. A stream in steady state
+// allocates nothing per frame at either end.
 //
 // Every decode path is total: truncated, oversized, corrupt-CRC, or
 // malformed inputs return typed errors, never panic — the fuzz harness
@@ -36,7 +37,6 @@
 package wire
 
 import (
-	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
@@ -245,15 +245,15 @@ func ParseHeader(h []byte) (Header, error) {
 }
 
 // FrameReader receives the frames of one stream. It keeps its header,
-// payload and inflate buffers across frames, so a stream in steady state
-// reads without allocating: the buffers grow to the largest frame seen
-// and stay with the stream.
+// payload and inflate buffers and its inflater's tables across frames,
+// so a stream in steady state reads without allocating: the buffers grow
+// to the largest frame seen and stay with the stream.
 type FrameReader struct {
 	r        io.Reader
 	hdr      [HeaderSize]byte
-	payload  []byte       // the frame as read off the stream
-	inflated []byte       // a compressed frame's payload, inflated
-	src      bytes.Reader // what the pooled flate reader reads from
+	payload  []byte // the frame as read off the stream
+	inflated []byte // a compressed frame's payload, inflated
+	z        inflater
 }
 
 // NewFrameReader returns a FrameReader on r.
@@ -283,43 +283,10 @@ func (fr *FrameReader) Next() (Header, []byte, error) {
 	if hdr.Flags&FlagCompressed == 0 {
 		return hdr, fr.payload, nil
 	}
-	if err := fr.inflate(); err != nil {
+	if fr.inflated, err = fr.z.inflate(fr.inflated, fr.payload); err != nil {
 		return Header{}, nil, err
 	}
 	return hdr, fr.inflated, nil
-}
-
-// inflaters pools flate readers, which FrameReader re-targets with
-// flate.Resetter instead of building one per frame.
-var inflaters = sync.Pool{New: func() any { return flate.NewReader(nil) }}
-
-// inflate decompresses the payload into the inflate buffer, grown as
-// needed, with a pooled flate reader.
-func (fr *FrameReader) inflate() error {
-	zr := inflaters.Get().(io.Reader)
-	defer inflaters.Put(zr)
-	fr.src.Reset(fr.payload)
-	if err := zr.(flate.Resetter).Reset(&fr.src, nil); err != nil {
-		return fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	fr.inflated = fr.inflated[:0]
-	for {
-		out := fr.inflated
-		if len(out) == cap(out) {
-			out = append(out, 0)[:len(out)]
-		}
-		n, err := zr.Read(out[len(out):cap(out)])
-		fr.inflated = out[:len(out)+n]
-		if len(fr.inflated) > MaxFrame {
-			return fmt.Errorf("%w: decompressed payload exceeds %d bytes", ErrTooLarge, MaxFrame)
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-	}
 }
 
 // reader is a sticky-error varint cursor over one payload.
