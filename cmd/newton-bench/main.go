@@ -81,9 +81,6 @@ func main() {
 		"throughput-scaling": func() fmt.Stringer {
 			return experiments.ThroughputScaling(2000, 400*time.Millisecond, []int{1, 2, 4, 8})
 		},
-		"classifier-scaling": func() fmt.Stringer {
-			return experiments.ClassifierScaling([]int{16, 256, 4096, 32768}, []int{1, 4}, 0)
-		},
 	}
 	names := make([]string, 0, len(suite))
 	for n := range suite {

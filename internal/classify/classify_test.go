@@ -1,7 +1,9 @@
 package classify
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -24,12 +26,22 @@ func scanOracle(rules []Rule, vals []uint64) []int32 {
 	return out
 }
 
+// mustCompile compiles rules under the default budget or fails the test.
+func mustCompile(t *testing.T, cols int, rules []Rule) *Compiled {
+	t.Helper()
+	c, err := Compile(cols, rules, Config{})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	return c
+}
+
 func assertEquivalent(t *testing.T, cols int, rules []Rule, c *Compiled, keys [][]uint64) {
 	t.Helper()
 	for _, k := range keys {
 		got := c.Lookup(k)
 		want := scanOracle(rules, k)
-		if !equalList(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("Lookup(%v) = %v, oracle says %v (cols=%d, %d rules)",
 				k, got, want, cols, len(rules))
 		}
@@ -51,10 +63,7 @@ func ipPrefixRules(n int) []Rule {
 
 func TestCompilePrefixColumn(t *testing.T) {
 	rules := ipPrefixRules(64)
-	c := Compile(6, rules, Config{MinRules: 1})
-	if c == nil {
-		t.Fatal("prefix rule set did not compile")
-	}
+	c := mustCompile(t, 6, rules)
 	var keys [][]uint64
 	for i := 0; i < 64; i++ {
 		keys = append(keys,
@@ -64,8 +73,8 @@ func TestCompilePrefixColumn(t *testing.T) {
 	}
 	keys = append(keys, []uint64{0, ^uint64(0), 6, 0, 0, 0}) // out-of-domain high bits
 	assertEquivalent(t, 6, rules, c, keys)
-	if st := c.Stats(); st.Dims != 2 || st.Leaves < 2 {
-		t.Fatalf("unexpected stats %+v", st)
+	if leaves := c.leaf[0] - 1; len(c.dims) != 2 || leaves < 2 {
+		t.Fatalf("%d dimensions and %d leaves, want 2 and at least 2", len(c.dims), leaves)
 	}
 }
 
@@ -83,10 +92,7 @@ func TestCompileNestedPrefixesOrdering(t *testing.T) {
 		mk(0x0B000000, 0xFF000000),
 		mk(0, 0), // default
 	}
-	c := Compile(1, rules, Config{MinRules: 1})
-	if c == nil {
-		t.Fatal("nested prefixes did not compile")
-	}
+	c := mustCompile(t, 1, rules)
 	keys := [][]uint64{
 		{0x0A0A0A0A}, {0x0A0A0A0B}, {0x0A0AFFFF}, {0x0AFF0000},
 		{0x0B123456}, {0xCC000000}, {0}, {^uint64(0)},
@@ -106,10 +112,7 @@ func TestCompileDenseColumn(t *testing.T) {
 		{Values: []uint64{0x01}, Masks: []uint64{0x03}},
 		{Values: []uint64{0}, Masks: []uint64{0}},
 	}
-	c := Compile(1, rules, Config{MinRules: 1})
-	if c == nil {
-		t.Fatal("dense rule set did not compile")
-	}
+	c := mustCompile(t, 1, rules)
 	if c.dims[0].kind != dimDense {
 		t.Fatalf("expected dense dimension, got kind %d", c.dims[0].kind)
 	}
@@ -137,10 +140,7 @@ func TestCompileFullMasksBesideNarrower(t *testing.T) {
 		{Values: []uint64{0x0A000005, 0x12}, Masks: []uint64{full, 0xFF}},
 		{Values: []uint64{0, 0x01}, Masks: []uint64{0, 0x03}},
 	}
-	c := Compile(2, rules, Config{MinRules: 1})
-	if c == nil {
-		t.Fatal("full masks beside narrower ones did not compile")
-	}
+	c := mustCompile(t, 2, rules)
 	if c.dims[0].kind == c.dims[1].kind {
 		t.Fatalf("expected one interval and one dense dimension, got kinds %d, %d",
 			c.dims[0].kind, c.dims[1].kind)
@@ -152,42 +152,40 @@ func TestCompileFullMasksBesideNarrower(t *testing.T) {
 		}
 	}
 	assertEquivalent(t, 2, rules, c, keys)
-	if got := c.Lookup([]uint64{0x0A000005, 0x12}); !equalList(got, []int32{0, 1, 2, 4}) {
+	if got := c.Lookup([]uint64{0x0A000005, 0x12}); !slices.Equal(got, []int32{0, 1, 2, 4}) {
 		t.Fatalf("Lookup at the point = %v, want [0 1 2 4]", got)
 	}
 }
 
-func TestCompileUncompilableMasksFallBack(t *testing.T) {
+func TestCompileUncompilableMasksRefused(t *testing.T) {
 	// A wide non-prefix mask (care > 16 bits, holes) fits no strategy.
 	rules := []Rule{
 		{Values: []uint64{0x00F0000000}, Masks: []uint64{0x00F000000F}},
 		{Values: []uint64{0x1}, Masks: []uint64{0xFF00000000}},
 	}
-	if c := Compile(1, rules, Config{MinRules: 1}); c != nil {
-		t.Fatal("mixed wide non-prefix masks should not compile")
+	if c, err := Compile(1, rules, Config{}); c != nil || !errors.Is(err, ErrMaskShape) {
+		t.Fatalf("mixed wide non-prefix masks: Compile = %v, %v; want ErrMaskShape", c, err)
 	}
 }
 
 func TestCompileBudgetAborts(t *testing.T) {
 	rules := ipPrefixRules(256)
-	if c := Compile(6, rules, Config{MinRules: 1, MaxCells: 16}); c != nil {
-		t.Fatal("cell budget exceeded but compile succeeded")
+	if c, err := Compile(6, rules, Config{MaxCells: 16}); c != nil || !errors.Is(err, ErrBudget) {
+		t.Fatalf("cell budget exceeded: Compile = %v, %v; want ErrBudget", c, err)
 	}
-	if c := Compile(6, rules, Config{MinRules: 1, MaxWork: 16}); c != nil {
-		t.Fatal("work budget exceeded but compile succeeded")
+	if c, err := Compile(6, rules, Config{MaxWork: 16}); c != nil || !errors.Is(err, ErrBudget) {
+		t.Fatalf("work budget exceeded: Compile = %v, %v; want ErrBudget", c, err)
 	}
-	if c := Compile(6, rules, Config{MinRules: 1}); c == nil {
-		t.Fatal("default budget should fit 256 prefix rules")
+	mustCompile(t, 6, rules)
+	// Rule sets of any size compile: there is no minimum that leaves
+	// a set to a scan.
+	c := mustCompile(t, 6, rules[:1])
+	if got := c.Lookup([]uint64{0, 0x0A000042, 6, 0, 0, 0}); !slices.Equal(got, []int32{0}) {
+		t.Fatalf("one-rule lookup = %v, want [0]", got)
 	}
-}
-
-func TestCompileMinRules(t *testing.T) {
-	rules := ipPrefixRules(4)
-	if c := Compile(6, rules, Config{}); c != nil {
-		t.Fatal("4 rules under default MinRules=8 should not compile")
-	}
-	if c := Compile(6, rules, Config{MinRules: 1}); c == nil {
-		t.Fatal("MinRules=1 should compile 4 rules")
+	c = mustCompile(t, 6, nil)
+	if got := c.Lookup([]uint64{0, 0x0A000042, 6, 0, 0, 0}); len(got) != 0 {
+		t.Fatalf("empty rule set matched %v", got)
 	}
 }
 
@@ -196,19 +194,16 @@ func TestCompileAllWildcard(t *testing.T) {
 		{Values: []uint64{0, 0}, Masks: []uint64{0, 0}},
 		{Values: []uint64{5, 5}, Masks: []uint64{0, 0}},
 	}
-	c := Compile(2, rules, Config{MinRules: 1})
-	if c == nil {
-		t.Fatal("all-wildcard set should compile trivially")
-	}
+	c := mustCompile(t, 2, rules)
 	got := c.Lookup([]uint64{123, 456})
-	if !equalList(got, []int32{0, 1}) {
+	if !slices.Equal(got, []int32{0, 1}) {
 		t.Fatalf("all-wildcard lookup = %v, want [0 1]", got)
 	}
 }
 
 func TestCompileArityMismatch(t *testing.T) {
 	rules := []Rule{{Values: []uint64{1}, Masks: []uint64{1, 2}}}
-	if c := Compile(1, rules, Config{MinRules: 1}); c != nil {
+	if c, err := Compile(1, rules, Config{}); c != nil || err == nil {
 		t.Fatal("arity mismatch should not compile")
 	}
 }
@@ -262,14 +257,15 @@ func randomRules(rng *rand.Rand, cols, n int) []Rule {
 // values so hits are common.
 func TestCompiledEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	var k Compiler // one for every trial: nothing may carry over
 	for trial := 0; trial < 150; trial++ {
 		cols := 1 + rng.Intn(3)
 		n := 1 + rng.Intn(48)
 		rules := randomRules(rng, cols, n)
-		c := Compile(cols, rules, Config{MinRules: 1})
-		if c == nil {
-			// Strategy fallback: the scan oracle serves these — nothing
-			// to verify, but make sure it stays rare for this generator.
+		c, err := k.Compile(cols, rules, Config{})
+		if err != nil {
+			// A refusal is legal (the generator draws no uncompilable
+			// mask, but a set may outgrow the budget): nothing to verify.
 			continue
 		}
 		keys := make([][]uint64, 0, 64)
@@ -294,10 +290,7 @@ func TestCompiledEquivalenceRandom(t *testing.T) {
 func TestLookupMatchOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rules := randomRules(rng, 2, 40)
-	c := Compile(2, rules, Config{MinRules: 1})
-	if c == nil {
-		t.Skip("generator produced an uncompilable set for this seed")
-	}
+	c := mustCompile(t, 2, rules)
 	for k := 0; k < 200; k++ {
 		vals := []uint64{uint64(rng.Uint32()), uint64(rng.Uint32())}
 		got := c.Lookup(vals)

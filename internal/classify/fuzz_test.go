@@ -2,16 +2,18 @@ package classify
 
 import (
 	"encoding/binary"
+	"errors"
+	"slices"
 	"testing"
 )
 
-// rulesFromBytes decodes a rule set and probe keys from fuzz input. The
-// decoder is biased toward compilable shapes (prefix masks, small dense
-// masks, wildcards, full-width exact) with an occasional raw mask so
-// the fallback decision is fuzzed too.
-func rulesFromBytes(data []byte) (cols int, rules []Rule, keys [][]uint64) {
+// rulesFromBytes decodes a rule set and probe keys from fuzz input and
+// returns the bytes it left. The decoder is biased toward compilable
+// shapes (prefix masks, small dense masks, wildcards, full-width exact)
+// with an occasional raw mask so the refusal is fuzzed too.
+func rulesFromBytes(data []byte) (cols int, rules []Rule, keys [][]uint64, rest []byte) {
 	if len(data) < 4 {
-		return 0, nil, nil
+		return 0, nil, nil, nil
 	}
 	next := func() uint64 {
 		if len(data) == 0 {
@@ -72,14 +74,15 @@ func rulesFromBytes(data []byte) (cols int, rules []Rule, keys [][]uint64) {
 		}
 		keys = append(keys, vals)
 	}
-	return cols, rules, keys
+	return cols, rules, keys, data
 }
 
 // FuzzCompiledEquivalence fuzzes the compiled classifier against the
-// linear ternary-scan oracle: for every decoded rule set and key, the
-// full match set — contents and order — must be identical. A nil
-// compile (strategy or budget fallback) is legal: the caller keeps the
-// oracle itself.
+// linear ternary scan: for every decoded rule set and key, the full match
+// set — contents and order — must be identical. Two rule sets compile
+// back to back on one Compiler, so storage the first compile leaves
+// behind must not leak into the second. A refusal is legal, but only
+// for one of the typed reasons.
 func FuzzCompiledEquivalence(f *testing.F) {
 	// Seeded corpus: prefix nest, dense flags, wildcard default, mixed.
 	f.Add([]byte{2, 8, 8, 1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
@@ -88,21 +91,37 @@ func FuzzCompiledEquivalence(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 0, 0, 0, 0})
 	f.Add([]byte{1, 31, 15, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cols, rules, keys := rulesFromBytes(data)
-		if cols == 0 || len(rules) == 0 {
+		var k Compiler
+		cols, rules, keys, rest := rulesFromBytes(data)
+		if cols == 0 {
 			return
 		}
-		c := Compile(cols, rules, Config{MinRules: 1})
-		if c == nil {
-			return // fallback: the oracle itself serves lookups
+		check(t, &k, cols, rules, keys)
+		if len(rest) < 4 {
+			rest = data[1:] // shifted: another column count and rule count
 		}
-		for _, k := range keys {
-			got := c.Lookup(k)
-			want := scanOracle(rules, k)
-			if !equalList(got, want) {
-				t.Fatalf("compiled %v != oracle %v for key %v over %d rules",
-					got, want, k, len(rules))
-			}
+		if cols, rules, keys, _ = rulesFromBytes(rest); cols != 0 {
+			check(t, &k, cols, rules, keys)
 		}
 	})
+}
+
+// check compiles rules on k and compares every key against the scan.
+func check(t *testing.T, k *Compiler, cols int, rules []Rule, keys [][]uint64) {
+	t.Helper()
+	c, err := k.Compile(cols, rules, Config{})
+	if err != nil {
+		if !errors.Is(err, ErrMaskShape) && !errors.Is(err, ErrBudget) {
+			t.Fatalf("refusal %q carries neither ErrMaskShape nor ErrBudget", err)
+		}
+		return
+	}
+	for _, key := range keys {
+		got := c.Lookup(key)
+		want := scanOracle(rules, key)
+		if !slices.Equal(got, want) {
+			t.Fatalf("compiled %v != scan %v for key %v over %d rules",
+				got, want, key, len(rules))
+		}
+	}
 }

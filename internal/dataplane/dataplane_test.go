@@ -1,12 +1,14 @@
 package dataplane
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"github.com/newton-net/newton/internal/classify"
 	"github.com/newton-net/newton/internal/packet"
 )
 
@@ -127,13 +129,28 @@ func TestTableLookupArityPanics(t *testing.T) {
 }
 
 func TestTernarySemanticsQuick(t *testing.T) {
-	// A ternary rule matches iff (val & mask) == (ruleVal & mask).
-	f := func(val, ruleVal, mask uint64) bool {
+	// A ternary rule matches iff (val & mask) == (ruleVal & mask). The
+	// mask is a prefix, a small flag-style mask or raw bits; a table
+	// refuses (with the classifier's reason) only a mask that is neither
+	// a prefix nor within 16 bits of care.
+	f := func(val, ruleVal, bits uint64, shape uint8) bool {
+		mask := bits
+		switch shape % 3 {
+		case 0:
+			mask = ^uint64(0) << (bits % 65)
+		case 1:
+			mask = bits & 0xFFFF
+		}
 		tb := NewTable("t", MatchTernary, 1, 4)
-		tb.AddRule([]uint64{ruleVal}, []uint64{mask}, 0, namedAction("r"))
-		got := tb.Lookup(val) != nil
-		want := val&mask == ruleVal&mask
-		return got == want
+		if _, err := tb.AddRule([]uint64{ruleVal}, []uint64{mask}, 0, namedAction("r")); err != nil {
+			return errors.Is(err, classify.ErrMaskShape) && shape%3 == 2
+		}
+		for _, v := range []uint64{val, ruleVal, ruleVal ^ val&^mask} {
+			if got, want := tb.Lookup(v) != nil, v&mask == ruleVal&mask; got != want {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -23,7 +24,7 @@ func TestTableConcurrentMutationRace(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			mask := ^uint64(0)
 			if i%3 == 0 {
-				mask = 0xF0 // keep some rules on the ternary scan path
+				mask = 0xF0 // narrower masks: the full ones compile as points over them
 			}
 			id, err := tb.AddRule([]uint64{uint64(i % 64)}, []uint64{mask}, i%7, namedAction("w"))
 			if err != nil {
@@ -97,10 +98,9 @@ func TestLPMRejectsNonContiguousMask(t *testing.T) {
 	}
 }
 
-// TestExactIndexMatchesTernaryScan cross-checks the exact-match index
-// against the ternary fallback: a table holding both fully-masked and
-// partially-masked rules must produce the same TCAM order a pure scan
-// would.
+// TestExactIndexMatchesTernaryScan: a table holding both fully-masked
+// rules (points in the classifier) and a partially-masked one must
+// produce the TCAM order the reference scan would.
 func TestExactIndexMatchesTernaryScan(t *testing.T) {
 	tb := NewTable("mix", MatchTernary, 1, 64)
 	exactHi, _ := tb.AddRule([]uint64{7}, []uint64{^uint64(0)}, 10, namedAction("exact-hi"))
@@ -108,6 +108,9 @@ func TestExactIndexMatchesTernaryScan(t *testing.T) {
 	exactLo, _ := tb.AddRule([]uint64{7}, []uint64{^uint64(0)}, 1, namedAction("exact-lo"))
 
 	got := tb.LookupAll(7)
+	if ref := scanAppend(nil, tb.Rules(), []uint64{7}); !slices.Equal(got, ref) {
+		t.Fatalf("LookupAll = %v, scan %v", got, ref)
+	}
 	want := []int{exactHi, ternMid, exactLo}
 	if len(got) != len(want) {
 		t.Fatalf("LookupAll = %d rules, want %d", len(got), len(want))

@@ -13,9 +13,10 @@
 package dataplane
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,104 +67,46 @@ type Rule struct {
 	Action   Action
 }
 
-// Matches reports whether the rule matches the given column values.
-func (r *Rule) Matches(vals []uint64) bool {
-	for i := range r.Values {
-		if vals[i]&r.Masks[i] != r.Values[i]&r.Masks[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Classifier compile states, kept in tableSnap.clsState.
-const (
-	clsUncompiled = iota // no classified lookup has run on this snapshot yet
-	clsCompiled          // compiled classifier serving lookups
-	clsFallback          // compile declined (too few rules, strategy, or budget): linear scan
-)
-
-// tableSnap is one immutable rule-set snapshot. Readers load it via an
-// atomic pointer and never take a lock; writers build a fresh snapshot
-// under the table mutex and publish it atomically (copy-on-write).
+// tableSnap is one immutable rule-set snapshot: the rules in match order
+// (priority desc, then insertion order) and their compiled classifier.
+// Readers load it via an atomic pointer and never take a lock; writers
+// build and compile a fresh snapshot under the table mutex and publish
+// it atomically (copy-on-write).
 type tableSnap struct {
-	// rules holds every rule in match order (priority desc, then
-	// insertion order).
 	rules []*Rule
-
-	// The compiled classifier for rules. Compilation is deferred to the
-	// first classified lookup — rules install one at a time, and
-	// compiling on every publish would make an n-rule install quadratic
-	// — and runs at most once per snapshot (sync.Once), so the packet
-	// path after it is two atomic loads. clsState is stored after cls
-	// (both atomic), so state != clsUncompiled acquires the compiled
-	// pointer.
-	cols     int
-	clsCfg   classify.Config
-	clsOnce  sync.Once
-	cls      atomic.Pointer[classify.Compiled]
-	clsState atomic.Int32
-}
-
-var emptySnap = &tableSnap{}
-
-// classifier returns the snapshot's compiled classifier, compiling on
-// first call; nil means fallback to the linear scan. The hot path costs
-// two atomic loads; the cold path is kept out of line so its closure
-// never allocates on classified lookups.
-func (s *tableSnap) classifier() *classify.Compiled {
-	if s.clsState.Load() == clsUncompiled {
-		s.compileClassifier()
-	}
-	return s.cls.Load()
-}
-
-//go:noinline
-func (s *tableSnap) compileClassifier() {
-	s.clsOnce.Do(func() {
-		specs := make([]classify.Rule, len(s.rules))
-		for i, r := range s.rules {
-			specs[i] = classify.Rule{Values: r.Values, Masks: r.Masks}
-		}
-		c := classify.Compile(s.cols, specs, s.clsCfg)
-		state := int32(clsFallback)
-		if c != nil {
-			s.cls.Store(c)
-			state = clsCompiled
-		}
-		s.clsState.Store(state)
-	})
+	cls   *classify.Compiled
 }
 
 // Table is a match-action table with runtime-updatable rules — the
 // reconfigurable component Newton leans on (§2.1: "match-action table
 // rules belong to [runtime reconfigurability]").
 //
+// Every rule set a table publishes is compiled (internal/classify): a
+// lookup is a fixed sequence of table probes whatever the rule count,
+// and a write whose rule set does not compile is refused, as a TCAM
+// refuses an entry it has no room for.
+//
 // Concurrency: the per-packet read path (Lookup, LookupAll, Entries,
 // Rules) is lock-free — it reads an immutable copy-on-write snapshot
 // through an atomic pointer, so lookups never block rule updates and
-// vice versa. Writers (AddRule, RemoveRule, Clear) serialize on an
-// internal mutex, build a fresh snapshot, and publish it atomically.
-// A reader that raced a writer sees either the old or the new rule set,
-// never a torn one.
+// vice versa. Writes serialize on an internal mutex, build and compile
+// a fresh snapshot, and publish it atomically. A reader that raced a
+// writer sees either the old or the new rule set, never a torn one.
 type Table struct {
 	Name       string
 	Kind       MatchKind
 	Cols       int // number of match columns
 	MaxEntries int
 
-	mu      sync.Mutex // serializes writers
+	mu      sync.Mutex // serializes writers; guards what follows
 	snap    atomic.Pointer[tableSnap]
 	version atomic.Uint64 // bumped on every rule-set change
-	byID    map[int]*Rule
 	nextID  int
 
-	// clsCfg is the classifier compile budget snapshots are built with
-	// (zero value = classify defaults). Written under mu.
-	clsCfg classify.Config
-	// ternaryScans counts lookups served by the linear ternary scan —
-	// the slow path the compiled classifier exists to remove.
-	ternaryScans atomic.Uint64
+	// Compile storage reused from write to write.
+	compiler classify.Compiler
+	specs    []classify.Rule
+	adds     []*Rule
 }
 
 // NewTable builds an empty table.
@@ -174,11 +117,8 @@ func NewTable(name string, kind MatchKind, cols, maxEntries int) *Table {
 	if maxEntries <= 0 {
 		maxEntries = 1 << 20
 	}
-	t := &Table{
-		Name: name, Kind: kind, Cols: cols, MaxEntries: maxEntries,
-		byID: make(map[int]*Rule),
-	}
-	t.snap.Store(emptySnap)
+	t := &Table{Name: name, Kind: kind, Cols: cols, MaxEntries: maxEntries}
+	t.Clear()
 	return t
 }
 
@@ -187,140 +127,116 @@ func NewTable(name string, kind MatchKind, cols, maxEntries int) *Table {
 // compare versions to detect staleness.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
-// AddRule installs a rule at runtime and returns its ID. For LPM the mask
-// of the first column determines priority (longer prefix wins);
-// non-contiguous LPM masks are rejected.
+// AddRule installs a rule at runtime and returns its ID: a Write of one
+// rule, with values and masks copied. For LPM the mask of the first
+// column determines priority (longer prefix wins); non-contiguous LPM
+// masks are rejected.
 func (t *Table) AddRule(values, masks []uint64, priority int, action Action) (int, error) {
-	if len(values) != t.Cols {
-		return 0, fmt.Errorf("dataplane: table %s wants %d columns, got %d", t.Name, t.Cols, len(values))
+	r := &Rule{Priority: priority, Values: slices.Clone(values), Masks: slices.Clone(masks), Action: action}
+	if err := t.Write(nil, []*Rule{r}); err != nil {
+		return 0, err
 	}
-	if len(masks) != t.Cols {
-		return 0, fmt.Errorf("dataplane: table %s mask arity mismatch", t.Name)
-	}
-	if t.Kind == MatchLPM {
-		plen, err := prefixLen(masks[0])
-		if err != nil {
-			return 0, fmt.Errorf("dataplane: lpm table %s: %w", t.Name, err)
-		}
-		priority = plen
-	}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := t.snap.Load()
-	if len(old.rules) >= t.MaxEntries {
-		return 0, fmt.Errorf("dataplane: table %s full (%d entries)", t.Name, t.MaxEntries)
-	}
-	t.nextID++
-	r := &Rule{
-		ID: t.nextID, Priority: priority,
-		Values: append([]uint64(nil), values...),
-		Masks:  append([]uint64(nil), masks...),
-		Action: action,
-	}
-	// Binary-search insertion: the list is already in match order, so a
-	// single copy-with-insert replaces the old whole-slice re-sort. The
-	// new rule is the latest, so it lands after every rule of equal
-	// priority.
-	pos := sort.Search(len(old.rules), func(i int) bool {
-		return old.rules[i].Priority < r.Priority
-	})
-	rules := make([]*Rule, 0, len(old.rules)+1)
-	rules = append(rules, old.rules[:pos]...)
-	rules = append(rules, r)
-	rules = append(rules, old.rules[pos:]...)
-	t.byID[r.ID] = r
-	t.publish(rules)
 	return r.ID, nil
 }
 
-// RemoveRule deletes a rule by ID at runtime.
+// RemoveRule deletes a rule by ID at runtime: a Write of one removal.
 func (t *Table) RemoveRule(id int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.byID[id]; !ok {
-		return fmt.Errorf("dataplane: table %s has no rule %d", t.Name, id)
-	}
-	delete(t.byID, id)
-	old := t.snap.Load()
-	rules := make([]*Rule, 0, len(old.rules)-1)
-	for _, r := range old.rules {
-		if r.ID != id {
-			rules = append(rules, r)
+	return t.Write([]int{id}, nil)
+}
+
+// Write is the table's one write path: it removes the rules whose IDs
+// are in remove, adds the rules in add, compiles the resulting rule set
+// and publishes it as one snapshot. An added rule lands after every
+// rule of its priority, in add's order; Write gives it its ID (and, in
+// an LPM table, its priority), and the table owns it from then on. A
+// write that names a rule the table does not hold, carries a malformed
+// rule, overfills the table, or leaves a rule set that does not compile
+// (the error wraps classify.ErrMaskShape or classify.ErrBudget) is
+// refused, and the table's rules and Version stay as they were.
+func (t *Table) Write(remove []int, add []*Rule) error {
+	for _, r := range add {
+		if len(r.Values) != t.Cols {
+			return fmt.Errorf("dataplane: table %s wants %d columns, got %d", t.Name, t.Cols, len(r.Values))
+		}
+		if len(r.Masks) != t.Cols {
+			return fmt.Errorf("dataplane: table %s mask arity mismatch", t.Name)
+		}
+		if t.Kind == MatchLPM {
+			plen, err := prefixLen(r.Masks[0])
+			if err != nil {
+				return fmt.Errorf("dataplane: lpm table %s: %w", t.Name, err)
+			}
+			r.Priority = plen
 		}
 	}
-	t.publish(rules)
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := t.snap.Load().rules
+	// Merge the adds, stably sorted by priority, into the kept rules.
+	t.adds = append(t.adds[:0], add...)
+	slices.SortStableFunc(t.adds, func(a, b *Rule) int { return cmp.Compare(b.Priority, a.Priority) })
+	rules := make([]*Rule, 0, len(old)+len(add))
+	j := 0
+	for _, r := range old {
+		if slices.Contains(remove, r.ID) {
+			continue
+		}
+		for ; j < len(t.adds) && t.adds[j].Priority > r.Priority; j++ {
+			rules = append(rules, t.adds[j])
+		}
+		rules = append(rules, r)
+	}
+	rules = append(rules, t.adds[j:]...)
+	clear(t.adds)
+	if gone := len(old) + len(add) - len(rules); gone != len(remove) {
+		for _, id := range remove {
+			if !slices.ContainsFunc(old, func(r *Rule) bool { return r.ID == id }) {
+				return fmt.Errorf("dataplane: table %s has no rule %d", t.Name, id)
+			}
+		}
+		return fmt.Errorf("dataplane: table %s: rule IDs %v repeat", t.Name, remove)
+	}
+	if len(rules) > t.MaxEntries {
+		return fmt.Errorf("dataplane: table %s full (%d entries)", t.Name, t.MaxEntries)
+	}
+	if err := t.publish(rules); err != nil {
+		return err
+	}
+	for _, r := range add {
+		t.nextID++
+		r.ID = t.nextID
+	}
 	return nil
 }
 
-// publish atomically installs the snapshot for rules (already in match
-// order). Callers hold t.mu.
-func (t *Table) publish(rules []*Rule) {
-	t.snap.Store(&tableSnap{rules: rules, cols: t.Cols, clsCfg: t.clsCfg})
-	t.version.Add(1)
-}
-
-// SetClassifierConfig replaces the compiled-classifier budget and
-// republishes the current rules under it. A huge MinRules forces the
-// linear-scan fallback — how tests and benchmarks pin the oracle path.
-func (t *Table) SetClassifierConfig(cfg classify.Config) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.clsCfg = cfg
-	t.publish(t.snap.Load().rules)
-}
-
-// TernaryScans returns how many lookups fell through to the linear
-// ternary scan — zero in steady state once the classifier compiles.
-func (t *Table) TernaryScans() uint64 { return t.ternaryScans.Load() }
-
-// ClassifierInfo describes the current snapshot's classifier state for
-// observability and tests.
-type ClassifierInfo struct {
-	// Attempted is false until a classified lookup first compiles.
-	Attempted bool
-	// Compiled reports whether lookups are served by compiled tables
-	// (false after a strategy/budget fallback or below MinRules).
-	Compiled bool
-	Stats    classify.Stats
-}
-
-// ClassifierInfo reports the live snapshot's classifier state without
-// forcing compilation.
-func (t *Table) ClassifierInfo() ClassifierInfo {
-	s := t.snap.Load()
-	switch s.clsState.Load() {
-	case clsCompiled:
-		return ClassifierInfo{Attempted: true, Compiled: true, Stats: s.cls.Load().Stats()}
-	case clsFallback:
-		return ClassifierInfo{Attempted: true}
+// publish compiles rules (in match order) and, if they compile, makes
+// them the table's snapshot. Callers hold t.mu.
+func (t *Table) publish(rules []*Rule) error {
+	t.specs = t.specs[:0]
+	for _, r := range rules {
+		t.specs = append(t.specs, classify.Rule{Values: r.Values, Masks: r.Masks})
 	}
-	return ClassifierInfo{}
+	cls, err := t.compiler.Compile(t.Cols, t.specs, classify.DefaultConfig())
+	clear(t.specs)
+	if err != nil {
+		return fmt.Errorf("dataplane: table %s: %w", t.Name, err)
+	}
+	t.snap.Store(&tableSnap{rules: rules, cls: cls})
+	t.version.Add(1)
+	return nil
 }
 
 // Lookup returns the highest-priority matching rule, or nil. Lock-free:
 // it reads the current snapshot and resolves it through the compiled
-// classifier — O(columns) regardless of rule count — falling back to
-// the linear scan only when compilation declined (see classify.Config).
+// classifier — O(columns) regardless of rule count.
 func (t *Table) Lookup(vals ...uint64) *Rule {
 	if len(vals) != t.Cols {
 		panic(fmt.Sprintf("dataplane: table %s lookup with %d values, want %d", t.Name, len(vals), t.Cols))
 	}
 	s := t.snap.Load()
-	if len(s.rules) == 0 {
-		return nil
-	}
-	if c := s.classifier(); c != nil {
-		if leaf := c.Lookup(vals); len(leaf) > 0 {
-			return s.rules[leaf[0]]
-		}
-		return nil
-	}
-	t.ternaryScans.Add(1)
-	for _, r := range s.rules {
-		if r.Matches(vals) {
-			return r
-		}
+	if leaf := s.cls.Lookup(vals); len(leaf) > 0 {
+		return s.rules[leaf[0]]
 	}
 	return nil
 }
@@ -345,24 +261,11 @@ func (t *Table) LookupAllAppend(dst []*Rule, vals []uint64) []*Rule {
 	if len(vals) != t.Cols {
 		panic(fmt.Sprintf("dataplane: table %s lookup with %d values, want %d", t.Name, len(vals), t.Cols))
 	}
+	// The classifier's leaf is the full match set as ascending indices
+	// — already match order — so it costs zero per-rule work.
 	s := t.snap.Load()
-	if len(s.rules) == 0 {
-		return dst
-	}
-	// The compiled classifier's leaf is the full match set as ascending
-	// indices — already match order — so it costs zero per-rule work;
-	// only the scan fallback evaluates rules.
-	if c := s.classifier(); c != nil {
-		for _, idx := range c.Lookup(vals) {
-			dst = append(dst, s.rules[idx])
-		}
-		return dst
-	}
-	t.ternaryScans.Add(1)
-	for _, r := range s.rules {
-		if r.Matches(vals) {
-			dst = append(dst, r)
-		}
+	for _, idx := range s.cls.Lookup(vals) {
+		dst = append(dst, s.rules[idx])
 	}
 	return dst
 }
@@ -372,19 +275,16 @@ func (t *Table) Entries() int {
 	return len(t.snap.Load().rules)
 }
 
-// Clear removes all rules (used by the Sonata reboot model).
+// Clear removes all rules in one snapshot.
 func (t *Table) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.byID = make(map[int]*Rule)
-	t.snap.Store(emptySnap)
-	t.version.Add(1)
+	_ = t.publish(nil) // no rules always compile
 }
 
 // Rules returns the current snapshot of the rules in match order. The
 // returned slice is immutable shared state: it stays coherent while
-// concurrent AddRule/RemoveRule/Clear calls proceed, but does not
-// reflect them.
+// concurrent writes proceed, but does not reflect them.
 func (t *Table) Rules() []*Rule {
 	return t.snap.Load().rules
 }

@@ -3,47 +3,42 @@ package dataplane
 import (
 	"fmt"
 	"testing"
-
-	"github.com/newton-net/newton/internal/classify"
 )
 
 // benchTable builds a newton_init-shaped 6-column ternary table with n
 // distinct dst-prefix rules (the realistic large-rule-set shape: LPM on
-// one address column, exact proto, wildcard elsewhere).
-func benchTable(b *testing.B, n int, cfg classify.Config) *Table {
+// one address column, exact proto, wildcard elsewhere), in one Write.
+func benchTable(b *testing.B, n int) *Table {
 	b.Helper()
 	tb := NewTable("bench", MatchTernary, 6, n*2)
-	tb.SetClassifierConfig(cfg)
-	vals := make([]uint64, 6)
 	masks := []uint64{0, 0xFFFFFF00, 0xFF, 0, 0, 0}
-	for i := 0; i < n; i++ {
-		vals[1] = 0x0A000000 | uint64(i)<<8
-		vals[2] = 6
-		if _, err := tb.AddRule(vals, masks, i%4, namedAction("b")); err != nil {
-			b.Fatal(err)
-		}
+	add := make([]*Rule, n)
+	for i := range add {
+		vals := []uint64{0, 0x0A000000 | uint64(i)<<8, 6, 0, 0, 0}
+		add[i] = &Rule{Priority: i % 4, Values: vals, Masks: masks, Action: namedAction("b")}
+	}
+	if err := tb.Write(nil, add); err != nil {
+		b.Fatal(err)
 	}
 	return tb
 }
 
 // BenchmarkTableLookup measures the per-packet table probe across rule
-// counts, hit/miss, and compiled-classifier vs linear-scan modes. The
-// scan rows are the seed behavior; the compiled rows are the PR's
-// fixed-probe-sequence path.
+// counts and hit/miss: the table's compiled classifier against the
+// linear scan (scanAppend, the test reference) over the same rules.
 func BenchmarkTableLookup(b *testing.B) {
-	modes := []struct {
-		name string
-		cfg  classify.Config
-	}{
-		{"compiled", classify.DefaultConfig()},
-		{"scan", classify.Config{MinRules: 1 << 30}},
-	}
 	for _, rules := range []int{16, 256, 4096, 32768} {
+		tb := benchTable(b, rules)
+		modes := []struct {
+			name   string
+			lookup func(dst []*Rule, vals []uint64) []*Rule
+		}{
+			{"compiled", tb.LookupAllAppend},
+			{"scan", func(dst []*Rule, vals []uint64) []*Rule { return scanAppend(dst, tb.Rules(), vals) }},
+		}
+		hit := []uint64{0, 0x0A000000 | uint64(rules/2)<<8 | 0x42, 6, 1234, 80, 0x10}
+		miss := []uint64{0, 0xC0A80000, 17, 1234, 80, 0}
 		for _, mode := range modes {
-			tb := benchTable(b, rules, mode.cfg)
-			hit := []uint64{0, 0x0A000000 | uint64(rules/2)<<8 | 0x42, 6, 1234, 80, 0x10}
-			miss := []uint64{0, 0xC0A80000, 17, 1234, 80, 0}
-			tb.Lookup(hit...) // warm (compile on first classified lookup)
 			for _, probe := range []struct {
 				name string
 				key  []uint64
@@ -53,7 +48,7 @@ func BenchmarkTableLookup(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						buf = tb.LookupAllAppend(buf[:0], probe.key)
+						buf = mode.lookup(buf[:0], probe.key)
 					}
 					_ = buf
 				})

@@ -1,27 +1,47 @@
 package dataplane
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/newton-net/newton/internal/classify"
 )
 
-// scanOnly pins a table to the linear-scan oracle path.
-var scanOnly = classify.Config{MinRules: 1 << 30}
+// Matches reports whether the rule matches the given column values —
+// the ternary discipline the compiled classifier must reproduce.
+func (r *Rule) Matches(vals []uint64) bool {
+	for i := range r.Values {
+		if vals[i]&r.Masks[i] != r.Values[i]&r.Masks[i] {
+			return false
+		}
+	}
+	return true
+}
 
-// compileAlways compiles at any rule count.
-var compileAlways = classify.Config{MinRules: 1}
+// scanAppend is the reference the table is held to: the linear ternary
+// scan over rules in match order, appending every match to dst.
+func scanAppend(dst, rules []*Rule, vals []uint64) []*Rule {
+	for _, r := range rules {
+		if r.Matches(vals) {
+			dst = append(dst, r)
+		}
+	}
+	return dst
+}
 
-// fillTernaryMix installs the same pseudo-random mix of exact, LPM-style
-// and masked rules into every given table: the cross-product of what
-// newton_init and R-tables hold.
-func fillTernaryMix(t *testing.T, rng *rand.Rand, n int, tabs ...*Table) {
+// fillTernaryMix writes a pseudo-random mix of exact, LPM-style and
+// masked rules into tb — the cross-product of what newton_init and
+// R-tables hold — in batches of random size, so the table compiles
+// many rule sets on the same storage on the way.
+func fillTernaryMix(t *testing.T, rng *rand.Rand, n int, tb *Table) {
 	t.Helper()
+	var batch []*Rule
 	for i := 0; i < n; i++ {
 		var vals, masks [2]uint64
 		switch rng.Intn(4) {
-		case 0: // exact (lands in the hash index)
+		case 0: // exact: full masks, points beside the narrower ones
 			vals = [2]uint64{uint64(rng.Intn(64)), uint64(rng.Intn(64))}
 			masks = [2]uint64{^uint64(0), ^uint64(0)}
 		case 1: // prefix on col 0 (mixed lengths within one 32-bit domain)
@@ -33,69 +53,50 @@ func fillTernaryMix(t *testing.T, rng *rand.Rand, n int, tabs ...*Table) {
 			vals[1] = uint64(rng.Intn(256))
 		default: // wildcard
 		}
-		prio := rng.Intn(8)
-		for _, tb := range tabs {
-			if _, err := tb.AddRule(vals[:], masks[:], prio, namedAction("m")); err != nil {
-				t.Fatalf("AddRule: %v", err)
+		batch = append(batch, &Rule{Priority: rng.Intn(8), Values: vals[:], Masks: masks[:], Action: namedAction("m")})
+		if i == n-1 || rng.Intn(8) == 0 {
+			if err := tb.Write(nil, batch); err != nil {
+				t.Fatalf("Write: %v", err)
 			}
+			batch = batch[:0]
 		}
 	}
 }
 
-// TestTableClassifierEquivalence drives identical rule sets through a
-// classifier-enabled table and a scan-forced oracle table and compares
-// the full LookupAll order plus the best-match Lookup for a large key
-// space — the dataplane-level equivalence contract.
+// TestTableClassifierEquivalence drives random rule sets through a table
+// and compares the full LookupAll order plus the best-match Lookup with
+// the reference scan over the table's own rules, for a large key space
+// — the dataplane-level equivalence contract.
 func TestTableClassifierEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
-		fast := NewTable("fast", MatchTernary, 2, 4096)
-		fast.SetClassifierConfig(compileAlways)
-		oracle := NewTable("oracle", MatchTernary, 2, 4096)
-		oracle.SetClassifierConfig(scanOnly)
-		fillTernaryMix(t, rng, 10+rng.Intn(120), fast, oracle)
+		tb := NewTable("fast", MatchTernary, 2, 4096)
+		fillTernaryMix(t, rng, 10+rng.Intn(120), tb)
 
-		var bufF, bufO []*Rule
+		var got, want []*Rule
 		for k := 0; k < 200; k++ {
 			vals := []uint64{uint64(rng.Uint32()), uint64(rng.Intn(512))}
 			if k%3 == 0 { // bias into the exact-rule value range
 				vals[0], vals[1] = uint64(rng.Intn(64)), uint64(rng.Intn(64))
 			}
-			bufF = fast.LookupAllAppend(bufF[:0], vals)
-			bufO = oracle.LookupAllAppend(bufO[:0], vals)
-			if len(bufF) != len(bufO) {
-				t.Fatalf("trial %d key %v: classifier %d matches, oracle %d", trial, vals, len(bufF), len(bufO))
+			got = tb.LookupAllAppend(got[:0], vals)
+			want = scanAppend(want[:0], tb.Rules(), vals)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d key %v: classifier %v, scan %v", trial, vals, got, want)
 			}
-			for i := range bufF {
-				// Distinct Table instances: compare by position (IDs are
-				// assigned identically by the shared install order).
-				if bufF[i].ID != bufO[i].ID {
-					t.Fatalf("trial %d key %v pos %d: rule %d vs oracle %d", trial, vals, i, bufF[i].ID, bufO[i].ID)
-				}
+			best := tb.Lookup(vals[0], vals[1])
+			if (best == nil) != (len(want) == 0) || best != nil && best != want[0] {
+				t.Fatalf("trial %d key %v: best %v, scan %v", trial, vals, best, want)
 			}
-			bf, bo := fast.Lookup(vals[0], vals[1]), oracle.Lookup(vals[0], vals[1])
-			switch {
-			case (bf == nil) != (bo == nil):
-				t.Fatalf("trial %d key %v: best %v vs oracle %v", trial, vals, bf, bo)
-			case bf != nil && bf.ID != bo.ID:
-				t.Fatalf("trial %d key %v: best rule %d vs oracle %d", trial, vals, bf.ID, bo.ID)
-			}
-		}
-		if fast.TernaryScans() != 0 {
-			t.Fatalf("trial %d: classifier table fell back to %d scans", trial, fast.TernaryScans())
-		}
-		if oracle.TernaryScans() == 0 {
-			t.Fatalf("trial %d: oracle table never scanned", trial)
 		}
 	}
 }
 
-// TestTableClassifierSurvivesMutation asserts rule add/remove invalidates
-// the compiled structure: each new snapshot recompiles and stays
+// TestTableClassifierSurvivesMutation asserts rule add/remove replaces
+// the compiled structure: each new snapshot is compiled anew and stays
 // equivalent.
 func TestTableClassifierSurvivesMutation(t *testing.T) {
 	tb := NewTable("mut", MatchTernary, 1, 1024)
-	tb.SetClassifierConfig(compileAlways)
 	var ids []int
 	for i := 0; i < 64; i++ {
 		id, err := tb.AddRule([]uint64{uint64(i) << 8}, []uint64{0xFFFFFF00}, i%4, namedAction("p"))
@@ -112,9 +113,6 @@ func TestTableClassifierSurvivesMutation(t *testing.T) {
 		}
 	}
 	probe(true, 5<<8|3)
-	if !tb.ClassifierInfo().Compiled {
-		t.Fatal("expected compiled classifier after lookup")
-	}
 	if err := tb.RemoveRule(ids[5]); err != nil {
 		t.Fatal(err)
 	}
@@ -124,58 +122,88 @@ func TestTableClassifierSurvivesMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe(true, 5<<8|3)
-	if !tb.ClassifierInfo().Compiled {
-		t.Fatal("expected recompiled classifier after mutations")
+}
+
+// TestTableWriteBatch: one Write removes and adds in one snapshot — one
+// Version step — and places each added rule after every rule of its
+// priority, in the batch's order, with IDs in the batch's order.
+func TestTableWriteBatch(t *testing.T) {
+	tb := NewTable("batch", MatchTernary, 1, 16)
+	a, _ := tb.AddRule([]uint64{1}, []uint64{0xFF}, 5, namedAction("a"))
+	b, _ := tb.AddRule([]uint64{1}, []uint64{0xFF}, 1, namedAction("b"))
+	v := tb.Version()
+	add := []*Rule{
+		{Priority: 1, Values: []uint64{1}, Masks: []uint64{0xFF}, Action: namedAction("c")},
+		{Priority: 9, Values: []uint64{0}, Masks: []uint64{0}, Action: namedAction("d")},
+		{Priority: 5, Values: []uint64{1}, Masks: []uint64{0x0F}, Action: namedAction("e")},
+	}
+	if err := tb.Write([]int{b}, add); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Version() != v+1 {
+		t.Fatalf("one Write moved Version %d -> %d", v, tb.Version())
+	}
+	var names []string
+	for _, r := range tb.LookupAll(1) {
+		names = append(names, r.Action.ActionName())
+	}
+	if want := []string{"d", "a", "e", "c"}; !slices.Equal(names, want) {
+		t.Fatalf("match order %v, want %v", names, want)
+	}
+	if add[0].ID <= a || add[1].ID != add[0].ID+1 || add[2].ID != add[1].ID+1 {
+		t.Fatalf("IDs %d %d %d after %d", add[0].ID, add[1].ID, add[2].ID, a)
 	}
 }
 
-// TestTernaryScanCounter asserts the slow-path counter: a scan-forced
-// table counts every ternary lookup, a compiled table none, and tables
-// below MinRules count scans (the cheap-linear regime).
-func TestTernaryScanCounter(t *testing.T) {
-	tb := NewTable("count", MatchTernary, 1, 64)
-	tb.SetClassifierConfig(classify.Config{MinRules: 8})
-	for i := 0; i < 4; i++ {
-		tb.AddRule([]uint64{uint64(i)}, []uint64{0xFF}, 0, namedAction("s"))
+// TestTableRefusedWriteChangesNothing: a rule set that does not compile
+// is refused with the classifier's typed reason, and so are unknown or
+// repeated removals and an overfull batch; none of them moves the rules
+// or the Version.
+func TestTableRefusedWriteChangesNothing(t *testing.T) {
+	tb := NewTable("refuse", MatchTernary, 2, 4)
+	if _, err := tb.AddRule([]uint64{0x0A000000, 6}, []uint64{0xFFFFFF00, 0xFF}, 0, namedAction("ok")); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		tb.Lookup(uint64(i))
+	rules, v := tb.Rules(), tb.Version()
+	unchanged := func(what string, err, want error) {
+		t.Helper()
+		if err == nil || want != nil && !errors.Is(err, want) {
+			t.Fatalf("%s: err = %v, want %v", what, err, want)
+		}
+		if !slices.Equal(tb.Rules(), rules) || tb.Version() != v {
+			t.Fatalf("%s: rules %v version %d, want %v version %d", what, tb.Rules(), tb.Version(), rules, v)
+		}
 	}
-	if got := tb.TernaryScans(); got != 10 {
-		t.Fatalf("below-threshold table: %d scans, want 10", got)
+	// Neither a prefix nor within 16 bits of care.
+	_, err := tb.AddRule([]uint64{0x00AA00BB, 0}, []uint64{0x00FF00FF, 0}, 0, namedAction("holes"))
+	unchanged("AddRule with mask 0x00FF00FF", err, classify.ErrMaskShape)
+	wide := &Rule{Values: []uint64{0, 1}, Masks: []uint64{0, 0xF000000F}}
+	unchanged("batch with a wide hole mask", tb.Write(nil, []*Rule{wide}), classify.ErrMaskShape)
+	if wide.ID != 0 {
+		t.Fatalf("a refused rule got ID %d", wide.ID)
 	}
-	info := tb.ClassifierInfo()
-	if !info.Attempted || info.Compiled {
-		t.Fatalf("below-threshold info = %+v, want attempted fallback", info)
+	unchanged("RemoveRule(unknown)", tb.RemoveRule(99), nil)
+	unchanged("repeated removal", tb.Write([]int{rules[0].ID, rules[0].ID}, nil), nil)
+	var many []*Rule
+	for i := range 4 {
+		many = append(many, &Rule{Values: []uint64{uint64(i), 0}, Masks: []uint64{^uint64(0), 0}})
 	}
-	for i := 4; i < 16; i++ {
-		tb.AddRule([]uint64{uint64(i)}, []uint64{0xFF}, 0, namedAction("s"))
-	}
-	before := tb.TernaryScans()
-	for i := 0; i < 10; i++ {
-		tb.Lookup(uint64(i))
-	}
-	if got := tb.TernaryScans(); got != before {
-		t.Fatalf("compiled table still scanning: %d -> %d", before, got)
-	}
-	if !tb.ClassifierInfo().Compiled {
-		t.Fatal("16-rule table should compile")
-	}
+	unchanged("overfull batch", tb.Write(nil, many), nil)
 }
 
 // TestTableClassifierZeroAlloc pins the classified packet path at zero
 // allocations per lookup, for both Lookup and the append form.
 func TestTableClassifierZeroAlloc(t *testing.T) {
 	tb := NewTable("alloc", MatchTernary, 2, 8192)
+	var add []*Rule
 	for i := 0; i < 4096; i++ {
-		tb.AddRule([]uint64{uint64(i) << 8, 6}, []uint64{0xFFFFFF00, 0xFF}, 0, namedAction("p"))
+		add = append(add, &Rule{Values: []uint64{uint64(i) << 8, 6}, Masks: []uint64{0xFFFFFF00, 0xFF}, Action: namedAction("p")})
+	}
+	if err := tb.Write(nil, add); err != nil {
+		t.Fatalf("4096-rule table should compile: %v", err)
 	}
 	vals := []uint64{uint64(1234) << 8, 6}
 	buf := make([]*Rule, 0, 8)
-	tb.Lookup(vals[0], vals[1]) // compile + warm
-	if !tb.ClassifierInfo().Compiled {
-		t.Fatal("4096-rule table should compile")
-	}
 	if a := testing.AllocsPerRun(200, func() {
 		buf = tb.LookupAllAppend(buf[:0], vals)
 	}); a != 0 {
@@ -185,16 +213,5 @@ func TestTableClassifierZeroAlloc(t *testing.T) {
 		tb.Lookup(vals[0], vals[1])
 	}); a != 0 {
 		t.Fatalf("Lookup allocates %v per op", a)
-	}
-}
-
-// TestSetClassifierConfigBumpsVersion asserts config changes republish:
-// dispatch caches keyed on Version must not serve stale classifications.
-func TestSetClassifierConfigBumpsVersion(t *testing.T) {
-	tb := NewTable("ver", MatchTernary, 1, 64)
-	v0 := tb.Version()
-	tb.SetClassifierConfig(scanOnly)
-	if tb.Version() == v0 {
-		t.Fatal("SetClassifierConfig did not bump the version")
 	}
 }

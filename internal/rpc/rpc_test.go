@@ -2,9 +2,11 @@ package rpc
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/newton-net/newton/internal/classify"
 	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/fields"
@@ -148,6 +150,32 @@ func TestInstallRefusesUnknownHashAlgo(t *testing.T) {
 	})
 	if st, err := c.Stats(); err != nil || st.Installed != 0 {
 		t.Fatalf("after the refusal: %+v, %v", st, err)
+	}
+}
+
+// TestInstallRefusesUncompilableInit: a program whose newton_init entry
+// masks DstIP with 0x00FF00FF — neither a prefix nor within 16 bits of
+// care — is refused at install with the classifier's reason, and the
+// agent keeps serving: packets, stats, and the next well-formed install.
+func TestInstallRefusesUncompilableInit(t *testing.T) {
+	agent, sw := testAgent(t)
+	c := pipeClient(t, agent)
+	p := compileQ1(t, 1)
+	p.Branches[0].Init.Values[1] = 0x002A0007
+	p.Branches[0].Init.Masks[1] = 0x00FF00FF
+	err := c.Install(p)
+	if err == nil || !strings.Contains(err.Error(), classify.ErrMaskShape.Error()) {
+		t.Fatalf("Install with DstIP mask 0x00FF00FF = %v, want a refusal naming %q", err, classify.ErrMaskShape)
+	}
+	sw.Process(&packet.Packet{
+		IP:  packet.IPv4{Proto: packet.ProtoTCP, Src: 9, Dst: 0x002A0007},
+		TCP: &packet.TCP{SrcPort: 1, DstPort: 80, Flags: packet.FlagSYN},
+	})
+	if st, err := c.Stats(); err != nil || st.Installed != 0 {
+		t.Fatalf("after the refusal: %+v, %v", st, err)
+	}
+	if err := c.Install(compileQ1(t, 2)); err != nil {
+		t.Fatalf("well-formed install after the refusal: %v", err)
 	}
 }
 

@@ -18,7 +18,7 @@ var keptSurface = map[string]string{
 	"orchestrator.RefinerConfig.Clock":          "test clock: the 30 s reject hold would be waited out in real time otherwise",
 	"orchestrator.HealthConfig.Now":             "test clock: last-seen ages, MaxSilence and ForgetAfter would need real sleeps otherwise",
 	"telemetry.ExporterConfig.NegotiateTimeout": "every negative handshake test would wait the 2 s default otherwise",
-	"classify.Config.MaxCells":                  "benchmark/ compiles against classify.Config; the compile-budget tests set it to force the fallback",
+	"classify.Config.MaxCells":                  "benchmark/ compiles against classify.Config; the compile-budget tests set it to force a refusal",
 	"classify.Config.MaxWork":                   "as MaxCells",
 	"compiler.Options.Opt3":                     "two values in use: fig15's ablation leaves it off in three steps, AllOpts turns it on",
 	"compiler.Options.DistinctHashes":           "the compiler's equivalence tests sweep it (morehash, random_test); going needs those tests rewritten",
