@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/netsim"
@@ -98,10 +99,12 @@ type Newton struct {
 }
 
 // local is the in-process agent: one netsim node's engine and data
-// plane answering the calls Remote makes on an rpc.Client.
+// plane answering the calls Remote makes on an rpc.Client. It installs a
+// clone, as the control channel installs a decoded copy: Remote hands
+// one program to every switch that holds it.
 type local struct{ node *netsim.Node }
 
-func (a local) Install(p *modules.Program) error { return a.node.Eng.Install(p) }
+func (a local) Install(p *modules.Program) error { return a.node.Eng.Install(p.Clone()) }
 func (a local) Remove(qid int) error             { return a.node.Eng.Remove(qid) }
 
 func (a local) NextEpoch() error {
@@ -169,13 +172,20 @@ func (c *Newton) Install(spec Spec) (*Deployment, time.Duration, error) {
 		if len(edges) == 0 {
 			edges = c.net.Topo.EdgeSwitches()
 		}
-		logical, err := share{width: spec.Width}.programs(spec.Query, 0)
+		// One compile serves the placement's stage count and, sliced, the
+		// installs.
+		o := compiler.AllOpts()
+		o.Width = spec.Width
+		logical, err := compiler.Compile(spec.Query, o)
 		if err != nil {
 			return nil, 0, err
 		}
-		pl, m, err := placement.Place(c.net.Topo, edges, logical[0].NumStages(), spec.StagesPerSwitch)
+		pl, m, err := placement.Place(c.net.Topo, edges, logical.NumStages(), spec.StagesPerSwitch)
 		if err != nil {
 			return nil, 0, err
+		}
+		if w.Programs, err = modules.SliceProgram(logical, spec.StagesPerSwitch); err != nil {
+			return nil, 0, fmt.Errorf("controller: placement deploy: %w", err)
 		}
 		dep.Placement, dep.Parts = pl, m
 		w.StagesPer, w.Parts = spec.StagesPerSwitch, make(map[string][]int, len(pl))

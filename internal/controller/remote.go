@@ -86,10 +86,17 @@ type Want struct {
 	// Parts maps each switch to the partition indices it hosts.
 	StagesPer int
 	Parts     map[string][]int
+
+	// Programs, when set, is Query already compiled at Width: the whole
+	// program, or with StagesPer its StagesPer-stage slices in partition
+	// order. The controller installs them instead of compiling Query
+	// again, and never writes to them; their QID is ignored. A sharded
+	// want carries none: each shard compiles its own owner filter.
+	Programs []*modules.Program
 }
 
-// share is one switch's part of a query — all the compiler needs, beside
-// the query and its qid, to produce that switch's programs.
+// share is one switch's part of a query: which of the spec's programs
+// it holds, and at what width.
 type share struct {
 	width         uint32
 	shard, shards uint32 // key-shard index and count (0, 0 = unsharded)
@@ -106,34 +113,12 @@ func (s share) equal(t share) bool {
 // equals no wanted share, so the next reconcile clears the switch.
 var torn = share{stagesPer: -1}
 
-// programs compiles the programs a switch holding s installs: the whole
-// (possibly sharded) program, or its assigned partition slices. This is
-// the one place a deployment becomes programs. They are compiled fresh
-// per switch — register bindings are filled in at install time, so two
-// engines must never share a *Program.
-func (s share) programs(q *query.Query, qid int) ([]*modules.Program, error) {
-	o := compiler.AllOpts()
-	o.QID, o.Width = qid, s.width
-	o.ShardIndex, o.ShardCount = s.shard, s.shards
-	p, err := compiler.Compile(q, o)
-	if err != nil {
-		return nil, err
+// count is how many programs a switch holding s installs.
+func (s share) count() int {
+	if s.stagesPer > 0 {
+		return len(s.parts)
 	}
-	if s.stagesPer <= 0 {
-		return []*modules.Program{p}, nil
-	}
-	slices, err := modules.SliceProgram(p, s.stagesPer)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*modules.Program, 0, len(s.parts))
-	for _, k := range s.parts {
-		if k < 0 || k >= len(slices) {
-			return nil, fmt.Errorf("controller: partition %d out of range (query slices into %d)", k, len(slices))
-		}
-		out = append(out, slices[k])
-	}
-	return out, nil
+	return 1
 }
 
 // ownsState reports whether a program holds at least one owning state
@@ -151,11 +136,89 @@ func ownsState(p *modules.Program) bool {
 }
 
 // spec is a Want resolved against the fleet: its members in the order
-// they are driven in (for a sharded query, the shard-index order).
+// they are driven in (for a sharded query, the shard-index order), and
+// its programs.
 type spec struct {
 	Want
 	mode  string // "replicate", "shard" or "placement"
 	names []string
+
+	// progs are the deployment's programs, carrying its qid: the whole
+	// program, one per shard in shard order, or the placement's slices
+	// in partition order. Switches share them: an engine binds its
+	// registers into the ops it installs, so an in-process agent
+	// installs a clone and the control channel a decoded copy.
+	progs []*modules.Program
+}
+
+// compile makes s's programs for deployment qid: the controller's one
+// compile site, run once per spec. Supplied Programs are stamped with
+// qid on shallow copies, so the caller's stay as they were; otherwise
+// Query compiles once (once per shard when sharded) and a placement
+// slices that program once.
+func (s *spec) compile(qid int) error {
+	switch {
+	case s.Programs != nil && s.Sharded:
+		return fmt.Errorf("controller: a sharded deploy compiles its own shards; it takes no programs")
+	case s.Programs != nil && s.StagesPer <= 0 && len(s.Programs) != 1:
+		return fmt.Errorf("controller: a whole-program deploy takes one program, not %d", len(s.Programs))
+	case s.Programs != nil:
+		copies := make([]modules.Program, len(s.Programs))
+		s.progs = make([]*modules.Program, len(s.Programs))
+		for i, p := range s.Programs {
+			if p == nil {
+				return fmt.Errorf("controller: program %d is missing", i)
+			}
+			copies[i] = *p
+			copies[i].QID = qid
+			s.progs[i] = &copies[i]
+		}
+	default:
+		o := compiler.AllOpts()
+		o.QID, o.Width = qid, s.Width
+		n := 1
+		if s.Sharded {
+			n, o.ShardCount = len(s.names), uint32(len(s.names))
+		}
+		s.progs = make([]*modules.Program, n)
+		for i := range n {
+			if s.Sharded {
+				o.ShardIndex = uint32(i)
+			}
+			p, err := compiler.Compile(s.Query, o)
+			if err != nil {
+				return err
+			}
+			s.progs[i] = p
+		}
+		if s.StagesPer > 0 {
+			parts, err := modules.SliceProgram(s.progs[0], s.StagesPer)
+			if err != nil {
+				return err
+			}
+			s.progs = parts
+		}
+	}
+	for _, n := range s.names {
+		for _, k := range s.Parts[n] {
+			if k < 0 || k >= len(s.progs) {
+				return fmt.Errorf("controller: partition %d out of range (query slices into %d)", k, len(s.progs))
+			}
+		}
+	}
+	return nil
+}
+
+// program is the i-th of the count programs a switch holding sh
+// installs.
+func (s *spec) program(sh share, i int) *modules.Program {
+	switch {
+	case sh.stagesPer > 0:
+		return s.progs[sh.parts[i]]
+	case sh.shards > 0:
+		return s.progs[sh.shard]
+	}
+	return s.progs[0]
 }
 
 // shareOf returns switch n's part of the spec; a nil spec wants nothing.
@@ -303,9 +366,9 @@ type pass struct {
 
 // reconcile is the one place the controller changes what switches hold.
 // Each named switch, in order, that is online and not settled for qid
-// has the qid removed and the wanted programs installed, compiled once
-// per switch, and have updated to match. It stops at the first failing
-// switch unless keepGoing (a rollback must attempt every switch). With
+// has the qid removed and the spec's programs for it installed, and
+// have updated to match. It stops at the first failing switch unless
+// keepGoing (a rollback must attempt every switch). With
 // verify, a settled switch is offered its programs again and "already
 // installed" counts as success — the answer to an agent that restarted
 // and lost its installs behind the controller's back.
@@ -334,13 +397,8 @@ func (r *Remote) drive(n string, qid int, verify bool, p *pass) (changed bool, e
 	if !ok {
 		return false, fmt.Errorf("controller: no agent %q", n)
 	}
-	goal, wanted := r.want[qid].shareOf(n)
-	var progs []*modules.Program
-	if wanted {
-		if progs, err = goal.programs(r.want[qid].Query, qid); err != nil {
-			return false, err
-		}
-	}
+	s := r.want[qid]
+	goal, wanted := s.shareOf(n)
 	var batch time.Duration
 	if cur, held := r.have[n][qid]; held && !r.settled(n, qid) {
 		// An agent that restarted while away already lost the programs:
@@ -352,8 +410,13 @@ func (r *Remote) drive(n string, qid int, verify bool, p *pass) (changed bool, e
 		changed = true
 		batch = removeBase + time.Duration(cur.rules)*removePerRule
 	}
+	if !wanted {
+		p.slowest = max(p.slowest, batch)
+		return true, nil
+	}
 	got := installed{share: goal}
-	for i, prog := range progs {
+	for i := range goal.count() {
+		prog := s.program(goal, i)
 		if err := c.Install(prog); err != nil && !(verify && errors.Is(err, modules.ErrAlreadyInstalled)) {
 			if i > 0 {
 				r.have[n][qid] = installed{share: torn}
@@ -366,11 +429,9 @@ func (r *Remote) drive(n string, qid int, verify bool, p *pass) (changed bool, e
 			p.first = prog
 		}
 	}
-	if wanted {
-		r.have[n][qid] = got
-		p.rules += got.rules
-		batch += installBase + time.Duration(got.rules)*installPerRule
-	}
+	r.have[n][qid] = got
+	p.rules += got.rules
+	batch += installBase + time.Duration(got.rules)*installPerRule
 	p.slowest = max(p.slowest, batch)
 	return true, nil
 }
@@ -382,9 +443,10 @@ func (r *Remote) drive(n string, qid int, verify bool, p *pass) (changed bool, e
 // touched so far is reconciled back to it, so no switch keeps a program
 // the records do not know about. Transient transport failures are
 // retried inside each rpc client; only exhausted retries or agent
-// rejections fail a switch. The pass of a change that committed comes
-// back with the operation's modeled latency in delay: one jitter draw
-// per operation that contacted a switch.
+// rejections fail a switch. A next without programs is compiled first,
+// before any switch is contacted. The pass of a change that committed
+// comes back with the operation's modeled latency in delay: one jitter
+// draw per operation that contacted a switch.
 func (r *Remote) set(qid int, next *spec) (pass, error) {
 	prev := r.want[qid]
 	var names []string
@@ -402,6 +464,12 @@ func (r *Remote) set(qid int, next *spec) (pass, error) {
 		mode, resized = next.mode, prev.Width != next.Width
 		if resized {
 			ok, fail = &r.obs.resizes, &r.obs.resizeFailures
+		}
+	}
+	if next != nil && next.progs == nil {
+		if err := next.compile(qid); err != nil {
+			inc(fail)
+			return pass{}, fmt.Errorf("controller: %s deploy of query %d: %w", mode, qid, err)
 		}
 	}
 	r.put(qid, next)
@@ -513,11 +581,12 @@ func (r *Remote) specOf(w Want) (*spec, error) {
 // fleet to it. qid 0 deploys a new query and returns the qid assigned
 // to it; an existing qid keeps its query and its mode and moves to w's
 // width and per-switch assignment, contacting only the switches whose
-// share changed. The change is transactional: on any failure the
-// touched switches are rolled back to the previous state and a typed
-// *PartialDeployError is returned. The duration is the modeled
-// operation latency (per-switch batches run in parallel; the slowest
-// bounds the delay).
+// share changed. w.Query must be Equal to the query the qid runs: a
+// changed query is a new deployment, and Deploy refuses it. The change
+// is transactional: on any failure the touched switches are rolled back
+// to the previous state and a typed *PartialDeployError is returned.
+// The duration is the modeled operation latency (per-switch batches run
+// in parallel; the slowest bounds the delay).
 func (r *Remote) Deploy(qid int, w Want) (int, time.Duration, error) {
 	qid, p, err := r.deploy(qid, w)
 	return qid, p.delay, err
@@ -537,6 +606,8 @@ func (r *Remote) deploy(qid int, w Want) (int, pass, error) {
 		return 0, pass{}, fmt.Errorf("controller: no deployment %d", qid)
 	} else if cur.mode != next.mode {
 		return 0, pass{}, fmt.Errorf("controller: deployment %d is a %s deploy, not a %s one", qid, cur.mode, next.mode)
+	} else if !query.Equal(cur.Query, next.Query) {
+		return 0, pass{}, fmt.Errorf("controller: deployment %d runs %s; a changed query deploys under a new qid", qid, cur.Query.Name)
 	} else {
 		next.Query = cur.Query
 	}

@@ -28,7 +28,7 @@ func (r *Remote) ResizeWidth(qid int, width uint32) (time.Duration, error) {
 		return 0, nil
 	}
 	next := *cur
-	next.Width = width
+	next.Width, next.Programs, next.progs = width, nil, nil
 	p, err := r.set(qid, &next)
 	return p.delay, err
 }

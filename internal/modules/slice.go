@@ -1,6 +1,9 @@
 package modules
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SliceProgram partitions a compiled program for cross-switch query
 // execution (§5.1's model parallelism): partition k receives the ops of
@@ -126,10 +129,34 @@ func cloneProgram(p *Program, lo, hi, part int) *Program {
 	return out
 }
 
+// Clone returns a deep copy of p that shares no branch, op or module
+// config with it and carries none of an install's bindings. Install
+// binds registers and masks into the ops it is given, so each engine
+// installs a program of its own: a controller that hands one program to
+// several in-process engines hands each a Clone.
+func (p *Program) Clone() *Program {
+	out := &Program{QID: p.QID, Name: p.Name, Part: p.Part, TotalParts: p.TotalParts,
+		Branches: slices.Clone(p.Branches)}
+	for i, b := range out.Branches {
+		if b == nil {
+			continue // wellFormed refuses it at install
+		}
+		nb := &BranchProgram{Init: b.Init, Ops: slices.Clone(b.Ops)}
+		for j, op := range nb.Ops {
+			if op != nil {
+				nb.Ops[j] = cloneOp(op, 0)
+			}
+		}
+		out.Branches[i] = nb
+	}
+	return out
+}
+
 func cloneOp(op *Op, shift int) *Op {
 	cp := &Op{Kind: op.Kind, Set: op.Set, Stage: op.Stage + shift}
 	if op.K != nil {
 		k := *op.K
+		k.idx = 0
 		cp.K = &k
 	}
 	if op.H != nil {

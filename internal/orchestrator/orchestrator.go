@@ -84,6 +84,14 @@ type QueryPlan struct {
 	Single  bool
 	Targets []string
 	Parts   map[string][]int
+
+	// q and programs are what Apply deploys: the private clone of the
+	// intent's query that admission compiled, and the admitted rung's
+	// programs (the whole program when Single, else the slices Parts
+	// indexes). They point into the rung, so a plan allocates nothing
+	// for them.
+	q        *query.Query
+	programs []*modules.Program
 }
 
 // Plan is one full recompute over the intent set.
@@ -191,18 +199,20 @@ type Orchestrator struct {
 // compiledIntent is what planning one intent compiled. It serves a plan
 // only while the intent's query is Equal to q, a private clone, so a
 // caller who edits a submitted query in place gets a recompile. Its
-// programs reach only Tracker.Fits/Commit/Release, which read them;
-// Apply's installs compile fresh per-switch copies in controller.Remote.
+// programs are never written: Tracker.Fits/Commit/Release read them,
+// and Apply hands the admitted rung's to controller.Remote, which
+// installs them under the deployment's qid on copies of its own.
 type compiledIntent struct {
 	q     *query.Query
 	rungs []*compiledRung
 }
 
 // compiledRung is one width's program and, once a plan partitioned it,
-// its slices at the orchestrator's stagesPer.
+// its slices at the orchestrator's stagesPer. whole holds the program
+// alone, so a replica plan hands it on as a slice without allocating.
 type compiledRung struct {
 	width uint32
-	prog  *modules.Program
+	whole [1]*modules.Program
 	parts []*modules.Program
 }
 
@@ -220,7 +230,7 @@ func (ci *compiledIntent) rung(w uint32) (*compiledRung, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &compiledRung{width: w, prog: p}
+	r := &compiledRung{width: w, whole: [1]*modules.Program{p}}
 	ci.rungs = append(ci.rungs, r)
 	return r, nil
 }
@@ -423,8 +433,9 @@ func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Trac
 		if err != nil {
 			return QueryPlan{Intent: in, Reason: err.Error()} // compilation failure does not improve with width
 		}
-		rung := QueryPlan{Intent: in, Admitted: true, Width: w, Stages: r.prog.NumStages(), M: 1}
-		assign, why := o.replicas(&rung, r.prog, edgeIDs, trackers), ""
+		rung := QueryPlan{Intent: in, Admitted: true, Width: w, Stages: r.whole[0].NumStages(), M: 1,
+			q: ci.q, programs: r.whole[:]}
+		assign, why := o.replicas(&rung, r.whole[0], edgeIDs, trackers), ""
 		if assign == nil {
 			assign, why = o.partitions(&rung, r, edgeIDs, trackers)
 		}
@@ -512,7 +523,7 @@ func (o *Orchestrator) partitions(qp *QueryPlan, r *compiledRung, edgeIDs []int,
 
 	// The rung's program sliced for admission accounting, once per rung.
 	if r.parts == nil {
-		if r.parts, err = modules.SliceProgram(r.prog, o.stagesPer); err != nil {
+		if r.parts, err = modules.SliceProgram(r.whole[0], o.stagesPer); err != nil {
 			return nil, err.Error()
 		}
 	}
@@ -540,7 +551,7 @@ func (o *Orchestrator) partitions(qp *QueryPlan, r *compiledRung, edgeIDs []int,
 			assign = append(assign, hosting{sw: name, prog: r.parts[k], part: k})
 		}
 	}
-	qp.M, qp.Parts = m, parts
+	qp.M, qp.Parts, qp.programs = m, parts, r.parts
 	return assign, ""
 }
 
@@ -574,9 +585,9 @@ func charge(assign []hosting, trackers map[string]*scheduler.Tracker) string {
 }
 
 // diff compares a plan against the recorded deployment. A change that
-// keeps the deploy mode keeps the qid; only a Single <-> partitioned
-// flip, which the controller refuses under a live qid, is a remove and
-// an install.
+// keeps the deploy mode and the query keeps the qid; a Single <->
+// partitioned flip or an edited query, which the controller refuses
+// under a live qid, is a remove and an install.
 func (o *Orchestrator) diff(p *Plan) Diff {
 	var removes, resizes, moves, installs []Delta
 	seen := map[string]bool{}
@@ -589,7 +600,7 @@ func (o *Orchestrator) diff(p *Plan) Diff {
 		seen[name] = true
 		cur, deployed := o.deployed[name]
 		switch {
-		case deployed && (!qp.Admitted || cur.plan.Single != qp.Single):
+		case deployed && (!qp.Admitted || cur.plan.Single != qp.Single || !query.Equal(cur.plan.q, qp.q)):
 			removes = append(removes, Delta{Query: name, QID: cur.qid})
 			if qp.Admitted {
 				installs = append(installs, Delta{Query: name, Target: qp})
@@ -643,7 +654,7 @@ func (o *Orchestrator) applyLocked(p *Plan, d Diff) error {
 			delete(o.deployed, dl.Query)
 			continue
 		}
-		want := controller.Want{Query: t.Intent.Query, Width: t.Width, Targets: t.Targets}
+		want := controller.Want{Query: t.q, Width: t.Width, Targets: t.Targets, Programs: t.programs}
 		if !t.Single {
 			want.StagesPer, want.Parts = p.StagesPer, t.Parts
 		}

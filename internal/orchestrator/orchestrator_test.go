@@ -1,10 +1,12 @@
 package orchestrator
 
 import (
+	"encoding/json"
 	"slices"
 	"testing"
 	"time"
 
+	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/fleet"
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/netsim"
@@ -253,6 +255,68 @@ func TestReplanKeepsQID(t *testing.T) {
 	}
 	if partial, missing := waitEpochMerged(t, f.Svc, qid4, epoch); !partial || len(missing) != 0 {
 		t.Fatalf("first epoch after the change: partial=%v missing=%v, want partial (width transition) with none missing", partial, missing)
+	}
+}
+
+// TestEditedIntentRedeploys: resubmitting a name with a different query
+// is a remove and an install under a new qid, and the switch runs the
+// new query, at the plan's width and at every width after it.
+func TestEditedIntentRedeploys(t *testing.T) {
+	f := newFleet(t)
+	o := f.orch(t)
+	submit := func(q *query.Query) {
+		q.Name = "x"
+		o.SetIntents([]Intent{{Query: q, MinWidth: 256, MaxWidth: 1024, Edges: []string{"s1"}}})
+	}
+	submit(query.Q1(3))
+	if _, _, err := o.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	old := o.QID("x")
+
+	submit(query.Q1(50))
+	p, d, err := o.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Deltas) != 2 || d.Deltas[0].Target != nil || d.Deltas[0].QID != old || d.Deltas[1].QID != 0 {
+		t.Fatalf("diff after the edit:\n%swant a remove of qid %d and an install", d, old)
+	}
+	if err := o.Apply(p, d); err != nil {
+		t.Fatal(err)
+	}
+	qid := o.QID("x")
+	if qid == old {
+		t.Fatalf("the edited query kept qid %d", old)
+	}
+	runs(t, f, "s1", query.Q1(50), qid, 1024)
+
+	// A later resize deploys the new query, not the first one.
+	o.SetWidthCap("x", 512)
+	if _, _, err := o.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.QID("x"); got != qid {
+		t.Fatalf("resize moved qid %d -> %d", qid, got)
+	}
+	runs(t, f, "s1", query.Q1(50), qid, 512)
+}
+
+// runs fails t unless switch sw holds exactly q (renamed "x") compiled
+// at qid and width.
+func runs(t *testing.T, f *testFleet, sw string, q *query.Query, qid int, width uint32) {
+	t.Helper()
+	q.Name = "x"
+	o := compiler.AllOpts()
+	o.QID, o.Width = qid, width
+	want, err := compiler.Compile(q, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := f.Switches[sw].Node.Eng.Programs()
+	wantJSON, _ := json.Marshal([]*modules.Program{want})
+	if gotJSON, _ := json.Marshal(progs); string(gotJSON) != string(wantJSON) {
+		t.Fatalf("%s holds %s\nwant %s", sw, gotJSON, wantJSON)
 	}
 }
 
