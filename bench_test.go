@@ -28,7 +28,7 @@ import (
 // throughputNet builds the standard throughput workload: one switch with
 // all nine queries installed and a pre-generated evaluation trace, so the
 // benchmark loop measures nothing but the per-packet fast path. workers
-// sizes the delivery lanes (0 = package default).
+// sizes the delivery lanes.
 func throughputNet(b *testing.B, workers int) (*netsim.Network, []int, int, int, []*trace.Trace) {
 	b.Helper()
 	topo, h1, h2 := topology.Linear(1)

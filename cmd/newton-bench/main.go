@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"github.com/newton-net/newton/internal/experiments"
-	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/version"
 )
 
@@ -40,7 +39,6 @@ func main() {
 		flows    = flag.Int("flows", 3000, "background flows for trace-driven experiments")
 		dur      = flag.Duration("duration", 500*time.Millisecond, "trace duration (virtual time)")
 		hops     = flag.Int("hops", 5, "maximum hop count for fig13")
-		workers  = flag.Int("workers", 0, "default delivery worker lanes for trace-driven experiments (0 = GOMAXPROCS)")
 		fseed    = flag.Int64("fault-seed", 1, "seed for the chaos and soak experiments' fault injection")
 		soakSw   = flag.Int("soak-switches", 0, "soak fleet size (0 = default)")
 		soakRds  = flag.Int("soak-rounds", 0, "soak churn rounds (0 = default)")
@@ -52,10 +50,6 @@ func main() {
 	if *showVers {
 		fmt.Println(version.String("newton-bench"))
 		return
-	}
-
-	if *workers > 0 {
-		netsim.SetDefaultWorkers(*workers)
 	}
 
 	suite := map[string]func() fmt.Stringer{

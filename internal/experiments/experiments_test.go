@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -325,10 +326,46 @@ func TestFig14AccuracyShape(t *testing.T) {
 	}
 }
 
+// TestFig14MatchesRecordedTable holds the figure to the 256-register row
+// EXPERIMENTS.md records, on a host with several cores: the networks
+// deliver on one lane whatever GOMAXPROCS is, so which colliding key's
+// packet crosses the threshold never depends on how lanes interleave.
+func TestFig14MatchesRecordedTable(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	r := Fig14Accuracy([]uint32{256}, 3)
+	want := map[string][2]string{ // system → accuracy, recall
+		"Sonata":   {"0.250", "0.889"},
+		"Newton_1": {"0.250", "0.889"},
+		"Newton_2": {"0.643", "1.000"},
+		"Newton_3": {"0.750", "1.000"},
+	}
+	if len(r.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(r.Rows), len(want))
+	}
+	for _, row := range r.Rows {
+		got := [2]string{f3(row.Accuracy), f3(row.Recall)}
+		if got != want[row.System] {
+			t.Errorf("%s@256: accuracy, recall = %v, EXPERIMENTS.md records %v", row.System, got, want[row.System])
+		}
+	}
+}
+
 func TestAblation(t *testing.T) {
 	r := Ablation()
 	if len(r.RowsMeanError) != 4 || len(r.BloomFPR) != 4 {
 		t.Fatalf("rows = %d/%d", len(r.RowsMeanError), len(r.BloomFPR))
+	}
+	// Every point spends at most its budget: a comparison at equal
+	// memory, with no row width rounded up past it.
+	for i, regs := range r.RowsRegisters {
+		if regs == 0 || regs > 4096 {
+			t.Errorf("%d CM rows spend %d registers, budget 4096", i+1, regs)
+		}
+	}
+	for i, regs := range r.BloomRegisters {
+		if regs == 0 || regs > 16384 {
+			t.Errorf("%d Bloom hashes spend %d registers, budget 16384", i+1, regs)
+		}
 	}
 	// Two rows cut the tail error sharply on an elephant-heavy stream
 	// (a mouse must collide with an elephant in BOTH rows)...

@@ -4,43 +4,42 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"github.com/newton-net/newton/internal/netsim"
 )
 
 // TestShardedExperimentEquivalence is the paper-level equivalence guard
 // for the sharded engine: the batch-delivered experiment tables (Fig 10
-// interruption, Fig 13 CQE overhead, Fig 14 accuracy) must be
-// byte-identical whether the networks run 1 or 4 delivery lanes —
-// shared-bank CAS transactions make every windowed quantity
-// permutation-invariant.
+// interruption, Fig 12 overhead, Fig 13 CQE overhead) must be
+// byte-identical whether the host offers 1 or 4 threads. A network runs
+// the lanes its caller names, and the figures name none, so they
+// deliver on one lane — the order a hardware pipeline runs packets in —
+// on any host. Fig 14 is held to its recorded table under 4 threads by
+// TestFig14MatchesRecordedTable, and lane-count equivalence itself is
+// checked where the lanes live, in netsim's
+// TestDeliverBatchWorkersMatchSequential.
 func TestShardedExperimentEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment comparison")
 	}
-	defer netsim.SetDefaultWorkers(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
-	// Fig 14 runs at a collision-free register size: every windowed count
-	// is exact at any lane count, but when a CMS slot is shared by
-	// colliding keys (the deliberately undersized 256/1024-register
-	// points, where even the sequential run has FPR > 0), which colliding
-	// key's packet observes the threshold crossing is interleaving-
-	// dependent — true of any parallel delivery order. Collision-free
-	// banks flag identical key sets.
-	tables := func(workers int) []string {
-		netsim.SetDefaultWorkers(workers)
+	// Fig 12's nine queries share 4096-register rows among the trace's
+	// keys: were the lane count taken from the host, which of two
+	// colliding keys' packets crosses a threshold, and so Newton's
+	// message count, would depend on how the lanes interleave.
+	tables := func(procs int) []string {
+		runtime.GOMAXPROCS(procs)
 		return []string{
 			Fig10Interruption(500, 10, 5000).String(),
+			Fig12Overhead(800, 300*time.Millisecond).String(),
 			Fig13CQEOverhead(3).String(),
-			Fig14Accuracy([]uint32{4096}, 3).String(),
 		}
 	}
-	names := []string{"fig10", "fig13", "fig14"}
+	names := []string{"fig10", "fig12", "fig13"}
 	seq := tables(1)
 	par := tables(4)
 	for i := range seq {
 		if seq[i] != par[i] {
-			t.Errorf("%s diverges between 1 and 4 workers:\n--- workers=1 ---\n%s--- workers=4 ---\n%s",
+			t.Errorf("%s diverges between GOMAXPROCS 1 and 4:\n--- GOMAXPROCS=1 ---\n%s--- GOMAXPROCS=4 ---\n%s",
 				names[i], seq[i], par[i])
 		}
 	}

@@ -8,7 +8,6 @@ package netsim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,9 +29,9 @@ type Config struct {
 	Window time.Duration
 	// Workers is the delivery worker (lane) count for DeliverBatch:
 	// packets shard across lanes by symmetric flow hash, each lane
-	// owning private engine state (flow table, memos, counters).
-	// 0 uses the package default (DefaultWorkers); 1 forces sequential
-	// delivery.
+	// owning private engine state (flow table, memos, counters). 1 or
+	// less is one lane: sequential delivery, the order a hardware
+	// pipeline runs packets in.
 	Workers int
 }
 
@@ -46,9 +45,6 @@ func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = 100 * time.Millisecond
 	}
-	if c.Workers == 0 {
-		c.Workers = DefaultWorkers()
-	}
 	if c.Workers < 1 {
 		c.Workers = 1
 	}
@@ -57,28 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// defaultWorkers is the process-wide lane count used when Config.Workers
-// is zero. Read/written with atomics so bench harnesses can set it while
-// other goroutines build networks.
-var defaultWorkers int64
-
-// DefaultWorkers returns the default delivery worker count: the last
-// SetDefaultWorkers value, or GOMAXPROCS.
-func DefaultWorkers() int {
-	if w := atomic.LoadInt64(&defaultWorkers); w > 0 {
-		return int(w)
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// SetDefaultWorkers overrides the default delivery worker count for
-// subsequently built networks (0 restores GOMAXPROCS).
-func SetDefaultWorkers(n int) { atomic.StoreInt64(&defaultWorkers, int64(n)) }
 
 // Node is one switch of the network: its data plane, module layout, and
 // engine.
@@ -371,9 +345,12 @@ const minParallelSegment = 64
 //
 // Switch state stays exact under parallelism: tables are read through
 // immutable copy-on-write snapshots and every register ALU transaction
-// is one linearizable atomic operation, so windowed counts, delivery
-// counters, and report volumes match sequential delivery. Query installs/removals must not
-// run concurrently with a batch.
+// is one linearizable atomic operation, so windowed counts and delivery
+// counters match sequential delivery. Reports match it only while no
+// two keys share a register slot: when colliding keys share one, which
+// key's packet observes the threshold crossing depends on how the lanes
+// interleave. Query installs/removals must not run concurrently with a
+// batch.
 func (n *Network) DeliverBatch(pkts []*packet.Packet, srcHost, dstHost int) {
 	workers := n.workers
 	start := 0

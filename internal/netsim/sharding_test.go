@@ -9,6 +9,7 @@ import (
 	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/fields"
+	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/packet"
 	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/topology"
@@ -62,44 +63,96 @@ func TestLaneHashShardsBothDirectionsTogether(t *testing.T) {
 
 // TestDeliverBatchWorkersMatchSequential is the netsim-level equivalence
 // guard: the same trace through 1-lane and 4-lane batch delivery must
-// agree on delivered/dropped counts, report volume, and the merged
-// state-bank contents, slot for slot.
+// agree on delivered/dropped counts, report volume, and the state-bank
+// contents of every switch, slot for slot. Beside collision-free Q1 on
+// one switch it runs the two levers the figures pull: an outage window
+// that drops part of the trace (Fig. 10), and Q1 sliced across a line of
+// three switches, so packets carry result snapshots between partitions
+// (cross-switch execution, Fig. 13).
 func TestDeliverBatchWorkersMatchSequential(t *testing.T) {
 	tr := scalingTrace()
+	o := compiler.AllOpts()
+	o.QID = 1
+	o.Width = 1 << 14
+	q1 := func(t *testing.T, net *Network) {
+		installOn(t, net, query.Q1(40), o, net.Topo.Switches())
+	}
+	cases := []struct {
+		name     string
+		switches int
+		outage   bool // the trace crosses an outage window
+		setup    func(t *testing.T, net *Network)
+	}{
+		{"q1", 1, false, q1},
+		{"q1 outage", 1, true, func(t *testing.T, net *Network) {
+			q1(t, net)
+			net.SetOutage(net.Topo.Switches()[0], uint64(80*time.Millisecond), uint64(130*time.Millisecond))
+		}},
+		{"q1 sliced over 3 switches", 3, false, func(t *testing.T, net *Network) {
+			p, err := compiler.Compile(query.Q1(40), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts, err := modules.SliceProgram(p, (p.NumStages()+2)/3)
+			if err != nil || len(parts) != 3 {
+				t.Fatalf("slicing q1 in three: %d parts, %v", len(parts), err)
+			}
+			for i, id := range net.Topo.Switches() {
+				if err := net.Node(id).Eng.Install(parts[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
 
 	type outcome struct {
 		delivered, dropped uint64
 		reports            int
 		banks              []uint32
 	}
-	run := func(workers int) outcome {
-		net, h1, h2 := workersNet(t, workers, 40)
-		net.DeliverBatch(tr.Packets, h1, h2)
-		d, dr := net.Stats()
-		reports := net.DrainReports()
-		var banks []uint32
-		for _, b := range net.Node(net.Topo.Switches()[0]).Eng.SnapshotBanks() {
-			banks = append(banks, b.Values...)
-		}
-		return outcome{delivered: d, dropped: dr, reports: len(reports), banks: banks}
-	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(workers int) outcome {
+				topo, h1, h2 := topology.Linear(c.switches)
+				net, err := New(topo, Config{Stages: 12, ArraySize: 1 << 16, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.setup(t, net)
+				net.DeliverBatch(tr.Packets, h1, h2)
+				d, dr := net.Stats()
+				reports := net.DrainReports()
+				var banks []uint32
+				for _, id := range topo.Switches() {
+					for _, b := range net.Node(id).Eng.SnapshotBanks() {
+						banks = append(banks, b.Values...)
+					}
+				}
+				return outcome{delivered: d, dropped: dr, reports: len(reports), banks: banks}
+			}
 
-	seq, par := run(1), run(4)
-	if par.delivered != seq.delivered || par.dropped != seq.dropped {
-		t.Fatalf("4 workers: stats %d/%d, sequential %d/%d", par.delivered, par.dropped, seq.delivered, seq.dropped)
-	}
-	// Mid-window threshold reports are exact at any worker count: every
-	// lane reads and writes the one shared bank.
-	if par.reports != seq.reports {
-		t.Fatalf("4 workers: %d reports, sequential %d", par.reports, seq.reports)
-	}
-	if len(par.banks) != len(seq.banks) {
-		t.Fatalf("4 workers: bank size %d, sequential %d", len(par.banks), len(seq.banks))
-	}
-	for i := range seq.banks {
-		if par.banks[i] != seq.banks[i] {
-			t.Fatalf("4 workers: bank slot %d = %d, sequential %d", i, par.banks[i], seq.banks[i])
-		}
+			seq, par := run(1), run(4)
+			if seq.reports == 0 || (seq.dropped > 0) != c.outage {
+				t.Fatalf("sequential run: %d reports, %d dropped", seq.reports, seq.dropped)
+			}
+			if par.delivered != seq.delivered || par.dropped != seq.dropped {
+				t.Fatalf("4 workers: stats %d/%d, sequential %d/%d", par.delivered, par.dropped, seq.delivered, seq.dropped)
+			}
+			// Mid-window threshold reports are exact at any worker count
+			// while no two keys share a slot: every lane reads and writes
+			// the one shared bank.
+			if par.reports != seq.reports {
+				t.Fatalf("4 workers: %d reports, sequential %d", par.reports, seq.reports)
+			}
+			if len(par.banks) != len(seq.banks) {
+				t.Fatalf("4 workers: bank size %d, sequential %d", len(par.banks), len(seq.banks))
+			}
+			for i := range seq.banks {
+				if par.banks[i] != seq.banks[i] {
+					t.Fatalf("4 workers: bank slot %d = %d, sequential %d", i, par.banks[i], seq.banks[i])
+				}
+			}
+		})
 	}
 }
 
@@ -158,18 +211,13 @@ func TestDeliverBatchZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestConfigWorkerDefaults pins the worker-count resolution: zero uses
-// the package default, negatives clamp to one, and the pool cap bounds
+// TestConfigWorkerDefaults pins the worker-count resolution: zero and
+// negatives are one lane whatever the host, and the pool cap bounds
 // pathological settings.
 func TestConfigWorkerDefaults(t *testing.T) {
-	if got := (Config{}).withDefaults().Workers; got != DefaultWorkers() {
-		t.Fatalf("zero workers resolved to %d, want DefaultWorkers %d", got, DefaultWorkers())
+	if got := (Config{}).withDefaults().Workers; got != 1 {
+		t.Fatalf("zero workers resolved to %d, want 1", got)
 	}
-	SetDefaultWorkers(3)
-	if got := (Config{}).withDefaults().Workers; got != 3 {
-		t.Fatalf("SetDefaultWorkers(3) ignored: %d", got)
-	}
-	SetDefaultWorkers(0)
 	if got := (Config{Workers: -5}).withDefaults().Workers; got != 1 {
 		t.Fatalf("negative workers resolved to %d, want 1", got)
 	}

@@ -25,15 +25,6 @@ func TestCMSAbsError(t *testing.T) {
 	}
 }
 
-func TestErrorAtMatchesBound(t *testing.T) {
-	cm := NewCountMin(2, 512, CRC32IEEE)
-	eps, _ := cm.ErrorBound()
-	n := uint64(20000)
-	if got, want := cm.ErrorAt(n), eps*float64(n); math.Abs(got-want) > 1e-9 {
-		t.Errorf("ErrorAt(%d) = %g, want eps*N = %g", n, got, want)
-	}
-}
-
 func TestCMSWidthForInvertsAbsError(t *testing.T) {
 	cases := []struct {
 		n      uint64

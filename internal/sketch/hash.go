@@ -1,8 +1,9 @@
-// Package sketch implements the probabilistic data structures Newton's
-// state bank realizes on registers — Count-Min sketches for reduce(sum)
-// and Bloom filters for distinct — plus the configurable hash family the
-// hash-calculation module (H) exposes. The package is also used directly
-// by the software analyzer and by the Scream baseline.
+// Package sketch holds the hash family the hash-calculation module (H)
+// exposes and the accuracy arithmetic of the sketches Newton's state
+// bank realizes on registers — Count-Min rows for reduce(sum) and Bloom
+// rows for distinct. The sketches themselves are the registers: the
+// compiler lays them out, the engine updates them, and the analyzer
+// merges the banks switches export, each with these bounds.
 package sketch
 
 import (

@@ -2,8 +2,6 @@ package sketch
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -91,167 +89,6 @@ func TestFoldZeroPanics(t *testing.T) {
 	Fold(1, 0)
 }
 
-func TestCountMinNeverUndercounts(t *testing.T) {
-	cm := NewCountMin(3, 1024, CRC32IEEE)
-	truth := map[uint64]uint64{}
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 5000; i++ {
-		k := uint64(rng.Intn(300))
-		d := uint64(rng.Intn(10) + 1)
-		truth[k] += d
-		cm.Add(key(k), d)
-	}
-	for k, want := range truth {
-		if got := cm.Estimate(key(k)); got < want {
-			t.Fatalf("undercount for %d: got %d, want >= %d", k, got, want)
-		}
-	}
-}
-
-func TestCountMinExactWhenSparse(t *testing.T) {
-	cm := NewCountMin(4, 1<<16, CRC32Castagnoli)
-	for i := uint64(0); i < 50; i++ {
-		cm.Add(key(i), i+1)
-	}
-	for i := uint64(0); i < 50; i++ {
-		if got := cm.Estimate(key(i)); got != i+1 {
-			t.Errorf("Estimate(%d) = %d, want %d", i, got, i+1)
-		}
-	}
-	if got := cm.Estimate(key(9999)); got != 0 {
-		t.Errorf("absent key estimate = %d, want 0 (sparse)", got)
-	}
-}
-
-func TestCountMinAddReturnsEstimate(t *testing.T) {
-	cm := NewCountMin(2, 256, FNV1a)
-	if got := cm.Add(key(1), 5); got < 5 {
-		t.Errorf("Add returned %d < 5", got)
-	}
-	if got := cm.Add(key(1), 5); got < 10 {
-		t.Errorf("second Add returned %d < 10", got)
-	}
-}
-
-func TestCountMinEpochReset(t *testing.T) {
-	cm := NewCountMin(2, 256, CRC32IEEE)
-	cm.Add(key(7), 100)
-	cm.NextEpoch()
-	if got := cm.Estimate(key(7)); got != 0 {
-		t.Errorf("after NextEpoch estimate = %d, want 0", got)
-	}
-	cm.Add(key(7), 3)
-	if got := cm.Estimate(key(7)); got != 3 {
-		t.Errorf("fresh epoch estimate = %d, want 3", got)
-	}
-}
-
-func TestCountMinWidthRounding(t *testing.T) {
-	cm := NewCountMin(1, 1000, CRC32IEEE)
-	if cm.Width() != 1024 {
-		t.Errorf("Width = %d, want 1024", cm.Width())
-	}
-	if cm.MemoryBytes() != 1024*8 {
-		t.Errorf("MemoryBytes = %d", cm.MemoryBytes())
-	}
-	eps, delta := cm.ErrorBound()
-	if eps <= 0 || delta <= 0 || delta >= 1 {
-		t.Errorf("bounds (%f, %f) implausible", eps, delta)
-	}
-}
-
-func TestCountMinBadGeometryPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewCountMin(0, 10, CRC32IEEE) },
-		func() { NewCountMin(1, 0, CRC32IEEE) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("bad geometry should panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestBloomNoFalseNegatives(t *testing.T) {
-	b := NewBloom(1<<14, 3, CRC32IEEE)
-	for i := uint64(0); i < 2000; i++ {
-		b.TestAndSet(key(i))
-	}
-	for i := uint64(0); i < 2000; i++ {
-		if !b.Contains(key(i)) {
-			t.Fatalf("false negative for %d", i)
-		}
-	}
-}
-
-func TestBloomTestAndSetSemantics(t *testing.T) {
-	b := NewBloom(1<<16, 4, CRC32Castagnoli)
-	if b.TestAndSet(key(1)) {
-		t.Error("fresh key reported as seen")
-	}
-	if !b.TestAndSet(key(1)) {
-		t.Error("repeated key reported as unseen")
-	}
-}
-
-func TestBloomFPRMatchesTheory(t *testing.T) {
-	b := NewBloom(1<<12, 3, CRC32IEEE)
-	n := 1000
-	for i := 0; i < n; i++ {
-		b.TestAndSet(key(uint64(i)))
-	}
-	fp := 0
-	trials := 20000
-	for i := 0; i < trials; i++ {
-		if b.Contains(key(uint64(1_000_000 + i))) {
-			fp++
-		}
-	}
-	got := float64(fp) / float64(trials)
-	want := b.FalsePositiveRate(n)
-	if got > want*2+0.01 {
-		t.Errorf("empirical FPR %.4f far above theoretical %.4f", got, want)
-	}
-}
-
-func TestBloomEpochReset(t *testing.T) {
-	b := NewBloom(1<<10, 2, FNV1a)
-	b.TestAndSet(key(5))
-	b.NextEpoch()
-	if b.Contains(key(5)) {
-		t.Error("stale bit visible after NextEpoch")
-	}
-	if b.TestAndSet(key(5)) {
-		t.Error("TestAndSet after reset reported seen")
-	}
-}
-
-func TestBloomGeometry(t *testing.T) {
-	b := NewBloom(100, 2, CRC32IEEE)
-	if b.Bits() != 128 {
-		t.Errorf("Bits = %d, want 128", b.Bits())
-	}
-	if b.Hashes() != 2 || b.MemoryBytes() != 16 {
-		t.Errorf("geometry accessors wrong: %d %d", b.Hashes(), b.MemoryBytes())
-	}
-	if b.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
-func TestBloomBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewBloom(0,0) should panic")
-		}
-	}()
-	NewBloom(0, 0, CRC32IEEE)
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := map[uint32]uint32{0: 1, 1: 1, 2: 2, 3: 4, 1000: 1024, 1024: 1024}
 	for in, want := range cases {
@@ -259,62 +96,6 @@ func TestNextPow2(t *testing.T) {
 			t.Errorf("nextPow2(%d) = %d, want %d", in, got, want)
 		}
 	}
-}
-
-func TestCountMinAccuracyImprovesWithWidth(t *testing.T) {
-	// The core of Figure 14's shape: bigger arrays, smaller error.
-	rng := rand.New(rand.NewSource(7))
-	keys := make([]uint64, 2000)
-	truth := map[uint64]uint64{}
-	for i := range keys {
-		keys[i] = uint64(rng.Intn(500))
-	}
-	errAt := func(width uint32) (sum uint64) {
-		cm := NewCountMin(3, width, CRC32IEEE)
-		for k := range truth {
-			delete(truth, k)
-		}
-		for _, k := range keys {
-			truth[k]++
-			cm.Add(key(k), 1)
-		}
-		for k, want := range truth {
-			sum += cm.Estimate(key(k)) - want
-		}
-		return sum
-	}
-	small, large := errAt(256), errAt(4096)
-	if small < large {
-		t.Errorf("error did not shrink with width: %d (256) vs %d (4096)", small, large)
-	}
-}
-
-func BenchmarkCountMinAdd(b *testing.B) {
-	cm := NewCountMin(3, 4096, CRC32IEEE)
-	var k [8]byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		binary.BigEndian.PutUint64(k[:], uint64(i%1000))
-		cm.Add(k[:], 1)
-	}
-}
-
-func BenchmarkBloomTestAndSet(b *testing.B) {
-	bl := NewBloom(1<<16, 3, CRC32Castagnoli)
-	var k [8]byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		binary.BigEndian.PutUint64(k[:], uint64(i%1000))
-		bl.TestAndSet(k[:])
-	}
-}
-
-func ExampleCountMin() {
-	cm := NewCountMin(3, 1024, CRC32IEEE)
-	cm.Add([]byte("10.0.0.1"), 2)
-	cm.Add([]byte("10.0.0.1"), 3)
-	fmt.Println(cm.Estimate([]byte("10.0.0.1")))
-	// Output: 5
 }
 
 func TestSeedVariantsAreDecorrelated(t *testing.T) {

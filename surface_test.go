@@ -21,7 +21,6 @@ var keptSurface = map[string]string{
 	"classify.Config.MaxCells":                  "benchmark/ compiles against classify.Config; the compile-budget tests set it to force a refusal",
 	"classify.Config.MaxWork":                   "as MaxCells",
 	"compiler.Options.Opt3":                     "two values in use: fig15's ablation leaves it off in three steps, AllOpts turns it on",
-	"compiler.Options.DistinctHashes":           "the compiler's equivalence tests sweep it (morehash, random_test); going needs those tests rewritten",
 	"faults.Temporary":                          "timeoutError: net.Error's method set",
 	"faults.Unwrap":                             "timeoutError: errors.Is(err, os.ErrDeadlineExceeded) reaches it",
 }
