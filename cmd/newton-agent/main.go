@@ -24,7 +24,6 @@ import (
 	"log"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -48,7 +47,7 @@ func main() {
 		loop      = flag.Int("loop", 1, "times to replay the pcap")
 		window    = flag.Duration("window", 100*time.Millisecond, "evaluation window (register epoch)")
 		gap       = flag.Duration("gap", 0, "real-time pause between replay loops")
-		workers   = flag.Int("workers", 1, "replay worker lanes; packets shard by symmetric flow hash (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 1, "replay worker lanes; packets shard by symmetric flow hash (<= 1 = one lane)")
 
 		analyzer  = flag.String("analyzer", "", "analyzer telemetry address ('' = poll-only draining)")
 		policy    = flag.String("export-policy", "block", "export overflow policy: block | drop-oldest")
@@ -64,13 +63,7 @@ func main() {
 		return
 	}
 
-	W := *workers
-	if W <= 0 {
-		W = runtime.GOMAXPROCS(0)
-	}
-	if W < 1 {
-		W = 1
-	}
+	W := max(*workers, 1)
 
 	layout, err := modules.NewLayout(modules.LayoutCompact, *stages, uint32(*arraySize))
 	if err != nil {

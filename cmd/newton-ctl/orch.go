@@ -73,7 +73,7 @@ func runOrch(cmd string, args []string) {
 // queries and every switch's size.
 type fleetFlags struct {
 	topoSpec, queries *string
-	stages, rules     *int
+	stages            *int
 	arrays            *uint
 }
 
@@ -83,7 +83,6 @@ func addFleetFlags(fs *flag.FlagSet) fleetFlags {
 		queries:  fs.String("queries", "q1,q4", "comma-separated catalog queries (q1..q9), priority = listed order"),
 		stages:   fs.Int("switch-stages", 8, "pipeline stages of each switch device"),
 		arrays:   fs.Uint("registers", 1<<14, "state-bank registers per switch"),
-		rules:    fs.Int("rules", 256, "rule capacity per module table"),
 	}
 }
 
@@ -99,7 +98,7 @@ func (ff fleetFlags) build(exp *telemetry.ExporterConfig, minW, maxW uint32) (*f
 	if err != nil {
 		log.Fatal(err)
 	}
-	orch, err := orchestrator.New(orchestrator.Config{Topo: topo, Budgets: f.Budgets(*ff.rules)}, f.Ctl)
+	orch, err := orchestrator.New(orchestrator.Config{Topo: topo, Budgets: f.Budgets()}, f.Ctl)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func (s share) count() int {
 func ownsState(p *modules.Program) bool {
 	for _, b := range p.Branches {
 		for _, op := range b.Ops {
-			if op.Kind == modules.ModS && op.S != nil && !op.S.PassThrough && !op.S.CrossRead {
+			if op.OwnsRegisters() {
 				return true
 			}
 		}

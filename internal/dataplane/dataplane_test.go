@@ -253,7 +253,7 @@ func TestStagePlacement(t *testing.T) {
 	if err := s.Place("m2", Resources{SRAM: 6}, nil); err == nil {
 		t.Error("overflow placement accepted")
 	}
-	if err := s.Place("m3", Resources{SRAM: 4, SALU: 1}, NewRegisterBank("rb", 8)); err != nil {
+	if err := s.Place("m3", Resources{SRAM: 4, SALU: 1}, NewRegisterBank("rb")); err != nil {
 		t.Errorf("fitting placement rejected: %v", err)
 	}
 	if got := s.Used(); got[SRAM] != 10 || got[SALU] != 2 {
@@ -270,7 +270,7 @@ func TestStagePlacement(t *testing.T) {
 
 func TestPipelineEpoch(t *testing.T) {
 	p := NewPipeline(1, TofinoStageCapacity())
-	rb := NewRegisterBank("rb", 4)
+	rb := NewRegisterBank("rb")
 	p.Stages[0].Place("rb", Resources{}, rb)
 	ra := rb.Alloc(4)
 	ra.Exec(OpAdd, 0, 5)
@@ -287,28 +287,6 @@ func TestPipelineEpoch(t *testing.T) {
 	p.NextEpoch()
 	if ra.Epoch() != 1 || late.Epoch() != 2 {
 		t.Errorf("freed array still rolls (%d) or live one does not (%d)", ra.Epoch(), late.Epoch())
-	}
-}
-
-func TestRegisterBankBudgetIsASum(t *testing.T) {
-	rb := NewRegisterBank("rb", 8)
-	a, b := rb.Alloc(4), rb.Alloc(4)
-	if a == nil || b == nil || rb.Admitted() != 8 {
-		t.Fatalf("two halves should fill the bank: admitted %d", rb.Admitted())
-	}
-	if rb.Alloc(1) != nil {
-		t.Error("allocation past the budget accepted")
-	}
-	rb.Free(a)
-	if rb.Alloc(2) == nil || rb.Alloc(2) == nil {
-		t.Errorf("freed half should admit two quarters: admitted %d", rb.Admitted())
-	}
-	if rb.Alloc(1) != nil || rb.Admitted() != 8 {
-		t.Errorf("budget not a sum: admitted %d of %d", rb.Admitted(), rb.Size())
-	}
-	rb.Free(a) // not from this bank any more: ignored
-	if rb.Admitted() != 8 {
-		t.Errorf("double free changed the budget: %d", rb.Admitted())
 	}
 }
 

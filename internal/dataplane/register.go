@@ -35,61 +35,40 @@ func (op SALUOp) String() string {
 }
 
 // RegisterBank is a stage's stateful memory as the control plane sees
-// it: a name, a window epoch, and a budget of Size 32-bit registers that
-// installed queries are admitted against. The bank holds no registers
-// itself — every admitted allocation is a RegisterArray of exactly the
-// requested width, made at install and dropped at removal, so the host
-// memory a switch costs follows what is installed, not the budget.
+// it: a name, a window epoch, and the rows installed queries hold. The
+// bank holds no registers itself — every row is a RegisterArray of
+// exactly the requested width, made at install and dropped at removal,
+// so the host memory a switch costs follows what is installed. How many
+// registers a bank admits is the installer's accounting (the modules
+// ledger), not the bank's.
 //
 // Alloc, Free and NextEpoch are control-plane operations: like NextEpoch
 // on an array they must not run concurrently with each other or with
-// Exec on the bank's arrays. The accessors may be read from any
-// goroutine (metric scrapes).
+// Exec on the bank's rows. Epoch may be read from any goroutine.
 type RegisterBank struct {
 	Name string
 
-	size     uint32        // admission budget, in registers
-	admitted atomic.Uint32 // sum of the widths of rows
-	epoch    atomic.Uint32
-	rows     []*RegisterArray
+	epoch atomic.Uint32
+	rows  []*RegisterArray
 }
 
-// NewRegisterBank declares a bank with a budget of size registers.
-func NewRegisterBank(name string, size uint32) *RegisterBank {
-	if size == 0 {
-		panic("dataplane: zero-size register bank")
-	}
-	return &RegisterBank{Name: name, size: size}
-}
-
-// Size returns the bank's admission budget in registers.
-func (b *RegisterBank) Size() uint32 { return b.size }
-
-// Admitted returns how many registers are currently allocated from the
-// budget.
-func (b *RegisterBank) Admitted() uint32 { return b.admitted.Load() }
+// NewRegisterBank declares an empty bank.
+func NewRegisterBank(name string) *RegisterBank { return &RegisterBank{Name: name} }
 
 // Epoch returns the bank's current window number.
 func (b *RegisterBank) Epoch() uint32 { return b.epoch.Load() }
 
-// Alloc admits width registers against the budget and returns them as a
-// fresh all-zero array at the bank's epoch, or nil when the budget
-// cannot cover them. The budget is a plain sum: any allocation no wider
-// than Size minus Admitted succeeds, whatever was freed before it.
+// Alloc returns a fresh all-zero row of width registers at the bank's
+// epoch, rolling with the bank from now on.
 func (b *RegisterBank) Alloc(width uint32) *RegisterArray {
-	if width > b.size-b.admitted.Load() {
-		return nil
-	}
 	ra := NewRegisterArray(b.Name, width)
 	ra.epoch.Store(b.epoch.Load())
-	b.admitted.Add(width)
 	b.rows = append(b.rows, ra)
 	return ra
 }
 
-// Free returns an array allocated from this bank to the budget. The
-// array stops rolling with the bank; its registers are garbage once the
-// caller drops it.
+// Free drops a row allocated from this bank. The row stops rolling with
+// the bank; its registers are garbage once the caller drops it.
 func (b *RegisterBank) Free(ra *RegisterArray) {
 	for i, r := range b.rows {
 		if r == ra {
@@ -97,7 +76,6 @@ func (b *RegisterBank) Free(ra *RegisterArray) {
 			b.rows[i] = b.rows[last]
 			b.rows[last] = nil
 			b.rows = b.rows[:last]
-			b.admitted.Add(-ra.Size())
 			return
 		}
 	}

@@ -233,7 +233,7 @@ func newLineFleet(switches int, seed int64) (*lineFleet, error) {
 	if lf.Fleet, err = fleet.New(topo, cfg); err != nil {
 		return nil, err
 	}
-	lf.orch, err = orchestrator.New(orchestrator.Config{Topo: topo, Budgets: lf.Budgets(256)}, lf.Ctl)
+	lf.orch, err = orchestrator.New(orchestrator.Config{Topo: topo, Budgets: lf.Budgets()}, lf.Ctl)
 	if err != nil {
 		lf.Close()
 		return nil, err

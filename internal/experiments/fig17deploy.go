@@ -87,7 +87,7 @@ func deployRow(topo *topology.Topology, name string, edges []string, stagesPer i
 	}
 	defer f.Close()
 	orch, err := orchestrator.New(orchestrator.Config{
-		Topo: topo, Budgets: f.Budgets(256), StagesPerSwitch: stagesPer,
+		Topo: topo, Budgets: f.Budgets(), StagesPerSwitch: stagesPer,
 	}, f.Ctl)
 	if err != nil {
 		panic(err)

@@ -4,7 +4,7 @@
 // loopback TCP, one rpc.Client per agent, optionally one
 // telemetry.Exporter per switch streaming into one telemetry.Service,
 // and a controller.Remote over the clients. An orchestrator is one line
-// at the caller — orchestrator.New(Config{Topo, Budgets: f.Budgets(n)},
+// at the caller — orchestrator.New(Config{Topo, Budgets: f.Budgets()},
 // f.Ctl) — so its own tests can build on this package.
 //
 // A Fleet is driven from one goroutine: Kill, Restart and Close must not
@@ -16,6 +16,7 @@ import (
 	"net"
 
 	"github.com/newton-net/newton/internal/controller"
+	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/rpc"
 	"github.com/newton-net/newton/internal/scheduler"
@@ -195,12 +196,12 @@ func (f *Fleet) dialService(name string) (net.Conn, error) {
 }
 
 // Budgets returns every switch's admission budget: the network's
-// geometry plus the given rule capacity per module table.
-func (f *Fleet) Budgets(rulesPerModule int) map[string]scheduler.Budget {
+// geometry and the engine's rule capacity per module.
+func (f *Fleet) Budgets() map[string]scheduler.Budget {
 	out := make(map[string]scheduler.Budget, len(f.Names))
 	for _, name := range f.Names {
 		out[name] = scheduler.Budget{Stages: f.Net.Cfg.Stages, ArraySize: f.Net.Cfg.ArraySize,
-			RulesPerModule: rulesPerModule}
+			RulesPerModule: modules.DefaultRulesPerModule}
 	}
 	return out
 }

@@ -165,13 +165,13 @@ func (e *Engine) dispatchEvictions(lane int) (n uint64) {
 	return n
 }
 
-// Install loads a compiled program: register allocations for the
-// stateful banks, one rule per module op, and one newton_init entry per
-// branch, all of them published in one table write. On any failure —
-// newton_init refusing a rule set it cannot compile included — the
-// partial install is rolled back, leaving the data plane untouched:
-// installs are all-or-nothing so a failed query can never disturb
-// running ones.
+// Install loads a compiled program: its charge against the layout's
+// ledger, register allocations for the stateful banks, one rule per
+// module op, and one newton_init entry per branch, all of them published
+// in one table write. On any failure — newton_init refusing a rule set
+// it cannot compile included — the partial install is rolled back,
+// leaving the data plane untouched: installs are all-or-nothing so a
+// failed query can never disturb running ones.
 func (e *Engine) Install(p *Program) (err error) {
 	at := e.search(p.QID, p.Part)
 	if at < len(e.installed) && e.installed[at].QID == p.QID && e.installed[at].Part == p.Part {
@@ -184,38 +184,35 @@ func (e *Engine) Install(p *Program) (err error) {
 	if err := p.wellFormed(); err != nil {
 		return err
 	}
+	// The charge is the one check for room: past it, a module, state bank
+	// or newton_fin entry is never missing.
+	if err := e.layout.ledger.Charge(p); err != nil {
+		return fmt.Errorf("modules: %w", err)
+	}
+	// Bind each K op to its interned mask, and give each owning
+	// state-bank op fresh zeroed registers before any rule that reaches
+	// them is published.
+	for _, b := range p.Branches {
+		for _, op := range b.Ops {
+			switch {
+			case op.Kind == ModK:
+				op.K.idx = e.internMask(&op.K.Mask)
+			case op.OwnsRegisters():
+				ra := e.layout.BankAt(op.Stage, op.Set).Alloc(op.Width())
+				op.S.array, op.S.width = ra, ra.Size()
+				e.stateBytes.Add(int64(ra.MemoryBytes()))
+			}
+		}
+	}
 	defer func() {
 		if err != nil {
 			e.rollback(p)
 		}
 	}()
-	// Bind each K op to its interned mask (rollback drops the references).
-	for _, b := range p.Branches {
-		for _, op := range b.Ops {
-			if op.Kind == ModK {
-				op.K.idx = e.internMask(&op.K.Mask)
-			}
-		}
-	}
-	// Pass 1: allocate registers for owning state-bank ops — fresh zeroed
-	// arrays, made before any rule that reaches them is published.
-	for _, b := range p.Branches {
-		for _, op := range b.Ops {
-			if op.Kind != ModS || op.S == nil || op.S.PassThrough || op.S.CrossRead {
-				continue
-			}
-			ra, aerr := e.layout.AllocRegisters(op.Stage, op.Set, op.Width())
-			if aerr != nil {
-				return aerr
-			}
-			op.S.array, op.S.width = ra, ra.Size()
-			e.stateBytes.Add(int64(ra.MemoryBytes()))
-		}
-	}
-	// Pass 2: bind cross-branch reads to the Row0 banks they target.
+	// Bind cross-branch reads to the Row0 banks they target.
 	for bi, b := range p.Branches {
 		for _, op := range b.Ops {
-			if op.Kind != ModS || op.S == nil || !op.S.CrossRead {
+			if op.Kind != ModS || !op.S.CrossRead {
 				continue
 			}
 			target := e.findRow0(p, op.S.ReadBranch)
@@ -226,23 +223,9 @@ func (e *Engine) Install(p *Program) (err error) {
 			op.S.array, op.S.width = target.array, target.width
 		}
 	}
-	// Pass 3: take rules — one per op in its module, and the program's
-	// newton_fin entry — then publish every branch's newton_init entry
-	// in one write. That write is the last step that can fail, so a
-	// failed install never holds a newton_init or newton_fin entry.
-	for _, b := range p.Branches {
-		for _, op := range b.Ops {
-			if err := e.layout.takeRule(op.Stage, op.Set, op.Kind); err != nil {
-				return err
-			}
-			op.ruled = true
-		}
-	}
-	if e.layout.fin >= DefaultRulesPerModule {
-		return fmt.Errorf("modules: newton_fin full (%d entries)", DefaultRulesPerModule)
-	}
-	// The entries share each branch's Init arrays: an installed program
-	// is never modified.
+	// Publish every branch's newton_init entry in one write, the last
+	// step that can fail. The entries share each branch's Init arrays: an
+	// installed program is never modified.
 	adds := e.initAdds[:0]
 	for _, b := range p.Branches {
 		adds = append(adds, &dataplane.Rule{
@@ -257,7 +240,6 @@ func (e *Engine) Install(p *Program) (err error) {
 	if err != nil {
 		return err
 	}
-	e.layout.fin++
 	e.installed = slices.Insert(e.installed, at, p)
 	if e.onChange != nil {
 		e.onChange()
@@ -266,9 +248,8 @@ func (e *Engine) Install(p *Program) (err error) {
 }
 
 // Remove uninstalls a query at runtime: its newton_init entries leave in
-// one table write, then its module rules, its registers are dropped and
-// their widths return to the banks' budgets. Forwarding is never
-// touched.
+// one table write, then its registers are dropped and its charge is
+// refunded to the ledger. Forwarding is never touched.
 func (e *Engine) Remove(qid int) error {
 	lo, hi := e.search(qid, 0), e.search(qid+1, 0)
 	if lo == hi {
@@ -289,7 +270,6 @@ func (e *Engine) Remove(qid int) error {
 			b.initRuleID = 0
 		}
 		e.rollback(p)
-		e.layout.fin--
 	}
 	e.installed = slices.Delete(e.installed, lo, hi)
 	if e.onChange != nil {
@@ -363,29 +343,24 @@ func (e *Engine) findRow0(p *Program, branch int) *SConfig {
 	return found
 }
 
-// rollback removes whatever parts of p are currently installed but its
-// newton_init and newton_fin entries, which only a complete install
-// holds — and p's references on the mask table, which Install took
-// before anything else.
+// rollback returns what Install took for p but its newton_init entries:
+// its references on the mask table, its registers and its charge.
 func (e *Engine) rollback(p *Program) {
 	for _, b := range p.Branches {
 		for _, op := range b.Ops {
-			if op.Kind == ModK {
+			switch {
+			case op.Kind == ModK:
 				e.masks[op.K.idx].refs--
+			case op.OwnsRegisters():
+				e.layout.BankAt(op.Stage, op.Set).Free(op.S.array)
+				e.stateBytes.Add(-int64(op.S.array.MemoryBytes()))
 			}
-			if op.ruled {
-				e.layout.dropRule(op.Stage, op.Set, op.Kind)
-				op.ruled = false
-			}
-			if op.Kind == ModS && op.S != nil && op.S.array != nil {
-				if !op.S.CrossRead {
-					e.layout.FreeRegisters(op.Stage, op.Set, op.S.array)
-					e.stateBytes.Add(-int64(op.S.array.MemoryBytes()))
-				}
+			if op.Kind == ModS {
 				op.S.array = nil
 			}
 		}
 	}
+	e.layout.ledger.Refund(p)
 }
 
 // Execute implements dataplane.Program: decode any inbound result
@@ -402,10 +377,7 @@ func (e *Engine) rollback(p *Program) {
 // store-after-load atomics, which are plain MOVs on x86-64 yet keep
 // concurrent scrape reads exact.
 func (e *Engine) Execute(ctx *dataplane.Context) {
-	lane := e.lanes[0]
-	if l := ctx.Lane; l > 0 && l < len(e.lanes) {
-		lane = e.lanes[l]
-	}
+	lane := e.lanes[ctx.Lane] // a lane past SetWorkers panics
 	nth := bump(&lane.pkts)
 	lane.keys.valid = 0
 	var t0 time.Time

@@ -65,7 +65,7 @@ func (p *Program) Footprint() Footprint {
 			case ModH:
 				f.HashUnits++
 			case ModS:
-				if op.S != nil && !op.S.PassThrough && !op.S.CrossRead {
+				if op.OwnsRegisters() {
 					f.SALUs++
 					f.Registers += op.Width()
 				}

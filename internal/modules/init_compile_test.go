@@ -53,7 +53,7 @@ func TestInstallRefusesUncompilableInit(t *testing.T) {
 		return f
 	}
 	rules, version, progs := l.Init.Rules(), l.Init.Version(), eng.Programs()
-	entries, bytes, admitted, fp := l.TotalRuleEntries(), eng.StateHostBytes(), l.BankAt(3, 0).Admitted(), footprint()
+	entries, bytes, admitted, fp := l.TotalRuleEntries(), eng.StateHostBytes(), l.ledger.registers(3, 0), footprint()
 
 	err := eng.Install(prog(programs))
 	if !errors.Is(err, classify.ErrBudget) {
@@ -64,9 +64,9 @@ func TestInstallRefusesUncompilableInit(t *testing.T) {
 			len(l.Init.Rules()), l.Init.Version(), len(rules), version)
 	}
 	if !slices.Equal(eng.Programs(), progs) || l.TotalRuleEntries() != entries ||
-		eng.StateHostBytes() != bytes || l.BankAt(3, 0).Admitted() != admitted || footprint() != fp {
+		eng.StateHostBytes() != bytes || l.ledger.registers(3, 0) != admitted || footprint() != fp {
 		t.Fatalf("refused install left state: %d programs, %d entries, %d host bytes, %d admitted, %+v; was %d, %d, %d, %d, %+v",
-			len(eng.Programs()), l.TotalRuleEntries(), eng.StateHostBytes(), l.BankAt(3, 0).Admitted(), footprint(),
+			len(eng.Programs()), l.TotalRuleEntries(), eng.StateHostBytes(), l.ledger.registers(3, 0), footprint(),
 			len(progs), entries, bytes, admitted, fp)
 	}
 	if err := eng.Remove(1); err != nil {

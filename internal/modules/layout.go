@@ -27,10 +27,14 @@ func (k LayoutKind) String() string {
 	return "naive"
 }
 
+// compactSuites is how many metadata-set suites a compact stage hosts,
+// the most any layout has; the ledger indexes state banks by it.
+const compactSuites = 2
+
 // SuitesPerStage returns how many metadata-set suites a stage hosts.
 func (k LayoutKind) SuitesPerStage() int {
 	if k == LayoutCompact {
-		return 2
+		return compactSuites
 	}
 	return 1
 }
@@ -38,8 +42,7 @@ func (k LayoutKind) SuitesPerStage() int {
 // InitCapacityFactor sizes the newton_init classifier relative to a
 // module: the classifier holds one entry per branch of every installed
 // query across all stages, so it gets this multiple of a single
-// module's rule capacity. The scheduler's admission accounting mirrors
-// the same factor — keep them in lockstep.
+// module's rule capacity (Ledger charges against the same multiple).
 const InitCapacityFactor = 4
 
 // DefaultRulesPerModule is the rule capacity each module, and
@@ -109,82 +112,68 @@ func StageCapacity() dataplane.Resources {
 	}
 }
 
-// suite is one metadata set's module instances within a stage. A module
-// is never looked up — the engine runs each branch's op chain directly —
-// so what it holds is a count: rules[k] ops are installed in module k,
-// at most DefaultRulesPerModule, where the suite hosts k at all.
-type suite struct {
-	hosts [NumKinds]bool
-	rules [NumKinds]int
-	bank  *dataplane.RegisterBank
-}
-
 // Layout is the module geometry loaded into a pipeline at initialization
 // time. Everything after this — which queries run, with what parameters
 // — is table rules.
 type Layout struct {
-	Kind      LayoutKind
-	ArraySize uint32
+	Kind LayoutKind
 
 	pipeline *dataplane.Pipeline
-	suites   [][]*suite // [stage][suiteIdx]
+	banks    [][]*dataplane.RegisterBank // [stage][suite], nil where no S module
 
 	// Init is the newton_init classifier, the one Newton table a packet
-	// is matched against. fin counts newton_fin's entries (the result
-	// snapshot of cross-switch execution): one per installed program, at
-	// most DefaultRulesPerModule.
-	Init *dataplane.Table
-	fin  int
+	// is matched against. Module rules and newton_fin entries (the result
+	// snapshot of cross-switch execution, one per installed program) are
+	// counts in the ledger, which charges every installed program.
+	Init   *dataplane.Table
+	ledger Ledger
 }
 
 // NewLayout loads a module layout into a fresh pipeline of the given
-// stage count. ArraySize is each state bank's admission budget in
+// stage count. arraySize is each state bank's admission budget in
 // registers; a bank allocates nothing until a query is installed.
 func NewLayout(kind LayoutKind, stages int, arraySize uint32) (*Layout, error) {
 	if arraySize == 0 {
 		arraySize = 4096
 	}
 	l := &Layout{
-		Kind:      kind,
-		ArraySize: arraySize,
-		pipeline:  dataplane.NewPipeline(stages, StageCapacity()),
-		Init:      dataplane.NewTable("newton_init", dataplane.MatchTernary, 6, DefaultRulesPerModule*InitCapacityFactor),
+		Kind:     kind,
+		pipeline: dataplane.NewPipeline(stages, StageCapacity()),
+		ledger:   NewLedger(kind, stages, arraySize, DefaultRulesPerModule),
 	}
+	l.Init = dataplane.NewTable("newton_init", dataplane.MatchTernary, 6, l.ledger.initCapacity())
 	for si, st := range l.pipeline.Stages {
-		var suites []*suite
-		for u := 0; u < kind.SuitesPerStage(); u++ {
-			s := &suite{}
+		banks := make([]*dataplane.RegisterBank, kind.SuitesPerStage())
+		for u := range banks {
 			for k := Kind(0); k < NumKinds; k++ {
-				if kind == LayoutNaive && Kind(si%int(NumKinds)) != k {
-					continue // naive: stage si hosts only module kind si mod 4
+				if !l.ledger.hosts(si+1, u, k) {
+					continue
 				}
 				var rb *dataplane.RegisterBank
 				if k == ModS {
-					rb = dataplane.NewRegisterBank(fmt.Sprintf("bank_s%d_u%d", si, u), arraySize)
-					s.bank = rb
+					rb = dataplane.NewRegisterBank(fmt.Sprintf("bank_s%d_u%d", si, u))
+					banks[u] = rb
 				}
 				if err := st.Place(fmt.Sprintf("newton_%v_s%d_u%d", k, si, u), ModuleResources(k), rb); err != nil {
 					return nil, fmt.Errorf("modules: loading %v layout: %w", kind, err)
 				}
-				s.hosts[k] = true
 			}
-			suites = append(suites, s)
 		}
-		l.suites = append(l.suites, suites)
+		l.banks = append(l.banks, banks)
 	}
 	return l, nil
 }
 
 // Stages returns the number of physical stages.
-func (l *Layout) Stages() int { return len(l.suites) }
+func (l *Layout) Stages() int { return len(l.banks) }
 
 // Epoch returns the current window epoch of the layout's state banks
 // (they all roll together via Pipeline.NextEpoch).
 func (l *Layout) Epoch() uint32 {
-	for _, ss := range l.suites {
-		for _, s := range ss {
-			if s.bank != nil {
-				return s.bank.Epoch()
+	for _, banks := range l.banks {
+		for _, b := range banks {
+			if b != nil {
+				return b.Epoch()
 			}
 		}
 	}
@@ -195,86 +184,25 @@ func (l *Layout) Epoch() uint32 {
 // epoch advancement).
 func (l *Layout) Pipeline() *dataplane.Pipeline { return l.pipeline }
 
-// hosts reports whether (1-based) stage, suite u has a module of kind k.
-func (l *Layout) hosts(stage, u int, k Kind) bool {
-	s := l.suiteAt(stage, u)
-	return s != nil && s.hosts[k]
-}
-
-// takeRule installs one rule in module k of (stage, suite u).
-func (l *Layout) takeRule(stage, u int, k Kind) error {
-	if !l.hosts(stage, u, k) {
-		return fmt.Errorf("modules: layout has no %v module at stage %d suite %d", k, stage, u)
-	}
-	s := l.suiteAt(stage, u)
-	if s.rules[k] >= DefaultRulesPerModule {
-		return fmt.Errorf("modules: %v module at stage %d suite %d full (%d rules)", k, stage, u, DefaultRulesPerModule)
-	}
-	s.rules[k]++
-	return nil
-}
-
-// dropRule removes a rule takeRule installed.
-func (l *Layout) dropRule(stage, u int, k Kind) { l.suiteAt(stage, u).rules[k]-- }
-
-func (l *Layout) suiteAt(stage, u int) *suite {
-	if stage < 1 || stage > len(l.suites) {
-		return nil
-	}
-	ss := l.suites[stage-1]
-	if u < 0 || u >= len(ss) {
-		return nil
-	}
-	return ss[u]
-}
-
-// BankAt returns the state bank of (stage, suite).
+// BankAt returns the state bank of (stage, suite), or nil.
 func (l *Layout) BankAt(stage, u int) *dataplane.RegisterBank {
-	s := l.suiteAt(stage, u)
-	if s == nil {
+	if stage < 1 || stage > len(l.banks) || u < 0 || u >= len(l.banks[stage-1]) {
 		return nil
 	}
-	return s.bank
-}
-
-// AllocRegisters admits width registers against (stage, suite)'s bank
-// and returns them as a fresh zeroed array — the runtime register
-// allocation that lets concurrent queries share one bank.
-func (l *Layout) AllocRegisters(stage, u int, width uint32) (*dataplane.RegisterArray, error) {
-	bank := l.BankAt(stage, u)
-	if bank == nil {
-		return nil, fmt.Errorf("modules: no state bank at stage %d suite %d", stage, u)
-	}
-	ra := bank.Alloc(width)
-	if ra == nil {
-		return nil, fmt.Errorf("modules: state bank at stage %d suite %d exhausted (%d + %d > %d)",
-			stage, u, bank.Admitted(), width, bank.Size())
-	}
-	return ra, nil
-}
-
-// FreeRegisters returns an allocation's registers to (stage, suite)'s
-// budget.
-func (l *Layout) FreeRegisters(stage, u int, ra *dataplane.RegisterArray) {
-	if bank := l.BankAt(stage, u); bank != nil {
-		bank.Free(ra)
-	}
+	return l.banks[stage-1][u]
 }
 
 // TernaryScans is always 0: newton_init answers every lookup from its
 // compiled classifier. It stays only because benchmark/ reads it.
 func (l *Layout) TernaryScans() uint64 { return 0 }
 
-// TotalRuleEntries sums installed rules across newton_init, newton_fin
-// and every module — the table-entry metric of Figs. 16 and 17.
+// TotalRuleEntries sums the ledger's rules across newton_init,
+// newton_fin and every module — the table-entry metric of Figs. 16 and
+// 17.
 func (l *Layout) TotalRuleEntries() int {
-	n := l.Init.Entries() + l.fin
-	for _, ss := range l.suites {
-		for _, s := range ss {
-			for _, r := range s.rules {
-				n += r
-			}
-		}
+	n := l.ledger.init + l.ledger.fin
+	for _, r := range l.ledger.rules {
+		n += r
 	}
 	return n
 }

@@ -172,13 +172,18 @@ type Op struct {
 	H *HConfig
 	S *SConfig
 	R *RConfig
-
-	ruled bool // the op's rule is installed in its module
 }
 
 // String renders the op for composition dumps, e.g. "K0@s1".
 func (o Op) String() string {
 	return fmt.Sprintf("%v%d@s%d", o.Kind, o.Set, o.Stage)
+}
+
+// OwnsRegisters reports whether the op is a state bank with registers of
+// its own. A pass-through op keeps no state and a cross read uses
+// another branch's row, so neither takes registers from its bank.
+func (o *Op) OwnsRegisters() bool {
+	return o.Kind == ModS && o.S != nil && !o.S.PassThrough && !o.S.CrossRead
 }
 
 // Width returns the register width a state-bank op needs.

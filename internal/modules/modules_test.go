@@ -29,7 +29,7 @@ func TestLayoutGeometry(t *testing.T) {
 	for st := 1; st <= 8; st++ {
 		for u := 0; u < 2; u++ {
 			for k := Kind(0); k < NumKinds; k++ {
-				if !l.hosts(st, u, k) {
+				if !l.ledger.hosts(st, u, k) {
 					t.Fatalf("compact layout missing %v at stage %d suite %d", k, st, u)
 				}
 			}
@@ -38,7 +38,7 @@ func TestLayoutGeometry(t *testing.T) {
 			}
 		}
 	}
-	if l.hosts(0, 0, ModK) || l.hosts(9, 0, ModK) || l.hosts(1, 2, ModK) {
+	if l.ledger.hosts(0, 0, ModK) || l.ledger.hosts(9, 0, ModK) || l.ledger.hosts(1, 2, ModK) {
 		t.Error("out-of-range stage or suite should host no module")
 	}
 }
@@ -52,7 +52,7 @@ func TestNaiveLayoutOneModulePerStage(t *testing.T) {
 	wantKinds := []Kind{ModK, ModH, ModS, ModR}
 	for st := 1; st <= 8; st++ {
 		for k := Kind(0); k < NumKinds; k++ {
-			if (k == wantKinds[(st-1)%4]) != l.hosts(st, 0, k) {
+			if (k == wantKinds[(st-1)%4]) != l.ledger.hosts(st, 0, k) {
 				t.Errorf("naive stage %d kind %v presence wrong", st, k)
 			}
 		}
@@ -88,24 +88,13 @@ func TestCompactStageUtilizationIs4xNaive(t *testing.T) {
 func TestRegisterAllocator(t *testing.T) {
 	l := compactLayout(t)
 	bank := l.BankAt(1, 0)
-	r1, err := l.AllocRegisters(1, 0, 1024)
-	if err != nil || r1.Size() != 1024 || bank.Admitted() != 1024 {
-		t.Fatalf("first alloc: %v, admitted %d", err, bank.Admitted())
+	r1, r2 := bank.Alloc(1024), bank.Alloc(1024)
+	if r1.Size() != 1024 || &r2.Registers()[0] == &r1.Registers()[0] {
+		t.Fatalf("two allocations: %d registers, shared %v", r1.Size(), &r2.Registers()[0] == &r1.Registers()[0])
 	}
-	r2, _ := l.AllocRegisters(1, 0, 1024)
-	if r2 == r1 || bank.Admitted() != 2048 {
-		t.Fatalf("second alloc shares the first's registers or is not admitted: %d", bank.Admitted())
-	}
-	l.FreeRegisters(1, 0, r1)
-	if bank.Admitted() != 1024 {
-		t.Errorf("free did not return the width to the budget: %d", bank.Admitted())
-	}
-	// Exhaustion.
-	if _, err := l.AllocRegisters(1, 0, bank.Size()); err == nil {
-		t.Error("over-allocation accepted")
-	}
-	if _, err := l.AllocRegisters(99, 0, 16); err == nil {
-		t.Error("bad stage accepted")
+	bank.Free(r1)
+	if l.BankAt(99, 0) != nil || l.BankAt(1, 2) != nil {
+		t.Error("a bank outside the layout")
 	}
 	// A freed array no longer rolls with the bank; a live one does.
 	l.Pipeline().NextEpoch()
@@ -278,13 +267,7 @@ func TestEngineInstallRollsBackOnFailure(t *testing.T) {
 // ruleCounts lists every rule count of the layout: newton_init's and
 // newton_fin's entries, then each module's rules.
 func ruleCounts(l *Layout) []int {
-	out := []int{l.Init.Entries(), l.fin}
-	for _, ss := range l.suites {
-		for _, s := range ss {
-			out = append(out, s.rules[:]...)
-		}
-	}
-	return out
+	return append([]int{l.Init.Entries(), l.ledger.fin}, l.ledger.rules...)
 }
 
 // TestModuleCapacityAndRollback: a module holds DefaultRulesPerModule

@@ -127,19 +127,23 @@ func AttachObs(e *Engine, reg *obs.Registry, switchID string) {
 			sw, obs.L("module", kind.String()))
 	}
 
-	// State-bank occupancy, read at scrape time: how full each bank's
-	// admission budget is, and what the admitted registers cost the host.
-	// They are different numbers — a bank's ArraySize allocates nothing.
+	// State-bank occupancy: what each bank has admitted, from the ledger
+	// Install charges, set on every install and remove so a scrape never
+	// reads the ledger beside a rule update; and what the admitted
+	// registers cost the host. They are different numbers — a bank's
+	// ArraySize allocates nothing.
+	type bankGauge struct {
+		stage, u int
+		g        *obs.Gauge
+	}
+	var banks []bankGauge
 	for st := 1; st <= e.layout.Stages(); st++ {
 		for u := 0; u < e.layout.Kind.SuitesPerStage(); u++ {
-			bank := e.layout.BankAt(st, u)
-			if bank == nil {
-				continue
+			if e.layout.BankAt(st, u) != nil {
+				banks = append(banks, bankGauge{st, u, reg.Gauge("newton_engine_state_registers",
+					"Registers admitted against the state bank's ArraySize budget.",
+					sw, obs.L("stage", strconv.Itoa(st)), obs.L("set", strconv.Itoa(u)))})
 			}
-			reg.GaugeFunc("newton_engine_state_registers",
-				"Registers admitted against the state bank's ArraySize budget.",
-				func() float64 { return float64(bank.Admitted()) },
-				sw, obs.L("stage", strconv.Itoa(st)), obs.L("set", strconv.Itoa(u)))
 		}
 	}
 	reg.GaugeFunc("newton_engine_state_host_bytes",
@@ -176,6 +180,9 @@ func AttachObs(e *Engine, reg *obs.Registry, switchID string) {
 	publish := func() {
 		mu.Lock()
 		defer mu.Unlock()
+		for _, b := range banks {
+			b.g.Set(int64(e.layout.ledger.registers(b.stage, b.u)))
+		}
 		prev = PublishFootprints(reg, e.Programs(), prev, sw)
 	}
 	e.onChange = publish

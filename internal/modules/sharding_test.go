@@ -165,3 +165,28 @@ func TestSetWorkersFoldsCounters(t *testing.T) {
 		t.Fatalf("counts lost on shrink: %d, want 10", total)
 	}
 }
+
+// TestExecuteOnUnsizedLanePanics: a switch lane the engine was not sized
+// for is a wiring fault, and Execute panics on it as ProcessLane does on
+// a lane past SetLanes. Run on lane 0 instead, two delivery goroutines
+// would share lane 0's flow table and counters with no synchronisation.
+func TestExecuteOnUnsizedLanePanics(t *testing.T) {
+	eng := NewEngine(compactLayout(t))
+	if err := eng.Install(buildCountProgram(1, 1<<30, 1024)); err != nil {
+		t.Fatalf("Install: %v", err)
+	}
+	sw := dataplane.NewSwitch("s1", 8, StageCapacity())
+	sw.AddRoute(0, 0, 1)
+	sw.SetLanes(2)
+	sw.Monitor = eng
+	sw.ProcessLane(synTo(100), 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("lane 1 of a one-lane engine ran")
+		}
+		if pkts, _ := eng.LaneCounters(0); pkts != 1 {
+			t.Fatalf("lane 0 counted %d packets, want its own 1", pkts)
+		}
+	}()
+	sw.ProcessLane(synTo(101), 1)
+}

@@ -114,10 +114,10 @@ func (e *Engine) LiveBanks(dst []BankSnapshot) []BankSnapshot {
 				case ModH:
 					curH[set] = op.H
 				case ModS:
-					s := op.S
-					if s == nil || s.PassThrough || s.CrossRead || s.array == nil {
+					if !op.OwnsRegisters() {
 						continue
 					}
+					s := op.S
 					kind := BankCMSRow
 					if s.ALU == dataplane.OpOr {
 						kind = BankBloomRow

@@ -41,19 +41,44 @@ func TestBankCapacityIsASum(t *testing.T) {
 			t.Fatalf("quarter into the freed half: %v", err)
 		}
 	}
-	bank := eng.Layout().BankAt(3, 0)
-	if bank.Admitted() != 8192 {
-		t.Fatalf("admitted %d registers, want the full 8192", bank.Admitted())
+	admitted := func() uint64 { return eng.Layout().ledger.registers(3, 0) }
+	if admitted() != 8192 {
+		t.Fatalf("admitted %d registers, want the full 8192", admitted())
 	}
 	err := install(5, 1024)
 	if err == nil || !strings.Contains(err.Error(), "exhausted (8192 + 1024 > 8192)") {
 		t.Fatalf("install past the budget: %v", err)
 	}
-	if eng.Installed(5) != nil || bank.Admitted() != 8192 {
-		t.Fatalf("failed install left state behind: admitted %d", bank.Admitted())
+	if eng.Installed(5) != nil || admitted() != 8192 {
+		t.Fatalf("failed install left state behind: admitted %d", admitted())
 	}
 	if got, want := eng.StateHostBytes(), int64(4*8192); got != want {
 		t.Fatalf("StateHostBytes = %d, want %d (4 B x installed widths)", got, want)
+	}
+}
+
+// TestBankCapacityCannotWrap: a program whose owning widths sum past
+// 2^32 in one bank — two rows of 2^31, or one of 2^32 - 1024 beside the
+// 1024 held — is refused before a register is allocated: Install would
+// otherwise make rows of gigabytes for one request.
+func TestBankCapacityCannotWrap(t *testing.T) {
+	eng := NewEngine(bankLayout(t, 4096))
+	if err := eng.Install(buildCountProgram(1, 1<<30, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	twoRows := buildCountProgram(2, 1<<30, 0x80000000)
+	twoRows.Branches = append(twoRows.Branches, buildCountProgram(2, 1<<30, 0x80000000).Branches[0])
+	for _, p := range []*Program{twoRows, buildCountProgram(3, 1<<30, 1<<32-1024)} {
+		err := eng.Install(p)
+		if err == nil || !strings.Contains(err.Error(), "state bank at stage 3 suite 0 exhausted (1024 + ") {
+			t.Fatalf("install of %d branches wrapping the bank: %v", len(p.Branches), err)
+		}
+		if eng.Installed(p.QID) != nil || eng.Layout().ledger.registers(3, 0) != 1024 {
+			t.Fatalf("refused install left state behind: admitted %d", eng.Layout().ledger.registers(3, 0))
+		}
+		if got := eng.StateHostBytes(); got != 4*1024 {
+			t.Fatalf("StateHostBytes = %d after a refused install, want the first query's %d", got, 4*1024)
+		}
 	}
 }
 

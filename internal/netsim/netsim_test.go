@@ -64,10 +64,7 @@ func TestOutageDropsTraffic(t *testing.T) {
 func TestClockAndEpochs(t *testing.T) {
 	net, _, _ := linearNet(t, 1, 12)
 	sw := net.Node(net.Topo.Switches()[0])
-	ra, err := sw.Layout.AllocRegisters(1, 0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := sw.Layout.BankAt(1, 0).Alloc(16)
 	ra.Exec(1 /* write */, 0, 7)
 	net.AdvanceTo(uint64(250 * time.Millisecond)) // crosses 2 window boundaries
 	if ra.Epoch() != 2 || sw.Layout.Epoch() != 2 {

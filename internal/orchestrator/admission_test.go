@@ -77,7 +77,7 @@ func TestAdmissionOneSwitch(t *testing.T) {
 						continue
 					}
 					rejected++
-					if !strings.Contains(qp.Reason, "rule capacity") {
+					if !strings.Contains(qp.Reason, "module at stage") || !strings.Contains(qp.Reason, "full (8 rules)") {
 						t.Fatalf("%s: reason %q, want a rule-capacity refusal", qp.Intent.Query.Name, qp.Reason)
 					}
 				}
@@ -125,7 +125,7 @@ func TestAdmissionOneSwitchIsSound(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Close)
-	o, err := New(Config{Topo: topo, Budgets: f.Budgets(256)}, f.Ctl)
+	o, err := New(Config{Topo: topo, Budgets: f.Budgets()}, f.Ctl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func newFleet(t *testing.T) *testFleet {
 		t.Fatal(err)
 	}
 	t.Cleanup(f.Close)
-	return &testFleet{Fleet: f, budgets: f.Budgets(256)}
+	return &testFleet{Fleet: f, budgets: f.Budgets()}
 }
 
 func (f *testFleet) orch(t *testing.T) *Orchestrator {

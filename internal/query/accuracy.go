@@ -1,9 +1,6 @@
 package query
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Accuracy is an intent's target error budget — the paper's promise is
 // accuracy, not geometry, so an operator declares how wrong an answer
@@ -18,18 +15,7 @@ type Accuracy struct {
 	// query's decision scale — its report threshold when it has one,
 	// otherwise the stream total itself.
 	MaxRelErr float64
-
-	// Confidence is the probability the bound must hold with, in
-	// (0, 1). Zero defaults to DefaultConfidence. Confidence maps to
-	// Count-Min row count (δ = e^-rows), which is fixed at compile
-	// time — the refiner reports, rather than repairs, a deployment
-	// whose row count cannot honor it.
-	Confidence float64
 }
-
-// DefaultConfidence is the bound-holding probability assumed when an
-// accuracy intent does not declare one.
-const DefaultConfidence = 0.95
 
 // Enabled reports whether the intent carries an accuracy target.
 func (a Accuracy) Enabled() bool { return a.MaxRelErr > 0 }
@@ -39,42 +25,12 @@ func (a Accuracy) Validate() error {
 	if a.MaxRelErr < 0 || a.MaxRelErr >= 1 {
 		return fmt.Errorf("query: accuracy MaxRelErr %g outside (0, 1)", a.MaxRelErr)
 	}
-	if a.Confidence < 0 || a.Confidence >= 1 {
-		return fmt.Errorf("query: accuracy Confidence %g outside (0, 1)", a.Confidence)
-	}
-	if !a.Enabled() && a.Confidence > 0 {
-		return fmt.Errorf("query: accuracy Confidence set without MaxRelErr")
-	}
 	return nil
-}
-
-// TargetConfidence resolves the declared or default confidence.
-func (a Accuracy) TargetConfidence() float64 {
-	if a.Confidence > 0 {
-		return a.Confidence
-	}
-	return DefaultConfidence
-}
-
-// MinRows is the Count-Min row count needed for the resolved
-// confidence: δ = e^-rows ≤ 1 - confidence.
-func (a Accuracy) MinRows() int {
-	return int(math.Ceil(math.Log(1 / (1 - a.TargetConfidence()))))
-}
-
-// MetBy reports whether an observed (relative error, δ) pair satisfies
-// the target: the error within tolerance and the failure probability
-// within 1 - confidence.
-func (a Accuracy) MetBy(relErr, delta float64) bool {
-	if !a.Enabled() {
-		return true
-	}
-	return relErr <= a.MaxRelErr && delta <= 1-a.TargetConfidence()+1e-12
 }
 
 func (a Accuracy) String() string {
 	if !a.Enabled() {
 		return "accuracy(none)"
 	}
-	return fmt.Sprintf("accuracy(relerr<=%.3g @ %.0f%%)", a.MaxRelErr, a.TargetConfidence()*100)
+	return fmt.Sprintf("accuracy(relerr<=%.3g)", a.MaxRelErr)
 }

@@ -10,11 +10,8 @@ func TestAccuracyValidate(t *testing.T) {
 	}{
 		{"zero value", Accuracy{}, true},
 		{"typical", Accuracy{MaxRelErr: 0.25}, true},
-		{"with confidence", Accuracy{MaxRelErr: 0.1, Confidence: 0.99}, true},
 		{"negative relerr", Accuracy{MaxRelErr: -0.1}, false},
 		{"relerr at 1", Accuracy{MaxRelErr: 1}, false},
-		{"confidence at 1", Accuracy{MaxRelErr: 0.1, Confidence: 1}, false},
-		{"confidence without target", Accuracy{Confidence: 0.9}, false},
 	}
 	for _, c := range cases {
 		if err := c.a.Validate(); (err == nil) != c.ok {
@@ -28,32 +25,7 @@ func TestAccuracyEnabledAndDefaults(t *testing.T) {
 	if zero.Enabled() {
 		t.Error("zero accuracy must not be enabled")
 	}
-	a := Accuracy{MaxRelErr: 0.2}
-	if !a.Enabled() {
+	if a := (Accuracy{MaxRelErr: 0.2}); !a.Enabled() {
 		t.Error("MaxRelErr > 0 must enable the intent")
-	}
-	if got := a.TargetConfidence(); got != DefaultConfidence {
-		t.Errorf("TargetConfidence = %g, want default %g", got, DefaultConfidence)
-	}
-	// 95% confidence needs 3 rows (e^-3 = 0.0498 <= 0.05).
-	if got := a.MinRows(); got != 3 {
-		t.Errorf("MinRows at 95%% = %d, want 3", got)
-	}
-}
-
-func TestAccuracyMetBy(t *testing.T) {
-	a := Accuracy{MaxRelErr: 0.25, Confidence: 0.8}
-	if !a.MetBy(0.2, 0.1) {
-		t.Error("in-band (0.2, 0.1) must meet relerr<=0.25 @ 80%")
-	}
-	if a.MetBy(0.3, 0.1) {
-		t.Error("relerr 0.3 must miss relerr<=0.25")
-	}
-	if a.MetBy(0.2, 0.3) {
-		t.Error("delta 0.3 must miss 80% confidence")
-	}
-	var zero Accuracy
-	if !zero.MetBy(0.9, 0.9) {
-		t.Error("disabled accuracy is always met")
 	}
 }

@@ -179,6 +179,40 @@ func TestInstallRefusesUncompilableInit(t *testing.T) {
 	}
 }
 
+// TestInstallRefusesWrappingWidths: a program sent over the wire whose
+// state-bank widths sum past 2^32 in one bank (each owning op twice, at
+// 2^31 registers) is refused, and the agent keeps serving the next
+// well-formed install. Summed in 32 bits the widths came to zero, were
+// admitted, and the install made rows of gigabytes.
+func TestInstallRefusesWrappingWidths(t *testing.T) {
+	agent, _ := testAgent(t)
+	c := pipeClient(t, agent)
+	p := compileQ1(t, 1)
+	p.Branches = append(p.Branches, p.Clone().Branches...)
+	owning := 0
+	for _, b := range p.Branches {
+		for _, op := range b.Ops {
+			if op.OwnsRegisters() {
+				op.S.WidthHint = 0x80000000
+				owning++
+			}
+		}
+	}
+	if owning == 0 {
+		t.Fatal("Q1 compiled to no owning state-bank op")
+	}
+	err := c.Install(p)
+	if err == nil || !strings.Contains(err.Error(), "exhausted") {
+		t.Fatalf("Install with widths summing to 2^32 in a bank = %v, want a bank refusal", err)
+	}
+	if st, err := c.Stats(); err != nil || st.Installed != 0 || st.RuleEntries != 0 {
+		t.Fatalf("after the refusal: %+v, %v", st, err)
+	}
+	if err := c.Install(compileQ1(t, 2)); err != nil {
+		t.Fatalf("well-formed install after the refusal: %v", err)
+	}
+}
+
 func TestUnknownRequestType(t *testing.T) {
 	agent, _ := testAgent(t)
 	server, client := net.Pipe()

@@ -1,8 +1,8 @@
-// Package scheduler is admission accounting that mirrors the engine's
-// allocator: a Tracker charges compiled programs against one device's
-// budget (stages, per-bank registers, per-module rule capacity, the
-// classifier's predicate population) exactly as modules.Engine.Install
-// would, so an admission it accepts always installs. The width ladder
+// Package scheduler is admission accounting: a Tracker charges compiled
+// programs against one device's budget on the ledger modules.Engine.Install
+// charges (stages, per-bank registers, per-module rules, newton_init and
+// newton_fin entries), plus the classifier's predicate population, so an
+// admission it accepts installs by construction. The width ladder
 // and its helpers give the accuracy rungs a query may degrade through.
 // The one admission walk over them — priority order, ladder, placement,
 // the §7 scheduling problem the paper leaves open — is orchestrator.Plan.
@@ -49,22 +49,6 @@ const (
 func DefaultBudget() Budget {
 	return Budget{Stages: 12, ArraySize: 4096, RulesPerModule: modules.DefaultRulesPerModule}
 }
-
-// bank is the index of an op's state bank in Tracker.regs, module the
-// index of its module in Tracker.rules.
-func bank(op *modules.Op) int   { return op.Stage*2 + op.Set&1 }
-func module(op *modules.Op) int { return bank(op)*int(modules.NumKinds) + int(op.Kind) }
-
-// ownsBank reports whether an op allocates registers in its bank.
-func ownsBank(op *modules.Op) bool {
-	return op.Kind == modules.ModS && op.S != nil && !op.S.PassThrough && !op.S.CrossRead
-}
-
-// InitCapacity is the newton_init classifier's rule capacity under this
-// budget — the same InitCapacityFactor multiple of a module table the
-// engine's layout allocates, so the planner cannot drift from the
-// allocator it mirrors.
-func (b Budget) InitCapacity() int { return b.RulesPerModule * modules.InitCapacityFactor }
 
 // WidthLadder is the accuracy ladder admission walks for one query:
 // MaxWidth first, then each power of two strictly between the bounds,
@@ -136,16 +120,12 @@ func ClampToLadder(w, minW, maxW uint32) uint32 {
 
 // Tracker accumulates admitted programs' footprints against one
 // device's budget — the per-switch admission state the network-wide
-// orchestrator keeps one of per switch. The zero value is unusable;
-// call NewTracker.
+// orchestrator keeps one of per switch: the engine's ledger over the
+// budget, and the classifier predicates the ledger does not count. The
+// zero value is unusable; call NewTracker.
 type Tracker struct {
-	b Budget
-	// regs holds each bank's allocated registers and rules each module's
-	// entries, indexed by bank and module over the budget's stages.
-	regs      []uint32
-	rules     []int
-	initRules int
-	programs  int // newton_fin entries: one per program
+	b   Budget
+	led modules.Ledger
 	// preds counts, per classifier predicate, the committed branches
 	// that use it: the classifier holds len(preds) distinct predicates.
 	preds map[modules.InitPredKey]int
@@ -165,8 +145,7 @@ func NewTracker(b Budget) *Tracker {
 	if b.RulesPerModule <= 0 {
 		b.RulesPerModule = def.RulesPerModule
 	}
-	banks := (b.Stages + 1) * 2
-	return &Tracker{b: b, regs: make([]uint32, banks), rules: make([]int, banks*int(modules.NumKinds)),
+	return &Tracker{b: b, led: modules.NewLedger(modules.LayoutCompact, b.Stages, b.ArraySize, b.RulesPerModule),
 		preds: map[modules.InitPredKey]int{}}
 }
 
@@ -176,9 +155,7 @@ func (t *Tracker) Budget() Budget { return t.b }
 // Clone copies the tracker so an admission can be checked tentatively
 // and discarded.
 func (t *Tracker) Clone() *Tracker {
-	c := *t
-	c.regs, c.rules, c.preds = slices.Clone(t.regs), slices.Clone(t.rules), maps.Clone(t.preds)
-	return &c
+	return &Tracker{b: t.b, led: t.led.Clone(), preds: maps.Clone(t.preds)}
 }
 
 // newPreds lists the program's classifier predicates the tracker does
@@ -204,85 +181,26 @@ func (t *Tracker) appendNewPreds(dst []modules.InitPredKey, p *modules.Program) 
 	return dst
 }
 
-// Fits checks a compiled program against the remaining budget. It adds
-// the program's registers and rules in place, checks them and takes them
-// back out.
+// Fits checks a compiled program against the remaining budget: the
+// ledger's refusal, or the classifier's predicate capacity.
 func (t *Tracker) Fits(p *modules.Program) (bool, string) {
-	if s := p.NumStages(); s > t.b.Stages {
-		return false, fmt.Sprintf("needs %d stages, device has %d", s, t.b.Stages)
+	if err := t.led.Fits(p); err != nil {
+		return false, err.Error()
 	}
-	t.add(p, 1)
-	why := t.over(p)
-	t.add(p, -1)
-	if why == "" {
-		if fresh := t.newPreds(p); len(t.preds)+len(fresh) > classifierPreds {
-			why = fmt.Sprintf("newton_init classifier out of predicate capacity (%d + %d new > %d)",
-				len(t.preds), len(fresh), classifierPreds)
-		}
+	if fresh := t.newPreds(p); len(t.preds)+len(fresh) > classifierPreds {
+		return false, fmt.Sprintf("newton_init classifier out of predicate capacity (%d + %d new > %d)",
+			len(t.preds), len(fresh), classifierPreds)
 	}
-	return why == "", why
+	return true, ""
 }
 
-// over names what a program added by add overflows, or returns "".
-// Banks, then modules, are checked in op order, so the refusal names the
-// same one on every run.
-func (t *Tracker) over(p *modules.Program) string {
-	for _, br := range p.Branches {
-		for _, op := range br.Ops {
-			if k := bank(op); ownsBank(op) && t.regs[k] > t.b.ArraySize {
-				need := demand(p, k)
-				return fmt.Sprintf("state bank at stage %d set %d needs %d registers, %d free",
-					op.Stage, op.Set&1, need, t.b.ArraySize-(t.regs[k]-need))
-			}
-		}
-	}
-	for _, br := range p.Branches {
-		for _, op := range br.Ops {
-			if t.rules[module(op)] > t.b.RulesPerModule {
-				return fmt.Sprintf("%v table at stage %d set %d out of rule capacity", op.Kind, op.Stage, op.Set&1)
-			}
-		}
-	}
-	if t.initRules > t.b.InitCapacity() {
-		return "newton_init out of rule capacity"
-	}
-	if t.programs > t.b.RulesPerModule {
-		return "newton_fin out of rule capacity"
-	}
-	return ""
-}
-
-// demand is the registers a program allocates in bank k.
-func demand(p *modules.Program, k int) uint32 {
-	var n uint32
-	for _, br := range p.Branches {
-		for _, op := range br.Ops {
-			if bank(op) == k && ownsBank(op) {
-				n += op.Width()
-			}
-		}
-	}
-	return n
-}
-
-// add charges (n = 1) or refunds (n = -1) a program's registers, module
-// rules, newton_init entries and newton_fin entry.
-func (t *Tracker) add(p *modules.Program, n int) {
-	for _, br := range p.Branches {
-		for _, op := range br.Ops {
-			t.rules[module(op)] += n
-			if ownsBank(op) {
-				t.regs[bank(op)] += uint32(n) * op.Width() // n = -1 wraps to a subtraction
-			}
-		}
-	}
-	t.initRules += n * len(p.Branches)
-	t.programs += n
-}
-
-// Commit reserves the footprint of a program Fits accepted.
+// Commit reserves the footprint of a program Fits accepted. Committing
+// one the ledger refuses panics: the tracker would then hold more than
+// the device has.
 func (t *Tracker) Commit(p *modules.Program) {
-	t.add(p, 1)
+	if err := t.led.Charge(p); err != nil {
+		panic("scheduler: Commit of a program Fits refuses: " + err.Error())
+	}
 	var buf [8]modules.InitPredKey
 	for _, br := range p.Branches {
 		for _, k := range br.InitPreds(buf[:0]) {
@@ -295,7 +213,7 @@ func (t *Tracker) Commit(p *modules.Program) {
 // Commit, as Engine.Remove is of Engine.Install. A predicate another
 // committed program uses stays held.
 func (t *Tracker) Release(p *modules.Program) {
-	t.add(p, -1)
+	t.led.Refund(p)
 	var buf [8]modules.InitPredKey
 	for _, br := range p.Branches {
 		for _, k := range br.InitPreds(buf[:0]) {

@@ -90,21 +90,41 @@ func TestWidthLadderRungs(t *testing.T) {
 	}
 }
 
+// TestInitCapacityMatchesEngineTable: the tracker refuses the
+// newton_init entry the engine's table has no room for, in the engine's
+// words. Programs of 64 match-all branches and no ops fill newton_init
+// (4 × 256 entries) with the sixteenth; the seventeenth is refused on
+// both sides.
 func TestInitCapacityMatchesEngineTable(t *testing.T) {
-	// The planner's newton_init accounting must mirror the allocator it
-	// models: the engine's actual classifier capacity, not a drifting
-	// hardcoded multiple.
-	layout, err := modules.NewLayout(modules.LayoutCompact, 12, 4096)
+	b := DefaultBudget()
+	layout, err := modules.NewLayout(modules.LayoutCompact, b.Stages, b.ArraySize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := DefaultBudget().InitCapacity(), layout.Init.MaxEntries; got != want {
-		t.Fatalf("scheduler init capacity %d != engine newton_init capacity %d", got, want)
+	eng, tr := modules.NewEngine(layout), NewTracker(b)
+	const branches = 64
+	for qid := 1; qid <= layout.Init.MaxEntries/branches+1; qid++ {
+		p := &modules.Program{QID: qid}
+		for range branches {
+			p.Branches = append(p.Branches, &modules.BranchProgram{})
+		}
+		fits, why := tr.Fits(p)
+		ierr := eng.Install(p)
+		if fits != (ierr == nil) {
+			t.Fatalf("program %d: Fits = %v (%s), but Install = %v", qid, fits, why, ierr)
+		}
+		if fits {
+			tr.Commit(p)
+			continue
+		}
+		if held := (qid - 1) * branches; held != layout.Init.MaxEntries || !strings.Contains(why, "newton_init full") ||
+			ierr.Error() != "modules: "+why {
+			t.Fatalf("program %d refused over %d entries of newton_init's %d: tracker %q, engine %q",
+				qid, held, layout.Init.MaxEntries, why, ierr)
+		}
+		return
 	}
-	b := Budget{Stages: 12, ArraySize: 4096, RulesPerModule: modules.DefaultRulesPerModule * 2}
-	if got, want := b.InitCapacity(), b.RulesPerModule*modules.InitCapacityFactor; got != want {
-		t.Fatalf("InitCapacity %d does not scale with the budget's rule capacity (want %d)", got, want)
-	}
+	t.Fatalf("newton_init took %d entries, more than its %d", layout.Init.Entries(), layout.Init.MaxEntries)
 }
 
 // TestFitsRefusalIsStable: a program that overflows several banks, or
@@ -178,17 +198,31 @@ func TestTrackerClonePreds(t *testing.T) {
 	}
 }
 
-// TestFitsMatchesEngineInstall holds the tracker to its claim that
-// register accounting mirrors the engine: over seeded random sequences
-// of installs, removals and resizes (remove, then install at another
-// rung of the width ladder — what the refiner does over time) on a
-// device with tight banks, Fits over the installed set says yes exactly
-// when Engine.Install finds the registers. The engine's banks being
-// sums is what makes this hold on a fragmented bank.
+// TestFitsMatchesEngineInstall holds the tracker to the engine: over
+// seeded random sequences of installs, removals and resizes (remove,
+// then install at another rung of the width ladder — what the refiner
+// does over time) on a device with tight banks, Fits over the installed
+// set says yes exactly when Engine.Install does, and a refusal names the
+// same overflow. Beside the catalog's programs go fillers, each a
+// quarter of one K module's rules and a sixteenth of newton_init, so
+// modules and newton_init fill as well as banks. Only a refusal on
+// classifier predicates, which the engine does not count, is skipped.
 func TestFitsMatchesEngineInstall(t *testing.T) {
-	b := Budget{Stages: 16, ArraySize: 8192, RulesPerModule: 256}
+	b := Budget{Stages: 16, ArraySize: 8192, RulesPerModule: modules.DefaultRulesPerModule}
 	widths := []uint32{256, 512, 1024, 2048, 4096}
 	catalog := query.All()
+	filler := func(qid, stage int) *modules.Program {
+		p := &modules.Program{QID: qid, Branches: []*modules.BranchProgram{{}}}
+		for range b.RulesPerModule / 4 {
+			p.Branches[0].Ops = append(p.Branches[0].Ops, &modules.Op{
+				Kind: modules.ModK, Stage: stage, K: &modules.KConfig{Mask: fields.Keep(fields.DstIP)}})
+		}
+		for len(p.Branches) < b.RulesPerModule*modules.InitCapacityFactor/16 {
+			p.Branches = append(p.Branches, &modules.BranchProgram{})
+		}
+		return p
+	}
+	refusals := map[string]int{}
 	for seed := uint64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 16))
 		layout, err := modules.NewLayout(modules.LayoutCompact, b.Stages, b.ArraySize)
@@ -198,47 +232,61 @@ func TestFitsMatchesEngineInstall(t *testing.T) {
 		eng := modules.NewEngine(layout)
 		type live struct {
 			qid int
-			q   *query.Query
+			q   *query.Query // nil for a filler
 		}
 		var installed []live
 		nextQID, fullBanks := 1, 0
 
 		// install offers one program to both sides and compares verdicts.
 		install := func(step int, qid int, q *query.Query, width uint32) {
-			o := compiler.AllOpts()
-			o.QID, o.Width = qid, width
-			p, err := compiler.Compile(q, o)
-			if err != nil {
-				t.Fatalf("Compile %s: %v", q.Name, err)
+			p := filler(qid, 1+rng.IntN(6))
+			if q != nil {
+				o := compiler.AllOpts()
+				o.QID, o.Width = qid, width
+				if p, err = compiler.Compile(q, o); err != nil {
+					t.Fatalf("Compile %s: %v", q.Name, err)
+				}
 			}
 			tr := NewTracker(b)
 			for _, have := range eng.Programs() {
 				tr.Commit(have)
 			}
 			fits, why := tr.Fits(p)
-			if !fits && !strings.Contains(why, "state bank") {
-				return // rejected on rules or predicates: not this test's subject
+			if strings.Contains(why, "predicate capacity") {
+				return // the engine does not count predicates
 			}
 			ierr := eng.Install(p)
-			where := fmt.Sprintf("seed %d step %d: %s qid %d width %d over %d installed", seed, step, q.Name, qid, width, len(installed))
+			where := fmt.Sprintf("seed %d step %d: %s qid %d width %d over %d installed", seed, step, p.Name, qid, width, len(installed))
 			switch {
 			case fits && ierr != nil:
 				t.Fatalf("%s: admitted, but the engine refused: %v", where, ierr)
 			case !fits && ierr == nil:
 				t.Fatalf("%s: rejected (%s), but the engine installed it", where, why)
-			case !fits && !strings.Contains(ierr.Error(), "exhausted"):
-				t.Fatalf("%s: rejected on registers, engine failed on something else: %v", where, ierr)
+			case !fits && ierr.Error() != "modules: "+why:
+				t.Fatalf("%s: rejected (%s), but the engine refused with %q", where, why, ierr)
 			}
-			if ierr == nil {
+			if fits {
 				installed = append(installed, live{qid, q})
-			} else {
+				return
+			}
+			for _, kind := range []string{"state bank", "module", "newton_init", "newton_fin"} {
+				if strings.Contains(why, kind) {
+					refusals[kind]++
+					break
+				}
+			}
+			if strings.Contains(why, "state bank") {
 				fullBanks++
 			}
 		}
 		for step := 0; step < 400; step++ {
 			switch op := rng.IntN(4); {
 			case op <= 1 || len(installed) == 0:
-				install(step, nextQID, catalog[rng.IntN(len(catalog))], widths[rng.IntN(len(widths))])
+				var q *query.Query
+				if rng.IntN(3) > 0 {
+					q = catalog[rng.IntN(len(catalog))]
+				}
+				install(step, nextQID, q, widths[rng.IntN(len(widths))])
 				nextQID++
 			default:
 				i := rng.IntN(len(installed))
@@ -254,6 +302,12 @@ func TestFitsMatchesEngineInstall(t *testing.T) {
 		}
 		if fullBanks == 0 {
 			t.Fatalf("seed %d never filled a bank — the equivalence is vacuous", seed)
+		}
+	}
+	t.Logf("refusals by what overflowed: %v", refusals)
+	for _, kind := range []string{"module", "newton_init"} {
+		if refusals[kind] == 0 {
+			t.Errorf("no seed filled a %s — its equivalence is vacuous", kind)
 		}
 	}
 }
