@@ -145,15 +145,6 @@ func main() {
 			exp.Export(sw.DrainReports())
 		}
 	}
-	// roll exports the ending epoch's state banks, then rolls the window.
-	roll := func() {
-		if exp != nil {
-			if err := exp.ExportEpoch(eng); err != nil {
-				fmt.Fprintf(os.Stderr, "newton-agent: %v\n", err)
-			}
-		}
-		eng.RollEpoch()
-	}
 
 	if *pcapPath == "" {
 		select {} // control plane only; serve until killed
@@ -218,14 +209,16 @@ func main() {
 			}
 			if start < len(pkts) {
 				// The next packet crosses the boundary: flush mirrors,
-				// roll the window, then resume.
+				// roll the window, then resume. The roll takes the control
+				// channel's lock, as a controller's next_epoch does, and
+				// the exporter's hook ships the ending epoch first.
 				push()
-				roll()
+				agent.NextEpoch()
 				nextEpoch += uint64(*window)
 			}
 		}
 		push()
-		roll()
+		agent.NextEpoch()
 		c := sw.Counters()
 		fmt.Fprintf(os.Stderr, "newton-agent: loop %d/%d done (rx=%d tx=%d dropped=%d, %d reports pending)\n",
 			l+1, *loop, c.Rx, c.Tx, c.Dropped, sw.PendingReports())

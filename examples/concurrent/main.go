@@ -82,6 +82,5 @@ func main() {
 	node := net.Node(topo.Switches()[0])
 	fmt.Printf("\nswitch footprint: %d table rules across the shared module layout\n",
 		node.Layout.TotalRuleEntries())
-	used := node.Layout.Pipeline().TotalUsed()
-	fmt.Printf("pipeline resources in use: %v\n", used)
+	fmt.Printf("registers held by the installed queries: %d\n", node.Eng.StateHostBytes()/4)
 }

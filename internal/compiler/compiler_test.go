@@ -202,7 +202,7 @@ func runDataplaneN(t *testing.T, q *query.Query, o Options, tr *trace.Trace, sta
 	nextEpoch := window
 	for _, pkt := range tr.Packets {
 		for pkt.TS >= nextEpoch {
-			layout.Pipeline().NextEpoch()
+			eng.RollEpoch()
 			nextEpoch += window
 		}
 		sw.Process(pkt)
@@ -307,7 +307,7 @@ func TestBaselineCompositionAlsoExecutesCorrectly(t *testing.T) {
 	next := window
 	for _, pkt := range tr.Packets {
 		for pkt.TS >= next {
-			layout.Pipeline().NextEpoch()
+			eng.RollEpoch()
 			next += window
 		}
 		sw.Process(pkt)

@@ -1,83 +1,11 @@
 package dataplane
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"github.com/newton-net/newton/internal/fields"
 	"github.com/newton-net/newton/internal/packet"
 )
-
-// Stage is one physical match-action stage: the register banks placed
-// there plus the resource bookkeeping that enforces the stage's
-// capacity.
-type Stage struct {
-	Index    int
-	Capacity Resources
-
-	used  Resources
-	banks []*RegisterBank
-}
-
-// Place reserves resources in the stage for a named component, failing
-// if the stage cannot accommodate it. The optional bank is registered
-// with the stage, so the pipeline's epoch rolls it.
-func (s *Stage) Place(name string, consumes Resources, rb *RegisterBank) error {
-	want := s.used
-	want.Add(consumes)
-	if !want.Fits(s.Capacity) {
-		return fmt.Errorf("dataplane: stage %d cannot accommodate %s (used %v + %v > cap %v)",
-			s.Index, name, s.used, consumes, s.Capacity)
-	}
-	s.used = want
-	if rb != nil {
-		s.banks = append(s.banks, rb)
-	}
-	return nil
-}
-
-// Used returns the stage's consumed resource vector.
-func (s *Stage) Used() Resources { return s.used }
-
-// Banks returns the register banks placed in the stage.
-func (s *Stage) Banks() []*RegisterBank { return s.banks }
-
-// Pipeline is an ordered sequence of physical stages.
-type Pipeline struct {
-	Stages []*Stage
-}
-
-// NewPipeline builds a pipeline of n stages with the given per-stage
-// capacity.
-func NewPipeline(n int, capacity Resources) *Pipeline {
-	if n <= 0 {
-		panic("dataplane: pipeline needs at least one stage")
-	}
-	p := &Pipeline{Stages: make([]*Stage, n)}
-	for i := range p.Stages {
-		p.Stages[i] = &Stage{Index: i, Capacity: capacity}
-	}
-	return p
-}
-
-// NextEpoch advances the window epoch of every register bank, and with
-// it every array allocated from one.
-func (p *Pipeline) NextEpoch() {
-	for _, s := range p.Stages {
-		for _, rb := range s.banks {
-			rb.NextEpoch()
-		}
-	}
-}
-
-// TotalUsed sums resource usage across stages.
-func (p *Pipeline) TotalUsed() Resources {
-	var sum Resources
-	for _, s := range p.Stages {
-		sum.Add(s.Used())
-	}
-	return sum
-}
 
 // Report is one monitoring message mirrored to the software analyzer: the
 // operation keys the query selected, the state and global results, and
@@ -199,8 +127,7 @@ func laneBump(p *uint64) {
 // monitoring program, mirroring, and liveness (the Sonata baseline takes
 // the switch down to reload its P4 program; Newton never does).
 type Switch struct {
-	ID       string
-	Pipeline *Pipeline
+	ID string
 
 	// Forwarding is an LPM table on the destination address. Its entry
 	// count drives the Figure 10 interruption experiment.
@@ -217,12 +144,12 @@ type Switch struct {
 	lanes []*lane
 }
 
-// NewSwitch builds a switch with the given pipeline geometry and one
-// delivery lane.
-func NewSwitch(id string, stages int, capacity Resources) *Switch {
+// NewSwitch builds a switch with one delivery lane. The stage count and
+// capacity are unused: the monitoring geometry is the modules layout's.
+// They stay only because benchmark/ passes them.
+func NewSwitch(id string, _ int, _ Resources) *Switch {
 	sw := &Switch{
 		ID:         id,
-		Pipeline:   NewPipeline(stages, capacity),
 		Forwarding: NewTable(id+"/ipv4_lpm", MatchLPM, 1, 1<<20),
 		up:         true,
 	}

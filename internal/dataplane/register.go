@@ -34,70 +34,15 @@ func (op SALUOp) String() string {
 	return fmt.Sprintf("salu(%d)", int(op))
 }
 
-// RegisterBank is a stage's stateful memory as the control plane sees
-// it: a name, a window epoch, and the rows installed queries hold. The
-// bank holds no registers itself — every row is a RegisterArray of
-// exactly the requested width, made at install and dropped at removal,
-// so the host memory a switch costs follows what is installed. How many
-// registers a bank admits is the installer's accounting (the modules
-// ledger), not the bank's.
-//
-// Alloc, Free and NextEpoch are control-plane operations: like NextEpoch
-// on an array they must not run concurrently with each other or with
-// Exec on the bank's rows. Epoch may be read from any goroutine.
-type RegisterBank struct {
-	Name string
-
-	epoch atomic.Uint32
-	rows  []*RegisterArray
-}
-
-// NewRegisterBank declares an empty bank.
-func NewRegisterBank(name string) *RegisterBank { return &RegisterBank{Name: name} }
-
-// Epoch returns the bank's current window number.
-func (b *RegisterBank) Epoch() uint32 { return b.epoch.Load() }
-
-// Alloc returns a fresh all-zero row of width registers at the bank's
-// epoch, rolling with the bank from now on.
-func (b *RegisterBank) Alloc(width uint32) *RegisterArray {
-	ra := NewRegisterArray(b.Name, width)
-	ra.epoch.Store(b.epoch.Load())
-	b.rows = append(b.rows, ra)
-	return ra
-}
-
-// Free drops a row allocated from this bank. The row stops rolling with
-// the bank; its registers are garbage once the caller drops it.
-func (b *RegisterBank) Free(ra *RegisterArray) {
-	for i, r := range b.rows {
-		if r == ra {
-			last := len(b.rows) - 1
-			b.rows[i] = b.rows[last]
-			b.rows[last] = nil
-			b.rows = b.rows[:last]
-			return
-		}
-	}
-}
-
-// NextEpoch starts a new window on the bank and every array allocated
-// from it.
-func (b *RegisterBank) NextEpoch() {
-	b.epoch.Add(1)
-	for _, ra := range b.rows {
-		ra.NextEpoch()
-	}
-}
-
 // RegisterArray is a line-rate-transactional array of 32-bit registers,
-// each access performing one SALU operation: one query's allocation
-// from a stage's RegisterBank.
+// each access performing one SALU operation: one query's row of a
+// stage's state bank, made at install at exactly the width the query
+// asked for and dropped at removal.
 //
 // A register is one uint32 word and nothing else. The windowed reset —
 // "values of reduce and distinct are evaluated and reset every 100ms" —
-// is NextEpoch clearing the words, so the roll is a barrier: whoever
-// rolls must have stopped packet delivery first (netsim rolls at batch
+// is Reset clearing the words, so the roll is a barrier: whoever rolls
+// must have stopped packet delivery first (netsim rolls at batch
 // barriers, the agents between windows).
 //
 // Exec makes every SALU transaction one atomic instruction (or a CAS
@@ -106,36 +51,23 @@ func (b *RegisterBank) NextEpoch() {
 // ExecSeq is the same transaction as a plain read-modify-write for a
 // single writer.
 type RegisterArray struct {
-	Name string
-
 	words []uint32
-	epoch atomic.Uint32 // windows rolled so far
 }
 
-// NewRegisterArray allocates a standalone array of size registers, all
-// zero at epoch 0.
-func NewRegisterArray(name string, size uint32) *RegisterArray {
+// NewRegisterArray allocates an array of size registers, all zero.
+func NewRegisterArray(size uint32) *RegisterArray {
 	if size == 0 {
 		panic("dataplane: zero-size register array")
 	}
-	return &RegisterArray{
-		Name:  name,
-		words: make([]uint32, size),
-	}
+	return &RegisterArray{words: make([]uint32, size)}
 }
 
 // Size returns the number of registers.
 func (ra *RegisterArray) Size() uint32 { return uint32(len(ra.words)) }
 
-// NextEpoch starts a new window: every register is zeroed. It must not
-// run concurrently with Exec, ExecSeq or a read of Registers.
-func (ra *RegisterArray) NextEpoch() {
-	clear(ra.words)
-	ra.epoch.Add(1)
-}
-
-// Epoch returns the current window number.
-func (ra *RegisterArray) Epoch() uint32 { return ra.epoch.Load() }
+// Reset starts a new window: every register is zeroed. It must not run
+// concurrently with Exec, ExecSeq or a read of Registers.
+func (ra *RegisterArray) Reset() { clear(ra.words) }
 
 // Exec performs one stateful-ALU transaction on register idx and returns
 // the op's result. Out-of-range indices panic: the hash-calculation
@@ -143,7 +75,7 @@ func (ra *RegisterArray) Epoch() uint32 { return ra.epoch.Load() }
 // out-of-range access is a compiler bug, not a runtime condition.
 func (ra *RegisterArray) Exec(op SALUOp, idx uint32, operand uint32) uint32 {
 	if idx >= uint32(len(ra.words)) {
-		panic(fmt.Sprintf("dataplane: register %s[%d] out of range (size %d)", ra.Name, idx, len(ra.words)))
+		panic(fmt.Sprintf("dataplane: register %d out of range (size %d)", idx, len(ra.words)))
 	}
 	w := &ra.words[idx]
 	switch op {
@@ -172,7 +104,7 @@ func (ra *RegisterArray) Exec(op SALUOp, idx uint32, operand uint32) uint32 {
 // a lone writer.
 func (ra *RegisterArray) ExecSeq(op SALUOp, idx uint32, operand uint32) uint32 {
 	if idx >= uint32(len(ra.words)) {
-		panic(fmt.Sprintf("dataplane: register %s[%d] out of range (size %d)", ra.Name, idx, len(ra.words)))
+		panic(fmt.Sprintf("dataplane: register %d out of range (size %d)", idx, len(ra.words)))
 	}
 	w := &ra.words[idx]
 	switch op {
@@ -197,7 +129,7 @@ func (ra *RegisterArray) ExecSeq(op SALUOp, idx uint32, operand uint32) uint32 {
 func (ra *RegisterArray) MemoryBytes() int { return len(ra.words) * 4 }
 
 // Registers returns the registers themselves, not a copy: read-only. A
-// read belongs to the same barrier as NextEpoch — taken just before the
+// read belongs to the same barrier as Reset — taken just before the
 // roll it is the ending window's final state — and like it must not run
 // concurrently with Exec; the roll then zeroes what was read.
 func (ra *RegisterArray) Registers() []uint32 { return ra.words }

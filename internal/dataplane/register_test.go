@@ -8,12 +8,12 @@ import (
 )
 
 // TestRegisterRollIsSnapshotThenZero: a register is one word, so the
-// windowed reset is NextEpoch zeroing the row. A copy of the registers
+// windowed reset is Reset zeroing the row. A copy of the registers
 // taken before the roll is the ending window's final state and is the
 // caller's; the registers read after it are all zero, and the new window
 // counts from zero in the very words Registers returned.
 func TestRegisterRollIsSnapshotThenZero(t *testing.T) {
-	ra := NewRegisterArray("r", 8)
+	ra := NewRegisterArray(8)
 	for i := uint32(0); i < 8; i++ {
 		ra.Exec(OpAdd, i, 10+i)
 	}
@@ -23,7 +23,7 @@ func TestRegisterRollIsSnapshotThenZero(t *testing.T) {
 	if want := []uint32{10, 11, 12, 13, 14, 15, 16, 17 | 0x100}; !slices.Equal(final, want) {
 		t.Fatalf("snapshot before the roll = %v, want %v", final, want)
 	}
-	ra.NextEpoch()
+	ra.Reset()
 	if after := ra.Registers(); !slices.Equal(after, make([]uint32, 8)) {
 		t.Fatalf("registers after the roll = %v, want zeros", after)
 	}
@@ -44,12 +44,12 @@ func TestRegisterRollIsSnapshotThenZero(t *testing.T) {
 // word.
 func TestExecSeqMatchesExec(t *testing.T) {
 	const size = 16
-	a, b := NewRegisterArray("a", size), NewRegisterArray("b", size)
+	a, b := NewRegisterArray(size), NewRegisterArray(size)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 20000; i++ {
 		if rng.Intn(500) == 0 {
-			a.NextEpoch()
-			b.NextEpoch()
+			a.Reset()
+			b.Reset()
 		}
 		op, idx, operand := SALUOp(rng.Intn(int(numSALUOps))), uint32(rng.Intn(size)), rng.Uint32()>>uint(rng.Intn(32))
 		if x, y := a.Exec(op, idx, operand), b.ExecSeq(op, idx, operand); x != y {
@@ -66,7 +66,7 @@ func TestExecSeqMatchesExec(t *testing.T) {
 // add must land and every bit must stick (run under -race in CI).
 func TestExecConcurrentWritersAreExact(t *testing.T) {
 	const writers, size, rounds = 4, 8, 5000
-	ra := NewRegisterArray("r", 2*size)
+	ra := NewRegisterArray(2 * size)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)

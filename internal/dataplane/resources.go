@@ -59,27 +59,6 @@ func (r Resources) Scale(f float64) Resources {
 	return r
 }
 
-// Fits reports whether r fits within capacity c.
-func (r Resources) Fits(c Resources) bool {
-	for k := range r {
-		if r[k] > c[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// Sub returns r minus o (clamped at zero).
-func (r Resources) Sub(o Resources) Resources {
-	for k := range r {
-		r[k] -= o[k]
-		if r[k] < 0 {
-			r[k] = 0
-		}
-	}
-	return r
-}
-
 // Utilization returns r normalized element-wise by base, the form in
 // which Table 3 reports everything ("normalized by the resource usage of
 // switch.p4"). Kinds that base does not use report as zero.
@@ -105,21 +84,6 @@ func (r Resources) String() string {
 		return "{}"
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// TofinoStageCapacity approximates one Tofino MAU stage's resource
-// budget in the abstract units used throughout: enough that tens of
-// small tables fit, mirroring the public RMT/Tofino architecture papers.
-func TofinoStageCapacity() Resources {
-	return Resources{
-		Crossbar: 128, // bytes of match crossbar
-		SRAM:     80,  // 128Kb blocks
-		TCAM:     24,  // blocks
-		VLIW:     32,  // action slots
-		HashBits: 416, // hash output bits
-		SALU:     4,   // stateful ALUs
-		Gateway:  16,  // gateways
-	}
 }
 
 // TofinoStages is the per-pipeline stage count of the paper's target

@@ -121,7 +121,7 @@ func Ablation() *AblationResult {
 		n := 0
 		for st := 1; st <= l.Stages(); st++ {
 			for u := 0; u < kind.SuitesPerStage(); u++ {
-				if l.BankAt(st, u) != nil {
+				if l.HasBank(st, u) {
 					n++
 				}
 			}

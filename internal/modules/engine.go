@@ -198,7 +198,7 @@ func (e *Engine) Install(p *Program) (err error) {
 			case op.Kind == ModK:
 				op.K.idx = e.internMask(&op.K.Mask)
 			case op.OwnsRegisters():
-				ra := e.layout.BankAt(op.Stage, op.Set).Alloc(op.Width())
+				ra := dataplane.NewRegisterArray(op.Width())
 				op.S.array, op.S.width = ra, ra.Size()
 				e.stateBytes.Add(int64(ra.MemoryBytes()))
 			}
@@ -352,7 +352,6 @@ func (e *Engine) rollback(p *Program) {
 			case op.Kind == ModK:
 				e.masks[op.K.idx].refs--
 			case op.OwnsRegisters():
-				e.layout.BankAt(op.Stage, op.Set).Free(op.S.array)
 				e.stateBytes.Add(-int64(op.S.array.MemoryBytes()))
 			}
 			if op.Kind == ModS {

@@ -2,6 +2,7 @@ package modules
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/newton-net/newton/internal/dataplane"
 )
@@ -101,9 +102,11 @@ func SwitchP4Usage() dataplane.Resources {
 	}
 }
 
-// StageCapacity is the per-stage budget used for Newton pipelines: large
-// enough for two full suites (the compact layout) with headroom for the
-// forwarding tables that share the pipeline.
+// StageCapacity is the per-stage budget of a Newton pipeline: two full
+// suites (the compact layout) with headroom for the forwarding tables
+// that share the pipeline. Nothing checks it — stage resources bind
+// when a P4 program compiles, and the layout is fixed — and it stays
+// only because benchmark/ passes it to dataplane.NewSwitch.
 func StageCapacity() dataplane.Resources {
 	return dataplane.Resources{
 		dataplane.Crossbar: 170, dataplane.SRAM: 130, dataplane.TCAM: 26,
@@ -113,13 +116,12 @@ func StageCapacity() dataplane.Resources {
 }
 
 // Layout is the module geometry loaded into a pipeline at initialization
-// time. Everything after this — which queries run, with what parameters
-// — is table rules.
+// time, and the whole model of a Newton device: the ledger of its
+// stages, state banks and module rules, the newton_init table, and the
+// window epoch. Everything after loading — which queries run, with what
+// parameters — is table rules and the registers the rules reach.
 type Layout struct {
 	Kind LayoutKind
-
-	pipeline *dataplane.Pipeline
-	banks    [][]*dataplane.RegisterBank // [stage][suite], nil where no S module
 
 	// Init is the newton_init classifier, the one Newton table a packet
 	// is matched against. Module rules and newton_fin entries (the result
@@ -127,70 +129,36 @@ type Layout struct {
 	// counts in the ledger, which charges every installed program.
 	Init   *dataplane.Table
 	ledger Ledger
+
+	// epoch is the window number: how many times Engine.RollEpoch has
+	// zeroed the installed registers.
+	epoch atomic.Uint32
 }
 
-// NewLayout loads a module layout into a fresh pipeline of the given
-// stage count. arraySize is each state bank's admission budget in
-// registers; a bank allocates nothing until a query is installed.
+// NewLayout loads a module layout of the given stage count. arraySize is
+// each state bank's admission budget in registers; a bank allocates
+// nothing until a query is installed.
 func NewLayout(kind LayoutKind, stages int, arraySize uint32) (*Layout, error) {
+	if stages < 1 {
+		return nil, fmt.Errorf("modules: a %v layout needs at least one stage, got %d", kind, stages)
+	}
 	if arraySize == 0 {
 		arraySize = 4096
 	}
-	l := &Layout{
-		Kind:     kind,
-		pipeline: dataplane.NewPipeline(stages, StageCapacity()),
-		ledger:   NewLedger(kind, stages, arraySize, DefaultRulesPerModule),
-	}
+	l := &Layout{Kind: kind, ledger: NewLedger(kind, stages, arraySize, DefaultRulesPerModule)}
 	l.Init = dataplane.NewTable("newton_init", dataplane.MatchTernary, 6, l.ledger.initCapacity())
-	for si, st := range l.pipeline.Stages {
-		banks := make([]*dataplane.RegisterBank, kind.SuitesPerStage())
-		for u := range banks {
-			for k := Kind(0); k < NumKinds; k++ {
-				if !l.ledger.hosts(si+1, u, k) {
-					continue
-				}
-				var rb *dataplane.RegisterBank
-				if k == ModS {
-					rb = dataplane.NewRegisterBank(fmt.Sprintf("bank_s%d_u%d", si, u))
-					banks[u] = rb
-				}
-				if err := st.Place(fmt.Sprintf("newton_%v_s%d_u%d", k, si, u), ModuleResources(k), rb); err != nil {
-					return nil, fmt.Errorf("modules: loading %v layout: %w", kind, err)
-				}
-			}
-		}
-		l.banks = append(l.banks, banks)
-	}
 	return l, nil
 }
 
 // Stages returns the number of physical stages.
-func (l *Layout) Stages() int { return len(l.banks) }
+func (l *Layout) Stages() int { return l.ledger.stages }
 
-// Epoch returns the current window epoch of the layout's state banks
-// (they all roll together via Pipeline.NextEpoch).
-func (l *Layout) Epoch() uint32 {
-	for _, banks := range l.banks {
-		for _, b := range banks {
-			if b != nil {
-				return b.Epoch()
-			}
-		}
-	}
-	return 0
-}
+// Epoch returns the current window epoch. It may be read from any
+// goroutine.
+func (l *Layout) Epoch() uint32 { return l.epoch.Load() }
 
-// Pipeline exposes the underlying pipeline (for resource reports and
-// epoch advancement).
-func (l *Layout) Pipeline() *dataplane.Pipeline { return l.pipeline }
-
-// BankAt returns the state bank of (stage, suite), or nil.
-func (l *Layout) BankAt(stage, u int) *dataplane.RegisterBank {
-	if stage < 1 || stage > len(l.banks) || u < 0 || u >= len(l.banks[stage-1]) {
-		return nil
-	}
-	return l.banks[stage-1][u]
-}
+// HasBank reports whether (stage, suite u) hosts a state bank.
+func (l *Layout) HasBank(stage, u int) bool { return l.ledger.hosts(stage, u, ModS) }
 
 // TernaryScans is always 0: newton_init answers every lookup from its
 // compiled classifier. It stays only because benchmark/ reads it.

@@ -33,13 +33,28 @@ func TestLayoutGeometry(t *testing.T) {
 					t.Fatalf("compact layout missing %v at stage %d suite %d", k, st, u)
 				}
 			}
-			if l.BankAt(st, u) == nil {
+			if !l.HasBank(st, u) {
 				t.Fatalf("missing state bank at stage %d suite %d", st, u)
 			}
 		}
 	}
 	if l.ledger.hosts(0, 0, ModK) || l.ledger.hosts(9, 0, ModK) || l.ledger.hosts(1, 2, ModK) {
 		t.Error("out-of-range stage or suite should host no module")
+	}
+	if l.HasBank(0, 0) || l.HasBank(9, 0) || l.HasBank(1, 2) {
+		t.Error("a state bank outside the layout")
+	}
+}
+
+// TestNewLayoutRefusesNoStages: a stage count below one is an error
+// from NewLayout, not a panic, for either layout kind.
+func TestNewLayoutRefusesNoStages(t *testing.T) {
+	for _, kind := range []LayoutKind{LayoutNaive, LayoutCompact} {
+		for _, stages := range []int{0, -1} {
+			if l, err := NewLayout(kind, stages, 1024); err == nil || l != nil {
+				t.Errorf("NewLayout(%v, %d) = %v, %v; want a refusal", kind, stages, l, err)
+			}
+		}
 	}
 }
 
@@ -82,24 +97,6 @@ func TestCompactStageUtilizationIs4xNaive(t *testing.T) {
 	}
 	if got := compact[dataplane.VLIW]; got < 0.16 || got > 0.18 {
 		t.Errorf("compact VLIW utilization %.4f, Table 3 says ~16.90%%", got)
-	}
-}
-
-func TestRegisterAllocator(t *testing.T) {
-	l := compactLayout(t)
-	bank := l.BankAt(1, 0)
-	r1, r2 := bank.Alloc(1024), bank.Alloc(1024)
-	if r1.Size() != 1024 || &r2.Registers()[0] == &r1.Registers()[0] {
-		t.Fatalf("two allocations: %d registers, shared %v", r1.Size(), &r2.Registers()[0] == &r1.Registers()[0])
-	}
-	bank.Free(r1)
-	if l.BankAt(99, 0) != nil || l.BankAt(1, 2) != nil {
-		t.Error("a bank outside the layout")
-	}
-	// A freed array no longer rolls with the bank; a live one does.
-	l.Pipeline().NextEpoch()
-	if r1.Epoch() != 0 || r2.Epoch() != 1 {
-		t.Errorf("epochs after roll: freed %d, live %d", r1.Epoch(), r2.Epoch())
 	}
 }
 
@@ -205,12 +202,68 @@ func TestEngineWindowEpochReset(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		sw.Process(synTo(7))
 	}
-	l.Pipeline().NextEpoch() // window boundary
+	eng.RollEpoch() // window boundary
 	for i := 0; i < 4; i++ {
 		sw.Process(synTo(7))
 	}
 	if n := sw.PendingReports(); n != 0 {
 		t.Fatalf("count leaked across window: %d reports", n)
+	}
+}
+
+// TestRollEpochZeroesInstalledRows: RollEpoch is a layout's one roll.
+// After it the layout's epoch has advanced by one and every installed
+// row reads zero; a row installed mid-window starts at zero and rolls
+// with the others from then on.
+func TestRollEpochZeroesInstalledRows(t *testing.T) {
+	l := compactLayout(t)
+	eng := NewEngine(l)
+	sw := dataplane.NewSwitch("s1", 8, StageCapacity())
+	sw.AddRoute(0, 0, 1)
+	sw.Monitor = eng
+	// counted sums qid's registers, every qid when qid is 0.
+	counted := func(qid int) (n uint64) {
+		for _, b := range eng.LiveBanks(nil) {
+			if qid == 0 || b.QueryID == qid {
+				for _, v := range b.Values {
+					n += uint64(v)
+				}
+			}
+		}
+		return n
+	}
+	if err := eng.Install(buildCountProgram(1, 1<<30, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	for dst := uint32(1); dst <= 5; dst++ {
+		sw.Process(synTo(dst))
+	}
+	if got := counted(1); got != 5 {
+		t.Fatalf("q1 counted %d SYNs, want 5", got)
+	}
+	epoch := l.Epoch()
+	eng.RollEpoch()
+	if l.Epoch() != epoch+1 {
+		t.Fatalf("epoch after one roll = %d, want %d", l.Epoch(), epoch+1)
+	}
+	if got := counted(0); got != 0 {
+		t.Fatalf("installed rows hold %d after the roll, want 0", got)
+	}
+
+	sw.Process(synTo(7))
+	if err := eng.Install(buildCountProgram(2, 1<<30, 512)); err != nil {
+		t.Fatal(err)
+	}
+	if got := counted(2); got != 0 {
+		t.Fatalf("a row installed mid-window holds %d, want 0", got)
+	}
+	sw.Process(synTo(7))
+	if got1, got2 := counted(1), counted(2); got1 != 2 || got2 != 1 {
+		t.Fatalf("mid-window counts q1=%d q2=%d, want 2 and 1", got1, got2)
+	}
+	eng.RollEpoch()
+	if l.Epoch() != epoch+2 || counted(0) != 0 {
+		t.Fatalf("second roll: epoch %d (want %d), rows hold %d", l.Epoch(), epoch+2, counted(0))
 	}
 }
 
@@ -516,39 +569,6 @@ func TestKindStrings(t *testing.T) {
 	if !strings.HasPrefix(Kind(9).String(), "mod(") {
 		t.Error("out-of-range kind")
 	}
-}
-
-func TestLayoutTooSmallFails(t *testing.T) {
-	// A stage capacity that cannot host two suites must fail at load.
-	_, err := dataplaneTinyLayout()
-	if err == nil {
-		t.Error("undersized layout loaded")
-	}
-}
-
-func dataplaneTinyLayout() (*Layout, error) {
-	// Directly exercise the placement failure path via a pipeline whose
-	// capacity is below one suite.
-	l := &Layout{}
-	_ = l
-	return newLayoutWithCapacity()
-}
-
-func newLayoutWithCapacity() (*Layout, error) {
-	// The public constructor uses StageCapacity; simulate an over-packed
-	// stage by loading a compact layout into a 1-stage pipeline twice.
-	l, err := NewLayout(LayoutCompact, 1, 64)
-	if err != nil {
-		return nil, err
-	}
-	st := l.Pipeline().Stages[0]
-	// Filling the remaining headroom must eventually fail.
-	for i := 0; i < 100; i++ {
-		if err := st.Place("extra", ModuleResources(ModS), nil); err != nil {
-			return nil, err
-		}
-	}
-	return l, nil
 }
 
 func BenchmarkEngineExecuteQ1(b *testing.B) {

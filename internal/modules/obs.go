@@ -139,7 +139,7 @@ func AttachObs(e *Engine, reg *obs.Registry, switchID string) {
 	var banks []bankGauge
 	for st := 1; st <= e.layout.Stages(); st++ {
 		for u := 0; u < e.layout.Kind.SuitesPerStage(); u++ {
-			if e.layout.BankAt(st, u) != nil {
+			if e.layout.HasBank(st, u) {
 				banks = append(banks, bankGauge{st, u, reg.Gauge("newton_engine_state_registers",
 					"Registers admitted against the state bank's ArraySize budget.",
 					sw, obs.L("stage", strconv.Itoa(st)), obs.L("set", strconv.Itoa(u)))})

@@ -102,6 +102,19 @@ func (e *Engine) SetWorkers(n int) {
 	}
 }
 
-// RollEpoch ends the current evaluation window: every register epoch
-// rolls. The one epoch-roll entry point of an engine.
-func (e *Engine) RollEpoch() { e.layout.Pipeline().NextEpoch() }
+// RollEpoch ends the current evaluation window: every installed
+// program's registers are zeroed and the layout's epoch advances. It is
+// the one epoch-roll entry point of an engine and, like Install, must not
+// run beside packet delivery.
+func (e *Engine) RollEpoch() {
+	for _, p := range e.installed {
+		for _, b := range p.Branches {
+			for _, op := range b.Ops {
+				if op.OwnsRegisters() {
+					op.S.array.Reset()
+				}
+			}
+		}
+	}
+	e.layout.epoch.Add(1)
+}

@@ -72,9 +72,9 @@ func (b *BankSnapshot) Slot(keyBytes []byte) uint32 {
 
 // SnapshotBanks captures every installed query's state-bank allocations
 // at the current epoch — the epoch-boundary export hook of the streaming
-// telemetry plane. Call it just before Pipeline.NextEpoch: rolled
-// epochs read as zero, so the ending window's state is only observable
-// before the roll. Cross-branch reads and pass-through ops own no
+// telemetry plane. Call it just before RollEpoch: rolled epochs read
+// as zero, so the ending window's state is only observable before the
+// roll. Cross-branch reads and pass-through ops own no
 // registers and are skipped.
 //
 // The result is freshly allocated and the caller's to keep: LiveBanks

@@ -62,21 +62,44 @@ func TestOutageDropsTraffic(t *testing.T) {
 }
 
 func TestClockAndEpochs(t *testing.T) {
-	net, _, _ := linearNet(t, 1, 12)
+	net, h1, h2 := linearNet(t, 1, 12)
 	sw := net.Node(net.Topo.Switches()[0])
-	ra := sw.Layout.BankAt(1, 0).Alloc(16)
-	ra.Exec(1 /* write */, 0, 7)
-	net.AdvanceTo(uint64(250 * time.Millisecond)) // crosses 2 window boundaries
-	if ra.Epoch() != 2 || sw.Layout.Epoch() != 2 {
-		t.Errorf("epochs rolled %d times (layout %d), want 2", ra.Epoch(), sw.Layout.Epoch())
+	o := compiler.AllOpts()
+	o.QID = 1
+	installOn(t, net, query.Q1(40), o, net.Topo.Switches())
+	counted := func() (n uint64) {
+		for _, b := range sw.Eng.LiveBanks(nil) {
+			for _, v := range b.Values {
+				n += uint64(v)
+			}
+		}
+		return n
 	}
-	if got := ra.Exec(0 /* read */, 0, 0); got != 0 {
-		t.Errorf("register survived two window rolls: %d", got)
+	syn := &packet.Packet{TS: 5, IP: packet.IPv4{Proto: packet.ProtoTCP, Src: 1, Dst: 2},
+		TCP: &packet.TCP{SrcPort: 1, DstPort: 2, Flags: packet.FlagSYN}}
+	if _, ok := net.Deliver(syn, h1, h2); !ok || counted() == 0 {
+		t.Fatalf("the SYN was not counted (delivered %v)", ok)
+	}
+	net.AdvanceTo(uint64(250 * time.Millisecond)) // crosses 2 window boundaries
+	if sw.Layout.Epoch() != 2 {
+		t.Errorf("epochs rolled %d times, want 2", sw.Layout.Epoch())
+	}
+	if got := counted(); got != 0 {
+		t.Errorf("registers survived two window rolls: %d", got)
 	}
 	// Clock never goes backwards.
 	net.AdvanceTo(0)
 	if net.Clock() != uint64(250*time.Millisecond) {
 		t.Error("clock went backwards")
+	}
+}
+
+// TestNewRefusesNoStages: a negative stage count (zero is the default)
+// is New's error, not a panic.
+func TestNewRefusesNoStages(t *testing.T) {
+	topo, _, _ := topology.Linear(2)
+	if net, err := New(topo, Config{Stages: -1}); err == nil || net != nil {
+		t.Fatalf("New with -1 stages = %v, %v; want a refusal", net, err)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/newton-net/newton/internal/modules"
 )
 
 func TestWriteFrameOversizedRejected(t *testing.T) {
@@ -258,5 +260,50 @@ func TestEpochHookOrdersBeforeRoll(t *testing.T) {
 	}
 	if got := agent.eng.Layout().Epoch(); got != 1 {
 		t.Errorf("epoch after tick = %d, want 1", got)
+	}
+}
+
+// TestLocalEpochSerializesWithInstalls: a local window clock (such as
+// newton-agent's replay loop) rolls through Agent.NextEpoch while a
+// controller installs and removes over the control channel. The roll
+// and its OnEpoch hook take the dispatch lock, so under -race the two
+// never overlap.
+func TestLocalEpochSerializesWithInstalls(t *testing.T) {
+	agent, _ := testAgent(t)
+	c := pipeClient(t, agent)
+	progs := []*modules.Program{compileQ1(t, 1), compileQ1(t, 2)}
+	hooks := 0
+	agent.SetTelemetryHooks(func() {
+		hooks++
+		agent.eng.LiveBanks(nil)
+	})
+
+	const rounds = 40
+	errc := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			p := progs[i%len(progs)]
+			if err := c.Install(p); err != nil {
+				errc <- err
+				return
+			}
+			if err := c.Remove(p.QID); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	for i := 0; i < rounds; i++ {
+		agent.NextEpoch()
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if got := agent.eng.Layout().Epoch(); got != rounds || hooks != rounds {
+		t.Errorf("epoch %d and %d hooks after %d local rolls", got, hooks, rounds)
+	}
+	if n := agent.eng.InstalledCount(); n != 0 {
+		t.Errorf("%d programs left installed", n)
 	}
 }

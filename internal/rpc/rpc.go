@@ -471,13 +471,27 @@ func (a *Agent) execute(req *Request) *Response {
 	case typeDrain:
 		return a.drain(req)
 	case typeEpoch:
-		if a.OnEpoch != nil {
-			a.OnEpoch()
-		}
-		a.eng.RollEpoch()
+		a.nextEpochLocked()
 		return &Response{OK: true}
 	}
 	return &Response{Error: fmt.Sprintf("unknown request type %q", req.Type)}
+}
+
+// NextEpoch ends the switch's evaluation window as a next_epoch request
+// does — the OnEpoch hook, then the engine's roll — under the dispatch
+// lock, so a local window clock (newton-agent's replay loop) never rolls
+// beside a controller's install or remove.
+func (a *Agent) NextEpoch() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.nextEpochLocked()
+}
+
+func (a *Agent) nextEpochLocked() {
+	if a.OnEpoch != nil {
+		a.OnEpoch()
+	}
+	a.eng.RollEpoch()
 }
 
 // drain serves drain_reports under the cursor discipline: an ack equal
