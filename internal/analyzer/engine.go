@@ -1,9 +1,7 @@
 // Package analyzer is the software side of Newton: an exact reference
 // implementation of the query semantics (the role Spark plays in the
-// paper). It serves three purposes: computing ground truth for accuracy
-// experiments, executing the deferred tails of queries that outgrow the
-// data plane (§5.2's fallback), and collecting/validating the reports
-// switches mirror up.
+// paper). It serves two purposes: computing ground truth for accuracy
+// experiments, and collecting/validating the reports switches mirror up.
 package analyzer
 
 import (

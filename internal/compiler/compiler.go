@@ -7,7 +7,9 @@
 package compiler
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/fields"
@@ -123,6 +125,10 @@ func Compile(q *query.Query, o Options) (*modules.Program, error) {
 		for _, u := range units {
 			bp.Ops = append(bp.Ops, u.ops...)
 		}
+		// Units interleave across stages; the chain runs in pipeline
+		// order. The sort is stable, so ops sharing a stage keep the unit
+		// order the dependency rules were checked in.
+		slices.SortStableFunc(bp.Ops, func(a, b *modules.Op) int { return cmp.Compare(a.Stage, b.Stage) })
 		p.Branches = append(p.Branches, bp)
 	}
 	return p, nil

@@ -154,7 +154,7 @@ func TestFig17DeployMatchesPlan(t *testing.T) {
 	want := []Fig17DeployRow{
 		{Topology: "isp", StagesPerSwitch: 6, Partitions: 2, Switches: 8, PlannedEntries: 152},
 		{Topology: "isp", StagesPerSwitch: 4, Partitions: 3, Switches: 15, PlannedEntries: 268},
-		{Topology: "isp", StagesPerSwitch: 3, Partitions: 4, Switches: 23, PlannedEntries: 424},
+		{Topology: "isp", StagesPerSwitch: 3, Partitions: 4, Switches: 23, PlannedEntries: 432},
 		{Topology: "fattree4", StagesPerSwitch: 6, Partitions: 2, Switches: 16, PlannedEntries: 216},
 	}
 	r := Fig17Deploy()

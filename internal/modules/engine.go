@@ -215,12 +215,12 @@ func (e *Engine) Install(p *Program) (err error) {
 			if op.Kind != ModS || !op.S.CrossRead {
 				continue
 			}
-			target := e.findRow0(p, op.S.ReadBranch)
-			if target == nil {
+			target := p.row0(op.S.ReadBranch)
+			if target == nil || target.S.array == nil {
 				return fmt.Errorf("modules: query %d branch %d reads Row0 of branch %d, which has none",
 					p.QID, bi, op.S.ReadBranch)
 			}
-			op.S.array, op.S.width = target.array, target.width
+			op.S.array, op.S.width = target.S.array, target.S.width
 		}
 	}
 	// Publish every branch's newton_init entry in one write, the last
@@ -329,20 +329,6 @@ func (e *Engine) internMask(m *fields.Mask) int {
 	return free
 }
 
-// findRow0 locates the last reduce-row-0 state bank of a branch.
-func (e *Engine) findRow0(p *Program, branch int) *SConfig {
-	if branch < 0 || branch >= len(p.Branches) {
-		return nil
-	}
-	var found *SConfig
-	for _, op := range p.Branches[branch].Ops {
-		if op.Kind == ModS && op.S != nil && op.S.Row0 && op.S.array != nil {
-			found = op.S
-		}
-	}
-	return found
-}
-
 // rollback returns what Install took for p but its newton_init entries:
 // its references on the mask table, its registers and its charge.
 func (e *Engine) rollback(p *Program) {
@@ -389,9 +375,8 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 	// flush is at most NumKinds counter adds per packet.
 	var execs uint64
 
-	curPart := 0
-	if sp := ctx.Pkt.SP; sp != nil {
-		Restore(&ctx.PHV, sp)
+	sp, curPart := ctx.Pkt.SP, 0
+	if sp != nil {
 		curPart = int(sp.Part)
 	}
 	v := &ctx.PHV.Fields
@@ -416,16 +401,20 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 			bump(&lane.dispatchEvictions)
 		}
 	}
+	// The chains of other queries share the PHV, so a partition's chain
+	// starts from the inbound snapshot and the outbound one is taken as
+	// soon as the chain ends.
 	var ranPart *Program
+	var out packet.SPHeader
 	stopped := false
 	for i := range set.chains {
 		c := &set.chains[i]
 		if c.prog.TotalParts > 1 {
-			if c.prog.Part != curPart {
+			if c.prog.Part != curPart || sp != nil && int(sp.QID) != c.prog.QID {
 				continue
 			}
-			if sp := ctx.Pkt.SP; sp != nil && int(sp.QID) != c.prog.QID {
-				continue
+			if sp != nil {
+				Restore(&ctx.PHV, sp)
 			}
 			ranPart = c.prog
 		}
@@ -433,12 +422,13 @@ func (e *Engine) Execute(ctx *dataplane.Context) {
 		e.runBranch(ctx, c.branch, &lane.keys, &execs)
 		if c.prog == ranPart {
 			stopped = ctx.PHV.Stopped
+			out = resultHeader(&ctx.PHV, ranPart.QID, ranPart.Part+1)
 		}
 	}
 	switch {
 	case ranPart != nil && ranPart.Part+1 < ranPart.TotalParts && !stopped:
 		// The inbound header was read above: the packet's own storage is free.
-		ctx.OutSP = ctx.Pkt.AttachSP(resultHeader(&ctx.PHV, ranPart.QID, ranPart.Part+1))
+		ctx.OutSP = ctx.Pkt.AttachSP(out)
 	case ranPart != nil:
 		ctx.OutSP = nil // query completed (or stopped) here: strip
 	default:
@@ -613,16 +603,6 @@ func (e *Engine) execR(ctx *dataplane.Context, r *RConfig, set *fields.MetadataS
 	// No entry matched: the result process stops the query (the
 	// default-deny of a threshold match).
 	phv.Stopped = true
-}
-
-// Snapshot builds the result-snapshot header from the PHV for the next
-// partition of a cross-switch query (§5.1). Only what downstream cannot
-// rederive is carried: state results, the global result, and the
-// partition cursor. 12 bytes on the wire. Execute attaches the same
-// header to the packet without allocating one.
-func Snapshot(phv *fields.PHV, qid int, nextPart int) *packet.SPHeader {
-	h := resultHeader(phv, qid, nextPart)
-	return &h
 }
 
 func resultHeader(phv *fields.PHV, qid int, nextPart int) packet.SPHeader {

@@ -209,15 +209,18 @@ func MatchAllInit() InitMatch { return InitMatch{} }
 // order.
 type BranchProgram struct {
 	Init InitMatch
-	Ops  []*Op
+	// Ops is in stage order — Stage never decreases along the chain — as
+	// the pipeline runs it: the compiler emits it so and SliceProgram
+	// keeps it, which makes a partition a contiguous run of Ops.
+	Ops []*Op
 
 	initRuleID int
 }
 
 // Program is a fully compiled query ready to install: one entry and op
-// chain per branch. Stages beyond the device's stage count are executed
-// by later partitions (cross-switch execution) or deferred to the
-// software analyzer.
+// chain per branch. A query with more stages than one device runs as
+// SliceProgram's partitions, one per switch along the path (cross-switch
+// execution).
 type Program struct {
 	QID      int
 	Name     string

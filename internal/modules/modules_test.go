@@ -431,17 +431,18 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	phv.Sets[1].StateResult = 7
 	var neg5 int64 = -5
 	phv.GlobalResult = uint64(neg5)
-	sp := Snapshot(&phv, 42, 3)
+	pkt := synTo(1)
+	sp := pkt.AttachSP(resultHeader(&phv, 42, 3))
 	if sp.QID != 42 || sp.Part != 3 {
 		t.Errorf("snapshot header = %+v", sp)
 	}
 	// Wire round trip.
-	decoded, err := packet.UnmarshalSP(packet.MarshalSP(sp))
+	decoded, err := packet.Decode(pkt.Serialize())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got fields.PHV
-	Restore(&got, decoded)
+	Restore(&got, decoded.SP)
 	if got.Sets[0].StateResult != 0xAABBCCDD || got.Sets[1].StateResult != 7 {
 		t.Errorf("state lost: %+v", got.Sets)
 	}
@@ -456,12 +457,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestSnapshotClampsGlobal(t *testing.T) {
 	var phv fields.PHV
 	phv.GlobalResult = 1 << 40
-	if sp := Snapshot(&phv, 1, 0); int16(sp.Global) != 32767 {
+	if sp := resultHeader(&phv, 1, 0); int16(sp.Global) != 32767 {
 		t.Errorf("positive clamp = %d", int16(sp.Global))
 	}
 	var negBig int64 = -(1 << 40)
 	phv.GlobalResult = uint64(negBig)
-	if sp := Snapshot(&phv, 1, 0); int16(sp.Global) != -32768 {
+	if sp := resultHeader(&phv, 1, 0); int16(sp.Global) != -32768 {
 		t.Errorf("negative clamp = %d", int16(sp.Global))
 	}
 }

@@ -1,132 +1,217 @@
 package modules
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
+	"sort"
+
+	"github.com/newton-net/newton/internal/dataplane"
 )
+
+// ErrUnsliceable is SliceProgram's refusal of a cut after which a
+// partition cannot compute what the whole query computes.
+var ErrUnsliceable = errors.New("cut cannot be continued on the next switch")
 
 // SliceProgram partitions a compiled program for cross-switch query
 // execution (§5.1's model parallelism): partition k receives the ops of
 // logical stages (k·stagesPer, (k+1)·stagesPer], rebased to start at
 // stage 1, so "a query with 10 stages needs 4 3-stage switches". Ops are
-// deep-copied: each partition installs independently on its own switch.
+// deep-copied, each partition installs on its own switch, and each
+// branch's partition is a contiguous run of its stage-ordered chain.
 //
-// Cross-branch state reads must land in the same partition as the bank
-// they read (state lives on one switch); slicing that would separate
-// them is rejected — the controller then either uses fewer, larger
-// partitions or defers the tail to the software analyzer.
+// The partitions compute what the whole program computes, or the cut is
+// refused: a cross-branch state read must share a partition with the
+// bank it reads (state lives on one switch), and a cut the next switch
+// cannot continue from (see prefix) is ErrUnsliceable. The controller
+// then uses fewer, larger partitions.
 func SliceProgram(p *Program, stagesPer int) ([]*Program, error) {
 	if stagesPer <= 0 {
 		return nil, fmt.Errorf("modules: non-positive partition size")
 	}
-	total := p.NumStages()
-	if total == 0 {
-		return []*Program{cloneProgram(p, 0, 1<<30, 0)}, nil
-	}
-	m := (total + stagesPer - 1) / stagesPer
-
-	// Validate cross-read colocation: a reader and its target row-0 bank
-	// must share a partition.
 	for bi, b := range p.Branches {
 		for _, op := range b.Ops {
 			if op.Kind != ModS || op.S == nil || !op.S.CrossRead {
 				continue
 			}
-			tgt := row0Stage(p, op.S.ReadBranch)
-			if tgt == 0 {
+			tgt := p.row0(op.S.ReadBranch)
+			if tgt == nil {
 				return nil, fmt.Errorf("modules: branch %d reads row0 of branch %d, which has none", bi, op.S.ReadBranch)
 			}
-			if (op.Stage-1)/stagesPer != (tgt-1)/stagesPer {
-				return nil, fmt.Errorf("modules: %d-stage partitions separate a cross-branch read (stage %d) from its bank (stage %d); use larger partitions or defer to the analyzer",
-					stagesPer, op.Stage, tgt)
+			if (op.Stage-1)/stagesPer != (tgt.Stage-1)/stagesPer {
+				return nil, fmt.Errorf("modules: %d-stage partitions separate a cross-branch read (stage %d) from its bank (stage %d); use larger partitions",
+					stagesPer, op.Stage, tgt.Stage)
 			}
 		}
 	}
-
-	parts := make([]*Program, m)
-	for k := 0; k < m; k++ {
-		parts[k] = cloneProgram(p, k*stagesPer, (k+1)*stagesPer, k)
-		parts[k].Part, parts[k].TotalParts = k, m
+	parts := make([]*Program, max(1, (p.NumStages()+stagesPer-1)/stagesPer))
+	for k := range parts {
+		part := &Program{QID: p.QID, Name: fmt.Sprintf("%s/part%d", p.Name, k), Part: k, TotalParts: len(parts)}
+		for bi, b := range p.Branches {
+			nb, err := sliceBranch(b, k*stagesPer, (k+1)*stagesPer)
+			// One snapshot rides the packet, taken after the query's last
+			// chain that ran: a branch that continues past a cut must run
+			// last on every packet it matches.
+			for later := bi + 1; err == nil && k > 0 && len(nb.Ops) > 0 && later < len(p.Branches); later++ {
+				if b.Init.overlaps(&p.Branches[later].Init) {
+					err = fmt.Errorf("branch %d runs after it on the same packets: %w", later, ErrUnsliceable)
+				}
+			}
+			if err != nil {
+				return nil, fmt.Errorf("modules: query %s branch %d past stage %d: %w", p.Name, bi, k*stagesPer, err)
+			}
+			part.Branches = append(part.Branches, nb)
+		}
+		parts[k] = part
 	}
 	return parts, nil
 }
 
-// row0Stage finds the stage of a branch's last row-0 state bank.
-func row0Stage(p *Program, branch int) int {
-	if branch < 0 || branch >= len(p.Branches) {
-		return 0
-	}
-	s := 0
-	for _, op := range p.Branches[branch].Ops {
-		if op.Kind == ModS && op.S != nil && op.S.Row0 {
-			s = op.Stage
+// overlaps reports whether some packet matches both newton_init entries.
+func (m *InitMatch) overlaps(o *InitMatch) bool {
+	for c := range m.Values {
+		if (m.Values[c]^o.Values[c])&m.Masks[c]&o.Masks[c] != 0 {
+			return false
 		}
 	}
-	return s
+	return true
 }
 
-// cloneProgram deep-copies the ops with logical stages in (lo, hi],
-// rebasing them by -lo. Partitions after the first re-derive their
-// operation keys and hash results from the packet headers — the result
-// snapshot carries only state and global results — so the last K and H
-// of each metadata set used by the partition are cloned in front (two
-// extra stages), exactly why the SP header can stay at 12 bytes.
-func cloneProgram(p *Program, lo, hi, part int) *Program {
-	out := &Program{QID: p.QID, Name: fmt.Sprintf("%s/part%d", p.Name, part)}
-	for _, b := range p.Branches {
-		nb := &BranchProgram{Init: b.Init}
-		var body []*Op
-		usesSet := map[int]bool{}
-		for _, op := range b.Ops {
-			if op.Stage <= lo || op.Stage > hi {
-				continue
-			}
-			body = append(body, op)
-			usesSet[op.Set&1] = true
-		}
-		shift := -lo
-		if lo > 0 && len(body) > 0 {
-			// Find the last K and H per needed set before the boundary.
-			lastK, lastH := map[int]*Op{}, map[int]*Op{}
-			for _, op := range b.Ops {
-				if op.Stage > lo {
-					break
-				}
-				switch op.Kind {
-				case ModK:
-					lastK[op.Set&1] = op
-				case ModH:
-					lastH[op.Set&1] = op
-				}
-			}
-			prepended := false
-			for set := 0; set < 2; set++ {
-				if !usesSet[set] {
-					continue
-				}
-				if k := lastK[set]; k != nil {
-					ck := cloneOp(k, 0)
-					ck.Stage = 1
-					nb.Ops = append(nb.Ops, ck)
-					prepended = true
-				}
-				if h := lastH[set]; h != nil {
-					ch := cloneOp(h, 0)
-					ch.Stage = 2
-					nb.Ops = append(nb.Ops, ch)
-					prepended = true
-				}
-			}
-			if prepended {
-				shift += 2
-			}
-		}
-		for _, op := range body {
-			nb.Ops = append(nb.Ops, cloneOp(op, shift))
-		}
-		out.Branches = append(out.Branches, nb)
+// row0 returns the state op of a branch's last row-0 bank, the bank
+// cross-branch reads target, or nil.
+func (p *Program) row0(branch int) *Op {
+	if branch < 0 || branch >= len(p.Branches) {
+		return nil
 	}
-	return out
+	var found *Op
+	for _, op := range p.Branches[branch].Ops {
+		if op.Kind == ModS && op.S != nil && op.S.Row0 {
+			found = op
+		}
+	}
+	return found
+}
+
+// sliceBranch deep-copies the ops of b with logical stages in (lo, hi],
+// rebased by -lo; a partition after the first leads with its two-stage
+// continuation prefix, and its body shifts by two more.
+func sliceBranch(b *BranchProgram, lo, hi int) (*BranchProgram, error) {
+	i := sort.Search(len(b.Ops), func(x int) bool { return b.Ops[x].Stage > lo })
+	j := sort.Search(len(b.Ops), func(x int) bool { return b.Ops[x].Stage > hi })
+	body := b.Ops[i:j]
+	nb := &BranchProgram{Init: b.Init}
+	shift := -lo
+	if lo > 0 && len(body) > 0 {
+		var err error
+		if nb.Ops, err = prefix(b.Ops[:i], body); err != nil {
+			return nil, err
+		}
+		if len(nb.Ops) > 0 {
+			shift += 2
+		}
+	}
+	for _, op := range body {
+		nb.Ops = append(nb.Ops, cloneOp(op, shift))
+	}
+	return nb, nil
+}
+
+// prefix returns the continuation prefix of the partition after a cut
+// (body). The result snapshot carries only state and global results,
+// which keeps it at 12 bytes, so the partition re-derives operation keys
+// and hashes from the packet headers: the prefix copies the last K (at
+// stage 1) and then the last H (at stage 2) before the cut (pre) of each
+// metadata set the body uses. It is ErrUnsliceable instead if the body
+// would not see what the whole chain holds at the cut:
+//   - the prefix's hash is the one the chain held only if the last H
+//     hashed the last K's keys, so a set re-keyed since its last hash
+//     must hash again before the body reads the hash;
+//   - the snapshot carries the global result saturated to 16 bits, so
+//     unless the chain built it from Bloom bits alone, which always fit,
+//     the body may use the global it inherits only in ways the
+//     saturation does not change (survivesSaturation).
+func prefix(pre, body []*Op) ([]*Op, error) {
+	var lastK, lastH [2]*Op
+	var bit [2]bool // the set's state result is a Bloom row's bit
+	narrow := true  // the global fits 16 bits whatever the traffic
+	for _, op := range pre {
+		set := op.Set & 1
+		switch op.Kind {
+		case ModK:
+			lastK[set] = op
+		case ModH:
+			lastH[set] = op
+		case ModS:
+			bit[set] = op.S.ALU == dataplane.OpOr && op.S.Operand == OperandConst && !op.S.PassThrough
+		case ModR:
+			after := true // over every entry: which one matches is the packet's
+			for _, e := range op.R.Entries {
+				n := narrow
+				for _, a := range e.Actions {
+					switch a.Kind {
+					case RActSetGlobal, RActGlobalAdd:
+						n = bit[set] && (n || a.Kind == RActSetGlobal)
+					case RActGlobalScale:
+						n = false
+					}
+				}
+				after = after && n
+			}
+			narrow = after
+		}
+	}
+	var uses, decided [2]bool // decided: the body rehashed or read the set's hash
+	inherited := !narrow      // the body still holds a global the snapshot saturated
+	for _, op := range body {
+		set := op.Set & 1
+		uses[set] = true
+		if !decided[set] && (op.Kind == ModH || op.Kind == ModS) {
+			decided[set] = true
+			if k, h := lastK[set], lastH[set]; op.Kind == ModS && k != nil && (h == nil || h.Stage < k.Stage) {
+				return nil, fmt.Errorf("set %d is re-keyed at stage %d after its last hash, which stage %d reads: %w",
+					set, k.Stage, op.Stage, ErrUnsliceable)
+			}
+		}
+		if op.Kind != ModR || !inherited {
+			continue
+		}
+		inherited = false
+		for _, e := range op.R.Entries {
+			if !survivesSaturation(op.R, &e) {
+				return nil, fmt.Errorf("stage %d computes on a global the snapshot saturated to 16 bits: %w", op.Stage, ErrUnsliceable)
+			}
+			inherited = inherited || !slices.ContainsFunc(e.Actions, func(a RAct) bool { return a.Kind == RActSetGlobal })
+		}
+	}
+	var out []*Op
+	for s, last := range [2][2]*Op{lastK, lastH} { // the Ks at stage 1, the Hs at 2
+		for set, op := range last {
+			if uses[set] && op != nil {
+				cp := cloneOp(op, 0)
+				cp.Stage = s + 1
+				out = append(out, cp)
+			}
+		}
+	}
+	return out, nil
+}
+
+// survivesSaturation reports whether entry e of r acts the same on a
+// global and on its 16-bit saturation: a min, a test against bounds
+// strictly inside 16 bits or at the compiler's open ends (±2^62), and a
+// report from a range strictly inside 16 bits do; a sum or a scale does
+// not.
+func survivesSaturation(r *RConfig, e *REntry) bool {
+	inside := func(b int64) bool { return b > math.MinInt16 && b < math.MaxInt16 }
+	tested := func(b int64) bool { return inside(b) || b <= -1<<62 || b >= 1<<62 }
+	if r.OnGlobal && !(tested(e.Lo) && tested(e.Hi)) {
+		return false
+	}
+	return !slices.ContainsFunc(e.Actions, func(a RAct) bool {
+		return a.Kind == RActGlobalAdd || a.Kind == RActGlobalScale ||
+			a.Kind == RActReport && !(r.OnGlobal && inside(e.Lo) && inside(e.Hi))
+	})
 }
 
 // Clone returns a deep copy of p that shares no branch, op or module

@@ -96,16 +96,6 @@ type Network struct {
 	runLane        func(lane int)
 	segSrc, segDst int
 	batchWG        sync.WaitGroup
-
-	// Deferred, when set, receives packets that exit the network still
-	// carrying a result snapshot — a query whose partitions outnumber
-	// the path's Newton hops. The software analyzer continues the query
-	// from the snapshot (§5.2); see analyzer.DeferredTail. The hook runs
-	// before the snapshot is stripped.
-	Deferred func(pkt *packet.Packet)
-
-	// deferredMu serializes Deferred calls from batch workers.
-	deferredMu sync.Mutex
 }
 
 // netLane is one delivery worker's persistent state: its resolved-path
@@ -313,18 +303,9 @@ func (n *Network) deliverOn(pkt *packet.Packet, switches []int, lane int) bool {
 			return false
 		}
 	}
-	if pkt.SP != nil {
-		// The last Newton hop normally strips the snapshot before the
-		// host; a leftover means the query's tail never ran on this path
-		// — §5.2's fallback hands the execution status to the software
-		// analyzer before the header is removed.
-		if n.Deferred != nil {
-			n.deferredMu.Lock()
-			n.Deferred(pkt)
-			n.deferredMu.Unlock()
-		}
-		pkt.SP = nil
-	}
+	// The last Newton hop strips the snapshot before the host; one left
+	// over means the query's tail had no hop on this path.
+	pkt.SP = nil
 	bumpStat(&st.delivered)
 	return true
 }

@@ -173,64 +173,6 @@ func TestShardedQueryReportsOnce(t *testing.T) {
 	}
 }
 
-// TestCQESlicingInvariance is DESIGN invariant 3: a query sliced over
-// two switches produces the same flagged keys as the whole query on one
-// switch.
-func TestCQESlicingInvariance(t *testing.T) {
-	q := query.Q1(40)
-	tr := trace.Generate(trace.Config{Seed: 3, Flows: 200, Duration: 200 * time.Millisecond},
-		trace.SYNFlood{Victim: 0x0A000001, Packets: 300},
-		trace.SYNFlood{Victim: 0x0A000002, Packets: 300})
-
-	flaggedWith := func(partitioned bool) map[uint64]bool {
-		net, h1, h2 := linearNet(t, 2, 12)
-		o := compiler.AllOpts()
-		o.QID = 1
-		o.Width = 1 << 14
-		p, err := compiler.Compile(q, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sws := net.Topo.Switches()
-		if partitioned {
-			parts, err := modules.SliceProgram(p, 4) // 6-stage Q1 → 2 partitions
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(parts) != 2 {
-				t.Fatalf("expected 2 partitions, got %d", len(parts))
-			}
-			for i, part := range parts {
-				if err := net.Node(sws[i]).Eng.Install(part); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else {
-			if err := net.Node(sws[0]).Eng.Install(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runTrace(t, net, tr, h1, h2)
-		col := analyzer.NewCollector(uint64(q.Window), q.ReportKeys())
-		col.AddAll(net.DrainReports())
-		return col.FlaggedKeys()
-	}
-
-	whole := flaggedWith(false)
-	sliced := flaggedWith(true)
-	if len(whole) == 0 {
-		t.Fatal("whole-switch run flagged nothing")
-	}
-	if len(whole) != len(sliced) {
-		t.Fatalf("slicing changed results: whole=%v sliced=%v", whole, sliced)
-	}
-	for k := range whole {
-		if !sliced[k] {
-			t.Errorf("sliced execution missed key %d", k)
-		}
-	}
-}
-
 func TestCQESPHeaderTravelsAndStrips(t *testing.T) {
 	net, _, _ := linearNet(t, 2, 12)
 	o := compiler.AllOpts()
@@ -377,62 +319,6 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Stages != 12 || c.ArraySize != 4096 || c.Window != 100*time.Millisecond {
 		t.Errorf("defaults = %+v", c)
-	}
-}
-
-// TestDeferredExecutionFallback is §5.2's fallback: a 2-partition query
-// on a 1-switch path cannot finish on the data plane; the software
-// analyzer continues from the reported execution status and still flags
-// the victims.
-func TestDeferredExecutionFallback(t *testing.T) {
-	q := query.Q1(40)
-	net, h1, h2 := linearNet(t, 1, 12)
-	o := compiler.AllOpts()
-	o.QID = 1
-	o.Width = 1 << 14
-	p, err := compiler.Compile(q, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := modules.SliceProgram(p, 4) // 2 partitions, 1 switch
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 2 {
-		t.Fatalf("want 2 partitions, got %d", len(parts))
-	}
-	sw := net.Topo.Switches()[0]
-	if err := net.Node(sw).Eng.Install(parts[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	tail := analyzer.NewDeferredTail(q)
-	net.Deferred = func(pkt *packet.Packet) { tail.Process(pkt) }
-
-	victim := uint32(0x0A000001)
-	tr := trace.Generate(trace.Config{Seed: 12, Flows: 100, Duration: 90 * time.Millisecond},
-		trace.SYNFlood{Victim: victim, Packets: 200})
-	runTrace(t, net, tr, h1, h2)
-
-	// The data plane alone reported nothing (its partition has no
-	// threshold R)...
-	if got := len(net.DrainReports()); got != 0 {
-		t.Errorf("partition 0 reported %d times; the tail owns reporting", got)
-	}
-	// ...but the deferred tail caught the victim.
-	if !tail.FlaggedKeys()[uint64(victim)] {
-		t.Fatal("deferred execution missed the victim")
-	}
-	if tail.Packets == 0 {
-		t.Fatal("no snapshots reached the analyzer")
-	}
-	// And it agrees with the exact reference.
-	ref := analyzer.NewEngine(q)
-	ref.Run(tr.Packets)
-	for k := range ref.FlaggedKeys() {
-		if !tail.FlaggedKeys()[k] {
-			t.Errorf("deferred tail missed key %d", k)
-		}
 	}
 }
 

@@ -125,12 +125,11 @@ func (p *Packet) AttachSP(h SPHeader) *SPHeader {
 	return p.SP
 }
 
-// headerLen returns the total header length of the packet as built.
-func (p *Packet) headerLen() int {
-	n := 14 + 20
-	if p.SP != nil {
-		n += SPHeaderLen
-	}
+// monitoredLen returns the length of the packet as its sender built it:
+// a result snapshot a switch attached is not part of it, so every
+// partition of a query sees the one PktLen.
+func (p *Packet) monitoredLen() int {
+	n := 14 + 20 + p.PayloadLen
 	switch {
 	case p.TCP != nil:
 		n += 20
@@ -140,8 +139,14 @@ func (p *Packet) headerLen() int {
 	return n
 }
 
-// Len returns the packet's total on-wire length in bytes.
-func (p *Packet) Len() int { return p.headerLen() + p.PayloadLen }
+// Len returns the packet's total on-wire length in bytes, a result
+// snapshot header included.
+func (p *Packet) Len() int {
+	if p.SP != nil {
+		return p.monitoredLen() + SPHeaderLen
+	}
+	return p.monitoredLen()
+}
 
 // FlowKey is the classic 5-tuple.
 type FlowKey struct {
@@ -232,7 +237,7 @@ func (p *Packet) FieldsInto(v *fields.Vector) {
 	v[fields.DstIP] = uint64(p.IP.Dst)
 	v[fields.Proto] = uint64(p.IP.Proto)
 	v[fields.TTL] = uint64(p.IP.TTL)
-	v[fields.PktLen] = uint64(p.Len())
+	v[fields.PktLen] = uint64(p.monitoredLen())
 	if p.TCP != nil {
 		v[fields.SrcPort] = uint64(p.TCP.SrcPort)
 		v[fields.DstPort] = uint64(p.TCP.DstPort)
@@ -416,24 +421,6 @@ func (h *SPHeader) unmarshal(b []byte) {
 	h.State0 = binary.BigEndian.Uint32(b[2:6])
 	h.State1 = binary.BigEndian.Uint32(b[6:10])
 	h.Global = binary.BigEndian.Uint16(b[10:12])
-}
-
-// MarshalSP encodes an SP header to its 12-byte wire form (exported for
-// tests and tools).
-func MarshalSP(h *SPHeader) []byte {
-	b := make([]byte, SPHeaderLen)
-	h.marshal(b)
-	return b
-}
-
-// UnmarshalSP decodes a 12-byte SP header.
-func UnmarshalSP(b []byte) (*SPHeader, error) {
-	if len(b) < SPHeaderLen {
-		return nil, errors.New("packet: short SP header")
-	}
-	h := &SPHeader{}
-	h.unmarshal(b)
-	return h, nil
 }
 
 func putMAC(b []byte, v uint64) {

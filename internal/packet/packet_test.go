@@ -97,11 +97,33 @@ func TestSPOverheadIs12Bytes(t *testing.T) {
 	}
 }
 
+// TestPktLenExcludesSP: the length a query keys on is the monitored
+// packet's, so a later partition of a cross-switch query, which sees the
+// packet with a result snapshot attached, reads the same PktLen as the
+// first. Len stays the wire length.
+func TestPktLenExcludesSP(t *testing.T) {
+	p := tcpPacket()
+	var before, after fields.Vector
+	p.FieldsInto(&before)
+	wire := p.Len()
+	p.AttachSP(SPHeader{QID: 1, Part: 1})
+	p.FieldsInto(&after)
+	if got, want := after.Get(fields.PktLen), before.Get(fields.PktLen); got != want {
+		t.Errorf("PktLen with a snapshot = %d, want %d", got, want)
+	}
+	if p.Len() != wire+SPHeaderLen {
+		t.Errorf("Len with a snapshot = %d, want %d", p.Len(), wire+SPHeaderLen)
+	}
+}
+
 func TestSPRoundTripQuick(t *testing.T) {
 	f := func(qid uint16, part uint8, s0, s1 uint32, g uint16) bool {
-		h := &SPHeader{QID: qid & 0xFFF, Part: part & 0x0F, State0: s0, State1: s1, Global: g}
-		got, err := UnmarshalSP(MarshalSP(h))
-		return err == nil && *got == *h
+		h := SPHeader{QID: qid & 0xFFF, Part: part & 0x0F, State0: s0, State1: s1, Global: g}
+		var b [SPHeaderLen]byte
+		var got SPHeader
+		h.marshal(b[:])
+		got.unmarshal(b[:])
+		return got == h
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -109,7 +131,9 @@ func TestSPRoundTripQuick(t *testing.T) {
 }
 
 func TestUnmarshalSPShort(t *testing.T) {
-	if _, err := UnmarshalSP(make([]byte, 5)); err == nil {
+	p := tcpPacket()
+	p.AttachSP(SPHeader{QID: 1})
+	if _, err := Decode(p.Serialize()[:14+5]); err == nil {
 		t.Error("short SP should fail")
 	}
 }

@@ -102,10 +102,9 @@ func (p Placement) Entries(partitionRules []int) (total int, avg float64) {
 // CoversPath reports whether a switch path would traverse the query's M
 // partitions in order 0..M-1 (each partition found at or after the
 // previous one's position) — the correctness condition resilient
-// placement guarantees for any possible path. Paths shorter than M
-// cannot complete the query on the data plane; §5.2 defers the remainder
-// to the software analyzer, which CoversPath reflects via the returned
-// completed count.
+// placement guarantees for any possible path. A path that reaches fewer
+// than M partitions does not complete the query on the data plane; the
+// returned count says how many it reaches.
 func (p Placement) CoversPath(path []int, m int) (completed int) {
 	need := 0
 	for _, s := range path {

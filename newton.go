@@ -257,7 +257,7 @@ func NewCollector(window time.Duration, keys FieldMask) *Collector {
 }
 
 // NewReferenceEngine builds the exact software evaluator for a query
-// (ground truth and deferred execution).
+// (ground truth).
 func NewReferenceEngine(q *Query) *ReferenceEngine { return analyzer.NewEngine(q) }
 
 // PlaceResilient runs Algorithm 2: partition a query of totalStages over
