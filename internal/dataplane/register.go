@@ -26,9 +26,14 @@ const (
 
 var saluNames = [numSALUOps]string{"read", "write", "add", "or"}
 
+// Known reports whether op is one of the operations above: Exec and
+// ExecSeq panic on any other, so a program naming one is refused at
+// install.
+func (op SALUOp) Known() bool { return op >= 0 && op < numSALUOps }
+
 // String names the ALU operation.
 func (op SALUOp) String() string {
-	if op >= 0 && op < numSALUOps {
+	if op.Known() {
 		return saluNames[op]
 	}
 	return fmt.Sprintf("salu(%d)", int(op))

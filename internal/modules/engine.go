@@ -278,28 +278,6 @@ func (e *Engine) Remove(qid int) error {
 	return nil
 }
 
-// wellFormed rejects a program no compiler emits but a control channel
-// can carry: a missing branch or op, a module kind without the config
-// Install and Execute reach through, or an H op naming a hash algorithm
-// the first packet it hashes would panic on.
-func (p *Program) wellFormed() error {
-	for bi, b := range p.Branches {
-		if b == nil {
-			return fmt.Errorf("modules: query %d: branch %d is missing", p.QID, bi)
-		}
-		for oi, op := range b.Ops {
-			if op == nil || !(op.Kind == ModK && op.K != nil || op.Kind == ModH && op.H != nil ||
-				op.Kind == ModS && op.S != nil || op.Kind == ModR && op.R != nil) {
-				return fmt.Errorf("modules: query %d branch %d: op %d is missing or lacks its module's config", p.QID, bi, oi)
-			}
-			if op.Kind == ModH && !op.H.Algo.Known() {
-				return fmt.Errorf("modules: query %d branch %d: op %d hashes with unknown %v", p.QID, bi, oi, op.H.Algo)
-			}
-		}
-	}
-	return nil
-}
-
 // internedMask is one entry of Engine.masks.
 type internedMask struct {
 	mask fields.Mask

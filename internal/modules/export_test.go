@@ -31,3 +31,6 @@ func (e *Engine) DropKeyCRCScratch() {
 func (e *Engine) CachedKeyCRCs(lane int) int {
 	return bits.OnesCount64(e.lanes[lane].keys.valid)
 }
+
+// WellFormed is the domain walk Install runs first.
+func (p *Program) WellFormed() error { return p.wellFormed() }

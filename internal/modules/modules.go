@@ -270,3 +270,99 @@ type chainAction struct {
 
 // ActionName implements dataplane.Action.
 func (chainAction) ActionName() string { return "run_chain" }
+
+// domain is one row of the table of what an op's fields may hold: the
+// values the packet path can run. kind is the module whose config holds
+// the field, or anyKind for a field of every op; check returns the
+// field's value and whether it lies in the domain; what names the value
+// in a refusal.
+type domain struct {
+	kind  Kind
+	what  string
+	check func(p *Program, op *Op) (int64, bool)
+}
+
+// anyKind marks a domain row that holds for every op.
+const anyKind Kind = -1
+
+// domains is every field a control channel can set past what Execute
+// indexes or switches on: a value outside its row would index past a
+// field vector or a branch list, name an ALU, a hash or an action the
+// packet path panics on or ignores, or shard a key space no switch
+// owns. The rows run in order and the first that fails refuses the op:
+// the kind rows come first, so a config row only sees its own config.
+var domains = [...]domain{
+	{anyKind, "module kind %d", func(_ *Program, op *Op) (int64, bool) {
+		return int64(op.Kind), op.Kind >= 0 && op.Kind < NumKinds
+	}},
+	{anyKind, "metadata set %d", func(_ *Program, op *Op) (int64, bool) {
+		return int64(op.Set), op.Set == 0 || op.Set == 1
+	}},
+	{anyKind, "kind %d without its module's config", func(_ *Program, op *Op) (int64, bool) {
+		return int64(op.Kind), op.Kind == ModK && op.K != nil || op.Kind == ModH && op.H != nil ||
+			op.Kind == ModS && op.S != nil || op.Kind == ModR && op.R != nil
+	}},
+	{ModH, "hash algorithm %d", func(_ *Program, op *Op) (int64, bool) {
+		return int64(op.H.Algo), op.H.Algo.Known()
+	}},
+	{ModH, "direct field %d", func(_ *Program, op *Op) (int64, bool) {
+		return int64(op.H.Direct), op.H.Direct < fields.NumFields || op.H.Direct == NoField
+	}},
+	{ModS, "ALU op %d", func(_ *Program, op *Op) (int64, bool) {
+		return int64(op.S.ALU), op.S.ALU.Known()
+	}},
+	{ModS, "operand kind %d", func(_ *Program, op *Op) (int64, bool) {
+		return int64(op.S.Operand), op.S.Operand >= OperandConst && op.S.Operand <= OperandHash
+	}},
+	{ModS, "operand field %d", func(_ *Program, op *Op) (int64, bool) {
+		return int64(op.S.Field), op.S.Field < fields.NumFields
+	}},
+	{ModS, "cross read of branch %d", func(p *Program, op *Op) (int64, bool) {
+		return int64(op.S.ReadBranch), !op.S.CrossRead || op.S.ReadBranch >= 0 && op.S.ReadBranch < len(p.Branches)
+	}},
+	{ModS, "owner index %d", func(_ *Program, op *Op) (int64, bool) {
+		return int64(op.S.OwnerIndex), op.S.OwnerCount <= 1 || op.S.OwnerIndex < op.S.OwnerCount
+	}},
+	{ModR, "result action %d", func(_ *Program, op *Op) (int64, bool) {
+		for _, e := range op.R.Entries {
+			for _, a := range e.Actions {
+				if a.Kind < RActReport || a.Kind > RActGlobalScale {
+					return int64(a.Kind), false
+				}
+			}
+		}
+		return 0, true
+	}},
+}
+
+// wellFormed rejects a program no compiler emits but a control channel
+// can carry: a missing branch or op, a partition slot past its count, or
+// an op field outside its row of domains. Every door to Install — the
+// rpc agent, the controller's in-process agents, netsim — runs it, and
+// an accepted program costs it no allocation.
+func (p *Program) wellFormed() error {
+	if p.TotalParts > 1 && (p.Part < 0 || p.Part >= p.TotalParts) {
+		return fmt.Errorf("modules: query %d: partition %d is past its %d partitions", p.QID, p.Part, p.TotalParts)
+	}
+	for bi, b := range p.Branches {
+		if b == nil {
+			return fmt.Errorf("modules: query %d: branch %d is missing", p.QID, bi)
+		}
+		for oi, op := range b.Ops {
+			if op == nil {
+				return fmt.Errorf("modules: query %d branch %d: op %d is missing", p.QID, bi, oi)
+			}
+			for i := range domains {
+				d := &domains[i]
+				if d.kind != anyKind && d.kind != op.Kind {
+					continue
+				}
+				if v, ok := d.check(p, op); !ok {
+					return fmt.Errorf("modules: query %d branch %d: op %d: "+d.what+" is not one the packet path runs",
+						p.QID, bi, oi, v)
+				}
+			}
+		}
+	}
+	return nil
+}

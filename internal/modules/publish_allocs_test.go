@@ -57,3 +57,23 @@ func TestInstallPublishAllocs(t *testing.T) {
 		t.Logf("Install + Remove of q7 beside four q1s: %v allocations", avg)
 	}
 }
+
+// TestWellFormedAllocatesNothing: the domain walk Install runs on every
+// program costs an accepted one no allocation.
+func TestWellFormedAllocatesNothing(t *testing.T) {
+	for i, q := range query.All() {
+		o := compiler.AllOpts()
+		o.QID, o.Width = i+1, 1<<10
+		p, err := compiler.Compile(q, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if err := p.WellFormed(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: the domain walk allocates %v times", q.Name, n)
+		}
+	}
+}

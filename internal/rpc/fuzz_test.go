@@ -3,11 +3,13 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"io"
 	"net"
 	"testing"
 	"time"
+
+	"github.com/newton-net/newton/internal/modules"
+	"github.com/newton-net/newton/internal/wire"
 )
 
 // framed is v as one control-channel frame.
@@ -25,21 +27,24 @@ func framed(t testing.TB, v any) []byte {
 // never panics, and installs nothing unless a well-formed install
 // request was among the frames it could read.
 func FuzzAgentConn(f *testing.F) {
-	install := framed(f, &Request{Type: typeInstall, ID: 7, Program: compileQ1(f, 1)})
+	q1 := wire.AppendProgram(nil, compileQ1(f, 1))
+	install := framed(f, &Request{Type: typeInstall, ID: 7, Program: q1})
 	f.Add(install)
 	f.Add(append(install, framed(f, &Request{Type: typeRemove, QID: 1})...))
 	f.Add(install[:len(install)/2]) // truncated frame
 	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrame+1))
 	f.Add(framed(f, &Request{Type: typeInstall}))
 	// Programs no compiler emits: a module without its config, a kind no
-	// suite has, a branch and an op that are not there.
-	for _, prog := range []string{
-		`{"QID":1,"Branches":[{"Ops":[{"Kind":0,"Stage":1}]}]}`,
-		`{"QID":1,"Branches":[{"Ops":[{"Kind":9,"Stage":1,"K":{}}]}]}`,
-		`{"QID":1,"Branches":[null]}`,
-		`{"QID":1,"Branches":[{"Ops":[null]}]}`,
+	// suite has, a program cut short, and op totals past the end.
+	for _, prog := range [][]byte{
+		wire.AppendProgram(nil, &modules.Program{QID: 1, Branches: []*modules.BranchProgram{
+			{Ops: []*modules.Op{{Kind: modules.ModK, Stage: 1}}}}}),
+		wire.AppendProgram(nil, &modules.Program{QID: 1, Branches: []*modules.BranchProgram{
+			{Ops: []*modules.Op{{Kind: 9, Stage: 1, K: &modules.KConfig{}}}}}}),
+		q1[:len(q1)/2],
+		{wire.ProgramVersion, 1, 0xFF, 0xFF, 0x03, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 0},
 	} {
-		f.Add(framed(f, json.RawMessage(`{"type":"install","program":`+prog+`}`)))
+		f.Add(framed(f, &Request{Type: typeInstall, Program: prog}))
 	}
 	f.Add(append(framed(f, &Request{Type: typeEpoch}), framed(f, &Request{Type: typeDrain, DrainAck: 9})...))
 
@@ -68,7 +73,7 @@ func FuzzAgentConn(f *testing.F) {
 			if ReadFrame(r, &req) != nil {
 				break
 			}
-			sawInstall = sawInstall || req.Type == typeInstall && req.Program != nil
+			sawInstall = sawInstall || req.Type == typeInstall && len(req.Program) > 0
 		}
 		if n := agent.eng.InstalledCount(); n != 0 && !sawInstall {
 			t.Fatalf("%d programs installed by a stream without an install request", n)

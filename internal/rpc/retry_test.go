@@ -9,6 +9,7 @@ import (
 
 	"github.com/newton-net/newton/internal/faults"
 	"github.com/newton-net/newton/internal/packet"
+	"github.com/newton-net/newton/internal/wire"
 )
 
 // agentOverTCP serves one agent on a loopback listener (optionally
@@ -180,7 +181,7 @@ func TestDrainCursorNeverDoubleDelivers(t *testing.T) {
 	go agent.HandleConn(server)
 	defer client.Close()
 
-	install := compileQ1(t, 1)
+	install := wire.AppendProgram(nil, compileQ1(t, 1))
 	if err := WriteFrame(client, &Request{Type: typeInstall, Program: install, ID: 100}); err != nil {
 		t.Fatal(err)
 	}

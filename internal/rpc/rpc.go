@@ -1,8 +1,12 @@
 // Package rpc is the control channel between the Newton controller and
 // switch agents — the role P4Runtime plays on real Tofino deployments.
-// It carries compiled programs, rule operations, window-epoch ticks, and
-// report drains over TCP as length-framed JSON messages, using only the
-// standard library.
+// It carries installs, removals, window-epoch ticks, and report drains
+// over TCP as length-framed JSON messages, using only the standard
+// library. An install carries no JSON of the engine's structs: its
+// program is internal/wire's program encoding, the rules it installs,
+// which the agent decodes into one arena per program and hands to
+// Engine.Install, where every field is checked against modules' domain
+// table before anything reaches the packet path.
 //
 // The same length-framed encoding (WriteFrame/ReadFrame) carries the
 // hello / hello-ack handshake that opens a telemetry stream
@@ -33,10 +37,11 @@ import (
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/obs"
+	"github.com/newton-net/newton/internal/wire"
 )
 
-// MaxFrame bounds one message (a compiled program is a few KB; a report
-// drain or telemetry batch a few hundred KB at worst).
+// MaxFrame bounds one message (an install is under 2 KB; a report drain
+// or telemetry batch a few hundred KB at worst).
 const MaxFrame = 8 << 20
 
 // ErrFrameTooLarge is returned when a frame exceeds MaxFrame in either
@@ -98,9 +103,14 @@ const (
 
 // Request is one controller → agent message.
 type Request struct {
-	Type    string           `json:"type"`
-	QID     int              `json:"qid,omitempty"`
-	Program *modules.Program `json:"program,omitempty"`
+	Type string `json:"type"`
+	QID  int    `json:"qid,omitempty"`
+	// Program (install only) is the compiled program in internal/wire's
+	// program encoding: the rules it installs, not the engine's structs.
+	// Its key is "rules", not the "program" under which earlier versions
+	// sent the structs as JSON objects, so a peer of the other format
+	// reads an install without a program and is refused, not dropped.
+	Program []byte `json:"rules,omitempty"`
 
 	// ID identifies the logical call. A client reuses the same ID across
 	// retry attempts of one call, so the agent's replay cache can answer
@@ -451,10 +461,14 @@ func errResponse(err error) *Response {
 func (a *Agent) execute(req *Request) *Response {
 	switch req.Type {
 	case typeInstall:
-		if req.Program == nil {
+		if len(req.Program) == 0 {
 			return &Response{Error: "install without program"}
 		}
-		if err := a.eng.Install(req.Program); err != nil {
+		p, err := wire.DecodeProgram(req.Program)
+		if err != nil {
+			return errResponse(err)
+		}
+		if err := a.eng.Install(p); err != nil {
 			return errResponse(err)
 		}
 		return &Response{OK: true}
@@ -807,9 +821,10 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 	return c.roundTripLocked(req)
 }
 
-// Install loads a compiled program into the remote engine.
+// Install loads a compiled program into the remote engine. The program
+// travels in internal/wire's program encoding.
 func (c *Client) Install(p *modules.Program) error {
-	_, err := c.roundTrip(&Request{Type: typeInstall, Program: p})
+	_, err := c.roundTrip(&Request{Type: typeInstall, Program: wire.AppendProgram(nil, p)})
 	return err
 }
 

@@ -294,7 +294,7 @@ func TestFrameLimits(t *testing.T) {
 
 func TestProgramSurvivesJSONRoundTrip(t *testing.T) {
 	// Install the same compiled query locally and remotely; footprints
-	// must match, proving the wire encoding loses nothing the engine
+	// must match, proving the install encoding loses nothing the engine
 	// needs.
 	local, _ := testAgent(t)
 	if err := local.eng.Install(compileQ1(t, 1)); err != nil {

@@ -146,41 +146,50 @@ func DecodeReportsInto(dst []dataplane.Report, payload []byte, streamID string) 
 	return out, nil
 }
 
-// appendMask encodes a key mask as a bitmap of its nonzero entries
-// followed by each nonzero entry's bit pattern (partial masks — derived
+// appendMask encodes a key mask as its words (partial masks — derived
 // keys like /24 prefixes — carry full 64-bit patterns).
-func appendMask(dst []byte, m fields.Mask) []byte {
+func appendMask(dst []byte, m fields.Mask) []byte { return appendWords(dst, m[:]) }
+
+func (r *reader) mask() fields.Mask {
+	var m fields.Mask
+	r.words(m[:])
+	return m
+}
+
+// appendWords encodes fewer than 64 words as a bitmap of the nonzero ones
+// followed by each of those.
+func appendWords(dst []byte, w []uint64) []byte {
 	bitmap := uint64(0)
-	for id := fields.ID(0); id < fields.NumFields; id++ {
-		if m[id] != 0 {
-			bitmap |= 1 << id
+	for i, v := range w {
+		if v != 0 {
+			bitmap |= 1 << i
 		}
 	}
 	dst = binary.AppendUvarint(dst, bitmap)
-	for id := fields.ID(0); id < fields.NumFields; id++ {
-		if m[id] != 0 {
-			dst = binary.AppendUvarint(dst, m[id])
+	for _, v := range w {
+		if v != 0 {
+			dst = binary.AppendUvarint(dst, v)
 		}
 	}
 	return dst
 }
 
-func (r *reader) mask() fields.Mask {
-	var m fields.Mask
+// words decodes what appendWords wrote for len(w) words into w, which
+// must be zero.
+func (r *reader) words(w []uint64) {
 	bitmap := r.uvarint()
-	if bitmap >= 1<<fields.NumFields {
+	if bitmap >= 1<<len(w) {
 		if r.err == nil {
-			r.err = fmt.Errorf("%w: mask bitmap %#x", ErrMalformed, bitmap)
+			r.err = fmt.Errorf("%w: word bitmap %#x", ErrMalformed, bitmap)
 		}
-		return m
+		return
 	}
-	for id := fields.ID(0); id < fields.NumFields; id++ {
-		if bitmap&(1<<id) != 0 {
-			m[id] = r.uvarint()
-			if m[id] == 0 && r.err == nil {
-				r.err = fmt.Errorf("%w: zero mask entry for set bitmap bit", ErrMalformed)
+	for i := range w {
+		if bitmap&(1<<i) != 0 {
+			w[i] = r.uvarint()
+			if w[i] == 0 && r.err == nil {
+				r.err = fmt.Errorf("%w: zero word for set bitmap bit", ErrMalformed)
 			}
 		}
 	}
-	return m
 }

@@ -1,11 +1,17 @@
-// Package wire is the binary telemetry wire protocol: a versioned
-// little-endian framing plus columnar binary codecs for the telemetry
-// plane's hot frames (report batches and epoch state-bank snapshots).
+// Package wire holds Newton's binary encodings: the telemetry wire
+// protocol — a versioned little-endian framing plus columnar binary
+// codecs for the telemetry plane's hot frames (report batches and epoch
+// state-bank snapshots) — and the program encoding an install carries
+// on the control channel (program.go).
 //
 // The control channel and the telemetry hello/hello-ack negotiation
-// keep the length-framed JSON encoding (internal/rpc) — it is the
-// bootstrap both sides of any version speak. After the hello is acked,
-// every frame on the stream is:
+// keep the length-framed JSON encoding (internal/rpc), but a program
+// inside an install is AppendProgram's bytes, decoded by DecodeProgram
+// into one backing array per kind of part. The control channel has no
+// version of its own: the install carries the bytes under a key the
+// JSON-struct format never used, so a peer of that format is refused
+// an install without a program rather than dropped. After the hello is acked, every frame
+// on the telemetry stream is:
 //
 //	offset  size  field
 //	0       2     magic 0x574E ("NW", little-endian)
@@ -32,8 +38,8 @@
 // allocates nothing per frame at either end.
 //
 // Every decode path is total: truncated, oversized, corrupt-CRC, or
-// malformed inputs return typed errors, never panic — the fuzz harness
-// (FuzzWireRoundTrip) holds the codec to that.
+// malformed inputs return typed errors, never panic — the fuzz harnesses
+// (FuzzWireRoundTrip, FuzzDecodeProgram) hold the codecs to that.
 package wire
 
 import (
@@ -289,7 +295,9 @@ func (fr *FrameReader) Next() (Header, []byte, error) {
 	return hdr, fr.inflated, nil
 }
 
-// reader is a sticky-error varint cursor over one payload.
+// reader is a sticky-error varint cursor over one payload. It refuses
+// a varint encoded in more bytes than its value needs: every encoder
+// writes minimal varints, so a payload has one encoding.
 type reader struct {
 	b   []byte
 	off int
@@ -310,6 +318,11 @@ func (r *reader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
 		r.fail()
+		return 0
+	}
+	if n > 1 && r.b[r.off+n-1] == 0 {
+		r.err = fmt.Errorf("%w: non-minimal varint", ErrMalformed)
+		r.off = len(r.b)
 		return 0
 	}
 	r.off += n

@@ -389,6 +389,20 @@ func TestReportsRejectTruncation(t *testing.T) {
 	}
 }
 
+// TestReportsRejectOverlongVarint: a varint in more bytes than its value
+// needs is malformed, as in every payload: a batch has one encoding.
+func TestReportsRejectOverlongVarint(t *testing.T) {
+	rs := []dataplane.Report{{QueryID: 1, TS: 5, State: 3}}
+	payload := AppendReports(nil, "s1", rs)
+	if payload[0] >= 0x80 {
+		t.Fatalf("run count %#x is not one byte", payload[0])
+	}
+	overlong := append([]byte{payload[0] | 0x80, 0}, payload[1:]...)
+	if _, err := DecodeReports(overlong, "s1"); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("run count in two bytes: %v, want ErrMalformed", err)
+	}
+}
+
 // --- snapshot codec ---
 
 func TestSnapshotKeyframeRoundTrip(t *testing.T) {
