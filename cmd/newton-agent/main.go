@@ -3,11 +3,16 @@
 // pipeline, and serves the control channel so a remote controller can
 // install, remove, and drain queries over TCP.
 //
+// The switch is the one node of a one-switch netsim network: each replay
+// loop is one DeliverBatch on the network's virtual clock, which shards
+// packets over the -workers lanes and ends every window through the
+// control agent, as a controller's next_epoch does.
+//
 // With -analyzer, the agent additionally opens a streaming telemetry
-// connection and pushes mirrored reports (batched, through a bounded
-// ring with the chosen overflow policy) and epoch-boundary state-bank
-// snapshots to a newton-analyzer process, instead of waiting to be
-// polled.
+// connection, and every window end pushes the window's mirrored reports
+// (batched, through a bounded ring with the chosen overflow policy) and
+// then its state-bank snapshot to a newton-analyzer process, instead of
+// waiting to be polled.
 //
 // Usage:
 //
@@ -24,14 +29,11 @@ import (
 	"log"
 	"net"
 	"os"
-	"sync"
 	"time"
 
-	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/modules"
+	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/obs"
-	"github.com/newton-net/newton/internal/packet"
-	"github.com/newton-net/newton/internal/rpc"
 	"github.com/newton-net/newton/internal/telemetry"
 	"github.com/newton-net/newton/internal/trace"
 	"github.com/newton-net/newton/internal/version"
@@ -63,27 +65,18 @@ func main() {
 		return
 	}
 
-	W := max(*workers, 1)
-
-	layout, err := modules.NewLayout(modules.LayoutCompact, *stages, uint32(*arraySize))
+	sw, err := newReplaySwitch(*name, netsim.Config{Stages: *stages, ArraySize: uint32(*arraySize),
+		Window: *window, Workers: *workers})
 	if err != nil {
 		log.Fatalf("newton-agent: %v", err)
 	}
-	eng := modules.NewEngine(layout)
-	eng.SetWorkers(W)
-	sw := dataplane.NewSwitch(*name, *stages, modules.StageCapacity())
-	sw.SetLanes(W)
-	if err := sw.AddRoute(0, 0, 1); err != nil {
-		log.Fatal(err)
-	}
-	sw.Monitor = eng
+	eng, agent := sw.node.Eng, sw.agent
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("newton-agent: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "newton-agent: %s serving control channel on %s\n", *name, ln.Addr())
-	agent := rpc.NewAgent(sw, eng)
 	agent.OnError = func(err error) {
 		fmt.Fprintf(os.Stderr, "newton-agent: control channel: %v\n", err)
 	}
@@ -112,10 +105,11 @@ func main() {
 		default:
 			log.Fatalf("newton-agent: unknown -export-policy %q", *policy)
 		}
-		// DialAttached wires the control agent's epoch hooks in one step
-		// (and unwires them if the dial fails); the exporter then
-		// auto-reconnects after analyzer outages, replaying its latest
-		// epoch snapshot, so the agent never needs a restart.
+		// DialAttached makes the exporter part of the agent's window end
+		// in one step (and unwires it if the dial fails): every window
+		// end ships the switch's reports, then its banks, then rolls. The
+		// exporter auto-reconnects after analyzer outages, replaying its
+		// latest epoch snapshot, so the agent never needs a restart.
 		exp, err = telemetry.DialAttached(*analyzer, telemetry.ExporterConfig{
 			SwitchID:  *name,
 			RingSize:  *ringSize,
@@ -138,14 +132,6 @@ func main() {
 		}
 	}()
 
-	// push drains the switch's mirrored reports into the telemetry
-	// stream (no-op when no analyzer is attached: the controller polls).
-	push := func() {
-		if exp != nil {
-			exp.Export(sw.DrainReports())
-		}
-	}
-
 	if *pcapPath == "" {
 		select {} // control plane only; serve until killed
 	}
@@ -163,65 +149,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "newton-agent: skipped %d undecodable packets\n", skipped)
 	}
 
-	// Replay lanes: packets shard by symmetric flow hash so both
-	// directions of a flow replay in order on one lane, each worker drives
-	// the switch lane of its index (whose buffer keeps its reports), and
-	// lanes join at every window boundary before the epoch rolls.
-	shards := make([][]*packet.Packet, W)
-	var wg sync.WaitGroup
-	processWindow := func(seg []*packet.Packet) {
-		if W == 1 {
-			for _, pkt := range seg {
-				sw.Process(pkt)
-			}
-			return
-		}
-		for w := range shards {
-			shards[w] = shards[w][:0]
-		}
-		for _, pkt := range seg {
-			w := int(pkt.Flow().LaneHash() % uint64(W))
-			shards[w] = append(shards[w], pkt)
-		}
-		wg.Add(W)
-		for w := range shards {
-			go func(w int) {
-				defer wg.Done()
-				for _, pkt := range shards[w] {
-					sw.ProcessLane(pkt, w)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
 	for l := 0; l < *loop; l++ {
-		nextEpoch := uint64(*window)
-		start := 0
-		for start < len(pkts) {
-			end := start
-			for end < len(pkts) && pkts[end].TS < nextEpoch {
-				end++
-			}
-			if end > start {
-				processWindow(pkts[start:end])
-				start = end
-			}
-			if start < len(pkts) {
-				// The next packet crosses the boundary: flush mirrors,
-				// roll the window, then resume. The roll takes the control
-				// channel's lock, as a controller's next_epoch does, and
-				// the exporter's hook ships the ending epoch first.
-				push()
-				agent.NextEpoch()
-				nextEpoch += uint64(*window)
-			}
-		}
-		push()
-		agent.NextEpoch()
-		c := sw.Counters()
+		sw.replayLoop(pkts)
+		c := sw.node.DP.Counters()
 		fmt.Fprintf(os.Stderr, "newton-agent: loop %d/%d done (rx=%d tx=%d dropped=%d, %d reports pending)\n",
-			l+1, *loop, c.Rx, c.Tx, c.Dropped, sw.PendingReports())
+			l+1, *loop, c.Rx, c.Tx, c.Dropped, sw.node.DP.PendingReports())
 		if *gap > 0 {
 			time.Sleep(*gap)
 		}

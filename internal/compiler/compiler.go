@@ -212,6 +212,9 @@ func decompose(q *query.Query, prims []query.Primitive, o Options) ([]*unit, err
 			&modules.Op{Kind: modules.ModR, R: &modules.RConfig{Entries: []modules.REntry{{Lo: -rInf, Hi: rInf}}}})
 	}
 
+	// counts is whether the last reduce counts packets (steps by one)
+	// rather than summing a field.
+	counts := true
 	for pi, pr := range prims {
 		lastPrim := pi == len(prims)-1
 		switch pr.Kind {
@@ -251,7 +254,7 @@ func decompose(q *query.Query, prims []query.Primitive, o Options) ([]*unit, err
 						&modules.Op{Kind: modules.ModH, H: &modules.HConfig{Algo: sketch.FNV1a, Seed: filterSeed, Direct: modules.NoField}},
 						&modules.Op{Kind: modules.ModS, S: &modules.SConfig{PassThrough: true}})
 				}
-				entries := resultEntries(q, pred, lastPrim)
+				entries := resultEntries(q, pred, lastPrim, counts)
 				if q.Merge == nil && lastPrim && (pred.Op == query.CmpGt || pred.Op == query.CmpGe) {
 					u.reportR = true
 				}
@@ -296,8 +299,9 @@ func decompose(q *query.Query, prims []query.Primitive, o Options) ([]*unit, err
 			units = append(units, gate)
 
 		case query.KindReduce:
+			counts = pr.Value == query.ValueOne
 			operand, constv, fieldv := modules.OperandConst, uint32(1), fields.ID(0)
-			if pr.Value != query.ValueOne {
+			if !counts {
 				operand, fieldv = modules.OperandField, pr.Value
 			}
 			for r := 0; r < o.ReduceRows; r++ {
@@ -324,15 +328,21 @@ func decompose(q *query.Query, prims []query.Primitive, o Options) ([]*unit, err
 	return units, nil
 }
 
-// resultEntries compiles a result predicate into R entries. For the
-// final threshold of a single-branch query, the exact crossing value
-// (threshold + 1, counts increment by one) gets the report action —
-// Newton's accurate "report once per key per window" exportation.
-func resultEntries(q *query.Query, pred query.Predicate, lastPrim bool) []modules.REntry {
+// resultEntries compiles a result predicate into R entries. The final
+// threshold of a single-branch query reports. A count steps by one, so
+// its exact crossing value gets the report action — Newton's accurate
+// "report once per key per window" exportation. A sum steps by the
+// summed field and can jump any one value, so every value past its
+// threshold reports, and the analyzer counts a key once a window.
+func resultEntries(q *query.Query, pred query.Predicate, lastPrim, counts bool) []modules.REntry {
 	lo, hi := predRange(pred)
 	if q.Merge == nil && lastPrim && (pred.Op == query.CmpGt || pred.Op == query.CmpGe) {
+		report := []modules.RAct{{Kind: modules.RActReport}}
+		if !counts {
+			return []modules.REntry{{Lo: lo, Hi: hi, Actions: report}}
+		}
 		return []modules.REntry{
-			{Lo: lo, Hi: lo, Actions: []modules.RAct{{Kind: modules.RActReport}}},
+			{Lo: lo, Hi: lo, Actions: report},
 			{Lo: lo + 1, Hi: hi}, // already reported this window → continue silently
 		}
 	}

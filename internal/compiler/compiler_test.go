@@ -251,6 +251,39 @@ func TestDataplaneMatchesReferenceSingleBranch(t *testing.T) {
 	}
 }
 
+// TestDataplaneMatchesReferenceSums: a single-branch sum steps by the
+// summed field, so it jumps past threshold + 1 where a count lands on
+// it; the compiled query still flags exactly the reference's keys.
+func TestDataplaneMatchesReferenceSums(t *testing.T) {
+	tr := trace.Generate(trace.Config{Seed: 3, Flows: 400, Duration: 300 * time.Millisecond},
+		trace.SYNFlood{Victim: 0x0A0000AA, Packets: 300})
+	for _, src := range []string{
+		"map(dip) | reduce(dip, sum(len)) | filter(result > 5000)",
+		"filter(proto == tcp) | map(sip) | reduce(sip, sum(len)) | filter(result >= 20000)",
+	} {
+		q, err := query.Parse("sum", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := runDataplane(t, q, Options{Opt1: true, Opt2: true, Opt3: true, Width: 1 << 15}, tr)
+		want := refFlagged(q, tr)
+		if len(want) == 0 {
+			t.Fatalf("%s: the reference flags no key; the trace does not exercise the threshold", src)
+		}
+		for k := range want {
+			if !got[k] {
+				t.Errorf("%s: data plane missed key %d", src, k)
+			}
+		}
+		for k := range got {
+			if !want[k] {
+				t.Errorf("%s: data plane falsely flagged key %d", src, k)
+			}
+		}
+		t.Logf("%s: %d keys flagged", src, len(want))
+	}
+}
+
 // TestDataplaneMatchesReferenceMergeQueries checks the merge queries:
 // the data plane reports at threshold crossing (streaming) while the
 // reference evaluates at window close, so the data plane may

@@ -108,7 +108,7 @@ func (a local) Install(p *modules.Program) error { return a.node.Eng.Install(p.C
 func (a local) Remove(qid int) error             { return a.node.Eng.Remove(qid) }
 
 func (a local) NextEpoch() error {
-	a.node.Eng.RollEpoch()
+	a.node.EndWindow()
 	return nil
 }
 

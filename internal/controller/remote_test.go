@@ -101,7 +101,7 @@ func fakeFixture(t *testing.T, n int) (*Remote, []*dataplane.Switch) {
 	var sws []*dataplane.Switch
 	for i := 0; i < n; i++ {
 		sw, eng := bareSwitch(t, string(rune('a'+i)))
-		agents[sw.ID] = &fakeAgent{local: local{&netsim.Node{DP: sw, Eng: eng}}}
+		agents[sw.ID] = &fakeAgent{local: local{&netsim.Node{DP: sw, Eng: eng, EndWindow: eng.RollEpoch}}}
 		sws = append(sws, sw)
 	}
 	return newRemote(agents, 1), sws

@@ -124,18 +124,13 @@ func ExportOverhead(nSwitches int, dur time.Duration) *ExportResult {
 		bytes.Store(0)
 
 		reports := 0
-		sync := func() {
+		sync := func() { // a pushing switch's tick ships its reports
 			if f.Svc == nil {
 				rs, err := f.Ctl.Collect() // polls every agent, empty or not
 				if err != nil {
 					panic(err)
 				}
 				reports += len(rs)
-			} else {
-				for _, name := range f.Names {
-					sw := f.Switches[name]
-					sw.Exporter.Export(sw.Node.DP.DrainReports())
-				}
 			}
 			if err := f.Ctl.Tick(); err != nil {
 				panic(err)

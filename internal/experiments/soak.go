@@ -100,6 +100,10 @@ type SoakResult struct {
 	ProvenanceMixups   int
 	TrackedAgentsFinal int
 
+	// The analyzer's raw reports and missed epochs (a killed switch
+	// misses windows, so gaps are reported, not asserted).
+	AnalyzerReports, EpochGaps uint64
+
 	Violations []string
 }
 
@@ -529,6 +533,8 @@ func Soak(cfg SoakConfig) *SoakResult {
 	res.P50Deploy = quantileNs(allNs, 0.50)
 	res.P99Deploy = quantileNs(allNs, 0.99)
 	res.TrackedAgentsFinal = sn.Svc.TrackedAgents()
+	svc := sn.Svc.Stats()
+	res.AnalyzerReports, res.EpochGaps = svc.Reports, svc.EpochGaps
 
 	heapEnd := heapMB()
 	if heapAfterWarmup > 0 {
@@ -547,6 +553,10 @@ func Soak(cfg SoakConfig) *SoakResult {
 	if res.Kills > 0 && int(res.AutoUndrains) < res.Kills {
 		res.Violations = append(res.Violations, fmt.Sprintf(
 			"only %d auto-undrains for %d kills: a recovered switch was never re-admitted", res.AutoUndrains, res.Kills))
+	}
+	if res.AnalyzerReports == 0 {
+		res.Violations = append(res.Violations,
+			"no report reached the analyzer: the SYN flood was never alerted on")
 	}
 	if res.HeapGrowthMB > soakMaxHeapGrowthMB {
 		res.Violations = append(res.Violations, fmt.Sprintf(
@@ -626,6 +636,8 @@ func (r *SoakResult) String() string {
 	t.add("Goroutines (baseline -> end)", fmt.Sprintf("%d -> %d", r.GoroutineBaseline, r.GoroutineEnd))
 	t.add("Provenance mixups", i2s(r.ProvenanceMixups))
 	t.add("Tracked agents (final)", i2s(r.TrackedAgentsFinal))
+	t.add("Reports at the analyzer", fmt.Sprintf("%d", r.AnalyzerReports))
+	t.add("Analyzer epoch gaps", fmt.Sprintf("%d", r.EpochGaps))
 	verdict := "PASS"
 	if !r.Passed() {
 		verdict = fmt.Sprintf("FAIL (%d violations)", len(r.Violations))
@@ -650,6 +662,8 @@ func (r *SoakResult) Metrics() map[string]float64 {
 		"heap_growth_mb":    r.HeapGrowthMB,
 		"goroutine_delta":   float64(r.GoroutineEnd - r.GoroutineBaseline),
 		"provenance_mixups": float64(r.ProvenanceMixups),
+		"analyzer_reports":  float64(r.AnalyzerReports),
+		"epoch_gaps":        float64(r.EpochGaps),
 		"violations":        float64(len(r.Violations)),
 	}
 	for i, d := range r.MTTRDrain {

@@ -10,7 +10,8 @@ import (
 // Reconverge) driving every drain and re-admission. The run's own
 // Violations list carries the assertions: bounded heap growth,
 // goroutine stability, every kill auto-drained and re-admitted, a fully
-// reconverged end state, and zero cross-tenant provenance mixups.
+// reconverged end state, zero cross-tenant provenance mixups, and
+// reports reaching the analyzer.
 func TestSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak run is seconds-long")

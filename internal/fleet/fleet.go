@@ -3,7 +3,9 @@
 // netsim.Network, one rpc.Agent per switch served over net.Pipe or
 // loopback TCP, one rpc.Client per agent, optionally one
 // telemetry.Exporter per switch streaming into one telemetry.Service,
-// and a controller.Remote over the clients. An orchestrator is one line
+// and a controller.Remote over the clients. The netsim clock and the
+// controller's Tick both end a window in the agent's NextEpoch: reports,
+// then banks, then the roll. An orchestrator is one line
 // at the caller — orchestrator.New(Config{Topo, Budgets: f.Budgets()},
 // f.Ctl) — so its own tests can build on this package.
 //
@@ -139,10 +141,11 @@ func (l wrapListener) Accept() (net.Conn, error) {
 	return l.f.cfg.Wrap(l.name, c), nil
 }
 
-// up gives sw an agent over its node's current engine, serves it, and
-// (with telemetry configured) attaches a new exporter to it.
+// up gives sw an agent over its node's current engine, the netsim clock
+// included, serves it, and (with telemetry) attaches a new exporter.
 func (f *Fleet) up(sw *Switch) error {
 	sw.agent = rpc.NewAgent(sw.Node.DP, sw.Node.Eng)
+	sw.Node.EndWindow = sw.agent.NextEpoch
 	if f.cfg.TCP {
 		ln, err := net.Listen("tcp", sw.addr)
 		if err != nil {

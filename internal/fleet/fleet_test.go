@@ -56,54 +56,100 @@ func eventually(cond func() bool) bool {
 	}
 }
 
+// alerted waits for a report of qid to reach the controller's Collect.
+func alerted(t *testing.T, f *Fleet, qid int) bool {
+	return eventually(func() bool {
+		rs, err := f.Ctl.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			if r.QueryID == qid {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// fullEpoch waits for every shard's banks of qid's epoch to merge.
+func fullEpoch(t *testing.T, f *Fleet, qid int, epoch uint32) {
+	t.Helper()
+	var missing []string
+	var merged int
+	full := eventually(func() bool {
+		var partial bool
+		partial, missing, merged = f.Svc.EpochStatus(qid, epoch)
+		return !partial && merged == len(f.Names)
+	})
+	if !full {
+		t.Fatalf("epoch %d: merged %d of %d shards, missing %v", epoch, merged, len(f.Names), missing)
+	}
+}
+
 // TestFleetAlertAndFullEpoch drives the whole stack once: packets
-// through the netsim, the flagged key through an exporter, the service's
-// dedup and the controller's Collect, and one epoch's banks from every
-// shard into a merged epoch nobody is missing from.
+// through the netsim, the controller's tick ending the window, the
+// flagged key through an exporter, the service's dedup and the
+// controller's Collect, and the epoch's banks from every shard into a
+// merged epoch nobody is missing from.
 func TestFleetAlertAndFullEpoch(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tcp bool) {
 		f, h1, h2, qid := line3(t, tcp)
 		defer f.Close()
 
 		const victim = 0x0A0000AA
-		// Shorter than netsim's window: only Ctl.Tick rolls the epoch.
+		// Shorter than netsim's window: Ctl.Tick ends the only window.
 		flood := trace.Generate(trace.Config{Seed: 7, Flows: 50, Duration: 50 * time.Millisecond},
 			trace.SYNFlood{Victim: victim, Packets: 200})
 		for _, pkt := range flood.Packets {
 			f.Net.Deliver(pkt, h1, h2)
 		}
-		for _, name := range f.Names {
-			f.Switches[name].Exporter.Export(f.Switches[name].Node.DP.DrainReports())
-		}
-		alerted := eventually(func() bool {
-			rs, err := f.Ctl.Collect()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rs {
-				if r.QueryID == qid {
-					return true
-				}
-			}
-			return false
-		})
-		if !alerted {
-			t.Fatal("no alert for the SYN flood reached the controller through the service")
-		}
-
 		epoch := f.Switches["s1"].Node.Layout.Epoch()
 		if err := f.Ctl.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		var missing []string
-		var merged int
-		full := eventually(func() bool {
-			var partial bool
-			partial, missing, merged = f.Svc.EpochStatus(qid, epoch)
-			return !partial && merged == len(f.Names)
-		})
-		if !full {
-			t.Fatalf("epoch %d: merged %d of %d shards, missing %v", epoch, merged, len(f.Names), missing)
+		if !alerted(t, f, qid) {
+			t.Fatal("no alert for the SYN flood reached the controller through the service")
+		}
+		fullEpoch(t, f, qid, epoch)
+	})
+}
+
+// TestFleetWindowEnd: the netsim clock and the controller's tick end a
+// switch's window the same way. A trace that crosses three netsim
+// window boundaries, then one tick, advances every switch by four
+// epochs; each of the four merges from every shard with no epoch gap,
+// and the flood's alert reaches Collect without anyone pushing reports.
+func TestFleetWindowEnd(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tcp bool) {
+		f, h1, h2, qid := line3(t, tcp)
+		defer f.Close()
+
+		start := map[string]uint32{}
+		for _, name := range f.Names {
+			start[name] = f.Switches[name].Node.Layout.Epoch()
+		}
+		flood := trace.Generate(trace.Config{Seed: 7, Flows: 50, Duration: 350 * time.Millisecond},
+			trace.SYNFlood{Victim: 0x0A0000AA, Packets: 800})
+		for _, pkt := range flood.Packets {
+			f.Net.Deliver(pkt, h1, h2)
+		}
+		if err := f.Ctl.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range f.Names {
+			if got := f.Switches[name].Node.Layout.Epoch(); got != start[name]+4 {
+				t.Errorf("%s: epoch %d after three netsim windows and a tick, want %d", name, got, start[name]+4)
+			}
+		}
+		if !alerted(t, f, qid) {
+			t.Fatal("no alert for the SYN flood reached the controller through the service")
+		}
+		for e := start["s1"]; e < start["s1"]+4; e++ {
+			fullEpoch(t, f, qid, e)
+		}
+		if gaps := f.Svc.Stats().EpochGaps; gaps != 0 {
+			t.Errorf("analyzer counts %d epoch gaps, want 0", gaps)
 		}
 	})
 }

@@ -221,14 +221,24 @@ func TestSliceRefusesStaleHash(t *testing.T) {
 // TestSliceRefusesSaturatedGlobal: the result snapshot carries the
 // global result saturated to 16 bits. A byte count cut off from its
 // threshold test would reach the next switch capped at 32767 and never
-// pass 40000, and q8's merge cut between its ×512 scale and its
-// subtraction would subtract from the capped value, so SliceProgram
-// refuses those cuts. The same count under a threshold inside 16 bits
-// slices at every budget, and a cut before the count is set is fine.
+// pass 40000, a byte count reports every value past its threshold (a sum
+// can jump the crossing value), so its reports past 16 bits would carry
+// the capped global, and q8's merge cut between its ×512 scale and its
+// subtraction would subtract from the capped value: SliceProgram refuses
+// those cuts. A packet count under a threshold inside 16 bits reports at
+// its crossing value and slices at every budget, and a cut before the
+// global is set is fine.
 func TestSliceRefusesSaturatedGlobal(t *testing.T) {
-	for th, want := range map[uint64][]int{40: {1, 2, 3, 4, 5}, 40000: {3}} {
-		q := query.New("heavy_bytes").Map(fields.DstIP).ReduceSum(fields.PktLen, fields.DstIP).FilterResultGt(th).Build()
-		p, err := compiler.Compile(q, compiler.AllOpts())
+	for _, c := range []struct {
+		bytes bool
+		th    uint64
+		want  []int
+	}{{true, 40, []int{3}}, {true, 40000, []int{3}}, {false, 40, []int{1, 2, 3, 4, 5}}} {
+		b := query.New("heavy").Map(fields.DstIP).ReduceCount(fields.DstIP)
+		if c.bytes {
+			b = query.New("heavy").Map(fields.DstIP).ReduceSum(fields.PktLen, fields.DstIP)
+		}
+		p, err := compiler.Compile(b.FilterResultGt(c.th).Build(), compiler.AllOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,11 +248,11 @@ func TestSliceRefusesSaturatedGlobal(t *testing.T) {
 			case err == nil:
 				accepted = append(accepted, budget)
 			case !errors.Is(err, modules.ErrUnsliceable):
-				t.Errorf("threshold %d, budget %d: %v, want ErrUnsliceable", th, budget, err)
+				t.Errorf("bytes=%v > %d, budget %d: %v, want ErrUnsliceable", c.bytes, c.th, budget, err)
 			}
 		}
-		if !slices.Equal(accepted, want) {
-			t.Errorf("threshold %d: accepted budgets %v, want %v", th, accepted, want)
+		if !slices.Equal(accepted, c.want) {
+			t.Errorf("bytes=%v > %d: accepted budgets %v, want %v", c.bytes, c.th, accepted, c.want)
 		}
 	}
 	p, err := compiler.Compile(query.All()[7], compiler.AllOpts())

@@ -61,6 +61,11 @@ type Node struct {
 	DP     *dataplane.Switch
 	Layout *modules.Layout
 	Eng    *modules.Engine
+
+	// EndWindow is what the virtual clock calls at each window boundary:
+	// the engine's roll after Reboot, or a control agent's window end
+	// (rpc.Agent.NextEpoch) where a harness serves the switch through one.
+	EndWindow func()
 }
 
 // Network is the simulated deployment.
@@ -170,7 +175,8 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 // Reboot gives a switch an empty layout and engine of the network's
 // geometry and lane count, keeping its data plane (routes, lanes,
 // undrained reports): the switch lost every installed query and every
-// register, and nothing else. It must not run beside a delivery.
+// register, and nothing else (EndWindow is the new engine's roll). It
+// must not run beside a delivery.
 func (n *Network) Reboot(id int) error {
 	node := n.nodes[id]
 	if node == nil {
@@ -182,7 +188,7 @@ func (n *Network) Reboot(id int) error {
 	}
 	eng := modules.NewEngine(layout)
 	eng.SetWorkers(n.workers)
-	node.Layout, node.Eng = layout, eng
+	node.Layout, node.Eng, node.EndWindow = layout, eng, eng.RollEpoch
 	node.DP.Monitor = eng
 	return nil
 }
@@ -196,9 +202,10 @@ func (n *Network) Nodes() map[int]*Node { return n.nodes }
 // Clock returns the current virtual time in nanoseconds.
 func (n *Network) Clock() uint64 { return n.clock }
 
-// AdvanceTo moves the virtual clock forward, rolling register windows at
-// each boundary it crosses. The roll loop lives in its own method so
-// AdvanceTo itself inlines into the per-packet delivery path.
+// AdvanceTo moves the virtual clock forward, ending every switch's
+// window (Node.EndWindow, in topology order) at each boundary it
+// crosses. The loop lives in its own method so AdvanceTo itself inlines
+// into the per-packet delivery path.
 func (n *Network) AdvanceTo(ts uint64) {
 	if ts < n.clock {
 		return
@@ -211,8 +218,10 @@ func (n *Network) AdvanceTo(ts uint64) {
 
 func (n *Network) rollEpochs(ts uint64) {
 	for ts >= n.nextEpoch {
-		for _, node := range n.nodes {
-			node.Eng.RollEpoch()
+		for _, node := range n.nodesByID {
+			if node != nil {
+				node.EndWindow()
+			}
 		}
 		n.nextEpoch += uint64(n.Cfg.Window)
 	}
@@ -321,7 +330,7 @@ const minParallelSegment = 64
 // flows proceed concurrently. Each lane mirrors reports into the same
 // lane of the switch that ran the packet, and the batch is split at
 // query-window boundaries: all packets of a window are processed, the
-// lanes join at a barrier, the register epochs roll, and the next
+// lanes join at a barrier, every switch's window ends, and the next
 // window begins — exactly the epoch discipline of sequential delivery.
 //
 // Switch state stays exact under parallelism: tables are read through

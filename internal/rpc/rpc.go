@@ -188,11 +188,11 @@ type Agent struct {
 	sw  *dataplane.Switch
 	eng *modules.Engine
 
-	// OnEpoch, when set, runs on every next_epoch request before the
-	// register windows roll — the telemetry exporter's chance to snapshot
-	// the ending epoch's state banks (their values read as zero once the
-	// epoch advances). It runs under the agent's dispatch lock, so it is
-	// ordered with installs and drains.
+	// OnEpoch, when set, runs at every window end before the roll — the
+	// telemetry exporter ships the window's reports, then the ending
+	// epoch's banks (they read as zero once the epoch advances). It runs
+	// under the dispatch lock, ordered with installs and drains. Unset,
+	// reports wait on the switch for drain_reports.
 	OnEpoch func()
 
 	// OnError, when set, receives connection-level errors that are not
@@ -256,6 +256,9 @@ func NewAgent(sw *dataplane.Switch, eng *modules.Engine) *Agent {
 	return &Agent{sw: sw, eng: eng, conns: map[net.Conn]struct{}{},
 		replay: map[uint64]replayEntry{}}
 }
+
+// Switch returns the switch the agent serves.
+func (a *Agent) Switch() *dataplane.Switch { return a.sw }
 
 // ReplayCacheLen returns the current replay cache population.
 func (a *Agent) ReplayCacheLen() int {
@@ -491,10 +494,9 @@ func (a *Agent) execute(req *Request) *Response {
 	return &Response{Error: fmt.Sprintf("unknown request type %q", req.Type)}
 }
 
-// NextEpoch ends the switch's evaluation window as a next_epoch request
-// does — the OnEpoch hook, then the engine's roll — under the dispatch
-// lock, so a local window clock (newton-agent's replay loop) never rolls
-// beside a controller's install or remove.
+// NextEpoch is the switch's one window end, which a next_epoch request
+// and a local clock (netsim's, in a fleet or newton-agent's replay) both
+// run: the OnEpoch hook, then the engine's roll, under the dispatch lock.
 func (a *Agent) NextEpoch() {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -31,10 +31,11 @@ type Budget struct {
 
 // classifierPreds caps the distinct (column, value, mask) predicates the
 // newton_init compiled classifier may hold. Per-dimension lookup tables
-// grow with distinct predicates, so admitting past this point would push
-// the classifier over its compile budget and drop the whole device back
-// to linear scans; 4096 stays comfortably below that budget for a
-// 6-column table.
+// grow with distinct predicates, and the device refuses a rule set that
+// does not compile (classify.ErrBudget, ErrMaskShape): the install fails
+// and the table keeps its rules. The cap is a proxy for that compile,
+// not the compile itself, so admission can still accept a set the
+// device refuses.
 const classifierPreds = 4096
 
 // DefaultMinWidth and DefaultMaxWidth are the accuracy ladder's bounds

@@ -120,8 +120,9 @@ type Exporter struct {
 
 	// agent, when attached, calls this exporter's epoch hook; kept so
 	// Close can detach rather than leave the agent calling into a dead
-	// exporter.
-	agent *rpc.Agent
+	// exporter. drained is the hook's reused report buffer.
+	agent   *rpc.Agent
+	drained []dataplane.Report
 
 	closeCh chan struct{} // interrupts reconnect backoff
 	wg      sync.WaitGroup
@@ -464,14 +465,20 @@ func (e *Exporter) ExportEpoch(eng *modules.Engine) error {
 	return e.exportSnapshotLocked(eng.Layout().Epoch(), e.live)
 }
 
-// AttachAgent wires the exporter into a control-channel agent: epoch
-// ticks from the controller snapshot-and-push the ending window's banks
-// before rolling. Close detaches the hook.
+// AttachAgent joins the agent's window end (rpc.Agent.NextEpoch,
+// whichever clock calls it): the switch's reports go to the ring, then
+// the ending epoch's banks to the stream, then the agent rolls. Report
+// frames may land after the snapshot's. Close detaches the hook.
 func (e *Exporter) AttachAgent(a *rpc.Agent, eng *modules.Engine) {
 	e.mu.Lock()
 	e.agent = a
 	e.mu.Unlock()
-	a.SetTelemetryHooks(func() { _ = e.ExportEpoch(eng) })
+	sw := a.Switch()
+	a.SetTelemetryHooks(func() {
+		e.drained = sw.DrainReportsAppend(e.drained[:0])
+		e.Export(e.drained)
+		_ = e.ExportEpoch(eng)
+	})
 }
 
 // Detach removes this exporter's hooks from the attached agent (if
