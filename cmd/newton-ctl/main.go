@@ -16,6 +16,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
@@ -46,7 +47,9 @@ func main() {
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "status" {
-		runStatus(os.Args[2:])
+		if err := runStatus(os.Stdout, os.Args[2:]); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "refine" {
@@ -74,7 +77,10 @@ func main() {
 		return
 	}
 
-	topo, h1, h2 := buildTopology(*topoSpec)
+	topo, h1, h2, err := buildTopology(*topoSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
 	net, err := netsim.New(topo, netsim.Config{Stages: 16, ArraySize: 1 << 15})
 	if err != nil {
 		log.Fatal(err)
@@ -206,40 +212,30 @@ func main() {
 	}
 }
 
-func buildTopology(spec string) (*topology.Topology, int, int) {
-	parts := strings.SplitN(spec, ":", 2)
+func buildTopology(spec string) (topo *topology.Topology, h1, h2 int, err error) {
+	kind, n, _ := strings.Cut(spec, ":")
 	arg := 0
-	if len(parts) == 2 {
-		var err error
-		arg, err = strconv.Atoi(parts[1])
-		if err != nil {
-			log.Fatalf("newton-ctl: bad topology %q", spec)
+	if n != "" {
+		if arg, err = strconv.Atoi(n); err != nil {
+			return nil, 0, 0, fmt.Errorf("newton-ctl: bad topology %q", spec)
 		}
 	}
-	switch parts[0] {
+	switch kind {
 	case "linear":
-		if arg == 0 {
-			arg = 3
-		}
-		return topology.Linear(arg)
+		topo, h1, h2 = topology.Linear(cmp.Or(arg, 3))
 	case "fattree":
-		if arg == 0 {
-			arg = 4
-		}
-		topo := topology.FatTree(arg)
+		topo = topology.FatTree(cmp.Or(arg, 4))
 		hosts := topo.Hosts()
-		return topo, hosts[0], hosts[len(hosts)-1]
+		h1, h2 = hosts[0], hosts[len(hosts)-1]
 	case "isp":
-		topo := topology.ISPBackbone()
+		topo = topology.ISPBackbone()
 		// Attach hosts to two coastal POPs for end-to-end delivery.
-		sf := topo.NodeByName("SanFrancisco")
-		ny := topo.NodeByName("NewYork")
-		h1 := topo.AddNode("h_sf", topology.Host)
-		h2 := topo.AddNode("h_ny", topology.Host)
-		topo.AddLink(sf, h1)
-		topo.AddLink(ny, h2)
-		return topo, h1, h2
+		h1 = topo.AddNode("h_sf", topology.Host)
+		h2 = topo.AddNode("h_ny", topology.Host)
+		topo.AddLink(topo.NodeByName("SanFrancisco"), h1)
+		topo.AddLink(topo.NodeByName("NewYork"), h2)
+	default:
+		return nil, 0, 0, fmt.Errorf("newton-ctl: unknown topology %q", spec)
 	}
-	log.Fatalf("newton-ctl: unknown topology %q", spec)
-	return nil, 0, 0
+	return topo, h1, h2, nil
 }

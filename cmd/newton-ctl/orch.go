@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -33,7 +34,10 @@ func runOrch(cmd string, args []string) {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
-	f, orch := ff.build(nil, uint32(*minW), uint32(*maxW))
+	f, orch, err := ff.build(nil, uint32(*minW), uint32(*maxW))
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer f.Close()
 
 	plan, diff, err := orch.Plan()
@@ -51,7 +55,7 @@ func runOrch(cmd string, args []string) {
 		log.Fatalf("apply: %v", err)
 	}
 	fmt.Println("\napplied:")
-	printInstalls(f)
+	printInstalls(os.Stdout, f)
 
 	if *drain != "" {
 		fmt.Printf("\ndraining %s and re-planning:\n", *drain)
@@ -65,7 +69,7 @@ func runOrch(cmd string, args []string) {
 			log.Fatalf("delta apply: %v", err)
 		}
 		fmt.Println("\napplied delta:")
-		printInstalls(f)
+		printInstalls(os.Stdout, f)
 	}
 }
 
@@ -89,46 +93,50 @@ func addFleetFlags(fs *flag.FlagSet) fleetFlags {
 // build stands up the fleet (agents over in-memory pipes, pushing
 // telemetry when exp is set), an orchestrator over it, and one intent
 // per listed query; zero widths leave the orchestrator's defaults.
-func (ff fleetFlags) build(exp *telemetry.ExporterConfig, minW, maxW uint32) (*fleet.Fleet, *orchestrator.Orchestrator) {
-	topo, _, _ := buildTopology(*ff.topoSpec)
-	f, err := fleet.New(topo, fleet.Config{
-		Net:      netsim.Config{Stages: *ff.stages, ArraySize: uint32(*ff.arrays)},
-		Exporter: exp,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	orch, err := orchestrator.New(orchestrator.Config{Topo: topo, Budgets: f.Budgets()}, f.Ctl)
-	if err != nil {
-		log.Fatal(err)
-	}
+func (ff fleetFlags) build(exp *telemetry.ExporterConfig, minW, maxW uint32) (*fleet.Fleet, *orchestrator.Orchestrator, error) {
 	var intents []orchestrator.Intent
 	names := strings.Split(*ff.queries, ",")
 	for i, name := range names {
 		q, err := query.ByName(strings.TrimSpace(name))
 		if err != nil {
-			log.Fatal(err)
+			return nil, nil, err
 		}
 		intents = append(intents, orchestrator.Intent{
 			Query: q, Priority: len(names) - i, MinWidth: minW, MaxWidth: maxW,
 		})
 	}
+	topo, _, _, err := buildTopology(*ff.topoSpec)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := fleet.New(topo, fleet.Config{
+		Net:      netsim.Config{Stages: *ff.stages, ArraySize: uint32(*ff.arrays)},
+		Exporter: exp,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	orch, err := orchestrator.New(orchestrator.Config{Topo: topo, Budgets: f.Budgets()}, f.Ctl)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
 	orch.SetIntents(intents)
-	return f, orch
+	return f, orch, nil
 }
 
 // printInstalls lists what each switch actually holds — the ground
 // truth the plan is checked against.
-func printInstalls(f *fleet.Fleet) {
+func printInstalls(w io.Writer, f *fleet.Fleet) {
 	for _, name := range f.Names {
 		eng := f.Switches[name].Node.Eng
 		if eng.InstalledCount() == 0 {
 			continue
 		}
-		fmt.Printf("  %-14s", name)
+		fmt.Fprintf(w, "  %-14s", name)
 		for _, p := range eng.Programs() {
-			fmt.Printf(" %s", p.Name)
+			fmt.Fprintf(w, " %s", p.Name)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

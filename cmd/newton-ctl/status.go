@@ -3,8 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"time"
 
 	"github.com/newton-net/newton/internal/orchestrator"
@@ -19,26 +18,30 @@ import (
 // loop: the named switch's control channel is severed, the monitor's
 // next rounds debounce it to down, auto-drain it, and converge its
 // queries onto the survivors, all visible in the final snapshot and
-// event log.
-func runStatus(args []string) {
+// event log. Everything it prints counts rounds and epochs, not wall
+// time, so a run prints the same bytes as the last.
+func runStatus(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("newton-ctl status", flag.ExitOnError)
 	var (
 		ff   = addFleetFlags(fs)
 		kill = fs.String("kill", "", "sever this switch's control channel and watch the monitor drain it")
 	)
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+		return err
 	}
-	f, orch := ff.build(&telemetry.ExporterConfig{KeyframeEvery: 4}, 0, 0)
+	f, orch, err := ff.build(&telemetry.ExporterConfig{KeyframeEvery: 4}, 0, 0)
+	if err != nil {
+		return err
+	}
 	defer f.Close()
 	if _, _, err := orch.Converge(); err != nil {
-		log.Fatalf("initial converge: %v", err)
+		return fmt.Errorf("initial converge: %w", err)
 	}
 
 	// Roll a few epochs so snapshots flow.
 	for i := 0; i < 6; i++ {
 		if err := f.Ctl.Tick(); err != nil {
-			log.Fatalf("epoch tick: %v", err)
+			return fmt.Errorf("epoch tick: %w", err)
 		}
 	}
 
@@ -50,36 +53,38 @@ func runStatus(args []string) {
 			return err
 		},
 		Offline:      f.Ctl.SetOffline,
-		SuspectAfter: 1, DownAfter: 1, RecoverAfter: 2,
+		DownAfter:    1,
+		RecoverAfter: 2,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	mon.Tick()
-	fmt.Printf("fleet (%d switches, queries %s):\n%s", len(f.Names), *ff.queries, mon.Snapshot())
-	printWireTable(f.Svc, f.Names)
+	fmt.Fprintf(w, "fleet (%d switches, queries %s):\n%s", len(f.Names), *ff.queries, mon.Snapshot())
+	printWireTable(w, f.Svc, f.Names)
 
 	if *kill == "" {
-		return
+		return nil
 	}
 	sw := f.Switches[*kill]
 	if sw == nil {
-		log.Fatalf("status: unknown switch %q", *kill)
+		return fmt.Errorf("status: unknown switch %q", *kill)
 	}
-	fmt.Printf("\nsevering %s's control channel and re-evaluating:\n", *kill)
+	fmt.Fprintf(w, "\nsevering %s's control channel and re-evaluating:\n", *kill)
 	sw.Client.Close()
 	for i := 0; i < 3; i++ {
 		mon.Tick()
 	}
 	snap := mon.Snapshot()
-	fmt.Print(snap)
-	fmt.Println("\nevents:")
+	fmt.Fprint(w, snap)
+	fmt.Fprintln(w, "\nevents:")
 	for _, ev := range snap.Events {
-		fmt.Printf("  %s\n", ev)
+		fmt.Fprintf(w, "  %s\n", ev)
 	}
-	fmt.Println("\nsurviving installs:")
-	printInstalls(f)
+	fmt.Fprintln(w, "\nsurviving installs:")
+	printInstalls(w, f)
+	return nil
 }
 
 // printWireTable renders each agent stream's wire economics:
@@ -87,7 +92,7 @@ func runStatus(args []string) {
 // the share of snapshot frames that shipped as deltas instead of
 // keyframes, and what the stream's decoder holds between frames to apply
 // those deltas to.
-func printWireTable(svc *telemetry.Service, names []string) {
+func printWireTable(w io.Writer, svc *telemetry.Service, names []string) {
 	// The pipe write returns before the service's read loop finishes
 	// accounting the frame; settle until the byte counters stop moving.
 	var last uint64
@@ -100,8 +105,8 @@ func printWireTable(svc *telemetry.Service, names []string) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	fmt.Println("\ntelemetry wire:")
-	fmt.Printf("  %-14s %7s %10s %6s %6s %9s\n",
+	fmt.Fprintln(w, "\ntelemetry wire:")
+	fmt.Fprintf(w, "  %-14s %7s %10s %6s %6s %9s\n",
 		"switch", "frames", "bytes", "comp", "delta", "held")
 	for _, name := range names {
 		wi, ok := svc.AgentWire(name)
@@ -116,7 +121,7 @@ func printWireTable(svc *telemetry.Service, names []string) {
 		if snaps := wi.DeltaFrames + wi.KeyframeFrames; snaps > 0 {
 			delta = fmt.Sprintf("%d%%", 100*wi.DeltaFrames/snaps)
 		}
-		fmt.Printf("  %-14s %7d %10d %6s %6s %8dB\n",
+		fmt.Fprintf(w, "  %-14s %7d %10d %6s %6s %8dB\n",
 			name, wi.Frames, wi.Bytes, comp, delta, wi.HeldBytes)
 	}
 }

@@ -5,7 +5,8 @@
 // the orchestrator's health monitor — not an operator — driving every
 // drain and re-admission. The run audits the properties a long-lived
 // deployment actually needs: bounded heap growth, goroutine stability,
-// deploy-latency tails, MTTR from fault to reconverged, and zero
+// deploy-latency tails, MTTR from fault to reconverged (in monitor
+// rounds, so it reads the same however fast the host runs), and zero
 // cross-tenant provenance mixups (a tenant's merged results must never
 // include a switch their query was not placed on).
 package experiments
@@ -50,6 +51,14 @@ const (
 	// soakPartitionFor is how many rounds an injected control+telemetry
 	// partition lasts.
 	soakPartitionFor = 2
+	// The monitor's ladder, compressed for round-driven churn: with
+	// orchestrator.SuspectAfter, two consecutive bad rounds drain, and
+	// two consecutive good rounds re-admit.
+	soakDownAfter    = 1
+	soakRecoverAfter = 2
+	// soakSettleRounds bounds the ticks that re-admit what the last
+	// rounds left impaired: a full ladder, twice over.
+	soakSettleRounds = 2 * (orchestrator.SuspectAfter + soakDownAfter + soakRecoverAfter)
 	// soakMaxHeapGrowthMB is the declared leak threshold: heap growth
 	// from the post-warmup sample to the end of the run must stay under
 	// it.
@@ -89,8 +98,9 @@ type SoakResult struct {
 	TickErrors   int
 	Rejections   int // operator converges that failed and were retried
 
-	MTTRDrain   []time.Duration // kill -> monitor auto-drain, per kill
-	MTTRReadmit []time.Duration // restart -> monitor auto-undrain, per kill
+	// MTTR in monitor rounds, per kill: from the kill to the auto-drain,
+	// and from the restart to the auto-undrain.
+	MTTRDrain, MTTRReadmit []int
 
 	P50Deploy, P99Deploy time.Duration
 
@@ -118,11 +128,12 @@ type soakSwitch struct {
 	partedTo  int       // round a partition heals at (0 = not partitioned)
 }
 
-// soakKill records one injected switch failure for MTTR accounting.
+// soakKill records one injected switch failure for MTTR accounting:
+// the monitor rounds ticked before the kill and before the restart (0
+// until it restarts; no kill precedes the first round).
 type soakKill struct {
-	name      string
-	killedAt  time.Time
-	restarted time.Time
+	name                string
+	killedAt, restarted int
 }
 
 // soakNet is the full soak fleet: a lineFleet whose injectors the churn
@@ -133,6 +144,7 @@ type soakNet struct {
 	names []string // sorted, the order the seeded schedule picks in
 	sws   map[string]*soakSwitch
 	mon   *orchestrator.Monitor
+	round int // monitor rounds ticked so far
 
 	// allowed accumulates, per tenant query name, every switch any
 	// applied plan ever placed it on — the provenance ground truth the
@@ -162,18 +174,22 @@ func newSoakNet(cfg SoakConfig) (*soakNet, error) {
 		// Telemetry silence only indicts a switch the fleet currently
 		// expects telemetry from: a switch hosting no query sends no
 		// snapshots and must not read as dead.
-		Liveness: func(name string) (time.Time, bool, bool) {
+		Liveness: func(name string) (uint64, bool) {
 			if !sn.hosting(name) {
-				return time.Time{}, false, false
+				return 0, false
 			}
-			return sn.Svc.AgentLiveness(name)
+			wi, ok := sn.Svc.AgentWire(name)
+			return wi.Frames, ok
 		},
-		MaxSilence: 2 * time.Second,
-		Offline:    sn.Ctl.SetOffline,
-		// Compressed ladder for round-driven churn: two consecutive bad
-		// rounds drain, two consecutive good rounds re-admit.
-		SuspectAfter: 1, DownAfter: 1, RecoverAfter: 2,
-		ForgetAfter: time.Hour, // outages here are short; forgetting is unit-tested
+		// A hosting switch ships a snapshot every churn round; the ticks
+		// after the churn roll no epochs, so the bound stays above them.
+		MaxSilence:   soakKillEvery,
+		Offline:      sn.Ctl.SetOffline,
+		DownAfter:    soakDownAfter,
+		RecoverAfter: soakRecoverAfter,
+		// Outages here end after soakDownFor rounds; forgetting is
+		// unit-tested.
+		ForgetAfter: soakKillEvery,
 		OnForget:    func(name string) { sn.Svc.ForgetAgent(name) },
 	})
 	if err != nil {
@@ -181,6 +197,13 @@ func newSoakNet(cfg SoakConfig) (*soakNet, error) {
 		return nil, err
 	}
 	return sn, nil
+}
+
+// tick runs one monitor round and notes its number.
+func (sn *soakNet) tick() orchestrator.TickReport {
+	rep := sn.mon.Tick()
+	sn.round = rep.Round
+	return rep
 }
 
 // hosting reports whether any deployed query currently places work on
@@ -236,7 +259,7 @@ func (sn *soakNet) kill(name string, round int) {
 	_ = sn.Kill(name)
 	sw := sn.sws[name]
 	sw.dead, sw.restartAt = true, round+soakDownFor
-	sw.kill = &soakKill{name: name, killedAt: time.Now()}
+	sw.kill = &soakKill{name: name, killedAt: sn.round}
 	sn.kills = append(sn.kills, sw.kill)
 }
 
@@ -256,7 +279,7 @@ func (sn *soakNet) revive(name string, round int) error {
 	if err := sn.Restart(name); err != nil {
 		return fmt.Errorf("restart %s: %w", name, err)
 	}
-	sw.dead, sw.kill.restarted = false, time.Now()
+	sw.dead, sw.kill.restarted = false, sn.round
 	return nil
 }
 
@@ -407,7 +430,7 @@ func Soak(cfg SoakConfig) *SoakResult {
 			res.TickErrors++
 		}
 
-		sn.mon.Tick()
+		sn.tick()
 		sn.noteAllowed()
 
 		// Provenance audit: a tenant query's contributors must be a
@@ -430,24 +453,11 @@ func Soak(cfg SoakConfig) *SoakResult {
 	}
 
 	// A kill landing on the last rounds may not have crossed the
-	// debounce ladder yet: keep ticking until the monitor has drained
-	// every still-dead switch, so each injected failure round-trips
-	// through auto-drain before the fleet is revived.
-	drainDeadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(drainDeadline) {
-		pending := false
-		for _, name := range sn.names {
-			if sn.sws[name].dead {
-				if st, _ := sn.mon.State(name); st != orchestrator.Down {
-					pending = true
-				}
-			}
-		}
-		if !pending {
-			break
-		}
-		sn.mon.Tick()
-		time.Sleep(time.Millisecond)
+	// debounce ladder yet: tick until the monitor has drained every
+	// still-dead switch, so each injected failure round-trips through
+	// auto-drain before the fleet is revived. The ladder bounds it.
+	for i := 0; i < orchestrator.SuspectAfter+soakDownAfter && sn.deadUndrained(); i++ {
+		sn.tick()
 	}
 
 	// Now revive everything still impaired, whatever round it was due,
@@ -461,13 +471,11 @@ func Soak(cfg SoakConfig) *SoakResult {
 		sn.orch.Undrain(drainedByOp)
 		needConverge = true
 	}
-	settle := time.Now().Add(10 * time.Second)
-	for time.Now().Before(settle) {
-		rep := sn.mon.Tick()
-		snap := sn.mon.Snapshot()
+	for i := 0; i < soakSettleRounds; i++ {
+		rep := sn.tick()
 		allHealthy := true
-		for _, sw := range snap.Switches {
-			if sw.State != orchestrator.Healthy {
+		for _, name := range sn.names {
+			if st, _ := sn.mon.State(name); st != orchestrator.Healthy {
 				allHealthy = false
 			}
 		}
@@ -477,7 +485,6 @@ func Soak(cfg SoakConfig) *SoakResult {
 		if needConverge && sn.converge() == nil {
 			needConverge = false
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 
 	// End-state: the fleet must be fully reconverged — a pure plan
@@ -491,33 +498,22 @@ func Soak(cfg SoakConfig) *SoakResult {
 
 	// MTTR per kill, from the monitor's event log: each kill record
 	// claims the first unclaimed auto-drain (resp. auto-undrain) for its
-	// switch at or after the kill (resp. restart) timestamp.
+	// switch in a round after the kill (resp. restart).
 	events := sn.mon.Events()
-	usedDrain := map[int]bool{}
-	usedReadmit := map[int]bool{}
+	claimed := map[int]bool{}
+	claim := func(name, action string, round int, mttr *[]int) {
+		for i, ev := range events {
+			if ev.Switch == name && ev.Action == action && ev.Round > round && !claimed[i] {
+				claimed[i] = true
+				*mttr = append(*mttr, ev.Round-round)
+				return
+			}
+		}
+	}
 	for _, k := range sn.kills {
-		for i, ev := range events {
-			if ev.Switch != k.name || ev.At.Before(k.killedAt) {
-				continue
-			}
-			if ev.Action == "auto-drain" && !usedDrain[i] {
-				usedDrain[i] = true
-				res.MTTRDrain = append(res.MTTRDrain, ev.At.Sub(k.killedAt))
-				break
-			}
-		}
-		if k.restarted.IsZero() {
-			continue
-		}
-		for i, ev := range events {
-			if ev.Switch != k.name || ev.At.Before(k.restarted) {
-				continue
-			}
-			if ev.Action == "auto-undrain" && !usedReadmit[i] {
-				usedReadmit[i] = true
-				res.MTTRReadmit = append(res.MTTRReadmit, ev.At.Sub(k.restarted))
-				break
-			}
+		claim(k.name, "auto-drain", k.killedAt, &res.MTTRDrain)
+		if k.restarted != 0 {
+			claim(k.name, "auto-undrain", k.restarted, &res.MTTRReadmit)
 		}
 	}
 
@@ -579,6 +575,17 @@ func Soak(cfg SoakConfig) *SoakResult {
 	return res
 }
 
+// deadUndrained reports whether a dead switch is not yet down at the
+// monitor.
+func (sn *soakNet) deadUndrained() bool {
+	for _, name := range sn.names {
+		if st, _ := sn.mon.State(name); sn.sws[name].dead && st != orchestrator.Down {
+			return true
+		}
+	}
+	return false
+}
+
 // pickAlive returns a uniformly chosen switch that is up, not operator-
 // drained, and not the named exclusion ("" excludes nothing). It keeps
 // at least two switches untouched so the fleet always has somewhere to
@@ -626,11 +633,11 @@ func (r *SoakResult) String() string {
 	t.add("Converge errors (retried)", fmt.Sprintf("%d", r.ConvergeErrs))
 	t.add("Deploy p50", r.P50Deploy.Round(time.Microsecond).String())
 	t.add("Deploy p99", r.P99Deploy.Round(time.Microsecond).String())
-	for i := range r.MTTRDrain {
-		t.add(fmt.Sprintf("MTTR kill %d -> drained", i+1), r.MTTRDrain[i].Round(time.Millisecond).String())
+	for i, n := range r.MTTRDrain {
+		t.add(fmt.Sprintf("MTTR kill %d -> drained", i+1), fmt.Sprintf("%d rounds", n))
 	}
-	for i := range r.MTTRReadmit {
-		t.add(fmt.Sprintf("MTTR restart %d -> re-admitted", i+1), r.MTTRReadmit[i].Round(time.Millisecond).String())
+	for i, n := range r.MTTRReadmit {
+		t.add(fmt.Sprintf("MTTR restart %d -> re-admitted", i+1), fmt.Sprintf("%d rounds", n))
 	}
 	t.add("Heap growth since warmup", fmt.Sprintf("%.2f MB", r.HeapGrowthMB))
 	t.add("Goroutines (baseline -> end)", fmt.Sprintf("%d -> %d", r.GoroutineBaseline, r.GoroutineEnd))
@@ -666,11 +673,11 @@ func (r *SoakResult) Metrics() map[string]float64 {
 		"epoch_gaps":        float64(r.EpochGaps),
 		"violations":        float64(len(r.Violations)),
 	}
-	for i, d := range r.MTTRDrain {
-		m[fmt.Sprintf("mttr_drain_%d_ms", i+1)] = float64(d) / float64(time.Millisecond)
+	for i, n := range r.MTTRDrain {
+		m[fmt.Sprintf("mttr_drain_%d_rounds", i+1)] = float64(n)
 	}
-	for i, d := range r.MTTRReadmit {
-		m[fmt.Sprintf("mttr_readmit_%d_ms", i+1)] = float64(d) / float64(time.Millisecond)
+	for i, n := range r.MTTRReadmit {
+		m[fmt.Sprintf("mttr_readmit_%d_rounds", i+1)] = float64(n)
 	}
 	return m
 }

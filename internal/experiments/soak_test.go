@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"github.com/newton-net/newton/internal/orchestrator"
 )
 
 // TestSoakSmoke is the CI-sized churn soak: an 8-switch fleet under
@@ -11,7 +13,10 @@ import (
 // Violations list carries the assertions: bounded heap growth,
 // goroutine stability, every kill auto-drained and re-admitted, a fully
 // reconverged end state, zero cross-tenant provenance mixups, and
-// reports reaching the analyzer.
+// reports reaching the analyzer. The test adds that recovery takes
+// exactly the monitor's ladder, in rounds: a kill drains on the
+// SuspectAfter+DownAfter-th round after it, and a restart is re-admitted
+// on the RecoverAfter-th.
 func TestSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak run is seconds-long")
@@ -27,5 +32,18 @@ func TestSoakSmoke(t *testing.T) {
 	}
 	if res.Converges == 0 {
 		t.Error("soak never converged the fleet")
+	}
+	if len(res.MTTRDrain) != res.Kills || len(res.MTTRReadmit) != res.Kills {
+		t.Errorf("%d kills, %d drains and %d re-admissions accounted", res.Kills, len(res.MTTRDrain), len(res.MTTRReadmit))
+	}
+	for i, n := range res.MTTRDrain {
+		if want := orchestrator.SuspectAfter + soakDownAfter; n != want {
+			t.Errorf("kill %d drained %d rounds after it, want %d", i+1, n, want)
+		}
+	}
+	for i, n := range res.MTTRReadmit {
+		if n != soakRecoverAfter {
+			t.Errorf("restart %d re-admitted %d rounds after it, want %d", i+1, n, soakRecoverAfter)
+		}
 	}
 }

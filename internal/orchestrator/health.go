@@ -3,12 +3,15 @@
 // Monitor consumes two signal classes per switch — an active control-
 // channel probe (a Stats round trip through the hardened rpc client,
 // so transient faults are already retried away) and the analyzer's
-// passive telemetry liveness (when did this switch's stream last
-// produce a frame) — and drives a debounced state machine:
+// passive telemetry liveness (has this switch's stream produced a frame
+// lately) — and drives a debounced state machine:
 //
 //	healthy → suspect → down → recovering → healthy
 //
-// Consecutive bad evaluation rounds move a switch toward down
+// The monitor keeps time in its own rounds: each Tick is one, and every
+// count below (debounce, hysteresis, silence, forgetting) is a number of
+// them, so a run's transitions do not depend on how fast its caller
+// ticks. Consecutive bad evaluation rounds move a switch toward down
 // (debounce: one failed probe is never a drain); on entering down the
 // monitor marks the switch offline at the controller (so removes
 // targeting it are deferred instead of hanging), drains it, and
@@ -80,17 +83,18 @@ type HealthConfig struct {
 	// runs probes concurrently but waits for all of them each round.
 	Probe func(name string) error
 
-	// Liveness, when set, is the passive telemetry signal — wired to
-	// telemetry.Service.AgentLiveness. A switch whose stream has
-	// produced no frame for more than MaxSilence counts as a bad round
-	// even when its control channel still answers: monitoring data is
-	// the product, and a switch that stopped exporting is not serving
-	// its queries.
-	Liveness func(name string) (lastSeen time.Time, connected bool, ok bool)
-	// MaxSilence is the telemetry last-seen age beyond which a switch
-	// counts as silent (0 disables the liveness signal even when
-	// Liveness is set).
-	MaxSilence time.Duration
+	// Liveness, when set, is the passive telemetry signal: how many
+	// frames the switch's stream has delivered (telemetry.Service.
+	// AgentWire's Frames), ok false for a switch not expected to export.
+	// A switch whose count has not moved for more than MaxSilence
+	// consecutive rounds has a bad round even when its control channel
+	// still answers: monitoring data is the product, and a switch that
+	// stopped exporting is not serving its queries.
+	Liveness func(name string) (frames uint64, ok bool)
+	// MaxSilence is how many rounds a frame count may stand still before
+	// the switch counts as silent (0 disables the liveness signal even
+	// when Liveness is set).
+	MaxSilence int
 
 	// Offline, when set, is called with true when a switch goes down
 	// (before it is drained) and false when it is re-admitted (before
@@ -99,12 +103,10 @@ type HealthConfig struct {
 	// failing, and flushes them when it returns.
 	Offline func(name string, offline bool) error
 
-	// SuspectAfter is how many consecutive bad rounds move a healthy
-	// switch to suspect (default 1). DownAfter is how many further bad
-	// rounds move a suspect switch to down (default 2) — so with the
-	// defaults a switch is drained on its third consecutive bad round.
-	SuspectAfter int
-	DownAfter    int
+	// DownAfter is how many further bad rounds move a suspect switch to
+	// down (default 2) — so with the default a switch is drained on its
+	// SuspectAfter+DownAfter = third consecutive bad round.
+	DownAfter int
 	// RecoverAfter is how many consecutive good rounds a down switch
 	// must hold before re-admission (default 3). A single bad round
 	// while recovering resets the count — the hysteresis that keeps a
@@ -112,30 +114,23 @@ type HealthConfig struct {
 	RecoverAfter int
 
 	// ForgetAfter, when > 0, fires OnForget once for a switch that has
-	// stayed down this long — the hook for releasing per-switch
+	// stayed down this many rounds — the hook for releasing per-switch
 	// bookkeeping held elsewhere (telemetry.Service.ForgetAgent). The
 	// switch stays in the state machine and can still recover.
-	ForgetAfter time.Duration
+	ForgetAfter int
 	OnForget    func(name string)
-
-	// Now overrides the clock. Kept as a field because the last-seen,
-	// silence and ForgetAfter tests would otherwise sleep through real
-	// time.
-	Now func() time.Time
 }
 
+// SuspectAfter is how many consecutive bad rounds move a healthy switch
+// to suspect: one failed round is suspicion, never a drain.
+const SuspectAfter = 1
+
 func (c HealthConfig) withDefaults() HealthConfig {
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 2
 	}
 	if c.RecoverAfter <= 0 {
 		c.RecoverAfter = 3
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -143,7 +138,7 @@ func (c HealthConfig) withDefaults() HealthConfig {
 // HealthEvent is one entry of the monitor's event log: a state
 // transition or a fleet action taken because of one.
 type HealthEvent struct {
-	At       time.Time
+	Round    int // the monitor round it happened in
 	Switch   string
 	From, To HealthState
 	Action   string // "", "auto-drain", "auto-undrain", "forget"
@@ -152,7 +147,7 @@ type HealthEvent struct {
 
 // String renders the event for logs and `newton-ctl status`.
 func (ev HealthEvent) String() string {
-	s := fmt.Sprintf("%-12s %s -> %s", ev.Switch, ev.From, ev.To)
+	s := fmt.Sprintf("r%-4d %-12s %s -> %s", ev.Round, ev.Switch, ev.From, ev.To)
 	if ev.Action != "" {
 		s += " [" + ev.Action + "]"
 	}
@@ -166,13 +161,13 @@ func (ev HealthEvent) String() string {
 type SwitchHealth struct {
 	Switch      string
 	State       HealthState
-	LastSeen    time.Time     // last good signal (probe or telemetry frame)
-	LastSeenAge time.Duration // age of LastSeen at snapshot time
-	LastErr     string        // most recent bad-signal reason
-	DrainReason string        // why the monitor drained it (down/recovering only)
-	DownSince   time.Time     // when it entered Down (zero if never)
-	Flaps       int           // recoveries that collapsed back to down
-	Forgotten   bool          // OnForget fired for the current outage
+	LastSeen    int    // round of the last answered probe (0: none since the monitor started)
+	LastSeenAge int    // rounds since LastSeen at snapshot time
+	LastErr     string // most recent bad-signal reason
+	DrainReason string // why the monitor drained it (down/recovering only)
+	DownSince   int    // round it entered Down (0 if never)
+	Flaps       int    // recoveries that collapsed back to down
+	Forgotten   bool   // OnForget fired for the current outage
 }
 
 // FleetHealth is the monitor's snapshot API: per-switch state plus the
@@ -190,13 +185,10 @@ type FleetHealth struct {
 // String renders the snapshot as `newton-ctl status` prints it.
 func (fh FleetHealth) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %-11s %-12s %-8s %s\n", "SWITCH", "STATE", "LAST-SEEN", "FLAPS", "DRAIN-REASON")
+	fmt.Fprintf(&b, "%-14s %-11s %-15s %-8s %s\n", "SWITCH", "STATE", "LAST-SEEN", "FLAPS", "DRAIN-REASON")
 	for _, sw := range fh.Switches {
-		age := "never"
-		if !sw.LastSeen.IsZero() {
-			age = sw.LastSeenAge.Round(time.Millisecond).String() + " ago"
-		}
-		fmt.Fprintf(&b, "%-14s %-11s %-12s %-8d %s\n", sw.Switch, sw.State, age, sw.Flaps, sw.DrainReason)
+		age := fmt.Sprintf("%d rounds ago", sw.LastSeenAge)
+		fmt.Fprintf(&b, "%-14s %-11s %-15s %-8d %s\n", sw.Switch, sw.State, age, sw.Flaps, sw.DrainReason)
 	}
 	fmt.Fprintf(&b, "pending deltas: %d", fh.PendingDeltas)
 	if fh.PlanErr != "" {
@@ -209,10 +201,12 @@ func (fh FleetHealth) String() string {
 
 // swHealth is one switch's state machine: the row Snapshot reports is
 // the state the machine runs on (LastSeenAge is filled at snapshot
-// time), plus the debounce counts.
+// time), plus the debounce and silence counts.
 type swHealth struct {
 	SwitchHealth
-	bad, good int // consecutive bad/good rounds in the current state
+	bad, good int    // consecutive bad/good rounds in the current state
+	frames    uint64 // the telemetry frame count last read
+	quiet     int    // consecutive answered rounds frames stood still in
 }
 
 // eventLogCap bounds the monitor's in-memory event history.
@@ -220,6 +214,7 @@ const eventLogCap = 256
 
 // TickReport summarizes one evaluation round.
 type TickReport struct {
+	Round       int // this round's number: the first Tick is round 1
 	Transitions []HealthEvent
 	Drained     []string // switches auto-drained this round
 	Undrained   []string // switches auto-undrained this round
@@ -238,6 +233,7 @@ type Monitor struct {
 	tickMu sync.Mutex // serializes evaluation rounds
 
 	mu       sync.Mutex // guards everything below
+	round    int        // rounds ticked so far
 	switches []string
 	states   map[string]*swHealth
 	events   []HealthEvent
@@ -266,52 +262,58 @@ func NewMonitor(fleet Fleet, switches []string, cfg HealthConfig) (*Monitor, err
 	m := &Monitor{fleet: fleet, cfg: cfg, states: map[string]*swHealth{}}
 	m.switches = append(m.switches, switches...)
 	sort.Strings(m.switches)
-	now := cfg.Now()
 	for _, name := range m.switches {
-		m.states[name] = &swHealth{SwitchHealth: SwitchHealth{Switch: name, State: Healthy, LastSeen: now}}
+		m.states[name] = &swHealth{SwitchHealth: SwitchHealth{Switch: name, State: Healthy}}
 	}
 	return m, nil
 }
 
-// signal is one round's combined health verdict for a switch.
+// signal is what one round read of a switch: its probe's answer and,
+// when the probe answered, its telemetry frame count.
 type signal struct {
-	name    string
-	bad     bool
-	reason  string
-	seenAt  time.Time // non-zero when a good signal carries a timestamp
-	hasSeen bool
+	name   string
+	err    error  // the probe's
+	frames uint64 // telemetry frames delivered, when live
+	live   bool   // Liveness counted frames for this switch
 }
 
-// collect probes every switch concurrently and folds in the telemetry
-// liveness signal. No monitor lock is held: probes are network calls.
-func (m *Monitor) collect(now time.Time, switches []string) []signal {
+// collect probes every switch concurrently and reads the telemetry
+// liveness of those that answered. No monitor lock is held: probes are
+// network calls.
+func (m *Monitor) collect(switches []string) []signal {
 	sigs := make([]signal, len(switches))
 	var wg sync.WaitGroup
 	for i, name := range switches {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			s := signal{name: name}
-			if err := m.cfg.Probe(name); err != nil {
-				s.bad, s.reason = true, "probe: "+err.Error()
-			} else {
-				s.seenAt, s.hasSeen = now, true
-			}
-			if !s.bad && m.cfg.Liveness != nil && m.cfg.MaxSilence > 0 {
-				if last, _, ok := m.cfg.Liveness(name); ok {
-					if age := now.Sub(last); age > m.cfg.MaxSilence {
-						s.bad = true
-						s.reason = fmt.Sprintf("telemetry: silent for %v", age.Round(time.Millisecond))
-					} else if last.After(s.seenAt) {
-						s.seenAt, s.hasSeen = last, true
-					}
-				}
+			s := signal{name: name, err: m.cfg.Probe(name)}
+			if s.err == nil && m.cfg.Liveness != nil && m.cfg.MaxSilence > 0 {
+				s.frames, s.live = m.cfg.Liveness(name)
 			}
 			sigs[i] = s
 		}(i, name)
 	}
 	wg.Wait()
 	return sigs
+}
+
+// judge folds one round's signal into the switch's last-seen round and
+// silence count, and says whether the round was bad and why.
+func (st *swHealth) judge(s signal, round, maxSilence int) (bad bool, reason string) {
+	if s.err != nil {
+		st.quiet = 0
+		return true, "probe: " + s.err.Error()
+	}
+	st.LastSeen = round
+	if !s.live || s.frames != st.frames {
+		st.frames, st.quiet = s.frames, 0
+		return false, ""
+	}
+	if st.quiet++; st.quiet > maxSilence {
+		return true, fmt.Sprintf("telemetry: silent for %d rounds", st.quiet)
+	}
+	return false, ""
 }
 
 // Tick runs one evaluation round: probe, advance every state machine,
@@ -321,13 +323,13 @@ func (m *Monitor) Tick() TickReport {
 	m.tickMu.Lock()
 	defer m.tickMu.Unlock()
 
-	now := m.cfg.Now()
 	m.mu.Lock()
+	m.round++
+	rep := TickReport{Round: m.round}
 	switches := append([]string(nil), m.switches...)
 	m.mu.Unlock()
-	sigs := m.collect(now, switches)
+	sigs := m.collect(switches)
 
-	var rep TickReport
 	var forgets []string
 	m.mu.Lock()
 	for _, s := range sigs {
@@ -335,31 +337,29 @@ func (m *Monitor) Tick() TickReport {
 		if st == nil {
 			continue
 		}
-		if s.hasSeen && s.seenAt.After(st.LastSeen) {
-			st.LastSeen = s.seenAt
-		}
-		if s.bad {
-			st.LastErr = s.reason
+		bad, reason := st.judge(s, rep.Round, m.cfg.MaxSilence)
+		if bad {
+			st.LastErr = reason
 		}
 		from := st.State
 		var action string
 		switch st.State {
 		case Healthy:
-			if s.bad {
+			if bad {
 				st.bad++
 				st.good = 0
-				if st.bad >= m.cfg.SuspectAfter {
+				if st.bad >= SuspectAfter {
 					st.State, st.bad = Suspect, 0
 				}
 			} else {
 				st.bad = 0
 			}
 		case Suspect:
-			if s.bad {
+			if bad {
 				st.bad++
 				if st.bad >= m.cfg.DownAfter {
 					st.State = Down
-					st.DownSince, st.DrainReason = now, s.reason
+					st.DownSince, st.DrainReason = rep.Round, reason
 					st.bad, st.good, st.Forgotten = 0, 0, false
 					action = "auto-drain"
 					rep.Drained = append(rep.Drained, s.name)
@@ -370,10 +370,12 @@ func (m *Monitor) Tick() TickReport {
 				st.State, st.bad, st.good = Healthy, 0, 0
 			}
 		case Down:
-			if s.bad {
-				if m.cfg.ForgetAfter > 0 && !st.Forgotten && now.Sub(st.DownSince) >= m.cfg.ForgetAfter {
+			if bad {
+				if m.cfg.ForgetAfter > 0 && !st.Forgotten && rep.Round-st.DownSince >= m.cfg.ForgetAfter {
 					st.Forgotten = true
 					forgets = append(forgets, s.name)
+					m.logLocked(HealthEvent{Round: rep.Round, Switch: s.name, From: Down, To: Down,
+						Action: "forget", Reason: "down past ForgetAfter"})
 				}
 				break
 			}
@@ -381,11 +383,11 @@ func (m *Monitor) Tick() TickReport {
 			st.State, st.good = Recovering, 0
 			fallthrough
 		case Recovering:
-			if s.bad {
+			if bad {
 				// Flap: back to down without re-draining (it never left).
 				st.State, st.good = Down, 0
 				st.Flaps++
-				st.DrainReason = s.reason
+				st.DrainReason = reason
 			} else {
 				st.good++
 				if st.good >= m.cfg.RecoverAfter {
@@ -397,11 +399,8 @@ func (m *Monitor) Tick() TickReport {
 			}
 		}
 		if st.State != from {
-			ev := HealthEvent{At: now, Switch: s.name, From: from, To: st.State,
-				Action: action, Reason: s.reason}
-			if !s.bad && action == "" {
-				ev.Reason = ""
-			}
+			ev := HealthEvent{Round: rep.Round, Switch: s.name, From: from, To: st.State,
+				Action: action, Reason: reason}
 			rep.Transitions = append(rep.Transitions, ev)
 			m.logLocked(ev)
 		}
@@ -409,15 +408,12 @@ func (m *Monitor) Tick() TickReport {
 	if len(rep.Drained)+len(rep.Undrained) > 0 {
 		m.dirty = true
 	}
+	m.autoDrains += uint64(len(rep.Drained))
+	m.autoUndrains += uint64(len(rep.Undrained))
 	dirty := m.dirty
 	m.mu.Unlock()
 
 	for _, name := range forgets {
-		ev := HealthEvent{At: now, Switch: name, From: Down, To: Down,
-			Action: "forget", Reason: "down past ForgetAfter"}
-		m.mu.Lock()
-		m.logLocked(ev)
-		m.mu.Unlock()
 		if m.cfg.OnForget != nil {
 			m.cfg.OnForget(name)
 		}
@@ -430,7 +426,6 @@ func (m *Monitor) Tick() TickReport {
 			_ = m.cfg.Offline(name, true)
 		}
 		m.fleet.Drain(name)
-		m.bump(&m.autoDrains)
 	}
 	for _, name := range rep.Undrained {
 		if m.cfg.Offline != nil {
@@ -439,12 +434,11 @@ func (m *Monitor) Tick() TickReport {
 			_ = m.cfg.Offline(name, false)
 		}
 		m.fleet.Undrain(name)
-		m.bump(&m.autoUndrains)
 	}
 	if dirty {
-		start := m.cfg.Now()
+		start := time.Now()
 		_, d, err := m.fleet.Converge()
-		elapsed := m.cfg.Now().Sub(start)
+		elapsed := time.Since(start)
 		m.mu.Lock()
 		m.converges++
 		m.convergeDurs = appendBounded(m.convergeDurs, elapsed)
@@ -459,13 +453,6 @@ func (m *Monitor) Tick() TickReport {
 		m.mu.Unlock()
 	}
 	return rep
-}
-
-// bump increments a monitor counter under the state lock.
-func (m *Monitor) bump(p *uint64) {
-	m.mu.Lock()
-	*p++
-	m.mu.Unlock()
 }
 
 // logLocked appends to the bounded event log. Callers hold m.mu.
@@ -512,7 +499,6 @@ func (m *Monitor) Events() []HealthEvent {
 // per-switch state with last-seen ages and drain reasons, plus the
 // pending delta count from a pure (agent-free) Plan.
 func (m *Monitor) Snapshot() FleetHealth {
-	now := m.cfg.Now()
 	m.mu.Lock()
 	fh := FleetHealth{
 		AutoDrains:   m.autoDrains,
@@ -522,7 +508,7 @@ func (m *Monitor) Snapshot() FleetHealth {
 	}
 	for _, name := range m.switches {
 		row := m.states[name].SwitchHealth
-		row.LastSeenAge = now.Sub(row.LastSeen)
+		row.LastSeenAge = m.round - row.LastSeen
 		fh.Switches = append(fh.Switches, row)
 	}
 	m.mu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // fakeFleet records the monitor's actions against a scriptable fleet.
@@ -84,33 +83,12 @@ func (p *probeScript) probe(name string) error {
 	return p.errs[name]
 }
 
-// fakeClock is a manually advanced time source.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func testMonitor(t *testing.T, fleet Fleet, probes *probeScript, mutate func(*HealthConfig)) (*Monitor, *fakeClock) {
+func testMonitor(t *testing.T, fleet Fleet, probes *probeScript, mutate func(*HealthConfig)) *Monitor {
 	t.Helper()
-	clk := &fakeClock{t: time.Unix(1000, 0)}
 	cfg := HealthConfig{
 		Probe:        probes.probe,
-		SuspectAfter: 1,
 		DownAfter:    2,
 		RecoverAfter: 3,
-		Now:          clk.now,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -119,7 +97,7 @@ func testMonitor(t *testing.T, fleet Fleet, probes *probeScript, mutate func(*He
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, clk
+	return m
 }
 
 func wantState(t *testing.T, m *Monitor, name string, want HealthState) {
@@ -141,7 +119,7 @@ func TestDebounceToDrain(t *testing.T) {
 	fleet := newFakeFleet()
 	probes := &probeScript{}
 	var offline []string
-	m, clk := testMonitor(t, fleet, probes, func(c *HealthConfig) {
+	m := testMonitor(t, fleet, probes, func(c *HealthConfig) {
 		c.Offline = func(name string, off bool) error {
 			offline = append(offline, fmt.Sprintf("%s=%v", name, off))
 			return nil
@@ -150,18 +128,15 @@ func TestDebounceToDrain(t *testing.T) {
 
 	probes.set("s2", errors.New("connection refused"))
 
-	clk.advance(time.Second)
 	m.Tick()
 	wantState(t, m, "s2", Suspect)
 	if len(fleet.callLog()) != 0 {
 		t.Fatalf("fleet touched while merely suspect: %v", fleet.callLog())
 	}
 
-	clk.advance(time.Second)
 	m.Tick()
 	wantState(t, m, "s2", Suspect)
 
-	clk.advance(time.Second)
 	rep := m.Tick()
 	wantState(t, m, "s2", Down)
 	if len(rep.Drained) != 1 || rep.Drained[0] != "s2" {
@@ -183,7 +158,6 @@ func TestDebounceToDrain(t *testing.T) {
 	wantState(t, m, "s3", Healthy)
 
 	// A steady-state tick with nothing to do drives no fleet calls.
-	clk.advance(time.Second)
 	m.Tick()
 	if calls := fleet.callLog(); len(calls) != len(want) {
 		t.Fatalf("steady-state tick touched the fleet: %v", calls)
@@ -196,15 +170,13 @@ func TestDebounceToDrain(t *testing.T) {
 func TestSuspectClearsOnOneGoodRound(t *testing.T) {
 	fleet := newFakeFleet()
 	probes := &probeScript{}
-	m, clk := testMonitor(t, fleet, probes, nil)
+	m := testMonitor(t, fleet, probes, nil)
 
 	probes.set("s1", errors.New("timeout"))
-	clk.advance(time.Second)
 	m.Tick()
 	wantState(t, m, "s1", Suspect)
 
 	probes.set("s1", nil)
-	clk.advance(time.Second)
 	m.Tick()
 	wantState(t, m, "s1", Healthy)
 	if len(fleet.callLog()) != 0 {
@@ -219,7 +191,7 @@ func TestHysteresisHoldsFlappingSwitchOut(t *testing.T) {
 	fleet := newFakeFleet()
 	probes := &probeScript{}
 	var offline []string
-	m, clk := testMonitor(t, fleet, probes, func(c *HealthConfig) {
+	m := testMonitor(t, fleet, probes, func(c *HealthConfig) {
 		c.Offline = func(name string, off bool) error {
 			offline = append(offline, fmt.Sprintf("%s=%v", name, off))
 			return nil
@@ -228,21 +200,17 @@ func TestHysteresisHoldsFlappingSwitchOut(t *testing.T) {
 
 	probes.set("s3", errors.New("reset"))
 	for i := 0; i < 3; i++ {
-		clk.advance(time.Second)
 		m.Tick()
 	}
 	wantState(t, m, "s3", Down)
 
 	// Two good rounds, then a flap: back to Down, recovery count reset.
 	probes.set("s3", nil)
-	clk.advance(time.Second)
 	m.Tick()
 	wantState(t, m, "s3", Recovering)
-	clk.advance(time.Second)
 	m.Tick()
 	wantState(t, m, "s3", Recovering)
 	probes.set("s3", errors.New("reset again"))
-	clk.advance(time.Second)
 	m.Tick()
 	wantState(t, m, "s3", Down)
 
@@ -256,7 +224,6 @@ func TestHysteresisHoldsFlappingSwitchOut(t *testing.T) {
 	// Now three clean rounds re-admit it, flushing offline first.
 	probes.set("s3", nil)
 	for i := 0; i < 3; i++ {
-		clk.advance(time.Second)
 		m.Tick()
 	}
 	wantState(t, m, "s3", Healthy)
@@ -288,17 +255,15 @@ func TestHysteresisHoldsFlappingSwitchOut(t *testing.T) {
 func TestRecoverAfterOneClearsDrainReason(t *testing.T) {
 	fleet := newFakeFleet()
 	probes := &probeScript{}
-	m, clk := testMonitor(t, fleet, probes, func(c *HealthConfig) { c.RecoverAfter = 1 })
+	m := testMonitor(t, fleet, probes, func(c *HealthConfig) { c.RecoverAfter = 1 })
 
 	probes.set("s2", errors.New("link down"))
 	for i := 0; i < 3; i++ {
-		clk.advance(time.Second)
 		m.Tick()
 	}
 	wantState(t, m, "s2", Down)
 
 	probes.set("s2", nil)
-	clk.advance(time.Second)
 	rep := m.Tick()
 	wantState(t, m, "s2", Healthy)
 	if len(rep.Undrained) != 1 || rep.Undrained[0] != "s2" {
@@ -325,7 +290,7 @@ func TestRecoverAfterOneClearsDrainReason(t *testing.T) {
 func TestConvergeRetryAfterError(t *testing.T) {
 	fleet := newFakeFleet()
 	probes := &probeScript{}
-	m, clk := testMonitor(t, fleet, probes, nil)
+	m := testMonitor(t, fleet, probes, nil)
 
 	fleet.mu.Lock()
 	fleet.convErr = errors.New("deploy raced a dying switch")
@@ -333,7 +298,6 @@ func TestConvergeRetryAfterError(t *testing.T) {
 
 	probes.set("s1", errors.New("dead"))
 	for i := 0; i < 3; i++ {
-		clk.advance(time.Second)
 		m.Tick()
 	}
 	wantState(t, m, "s1", Down)
@@ -345,7 +309,6 @@ func TestConvergeRetryAfterError(t *testing.T) {
 	fleet.mu.Lock()
 	fleet.convErr = nil
 	fleet.mu.Unlock()
-	clk.advance(time.Second)
 	rep := m.Tick()
 	if !rep.Converged {
 		t.Fatalf("dirty monitor did not retry converge: %+v", rep)
@@ -357,7 +320,7 @@ func TestConvergeRetryAfterError(t *testing.T) {
 func TestConvergeLogBounded(t *testing.T) {
 	fleet := newFakeFleet()
 	probes := &probeScript{}
-	m, _ := testMonitor(t, fleet, probes, nil)
+	m := testMonitor(t, fleet, probes, nil)
 	// A failing converge is owed again on every round.
 	fleet.mu.Lock()
 	fleet.convErr = errors.New("still failing")
@@ -372,37 +335,37 @@ func TestConvergeLogBounded(t *testing.T) {
 }
 
 // TestLivenessSilenceDrains: a switch whose control channel answers but
-// whose telemetry stream has gone silent past MaxSilence is drained all
-// the same.
+// whose telemetry frame count has stood still past MaxSilence rounds is
+// drained all the same, while switches whose count moves stay healthy.
 func TestLivenessSilenceDrains(t *testing.T) {
 	fleet := newFakeFleet()
 	probes := &probeScript{}
-	var silentSince time.Time
-	m, clk := testMonitor(t, fleet, probes, func(c *HealthConfig) {
-		c.MaxSilence = 5 * time.Second
-		c.Liveness = func(name string) (time.Time, bool, bool) {
+	var frames uint64
+	m := testMonitor(t, fleet, probes, func(c *HealthConfig) {
+		c.MaxSilence = 1
+		c.Liveness = func(name string) (uint64, bool) {
 			if name == "s2" {
-				return silentSince, true, true
+				return 1, true
 			}
-			return c.Now(), true, true
+			return frames, true
 		}
 	})
-	silentSince = clk.now()
 
 	// Fresh telemetry: healthy.
-	clk.advance(time.Second)
+	frames++
 	m.Tick()
 	wantState(t, m, "s2", Healthy)
 
-	// Freeze s2's last-seen and advance past MaxSilence: consecutive
-	// silent rounds walk it to Down even though probes keep succeeding.
-	// (The first advance still lands inside MaxSilence, so four rounds
-	// yield the three bad ones the default ladder needs.)
+	// s2's count stands still: consecutive silent rounds walk it to Down
+	// even though probes keep succeeding. (The first still round lands
+	// inside MaxSilence, so four rounds yield the three bad ones the
+	// default ladder needs.)
 	for i := 0; i < 4; i++ {
-		clk.advance(3 * time.Second)
+		frames++
 		m.Tick()
 	}
 	wantState(t, m, "s2", Down)
+	wantState(t, m, "s1", Healthy)
 	snap := m.Snapshot()
 	for _, sw := range snap.Switches {
 		if sw.Switch == "s2" && sw.DrainReason == "" {
@@ -411,27 +374,33 @@ func TestLivenessSilenceDrains(t *testing.T) {
 	}
 }
 
-// TestForgetFiresOncePerOutage: a switch down past ForgetAfter triggers
-// OnForget exactly once, and the forgotten flag resets on a fresh
-// outage.
+// TestForgetFiresOncePerOutage: a switch down past ForgetAfter rounds
+// triggers OnForget exactly once, and the forgotten flag resets on a
+// fresh outage.
 func TestForgetFiresOncePerOutage(t *testing.T) {
 	fleet := newFakeFleet()
 	probes := &probeScript{}
 	var forgets []string
-	m, clk := testMonitor(t, fleet, probes, func(c *HealthConfig) {
-		c.ForgetAfter = 10 * time.Second
+	m := testMonitor(t, fleet, probes, func(c *HealthConfig) {
+		c.ForgetAfter = 3
 		c.OnForget = func(name string) { forgets = append(forgets, name) }
 	})
 
 	probes.set("s1", errors.New("gone"))
 	for i := 0; i < 3; i++ {
-		clk.advance(time.Second)
 		m.Tick()
 	}
 	wantState(t, m, "s1", Down)
 
-	for i := 0; i < 5; i++ {
-		clk.advance(4 * time.Second)
+	// Two rounds down is not yet ForgetAfter; the third is, and the
+	// rounds after it forget nothing more.
+	for i := 0; i < 2; i++ {
+		m.Tick()
+	}
+	if len(forgets) != 0 {
+		t.Fatalf("forgets = %v after 2 rounds down, want none before ForgetAfter", forgets)
+	}
+	for i := 0; i < 3; i++ {
 		m.Tick()
 	}
 	if len(forgets) != 1 || forgets[0] != "s1" {
@@ -441,17 +410,11 @@ func TestForgetFiresOncePerOutage(t *testing.T) {
 	// Recover, then fail again: the new outage may forget again.
 	probes.set("s1", nil)
 	for i := 0; i < 3; i++ {
-		clk.advance(time.Second)
 		m.Tick()
 	}
 	wantState(t, m, "s1", Healthy)
 	probes.set("s1", errors.New("gone again"))
-	for i := 0; i < 3; i++ {
-		clk.advance(time.Second)
-		m.Tick()
-	}
-	for i := 0; i < 5; i++ {
-		clk.advance(4 * time.Second)
+	for i := 0; i < 3+5; i++ {
 		m.Tick()
 	}
 	if len(forgets) != 2 {
@@ -465,11 +428,10 @@ func TestSnapshotReportsPendingDeltas(t *testing.T) {
 	fleet := newFakeFleet()
 	fleet.pending = 3
 	probes := &probeScript{}
-	m, clk := testMonitor(t, fleet, probes, nil)
+	m := testMonitor(t, fleet, probes, nil)
 
 	probes.set("s2", errors.New("dead"))
 	for i := 0; i < 3; i++ {
-		clk.advance(time.Second)
 		m.Tick()
 	}
 
@@ -484,10 +446,20 @@ func TestSnapshotReportsPendingDeltas(t *testing.T) {
 	for _, ev := range snap.Events {
 		if ev.Switch == "s2" && ev.Action == "auto-drain" {
 			sawDrain = true
+			// The third bad round drains: SuspectAfter + DownAfter.
+			if ev.Round != SuspectAfter+2 || ev.Round != snap.Switches[1].DownSince {
+				t.Fatalf("auto-drain in round %d (DownSince %d), want round %d", ev.Round, snap.Switches[1].DownSince, SuspectAfter+2)
+			}
 		}
 	}
 	if !sawDrain {
 		t.Fatalf("event log missing the auto-drain: %v", snap.Events)
+	}
+	// Ages count rounds: s2 has not answered since the monitor started,
+	// s1 answered this round.
+	if s1, s2 := snap.Switches[0], snap.Switches[1]; s1.LastSeen != 3 || s1.LastSeenAge != 0 || s2.LastSeen != 0 || s2.LastSeenAge != 3 {
+		t.Fatalf("last seen s1 = %d (age %d), s2 = %d (age %d); want 3 (0) and 0 (3)",
+			s1.LastSeen, s1.LastSeenAge, s2.LastSeen, s2.LastSeenAge)
 	}
 	if s := snap.String(); s == "" {
 		t.Fatal("empty snapshot rendering")

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/newton-net/newton/internal/scheduler"
 	"github.com/newton-net/newton/internal/telemetry"
@@ -35,9 +34,9 @@ type AccuracySource interface {
 	ObservedAccuracy(qid int, epoch uint32, scale uint64) (telemetry.QueryAccuracy, bool)
 }
 
-// The hysteresis. Every epoch count is in SETTLED epochs — merges with
-// every contributor present and no width transition — so wall-clock
-// speed never changes the control behavior. They are constants because
+// The hysteresis. Every count is in SETTLED epochs — merges with every
+// contributor present and no width transition — so wall-clock speed
+// never changes the control behavior: the refiner reads no clock. They are constants because
 // one value of each has ever been in use: a second caller that needs
 // another is the reason to make one a field again.
 const (
@@ -60,24 +59,20 @@ const (
 	// flapEpochs is the settled-epoch window within which a direction
 	// reversal (widen after narrow or vice versa) counts as a flap.
 	flapEpochs = 4
-	// rejectHold is how long a rung the admission planner refused stays
-	// remembered: until it expires the refiner will not bid for that
-	// rung (or above) again, so a rejected widen cannot retry-storm.
-	rejectHold = 30 * time.Second
+	// rejectHold is how many settled epochs a rung the admission planner
+	// refused stays remembered: until it expires the refiner will not bid
+	// for that rung (or above) again, so a rejected widen cannot
+	// retry-storm. 300 is 30 s at netsim's default 100 ms window.
+	rejectHold = 300
 )
 
-// RefinerConfig holds what a caller may substitute in the refiner.
-type RefinerConfig struct {
-	// Clock supplies wall time (for rejectHold expiry and event
-	// timestamps only — control decisions count epochs). Nil means
-	// time.Now. Kept as a field because the reject-hold test would
-	// otherwise wait out 30 real seconds.
-	Clock func() time.Time
-}
+// RefinerConfig is empty: the refiner has nothing a caller substitutes.
+// It stays because benchmark/ passes RefinerConfig{} to NewRefiner.
+type RefinerConfig struct{}
 
-// RefineEvent is one control decision, for operators and tests.
+// RefineEvent is one control decision, for operators and tests. Epoch
+// is the settled epoch it was taken on.
 type RefineEvent struct {
-	Time     time.Time
 	Query    string
 	QID      int
 	Epoch    uint32
@@ -119,7 +114,7 @@ type qState struct {
 	cooldownUntil int // seq until which observations are ignored
 	lastDir       int // +1 widen, -1 narrow
 	lastDirSeq    int
-	rejectedUntil time.Time // when Rejected stops being remembered
+	rejectedUntil int // seq after which Rejected is forgotten
 }
 
 // Refiner closes the accuracy loop: Step reads each accuracy-enabled
@@ -127,7 +122,6 @@ type qState struct {
 // the deployment through the fleet's width-cap + converge path. Step is
 // the only entry point: callers own the cadence.
 type Refiner struct {
-	now   func() time.Time
 	fleet RefineFleet
 	src   AccuracySource
 
@@ -140,12 +134,8 @@ type Refiner struct {
 }
 
 // NewRefiner builds the control loop over a fleet and its analyzer.
-func NewRefiner(fleet RefineFleet, src AccuracySource, cfg RefinerConfig) *Refiner {
-	r := &Refiner{now: cfg.Clock, fleet: fleet, src: src, states: map[string]*qState{}}
-	if r.now == nil {
-		r.now = time.Now
-	}
-	return r
+func NewRefiner(fleet RefineFleet, src AccuracySource, _ RefinerConfig) *Refiner {
+	return &Refiner{fleet: fleet, src: src, states: map[string]*qState{}}
 }
 
 // StepReport summarizes one control pass.
@@ -206,7 +196,7 @@ func (r *Refiner) Step() (StepReport, error) {
 		st.Target = in.Accuracy.MaxRelErr
 		st.Observed = qa.Observed()
 		st.InBand = st.Observed <= st.Target
-		if r.now().After(st.rejectedUntil) {
+		if st.seq > st.rejectedUntil {
 			st.Rejected = 0
 		}
 		if st.seq <= st.cooldownUntil {
@@ -277,11 +267,10 @@ func (r *Refiner) controlLocked(st *qState, in Intent, qa telemetry.QueryAccurac
 // A grant below the bid is recorded as a rejection (for rejectHold) so
 // the refiner stops bidding for capacity the fleet does not have.
 func (r *Refiner) resizeLocked(st *qState, from, want uint32, dir int) ([]RefineEvent, error) {
-	now := r.now()
 	var evs []RefineEvent
 	ev := func(action string, to uint32) {
 		evs = append(evs, RefineEvent{
-			Time: now, Query: st.Query, QID: st.QID, Epoch: st.Epoch,
+			Query: st.Query, QID: st.QID, Epoch: st.Epoch,
 			Action: action, From: from, To: to,
 			Observed: st.Observed, Target: st.Target,
 		})
@@ -309,7 +298,7 @@ func (r *Refiner) resizeLocked(st *qState, from, want uint32, dir int) ([]Refine
 		// so the next pass does not retry it until the hold expires, and
 		// pin the cap at what the fleet actually holds.
 		st.Rejected = want
-		st.rejectedUntil = now.Add(rejectHold)
+		st.rejectedUntil = st.seq + rejectHold
 		r.fleet.SetWidthCap(st.Query, granted)
 		ev("reject", granted)
 	}

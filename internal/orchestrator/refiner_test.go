@@ -2,7 +2,6 @@ package orchestrator
 
 import (
 	"testing"
-	"time"
 
 	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/sketch"
@@ -212,13 +211,13 @@ func TestRefinerNarrowsSlowOneRungAtATime(t *testing.T) {
 	}
 }
 
-// TestRefinerRespectsRejectedRung is the satellite-2 contract: a rung
-// the planner refused is remembered — the refiner bids below it instead
-// of retry-storming — until RejectHold expires on the injected clock.
+// TestRefinerRespectsRejectedRung: a rung the planner refused is
+// remembered — the refiner bids below it instead of retry-storming —
+// until rejectHold settled epochs have passed, even once the fleet has
+// capacity again.
 func TestRefinerRespectsRejectedRung(t *testing.T) {
 	fleet, src := refinerRig(256)
-	now := time.Unix(1000, 0)
-	r := NewRefiner(fleet, src, RefinerConfig{Clock: func() time.Time { return now }})
+	r := NewRefiner(fleet, src, RefinerConfig{})
 	name := fleet.intents[0].Query.Name
 	fleet.grantMax = 1024 // the planner degrades anything wider
 
@@ -250,13 +249,26 @@ func TestRefinerRespectsRejectedRung(t *testing.T) {
 		}
 	}
 
-	// Hold expires and the fleet has capacity again: the widen lands.
-	now = now.Add(61 * time.Second)
+	// The fleet has capacity again, but the hold stands: the widen lands
+	// only when rejectHold settled epochs have passed since the last
+	// refusal, which was one of the eight epochs above.
 	fleet.grantMax = 0
-	tick(t, r, fleet, src, 12000)
-	tick(t, r, fleet, src, 12000)
-	if got := fleet.deployed[name].Width; got != 4096 {
-		t.Fatalf("width after hold expiry = %d, want 4096", got)
+	held := 0
+	for fleet.deployed[name].Width != 4096 {
+		if held > rejectHold {
+			t.Fatalf("width = %d after %d settled epochs with capacity, want 4096 once the hold expires",
+				fleet.deployed[name].Width, held)
+		}
+		tick(t, r, fleet, src, 12000)
+		held++
+	}
+	if held < rejectHold-8 {
+		t.Fatalf("widen landed %d settled epochs after capacity returned: the %d-epoch hold was not kept", held, rejectHold)
+	}
+	for _, b := range fleet.bids[1 : len(fleet.bids)-1] {
+		if b >= 4096 {
+			t.Fatalf("bids %v re-request the rejected rung during the hold", fleet.bids)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"bytes"
+	"math"
 	"testing"
 	"time"
 )
@@ -72,5 +74,29 @@ func TestReplayCacheAgesOut(t *testing.T) {
 	agent.dispatch(&Request{Type: typeStats, ID: 5})
 	if got := agent.ReplayHits(); got != before {
 		t.Fatalf("aged-out ID 5 still answered from cache")
+	}
+}
+
+// TestRequestIDsPrintAtOneWidth: a control frame's length does not
+// depend on the process's nonce draw. A request encodes to the same
+// bytes count at the lowest and the highest nonce (and any sequence
+// number), and minNonce is the least nonce that does.
+func TestRequestIDsPrintAtOneWidth(t *testing.T) {
+	frameLen := func(id uint64) int {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, &Request{Type: typeStats, ID: id}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	lo := frameLen(minNonce<<32 | 1)
+	if hi := frameLen(math.MaxUint32<<32 | math.MaxUint32); hi != lo {
+		t.Fatalf("frame is %d bytes at the lowest nonce, %d at the highest", lo, hi)
+	}
+	if below := frameLen((minNonce-1)<<32 | 1); below == lo {
+		t.Fatalf("nonce %d already prints at full width: minNonce is not the least", minNonce-1)
+	}
+	if n := reqNonce >> 32; n < minNonce {
+		t.Fatalf("drawn nonce %d below minNonce %d", n, minNonce)
 	}
 }

@@ -605,11 +605,17 @@ type Client struct {
 }
 
 // reqSeq hands out process-unique request IDs; reqNonce separates
-// clients in different processes talking to the same agent.
+// clients in different processes talking to the same agent. The nonce
+// is drawn from [minNonce, 2³²), so every ID lies in [10¹⁹, 2⁶⁴) and
+// prints as 20 digits: a control frame's length does not depend on the
+// draw. That leaves about 31 bits to tell processes apart.
 var (
 	reqSeq   uint64
-	reqNonce = uint64(rand.Uint32()) << 32
+	reqNonce = uint64(minNonce+rand.Int63n(1<<32-minNonce)) << 32
 )
+
+// minNonce is the least nonce n with n<<32 ≥ 10¹⁹.
+const minNonce = 2_328_306_437
 
 func nextReqID() uint64 { return reqNonce | (atomic.AddUint64(&reqSeq, 1) & 0xFFFFFFFF) }
 

@@ -249,14 +249,14 @@ func TestEpochGapAndLivenessTracking(t *testing.T) {
 		t.Errorf("EpochGaps = %d, want 3 (epochs 2,3,4)", gaps)
 	}
 
-	if _, connected, ok := svc.AgentLiveness("a"); !ok || !connected {
+	if connected, ok := svc.AgentLiveness("a"); !ok || !connected {
 		t.Fatalf("liveness(a) = connected=%v ok=%v, want connected", connected, ok)
 	}
 	if err := exp.Close(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "stream down", func() bool {
-		_, connected, ok := svc.AgentLiveness("a")
+		connected, ok := svc.AgentLiveness("a")
 		return ok && !connected
 	})
 
@@ -264,7 +264,7 @@ func TestEpochGapAndLivenessTracking(t *testing.T) {
 	exp2 := connect(t, svc, "a", telemetry.ExporterConfig{}, nil)
 	defer exp2.Close()
 	waitFor(t, "stream back up", func() bool {
-		_, connected, _ := svc.AgentLiveness("a")
+		connected, _ := svc.AgentLiveness("a")
 		return connected
 	})
 	if rc := svc.Stats().Reconnects; rc != 1 {

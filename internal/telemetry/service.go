@@ -159,12 +159,11 @@ type agentInfo struct {
 	Snapshots uint64
 	Bye       *wire.ExportStats // final counters, once the agent said bye
 
-	// Liveness: when the agent's stream last produced a frame, and how
-	// many streams it currently has open (normally 0 or 1; an exporter
-	// reconnect can briefly overlap).
-	LastSeen time.Time
-	Streams  int
-	everUp   bool
+	// Liveness: how many streams the agent currently has open (normally
+	// 0 or 1; an exporter reconnect can briefly overlap). Its frame count
+	// is wire.Frames.
+	Streams int
+	everUp  bool
 
 	// Epoch-gap detection: the highest snapshot epoch seen, and how
 	// many epochs were skipped (a reset exporter re-syncs at its
@@ -422,12 +421,11 @@ func (cr *countReader) take() uint64 {
 	return n
 }
 
-// noteFrame is a frame's accounting, under one lock: the agent's
-// liveness stamp, and the frame's bytes as they crossed the wire
-// (wireBytes) and as they would have uncompressed (rawBytes).
+// noteFrame is a frame's accounting, under one lock: the frame count
+// (the agent's liveness signal), and the frame's bytes as they crossed
+// the wire (wireBytes) and as they would have uncompressed (rawBytes).
 func (s *Service) noteFrame(agent *agentInfo, wireBytes, rawBytes uint64, compressed bool) {
 	s.mu.Lock()
-	agent.LastSeen = time.Now()
 	agent.wire.Frames++
 	agent.wire.Bytes += wireBytes
 	agent.wire.RawBytes += rawBytes
@@ -447,7 +445,6 @@ func (s *Service) streamUp(id string) *agentInfo {
 	}
 	a.everUp = true
 	a.Streams++
-	a.LastSeen = time.Now()
 	s.mu.Unlock()
 	return a
 }
@@ -922,16 +919,17 @@ func (s *Service) EpochStatus(qid int, epoch uint32) (partial bool, missing []st
 	return len(missing) > 0 || es.transition, missing, len(es.contrib)
 }
 
-// AgentLiveness reports when switch id's stream last produced a frame
-// and whether a stream is currently open.
-func (s *Service) AgentLiveness(id string) (lastSeen time.Time, connected bool, ok bool) {
+// AgentLiveness reports whether switch id has a stream open (ok false
+// for a switch never seen). How recently it produced a frame is
+// AgentWire's Frames count, read twice.
+func (s *Service) AgentLiveness(id string) (connected bool, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a := s.agents[id]
 	if a == nil {
-		return time.Time{}, false, false
+		return false, false
 	}
-	return a.LastSeen, a.Streams > 0, true
+	return a.Streams > 0, true
 }
 
 // publishLocked fans an event out to subscribers without blocking

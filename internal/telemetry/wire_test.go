@@ -119,7 +119,7 @@ func TestLateAckNeverSplitsTheCodec(t *testing.T) {
 	if d := exp.Stats().Dropped; d != dropped {
 		t.Errorf("%d reports dropped after the reconnect", d-dropped)
 	}
-	if _, connected, _ := svc.AgentLiveness("s1"); !connected {
+	if connected, _ := svc.AgentLiveness("s1"); !connected {
 		t.Error("the service does not see s1 connected")
 	}
 }
@@ -331,7 +331,7 @@ func TestAnalyzerObsCodecHeldBytes(t *testing.T) {
 	svc := telemetry.NewService(telemetry.ServiceConfig{})
 	defer svc.Close()
 	up := func(id string) func() bool {
-		return func() bool { _, connected, _ := svc.AgentLiveness(id); return connected }
+		return func() bool { connected, _ := svc.AgentLiveness(id); return connected }
 	}
 	early := connect(t, svc, "early", telemetry.ExporterConfig{}, nil)
 	waitFor(t, "early's stream up", up("early"))

@@ -15,8 +15,6 @@ import (
 // keptSurface is TestNoUnusedSurface's allowlist: what it would report
 // and stays anyway, one line each with the reason.
 var keptSurface = map[string]string{
-	"orchestrator.RefinerConfig.Clock":          "test clock: the 30 s reject hold would be waited out in real time otherwise",
-	"orchestrator.HealthConfig.Now":             "test clock: last-seen ages, MaxSilence and ForgetAfter would need real sleeps otherwise",
 	"telemetry.ExporterConfig.NegotiateTimeout": "every negative handshake test would wait the 2 s default otherwise",
 	"classify.Config.MaxCells":                  "benchmark/ compiles against classify.Config; the compile-budget tests set it to force a refusal",
 	"classify.Config.MaxWork":                   "as MaxCells",
