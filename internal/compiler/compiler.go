@@ -92,9 +92,124 @@ type unit struct {
 	reportR bool
 }
 
+// Compiler compiles queries. A compile decomposes the query into
+// scratch storage the Compiler keeps from one compile to the next, then
+// copies the program out into an arena of exactly its size
+// (modules.Program.Clone), so a warm compile allocates the dozen
+// objects of that arena and little else. The zero value is ready to
+// use; a Compiler is not safe for concurrent use.
+type Compiler struct {
+	ops     pool[modules.Op]
+	ks      pool[modules.KConfig]
+	hs      pool[modules.HConfig]
+	ss      pool[modules.SConfig]
+	rs      pool[modules.RConfig]
+	entries pool[modules.REntry]
+	actions pool[modules.RAct]
+	units   pool[unit]
+
+	// The branches of the program being compiled, their ops in the
+	// pools.
+	branches   []modules.BranchProgram
+	branchPtrs []*modules.BranchProgram
+
+	list         []*unit // the units of the branch being compiled
+	eq, rng, res []query.Predicate
+}
+
+// pool hands out values that stay where they are until the next
+// compile: it grows a chunk at a time, each twice the last, never moving
+// what it handed out, and keeps its chunks from one compile to the next.
+type pool[T any] struct {
+	chunks      [][]T
+	chunk, used int // the chunk being taken from, and how much of it is
+}
+
+// take returns the next n values, as a previous compile left them.
+func (p *pool[T]) take(n int) []T {
+	for p.chunk < len(p.chunks) && p.used+n > len(p.chunks[p.chunk]) {
+		p.chunk, p.used = p.chunk+1, 0
+	}
+	if p.chunk == len(p.chunks) {
+		size := 8
+		if k := len(p.chunks); k > 0 {
+			size = 2 * len(p.chunks[k-1])
+		}
+		p.chunks = append(p.chunks, make([]T, max(size, n)))
+	}
+	s := p.chunks[p.chunk][p.used : p.used+n : p.used+n]
+	p.used += n
+	return s
+}
+
+func (p *pool[T]) reset() { p.chunk, p.used = 0, 0 }
+
+// put returns a pooled copy of v.
+func put[T any](p *pool[T], v T) *T {
+	s := p.take(1)
+	s[0] = v
+	return &s[0]
+}
+
+// putAll returns a pooled copy of vs.
+func putAll[T any](p *pool[T], vs ...T) []T {
+	s := p.take(len(vs))
+	copy(s, vs)
+	return s
+}
+
+// kOp, hOp, sOp and rOp return a pooled op of their module with a
+// pooled config.
+func (c *Compiler) kOp(m fields.Mask) *modules.Op {
+	return put(&c.ops, modules.Op{Kind: modules.ModK, K: put(&c.ks, modules.KConfig{Mask: m})})
+}
+
+func (c *Compiler) hOp(h modules.HConfig) *modules.Op {
+	return put(&c.ops, modules.Op{Kind: modules.ModH, H: put(&c.hs, h)})
+}
+
+func (c *Compiler) sOp(s modules.SConfig) *modules.Op {
+	return put(&c.ops, modules.Op{Kind: modules.ModS, S: put(&c.ss, s)})
+}
+
+func (c *Compiler) rOp(onGlobal bool, entries ...modules.REntry) *modules.Op {
+	r := put(&c.rs, modules.RConfig{OnGlobal: onGlobal, Entries: putAll(&c.entries, entries...)})
+	return put(&c.ops, modules.Op{Kind: modules.ModR, R: r})
+}
+
+// acts returns a pooled action list.
+func (c *Compiler) acts(a ...modules.RAct) []modules.RAct { return putAll(&c.actions, a...) }
+
+// unit returns a pooled unit with no ops and u's marks.
+func (c *Compiler) unit(u unit) *unit {
+	p := &c.units.take(1)[0]
+	u.ops = p.ops[:0]
+	*p = u
+	return p
+}
+
+// reset hands every pooled value back for the next compile.
+func (c *Compiler) reset() {
+	c.ops.reset()
+	c.ks.reset()
+	c.hs.reset()
+	c.ss.reset()
+	c.rs.reset()
+	c.entries.reset()
+	c.actions.reset()
+	c.units.reset()
+}
+
 // Compile translates q into a data-plane program under the given
-// options.
+// options, in a Compiler of its own.
 func Compile(q *query.Query, o Options) (*modules.Program, error) {
+	var c Compiler
+	return c.Compile(q, o)
+}
+
+// Compile translates q into a data-plane program under the given
+// options. The program shares nothing with the Compiler.
+func (c *Compiler) Compile(q *query.Query, o Options) (*modules.Program, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
 	}
@@ -106,14 +221,19 @@ func Compile(q *query.Query, o Options) (*modules.Program, error) {
 			}
 		}
 	}
-	p := &modules.Program{QID: o.QID, Name: q.Name}
+	c.reset()
+	if len(c.branches) < len(q.Branches) {
+		c.branches = append(c.branches, make([]modules.BranchProgram, len(q.Branches)-len(c.branches))...)
+	}
+	c.branchPtrs = c.branchPtrs[:0]
 	// Without Opt.3 the composition is the intuitive one: the whole
 	// query — all branches — chains horizontally, one module per stage
 	// (Fig. 6's "up to 20 modules and 20 stages"). With Opt.3, branches
 	// multiplex rules into the same stages.
 	seq := 0
 	for bi := range q.Branches {
-		bp, units, err := compileBranch(q, bi, o)
+		bp := &c.branches[bi]
+		units, err := c.compileBranch(bp, q, bi, o)
 		if err != nil {
 			return nil, err
 		}
@@ -122,6 +242,7 @@ func Compile(q *query.Query, o Options) (*modules.Program, error) {
 			units = pruneRedundantK(units)
 		}
 		seq = assignStages(units, o, seq)
+		bp.Ops = bp.Ops[:0]
 		for _, u := range units {
 			bp.Ops = append(bp.Ops, u.ops...)
 		}
@@ -129,16 +250,18 @@ func Compile(q *query.Query, o Options) (*modules.Program, error) {
 		// order. The sort is stable, so ops sharing a stage keep the unit
 		// order the dependency rules were checked in.
 		slices.SortStableFunc(bp.Ops, func(a, b *modules.Op) int { return cmp.Compare(a.Stage, b.Stage) })
-		p.Branches = append(p.Branches, bp)
+		c.branchPtrs = append(c.branchPtrs, bp)
 	}
-	return p, nil
+	p := modules.Program{QID: o.QID, Name: q.Name, Branches: c.branchPtrs}
+	return p.Clone(), nil
 }
 
-// compileBranch lowers one branch: Opt.1 front-filter folding, primitive
-// decomposition into units, and the merge tail.
-func compileBranch(q *query.Query, bi int, o Options) (*modules.BranchProgram, []*unit, error) {
+// compileBranch lowers one branch into bp's traffic class and units:
+// Opt.1 front-filter folding, primitive decomposition, and the merge
+// tail.
+func (c *Compiler) compileBranch(bp *modules.BranchProgram, q *query.Query, bi int, o Options) ([]*unit, error) {
 	b := &q.Branches[bi]
-	bp := &modules.BranchProgram{Init: modules.MatchAllInit()}
+	bp.Init = modules.MatchAllInit()
 
 	prims := b.Prims
 	if o.Opt1 && len(prims) > 0 && prims[0].IsFrontFilter() {
@@ -146,15 +269,13 @@ func compileBranch(q *query.Query, bi int, o Options) (*modules.BranchProgram, [
 		prims = prims[1:]
 	}
 
-	units, err := decompose(q, prims, o)
+	units, err := c.decompose(c.list[:0], q, prims, o)
 	if err != nil {
-		return nil, nil, fmt.Errorf("compiler: %s branch %d: %w", q.Name, bi, err)
+		return nil, fmt.Errorf("compiler: %s branch %d: %w", q.Name, bi, err)
 	}
-	tail, err := mergeTail(q, bi, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return bp, append(units, tail...), nil
+	units = c.mergeTail(units, q, bi, o)
+	c.list = units
+	return units, nil
 }
 
 // initMatchFor builds the newton_init ternary entry equivalent to a
@@ -194,23 +315,18 @@ func initMatchFor(pr query.Primitive) modules.InitMatch {
 }
 
 // decompose lowers primitives into units of module ops (configs only;
-// sets and stages come later).
-func decompose(q *query.Query, prims []query.Primitive, o Options) ([]*unit, error) {
-	var units []*unit
+// sets and stages come later), appended to units.
+func (c *Compiler) decompose(units []*unit, q *query.Query, prims []query.Primitive, o Options) ([]*unit, error) {
 	// curKeys tracks the chain's current operation keys (θ in Algorithm
 	// 1): unoptimized suites whose K is semantically unused re-select
 	// them so downstream modules (and reports) see unchanged keys.
 	curKeys := fields.Keep(fields.DstIP)
 	kOp := func(m fields.Mask) *modules.Op {
 		curKeys = m
-		return &modules.Op{Kind: modules.ModK, K: &modules.KConfig{Mask: m}}
+		return c.kOp(m)
 	}
-	passthroughHSR := func(u *unit) {
-		u.ops = append(u.ops,
-			&modules.Op{Kind: modules.ModH, H: &modules.HConfig{Algo: sketch.FNV1a, Seed: filterSeed, Direct: modules.NoField}},
-			&modules.Op{Kind: modules.ModS, S: &modules.SConfig{PassThrough: true}},
-			&modules.Op{Kind: modules.ModR, R: &modules.RConfig{Entries: []modules.REntry{{Lo: -rInf, Hi: rInf}}}})
-	}
+	filterH := modules.HConfig{Algo: sketch.FNV1a, Seed: filterSeed, Direct: modules.NoField}
+	passThrough := modules.SConfig{PassThrough: true}
 
 	// counts is whether the last reduce counts packets (steps by one)
 	// rather than summing a field.
@@ -219,83 +335,65 @@ func decompose(q *query.Query, prims []query.Primitive, o Options) ([]*unit, err
 		lastPrim := pi == len(prims)-1
 		switch pr.Kind {
 		case query.KindFilter:
-			eqPreds, rangePreds, resPreds := splitPreds(pr.Preds)
-			if len(eqPreds) > 0 {
-				u := &unit{gates: true}
-				mask := predMask(eqPreds)
-				u.ops = append(u.ops, kOp(mask))
-				expect := expectedHash(eqPreds, mask)
-				u.ops = append(u.ops,
-					&modules.Op{Kind: modules.ModH, H: &modules.HConfig{Algo: sketch.FNV1a, Seed: filterSeed, Direct: modules.NoField}},
-					&modules.Op{Kind: modules.ModS, S: &modules.SConfig{PassThrough: true}},
-					&modules.Op{Kind: modules.ModR, R: &modules.RConfig{Entries: []modules.REntry{
-						{Lo: int64(expect), Hi: int64(expect)}, // match → continue
-					}}})
+			c.eq, c.rng, c.res = splitPreds(pr.Preds, c.eq[:0], c.rng[:0], c.res[:0])
+			if len(c.eq) > 0 {
+				u := c.unit(unit{gates: true})
+				mask := predMask(c.eq)
+				expect := expectedHash(c.eq, mask)
+				u.ops = append(u.ops, kOp(mask), c.hOp(filterH), c.sOp(passThrough),
+					c.rOp(false, modules.REntry{Lo: int64(expect), Hi: int64(expect)})) // match → continue
 				units = append(units, u)
 			}
-			for _, pred := range rangePreds {
-				u := &unit{gates: true}
-				u.ops = append(u.ops, kOp(fields.Keep(pred.Field)))
+			for _, pred := range c.rng {
+				u := c.unit(unit{gates: true})
 				lo, hi := predRange(pred)
-				u.ops = append(u.ops,
-					&modules.Op{Kind: modules.ModH, H: &modules.HConfig{Direct: pred.Field}},
-					&modules.Op{Kind: modules.ModS, S: &modules.SConfig{PassThrough: true}},
-					&modules.Op{Kind: modules.ModR, R: &modules.RConfig{Entries: []modules.REntry{{Lo: lo, Hi: hi}}}})
+				u.ops = append(u.ops, kOp(fields.Keep(pred.Field)), c.hOp(modules.HConfig{Direct: pred.Field}),
+					c.sOp(passThrough), c.rOp(false, modules.REntry{Lo: lo, Hi: hi}))
 				units = append(units, u)
 			}
-			for _, pred := range resPreds {
-				u := &unit{gates: true}
+			for _, pred := range c.res {
+				u := c.unit(unit{gates: true})
 				if !o.Opt2 {
 					// Unoptimized, the suite still carries the unused
 					// K/H/S modules Opt.2 would strip; its K re-selects
 					// the current keys so reports stay intact.
-					u.ops = append(u.ops, kOp(curKeys))
-					u.ops = append(u.ops,
-						&modules.Op{Kind: modules.ModH, H: &modules.HConfig{Algo: sketch.FNV1a, Seed: filterSeed, Direct: modules.NoField}},
-						&modules.Op{Kind: modules.ModS, S: &modules.SConfig{PassThrough: true}})
+					u.ops = append(u.ops, kOp(curKeys), c.hOp(filterH), c.sOp(passThrough))
 				}
-				entries := resultEntries(q, pred, lastPrim, counts)
 				if q.Merge == nil && lastPrim && (pred.Op == query.CmpGt || pred.Op == query.CmpGe) {
 					u.reportR = true
 				}
-				u.ops = append(u.ops, &modules.Op{Kind: modules.ModR, R: &modules.RConfig{OnGlobal: true, Entries: entries}})
+				u.ops = append(u.ops, c.resultR(q, pred, lastPrim, counts))
 				units = append(units, u)
 			}
 
 		case query.KindMap:
-			u := &unit{}
+			u := c.unit(unit{})
 			u.ops = append(u.ops, kOp(pr.Keys))
 			if !o.Opt2 {
-				passthroughHSR(u)
+				u.ops = append(u.ops, c.hOp(filterH), c.sOp(passThrough), c.rOp(false, modules.REntry{Lo: -rInf, Hi: rInf}))
 			}
 			units = append(units, u)
 
 		case query.KindDistinct:
 			for r := 0; r < o.DistinctHashes; r++ {
-				u := &unit{}
-				u.ops = append(u.ops, kOp(pr.Keys))
-				u.ops = append(u.ops,
-					&modules.Op{Kind: modules.ModH, H: &modules.HConfig{Algo: sketch.CRC32IEEE, Seed: rowSeed(r), Range: o.Width, Direct: modules.NoField}},
-					&modules.Op{Kind: modules.ModS, S: &modules.SConfig{
-						ALU: dataplane.OpOr, Operand: modules.OperandConst, Const: 1,
-						WidthHint: o.Width, OwnerIndex: o.ShardIndex, OwnerCount: o.ShardCount,
-					}})
 				act := modules.RAct{Kind: modules.RActGlobalAdd, Coeff: 1}
 				if r == 0 {
 					act = modules.RAct{Kind: modules.RActSetGlobal}
 				}
-				u.ops = append(u.ops, &modules.Op{Kind: modules.ModR, R: &modules.RConfig{Entries: []modules.REntry{
-					{Lo: -rInf, Hi: rInf, Actions: []modules.RAct{act}},
-				}}})
+				u := c.unit(unit{})
+				u.ops = append(u.ops, kOp(pr.Keys),
+					c.hOp(modules.HConfig{Algo: sketch.CRC32IEEE, Seed: rowSeed(r), Range: o.Width, Direct: modules.NoField}),
+					c.sOp(modules.SConfig{
+						ALU: dataplane.OpOr, Operand: modules.OperandConst, Const: 1,
+						WidthHint: o.Width, OwnerIndex: o.ShardIndex, OwnerCount: o.ShardCount,
+					}),
+					c.rOp(false, modules.REntry{Lo: -rInf, Hi: rInf, Actions: c.acts(act)}))
 				units = append(units, u)
 			}
 			// Gate: seen before iff every row's old bit was set
 			// (global == rows). New → continue, seen → stop.
-			gate := &unit{gates: true}
-			gate.ops = append(gate.ops, &modules.Op{Kind: modules.ModR, R: &modules.RConfig{
-				OnGlobal: true,
-				Entries:  []modules.REntry{{Lo: 0, Hi: int64(o.DistinctHashes) - 1}},
-			}})
+			gate := c.unit(unit{gates: true})
+			gate.ops = append(gate.ops, c.rOp(true, modules.REntry{Lo: 0, Hi: int64(o.DistinctHashes) - 1}))
 			units = append(units, gate)
 
 		case query.KindReduce:
@@ -305,22 +403,19 @@ func decompose(q *query.Query, prims []query.Primitive, o Options) ([]*unit, err
 				operand, fieldv = modules.OperandField, pr.Value
 			}
 			for r := 0; r < o.ReduceRows; r++ {
-				u := &unit{isRow0: r == 0}
-				u.ops = append(u.ops, kOp(pr.Keys))
-				u.ops = append(u.ops,
-					&modules.Op{Kind: modules.ModH, H: &modules.HConfig{Algo: sketch.CRC32IEEE, Seed: rowSeed(r), Range: o.Width, Direct: modules.NoField}},
-					&modules.Op{Kind: modules.ModS, S: &modules.SConfig{
-						ALU: dataplane.OpAdd, Operand: operand, Const: constv, Field: fieldv,
-						WidthHint: o.Width, Row0: r == 0,
-						OwnerIndex: o.ShardIndex, OwnerCount: o.ShardCount,
-					}})
 				act := modules.RAct{Kind: modules.RActGlobalMin}
 				if r == 0 {
 					act = modules.RAct{Kind: modules.RActSetGlobal}
 				}
-				u.ops = append(u.ops, &modules.Op{Kind: modules.ModR, R: &modules.RConfig{Entries: []modules.REntry{
-					{Lo: -rInf, Hi: rInf, Actions: []modules.RAct{act}},
-				}}})
+				u := c.unit(unit{isRow0: r == 0})
+				u.ops = append(u.ops, kOp(pr.Keys),
+					c.hOp(modules.HConfig{Algo: sketch.CRC32IEEE, Seed: rowSeed(r), Range: o.Width, Direct: modules.NoField}),
+					c.sOp(modules.SConfig{
+						ALU: dataplane.OpAdd, Operand: operand, Const: constv, Field: fieldv,
+						WidthHint: o.Width, Row0: r == 0,
+						OwnerIndex: o.ShardIndex, OwnerCount: o.ShardCount,
+					}),
+					c.rOp(false, modules.REntry{Lo: -rInf, Hi: rInf, Actions: c.acts(act)}))
 				units = append(units, u)
 			}
 		}
@@ -328,30 +423,29 @@ func decompose(q *query.Query, prims []query.Primitive, o Options) ([]*unit, err
 	return units, nil
 }
 
-// resultEntries compiles a result predicate into R entries. The final
-// threshold of a single-branch query reports. A count steps by one, so
-// its exact crossing value gets the report action — Newton's accurate
-// "report once per key per window" exportation. A sum steps by the
-// summed field and can jump any one value, so every value past its
+// resultR compiles a result predicate into an R on the global result.
+// The final threshold of a single-branch query reports. A count steps by
+// one, so its exact crossing value gets the report action — Newton's
+// accurate "report once per key per window" exportation. A sum steps by
+// the summed field and can jump any one value, so every value past its
 // threshold reports, and the analyzer counts a key once a window.
-func resultEntries(q *query.Query, pred query.Predicate, lastPrim, counts bool) []modules.REntry {
+func (c *Compiler) resultR(q *query.Query, pred query.Predicate, lastPrim, counts bool) *modules.Op {
 	lo, hi := predRange(pred)
 	if q.Merge == nil && lastPrim && (pred.Op == query.CmpGt || pred.Op == query.CmpGe) {
-		report := []modules.RAct{{Kind: modules.RActReport}}
+		report := c.acts(modules.RAct{Kind: modules.RActReport})
 		if !counts {
-			return []modules.REntry{{Lo: lo, Hi: hi, Actions: report}}
+			return c.rOp(true, modules.REntry{Lo: lo, Hi: hi, Actions: report})
 		}
-		return []modules.REntry{
-			{Lo: lo, Hi: lo, Actions: report},
-			{Lo: lo + 1, Hi: hi}, // already reported this window → continue silently
-		}
+		return c.rOp(true,
+			modules.REntry{Lo: lo, Hi: lo, Actions: report},
+			modules.REntry{Lo: lo + 1, Hi: hi}) // already reported this window → continue silently
 	}
-	return []modules.REntry{{Lo: lo, Hi: hi}}
+	return c.rOp(true, modules.REntry{Lo: lo, Hi: hi})
 }
 
 // splitPreds partitions filter predicates into equality-on-packet,
-// range-on-packet, and on-result classes.
-func splitPreds(preds []query.Predicate) (eq, rng, res []query.Predicate) {
+// range-on-packet, and on-result classes, appended to eq, rng and res.
+func splitPreds(preds, eq, rng, res []query.Predicate) ([]query.Predicate, []query.Predicate, []query.Predicate) {
 	for _, p := range preds {
 		switch {
 		case p.OnResult():
@@ -362,7 +456,7 @@ func splitPreds(preds []query.Predicate) (eq, rng, res []query.Predicate) {
 			rng = append(rng, p)
 		}
 	}
-	return
+	return eq, rng, res
 }
 
 // predMask builds the K mask covering equality predicates (using the

@@ -533,3 +533,20 @@ func TestDSLQueryMatchesBuilderQuery(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCompileCatalog compiles the nine catalog queries at width
+// 1024 on one reused Compiler, as the orchestrator compiles its rungs.
+func BenchmarkCompileCatalog(b *testing.B) {
+	var c Compiler
+	o := AllOpts()
+	o.Width = 1024
+	qs := query.All()
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, q := range qs {
+			if _, err := c.Compile(q, o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -9,13 +9,13 @@ import (
 	"github.com/newton-net/newton/internal/sketch"
 )
 
-// mergeTail compiles the cross-branch result merging of multi-branch
-// queries (the worked example of Fig. 6): scale the branch's own count,
-// read the other branches' row-0 state banks at the same key, fold them
-// into the global result, and threshold-report.
-func mergeTail(q *query.Query, bi int, o Options) ([]*unit, error) {
+// mergeTail appends the units of the cross-branch result merging of
+// multi-branch queries (the worked example of Fig. 6): scale the
+// branch's own count, read the other branches' row-0 state banks at the
+// same key, fold them into the global result, and threshold-report.
+func (c *Compiler) mergeTail(units []*unit, q *query.Query, bi int, o Options) []*unit {
 	if q.Merge == nil {
-		return nil, nil
+		return units
 	}
 	m := q.Merge
 	coeff := func(i int) int64 {
@@ -28,17 +28,12 @@ func mergeTail(q *query.Query, bi int, o Options) ([]*unit, error) {
 		return 1
 	}
 
-	var units []*unit
-
 	// Scale the branch's own contribution (linear merges only; min
 	// merges fold raw values).
 	if m.Op == query.MergeLinear && coeff(bi) != 1 {
-		u := &unit{tailRead: true}
-		u.ops = append(u.ops, &modules.Op{Kind: modules.ModR, R: &modules.RConfig{
-			OnGlobal: true,
-			Entries: []modules.REntry{{Lo: -rInf, Hi: rInf,
-				Actions: []modules.RAct{{Kind: modules.RActGlobalScale, Coeff: coeff(bi)}}}},
-		}})
+		u := c.unit(unit{tailRead: true})
+		u.ops = append(u.ops, c.rOp(true, modules.REntry{Lo: -rInf, Hi: rInf,
+			Actions: c.acts(modules.RAct{Kind: modules.RActGlobalScale, Coeff: coeff(bi)})}))
 		units = append(units, u)
 	}
 
@@ -52,18 +47,16 @@ func mergeTail(q *query.Query, bi int, o Options) ([]*unit, error) {
 		if m.Op == query.MergeMin {
 			act = modules.RAct{Kind: modules.RActGlobalMin}
 		}
-		u := &unit{tailRead: true}
+		u := c.unit(unit{tailRead: true})
 		u.ops = append(u.ops,
-			&modules.Op{Kind: modules.ModK, K: &modules.KConfig{Mask: ownKeys}},
-			&modules.Op{Kind: modules.ModH, H: &modules.HConfig{
-				Algo: sketch.CRC32IEEE, Seed: rowSeed(0), Range: o.Width, Direct: modules.NoField}},
-			&modules.Op{Kind: modules.ModS, S: &modules.SConfig{
+			c.kOp(ownKeys),
+			c.hOp(modules.HConfig{Algo: sketch.CRC32IEEE, Seed: rowSeed(0), Range: o.Width, Direct: modules.NoField}),
+			c.sOp(modules.SConfig{
 				ALU: dataplane.OpRead, Operand: modules.OperandConst,
 				CrossRead: true, ReadBranch: ob, WidthHint: o.Width,
 				OwnerIndex: o.ShardIndex, OwnerCount: o.ShardCount,
-			}},
-			&modules.Op{Kind: modules.ModR, R: &modules.RConfig{
-				Entries: []modules.REntry{{Lo: -rInf, Hi: rInf, Actions: []modules.RAct{act}}}}})
+			}),
+			c.rOp(false, modules.REntry{Lo: -rInf, Hi: rInf, Actions: c.acts(act)}))
 		units = append(units, u)
 	}
 
@@ -71,22 +64,17 @@ func mergeTail(q *query.Query, bi int, o Options) ([]*unit, error) {
 	// the crossing window [Th+1, Th+step] where step bounds one packet's
 	// contribution; linear merges can re-enter the window, so reports
 	// may repeat (deduplicated by the analyzer).
-	rep := &unit{reportR: true, gates: true}
-	var entries []modules.REntry
+	rep := c.unit(unit{reportR: true, gates: true})
+	report := c.acts(modules.RAct{Kind: modules.RActReport})
 	if m.Cmp == query.CmpLt {
-		entries = []modules.REntry{{Lo: -rInf, Hi: m.Threshold - 1,
-			Actions: []modules.RAct{{Kind: modules.RActReport}}}}
+		rep.ops = append(rep.ops, c.rOp(true, modules.REntry{Lo: -rInf, Hi: m.Threshold - 1, Actions: report}))
 	} else {
 		step := maxPositiveStep(q, m)
-		entries = []modules.REntry{
-			{Lo: m.Threshold + 1, Hi: m.Threshold + step,
-				Actions: []modules.RAct{{Kind: modules.RActReport}}},
-			{Lo: m.Threshold + step + 1, Hi: rInf},
-		}
+		rep.ops = append(rep.ops, c.rOp(true,
+			modules.REntry{Lo: m.Threshold + 1, Hi: m.Threshold + step, Actions: report},
+			modules.REntry{Lo: m.Threshold + step + 1, Hi: rInf}))
 	}
-	rep.ops = append(rep.ops, &modules.Op{Kind: modules.ModR, R: &modules.RConfig{OnGlobal: true, Entries: entries}})
-	units = append(units, rep)
-	return units, nil
+	return append(units, rep)
 }
 
 // maxPositiveStep bounds how far one packet can push the merged value

@@ -1,9 +1,9 @@
 // The churn soak is the production-readiness experiment ROADMAP item
 // (3b) asks for: a fleet of switch agents under continuous multi-tenant
 // intent churn (installs, removes, operator drains) plus seeded faults
-// (kills, partitions, stalls, connection resets) for many rounds, with
-// the orchestrator's health monitor — not an operator — driving every
-// drain and re-admission. The run audits the properties a long-lived
+// (kills, partitions, stalls, connection resets, a closed exporter) for
+// many rounds, with the orchestrator's health monitor — not an operator
+// — driving every drain and re-admission. The run audits the properties a long-lived
 // deployment actually needs: bounded heap growth, goroutine stability,
 // deploy-latency tails, MTTR from fault to reconverged (in monitor
 // rounds, so it reads the same however fast the host runs), and zero
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -56,6 +57,11 @@ const (
 	// two consecutive good rounds re-admit.
 	soakDownAfter    = 1
 	soakRecoverAfter = 2
+	// soakMaxSilence is how many answered rounds a hosting switch's
+	// telemetry may stand still: it ships a snapshot every churn round,
+	// and the ticks after the churn roll no epochs, so the bound stays
+	// above them.
+	soakMaxSilence = soakKillEvery
 	// soakSettleRounds bounds the ticks that re-admit what the last
 	// rounds left impaired: a full ladder, twice over.
 	soakSettleRounds = 2 * (orchestrator.SuspectAfter + soakDownAfter + soakRecoverAfter)
@@ -101,6 +107,14 @@ type SoakResult struct {
 	// MTTR in monitor rounds, per kill: from the kill to the auto-drain,
 	// and from the restart to the auto-undrain.
 	MTTRDrain, MTTRReadmit []int
+
+	// Silenced is the switch whose exporter the run closed while its
+	// agent kept answering probes; MTTRSilence is the monitor rounds from
+	// the close to its auto-drain (0: never drained), and SilenceReason
+	// the drain's reason.
+	Silenced      string
+	MTTRSilence   int
+	SilenceReason string
 
 	P50Deploy, P99Deploy time.Duration
 
@@ -181,9 +195,7 @@ func newSoakNet(cfg SoakConfig) (*soakNet, error) {
 			wi, ok := sn.Svc.AgentWire(name)
 			return wi.Frames, ok
 		},
-		// A hosting switch ships a snapshot every churn round; the ticks
-		// after the churn roll no epochs, so the bound stays above them.
-		MaxSilence:   soakKillEvery,
+		MaxSilence:   soakMaxSilence,
 		Offline:      sn.Ctl.SetOffline,
 		DownAfter:    soakDownAfter,
 		RecoverAfter: soakRecoverAfter,
@@ -471,20 +483,18 @@ func Soak(cfg SoakConfig) *SoakResult {
 		sn.orch.Undrain(drainedByOp)
 		needConverge = true
 	}
-	for i := 0; i < soakSettleRounds; i++ {
-		rep := sn.tick()
-		allHealthy := true
-		for _, name := range sn.names {
-			if st, _ := sn.mon.State(name); st != orchestrator.Healthy {
-				allHealthy = false
-			}
+	needConverge = sn.settle(needConverge)
+
+	// The passive signal: a switch whose exporter closed while its agent
+	// still answers is drained for its silence alone, then restarted
+	// with an exporter and re-admitted like a killed one.
+	if name := sn.firstHosting(); name != "" {
+		res.Silenced = name
+		res.MTTRSilence, res.SilenceReason = sn.silence(name)
+		if err := sn.Restart(name); err != nil {
+			res.Violations = append(res.Violations, fmt.Sprintf("restart %s: %v", name, err))
 		}
-		if allHealthy && rep.ConvergeErr == nil && !needConverge {
-			break
-		}
-		if needConverge && sn.converge() == nil {
-			needConverge = false
-		}
+		needConverge = sn.settle(needConverge)
 	}
 
 	// End-state: the fleet must be fully reconverged — a pure plan
@@ -550,6 +560,11 @@ func Soak(cfg SoakConfig) *SoakResult {
 		res.Violations = append(res.Violations, fmt.Sprintf(
 			"only %d auto-undrains for %d kills: a recovered switch was never re-admitted", res.AutoUndrains, res.Kills))
 	}
+	if want := silenceMTTR(); res.MTTRSilence != want || res.SilenceReason != silenceReason() {
+		res.Violations = append(res.Violations, fmt.Sprintf(
+			"closing %q's exporter drained it %d rounds later (%q), want %d (%q)",
+			res.Silenced, res.MTTRSilence, res.SilenceReason, want, silenceReason()))
+	}
 	if res.AnalyzerReports == 0 {
 		res.Violations = append(res.Violations,
 			"no report reached the analyzer: the SYN flood was never alerted on")
@@ -573,6 +588,81 @@ func Soak(cfg SoakConfig) *SoakResult {
 			res.GoroutineBaseline, res.GoroutineEnd, soakGoroutineSlack))
 	}
 	return res
+}
+
+// settle ticks until every switch is healthy and the fleet converged,
+// bounded by soakSettleRounds, converging when one is owed; it returns
+// whether one still is.
+func (sn *soakNet) settle(needConverge bool) bool {
+	for i := 0; i < soakSettleRounds; i++ {
+		rep := sn.tick()
+		allHealthy := true
+		for _, name := range sn.names {
+			if st, _ := sn.mon.State(name); st != orchestrator.Healthy {
+				allHealthy = false
+			}
+		}
+		if allHealthy && rep.ConvergeErr == nil && !needConverge {
+			break
+		}
+		if needConverge && sn.converge() == nil {
+			needConverge = false
+		}
+	}
+	return needConverge
+}
+
+// firstHosting returns the first switch, by name, that hosts work, or
+// "".
+func (sn *soakNet) firstHosting() string {
+	for _, name := range sn.names {
+		if sn.hosting(name) {
+			return name
+		}
+	}
+	return ""
+}
+
+// silenceMTTR is the rounds from closing a hosting switch's exporter to
+// its auto-drain: the first round reads the frames the close flushed,
+// the next soakMaxSilence stand still inside the bound, and the ladder's
+// bad rounds follow.
+func silenceMTTR() int { return 1 + soakMaxSilence + orchestrator.SuspectAfter + soakDownAfter }
+
+// silenceReason is the drain reason of a switch silent since the close.
+func silenceReason() string {
+	return fmt.Sprintf("telemetry: silent for %d rounds", silenceMTTR()-1)
+}
+
+// silence closes name's exporter, leaving its agent up, and ends a
+// window on every switch each round, so every other hosting switch's
+// telemetry moves, until the monitor drains name. It returns the rounds
+// from the close to the drain (0 if the ladder's worth and two more
+// passed without one) and the drain's reason. The close flushes what
+// the exporter held, the window ended just before it included; the
+// analyzer has counted it all once the stream has ended. A failed tick
+// shows as a wrong count of rounds.
+func (sn *soakNet) silence(name string) (int, string) {
+	_ = sn.Ctl.Tick()
+	sn.Switches[name].Exporter.Close()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if connected, _ := sn.Svc.AgentLiveness(name); !connected {
+			break
+		}
+	}
+	before := sn.round
+	for i := 0; i < silenceMTTR()+2; i++ {
+		_ = sn.Ctl.Tick()
+		rep := sn.tick()
+		if slices.Contains(rep.Drained, name) {
+			for _, ev := range sn.mon.Events() {
+				if ev.Round == rep.Round && ev.Switch == name && ev.Action == "auto-drain" {
+					return rep.Round - before, ev.Reason
+				}
+			}
+		}
+	}
+	return 0, ""
 }
 
 // deadUndrained reports whether a dead switch is not yet down at the
@@ -639,6 +729,10 @@ func (r *SoakResult) String() string {
 	for i, n := range r.MTTRReadmit {
 		t.add(fmt.Sprintf("MTTR restart %d -> re-admitted", i+1), fmt.Sprintf("%d rounds", n))
 	}
+	if r.Silenced != "" {
+		t.add(fmt.Sprintf("MTTR %s exporter closed -> drained", r.Silenced),
+			fmt.Sprintf("%d rounds (%s)", r.MTTRSilence, r.SilenceReason))
+	}
 	t.add("Heap growth since warmup", fmt.Sprintf("%.2f MB", r.HeapGrowthMB))
 	t.add("Goroutines (baseline -> end)", fmt.Sprintf("%d -> %d", r.GoroutineBaseline, r.GoroutineEnd))
 	t.add("Provenance mixups", i2s(r.ProvenanceMixups))
@@ -660,18 +754,19 @@ func (r *SoakResult) String() string {
 // Metrics exports the soak numbers for newton-bench -json.
 func (r *SoakResult) Metrics() map[string]float64 {
 	m := map[string]float64{
-		"kills":             float64(r.Kills),
-		"auto_drains":       float64(r.AutoDrains),
-		"auto_undrains":     float64(r.AutoUndrains),
-		"converge_errors":   float64(r.ConvergeErrs),
-		"deploy_p50_ms":     float64(r.P50Deploy) / float64(time.Millisecond),
-		"deploy_p99_ms":     float64(r.P99Deploy) / float64(time.Millisecond),
-		"heap_growth_mb":    r.HeapGrowthMB,
-		"goroutine_delta":   float64(r.GoroutineEnd - r.GoroutineBaseline),
-		"provenance_mixups": float64(r.ProvenanceMixups),
-		"analyzer_reports":  float64(r.AnalyzerReports),
-		"epoch_gaps":        float64(r.EpochGaps),
-		"violations":        float64(len(r.Violations)),
+		"kills":               float64(r.Kills),
+		"auto_drains":         float64(r.AutoDrains),
+		"auto_undrains":       float64(r.AutoUndrains),
+		"converge_errors":     float64(r.ConvergeErrs),
+		"deploy_p50_ms":       float64(r.P50Deploy) / float64(time.Millisecond),
+		"deploy_p99_ms":       float64(r.P99Deploy) / float64(time.Millisecond),
+		"heap_growth_mb":      r.HeapGrowthMB,
+		"goroutine_delta":     float64(r.GoroutineEnd - r.GoroutineBaseline),
+		"provenance_mixups":   float64(r.ProvenanceMixups),
+		"analyzer_reports":    float64(r.AnalyzerReports),
+		"epoch_gaps":          float64(r.EpochGaps),
+		"violations":          float64(len(r.Violations)),
+		"mttr_silence_rounds": float64(r.MTTRSilence),
 	}
 	for i, n := range r.MTTRDrain {
 		m[fmt.Sprintf("mttr_drain_%d_rounds", i+1)] = float64(n)

@@ -13,7 +13,9 @@ import (
 // Violations list carries the assertions: bounded heap growth,
 // goroutine stability, every kill auto-drained and re-admitted, a fully
 // reconverged end state, zero cross-tenant provenance mixups, and
-// reports reaching the analyzer. The test adds that recovery takes
+// reports reaching the analyzer, and a switch whose exporter closed
+// while its agent answered drained for its silence after the
+// MaxSilence rounds and the ladder. The test adds that recovery takes
 // exactly the monitor's ladder, in rounds: a kill drains on the
 // SuspectAfter+DownAfter-th round after it, and a restart is re-admitted
 // on the RecoverAfter-th.
@@ -32,6 +34,9 @@ func TestSoakSmoke(t *testing.T) {
 	}
 	if res.Converges == 0 {
 		t.Error("soak never converged the fleet")
+	}
+	if res.Silenced == "" {
+		t.Error("no switch hosted work when the run closed an exporter; the liveness signal went untested")
 	}
 	if len(res.MTTRDrain) != res.Kills || len(res.MTTRReadmit) != res.Kills {
 		t.Errorf("%d kills, %d drains and %d re-admissions accounted", res.Kills, len(res.MTTRDrain), len(res.MTTRReadmit))

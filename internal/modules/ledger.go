@@ -96,6 +96,13 @@ func (l *Ledger) Charge(p *Program) error {
 // Refund returns what Charge took for p.
 func (l *Ledger) Refund(p *Program) { l.add(p, -1) }
 
+// Reset refunds everything the ledger holds, keeping its storage.
+func (l *Ledger) Reset() {
+	clear(l.regs)
+	clear(l.rules)
+	l.init, l.fin = 0, 0
+}
+
 // Clone copies the ledger, so a charge can be tried and discarded.
 func (l *Ledger) Clone() Ledger {
 	c := *l

@@ -220,7 +220,8 @@ type BranchProgram struct {
 // Program is a fully compiled query ready to install: one entry and op
 // chain per branch. A query with more stages than one device runs as
 // SliceProgram's partitions, one per switch along the path (cross-switch
-// execution).
+// execution). Every program the system builds keeps its parts in an
+// Arena.
 type Program struct {
 	QID      int
 	Name     string

@@ -6,6 +6,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"github.com/newton-net/newton/internal/dataplane"
 )
@@ -20,6 +22,8 @@ var ErrUnsliceable = errors.New("cut cannot be continued on the next switch")
 // stage 1, so "a query with 10 stages needs 4 3-stage switches". Ops are
 // deep-copied, each partition installs on its own switch, and each
 // branch's partition is a contiguous run of its stage-ordered chain.
+// The partitions are built in one arena, each a contiguous run of its
+// arrays.
 //
 // The partitions compute what the whole program computes, or the cut is
 // refused: a cross-branch state read must share a partition with the
@@ -45,15 +49,18 @@ func SliceProgram(p *Program, stagesPer int) ([]*Program, error) {
 			}
 		}
 	}
-	parts := make([]*Program, max(1, (p.NumStages()+stagesPer-1)/stagesPer))
-	for k := range parts {
-		part := &Program{QID: p.QID, Name: fmt.Sprintf("%s/part%d", p.Name, k), Part: k, TotalParts: len(parts)}
+	n := max(1, (p.NumStages()+stagesPer-1)/stagesPer)
+	// The first pass checks every cut and counts what the partitions
+	// hold, the second builds them: a cut is cheap to find again.
+	var c Counts
+	for k := range n {
+		c.Branches += len(p.Branches)
 		for bi, b := range p.Branches {
-			nb, err := sliceBranch(b, k*stagesPer, (k+1)*stagesPer)
+			cb, err := cutBranch(b, k*stagesPer, (k+1)*stagesPer)
 			// One snapshot rides the packet, taken after the query's last
 			// chain that ran: a branch that continues past a cut must run
 			// last on every packet it matches.
-			for later := bi + 1; err == nil && k > 0 && len(nb.Ops) > 0 && later < len(p.Branches); later++ {
+			for later := bi + 1; err == nil && k > 0 && cb.len() > 0 && later < len(p.Branches); later++ {
 				if b.Init.overlaps(&p.Branches[later].Init) {
 					err = fmt.Errorf("branch %d runs after it on the same packets: %w", later, ErrUnsliceable)
 				}
@@ -61,7 +68,39 @@ func SliceProgram(p *Program, stagesPer int) ([]*Program, error) {
 			if err != nil {
 				return nil, fmt.Errorf("modules: query %s branch %d past stage %d: %w", p.Name, bi, k*stagesPer, err)
 			}
-			part.Branches = append(part.Branches, nb)
+			c.Ops += cb.len()
+			for _, op := range cb.prefix[:cb.n] {
+				c.config(op)
+			}
+			for _, op := range cb.body {
+				c.config(op)
+			}
+		}
+	}
+	// The names share one buffer, sized once by Grow: each is a
+	// substring of what String returns as the buffer fills.
+	var names strings.Builder
+	names.Grow(n * (len(p.Name) + len("/part") + len(strconv.Itoa(n))))
+	a := NewArena(c)
+	progs, parts := make([]Program, n), make([]*Program, n)
+	for k := range parts {
+		from := names.Len()
+		names.WriteString(p.Name)
+		names.WriteString("/part")
+		names.WriteString(strconv.Itoa(k))
+		part := &progs[k]
+		part.QID, part.Name, part.Part, part.TotalParts = p.QID, names.String()[from:], k, n
+		part.Branches = a.Branches(len(p.Branches))
+		for bi, b := range p.Branches {
+			cb, _ := cutBranch(b, k*stagesPer, (k+1)*stagesPer)
+			nb := part.Branches[bi]
+			nb.Init, nb.Ops = b.Init, a.Ops(cb.len())
+			for i, op := range cb.prefix[:cb.n] {
+				a.copyOp(nb.Ops[i], op, prefixStage(op))
+			}
+			for i, op := range cb.body {
+				a.copyOp(nb.Ops[cb.n+i], op, op.Stage+cb.shift)
+			}
 		}
 		parts[k] = part
 	}
@@ -93,32 +132,45 @@ func (p *Program) row0(branch int) *Op {
 	return found
 }
 
-// sliceBranch deep-copies the ops of b with logical stages in (lo, hi],
-// rebased by -lo; a partition after the first leads with its two-stage
-// continuation prefix, and its body shifts by two more.
-func sliceBranch(b *BranchProgram, lo, hi int) (*BranchProgram, error) {
-	i := sort.Search(len(b.Ops), func(x int) bool { return b.Ops[x].Stage > lo })
-	j := sort.Search(len(b.Ops), func(x int) bool { return b.Ops[x].Stage > hi })
-	body := b.Ops[i:j]
-	nb := &BranchProgram{Init: b.Init}
-	shift := -lo
-	if lo > 0 && len(body) > 0 {
-		var err error
-		if nb.Ops, err = prefix(b.Ops[:i], body); err != nil {
-			return nil, err
-		}
-		if len(nb.Ops) > 0 {
-			shift += 2
-		}
-	}
-	for _, op := range body {
-		nb.Ops = append(nb.Ops, cloneOp(op, shift))
-	}
-	return nb, nil
+// cut is what one branch's partition holds: its continuation prefix,
+// then the ops of its stages (the body), which move by shift.
+type cut struct {
+	prefix [4]*Op
+	n      int
+	body   []*Op
+	shift  int
 }
 
-// prefix returns the continuation prefix of the partition after a cut
-// (body). The result snapshot carries only state and global results,
+func (c *cut) len() int { return c.n + len(c.body) }
+
+// prefixStage is where a prefix op runs: each K at stage 1, each H at 2.
+func prefixStage(op *Op) int {
+	if op.Kind == ModK {
+		return 1
+	}
+	return 2
+}
+
+// cutBranch finds the ops of b with logical stages in (lo, hi], rebased
+// by -lo; a partition after the first leads with its two-stage
+// continuation prefix, and its body shifts by two more.
+func cutBranch(b *BranchProgram, lo, hi int) (cut, error) {
+	i := sort.Search(len(b.Ops), func(x int) bool { return b.Ops[x].Stage > lo })
+	j := sort.Search(len(b.Ops), func(x int) bool { return b.Ops[x].Stage > hi })
+	c := cut{body: b.Ops[i:j], shift: -lo}
+	if lo > 0 && len(c.body) > 0 {
+		if err := prefix(&c, b.Ops[:i]); err != nil {
+			return cut{}, err
+		}
+		if c.n > 0 {
+			c.shift += 2
+		}
+	}
+	return c, nil
+}
+
+// prefix finds the continuation prefix of the partition after a cut
+// (c.body). The result snapshot carries only state and global results,
 // which keeps it at 12 bytes, so the partition re-derives operation keys
 // and hashes from the packet headers: the prefix copies the last K (at
 // stage 1) and then the last H (at stage 2) before the cut (pre) of each
@@ -131,7 +183,7 @@ func sliceBranch(b *BranchProgram, lo, hi int) (*BranchProgram, error) {
 //     unless the chain built it from Bloom bits alone, which always fit,
 //     the body may use the global it inherits only in ways the
 //     saturation does not change (survivesSaturation).
-func prefix(pre, body []*Op) ([]*Op, error) {
+func prefix(c *cut, pre []*Op) error {
 	var lastK, lastH [2]*Op
 	var bit [2]bool // the set's state result is a Bloom row's bit
 	narrow := true  // the global fits 16 bits whatever the traffic
@@ -163,13 +215,13 @@ func prefix(pre, body []*Op) ([]*Op, error) {
 	}
 	var uses, decided [2]bool // decided: the body rehashed or read the set's hash
 	inherited := !narrow      // the body still holds a global the snapshot saturated
-	for _, op := range body {
+	for _, op := range c.body {
 		set := op.Set & 1
 		uses[set] = true
 		if !decided[set] && (op.Kind == ModH || op.Kind == ModS) {
 			decided[set] = true
 			if k, h := lastK[set], lastH[set]; op.Kind == ModS && k != nil && (h == nil || h.Stage < k.Stage) {
-				return nil, fmt.Errorf("set %d is re-keyed at stage %d after its last hash, which stage %d reads: %w",
+				return fmt.Errorf("set %d is re-keyed at stage %d after its last hash, which stage %d reads: %w",
 					set, k.Stage, op.Stage, ErrUnsliceable)
 			}
 		}
@@ -179,22 +231,20 @@ func prefix(pre, body []*Op) ([]*Op, error) {
 		inherited = false
 		for _, e := range op.R.Entries {
 			if !survivesSaturation(op.R, &e) {
-				return nil, fmt.Errorf("stage %d computes on a global the snapshot saturated to 16 bits: %w", op.Stage, ErrUnsliceable)
+				return fmt.Errorf("stage %d computes on a global the snapshot saturated to 16 bits: %w", op.Stage, ErrUnsliceable)
 			}
 			inherited = inherited || !slices.ContainsFunc(e.Actions, func(a RAct) bool { return a.Kind == RActSetGlobal })
 		}
 	}
-	var out []*Op
-	for s, last := range [2][2]*Op{lastK, lastH} { // the Ks at stage 1, the Hs at 2
+	for _, last := range [2][2]*Op{lastK, lastH} { // the Ks at stage 1, the Hs at 2
 		for set, op := range last {
 			if uses[set] && op != nil {
-				cp := cloneOp(op, 0)
-				cp.Stage = s + 1
-				out = append(out, cp)
+				c.prefix[c.n] = op
+				c.n++
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // survivesSaturation reports whether entry e of r acts the same on a
@@ -212,55 +262,4 @@ func survivesSaturation(r *RConfig, e *REntry) bool {
 		return a.Kind == RActGlobalAdd || a.Kind == RActGlobalScale ||
 			a.Kind == RActReport && !(r.OnGlobal && inside(e.Lo) && inside(e.Hi))
 	})
-}
-
-// Clone returns a deep copy of p that shares no branch, op or module
-// config with it and carries none of an install's bindings. Install
-// binds registers and masks into the ops it is given, so each engine
-// installs a program of its own: a controller that hands one program to
-// several in-process engines hands each a Clone.
-func (p *Program) Clone() *Program {
-	out := &Program{QID: p.QID, Name: p.Name, Part: p.Part, TotalParts: p.TotalParts,
-		Branches: slices.Clone(p.Branches)}
-	for i, b := range out.Branches {
-		if b == nil {
-			continue // wellFormed refuses it at install
-		}
-		nb := &BranchProgram{Init: b.Init, Ops: slices.Clone(b.Ops)}
-		for j, op := range nb.Ops {
-			if op != nil {
-				nb.Ops[j] = cloneOp(op, 0)
-			}
-		}
-		out.Branches[i] = nb
-	}
-	return out
-}
-
-func cloneOp(op *Op, shift int) *Op {
-	cp := &Op{Kind: op.Kind, Set: op.Set, Stage: op.Stage + shift}
-	if op.K != nil {
-		k := *op.K
-		k.idx = 0
-		cp.K = &k
-	}
-	if op.H != nil {
-		h := *op.H
-		cp.H = &h
-	}
-	if op.S != nil {
-		s := *op.S
-		s.array, s.width = nil, 0
-		cp.S = &s
-	}
-	if op.R != nil {
-		r := RConfig{OnGlobal: op.R.OnGlobal}
-		for _, e := range op.R.Entries {
-			ne := REntry{Lo: e.Lo, Hi: e.Hi}
-			ne.Actions = append(ne.Actions, e.Actions...)
-			r.Entries = append(r.Entries, ne)
-		}
-		cp.R = &r
-	}
-	return cp
 }

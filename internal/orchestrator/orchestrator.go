@@ -192,6 +192,12 @@ type Orchestrator struct {
 	// replan of an unchanged intent compiles and slices nothing. Like
 	// widthCap it lives as long as the intent.
 	compiled map[string]*compiledIntent
+	compiler compiler.Compiler // compiles every rung, keeping its scratch storage
+
+	// trackers holds one admission tracker per switch of the fleet, which
+	// each plan resets in place; live is a plan's view of them, the
+	// switches not drained.
+	trackers, live map[string]*scheduler.Tracker
 
 	stagesPer int // partition size, resolved once (Config.StagesPerSwitch)
 }
@@ -216,9 +222,9 @@ type compiledRung struct {
 	parts []*modules.Program
 }
 
-// rung returns the program compiled at width w, compiling it on first
-// use. A compile error is not kept: the next plan tries again.
-func (ci *compiledIntent) rung(w uint32) (*compiledRung, error) {
+// rung returns the program compiled at width w, compiling it with c on
+// first use. A compile error is not kept: the next plan tries again.
+func (ci *compiledIntent) rung(c *compiler.Compiler, w uint32) (*compiledRung, error) {
 	for _, r := range ci.rungs {
 		if r.width == w {
 			return r, nil
@@ -226,7 +232,7 @@ func (ci *compiledIntent) rung(w uint32) (*compiledRung, error) {
 	}
 	opts := compiler.AllOpts()
 	opts.QID, opts.Width = 1, w // placeholder qid: admission accounting ignores it
-	p, err := compiler.Compile(ci.q, opts)
+	p, err := c.Compile(ci.q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -251,13 +257,19 @@ func New(cfg Config, remote *controller.Remote) (*Orchestrator, error) {
 		}
 	}
 	cfg.Budgets = maps.Clone(cfg.Budgets)
+	trackers := make(map[string]*scheduler.Tracker, len(cfg.Budgets))
+	for name, b := range cfg.Budgets {
+		trackers[name] = scheduler.NewTracker(b)
+	}
 	return &Orchestrator{
 		cfg: cfg, remote: remote,
 		drained:   map[string]bool{},
 		deployed:  map[string]*deployedState{},
 		widthCap:  map[string]uint32{},
 		compiled:  map[string]*compiledIntent{},
-		stagesPer: stagesPer(cfg),
+		trackers:  trackers,
+		live:      make(map[string]*scheduler.Tracker, len(trackers)),
+		stagesPer: stagesPer(cfg.StagesPerSwitch, trackers),
 	}, nil
 }
 
@@ -328,14 +340,16 @@ func (o *Orchestrator) Switches() []string {
 	return sortedKeys(o.cfg.Budgets)
 }
 
-// stagesPer resolves the partition size (see Config.StagesPerSwitch).
-func stagesPer(cfg Config) int {
-	if cfg.StagesPerSwitch > 0 {
-		return cfg.StagesPerSwitch
+// stagesPer resolves the partition size (see Config.StagesPerSwitch)
+// over the fleet's trackers, whose budgets hold the default stage count
+// where a switch's leaves it zero.
+func stagesPer(configured int, trackers map[string]*scheduler.Tracker) int {
+	if configured > 0 {
+		return configured
 	}
 	min := 0
-	for _, b := range cfg.Budgets {
-		s := scheduler.NewTracker(b).Budget().Stages
+	for _, tr := range trackers {
+		s := tr.Budget().Stages
 		if min == 0 || s < min {
 			min = s
 		}
@@ -347,9 +361,9 @@ func stagesPer(cfg Config) int {
 }
 
 // Plan recomputes placement and admission for every intent, in priority
-// order, against fresh per-switch budget trackers — then diffs the
-// result against the recorded deployment. It is pure: no agent is
-// contacted until Apply.
+// order, against the per-switch budget trackers emptied for the plan —
+// then diffs the result against the recorded deployment. It is pure: no
+// agent is contacted until Apply.
 func (o *Orchestrator) Plan() (*Plan, Diff, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -357,13 +371,14 @@ func (o *Orchestrator) Plan() (*Plan, Diff, error) {
 }
 
 func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
-	trackers := map[string]*scheduler.Tracker{}
-	for name, b := range o.cfg.Budgets {
+	clear(o.live)
+	for name, tr := range o.trackers {
 		if !o.drained[name] {
-			trackers[name] = scheduler.NewTracker(b)
+			tr.Reset()
+			o.live[name] = tr
 		}
 	}
-	if len(trackers) == 0 {
+	if len(o.live) == 0 {
 		return nil, Diff{}, fmt.Errorf("orchestrator: every switch is drained")
 	}
 
@@ -384,7 +399,7 @@ func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
 			plans[idx] = QueryPlan{Intent: in, Reason: duplicateName}
 			continue
 		}
-		plans[idx] = o.planIntent(in, trackers)
+		plans[idx] = o.planIntent(in, o.live)
 	}
 	p := &Plan{Queries: plans, StagesPer: o.stagesPer}
 	return p, o.diff(p), nil
@@ -429,7 +444,7 @@ func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Trac
 
 	reason := "does not fit at any acceptable width"
 	for _, w := range ladder {
-		r, err := ci.rung(w)
+		r, err := ci.rung(&o.compiler, w)
 		if err != nil {
 			return QueryPlan{Intent: in, Reason: err.Error()} // compilation failure does not improve with width
 		}

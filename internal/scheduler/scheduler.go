@@ -153,6 +153,14 @@ func NewTracker(b Budget) *Tracker {
 // Budget returns the tracker's device envelope.
 func (t *Tracker) Budget() Budget { return t.b }
 
+// Reset empties the tracker in place, as NewTracker would leave it: the
+// counts are cleared and their storage kept, so a plan that starts over
+// on the same trackers allocates nothing for them.
+func (t *Tracker) Reset() {
+	t.led.Reset()
+	clear(t.preds)
+}
+
 // Clone copies the tracker so an admission can be checked tentatively
 // and discarded.
 func (t *Tracker) Clone() *Tracker {

@@ -16,10 +16,10 @@ import (
 const ProgramVersion = 1
 
 // A program travels to an agent as the rules it installs, varint-packed.
-// The header carries the totals of everything the program holds, so the
-// decoder makes one backing array of each and slices every branch's ops
-// and every entry's actions out of them: a decode costs the same dozen
-// allocations whatever the program's size.
+// The header carries the totals of everything the program holds
+// (modules.Counts), so the decoder builds the program in a modules.Arena
+// of exactly that size: a decode costs the same dozen allocations
+// whatever the program's size.
 //
 //	program := version counts sint(qid) string(name) sint(part) sint(totalParts) branch*
 //	counts  := uvarint(branches ops K H S R entries actions)
@@ -68,43 +68,12 @@ const (
 	minAction = 2 // kind, coeff
 )
 
-// programCounts are the header's totals.
-type programCounts struct {
-	branches, ops, k, h, s, r, entries, actions int
-}
-
-func countProgram(p *modules.Program) programCounts {
-	c := programCounts{branches: len(p.Branches)}
-	for _, b := range p.Branches {
-		c.ops += len(b.Ops)
-		for _, op := range b.Ops {
-			if op.K != nil {
-				c.k++
-			}
-			if op.H != nil {
-				c.h++
-			}
-			if op.S != nil {
-				c.s++
-			}
-			if op.R != nil {
-				c.r++
-				c.entries += len(op.R.Entries)
-				for _, e := range op.R.Entries {
-					c.actions += len(e.Actions)
-				}
-			}
-		}
-	}
-	return c
-}
-
 // AppendProgram encodes p, a compiled program: none of its branches or
 // ops is nil.
 func AppendProgram(dst []byte, p *modules.Program) []byte {
-	c := countProgram(p)
+	c := p.Counts()
 	dst = append(dst, ProgramVersion)
-	for _, n := range [...]int{c.branches, c.ops, c.k, c.h, c.s, c.r, c.entries, c.actions} {
+	for _, n := range [...]int{c.Branches, c.Ops, c.K, c.H, c.S, c.R, c.Entries, c.Actions} {
 		dst = binary.AppendUvarint(dst, uint64(n))
 	}
 	dst = appendSint(dst, int64(p.QID))
@@ -214,20 +183,11 @@ func DecodeProgram(b []byte) (*modules.Program, error) {
 	return p, nil
 }
 
-// programDecoder holds a decode's cursor and its arenas: each op, config,
-// entry and action is the next element of its arena.
+// programDecoder holds a decode's cursor and the arena the program is
+// built in: each op, config, entry and action is the arena's next.
 type programDecoder struct {
 	r reader
-
-	branches []modules.BranchProgram
-	ops      []modules.Op
-	opPtrs   []*modules.Op
-	ks       []modules.KConfig
-	hs       []modules.HConfig
-	ss       []modules.SConfig
-	rs       []modules.RConfig
-	entries  []modules.REntry
-	actions  []modules.RAct
+	a modules.Arena
 }
 
 // malformed records the first structural refusal.
@@ -259,39 +219,16 @@ func (d *programDecoder) flags(mask byte) byte {
 	return f
 }
 
-// take returns the next n elements of arena a, or nil when n is zero or
-// the header's total is spent.
-func take[T any](d *programDecoder, a *[]T, n int) []T {
-	if n > len(*a) {
-		d.malformed("more than the header's total")
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	s := (*a)[:n:n]
-	*a = (*a)[n:]
-	return s
-}
-
-// next returns the next element of arena a.
-func next[T any](d *programDecoder, a *[]T) *T {
-	if s := take(d, a, 1); s != nil {
-		return &s[0]
-	}
-	return nil
-}
-
 func (d *programDecoder) program() *modules.Program {
 	if v := d.r.byte(); d.r.err == nil && v != ProgramVersion {
 		d.malformed("%w %d", ErrBadVersion, v)
 	}
-	var c programCounts
-	for _, n := range [...]*int{&c.branches, &c.ops, &c.k, &c.h, &c.s, &c.r, &c.entries, &c.actions} {
+	var c modules.Counts
+	for _, n := range [...]*int{&c.Branches, &c.Ops, &c.K, &c.H, &c.S, &c.R, &c.Entries, &c.Actions} {
 		*n = d.r.length()
 	}
-	need := c.branches*minBranch + c.ops*minOp + c.k*minK + c.h*minH + c.s*minS +
-		c.r*minR + c.entries*minEntry + c.actions*minAction
+	need := c.Branches*minBranch + c.Ops*minOp + c.K*minK + c.H*minH + c.S*minS +
+		c.R*minR + c.Entries*minEntry + c.Actions*minAction
 	if d.r.err == nil && need > len(d.r.b)-d.r.off {
 		d.malformed("totals need %d bytes, %d left", need, len(d.r.b)-d.r.off)
 	}
@@ -302,20 +239,12 @@ func (d *programDecoder) program() *modules.Program {
 	p.Name = string(d.r.bytes(d.r.length()))
 	p.Part, p.TotalParts = d.int(), d.int()
 
-	d.branches = make([]modules.BranchProgram, c.branches)
-	d.ops, d.opPtrs = make([]modules.Op, c.ops), make([]*modules.Op, c.ops)
-	d.ks, d.hs = make([]modules.KConfig, c.k), make([]modules.HConfig, c.h)
-	d.ss, d.rs = make([]modules.SConfig, c.s), make([]modules.RConfig, c.r)
-	d.entries, d.actions = make([]modules.REntry, c.entries), make([]modules.RAct, c.actions)
-	if c.branches > 0 {
-		p.Branches = make([]*modules.BranchProgram, c.branches)
-	}
-	for i := range p.Branches {
-		b := &d.branches[i]
+	d.a = modules.NewArena(c)
+	p.Branches = d.a.Branches(c.Branches)
+	for _, b := range p.Branches {
 		d.branch(b)
-		p.Branches[i] = b
 	}
-	if d.r.err == nil && len(d.ops)+len(d.ks)+len(d.hs)+len(d.ss)+len(d.rs)+len(d.entries)+len(d.actions) > 0 {
+	if d.r.err == nil && !d.a.Spent() {
 		d.malformed("fewer than the header's totals")
 	}
 	return p
@@ -326,13 +255,12 @@ func (d *programDecoder) branch(b *modules.BranchProgram) {
 	d.r.words(init[:])
 	copy(b.Init.Values[:], init[:6])
 	copy(b.Init.Masks[:], init[6:])
-	n := d.r.length()
-	ops := take(d, &d.ops, n)
-	b.Ops = take(d, &d.opPtrs, len(ops))
-	for i := range ops {
-		op := &ops[i]
-		b.Ops[i] = op
+	b.Ops = d.a.Ops(d.r.length())
+	for _, op := range b.Ops {
 		d.op(op)
+	}
+	if d.a.Over() {
+		d.malformed("more than the header's total")
 	}
 }
 
@@ -342,12 +270,12 @@ func (d *programDecoder) op(op *modules.Op) {
 	op.Stage = d.int()
 	configs := d.flags(hasK | hasH | hasS | hasR)
 	if configs&hasK != 0 {
-		if op.K = next(d, &d.ks); op.K != nil {
+		if op.K = d.a.K(); op.K != nil {
 			op.K.Mask = d.r.mask()
 		}
 	}
 	if configs&hasH != 0 {
-		if op.H = next(d, &d.hs); op.H != nil {
+		if op.H = d.a.H(); op.H != nil {
 			h := op.H
 			h.Algo = sketch.Algo(d.r.byte())
 			h.Seed, h.Range = d.u32(), d.u32()
@@ -355,7 +283,7 @@ func (d *programDecoder) op(op *modules.Op) {
 		}
 	}
 	if configs&hasS != 0 {
-		if op.S = next(d, &d.ss); op.S != nil {
+		if op.S = d.a.S(); op.S != nil {
 			s := op.S
 			s.ALU = dataplane.SALUOp(d.sint())
 			s.Operand = modules.OperandKind(d.sint())
@@ -368,13 +296,13 @@ func (d *programDecoder) op(op *modules.Op) {
 		}
 	}
 	if configs&hasR != 0 {
-		if op.R = next(d, &d.rs); op.R != nil {
+		if op.R = d.a.R(); op.R != nil {
 			op.R.OnGlobal = d.flags(1) != 0
-			op.R.Entries = take(d, &d.entries, d.r.length())
+			op.R.Entries = d.a.Entries(d.r.length())
 			for i := range op.R.Entries {
 				e := &op.R.Entries[i]
 				e.Lo, e.Hi = d.sint(), d.sint()
-				e.Actions = take(d, &d.actions, d.r.length())
+				e.Actions = d.a.Actions(d.r.length())
 				for j := range e.Actions {
 					e.Actions[j] = modules.RAct{Kind: modules.RActKind(d.sint()), Coeff: d.sint()}
 				}
