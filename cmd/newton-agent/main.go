@@ -6,7 +6,7 @@
 // The switch is the one node of a one-switch netsim network: each replay
 // loop is one DeliverBatch on the network's virtual clock, which shards
 // packets over the -workers lanes and ends every window through the
-// control agent, as a controller's next_epoch does.
+// control agent, as a controller's epoch call does.
 //
 // With -analyzer, the agent additionally opens a streaming telemetry
 // connection, and every window end pushes the window's mirrored reports

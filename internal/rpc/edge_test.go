@@ -1,17 +1,23 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/newton-net/newton/internal/modules"
+	"github.com/newton-net/newton/internal/wire"
 )
+
+// The hello framing's limits: WriteFrame and ReadFrame carry the
+// telemetry hello and its ack.
 
 func TestWriteFrameOversizedRejected(t *testing.T) {
 	// An outbound frame over the limit must be rejected before any byte
@@ -40,7 +46,7 @@ func TestReadFrameOversizedHeaderRejected(t *testing.T) {
 	}()
 	errCh := make(chan error, 1)
 	go func() {
-		var v Response
+		var v struct{}
 		errCh <- ReadFrame(server, &v)
 	}()
 	select {
@@ -60,7 +66,7 @@ func TestReadFrameTruncatedHeader(t *testing.T) {
 		client.Write([]byte{0x00, 0x01}) // half a header
 		client.Close()
 	}()
-	var v Response
+	var v struct{}
 	if err := ReadFrame(server, &v); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
 	}
@@ -76,24 +82,45 @@ func TestReadFrameTruncatedBody(t *testing.T) {
 		client.Write([]byte(`{"ok":tr`)) // body dies mid-read
 		client.Close()
 	}()
-	var v Response
+	var v struct{}
 	if err := ReadFrame(server, &v); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
 	}
 }
 
+// TestReadFrameHeaderDecidesNoAllocation: a hello header announcing
+// MaxFrame, followed by the end of the stream, costs ReadFrame a few KB,
+// not the 8 MB the header asked for.
+func TestReadFrameHeaderDecidesNoAllocation(t *testing.T) {
+	stream := append(binary.BigEndian.AppendUint32(nil, MaxFrame), `{"type":"hel`...)
+	var before, after runtime.MemStats
+	const runs = 10
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		var v struct{}
+		if err := ReadFrame(bytes.NewReader(stream), &v); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("a MaxFrame header and EOF allocate %d B", per)
+	}
+}
+
 // fakeAgentConn answers every request with a fixed response, regardless
-// of type — the shape of a buggy or mismatched peer.
-func fakeAgentConn(t *testing.T, resp *Response) *Client {
+// of its call — the shape of a buggy or mismatched peer.
+func fakeAgentConn(t *testing.T, resp wire.Response) *Client {
 	t.Helper()
 	server, client := net.Pipe()
 	go func() {
+		fr := wire.NewFrameReader(server)
+		var req wire.Request
 		for {
-			var req Request
-			if err := ReadFrame(server, &req); err != nil {
+			if readRequest(fr, &req) != nil {
 				return
 			}
-			if err := WriteFrame(server, resp); err != nil {
+			if wire.WriteFrame(server, wire.KindResponse, 0, wire.AppendResponse(nil, &resp)) != nil {
 				return
 			}
 		}
@@ -106,7 +133,7 @@ func fakeAgentConn(t *testing.T, resp *Response) *Client {
 func TestStatsMissingPayloadIsTypedError(t *testing.T) {
 	// OK:true with no stats payload must surface as ErrMalformedResponse,
 	// not a nil dereference.
-	c := fakeAgentConn(t, &Response{OK: true})
+	c := fakeAgentConn(t, wire.Response{OK: true})
 	if _, err := c.Stats(); !errors.Is(err, ErrMalformedResponse) {
 		t.Fatalf("Stats err = %v, want ErrMalformedResponse", err)
 	}
@@ -119,16 +146,15 @@ func TestAgentSurfacesGarbageFrames(t *testing.T) {
 
 	server, client := net.Pipe()
 	go agent.HandleConn(server)
-	var hdr [4]byte
-	body := []byte("not json at all")
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	client.Write(hdr[:])
-	client.Write(body)
+	// A well-framed request frame whose payload is not a request: a
+	// stats request with bytes after its end.
+	payload := append(wire.AppendRequest(nil, &wire.Request{Call: wire.CallStats}), "garbage"...)
+	go wire.WriteFrame(client, wire.KindRequest, 0, payload)
 
 	select {
 	case err := <-errs:
-		if err == nil {
-			t.Fatal("nil error surfaced")
+		if !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("surfaced %v, want wire.ErrMalformed", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("garbage frame was swallowed silently")
@@ -305,5 +331,85 @@ func TestLocalEpochSerializesWithInstalls(t *testing.T) {
 	}
 	if n := agent.eng.InstalledCount(); n != 0 {
 		t.Errorf("%d programs left installed", n)
+	}
+}
+
+// The control stream's limits and torn frames, at the client.
+
+// TestControlOversizedRequestRefused: a request past wire.MaxFrame is
+// refused before a byte reaches the connection, and not retried: it is
+// oversized on every attempt.
+func TestControlOversizedRequestRefused(t *testing.T) {
+	server, client := net.Pipe()
+	wrote := make(chan int64, 1)
+	go func() {
+		n, _ := io.Copy(io.Discard, server)
+		wrote <- n
+	}()
+	c := NewClientOptions(client, Options{Retries: 3, BackoffBase: time.Millisecond}, nil)
+	p := compileQ1(t, 1)
+	p.Name = strings.Repeat("x", wire.MaxFrame)
+	if err := c.Install(p); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("err = %v, want wire.ErrTooLarge", err)
+	}
+	if n := c.Counters().Retries; n != 0 {
+		t.Errorf("an oversized request was retried %d times", n)
+	}
+	c.Close()
+	if n := <-wrote; n != 0 {
+		t.Errorf("%d bytes written before the size check", n)
+	}
+}
+
+// answerWith serves one request on a pipe by writing raw, then hanging
+// up, and returns a client of that pipe that does not retry.
+func answerWith(t *testing.T, raw []byte) *Client {
+	t.Helper()
+	server, client := net.Pipe()
+	go func() {
+		defer server.Close()
+		var req wire.Request
+		if readRequest(wire.NewFrameReader(server), &req) == nil {
+			server.Write(raw)
+		}
+	}()
+	c := NewClient(client)
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestControlTornResponses: a response header announcing more than
+// MaxFrame is wire.ErrTooLarge, not an allocation or a hang; half a
+// header, or a body that dies mid-read, is io.ErrUnexpectedEOF.
+func TestControlTornResponses(t *testing.T) {
+	oversized := wire.AppendHeader(nil, wire.KindResponse, 0, nil)
+	binary.LittleEndian.PutUint32(oversized[8:12], wire.MaxFrame+1)
+	body := wire.AppendResponse(nil, &wire.Response{OK: true, HasStats: true})
+	cut := append(wire.AppendHeader(nil, wire.KindResponse, 0, body), body[:len(body)/2]...)
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want error
+	}{
+		{"oversized header", oversized, wire.ErrTooLarge},
+		{"half a header", oversized[:wire.HeaderSize/2], io.ErrUnexpectedEOF},
+		{"body cut short", cut, io.ErrUnexpectedEOF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := answerWith(t, tc.raw)
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := c.Stats()
+				errCh <- err
+			}()
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("the client hung on a torn response")
+			}
+		})
 	}
 }

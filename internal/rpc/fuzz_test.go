@@ -12,13 +12,11 @@ import (
 	"github.com/newton-net/newton/internal/wire"
 )
 
-// framed is v as one control-channel frame.
-func framed(t testing.TB, v any) []byte {
+// framed is req as one control-channel frame.
+func framed(t testing.TB, req wire.Request) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := WriteFrame(&b, v); err != nil {
-		t.Fatal(err)
-	}
+	writeRequest(t, &b, req)
 	return b.Bytes()
 }
 
@@ -28,12 +26,14 @@ func framed(t testing.TB, v any) []byte {
 // request was among the frames it could read.
 func FuzzAgentConn(f *testing.F) {
 	q1 := wire.AppendProgram(nil, compileQ1(f, 1))
-	install := framed(f, &Request{Type: typeInstall, ID: 7, Program: q1})
+	install := framed(f, wire.Request{Call: wire.CallInstall, ID: 7, Program: q1})
 	f.Add(install)
-	f.Add(append(install, framed(f, &Request{Type: typeRemove, QID: 1})...))
+	f.Add(append(install, framed(f, wire.Request{Call: wire.CallRemove, QID: 1})...))
 	f.Add(install[:len(install)/2]) // truncated frame
-	f.Add(binary.BigEndian.AppendUint32(nil, MaxFrame+1))
-	f.Add(framed(f, &Request{Type: typeInstall}))
+	oversized := wire.AppendHeader(nil, wire.KindRequest, 0, nil)
+	binary.LittleEndian.PutUint32(oversized[8:12], wire.MaxFrame+1)
+	f.Add(oversized)
+	f.Add(framed(f, wire.Request{Call: wire.CallInstall}))
 	// Programs no compiler emits: a module without its config, a kind no
 	// suite has, a program cut short, and op totals past the end.
 	for _, prog := range [][]byte{
@@ -44,9 +44,15 @@ func FuzzAgentConn(f *testing.F) {
 		q1[:len(q1)/2],
 		{wire.ProgramVersion, 1, 0xFF, 0xFF, 0x03, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 0},
 	} {
-		f.Add(framed(f, &Request{Type: typeInstall, Program: prog}))
+		f.Add(framed(f, wire.Request{Call: wire.CallInstall, Program: prog}))
 	}
-	f.Add(append(framed(f, &Request{Type: typeEpoch}), framed(f, &Request{Type: typeDrain, DrainAck: 9})...))
+	f.Add(append(framed(f, wire.Request{Call: wire.CallEpoch}), framed(f, wire.Request{Call: wire.CallDrain, DrainAck: 9})...))
+	// An install in the former length-framed JSON: refused at the magic.
+	var old bytes.Buffer
+	if err := WriteFrame(&old, map[string]any{"type": "install", "rules": q1}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		agent, _ := testAgent(t)
@@ -65,15 +71,13 @@ func FuzzAgentConn(f *testing.F) {
 			t.Fatal("HandleConn did not return after the peer hung up")
 		}
 
-		// The frames the agent could have read, parsed again here: it stops
-		// at the first one it cannot.
+		// The frames the agent could have read, read again here: it stops
+		// at the first one that is not a well-formed request.
 		sawInstall := false
-		for r := bytes.NewReader(data); ; {
-			var req Request
-			if ReadFrame(r, &req) != nil {
-				break
-			}
-			sawInstall = sawInstall || req.Type == typeInstall && len(req.Program) > 0
+		fr := wire.NewFrameReader(bytes.NewReader(data))
+		var req wire.Request
+		for readRequest(fr, &req) == nil {
+			sawInstall = sawInstall || req.Call == wire.CallInstall && len(req.Program) > 0
 		}
 		if n := agent.eng.InstalledCount(); n != 0 && !sawInstall {
 			t.Fatalf("%d programs installed by a stream without an install request", n)

@@ -1,9 +1,10 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
+	"runtime"
 	"testing"
 
 	"github.com/newton-net/newton/internal/compiler"
@@ -162,74 +163,54 @@ func TestInstallRefusesPartPastTotal(t *testing.T) {
 	})
 }
 
-// TestInstallBodyIsRules: every catalog program's install frame body is
-// at least 5× smaller than the body that carried the program as JSON of
-// the engine's structs.
+// TestInstallBodyIsRules: every catalog program's install frame, header
+// included, is at least 5× smaller than the body that carried the
+// program as JSON of the engine's structs.
 func TestInstallBodyIsRules(t *testing.T) {
 	for i := range query.All() {
 		p := compileCatalog(t, fmt.Sprintf("q%d", i+1), i+1)
-		body, err := json.Marshal(&Request{Type: typeInstall, Program: wire.AppendProgram(nil, p), ID: nextReqID()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		req := wire.Request{Call: wire.CallInstall, Program: wire.AppendProgram(nil, p), ID: nextReqID()}
+		var frame bytes.Buffer
+		writeRequest(t, &frame, req)
 		asJSON, err := json.Marshal(&struct {
 			Type    string           `json:"type"`
 			Program *modules.Program `json:"program"`
 			ID      uint64           `json:"id"`
-		}{typeInstall, p, nextReqID()})
+		}{"install", p, nextReqID()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s: %d B, %d B as JSON (%.1f×)", p.Name, len(body), len(asJSON), float64(len(asJSON))/float64(len(body)))
-		if len(body)*5 > len(asJSON) {
-			t.Errorf("%s: install body %d B, as JSON %d B: want at least 5× smaller", p.Name, len(body), len(asJSON))
+		body := frame.Len()
+		t.Logf("%s: %d B, %d B as JSON (%.1f×)", p.Name, body, len(asJSON), float64(len(asJSON))/float64(body))
+		if body*5 > len(asJSON) {
+			t.Errorf("%s: install frame %d B, as JSON %d B: want at least 5× smaller", p.Name, body, len(asJSON))
 		}
 	}
 }
 
-// TestInstallOfJSONProgramIsRefused: an install in the format that
-// carried the program as JSON of the engine's structs, under the key
-// "program", reads as an install without a program. The agent refuses
-// it and keeps the connection, which then installs the same program
-// sent as rules.
-func TestInstallOfJSONProgramIsRefused(t *testing.T) {
-	agent, _ := testAgent(t)
-	server, client := net.Pipe()
-	go agent.HandleConn(server)
-	defer client.Close()
-	p := compileQ1(t, 1)
-	asJSON := &struct {
-		Type    string           `json:"type"`
-		Program *modules.Program `json:"program"`
-	}{typeInstall, p}
-	if resp := exchange(t, client, asJSON); resp.OK || resp.Error != "install without program" {
-		t.Errorf("install of JSON structs: %+v, want the install-without-program refusal", resp)
-	}
-	if resp := exchange(t, client, &Request{Type: typeInstall, Program: wire.AppendProgram(nil, p)}); !resp.OK {
-		t.Errorf("install of rules after the refusal: %+v", resp)
-	}
-	if n := agent.eng.InstalledCount(); n != 1 {
-		t.Errorf("%d programs installed, want 1", n)
-	}
-}
-
-// exchange writes req on conn and reads the response.
-func exchange(t *testing.T, conn net.Conn, req any) Response {
+// callAllocs is the mean allocations, both ends of the control channel
+// counted, of measured, each run after setup.
+func callAllocs(t *testing.T, runs int, setup, measured func()) float64 {
 	t.Helper()
-	if err := WriteFrame(conn, req); err != nil {
-		t.Fatal(err)
+	var before, after runtime.MemStats
+	total := uint64(0)
+	for i := 0; i <= runs; i++ {
+		setup()
+		runtime.ReadMemStats(&before)
+		measured()
+		runtime.ReadMemStats(&after)
+		if i > 0 { // the first run sizes the kept buffers
+			total += after.Mallocs - before.Mallocs
+		}
 	}
-	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	return float64(total) / float64(runs)
 }
 
 // TestInstallRemoveRoundTripAllocs: installing q7 over the control
 // channel and removing it again — both ends, encode and decode, frames
-// and engine — stays within 100 allocations (160 while the program
-// travelled as JSON of the engine's structs).
+// and engine — stays within 45 allocations (160 while the program
+// travelled as JSON of the engine's structs, 85 while binary programs
+// rode length-framed JSON requests).
 func TestInstallRemoveRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled encoder state and perturbs allocation counts")
@@ -246,8 +227,59 @@ func TestInstallRemoveRoundTripAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("q7 install + remove over the control channel: %.0f allocations", n)
-	if n > 100 {
-		t.Fatalf("q7 install + remove: %.0f allocations, want at most 100", n)
+	if n > 45 {
+		t.Fatalf("q7 install + remove: %.0f allocations, want at most 45", n)
+	}
+}
+
+// TestRemoveRoundTripAllocs: removing an installed q7 over the control
+// channel costs at most 8 allocations, both ends counted (25 over
+// length-framed JSON).
+func TestRemoveRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	agent, _ := testAgent(t)
+	c := pipeClient(t, agent)
+	p := compileCatalog(t, "q7", 7)
+	n := callAllocs(t, 20, func() {
+		if err := c.Install(p); err != nil {
+			t.Fatal(err)
+		}
+	}, func() {
+		if err := c.Remove(7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("q7 remove over the control channel: %.1f allocations", n)
+	if n > 8 {
+		t.Fatalf("q7 remove: %.1f allocations, want at most 8", n)
+	}
+}
+
+// TestEmptyDrainAllocs: draining a switch that holds no reports over the
+// control channel — what a poll of a quiet switch costs — allocates
+// nothing at either end once the agent's replay cache is full, but for
+// the odd rehash of the cache's index: at most one allocation in twenty
+// drains (21 a drain over length-framed JSON).
+func TestEmptyDrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	agent, _ := testAgent(t)
+	c := pipeClient(t, agent)
+	drain := func() {
+		if rs, err := c.DrainReports(); err != nil || len(rs) != 0 {
+			t.Fatalf("drain: %d reports, %v", len(rs), err)
+		}
+	}
+	for i := 0; i < replayCap; i++ {
+		drain()
+	}
+	n := callAllocs(t, 2*replayCap, func() {}, drain)
+	t.Logf("empty drain over the control channel: %.4f allocations", n)
+	if n > 0.05 {
+		t.Fatalf("empty drain: %.4f allocations, want at most 0.05", n)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"github.com/newton-net/newton/internal/wire"
 )
 
 // TestReplayCacheCappedUnderHammer hammers the dispatch path with far
@@ -15,7 +17,7 @@ func TestReplayCacheCappedUnderHammer(t *testing.T) {
 	agent, _ := testAgent(t)
 	const hammer = 10 * replayCap
 	for id := uint64(1); id <= hammer; id++ {
-		resp := agent.dispatch(&Request{Type: typeStats, ID: id})
+		resp := agent.dispatch(&wire.Request{Call: wire.CallStats, ID: id})
 		if !resp.OK {
 			t.Fatalf("stats %d: %+v", id, resp)
 		}
@@ -30,11 +32,11 @@ func TestReplayCacheCappedUnderHammer(t *testing.T) {
 	// The newest IDs must still replay (at-most-once survives eviction
 	// of old entries), and evicted ones must re-execute without error.
 	before := agent.ReplayHits()
-	agent.dispatch(&Request{Type: typeStats, ID: hammer})
+	agent.dispatch(&wire.Request{Call: wire.CallStats, ID: hammer})
 	if got := agent.ReplayHits(); got != before+1 {
 		t.Fatalf("retransmit of newest ID missed the cache (hits %d -> %d)", before, got)
 	}
-	agent.dispatch(&Request{Type: typeStats, ID: 1})
+	agent.dispatch(&wire.Request{Call: wire.CallStats, ID: 1})
 	if got := agent.ReplayHits(); got != before+1 {
 		t.Fatalf("evicted ID 1 still answered from cache")
 	}
@@ -49,7 +51,7 @@ func TestReplayCacheAgesOut(t *testing.T) {
 	agent.nowFn = func() time.Time { return now }
 
 	for id := uint64(1); id <= 10; id++ {
-		agent.dispatch(&Request{Type: typeStats, ID: id})
+		agent.dispatch(&wire.Request{Call: wire.CallStats, ID: id})
 	}
 	if n := agent.ReplayCacheLen(); n != 10 {
 		t.Fatalf("cache holds %d entries, want 10", n)
@@ -58,7 +60,7 @@ func TestReplayCacheAgesOut(t *testing.T) {
 	// Within the TTL nothing ages out and retransmits still hit.
 	now = now.Add(replayTTL)
 	before := agent.ReplayHits()
-	agent.dispatch(&Request{Type: typeStats, ID: 5})
+	agent.dispatch(&wire.Request{Call: wire.CallStats, ID: 5})
 	if got := agent.ReplayHits(); got != before+1 {
 		t.Fatalf("in-TTL retransmit missed the cache")
 	}
@@ -66,12 +68,12 @@ func TestReplayCacheAgesOut(t *testing.T) {
 	// One tick past the TTL the old entries are gone; a new request
 	// triggers the sweep.
 	now = now.Add(replayTTL + time.Second)
-	agent.dispatch(&Request{Type: typeStats, ID: 100})
+	agent.dispatch(&wire.Request{Call: wire.CallStats, ID: 100})
 	if n := agent.ReplayCacheLen(); n != 1 {
 		t.Fatalf("cache holds %d entries after TTL sweep, want 1 (the fresh request)", n)
 	}
 	before = agent.ReplayHits()
-	agent.dispatch(&Request{Type: typeStats, ID: 5})
+	agent.dispatch(&wire.Request{Call: wire.CallStats, ID: 5})
 	if got := agent.ReplayHits(); got != before {
 		t.Fatalf("aged-out ID 5 still answered from cache")
 	}
@@ -79,24 +81,18 @@ func TestReplayCacheAgesOut(t *testing.T) {
 
 // TestRequestIDsPrintAtOneWidth: a control frame's length does not
 // depend on the process's nonce draw. A request encodes to the same
-// bytes count at the lowest and the highest nonce (and any sequence
-// number), and minNonce is the least nonce that does.
+// bytes count at the lowest and the highest ID, and a drawn ID is never
+// zero, which would opt the call out of the replay cache.
 func TestRequestIDsPrintAtOneWidth(t *testing.T) {
 	frameLen := func(id uint64) int {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, &Request{Type: typeStats, ID: id}); err != nil {
-			t.Fatal(err)
-		}
+		writeRequest(t, &buf, wire.Request{Call: wire.CallStats, ID: id})
 		return buf.Len()
 	}
-	lo := frameLen(minNonce<<32 | 1)
-	if hi := frameLen(math.MaxUint32<<32 | math.MaxUint32); hi != lo {
-		t.Fatalf("frame is %d bytes at the lowest nonce, %d at the highest", lo, hi)
+	if lo, hi := frameLen(1), frameLen(math.MaxUint64); lo != hi {
+		t.Fatalf("frame is %d bytes at ID 1, %d at the highest ID", lo, hi)
 	}
-	if below := frameLen((minNonce-1)<<32 | 1); below == lo {
-		t.Fatalf("nonce %d already prints at full width: minNonce is not the least", minNonce-1)
-	}
-	if n := reqNonce >> 32; n < minNonce {
-		t.Fatalf("drawn nonce %d below minNonce %d", n, minNonce)
+	if id := nextReqID(); id == 0 {
+		t.Fatal("a drawn request ID is zero")
 	}
 }

@@ -182,12 +182,8 @@ func TestDrainCursorNeverDoubleDelivers(t *testing.T) {
 	defer client.Close()
 
 	install := wire.AppendProgram(nil, compileQ1(t, 1))
-	if err := WriteFrame(client, &Request{Type: typeInstall, Program: install, ID: 100}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := ReadFrame(client, &resp); err != nil || !resp.OK {
-		t.Fatalf("install: %+v %v", resp, err)
+	if resp := exchange(t, client, wire.Request{Call: wire.CallInstall, Program: install, ID: 100}); !resp.OK {
+		t.Fatalf("install: %+v", resp)
 	}
 	for i := 0; i < 10; i++ {
 		sw.Process(&packet.Packet{
@@ -196,16 +192,9 @@ func TestDrainCursorNeverDoubleDelivers(t *testing.T) {
 		})
 	}
 
-	drain := func(id, ack uint64) *Response {
+	drain := func(id, ack uint64) wire.Response {
 		t.Helper()
-		if err := WriteFrame(client, &Request{Type: typeDrain, ID: id, DrainAck: ack}); err != nil {
-			t.Fatal(err)
-		}
-		var r Response
-		if err := ReadFrame(client, &r); err != nil {
-			t.Fatal(err)
-		}
-		return &r
+		return exchange(t, client, wire.Request{Call: wire.CallDrain, ID: id, DrainAck: ack})
 	}
 
 	// Fresh drain takes the pending report.

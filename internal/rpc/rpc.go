@@ -1,15 +1,24 @@
 // Package rpc is the control channel between the Newton controller and
 // switch agents — the role P4Runtime plays on real Tofino deployments.
 // It carries installs, removals, window-epoch ticks, and report drains
-// over TCP as length-framed JSON messages, using only the standard
-// library. An install carries no JSON of the engine's structs: its
+// over TCP, using only the standard library. Every request and response
+// is one internal/wire frame (KindRequest, KindResponse) holding wire's
+// binary control message; a drain's reports travel as wire's columnar
+// report batch. An install carries no JSON of the engine's structs: its
 // program is internal/wire's program encoding, the rules it installs,
 // which the agent decodes into one arena per program and hands to
 // Engine.Install, where every field is checked against modules' domain
 // table before anything reaches the packet path.
 //
-// The same length-framed encoding (WriteFrame/ReadFrame) carries the
-// hello / hello-ack handshake that opens a telemetry stream
+// Each end keeps its framing memory per connection — a wire.FrameReader
+// and FrameWriter, the encode buffer, the request or response it decodes
+// into — so a call in steady state allocates only what the engine does.
+// A peer that speaks an older length-framed JSON channel fails the frame
+// header's magic: the agent surfaces the error through OnError and
+// executes nothing.
+//
+// The length-framed JSON encoding (WriteFrame/ReadFrame) now carries only
+// the hello / hello-ack handshake that opens a telemetry stream
 // (internal/telemetry); everything after it is internal/wire's.
 //
 // A switch-side Agent wraps a module engine; a controller-side Client
@@ -40,13 +49,13 @@ import (
 	"github.com/newton-net/newton/internal/wire"
 )
 
-// MaxFrame bounds one message (an install is under 2 KB; a report drain
-// or telemetry batch a few hundred KB at worst).
+// MaxFrame bounds one telemetry hello or ack.
 const MaxFrame = 8 << 20
 
-// ErrFrameTooLarge is returned when a frame exceeds MaxFrame in either
-// direction: an outbound message that would not fit, or an inbound
-// header announcing an oversized body (a poisoned or misframed peer).
+// ErrFrameTooLarge is returned when a hello frame exceeds MaxFrame in
+// either direction: an outbound message that would not fit, or an
+// inbound header announcing an oversized body (a poisoned or misframed
+// peer).
 var ErrFrameTooLarge = errors.New("rpc: frame exceeds size limit")
 
 // ErrMalformedResponse is returned when the agent answers OK but the
@@ -92,59 +101,8 @@ func (e *AgentError) Is(target error) bool {
 	return false
 }
 
-// Message types.
-const (
-	typeInstall = "install"
-	typeRemove  = "remove"
-	typeStats   = "stats"
-	typeDrain   = "drain_reports"
-	typeEpoch   = "next_epoch"
-)
-
-// Request is one controller → agent message.
-type Request struct {
-	Type string `json:"type"`
-	QID  int    `json:"qid,omitempty"`
-	// Program (install only) is the compiled program in internal/wire's
-	// program encoding: the rules it installs, not the engine's structs.
-	// Its key is "rules", not the "program" under which earlier versions
-	// sent the structs as JSON objects, so a peer of the other format
-	// reads an install without a program and is refused, not dropped.
-	Program []byte `json:"rules,omitempty"`
-
-	// ID identifies the logical call. A client reuses the same ID across
-	// retry attempts of one call, so the agent's replay cache can answer
-	// a retransmit with the original response instead of executing the
-	// operation twice (at-most-once execution under retries). Zero means
-	// "no replay protection" (hand-rolled or legacy peers).
-	ID uint64 `json:"id,omitempty"`
-
-	// DrainAck (drain_reports only) acknowledges the highest drain
-	// Cursor the client has received. The agent serves a fresh batch
-	// when the ack matches its cursor and re-delivers the previous batch
-	// when the ack trails by one — so a drain retried after a lost
-	// response never double-delivers and never loses reports.
-	DrainAck uint64 `json:"drain_ack,omitempty"`
-}
-
-// Stats is the agent's rule/program accounting.
-type Stats struct {
-	RuleEntries int `json:"rule_entries"`
-	Installed   int `json:"installed"`
-}
-
-// Response is one agent → controller message.
-type Response struct {
-	OK      bool               `json:"ok"`
-	Error   string             `json:"error,omitempty"`
-	Code    string             `json:"code,omitempty"` // machine-checkable error class
-	ID      uint64             `json:"id,omitempty"`   // echo of the request ID
-	Cursor  uint64             `json:"cursor,omitempty"`
-	Stats   *Stats             `json:"stats,omitempty"`
-	Reports []dataplane.Report `json:"reports,omitempty"`
-}
-
-// WriteFrame sends one length-prefixed JSON message.
+// WriteFrame sends one length-prefixed JSON message: a telemetry hello
+// or ack.
 func WriteFrame(w io.Writer, v any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -162,7 +120,8 @@ func WriteFrame(w io.Writer, v any) error {
 	return err
 }
 
-// ReadFrame receives one length-prefixed JSON message into v.
+// ReadFrame receives one length-prefixed JSON message into v. The body
+// grows as its bytes arrive (wire.ReadPayload), not from the header.
 func ReadFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -172,8 +131,8 @@ func ReadFrame(r io.Reader, v any) error {
 	if n > MaxFrame {
 		return fmt.Errorf("%w: inbound frame of %d bytes", ErrFrameTooLarge, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := wire.ReadPayload(r, nil, int(n))
+	if err != nil {
 		return err
 	}
 	if err := json.Unmarshal(body, v); err != nil {
@@ -192,7 +151,7 @@ type Agent struct {
 	// telemetry exporter ships the window's reports, then the ending
 	// epoch's banks (they read as zero once the epoch advances). It runs
 	// under the dispatch lock, ordered with installs and drains. Unset,
-	// reports wait on the switch for drain_reports.
+	// reports wait on the switch for a drain.
 	OnEpoch func()
 
 	// OnError, when set, receives connection-level errors that are not
@@ -220,9 +179,12 @@ type Agent struct {
 	// age (replayTTL) — a retransmit only ever arrives within a few
 	// retry backoffs of the original, so entries older than the TTL are
 	// dead weight that a long-lived low-rate agent would otherwise hold
-	// for the capped maximum forever.
-	replay     map[uint64]replayEntry
-	replayFIFO []uint64
+	// for the capped maximum forever. The entries are a ring in
+	// insertion order, oldest at replayHead, that the map indexes by ID:
+	// it grows to replayCap and then recycles its slots.
+	replay     map[uint64]int
+	replayRing []replayEntry
+	replayHead int
 
 	// nowFn overrides the replay cache clock in tests; nil means
 	// time.Now.
@@ -244,17 +206,18 @@ const (
 	replayTTL = 2 * time.Minute
 )
 
-// replayEntry is one cached response plus its insertion time, for
-// age-based eviction.
+// replayEntry is one cached response, the request ID it answers, and
+// its insertion time, for age-based eviction.
 type replayEntry struct {
-	resp *Response
+	id   uint64
+	resp wire.Response
 	at   time.Time
 }
 
 // NewAgent wraps a switch and its module engine.
 func NewAgent(sw *dataplane.Switch, eng *modules.Engine) *Agent {
 	return &Agent{sw: sw, eng: eng, conns: map[net.Conn]struct{}{},
-		replay: map[uint64]replayEntry{}}
+		replay: map[uint64]int{}}
 }
 
 // Switch returns the switch the agent serves.
@@ -354,7 +317,9 @@ func cleanConnErr(err error) bool {
 
 // HandleConn serves one controller connection (exported so tests can
 // drive net.Pipe ends directly). Errors other than a clean peer
-// shutdown are surfaced through OnError instead of being swallowed.
+// shutdown are surfaced through OnError instead of being swallowed; a
+// frame that is not a well-formed request ends the connection before
+// anything in it runs.
 func (a *Agent) HandleConn(conn net.Conn) {
 	if !a.track(conn) {
 		conn.Close()
@@ -364,22 +329,44 @@ func (a *Agent) HandleConn(conn net.Conn) {
 		a.untrack(conn)
 		conn.Close()
 	}()
+	fr, fw := wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
+	var req wire.Request
+	var out []byte
 	for {
-		var req Request
-		if err := ReadFrame(conn, &req); err != nil {
+		if err := readRequest(fr, &req); err != nil {
 			if !cleanConnErr(err) {
 				a.surfaceErr(fmt.Errorf("rpc: agent read: %w", err))
 			}
 			return
 		}
 		resp := a.dispatch(&req)
-		if err := WriteFrame(conn, resp); err != nil {
+		out = wire.AppendResponse(out[:0], &resp)
+		if _, err := fw.WriteFrame(wire.KindResponse, 0, out); err != nil {
 			if !cleanConnErr(err) {
 				a.surfaceErr(fmt.Errorf("rpc: agent write: %w", err))
 			}
 			return
 		}
 	}
+}
+
+// nextPayload reads the next frame, which must be of kind, and returns
+// its payload.
+func nextPayload(fr *wire.FrameReader, kind wire.Kind) ([]byte, error) {
+	hdr, payload, err := fr.Next()
+	if err == nil && hdr.Kind != kind {
+		err = fmt.Errorf("%w: %v frame where a %v belongs", wire.ErrMalformed, hdr.Kind, kind)
+	}
+	return payload, err
+}
+
+// readRequest reads the next frame into req: it must be a request.
+func readRequest(fr *wire.FrameReader, req *wire.Request) error {
+	payload, err := nextPayload(fr, wire.KindRequest)
+	if err != nil {
+		return err
+	}
+	return wire.DecodeRequest(req, payload)
 }
 
 // Close shuts the agent down: the listener stops accepting, every live
@@ -409,7 +396,7 @@ func (a *Agent) Close() error {
 	return nil
 }
 
-func (a *Agent) dispatch(req *Request) *Response {
+func (a *Agent) dispatch(req *wire.Request) wire.Response {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	atomic.AddUint64(&a.requests, 1)
@@ -417,41 +404,49 @@ func (a *Agent) dispatch(req *Request) *Response {
 	if a.nowFn != nil {
 		now = a.nowFn()
 	}
-	// Age out stale entries first — replayFIFO is insertion-ordered, so
-	// expired entries cluster at the front.
-	for len(a.replayFIFO) > 0 {
-		id := a.replayFIFO[0]
-		if now.Sub(a.replay[id].at) <= replayTTL {
-			break
-		}
-		delete(a.replay, id)
-		a.replayFIFO = a.replayFIFO[1:]
+	// Age out stale entries first — the ring is insertion-ordered, so
+	// expired entries cluster at its head.
+	for len(a.replay) > 0 && now.Sub(a.replayRing[a.replayHead].at) > replayTTL {
+		a.evictOldestLocked()
 	}
 	if req.ID != 0 {
-		if cached, ok := a.replay[req.ID]; ok {
+		if i, ok := a.replay[req.ID]; ok {
 			// A retransmit of a call that already executed: replay the
 			// original response instead of running the op twice.
 			atomic.AddUint64(&a.replayHits, 1)
-			return cached.resp
+			return a.replayRing[i].resp
 		}
 	}
 	resp := a.execute(req)
 	resp.ID = req.ID
 	if req.ID != 0 {
-		if len(a.replayFIFO) >= replayCap {
-			delete(a.replay, a.replayFIFO[0])
-			a.replayFIFO = a.replayFIFO[1:]
+		if len(a.replay) == replayCap {
+			a.evictOldestLocked()
 		}
-		a.replay[req.ID] = replayEntry{resp: resp, at: now}
-		a.replayFIFO = append(a.replayFIFO, req.ID)
+		e := replayEntry{id: req.ID, resp: resp, at: now}
+		i := (a.replayHead + len(a.replay)) % replayCap
+		if i == len(a.replayRing) {
+			a.replayRing = append(a.replayRing, e)
+		} else {
+			a.replayRing[i] = e
+		}
+		a.replay[req.ID] = i
 	}
 	return resp
 }
 
+// evictOldestLocked drops the replay cache's oldest entry.
+func (a *Agent) evictOldestLocked() {
+	e := &a.replayRing[a.replayHead]
+	delete(a.replay, e.id)
+	*e = replayEntry{}
+	a.replayHead = (a.replayHead + 1) % replayCap
+}
+
 // errResponse classifies an engine error so retrying controllers can
 // distinguish level-triggered outcomes from real failures.
-func errResponse(err error) *Response {
-	resp := &Response{Error: err.Error()}
+func errResponse(err error) wire.Response {
+	resp := wire.Response{Error: err.Error()}
 	if errors.Is(err, modules.ErrAlreadyInstalled) {
 		resp.Code = CodeAlreadyInstalled
 	} else if errors.Is(err, modules.ErrNotInstalled) {
@@ -461,11 +456,11 @@ func errResponse(err error) *Response {
 }
 
 // execute runs one request under the dispatch lock.
-func (a *Agent) execute(req *Request) *Response {
-	switch req.Type {
-	case typeInstall:
+func (a *Agent) execute(req *wire.Request) wire.Response {
+	switch req.Call {
+	case wire.CallInstall:
 		if len(req.Program) == 0 {
-			return &Response{Error: "install without program"}
+			return wire.Response{Error: "install without program"}
 		}
 		p, err := wire.DecodeProgram(req.Program)
 		if err != nil {
@@ -474,27 +469,27 @@ func (a *Agent) execute(req *Request) *Response {
 		if err := a.eng.Install(p); err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true}
-	case typeRemove:
+		return wire.Response{OK: true}
+	case wire.CallRemove:
 		if err := a.eng.Remove(req.QID); err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true}
-	case typeStats:
-		return &Response{OK: true, Stats: &Stats{
+		return wire.Response{OK: true}
+	case wire.CallStats:
+		return wire.Response{OK: true, HasStats: true, Stats: wire.Stats{
 			RuleEntries: a.eng.Layout().TotalRuleEntries(),
 			Installed:   a.eng.InstalledCount(),
 		}}
-	case typeDrain:
+	case wire.CallDrain:
 		return a.drain(req)
-	case typeEpoch:
+	case wire.CallEpoch:
 		a.nextEpochLocked()
-		return &Response{OK: true}
+		return wire.Response{OK: true}
 	}
-	return &Response{Error: fmt.Sprintf("unknown request type %q", req.Type)}
+	return wire.Response{Error: fmt.Sprintf("unknown request call %d", req.Call)}
 }
 
-// NextEpoch is the switch's one window end, which a next_epoch request
+// NextEpoch is the switch's one window end, which an epoch request
 // and a local clock (netsim's, in a fleet or newton-agent's replay) both
 // run: the OnEpoch hook, then the engine's roll, under the dispatch lock.
 func (a *Agent) NextEpoch() {
@@ -510,14 +505,14 @@ func (a *Agent) nextEpochLocked() {
 	a.eng.RollEpoch()
 }
 
-// drain serves drain_reports under the cursor discipline: an ack equal
+// drain serves a drain request under the cursor discipline: an ack equal
 // to the current cursor means the previous batch arrived, so the switch
 // buffer is drained afresh; an ack one behind means the previous
 // response was lost in flight, so that batch is re-delivered unchanged.
 // Any other ack (an agent restart, or a client resync) serves fresh and
 // jumps the cursor past the ack. The cursor assumes a single draining
 // controller per agent, which is the deployment shape.
-func (a *Agent) drain(req *Request) *Response {
+func (a *Agent) drain(req *wire.Request) wire.Response {
 	switch {
 	case req.DrainAck == a.drainSeq:
 		a.lastDrain = a.sw.DrainReports()
@@ -531,7 +526,7 @@ func (a *Agent) drain(req *Request) *Response {
 		}
 		a.drainSeq++
 	}
-	return &Response{OK: true, Reports: a.lastDrain, Cursor: a.drainSeq}
+	return wire.Response{OK: true, Reports: a.lastDrain, Cursor: a.drainSeq}
 }
 
 // Options harden a Client against an imperfect network. The zero value
@@ -593,6 +588,16 @@ type Client struct {
 
 	drainAck uint64 // highest drain cursor received (under mu)
 
+	// The call's framing memory (under mu): the frame reader and writer
+	// on framed, the connection they serve, the encoded request, the
+	// program an install encodes, and the response decoded in place.
+	framed net.Conn
+	fr     *wire.FrameReader
+	fw     *wire.FrameWriter
+	out    []byte
+	prog   []byte
+	resp   wire.Response
+
 	retries  uint64
 	redials  uint64
 	calls    uint64
@@ -604,18 +609,12 @@ type Client struct {
 	latency *obs.Histogram
 }
 
-// reqSeq hands out process-unique request IDs; reqNonce separates
-// clients in different processes talking to the same agent. The nonce
-// is drawn from [minNonce, 2³²), so every ID lies in [10¹⁹, 2⁶⁴) and
-// prints as 20 digits: a control frame's length does not depend on the
-// draw. That leaves about 31 bits to tell processes apart.
+// reqSeq hands out process-unique request IDs; reqNonce, drawn once,
+// separates clients in different processes talking to the same agent.
 var (
 	reqSeq   uint64
-	reqNonce = uint64(minNonce+rand.Int63n(1<<32-minNonce)) << 32
+	reqNonce = uint64(rand.Uint32()) << 32
 )
-
-// minNonce is the least nonce n with n<<32 ≥ 10¹⁹.
-const minNonce = 2_328_306_437
 
 func nextReqID() uint64 { return reqNonce | (atomic.AddUint64(&reqSeq, 1) & 0xFFFFFFFF) }
 
@@ -730,42 +729,48 @@ func (c *Client) dropConn(conn net.Conn) {
 }
 
 // permanent reports whether a transport error cannot be cured by a
-// retry (oversized or unencodable frames are deterministic).
-func permanent(err error) bool {
-	return errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrMalformedResponse)
-}
+// retry: an oversized frame, either way, is deterministic.
+func permanent(err error) bool { return errors.Is(err, wire.ErrTooLarge) }
 
-// attempt runs one write/read exchange on conn under the per-attempt
-// deadline. Any returned error is transport-level.
-func (c *Client) attempt(conn net.Conn, req *Request) (*Response, error) {
+// attempt sends the encoded request c.out on conn and reads the response
+// into c.resp, under the per-attempt deadline. Any returned error is
+// transport-level.
+func (c *Client) attempt(conn net.Conn, id uint64) error {
+	if c.framed != conn {
+		c.framed, c.fr, c.fw = conn, wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
+	}
 	if c.opts.Timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	if err := WriteFrame(conn, req); err != nil {
-		return nil, err
+	if _, err := c.fw.WriteFrame(wire.KindRequest, 0, c.out); err != nil {
+		return err
 	}
 	if c.opts.Timeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
-		return nil, err
+	payload, err := nextPayload(c.fr, wire.KindResponse)
+	if err != nil {
+		return err
+	}
+	if err := wire.DecodeResponse(&c.resp, payload); err != nil {
+		return fmt.Errorf("rpc: %w", err)
 	}
 	if c.opts.Timeout > 0 {
 		conn.SetDeadline(time.Time{})
 	}
-	if resp.ID != 0 && resp.ID != req.ID {
+	if c.resp.ID != 0 && c.resp.ID != id {
 		// A late response to an earlier (timed-out) request: the stream
 		// is desynchronized beyond repair — tear it down and retry.
-		return nil, fmt.Errorf("rpc: response for request %d on call %d: stream desynchronized", resp.ID, req.ID)
+		return fmt.Errorf("rpc: response for request %d on call %d: stream desynchronized", c.resp.ID, id)
 	}
-	return &resp, nil
+	return nil
 }
 
 // roundTripLocked performs one logical call with deadlines, retries,
 // and redial, recording call count, errors, and whole-call latency
-// (retries and backoff included — what the caller experienced).
-func (c *Client) roundTripLocked(req *Request) (*Response, error) {
+// (retries and backoff included — what the caller experienced). The
+// response is the client's, valid while the caller holds c.mu.
+func (c *Client) roundTripLocked(req wire.Request) (*wire.Response, error) {
 	start := time.Now()
 	resp, err := c.attemptsLocked(req)
 	c.latency.Observe(uint64(time.Since(start)))
@@ -779,8 +784,9 @@ func (c *Client) roundTripLocked(req *Request) (*Response, error) {
 // attemptsLocked is the retry loop behind roundTripLocked. The caller
 // holds c.mu. The request keeps one ID across every attempt, so the
 // agent's replay cache makes retries exactly-once.
-func (c *Client) attemptsLocked(req *Request) (*Response, error) {
+func (c *Client) attemptsLocked(req wire.Request) (*wire.Response, error) {
 	req.ID = nextReqID()
+	c.out = wire.AppendRequest(c.out[:0], &req)
 	backoff := c.opts.BackoffBase
 	for attempt := 0; ; attempt++ {
 		if c.isClosed() {
@@ -788,13 +794,12 @@ func (c *Client) attemptsLocked(req *Request) (*Response, error) {
 		}
 		conn, err := c.currentConn()
 		if err == nil {
-			var resp *Response
-			resp, err = c.attempt(conn, req)
+			err = c.attempt(conn, req.ID)
 			if err == nil {
-				if !resp.OK {
-					return nil, &AgentError{Code: resp.Code, Msg: resp.Error}
+				if !c.resp.OK {
+					return nil, &AgentError{Code: c.resp.Code, Msg: c.resp.Error}
 				}
-				return resp, nil
+				return &c.resp, nil
 			}
 			if c.isClosed() {
 				return nil, ErrClientClosed
@@ -823,55 +828,62 @@ func (c *Client) attemptsLocked(req *Request) (*Response, error) {
 	}
 }
 
-func (c *Client) roundTrip(req *Request) (*Response, error) {
+// Install loads a compiled program into the remote engine. The program
+// travels in internal/wire's program encoding, built in a buffer the
+// client keeps.
+func (c *Client) Install(p *modules.Program) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.roundTripLocked(req)
-}
-
-// Install loads a compiled program into the remote engine. The program
-// travels in internal/wire's program encoding.
-func (c *Client) Install(p *modules.Program) error {
-	_, err := c.roundTrip(&Request{Type: typeInstall, Program: wire.AppendProgram(nil, p)})
+	c.prog = wire.AppendProgram(c.prog[:0], p)
+	_, err := c.roundTripLocked(wire.Request{Call: wire.CallInstall, Program: c.prog})
 	return err
 }
 
 // Remove uninstalls a query by QID.
 func (c *Client) Remove(qid int) error {
-	_, err := c.roundTrip(&Request{Type: typeRemove, QID: qid})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.roundTripLocked(wire.Request{Call: wire.CallRemove, QID: qid})
 	return err
 }
 
 // Stats fetches the remote rule/program counts.
-func (c *Client) Stats() (Stats, error) {
-	resp, err := c.roundTrip(&Request{Type: typeStats})
+func (c *Client) Stats() (wire.Stats, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, err := c.roundTripLocked(wire.Request{Call: wire.CallStats})
 	if err != nil {
-		return Stats{}, err
+		return wire.Stats{}, err
 	}
-	if resp.Stats == nil {
-		return Stats{}, fmt.Errorf("%w: stats", ErrMalformedResponse)
+	if !resp.HasStats {
+		return wire.Stats{}, fmt.Errorf("%w: stats", ErrMalformedResponse)
 	}
-	return *resp.Stats, nil
+	return resp.Stats, nil
 }
 
 // DrainReports pulls and clears the remote report buffer. The call is
 // retry-safe: the drain cursor acknowledges each received batch, so a
 // drain retried after a lost response re-delivers that batch instead of
-// dropping it or delivering it twice.
+// dropping it or delivering it twice. The returned slice is the
+// caller's.
 func (c *Client) DrainReports() ([]dataplane.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp, err := c.roundTripLocked(&Request{Type: typeDrain, DrainAck: c.drainAck})
+	resp, err := c.roundTripLocked(wire.Request{Call: wire.CallDrain, DrainAck: c.drainAck})
 	if err != nil {
 		return nil, err
 	}
 	c.drainAck = resp.Cursor
-	return resp.Reports, nil
+	rs := resp.Reports
+	resp.Reports = nil
+	return rs, nil
 }
 
 // NextEpoch rolls the remote register windows (the controller's 100 ms
 // tick).
 func (c *Client) NextEpoch() error {
-	_, err := c.roundTrip(&Request{Type: typeEpoch})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.roundTripLocked(wire.Request{Call: wire.CallEpoch})
 	return err
 }

@@ -1,6 +1,9 @@
 package rpc
 
 import (
+	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -13,6 +16,7 @@ import (
 	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/packet"
 	"github.com/newton-net/newton/internal/query"
+	"github.com/newton-net/newton/internal/wire"
 )
 
 func testAgent(t testing.TB) (*Agent, *dataplane.Switch) {
@@ -218,15 +222,12 @@ func TestUnknownRequestType(t *testing.T) {
 	server, client := net.Pipe()
 	go agent.HandleConn(server)
 	defer client.Close()
-	if err := WriteFrame(client, &Request{Type: "reboot"}); err != nil {
-		t.Fatal(err)
+	if resp := exchange(t, client, wire.Request{Call: 99}); resp.OK || resp.Error == "" {
+		t.Errorf("unknown call accepted: %+v", resp)
 	}
-	var resp Response
-	if err := ReadFrame(client, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Error == "" {
-		t.Errorf("unknown type accepted: %+v", resp)
+	// The refusal is an answer: the connection keeps serving.
+	if resp := exchange(t, client, wire.Request{Call: wire.CallStats}); !resp.OK || !resp.HasStats {
+		t.Errorf("stats after the refusal: %+v", resp)
 	}
 }
 
@@ -270,32 +271,106 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
+// TestFrameLimits: the agent ends a connection on a frame it cannot
+// take — a header announcing more than MaxFrame (refused from the
+// header, not read), a request cut short inside its frame, a response
+// where a request belongs, a stream that dies mid-frame — surfaces
+// the error through OnError, and runs nothing.
 func TestFrameLimits(t *testing.T) {
-	server, client := net.Pipe()
-	defer server.Close()
-	defer client.Close()
-	// Oversized inbound frame is rejected without allocation.
-	go func() {
-		hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-		client.Write(hdr)
-	}()
-	var v Response
-	errCh := make(chan error, 1)
-	go func() { errCh <- ReadFrame(server, &v) }()
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Error("oversized frame accepted")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("readFrame hung on oversized frame")
+	oversized := wire.AppendHeader(nil, wire.KindRequest, 0, nil)
+	binary.LittleEndian.PutUint32(oversized[8:12], wire.MaxFrame+1)
+	install := wire.AppendRequest(nil, &wire.Request{Call: wire.CallInstall, Program: wire.AppendProgram(nil, compileQ1(t, 1))})
+	frame := func(kind wire.Kind, payload []byte) []byte {
+		return append(wire.AppendHeader(nil, kind, 0, payload), payload...)
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want error
+	}{
+		{"oversized header", oversized, wire.ErrTooLarge},
+		{"request cut short", frame(wire.KindRequest, install[:len(install)-1]), wire.ErrTruncated},
+		{"response frame", frame(wire.KindResponse, install), wire.ErrMalformed},
+		{"stream cut mid-frame", frame(wire.KindRequest, install)[:wire.HeaderSize+10], io.ErrUnexpectedEOF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			agent, _ := testAgent(t)
+			errs := make(chan error, 1)
+			agent.OnError = func(err error) { errs <- err }
+			server, client := net.Pipe()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				agent.HandleConn(server)
+			}()
+			go func() {
+				client.Write(tc.raw)
+				client.Close()
+			}()
+			select {
+			case err := <-errs:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("surfaced %v, want %v", err, tc.want)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("the agent hung on the frame, or swallowed its error")
+			}
+			<-done
+			if n := agent.eng.InstalledCount(); n != 0 {
+				t.Errorf("%d programs installed", n)
+			}
+		})
 	}
 }
 
+// TestInstallOfJSONProgramIsRefused: a controller that speaks the
+// control channel's former framing — a 4-byte length, then JSON — sends
+// an install, once with the program as rules and once as JSON of the
+// engine's structs. Its first bytes are no frame magic: the agent
+// refuses each stream at the header with wire.ErrBadMagic through
+// OnError, runs nothing, and holds no program.
+func TestInstallOfJSONProgramIsRefused(t *testing.T) {
+	agent, _ := testAgent(t)
+	errs := make(chan error, 1)
+	agent.OnError = func(err error) { errs <- err }
+	p := compileQ1(t, 1)
+	for _, req := range []any{
+		&struct {
+			Type  string `json:"type"`
+			Rules []byte `json:"rules"`
+			ID    uint64 `json:"id"`
+		}{"install", wire.AppendProgram(nil, p), 7},
+		&struct {
+			Type    string           `json:"type"`
+			Program *modules.Program `json:"program"`
+		}{"install", p},
+	} {
+		server, client := net.Pipe()
+		go agent.HandleConn(server)
+		defer client.Close()
+		go WriteFrame(client, req) // the agent hangs up without reading it all
+		select {
+		case err := <-errs:
+			if !errors.Is(err, wire.ErrBadMagic) {
+				t.Fatalf("surfaced %v, want wire.ErrBadMagic", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("the old peer's install was not refused")
+		}
+		if n := agent.eng.InstalledCount(); n != 0 {
+			t.Fatalf("%d programs installed by an old peer", n)
+		}
+	}
+	if n := agent.ConnErrors(); n != 2 {
+		t.Errorf("ConnErrors = %d, want the two old peers", n)
+	}
+}
+
+// TestProgramSurvivesJSONRoundTrip: the same compiled query installed
+// locally and over the control channel takes exactly the same rules —
+// the install encoding, which replaced the former JSON one, loses
+// nothing the engine needs.
 func TestProgramSurvivesJSONRoundTrip(t *testing.T) {
-	// Install the same compiled query locally and remotely; footprints
-	// must match, proving the install encoding loses nothing the engine
-	// needs.
 	local, _ := testAgent(t)
 	if err := local.eng.Install(compileQ1(t, 1)); err != nil {
 		t.Fatal(err)
@@ -305,11 +380,45 @@ func TestProgramSurvivesJSONRoundTrip(t *testing.T) {
 	if err := c.Install(compileQ1(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	want := local.eng.Layout().TotalRuleEntries()
-	st, _ := c.Stats()
-	if st.RuleEntries != want {
+	st, err := c.Stats()
+	if err != nil || st.Installed != 1 {
+		t.Fatalf("stats after the binary install: %+v, %v", st, err)
+	}
+	if want := local.eng.Layout().TotalRuleEntries(); st.RuleEntries != want {
 		t.Errorf("remote footprint %d != local %d", st.RuleEntries, want)
 	}
+}
+
+// writeRequest sends req on w as one request frame.
+func writeRequest(t testing.TB, w io.Writer, req wire.Request) {
+	t.Helper()
+	if err := wire.WriteFrame(w, wire.KindRequest, 0, wire.AppendRequest(nil, &req)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readResponse reads one response frame from r.
+func readResponse(t testing.TB, r io.Reader) wire.Response {
+	t.Helper()
+	hdr, payload, err := wire.NewFrameReader(r).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Kind != wire.KindResponse {
+		t.Fatalf("%v frame where a response belongs", hdr.Kind)
+	}
+	var resp wire.Response
+	if err := wire.DecodeResponse(&resp, payload); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// exchange sends req on conn and reads the response.
+func exchange(t testing.TB, conn net.Conn, req wire.Request) wire.Response {
+	t.Helper()
+	writeRequest(t, conn, req)
+	return readResponse(t, conn)
 }
 
 func BenchmarkRoundTripStats(b *testing.B) {

@@ -15,9 +15,9 @@
 // network-wide answers out.
 package telemetry
 
-// The handshake that opens every stream, in the control channel's
-// length-framed JSON (rpc.WriteFrame/rpc.ReadFrame): the version check
-// on a peer nothing is known about yet. Every frame after it is
+// The handshake that opens every stream, in length-framed JSON
+// (rpc.WriteFrame/rpc.ReadFrame, which carry nothing else): the version
+// check on a peer nothing is known about yet. Every frame after it is
 // internal/wire's — the stream has one data encoding (DESIGN.md §15).
 const (
 	// FrameHello opens a stream: the agent announces its switch ID and

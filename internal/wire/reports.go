@@ -113,6 +113,20 @@ func DecodeReportsInto(dst []dataplane.Report, payload []byte, streamID string) 
 		mask := r.mask()
 		n := r.length()
 		base := len(out)
+		if r.err == nil {
+			// AppendReports writes no empty run and merges a run into the
+			// one before it when their keys agree, so a decoded batch
+			// re-encodes to its own bytes.
+			switch {
+			case n == 0:
+				r.err = fmt.Errorf("%w: empty run", ErrMalformed)
+			case base > 0 && out[base-1].SwitchID == id && out[base-1].QueryID == int(qid) && out[base-1].KeyMask == mask:
+				r.err = fmt.Errorf("%w: run continues the one before it", ErrMalformed)
+			}
+		}
+		if r.err != nil {
+			break
+		}
 		for j := 0; j < n; j++ {
 			out = append(out, dataplane.Report{SwitchID: id, QueryID: int(qid), KeyMask: mask})
 		}

@@ -1,17 +1,18 @@
-// Package wire holds Newton's binary encodings: the telemetry wire
-// protocol — a versioned little-endian framing plus columnar binary
-// codecs for the telemetry plane's hot frames (report batches and epoch
-// state-bank snapshots) — and the program encoding an install carries
-// on the control channel (program.go).
+// Package wire holds Newton's binary encodings: a versioned
+// little-endian framing, columnar binary codecs for the telemetry
+// plane's hot frames (report batches and epoch state-bank snapshots),
+// the control channel's request and response messages (control.go),
+// and the program encoding an install carries (program.go).
 //
-// The control channel and the telemetry hello/hello-ack negotiation
-// keep the length-framed JSON encoding (internal/rpc), but a program
-// inside an install is AppendProgram's bytes, decoded by DecodeProgram
-// into one backing array per kind of part. The control channel has no
-// version of its own: the install carries the bytes under a key the
-// JSON-struct format never used, so a peer of that format is refused
-// an install without a program rather than dropped. After the hello is acked, every frame
-// on the telemetry stream is:
+// Both streams use the one framing. On the control channel (internal/rpc)
+// every request is a KindRequest frame and every response a KindResponse
+// frame; a program inside an install is AppendProgram's bytes, decoded by
+// DecodeProgram into one backing array per kind of part, and a drain's
+// reports are AppendReports' batch. A peer of the former length-framed
+// JSON channel fails the header's magic. Only the telemetry hello and
+// hello-ack keep length-framed JSON (internal/rpc's WriteFrame and
+// ReadFrame); after the hello is acked, every frame on the telemetry
+// stream, as on the control channel, is:
 //
 //	offset  size  field
 //	0       2     magic 0x574E ("NW", little-endian)
@@ -39,7 +40,9 @@
 //
 // Every decode path is total: truncated, oversized, corrupt-CRC, or
 // malformed inputs return typed errors, never panic — the fuzz harnesses
-// (FuzzWireRoundTrip, FuzzDecodeProgram) hold the codecs to that.
+// (FuzzWireRoundTrip, FuzzDecodeProgram, FuzzControlFrame) hold the
+// codecs to that. A header decides no allocation: a payload's buffer
+// grows as its bytes arrive (ReadPayload).
 package wire
 
 import (
@@ -53,8 +56,8 @@ import (
 	"sync"
 )
 
-// Magic identifies a binary telemetry frame ("NW" when the two bytes
-// are read in wire order).
+// Magic identifies a binary frame ("NW" when the two bytes are read in
+// wire order).
 const Magic = 0x574E
 
 // Version1 is the current wire protocol version, proposed in the JSON
@@ -64,7 +67,7 @@ const Version1 = 1
 // HeaderSize is the fixed frame header length in bytes.
 const HeaderSize = 16
 
-// MaxFrame bounds one payload, mirroring the control channel's limit.
+// MaxFrame bounds one payload.
 const MaxFrame = 8 << 20
 
 // Kind classifies a binary frame.
@@ -79,6 +82,10 @@ const (
 	// KindBye closes a stream, carrying the exporter's final counters
 	// (JSON payload — once per stream, evolution beats compactness).
 	KindBye Kind = 3
+	// KindRequest carries one control-channel Request (control.go).
+	KindRequest Kind = 4
+	// KindResponse carries one control-channel Response.
+	KindResponse Kind = 5
 )
 
 // String names the frame kind.
@@ -90,6 +97,10 @@ func (k Kind) String() string {
 		return "snapshot"
 	case KindBye:
 		return "bye"
+	case KindRequest:
+		return "request"
+	case KindResponse:
+		return "response"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -146,8 +157,8 @@ func AppendHeader(dst []byte, kind Kind, flags Flags, payload []byte) []byte {
 // FrameWriter frames payloads onto one stream. It keeps the header it
 // builds and the compressed output across frames, so a stream in steady
 // state writes without allocating. Each frame is exactly two writes,
-// header then payload, matching the control channel's header+body
-// discipline so byte-counting wrappers see one frame per two writes.
+// header then payload, as is a hello's length and body, so
+// byte-counting wrappers see one frame per two writes on either stream.
 type FrameWriter struct {
 	w    io.Writer
 	hdr  [HeaderSize]byte
@@ -279,8 +290,7 @@ func (fr *FrameReader) Next() (Header, []byte, error) {
 	if err != nil {
 		return Header{}, nil, err
 	}
-	fr.payload = slices.Grow(fr.payload[:0], int(hdr.Length))[:hdr.Length]
-	if _, err := io.ReadFull(fr.r, fr.payload); err != nil {
+	if fr.payload, err = ReadPayload(fr.r, fr.payload, int(hdr.Length)); err != nil {
 		return Header{}, nil, err
 	}
 	if crc32.Checksum(fr.payload, castagnoli) != hdr.CRC {
@@ -293,6 +303,39 @@ func (fr *FrameReader) Next() (Header, []byte, error) {
 		return Header{}, nil, err
 	}
 	return hdr, fr.inflated, nil
+}
+
+// firstChunk is what a payload read allocates before any of its bytes
+// have arrived.
+const firstChunk = 4 << 10
+
+// ReadPayload reads the n bytes a frame header announced into buf[:0]
+// and returns them, with io.ReadFull's errors. A header decides no
+// allocation before its bytes arrive: past buf's capacity the buffer
+// grows from firstChunk, at most doubling, only as the stream delivers,
+// so a peer that announces MaxFrame and hangs up costs a few KB, while a
+// stream whose buffer has grown to its largest frame allocates nothing.
+func ReadPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if n <= cap(buf) {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), firstChunk)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // reader is a sticky-error varint cursor over one payload. It refuses

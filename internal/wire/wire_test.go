@@ -403,6 +403,26 @@ func TestReportsRejectOverlongVarint(t *testing.T) {
 	}
 }
 
+// TestReportsRejectNonCanonicalRuns: AppendReports writes no empty run
+// and never two adjacent runs under one (switch, query, mask); a batch
+// that does is malformed, so a decoded batch re-encodes to its own
+// bytes.
+func TestReportsRejectNonCanonicalRuns(t *testing.T) {
+	rs := []dataplane.Report{{SwitchID: "s1", QueryID: 1, TS: 5, State: 3}}
+	run := AppendReports(nil, "s1", rs)[1:] // one run, after the run count
+	for name, payload := range map[string][]byte{
+		"empty run": {1, 0, 1, 0, 0},
+		"split run": append(append([]byte{2}, run...), run...),
+	} {
+		if _, err := DecodeReports(payload, "s1"); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: %v, want ErrMalformed", name, err)
+		}
+	}
+	if got, err := DecodeReports(AppendReports(nil, "", rs), ""); err != nil || !reflect.DeepEqual(got, rs) {
+		t.Fatalf("a batch under stream ID \"\" names its switch: %+v, %v", got, err)
+	}
+}
+
 // --- snapshot codec ---
 
 func TestSnapshotKeyframeRoundTrip(t *testing.T) {
