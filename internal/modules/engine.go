@@ -25,6 +25,11 @@ var (
 	// ErrQIDRange rejects a partitioned program whose qid the 12-bit
 	// result-snapshot header cannot carry to its later partitions.
 	ErrQIDRange = errors.New("qid does not fit the result-snapshot header")
+	// ErrSharedSnapshot rejects a partitioned program whose newton_init
+	// entries match a packet that another query's partition on the
+	// switch matches: one result snapshot rides a packet, so one of the
+	// two would lose its continuation.
+	ErrSharedSnapshot = errors.New("one result snapshot rides a packet")
 )
 
 // maxSnapshotQID is the largest qid packet.SPHeader carries (12 bits).

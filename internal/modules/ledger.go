@@ -26,6 +26,12 @@ type Ledger struct {
 	regs      []uint64
 	rules     []int
 	init, fin int // newton_init entries (one per branch), newton_fin (one per program)
+
+	// parted holds the charged programs of more than one partition. One
+	// result snapshot rides a packet, so a partition whose newton_init
+	// entries match a packet that another query's partition matches
+	// would silence one of the two: Charge refuses it.
+	parted []*Program
 }
 
 // NewLedger starts empty accounting for a kind layout of the given
@@ -35,7 +41,7 @@ type Ledger struct {
 func NewLedger(kind LayoutKind, stages int, arraySize uint32, rulesPerModule int) Ledger {
 	banks := stages * compactSuites
 	return Ledger{kind: kind, stages: stages, arraySize: arraySize, capacity: rulesPerModule,
-		regs: make([]uint64, banks), rules: make([]int, banks*int(NumKinds))}
+		regs: make([]uint64, banks), rules: make([]int, banks*int(NumKinds)), parted: []*Program{}}
 }
 
 // hosts reports whether (1-based) stage, suite u has a module of kind k:
@@ -73,7 +79,11 @@ func (l *Ledger) Fits(p *Program) error {
 // branch) and newton_fin entry, or refuses p and changes nothing. The
 // refusal names the first overflow: the stage count, then a module the
 // layout does not host, then a state bank, then a module, each in op
-// order, then newton_init, then newton_fin — the same one on every run.
+// order, then newton_init, then newton_fin, then (for a partition) the
+// first charged partition of another query whose newton_init entries
+// match a packet p's do — the same one on every run. Queries are told
+// apart by QID: a switch may host several partitions of one query, since
+// only the one a packet's snapshot names runs on it.
 func (l *Ledger) Charge(p *Program) error {
 	if s := p.NumStages(); s > l.stages {
 		return fmt.Errorf("needs %d stages, device has %d", s, l.stages)
@@ -90,23 +100,55 @@ func (l *Ledger) Charge(p *Program) error {
 		l.add(p, -1)
 		return err
 	}
+	if p.TotalParts > 1 {
+		if q := l.overlapping(p); q != nil {
+			l.add(p, -1)
+			return fmt.Errorf("newton_init entries overlap partitioned %s's: %w", q.Name, ErrSharedSnapshot)
+		}
+		l.parted = append(l.parted, p)
+	}
+	return nil
+}
+
+// overlapping returns the first charged partition of another query
+// that shares a packet with partition p, or nil.
+func (l *Ledger) overlapping(p *Program) *Program {
+	for _, q := range l.parted {
+		if q.QID == p.QID {
+			continue
+		}
+		for _, a := range p.Branches {
+			for _, b := range q.Branches {
+				if a.Init.overlaps(&b.Init) {
+					return q
+				}
+			}
+		}
+	}
 	return nil
 }
 
 // Refund returns what Charge took for p.
-func (l *Ledger) Refund(p *Program) { l.add(p, -1) }
+func (l *Ledger) Refund(p *Program) {
+	l.add(p, -1)
+	if i := slices.Index(l.parted, p); i >= 0 {
+		l.parted = slices.Delete(l.parted, i, i+1)
+	}
+}
 
 // Reset refunds everything the ledger holds, keeping its storage.
 func (l *Ledger) Reset() {
 	clear(l.regs)
 	clear(l.rules)
 	l.init, l.fin = 0, 0
+	clear(l.parted)
+	l.parted = l.parted[:0]
 }
 
 // Clone copies the ledger, so a charge can be tried and discarded.
 func (l *Ledger) Clone() Ledger {
 	c := *l
-	c.regs, c.rules = slices.Clone(l.regs), slices.Clone(l.rules)
+	c.regs, c.rules, c.parted = slices.Clone(l.regs), slices.Clone(l.rules), slices.Clone(l.parted)
 	return c
 }
 

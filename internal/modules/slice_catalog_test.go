@@ -17,12 +17,12 @@ import (
 	"github.com/newton-net/newton/internal/trace"
 )
 
-// lineResult is what a line of switches left: its reports as a multiset
-// (TS and switch zeroed, since partitions report from different hops)
-// and each branch's register rows in chain order, partitions
-// concatenated.
+// lineResult is what a line of switches left: each query's reports as a
+// multiset (TS and switch zeroed, since partitions report from
+// different hops) and each branch's register rows in chain order,
+// partitions concatenated.
 type lineResult struct {
-	reports map[string]int
+	reports map[int]map[string]int // by qid
 	banks   map[int][][]uint32
 	n       int
 }
@@ -31,14 +31,14 @@ type lineResult struct {
 // one under test.
 const companyQID = 100
 
-// runLine installs parts[k] on the k-th of a line of bare switches and
-// sends every packet of tr down the line, as netsim delivers it: the
-// result-snapshot header one switch attaches is what the next reads, and
-// the host strips what is left. Every switch also runs a query that
-// matches every packet, once before and once after the query under test,
-// so its chains share the PHV with others as on a fleet switch; the
-// result leaves them out.
-func runLine(t *testing.T, tr *trace.Trace, parts []*modules.Program) lineResult {
+// runLine installs the k-th of each query's parts on the k-th of a line
+// of bare switches and sends every packet of tr down the line, as netsim
+// delivers it: the result-snapshot header one switch attaches is what
+// the next reads, and the host strips what is left. Every switch also
+// runs a query that matches every packet, once before and once after
+// the queries under test, so its chains share the PHV with others as on
+// a fleet switch; the result leaves them out.
+func runLine(t *testing.T, tr *trace.Trace, queries ...[]*modules.Program) lineResult {
 	t.Helper()
 	company := func(qid int) *modules.Program {
 		o := compiler.AllOpts()
@@ -49,15 +49,19 @@ func runLine(t *testing.T, tr *trace.Trace, parts []*modules.Program) lineResult
 		}
 		return p
 	}
-	sws := make([]*dataplane.Switch, len(parts))
-	engs := make([]*modules.Engine, len(parts))
-	for i, p := range parts {
+	sws := make([]*dataplane.Switch, len(queries[0]))
+	engs := make([]*modules.Engine, len(sws))
+	for i := range sws {
 		l, err := modules.NewLayout(modules.LayoutCompact, 24, 1<<16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		engs[i] = modules.NewEngine(l)
-		for _, prog := range []*modules.Program{company(companyQID), p, company(companyQID + 1)} {
+		progs := []*modules.Program{company(companyQID)}
+		for _, parts := range queries {
+			progs = append(progs, parts[i])
+		}
+		for _, prog := range append(progs, company(companyQID+1)) {
 			if err := engs[i].Install(prog); err != nil {
 				t.Fatalf("install %s: %v", prog.Name, err)
 			}
@@ -73,14 +77,17 @@ func runLine(t *testing.T, tr *trace.Trace, parts []*modules.Program) lineResult
 		}
 		pkt.SP = nil
 	}
-	res := lineResult{reports: map[string]int{}, banks: map[int][][]uint32{}}
+	res := lineResult{reports: map[int]map[string]int{}, banks: map[int][][]uint32{}}
 	for i, sw := range sws {
 		for _, r := range sw.DrainReports() {
 			if r.QueryID >= companyQID {
 				continue
 			}
 			r.TS, r.SwitchID = 0, ""
-			res.reports[fmt.Sprintf("%+v", r)]++
+			if res.reports[r.QueryID] == nil {
+				res.reports[r.QueryID] = map[string]int{}
+			}
+			res.reports[r.QueryID][fmt.Sprintf("%+v", r)]++
 			res.n++
 		}
 		for _, b := range engs[i].SnapshotBanks() {

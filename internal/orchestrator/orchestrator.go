@@ -17,7 +17,9 @@
 package orchestrator
 
 import (
+	"cmp"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"slices"
 	"sort"
@@ -174,6 +176,7 @@ type Orchestrator struct {
 	remote   *controller.Remote
 	intents  []Intent
 	drained  map[string]bool
+	drains   uint64 // bumped whenever Drain or Undrain changes the drained set
 	deployed map[string]*deployedState
 
 	// widthCap is the refiner's per-query provisioning decision: the
@@ -198,6 +201,7 @@ type Orchestrator struct {
 	// each plan resets in place; live is a plan's view of them, the
 	// switches not drained.
 	trackers, live map[string]*scheduler.Tracker
+	order          []int // a plan's intent indices in priority order, kept from one plan to the next
 
 	stagesPer int // partition size, resolved once (Config.StagesPerSwitch)
 }
@@ -208,18 +212,77 @@ type Orchestrator struct {
 // programs are never written: Tracker.Fits/Commit/Release read them,
 // and Apply hands the admitted rung's to controller.Remote, which
 // installs them under the deployment's qid on copies of its own.
+//
+// Beside the rungs it keeps the intent's width ladder, built from the
+// bounds in ladderOf, and its resolved edge switches, built from the
+// names in edges (a private copy) at topology version edgesAt. Each is
+// built again when what it was built from moves, and never written: a
+// rung's assignment is stamped with the edge slice it was built for.
 type compiledIntent struct {
 	q     *query.Query
+	qid   int // the rungs' placeholder qid (placeholderQID)
 	rungs []*compiledRung
+
+	ladderOf  [2]uint32 // the MinWidth, MaxWidth ladder was built from
+	ladder    []uint32
+	ladderErr error
+
+	edges   []string
+	edgesAt uint64
+	edgeIDs []int // nil until resolved
 }
 
 // compiledRung is one width's program and, once a plan partitioned it,
 // its slices at the orchestrator's stagesPer. whole holds the program
 // alone, so a replica plan hands it on as a slice without allocating.
+//
+// The rung also keeps what it was last assigned: placement.Place's
+// result, stamped with the topology version and edges it was computed
+// for, and the assignment over the live fleet, stamped besides with the
+// drain generation. A plan whose stamp matches reuses them as they are;
+// one whose stamp moved builds new ones. Nothing kept is written after a
+// plan hands it out (QueryPlan.Targets and Parts are the assignment's),
+// because Deployed, Diff and the deployment record share it.
 type compiledRung struct {
 	width uint32
 	whole [1]*modules.Program
 	parts []*modules.Program
+
+	placedFor stamp
+	placed    placement.Placement
+	m         int
+	placeErr  error
+
+	assignedFor stamp
+	drains      uint64 // the drain generation assigned was built at
+	assigned    assignment
+
+	degradedOf uint32 // the top rung degraded says this rung degrades from
+	degraded   string
+}
+
+// stamp is what a rung's kept placement or assignment was computed
+// from: a topology version and the intent's resolved edge switches. The
+// zero stamp holds for nothing, since resolved edges are never empty.
+type stamp struct {
+	topo  uint64
+	edges []int
+}
+
+func (s stamp) holds(topo uint64, edges []int) bool {
+	return s.edges != nil && s.topo == topo && slices.Equal(s.edges, edges)
+}
+
+// assignment is a rung's share of the live fleet: whole replicas on
+// targets, else partitions (m of them, parts naming each switch's) and
+// the hostings charge admits in order — or why the rung has none.
+type assignment struct {
+	single  bool
+	targets []string
+	m       int
+	parts   map[string][]int
+	hosts   []hosting
+	why     string
 }
 
 // rung returns the program compiled at width w, compiling it with c on
@@ -231,7 +294,7 @@ func (ci *compiledIntent) rung(c *compiler.Compiler, w uint32) (*compiledRung, e
 		}
 	}
 	opts := compiler.AllOpts()
-	opts.QID, opts.Width = 1, w // placeholder qid: admission accounting ignores it
+	opts.QID, opts.Width = ci.qid, w
 	p, err := c.Compile(ci.q, opts)
 	if err != nil {
 		return nil, err
@@ -239,6 +302,44 @@ func (ci *compiledIntent) rung(c *compiler.Compiler, w uint32) (*compiledRung, e
 	r := &compiledRung{width: w, whole: [1]*modules.Program{p}}
 	ci.rungs = append(ci.rungs, r)
 	return r, nil
+}
+
+// placeholderQID is the qid an intent's rungs compile under. Admission
+// needs none of its own but one per query: the ledger tells partitioned
+// programs of different queries apart by qid (one result snapshot rides
+// a packet, so two of them may not match the same packets on a switch),
+// and every intent names its own query. Apply deploys under the qid the
+// controller assigns. It is a function of the name, so two orchestrators
+// given the same intents plan the same programs.
+func placeholderQID(name string) int {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return int(h.Sum64() >> 1)
+}
+
+// widthLadder is scheduler.WidthLadder over the intent's bounds, built
+// when the bounds move.
+func (ci *compiledIntent) widthLadder(minW, maxW uint32) ([]uint32, error) {
+	if ci.ladder == nil && ci.ladderErr == nil || ci.ladderOf != [2]uint32{minW, maxW} {
+		ci.ladderOf = [2]uint32{minW, maxW}
+		ci.ladder, ci.ladderErr = scheduler.WidthLadder(minW, maxW)
+	}
+	return ci.ladder, ci.ladderErr
+}
+
+// resolveEdges maps intent edge names to topology IDs (all edge
+// switches when empty), resolved again when the names or the topology
+// move. A failed resolution is not kept.
+func (ci *compiledIntent) resolveEdges(topo *topology.Topology, names []string) ([]int, error) {
+	if ci.edgeIDs != nil && ci.edgesAt == topo.Version() && slices.Equal(ci.edges, names) {
+		return ci.edgeIDs, nil
+	}
+	ids, err := resolveEdges(topo, names)
+	if err != nil {
+		return nil, err
+	}
+	ci.edges, ci.edgesAt, ci.edgeIDs = slices.Clone(names), topo.Version(), ids
+	return ids, nil
 }
 
 // New builds an orchestrator over a remote controller's fleet.
@@ -315,14 +416,20 @@ func hasIntent(intents []Intent, name string) bool {
 // installed partitions are removed by the next Apply.
 func (o *Orchestrator) Drain(name string) {
 	o.mu.Lock()
-	o.drained[name] = true
+	if !o.drained[name] {
+		o.drained[name] = true
+		o.drains++
+	}
 	o.mu.Unlock()
 }
 
 // Undrain returns a switch to the plannable fleet.
 func (o *Orchestrator) Undrain(name string) {
 	o.mu.Lock()
-	delete(o.drained, name)
+	if o.drained[name] {
+		delete(o.drained, name)
+		o.drains++
+	}
 	o.mu.Unlock()
 }
 
@@ -382,12 +489,13 @@ func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
 		return nil, Diff{}, fmt.Errorf("orchestrator: every switch is drained")
 	}
 
-	order := make([]int, len(o.intents))
-	for i := range order {
-		order[i] = i
+	order := o.order[:0]
+	for i := range o.intents {
+		order = append(order, i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return o.intents[order[a]].Priority > o.intents[order[b]].Priority
+	o.order = order
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(o.intents[b].Priority, o.intents[a].Priority)
 	})
 
 	// A query name is one deployment: the first intent of a name in
@@ -399,7 +507,7 @@ func (o *Orchestrator) planLocked() (*Plan, Diff, error) {
 			plans[idx] = QueryPlan{Intent: in, Reason: duplicateName}
 			continue
 		}
-		plans[idx] = o.planIntent(in, o.live)
+		plans[idx] = o.planIntent(in)
 	}
 	p := &Plan{Queries: plans, StagesPer: o.stagesPer}
 	return p, o.diff(p), nil
@@ -411,17 +519,20 @@ const duplicateName = "duplicate intent name"
 
 // planIntent walks the width ladder for one intent: each rung compiles
 // once in the intent's life, assigns the program (whole replicas, else
-// placed partitions) and charges that assignment; the first rung every
-// switch accepts commits.
-func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Tracker) QueryPlan {
-	ladder, err := scheduler.WidthLadder(in.MinWidth, in.MaxWidth)
-	if err != nil {
-		return QueryPlan{Intent: in, Reason: err.Error()}
-	}
+// placed partitions) and charges that assignment on the live trackers;
+// the first rung every switch accepts commits. An intent whose query,
+// bounds and edges are unchanged, on a topology and drained set that are
+// unchanged, reuses every rung's assignment and only charges it again:
+// a higher-priority newcomer can still push it down the ladder.
+func (o *Orchestrator) planIntent(in Intent) QueryPlan {
 	ci := o.compiled[in.Query.Name]
 	if ci == nil || !query.Equal(ci.q, in.Query) {
-		ci = &compiledIntent{q: in.Query.Clone()}
+		ci = &compiledIntent{q: in.Query.Clone(), qid: placeholderQID(in.Query.Name)}
 		o.compiled[in.Query.Name] = ci
+	}
+	ladder, err := ci.widthLadder(in.MinWidth, in.MaxWidth)
+	if err != nil {
+		return QueryPlan{Intent: in, Reason: err.Error()}
 	}
 	// Rungs off the current ladder go, so an intent keeps at most one
 	// program per rung however often its bounds move.
@@ -437,7 +548,7 @@ func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Trac
 		ladder = ladder[len(ladder)-1:]
 	}
 
-	edgeIDs, err := o.resolveEdges(in.Edges)
+	edgeIDs, err := ci.resolveEdges(o.cfg.Topo, in.Edges)
 	if err != nil {
 		return QueryPlan{Intent: in, Reason: err.Error()}
 	}
@@ -448,18 +559,19 @@ func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Trac
 		if err != nil {
 			return QueryPlan{Intent: in, Reason: err.Error()} // compilation failure does not improve with width
 		}
-		rung := QueryPlan{Intent: in, Admitted: true, Width: w, Stages: r.whole[0].NumStages(), M: 1,
-			q: ci.q, programs: r.whole[:]}
-		assign, why := o.replicas(&rung, r.whole[0], edgeIDs, trackers), ""
-		if assign == nil {
-			assign, why = o.partitions(&rung, r, edgeIDs, trackers)
+		a := o.assign(r, edgeIDs)
+		why := a.why
+		if why == "" {
+			why = charge(a.hosts, o.live)
 		}
 		if why == "" {
-			why = charge(assign, trackers)
-		}
-		if why == "" {
+			rung := QueryPlan{Intent: in, Admitted: true, Width: w, Stages: r.whole[0].NumStages(), M: 1,
+				Single: a.single, Targets: a.targets, q: ci.q, programs: r.whole[:]}
+			if !a.single {
+				rung.M, rung.Parts, rung.programs = a.m, a.parts, r.parts
+			}
 			if w != maxW {
-				rung.Reason = fmt.Sprintf("degraded from %d to %d registers per row", maxW, w)
+				rung.Reason = r.degradedFrom(maxW)
 			}
 			return rung
 		}
@@ -468,26 +580,32 @@ func (o *Orchestrator) planIntent(in Intent, trackers map[string]*scheduler.Trac
 	return QueryPlan{Intent: in, Reason: reason}
 }
 
+// degradedFrom is the reason a plan gives for granting rung r when the
+// ladder tops out at maxW, kept on the rung so a replan formats nothing.
+func (r *compiledRung) degradedFrom(maxW uint32) string {
+	if r.degradedOf != maxW || r.degraded == "" {
+		r.degradedOf, r.degraded = maxW, fmt.Sprintf("degraded from %d to %d registers per row", maxW, r.width)
+	}
+	return r.degraded
+}
+
 // capRungs restricts a ladder to the rungs at or below cap, keeping at
 // least the narrowest rung so a cap below the ladder floor still plans.
+// The ladder descends, so they are a suffix of it.
 func capRungs(ladder []uint32, cap uint32) []uint32 {
-	var out []uint32
-	for _, w := range ladder {
+	for i, w := range ladder {
 		if w <= cap {
-			out = append(out, w)
+			return ladder[i:]
 		}
 	}
-	if len(out) == 0 {
-		return ladder[len(ladder)-1:]
-	}
-	return out
+	return ladder[len(ladder)-1:]
 }
 
 // resolveEdges maps intent edge names to topology IDs (all edge
 // switches when empty).
-func (o *Orchestrator) resolveEdges(names []string) ([]int, error) {
+func resolveEdges(topo *topology.Topology, names []string) ([]int, error) {
 	if len(names) == 0 {
-		ids := o.cfg.Topo.EdgeSwitches()
+		ids := topo.EdgeSwitches()
 		if len(ids) == 0 {
 			return nil, fmt.Errorf("orchestrator: topology has no edge switches")
 		}
@@ -495,7 +613,7 @@ func (o *Orchestrator) resolveEdges(names []string) ([]int, error) {
 	}
 	ids := make([]int, 0, len(names))
 	for _, n := range names {
-		id := o.cfg.Topo.NodeByName(n)
+		id := topo.NodeByName(n)
 		if id < 0 {
 			return nil, fmt.Errorf("orchestrator: unknown edge switch %q", n)
 		}
@@ -504,23 +622,50 @@ func (o *Orchestrator) resolveEdges(names []string) ([]int, error) {
 	return ids, nil
 }
 
-// replicas assigns the whole program to every monitored edge switch, in
-// edge order, with qp.Targets listing them sorted — or returns nil when
-// one is outside the live fleet or has fewer stages than the program.
-func (o *Orchestrator) replicas(qp *QueryPlan, p *modules.Program, edgeIDs []int, trackers map[string]*scheduler.Tracker) []hosting {
+// assign returns rung r's assignment over the live fleet for the edge
+// switches edgeIDs: the one it keeps while its stamp and the drain
+// generation hold, else a new one — whole replicas when every monitored
+// edge switch is live and has the program's stages, placed partitions
+// otherwise. Replicas depend on the drained set only through that test,
+// so a drain keeps a replica assignment's targets.
+func (o *Orchestrator) assign(r *compiledRung, edgeIDs []int) *assignment {
+	topo := o.cfg.Topo.Version()
+	kept := r.assignedFor.holds(topo, edgeIDs)
+	if kept && r.drains == o.drains {
+		return &r.assigned
+	}
+	switch {
+	case !o.replicable(r.whole[0], edgeIDs):
+		r.assigned = o.partitions(r, edgeIDs)
+	case !kept || !r.assigned.single:
+		r.assigned = o.replicas(r.whole[0], edgeIDs)
+	}
+	r.assignedFor, r.drains = stamp{topo, edgeIDs}, o.drains
+	return &r.assigned
+}
+
+// replicable reports whether every monitored edge switch is live and
+// has the stages program p needs.
+func (o *Orchestrator) replicable(p *modules.Program, edgeIDs []int) bool {
+	stages := p.NumStages()
 	for _, id := range edgeIDs {
-		if tr, live := trackers[o.cfg.Topo.Node(id).Name]; !live || qp.Stages > tr.Budget().Stages {
-			return nil
+		if tr, live := o.live[o.cfg.Topo.Node(id).Name]; !live || stages > tr.Budget().Stages {
+			return false
 		}
 	}
-	qp.Single, qp.Targets = true, make([]string, len(edgeIDs))
-	assign := make([]hosting, len(edgeIDs))
+	return true
+}
+
+// replicas assigns the whole program to every monitored edge switch, in
+// edge order, with targets listing them sorted.
+func (o *Orchestrator) replicas(p *modules.Program, edgeIDs []int) assignment {
+	a := assignment{single: true, targets: make([]string, len(edgeIDs)), hosts: make([]hosting, len(edgeIDs))}
 	for i, id := range edgeIDs {
-		qp.Targets[i] = o.cfg.Topo.Node(id).Name
-		assign[i] = hosting{sw: qp.Targets[i], prog: p, part: -1}
+		a.targets[i] = o.cfg.Topo.Node(id).Name
+		a.hosts[i] = hosting{sw: a.targets[i], prog: p, part: -1}
 	}
-	sort.Strings(qp.Targets)
-	return assign
+	sort.Strings(a.targets)
+	return a
 }
 
 // partitions runs resilient placement over the full topology, restricts
@@ -529,45 +674,49 @@ func (o *Orchestrator) replicas(qp *QueryPlan, p *modules.Program, edgeIDs []int
 // whole graph — a switch outside the fleet simply cannot host its
 // assignment, which loses redundancy but never correctness, except when
 // partition 0 would vanish entirely (monitored traffic's first hop):
-// that rejects.
-func (o *Orchestrator) partitions(qp *QueryPlan, r *compiledRung, edgeIDs []int, trackers map[string]*scheduler.Tracker) ([]hosting, string) {
-	pl, m, err := placement.Place(o.cfg.Topo, edgeIDs, qp.Stages, o.stagesPer)
-	if err != nil {
-		return nil, err.Error()
+// that rejects. The placement is kept on the rung while the topology
+// and the edges hold, so a drain or an undrain only filters it again.
+func (o *Orchestrator) partitions(r *compiledRung, edgeIDs []int) assignment {
+	if topo := o.cfg.Topo.Version(); !r.placedFor.holds(topo, edgeIDs) {
+		r.placed, r.m, r.placeErr = placement.Place(o.cfg.Topo, edgeIDs, r.whole[0].NumStages(), o.stagesPer)
+		r.placedFor = stamp{topo, edgeIDs}
+	}
+	if r.placeErr != nil {
+		return assignment{why: r.placeErr.Error()}
 	}
 
 	// The rung's program sliced for admission accounting, once per rung.
 	if r.parts == nil {
+		var err error
 		if r.parts, err = modules.SliceProgram(r.whole[0], o.stagesPer); err != nil {
-			return nil, err.Error()
+			return assignment{why: err.Error()}
 		}
 	}
 
 	parts := map[string][]int{}
 	part0Hosted := false
-	for sw, idxs := range pl {
+	for sw, idxs := range r.placed {
 		name := o.cfg.Topo.Node(sw).Name
-		if _, live := trackers[name]; !live {
+		if _, live := o.live[name]; !live {
 			continue // not in the fleet, or drained
 		}
-		parts[name] = append([]int(nil), idxs...)
+		parts[name] = slices.Clone(idxs)
 		part0Hosted = part0Hosted || slices.Contains(idxs, 0)
 	}
 	if len(parts) == 0 {
-		return nil, "no live switch can host any partition"
+		return assignment{why: "no live switch can host any partition"}
 	}
 	if !part0Hosted {
-		return nil, "no live switch hosts partition 0 (all monitored edge switches drained?)"
+		return assignment{why: "no live switch hosts partition 0 (all monitored edge switches drained?)"}
 	}
 
-	var assign []hosting
+	var hosts []hosting
 	for _, name := range sortedKeys(parts) {
 		for _, k := range parts[name] {
-			assign = append(assign, hosting{sw: name, prog: r.parts[k], part: k})
+			hosts = append(hosts, hosting{sw: name, prog: r.parts[k], part: k})
 		}
 	}
-	qp.M, qp.Parts, qp.programs = m, parts, r.parts
-	return assign, ""
+	return assignment{m: r.m, parts: parts, hosts: hosts}
 }
 
 // hosting is one program a rung places on a switch: partition part of
@@ -602,43 +751,95 @@ func charge(assign []hosting, trackers map[string]*scheduler.Tracker) string {
 // diff compares a plan against the recorded deployment. A change that
 // keeps the deploy mode and the query keeps the qid; a Single <->
 // partitioned flip or an edited query, which the controller refuses
-// under a live qid, is a remove and an install.
+// under a live qid, is a remove and an install. It counts the deltas
+// before it lists them, so the list is its one allocation.
 func (o *Orchestrator) diff(p *Plan) Diff {
-	var removes, resizes, moves, installs []Delta
-	seen := map[string]bool{}
+	var n [numKinds]int
+	for i := range p.Queries {
+		remove, kind := o.change(&p.Queries[i])
+		if remove {
+			n[removeKind]++
+		}
+		n[kind]++
+	}
+	for name := range o.deployed {
+		if !planned(p, name) {
+			n[removeKind]++
+		}
+	}
+	total := n[removeKind] + n[resizeKind] + n[moveKind] + n[installKind]
+	if total == 0 {
+		return Diff{}
+	}
+	deltas := make([]Delta, total)
+	var at [numKinds]int // where each kind's next delta goes
+	for k := removeKind + 1; k < noChange; k++ {
+		at[k] = at[k-1] + n[k-1]
+	}
+	put := func(kind int, d Delta) {
+		deltas[at[kind]] = d
+		at[kind]++
+	}
 	for i := range p.Queries {
 		qp := &p.Queries[i]
-		if qp.Reason == duplicateName {
-			continue // the name's first intent speaks for it
-		}
 		name := qp.Intent.Query.Name
-		seen[name] = true
-		cur, deployed := o.deployed[name]
-		switch {
-		case deployed && (!qp.Admitted || cur.plan.Single != qp.Single || !query.Equal(cur.plan.q, qp.q)):
-			removes = append(removes, Delta{Query: name, QID: cur.qid})
-			if qp.Admitted {
-				installs = append(installs, Delta{Query: name, Target: qp})
-			}
-		case !qp.Admitted:
-			// rejected and not deployed: nothing to do
-		case !deployed:
-			installs = append(installs, Delta{Query: name, Target: qp})
-		case samePlan(cur.plan, *qp):
-			// converged
-		case cur.plan.Width != qp.Width:
-			resizes = append(resizes, Delta{Query: name, QID: cur.qid, Target: qp})
-		default:
-			moves = append(moves, Delta{Query: name, QID: cur.qid, Target: qp})
+		remove, kind := o.change(qp)
+		if remove {
+			put(removeKind, Delta{Query: name, QID: o.deployed[name].qid})
+		}
+		switch kind {
+		case installKind:
+			put(kind, Delta{Query: name, Target: qp})
+		case resizeKind, moveKind:
+			put(kind, Delta{Query: name, QID: o.deployed[name].qid, Target: qp})
 		}
 	}
 	for name, cur := range o.deployed {
-		if !seen[name] {
-			removes = append(removes, Delta{Query: name, QID: cur.qid})
+		if !planned(p, name) {
+			put(removeKind, Delta{Query: name, QID: cur.qid})
 		}
 	}
-	sort.Slice(removes, func(i, j int) bool { return removes[i].Query < removes[j].Query })
-	return Diff{Deltas: slices.Concat(removes, resizes, moves, installs)}
+	slices.SortFunc(deltas[:n[removeKind]], func(a, b Delta) int { return strings.Compare(a.Query, b.Query) })
+	return Diff{Deltas: deltas}
+}
+
+// The kinds of delta, in the order a Diff lists them.
+const (
+	removeKind  = iota // the deployed qid goes
+	resizeKind         // in place, to another width
+	moveKind           // in place, to other switches
+	installKind        // under a new qid
+	noChange
+	numKinds
+)
+
+// change says what planned query qp asks of the deployment: whether its
+// deployed qid goes, and the delta that then brings it to its plan
+// (noChange for none).
+func (o *Orchestrator) change(qp *QueryPlan) (remove bool, kind int) {
+	if qp.Reason == duplicateName {
+		return false, noChange // the name's first intent speaks for it
+	}
+	cur, deployed := o.deployed[qp.Intent.Query.Name]
+	switch {
+	case deployed && (!qp.Admitted || cur.plan.Single != qp.Single || !query.Equal(cur.plan.q, qp.q)):
+		if qp.Admitted {
+			return true, installKind
+		}
+		return true, noChange
+	case !qp.Admitted, deployed && samePlan(cur.plan, *qp):
+		return false, noChange // rejected and not deployed, or converged
+	case !deployed:
+		return false, installKind
+	case cur.plan.Width != qp.Width:
+		return false, resizeKind
+	}
+	return false, moveKind
+}
+
+// planned reports whether p plans a query by that name.
+func planned(p *Plan, name string) bool {
+	return slices.ContainsFunc(p.Queries, func(qp QueryPlan) bool { return qp.Intent.Query.Name == name })
 }
 
 // samePlan reports whether a deployed query already matches its target.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/newton-net/newton/internal/modules"
 	"github.com/newton-net/newton/internal/query"
 )
 
@@ -19,6 +20,11 @@ func TestResetIsNewTracker(t *testing.T) {
 			tr.Commit(p)
 		}
 	}
+	parts, err := modules.SliceProgram(compileAt(t, query.Q4(40), 1024), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Commit(parts[0])
 	if reflect.DeepEqual(tr, NewTracker(b)) {
 		t.Fatal("nothing was committed")
 	}

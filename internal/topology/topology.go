@@ -56,9 +56,10 @@ type link struct {
 // Topology is an undirected graph of hosts and switches with
 // enable/disable-able links.
 type Topology struct {
-	nodes []Node
-	links []*link
-	adj   map[int][]*link
+	nodes   []Node
+	links   []*link
+	adj     map[int][]*link
+	version uint64
 }
 
 // New returns an empty topology.
@@ -70,6 +71,7 @@ func New() *Topology {
 func (t *Topology) AddNode(name string, kind Kind) int {
 	id := len(t.nodes)
 	t.nodes = append(t.nodes, Node{ID: id, Name: name, Kind: kind})
+	t.version++
 	return id
 }
 
@@ -79,6 +81,7 @@ func (t *Topology) AddLink(a, b int) {
 		panic("topology: self link")
 	}
 	l := &link{a: a, b: b, up: true}
+	t.version++
 	t.links = append(t.links, l)
 	t.adj[a] = append(t.adj[a], l)
 	t.adj[b] = append(t.adj[b], l)
@@ -89,12 +92,20 @@ func (t *Topology) AddLink(a, b int) {
 func (t *Topology) SetLink(a, b int, up bool) bool {
 	for _, l := range t.adj[a] {
 		if l.a == b || l.b == b {
-			l.up = up
+			if l.up != up {
+				l.up = up
+				t.version++
+			}
 			return true
 		}
 	}
 	return false
 }
+
+// Version counts the changes made to the graph: every AddNode, AddLink
+// and SetLink that moves a link's state bumps it. What was computed from
+// the graph at one version holds while Version returns that value.
+func (t *Topology) Version() uint64 { return t.version }
 
 // Node returns the node with the given ID.
 func (t *Topology) Node(id int) Node { return t.nodes[id] }

@@ -229,3 +229,28 @@ func TestRandomTopology(t *testing.T) {
 	}()
 	Random(2, 0, 0)
 }
+
+// TestVersionCountsChanges: every change to the graph moves Version, and
+// nothing else does — what a caller computed at one version still holds
+// while it reads the same value.
+func TestVersionCountsChanges(t *testing.T) {
+	topo := New()
+	v := topo.Version()
+	step := func(what string, changes bool, f func()) {
+		t.Helper()
+		f()
+		if moved := topo.Version() != v; moved != changes {
+			t.Errorf("%s: version moved = %v, want %v", what, moved, changes)
+		}
+		v = topo.Version()
+	}
+	var a, b int
+	step("AddNode", true, func() { a = topo.AddNode("s1", Edge) })
+	step("AddNode", true, func() { b = topo.AddNode("s2", Edge) })
+	step("AddLink", true, func() { topo.AddLink(a, b) })
+	step("SetLink down", true, func() { topo.SetLink(a, b, false) })
+	step("SetLink down again", false, func() { topo.SetLink(b, a, false) })
+	step("SetLink up", true, func() { topo.SetLink(b, a, true) })
+	step("SetLink of no link", false, func() { topo.SetLink(a, a+b+1, false) })
+	step("reads", false, func() { topo.Neighbors(a); topo.EdgeSwitches(); topo.Path(a, b, 1) })
+}

@@ -11,9 +11,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/newton-net/newton/internal/packet"
@@ -124,18 +125,39 @@ func Generate(cfg Config, overlays ...Overlay) *Trace {
 	for _, ov := range overlays {
 		ov.apply(g)
 	}
-	sort.SliceStable(g.pkts, func(i, j int) bool { return g.pkts[i].TS < g.pkts[j].TS })
-	compact(g.pkts)
+	compact(g.pkts, deliveryOrder(g.pkts))
 	return &Trace{Packets: g.pkts, Truth: g.truth}
 }
 
-// compact rewrites the sorted trace into contiguous slabs so that
-// delivery order equals memory order. Generation allocates each packet
-// (and its L4 header) individually, and sorting by timestamp shuffles
-// those allocations; without compaction every delivered packet is a
-// cold-cache pointer chase, which dominates per-packet cost at
-// millions of packets per second.
-func compact(pkts []*packet.Packet) {
+// emitted is a packet's place in the generator's output: its timestamp
+// and the position it was emitted at.
+type emitted struct {
+	ts  uint64
+	pos int
+}
+
+// deliveryOrder sorts the packets by timestamp, ties in emit order: what
+// a stable sort by timestamp gives, at O(n log n) on a flat key array.
+func deliveryOrder(pkts []*packet.Packet) []emitted {
+	order := make([]emitted, len(pkts))
+	for i, p := range pkts {
+		order[i] = emitted{p.TS, i}
+	}
+	slices.SortFunc(order, func(a, b emitted) int {
+		if c := cmp.Compare(a.ts, b.ts); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	return order
+}
+
+// compact rewrites the trace in delivery order into contiguous slabs,
+// so that delivery order equals memory order. Generation allocates each
+// packet (and its L4 header) individually, in emit order; without
+// compaction every delivered packet is a cold-cache pointer chase, which
+// dominates per-packet cost at millions of packets per second.
+func compact(pkts []*packet.Packet, order []emitted) {
 	var nTCP, nUDP int
 	for _, p := range pkts {
 		if p.TCP != nil {
@@ -148,7 +170,8 @@ func compact(pkts []*packet.Packet) {
 	slab := make([]packet.Packet, len(pkts))
 	tcps := make([]packet.TCP, 0, nTCP)
 	udps := make([]packet.UDP, 0, nUDP)
-	for i, p := range pkts {
+	for i, e := range order {
+		p := pkts[e.pos]
 		slab[i] = *p
 		if p.TCP != nil {
 			tcps = append(tcps, *p.TCP)
@@ -158,6 +181,8 @@ func compact(pkts []*packet.Packet) {
 			udps = append(udps, *p.UDP)
 			slab[i].UDP = &udps[len(udps)-1]
 		}
+	}
+	for i := range pkts {
 		pkts[i] = &slab[i]
 	}
 }
