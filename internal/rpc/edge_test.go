@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -163,6 +164,60 @@ func TestAgentSurfacesGarbageFrames(t *testing.T) {
 		t.Errorf("ConnErrors = %d, want 1", agent.ConnErrors())
 	}
 	client.Close()
+}
+
+// TestAgentBoundsStalledFrames: a peer that sends a request header and 4
+// of its payload's bytes, then stalls, ends the handler frameStall later
+// with a surfaced deadline error, so it cannot pin the goroutine and its
+// frame buffers. A connection idle between frames past frameStall still
+// serves its next call.
+func TestAgentBoundsStalledFrames(t *testing.T) {
+	t.Run("partial", func(t *testing.T) {
+		t.Parallel()
+		agent, _ := testAgent(t)
+		errs := make(chan error, 1)
+		agent.OnError = func(err error) { errs <- err }
+		server, client := net.Pipe()
+		defer client.Close()
+		done := make(chan struct{})
+		go func() {
+			agent.HandleConn(server)
+			close(done)
+		}()
+		payload := wire.AppendRequest(nil, &wire.Request{ID: 7, Call: wire.CallStats})
+		frame := wire.AppendHeader(nil, wire.KindRequest, 0, payload)
+		start := time.Now()
+		go client.Write(append(frame, payload[:4]...))
+
+		select {
+		case err := <-errs:
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("surfaced %v, want os.ErrDeadlineExceeded", err)
+			}
+			if took := time.Since(start); took < frameStall {
+				t.Fatalf("the partial frame ended the handler after %v, before frameStall (%v)", took, frameStall)
+			}
+		case <-time.After(frameStall + 5*time.Second):
+			t.Fatal("a frame stalled after its first bytes held the handler")
+		}
+		<-done
+		if n := agent.ConnErrors(); n != 1 {
+			t.Errorf("ConnErrors = %d, want 1", n)
+		}
+	})
+	t.Run("idle", func(t *testing.T) {
+		t.Parallel()
+		agent, _ := testAgent(t)
+		agent.OnError = func(err error) { t.Errorf("an idle connection surfaced %v", err) }
+		c := pipeClient(t, agent)
+		if _, err := c.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(frameStall + frameStall/4)
+		if _, err := c.Stats(); err != nil {
+			t.Fatalf("a call after %v idle: %v", frameStall+frameStall/4, err)
+		}
+	})
 }
 
 func TestAgentCleanDisconnectIsNotAnError(t *testing.T) {

@@ -39,6 +39,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -315,25 +316,71 @@ func cleanConnErr(err error) bool {
 		errors.Is(err, net.ErrClosed)
 }
 
+// frameStall bounds the rest of a request frame once its first bytes
+// are in. A connection idle between frames stays open, since clients
+// keep theirs across calls; a peer that stalls inside a frame would
+// otherwise hold the handler and its frame buffers for good.
+const frameStall = 2 * time.Second
+
+// stallReader is a connection as the agent's FrameReader reads it: a
+// frame's first bytes start a timer that, unless frameDone stops it
+// within frameStall, moves the read deadline into the past, so the read
+// waiting on the rest fails with os.ErrDeadlineExceeded. The one timer
+// is reset per frame, so no frame sets a deadline or allocates.
+type stallReader struct {
+	conn  net.Conn
+	timer *time.Timer
+	armed bool
+}
+
+func newStallReader(conn net.Conn) *stallReader {
+	t := time.AfterFunc(frameStall, func() { conn.SetReadDeadline(time.Unix(1, 0)) })
+	t.Stop()
+	return &stallReader{conn: conn, timer: t}
+}
+
+func (s *stallReader) Read(p []byte) (int, error) {
+	n, err := s.conn.Read(p)
+	if n > 0 && !s.armed {
+		s.armed = true
+		s.timer.Reset(frameStall)
+	}
+	return n, err
+}
+
+// frameDone disarms the timer once a frame is whole.
+func (s *stallReader) frameDone() {
+	s.armed = false
+	s.timer.Stop()
+}
+
 // HandleConn serves one controller connection (exported so tests can
 // drive net.Pipe ends directly). Errors other than a clean peer
 // shutdown are surfaced through OnError instead of being swallowed; a
 // frame that is not a well-formed request ends the connection before
-// anything in it runs.
+// anything in it runs, and so does one whose rest takes longer than
+// frameStall to arrive.
 func (a *Agent) HandleConn(conn net.Conn) {
 	if !a.track(conn) {
 		conn.Close()
 		return
 	}
+	sr := newStallReader(conn)
 	defer func() {
+		sr.frameDone()
 		a.untrack(conn)
 		conn.Close()
 	}()
-	fr, fw := wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
+	fr, fw := wire.NewFrameReader(sr), wire.NewFrameWriter(conn)
 	var req wire.Request
 	var out []byte
 	for {
-		if err := readRequest(fr, &req); err != nil {
+		err := readRequest(fr, &req)
+		sr.frameDone()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = fmt.Errorf("frame unfinished %v after its first bytes: %w", frameStall, err)
+		}
+		if err != nil {
 			if !cleanConnErr(err) {
 				a.surfaceErr(fmt.Errorf("rpc: agent read: %w", err))
 			}

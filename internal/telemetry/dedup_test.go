@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -177,9 +180,9 @@ func TestFutureWindowKeepsCurrentDedup(t *testing.T) {
 	}
 }
 
-// dedupModel is the reference alert dedup: a map keyed by (query, window,
-// masked key) that forgets the least recently touched window once more
-// than keepAlertWindows windows are held.
+// dedupModel is the reference alert dedup: a map keyed by (window, query,
+// key mask, masked key) that forgets the least recently touched window
+// once more than keepAlertWindows windows are held.
 type dedupModel struct {
 	seen  map[dedupModelKey]bool
 	touch map[uint64]uint64 // window → clock at its last report
@@ -187,12 +190,13 @@ type dedupModel struct {
 }
 
 type dedupModelKey struct {
-	qid int
-	w   uint64
-	key string
+	qid  int
+	mask fields.Mask
+	w    uint64
+	key  string
 }
 
-func (m *dedupModel) fresh(qid int, w uint64, key string) bool {
+func (m *dedupModel) fresh(r *dataplane.Report, w uint64) bool {
 	m.clock++
 	if _, ok := m.touch[w]; !ok && len(m.touch) == keepAlertWindows {
 		var lru uint64
@@ -210,7 +214,7 @@ func (m *dedupModel) fresh(qid int, w uint64, key string) bool {
 		}
 	}
 	m.touch[w] = m.clock
-	k := dedupModelKey{qid, w, key}
+	k := dedupModelKey{r.QueryID, r.KeyMask, w, string(r.KeyMask.Bytes(&r.Keys, nil))}
 	if m.seen[k] {
 		return false
 	}
@@ -218,61 +222,97 @@ func (m *dedupModel) fresh(qid int, w uint64, key string) bool {
 	return true
 }
 
+// dedupMasks draws the key masks of queries 1 to qids: one to three
+// fields each, and for two queries in three a second mask — the same
+// fields with one of them under a prefix pattern, or other fields.
+func dedupMasks(rng *rand.Rand, qids int) [][]fields.Mask {
+	pool := []fields.ID{fields.SrcIP, fields.DstIP, fields.Proto, fields.SrcPort, fields.DstPort}
+	masks := make([][]fields.Mask, qids)
+	for q := range masks {
+		ids := slices.Clone(pool)
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		m := fields.Keep(ids[:1+rng.Intn(3)]...)
+		masks[q] = []fields.Mask{m}
+		switch rng.Intn(3) {
+		case 1:
+			masks[q] = append(masks[q], m.WithBits(ids[0], fields.Prefix(ids[0], ids[0].Width()/2)))
+		case 2:
+			masks[q] = append(masks[q], fields.Keep(ids[3+rng.Intn(2)]))
+		}
+	}
+	return masks
+}
+
+// dedupStream draws seeded report batches of queries 1 to qids under
+// dedupMasks' masks: windows of window ns moving forward, late and
+// out-of-order reports (some past the keepAlertWindows held) and one
+// backwards jump of the clock halfway. A field's value varies in its top
+// and bottom bits, so a prefix pattern both merges and separates values,
+// and two masks often leave the same bytes. States number the reports
+// from 1.
+func dedupStream(rng *rand.Rand, qids, batches int, window uint64) [][]dataplane.Report {
+	masks := dedupMasks(rng, qids)
+	base, serial := uint64(1000), uint64(0)
+	out := make([][]dataplane.Report, batches)
+	for b := range out {
+		if b == batches/2 {
+			base -= 300 // the clock jumps back
+		}
+		base += uint64(rng.Intn(3))
+		rs := make([]dataplane.Report, 1+rng.Intn(40))
+		for i := range rs {
+			w := base
+			if rng.Intn(5) == 0 {
+				w -= uint64(rng.Intn(100)) // late: some past the 64 held
+			}
+			qid := 1 + rng.Intn(qids)
+			m := masks[qid-1][rng.Intn(len(masks[qid-1]))]
+			serial++
+			rs[i] = dataplane.Report{QueryID: qid, TS: w*window + uint64(rng.Intn(int(window))), State: serial, KeyMask: m}
+			for _, id := range m.Fields() {
+				rs[i].Keys.Set(id, uint64(rng.Intn(3))<<(id.Width()-2)|uint64(rng.Intn(3)))
+			}
+		}
+		out[b] = rs
+	}
+	return out
+}
+
+// states lists the reports' States.
+func states(rs []dataplane.Report) []uint64 {
+	var out []uint64
+	for _, r := range rs {
+		out = append(out, r.State)
+	}
+	return out
+}
+
 // TestAlertDedupMatchesModel: seeded random batches — four queries with
-// one to three masked fields each, windows moving forward with late and
-// out-of-order reports and one backwards jump — alert or are suppressed
-// report for report as the map reference says, and the resident key
-// count is the reference's.
+// one or two masks of one to three fields each, windows moving forward
+// with late and out-of-order reports and one backwards jump — alert or
+// are suppressed report for report as the map reference says, and the
+// resident key count is the reference's.
 func TestAlertDedupMatchesModel(t *testing.T) {
 	const window = 100 // ns
-	pool := []fields.ID{fields.SrcIP, fields.DstIP, fields.Proto, fields.SrcPort, fields.DstPort}
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			masks := map[int]fields.Mask{}
-			for qid := 1; qid <= 4; qid++ {
-				ids := slices.Clone(pool)
-				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-				masks[qid] = fields.Keep(ids[:1+rng.Intn(3)]...)
-			}
+			stream := dedupStream(rand.New(rand.NewSource(seed)), 4, 300, window)
 			s := NewService(ServiceConfig{Window: window})
 			defer s.Close()
 			a := s.registerAgent("s1")
 			m := &dedupModel{seen: map[dedupModelKey]bool{}, touch: map[uint64]uint64{}}
-			base, serial := uint64(1000), uint64(0)
 			var dups uint64
-			const batches = 300
-			for b := 0; b < batches; b++ {
-				if b == batches/2 {
-					base -= 300 // the clock jumps back
-				}
-				base += uint64(rng.Intn(3))
-				rs := make([]dataplane.Report, 1+rng.Intn(40))
+			for b, rs := range stream {
 				var want []uint64
 				for i := range rs {
-					w := base
-					if rng.Intn(5) == 0 {
-						w -= uint64(rng.Intn(100)) // late: some past the 64 held
-					}
-					qid := 1 + rng.Intn(4)
-					serial++
-					r := dataplane.Report{QueryID: qid, TS: w*window + uint64(rng.Intn(window)), State: serial, KeyMask: masks[qid]}
-					for _, id := range masks[qid].Fields() {
-						r.Keys.Set(id, uint64(rng.Intn(6)))
-					}
-					rs[i] = r
-					if m.fresh(qid, w, string(r.KeyMask.Bytes(&r.Keys, nil))) {
-						want = append(want, serial)
+					if m.fresh(&rs[i], rs[i].TS/window) {
+						want = append(want, rs[i].State)
 					} else {
 						dups++
 					}
 				}
 				s.ingestReports(a, rs)
-				var got []uint64
-				for _, r := range s.DrainReports() {
-					got = append(got, r.State)
-				}
-				if !slices.Equal(got, want) {
+				if got := states(s.DrainReports()); !slices.Equal(got, want) {
 					t.Fatalf("batch %d: alerted %v, reference alerts %v", b, got, want)
 				}
 				if st := s.Stats(); st.DuplicateAlerts != dups || st.DedupKeys != len(m.seen) {
@@ -282,24 +322,113 @@ func TestAlertDedupMatchesModel(t *testing.T) {
 		})
 	}
 
-	// Forced collisions: different entries under one hash all alert, and
-	// each is then a duplicate of itself.
+	// Collisions: thousands of distinct entries, many probing past a slot
+	// another entry took, all alert across the table's doublings, and each
+	// is then a duplicate of itself.
 	t.Run("collision", func(t *testing.T) {
-		aw := &alertWindow{slots: map[uint64]uint32{}}
-		x, y, z := []byte{3, 1, 2, 3}, []byte{3, 1, 2, 4}, []byte{1, 9}
-		for _, c := range []struct {
-			h     uint64
-			k     []byte
-			fresh bool
-		}{
-			{7, x, true}, {7, y, true}, {7, x, false}, {7, y, false},
-			{8, z, true}, {8, z, false}, {7, y, false},
-		} {
-			if got := aw.add(c.h, c.k); got != c.fresh {
-				t.Fatalf("add(%d, %v) = %v, want %v", c.h, c.k, got, c.fresh)
+		aw := &alertWindow{seed: maphash.MakeSeed(), slots: make([]uint32, minAlertSlots)}
+		var ks [][]byte
+		for i := 0; i < 3000; i++ {
+			// A uvarint ends itself, so no two of these are equal.
+			k := binary.AppendUvarint([]byte{0}, uint64(i))
+			k = append(k, make([]byte, i%3)...)
+			k[0] = byte(len(k) - 1)
+			ks = append(ks, k)
+		}
+		for pass, fresh := range []bool{true, false} {
+			for _, k := range ks {
+				if got := aw.add(k); got != fresh {
+					t.Fatalf("pass %d: add(%v) = %v, want %v", pass, k, got, fresh)
+				}
 			}
 		}
+		mask := uint64(len(aw.slots) - 1)
+		displaced := 0
+		for i, off := range aw.slots {
+			if off != 0 {
+				e := aw.keys[off-1:]
+				if maphash.Bytes(aw.seed, e[:1+int(e[0])])&mask != uint64(i) {
+					displaced++
+				}
+			}
+		}
+		if aw.n != len(ks) || 4*aw.n > 3*len(aw.slots) || displaced == 0 {
+			t.Fatalf("%d entries in %d slots, %d displaced from their hash's slot", aw.n, len(aw.slots), displaced)
+		}
 	})
+}
+
+// TestAlertDedupKeepsMasksApart: reports of one query under two key masks
+// whose masked bytes coincide are two alerts: {sip} = 10.0.0.1 beside
+// {dip} = 10.0.0.1, and sip/24 = 10.0.0.0 beside sip = 10.0.0.0. An entry
+// of the query ID and the masked bytes alone made the second of each a
+// duplicate.
+func TestAlertDedupKeepsMasksApart(t *testing.T) {
+	s := NewService(ServiceConfig{Window: 100 * time.Millisecond})
+	defer s.Close()
+	a := s.registerAgent("s1")
+	rep := func(state uint64, m fields.Mask, id fields.ID, v uint64) dataplane.Report {
+		r := dataplane.Report{QueryID: 1, TS: 5, State: state, KeyMask: m}
+		r.Keys.Set(id, v)
+		return r
+	}
+	src, dst := fields.Keep(fields.SrcIP), fields.Keep(fields.DstIP)
+	src24 := fields.Keep().WithBits(fields.SrcIP, fields.Prefix(fields.SrcIP, 24))
+	s.ingestReports(a, []dataplane.Report{
+		rep(1, src, fields.SrcIP, 0x0A000001),
+		rep(2, dst, fields.DstIP, 0x0A000001),
+		rep(3, src, fields.SrcIP, 0x0A000000),
+		rep(4, src24, fields.SrcIP, 0x0A000000),
+		rep(5, src24, fields.SrcIP, 0x0A0000FF), // 10.0.0.0/24 again
+	})
+	if got := states(s.DrainReports()); !slices.Equal(got, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("alerted %v, want [1 2 3 4]", got)
+	}
+	if st := s.Stats(); st.DedupKeys != 4 || st.DuplicateAlerts != 1 {
+		t.Fatalf("%d keys, %d duplicates; want 4, 1", st.DedupKeys, st.DuplicateAlerts)
+	}
+}
+
+// TestAlertDedupBytesPerKey: a window of 1024 single-field keys holds at
+// most 20 bytes a key — its table and entry arena — and 64 such windows
+// at most 1.3 MB, by DedupBytes and by the heap alike. Go maps of hash to
+// arena offset held ~57 bytes a key, 3.6 MB for the 64.
+func TestAlertDedupBytesPerKey(t *testing.T) {
+	const keys, budget = 1024, 1.3e6
+	s := NewService(ServiceConfig{Window: 100})
+	defer s.Close()
+	a := s.registerAgent("s1")
+	batch := alertBatch(keys)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+
+	s.ingestReports(a, batch)
+	st := s.Stats()
+	perKey := float64(st.DedupBytes) / float64(st.DedupKeys)
+	t.Logf("one window: %d keys in %d bytes, %.1f a key", st.DedupKeys, st.DedupBytes, perKey)
+	if st.DedupKeys != keys || perKey > 20 {
+		t.Fatalf("one window: %d keys at %.1f bytes a key, want %d at most 20", st.DedupKeys, perKey, keys)
+	}
+	for w := uint64(1); w < keepAlertWindows; w++ {
+		for i := range batch {
+			batch[i].TS = w * 100
+		}
+		s.ingestReports(a, batch)
+	}
+	s.DrainReports()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	heap := float64(ms.HeapAlloc) - float64(before)
+	st = s.Stats()
+	t.Logf("%d windows: %d keys in %d bytes; the heap grew %.0f bytes", keepAlertWindows, st.DedupKeys, st.DedupBytes, heap)
+	if st.DedupKeys != keepAlertWindows*keys || st.DedupBytes > budget || heap > budget {
+		t.Fatalf("%d windows: %d keys in %d bytes, heap +%.0f; want %d keys within %.0f bytes",
+			keepAlertWindows, st.DedupKeys, st.DedupBytes, heap, keepAlertWindows*keys, budget)
+	}
+	runtime.KeepAlive(s)
+	runtime.KeepAlive(batch)
 }
 
 // TestPendingAlertsAreBounded: a service nobody drains — newton-analyzer

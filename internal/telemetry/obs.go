@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+
 	"github.com/newton-net/newton/internal/obs"
 	"github.com/newton-net/newton/internal/wire"
 )
@@ -149,8 +151,11 @@ func (s *Service) RegisterObs(reg *obs.Registry) {
 		"Same-epoch bank geometry conflicts resolved by replacement.",
 		stat(func(st ServiceStats) uint64 { return st.GeometryConflicts }))
 	reg.GaugeFunc("newton_analyzer_dedup_keys",
-		"Alert-dedup keys resident (the sets of the 64 most recently touched windows).",
+		fmt.Sprintf("Alert-dedup keys resident (the sets of the %d most recently touched windows).", keepAlertWindows),
 		func() float64 { return float64(s.Stats().DedupKeys) })
+	reg.GaugeFunc("newton_analyzer_dedup_bytes",
+		"Bytes held by the alert-dedup sets, recycled ones included (open-addressed tables and entry arenas).",
+		func() float64 { return float64(s.Stats().DedupBytes) })
 	reg.GaugeFunc("newton_analyzer_merged_bytes",
 		"Bytes held by the retained merged rows, recycled ones included (bitmap + nonzero sums).",
 		func() float64 { return float64(s.Stats().MergedBytes) })

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"math/bits"
 	"net"
 	"slices"
 	"strings"
@@ -94,38 +95,131 @@ func (m *MergedBank) slot(keyBytes []byte) uint32 {
 	return bs.Slot(keyBytes)
 }
 
-// alertWindow is the alert-dedup set of one window: one alert per query
-// and monitored key in it network-wide, whichever switch reports first.
+// alertWindow is the alert-dedup set of one window: one alert per query,
+// key mask and monitored key in it network-wide, whichever switch
+// reports first. It is an open-addressed table of offsets into an arena
+// of entries (alertEntry), so a key costs its entry's few bytes and a
+// slot or two of the table, with no per-key allocation.
 type alertWindow struct {
 	w     uint64
 	touch uint64 // Service.touches when the set was last looked up
-	// slots maps an entry's hash to its offset in keys. A hash taken by a
-	// different entry probes the next one, so a collision never
-	// suppresses an alert.
-	slots map[uint64]uint32
-	// keys is the arena of entries: a length byte, then the query ID and
-	// the masked key bytes, at most 8 + NumFields×8 = 104 bytes.
-	keys []byte
+	seed  maphash.Seed
+	// slots is the table: 1 + an entry's offset in keys, 0 where empty.
+	// Its length is a power of two, at most 3/4 of it in use. An entry
+	// probes linearly from its hash and is compared byte for byte, so a
+	// collision never suppresses an alert.
+	slots []uint32
+	n     int    // entries held
+	keys  []byte // the arena of entries
 }
 
-// The longest entry after its length byte must fit in that byte.
-const _ = uint8(8 + 8*fields.NumFields)
+// minAlertSlots is a new set's table length.
+const minAlertSlots = 16
 
-// add records entry k (length byte first) under its hash h and reports
-// whether k was new to the window.
-func (aw *alertWindow) add(h uint64, k []byte) bool {
-	for ; ; h++ {
-		off, ok := aw.slots[h]
-		if !ok {
-			aw.slots[h] = uint32(len(aw.keys))
-			aw.keys = append(aw.keys, k...)
-			return true
+// keepAll is every field's mask at its full width: a kept field whose
+// mask differs is kept under a partial pattern.
+var keepAll = fields.KeepAll()
+
+// The longest entry after its length byte must fit in that byte.
+const _ = uint8(binary.MaxVarintLen64 + 2 + fields.NumFields*(binary.MaxVarintLen64+8))
+
+// alertEntry writes r's dedup entry into dst[:0] and returns it: a
+// length byte; the query ID as a uvarint; a uvarint of the bitmap of the
+// fields the key mask keeps, shifted up one bit over a flag that is set
+// when one of them is kept under a partial pattern (a prefix, say), in
+// which case each kept field's mask follows as a uvarint; then each kept
+// field's masked value, big-endian in the bytes its mask spans
+// (fields.ID.Width() rounded up to bytes for a full-width mask). The
+// entry is all of (query, key mask, masked key) and nothing else: a /32
+// key of a query below 128 is 7 bytes.
+func alertEntry(dst []byte, r *dataplane.Report) []byte {
+	var kept, partial uint64
+	for id, m := range &r.KeyMask {
+		if m != 0 {
+			kept |= 1 << id
+			if m != keepAll[id] {
+				partial = 1
+			}
 		}
-		if e := aw.keys[off:]; bytes.Equal(e[:1+int(e[0])], k) {
-			return false
+	}
+	dst = binary.AppendUvarint(append(dst[:0], 0), uint64(r.QueryID))
+	dst = binary.AppendUvarint(dst, kept<<1|partial)
+	if partial != 0 {
+		for _, m := range &r.KeyMask {
+			if m != 0 {
+				dst = binary.AppendUvarint(dst, m)
+			}
+		}
+	}
+	for id, m := range &r.KeyMask {
+		if m == 0 {
+			continue
+		}
+		x := r.Keys[id] & m
+		for sh := (bits.Len64(m) - 1) &^ 7; sh >= 0; sh -= 8 {
+			dst = append(dst, byte(x>>sh))
+		}
+	}
+	dst[0] = byte(len(dst) - 1)
+	return dst
+}
+
+// reset empties the set for window w in place: the table and the arena
+// keep their arrays.
+func (aw *alertWindow) reset(w uint64) {
+	aw.w = w
+	clear(aw.slots)
+	aw.n, aw.keys = 0, aw.keys[:0]
+}
+
+// add records entry k (length byte first) and reports whether k was new
+// to the window.
+func (aw *alertWindow) add(k []byte) bool {
+	h := maphash.Bytes(aw.seed, k)
+	i, ok := aw.slot(h, k)
+	if ok {
+		return false
+	}
+	if 4*(aw.n+1) > 3*len(aw.slots) {
+		aw.grow()
+		i, _ = aw.slot(h, k)
+	}
+	aw.slots[i] = uint32(len(aw.keys)) + 1
+	aw.keys = append(aw.keys, k...)
+	aw.n++
+	return true
+}
+
+// slot returns the index of k's slot in the table, or of the empty slot
+// its probe ends at, and whether k is held.
+func (aw *alertWindow) slot(h uint64, k []byte) (int, bool) {
+	mask := uint64(len(aw.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		off := aw.slots[i]
+		if off == 0 {
+			return int(i), false
+		}
+		if e := aw.keys[off-1:]; bytes.Equal(e[:1+int(e[0])], k) {
+			return int(i), true
 		}
 	}
 }
+
+// grow doubles the table and rehashes every entry from the arena.
+func (aw *alertWindow) grow() {
+	aw.slots = make([]uint32, 2*len(aw.slots))
+	mask := uint64(len(aw.slots) - 1)
+	for off := 0; off < len(aw.keys); off += 1 + int(aw.keys[off]) {
+		i := maphash.Bytes(aw.seed, aw.keys[off:off+1+int(aw.keys[off])]) & mask
+		for aw.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		aw.slots[i] = uint32(off) + 1
+	}
+}
+
+// heldBytes is what the set holds: the capacity of its table and arena.
+func (aw *alertWindow) heldBytes() int { return 4*cap(aw.slots) + cap(aw.keys) }
 
 // EventKind classifies subscription events.
 type EventKind int
@@ -477,9 +571,9 @@ func (s *Service) registerAgent(id string) *agentInfo {
 }
 
 // ingestReports deduplicates threshold alerts network-wide: reports for
-// the same (query, window, key) from different switches — or repeated
-// crossings within a window — collapse to the first arrival. Each fresh
-// alert is published as it is found; rs is not kept.
+// the same (query, key mask, window, key) from different switches — or
+// repeated crossings within a window — collapse to the first arrival.
+// Each fresh alert is published as it is found; rs is not kept.
 func (s *Service) ingestReports(agent *agentInfo, rs []dataplane.Report) {
 	windowNs := uint64(s.cfg.Window)
 	s.mu.Lock()
@@ -519,8 +613,8 @@ const maxPending = 1 << 16
 
 // alertWindowLocked returns window w's dedup set and touches it: the one
 // held, else a new one while fewer than keepAlertWindows are held, else
-// the least recently touched set, emptied in place (the map keeps its
-// table and the arena its array).
+// the least recently touched set, emptied in place (the table and arena
+// keep their arrays).
 func (s *Service) alertWindowLocked(w uint64) *alertWindow {
 	s.touches++
 	var lru *alertWindow
@@ -534,24 +628,20 @@ func (s *Service) alertWindowLocked(w uint64) *alertWindow {
 		}
 	}
 	if len(s.alerts) < keepAlertWindows {
-		lru = &alertWindow{slots: map[uint64]uint32{}}
+		lru = &alertWindow{seed: s.alertSeed, slots: make([]uint32, minAlertSlots)}
 		s.alerts = append(s.alerts, lru)
-	} else {
-		clear(lru.slots)
-		lru.keys = lru.keys[:0]
 	}
-	lru.w, lru.touch = w, s.touches
+	lru.reset(w)
+	lru.touch = s.touches
 	return lru
 }
 
-// freshAlertLocked adds r's query and masked key to its window's set aw
-// and reports whether they were new there: whether r is an alert.
+// freshAlertLocked adds r's query, key mask and masked key to its
+// window's set aw and reports whether they were new there: whether r is
+// an alert.
 func (s *Service) freshAlertLocked(aw *alertWindow, r *dataplane.Report) bool {
-	k := binary.BigEndian.AppendUint64(append(s.keyBuf[:0], 0), uint64(r.QueryID))
-	k = r.KeyMask.Bytes(&r.Keys, k)
-	k[0] = byte(len(k) - 1)
-	s.keyBuf = k
-	return aw.add(maphash.Bytes(s.alertSeed, k), k)
+	s.keyBuf = alertEntry(s.keyBuf, r)
+	return aw.add(s.keyBuf)
 }
 
 // queryState is everything the service holds about one query. Ingest,
@@ -1084,7 +1174,8 @@ type ServiceStats struct {
 	RawBytes    uint64 // uncompressed cost of the frames ingested
 	DeltaFrames uint64 // snapshot frames that arrived delta-encoded
 	ChainBreaks uint64 // delta snapshots dropped for a missing base epoch
-	DedupKeys   int    // alert-dedup keys resident: the population of the (at most 64) windows' sets
+	DedupKeys   int    // alert-dedup keys resident: the population of the (at most keepAlertWindows) windows' sets
+	DedupBytes  uint64 // held by those sets, recycled ones included: their tables' and arenas' capacity
 	MergedBytes uint64 // held by the retained merged rows, recycled ones included: bitmap + nonzero sums
 }
 
@@ -1110,7 +1201,8 @@ func (s *Service) Stats() ServiceStats {
 		GeometryConflicts:  s.geomConflicts,
 	}
 	for _, aw := range s.alerts {
-		st.DedupKeys += len(aw.slots)
+		st.DedupKeys += aw.n
+		st.DedupBytes += uint64(aw.heldBytes())
 	}
 	for _, a := range s.agents {
 		if a.Streams > 0 {
