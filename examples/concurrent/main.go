@@ -82,5 +82,9 @@ func main() {
 	node := net.Node(topo.Switches()[0])
 	fmt.Printf("\nswitch footprint: %d table rules across the shared module layout\n",
 		node.Layout.TotalRuleEntries())
-	fmt.Printf("registers held by the installed queries: %d\n", node.Eng.StateHostBytes()/4)
+	registers := 0
+	for _, p := range node.Eng.Programs() {
+		registers += int(p.Footprint().Registers)
+	}
+	fmt.Printf("registers held by the installed queries: %d\n", registers)
 }

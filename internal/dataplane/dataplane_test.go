@@ -200,8 +200,8 @@ func TestRegisterOutOfRangePanics(t *testing.T) {
 
 func TestRegisterGeometry(t *testing.T) {
 	ra := NewRegisterArray(256)
-	if ra.Size() != 256 || ra.MemoryBytes() != 1024 {
-		t.Errorf("geometry wrong: %d %d", ra.Size(), ra.MemoryBytes())
+	if len(ra.Registers()) != 256 || ra.MemoryBytes() != 1024 {
+		t.Errorf("geometry wrong: %d %d", len(ra.Registers()), ra.MemoryBytes())
 	}
 }
 

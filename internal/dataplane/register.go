@@ -42,7 +42,7 @@ func (op SALUOp) String() string {
 // RegisterArray is a line-rate-transactional array of 32-bit registers,
 // each access performing one SALU operation: one query's row of a
 // stage's state bank, made at install at exactly the width the query
-// asked for and dropped at removal.
+// asked for and dropped at removal. A Bloom filter's row is a BloomRow.
 //
 // A register is one uint32 word and nothing else. The windowed reset —
 // "values of reduce and distinct are evaluated and reset every 100ms" —
@@ -67,21 +67,15 @@ func NewRegisterArray(size uint32) *RegisterArray {
 	return &RegisterArray{words: make([]uint32, size)}
 }
 
-// Size returns the number of registers.
-func (ra *RegisterArray) Size() uint32 { return uint32(len(ra.words)) }
-
 // Reset starts a new window: every register is zeroed. It must not run
 // concurrently with Exec, ExecSeq or a read of Registers.
 func (ra *RegisterArray) Reset() { clear(ra.words) }
 
 // Exec performs one stateful-ALU transaction on register idx and returns
-// the op's result. Out-of-range indices panic: the hash-calculation
-// module is responsible for folding hash results into range, and an
-// out-of-range access is a compiler bug, not a runtime condition.
+// the op's result. The hash-calculation module folds every index into
+// range, so an index past the array's width is a compiler bug and Go's
+// bounds check traps it.
 func (ra *RegisterArray) Exec(op SALUOp, idx uint32, operand uint32) uint32 {
-	if idx >= uint32(len(ra.words)) {
-		panic(fmt.Sprintf("dataplane: register %d out of range (size %d)", idx, len(ra.words)))
-	}
 	w := &ra.words[idx]
 	switch op {
 	case OpRead:
@@ -108,9 +102,6 @@ func (ra *RegisterArray) Exec(op SALUOp, idx uint32, operand uint32) uint32 {
 // as a plain read-modify-write, result for result what Exec returns to
 // a lone writer.
 func (ra *RegisterArray) ExecSeq(op SALUOp, idx uint32, operand uint32) uint32 {
-	if idx >= uint32(len(ra.words)) {
-		panic(fmt.Sprintf("dataplane: register %d out of range (size %d)", idx, len(ra.words)))
-	}
 	w := &ra.words[idx]
 	switch op {
 	case OpRead:
@@ -129,8 +120,7 @@ func (ra *RegisterArray) ExecSeq(op SALUOp, idx uint32, operand uint32) uint32 {
 	panic(fmt.Sprintf("dataplane: unknown SALU op %d", op))
 }
 
-// MemoryBytes returns the array's footprint, 4 B a register: the SRAM it
-// models and what it costs the simulator's host are the same number.
+// MemoryBytes returns what the array costs the host, 4 B a register.
 func (ra *RegisterArray) MemoryBytes() int { return len(ra.words) * 4 }
 
 // Registers returns the registers themselves, not a copy: read-only. A
@@ -138,3 +128,62 @@ func (ra *RegisterArray) MemoryBytes() int { return len(ra.words) * 4 }
 // roll it is the ending window's final state — and like it must not run
 // concurrently with Exec; the roll then zeroes what was read.
 func (ra *RegisterArray) Registers() []uint32 { return ra.words }
+
+// BloomRow is a Bloom filter's row of registers — one query's `distinct`
+// row of a stage's state bank — held as a bitmap: register i is bit i%64
+// of word i/64, the occupancy layout the snapshot codec and the analyzer
+// keep too. The row's only transaction is the one a Bloom filter issues,
+// OR-ing the constant 1 (a test-and-set), so a register never holds
+// more than a bit: the row costs the host width/8 bytes, where the SRAM
+// it models — and the ledger that admits it — spends 32 bits a register.
+//
+// The windowed reset and the reads follow RegisterArray's rules: Reset
+// and Words are barriers against Exec and ExecSeq.
+type BloomRow struct {
+	words []uint64
+}
+
+// NewBloomRow allocates a row of size registers, all zero.
+func NewBloomRow(size uint32) *BloomRow {
+	if size == 0 {
+		panic("dataplane: zero-size Bloom row")
+	}
+	return &BloomRow{words: make([]uint64, (uint64(size)+63)/64)}
+}
+
+// Reset starts a new window: every bit is cleared.
+func (r *BloomRow) Reset() { clear(r.words) }
+
+// Exec sets register idx to 1 and returns what it held, 0 or 1: the
+// result RegisterArray.Exec(OpOr, idx, 1) returns for the register. It
+// is one CAS (a loop under contention), so lanes sharing the row lose no
+// bit and exactly one of them finds it clear. An index past the row is a
+// compiler bug; Go's bounds check traps it.
+func (r *BloomRow) Exec(idx uint32) uint32 {
+	w, bit := &r.words[idx/64], uint64(1)<<(idx%64)
+	for {
+		cur := atomic.LoadUint64(w)
+		if cur&bit != 0 {
+			return 1
+		}
+		if atomic.CompareAndSwapUint64(w, cur, cur|bit) {
+			return 0
+		}
+	}
+}
+
+// ExecSeq is Exec as a plain read-modify-write, for single-goroutine
+// delivery.
+func (r *BloomRow) ExecSeq(idx uint32) uint32 {
+	w, bit := &r.words[idx/64], uint64(1)<<(idx%64)
+	old := *w
+	*w = old | bit
+	return uint32(old>>(idx%64)) & 1
+}
+
+// MemoryBytes returns what the row costs the host, 8 B a 64 registers.
+func (r *BloomRow) MemoryBytes() int { return len(r.words) * 8 }
+
+// Words returns the row's bitmap itself, not a copy: read-only, under
+// the barrier Registers documents.
+func (r *BloomRow) Words() []uint64 { return r.words }

@@ -91,3 +91,69 @@ func TestExecConcurrentWritersAreExact(t *testing.T) {
 		}
 	}
 }
+
+// TestBloomRowMatchesWordOr drives one seeded stream of Bloom
+// transactions, rolls included, through a BloomRow (Exec and ExecSeq on
+// two rows) and through the 32-bit row a Bloom row was, OpOr of the
+// constant 1 on a RegisterArray: result for result, and bit for
+// nonzero register, the same — at widths on and off the word size.
+func TestBloomRowMatchesWordOr(t *testing.T) {
+	for _, size := range []uint32{1, 63, 64, 65, 1000} {
+		a, b, ref := NewBloomRow(size), NewBloomRow(size), NewRegisterArray(size)
+		if want := 8 * int((size+63)/64); a.MemoryBytes() != want {
+			t.Fatalf("size %d: %d host bytes, want %d", size, a.MemoryBytes(), want)
+		}
+		rng := rand.New(rand.NewSource(int64(size)))
+		for i := 0; i < 20000; i++ {
+			if rng.Intn(400) == 0 {
+				a.Reset()
+				b.Reset()
+				ref.Reset()
+			}
+			idx := uint32(rng.Intn(int(size)))
+			want := ref.ExecSeq(OpOr, idx, 1)
+			if x, y := a.Exec(idx), b.ExecSeq(idx); x != want || y != want {
+				t.Fatalf("size %d step %d [%d]: Exec = %d, ExecSeq = %d, the word row %d", size, i, idx, x, y, want)
+			}
+		}
+		for i, v := range ref.Registers() {
+			for _, row := range []*BloomRow{a, b} {
+				if bit := uint32(row.Words()[i/64]>>(i%64)) & 1; bit != v {
+					t.Fatalf("size %d register %d: bit %d, word %d", size, i, bit, v)
+				}
+			}
+		}
+	}
+}
+
+// TestBloomRowConcurrentWritersAreExact: four writers test-and-set the
+// same bits of one row through Exec, as DeliverBatch's lanes share a
+// Bloom row. Every bit sticks, and each was found clear exactly once
+// (run under -race in CI).
+func TestBloomRowConcurrentWritersAreExact(t *testing.T) {
+	const writers, size = 4, 200
+	row := NewBloomRow(size)
+	var wg sync.WaitGroup
+	clearSeen := make([][]int, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			clearSeen[w] = make([]int, size)
+			for i := 0; i < size; i++ {
+				idx := uint32((i*7 + w) % size)
+				clearSeen[w][idx] += int(1 - row.Exec(idx))
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := 0; i < size; i++ {
+		n := 0
+		for w := range clearSeen {
+			n += clearSeen[w][i]
+		}
+		if n != 1 || row.Words()[i/64]>>(i%64)&1 != 1 {
+			t.Errorf("bit %d found clear %d times, set %d", i, n, row.Words()[i/64]>>(i%64)&1)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -101,10 +102,8 @@ func Ablation() *AblationResult {
 		fills := make([]float64, len(banks))
 		for i, b := range banks {
 			nonzero := 0
-			for _, v := range b.Values {
-				if v != 0 {
-					nonzero++
-				}
+			for _, w := range b.Bits {
+				nonzero += bits.OnesCount64(w)
 			}
 			fills[i] = sketch.BloomRowFill(nonzero, b.Width)
 		}

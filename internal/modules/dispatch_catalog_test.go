@@ -86,10 +86,23 @@ func banksByRow(t *testing.T, eng *modules.Engine) map[string][]uint32 {
 	t.Helper()
 	out := map[string][]uint32{}
 	for _, b := range eng.SnapshotBanks() {
-		out[fmt.Sprintf("q%d.%d/b%d/r%d", b.QueryID, b.Part, b.Branch, b.Row)] = b.Values
+		out[fmt.Sprintf("q%d.%d/b%d/r%d", b.QueryID, b.Part, b.Branch, b.Row)] = registersOf(&b)
 	}
 	if len(out) == 0 {
 		t.Fatal("no banks snapshotted")
+	}
+	return out
+}
+
+// registersOf lays a bank's registers out one word each: a Count-Min
+// row's Values, a Bloom row's bits as 0s and 1s.
+func registersOf(b *modules.BankSnapshot) []uint32 {
+	if b.Kind != modules.BankBloomRow {
+		return b.Values
+	}
+	out := make([]uint32, b.Width)
+	for i := range out {
+		out[i] = uint32(b.Bits[i/64]>>(i%64)) & 1
 	}
 	return out
 }

@@ -73,7 +73,7 @@ type Engine struct {
 	seed [2]uint64
 
 	// stateBytes is what the installed queries' registers cost the host:
-	// MemoryBytes of every owning op's array.
+	// MemoryBytes of every owning op's row.
 	stateBytes atomic.Int64
 
 	// laneObs, when set via AttachObs, registers per-worker observability
@@ -119,8 +119,10 @@ func (e *Engine) search(qid, part int) int {
 }
 
 // StateHostBytes returns the bytes the installed queries' registers
-// hold on the host — 4 per register. Nothing else about a state bank
-// costs memory: its ArraySize is a budget.
+// hold on the host: 4 a Count-Min (or other 32-bit) register, 8 a 64
+// registers of a Bloom row. Nothing else about a state bank costs
+// memory: its ArraySize is a budget, which the ledger charges at a
+// register a slot whatever the row's kind.
 func (e *Engine) StateHostBytes() int64 { return e.stateBytes.Load() }
 
 // InstalledCount returns how many programs are installed.
@@ -203,9 +205,7 @@ func (e *Engine) Install(p *Program) (err error) {
 			case op.Kind == ModK:
 				op.K.idx = e.internMask(&op.K.Mask)
 			case op.OwnsRegisters():
-				ra := dataplane.NewRegisterArray(op.Width())
-				op.S.array, op.S.width = ra, ra.Size()
-				e.stateBytes.Add(int64(ra.MemoryBytes()))
+				e.stateBytes.Add(int64(op.S.bindRow(op.Width())))
 			}
 		}
 	}
@@ -222,7 +222,7 @@ func (e *Engine) Install(p *Program) (err error) {
 			}
 			target := p.row0(op.S.ReadBranch)
 			if target == nil || target.S.array == nil {
-				return fmt.Errorf("modules: query %d branch %d reads Row0 of branch %d, which has none",
+				return fmt.Errorf("modules: query %d branch %d reads Row0 of branch %d, which has no counter row",
 					p.QID, bi, op.S.ReadBranch)
 			}
 			op.S.array, op.S.width = target.S.array, target.S.width
@@ -321,10 +321,10 @@ func (e *Engine) rollback(p *Program) {
 			case op.Kind == ModK:
 				e.masks[op.K.idx].refs--
 			case op.OwnsRegisters():
-				e.stateBytes.Add(-int64(op.S.array.MemoryBytes()))
+				e.stateBytes.Add(-int64(op.S.rowBytes()))
 			}
 			if op.Kind == ModS {
-				op.S.array = nil
+				op.S.array, op.S.bits = nil, nil
 			}
 		}
 	}
@@ -528,10 +528,17 @@ func (e *Engine) execS(s *SConfig, set *fields.MetadataSet, phv *fields.PHV, seq
 		phv.Stopped = true
 		return
 	}
-	if s.array == nil {
-		panic("modules: state bank op executed before install (qid rule missing)")
-	}
 	idx := uint32(set.HashResult) % s.width
+	if s.bits != nil {
+		// A Bloom row: the domain table admits an or of the constant 1
+		// only, so the transaction is a test-and-set of the bit.
+		if seq {
+			set.StateResult = uint64(s.bits.ExecSeq(idx))
+		} else {
+			set.StateResult = uint64(s.bits.Exec(idx))
+		}
+		return
+	}
 	var operand uint32
 	switch s.Operand {
 	case OperandConst:

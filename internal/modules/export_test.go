@@ -1,6 +1,10 @@
 package modules
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"github.com/newton-net/newton/internal/dataplane"
+)
 
 // PinFlowTablesToOneSet shrinks every lane's flow table to a single
 // set of flowWays slots and stops it growing, so that any trace with
@@ -34,3 +38,22 @@ func (e *Engine) CachedKeyCRCs(lane int) int {
 
 // WellFormed is the domain walk Install runs first.
 func (p *Program) WellFormed() error { return p.wellFormed() }
+
+// UseWordBloomRows rebinds every installed Bloom row to the row it was
+// before Bloom rows became bitmaps — a 32-bit RegisterArray, one word a
+// register, that the or op runs OpOr with the constant 1 on — and drops
+// the bitmap. The engine's or ops then take the word path: the
+// reference a bitmap engine is held to (TestBloomRowsMatchWordRows).
+// LiveBanks reports a rebound row's registers in Values, as a
+// BankCMSRow. The engine must not Remove a program after it.
+func (e *Engine) UseWordBloomRows() {
+	for _, p := range e.installed {
+		for _, b := range p.Branches {
+			for _, op := range b.Ops {
+				if op.Kind == ModS && op.S.bits != nil {
+					op.S.array, op.S.bits = dataplane.NewRegisterArray(op.S.width), nil
+				}
+			}
+		}
+	}
+}

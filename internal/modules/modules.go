@@ -115,9 +115,41 @@ type SConfig struct {
 
 	// array is the op's registers, bound at install time: an owning op's
 	// own allocation from its stage's bank, or for a cross read the Row0
-	// array it targets. width is the array's size.
+	// array it targets. An owning or op — a Bloom filter's row — has bits
+	// instead, and array stays nil. width is the row's size.
 	array *dataplane.RegisterArray
+	bits  *dataplane.BloomRow
 	width uint32
+}
+
+// bindRow gives an owning op fresh zeroed registers of width: a bitmap
+// for a Bloom filter's or, 32-bit words for anything else. It returns
+// what they cost the host.
+func (s *SConfig) bindRow(width uint32) int {
+	s.width = width
+	if s.ALU == dataplane.OpOr {
+		s.bits = dataplane.NewBloomRow(width)
+		return s.bits.MemoryBytes()
+	}
+	s.array = dataplane.NewRegisterArray(width)
+	return s.array.MemoryBytes()
+}
+
+// rowBytes is what an owning op's registers cost the host.
+func (s *SConfig) rowBytes() int {
+	if s.bits != nil {
+		return s.bits.MemoryBytes()
+	}
+	return s.array.MemoryBytes()
+}
+
+// resetRow zeroes an owning op's registers.
+func (s *SConfig) resetRow() {
+	if s.bits != nil {
+		s.bits.Reset()
+	} else {
+		s.array.Reset()
+	}
 }
 
 // RActKind is one result-process action.
@@ -290,7 +322,9 @@ const anyKind Kind = -1
 // indexes or switches on: a value outside its row would index past a
 // field vector or a branch list, name an ALU, a hash or an action the
 // packet path panics on or ignores, or shard a key space no switch
-// owns. The rows run in order and the first that fails refuses the op:
+// owns, or OR into a Bloom row anything but the constant 1 — a Bloom
+// row's registers are bits. The rows run in order and the first that
+// fails refuses the op:
 // the kind rows come first, so a config row only sees its own config.
 var domains = [...]domain{
 	{anyKind, "module kind %d", func(_ *Program, op *Op) (int64, bool) {
@@ -311,6 +345,12 @@ var domains = [...]domain{
 	}},
 	{ModS, "ALU op %d", func(_ *Program, op *Op) (int64, bool) {
 		return int64(op.S.ALU), op.S.ALU.Known()
+	}},
+	{ModS, "or of operand kind %d", func(_ *Program, op *Op) (int64, bool) {
+		return int64(op.S.Operand), op.S.ALU != dataplane.OpOr || op.S.Operand == OperandConst
+	}},
+	{ModS, "or of the constant %d", func(_ *Program, op *Op) (int64, bool) {
+		return int64(op.S.Const), op.S.ALU != dataplane.OpOr || op.S.Const == 1
 	}},
 	{ModS, "operand kind %d", func(_ *Program, op *Op) (int64, bool) {
 		return int64(op.S.Operand), op.S.Operand >= OperandConst && op.S.Operand <= OperandHash

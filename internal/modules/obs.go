@@ -147,7 +147,7 @@ func AttachObs(e *Engine, reg *obs.Registry, switchID string) {
 		}
 	}
 	reg.GaugeFunc("newton_engine_state_host_bytes",
-		"Host memory held by the installed queries' registers (4 B each).",
+		"Host memory held by the installed queries' registers (4 B a Count-Min register, 1 bit a Bloom register).",
 		func() float64 { return float64(e.StateHostBytes()) }, sw)
 
 	// Per-worker series: each engine lane gets its own sampled-latency

@@ -19,10 +19,10 @@ import (
 //
 //   - Data-path state (the register banks) is shared, and every
 //     transaction on it is one linearizable atomic operation
-//     (RegisterArray.Exec), which keeps every windowed count exact
-//     regardless of interleaving. Single-goroutine delivery
-//     (Context.Sequential) runs the same transactions without the LOCK
-//     prefix (ExecSeq).
+//     (RegisterArray.Exec, BloomRow.Exec), which keeps every windowed
+//     count and bit exact regardless of interleaving. Single-goroutine
+//     delivery (Context.Sequential) runs the same transactions without
+//     the LOCK prefix (ExecSeq).
 
 // engineLane is one worker's private execution state. The leading and
 // trailing pads keep hot per-lane counters on distinct cachelines so
@@ -111,7 +111,7 @@ func (e *Engine) RollEpoch() {
 		for _, b := range p.Branches {
 			for _, op := range b.Ops {
 				if op.OwnsRegisters() {
-					op.S.array.Reset()
+					op.S.resetRow()
 				}
 			}
 		}

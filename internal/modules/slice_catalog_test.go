@@ -92,7 +92,7 @@ func runLine(t *testing.T, tr *trace.Trace, queries ...[]*modules.Program) lineR
 		}
 		for _, b := range engs[i].SnapshotBanks() {
 			if b.QueryID < companyQID {
-				res.banks[b.Branch] = append(res.banks[b.Branch], b.Values)
+				res.banks[b.Branch] = append(res.banks[b.Branch], registersOf(&b))
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package modules
 import (
 	"slices"
 
-	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/fields"
 	"github.com/newton-net/newton/internal/sketch"
 )
@@ -38,10 +37,10 @@ type BankSnapshot struct {
 	Row     int      `json:"row"`
 	Kind    BankKind `json:"kind"`
 
-	// Algo/Seed/Range reproduce the governing H module; a key's slot in
-	// Values is Fold(Algo.Sum(keyBytes, Seed), Range) % Width, exactly
-	// the engine's index computation. KeyMask serializes the operation
-	// keys into keyBytes.
+	// Algo/Seed/Range reproduce the governing H module; a key's register
+	// is Fold(Algo.Sum(keyBytes, Seed), Range) % Width, exactly the
+	// engine's index computation. KeyMask serializes the operation keys
+	// into keyBytes.
 	Algo    sketch.Algo `json:"algo"`
 	Seed    uint32      `json:"seed"`
 	Range   uint32      `json:"range"`
@@ -53,11 +52,15 @@ type BankSnapshot struct {
 	OwnerIndex uint32 `json:"owner_index"`
 	OwnerCount uint32 `json:"owner_count"`
 
+	// Width is the row's register count. A Count-Min row's registers are
+	// Values, one word each; a Bloom row's are Bits, bit i%64 of word
+	// i/64 (⌈Width/64⌉ words, nothing set past Width), and Values is nil.
 	Width  uint32   `json:"width"`
 	Values []uint32 `json:"values"`
+	Bits   []uint64 `json:"bits,omitempty"`
 }
 
-// Slot returns the index in Values that the given serialized operation
+// Slot returns the register index that the given serialized operation
 // keys hash to — the engine's H-then-S index computation replayed.
 func (b *BankSnapshot) Slot(keyBytes []byte) uint32 {
 	h := b.Algo.Sum(keyBytes, b.Seed)
@@ -82,14 +85,15 @@ func (b *BankSnapshot) Slot(keyBytes []byte) uint32 {
 func (e *Engine) SnapshotBanks() []BankSnapshot {
 	banks := e.LiveBanks(nil)
 	for i := range banks {
-		banks[i].Values = slices.Clone(banks[i].Values)
+		b := &banks[i]
+		b.Values, b.Bits = slices.Clone(b.Values), slices.Clone(b.Bits)
 	}
 	return banks
 }
 
 // LiveBanks is the walk SnapshotBanks copies, with each bank's Values
-// the live registers themselves: read-only, and valid only under the
-// barrier the capture needs — before the next RollEpoch, Install or
+// or Bits the live registers themselves: read-only, and valid only under
+// the barrier the capture needs — before the next RollEpoch, Install or
 // Remove, never beside packet processing. dst's elements are overwritten
 // from the front and dst is returned resliced to the banks found
 // (elements past them are cleared, so a removed query's registers are
@@ -118,10 +122,6 @@ func (e *Engine) LiveBanks(dst []BankSnapshot) []BankSnapshot {
 						continue
 					}
 					s := op.S
-					kind := BankCMSRow
-					if s.ALU == dataplane.OpOr {
-						kind = BankBloomRow
-					}
 					if n == len(dst) {
 						dst = append(dst, BankSnapshot{})
 					}
@@ -132,11 +132,14 @@ func (e *Engine) LiveBanks(dst []BankSnapshot) []BankSnapshot {
 						Part:       p.Part,
 						Branch:     bi,
 						Row:        row,
-						Kind:       kind,
 						OwnerIndex: s.OwnerIndex,
 						OwnerCount: s.OwnerCount,
 						Width:      s.width,
-						Values:     s.array.Registers(),
+					}
+					if s.bits != nil {
+						snap.Kind, snap.Bits = BankBloomRow, s.bits.Words()
+					} else {
+						snap.Values = s.array.Registers()
 					}
 					if h := curH[set]; h != nil {
 						snap.Algo, snap.Seed, snap.Range = h.Algo, h.Seed, h.Range

@@ -55,6 +55,37 @@ func TestBankCapacityIsASum(t *testing.T) {
 	if got, want := eng.StateHostBytes(), int64(4*8192); got != want {
 		t.Fatalf("StateHostBytes = %d, want %d (4 B x installed widths)", got, want)
 	}
+
+	// A Bloom row is charged its width like any row, and holds a bit a
+	// register: a quarter's row in the freed quarter fills the bank again,
+	// and the host holds 2048/8 bytes for it.
+	if err := eng.Remove(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Install(buildDistinctProgram(6, 2048)); err != nil {
+		t.Fatalf("a Bloom row into the freed quarter: %v", err)
+	}
+	if admitted() != 8192 {
+		t.Fatalf("with a Bloom row: admitted %d registers, want 8192", admitted())
+	}
+	err = eng.Install(buildDistinctProgram(7, 64))
+	if err == nil || !strings.Contains(err.Error(), "exhausted (8192 + 64 > 8192)") {
+		t.Fatalf("a Bloom row past the budget: %v", err)
+	}
+	if got, want := eng.StateHostBytes(), int64(4*(4096+2048)+2048/8); got != want {
+		t.Fatalf("StateHostBytes = %d, want %d (4 B a counter, 1 bit a Bloom register)", got, want)
+	}
+}
+
+// buildDistinctProgram is a one-row distinct over DstIP of width
+// registers: its state bank (stage 3, suite 0, like buildCountProgram's)
+// ORs the constant 1, so its registers are a Bloom row's bits.
+func buildDistinctProgram(qid int, width uint32) *Program {
+	p := buildCountProgram(qid, 1<<30, width)
+	ops := p.Branches[0].Ops
+	ops[2].S = &SConfig{ALU: dataplane.OpOr, Operand: OperandConst, Const: 1, WidthHint: width}
+	p.Branches[0].Ops = ops[:4]
+	return p
 }
 
 // TestBankCapacityCannotWrap: a program whose owning widths sum past

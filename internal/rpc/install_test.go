@@ -151,6 +151,23 @@ func TestInstallRefusesOwnerPastCount(t *testing.T) {
 	})
 }
 
+// TestInstallRefusesMultiBitOr: a Bloom row's registers are bits, so an
+// or op — q3's distinct rows — of a field or the hash, or of a constant
+// other than 1, is refused: it would need registers of more than a bit.
+func TestInstallRefusesMultiBitOr(t *testing.T) {
+	or := func(op *modules.Op) bool { return owning(op) && op.S.ALU == dataplane.OpOr }
+	for name, spoil := range map[string]func(*modules.SConfig){
+		"field operand": func(s *modules.SConfig) { s.Operand = modules.OperandField },
+		"hash operand":  func(s *modules.SConfig) { s.Operand = modules.OperandHash },
+		"constant 2":    func(s *modules.SConfig) { s.Const = 2 },
+		"constant 0":    func(s *modules.SConfig) { s.Const = 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			refusedOverRPC(t, "q3", or, func(_ *modules.Program, op *modules.Op) { spoil(op.S) })
+		})
+	}
+}
+
 func TestInstallRefusesUnknownResultAction(t *testing.T) {
 	refusedOverRPC(t, "q1", func(op *modules.Op) bool {
 		return op.Kind == modules.ModR && len(op.R.Entries) > 0 && len(op.R.Entries[0].Actions) > 0
@@ -280,6 +297,46 @@ func TestEmptyDrainAllocs(t *testing.T) {
 	t.Logf("empty drain over the control channel: %.4f allocations", n)
 	if n > 0.05 {
 		t.Fatalf("empty drain: %.4f allocations, want at most 0.05", n)
+	}
+}
+
+// TestOneReportDrainAllocs: draining a switch that holds one report
+// over the control channel makes one allocation, both ends counted: the
+// slice handed to the caller. The report's switch ID is the string the
+// client decoded last (2 allocations while each drain made it anew).
+func TestOneReportDrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	agent, sw := testAgent(t)
+	c := pipeClient(t, agent)
+	if err := c.Install(compileQ1(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	dst := uint32(100)
+	pkt := &packet.Packet{IP: packet.IPv4{Proto: packet.ProtoTCP, Src: 9},
+		TCP: &packet.TCP{SrcPort: 1, DstPort: 80, Flags: packet.FlagSYN}}
+	oneReport := func() { // q1 reports a destination's fourth SYN in a window
+		dst++
+		pkt.IP.Dst = dst
+		for i := 0; i < 4; i++ {
+			sw.Process(pkt)
+		}
+		agent.NextEpoch() // the next destination counts from zero
+	}
+	drain := func() {
+		if rs, err := c.DrainReports(); err != nil || len(rs) != 1 || rs[0].SwitchID != "s1" {
+			t.Fatalf("drain: %d reports, %v", len(rs), err)
+		}
+	}
+	for i := 0; i < replayCap; i++ {
+		oneReport()
+		drain()
+	}
+	n := callAllocs(t, 2*replayCap, oneReport, drain)
+	t.Logf("one-report drain over the control channel: %.2f allocations", n)
+	if n > 1.05 {
+		t.Fatalf("one-report drain: %.2f allocations, want at most 1", n)
 	}
 }
 

@@ -634,6 +634,9 @@ type Client struct {
 	closeCh chan struct{}
 
 	drainAck uint64 // highest drain cursor received (under mu)
+	// lastSwitch is the switch ID of the last report drained (under mu):
+	// the next drain's reports of that switch share its string.
+	lastSwitch string
 
 	// The call's framing memory (under mu): the frame reader and writer
 	// on framed, the connection they serve, the encoded request, the
@@ -799,7 +802,7 @@ func (c *Client) attempt(conn net.Conn, id uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := wire.DecodeResponse(&c.resp, payload); err != nil {
+	if err := wire.DecodeResponse(&c.resp, payload, c.lastSwitch); err != nil {
 		return fmt.Errorf("rpc: %w", err)
 	}
 	if c.opts.Timeout > 0 {
@@ -923,6 +926,9 @@ func (c *Client) DrainReports() ([]dataplane.Report, error) {
 	c.drainAck = resp.Cursor
 	rs := resp.Reports
 	resp.Reports = nil
+	if len(rs) > 0 {
+		c.lastSwitch = rs[len(rs)-1].SwitchID
+	}
 	return rs, nil
 }
 

@@ -408,7 +408,7 @@ func readResponse(t testing.TB, r io.Reader) wire.Response {
 		t.Fatalf("%v frame where a response belongs", hdr.Kind)
 	}
 	var resp wire.Response
-	if err := wire.DecodeResponse(&resp, payload); err != nil {
+	if err := wire.DecodeResponse(&resp, payload, ""); err != nil {
 		t.Fatal(err)
 	}
 	return resp

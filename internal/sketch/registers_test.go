@@ -2,6 +2,7 @@ package sketch_test
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -78,7 +79,14 @@ func least(banks []modules.BankSnapshot, kind modules.BankKind, dst uint32) uint
 		if b.Kind != kind {
 			continue
 		}
-		if c := b.Values[b.Slot(b.KeyMask.Bytes(&v, nil))]; c < est {
+		slot := b.Slot(b.KeyMask.Bytes(&v, nil))
+		var c uint32
+		if b.Kind == modules.BankBloomRow {
+			c = uint32(b.Bits[slot/64]>>(slot%64)) & 1
+		} else {
+			c = b.Values[slot]
+		}
+		if c < est {
 			est = c
 		}
 	}
@@ -212,10 +220,8 @@ func TestBloomFPRMatchesTheory(t *testing.T) {
 	var fills []float64
 	for _, b := range banks {
 		nonzero := 0
-		for _, v := range b.Values {
-			if v != 0 {
-				nonzero++
-			}
+		for _, w := range b.Bits {
+			nonzero += bits.OnesCount64(w)
 		}
 		fills = append(fills, sketch.BloomRowFill(nonzero, b.Width))
 	}

@@ -3,6 +3,7 @@ package telemetry_test
 import (
 	"math"
 	"net"
+	"slices"
 	"testing"
 
 	"github.com/newton-net/newton/internal/modules"
@@ -98,9 +99,9 @@ func TestObservedAccuracyBloomFPP(t *testing.T) {
 	banks := []modules.BankSnapshot{
 		cmsBank(1, 10, 20, 30, 40),
 		{QueryID: 1, Kind: modules.BankBloomRow, Algo: sketch.CRC32IEEE, Range: 1 << 16,
-			Row: 1, Width: 4, Values: []uint32{1, 1, 0, 0}},
+			Row: 1, Width: 4, Bits: []uint64{0b0011}},
 		{QueryID: 1, Kind: modules.BankBloomRow, Algo: sketch.CRC32IEEE, Range: 1 << 16,
-			Row: 2, Width: 4, Values: []uint32{0, 1, 0, 0}},
+			Row: 2, Width: 4, Bits: []uint64{0b0010}},
 	}
 	if err := exps[0].ExportSnapshot(5, banks); err != nil {
 		t.Fatal(err)
@@ -222,5 +223,36 @@ func TestGeometryConflictReplacesNotMixes(t *testing.T) {
 	}
 	if _, ok := svc.LatestSettledEpoch(1); ok {
 		t.Fatal("a lone conflicted epoch must not count as settled")
+	}
+}
+
+// TestKindConflictReplacesNotMixes: a bank of the same width but the
+// other kind in the same epoch — a query reinstalled with a Bloom row
+// where a Count-Min row was — is a geometry conflict too: the merged
+// row is counters or bits, never both, and the later kind replaces the
+// resident one.
+func TestKindConflictReplacesNotMixes(t *testing.T) {
+	svc, exps := accuracySvc(t, "s1", "s2")
+	svc.SetExpected(1, []string{"s1", "s2"})
+	if err := exps[0].ExportSnapshot(3, []modules.BankSnapshot{cmsBank(1, 5, 0, 7, 9)}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "Count-Min snapshot merged", func() bool { return svc.Stats().Snapshots == 1 })
+	bloom := cmsBank(1, 0, 0, 0, 0)
+	bloom.Kind, bloom.Values, bloom.Bits = modules.BankBloomRow, nil, []uint64{0b0110}
+	if err := exps[1].ExportSnapshot(3, []modules.BankSnapshot{bloom}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "Bloom snapshot merged", func() bool { return svc.Stats().Snapshots == 2 })
+
+	rows := svc.MergedRows(1, 0, 3)
+	if len(rows) != 1 || rows[0].Kind != modules.BankBloomRow || !slices.Equal(rows[0].Values, []uint64{0, 1, 1, 0}) {
+		t.Fatalf("MergedRows = %+v, want s2's Bloom row 0 1 1 0", rows)
+	}
+	if m := rows[0]; len(m.Switches) != 1 || m.Switches[0] != "s2" || !m.Transition {
+		t.Fatalf("Switches = %v, Transition = %v: want [s2], true", m.Switches, m.Transition)
+	}
+	if st := svc.Stats(); st.GeometryConflicts != 1 {
+		t.Fatalf("GeometryConflicts = %d, want 1", st.GeometryConflicts)
 	}
 }

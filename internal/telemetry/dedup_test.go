@@ -390,11 +390,14 @@ func TestAlertDedupKeepsMasksApart(t *testing.T) {
 }
 
 // TestAlertDedupBytesPerKey: a window of 1024 single-field keys holds at
-// most 20 bytes a key — its table and entry arena — and 64 such windows
-// at most 1.3 MB, by DedupBytes and by the heap alike. Go maps of hash to
-// arena offset held ~57 bytes a key, 3.6 MB for the 64.
+// most 16.75 bytes a key — its 8 KB table, and an arena at most a
+// quarter over its 7 KB of entries; measured 15.9 — and 64 such windows
+// at most 1.1 MB, by DedupBytes and by the heap alike (measured 1.04 and
+// 0.98 MB). An arena that grew by append's doubling held 17.25 bytes a
+// key, 1.13 MB for the 64; Go maps of hash to arena offset held ~57
+// bytes a key, 3.6 MB for the 64.
 func TestAlertDedupBytesPerKey(t *testing.T) {
-	const keys, budget = 1024, 1.3e6
+	const keys, budget = 1024, 1.1e6
 	s := NewService(ServiceConfig{Window: 100})
 	defer s.Close()
 	a := s.registerAgent("s1")
@@ -408,8 +411,8 @@ func TestAlertDedupBytesPerKey(t *testing.T) {
 	st := s.Stats()
 	perKey := float64(st.DedupBytes) / float64(st.DedupKeys)
 	t.Logf("one window: %d keys in %d bytes, %.1f a key", st.DedupKeys, st.DedupBytes, perKey)
-	if st.DedupKeys != keys || perKey > 20 {
-		t.Fatalf("one window: %d keys at %.1f bytes a key, want %d at most 20", st.DedupKeys, perKey, keys)
+	if st.DedupKeys != keys || perKey > 16.75 {
+		t.Fatalf("one window: %d keys at %.2f bytes a key, want %d at most 16.75", st.DedupKeys, perKey, keys)
 	}
 	for w := uint64(1); w < keepAlertWindows; w++ {
 		for i := range batch {
@@ -429,6 +432,41 @@ func TestAlertDedupBytesPerKey(t *testing.T) {
 	}
 	runtime.KeepAlive(s)
 	runtime.KeepAlive(batch)
+}
+
+// TestNewAlertSetStartsAtLastSize: a set made for a new window starts
+// with room for what the window before it held, so filling it with as
+// many keys allocates the set, its table and its arena and nothing more.
+// A set that grew its table and arena a step at a time made 24 for these
+// 1024 keys.
+func TestNewAlertSetStartsAtLastSize(t *testing.T) {
+	s := NewService(ServiceConfig{Window: 100})
+	defer s.Close()
+	batch := alertBatch(1024)
+	w := uint64(0)
+	fill := func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		aw := s.alertWindowLocked(w)
+		for i := range batch {
+			if !s.freshAlertLocked(aw, &batch[i]) {
+				t.Fatalf("window %d, report %d: not fresh", w, i)
+			}
+		}
+		w++
+	}
+	fill()
+	// s.alerts grows beside the sets now and then: at most one more.
+	if n := testing.AllocsPerRun(20, fill); n > 4 || w >= keepAlertWindows {
+		t.Fatalf("a new window's set of %d keys allocates %.0f times, want at most 4", len(batch), n)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	first, last := s.alerts[0], s.alerts[len(s.alerts)-1]
+	if len(last.slots) != len(first.slots) || cap(last.keys) != len(first.keys) {
+		t.Fatalf("the last set holds %d slots and %d arena bytes, want %d and %d",
+			len(last.slots), cap(last.keys), len(first.slots), len(first.keys))
+	}
 }
 
 // TestPendingAlertsAreBounded: a service nobody drains — newton-analyzer

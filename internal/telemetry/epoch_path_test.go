@@ -158,11 +158,15 @@ func TestReadsDoNotAllocate(t *testing.T) {
 		for row := 0; row < 4; row++ {
 			b := cmsBank(qid, make([]uint32, width)...)
 			b.Row, b.Seed, b.KeyMask = row, uint32(row), fields.Keep(fields.DstIP)
-			if qid == 4 {
-				b.Kind = modules.BankBloomRow
-			}
 			for i := 0; i < width; i += 7 {
 				b.Values[i] = 1
+			}
+			if qid == 4 { // a Bloom row: the same registers, as bits
+				b.Kind, b.Bits = modules.BankBloomRow, make([]uint64, width/64)
+				for i, v := range b.Values {
+					b.Bits[i/64] |= uint64(v) << (i % 64)
+				}
+				b.Values = nil
 			}
 			banks = append(banks, b)
 		}

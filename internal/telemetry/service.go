@@ -185,9 +185,31 @@ func (aw *alertWindow) add(k []byte) bool {
 		i, _ = aw.slot(h, k)
 	}
 	aw.slots[i] = uint32(len(aw.keys)) + 1
+	if need := len(aw.keys) + len(k); need > cap(aw.keys) {
+		aw.growArena(need)
+	}
 	aw.keys = append(aw.keys, k...)
 	aw.n++
 	return true
+}
+
+// smallAlertArena is the arena size below which a set's arena doubles.
+const smallAlertArena = 256
+
+// growArena makes room for need bytes of entries. A small arena doubles,
+// as append grows it; past smallAlertArena it grows by a quarter, as a
+// codec's cell set does, so a busy window's set holds at most a quarter
+// over what its keys take (doubling left up to all of it). A recycled
+// set keeps its arena, so a steady window size allocates nothing.
+func (aw *alertWindow) growArena(need int) {
+	c := cap(aw.keys)
+	size := c + c/4
+	if c < smallAlertArena {
+		size = 2 * c
+	}
+	grown := make([]byte, len(aw.keys), max(need, size))
+	copy(grown, aw.keys)
+	aw.keys = grown
 }
 
 // slot returns the index of k's slot in the table, or of the empty slot
@@ -617,7 +639,7 @@ const maxPending = 1 << 16
 // keep their arrays).
 func (s *Service) alertWindowLocked(w uint64) *alertWindow {
 	s.touches++
-	var lru *alertWindow
+	var lru, last *alertWindow
 	for _, aw := range s.alerts {
 		if aw.w == w {
 			aw.touch = s.touches
@@ -626,14 +648,33 @@ func (s *Service) alertWindowLocked(w uint64) *alertWindow {
 		if lru == nil || aw.touch < lru.touch {
 			lru = aw
 		}
+		if last == nil || aw.touch > last.touch {
+			last = aw
+		}
 	}
 	if len(s.alerts) < keepAlertWindows {
-		lru = &alertWindow{seed: s.alertSeed, slots: make([]uint32, minAlertSlots)}
+		lru = newAlertWindow(s.alertSeed, last)
 		s.alerts = append(s.alerts, lru)
 	}
 	lru.reset(w)
 	lru.touch = s.touches
 	return lru
+}
+
+// newAlertWindow returns an empty set with room for what last, the set
+// touched last, holds: a table as long as its entries need and an arena
+// as long as theirs. A workload's windows are alike, so a new set fills
+// without growing its table and arena a step at a time (a recycled set
+// keeps its arrays in the same way). The first set starts empty.
+func newAlertWindow(seed maphash.Seed, last *alertWindow) *alertWindow {
+	n := minAlertSlots
+	if last == nil {
+		return &alertWindow{seed: seed, slots: make([]uint32, n)}
+	}
+	for 4*last.n > 3*n {
+		n *= 2
+	}
+	return &alertWindow{seed: seed, slots: make([]uint32, n), keys: make([]byte, 0, len(last.keys))}
 }
 
 // freshAlertLocked adds r's query, key mask and masked key to its
@@ -924,13 +965,13 @@ func (s *Service) mergeBankLocked(es *epochState, switchID string, b *modules.Ba
 	}
 	slot := &es.banks[i]
 	m := &slot.MergedBank
-	// Geometry conflict: a mid-window width change put two bank shapes
-	// into the same epoch. Merging them would silently mix widths, and
-	// skipping one would hide the gap entirely — instead the later
-	// geometry replaces the resident one and the epoch is flagged as a
-	// width transition, so provenance says exactly why the merge cannot
-	// be trusted.
-	conflict := len(m.Switches) > 0 && b.Width != m.Width
+	// Geometry conflict: a mid-window width or kind change put two bank
+	// shapes into the same epoch. Merging them would silently mix widths
+	// (or counters with bits), and skipping one would hide the gap
+	// entirely — instead the later geometry replaces the resident one and
+	// the epoch is flagged as a width transition, so provenance says
+	// exactly why the merge cannot be trusted.
+	conflict := len(m.Switches) > 0 && (b.Width != m.Width || b.Kind != m.Kind)
 	if conflict {
 		s.geomConflicts++
 		s.markTransitionLocked(es)
@@ -942,9 +983,9 @@ func (s *Service) mergeBankLocked(es *epochState, switchID string, b *modules.Ba
 			Kind: b.Kind, Algo: b.Algo, Seed: b.Seed, Range: b.Range,
 			KeyMask: b.KeyMask, Width: b.Width, Switches: m.Switches[:0],
 		}
-		slot.cells.Reset(b.Width)
+		slot.cells.Reset(b.Width, b.Kind == modules.BankBloomRow)
 	}
-	slot.cells.Merge(cells, b.Kind == modules.BankBloomRow)
+	slot.cells.Merge(cells)
 	m.Switches = append(m.Switches, switchID)
 }
 

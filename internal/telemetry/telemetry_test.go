@@ -316,10 +316,11 @@ func TestMergeArithmetic(t *testing.T) {
 			KeyMask: fields.Keep(fields.DstIP), Values: vals,
 		}
 	}
-	bloomA := mk(modules.BankBloomRow, []uint32{1, 0, 0, 1})
-	bloomA.Row = 1
-	bloomB := mk(modules.BankBloomRow, []uint32{0, 1, 0, 1})
-	bloomB.Row = 1
+	// A Bloom row's registers are bits: 1 0 0 1 and 0 1 0 1.
+	bloomA := mk(modules.BankBloomRow, nil)
+	bloomA.Row, bloomA.Bits = 1, []uint64{0b1001}
+	bloomB := mk(modules.BankBloomRow, nil)
+	bloomB.Row, bloomB.Bits = 1, []uint64{0b1010}
 	if err := a.ExportSnapshot(3, []modules.BankSnapshot{mk(modules.BankCMSRow, []uint32{5, 0, 2, 9}), bloomA}); err != nil {
 		t.Fatal(err)
 	}

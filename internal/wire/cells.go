@@ -13,9 +13,13 @@ import "math/bits"
 // A set is only ever filled in ascending index order and walked in it,
 // so the position of a register's value in vals is its rank among the
 // set bits of occ, and no operation needs more than a running count.
+//
+// A Bloom row's registers are bits, so its set is occ alone: vals stays
+// empty and every set bit is a register of value 1.
 type cellSet struct {
-	occ  []uint64 // bit i set ⇔ register i is nonzero; ⌈width/64⌉ words
-	vals []uint32 // the nonzero registers, in index order
+	occ   []uint64 // bit i set ⇔ register i is nonzero; ⌈width/64⌉ words
+	vals  []uint32 // the nonzero registers, in index order; none for a Bloom row
+	bloom bool
 }
 
 // packRoom is how far past the registers it keeps pack may write: it
@@ -23,16 +27,32 @@ type cellSet struct {
 // ones stay.
 const packRoom = 64
 
-// size gives the set an empty population over width registers, keeping
-// its memory. The bitmap's contents are unspecified: every filler
-// writes each word.
-func (s *cellSet) size(width uint32) {
+// size gives the set an empty population over width registers of a
+// Count-Min row (bloom false) or a Bloom row, keeping its memory — but
+// a Bloom row's, which keeps no values. The bitmap's contents are
+// unspecified: every filler writes each word.
+func (s *cellSet) size(width uint32, bloom bool) {
 	n := int((uint64(width) + 63) / 64)
 	if cap(s.occ) < n {
 		s.occ = make([]uint64, n)
 	}
 	s.occ = s.occ[:n]
 	s.vals = s.vals[:0]
+	if s.bloom = bloom; bloom {
+		s.vals = nil
+	}
+}
+
+// count is the set's population: its values, or a Bloom row's set bits.
+func (s *cellSet) count() int {
+	if !s.bloom {
+		return len(s.vals)
+	}
+	n := 0
+	for _, w := range s.occ {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // room makes space for n more registers. A set's first allocation is
@@ -56,14 +76,25 @@ func (s *cellSet) room(n int) {
 // bytes is the memory the set holds.
 func (s *cellSet) bytes() int { return 8*cap(s.occ) + 4*cap(s.vals) }
 
-// pack fills the set from a dense bank of width registers in one pass.
-// Values past width are cut (the decoder would refuse their indexes);
-// a short slice reads as zero-padded.
+// packBits fills the set from a Bloom row's bitmap of width registers:
+// a copy of the words. Bits past width are cut (the decoder would refuse
+// their indexes); a short bitmap reads as zero-padded.
+func (s *cellSet) packBits(words []uint64, width uint32) {
+	s.size(width, true)
+	clear(s.occ[copy(s.occ, words):])
+	if tail := width % 64; tail != 0 {
+		s.occ[len(s.occ)-1] &= 1<<tail - 1
+	}
+}
+
+// pack fills the set from a dense Count-Min bank of width registers in
+// one pass. Values past width are cut (the decoder would refuse their
+// indexes); a short slice reads as zero-padded.
 func (s *cellSet) pack(values []uint32, width uint32) {
 	if uint64(len(values)) > uint64(width) {
 		values = values[:width]
 	}
-	s.size(width)
+	s.size(width, false)
 	if s.vals == nil {
 		n := 0
 		for _, v := range values {
@@ -127,15 +158,19 @@ type Cells struct {
 // values in index order, uint64 so that sums over many switches cannot
 // wrap the registers' 32 bits. It holds width/8 bytes plus 8 a nonzero
 // value — a full row at most 1/64 over the dense []uint64 it replaces.
+// A merged Bloom row is its bitmap alone: width/8 bytes.
 type MergedCells struct {
 	occ   []uint64 // bit i set ⇔ merged register i is nonzero
-	vals  []uint64
+	vals  []uint64 // none for a Bloom row
 	width uint32
+	bloom bool
+	pop   int // a Bloom row's set bits
 }
 
-// Reset empties the row over width registers, keeping its memory: a
-// bitmap to clear, not the width.
-func (m *MergedCells) Reset(width uint32) {
+// Reset empties the row over width registers of a Count-Min row (bloom
+// false) or a Bloom row, keeping its memory — but a Bloom row's, which
+// keeps no values: a bitmap to clear, not the width.
+func (m *MergedCells) Reset(width uint32, bloom bool) {
 	n := int((uint64(width) + 63) / 64)
 	if cap(m.occ) < n {
 		m.occ = make([]uint64, n)
@@ -143,12 +178,16 @@ func (m *MergedCells) Reset(width uint32) {
 	m.occ = m.occ[:n]
 	clear(m.occ)
 	m.vals = m.vals[:0]
-	m.width = width
+	if bloom {
+		m.vals = nil
+	}
+	m.width, m.bloom, m.pop = width, bloom, 0
 }
 
 // Merge folds one bank's cells into the row, which must have been Reset
-// to the bank's width: Count-Min rows add counter-wise, Bloom rows (or)
-// OR. It costs the row's words and the two populations, never the width.
+// to the bank's width and kind: Count-Min rows add counter-wise, Bloom
+// rows OR their words. It costs the row's words and the two populations,
+// never the width.
 //
 // The merge is in place, from the top down: a value's merged rank is at
 // least its old rank, so each lands at or above where it was read from,
@@ -156,8 +195,15 @@ func (m *MergedCells) Reset(width uint32) {
 // only when the merged population passes its capacity: exactly to the
 // population the first time, by a quarter (never past the width) after,
 // so a row that stays put allocates nothing from epoch to epoch.
-func (m *MergedCells) Merge(c Cells, or bool) {
+func (m *MergedCells) Merge(c Cells) {
 	occ, from := c.set.occ, c.set.vals
+	if m.bloom {
+		for w, cw := range occ {
+			m.pop += bits.OnesCount64(cw &^ m.occ[w])
+			m.occ[w] |= cw
+		}
+		return
+	}
 	pop := len(m.vals)
 	for w, cw := range occ {
 		pop += bits.OnesCount64(cw &^ m.occ[w])
@@ -193,11 +239,7 @@ func (m *MergedCells) Merge(c Cells, or bool) {
 			}
 			if cw&bit != 0 {
 				k--
-				if or {
-					v |= uint64(from[k])
-				} else {
-					v += uint64(from[k])
-				}
+				v += uint64(from[k])
 			}
 			put--
 			vals[put] = v
@@ -208,11 +250,15 @@ func (m *MergedCells) Merge(c Cells, or bool) {
 }
 
 // At reads merged register i by rank: zero when its bit is clear, else
-// the value as many places in as there are set bits below it.
+// the value as many places in as there are set bits below it — or, in
+// a Bloom row, 1.
 func (m *MergedCells) At(i uint32) uint64 {
 	w, bit := i/64, uint64(1)<<(i%64)
 	if m.occ[w]&bit == 0 {
 		return 0
+	}
+	if m.bloom {
+		return 1
 	}
 	rank := bits.OnesCount64(m.occ[w] & (bit - 1))
 	for _, word := range m.occ[:w] {
@@ -221,8 +267,11 @@ func (m *MergedCells) At(i uint32) uint64 {
 	return m.vals[rank]
 }
 
-// Sum is the row's counter total.
+// Sum is the row's counter total: a Bloom row's set bits.
 func (m *MergedCells) Sum() (sum uint64) {
+	if m.bloom {
+		return uint64(m.pop)
+	}
 	for _, v := range m.vals {
 		sum += v
 	}
@@ -230,15 +279,25 @@ func (m *MergedCells) Sum() (sum uint64) {
 }
 
 // Nonzero counts the row's set registers.
-func (m *MergedCells) Nonzero() int { return len(m.vals) }
+func (m *MergedCells) Nonzero() int {
+	if m.bloom {
+		return m.pop
+	}
+	return len(m.vals)
+}
 
-// Dense lays the row out at its width in a fresh slice.
+// Dense lays the row out at its width in a fresh slice, a Bloom row's
+// set bits as 1s.
 func (m *MergedCells) Dense() []uint64 {
 	out := make([]uint64, m.width)
 	k := 0
 	for w, word := range m.occ {
 		for ; word != 0; word &= word - 1 {
-			out[w*64+bits.TrailingZeros64(word)] = m.vals[k]
+			v := uint64(1)
+			if !m.bloom {
+				v = m.vals[k]
+			}
+			out[w*64+bits.TrailingZeros64(word)] = v
 			k++
 		}
 	}

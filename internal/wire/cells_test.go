@@ -38,15 +38,19 @@ func cellFills(rng *rand.Rand, width int) [][]uint32 {
 
 // checkSet holds a set to its invariants against the dense bank it
 // stands for: one bit per nonzero register and none past the width,
-// values in index order.
+// values in index order — or, for a Bloom row's set, no values and a
+// register of 1 where want is nonzero.
 func checkSet(t *testing.T, s *cellSet, want []uint32, width int) {
 	t.Helper()
 	if len(s.occ) != (width+63)/64 {
 		t.Fatalf("width %d: %d bitmap words", width, len(s.occ))
 	}
 	pop := 0
-	for _, w := range s.occ {
-		pop += bits.OnesCount64(w)
+	for w, word := range s.occ {
+		pop += bits.OnesCount64(word)
+		if past := 64*w + 64 - width; past > 0 && word>>(64-past) != 0 {
+			t.Fatalf("width %d: bits set past the width", width)
+		}
 	}
 	nonzero := 0
 	for _, v := range want {
@@ -54,14 +58,24 @@ func checkSet(t *testing.T, s *cellSet, want []uint32, width int) {
 			nonzero++
 		}
 	}
-	if pop != nonzero || len(s.vals) != nonzero {
-		t.Fatalf("width %d: %d bits, %d values, want %d of each", width, pop, len(s.vals), nonzero)
+	values := len(s.vals)
+	if s.bloom {
+		if cap(s.vals) != 0 {
+			t.Fatalf("width %d: a Bloom row's set holds room for %d values", width, cap(s.vals))
+		}
+		values = s.count()
+	}
+	if pop != nonzero || values != nonzero {
+		t.Fatalf("width %d: %d bits, %d values, want %d of each", width, pop, values, nonzero)
 	}
 	got := s.dense(uint32(width))
 	for i := range got {
 		w := uint32(0)
 		if i < len(want) {
 			w = want[i]
+		}
+		if s.bloom && w != 0 {
+			w = 1
 		}
 		if got[i] != w {
 			t.Fatalf("width %d register %d: %d, want %d", width, i, got[i], w)
@@ -71,7 +85,7 @@ func checkSet(t *testing.T, s *cellSet, want []uint32, width int) {
 
 func TestCellSetPack(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var s cellSet // one set through every shape: what a rewidened bank does to it
+	var s cellSet // one set through every shape and kind: what a rewidened or reinstalled bank does to it
 	for _, width := range cellWidths {
 		for _, vals := range cellFills(rng, width) {
 			s.pack(vals, uint32(width))
@@ -83,27 +97,49 @@ func TestCellSetPack(t *testing.T) {
 			long := append(slices.Clone(vals), 7, 7, 7) // long: cut at the width
 			s.pack(long, uint32(width))
 			checkSet(t, &s, vals, width)
+
+			// The same registers as a Bloom row's bits.
+			b := modules.BankSnapshot{Kind: modules.BankBloomRow, Width: uint32(width)}
+			emptyRegs(&b)
+			for i, v := range vals {
+				setReg(&b, i, v)
+			}
+			s.packBits(b.Bits, uint32(width))
+			checkSet(t, &s, vals, width)
+			if len(b.Bits) > 1 {
+				s.packBits(b.Bits[:len(b.Bits)/2], uint32(width)) // short: reads zero-padded
+				checkSet(t, &s, vals[:len(b.Bits)/2*64], width)
+			}
+			longBits := append(slices.Clone(b.Bits), ^uint64(0), 5) // long: cut at the width
+			if tail := width % 64; tail != 0 {
+				longBits[len(b.Bits)-1] |= ^uint64(0) << tail // and bits past it in the last word
+			}
+			s.packBits(longBits, uint32(width))
+			checkSet(t, &s, vals, width)
 		}
 	}
 }
 
-// TestCellsMergeMatchesDense: adding or ORing a bank's cells into a
-// merged row is what adding or ORing its dense registers was.
+// TestCellsMergeMatchesDense: adding a Count-Min bank's cells, or ORing
+// a Bloom bank's, into a merged row is what adding its dense registers,
+// or ORing in a 1 at each that is set, was.
 func TestCellsMergeMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, width := range cellWidths {
 		for _, vals := range cellFills(rng, width) {
-			var c Cells
-			c.set.pack(vals, uint32(width))
+			c, bloom := cellsOf(vals, width, false), cellsOf(vals, width, true)
 			add, or := make([]uint64, width), make([]uint64, width)
 			wantAdd, wantOr := make([]uint64, width), make([]uint64, width)
 			for i := range add {
 				seed := uint64(rng.Intn(1 << 20))
 				add[i], or[i] = seed, seed
-				wantAdd[i], wantOr[i] = seed+uint64(vals[i]), seed|uint64(vals[i])
+				wantAdd[i], wantOr[i] = seed+uint64(vals[i]), seed
+				if vals[i] != 0 {
+					wantOr[i] |= 1
+				}
 			}
 			c.AddTo(add)
-			c.OrInto(or)
+			bloom.OrInto(or)
 			if !slices.Equal(add, wantAdd) || !slices.Equal(or, wantOr) {
 				t.Fatalf("width %d: merge of %d cells differs from the dense merge", width, len(c.set.vals))
 			}
@@ -112,9 +148,10 @@ func TestCellsMergeMatchesDense(t *testing.T) {
 }
 
 // TestCodecAtWordBoundaries takes a bank at every width from every fill
-// to every other through one encoder and decoder, of each kind: the
-// frames are the dense reference's byte for byte, and the decoded
-// registers are what went in.
+// to every other through one encoder and decoder, of each kind — a
+// Bloom bank as the engine holds it, its bits, with the registers of the
+// fill that are set — : the frames are the dense reference's byte for
+// byte, and the decoded registers are what went in.
 func TestCodecAtWordBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, kind := range []modules.BankKind{modules.BankCMSRow, modules.BankBloomRow} {
@@ -130,9 +167,13 @@ func TestCodecAtWordBoundaries(t *testing.T) {
 				for _, to := range fills {
 					for _, vals := range [][]uint32{from, to} {
 						epoch++
-						banks := []modules.BankSnapshot{{QueryID: 1, Kind: kind, Width: uint32(width), Values: vals}}
+						banks := []modules.BankSnapshot{{QueryID: 1, Kind: kind, Width: uint32(width)}}
+						emptyRegs(&banks[0])
+						for i, v := range vals {
+							setReg(&banks[0], i, v)
+						}
 						payload, flags := enc.Encode(nil, epoch, banks)
-						want, wantFlags := ref.Encode(nil, epoch, banks)
+						want, wantFlags := ref.Encode(nil, epoch, denseView(banks))
 						if !bytes.Equal(payload, want) || flags != wantFlags {
 							t.Fatalf("kind %d width %d epoch %d: frame differs from the dense encoder's", kind, width, epoch)
 						}

@@ -132,8 +132,11 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 }
 
 // DecodeResponse decodes payload into resp, its reports into
-// resp.Reports[:0]. Every refusal is ErrTruncated or ErrMalformed.
-func DecodeResponse(resp *Response, payload []byte) error {
+// resp.Reports[:0]. A report run naming the switch knownID names takes
+// knownID's string, so a client that passes the switch ID it decoded
+// last makes no string for a drain of the same switch. Every refusal is
+// ErrTruncated or ErrMalformed.
+func DecodeResponse(resp *Response, payload []byte, knownID string) error {
 	r := reader{b: payload}
 	flags := r.byte()
 	if flags&^(respOK|respStats) != 0 && r.err == nil {
@@ -152,7 +155,7 @@ func DecodeResponse(resp *Response, payload []byte) error {
 		return fmt.Errorf("response: %w", r.err)
 	}
 	var err error
-	if resp.Reports, err = DecodeReportsInto(resp.Reports, r.b[r.off:], ""); err != nil {
+	if resp.Reports, err = decodeReports(resp.Reports, r.b[r.off:], "", knownID); err != nil {
 		return fmt.Errorf("response: %w", err)
 	}
 	return nil

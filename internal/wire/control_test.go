@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/fields"
@@ -122,7 +123,7 @@ func TestControlFramesGolden(t *testing.T) {
 		if hdr.Kind != KindResponse {
 			t.Fatalf("%s: a %v frame", label, hdr.Kind)
 		}
-		if err := DecodeResponse(&got, payload); err != nil || !reflect.DeepEqual(&got, m.resp) {
+		if err := DecodeResponse(&got, payload, ""); err != nil || !reflect.DeepEqual(&got, m.resp) {
 			t.Fatalf("%s: decoded %+v, %v", label, got, err)
 		}
 	}
@@ -141,15 +142,36 @@ func TestDecodeResponseKeepsItsReports(t *testing.T) {
 	var resp Response
 	msgs := controlMessages()
 	full, empty := AppendResponse(nil, msgs[len(msgs)-1].resp), AppendResponse(nil, msgs[len(msgs)-2].resp)
-	if err := DecodeResponse(&resp, full); err != nil || len(resp.Reports) != 3 {
+	if err := DecodeResponse(&resp, full, ""); err != nil || len(resp.Reports) != 3 {
 		t.Fatalf("%d reports, %v", len(resp.Reports), err)
 	}
 	backing := &resp.Reports[:1][0]
-	if err := DecodeResponse(&resp, empty); err != nil || len(resp.Reports) != 0 {
+	if err := DecodeResponse(&resp, empty, ""); err != nil || len(resp.Reports) != 0 {
 		t.Fatalf("empty drain: %d reports, %v", len(resp.Reports), err)
 	}
-	if err := DecodeResponse(&resp, full); err != nil || &resp.Reports[0] != backing {
+	if err := DecodeResponse(&resp, full, ""); err != nil || &resp.Reports[0] != backing {
 		t.Fatalf("the second decode did not reuse the slice (%v)", err)
+	}
+}
+
+// TestDecodeResponseReusesKnownID: a drain's first run naming the switch
+// knownID names takes knownID's string, and a later run of that switch
+// the previous run's; a run of another switch gets its own string.
+func TestDecodeResponseReusesKnownID(t *testing.T) {
+	msgs := controlMessages()
+	full := AppendResponse(nil, msgs[len(msgs)-1].resp) // runs of s1, then s2
+	known := strings.Clone("s1")
+	var resp Response
+	if err := DecodeResponse(&resp, full, known); err != nil || len(resp.Reports) != 3 {
+		t.Fatalf("%d reports, %v", len(resp.Reports), err)
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	rs := resp.Reports
+	if !same(rs[0].SwitchID, known) || !same(rs[1].SwitchID, known) || rs[2].SwitchID != "s2" || same(rs[2].SwitchID, known) {
+		t.Fatalf("switch IDs %q %q %q: the s1 runs do not share the known string", rs[0].SwitchID, rs[1].SwitchID, rs[2].SwitchID)
+	}
+	if err := DecodeResponse(&resp, full, "s2"); err != nil || resp.Reports[0].SwitchID != "s1" {
+		t.Fatalf("a known ID of another switch: %+v, %v", resp.Reports[0], err)
 	}
 }
 
@@ -180,7 +202,7 @@ func FuzzControlFrame(f *testing.F) {
 			}
 		} else {
 			var resp Response
-			if err = DecodeResponse(&resp, payload); err == nil {
+			if err = DecodeResponse(&resp, payload, ""); err == nil {
 				again = AppendResponse(nil, &resp)
 			}
 		}

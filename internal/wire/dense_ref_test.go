@@ -15,9 +15,11 @@ import (
 // against (FuzzSnapshotVsDense): same frames out of the encoder, same
 // verdict and same registers out of the decoder. Two checks were added
 // to the decoder, marked below, because the sparse decoder makes them
-// and this one must agree: the frame's width budget, and a cell gap that
+// and this one must agree: the frame's width budget, a cell gap that
 // wraps the index backwards (which this decoder used to accept, writing
-// a register it had already written).
+// a register it had already written), and a Bloom cell of any value
+// but 1 (a Bloom row's registers are bits: the encoder, given the 0s and
+// 1s an engine's Bloom row holds, writes no other).
 
 // denseHeld is one bank's values as of the last frame that carried it:
 // the base the next delta is taken against (encoder) or applied to
@@ -402,6 +404,10 @@ func (d *denseDecoder) decodeBank(r *reader, deltaFrame bool) (modules.BankSnaps
 		}
 		if uint64(idx) >= uint64(b.Width) {
 			return b, nil, fmt.Errorf("%w: cell index %d beyond width %d", ErrMalformed, idx, b.Width)
+		}
+		// Added: a Bloom cell carries 1, set (full) or flipped (delta).
+		if b.Kind == modules.BankBloomRow && v != 1 {
+			return b, nil, fmt.Errorf("%w: Bloom cell %d", ErrMalformed, v)
 		}
 		switch {
 		case enc == encFull:

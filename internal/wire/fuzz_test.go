@@ -116,16 +116,7 @@ func fuzzRoundTrip(t *testing.T, mode, seed byte) {
 			if len(got) != len(banks) {
 				t.Fatalf("snapshot epoch %d: %d banks, want %d", epoch, len(got), len(banks))
 			}
-			got = decoded(&dec, got)
-			for i := range banks {
-				w, g := banks[i], got[i]
-				for j := range w.Values {
-					if w.Values[j] != g.Values[j] {
-						t.Fatalf("snapshot epoch %d bank %d cell %d: want %d got %d",
-							epoch, i, j, w.Values[j], g.Values[j])
-					}
-				}
-			}
+			checkBanksEqual(t, banks, decoded(&dec, got))
 			banks = evolve(rng, banks)
 		}
 	case 7: // bye, with compression over the frame path

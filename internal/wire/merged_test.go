@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"github.com/newton-net/newton/internal/modules"
 )
 
 // The analyzer's merge as it was before merged rows were held as cells
@@ -13,7 +15,8 @@ import (
 // added or ORed in at their indexes, a key's register read by index, the
 // row's total and fill summed over the width. It is kept, otherwise
 // verbatim, as the reference MergedCells is checked against
-// (FuzzMergedCellsVsDense).
+// (FuzzMergedCellsVsDense). One change: a Bloom bank's cells are bits,
+// so OrInto ORs in a 1 for each, where it ORed in a decoded value.
 
 // AddTo adds each register to its counter in dst, which must span the
 // bank's width: the Count-Min merge.
@@ -27,14 +30,12 @@ func (c Cells) AddTo(dst []uint64) {
 	}
 }
 
-// OrInto ORs each register into its word in dst, which must span the
-// bank's width: the Bloom merge.
+// OrInto ORs each register of a Bloom bank, a 1, into its word in dst,
+// which must span the bank's width: the Bloom merge.
 func (c Cells) OrInto(dst []uint64) {
-	k := 0
 	for w, word := range c.set.occ {
 		for ; word != 0; word &= word - 1 {
-			dst[w*64+bits.TrailingZeros64(word)] |= uint64(c.set.vals[k])
-			k++
+			dst[w*64+bits.TrailingZeros64(word)] |= 1
 		}
 	}
 }
@@ -101,15 +102,33 @@ func checkMerged(t *testing.T, what string, m *MergedCells, want *denseRow) {
 			t.Fatalf("%s: bits set past width %d", what, width)
 		}
 	}
-	if pop != len(m.vals) || len(m.occ) != int(width+63)/64 {
-		t.Fatalf("%s: %d bits in %d words, %d values", what, pop, len(m.occ), len(m.vals))
+	values := len(m.vals)
+	if m.bloom {
+		values = m.pop // and a Bloom row holds no values
+		if cap(m.vals) != 0 {
+			t.Fatalf("%s: a Bloom row holds room for %d values", what, cap(m.vals))
+		}
+	}
+	if pop != values || len(m.occ) != int(width+63)/64 {
+		t.Fatalf("%s: %d bits in %d words, %d values", what, pop, len(m.occ), values)
 	}
 }
 
-// cellsOf packs a contribution the way the decoder hands it over.
-func cellsOf(vals []uint32, width int) Cells {
+// cellsOf packs a contribution the way the decoder hands it over: a
+// Count-Min bank's registers, or the bits a Bloom bank with the same
+// registers nonzero holds.
+func cellsOf(vals []uint32, width int, bloom bool) Cells {
 	var c Cells
-	c.set.pack(vals, uint32(width))
+	if bloom {
+		b := modules.BankSnapshot{Kind: modules.BankBloomRow, Width: uint32(width)}
+		emptyRegs(&b)
+		for i, v := range vals[:min(len(vals), width)] {
+			setReg(&b, i, v)
+		}
+		c.set.packBits(b.Bits, uint32(width))
+	} else {
+		c.set.pack(vals, uint32(width))
+	}
 	return c
 }
 
@@ -128,11 +147,11 @@ func TestMergedCellsVsDense(t *testing.T) {
 			for n := 1; n <= 4; n++ {
 				for first := range fills {
 					what := fmt.Sprintf("bloom=%v width %d, %d contributors from fill %d", bloom, width, n, first)
-					m.Reset(uint32(width))
+					m.Reset(uint32(width), bloom)
 					want := &denseRow{bloom: bloom, values: make([]uint64, width)}
 					for j := 0; j < n; j++ {
-						c := cellsOf(fills[(first+j)%len(fills)], width)
-						m.Merge(c, bloom)
+						c := cellsOf(fills[(first+j)%len(fills)], width, bloom)
+						m.Merge(c)
 						want.merge(c)
 						checkMerged(t, fmt.Sprintf("%s, after %d", what, j+1), &m, want)
 					}
@@ -144,18 +163,20 @@ func TestMergedCellsVsDense(t *testing.T) {
 	for _, from := range cellWidths {
 		for _, to := range cellWidths {
 			what := fmt.Sprintf("conflict %d -> %d", from, to)
-			m.Reset(uint32(from))
-			for _, vals := range fullAndSome(cellFills(rng, from)) {
-				m.Merge(cellsOf(vals, from), false)
+			for _, bloom := range []bool{false, true} {
+				m.Reset(uint32(from), !bloom)
+				for _, vals := range fullAndSome(cellFills(rng, from)) {
+					m.Merge(cellsOf(vals, from, !bloom))
+				}
+				m.Reset(uint32(to), bloom)
+				want := &denseRow{bloom: bloom, values: make([]uint64, to)}
+				for _, vals := range fullAndSome(cellFills(rng, to)) {
+					c := cellsOf(vals, to, bloom)
+					m.Merge(c)
+					want.merge(c)
+				}
+				checkMerged(t, fmt.Sprintf("%s, bloom=%v", what, bloom), &m, want)
 			}
-			m.Reset(uint32(to))
-			want := &denseRow{values: make([]uint64, to)}
-			for _, vals := range fullAndSome(cellFills(rng, to)) {
-				c := cellsOf(vals, to)
-				m.Merge(c, false)
-				want.merge(c)
-			}
-			checkMerged(t, what, &m, want)
 		}
 	}
 }
@@ -169,11 +190,11 @@ func fullAndSome(fills [][]uint32) [][]uint32 { return fills[max(0, len(fills)-2
 func TestMergedCellsSumsDoNotWrap(t *testing.T) {
 	full := []uint32{0xFFFFFFFF, 0, 0xFFFFFFFF}
 	var m MergedCells
-	m.Reset(3)
+	m.Reset(3, false)
 	want := &denseRow{values: make([]uint64, 3)}
 	for i := 0; i < 4; i++ {
-		c := cellsOf(full, 3)
-		m.Merge(c, false)
+		c := cellsOf(full, 3, false)
+		m.Merge(c)
 		want.merge(c)
 	}
 	checkMerged(t, "four full counters", &m, want)
@@ -200,12 +221,12 @@ func mergedLife(t *testing.T, seed int64, widths []byte) {
 			width = pick()
 		}
 		bloom := rng.Intn(2) == 0
-		m.Reset(uint32(width))
+		m.Reset(uint32(width), bloom)
 		want := &denseRow{bloom: bloom, values: make([]uint64, width)}
 		for j, n := 0, 1+rng.Intn(4); j < n; j++ {
 			if rng.Intn(8) == 0 { // a second geometry meets this one in the epoch
 				width = pick()
-				m.Reset(uint32(width))
+				m.Reset(uint32(width), bloom)
 				want.values = make([]uint64, width)
 			}
 			vals := make([]uint32, width)
@@ -215,8 +236,8 @@ func mergedLife(t *testing.T, seed int64, widths []byte) {
 					vals[i] = rng.Uint32() >> uint(rng.Intn(32))
 				}
 			}
-			c := cellsOf(vals, width)
-			m.Merge(c, bloom)
+			c := cellsOf(vals, width, bloom)
+			m.Merge(c)
 			want.merge(c)
 			checkMerged(t, fmt.Sprintf("seed %d epoch %d contributor %d (width %d, bloom=%v)", seed, epoch, j, width, bloom), &m, want)
 		}
@@ -251,12 +272,12 @@ func TestMergedCellsMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const width = 4097
 	var m MergedCells
-	m.Reset(width)
+	m.Reset(width, false)
 	some := make([]uint32, width)
 	for j := 0; j < 300; j++ {
 		some[rng.Intn(width)] = 1 + uint32(rng.Intn(100))
 	}
-	m.Merge(cellsOf(some, width), false)
+	m.Merge(cellsOf(some, width, false))
 	if cap(m.vals) != m.Nonzero() {
 		t.Errorf("first allocation: room for %d values, %d set", cap(m.vals), m.Nonzero())
 	}
@@ -265,7 +286,7 @@ func TestMergedCellsMemory(t *testing.T) {
 		for j := 0; j < 700 && filled < width; j, filled = j+1, filled+1 {
 			vals[filled] = 1
 		}
-		m.Merge(cellsOf(vals, width), false)
+		m.Merge(cellsOf(vals, width, false))
 		if cap(m.vals) > width {
 			t.Fatalf("%d set: room for %d values in a row of %d registers", m.Nonzero(), cap(m.vals), width)
 		}
@@ -280,17 +301,37 @@ func TestMergedCellsMemory(t *testing.T) {
 		for j := 0; j < 300; j++ {
 			vals[rng.Intn(width)] = 1 + uint32(rng.Intn(100))
 		}
-		contrib[i] = cellsOf(vals, width)
+		contrib[i] = cellsOf(vals, width, false)
 	}
 	var steady MergedCells
 	epoch := func() {
-		steady.Reset(width)
+		steady.Reset(width, false)
 		for _, c := range contrib {
-			steady.Merge(c, false)
+			steady.Merge(c)
 		}
 	}
 	epoch()
 	if n := testing.AllocsPerRun(20, epoch); n != 0 {
 		t.Errorf("a steady epoch of the row allocates %v times", n)
+	}
+
+	// A Bloom row is its bitmap, full or not, and recycling the row that
+	// held counters lets their values go.
+	steady.Reset(width, true)
+	for i := range contrib {
+		contrib[i] = cellsOf(contrib[i].set.dense(width), width, true)
+		steady.Merge(contrib[i])
+	}
+	if words := (width + 63) / 64; steady.Bytes() != 8*words {
+		t.Errorf("a Bloom row of %d registers holds %d B, want its %d bitmap words", width, steady.Bytes(), words)
+	}
+	bloomEpoch := func() {
+		steady.Reset(width, true)
+		for _, c := range contrib {
+			steady.Merge(c)
+		}
+	}
+	if n := testing.AllocsPerRun(20, bloomEpoch); n != 0 {
+		t.Errorf("a steady epoch of a Bloom row allocates %v times", n)
 	}
 }

@@ -99,16 +99,27 @@ func DecodeReports(payload []byte, streamID string) ([]dataplane.Report, error) 
 
 // DecodeReportsInto is DecodeReports into dst[:0], grown as needed: a
 // stream that keeps the slice across frames decodes without allocating.
-// On an error it returns nil.
+// A run's switch ID reuses the previous run's string when the bytes are
+// equal. On an error it returns nil.
 func DecodeReportsInto(dst []dataplane.Report, payload []byte, streamID string) ([]dataplane.Report, error) {
+	return decodeReports(dst, payload, streamID, "")
+}
+
+// decodeReports is DecodeReportsInto whose first run reuses knownID's
+// string when it names the same bytes.
+func decodeReports(dst []dataplane.Report, payload []byte, streamID, knownID string) ([]dataplane.Report, error) {
 	r := &reader{b: payload}
 	runs := r.length()
+	prev := knownID
 	out := dst[:0]
 	for i := 0; i < runs && r.err == nil; i++ {
-		id := string(r.bytes(r.length()))
-		if id == "" {
-			id = streamID
+		id := streamID
+		if raw := r.bytes(r.length()); len(raw) > 0 {
+			if id = prev; string(raw) != prev {
+				id = string(raw)
+			}
 		}
+		prev = id
 		qid := r.uvarint()
 		mask := r.mask()
 		n := r.length()

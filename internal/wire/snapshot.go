@@ -18,7 +18,9 @@ import (
 // bank is sent as varint-packed sparse cells, either of the values
 // themselves (full) or of the per-cell change against the same bank in
 // the previous frame (delta: counter subtract for CMS rows, XOR for
-// Bloom rows). Delta frames chain: each names the epoch of the frame it
+// Bloom rows). A Bloom row's registers are bits: its full cells all
+// carry 1, its delta cells all XOR 1, and a decoder refuses any other.
+// Delta frames chain: each names the epoch of the frame it
 // builds on, and a decoder that missed a frame rejects the chain with
 // ErrDeltaBase until the next keyframe re-grounds it. The encoder emits
 // keyframes every KeyframeEvery frames and whenever its state is Reset
@@ -103,11 +105,17 @@ const MaxFrameRegisters = MaxFrame
 // ErrTooLarge when a bank is wider than a frame could carry in full, or
 // the widths sum past MaxFrameRegisters. Senders check before encoding,
 // so an oversized layout fails where it is configured; the decoder
-// applies the same bounds to what it is sent.
+// applies the same bounds to what it is sent. A Bloom bank that holds
+// its registers in Values, where the encoder does not read them, is
+// ErrMalformed.
 func CheckSnapshot(banks []modules.BankSnapshot) error {
 	var total uint64
 	for i := range banks {
-		if err := checkWidth(banks[i].Width, &total); err != nil {
+		b := &banks[i]
+		if b.Kind == modules.BankBloomRow && b.Values != nil {
+			return fmt.Errorf("%w: Bloom bank %d holds Values; its registers are Bits", ErrMalformed, i)
+		}
+		if err := checkWidth(b.Width, &total); err != nil {
 			return err
 		}
 	}
@@ -241,7 +249,11 @@ func (e *SnapshotEncoder) Encode(dst []byte, epoch uint32, banks []modules.BankS
 		// The one pass over the captured registers: at the declared width,
 		// the codec's canonical cell count.
 		base, cur := p.held(), p.spare()
-		cur.pack(b.Values, b.Width)
+		if cfg.Kind == modules.BankBloomRow {
+			cur.packBits(b.Bits, b.Width)
+		} else {
+			cur.pack(b.Values, b.Width)
+		}
 		// A bank whose registers mostly turned over since the last epoch
 		// (cells dropping to zero count as changes) can be cheaper to send
 		// in full — sparse-full elides the zeroed cells, a delta must name
@@ -250,8 +262,9 @@ func (e *SnapshotEncoder) Encode(dst []byte, epoch uint32, banks []modules.BankS
 		delta := false
 		if hasBase {
 			var n int
-			e.cells, n = appendDeltaCells(e.cells[:0], cfg.Kind, base, cur)
-			delta = n <= len(cur.vals)
+			pop := cur.count()
+			e.cells, n = appendDeltaCells(e.cells[:0], base, cur, pop)
+			delta = n <= pop
 			if delta {
 				dst = append(dst, encDelta)
 				dst = binary.AppendUvarint(dst, uint64(n))
@@ -308,15 +321,20 @@ func appendCell(dst []byte, last, idx int, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
 
-// appendFullCells sparse-encodes the nonzero registers of a bank.
+// appendFullCells sparse-encodes the nonzero registers of a bank: a
+// Bloom row's set bits as cells of value 1.
 func appendFullCells(dst []byte, cur *cellSet) []byte {
 	dst = append(dst, encFull)
-	dst = binary.AppendUvarint(dst, uint64(len(cur.vals)))
+	dst = binary.AppendUvarint(dst, uint64(cur.count()))
 	last, k := -1, 0
 	for w, word := range cur.occ {
 		for ; word != 0; word &= word - 1 {
 			idx := w*64 + bits.TrailingZeros64(word)
-			dst = appendCell(dst, last, idx, uint64(cur.vals[k]))
+			v := uint64(1)
+			if !cur.bloom {
+				v = uint64(cur.vals[k])
+			}
+			dst = appendCell(dst, last, idx, v)
 			last = idx
 			k++
 		}
@@ -327,12 +345,25 @@ func appendFullCells(dst []byte, cur *cellSet) []byte {
 // appendDeltaCells sparse-encodes the registers that changed since base
 // — every one nonzero on one side only, and every one nonzero on both
 // whose values differ — as zigzag-packed counter differences for CMS
-// rows, XOR for Bloom rows, and returns how many there were. It stops
-// once there are more than cur has registers: the bank then goes in
-// full. The sets have the same width.
-func appendDeltaCells(dst []byte, kind modules.BankKind, base, cur *cellSet) ([]byte, int) {
-	xor := kind == modules.BankBloomRow
+// rows, XOR for Bloom rows (the bits that flipped, each a cell of 1),
+// and returns how many there were. It stops once there are more than
+// pop, cur's population: the bank then goes in full. The sets have the
+// same width and kind.
+func appendDeltaCells(dst []byte, base, cur *cellSet, pop int) ([]byte, int) {
 	n, last, ib, ic := 0, -1, 0, 0
+	if cur.bloom {
+		for w, bw := range base.occ {
+			for flip := bw ^ cur.occ[w]; flip != 0; flip &= flip - 1 {
+				if n++; n > pop {
+					return dst, n
+				}
+				idx := w*64 + bits.TrailingZeros64(flip)
+				dst = appendCell(dst, last, idx, 1)
+				last = idx
+			}
+		}
+		return dst, n
+	}
 	for w, bw := range base.occ {
 		cw := cur.occ[w]
 		if bw == cw {
@@ -358,15 +389,11 @@ func appendDeltaCells(dst []byte, kind modules.BankKind, base, cur *cellSet) ([]
 			if v == bv {
 				continue
 			}
-			if n++; n > len(cur.vals) {
+			if n++; n > pop {
 				return dst, n
 			}
-			d := zigzag(int64(v) - int64(bv))
-			if xor {
-				d = uint64(v ^ bv)
-			}
 			idx := w*64 + bits.TrailingZeros64(bit)
-			dst = appendCell(dst, last, idx, d)
+			dst = appendCell(dst, last, idx, zigzag(int64(v)-int64(bv)))
 			last = idx
 		}
 	}
@@ -523,12 +550,15 @@ func (d *SnapshotDecoder) decodeBank(r *reader, deltaFrame bool, widths *uint64)
 		return b, nil, fmt.Errorf("%w: %d cells for width %d", ErrMalformed, cells, b.Width)
 	}
 	set := h.spare()
-	set.size(b.Width)
+	set.size(b.Width, b.Kind == modules.BankBloomRow)
 	var err error
-	if base == nil {
+	switch {
+	case set.bloom:
+		err = set.decodeBits(r, base, b.Width, cells)
+	case base == nil:
 		err = set.decodeFull(r, b.Width, cells)
-	} else {
-		err = set.decodeDelta(r, base, b.Kind == modules.BankBloomRow, b.Width, cells)
+	default:
+		err = set.decodeDelta(r, base, b.Width, cells)
 	}
 	if err != nil {
 		return b, nil, err
@@ -568,6 +598,30 @@ func nextCell(r *reader, prev int, width uint32) (int, uint64, error) {
 	return int(gap), v, nil
 }
 
+// decodeBits fills the sized, empty set of a Bloom row from a bank's
+// cells: each sets a bit (full, base nil) or flips one of base's
+// (delta), and carries 1 — a register of a Bloom row is a bit.
+func (s *cellSet) decodeBits(r *reader, base *cellSet, width uint32, cells int) error {
+	if base == nil {
+		clear(s.occ)
+	} else {
+		copy(s.occ, base.occ)
+	}
+	idx := -1
+	for j := 0; j < cells && r.err == nil; j++ {
+		var v uint64
+		var err error
+		if idx, v, err = nextCell(r, idx, width); err != nil {
+			return err
+		}
+		if v != 1 {
+			return fmt.Errorf("%w: Bloom cell %d", ErrMalformed, v)
+		}
+		s.occ[idx>>6] ^= 1 << uint(idx&63)
+	}
+	return nil
+}
+
 // decodeFull fills the sized, empty set from a full bank's cells.
 func (s *cellSet) decodeFull(r *reader, width uint32, cells int) error {
 	clear(s.occ)
@@ -594,7 +648,7 @@ func (s *cellSet) decodeFull(r *reader, width uint32, cells int) error {
 // delta bank's cells: a merge-join of base's registers, in index order,
 // with the frame's. Base's registers between two cells are copied
 // through untouched; a frame that changes nothing is two copies.
-func (s *cellSet) decodeDelta(r *reader, base *cellSet, xor bool, width uint32, cells int) error {
+func (s *cellSet) decodeDelta(r *reader, base *cellSet, width uint32, cells int) error {
 	copy(s.occ, base.occ)
 	// The population a delta leaves is not known until it is applied;
 	// base's is the best guess (exact for a bank whose key set is stable),
@@ -641,19 +695,11 @@ func (s *cellSet) decodeDelta(r *reader, base *cellSet, xor bool, width uint32, 
 			old = from[at]
 			taken++
 		}
-		var now uint32
-		if xor {
-			if v > 0xFFFFFFFF {
-				return fmt.Errorf("%w: cell xor %d", ErrMalformed, v)
-			}
-			now = old ^ uint32(v)
-		} else {
-			nv := int64(old) + unzigzag(v)
-			if nv < 0 || nv > 0xFFFFFFFF {
-				return fmt.Errorf("%w: cell delta overflows counter", ErrMalformed)
-			}
-			now = uint32(nv)
+		nv := int64(old) + unzigzag(v)
+		if nv < 0 || nv > 0xFFFFFFFF {
+			return fmt.Errorf("%w: cell delta overflows counter", ErrMalformed)
 		}
+		now := uint32(nv)
 		if now != 0 {
 			ow |= bit
 			out[k] = now

@@ -31,7 +31,7 @@ func (s bankShape) epochs(rng *rand.Rand) [2][]modules.BankSnapshot {
 	a := genBanks(rng, s.banks, s.width)
 	for i := range a {
 		a[i].Kind = modules.BankCMSRow
-		clear(a[i].Values)
+		emptyRegs(&a[i])
 		for _, j := range rng.Perm(s.width)[:int(s.fill*float64(s.width))] {
 			a[i].Values[j] = 1 + uint32(rng.Intn(1<<12))
 		}
@@ -78,8 +78,8 @@ func BenchmarkSnapshotEpoch(b *testing.B) {
 					b.Fatal(err)
 				}
 				for j := range got {
-					rows[j].Reset(got[j].Width)
-					rows[j].Merge(dec.Cells(j), false)
+					rows[j].Reset(got[j].Width, false)
+					rows[j].Merge(dec.Cells(j))
 				}
 			}
 			b.ReportMetric(float64(enc.HeldBytes()+dec.HeldBytes()), "held-B")

@@ -13,16 +13,21 @@ import (
 )
 
 // goldenEpochFrames is the SHA-256 over the 32 frames (flags, length,
-// payload) TestSnapshotFramesGolden encodes, recorded from the encoder
-// as it was before it kept its buffers (commit 88557e6): reusing value
-// slices must not move a byte on the wire.
-const goldenEpochFrames = "2fc61c25ea8105cc8f9ab70ca8b97eb48cc9851667dd0ccecf336164628740ae"
+// payload) TestSnapshotFramesGolden encodes: reusing value slices must
+// not move a byte on the wire. It was recorded from the encoder as it
+// was before it kept its buffers (commit 88557e6), and re-recorded when
+// Bloom banks became bitmaps and their registers the 0s and 1s an
+// engine holds (commit 67cfc3c's encoder, given those registers as
+// words, writes the same frames; it had been given multi-bit Bloom
+// registers, which no engine holds and the decoder now refuses).
+const goldenEpochFrames = "cc18b3e0655a12d60373fbc96a5bc04d3630570af5c9544482d6959735e778f3"
 
 // cloneBanks deep-copies a bank set.
 func cloneBanks(banks []modules.BankSnapshot) []modules.BankSnapshot {
 	out := make([]modules.BankSnapshot, len(banks))
 	for i, b := range banks {
 		b.Values = append([]uint32(nil), b.Values...)
+		b.Bits = append([]uint64(nil), b.Bits...)
 		out[i] = b
 	}
 	return out
@@ -49,19 +54,19 @@ func TestSnapshotFramesGolden(t *testing.T) {
 	for epoch := uint32(1); epoch <= 32; epoch++ {
 		// The window's traffic: overwrite the capture buffer in place.
 		for i := range banks {
-			vals := banks[i].Values
-			for j := 0; j < len(vals)/12+1; j++ {
-				vals[rng.Intn(len(vals))] = uint32(rng.Intn(1 << 16))
+			b := &banks[i]
+			for j := 0; j < int(b.Width)/12+1; j++ {
+				setReg(b, rng.Intn(int(b.Width)), uint32(rng.Intn(1<<16)))
 			}
-			if banks[i].Kind == modules.BankCMSRow && rng.Intn(4) == 0 {
-				vals[rng.Intn(len(vals))] = 0 // a counter that stayed quiet this window
+			if b.Kind == modules.BankCMSRow && rng.Intn(4) == 0 {
+				b.Values[rng.Intn(len(b.Values))] = 0 // a counter that stayed quiet this window
 			}
 		}
 		switch epoch {
 		case 7: // a resize: bank 2 comes back wider, its old buffer too small
 			banks[2].Width, banks[2].Range = 160, 160
-			banks[2].Values = make([]uint32, 160)
-			banks[2].Values[rng.Intn(160)] = 9
+			emptyRegs(&banks[2])
+			setReg(&banks[2], rng.Intn(160), 9)
 		case 13: // a removed query: bank 4 leaves the capture
 			banks = append(banks[:4], banks[5:]...)
 		case 22: // reconnect: the encoder grounds a stream a new decoder reads
@@ -129,7 +134,11 @@ func TestSnapshotCodecKeepsItsBuffers(t *testing.T) {
 	step := func() {
 		epoch++
 		for i := range banks {
-			banks[i].Values[rng.Intn(4096)]++
+			if b := &banks[i]; b.Kind == modules.BankBloomRow {
+				setReg(b, rng.Intn(4096), 1)
+			} else {
+				b.Values[rng.Intn(4096)]++
+			}
 		}
 		payload, _ = enc.Encode(payload[:0], epoch, banks)
 		if _, got, err := dec.Decode(payload); err != nil {

@@ -126,20 +126,22 @@ func snapshotLife(t *testing.T, seed int64, every int, patch []byte) {
 	}
 
 	for epoch := uint32(1); epoch <= 24; epoch++ {
-		// The window's traffic.
+		// The window's traffic: a Bloom bank's registers are its bits, set
+		// where the traffic writes a nonzero value.
 		for i := range banks {
-			vals := banks[i].Values
+			b := &banks[i]
+			w := int(b.Width)
 			switch rng.Intn(10) {
 			case 0:
-				clear(vals)
+				emptyRegs(b)
 			case 1:
-				for j := range vals {
-					vals[j] = 1 + rng.Uint32()>>uint(rng.Intn(32))
+				for j := 0; j < w; j++ {
+					setReg(b, j, 1+rng.Uint32()>>uint(rng.Intn(32)))
 				}
 			default:
-				for j := 0; j < len(vals)/6+1 && len(vals) > 0; j++ {
-					vals[rng.Intn(len(vals))] = rng.Uint32() >> uint(rng.Intn(32))
-					vals[rng.Intn(len(vals))] = 0
+				for j := 0; j < w/6+1 && w > 0; j++ {
+					setReg(b, rng.Intn(w), rng.Uint32()>>uint(rng.Intn(32)))
+					setReg(b, rng.Intn(w), 0)
 				}
 			}
 		}
@@ -147,9 +149,10 @@ func snapshotLife(t *testing.T, seed int64, every int, patch []byte) {
 		switch i := rng.Intn(len(banks)); rng.Intn(14) {
 		case 0: // resized
 			w := width()
-			banks[i].Width, banks[i].Values = uint32(w), make([]uint32, w)
-			for j := range banks[i].Values {
-				banks[i].Values[j] = uint32(rng.Intn(3))
+			banks[i].Width = uint32(w)
+			emptyRegs(&banks[i])
+			for j := 0; j < w; j++ {
+				setReg(&banks[i], j, uint32(rng.Intn(3)))
 			}
 		case 1: // reseeded: same shape, incomparable values
 			banks[i].Seed++
@@ -171,16 +174,32 @@ func snapshotLife(t *testing.T, seed int64, every int, patch []byte) {
 		// (it reads zero-padded) or longer (it is cut: the one place the
 		// sparse encoder differs on purpose — the reference encodes the
 		// excess, and every decoder then refuses the frame — so the
-		// reference is shown the cut slice).
-		sent, sentRef, truth := slices.Clone(banks), slices.Clone(banks), cloneBanks(banks)
+		// reference is shown the cut slice). A Bloom bank's bitmap is short
+		// by whole words, and long by bits past its width in its last word
+		// and by words after it.
+		sent, truth := slices.Clone(banks), cloneBanks(banks)
 		for i := range sent {
-			switch vals := sent[i].Values; rng.Intn(8) {
-			case 0:
-				short := vals[:rng.Intn(len(vals)+1)]
-				sent[i].Values, sentRef[i].Values = short, short
-				clear(truth[i].Values[len(short):])
-			case 1:
-				sent[i].Values = append(slices.Clone(vals), 5, 0, 6)
+			b := &sent[i]
+			switch cut := rng.Intn(8); {
+			case cut == 0 && b.Kind == modules.BankBloomRow:
+				b.Bits = b.Bits[:rng.Intn(len(b.Bits)+1)]
+				clear(truth[i].Bits[len(b.Bits):])
+			case cut == 0:
+				b.Values = b.Values[:rng.Intn(len(b.Values)+1)]
+				clear(truth[i].Values[len(b.Values):])
+			case cut == 1 && b.Kind == modules.BankBloomRow:
+				b.Bits = append(slices.Clone(b.Bits), 5, 0, 6)
+				if tail := b.Width % 64; tail != 0 {
+					b.Bits[len(b.Bits)-4] |= ^uint64(0) << tail
+				}
+			case cut == 1:
+				b.Values = append(slices.Clone(b.Values), 5, 0, 6)
+			}
+		}
+		sentRef := denseView(sent)
+		for i := range sentRef {
+			if len(sentRef[i].Values) > int(sentRef[i].Width) {
+				sentRef[i].Values = sentRef[i].Values[:sentRef[i].Width]
 			}
 		}
 		payload, flags := enc.Encode(nil, epoch, sent)

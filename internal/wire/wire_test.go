@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/newton-net/newton/internal/dataplane"
@@ -77,6 +78,9 @@ func genReports(rng *rand.Rand, streamID string) []dataplane.Report {
 	return out
 }
 
+// genBanks makes a bank set as an engine captures it: a Count-Min
+// bank's registers in Values, a Bloom bank's in Bits (the engine's rows
+// of bits), each sparsely populated like a real window's bank.
 func genBanks(rng *rand.Rand, nBanks, width int) []modules.BankSnapshot {
 	banks := make([]modules.BankSnapshot, nBanks)
 	for i := range banks {
@@ -92,14 +96,69 @@ func genBanks(rng *rand.Rand, nBanks, width int) []modules.BankSnapshot {
 			Range:   uint32(rng.Intn(1 << 16)),
 			KeyMask: genMask(rng),
 			Width:   uint32(width),
-			Values:  make([]uint32, width),
 		}
+		emptyRegs(&banks[i])
 		// Sparse population, like a real window's bank.
 		for j := 0; j < width/8; j++ {
-			banks[i].Values[rng.Intn(width)] = uint32(rng.Intn(1 << 16))
+			setReg(&banks[i], rng.Intn(width), uint32(rng.Intn(1<<16)))
 		}
 	}
 	return banks
+}
+
+// emptyRegs gives b zeroed registers at its width, in its kind's form.
+func emptyRegs(b *modules.BankSnapshot) {
+	if b.Kind == modules.BankBloomRow {
+		b.Values, b.Bits = nil, make([]uint64, (b.Width+63)/64)
+	} else {
+		b.Values, b.Bits = make([]uint32, b.Width), nil
+	}
+}
+
+// setReg writes register i of b as an engine would: a Count-Min register
+// takes v, a Bloom register is set when v is nonzero — the bit an or of
+// 1 leaves — and clear otherwise.
+func setReg(b *modules.BankSnapshot, i int, v uint32) {
+	if b.Kind != modules.BankBloomRow {
+		b.Values[i] = v
+		return
+	}
+	bit := uint64(1) << (i % 64)
+	if v != 0 {
+		b.Bits[i/64] |= bit
+	} else {
+		b.Bits[i/64] &^= bit
+	}
+}
+
+// regsOf lays b's registers out at its width, one word a register: a
+// Bloom bank's from Bits when it has no Values (short registers read as
+// zero-padded, registers past the width are cut).
+func regsOf(b *modules.BankSnapshot) []uint32 {
+	out := make([]uint32, b.Width)
+	if b.Kind != modules.BankBloomRow || b.Values != nil {
+		copy(out, b.Values)
+		return out
+	}
+	for i := range out {
+		if i/64 < len(b.Bits) {
+			out[i] = uint32(b.Bits[i/64]>>(i%64)) & 1
+		}
+	}
+	return out
+}
+
+// denseView is banks as the dense reference codec takes them: every
+// bank's registers in Values, a Bloom bank's as 0s and 1s.
+func denseView(banks []modules.BankSnapshot) []modules.BankSnapshot {
+	out := make([]modules.BankSnapshot, len(banks))
+	for i := range banks {
+		out[i] = banks[i]
+		if banks[i].Kind == modules.BankBloomRow && banks[i].Values == nil {
+			out[i].Values, out[i].Bits = regsOf(&banks[i]), nil
+		}
+	}
+	return out
 }
 
 // evolve perturbs a bank set the way consecutive epochs do: most slots
@@ -108,9 +167,9 @@ func evolve(rng *rand.Rand, banks []modules.BankSnapshot) []modules.BankSnapshot
 	out := make([]modules.BankSnapshot, len(banks))
 	for i := range banks {
 		b := banks[i]
-		b.Values = append([]uint32(nil), banks[i].Values...)
-		for j := 0; j < len(b.Values)/16+1; j++ {
-			b.Values[rng.Intn(len(b.Values))] = uint32(rng.Intn(1 << 16))
+		b.Values, b.Bits = slices.Clone(b.Values), slices.Clone(b.Bits)
+		for j := 0; j < int(b.Width)/16+1; j++ {
+			setReg(&b, rng.Intn(int(b.Width)), uint32(rng.Intn(1<<16)))
 		}
 		if rng.Intn(20) == 0 {
 			b.Seed++ // reconfigured hash: delta must fall back to full
@@ -120,14 +179,17 @@ func evolve(rng *rand.Rand, banks []modules.BankSnapshot) []modules.BankSnapshot
 	return out
 }
 
-// decoded returns the last Decode's result with every bank's registers
-// laid out at its width — copies, the caller's to keep — the form the
-// tests compare against what went into the encoder.
+// decoded returns the decoder's result with each bank's registers
+// filled in from its cells, in the form the engine captured them.
 func decoded(d *SnapshotDecoder, got []modules.BankSnapshot) []modules.BankSnapshot {
 	out := make([]modules.BankSnapshot, len(got))
 	for i, b := range got {
 		c := d.Cells(i)
-		b.Values = c.set.dense(b.Width)
+		if c.set.bloom {
+			b.Bits = slices.Clone(c.set.occ)
+		} else {
+			b.Values = c.set.dense(b.Width)
+		}
 		out[i] = b
 	}
 	return out
@@ -139,13 +201,20 @@ func (s *cellSet) dense(width uint32) []uint32 {
 	k := 0
 	for w, word := range s.occ {
 		for ; word != 0; word &= word - 1 {
-			out[w*64+bits.TrailingZeros64(word)] = s.vals[k]
+			v := uint32(1)
+			if !s.bloom {
+				v = s.vals[k]
+			}
+			out[w*64+bits.TrailingZeros64(word)] = v
 			k++
 		}
 	}
 	return out
 }
 
+// checkBanksEqual holds got to want header for header and register for
+// register, each bank's registers in either form (regsOf). A decoded
+// bank has exactly its width of registers.
 func checkBanksEqual(t *testing.T, want, got []modules.BankSnapshot) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -153,13 +222,13 @@ func checkBanksEqual(t *testing.T, want, got []modules.BankSnapshot) {
 	}
 	for i := range want {
 		w, g := want[i], got[i]
-		wv, gv := w.Values, g.Values
-		w.Values, g.Values = nil, nil
+		wv, gv := regsOf(&w), regsOf(&g)
+		if g.Values != nil && len(g.Values) != int(g.Width) || g.Bits != nil && len(g.Bits) != int(g.Width+63)/64 {
+			t.Fatalf("bank %d: %d values, %d bitmap words for width %d", i, len(g.Values), len(g.Bits), g.Width)
+		}
+		w.Values, g.Values, w.Bits, g.Bits = nil, nil, nil, nil
 		if !reflect.DeepEqual(w, g) {
 			t.Fatalf("bank %d header mismatch:\nwant %+v\ngot  %+v", i, w, g)
-		}
-		if len(gv) != int(w.Width) {
-			t.Fatalf("bank %d: %d values for width %d", i, len(gv), w.Width)
 		}
 		for j := range wv {
 			if wv[j] != gv[j] {
@@ -603,7 +672,7 @@ func TestSnapshotRefusesUnslottableBanks(t *testing.T) {
 		spoil func(b *modules.BankSnapshot)
 	}{
 		{"unknown algo", func(b *modules.BankSnapshot) { b.Algo = 9 }},
-		{"zero width", func(b *modules.BankSnapshot) { b.Width, b.Values = 0, nil }},
+		{"zero width", func(b *modules.BankSnapshot) { b.Width, b.Values, b.Bits = 0, nil, nil }},
 	} {
 		banks := genBanks(rand.New(rand.NewSource(17)), 2, 32)
 		tc.spoil(&banks[1])
@@ -611,6 +680,60 @@ func TestSnapshotRefusesUnslottableBanks(t *testing.T) {
 		if _, _, err := new(SnapshotDecoder).Decode(payload); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: decoded with %v, want ErrMalformed", tc.name, err)
 		}
+	}
+}
+
+// TestSnapshotRefusesMultiBitBloomCells: a Bloom bank's registers are
+// bits, so a full cell of any value but 1, or a delta cell that XORs
+// anything but 1, is ErrMalformed — at the sparse decoder and the dense
+// reference alike. The dense reference encoder, given the multi-bit
+// Bloom registers genBanks once made, writes such frames; no engine
+// holds such registers, and the sparse encoder cannot write them.
+func TestSnapshotRefusesMultiBitBloomCells(t *testing.T) {
+	bank := func(vals ...uint32) []modules.BankSnapshot {
+		return []modules.BankSnapshot{{QueryID: 1, Kind: modules.BankBloomRow, Width: 4, Values: vals}}
+	}
+	for _, tc := range []struct {
+		name       string
+		base, next []uint32 // base nil: next is a keyframe
+	}{
+		{"full cell 2", nil, []uint32{0, 2, 0, 1}},
+		{"full cell 0xFFFFFFFF", nil, []uint32{0xFFFFFFFF, 0, 0, 0}},
+		{"delta xor 2", []uint32{0, 1, 0, 1}, []uint32{0, 3, 0, 1}},
+		{"delta xor 3", []uint32{1, 1, 0, 1}, []uint32{2, 1, 0, 1}},
+	} {
+		ref := &denseEncoder{KeyframeEvery: 8}
+		dec := &decoderPair{}
+		if tc.base != nil {
+			key, _ := ref.Encode(nil, 1, bank(tc.base...))
+			if class, _ := dec.feed(t, tc.name+" base", key); class != "ok" {
+				t.Fatalf("%s: the 0/1 base is refused: %s", tc.name, class)
+			}
+		}
+		frame, flags := ref.Encode(nil, 2, bank(tc.next...))
+		if (flags&FlagDelta != 0) != (tc.base != nil) {
+			t.Fatalf("%s: the reference wrote flags %b", tc.name, flags)
+		}
+		if class, _ := dec.feed(t, tc.name, frame); class != "malformed" {
+			t.Errorf("%s: decoded as %s, want malformed", tc.name, class)
+		}
+	}
+
+	// A delta cell that XORs 0 changes nothing, and no encoder writes one.
+	var dec decoderPair
+	key, _ := (&denseEncoder{}).Encode(nil, 1, bank(0, 1, 0, 1))
+	dec.feed(t, "base", key)
+	delta := []byte{2, 1, 1, 1} // epoch 2, a delta on epoch 1, one bank
+	delta = appendBankHeader(delta, &bank()[0])
+	delta = append(delta, encDelta, 1, 1, 0) // one cell: register 1, XOR 0
+	if class, _ := dec.feed(t, "xor 0", delta); class != "malformed" {
+		t.Errorf("a delta cell of XOR 0 decoded as %s, want malformed", class)
+	}
+
+	// A sender that holds a Bloom bank's registers as words is told so
+	// before anything is encoded: the encoder reads a Bloom bank's Bits.
+	if err := CheckSnapshot(bank(0, 1, 0, 1)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("CheckSnapshot of a Bloom bank in Values: %v, want ErrMalformed", err)
 	}
 }
 
