@@ -39,10 +39,7 @@ func main() {
 		flows    = flag.Int("flows", 3000, "background flows for trace-driven experiments")
 		dur      = flag.Duration("duration", 500*time.Millisecond, "trace duration (virtual time)")
 		hops     = flag.Int("hops", 5, "maximum hop count for fig13")
-		fseed    = flag.Int64("fault-seed", 1, "seed for the chaos and soak experiments' fault injection")
-		soakSw   = flag.Int("soak-switches", 0, "soak fleet size (0 = default)")
-		soakRds  = flag.Int("soak-rounds", 0, "soak churn rounds (0 = default)")
-		soakTen  = flag.Int("soak-tenants", 0, "soak tenant count (0 = default)")
+		fseed    = flag.Int64("fault-seed", 1, "seed for the chaos, soak and adaptive experiments")
 		jsonPath = flag.String("json", "", "also write machine-readable results to this file")
 		showVers = flag.Bool("version", false, "print version and exit")
 	)
@@ -53,13 +50,9 @@ func main() {
 	}
 
 	suite := map[string]func() fmt.Stringer{
-		"adaptive": func() fmt.Stringer { return experiments.Adaptive(experiments.AdaptiveConfig{Seed: *fseed}) },
-		"chaos":    func() fmt.Stringer { return experiments.ChaosRecovery(experiments.ChaosConfig{Seed: *fseed}) },
-		"soak": func() fmt.Stringer {
-			return experiments.Soak(experiments.SoakConfig{
-				Seed: *fseed, Switches: *soakSw, Rounds: *soakRds, Tenants: *soakTen,
-			})
-		},
+		"adaptive":    func() fmt.Stringer { return experiments.Adaptive(experiments.AdaptiveConfig{Seed: *fseed}) },
+		"chaos":       func() fmt.Stringer { return experiments.ChaosRecovery(experiments.ChaosConfig{Seed: *fseed}) },
+		"soak":        func() fmt.Stringer { return experiments.Soak(experiments.SoakConfig{Seed: *fseed}) },
 		"export":      func() fmt.Stringer { return experiments.ExportOverhead(3, *dur) },
 		"table3":      func() fmt.Stringer { return experiments.Table3() },
 		"ablation":    func() fmt.Stringer { return experiments.Ablation() },

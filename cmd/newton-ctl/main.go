@@ -12,7 +12,7 @@
 //	newton-ctl plan -topology linear:3 -queries q1,q4    # network-wide plan + diff
 //	newton-ctl apply -topology linear:3 -queries q1,q4 -drain s2
 //	newton-ctl status -topology linear:3 -queries q1,q4 -kill s2  # fleet health + self-healing demo
-//	newton-ctl refine -target 0.25                       # closed-loop adaptive accuracy demo
+//	newton-ctl refine -seed 1                            # closed-loop adaptive accuracy demo
 package main
 
 import (

@@ -17,25 +17,10 @@ import (
 // memory spent relative to static worst-case provisioning.
 func runRefine(args []string) {
 	fs := flag.NewFlagSet("refine", flag.ExitOnError)
-	var (
-		seed     = fs.Int64("seed", 1, "workload seed")
-		switches = fs.Int("switches", 3, "linear fleet size")
-		rounds   = fs.Int("rounds", 12, "rounds per phase (x3 phases)")
-		within   = fs.Int("within", 6, "convergence budget in rounds after each phase shift")
-		target   = fs.Float64("target", 0.25, "intent's target relative error")
-		calm     = fs.Int("calm", 2000, "SYN packets per calm round")
-		surge    = fs.Int("surge", 12000, "SYN packets per surge round")
-		minW     = fs.Uint("min-width", 256, "narrowest ladder rung")
-		maxW     = fs.Uint("max-width", 8192, "widest ladder rung (= static worst-case)")
-	)
+	seed := fs.Int64("seed", 1, "workload seed")
 	fs.Parse(args)
 
-	res := experiments.Adaptive(experiments.AdaptiveConfig{
-		Seed: *seed, Switches: *switches, RoundsPerPhase: *rounds,
-		ConvergeWithin: *within, TargetRelErr: *target,
-		CalmPackets: *calm, SurgePackets: *surge,
-		MinWidth: uint32(*minW), MaxWidth: uint32(*maxW),
-	})
+	res := experiments.Adaptive(experiments.AdaptiveConfig{Seed: *seed})
 	fmt.Print(res)
 	if !res.Passed() {
 		log.SetFlags(0)

@@ -62,6 +62,9 @@ func runStatus(w io.Writer, args []string) error {
 
 	mon.Tick()
 	fmt.Fprintf(w, "fleet (%d switches, queries %s):\n%s", len(f.Names), *ff.queries, mon.Snapshot())
+	if err := f.Accounted(5 * time.Second); err != nil {
+		return err
+	}
 	printWireTable(w, f.Svc, f.Names)
 
 	if *kill == "" {
@@ -91,20 +94,9 @@ func runStatus(w io.Writer, args []string) error {
 // compression ratio (bytes on the wire over their uncompressed cost),
 // the share of snapshot frames that shipped as deltas instead of
 // keyframes, and what the stream's decoder holds between frames to apply
-// those deltas to.
+// those deltas to. The caller has waited for the analyzer to account
+// every frame (fleet.Fleet.Accounted).
 func printWireTable(w io.Writer, svc *telemetry.Service, names []string) {
-	// The pipe write returns before the service's read loop finishes
-	// accounting the frame; settle until the byte counters stop moving.
-	var last uint64
-	for i := 0; i < 100; i++ {
-		st := svc.Stats()
-		if i > 0 && st.WireBytes == last {
-			break
-		}
-		last = st.WireBytes
-		time.Sleep(10 * time.Millisecond)
-	}
-
 	fmt.Fprintln(w, "\ntelemetry wire:")
 	fmt.Fprintf(w, "  %-14s %7s %10s %6s %6s %9s\n",
 		"switch", "frames", "bytes", "comp", "delta", "held")

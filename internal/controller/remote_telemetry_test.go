@@ -44,9 +44,10 @@ func TestCollectPrefersTelemetryStream(t *testing.T) {
 	if err := exp.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for svc.Stats().Reports == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// The barrier: the service has accounted every frame the exporter wrote.
+	n, _ := exp.Frames()
+	if err := svc.AwaitFrames("a", n, false, 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	r.AttachTelemetry(svc)

@@ -14,8 +14,8 @@ func TestAdaptiveConvergence(t *testing.T) {
 		t.Fatalf("adaptive run failed:\n%s", res)
 	}
 	for ph, n := range res.ConvergedIn {
-		if n > res.ConvergeWithin {
-			t.Errorf("phase %s converged in %d rounds, budget %d", ph, n, res.ConvergeWithin)
+		if n > adaptiveConvergeWithin {
+			t.Errorf("phase %s converged in %d rounds, budget %d", ph, n, adaptiveConvergeWithin)
 		}
 	}
 	if res.MemRatio >= 1 {

@@ -1,17 +1,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"net"
 	"time"
 
 	"github.com/newton-net/newton/internal/controller"
-	"github.com/newton-net/newton/internal/faults"
-	"github.com/newton-net/newton/internal/fleet"
-	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/query"
-	"github.com/newton-net/newton/internal/rpc"
-	"github.com/newton-net/newton/internal/topology"
 	"github.com/newton-net/newton/internal/trace"
 )
 
@@ -32,7 +27,8 @@ const (
 
 // ChaosResult is the outcome of one chaos run: the report count of a
 // fault-free reference, the count under injected resets plus an agent
-// kill+restart, and the recovery bookkeeping.
+// kill+restart, and the recovery bookkeeping. Violations collects every
+// run that could not be driven; an empty list is a pass.
 type ChaosResult struct {
 	Seed          int64
 	Baseline      int     // reports collected fault-free
@@ -42,89 +38,84 @@ type ChaosResult struct {
 	Retries       uint64  // client call retries
 	Redials       uint64  // client reconnects
 	ReinstalledOK bool    // restarted agent converged back to the deploy
+	Violations    []string
+	// Log is both runs' per-round log: the same bytes at a seed.
+	Log string
 }
 
-// chaosNet is one controller-over-TCP deployment of a 3-switch line,
-// every agent behind its own fault injector.
-type chaosNet struct {
-	*fleet.Fleet
-	h1, h2 int
-	injs   map[string]*faults.Injector
-}
+// Passed reports whether both runs were driven to the end.
+func (r *ChaosResult) Passed() bool { return len(r.Violations) == 0 }
 
-// newInjectors gives every switch of topo its own fault injector,
-// seeded seed + its index, for a fleet's Wrap hook to route through.
-func newInjectors(topo *topology.Topology, seed int64, resetProb float64) map[string]*faults.Injector {
-	injs := map[string]*faults.Injector{}
-	for i, id := range topo.Switches() {
-		injs[topo.Node(id).Name] = faults.New(faults.Config{Seed: seed + int64(i), ResetProb: resetProb})
-	}
-	return injs
-}
-
-func newChaosNet(cfg ChaosConfig, resetProb float64) *chaosNet {
-	topo, h1, h2 := topology.Linear(3)
-	cn := &chaosNet{h1: h1, h2: h2, injs: newInjectors(topo, cfg.Seed, resetProb)}
-	f, err := fleet.New(topo, fleet.Config{
-		Net: netsim.Config{Stages: 12, ArraySize: 1 << 14},
-		TCP: true,
-		RPC: rpc.Options{
-			Timeout: 2 * time.Second, Retries: 16,
-			BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
-			Seed: cfg.Seed,
-		},
-		Wrap: func(name string, c net.Conn) net.Conn { return cn.injs[name].Conn(c) },
-	})
+// chaosRun pushes the trace through a 3-switch line deploying a
+// key-sharded Q1, draining reports over the control channel every 4096
+// packets and at the end. When restartAt is positive, the middle switch
+// restarts once the clock passes it — empty engine, same address,
+// modeling a reboot that lost its installed queries — after a drain, so
+// the reports already on the wire side survive the kill. The client's
+// automatic redial finds the new instance and the controller
+// reconverges the deployment. A step that fails ends the run with a
+// violation. The run's reinstall and fault counts go to r.
+func (r *ChaosResult) chaosRun(tr *trace.Trace, resetProb float64, restartAt uint64) (reports int) {
+	e, err := newEngine(fleetSpec{switches: 3, poll: true, resetProb: resetProb}, r.Seed)
 	if err != nil {
-		panic(err)
+		r.Violations = append(r.Violations, fmt.Sprintf("fleet build: %v", err))
+		return 0
 	}
-	cn.Fleet = f
-	return cn
-}
-
-// run pushes the trace through the line hop by hop (rolling epochs on
-// the virtual clock), draining reports over the control channel as it
-// goes. When restartAt is positive, the middle switch is restarted once
-// the clock passes it — empty engine, same address, modeling a reboot
-// that lost its installed queries. The client's automatic redial finds
-// the new instance and the controller reconverges the deployment.
-func (cn *chaosNet) run(tr *trace.Trace, restartAt uint64) (reports int, reinstalled bool) {
-	_, _, err := cn.Ctl.Deploy(0, controller.Want{Query: query.Q1(40), Width: 1 << 12, Targets: cn.Names, Sharded: true})
-	if err != nil {
-		panic(err)
+	defer func() {
+		r.Violations, r.Log = append(r.Violations, e.errs...), r.Log+e.log.String()
+		e.Close()
+	}()
+	fail := func(step string, err error) int {
+		e.fail("round %d: %s: %v", e.round+1, step, err)
+		return reports
 	}
-	restarted := restartAt == 0
-	mid := cn.Names[1]
-	drain := func() {
-		rs, err := cn.Ctl.Collect()
+	if _, _, err := e.Ctl.Deploy(0, controller.Want{Query: query.Q1(40), Width: 1 << 12, Targets: e.Names, Sharded: true}); err != nil {
+		return fail("deploy", err)
+	}
+	// The rounds: each ends in a drain, every 4096 packets, just before
+	// the packet the restart waits for, and at the trace's end.
+	var ends []int
+	restartRound := -1
+	for i, pkt := range tr.Packets {
+		if restartAt != 0 && restartRound < 0 && pkt.TS >= restartAt {
+			ends = append(ends, i)
+			restartRound = len(ends)
+		}
+		if i%4096 == 4095 {
+			ends = append(ends, i+1)
+		}
+	}
+	lo, mid := 0, e.Names[1]
+	for round, hi := range append(ends, len(tr.Packets)) {
+		if round == restartRound {
+			if err := e.restart(mid); err != nil {
+				return fail("restart", err)
+			}
+			if err := e.Ctl.Reconverge(); err != nil {
+				return fail("reconverge", err)
+			}
+			st, err := e.Switches[mid].Client.Stats()
+			r.ReinstalledOK = err == nil && st.Installed == 1
+			e.logf("reinstalled %v", r.ReinstalledOK)
+		}
+		e.deliver(tr.Packets[lo:hi])
+		lo = hi
+		rs, err := e.Ctl.Collect()
 		if err != nil {
-			panic(err)
+			return fail("collect", err)
 		}
 		reports += len(rs)
+		e.logf("collected %d", len(rs))
+		e.end(false)
 	}
-	for i, pkt := range tr.Packets {
-		if !restarted && pkt.TS >= restartAt {
-			drain() // reports already on the wire side survive the kill
-			if err := cn.Restart(mid); err != nil {
-				panic(err)
-			}
-			if err := cn.Ctl.Reconverge(); err != nil {
-				panic(err)
-			}
-			restarted = true
-			st, err := cn.Switches[mid].Client.Stats()
-			reinstalled = err == nil && st.Installed == 1
-		}
-		cn.Net.Deliver(pkt, cn.h1, cn.h2)
-		if i%4096 == 4095 {
-			drain()
-		}
+	for _, inj := range e.injs {
+		r.Resets += inj.Stats().Resets
 	}
-	drain()
-	if restartAt == 0 {
-		reinstalled = true
+	for _, sw := range e.Switches {
+		r.Retries += sw.Client.Counters().Retries
+		r.Redials += sw.Client.Counters().Redials
 	}
-	return reports, reinstalled
+	return reports
 }
 
 // ChaosRecovery reproduces the availability story end to end: the same
@@ -138,33 +129,16 @@ func (cn *chaosNet) run(tr *trace.Trace, restartAt uint64) (reports int, reinsta
 // the zeroed sketch re-detects a key that had already crossed its
 // threshold earlier in the same window.
 func ChaosRecovery(cfg ChaosConfig) *ChaosResult {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	tr := trace.Generate(trace.Config{Seed: cfg.Seed, Flows: chaosFlows, Duration: chaosDuration},
+	res := &ChaosResult{Seed: cmp.Or(cfg.Seed, 1)}
+	tr := trace.Generate(trace.Config{Seed: res.Seed, Flows: chaosFlows, Duration: chaosDuration},
 		trace.SYNFlood{Victim: 0x0A0000AA, Packets: 600},
 		trace.SYNFlood{Victim: 0x0A0000AB, Packets: 600})
-
-	base := newChaosNet(cfg, 0)
-	baseline, _ := base.run(tr, 0)
-	base.Close()
-
-	faulty := newChaosNet(cfg, chaosResetProb)
-	got, reinstalled := faulty.run(tr, uint64(chaosDuration)/2)
-	res := &ChaosResult{
-		Seed: cfg.Seed, Baseline: baseline, WithFaults: got,
-		ReinstalledOK: reinstalled,
-	}
-	for _, inj := range faulty.injs {
-		res.Resets += inj.Stats().Resets
-	}
-	for _, sw := range faulty.Switches {
-		res.Retries += sw.Client.Counters().Retries
-		res.Redials += sw.Client.Counters().Redials
-	}
-	faulty.Close()
-	if baseline > 0 {
-		res.RecoveredPct = float64(got) / float64(baseline)
+	base := &ChaosResult{Seed: res.Seed}
+	res.Baseline = base.chaosRun(tr, 0, 0)
+	res.WithFaults = res.chaosRun(tr, chaosResetProb, uint64(chaosDuration)/2)
+	res.Violations, res.Log = append(base.Violations, res.Violations...), base.Log+res.Log
+	if res.Baseline > 0 {
+		res.RecoveredPct = float64(res.WithFaults) / float64(res.Baseline)
 	}
 	return res
 }
@@ -180,5 +154,12 @@ func (r *ChaosResult) String() string {
 	t.add("Client retries", fmt.Sprintf("%d", r.Retries))
 	t.add("Client redials", fmt.Sprintf("%d", r.Redials))
 	t.add("Reinstalled after restart", fmt.Sprintf("%v", r.ReinstalledOK))
-	return fmt.Sprintf("Chaos: sharded Q1 under control-plane faults + agent restart (recovery vs fault-free)\n%s", t.String())
+	s := fmt.Sprintf("Chaos: sharded Q1 under control-plane faults + agent restart (recovery vs fault-free)\n%s", t.String())
+	if !r.Passed() {
+		s += fmt.Sprintf("FAIL (%d violations)\n", len(r.Violations))
+		for _, v := range r.Violations {
+			s += "violation: " + v + "\n"
+		}
+	}
+	return s
 }

@@ -26,13 +26,17 @@ func faultSeed(t *testing.T) int64 {
 // seeded injected connection resets: the controller reconverges the
 // sharded deployment, the drain cursor keeps report delivery
 // exactly-once (never above baseline), and the run recovers most of the
-// fault-free report count.
+// fault-free report count. A step of either run that could not be
+// driven is a violation.
 func TestChaosRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run is seconds-long")
 	}
 	res := ChaosRecovery(ChaosConfig{Seed: faultSeed(t)})
 	t.Logf("\n%s", res)
+	for _, v := range res.Violations {
+		t.Error(v)
+	}
 
 	if res.Baseline == 0 {
 		t.Fatal("fault-free baseline produced no reports")

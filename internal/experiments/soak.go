@@ -12,11 +12,11 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"github.com/newton-net/newton/internal/orchestrator"
@@ -24,26 +24,23 @@ import (
 	"github.com/newton-net/newton/internal/trace"
 )
 
-// SoakConfig parameterizes the churn soak. The zero value is the
-// CI-sized run; a production soak raises Switches/Tenants/Rounds.
+// SoakConfig parameterizes the churn soak: an 8-switch fleet, 4 tenants
+// and 36 churn rounds.
 type SoakConfig struct {
 	// Seed drives the trace, every fault injector, the churn schedule,
 	// and client retry jitter — the run is reproducible from it
 	// (default 1).
 	Seed int64
-	// Switches sizes the linear fleet (default 8).
-	Switches int
-	// Tenants is how many tenants contribute intents; each tenant owns
-	// a single-switch query and a partitioned query (default 4).
-	Tenants int
-	// Rounds is the churn round count (default 36). Each round applies
-	// one churn or fault operation, pumps traffic, rolls epochs, and
-	// ticks the health monitor.
-	Rounds int
 }
 
-// The churn schedule and the audit's thresholds.
+// The fleet, the churn schedule and the audit's thresholds.
 const (
+	soakSwitches = 8
+	// Each tenant owns a single-switch query and a partitioned query.
+	soakTenants = 4
+	// Each churn round applies one churn or fault operation, pumps
+	// traffic, rolls epochs, and ticks the health monitor.
+	soakRounds = 36
 	// soakKillEvery schedules a switch kill every this many rounds;
 	// soakDownFor is how many rounds the switch stays dead before
 	// restarting with an empty engine.
@@ -74,35 +71,16 @@ const (
 	soakGoroutineSlack = 8
 )
 
-func (c SoakConfig) withDefaults() SoakConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Switches == 0 {
-		c.Switches = 8
-	}
-	if c.Tenants == 0 {
-		c.Tenants = 4
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 36
-	}
-	return c
-}
-
 // SoakResult is the soak's metrics and verdict. Violations collects
 // every failed assertion; an empty list is a pass.
 type SoakResult struct {
-	Seed                      int64
-	Switches, Tenants, Rounds int
+	Seed int64
 
 	Kills        int
 	AutoDrains   uint64
 	AutoUndrains uint64
 	ConvergeErrs uint64
 	Converges    int // operator + monitor converges with recorded latency
-	TickErrors   int
-	Rejections   int // operator converges that failed and were retried
 
 	// MTTR in monitor rounds, per kill: from the kill to the auto-drain,
 	// and from the restart to the auto-undrain.
@@ -129,105 +107,28 @@ type SoakResult struct {
 	AnalyzerReports, EpochGaps uint64
 
 	Violations []string
+	// Log is the run's per-round log: the same bytes at a seed.
+	Log string
 }
 
 // Passed reports whether every soak assertion held.
 func (r *SoakResult) Passed() bool { return len(r.Violations) == 0 }
 
-// soakSwitch is what the churn schedule tracks per fleet member.
-type soakSwitch struct {
-	dead      bool
-	restartAt int       // round to restart at (when dead)
-	kill      *soakKill // the outage in progress (when dead)
-	partedTo  int       // round a partition heals at (0 = not partitioned)
-}
-
-// soakKill records one injected switch failure for MTTR accounting:
-// the monitor rounds ticked before the kill and before the restart (0
-// until it restarts; no kill precedes the first round).
-type soakKill struct {
-	name                string
-	killedAt, restarted int
-}
-
-// soakNet is the full soak fleet: a lineFleet whose injectors the churn
-// schedule trips, and the health monitor that heals it.
-type soakNet struct {
-	*lineFleet
-	cfg   SoakConfig
-	names []string // sorted, the order the seeded schedule picks in
-	sws   map[string]*soakSwitch
-	mon   *orchestrator.Monitor
-	round int // monitor rounds ticked so far
-
+// soak is the churn soak's state beside its engine.
+type soak struct {
+	*engine
 	// allowed accumulates, per tenant query name, every switch any
 	// applied plan ever placed it on — the provenance ground truth the
 	// analyzer's Contributors sets are audited against.
-	allowed map[string]map[string]bool
-
-	kills    []*soakKill
+	allowed  map[string]map[string]bool
 	deployNs []int64 // operator converge latencies
-}
-
-func newSoakNet(cfg SoakConfig) (*soakNet, error) {
-	lf, err := newLineFleet(cfg.Switches, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sn := &soakNet{lineFleet: lf, cfg: cfg, names: append([]string(nil), lf.Names...),
-		sws: map[string]*soakSwitch{}, allowed: map[string]map[string]bool{}}
-	sort.Strings(sn.names)
-	for _, name := range sn.names {
-		sn.sws[name] = &soakSwitch{}
-	}
-	sn.mon, err = orchestrator.NewMonitor(sn.orch, sn.orch.Switches(), orchestrator.HealthConfig{
-		Probe: func(name string) error {
-			_, err := sn.Switches[name].Client.Stats()
-			return err
-		},
-		// Telemetry silence only indicts a switch the fleet currently
-		// expects telemetry from: a switch hosting no query sends no
-		// snapshots and must not read as dead.
-		Liveness: func(name string) (uint64, bool) {
-			if !sn.hosting(name) {
-				return 0, false
-			}
-			wi, ok := sn.Svc.AgentWire(name)
-			return wi.Frames, ok
-		},
-		MaxSilence:   soakMaxSilence,
-		Offline:      sn.Ctl.SetOffline,
-		DownAfter:    soakDownAfter,
-		RecoverAfter: soakRecoverAfter,
-		// Outages here end after soakDownFor rounds; forgetting is
-		// unit-tested.
-		ForgetAfter: soakKillEvery,
-		OnForget:    func(name string) { sn.Svc.ForgetAgent(name) },
-	})
-	if err != nil {
-		sn.Close()
-		return nil, err
-	}
-	return sn, nil
-}
-
-// tick runs one monitor round and notes its number.
-func (sn *soakNet) tick() orchestrator.TickReport {
-	rep := sn.mon.Tick()
-	sn.round = rep.Round
-	return rep
 }
 
 // hosting reports whether any deployed query currently places work on
 // the named switch.
-func (sn *soakNet) hosting(name string) bool {
-	for _, qp := range sn.orch.Deployed() {
-		for _, t := range qp.Targets {
-			if t == name {
-				return true
-			}
-		}
-		if _, ok := qp.Parts[name]; ok {
+func (s *soak) hosting(name string) bool {
+	for _, qp := range s.orch.Deployed() {
+		if _, ok := qp.Parts[name]; ok || slices.Contains(qp.Targets, name) {
 			return true
 		}
 	}
@@ -236,12 +137,12 @@ func (sn *soakNet) hosting(name string) bool {
 
 // noteAllowed folds the current deployment into the cumulative
 // provenance ground truth.
-func (sn *soakNet) noteAllowed() {
-	for name, qp := range sn.orch.Deployed() {
-		set := sn.allowed[name]
+func (s *soak) noteAllowed() {
+	for name, qp := range s.orch.Deployed() {
+		set := s.allowed[name]
 		if set == nil {
 			set = map[string]bool{}
-			sn.allowed[name] = set
+			s.allowed[name] = set
 		}
 		for _, t := range qp.Targets {
 			set[t] = true
@@ -255,64 +156,27 @@ func (sn *soakNet) noteAllowed() {
 // converge runs an operator-path converge, recording its latency.
 // Errors are tolerated (a converge racing a dying switch fails; the
 // monitor's dirty-retry or the next operator call finishes the job).
-func (sn *soakNet) converge() error {
+func (s *soak) converge() error {
 	start := time.Now()
-	_, _, err := sn.orch.Converge()
-	sn.deployNs = append(sn.deployNs, time.Since(start).Nanoseconds())
+	_, _, err := s.orch.Converge()
+	s.deployNs = append(s.deployNs, time.Since(start).Nanoseconds())
 	if err == nil {
-		sn.noteAllowed()
+		s.noteAllowed()
 	}
 	return err
 }
 
-// kill crashes a switch (fleet.Kill: its exporter dies with its agent)
-// and schedules its restart.
-func (sn *soakNet) kill(name string, round int) {
-	_ = sn.Kill(name)
-	sw := sn.sws[name]
-	sw.dead, sw.restartAt = true, round+soakDownFor
-	sw.kill = &soakKill{name: name, killedAt: sn.round}
-	sn.kills = append(sn.kills, sw.kill)
-}
-
-// revive ends what round has outlasted: a partition heals, and a dead
-// switch restarts with an empty engine on the same address — the
-// reboot-lost-everything case. The deferred removes the controller
-// pinned while it was offline flush on re-admission.
-func (sn *soakNet) revive(name string, round int) error {
-	sw := sn.sws[name]
-	if sw.partedTo != 0 && round >= sw.partedTo {
-		sn.injs[name].Heal()
-		sw.partedTo = 0
-	}
-	if !sw.dead || round < sw.restartAt {
-		return nil
-	}
-	if err := sn.Restart(name); err != nil {
-		return fmt.Errorf("restart %s: %w", name, err)
-	}
-	sw.dead, sw.kill.restarted = false, sn.round
-	return nil
-}
-
 // tenantIntents builds every tenant's current intent set from the
 // active map (tenant -> query index -> active).
-func tenantIntents(tenants int, active map[[2]int]bool) []orchestrator.Intent {
+func tenantIntents(active map[[2]int]bool) []orchestrator.Intent {
 	var out []orchestrator.Intent
-	for t := 0; t < tenants; t++ {
-		for qi := 0; qi < 2; qi++ {
+	for t := 0; t < soakTenants; t++ {
+		for qi, q := range []*query.Query{query.Q1(3), query.Q4(3)} {
 			if !active[[2]int{t, qi}] {
 				continue
 			}
-			var q *query.Query
-			if qi == 0 {
-				q = query.Q1(3)
-			} else {
-				q = query.Q4(3)
-			}
-			cp := *q
-			cp.Name = fmt.Sprintf("t%d/%s", t, q.Name)
-			out = append(out, orchestrator.Intent{Query: &cp, Priority: 10 - t})
+			q.Name = fmt.Sprintf("t%d/%s", t, q.Name)
+			out = append(out, orchestrator.Intent{Query: q, Priority: 10 - t})
 		}
 	}
 	return out
@@ -330,131 +194,146 @@ func quantileNs(ns []int64, q float64) time.Duration {
 	if len(ns) == 0 {
 		return 0
 	}
-	s := append([]int64(nil), ns...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q * float64(len(s)-1))
-	return time.Duration(s[idx])
+	s := slices.Clone(ns)
+	slices.Sort(s)
+	return time.Duration(s[int(q*float64(len(s)-1))])
 }
 
 // Soak runs the churn soak and returns its metrics and verdict.
 func Soak(cfg SoakConfig) *SoakResult {
-	cfg = cfg.withDefaults()
-	res := &SoakResult{Seed: cfg.Seed, Switches: cfg.Switches,
-		Tenants: cfg.Tenants, Rounds: cfg.Rounds}
-
+	res := &SoakResult{Seed: cmp.Or(cfg.Seed, 1)}
 	runtime.GC()
-	time.Sleep(50 * time.Millisecond)
 	res.GoroutineBaseline = runtime.NumGoroutine()
 
-	sn, err := newSoakNet(cfg)
+	e, err := newEngine(fleetSpec{switches: soakSwitches}, res.Seed)
 	if err != nil {
 		res.Violations = append(res.Violations, fmt.Sprintf("fleet build: %v", err))
 		return res
 	}
-	rng := newSoakRNG(cfg.Seed)
-
-	tr := trace.Generate(trace.Config{Seed: cfg.Seed, Flows: 400, Duration: 400 * time.Millisecond},
-		trace.SYNFlood{Victim: 0x0A0000AA, Packets: 400})
-	perRound := len(tr.Packets) / cfg.Rounds
-	if perRound == 0 {
-		perRound = 1
+	s := &soak{engine: e, allowed: map[string]map[string]bool{}}
+	e.mon, err = orchestrator.NewMonitor(e.orch, e.orch.Switches(), orchestrator.HealthConfig{
+		Probe: func(name string) error {
+			_, err := e.Switches[name].Client.Stats()
+			return err
+		},
+		// Telemetry silence only indicts a switch the fleet currently
+		// expects telemetry from: a switch hosting no query sends no
+		// snapshots and must not read as dead.
+		Liveness: func(name string) (uint64, bool) {
+			if !s.hosting(name) {
+				return 0, false
+			}
+			wi, ok := e.Svc.AgentWire(name)
+			return wi.Frames, ok
+		},
+		MaxSilence:   soakMaxSilence,
+		Offline:      e.Ctl.SetOffline,
+		DownAfter:    soakDownAfter,
+		RecoverAfter: soakRecoverAfter,
+		// Outages here end after soakDownFor rounds; forgetting is
+		// unit-tested.
+		ForgetAfter: soakKillEvery,
+		OnForget:    e.Forget,
+	})
+	if err != nil {
+		e.Close()
+		res.Violations = append(res.Violations, fmt.Sprintf("monitor: %v", err))
+		return res
 	}
+	s.run(res)
+	res.Violations, res.Log = e.errs, e.log.String()
+
+	e.Close()
+	res.GoroutineEnd = runtime.NumGoroutine()
+	if res.GoroutineEnd > res.GoroutineBaseline+soakGoroutineSlack {
+		res.Violations = append(res.Violations, fmt.Sprintf(
+			"goroutines leaked: baseline %d, after teardown %d (slack %d)",
+			res.GoroutineBaseline, res.GoroutineEnd, soakGoroutineSlack))
+	}
+	return res
+}
+
+// run plays the soak's rounds and audits them into res.
+func (s *soak) run(res *SoakResult) {
+	tr := trace.Generate(trace.Config{Seed: res.Seed, Flows: 400, Duration: 400 * time.Millisecond},
+		trace.SYNFlood{Victim: 0x0A0000AA, Packets: 400})
+	perRound := max(len(tr.Packets)/soakRounds, 1)
 
 	// All tenants start fully subscribed; churn toggles from here.
 	active := map[[2]int]bool{}
-	for t := 0; t < cfg.Tenants; t++ {
+	for t := 0; t < soakTenants; t++ {
 		active[[2]int{t, 0}] = true
 		active[[2]int{t, 1}] = true
 	}
-	sn.orch.SetIntents(tenantIntents(cfg.Tenants, active))
-	needConverge := sn.converge() != nil
+	s.orch.SetIntents(tenantIntents(active))
+	needConverge := s.converge() != nil
 
 	var drainedByOp string
 	heapAfterWarmup := 0.0
 	// The warmup heap sample waits for the analyzer's epoch-retention
 	// ring (KeepEpochs) to fill: before the plateau, resident merged
 	// epochs still legitimately accumulate and would read as growth.
-	warmup := cfg.Rounds / 2
+	warmup := soakRounds / 2
 
-	for round := 0; round < cfg.Rounds; round++ {
-		// Restart switches, and heal partitions, that have run their course.
-		for _, name := range sn.names {
-			if err := sn.revive(name, round); err != nil {
-				res.Violations = append(res.Violations, err.Error())
-			}
-		}
-
+	for round := 0; round < soakRounds; round++ {
+		s.revive(round)
 		// One churn or fault op per round, from the seeded schedule.
 		switch {
 		case round%soakKillEvery == soakKillEvery-1:
-			if name := sn.pickAlive(rng, drainedByOp); name != "" {
-				sn.kill(name, round)
+			if name := s.pickAlive(drainedByOp); name != "" {
+				s.kill(name, round+soakDownFor)
 				res.Kills++
 			}
 		case round%7 == 3:
-			if name := sn.pickAlive(rng, drainedByOp); name != "" {
-				sn.injs[name].Partition()
-				sn.sws[name].partedTo = round + soakPartitionFor
+			if name := s.pickAlive(drainedByOp); name != "" {
+				s.partition(name, round+soakPartitionFor)
 			}
 		case round%11 == 5:
-			if name := sn.pickAlive(rng, drainedByOp); name != "" {
-				sn.injs[name].Stall()
-				time.AfterFunc(60*time.Millisecond, sn.injs[name].Unstall)
+			if name := s.pickAlive(drainedByOp); name != "" {
+				s.stall(name)
 			}
 		case round%5 == 2:
 			// Operator drain/undrain toggle.
 			if drainedByOp != "" {
-				sn.orch.Undrain(drainedByOp)
+				s.logf("undrain %s", drainedByOp)
+				s.orch.Undrain(drainedByOp)
 				drainedByOp = ""
 				needConverge = true
-			} else if name := sn.pickAlive(rng, ""); name != "" {
-				sn.orch.Drain(name)
+			} else if name := s.pickAlive(""); name != "" {
+				s.logf("drain %s", name)
+				s.orch.Drain(name)
 				drainedByOp = name
 				needConverge = true
 			}
 		default:
 			// Tenant intent toggle.
-			key := [2]int{rng.intn(cfg.Tenants), rng.intn(2)}
+			key := [2]int{s.rng.intn(soakTenants), s.rng.intn(2)}
 			active[key] = !active[key]
-			sn.orch.SetIntents(tenantIntents(cfg.Tenants, active))
+			s.logf("intent t%d/q%d on=%v", key[0], 1+3*key[1], active[key])
+			s.orch.SetIntents(tenantIntents(active))
 			needConverge = true
 		}
 
-		if needConverge {
-			if err := sn.converge(); err != nil {
-				res.Rejections++
-			} else {
-				needConverge = false
-			}
+		if needConverge && s.converge() == nil {
+			needConverge = false
 		}
 
-		// Pump this round's slice of traffic and roll epochs so live
-		// switches snapshot their banks to the analyzer.
-		lo := round * perRound
-		hi := lo + perRound
-		if hi > len(tr.Packets) {
-			hi = len(tr.Packets)
-		}
-		for _, pkt := range tr.Packets[lo:hi] {
-			sn.Net.Deliver(pkt, sn.h1, sn.h2)
-		}
-		if err := sn.Ctl.Tick(); err != nil {
-			res.TickErrors++
-		}
-
-		sn.tick()
-		sn.noteAllowed()
+		// This round's slice of traffic, and a window ended on every live
+		// switch, so it snapshots its banks to the analyzer.
+		lo := min(round*perRound, len(tr.Packets))
+		s.deliver(tr.Packets[lo:min(lo+perRound, len(tr.Packets))])
+		s.end(true)
+		s.noteAllowed()
 
 		// Provenance audit: a tenant query's contributors must be a
 		// subset of everywhere it was ever placed.
-		for name := range sn.orch.Deployed() {
-			qid := sn.orch.QID(name)
-			for _, swName := range sn.Svc.Contributors(qid) {
-				if !sn.allowed[name][swName] {
+		for name := range s.orch.Deployed() {
+			qid := s.orch.QID(name)
+			for _, swName := range s.Svc.Contributors(qid) {
+				if !s.allowed[name][swName] {
 					res.ProvenanceMixups++
-					res.Violations = append(res.Violations, fmt.Sprintf(
-						"round %d: query %s (qid %d) has contributor %s never in its placement",
-						round, name, qid, swName))
+					s.fail("round %d: query %s (qid %d) has contributor %s never in its placement",
+						round, name, qid, swName)
 				}
 			}
 		}
@@ -468,48 +347,44 @@ func Soak(cfg SoakConfig) *SoakResult {
 	// debounce ladder yet: tick until the monitor has drained every
 	// still-dead switch, so each injected failure round-trips through
 	// auto-drain before the fleet is revived. The ladder bounds it.
-	for i := 0; i < orchestrator.SuspectAfter+soakDownAfter && sn.deadUndrained(); i++ {
-		sn.tick()
+	for i := 0; i < orchestrator.SuspectAfter+soakDownAfter && s.deadUndrained(); i++ {
+		s.end(false)
 	}
 
 	// Now revive everything still impaired, whatever round it was due,
 	// and let the monitor finish re-admitting it.
-	for _, name := range sn.names {
-		if err := sn.revive(name, math.MaxInt); err != nil {
-			res.Violations = append(res.Violations, err.Error())
-		}
-	}
+	s.revive(math.MaxInt)
 	if drainedByOp != "" {
-		sn.orch.Undrain(drainedByOp)
+		s.logf("undrain %s", drainedByOp)
+		s.orch.Undrain(drainedByOp)
 		needConverge = true
 	}
-	needConverge = sn.settle(needConverge)
+	needConverge = s.settle(needConverge)
 
 	// The passive signal: a switch whose exporter closed while its agent
 	// still answers is drained for its silence alone, then restarted
 	// with an exporter and re-admitted like a killed one.
-	if name := sn.firstHosting(); name != "" {
+	if name := s.firstHosting(); name != "" {
 		res.Silenced = name
-		res.MTTRSilence, res.SilenceReason = sn.silence(name)
-		if err := sn.Restart(name); err != nil {
-			res.Violations = append(res.Violations, fmt.Sprintf("restart %s: %v", name, err))
+		res.MTTRSilence, res.SilenceReason = s.silence(name)
+		if err := s.restart(name); err != nil {
+			s.fail("%v", err)
 		}
-		needConverge = sn.settle(needConverge)
+		s.settle(needConverge)
 	}
 
 	// End-state: the fleet must be fully reconverged — a pure plan
 	// reports no pending deltas.
-	if _, d, err := sn.orch.Plan(); err != nil {
-		res.Violations = append(res.Violations, fmt.Sprintf("final plan: %v", err))
+	if _, d, err := s.orch.Plan(); err != nil {
+		s.fail("final plan: %v", err)
 	} else if !d.Empty() {
-		res.Violations = append(res.Violations, fmt.Sprintf(
-			"fleet not reconverged after soak: %d pending deltas", len(d.Deltas)))
+		s.fail("fleet not reconverged after soak: %d pending deltas", len(d.Deltas))
 	}
 
 	// MTTR per kill, from the monitor's event log: each kill record
 	// claims the first unclaimed auto-drain (resp. auto-undrain) for its
 	// switch in a round after the kill (resp. restart).
-	events := sn.mon.Events()
+	events := s.mon.Events()
 	claimed := map[int]bool{}
 	claim := func(name, action string, round int, mttr *[]int) {
 		for i, ev := range events {
@@ -520,92 +395,71 @@ func Soak(cfg SoakConfig) *SoakResult {
 			}
 		}
 	}
-	for _, k := range sn.kills {
+	for _, k := range s.kills {
 		claim(k.name, "auto-drain", k.killedAt, &res.MTTRDrain)
 		if k.restarted != 0 {
 			claim(k.name, "auto-undrain", k.restarted, &res.MTTRReadmit)
 		}
 	}
 
-	snap := sn.mon.Snapshot()
+	snap := s.mon.Snapshot()
 	res.AutoDrains = snap.AutoDrains
 	res.AutoUndrains = snap.AutoUndrains
 	res.ConvergeErrs = snap.ConvergeErrs
-	allNs := append([]int64(nil), sn.deployNs...)
-	for _, d := range sn.mon.ConvergeDurations() {
+	allNs := slices.Clone(s.deployNs)
+	for _, d := range s.mon.ConvergeDurations() {
 		allNs = append(allNs, d.Nanoseconds())
 	}
 	res.Converges = len(allNs)
 	res.P50Deploy = quantileNs(allNs, 0.50)
 	res.P99Deploy = quantileNs(allNs, 0.99)
-	res.TrackedAgentsFinal = sn.Svc.TrackedAgents()
-	svc := sn.Svc.Stats()
+	res.TrackedAgentsFinal = s.Svc.TrackedAgents()
+	svc := s.Svc.Stats()
 	res.AnalyzerReports, res.EpochGaps = svc.Reports, svc.EpochGaps
 
-	heapEnd := heapMB()
 	if heapAfterWarmup > 0 {
-		res.HeapGrowthMB = heapEnd - heapAfterWarmup
+		res.HeapGrowthMB = heapMB() - heapAfterWarmup
 	}
 
 	// Soak assertions.
 	if res.Kills > 0 && int(res.AutoDrains) < res.Kills {
-		res.Violations = append(res.Violations, fmt.Sprintf(
-			"only %d auto-drains for %d kills: a dead switch was never drained", res.AutoDrains, res.Kills))
+		s.fail("only %d auto-drains for %d kills: a dead switch was never drained", res.AutoDrains, res.Kills)
 	}
 	if res.Kills > 0 && len(res.MTTRDrain) < res.Kills {
-		res.Violations = append(res.Violations, fmt.Sprintf(
-			"MTTR accounting found %d drains for %d kills", len(res.MTTRDrain), res.Kills))
+		s.fail("MTTR accounting found %d drains for %d kills", len(res.MTTRDrain), res.Kills)
 	}
 	if res.Kills > 0 && int(res.AutoUndrains) < res.Kills {
-		res.Violations = append(res.Violations, fmt.Sprintf(
-			"only %d auto-undrains for %d kills: a recovered switch was never re-admitted", res.AutoUndrains, res.Kills))
+		s.fail("only %d auto-undrains for %d kills: a recovered switch was never re-admitted",
+			res.AutoUndrains, res.Kills)
 	}
 	if want := silenceMTTR(); res.MTTRSilence != want || res.SilenceReason != silenceReason() {
-		res.Violations = append(res.Violations, fmt.Sprintf(
-			"closing %q's exporter drained it %d rounds later (%q), want %d (%q)",
-			res.Silenced, res.MTTRSilence, res.SilenceReason, want, silenceReason()))
+		s.fail("closing %q's exporter drained it %d rounds later (%q), want %d (%q)",
+			res.Silenced, res.MTTRSilence, res.SilenceReason, want, silenceReason())
 	}
 	if res.AnalyzerReports == 0 {
-		res.Violations = append(res.Violations,
-			"no report reached the analyzer: the SYN flood was never alerted on")
+		s.fail("no report reached the analyzer: the SYN flood was never alerted on")
 	}
 	if res.HeapGrowthMB > soakMaxHeapGrowthMB {
-		res.Violations = append(res.Violations, fmt.Sprintf(
-			"heap grew %.1f MB since warmup (threshold %.1f MB)", res.HeapGrowthMB, soakMaxHeapGrowthMB))
+		s.fail("heap grew %.1f MB since warmup (threshold %.1f MB)", res.HeapGrowthMB, soakMaxHeapGrowthMB)
 	}
-
-	sn.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	res.GoroutineEnd = runtime.NumGoroutine()
-	for res.GoroutineEnd > res.GoroutineBaseline+soakGoroutineSlack && time.Now().Before(deadline) {
-		runtime.GC()
-		time.Sleep(20 * time.Millisecond)
-		res.GoroutineEnd = runtime.NumGoroutine()
-	}
-	if res.GoroutineEnd > res.GoroutineBaseline+soakGoroutineSlack {
-		res.Violations = append(res.Violations, fmt.Sprintf(
-			"goroutines leaked: baseline %d, after teardown %d (slack %d)",
-			res.GoroutineBaseline, res.GoroutineEnd, soakGoroutineSlack))
-	}
-	return res
 }
 
 // settle ticks until every switch is healthy and the fleet converged,
 // bounded by soakSettleRounds, converging when one is owed; it returns
 // whether one still is.
-func (sn *soakNet) settle(needConverge bool) bool {
+func (s *soak) settle(needConverge bool) bool {
 	for i := 0; i < soakSettleRounds; i++ {
-		rep := sn.tick()
+		rep, _ := s.end(false)
 		allHealthy := true
-		for _, name := range sn.names {
-			if st, _ := sn.mon.State(name); st != orchestrator.Healthy {
+		for _, name := range s.names {
+			if st, _ := s.mon.State(name); st != orchestrator.Healthy {
 				allHealthy = false
 			}
 		}
 		if allHealthy && rep.ConvergeErr == nil && !needConverge {
 			break
 		}
-		if needConverge && sn.converge() == nil {
+		if needConverge && s.converge() == nil {
 			needConverge = false
 		}
 	}
@@ -614,9 +468,9 @@ func (sn *soakNet) settle(needConverge bool) bool {
 
 // firstHosting returns the first switch, by name, that hosts work, or
 // "".
-func (sn *soakNet) firstHosting() string {
-	for _, name := range sn.names {
-		if sn.hosting(name) {
+func (s *soak) firstHosting() string {
+	for _, name := range s.names {
+		if s.hosting(name) {
 			return name
 		}
 	}
@@ -640,22 +494,17 @@ func silenceReason() string {
 // from the close to the drain (0 if the ladder's worth and two more
 // passed without one) and the drain's reason. The close flushes what
 // the exporter held, the window ended just before it included; the
-// analyzer has counted it all once the stream has ended. A failed tick
+// first round's barrier has it all, and the stream's end. A failed tick
 // shows as a wrong count of rounds.
-func (sn *soakNet) silence(name string) (int, string) {
-	_ = sn.Ctl.Tick()
-	sn.Switches[name].Exporter.Close()
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if connected, _ := sn.Svc.AgentLiveness(name); !connected {
-			break
-		}
-	}
-	before := sn.round
+func (s *soak) silence(name string) (int, string) {
+	_ = s.Ctl.Tick()
+	s.logf("close %s", name)
+	s.Switches[name].Exporter.Close()
+	before := s.round
 	for i := 0; i < silenceMTTR()+2; i++ {
-		_ = sn.Ctl.Tick()
-		rep := sn.tick()
+		rep, _ := s.end(true)
 		if slices.Contains(rep.Drained, name) {
-			for _, ev := range sn.mon.Events() {
+			for _, ev := range s.mon.Events() {
 				if ev.Round == rep.Round && ev.Switch == name && ev.Action == "auto-drain" {
 					return rep.Round - before, ev.Reason
 				}
@@ -667,55 +516,20 @@ func (sn *soakNet) silence(name string) (int, string) {
 
 // deadUndrained reports whether a dead switch is not yet down at the
 // monitor.
-func (sn *soakNet) deadUndrained() bool {
-	for _, name := range sn.names {
-		if st, _ := sn.mon.State(name); sn.sws[name].dead && st != orchestrator.Down {
+func (s *soak) deadUndrained() bool {
+	for _, name := range s.names {
+		if st, _ := s.mon.State(name); s.sws[name].dead && st != orchestrator.Down {
 			return true
 		}
 	}
 	return false
 }
 
-// pickAlive returns a uniformly chosen switch that is up, not operator-
-// drained, and not the named exclusion ("" excludes nothing). It keeps
-// at least two switches untouched so the fleet always has somewhere to
-// re-place queries.
-func (sn *soakNet) pickAlive(rng *soakRNG, exclude string) string {
-	var cands []string
-	for _, name := range sn.names {
-		sw := sn.sws[name]
-		if sw.dead || sw.partedTo != 0 || name == exclude || sn.orch.IsDrained(name) {
-			continue
-		}
-		cands = append(cands, name)
-	}
-	if len(cands) <= 2 {
-		return ""
-	}
-	return cands[rng.intn(len(cands))]
-}
-
-// soakRNG is a tiny seeded splitmix64, so the churn schedule never
-// perturbs the shared math/rand state.
-type soakRNG struct{ s uint64 }
-
-func newSoakRNG(seed int64) *soakRNG { return &soakRNG{s: uint64(seed)*2654435769 + 1} }
-
-func (r *soakRNG) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *soakRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // String renders the soak verdict and metrics table.
 func (r *SoakResult) String() string {
 	t := &table{header: []string{"Metric", "Value"}}
 	t.add("Seed", fmt.Sprintf("%d", r.Seed))
-	t.add("Fleet", fmt.Sprintf("%d switches, %d tenants, %d rounds", r.Switches, r.Tenants, r.Rounds))
+	t.add("Fleet", fmt.Sprintf("%d switches, %d tenants, %d rounds", soakSwitches, soakTenants, soakRounds))
 	t.add("Kills", i2s(r.Kills))
 	t.add("Auto-drains", fmt.Sprintf("%d", r.AutoDrains))
 	t.add("Auto-undrains", fmt.Sprintf("%d", r.AutoUndrains))

@@ -9,13 +9,18 @@
 // at the caller — orchestrator.New(Config{Topo, Budgets: f.Budgets()},
 // f.Ctl) — so its own tests can build on this package.
 //
-// A Fleet is driven from one goroutine: Kill, Restart and Close must not
-// overlap each other, a delivery, or a control call to the same switch.
+// A round of a fleet run ends on Accounted, the barrier at which the
+// analyzer has counted every frame each switch's exporter wrote. A Fleet
+// is driven from one goroutine: Kill, Restart, Accounted and Close must
+// not overlap each other, a delivery, or a control call to the same
+// switch.
 package fleet
 
 import (
 	"fmt"
 	"net"
+	"sync"
+	"time"
 
 	"github.com/newton-net/newton/internal/controller"
 	"github.com/newton-net/newton/internal/modules"
@@ -59,7 +64,8 @@ type Fleet struct {
 	Switches map[string]*Switch
 
 	cfg     Config
-	svcAddr string // TCP only
+	svcAddr string         // TCP only
+	wg      sync.WaitGroup // every goroutine the fleet starts: Close waits for them
 }
 
 // Switch is one fleet member. Node keeps its data plane for life and
@@ -73,6 +79,7 @@ type Switch struct {
 
 	addr  string // TCP only: where the agent listens, kept across restarts
 	agent *rpc.Agent
+	sent  uint64 // frames the switch's earlier exporters wrote
 }
 
 // New builds the fleet over topo and brings every switch up.
@@ -98,7 +105,7 @@ func New(topo *topology.Topology, cfg Config) (f *Fleet, err error) {
 				return nil, err
 			}
 			f.svcAddr = ln.Addr().String()
-			go f.Svc.Serve(ln)
+			f.spawn(func() { _ = f.Svc.Serve(ln) })
 		}
 	}
 	clients := map[string]*rpc.Client{}
@@ -124,6 +131,15 @@ func New(topo *topology.Topology, cfg Config) (f *Fleet, err error) {
 		f.Ctl.AttachTelemetry(f.Svc)
 	}
 	return f, nil
+}
+
+// spawn runs fn on a goroutine Close waits for.
+func (f *Fleet) spawn(fn func()) {
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		fn()
+	}()
 }
 
 // wrapListener applies the fleet's Wrap to every accepted connection.
@@ -152,10 +168,15 @@ func (f *Fleet) up(sw *Switch) error {
 			return fmt.Errorf("fleet: switch %s: %w", sw.Name, err)
 		}
 		sw.addr = ln.Addr().String()
-		go sw.agent.Serve(wrapListener{ln, f, sw.Name})
+		agent := sw.agent
+		f.spawn(func() { _ = agent.Serve(wrapListener{ln, f, sw.Name}) })
 	}
 	if f.cfg.Exporter == nil {
 		return nil
+	}
+	if sw.Exporter != nil {
+		n, _ := sw.Exporter.Frames()
+		sw.sent += n
 	}
 	ecfg := *f.cfg.Exporter
 	ecfg.SwitchID = sw.Name
@@ -180,7 +201,8 @@ func (f *Fleet) dialAgent(sw *Switch) (net.Conn, error) {
 		return net.Dial("tcp", sw.addr)
 	}
 	client, server := net.Pipe()
-	go sw.agent.HandleConn(f.cfg.Wrap(sw.Name, server))
+	agent := sw.agent
+	f.spawn(func() { agent.HandleConn(f.cfg.Wrap(sw.Name, server)) })
 	return client, nil
 }
 
@@ -194,7 +216,7 @@ func (f *Fleet) dialService(name string) (net.Conn, error) {
 		return f.cfg.Wrap(name, c), nil
 	}
 	client, server := net.Pipe()
-	go f.Svc.HandleConn(server)
+	f.spawn(func() { _ = f.Svc.HandleConn(server) })
 	return f.cfg.Wrap(name, client), nil
 }
 
@@ -240,9 +262,40 @@ func (f *Fleet) Restart(name string) error {
 	return f.up(sw)
 }
 
+// Accounted is the round barrier: it returns once the analyzer has
+// accounted every frame each switch's exporter has written, a closed
+// exporter's last frames and the end of its stream included, and fails
+// naming the first switch still short when timeout passes first.
+func (f *Fleet) Accounted(timeout time.Duration) error {
+	if f.Svc == nil {
+		return nil
+	}
+	deadline := time.Now().Add(timeout)
+	for _, name := range f.Names {
+		sw := f.Switches[name]
+		if sw.Exporter == nil {
+			continue
+		}
+		n, closed := sw.Exporter.Frames()
+		if err := f.Svc.AwaitFrames(name, sw.sent+n, closed, time.Until(deadline)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Forget releases the analyzer's bookkeeping of a switch whose streams
+// have all ended (telemetry.Service.ForgetAgent), and with it the frames
+// the barrier expects of the switch until it restarts.
+func (f *Fleet) Forget(name string) {
+	if sw := f.Switches[name]; sw != nil && f.Svc != nil && f.Svc.ForgetAgent(name) {
+		sw.Exporter, sw.sent = nil, 0
+	}
+}
+
 // Close tears the fleet down: every switch's exporter and client, then
-// the agents with their listeners, then the service. Handlers of pipe
-// connections exit as their connections close. It is safe to call twice.
+// the agents with their listeners, then the service, and returns once
+// every goroutine the fleet started has exited. It is safe to call twice.
 func (f *Fleet) Close() {
 	for _, sw := range f.Switches {
 		if sw.Exporter != nil {
@@ -258,4 +311,5 @@ func (f *Fleet) Close() {
 	if f.Svc != nil {
 		f.Svc.Close()
 	}
+	f.wg.Wait()
 }

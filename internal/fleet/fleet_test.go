@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/newton-net/newton/internal/controller"
+	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/netsim"
 	"github.com/newton-net/newton/internal/query"
 	"github.com/newton-net/newton/internal/rpc"
@@ -56,33 +57,28 @@ func eventually(cond func() bool) bool {
 	}
 }
 
-// alerted waits for a report of qid to reach the controller's Collect.
+// alerted reports whether a report of qid reached the controller's
+// Collect once the analyzer accounted every frame.
 func alerted(t *testing.T, f *Fleet, qid int) bool {
-	return eventually(func() bool {
-		rs, err := f.Ctl.Collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rs {
-			if r.QueryID == qid {
-				return true
-			}
-		}
-		return false
-	})
+	t.Helper()
+	if err := f.Accounted(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := f.Ctl.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.ContainsFunc(rs, func(r dataplane.Report) bool { return r.QueryID == qid })
 }
 
-// fullEpoch waits for every shard's banks of qid's epoch to merge.
+// fullEpoch checks that every shard's banks of qid's epoch merged once
+// the analyzer accounted every frame.
 func fullEpoch(t *testing.T, f *Fleet, qid int, epoch uint32) {
 	t.Helper()
-	var missing []string
-	var merged int
-	full := eventually(func() bool {
-		var partial bool
-		partial, missing, merged = f.Svc.EpochStatus(qid, epoch)
-		return !partial && merged == len(f.Names)
-	})
-	if !full {
+	if err := f.Accounted(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if partial, missing, merged := f.Svc.EpochStatus(qid, epoch); partial || merged != len(f.Names) {
 		t.Fatalf("epoch %d: merged %d of %d shards, missing %v", epoch, merged, len(f.Names), missing)
 	}
 }
@@ -210,6 +206,8 @@ func TestFleetCloseLeavesNoGoroutines(t *testing.T) {
 		}
 		f.Close()
 		f.Close() // idempotent
+		// Close waits for every goroutine the fleet started; one that has
+		// called Done may not have exited yet.
 		if !eventually(func() bool { return runtime.NumGoroutine() <= before }) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("%d goroutines before New, %d after Close:\n%s",

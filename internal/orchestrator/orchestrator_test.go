@@ -48,21 +48,14 @@ func (f *testFleet) orch(t *testing.T) *Orchestrator {
 	return o
 }
 
-// waitEpochFull polls until the merged epoch carries full provenance or
-// the deadline passes (snapshot push is asynchronous).
-func waitEpochFull(t *testing.T, svc *telemetry.Service, qid int, epoch uint32) (missing []string, merged int) {
+// accountedEpoch reads the merged epoch's provenance once the analyzer
+// has accounted every frame the switches wrote (fleet.Fleet.Accounted).
+func accountedEpoch(t *testing.T, f *testFleet, qid int, epoch uint32) (partial bool, missing []string, merged int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		partial, miss, m := svc.EpochStatus(qid, epoch)
-		if !partial && m > 0 {
-			return miss, m
-		}
-		if time.Now().After(deadline) {
-			return miss, m
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := f.Accounted(5 * time.Second); err != nil {
+		t.Fatal(err)
 	}
+	return f.Svc.EpochStatus(qid, epoch)
 }
 
 func TestOrchestratorEndToEnd(t *testing.T) {
@@ -130,7 +123,7 @@ func TestOrchestratorEndToEnd(t *testing.T) {
 	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	missing, merged := waitEpochFull(t, f.Svc, qid4, epoch)
+	_, missing, merged := accountedEpoch(t, f, qid4, epoch)
 	if len(missing) != 0 || merged != 2 {
 		t.Fatalf("epoch %d provenance: missing=%v merged=%d, want none missing from 2 contributors", epoch, missing, merged)
 	}
@@ -185,26 +178,9 @@ func TestOrchestratorEndToEnd(t *testing.T) {
 	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	missing, merged = waitEpochFull(t, f.Svc, qid4, epoch2)
+	_, missing, merged = accountedEpoch(t, f, qid4, epoch2)
 	if len(missing) != 0 || merged != 1 {
 		t.Fatalf("post-drain epoch %d: missing=%v merged=%d, want full with 1 contributor", epoch2, missing, merged)
-	}
-}
-
-// waitEpochMerged polls until some contributor's banks for the epoch
-// have merged, failing the test past the deadline.
-func waitEpochMerged(t *testing.T, svc *telemetry.Service, qid int, epoch uint32) (partial bool, missing []string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		partial, missing, merged := svc.EpochStatus(qid, epoch)
-		if merged > 0 {
-			return partial, missing
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("query %d epoch %d never merged", qid, epoch)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -253,8 +229,8 @@ func TestReplanKeepsQID(t *testing.T) {
 	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if partial, missing := waitEpochMerged(t, f.Svc, qid4, epoch); !partial || len(missing) != 0 {
-		t.Fatalf("first epoch after the change: partial=%v missing=%v, want partial (width transition) with none missing", partial, missing)
+	if partial, missing, merged := accountedEpoch(t, f, qid4, epoch); merged == 0 || !partial || len(missing) != 0 {
+		t.Fatalf("first epoch after the change: merged=%d partial=%v missing=%v, want partial (width transition) with none missing", merged, partial, missing)
 	}
 }
 

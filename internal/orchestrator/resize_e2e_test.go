@@ -36,7 +36,7 @@ func TestOrchestratorResizeEndToEnd(t *testing.T) {
 	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if missing, merged := waitEpochFull(t, f.Svc, qid1, epoch); len(missing) != 0 || merged != 1 {
+	if _, missing, merged := accountedEpoch(t, f, qid1, epoch); len(missing) != 0 || merged != 1 {
 		t.Fatalf("pre-resize epoch: missing=%v merged=%d", missing, merged)
 	}
 
@@ -85,8 +85,8 @@ func TestOrchestratorResizeEndToEnd(t *testing.T) {
 	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if partial, missing := waitEpochMerged(t, f.Svc, qid1, tEpoch); !partial || len(missing) != 0 {
-		t.Fatalf("transition epoch %d: partial=%v missing=%v, want partial with none missing", tEpoch, partial, missing)
+	if partial, missing, merged := accountedEpoch(t, f, qid1, tEpoch); merged == 0 || !partial || len(missing) != 0 {
+		t.Fatalf("transition epoch %d: merged=%d partial=%v missing=%v, want partial with none missing", tEpoch, merged, partial, missing)
 	}
 	if qa, ok := f.Svc.ObservedAccuracy(qid1, tEpoch, 50); !ok || !qa.Transition {
 		t.Fatalf("ObservedAccuracy(transition) = %+v ok=%v, want Transition", qa, ok)
@@ -97,7 +97,7 @@ func TestOrchestratorResizeEndToEnd(t *testing.T) {
 	if err := f.Ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if missing, merged := waitEpochFull(t, f.Svc, qid1, cEpoch); len(missing) != 0 || merged != 1 {
+	if _, missing, merged := accountedEpoch(t, f, qid1, cEpoch); len(missing) != 0 || merged != 1 {
 		t.Fatalf("post-resize epoch %d: missing=%v merged=%d, want clean", cEpoch, missing, merged)
 	}
 	qa, ok := f.Svc.ObservedAccuracy(qid1, cEpoch, 50)

@@ -105,6 +105,7 @@ type Exporter struct {
 	exported     uint64 // reports written to the stream
 	lost         uint64 // reports lost to stream errors or late Export calls
 	batches      uint64
+	frames       uint64 // frames written whole: report batches, snapshots, replays, the bye
 	snapshots    uint64
 	reconnects   uint64
 	wireBytes    uint64 // bytes written to the stream, frame headers included
@@ -273,6 +274,9 @@ func (e *Exporter) writeFrameLocked(kind wire.Kind, flags wire.Flags, payload []
 	encNs += time.Since(start)
 	n, err := e.fw.WriteFrame(kind, flags, wirePayload)
 	e.mu.Lock()
+	if err == nil {
+		e.frames++
+	}
 	e.wireBytes += uint64(n)
 	e.payloadBytes += uint64(len(payload)) + wire.HeaderSize
 	if zipped {
@@ -505,6 +509,28 @@ func (e *Exporter) Flush() error {
 		}
 		e.idle.Wait()
 	}
+}
+
+// Frames flushes the report ring and returns how many frames the
+// exporter has written whole to its streams (report batches, snapshots
+// and replays, the bye) and whether it has closed. An analyzer that has
+// accounted as many from this switch, and seen a closed exporter's
+// stream end, holds everything it sent (Service.AwaitFrames).
+func (e *Exporter) Frames() (n uint64, closed bool) {
+	_ = e.Flush() // a failed stream's frames count as far as they were written
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.frames, e.closed
+}
+
+// AwaitStream blocks until the exporter has a stream to write on — a
+// failed one redialed and its replay written — or has closed, or timeout
+// passes; it reports whether the stream is up.
+func (e *Exporter) AwaitStream(timeout time.Duration) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return awaitCond(e.idle, timeout, func() bool { return e.writeErr == nil || e.closed }) && !e.closed
 }
 
 // Stats returns the exporter's counter snapshot. Dropped aggregates

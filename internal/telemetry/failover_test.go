@@ -249,24 +249,22 @@ func TestEpochGapAndLivenessTracking(t *testing.T) {
 		t.Errorf("EpochGaps = %d, want 3 (epochs 2,3,4)", gaps)
 	}
 
-	if connected, ok := svc.AgentLiveness("a"); !ok || !connected {
-		t.Fatalf("liveness(a) = connected=%v ok=%v, want connected", connected, ok)
+	if live := svc.Stats().LiveAgents; live != 1 {
+		t.Fatalf("LiveAgents = %d with a's stream open, want 1", live)
 	}
 	if err := exp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "stream down", func() bool {
-		connected, ok := svc.AgentLiveness("a")
-		return ok && !connected
-	})
+	// The stream's end: every frame a wrote accounted, and no stream open.
+	frames, _ := exp.Frames()
+	if err := svc.AwaitFrames("a", frames, true, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	// A second stream under the same switch ID is a reconnect.
 	exp2 := connect(t, svc, "a", telemetry.ExporterConfig{}, nil)
 	defer exp2.Close()
-	waitFor(t, "stream back up", func() bool {
-		connected, _ := svc.AgentLiveness("a")
-		return connected
-	})
+	waitFor(t, "stream back up", func() bool { return svc.Stats().LiveAgents == 1 })
 	if rc := svc.Stats().Reconnects; rc != 1 {
 		t.Errorf("service Reconnects = %d, want 1", rc)
 	}

@@ -325,11 +325,14 @@ type WireInfo struct {
 type Service struct {
 	cfg ServiceConfig
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	mu sync.Mutex
+	// accounted is broadcast, on mu, as a frame is accounted and as a
+	// stream ends: what AwaitFrames waits on.
+	accounted sync.Cond
+	ln        net.Listener
+	conns     map[net.Conn]struct{}
+	closed    bool
+	wg        sync.WaitGroup
 
 	agents map[string]*agentInfo
 	reg    *obs.Registry // where per-agent series go as agents appear (RegisterObs); nil before
@@ -370,7 +373,7 @@ type Service struct {
 
 // NewService builds an analyzer service.
 func NewService(cfg ServiceConfig) *Service {
-	return &Service{
+	s := &Service{
 		cfg:       cfg.withDefaults(),
 		conns:     map[net.Conn]struct{}{},
 		agents:    map[string]*agentInfo{},
@@ -378,6 +381,8 @@ func NewService(cfg ServiceConfig) *Service {
 		alertSeed: maphash.MakeSeed(),
 		subs:      map[int]chan Event{},
 	}
+	s.accounted.L = &s.mu
+	return s
 }
 
 // Serve accepts agent streams until the listener closes (or Close).
@@ -480,39 +485,46 @@ func (s *Service) streamLoop(cr *countReader, agent *agentInfo, switchID string)
 			}
 			return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
 		}
-		s.noteFrame(agent, cr.take(), uint64(len(payload))+wire.HeaderSize, hdr.Flags&wire.FlagCompressed != 0)
+		bye := false
 		switch hdr.Kind {
 		case wire.KindReports:
-			if rs, err = wire.DecodeReportsInto(rs, payload, switchID); err != nil {
-				return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
+			if rs, err = wire.DecodeReportsInto(rs, payload, switchID); err == nil {
+				s.ingestReports(agent, rs)
 			}
-			s.ingestReports(agent, rs)
 		case wire.KindSnapshot:
-			epoch, banks, err := dec.Decode(payload)
-			if errors.Is(err, wire.ErrDeltaBase) {
+			var epoch uint32
+			var banks []modules.BankSnapshot
+			switch epoch, banks, err = dec.Decode(payload); {
+			case errors.Is(err, wire.ErrDeltaBase):
 				// A frame this stream never saw separates us from the delta's
 				// base. Drop it — the encoder's next keyframe re-grounds the
 				// chain — and count the break.
+				err = nil
 				s.mu.Lock()
 				agent.wire.ChainBreaks++
 				s.mu.Unlock()
-				continue
+			case err == nil:
+				s.ingestSnapshot(agent, switchID, epoch, banks, &dec, hdr.Flags&wire.FlagDelta != 0, uint64(dec.HeldBytes()))
 			}
-			if err != nil {
-				return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
-			}
-			s.ingestSnapshot(agent, switchID, epoch, banks, &dec, hdr.Flags&wire.FlagDelta != 0, uint64(dec.HeldBytes()))
 		case wire.KindBye:
-			st, err := wire.DecodeBye(payload)
-			if err != nil {
-				return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
+			var st wire.ExportStats
+			if st, err = wire.DecodeBye(payload); err == nil {
+				s.mu.Lock()
+				agent.Bye = &st
+				s.mu.Unlock()
+				bye = true
 			}
-			s.mu.Lock()
-			agent.Bye = &st
-			s.mu.Unlock()
-			return nil
 		default:
-			return fmt.Errorf("telemetry: agent %s: unknown frame kind %v", switchID, hdr.Kind)
+			err = fmt.Errorf("unknown frame kind %v", hdr.Kind)
+		}
+		// The frame is counted once it is ingested, so a reader that has
+		// seen the count reach a number sees what those frames carried.
+		s.noteFrame(agent, cr.take(), uint64(len(payload))+wire.HeaderSize, hdr.Flags&wire.FlagCompressed != 0)
+		if err != nil {
+			return fmt.Errorf("telemetry: agent %s: %w", switchID, err)
+		}
+		if bye {
+			return nil
 		}
 	}
 }
@@ -549,6 +561,7 @@ func (s *Service) noteFrame(agent *agentInfo, wireBytes, rawBytes uint64, compre
 		agent.wire.CompressedFrames++
 	}
 	s.mu.Unlock()
+	s.accounted.Broadcast()
 }
 
 // streamUp registers a new stream for the switch: its first ever is a
@@ -569,6 +582,47 @@ func (s *Service) streamDown(a *agentInfo) {
 	s.mu.Lock()
 	a.Streams--
 	s.mu.Unlock()
+	s.accounted.Broadcast()
+}
+
+// AwaitFrames blocks until the streams of switch id have brought this
+// service frames frames in all (WireInfo.Frames), and, when ended is
+// set, until every stream of id has ended as well: the barrier a fleet
+// waits on, given what the switch's exporter says it wrote
+// (Exporter.Frames). It wakes as frames are ingested and streams end,
+// and fails once timeout passes first.
+func (s *Service) AwaitFrames(id string, frames uint64, ended bool, timeout time.Duration) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var got uint64
+	var streams int
+	if awaitCond(&s.accounted, timeout, func() bool {
+		got, streams = 0, 0
+		if a := s.agents[id]; a != nil {
+			got, streams = a.wire.Frames, a.Streams
+		}
+		return got >= frames && (!ended || streams == 0)
+	}) {
+		return nil
+	}
+	return fmt.Errorf("telemetry: %s: %d of %d frames accounted, %d streams open", id, got, frames, streams)
+}
+
+// awaitCond waits on c, whose lock the caller holds, until done holds
+// or timeout passes, and reports whether done holds.
+func awaitCond(c *sync.Cond, timeout time.Duration, done func() bool) bool {
+	expired := false
+	t := time.AfterFunc(timeout, func() {
+		c.L.Lock()
+		expired = true
+		c.L.Unlock()
+		c.Broadcast()
+	})
+	defer t.Stop()
+	for !done() && !expired {
+		c.Wait()
+	}
+	return done()
 }
 
 func cleanStreamErr(err error) bool {
@@ -1048,19 +1102,6 @@ func (s *Service) EpochStatus(qid int, epoch uint32) (partial bool, missing []st
 		return len(missing) > 0, missing, 0
 	}
 	return len(missing) > 0 || es.transition, missing, len(es.contrib)
-}
-
-// AgentLiveness reports whether switch id has a stream open (ok false
-// for a switch never seen). How recently it produced a frame is
-// AgentWire's Frames count, read twice.
-func (s *Service) AgentLiveness(id string) (connected bool, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a := s.agents[id]
-	if a == nil {
-		return false, false
-	}
-	return a.Streams > 0, true
 }
 
 // publishLocked fans an event out to subscribers without blocking

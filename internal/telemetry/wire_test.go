@@ -119,7 +119,7 @@ func TestLateAckNeverSplitsTheCodec(t *testing.T) {
 	if d := exp.Stats().Dropped; d != dropped {
 		t.Errorf("%d reports dropped after the reconnect", d-dropped)
 	}
-	if connected, _ := svc.AgentLiveness("s1"); !connected {
+	if svc.Stats().LiveAgents != 1 {
 		t.Error("the service does not see s1 connected")
 	}
 }
@@ -330,16 +330,13 @@ func TestRemoveReleasesMergedBanks(t *testing.T) {
 func TestAnalyzerObsCodecHeldBytes(t *testing.T) {
 	svc := telemetry.NewService(telemetry.ServiceConfig{})
 	defer svc.Close()
-	up := func(id string) func() bool {
-		return func() bool { connected, _ := svc.AgentLiveness(id); return connected }
-	}
 	early := connect(t, svc, "early", telemetry.ExporterConfig{}, nil)
-	waitFor(t, "early's stream up", up("early"))
+	waitFor(t, "early's stream up", func() bool { return svc.Stats().LiveAgents == 1 })
 	reg := obs.NewRegistry()
 	svc.RegisterObs(reg)
 	late := connect(t, svc, "late", telemetry.ExporterConfig{}, nil)
 	defer late.Close()
-	waitFor(t, "late's stream up", up("late"))
+	waitFor(t, "late's stream up", func() bool { return svc.Stats().LiveAgents == 2 })
 
 	held := func(id string) *obs.Series {
 		snap := reg.Snapshot()
@@ -368,7 +365,10 @@ func TestAnalyzerObsCodecHeldBytes(t *testing.T) {
 	}
 
 	early.Close()
-	waitFor(t, "early's stream down", func() bool { return !up("early")() })
+	frames, _ := early.Frames()
+	if err := svc.AwaitFrames("early", frames, true, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if s := held("early"); s == nil || s.Value != 0 {
 		t.Errorf("early after its stream closed: %+v, want 0 (the decoder went with the stream)", s)
 	}
