@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/newton-net/newton/internal/orchestrator"
 	"github.com/newton-net/newton/internal/telemetry"
@@ -62,7 +61,7 @@ func runStatus(w io.Writer, args []string) error {
 
 	mon.Tick()
 	fmt.Fprintf(w, "fleet (%d switches, queries %s):\n%s", len(f.Names), *ff.queries, mon.Snapshot())
-	if err := f.Accounted(5 * time.Second); err != nil {
+	if err := f.Accounted(); err != nil {
 		return err
 	}
 	printWireTable(w, f.Svc, f.Names)

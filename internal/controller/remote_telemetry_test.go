@@ -3,7 +3,6 @@ package controller
 import (
 	"net"
 	"testing"
-	"time"
 
 	"github.com/newton-net/newton/internal/dataplane"
 	"github.com/newton-net/newton/internal/fields"
@@ -46,7 +45,7 @@ func TestCollectPrefersTelemetryStream(t *testing.T) {
 	}
 	// The barrier: the service has accounted every frame the exporter wrote.
 	n, _ := exp.Frames()
-	if err := svc.AwaitFrames("a", n, false, 5*time.Second); err != nil {
+	if err := svc.AwaitFrames("a", n, false); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,12 +7,13 @@ import "testing"
 // the observed error bound back under the intent's tolerance within
 // the round budget after every phase shift, spend strictly less memory
 // than static worst-case provisioning, and never flap, re-deploy, or
-// mix provenance.
+// mix provenance. A second run logs the same bytes.
 func TestAdaptiveConvergence(t *testing.T) {
 	res := Adaptive(AdaptiveConfig{})
 	if !res.Passed() {
 		t.Fatalf("adaptive run failed:\n%s", res)
 	}
+	sameLog(t, res.Seed, res.Log, Adaptive(AdaptiveConfig{}).Log)
 	for ph, n := range res.ConvergedIn {
 		if n > adaptiveConvergeWithin {
 			t.Errorf("phase %s converged in %d rounds, budget %d", ph, n, adaptiveConvergeWithin)

@@ -27,13 +27,15 @@ func faultSeed(t *testing.T) int64 {
 // sharded deployment, the drain cursor keeps report delivery
 // exactly-once (never above baseline), and the run recovers most of the
 // fault-free report count. A step of either run that could not be
-// driven is a violation.
+// driven is a violation. A second run at the seed logs the same bytes.
 func TestChaosRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run is seconds-long")
 	}
-	res := ChaosRecovery(ChaosConfig{Seed: faultSeed(t)})
+	seed := faultSeed(t)
+	res := ChaosRecovery(ChaosConfig{Seed: seed})
 	t.Logf("\n%s", res)
+	sameLog(t, seed, res.Log, ChaosRecovery(ChaosConfig{Seed: seed}).Log)
 	for _, v := range res.Violations {
 		t.Error(v)
 	}

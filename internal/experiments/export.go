@@ -135,6 +135,11 @@ func ExportOverhead(nSwitches int, dur time.Duration) *ExportResult {
 			if err := f.Ctl.Tick(); err != nil {
 				panic(err)
 			}
+			// The window's reports leave in a frame of their own before the
+			// next window's join them in the ring.
+			if err := f.Accounted(); err != nil {
+				panic(err)
+			}
 		}
 		// Replicated switches: every one sees every packet, and windows
 		// roll on the controller's tick, not the netsim clock.
@@ -151,15 +156,15 @@ func ExportOverhead(nSwitches int, dur time.Duration) *ExportResult {
 		sync()
 		var encodeNs uint64
 		if f.Svc != nil {
-			// A closed exporter's bye is read after everything before it was
-			// ingested, so the last alerts are there to collect.
 			for _, name := range f.Names {
 				exp := f.Switches[name].Exporter
-				if err := exp.Flush(); err != nil {
-					panic(err)
-				}
 				encodeNs += exp.Stats().EncodeNs
 				exp.Close()
+			}
+			// The analyzer has ingested every frame and bye: the last
+			// alerts are there to collect.
+			if err := f.Accounted(); err != nil {
+				panic(err)
 			}
 			rs, _ := f.Ctl.Collect()
 			reports += len(rs)

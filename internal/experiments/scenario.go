@@ -27,10 +27,6 @@ import (
 	"github.com/newton-net/newton/internal/topology"
 )
 
-// barrierTimeout bounds each wait of a round on the analyzer or on an
-// exporter's stream; passing it fails the run.
-const barrierTimeout = 5 * time.Second
-
 // fleetSpec is what the scenario fleets differ in. Every one is a line
 // of switches behind TCP agents, each switch's connections through its
 // own seeded fault injector.
@@ -150,7 +146,7 @@ func (e *engine) end(tick bool) (orchestrator.TickReport, error) {
 	if tick {
 		tickErr = e.Ctl.Tick()
 	}
-	if err := e.Accounted(barrierTimeout); err != nil {
+	if err := e.Accounted(); err != nil {
 		e.fail("round %d: %v", e.round+1, err)
 	}
 	if e.Svc != nil {
@@ -211,8 +207,8 @@ func (e *engine) heal(name string) {
 	e.logf("heal %s", name)
 	e.injs[name].Heal()
 	e.sws[name].partedTo = 0
-	if exp := e.Switches[name].Exporter; exp != nil && !exp.AwaitStream(barrierTimeout) {
-		e.fail("heal %s: the exporter's stream is not back after %v", name, barrierTimeout)
+	if exp := e.Switches[name].Exporter; exp != nil && !exp.AwaitStream() {
+		e.fail("heal %s: the exporter's stream is not back after %v", name, telemetry.AwaitTimeout)
 	}
 }
 

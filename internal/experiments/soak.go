@@ -66,8 +66,10 @@ const (
 	// from the post-warmup sample to the end of the run must stay under
 	// it.
 	soakMaxHeapGrowthMB = 8.0
-	// soakGoroutineSlack is the tolerated goroutine delta after teardown
-	// — runtime pollers and test plumbing wobble a little.
+	// soakGoroutineSlack is the tolerated goroutine delta after teardown,
+	// read once when fleet.Close returns: a goroutine that has run to its
+	// end may not have exited yet, and runtime pollers and test plumbing
+	// wobble a little.
 	soakGoroutineSlack = 8
 )
 

@@ -18,13 +18,15 @@ import (
 // MaxSilence rounds and the ladder. The test adds that recovery takes
 // exactly the monitor's ladder, in rounds: a kill drains on the
 // SuspectAfter+DownAfter-th round after it, and a restart is re-admitted
-// on the RecoverAfter-th.
+// on the RecoverAfter-th. A second run at the seed logs the same bytes.
 func TestSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak run is seconds-long")
 	}
-	res := Soak(SoakConfig{Seed: faultSeed(t)})
+	seed := faultSeed(t)
+	res := Soak(SoakConfig{Seed: seed})
 	t.Logf("\n%s", res)
+	sameLog(t, seed, res.Log, Soak(SoakConfig{Seed: seed}).Log)
 
 	for _, v := range res.Violations {
 		t.Error(v)

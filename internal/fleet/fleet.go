@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"github.com/newton-net/newton/internal/controller"
 	"github.com/newton-net/newton/internal/modules"
@@ -265,19 +264,19 @@ func (f *Fleet) Restart(name string) error {
 // Accounted is the round barrier: it returns once the analyzer has
 // accounted every frame each switch's exporter has written, a closed
 // exporter's last frames and the end of its stream included, and fails
-// naming the first switch still short when timeout passes first.
-func (f *Fleet) Accounted(timeout time.Duration) error {
+// naming the first switch still short when its wait reaches
+// telemetry.AwaitTimeout.
+func (f *Fleet) Accounted() error {
 	if f.Svc == nil {
 		return nil
 	}
-	deadline := time.Now().Add(timeout)
 	for _, name := range f.Names {
 		sw := f.Switches[name]
 		if sw.Exporter == nil {
 			continue
 		}
 		n, closed := sw.Exporter.Frames()
-		if err := f.Svc.AwaitFrames(name, sw.sent+n, closed, time.Until(deadline)); err != nil {
+		if err := f.Svc.AwaitFrames(name, sw.sent+n, closed); err != nil {
 			return err
 		}
 	}
@@ -295,7 +294,8 @@ func (f *Fleet) Forget(name string) {
 
 // Close tears the fleet down: every switch's exporter and client, then
 // the agents with their listeners, then the service, and returns once
-// every goroutine the fleet started has exited. It is safe to call twice.
+// every goroutine the fleet started has run to its end; one that has
+// called Done may not have exited yet. It is safe to call twice.
 func (f *Fleet) Close() {
 	for _, sw := range f.Switches {
 		if sw.Exporter != nil {

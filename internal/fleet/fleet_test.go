@@ -61,7 +61,7 @@ func eventually(cond func() bool) bool {
 // Collect once the analyzer accounted every frame.
 func alerted(t *testing.T, f *Fleet, qid int) bool {
 	t.Helper()
-	if err := f.Accounted(5 * time.Second); err != nil {
+	if err := f.Accounted(); err != nil {
 		t.Fatal(err)
 	}
 	rs, err := f.Ctl.Collect()
@@ -75,7 +75,7 @@ func alerted(t *testing.T, f *Fleet, qid int) bool {
 // the analyzer accounted every frame.
 func fullEpoch(t *testing.T, f *Fleet, qid int, epoch uint32) {
 	t.Helper()
-	if err := f.Accounted(5 * time.Second); err != nil {
+	if err := f.Accounted(); err != nil {
 		t.Fatal(err)
 	}
 	if partial, missing, merged := f.Svc.EpochStatus(qid, epoch); partial || merged != len(f.Names) {
@@ -188,6 +188,51 @@ func TestFleetKillRestart(t *testing.T) {
 		}
 		if err := f.Kill("s9"); err == nil {
 			t.Fatal("Kill of an unknown switch returned no error")
+		}
+	})
+}
+
+// TestFleetForgetRestart: a killed switch, once its stream has ended,
+// can be forgotten, and the barrier then expects of it only what its
+// restarted exporter writes: the analyzer counts that switch's frames
+// from zero again, and Accounted holds at every step.
+func TestFleetForgetRestart(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tcp bool) {
+		f, _, _, _ := line3(t, tcp)
+		defer f.Close()
+
+		if err := f.Ctl.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Kill("s2"); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Accounted(); err != nil {
+			t.Fatal(err)
+		}
+		f.Forget("s2")
+		if _, ok := f.Svc.AgentWire("s2"); ok {
+			t.Fatal("s2 is still tracked after Forget")
+		}
+		if err := f.Accounted(); err != nil {
+			t.Fatalf("Accounted with s2 forgotten: %v", err)
+		}
+
+		if err := f.Restart("s2"); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Ctl.Reconverge(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Ctl.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Accounted(); err != nil {
+			t.Fatalf("Accounted after s2 restarted: %v", err)
+		}
+		wrote, _ := f.Switches["s2"].Exporter.Frames()
+		if wi, _ := f.Svc.AgentWire("s2"); wrote == 0 || wi.Frames != wrote {
+			t.Fatalf("s2's restarted exporter wrote %d frames, the analyzer counts %d", wrote, wi.Frames)
 		}
 	})
 }

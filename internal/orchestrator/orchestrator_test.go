@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"slices"
 	"testing"
-	"time"
 
 	"github.com/newton-net/newton/internal/compiler"
 	"github.com/newton-net/newton/internal/fleet"
@@ -52,7 +51,7 @@ func (f *testFleet) orch(t *testing.T) *Orchestrator {
 // has accounted every frame the switches wrote (fleet.Fleet.Accounted).
 func accountedEpoch(t *testing.T, f *testFleet, qid int, epoch uint32) (partial bool, missing []string, merged int) {
 	t.Helper()
-	if err := f.Accounted(5 * time.Second); err != nil {
+	if err := f.Accounted(); err != nil {
 		t.Fatal(err)
 	}
 	return f.Svc.EpochStatus(qid, epoch)

@@ -525,12 +525,12 @@ func (e *Exporter) Frames() (n uint64, closed bool) {
 }
 
 // AwaitStream blocks until the exporter has a stream to write on — a
-// failed one redialed and its replay written — or has closed, or timeout
-// passes; it reports whether the stream is up.
-func (e *Exporter) AwaitStream(timeout time.Duration) bool {
+// failed one redialed and its replay written — or has closed, or
+// AwaitTimeout passes; it reports whether the stream is up.
+func (e *Exporter) AwaitStream() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return awaitCond(e.idle, timeout, func() bool { return e.writeErr == nil || e.closed }) && !e.closed
+	return awaitCond(e.idle, func() bool { return e.writeErr == nil || e.closed }) && !e.closed
 }
 
 // Stats returns the exporter's counter snapshot. Dropped aggregates

@@ -257,7 +257,7 @@ func TestEpochGapAndLivenessTracking(t *testing.T) {
 	}
 	// The stream's end: every frame a wrote accounted, and no stream open.
 	frames, _ := exp.Frames()
-	if err := svc.AwaitFrames("a", frames, true, 5*time.Second); err != nil {
+	if err := svc.AwaitFrames("a", frames, true); err != nil {
 		t.Fatal(err)
 	}
 

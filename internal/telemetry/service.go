@@ -585,18 +585,22 @@ func (s *Service) streamDown(a *agentInfo) {
 	s.accounted.Broadcast()
 }
 
+// AwaitTimeout bounds each wait on the telemetry path (AwaitFrames,
+// Exporter.AwaitStream); a wait that reaches it fails.
+const AwaitTimeout = 5 * time.Second
+
 // AwaitFrames blocks until the streams of switch id have brought this
 // service frames frames in all (WireInfo.Frames), and, when ended is
 // set, until every stream of id has ended as well: the barrier a fleet
 // waits on, given what the switch's exporter says it wrote
 // (Exporter.Frames). It wakes as frames are ingested and streams end,
-// and fails once timeout passes first.
-func (s *Service) AwaitFrames(id string, frames uint64, ended bool, timeout time.Duration) error {
+// and fails once AwaitTimeout passes first.
+func (s *Service) AwaitFrames(id string, frames uint64, ended bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var got uint64
 	var streams int
-	if awaitCond(&s.accounted, timeout, func() bool {
+	if awaitCond(&s.accounted, func() bool {
 		got, streams = 0, 0
 		if a := s.agents[id]; a != nil {
 			got, streams = a.wire.Frames, a.Streams
@@ -609,10 +613,10 @@ func (s *Service) AwaitFrames(id string, frames uint64, ended bool, timeout time
 }
 
 // awaitCond waits on c, whose lock the caller holds, until done holds
-// or timeout passes, and reports whether done holds.
-func awaitCond(c *sync.Cond, timeout time.Duration, done func() bool) bool {
+// or AwaitTimeout passes, and reports whether done holds.
+func awaitCond(c *sync.Cond, done func() bool) bool {
 	expired := false
-	t := time.AfterFunc(timeout, func() {
+	t := time.AfterFunc(AwaitTimeout, func() {
 		c.L.Lock()
 		expired = true
 		c.L.Unlock()

@@ -366,7 +366,7 @@ func TestAnalyzerObsCodecHeldBytes(t *testing.T) {
 
 	early.Close()
 	frames, _ := early.Frames()
-	if err := svc.AwaitFrames("early", frames, true, 5*time.Second); err != nil {
+	if err := svc.AwaitFrames("early", frames, true); err != nil {
 		t.Fatal(err)
 	}
 	if s := held("early"); s == nil || s.Value != 0 {
